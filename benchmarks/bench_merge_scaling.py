@@ -8,19 +8,28 @@ even/odd halo kernel — relative peer encoding means clones of the same
 template carry identical payloads and group together, exactly the
 regular-application regime of the paper — then times
 
-* ``fold``  — left fold, the O(P) chain of pairwise absorbs;
-* ``tree``  — serial binary reduction tree (O(log P) depth);
-* ``parallel`` — the multiprocessing tree schedule (``workers="auto"``).
+* ``fold`` / ``tree`` — the serial merge; both names run the same
+  single pass (one ``add_rank`` walk per rank into one accumulator);
+* ``parallel`` — the multiprocessing tree schedule (``workers="auto"``):
+  chunks merged by the single pass in workers, shard roots combined
+  pairwise in the parent.
 
 All three must produce byte-identical serialized traces (deferred
 canonical-order stats materialization makes the merge association-free).
 Results go to ``results/merge_scaling.json`` including a log-log scaling
-exponent for the serial tree; the acceptance bar is sub-quadratic
+exponent for the serial merge; the acceptance bar is sub-quadratic
 (exponent < 2) at P = 1024.
 
+Per-rank gate: at P = 256 the single pass is timed against the schedule
+it replaced — one ``MergedCTT`` per rank, combined pairwise up a binary
+tree — rebuilt here from the primitives that survive (``from_rank``,
+``absorb``), in the same process, so the ratio does not depend on the
+machine.  The single pass must cost at most ``GATE_RATIO`` of it per
+rank.
+
 Run directly (``python -m benchmarks.bench_merge_scaling``) for the full
-sweep, or with ``--smoke`` (CI) for the two smallest points.  Under
-pytest the quick grid is used unless ``REPRO_FULL=1``.
+sweep, or with ``--smoke`` (CI) for the two smallest points plus the
+gate.  Under pytest the quick grid is used unless ``REPRO_FULL=1``.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import sys
 import time
 
 from repro.core import serialize
-from repro.core.inter import merge_all
+from repro.core.inter import InternTable, MergedCTT, merge_all
 from repro.core.intra import IntraProcessCompressor
 from repro.driver import run_compiled
 from repro.static.instrument import compile_minimpi
@@ -43,6 +52,9 @@ SMOKE_GRID = (16, 64)
 FULL_GRID = (16, 32, 64, 128, 256, 512, 1024)
 
 TEMPLATE_RANKS = 8
+
+GATE_RANKS = 256
+GATE_RATIO = 0.7
 
 # Even/odd halo exchange (the paper's Fig. 5 shape): every rank swaps a
 # face with both neighbours each step, evens send first.  Peers are
@@ -112,10 +124,42 @@ def synthesize_ranks(templates, nranks: int):
     return ctts
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
+def _timed(fn, repeats: int = 3):
+    """``(result, best wall time)`` over ``repeats`` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
+def _pairwise_tree_merge(ctts):
+    """The serial schedule before the single pass: a whole merged tree
+    per rank, zipped pairwise up a binary reduction tree."""
+    interns = InternTable()
+    trees = [MergedCTT.from_rank(c, interns) for c in ctts]
+    while len(trees) > 1:
+        trees = [
+            trees[i].absorb(trees[i + 1]) if i + 1 < len(trees) else trees[i]
+            for i in range(0, len(trees), 2)
+        ]
+    return trees[0].finalize()
+
+
+def per_rank_gate(templates, nranks: int = GATE_RANKS) -> dict:
+    ctts = synthesize_ranks(templates, nranks)
+    merged, single_s = _timed(lambda: merge_all(ctts, schedule="tree"), 7)
+    reference, pairwise_s = _timed(lambda: _pairwise_tree_merge(ctts), 7)
+    assert serialize.dumps(merged) == serialize.dumps(reference), \
+        f"single pass != pairwise bytes at P={nranks}"
+    return {
+        "nranks": nranks,
+        "single_pass_us_per_rank": round(single_s / nranks * 1e6, 2),
+        "pairwise_us_per_rank": round(pairwise_s / nranks * 1e6, 2),
+        "ratio": round(single_s / pairwise_s, 3),
+        "max_ratio": GATE_RATIO,
+    }
 
 
 def run_point(templates, nranks: int, workers="auto") -> dict:
@@ -125,7 +169,8 @@ def run_point(templates, nranks: int, workers="auto") -> dict:
     merged_par, par_s = _timed(
         lambda: merge_all(
             ctts, schedule="tree", workers=workers, parallel_threshold=16
-        )
+        ),
+        repeats=1,  # pays pool start-up per call
     )
     blob_fold = serialize.dumps(merged_fold)
     blob_tree = serialize.dumps(merged_tree)
@@ -137,6 +182,7 @@ def run_point(templates, nranks: int, workers="auto") -> dict:
         "nranks": nranks,
         "fold_s": round(fold_s, 6),
         "tree_s": round(tree_s, 6),
+        "tree_us_per_rank": round(tree_s / nranks * 1e6, 2),
         "parallel_s": round(par_s, 6),
         "trace_bytes": len(blob_tree),
         "groups": groups,
@@ -168,6 +214,7 @@ def run_sweep(grid, workers="auto") -> dict:
         "fold_scaling_exponent": round(
             scaling_exponent(points, "fold_s"), 3
         ),
+        "per_rank_gate": per_rank_gate(templates),
     }
     return result
 
@@ -196,6 +243,7 @@ def test_merge_scaling_sweep():
         emit_json(result)
     # Sub-quadratic: a P^2 merge would show exponent ~2 on this sweep.
     assert result["tree_scaling_exponent"] < 1.8, result
+    assert result["per_rank_gate"]["ratio"] <= GATE_RATIO, result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -214,8 +262,16 @@ def main(argv: list[str] | None = None) -> int:
         )
     print(f"  tree scaling exponent: {result['tree_scaling_exponent']}"
           f" (fold: {result['fold_scaling_exponent']})")
+    gate = result["per_rank_gate"]
+    print(f"  per-rank gate at P={gate['nranks']}: single pass "
+          f"{gate['single_pass_us_per_rank']} us/rank vs pairwise "
+          f"{gate['pairwise_us_per_rank']} us/rank = {gate['ratio']}x "
+          f"(max {GATE_RATIO})")
     if not smoke:
         emit_json(result)
+    if gate["ratio"] > GATE_RATIO:
+        print("FAIL: single-pass merge lost its per-rank margin")
+        return 1
     return 0
 
 

@@ -1,6 +1,6 @@
 """Inter-process trace compression (paper §IV-B).
 
-Because every rank's CTT mirrors the *same* static CST, merging two
+Because every rank's CTT mirrors the *same* static CST, merging
 compressed traces is a vertex-by-vertex walk — O(n) in the tree size —
 instead of the O(n²) sequence alignment dynamic-only tools need.  At each
 vertex, per-rank payloads that are identical (ignoring timing) collapse
@@ -8,29 +8,28 @@ into one *group* holding the payload once plus the set of ranks; timing
 statistics merge across the group (paper Fig. 13: ``<p0, p1: k>`` when
 both ranks agree, ``<p0: ..., p1: null>`` when they differ).
 
-Scale machinery (the O(n log P) critical path the paper claims):
+The serial merge is one pass: every rank CTT is walked once against a
+single accumulating :class:`MergedCTT` (:meth:`MergedCTT.add_rank`) —
+no per-rank tree is ever built.  What keeps it linear:
 
 * payload signatures are *interned* per merge session — group lookup
   compares pointers with a cached hash, never re-hashing nested tuples;
-* rank sets are sorted disjoint lists unified by a linear merge (with a
-  concat fast path for the contiguous chunks a reduction tree produces)
-  and stride-compressed lazily, cached until the group next changes;
+* a rank arriving in ascending order joins its group by an O(1) append;
+  rank sets stay sorted disjoint lists, stride-compressed lazily and
+  cached until the group next changes;
 * per-rank timing contributions are *deferred*: groups collect references
   into the source CTTs and materialize merged statistics once, in
-  ascending rank order — so every schedule (fold, tree, parallel tree)
-  produces bit-identical merged statistics, and absorb itself does no
-  floating-point work;
+  ascending rank order — so every schedule produces bit-identical merged
+  statistics, and the walk itself does no floating-point work;
 * ``rank → group`` lookups use a lazily built per-vertex map (O(1) per
   query during replay instead of a scan over all groups).
 
-``merge_all`` supports two schedules:
-
-* ``tree`` (default) — binary reduction, O(n log P) critical-path work,
-  the parallel algorithm the paper describes.  With ``workers > 1`` and
-  at least ``parallel_threshold`` ranks the reduction actually runs on a
-  ``multiprocessing`` pool: contiguous power-of-two chunks of pickled
-  CTTs reduce concurrently and the parent folds the resulting shards.
-* ``fold`` — sequential left fold, O(n·P) critical path (ablation).
+``merge_all`` keeps its two schedule names.  Without workers ``tree``
+and ``fold`` are the same single pass.  ``tree`` with ``workers > 1``
+and at least ``parallel_threshold`` ranks runs on a ``multiprocessing``
+pool: contiguous power-of-two chunks of pickled CTTs merge concurrently
+(each chunk by the same single pass) and the parent combines the shard
+roots pairwise (:meth:`MergedCTT.absorb`) up a binary reduction tree.
 """
 
 from __future__ import annotations
@@ -249,10 +248,10 @@ class Group:
             return sources[0][1]
         merged = [r.copy() for r in sources[0][1]]
         self._owns_records = True
-        for _, recs in sources[1:]:
-            for mine, theirs in zip(merged, recs):
-                mine.duration.merge(theirs.duration)
-                mine.pre_gap.merge(theirs.pre_gap)
+        rest = [recs for _, recs in sources[1:]]
+        for i, mine in enumerate(merged):
+            mine.duration.merge_many([recs[i].duration for recs in rest])
+            mine.pre_gap.merge_many([recs[i].pre_gap for recs in rest])
         return merged
 
     def finalize(self) -> None:
@@ -265,9 +264,9 @@ class Group:
     # -- absorption ------------------------------------------------------
 
     def absorb_ranks(self, other: "Group") -> None:
-        """Take over ``other``'s (disjoint) member ranks — a linear merge
-        of sorted lists, with concat fast paths for the contiguous rank
-        chunks a reduction tree produces."""
+        """Take over ``other``'s (disjoint) member ranks, keeping the
+        list sorted — a concat for the contiguous rank chunks a reduction
+        tree produces, else a sort of two sorted runs (linear)."""
         a, b = self.ranks, other.ranks
         sa, sb = self._sources, other._sources
         deferred = sa is not None and sb is not None
@@ -275,12 +274,8 @@ class Group:
             a.extend(b)
             if deferred:
                 sa.extend(sb)
-        elif b[-1] < a[0]:
-            self.ranks = b + a
-            if deferred:
-                self._sources = sb + sa
         else:
-            self.ranks = sorted(a + b)  # disjoint, rarely interleaved
+            self.ranks = sorted(a + b)  # disjoint, rarely out of order
             if deferred:
                 merged_sources = sa + sb
                 merged_sources.sort(key=lambda s: s[0])
@@ -414,45 +409,76 @@ class MergedCTT:
         interns: InternTable | None = None,
         nranks: int | None = None,
     ) -> "MergedCTT":
-        interns = interns if interns is not None else InternTable()
-        intern = interns.intern
-        root = MergedVertex(ctt.root)
+        return cls(MergedVertex(ctt.root), 0, interns).add_rank(ctt, nranks)
+
+    def add_rank(self, ctt: CTT, nranks: int | None = None) -> "MergedCTT":
+        """Merge one rank's CTT into this tree: a single walk of its
+        vertices against ours, each non-empty payload joining (or
+        founding) the group with its interned signature.  Ranks arriving
+        in ascending order join by an O(1) append; any other order, and
+        groups already finalized, take :meth:`MergedVertex.add_group`."""
+        mine_vertices = self.vertices()
+        their_vertices = ctt.vertices()
+        if len(mine_vertices) != len(their_vertices):
+            raise MergeError(
+                f"structural mismatch: {len(mine_vertices)} vs "
+                f"{len(their_vertices)} vertices (different programs?)"
+            )
+        intern = self.interns.intern
         rank = ctt.rank
-        merged = cls(root, 1, interns)
-        for src, dst in zip(ctt.vertices(), merged.vertices()):
-            group = None
-            if src.kind == LOOP:
-                if len(src.loop_counts):
-                    group = Group(
-                        signature=intern(_loop_signature(src.loop_counts)),
-                        ranks=[rank], counts=src.loop_counts,
+        for dst, src in zip(mine_vertices, their_vertices):
+            kind = src.kind
+            if dst.gid != src.gid or dst.kind != kind:
+                raise MergeError(
+                    f"structural mismatch at gid {dst.gid} vs {src.gid}"
+                )
+            counts = visits = sources = None
+            if kind == CALL:
+                records = src.records
+                if not records:
+                    continue
+                if nranks is not None:
+                    records = (
+                        _abs_fallback_records(records, rank, nranks) or records
                     )
-            elif src.kind == BRANCH:
-                if len(src.visits):
-                    group = Group(
-                        signature=intern(_visits_signature(src.visits)),
-                        ranks=[rank], visits=src.visits,
-                    )
-            elif src.kind == CALL:
-                if src.records:
-                    records = src.records
-                    if nranks is not None:
-                        repaired = _abs_fallback_records(records, rank, nranks)
-                        if repaired is not None:
-                            records = repaired
-                    group = Group(
-                        signature=intern(_records_signature(records)),
-                        ranks=[rank],
-                        sources=[(rank, records)],  # stats merge deferred
-                    )
-            if group is not None:
-                dst.add_group(group)
-        return merged
+                signature = intern(_records_signature(records))
+                sources = [(rank, records)]  # stats merge deferred
+            elif kind == LOOP:
+                counts = src.loop_counts
+                if not len(counts):
+                    continue
+                signature = intern(_loop_signature(counts))
+            elif kind == BRANCH:
+                visits = src.visits
+                if not len(visits):
+                    continue
+                signature = intern(_visits_signature(visits))
+            else:
+                continue
+            group = dst.groups.get(signature)
+            if group is not None and group.ranks[-1] < rank and (
+                sources is None or group._sources is not None
+            ):
+                group.ranks.append(rank)
+                if sources is not None:
+                    group._sources.append(sources[0])
+                    group._records = None
+                    group._owns_records = False
+                group._rank_seq = None
+                group._bytes = None
+                dst._by_rank = None
+            else:  # founds the group, or merges out of order / eagerly
+                dst.add_group(
+                    Group(signature, [rank], counts, visits, sources=sources)
+                )
+        self.nranks_merged += 1
+        return self
 
     # -- merging ------------------------------------------------------------
 
     def absorb(self, other: "MergedCTT") -> "MergedCTT":
-        """Merge ``other`` into this tree (O(n) vertex walk)."""
+        """Merge another merged tree into this one (O(n) vertex walk) —
+        how the parent combines the shard roots of a parallel merge."""
         mine_vertices = self.vertices()
         their_vertices = other.vertices()
         if len(mine_vertices) != len(their_vertices):
@@ -486,7 +512,8 @@ class MergedCTT:
 
     def fold_rank(self, ctt: CTT, nranks: int | None = None) -> "MergedCTT":
         """Incrementally fold one completed rank into this partial tree
-        (the budget mode's streaming merge, docs/INTERNALS.md §15).
+        and release its sources (the budget mode's streaming merge,
+        docs/INTERNALS.md §15).
 
         Byte-identity invariant: folding ranks one at a time **in
         ascending rank order**, finalizing after each fold, performs the
@@ -498,8 +525,7 @@ class MergedCTT:
         combines and break bit-identity; callers (``IntraProcessCompressor
         .merged``) enforce the ordering.
         """
-        self.absorb(MergedCTT.from_rank(ctt, self.interns, nranks=nranks))
-        return self.finalize()
+        return self.add_rank(ctt, nranks).finalize()
 
     # -- inspection -----------------------------------------------------------
 
@@ -517,15 +543,22 @@ class MergedCTT:
 # Schedules.
 
 
-def _tree_reduce(
-    merged: list[MergedCTT], registry=None, level_offset: int = 0
-) -> MergedCTT:
-    """Binary reduction: level-by-level adjacent pairing.
+def _merge_serial(ctts: list[CTT], nranks: int | None) -> MergedCTT:
+    """The single pass: every rank CTT walked once into one accumulator
+    (not finalized)."""
+    merged = MergedCTT(MergedVertex(ctts[0].root), 0)
+    for ctt in ctts:
+        merged.add_rank(ctt, nranks)
+    return merged
+
+
+def _tree_reduce(merged: list[MergedCTT], registry=None) -> MergedCTT:
+    """Binary reduction of shard roots: level-by-level adjacent pairing.
 
     With an active metrics ``registry``, each reduction level's wall time
     is recorded as timer ``inter.level.NN`` (two clock reads per *level*,
     so the instrumented and bare paths are the same code)."""
-    level = level_offset
+    level = 0
     while len(merged) > 1:
         t0 = time.perf_counter() if registry is not None else 0.0
         nxt = []
@@ -539,13 +572,13 @@ def _tree_reduce(
                 f"inter.level.{level:02d}", time.perf_counter() - t0
             )
         level += 1
-    if registry is not None and level > level_offset:
+    if registry is not None and level:
         registry.gauge_max("inter.levels", float(level))
     return merged[0]
 
 
 def _merge_shard(payload) -> tuple:
-    """Worker entry point: tree-reduce one contiguous chunk of rank CTTs
+    """Worker entry point: merge one contiguous chunk of rank CTTs
     (``payload`` is ``(ctts, nranks)``).
 
     Must stay a module-level function (pickled by ``multiprocessing``).
@@ -558,14 +591,11 @@ def _merge_shard(payload) -> tuple:
     """
     ctts, nranks = payload
     t0 = time.perf_counter()
-    interns = InternTable()
-    merged = _tree_reduce(
-        [MergedCTT.from_rank(c, interns, nranks=nranks) for c in ctts]
-    )
+    merged = _merge_serial(ctts, nranks)
     stats = {
         "elapsed": time.perf_counter() - t0,
-        "intern_hits": interns.hits,
-        "intern_misses": interns.misses,
+        "intern_hits": merged.interns.hits,
+        "intern_misses": merged.interns.misses,
     }
     return merged, stats
 
@@ -591,18 +621,17 @@ def _parallel_tree_merge(
     fault_plan=None,
     nranks: int | None = None,
 ) -> MergedCTT | None:
-    """Run the reduction tree on a process pool; ``None`` means "fall
-    back to serial" (too few chunks to win).
+    """Merge on a process pool; ``None`` means "fall back to serial"
+    (too few chunks to win).
 
-    Chunks are contiguous, power-of-two-sized and aligned, so the work
-    partitions exactly along subtree boundaries of the serial reduction
-    tree — each worker computes a subtree, the parent folds the shard
-    roots level by level.
+    Chunks are contiguous, power-of-two-sized and aligned: each worker
+    merges one chunk in a single pass, the parent reduces the shard
+    roots pairwise, level by level.
 
     Worker failures are handled by the resilient executor
     (:func:`repro.core.respool.run_tasks`): a chunk whose worker raises,
     dies, or exceeds ``task_timeout`` is retried and ultimately
-    tree-reduced serially in the parent — ``_merge_shard`` is
+    merged serially in the parent — ``_merge_shard`` is
     deterministic over immutable per-rank CTTs, so the recovered merge
     is byte-identical to an all-healthy run.
     """
@@ -632,10 +661,7 @@ def _parallel_tree_merge(
                 registry.counter_add(
                     "inter.intern_misses", stats["intern_misses"]
                 )
-        # Parent-side fold levels stack on top of the worker subtrees.
-        depth = max(chunk - 1, 0).bit_length()
-        return _tree_reduce(shards, registry, level_offset=depth)
-    return _tree_reduce(shards)
+    return _tree_reduce(shards, registry)
 
 
 def merge_all(
@@ -651,13 +677,13 @@ def merge_all(
 ) -> MergedCTT:
     """Merge every rank's CTT into the job-wide compressed trace.
 
-    ``schedule='tree'`` is the paper's parallel binary-reduction order
-    (O(n log P) critical path); pass ``workers=N`` (or ``"auto"``) to run
-    the reduction on a ``multiprocessing`` pool once at least
-    ``parallel_threshold`` ranks are being merged.  ``schedule='fold'``
-    is the sequential baseline (ablation).  Every schedule produces a
-    bit-identical merged trace: group statistics always materialize in
-    ascending rank order.
+    Serially, both schedules are one pass over the ranks into a single
+    accumulator.  ``schedule='tree'`` with ``workers=N`` (or ``"auto"``)
+    runs the paper's parallel binary reduction (O(n log P) critical
+    path) on a ``multiprocessing`` pool once at least
+    ``parallel_threshold`` ranks are being merged; ``schedule='fold'``
+    never uses the pool.  Every schedule produces a bit-identical merged
+    trace: group statistics always materialize in ascending rank order.
 
     Pool-worker failures (crash, kill, hang under ``task_timeout``) are
     retried ``retries`` times with backoff, then the failed chunks are
@@ -678,36 +704,22 @@ def merge_all(
         raise ValueError(f"unknown merge schedule {schedule!r}")
     registry = obs.active()
     with obs.span("inter.merge"):
-        result = _merge_all_impl(ctts, schedule, workers, parallel_threshold,
-                                 registry, retries, task_timeout, fault_plan,
-                                 nranks)
-    if registry is not None:
-        _publish_merge_metrics(registry, result)
-    return result
-
-
-def _merge_all_impl(
-    ctts, schedule, workers, parallel_threshold, registry,
-    retries, task_timeout, fault_plan, nranks=None,
-) -> MergedCTT:
-    if schedule == "tree":
-        nworkers = _resolve_workers(workers)
+        result = None
+        nworkers = _resolve_workers(workers) if schedule == "tree" else 1
         if nworkers > 1 and len(ctts) >= parallel_threshold:
-            merged = _parallel_tree_merge(
+            result = _parallel_tree_merge(
                 ctts, nworkers,
                 retries=retries, task_timeout=task_timeout,
                 fault_plan=fault_plan, nranks=nranks,
             )
-            if merged is not None:
-                return merged.finalize()
-    interns = InternTable()
-    merged = [MergedCTT.from_rank(c, interns, nranks=nranks) for c in ctts]
-    if schedule == "fold":
-        acc = merged[0]
-        for m in merged[1:]:
-            acc.absorb(m)
-        return acc.finalize()
-    return _tree_reduce(merged, registry).finalize()
+        if result is None:
+            if registry is not None:
+                registry.counter_add("inter.add_rank", len(ctts))
+            result = _merge_serial(ctts, nranks)
+        result.finalize()
+    if registry is not None:
+        _publish_merge_metrics(registry, result)
+    return result
 
 
 def _publish_merge_metrics(registry, merged: MergedCTT) -> None:

@@ -28,9 +28,9 @@ END marker pins the section count — so a v5 file fails loudly
 (:class:`~repro.core.errors.TraceFormatError`) on any flipped bit or
 missing tail, while ``loads(..., salvage=True)`` recovers the longest
 checksum-valid prefix of a truncated file (vertices whose payload chunk
-was lost simply have no groups).  Version-4 files (no framing) are still
-readable.  :func:`save` is atomic: temp file + fsync + ``os.replace``,
-so an interrupted save never clobbers an existing trace.
+was lost simply have no groups).  Version 5 stays readable; older,
+unframed files do not.  :func:`save` is atomic: temp file + fsync +
+``os.replace``, so an interrupted save never clobbers an existing trace.
 
 Round-trips: ``loads(dumps(m))`` reconstructs a replayable MergedCTT.
 """
@@ -72,47 +72,51 @@ _CHUNK_BYTES = 1 << 16
 _KIND_CODE = {ROOT: 0, LOOP: 1, BRANCH: 2, CALL: 3}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
+_pack_double = struct.Struct("<d").pack
+
 
 class ByteWriter:
+    """Append-only encoder over one ``bytearray``."""
+
+    __slots__ = ("_buf",)
+
     def __init__(self) -> None:
-        self._parts: list[bytes] = []
+        self._buf = bytearray()
 
     def bytes(self) -> bytes:
-        return b"".join(self._parts)
+        return bytes(self._buf)
 
     def size(self) -> int:
-        """Bytes written so far (section accounting for the metrics)."""
-        return sum(len(p) for p in self._parts)
+        """Bytes written so far — O(1), callers poll it per vertex."""
+        return len(self._buf)
 
     def raw(self, data: bytes) -> None:
-        self._parts.append(data)
+        self._buf += data
 
     def u(self, value: int) -> None:
         """Unsigned varint (LEB128)."""
-        if value < 0:
-            raise ValueError(f"u() got negative {value}")
-        out = bytearray()
-        while True:
-            byte = value & 0x7F
+        buf = self._buf
+        if value < 0x80:
+            if value < 0:
+                raise ValueError(f"u() got negative {value}")
+            buf.append(value)  # the common one-byte case
+            return
+        while value > 0x7F:
+            buf.append(value & 0x7F | 0x80)
             value >>= 7
-            if value:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-        self._parts.append(bytes(out))
+        buf.append(value)
 
     def z(self, value: int) -> None:
         """Signed varint (zigzag)."""
         self.u((value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1)
 
     def f(self, value: float) -> None:
-        self._parts.append(struct.pack("<d", value))
+        self._buf += _pack_double(value)
 
     def s(self, text: str) -> None:
         data = text.encode("utf-8")
         self.u(len(data))
-        self.raw(data)
+        self._buf += data
 
 
 class ByteReader:
@@ -255,7 +259,7 @@ def _read_record(r: ByteReader, ops: list[str]) -> CompressedRecord:
 
 
 # ---------------------------------------------------------------------------
-# Shared body encoding (identical bytes in v4 and inside v5 sections).
+# Body encoding (the bytes inside the framed sections).
 
 
 def _write_topology(
@@ -278,19 +282,23 @@ def _write_topology(
         w.u(len(v.children))
 
 
+def _blank_vertex(gid: int, kind: str) -> MergedVertex:
+    """A payload-free vertex built without a CTT template."""
+    v = MergedVertex.__new__(MergedVertex)
+    v.gid = gid
+    v.kind = kind
+    v.ast_id = v.name = v.op = v.branch_path = None
+    v.children = []
+    v.groups = {}
+    v._by_rank = None
+    return v
+
+
 def _read_topology_vertex(
     r: ByteReader, strings: list[str], with_ast: bool = False,
 ) -> MergedVertex:
-    v = MergedVertex.__new__(MergedVertex)
     kind = _CODE_KIND[r.u()]
-    v.gid = -1
-    v.kind = kind
-    v.ast_id = None
-    v.name = None
-    v.op = None
-    v.branch_path = None
-    v.groups = {}
-    v._by_rank = None
+    v = _blank_vertex(-1, kind)
     if kind == CALL:
         op_idx = r.u()
         name_idx = r.u()
@@ -501,9 +509,9 @@ def _dumps(merged: MergedCTT, gzip: bool, chunk_bytes: int) -> bytes:
     w.raw(_MAGIC)
     w.u(_VERSION)
     _write_section(w, _SEC_HEADER, hw.bytes())
-    header_bytes = w.size() if registry is not None else 0
+    header_bytes = w.size()
     _write_section(w, _SEC_TOPOLOGY, tw.bytes())
-    topology_bytes = (w.size() - header_bytes) if registry is not None else 0
+    topology_bytes = w.size() - header_bytes
     for chunk_first, chunk_count, chunk_payload in chunks:
         pw = ByteWriter()
         pw.u(chunk_first)
@@ -584,29 +592,12 @@ def _loads(data: bytes, salvage: bool) -> MergedCTT:
     r = ByteReader(data)
     r.raw(4)
     version = r.u()
-    if version == 4:
-        # Legacy container: one unframed body, no checksums — nothing
-        # to salvage against, so the flag is ignored.
-        return _loads_v4_body(r)
     if version not in (_V5, _VERSION):
         raise TraceFormatError(f"unsupported trace version {version}")
     sections, complete, error = _read_sections(data, r._pos, salvage)
     return _assemble_v5(
         sections, complete, error, salvage, with_ast=version >= _VERSION
     )
-
-
-def _loads_v4_body(r: ByteReader) -> MergedCTT:
-    nranks = r.u()
-    strings = [r.s() for _ in range(r.u())]
-    root = _read_topology_vertex(r, strings)
-    vertices = list(root.preorder())
-    for gid, v in enumerate(vertices):
-        v.gid = gid
-    interns = InternTable()
-    for v in vertices:
-        _read_vertex_payload(r, v, strings, interns)
-    return MergedCTT(root, nranks, interns)
 
 
 def _assemble_v5(
@@ -699,17 +690,7 @@ def _empty_salvage(nbytes: int) -> MergedCTT:
     ``salvage_info`` records that the file tore inside the container
     header, so callers can report recovery stats without special-casing
     the degenerate truncations (0-byte files, torn first write)."""
-    root = MergedVertex.__new__(MergedVertex)
-    root.gid = 0
-    root.kind = ROOT
-    root.ast_id = None
-    root.name = None
-    root.op = None
-    root.branch_path = None
-    root.children = []
-    root.groups = {}
-    root._by_rank = None
-    merged = MergedCTT(root, 0, InternTable())
+    merged = MergedCTT(_blank_vertex(0, ROOT), 0, InternTable())
     merged.salvage_info = {
         "complete": False,
         "sections_recovered": 0,

@@ -50,6 +50,7 @@ decide the relation exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -64,6 +65,10 @@ from .paths import QueryError, TreeIndex
 SEND_OPS = frozenset({"MPI_Send", "MPI_Isend", "MPI_Sendrecv"})
 
 _NBYTES, _NBYTES2 = 5, 6  # record-key slots (see repro.core.records)
+
+#: Float fields of an engine answer and of its replay oracle agree to
+#: this relative/absolute tolerance (:mod:`repro.query.oracle`).
+AGREEMENT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +450,7 @@ def critical_leaves(
     merged, k: int = 10, index: TreeIndex | None = None
 ) -> list[CriticalLeaf]:
     """The ``k`` most communication-time-expensive call sites, with
-    their structural paths.  Ties break toward the lower GID."""
+    their structural paths, ranked by :func:`rank_leaves`."""
     registry = obs.active()
     with obs.span("query.critical_leaves"):
         idx = index if index is not None else TreeIndex(merged)
@@ -467,5 +472,24 @@ def critical_leaves(
                 path=idx.path(vertex.gid),
             ))
         _count_queries(registry, "critical_leaves", vertices)
-        leaves.sort(key=lambda c: (-c.total_us, c.gid))
-        return leaves[:k]
+        return rank_leaves(leaves, k)
+
+
+def rank_leaves(leaves: list[CriticalLeaf], k: int) -> list[CriticalLeaf]:
+    """The one ranking engine and oracle share: descending total time,
+    where neighbouring totals within :data:`AGREEMENT_TOL` count as tied
+    (the two sum the same times in different orders, so totals that are
+    equal in exact arithmetic differ in the last ulps) and ties break
+    toward the lower GID."""
+    ranked: list[CriticalLeaf] = []
+    tied: list[CriticalLeaf] = []
+    for leaf in sorted(leaves, key=lambda c: -c.total_us):
+        if tied and not math.isclose(
+            tied[-1].total_us, leaf.total_us,
+            rel_tol=AGREEMENT_TOL, abs_tol=AGREEMENT_TOL,
+        ):
+            ranked.extend(sorted(tied, key=lambda c: c.gid))
+            tied = []
+        tied.append(leaf)
+    ranked.extend(sorted(tied, key=lambda c: c.gid))
+    return ranked[:k]

@@ -31,16 +31,16 @@ import math
 from repro.core.decompress import ReplayEvent, decompress_all, decompress_merged_rank
 
 from .engine import (
+    AGREEMENT_TOL as _TOL,
     SEND_OPS,
     CriticalLeaf,
     OpProfile,
     OrderingResult,
     RankProfile,
     Traffic,
+    rank_leaves,
 )
 from .paths import TreeIndex
-
-_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +163,7 @@ def critical_leaves_via_replay(
         )
         for gid in totals
     ]
-    leaves.sort(key=lambda c: (-c.total_us, c.gid))
-    return leaves[:k]
+    return rank_leaves(leaves, k)
 
 
 # ---------------------------------------------------------------------------

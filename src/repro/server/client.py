@@ -239,7 +239,16 @@ class TraceClient:
         )
 
     def status(self) -> dict:
-        """One-shot STATUS query (no session needed)."""
+        """One-shot ``STATUS`` probe on a fresh connection, without a
+        ``HELLO``.
+
+        The daemon sends ``STATUS_ACK`` (its ``server.*`` snapshot) only
+        on a connection that has identified itself; a pre-``HELLO``
+        ``STATUS`` is answered with ``ERROR`` ("HELLO required first"),
+        which this method raises as :class:`ProtocolError` ("expected
+        STATUS_ACK, got ERROR").  For counters without a session, start
+        the daemon with ``repro serve --metrics-json PATH`` and read the
+        snapshot it writes at drain."""
         with self._connect() as sock:
             sock.sendall(proto.control_frame(proto.STATUS))
             kind, payload = proto.read_frame(sock)

@@ -256,18 +256,20 @@ class CypressTraceServer:
     # -- ingest ----------------------------------------------------------
 
     def _ingest_blob(self, job: JobState, session: SessionState,
-                     blob: bytes) -> None:
-        """Feed one acked batch into the job compressor.  A CST/stream
-        mismatch quarantines the rank (lenient path); later batches for
-        a mismatch-quarantined rank are acked but not ingested."""
+                     blob: bytes, items: list | None = None) -> None:
+        """Feed one acked batch into the job compressor.  ``items`` is
+        the batch as :meth:`_validate_blob` already decoded it (recovery
+        replay has none and decodes here, once).  A CST/stream mismatch
+        quarantines the rank (lenient path); later batches for a
+        mismatch-quarantined rank are acked but not ingested."""
         if session.quarantined is not None and \
                 session.quarantined.stage == "intra":
             session.quarantined.events += packed.event_count(blob)
             return
+        if items is None:
+            items = packed.decode_stream(blob)
         try:
-            job.compressor.ingest_stream(
-                session.rank, packed.decode_stream(blob)
-            )
+            job.compressor.ingest_stream(session.rank, items)
         except StreamMismatchError as exc:
             # A mismatch quarantine is permanent (never revived), so the
             # rank also leaves the fold domain — this unstalls the
@@ -281,13 +283,14 @@ class CypressTraceServer:
             self._count("server.quarantines")
 
     @staticmethod
-    def _validate_blob(blob: bytes) -> None:
+    def _validate_blob(blob: bytes) -> list:
         """Reject a non-CYPK batch payload before it can be acked (and
-        thus before it can poison the durable batch log)."""
+        thus before it can poison the durable batch log); returns the
+        decoded items so the ingest does not decode them again."""
         if not packed.is_packed(blob):
             raise proto.ProtocolError("batch payload is not a CYPK stream")
         try:
-            packed.decode_stream(blob)
+            return packed.decode_stream(blob)
         except (*packed.ENCODE_ERRORS, ValueError, IndexError) as exc:
             raise proto.ProtocolError(f"undecodable batch payload: {exc}")
 
@@ -559,14 +562,15 @@ class CypressTraceServer:
             session.quarantined = None
             session.mark_meta_dirty()
             self._count("server.revivals")
+        items = None
         if seq > session.acked_seq:
-            self._validate_blob(blob)
+            items = self._validate_blob(blob)
         try:
             fresh = session.accept(seq, blob)
         except ValueError as exc:  # sequence gap: client bug or replay skew
             raise proto.ProtocolError(str(exc))
         if fresh:
-            self._ingest_blob(job, session, blob)
+            self._ingest_blob(job, session, blob, items)
             self._buffered += len(blob)
             self._count("server.batches")
             self._batches_ingested += 1

@@ -1,6 +1,7 @@
 """Binary trace format tests (varints, roundtrips, gzip)."""
 
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,34 @@ class TestVarints:
         w = ByteWriter()
         w.u(127)
         assert len(w.bytes()) == 1
+
+    def test_varint_boundaries(self):
+        w = ByteWriter()
+        for value in (0, 127, 128, 16383, 16384, 2**63, 2**70):
+            w.u(value)
+        assert w.bytes() == (
+            b"\x00" b"\x7f" b"\x80\x01" b"\xff\x7f" b"\x80\x80\x01"
+            + b"\x80" * 9 + b"\x01" + b"\x80" * 10 + b"\x01"
+        )
+
+    def test_size_tracks_every_write_and_does_not_walk(self):
+        # ``dumps`` polls size() once per vertex; it used to re-sum every
+        # part written so far.  Same per-call cost whatever was written:
+        def cost(nwrites):
+            w = ByteWriter()
+            for i in range(nwrites):
+                w.u(i)
+                w.f(0.5)
+            assert w.size() == len(w.bytes())
+            best = float("inf")
+            for _ in range(5):
+                t0 = time.perf_counter()
+                for _ in range(200):
+                    w.size()
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        assert cost(100_000) < 50 * cost(100)  # a walk would be ~1000x
 
 
 class TestRoundtrip:

@@ -1,0 +1,47 @@
+"""Golden containers: the bytes ``dumps`` writes are pinned.
+
+``tests/data/golden_{fig11,sp,mg}.cyp`` were written by the commit
+before the single-pass merge and the one-buffer ``ByteWriter`` landed
+(``run_cypress`` → ``merge("tree")`` → ``dumps`` at the sizes below), so
+a merge or writer change that moves a single byte — group order, a
+float's last ulp, a varint — fails here first.  To regenerate after an
+*intended* format change, write ``_fresh(...)`` to the files."""
+
+import pathlib
+
+import pytest
+
+from repro.core import run_cypress, serialize
+from repro.workloads import get as get_workload
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+#: name → (nprocs, scale): few loops/long streams, irregular records,
+#: rank-dependent branches.
+GOLDEN = {"fig11": (4, 1.0), "sp": (4, 0.1), "mg": (8, 0.1)}
+
+
+def _golden(name: str) -> bytes:
+    return (DATA / f"golden_{name}.cyp").read_bytes()
+
+
+def _fresh(name: str, schedule: str = "tree") -> bytes:
+    nprocs, scale = GOLDEN[name]
+    w = get_workload(name)
+    run = run_cypress(w.source, nprocs, defines=w.defines(nprocs, scale))
+    return serialize.dumps(run.merge(schedule=schedule))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+class TestGoldenContainers:
+    def test_dumps_is_byte_stable(self, name):
+        assert _fresh(name) == _golden(name)
+        assert _fresh(name, schedule="fold") == _golden(name)
+
+    def test_redump_is_identity(self, name):
+        blob = _golden(name)
+        merged = serialize.loads(blob)
+        assert merged.nranks_merged == GOLDEN[name][0]
+        assert serialize.dumps(merged) == blob
+        packed = serialize.dumps(merged, gzip=True)
+        assert serialize.dumps(serialize.loads(packed)) == blob

@@ -1,5 +1,5 @@
 """Crash-safe v5 container: checksummed sections, loud corruption,
-salvage, legacy v4 reads, and atomic save."""
+salvage, old-version handling, and atomic save."""
 
 import os
 import sys
@@ -12,7 +12,6 @@ from helpers import run_traced  # noqa: E402
 from repro.core import TraceFormatError, serialize  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
 from repro.core.serialize import ByteWriter  # noqa: E402
-from repro.static.cst import CALL  # noqa: E402
 
 SRC = """
 func main() {
@@ -38,27 +37,23 @@ def blob(merged):
     return serialize.dumps(merged)
 
 
-def _dump_v4(merged):
-    """Re-create the legacy unframed container (magic, version 4, then
-    one body: header, topology, payload) for the compat test."""
-    vertices = list(merged.root.preorder())
-    strings = {}
-    for v in vertices:
-        if v.kind != CALL:
-            continue
-        for s in (v.op, v.name):
-            if s is not None and s not in strings:
-                strings[s] = len(strings)
+def _dump_v5(blob):
+    """Re-frame a v6 container as version 5: same sections, topology
+    written without branch ast ids."""
+    sections, _, _ = serialize.read_sections(blob, 5, False)
+    hr = serialize.ByteReader(sections[0][1])
+    hr.u()  # nranks
+    strings = {hr.s(): i for i in range(hr.u())}
+    vertices = list(serialize.loads(blob).root.preorder())
+    tw = ByteWriter()
+    serialize._write_topology(tw, vertices, strings, with_ast=False)
     w = ByteWriter()
     w.raw(serialize._MAGIC)
-    w.u(4)
-    w.u(merged.nranks_merged)
-    w.u(len(strings))
-    for text in strings:
-        w.s(text)
-    serialize._write_topology(w, vertices, strings)
-    for v in vertices:
-        serialize._write_vertex_payload(w, v, strings)
+    w.u(5)
+    for kind, payload in sections:
+        if kind == serialize._SEC_TOPOLOGY:
+            payload = tw.bytes()
+        serialize.write_section(w, kind, payload)
     return w.bytes()
 
 
@@ -87,10 +82,21 @@ class TestRoundTrip:
 
 
 class TestV4Compat:
-    def test_v4_file_still_loads(self, merged, blob):
-        legacy = _dump_v4(merged)
-        assert legacy[4] == 4
-        # v4 topology carried no branch ast ids, so its re-dump equals a
+    def test_v4_file_is_unsupported(self, blob):
+        # The unframed v4 container is gone: its version byte alone
+        # decides, whatever follows.
+        legacy = blob[:4] + b"\x04" + blob[5:]
+        with pytest.raises(
+            TraceFormatError, match="unsupported trace version 4"
+        ):
+            serialize.loads(legacy)
+        with pytest.raises(TraceFormatError, match="version 4"):
+            serialize.loads(legacy, salvage=True)
+
+    def test_v5_file_still_loads(self, blob):
+        legacy = _dump_v5(blob)
+        assert legacy[4] == 5
+        # v5 topology carried no branch ast ids, so its re-dump equals a
         # fresh v6 dump with them stripped (everything else intact).
         expect = serialize.loads(blob)
         for v in expect.root.preorder():

@@ -9,6 +9,7 @@ from repro import obs
 from repro.core import serialize
 from repro.core.api import run_cypress
 from repro.core.decompress import decompress_all
+from repro.core.inter import merge_all
 from repro.core.intra import compress_streams
 
 SOURCE = """
@@ -85,6 +86,11 @@ class TestStageCoverage:
         registry, _, blob, _ = _observed_run()
         c = registry.counters
         assert c["inter.ranks_merged"] == 4
+        # A serial merge is one add_rank per rank and has no reduction
+        # levels; those exist only where shard roots are combined.
+        assert c["inter.add_rank"] == 4
+        assert "inter.levels" not in registry.gauges
+        assert not [t for t in registry.timers if t.startswith("inter.level")]
         assert c["inter.intern_hits"] + c["inter.intern_misses"] > 0
         assert 0.0 <= registry.gauges["inter.intern_hit_rate"] <= 1.0
         assert c["serialize.bytes.total"] == len(blob)
@@ -95,6 +101,18 @@ class TestStageCoverage:
             == c["serialize.bytes.total"]
         )
         assert registry.gauges["serialize.ratio_vs_raw"] > 1.0
+
+    def test_parallel_merge_reports_shard_root_levels(self):
+        run = run_cypress(SOURCE, nprocs=4)
+        ctts = [run.compressor.ctt(r) for r in range(4)]
+        registry = obs.enable()
+        try:
+            merge_all(ctts, workers=2, parallel_threshold=2)
+        finally:
+            obs.disable()
+        assert registry.gauges["inter.levels"] == 1.0  # two shard roots
+        assert "inter.level.00" in registry.timers
+        assert "inter.add_rank" not in registry.counters  # done in workers
 
     def test_replay_counters(self):
         registry, run, _, replays = _observed_run()

@@ -12,7 +12,11 @@ from helpers import run_traced  # noqa: E402
 from repro import obs, query  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
 from repro.core.sequences import IntSequence  # noqa: E402
-from repro.query.engine import _activation_of  # noqa: E402
+from repro.query.engine import (  # noqa: E402
+    CriticalLeaf,
+    _activation_of,
+    rank_leaves,
+)
 from repro.static.cst import CALL  # noqa: E402
 
 
@@ -285,10 +289,25 @@ class TestProfiles:
         merged = merged_of(RING, 4, {"n": 5})
         leaves = query.critical_leaves(merged, k=100)
         assert leaves == sorted(leaves, key=lambda c: (-c.total_us, c.gid))
+        assert leaves == rank_leaves(list(reversed(leaves)), 100)
         by_op = {c.op for c in leaves}
         assert {"MPI_Send", "MPI_Recv", "MPI_Allreduce"} <= by_op
         for c in leaves:
             assert c.path.endswith(f"{c.op}@{c.gid}")
+
+    def test_rank_leaves_ties_within_tolerance_break_to_lower_gid(self):
+        def leaf(gid, total):
+            return CriticalLeaf(gid=gid, op="MPI_Send", depth=1, calls=1,
+                                total_us=total, path=f"MPI_Send@{gid}")
+
+        big = 1234.5
+        leaves = [
+            leaf(9, big * (1 + 2e-13)), leaf(4, big), leaf(7, big * (1 - 2e-13)),
+            leaf(2, big * (1 - 1e-6)),  # a real difference, not a tie
+            leaf(3, 0.0), leaf(1, 1e-12),  # abs tolerance near zero
+        ]
+        assert [c.gid for c in rank_leaves(leaves, 10)] == [4, 7, 9, 2, 1, 3]
+        assert [c.gid for c in rank_leaves(leaves, 2)] == [4, 7]
 
     def test_critical_leaves_k_truncates(self):
         merged = merged_of(RING, 4, {"n": 5})

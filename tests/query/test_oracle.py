@@ -79,17 +79,11 @@ def test_every_query_agrees_with_replay(name, schedule):
             f"{name}/{schedule}/rank_profile.{rank}",
         )
 
-    # k covers every leaf, so compare by gid: leaves whose true totals
-    # tie can legitimately sort either way under float-ulp noise
-    # (engine computes mean x count, the oracle sums means one event at
-    # a time), and the agreement convention only promises per-leaf
-    # values within 1e-9 — not a stable order between exact ties.
+    # Compared as rankings: engine and oracle share one sort key
+    # (``rank_leaves``) under which totals within the tolerance tie.
     query.assert_agrees(
-        sorted(query.critical_leaves(merged, k=10**9),
-               key=lambda c: c.gid),
-        sorted(query.critical_leaves_via_replay(merged, k=10**9,
-                                                traces=traces),
-               key=lambda c: c.gid),
+        query.critical_leaves(merged, k=10**9),
+        query.critical_leaves_via_replay(merged, k=10**9, traces=traces),
         f"{name}/{schedule}/critical_leaves",
     )
 
@@ -122,3 +116,24 @@ def test_schedules_give_identical_answers():
     for other in results[1:]:
         for got, want in zip(other, results[0]):
             query.assert_agrees(got, want, "schedule-independence")
+
+
+@pytest.mark.parametrize("scale", [0.3, 3])
+def test_sp_near_ties_rank_identically(scale):
+    """``sp`` P=16 has call sites whose totals are equal in exact
+    arithmetic; the engine (mean × count) and the oracle (one mean per
+    event) land ulps apart on them, and a plain ``(-total, gid)`` sort
+    ranked them differently at these two scales."""
+    w = WORKLOADS["sp"]
+    run = run_cypress(w.source, 16, defines=w.defines(16, scale))
+    merged = run.merge()
+    engine = query.critical_leaves(merged, k=10**9)
+    oracle = query.critical_leaves_via_replay(merged, k=10**9)
+    assert [c.gid for c in engine] == [c.gid for c in oracle]
+    query.assert_agrees(engine, oracle, f"sp/{scale}/critical_leaves")
+    # The defect was real: the exact totals do order these differently.
+    def naive(leaves):
+        return [c.gid
+                for c in sorted(leaves, key=lambda c: (-c.total_us, c.gid))]
+
+    assert naive(engine) != naive(oracle)

@@ -89,10 +89,8 @@ def _check_all_queries(merged, label: str) -> None:
             f"{label}/rank_profile.{rank}",
         )
     query.assert_agrees(
-        sorted(query.critical_leaves(merged, k=10**9), key=lambda c: c.gid),
-        sorted(query.critical_leaves_via_replay(merged, k=10**9,
-                                                traces=traces),
-               key=lambda c: c.gid),
+        query.critical_leaves(merged, k=10**9),
+        query.critical_leaves_via_replay(merged, k=10**9, traces=traces),
         f"{label}/critical_leaves",
     )
     index = query.TreeIndex(merged)

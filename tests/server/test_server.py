@@ -172,3 +172,86 @@ class TestIdleQuarantine:
         # The merged trace holds only the healthy rank.
         merged = serialize.load(os.path.join(cfg.out_dir, "stall.cyp"))
         assert merged.nranks_merged == 1
+
+
+class _Sink:
+    def __init__(self):
+        self.frames = []
+
+    def write(self, frame):
+        self.frames.append(frame)
+
+
+class TestDecodeOnce:
+    """A batch is decoded once — by the pre-ack validation, whose items
+    the ingest reuses — and a poison batch is refused before the ack."""
+
+    @staticmethod
+    def _spy_decodes(monkeypatch):
+        from repro.core import packed
+
+        decodes = []
+        real = packed.decode_stream
+
+        def spy(source):
+            decodes.append(len(source))
+            return real(source)
+
+        monkeypatch.setattr(packed, "decode_stream", spy)
+        return decodes
+
+    @staticmethod
+    def _session():
+        from repro.server.session import SessionState
+
+        return SessionState(
+            job="once", rank=0, nranks=NPROCS, workload=WORKLOAD, scale=SCALE,
+        )
+
+    def _server(self, tmp_path, monkeypatch):
+        server = CypressTraceServer(_config(tmp_path))
+        session = self._session()
+        job = server._job_for(session)
+        job.sessions[0] = session
+        return server, job, session, self._spy_decodes(monkeypatch)
+
+    def test_live_batch_decodes_once(self, tmp_path, monkeypatch):
+        server, job, session, decodes = self._server(tmp_path, monkeypatch)
+        blobs = split_batches(capture_workload(WORKLOAD, NPROCS, SCALE)[0], 4)
+        sink = _Sink()
+        for seq, blob in enumerate(blobs, start=1):
+            server._on_batch(job, session, proto._SEQ.pack(seq) + blob, sink)
+        assert decodes == [len(b) for b in blobs]
+        # A retransmitted (already acked) batch is not decoded at all.
+        server._on_batch(job, session, proto._SEQ.pack(1) + blobs[0], sink)
+        assert len(decodes) == len(blobs)
+        assert session.acked_seq == len(blobs)
+        assert len(sink.frames) == len(blobs) + 1
+
+    def test_recovery_replay_decodes_once(self, tmp_path, monkeypatch):
+        cfg = _config(tmp_path)
+        blobs = split_batches(capture_workload(WORKLOAD, NPROCS, SCALE)[0], 4)
+        s = self._session()
+        for seq, blob in enumerate(blobs, start=1):
+            s.accept(seq, blob)
+        SessionStore(cfg.state_dir).checkpoint(s)
+        decodes = self._spy_decodes(monkeypatch)
+        assert CypressTraceServer(cfg).recover() == 1
+        assert decodes == [len(b) for b in blobs]
+
+    def test_poison_batch_refused_before_ack(self, tmp_path, monkeypatch):
+        server, job, session, decodes = self._server(tmp_path, monkeypatch)
+        blobs = split_batches(capture_workload(WORKLOAD, NPROCS, SCALE)[0], 4)
+        sink = _Sink()
+        server._on_batch(job, session, proto._SEQ.pack(1) + blobs[0], sink)
+        server._checkpoint_session(session)
+        log = server.store.log_path("once", 0)
+        durable = open(log, "rb").read()
+        poison = blobs[1][: len(blobs[1]) // 2]  # CYPK magic, torn body
+        with pytest.raises(proto.ProtocolError, match="undecodable"):
+            server._on_batch(job, session, proto._SEQ.pack(2) + poison, sink)
+        assert len(decodes) == 2  # the poison batch was decoded (once) too
+        assert session.acked_seq == 1 and len(sink.frames) == 1
+        assert not session.mem_batches
+        server.checkpoint_all()
+        assert open(log, "rb").read() == durable
