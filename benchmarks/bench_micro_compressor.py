@@ -13,7 +13,7 @@ harness**: it sweeps four workload shapes
 * ``nested``         — doubly nested point-to-point loop (marker heavy)
 * ``irecv_waitall``  — nonblocking pairs + waitall (request-GID path)
 
-through four ingestion modes
+through five ingestion modes
 
 * ``reference``  — ``CypressConfig(fastpath=False)``: generic child scan,
   fresh key per event (the pre-optimization code path);
@@ -21,30 +21,22 @@ through four ingestion modes
 * ``stream``     — fast path, batched :meth:`ingest_stream` over a
   captured opcode stream;
 * ``packed_ingest`` — run-collapsed :meth:`ingest_runs` over a
-  pre-packed CYPK blob (what the parallel workers and
-  ``compress_streams`` run): columnar batch time decode plus
-  iteration-replay plans that walk the CTT once per repeated loop body;
-* ``parallel``   — **steady-state** shared-memory transport: pre-packed
-  rank streams on a warm :class:`ShmCompressSession` pool, timed ingest
-  only (pool fork/warmup is reported separately as
-  ``parallel_setup_seconds``);
-* ``parallel_cold`` — one-shot :func:`compress_streams` including pool
-  start-up and the parent-side encode — the number the seed bench
-  conflated with throughput;
-* ``pack``       — parent-side packed-codec encode rate (events/s), the
-  cost capture-time packing (``StreamCaptureSink(packed=True)``)
-  removes from the hand-off.
+  pre-packed CYPK blob (what ``compress_streams`` and the server run on
+  packed input): columnar batch time decode plus iteration-replay plans
+  that walk the CTT once per repeated loop body;
+* ``parallel``   — :func:`compress_streams` with ``workers=2`` over
+  capture lists, exactly as callers invoke it (fork, pickle the results
+  home, join — all inside the timed region).  Reported beside ``stream``
+  for comparison; it has no floor.
 
 All modes must produce byte-identical serialized traces; the harness
 asserts this on every run.  ``python -m benchmarks.bench_micro_compressor``
 rewrites ``results/BENCH_intra.json`` including conservative regression
 floors (25% of measured); ``--smoke`` (CI) re-measures every shape and
 fails if fig11 throughput drops below the committed floor, the fast
-path stops beating the reference path, steady-state ``parallel`` falls
-under 0.5× ``stream``, any shape's ``packed_ingest`` rate falls under
-1.5× that shape's pinned pre-PR ``stream`` rate
-(``STREAM_PRE_RUNS_PR``), or warm ``parallel`` falls under 0.85× of
-``parallel_serial_equiv`` on any shape.
+path stops beating the reference path, or any shape's ``packed_ingest``
+rate falls under 1.5× that shape's pinned pre-PR ``stream`` rate
+(``STREAM_PRE_RUNS_PR``).
 """
 
 from __future__ import annotations
@@ -60,11 +52,8 @@ from repro.core.inter import merge_all
 from repro.core.intra import (
     CypressConfig,
     IntraProcessCompressor,
-    ShmCompressSession,
-    close_shared_sessions,
     compress_streams,
 )
-from repro.core.respool import ShmPoolError
 from repro.mpisim.events import NO_PEER, CommEvent
 from repro.mpisim.pmpi import (
     OP_BRANCH_ENTER,
@@ -116,11 +105,6 @@ STREAM_PRE_RUNS_PR = {
     "irecv_waitall": 354_409,
 }
 PACKED_INGEST_MIN_SPEEDUP = 1.5
-
-# Warm shm ``parallel`` must keep at least this fraction of
-# ``parallel_serial_equiv`` (the same packed blobs ingested serially in
-# the parent) — the transport-overhead budget of the warm pool.
-WARM_PARALLEL_MIN_RATIO = 0.85
 
 # A loop over a branch pair — the paper's Fig. 11 shape.
 PROGRAM = """
@@ -365,110 +349,31 @@ def measure_shape(name: str, scale: int = 1, rounds: int = 3,
         "packed_ingest": nevents / best(run_packed_ingest),
     }
 
-    # Parallel executor over rank copies (per-rank independence).  Two
-    # numbers, measured honestly: ``parallel_cold`` is a first-touch
-    # compress_streams call and so includes pool fork plus the
-    # parent-side encode; ``parallel`` is steady-state — pre-packed
-    # streams on a warm pool, timed ingest only (what a long-lived
-    # tracing service sees).  Its yardstick ``parallel_serial_equiv``
-    # runs the *same* packed blobs serially in the parent (workers=None,
-    # run-collapsed ingest) so the two rates differ only by transport
-    # overhead — the --smoke gate holds warm parallel to ≥ 0.85× of it.
-    # The pool may be unavailable in sandboxes — the cold call then
-    # falls back loudly to serial and the warm number reuses it, still a
-    # valid (if unflattering) measurement.
+    # The worker pool over rank copies (per-rank independence): list
+    # input and a plain compress_streams call, so fork, result pickling
+    # and join are all inside the timed region.  In a sandbox that
+    # cannot fork the call falls back loudly to serial — still a valid
+    # (if unflattering) measurement.
     streams = {r: stream for r in range(parallel_ranks)}
-    total = parallel_ranks * nevents
-    t0 = time.perf_counter()
-    par = compress_streams(cst, streams, workers=parallel_ranks)
-    rates["parallel_cold"] = total / (time.perf_counter() - t0)
-    # The cold call parks its pool in the process-wide session cache;
-    # drop it so idle pollers don't contend with the measurements below
-    # (the warm-pool numbers use their own explicit session).
-    close_shared_sessions()
 
-    t0 = time.perf_counter()
-    packed.encode_stream(stream).to_bytes()
-    rates["pack"] = nevents / (time.perf_counter() - t0)
-    packed_streams = {r: blob_packed for r in range(parallel_ranks)}
+    def run_parallel():
+        comps["parallel"] = compress_streams(cst, streams, workers=2)
 
-    def serial_equiv_once() -> float:
-        t0 = time.perf_counter()
-        comps["serial_equiv"] = compress_streams(
-            cst, packed_streams, workers=None)
-        return time.perf_counter() - t0
-
-    setup_seconds = None
-    setup_components = None
-    warm = None
-    best_serial = None
-    for attempt in range(2):  # one retry absorbs a transient worker death
-        try:
-            t_setup = time.perf_counter()
-            with ShmCompressSession(cst, workers=parallel_ranks) as session:
-                warm = session.compress(packed_streams)  # fork + 1st ingest
-                setup_seconds = time.perf_counter() - t_setup
-                setup_components = session.setup_components()
-                best_dt = None
-                best_serial = None
-                # Warm and serial-equivalent draws interleave so whole-
-                # machine drift hits both arms equally — their ratio is
-                # a --smoke gate, and sequential blocks let a mid-bench
-                # slowdown land on only one side.  Two extra draws over
-                # the serial modes: the warm pool amortizes them, and
-                # best-of needs more samples to shake scheduler noise
-                # when workers share few cores.
-                for _ in range(rounds + 2):
-                    t0 = time.perf_counter()
-                    warm = session.compress(packed_streams)
-                    dt = time.perf_counter() - t0
-                    best_dt = dt if best_dt is None else min(best_dt, dt)
-                    ds = serial_equiv_once()
-                    best_serial = (
-                        ds if best_serial is None else min(best_serial, ds)
-                    )
-            rates["parallel"] = total / best_dt
-            break
-        except ShmPoolError:
-            warm = None
-    if warm is None:
-        warm = par  # no fork: report the (serial-fallback) cold number
-        rates["parallel"] = rates["parallel_cold"]
-    if best_serial is None:
-        for _ in range(rounds):
-            ds = serial_equiv_once()
-            best_serial = ds if best_serial is None else min(best_serial, ds)
-    rates["parallel_serial_equiv"] = total / best_serial
-    ser = comps["serial_equiv"]
+    rates["parallel"] = parallel_ranks * nevents / best(run_parallel)
 
     # Byte-identity across every mode.
     blob = _merged_blob(comps["reference"])
     for mode in ("callbacks", "stream", "packed_ingest"):
         assert _merged_blob(comps[mode]) == blob, (
             f"{name}: {mode} trace differs from reference")
-    ser_blob = _merged_blob(ser)
-    assert ser_blob == _merged_blob(par), (
-        f"{name}: parallel trace differs from serial")
-    assert ser_blob == _merged_blob(warm), (
-        f"{name}: shm steady-state trace differs from serial")
-    gauges = {f"{k}_events_per_s": v for k, v in rates.items()}
-    if setup_components is not None:
-        # Satellite gauges: the one-time pool cost by component, so the
-        # lazy-ring/fork wins stay visible instead of one opaque number.
-        for comp_name, secs in setup_components.items():
-            gauges[f"parallel_setup_{comp_name}_seconds"] = secs
-    publish_gauges(name, gauges)
-    result = {
+    assert _merged_blob(comps["parallel"]) == _merged_blob(
+        compress_streams(cst, streams)
+    ), f"{name}: parallel trace differs from serial"
+    publish_gauges(name, {f"{k}_events_per_s": v for k, v in rates.items()})
+    return {
         "events": nevents,
         "rates": {k: round(v) for k, v in rates.items()},
     }
-    if setup_seconds is not None:
-        result["parallel_setup_seconds"] = round(setup_seconds, 4)
-    if setup_components is not None:
-        result["parallel_setup_components"] = {
-            k: round(v, 4) for k, v in setup_components.items()
-        }
-    return result
 
 
 def measure_obs_overhead(scale: int = 1, rounds: int = 9,
@@ -578,12 +483,6 @@ def run_harness(scale: int = 1) -> dict:
                 / STREAM_PRE_RUNS_PR[name], 2)
             for name in SHAPE_NAMES
         },
-        "warm_parallel_vs_serial_equiv": {
-            name: round(
-                shapes[name]["rates"]["parallel"]
-                / shapes[name]["rates"]["parallel_serial_equiv"], 3)
-            for name in SHAPE_NAMES
-        },
     }
 
 
@@ -616,39 +515,21 @@ def check_smoke() -> int:
         print(f"FAIL: stream ({rates['stream']:,}) < 1.5x reference "
               f"({rates['reference']:,}) — fast path regressed")
         failed = 1
-    # Machine-independent check: steady-state parallel ingest (warm shm
-    # pool, pre-packed streams) must not fall under half the serial
-    # stream rate on the same machine — catches a transport regression
-    # (pickle sneaking back in, ring stalls, a lost columnar fast path)
-    # without depending on core count.
-    print(f"fig11 parallel steady-state: {rates['parallel']:,} ev/s "
-          f"(cold {rates['parallel_cold']:,}, "
-          f"serial-equiv {rates['parallel_serial_equiv']:,})")
-    if rates["parallel"] < 0.5 * rates["stream"]:
-        print(f"FAIL: parallel steady-state ({rates['parallel']:,}) < 0.5x "
-              f"stream ({rates['stream']:,}) — shm transport regressed")
-        failed = 1
+    print(f"fig11 parallel (workers=2, list input): "
+          f"{rates['parallel']:,} ev/s beside stream {rates['stream']:,} "
+          f"(no floor)")
     # Run-length ingest acceptance, per shape: packed ingest must beat
-    # the pinned pre-PR streaming rate by 1.5x, and the warm pool must
-    # keep 85% of its serial equivalent (same blobs, workers=None).
+    # the pinned pre-PR streaming rate by 1.5x.
     for name in SHAPE_NAMES:
         r = measured[name]
         need = PACKED_INGEST_MIN_SPEEDUP * STREAM_PRE_RUNS_PR[name]
-        ratio = r["parallel"] / r["parallel_serial_equiv"]
         print(f"{name}: packed_ingest {r['packed_ingest']:,} ev/s "
-              f"(need {need:,.0f}), warm/serial-equiv {ratio:.3f} "
-              f"(need {WARM_PARALLEL_MIN_RATIO:.2f})")
+              f"(need {need:,.0f})")
         if r["packed_ingest"] < need:
             print(f"FAIL: {name} packed_ingest {r['packed_ingest']:,} < "
                   f"{PACKED_INGEST_MIN_SPEEDUP}x pinned pre-PR stream "
                   f"{STREAM_PRE_RUNS_PR[name]:,} — run-collapsed ingest "
                   f"regressed")
-            failed = 1
-        if ratio < WARM_PARALLEL_MIN_RATIO:
-            print(f"FAIL: {name} warm parallel ({r['parallel']:,}) < "
-                  f"{WARM_PARALLEL_MIN_RATIO}x serial-equiv "
-                  f"({r['parallel_serial_equiv']:,}) — warm-pool "
-                  f"amortization regressed")
             failed = 1
     ov = measure_obs_overhead()
     print(f"fig11 metrics-on overhead: trimmed-median paired ratio "
@@ -793,8 +674,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in SHAPE_NAMES:
         print(f"  {name}: packed_ingest "
               f"{result['packed_ingest_vs_pre_pr_stream'][name]:.2f}x "
-              f"pre-PR stream, warm/serial-equiv "
-              f"{result['warm_parallel_vs_serial_equiv'][name]:.3f}")
+              f"pre-PR stream")
     print(f"  fig11 stream vs pre-PR baseline "
           f"({BASELINE_PRE_PR:,} ev/s): "
           f"{result['speedup_stream_vs_pre_pr_live']:.2f}x live, "

@@ -38,18 +38,28 @@ EXIT_CORRUPT_TRACE = 3
 
 def _load_trace(path: str, salvage: bool = False):
     """Load a trace for replay/query/info; a damaged file exits with
-    :data:`EXIT_CORRUPT_TRACE` and a one-line ``--salvage`` hint."""
+    :data:`EXIT_CORRUPT_TRACE` and a one-line ``--salvage`` hint, and a
+    salvaged (incomplete) one warns how much was recovered."""
     from repro.core import serialize
     from repro.core.errors import TraceFormatError
 
     try:
-        return serialize.load(path, salvage=salvage)
+        merged = serialize.load(path, salvage=salvage)
     except TraceFormatError as exc:
         print(f"error: corrupted trace {path!r}: {exc}", file=sys.stderr)
         if not salvage:
             print("hint: retry with --salvage to recover the longest "
                   "checksum-valid prefix", file=sys.stderr)
         raise SystemExit(EXIT_CORRUPT_TRACE)
+    info = merged.salvage_info
+    if info is not None and not info["complete"]:
+        print(
+            f"WARNING: trace {path!r} salvaged — "
+            f"{info['vertices_with_payload']}/{info['vertices_total']} "
+            f"vertices recovered ({info['error']})",
+            file=sys.stderr,
+        )
+    return merged
 
 
 def _parse_bytes(value: str) -> int:
@@ -73,26 +83,37 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
                    help="iteration-count scale factor (1.0 = repo default)")
 
 
+def _workers_arg(value: str) -> int | str:
+    """argparse ``type=`` for worker counts: ``'auto'`` or a positive
+    integer."""
+    if value == "auto":
+        return value
+    if value.isdecimal() and int(value) > 0:
+        return int(value)
+    raise argparse.ArgumentTypeError(
+        f"expected 'auto' or a positive integer, got {value!r}"
+    )
+
+
 def _add_merge_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--merge-schedule", choices=("tree", "fold"), default="tree",
                    help="inter-process merge schedule (default: tree)")
-    p.add_argument("--merge-workers", default=None,
+    p.add_argument("--merge-workers", type=_workers_arg, default=None,
                    help="worker processes for the tree merge: an integer "
                         "or 'auto' (default: serial)")
 
 
 def _add_compress_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--compress-workers", default=None,
+    p.add_argument("--compress-workers", type=_workers_arg, default=None,
                    help="defer compression and shard ranks over this many "
                         "worker processes: an integer or 'auto' "
                         "(default: compress inline while tracing)")
-    p.add_argument("--transport", choices=("auto", "shm", "pickle"),
-                   default="auto",
-                   help="parallel compression hand-off: 'shm' streams "
-                        "packed events through shared-memory ring buffers "
-                        "to a warm worker pool, 'pickle' uses the fork+pipe "
-                        "executor; 'auto' (default) picks shm wherever the "
-                        "platform can fork")
+
+
+def _add_salvage_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--salvage", action="store_true",
+                   help="recover the longest checksum-valid prefix of a "
+                        "damaged trace instead of failing")
 
 
 def _add_fault_args(p: argparse.ArgumentParser) -> None:
@@ -155,27 +176,13 @@ def _add_metrics_args(p: argparse.ArgumentParser) -> None:
                         "(schema: repro.obs.METRICS_SCHEMA)")
 
 
-def _workers_arg(value) -> int | str | None:
-    if value is None or value == "auto":
-        return value
-    return int(value)
-
-
-def _merge_workers(args: argparse.Namespace) -> int | str | None:
-    return _workers_arg(getattr(args, "merge_workers", None))
-
-
-def _compress_workers(args: argparse.Namespace) -> int | str | None:
-    return _workers_arg(getattr(args, "compress_workers", None))
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.core import run_cypress
 
     w = WORKLOADS[args.workload]
     w.check_procs(args.nprocs)
     config = None
-    compress_workers = _compress_workers(args)
+    compress_workers = args.compress_workers
     if args.memory_budget is not None:
         from repro.core.intra import CypressConfig
 
@@ -190,9 +197,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         compress_workers=compress_workers,
         strict=args.strict, retries=args.retry,
         task_timeout=args.task_timeout,
-        transport=getattr(args, "transport", "auto"),
     )
-    run.merge(schedule=args.merge_schedule, workers=_merge_workers(args),
+    run.merge(schedule=args.merge_schedule, workers=args.merge_workers,
               retries=args.retry, task_timeout=args.task_timeout)
     nbytes = run.save(args.output, gzip=args.gzip)
     print(f"{args.workload} on {args.nprocs} ranks:")
@@ -224,24 +230,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_salvage(merged) -> None:
-    info = merged.salvage_info
-    if info is None or info["complete"]:
-        return
-    print(
-        "WARNING: trace salvaged — "
-        f"{info['vertices_with_payload']}/{info['vertices_total']} vertices "
-        f"recovered ({info['error']})",
-        file=sys.stderr,
-    )
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
     from repro.core import decompress_merged_rank
     from repro.core.export import format_peer
 
     merged = _load_trace(args.trace, salvage=args.salvage)
-    _report_salvage(merged)
     events = decompress_merged_rank(merged, args.rank)
     print(f"rank {args.rank}: {len(events)} events")
     for ev in events[: args.limit]:
@@ -259,7 +252,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     from repro.replay import fit_loggp, predict
 
     merged = _load_trace(args.trace, salvage=args.salvage)
-    _report_salvage(merged)
     traces = decompress_all(merged)
     params = fit_loggp()
     result = predict(traces, params)
@@ -309,7 +301,6 @@ def cmd_info(args: argparse.Namespace) -> int:
     from repro.analysis.report import summarize
 
     merged = _load_trace(args.trace, salvage=args.salvage)
-    _report_salvage(merged)
     print(summarize(merged).format())
     return 0
 
@@ -318,7 +309,6 @@ def cmd_export(args: argparse.Namespace) -> int:
     from repro.core import export
 
     merged = _load_trace(args.trace, salvage=args.salvage)
-    _report_salvage(merged)
     ranks = [int(r) for r in args.ranks.split(",")] if args.ranks else None
     if args.format == "csv":
         text = export.to_csv(merged, ranks)
@@ -337,7 +327,6 @@ def cmd_hotspots(args: argparse.Namespace) -> int:
     from repro.analysis.hotspots import hotspots, top_leaves
 
     merged = _load_trace(args.trace, salvage=args.salvage)
-    _report_salvage(merged)
     tree = hotspots(merged)
     print(tree.format())
     print("\ntop call sites:")
@@ -359,7 +348,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     w.check_procs(args.nprocs)
     compiled = compile_minimpi(w.source)
     recorder = RecordingSink()
-    workers = _compress_workers(args)
+    workers = args.compress_workers
     if workers is not None:
         capture = StreamCaptureSink()
         run_compiled(
@@ -370,7 +359,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             compiled.cst, capture.streams, workers=workers,
             strict=args.strict, retries=args.retry,
             task_timeout=args.task_timeout,
-            transport=getattr(args, "transport", "auto"),
         )
     else:
         compressor = IntraProcessCompressor(compiled.cst)
@@ -383,7 +371,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     merged = merge_all(
         [compressor.ctt(r) for r in range(args.nprocs) if r not in bad_ranks],
         schedule=args.merge_schedule,
-        workers=_merge_workers(args),
+        workers=args.merge_workers,
         retries=args.retry,
         task_timeout=args.task_timeout,
         nranks=args.nprocs,
@@ -835,7 +823,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     from repro import query
 
     merged = _load_trace(args.trace, salvage=args.salvage)
-    _report_salvage(merged)
 
     def _require(flag: str, value) -> None:
         if value is None:
@@ -934,17 +921,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("trace")
     p.add_argument("-r", "--rank", type=int, default=0)
     p.add_argument("--limit", type=int, default=30)
-    p.add_argument("--salvage", action="store_true",
-                   help="recover the longest checksum-valid prefix of a "
-                        "damaged trace instead of failing")
+    _add_salvage_arg(p)
     _add_metrics_args(p)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("predict", help="SIM-MPI prediction from a trace")
     p.add_argument("trace")
-    p.add_argument("--salvage", action="store_true",
-                   help="recover the longest checksum-valid prefix of a "
-                        "damaged trace instead of failing")
+    _add_salvage_arg(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("cst", help="print a MiniMPI program's CST")
@@ -957,17 +940,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("info", help="per-op summary of a trace file")
     p.add_argument("trace")
-    p.add_argument("--salvage", action="store_true",
-                   help="recover the longest checksum-valid prefix of a "
-                        "damaged trace instead of failing")
+    _add_salvage_arg(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("hotspots", help="communication-time hotspots by structure")
     p.add_argument("trace")
     p.add_argument("--top", type=int, default=10)
-    p.add_argument("--salvage", action="store_true",
-                   help="recover the longest checksum-valid prefix of a "
-                        "damaged trace instead of failing")
+    _add_salvage_arg(p)
     p.set_defaults(func=cmd_hotspots)
 
     p = sub.add_parser("verify", help="end-to-end sequence-preservation check")
@@ -1117,9 +1096,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("diff", help="compare two trace files")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--salvage", action="store_true",
-                   help="recover the longest checksum-valid prefix of "
-                        "damaged traces instead of failing")
+    _add_salvage_arg(p)
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser(
@@ -1148,9 +1125,7 @@ def main(argv: list[str] | None = None) -> int:
                         "(default: inferred from the trace)")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the replay oracle")
-    p.add_argument("--salvage", action="store_true",
-                   help="recover the longest checksum-valid prefix of a "
-                        "damaged trace instead of failing")
+    _add_salvage_arg(p)
     p.add_argument("-o", "--output", default=None, metavar="PATH",
                    help="write the result as JSON ('-' for stdout)")
     _add_metrics_args(p)
@@ -1161,9 +1136,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("-f", "--format", choices=("text", "csv"), default="text")
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--ranks", default="", help="comma-separated rank filter")
-    p.add_argument("--salvage", action="store_true",
-                   help="recover the longest checksum-valid prefix of a "
-                        "damaged trace instead of failing")
+    _add_salvage_arg(p)
     p.set_defaults(func=cmd_export)
 
     args = parser.parse_args(argv)

@@ -20,10 +20,7 @@ from .intra import (
     CompressionError,
     CypressConfig,
     IntraProcessCompressor,
-    ShmCompressSession,
-    close_shared_sessions,
     compress_streams,
-    shared_compress_session,
 )
 from .quarantine import QuarantinedRank, QuarantineReport
 from .records import CompressedRecord
@@ -50,10 +47,7 @@ __all__ = [
     "CompressionError",
     "CypressConfig",
     "IntraProcessCompressor",
-    "ShmCompressSession",
-    "close_shared_sessions",
     "compress_streams",
-    "shared_compress_session",
     "QuarantinedRank",
     "QuarantineReport",
     "CompressedRecord",

@@ -58,20 +58,12 @@ class CypressRun:
         retries: int = 1,
         task_timeout: float | None = None,
         fault_plan=None,
-        transport: str = "auto",
-        session=None,
     ) -> IntraProcessCompressor:
         """(Re-)compress the captured streams, optionally sharding ranks
-        over ``workers`` processes — byte-identical to serial on every
-        ``transport`` (``"shm"``, ``"pickle"``, or ``"auto"``).  Only
+        over ``workers`` processes — byte-identical to serial.  Only
         available when the run traced with ``compress_workers=`` (the
         capture is kept); replaces ``compressor`` and drops any cached
-        merge.
-
-        Repeated calls are cheap on the shm transport: they reuse the
-        process-wide warm pool for this CST (or an explicit
-        ``session=`` :class:`~repro.core.intra.ShmCompressSession`), so
-        only the first call pays fork + ring setup."""
+        merge."""
         if self.capture is None:
             raise ValueError(
                 "no captured streams: run with compress_workers= to defer "
@@ -86,8 +78,6 @@ class CypressRun:
             retries=retries,
             task_timeout=task_timeout,
             fault_plan=fault_plan,
-            transport=transport,
-            session=session,
             nranks=self.nprocs,
         )
         self._merged = None
@@ -191,8 +181,6 @@ def run_cypress(
     retries: int = 1,
     task_timeout: float | None = None,
     fault_plan=None,
-    transport: str = "auto",
-    session=None,
 ) -> CypressRun:
     """Compile (if needed) and execute a MiniMPI program with the CYPRESS
     tracer attached; returns the per-rank compressed traces.
@@ -207,12 +195,6 @@ def run_cypress(
     that many worker processes (``"auto"`` = all cores).  The result is
     byte-identical to inline compression; with ``measure_overhead`` the
     deferred compression wall time is reported as ``intra_seconds``.
-    ``transport`` picks the parallel hand-off (``"shm"`` ring buffers /
-    ``"pickle"`` fork+pipe / ``"auto"``); see
-    :func:`~repro.core.intra.compress_streams`.  On the shm transport
-    the compression runs on a warm pool reused across calls in this
-    process (``session=`` supplies an explicit
-    :class:`~repro.core.intra.ShmCompressSession` instead).
 
     Fault tolerance (docs/INTERNALS.md §7): in the default lenient mode
     (``strict=False``) a rank whose captured stream mismatches the CST
@@ -276,8 +258,6 @@ def run_cypress(
                 retries=retries,
                 task_timeout=task_timeout,
                 fault_plan=fault_plan,
-                transport=transport,
-                session=session,
                 nranks=nprocs,
             )
         if measure_overhead:

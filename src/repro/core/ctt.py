@@ -107,7 +107,7 @@ class CTTVertex:
         "last_params",
         "last_key",
         "last_record",
-        # packed-ingest byte cache (repro.core.intra.ingest_packed): the
+        # packed-ingest byte cache (repro.core.intra.ingest_runs): the
         # raw param-window bytes that were verified to decode to
         # ``last_params``, plus the identity of that tuple — a window
         # match against the same tuple object proves params equality

@@ -62,9 +62,8 @@ def _stable_hash(key: tuple) -> int:
     parent — the old ``__reduce__`` threw it away and re-walked the key
     on every unpickle.  Hashing the key's packed byte form instead makes
     signature identity process-independent: merge shards shipped home by
-    the pool (and, with the shm transport, any future shared-memory
-    signature table) carry their hashes with them, and dict lookups on
-    either side of the pipe agree."""
+    the pool carry their hashes with them, and dict lookups on either
+    side of the pipe agree."""
     digest = blake2b(
         repr(key).encode("utf-8", "surrogatepass"), digest_size=8
     ).digest()

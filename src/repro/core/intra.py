@@ -63,10 +63,8 @@ workers, with output guaranteed byte-identical to serial compression.
 
 from __future__ import annotations
 
-import atexit
 import os
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -101,13 +99,7 @@ from .errors import MergeError, StreamMismatchError
 from .quarantine import QuarantinedRank, QuarantineReport
 from .ranks import encode_peer
 from .records import CompressedRecord, make_key
-from .respool import (
-    DEFAULT_RING_CAPACITY,
-    ShmPool,
-    ShmPoolError,
-    fork_available,
-    run_tasks,
-)
+from .respool import run_tasks
 from .timing import MEANSTD, TimeStats
 
 #: Backwards-compatible alias — the dynamic module's historical name for
@@ -1450,265 +1442,17 @@ class IntraProcessCompressor(TraceSink):
             else:  # pragma: no cover - capture writes only known opcodes
                 raise CompressionError(f"unknown stream opcode {code!r}")
 
-    def ingest_packed(self, rank: int, source) -> None:
-        """Compress one rank's *packed* stream (:mod:`repro.core.packed`)
-        without materializing :class:`CommEvent` objects on the hot path.
-
-        Marker and req-complete columns are batch-decoded with
-        ``struct.iter_unpack`` (C speed); the event column stays raw.
-        The weave walks the codes column, and for each event the
-        key-interning cache is tested by comparing the record's *param
-        window* bytes against the window that was last verified (by a
-        full decode) to equal ``leaf.last_params`` — equal bytes against
-        the same tuple object prove params equality, so the dominant
-        cache-hit case never decodes the record beyond its two timing
-        doubles.  A window miss decodes the record once, revalidates
-        against the tuple (recaching the window on success), and only a
-        genuine params change materializes a ``CommEvent`` and falls
-        back to the shared handler — so inline and fallback compose to
-        the handlers' semantics and the output is byte-identical to the
-        list-stream path (the differential harness enforces this).
-
-        With ``fastpath=False`` the blob is decoded to the capture-list
-        form and replayed through the reference path instead.
-        """
-        cols = packed.columns_of(source)
-        if not self._fastpath:
-            self.ingest_stream(rank, packed.decode_stream(cols))
-            return
-        if self._budget is not None:
-            self._budget_prologue(rank)
-        st = self.state(rank)
-        ingest = self._ingest
-        loop_push = self._loop_push
-        loop_iter = self._loop_iter
-        loop_pop = self._loop_pop
-        branch_exit = self._branch_exit
-        recurse_enter = self._recurse_enter
-        recurse_exit = self._recurse_exit
-        request_complete = self._request_complete
-        event_from_fields = packed.event_from_fields
-        ops = cols.ops
-        arena = cols.arena
-        stack = st.stack
-        root = st.ctt.root
-        ebuf = bytes(cols.events)
-        esize = packed.EVENT_STRUCT.size
-        eunpack = packed.EVENT_STRUCT.unpack_from
-        etimes = packed.EVENT_TIMES.unpack_from
-        pw_off = packed.EVENT_PARAMS_OFF
-        pw_end = packed.EVENT_PARAMS_END
-        t_off = packed.EVENT_TIMES_OFF
-        # Marker and req-complete records decode lazily: the dominant
-        # structural codes (loop iter, branch exit with a live frame)
-        # never read their marker at all, so ``mi``/``ri`` advance over
-        # raw bytes and only a consumer unpacks its record.
-        mbuf = bytes(cols.markers)
-        rbuf = bytes(cols.reqc)
-        munpack = packed.MARKER_STRUCT.unpack_from
-        runpack = packed.REQC_STRUCT.unpack_from
-        msize = packed.MARKER_STRUCT.size
-        rsize = packed.REQC_STRUCT.size
-        ei = mi = ri = 0
-        for code in cols.codes:
-            if code == OP_EVENT:
-                off = ei * esize
-                ei += 1
-                op = ops[ebuf[off] | (ebuf[off + 1] << 8)]
-                cur = stack[-1][1] if stack else root
-                if cur is not None and cur.mono_op is op:
-                    found = cur.mono_pair
-                elif cur is not None:
-                    lst = cur.call_children_by_op.get(op)
-                    if lst is None:
-                        found = None
-                    elif len(lst) == 1:
-                        found = lst[0]
-                        cur.mono_op = op
-                        cur.mono_pair = found
-                    else:
-                        found = cur.find_call_child(op, cur.search_pos)
-                else:
-                    found = None
-                f = None
-                hit = False
-                if found is not None:
-                    idx, leaf = found
-                    record = leaf.last_record
-                    if record is not None and not leaf.op_nonblocking:
-                        # ``startswith`` with an offset is an allocation-
-                        # free memcmp of the record's param window
-                        # against the cached one.
-                        raw = leaf.last_params_raw
-                        if (
-                            raw is not None
-                            and leaf.last_params_raw_key is leaf.last_params
-                            and ebuf.startswith(raw, off + pw_off)
-                        ):
-                            hit = True
-                        else:
-                            # Window miss: decode once and revalidate
-                            # against the tuple the handlers maintain
-                            # (field indices: see packed.EVENT_STRUCT).
-                            f = eunpack(ebuf, off)
-                            if not f[11] and (
-                                f[1], f[2], f[3], (), f[4], f[5], f[6],
-                                f[7], f[8], f[10] != 0, f[9],
-                            ) == leaf.last_params:
-                                hit = True
-                                leaf.last_params_raw = (
-                                    ebuf[off + pw_off:off + pw_end]
-                                )
-                                leaf.last_params_raw_key = leaf.last_params
-                if hit:
-                    if f is None:
-                        start, duration = etimes(ebuf, off + t_off)
-                    else:
-                        start = f[12]
-                        duration = f[13]
-                    # Cache hit: identical commit sequence to
-                    # ingest_stream's inline body.
-                    cur.search_pos = idx + 1
-                    visit = leaf.leaf_visits
-                    leaf.leaf_visits = visit + 1
-                    last_end = st.last_event_end
-                    gap = start - last_end
-                    if gap < 0.0:
-                        gap = 0.0
-                    end = start + duration
-                    if end > last_end:
-                        st.last_event_end = end
-                    occ = record.occurrences
-                    terms = occ.terms
-                    if terms:
-                        s0, c0, d0 = terms[-1]
-                        if c0 == 1:
-                            terms[-1] = (s0, 2, visit - s0)
-                            occ.length += 1
-                        elif visit == s0 + c0 * d0:
-                            terms[-1] = (s0, c0 + 1, d0)
-                            occ.length += 1
-                        else:
-                            occ.append(visit)
-                    else:
-                        occ.append(visit)
-                    stats = record.duration
-                    if stats.bins is None:
-                        stats.count = n = stats.count + 1
-                        delta = duration - stats.mean
-                        stats.mean += delta / n
-                        stats.m2 += delta * (duration - stats.mean)
-                        if duration < stats.minimum:
-                            stats.minimum = duration
-                        if duration > stats.maximum:
-                            stats.maximum = duration
-                    else:
-                        stats.add(duration)
-                    stats = record.pre_gap
-                    if stats.bins is None:
-                        stats.count = n = stats.count + 1
-                        delta = gap - stats.mean
-                        stats.mean += delta / n
-                        stats.m2 += delta * (gap - stats.mean)
-                        if gap < stats.minimum:
-                            stats.minimum = gap
-                        if gap > stats.maximum:
-                            stats.maximum = gap
-                    else:
-                        stats.add(gap)
-                    continue
-                self.m_stream_fallback += 1
-                if f is None:
-                    f = eunpack(ebuf, off)
-                ingest(st, event_from_fields(f, ops, arena))
-            elif code == OP_BRANCH_ENTER:
-                ast_id, path = munpack(mbuf, mi * msize)
-                mi += 1
-                # Inlined _branch_enter (identical to ingest_stream).
-                cur = stack[-1][1] if stack else root
-                if cur is None:
-                    stack.append([_BRANCH, None, 0])
-                    continue
-                lst = cur.group_by_ast_id.get(ast_id)
-                if lst is None:
-                    stack.append([_BRANCH, None, 0])
-                    continue
-                group = None
-                sp = cur.search_pos
-                for g in lst:
-                    if g.first_index >= sp:
-                        group = g
-                        break
-                if group is None:
-                    group = lst[0]
-                cur.search_pos = group.last_index + 1
-                visit = group.visit_counter
-                group.visit_counter = visit + 1
-                path_vertex = group.paths.get(path)
-                if path_vertex is None:
-                    stack.append([_BRANCH, None, 0])
-                    continue
-                seq = path_vertex.visits
-                terms = seq.terms
-                if terms:
-                    s0, c0, d0 = terms[-1]
-                    if c0 == 1:
-                        terms[-1] = (s0, 2, visit - s0)
-                        seq.length += 1
-                    elif visit == s0 + c0 * d0:
-                        terms[-1] = (s0, c0 + 1, d0)
-                        seq.length += 1
-                    else:
-                        seq.append(visit)
-                else:
-                    seq.append(visit)
-                path_vertex.search_pos = 0
-                stack.append([_BRANCH, path_vertex, 0])
-            elif code == OP_BRANCH_EXIT:
-                mi += 1
-                if stack and stack[-1][0] == _BRANCH:
-                    stack.pop()
-                else:
-                    branch_exit(st, munpack(mbuf, (mi - 1) * msize)[0])
-            elif code == OP_LOOP_ITER:
-                mi += 1
-                if stack:
-                    frame = stack[-1]
-                    if frame[0] == _LOOP:
-                        frame[2] += 1
-                        vertex = frame[1]
-                        if vertex is not None:
-                            vertex.search_pos = 0
-                        continue
-                loop_iter(st, munpack(mbuf, (mi - 1) * msize)[0])
-            elif code == OP_LOOP_PUSH:
-                loop_push(st, munpack(mbuf, mi * msize)[0])
-                mi += 1
-            elif code == OP_LOOP_POP:
-                loop_pop(st, munpack(mbuf, mi * msize)[0])
-                mi += 1
-            elif code == OP_REQ_COMPLETE:
-                r = runpack(rbuf, ri * rsize)
-                ri += 1
-                request_complete(st, r[0], r[1], r[2], r[3])
-            elif code == OP_RECURSE_ENTER:
-                recurse_enter(st, munpack(mbuf, mi * msize)[0])
-                mi += 1
-            elif code == OP_RECURSE_EXIT:
-                recurse_exit(st, munpack(mbuf, mi * msize)[0])
-                mi += 1
-            elif code == OP_FINALIZE:
-                mi += 1
-                self.on_finalize(rank)
-            else:  # pragma: no cover - encoder writes only known codes
-                raise CompressionError(f"unknown stream opcode {code!r}")
-
     def ingest_runs(self, rank: int, source) -> None:
         """Run-collapsed packed-stream ingestion (docs/INTERNALS.md §12).
 
-        Builds on :meth:`ingest_packed`'s raw-window cache-hit weave and
-        adds three run-granular layers, each byte-identical to the
-        per-event path (the differential harness enforces this):
+        The weave walks the codes column and tests the key-interning
+        cache on raw bytes: an event whose *param window* equals the
+        window last verified (by a full decode) against
+        ``leaf.last_params`` is a hit and decodes only its two timing
+        doubles; only a genuine params change materializes a
+        ``CommEvent``.  Three run-granular layers sit on top, each
+        byte-identical to the per-event path (the differential harness
+        enforces this):
 
         * **adjacent-run collapse** — when consecutive stream items are
           events with byte-equal heads (op + param window, the property
@@ -1729,11 +1473,10 @@ class IntraProcessCompressor(TraceSink):
           gathered in stream order and folded in one bulk call.
 
         Inline nonblocking and request-consuming events are handled on
-        the hit path here (unlike :meth:`ingest_packed`): a nonblocking
-        hit registers its request GID from the cold field, and a
-        request-consuming hit probes the request table *without popping*
-        and only consumes on a confirmed match — a mismatch falls back
-        before any state changes.
+        the hit path: a nonblocking hit registers its request GID from
+        the cold field, and a request-consuming hit probes the request
+        table *without popping* and only consumes on a confirmed match —
+        a mismatch falls back before any state changes.
 
         Plans require the unbounded window (record identity is permanent
         there) and split conservatively: wildcard fallbacks, request
@@ -2572,8 +2315,6 @@ def _raw_stream_of(stream):
     """The capture-list form of ``stream`` for quarantine retention —
     packed sources are decoded once (quarantine is the rare path; the
     raw list is what fallback replay consumes)."""
-    if stream is None:
-        return None
     if packed.is_packed(stream):
         return packed.decode_stream(stream)
     return stream
@@ -2649,257 +2390,9 @@ def _resolve_workers(workers) -> int:
     return n if n > 1 else 1
 
 
-def _resolve_transport(transport: str, fault_plan) -> str:
-    """Pick the parallel transport.  ``auto`` prefers shm when the
-    platform can fork, except when a fault plan targets the intra pool:
-    injected pool faults exercise the resilient executor's retry ladder,
-    so they route to it directly rather than through the shm fallback."""
-    if transport not in ("auto", "shm", "pickle"):
-        raise ValueError(f"unknown transport {transport!r}")
-    if transport != "auto":
-        return transport
-    if not fork_available():
-        return "pickle"
-    if fault_plan is not None and fault_plan.wants_stage("intra"):
-        return "pickle"
-    return "shm"
-
-
-def _transport_blob(stream):
-    """The shm wire form of one rank's stream: packed bytes.  Lists are
-    encoded here (capture-time packing — ``StreamCaptureSink(packed=
-    True)`` — avoids even this); packed sources are passed through."""
-    if isinstance(stream, packed.PackedStream):
-        return stream.to_bytes()
-    if packed.is_packed(stream):
-        return bytes(stream) if not isinstance(stream, bytes) else stream
-    return packed.encode_stream(stream).to_bytes()
-
-
-def _absorb_shard_results(
-    comp: IntraProcessCompressor,
-    results,
-    stream_by_rank: dict,
-    registry,
-) -> None:
-    """Fold worker shard results (CTTs, quarantine metadata, counters,
-    wall times) into the parent compressor — shared by the pickle and
-    shm transports, which ship the identical result tuple shape."""
-    for shard_result, shard_quarantined, shard_counters, shard_seconds in results:
-        for rank, ctt in shard_result:
-            comp._states[rank] = _RankState(ctt=ctt, rank=rank)
-        for rank, error, nevents in shard_quarantined:
-            comp.quarantine.add(
-                QuarantinedRank(
-                    rank=rank,
-                    stage="intra",
-                    error=error,
-                    events=nevents,
-                    raw_stream=_raw_stream_of(stream_by_rank.get(rank)),
-                )
-            )
-        comp.absorb_metrics_counters(shard_counters)
-        if registry is not None:
-            registry.observe("intra.worker_seconds", shard_seconds)
-
-
-class ShmCompressSession:
-    """A warm shared-memory compression pool bound to one ``(cst,
-    config, strict)`` triple.
-
-    Workers fork lazily (on the first job routed to each) and persist
-    across :meth:`compress` calls, so repeated compressions (the bench's
-    steady-state measurement, long-lived services re-compressing
-    captures, a CLI invocation compressing more than once) pay
-    fork/teardown once.  Each call streams packed rank blobs through
-    the per-worker rings and assembles a fresh
-    :class:`IntraProcessCompressor` — byte-identical to serial.
-
-    :func:`compress_streams` reuses one process-wide session per
-    ``(cst, config, strict)`` by default — see
-    :func:`shared_compress_session`.  :meth:`setup_components` breaks
-    the one-time warm-up cost into ``fork`` / ``ring_alloc`` /
-    ``warmup`` for the bench gauges.
-    """
-
-    #: Session rings are sized to pre-stage a whole typical rank blob:
-    #: a ring smaller than one blob forces the worker's big read to
-    #: stall mid-payload on the parent's refill cadence (one sleep
-    #: quantum per ring-full), which serializes the pipeline on busy
-    #: machines.  Memory is cheap here — rings materialize lazily and
-    #: untouched pages are never faulted in.
-    RING_CAPACITY = 8 << 20
-
-    def __init__(
-        self,
-        cst: CSTNode,
-        config: CypressConfig | None = None,
-        workers: int = 2,
-        *,
-        strict: bool = False,
-        ring_capacity: int | None = None,
-        fault_plan=None,
-    ) -> None:
-        self.cst = cst
-        self.config = config if config is not None else CypressConfig()
-        self.strict = strict
-        self.workers = max(1, int(workers))
-        cfg, is_strict = self.config, self.strict
-
-        def job(items):
-            # Fork-inherited closure: cst/config never cross a pickle.
-            t0 = time.perf_counter()
-            comp = IntraProcessCompressor(cst, config=cfg)
-            report = QuarantineReport()
-            ranks = []
-            for rank, blob in items:
-                ranks.append(rank)
-                _ingest_or_quarantine(comp, rank, blob, is_strict, report)
-            elapsed = time.perf_counter() - t0
-            return (
-                [(r, comp.ctt(r)) for r in ranks if r in comp._states],
-                [(q.rank, q.error, q.events) for q in report],
-                comp.metrics_counters(),
-                elapsed,
-            )
-
-        self._pool = ShmPool(
-            job,
-            stage="intra",
-            workers=self.workers,
-            ring_capacity=(
-                ring_capacity if ring_capacity is not None
-                else self.RING_CAPACITY
-            ),
-            fault_plan=fault_plan,
-            hang_seconds=(
-                fault_plan.hang_seconds if fault_plan is not None else 60.0
-            ),
-        )
-        self.warmup_seconds: float | None = None
-
-    @property
-    def closed(self) -> bool:
-        return self._pool.closed
-
-    def ensure_workers(self, n: int) -> None:
-        """Raise the session's worker capacity to at least ``n`` —
-        free until a run actually routes jobs there (lazy forking)."""
-        n = int(n)
-        if n > self.workers:
-            self.workers = n
-            self._pool.ensure_workers(n)
-
-    def setup_components(self) -> dict[str, float]:
-        """One-time setup cost actually paid so far, by component:
-        ``ring_alloc`` and ``fork`` (accumulated per materialized
-        worker) plus ``warmup`` — the wall time of the first job wave,
-        which rides on cold caches and page-faults the rings in."""
-        out = dict(self._pool.setup_seconds)
-        out["warmup"] = self.warmup_seconds or 0.0
-        return out
-
-    def run_shards(self, shards, timeout: float | None = None) -> list:
-        """Run pre-built shards (lists of ``(rank, stream)`` items) and
-        return the raw worker result tuples in shard order."""
-        jobs = [
-            [(rank, _transport_blob(stream)) for rank, stream in shard]
-            for shard in shards
-        ]
-        first = self.warmup_seconds is None
-        t0 = time.perf_counter() if first else 0.0
-        results = self._pool.run(jobs, timeout=timeout)
-        if first:
-            self.warmup_seconds = time.perf_counter() - t0
-        return results
-
-    def compress(
-        self, streams: dict, timeout: float | None = None
-    ) -> IntraProcessCompressor:
-        """Compress ``streams`` (rank → capture list / PackedStream /
-        packed blob) on the warm pool."""
-        comp = IntraProcessCompressor(self.cst, config=self.config)
-        items = sorted(streams.items())
-        if not items:
-            return comp
-        # More shards than cores buys no parallelism, only ring/result
-        # overhead and scheduler churn — right-size to the machine.
-        nshards = min(self.workers, len(items), max(1, os.cpu_count() or 1))
-        chunk = -(-len(items) // nshards)
-        shards = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-        results = self.run_shards(shards, timeout=timeout)
-        _absorb_shard_results(comp, results, dict(items), obs.active())
-        return comp
-
-    def close(self) -> None:
-        self._pool.close()
-
-    def __enter__(self) -> "ShmCompressSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-#: Process-wide warm sessions, keyed by ``(id(cst), config, strict)``.
-#: Each entry keeps a strong reference to its CST so the id can never
-#: alias a collected object; ``atexit`` tears the pools down.  The
-#: config is part of the key so callers alternating configs on one CST
-#: (the differential matrix, ``repro verify``) each keep their own warm
-#: pool instead of re-forking on every alternation.
-_shared_sessions: dict[tuple, tuple] = {}
-
-
-def shared_compress_session(
-    cst: CSTNode,
-    config: CypressConfig | None = None,
-    *,
-    strict: bool = False,
-    workers: int = 2,
-) -> ShmCompressSession:
-    """The process-wide warm :class:`ShmCompressSession` for ``(cst,
-    config, strict)`` — created on first use, reused (and grown to
-    ``workers`` capacity, lazily) afterwards.
-
-    This is what makes repeated :func:`compress_streams` calls cheap by
-    default: one CLI invocation (``repro verify`` compresses more than
-    once; the differential matrix dozens of times) forks its shm
-    workers once — and each distinct config on a CST keeps its *own*
-    warm session, so alternating configs never thrash the pool.  Raises
-    :class:`~repro.core.respool.ShmPoolError` when the platform cannot
-    fork.
-    """
-    cfg = config if config is not None else CypressConfig()
-    key = (id(cst), cfg, bool(strict))
-    entry = _shared_sessions.get(key)
-    if entry is not None:
-        e_cst, sess = entry
-        if e_cst is cst and not sess.closed:
-            sess.ensure_workers(workers)
-            return sess
-        sess.close()
-        del _shared_sessions[key]
-    sess = ShmCompressSession(cst, config=cfg, workers=workers, strict=strict)
-    _shared_sessions[key] = (cst, sess)
-    return sess
-
-
-def _discard_shared_session(
-    cst: CSTNode, config: CypressConfig, strict: bool
-) -> None:
-    entry = _shared_sessions.pop((id(cst), config, bool(strict)), None)
-    if entry is not None:
-        entry[1].close()
-
-
 def close_shared_sessions() -> None:
-    """Close every cached warm session (tests; process shutdown)."""
-    for _cst, sess in list(_shared_sessions.values()):
-        sess.close()
-    _shared_sessions.clear()
-
-
-atexit.register(close_shared_sessions)
+    """No-op: nothing outlives a :func:`compress_streams` call.  Kept
+    only because ``benchmarks/e2e`` (``batch.py``, ``run.py``) calls it."""
 
 
 def compress_streams(
@@ -2913,17 +2406,17 @@ def compress_streams(
     retries: int = 1,
     task_timeout: float | None = None,
     fault_plan=None,
-    transport: str = "auto",
-    session: "ShmCompressSession | None" = None,
     nranks: int | None = None,
 ) -> IntraProcessCompressor:
     """Compress captured per-rank streams into an
-    :class:`IntraProcessCompressor`, optionally sharding ranks over a
-    ``multiprocessing`` pool (``workers`` as an int or ``"auto"``).
+    :class:`IntraProcessCompressor`, optionally sharding ranks over
+    forked worker processes (``workers`` as an int or ``"auto"``).
 
     Rank states are fully independent, so the parallel result is
     **byte-identical** to serial in-line compression; fewer than
-    ``parallel_threshold`` ranks compress serially.
+    ``parallel_threshold`` ranks compress serially.  Serial is the
+    default and the fastest at every benchmarked size (README,
+    "Parallel compression").
 
     Fault tolerance (docs/INTERNALS.md §7): by default
     (``strict=False``) a rank whose stream mismatches the CST is
@@ -2936,25 +2429,10 @@ def compress_streams(
     parent — loudly (``RuntimeWarning`` + ``faults.*`` counters), never
     silently.  ``fault_plan`` lets tests/CI inject worker faults.
 
-    ``transport`` selects the parallel hand-off: ``"shm"`` streams
-    packed event bytes through shared-memory rings to a warm worker
-    pool (docs/INTERNALS.md §11), ``"pickle"`` is the fork+pipe
-    resilient executor, and ``"auto"`` (default) picks shm wherever the
-    platform can fork.  Any shm failure falls back to the pickle
-    transport loudly (``RuntimeWarning`` + ``faults.transport_fallbacks``)
-    — the output is byte-identical on every transport, serial included.
-
-    The shm path runs on a **warm session** reused across calls: by
-    default the process-wide :func:`shared_compress_session` for this
-    ``(cst, config, strict)`` (fault-plan runs build a private,
-    per-call session instead), or an explicit ``session=`` — which must
-    have been built for the same ``cst``/``config``/``strict`` and is
-    left open for the caller to close.
-
     ``streams`` values may be capture lists, :class:`~repro.core.packed.
-    PackedStream` objects, or packed blobs (``bytes``) — packed sources
-    skip the encode step on the shm path and decode columnar on every
-    path.
+    PackedStream` objects, or packed blobs (``bytes``); packed sources
+    take the columnar :meth:`~IntraProcessCompressor.ingest_runs` path,
+    lists :meth:`~IntraProcessCompressor.ingest_stream`.
 
     With ``config.memory_budget_bytes`` set the call runs the bounded
     serial path regardless of ``workers``: each rank is sealed and
@@ -2979,74 +2457,39 @@ def compress_streams(
     if nworkers > 1 and len(items) >= max(2, parallel_threshold):
         nworkers = min(nworkers, len(items))
         chunk = -(-len(items) // nworkers)
-        stream_by_rank = dict(items)
-        results = None
-        nshards = -(-len(items) // chunk)
-        if _resolve_transport(transport, fault_plan) == "shm":
-            shards = [
-                items[i : i + chunk] for i in range(0, len(items), chunk)
-            ]
-            if session is not None and (
-                session.cst is not cst
-                or session.config != comp.config
-                or session.strict != strict
-            ):
-                raise ValueError(
-                    "session= was built for a different "
-                    "(cst, config, strict) triple"
+        payloads = [
+            (cst, comp.config, items[i : i + chunk], strict)
+            for i in range(0, len(items), chunk)
+        ]
+        results = run_tasks(
+            _compress_shard,
+            payloads,
+            stage="intra",
+            workers=len(payloads),
+            retries=retries,
+            timeout=task_timeout,
+            fault_plan=fault_plan,
+        )
+        for shard_ctts, shard_quarantined, shard_counters, shard_seconds in results:
+            for rank, ctt in shard_ctts:
+                comp._states[rank] = _RankState(ctt=ctt, rank=rank)
+            for rank, error, nevents in shard_quarantined:
+                # Workers ship quarantine metadata only; the raw capture
+                # never left the parent.
+                comp.quarantine.add(
+                    QuarantinedRank(
+                        rank=rank,
+                        stage="intra",
+                        error=error,
+                        events=nevents,
+                        raw_stream=_raw_stream_of(streams[rank]),
+                    )
                 )
-            own: ShmCompressSession | None = None
-            try:
-                sess = session
-                if sess is None:
-                    if fault_plan is not None:
-                        own = sess = ShmCompressSession(
-                            cst, config=comp.config, workers=len(shards),
-                            strict=strict, fault_plan=fault_plan,
-                        )
-                    else:
-                        sess = shared_compress_session(
-                            cst, comp.config, strict=strict,
-                            workers=len(shards),
-                        )
-                else:
-                    sess.ensure_workers(len(shards))
-                results = sess.run_shards(shards, timeout=task_timeout)
-            except (ShmPoolError, *packed.ENCODE_ERRORS) as exc:
-                if session is None and own is None:
-                    # The shared session is now suspect (dead worker,
-                    # poisoned ring): drop it so the next call starts
-                    # clean instead of inheriting the failure.
-                    _discard_shared_session(cst, comp.config, strict)
-                warnings.warn(
-                    f"intra: shm transport failed ({exc}); falling back to "
-                    "the pickle transport",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                if registry is not None:
-                    registry.counter_add("faults.transport_fallbacks", 1)
-                results = None
-            finally:
-                if own is not None:
-                    own.close()
-        if results is None:
-            payloads = [
-                (cst, comp.config, items[i : i + chunk], strict)
-                for i in range(0, len(items), chunk)
-            ]
-            results = run_tasks(
-                _compress_shard,
-                payloads,
-                stage="intra",
-                workers=len(payloads),
-                retries=retries,
-                timeout=task_timeout,
-                fault_plan=fault_plan,
-            )
-        _absorb_shard_results(comp, results, stream_by_rank, registry)
+            comp.absorb_metrics_counters(shard_counters)
+            if registry is not None:
+                registry.observe("intra.worker_seconds", shard_seconds)
         if registry is not None:
-            registry.gauge_max("intra.workers", float(nshards))
+            registry.gauge_max("intra.workers", float(len(payloads)))
     else:
         for rank, stream in items:
             _ingest_or_quarantine(comp, rank, stream, strict, comp.quarantine)

@@ -1,11 +1,10 @@
 """Packed binary encoding of captured callback streams.
 
 A captured stream (:class:`repro.mpisim.pmpi.StreamCaptureSink`) is a
-per-rank list of opcode tuples.  Shipping those lists to pool workers
-through ``pickle`` costs more than the compression work itself (the
-seed's ``BENCH_intra.json`` showed the parallel path at ~0.1× the serial
-rate).  This module defines a fixed-width columnar encoding whose
-hand-off is a memcpy:
+per-rank list of opcode tuples.  This module defines the fixed-width
+columnar encoding of such a stream — the ``repro serve`` wire format for
+event batches and the input of
+:meth:`~repro.core.intra.IntraProcessCompressor.ingest_runs`:
 
 * **codes** — one byte per captured item (the opcode), in stream order;
 * **markers** — one ``<qq`` record per structural item (loop/branch/
@@ -133,9 +132,7 @@ class PackedStreamError(ValueError):
 
 #: Exceptions an encode of a hostile (e.g. fault-injected) stream can
 #: raise: unknown opcodes, non-integer fields, values outside int64.
-#: The shm transport treats any of these as "this stream cannot ride
-#: the packed wire" and falls back to the pickle transport, whose
-#: ingest-time quarantine then owns the stream.
+#: The server daemon maps any of these to a protocol error on a batch.
 ENCODE_ERRORS = (
     PackedStreamError,
     struct.error,

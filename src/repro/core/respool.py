@@ -34,14 +34,12 @@ crash would land.
 
 from __future__ import annotations
 
-import struct
 import time
 import warnings
 from collections import deque
 from multiprocessing import connection as _mpconn
 
 from repro import obs
-from repro.core.shmring import RingClosed, RingTimeout, ShmRing
 from repro.faults.workers import apply_worker_fault
 
 
@@ -66,14 +64,6 @@ def _fork_context():
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
     return multiprocessing.get_context("fork")
-
-
-def fork_available() -> bool:
-    """Whether the fork-based pools (pipe and shm transports) can run."""
-    try:
-        return _fork_context() is not None
-    except Exception:
-        return False
 
 
 def _child_main(conn, func, payload, fault_action, hang_seconds) -> None:
@@ -272,318 +262,3 @@ def run_tasks(
         for i in pending:
             results[i] = func(payloads[i])
     return results
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory transport: persistent warm pool fed over SPSC byte rings.
-#
-# Where run_tasks() forks one process per task and ships results over a
-# pipe, ShmPool forks its workers once and streams *packed* payload
-# bytes to them through per-worker ShmRings — hand-off is a memcpy, and
-# a warm pool amortizes fork cost across jobs (the bench's steady-state
-# number).  The wire grammar per ring is:
-#
-#     b"J" <Q job_id> <I nitems>      job header
-#     b"I" <q key> <Q nbytes> bytes   one item (nitems times)
-#     ... next job ... | close_write() = shutdown (EOF)
-#
-# Results return over a per-worker pipe as ("batch", [frame, ...])
-# messages whose frames are ("ok", job_id, result) or
-# ("err", job_id, message); a worker holds frames only while its ring
-# already queues more work.  Any protocol failure — worker death, ring
-# timeout, worker-side exception — raises ShmPoolError in the parent;
-# callers fall back to run_tasks(), whose pool → retry → serial ladder
-# then owns recovery.  The shm pool itself never retries: one recovery
-# ladder in the codebase is enough.
-# ---------------------------------------------------------------------------
-
-_JOB_HDR = struct.Struct("<QI")
-_ITEM_HDR = struct.Struct("<qQ")
-_TAG_JOB = b"J"
-_TAG_ITEM = b"I"
-
-#: Per-worker ring size.  Deliberately smaller than a typical packed
-#: rank blob so the wraparound path runs constantly in production, not
-#: just in tests.
-DEFAULT_RING_CAPACITY = 1 << 20
-
-#: How long a worker waits mid-frame before concluding the parent is
-#: gone (the idle wait between jobs is unbounded; daemonized workers
-#: die with the parent).
-_WORKER_FRAME_TIMEOUT = 600.0
-
-#: Result frames per pipe message.  A worker holds finished-job results
-#: while more work is already queued on its ring and ships them as one
-#: frame — one pickle header + one wakeup for a whole backlog instead
-#: of per job.
-_RESULT_BATCH = 32
-
-
-class ShmPoolError(RuntimeError):
-    """The shm transport failed; the caller should fall back to the
-    pipe transport (:func:`run_tasks`)."""
-
-
-def _shm_worker_main(ring, conn, func, stage, fault_plan, hang_seconds):
-    """Worker body: loop over jobs arriving on ``ring``, feed each
-    job's items to ``func`` as a lazy iterator (reads pull bytes from
-    the ring — natural backpressure), report results in batched frames:
-    a frame flushes when the ring has no further job queued (so the
-    parent is never left waiting on a held result) or at
-    ``_RESULT_BATCH`` held results."""
-    outbox: list = []
-
-    def flush():
-        if outbox:
-            conn.send(("batch", outbox[:]))
-            outbox.clear()
-
-    try:
-        while True:
-            if outbox and (ring.pending() == 0 or len(outbox) >= _RESULT_BATCH):
-                flush()
-            try:
-                tag = ring.read_exact(1)
-            except RingClosed:
-                break  # orderly shutdown
-            if tag != _TAG_JOB:
-                outbox.append(
-                    ("err", -1, f"protocol: expected job tag, got {tag!r}")
-                )
-                break
-            job_id, nitems = _JOB_HDR.unpack(
-                ring.read_exact(_JOB_HDR.size, timeout=_WORKER_FRAME_TIMEOUT)
-            )
-            consumed = 0
-
-            def read_item():
-                tag = ring.read_exact(1, timeout=_WORKER_FRAME_TIMEOUT)
-                if tag != _TAG_ITEM:
-                    raise RuntimeError(
-                        f"protocol: expected item tag, got {tag!r}"
-                    )
-                key, nbytes = _ITEM_HDR.unpack(
-                    ring.read_exact(_ITEM_HDR.size, timeout=_WORKER_FRAME_TIMEOUT)
-                )
-                payload = ring.read_exact(nbytes, timeout=_WORKER_FRAME_TIMEOUT)
-                return key, payload
-
-            def items():
-                nonlocal consumed
-                while consumed < nitems:
-                    item = read_item()
-                    consumed += 1
-                    yield item
-
-            try:
-                fault = (
-                    fault_plan.worker_fault(stage, job_id, 0)
-                    if fault_plan is not None
-                    else None
-                )
-                apply_worker_fault(fault, hang_seconds)
-                msg = ("ok", job_id, func(items()))
-            except BaseException as exc:  # noqa: BLE001 - ship failure home
-                msg = ("err", job_id, f"{type(exc).__name__}: {exc}")
-            # Drain any items func() left unread so the ring stays framed
-            # for the next job.
-            while consumed < nitems:
-                read_item()
-                consumed += 1
-            outbox.append(msg)
-        flush()
-    except (RingClosed, RingTimeout, EOFError, OSError, RuntimeError):
-        pass  # parent gone or stream broken: nothing useful left to do
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-class ShmPool:
-    """Persistent fork-inherited worker pool fed over shared-memory
-    rings.  ``func`` receives an iterator of ``(key, payload_bytes)``
-    per job and returns one picklable result (results still return
-    over a pipe — they are small; the payloads were the problem).
-
-    Workers allocate **lazily**: construction only checks that the
-    platform can fork, and a worker's ring + process come into being
-    the first time a :meth:`run` call actually routes a job to it.  A
-    pool sized for the worst case therefore costs nothing until (and
-    unless) that much parallelism is used, and ``setup_seconds`` breaks
-    the amortized one-time cost into its ``ring_alloc`` and ``fork``
-    components for the bench gauges."""
-
-    def __init__(
-        self,
-        func,
-        *,
-        stage: str,
-        workers: int,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-        fault_plan=None,
-        hang_seconds: float = 60.0,
-    ) -> None:
-        ctx = _fork_context()
-        if ctx is None:
-            raise ShmPoolError("fork start method unavailable")
-        self._ctx = ctx
-        self.stage = stage
-        self.workers = max(1, workers)
-        self._func = func
-        self._ring_capacity = ring_capacity
-        self._fault_plan = fault_plan
-        self._hang_seconds = hang_seconds
-        self._rings: list[ShmRing] = []
-        self._procs: list = []
-        self._conns: list = []
-        self._closed = False
-        #: One-time setup cost actually paid so far, by component.
-        self.setup_seconds: dict[str, float] = {"ring_alloc": 0.0, "fork": 0.0}
-
-    def ensure_workers(self, n: int) -> None:
-        """Raise the pool's worker capacity to at least ``n``.  Free
-        until jobs are routed there — allocation stays lazy."""
-        if n > self.workers:
-            self.workers = n
-
-    def _materialize(self, n: int) -> None:
-        """Fork workers ``len(self._procs)`` .. ``n-1`` (with their
-        rings), so the next :meth:`run` can feed them."""
-        try:
-            while len(self._procs) < n:
-                t0 = time.perf_counter()
-                ring = ShmRing(self._ring_capacity)
-                t1 = time.perf_counter()
-                self.setup_seconds["ring_alloc"] += t1 - t0
-                self._rings.append(ring)
-                parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-                proc = self._ctx.Process(
-                    target=_shm_worker_main,
-                    args=(ring, child_conn, self._func, self.stage,
-                          self._fault_plan, self._hang_seconds),
-                    daemon=True,
-                )
-                proc.start()
-                self.setup_seconds["fork"] += time.perf_counter() - t1
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-        except (OSError, ValueError, ImportError) as exc:
-            raise ShmPoolError(f"could not start shm pool: {exc}") from exc
-
-    # ------------------------------------------------------------------
-
-    def run(self, jobs, timeout: float | None = None) -> list:
-        """Run ``jobs`` (each a list of ``(key, payload_bytes)`` items)
-        and return results in job order.  Job *j* goes to worker
-        ``j % workers``; feeding is round-robin and non-blocking, so a
-        worker with a full ring never stalls the others.  ``timeout``
-        is per job-wave (multiplied by the deepest per-worker queue)."""
-        if self._closed:
-            raise ShmPoolError("pool is closed")
-        njobs = len(jobs)
-        if njobs == 0:
-            return []
-        # Only as many workers as there are jobs ever materialize — a
-        # 2-shard run on an 8-wide pool forks two processes, not eight.
-        used = min(self.workers, njobs)
-        self._materialize(used)
-        # Queue the wire pieces per worker: headers interleaved with
-        # zero-copy payload views.
-        queues: list[deque] = [deque() for _ in range(used)]
-        for j, items in enumerate(jobs):
-            q = queues[j % used]
-            q.append(_TAG_JOB + _JOB_HDR.pack(j, len(items)))
-            for key, payload in items:
-                q.append(_TAG_ITEM + _ITEM_HDR.pack(key, len(payload)))
-                q.append(memoryview(payload))
-        offsets = [0] * used
-        deadline = None
-        if timeout is not None:
-            waves = (njobs + used - 1) // used
-            deadline = time.monotonic() + timeout * max(1, waves)
-        results: dict[int, object] = {}
-        live = dict(zip(self._conns[:used], self._procs[:used]))
-        while len(results) < njobs:
-            progress = False
-            for w in range(used):
-                ring = self._rings[w]
-                q = queues[w]
-                while q:
-                    wrote = ring.try_write(q[0], offsets[w])
-                    if wrote == 0:
-                        break
-                    progress = True
-                    offsets[w] += wrote
-                    if offsets[w] == len(q[0]):
-                        q.popleft()
-                        offsets[w] = 0
-            feeding = any(queues)
-            ready = _mpconn.wait(
-                list(live), timeout=0 if feeding and progress else 0.002
-            )
-            for conn in ready:
-                proc = live[conn]
-                try:
-                    frame = conn.recv()
-                except (EOFError, OSError):
-                    proc.join(timeout=1.0)
-                    raise ShmPoolError(
-                        f"{self.stage}: shm worker died "
-                        f"(exit code {proc.exitcode})"
-                    ) from None
-                entries = frame[1] if frame[0] == "batch" else [frame]
-                for kind, job_id, value in entries:
-                    if kind != "ok":
-                        raise ShmPoolError(
-                            f"{self.stage}: shm worker failed job {job_id}: "
-                            f"{value}"
-                        )
-                    results[job_id] = value
-            if deadline is not None and time.monotonic() > deadline:
-                raise ShmPoolError(
-                    f"{self.stage}: shm pool exceeded {timeout}s per-wave "
-                    f"deadline with {njobs - len(results)} job(s) pending"
-                )
-        return [results[j] for j in range(njobs)]
-
-    # ------------------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Shut workers down (EOF on each ring), join, free segments."""
-        if self._closed:
-            return
-        self._closed = True
-        for ring in self._rings:
-            try:
-                ring.close_write()
-            except Exception:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        for conn in self._conns:
-            try:
-                conn.close()
-            except Exception:
-                pass
-        for ring in self._rings:
-            try:
-                ring.close()
-                ring.unlink()
-            except Exception:
-                pass
-
-    def __enter__(self) -> "ShmPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -242,65 +242,17 @@ class StreamCaptureSink(TraceSink):
     Per-rank callback order is preserved exactly, which is the only
     ordering the intra-process compressor depends on (rank states never
     interact).
-
-    ``packed=True`` captures each rank's stream as a
-    :class:`~repro.core.packed.PackedStream` instead of a tuple list —
-    the shm transport's wire form, produced at capture time so the
-    parallel hand-off needs no encode step at all.  The callback
-    overrides are installed as instance attributes so the default
-    tuple-capture path pays nothing for the option.
     """
 
     wants_markers = True
 
-    def __init__(self, packed: bool = False) -> None:
-        self.streams: dict[int, object] = {}
-        self.packed = packed
-        if packed:
-            from repro.core import packed as _p  # deferred: breaks cycle
+    def __init__(self) -> None:
+        self.streams: dict[int, list] = {}
 
-            self._packed_mod = _p
-            stream = self._stream
-            self.on_loop_push = lambda rank, ast_id: stream(
-                rank).append_marker(OP_LOOP_PUSH, ast_id)
-            self.on_loop_iter = lambda rank, ast_id: stream(
-                rank).append_marker(OP_LOOP_ITER, ast_id)
-            self.on_loop_pop = lambda rank, ast_id: stream(
-                rank).append_marker(OP_LOOP_POP, ast_id)
-            self.on_branch_enter = lambda rank, ast_id, path: stream(
-                rank).append_marker(OP_BRANCH_ENTER, ast_id, path)
-            self.on_branch_exit = lambda rank, ast_id: stream(
-                rank).append_marker(OP_BRANCH_EXIT, ast_id)
-            self.on_recurse_enter = lambda rank, ast_id: stream(
-                rank).append_marker(OP_RECURSE_ENTER, ast_id)
-            self.on_recurse_exit = lambda rank, ast_id: stream(
-                rank).append_marker(OP_RECURSE_EXIT, ast_id)
-            self.on_event = lambda rank, event: stream(
-                rank).append_event(event)
-            self.on_events = self._packed_on_events
-            self.on_request_complete = lambda rank, rid, source, nbytes, \
-                when: stream(rank).append_request_complete(
-                    rid, source, nbytes, when)
-            self.on_finalize = lambda rank: stream(rank).append_finalize()
-
-    def _packed_on_events(self, rank, events):
-        append_event = self._stream(rank).append_event
-        for ev in events:
-            append_event(ev)
-
-    def _stream(self, rank: int):
+    def _stream(self, rank: int) -> list:
         stream = self.streams.get(rank)
         if stream is None:
-            if self.packed:
-                stream = self.streams[rank] = self._packed_mod.PackedStream()
-            else:
-                stream = self.streams[rank] = []
-        return stream
-
-    def _as_list(self, stream) -> list[tuple]:
-        """Capture-list view of one stream (decodes packed captures)."""
-        if self.packed:
-            return self._packed_mod.decode_stream(stream)
+            stream = self.streams[rank] = []
         return stream
 
     def on_loop_push(self, rank, ast_id):
@@ -343,8 +295,6 @@ class StreamCaptureSink(TraceSink):
             [self.streams.get(rank, [])] if rank is not None
             else self.streams.values()
         )
-        if self.packed:
-            return sum(stream.nevents for stream in streams if stream)
         return sum(
             1 for stream in streams for item in stream if item[0] == OP_EVENT
         )
@@ -356,8 +306,6 @@ class StreamCaptureSink(TraceSink):
         sink whose state is per-rank, like the compressors)."""
         for rank in sorted(self.streams) if ranks is None else ranks:
             stream = self.streams.get(rank, [])
-            if self.packed and stream:
-                stream = self._as_list(stream)
             batch: list[CommEvent] = []
             for item in stream:
                 code = item[0]

@@ -7,9 +7,8 @@ equivalent:
   (``CypressConfig(fastpath=False)``);
 * inline (callback) compression == deferred serial == deferred parallel
   (``compress_streams(workers=N)``);
-* the packed codec + columnar ingest == the list-stream path, both
-  serially (``packed``) and over the shared-memory transport
-  (``parallel_shm``, ``transport="shm"``);
+* the packed codec + columnar ingest == the list-stream path
+  (``packed``);
 * run-collapsed ingestion (:meth:`ingest_runs` — batch time decode +
   iteration-replay plans) == event-at-a-time ingestion, from both a
   packed blob (``packed_runs``) and a live :class:`PackedStream`
@@ -161,16 +160,9 @@ def differential_check(
         ),
         "parallel": compress_streams(
             compiled.cst, capture.streams, workers=2, parallel_threshold=2,
-            transport="pickle",
         ),
         # Packed codec + columnar ingest, serially (no pool in the way).
         "packed": compress_streams(compiled.cst, packed_streams),
-        # The shared-memory transport end to end: encode → ring → decode
-        # → columnar ingest in warm workers.
-        "parallel_shm": compress_streams(
-            compiled.cst, capture.streams, workers=2, parallel_threshold=2,
-            transport="shm",
-        ),
     }
     report.variants = sorted(variants)
     replays = {name: _replays(comp, nprocs) for name, comp in variants.items()}

@@ -5,13 +5,11 @@ compressor folds finished ranks into a partial merge and spills cold
 ranks to disk, yet the merged container is **byte-identical** to the
 unbudgeted pipeline under every merge schedule — across deterministic
 bench shapes, random hypothesis programs, and explicit spill/evict/
-reload round-trips.  Plus the two satellite bugfixes: the live-memory
-estimator split and the config-keyed warm shm sessions.
+reload round-trips.  Plus the live-memory estimator split.
 """
 
 import sys
 import types
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -124,15 +122,23 @@ class TestBudgetPressure:
         for sched, blob in blobs.items():
             assert budget_blob == blob, f"diverges from {sched} schedule"
 
-    def test_batch_compress_streams_path(self):
+    def test_batch_compress_streams_path(self, monkeypatch):
         """The one-shot ``compress_streams`` budget path: every rank
         folds right after its stream, and the merged bytes match each
-        unbudgeted schedule."""
+        unbudgeted schedule.  A budget forces the serial path whatever
+        ``workers`` says — the pool is never entered."""
+        from repro.core import intra
+
         w = WORKLOADS["fig11"]
         compiled, streams = _capture(w.source, 4, w.defines(4, 0.3))
         blobs = _schedule_blobs(compiled.cst, streams, 4)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("budget mode entered run_tasks")
+
+        monkeypatch.setattr(intra, "run_tasks", no_pool)
         comp = compress_streams(
-            compiled.cst, streams,
+            compiled.cst, streams, workers=2,
             config=CypressConfig(memory_budget_bytes=1), nranks=4,
         )
         try:
@@ -327,54 +333,3 @@ class TestLiveBytesEstimator:
             merge_all([comp.ctt(0)], nranks=4)))
         est = comp.serialized_bytes(0)
         assert actual // 10 <= est <= actual * 10
-
-
-class TestWarmSessionConfigKey:
-    """Satellite regression: the warm-session cache key must include the
-    config, so alternating configs on one CST never close and re-fork
-    the shm pool."""
-
-    def test_alternating_configs_reuse_sessions(self, monkeypatch):
-        from repro.core import intra
-        from repro.core.respool import fork_available
-
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        w = WORKLOADS["fig11"]
-        compiled, streams = _capture(w.source, 4, w.defines(4, 0.3))
-        intra.close_shared_sessions()
-        creations = []
-        orig_init = intra.ShmCompressSession.__init__
-
-        def counting_init(self, *args, **kwargs):
-            creations.append(kwargs.get("config") or (args[1] if len(args) > 1 else None))
-            return orig_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(intra.ShmCompressSession, "__init__",
-                            counting_init)
-        cfg_a = CypressConfig()
-        cfg_b = CypressConfig(window=64)
-        blobs = {cfg_a: [], cfg_b: []}
-        try:
-            for cfg in (cfg_a, cfg_b, cfg_a, cfg_b, cfg_a, cfg_b):
-                with warnings.catch_warnings():
-                    # A silent fallback to pickle would vacuously pass.
-                    warnings.simplefilter("error")
-                    comp = compress_streams(
-                        compiled.cst, streams, config=cfg, workers=2,
-                        parallel_threshold=2, transport="shm",
-                    )
-                blobs[cfg].append(serialize.dumps(merge_all(
-                    [comp.ctt(r) for r in range(4)], nranks=4)))
-            # One pool per distinct config — zero re-forks across the
-            # four alternations after the first pair.
-            assert len(creations) == 2
-            assert len(intra._shared_sessions) == 2
-            sess_a = intra.shared_compress_session(compiled.cst, cfg_a)
-            sess_b = intra.shared_compress_session(compiled.cst, cfg_b)
-            assert sess_a is not sess_b
-            assert len(creations) == 2  # lookups hit the cache too
-            for per_cfg in blobs.values():
-                assert all(b == per_cfg[0] for b in per_cfg)
-        finally:
-            intra.close_shared_sessions()

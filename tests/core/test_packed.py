@@ -1,8 +1,8 @@
 """Packed event codec: round-trip properties and wire-format hardening.
 
-The packed encoding is the shm transport's wire format; the differential
-harness proves byte-identity of the *compressed output*, while these
-tests pin the codec itself: ``decode_stream(encode_stream(s).to_bytes())``
+The packed encoding is the server wire format and the input of
+``ingest_runs``; the differential harness proves byte-identity of the
+*compressed output*, while these tests pin the codec itself: ``decode_stream(encode_stream(s).to_bytes())``
 must reproduce the capture list exactly for every opcode, every sentinel
 peer, every int64 boundary value, and empty/huge variable-length tuples.
 """

@@ -1,16 +1,22 @@
 """Resilient pool executor: retry ladder, timeouts, serial fallback —
 and byte-identity of recovered pipeline results."""
 
+import dataclasses
+import multiprocessing
 import time
 import warnings
 
 import pytest
 
 from repro import obs
-from repro.core import StreamMismatchError, run_cypress, serialize
+from repro.core import StreamMismatchError, packed, run_cypress, serialize
 from repro.core.inter import merge_all
+from repro.core.intra import compress_streams
 from repro.core.respool import run_tasks
+from repro.driver import run_compiled
 from repro.faults import FaultPlan, WorkerFault
+from repro.mpisim.pmpi import OP_EVENT, StreamCaptureSink
+from repro.static.instrument import compile_minimpi
 
 SRC = """
 func main() {
@@ -33,6 +39,25 @@ def _fail_on_odd(x):
     if x % 2:
         raise ValueError(f"odd payload {x}")
     return x
+
+
+@pytest.fixture(scope="module")
+def captured():
+    compiled = compile_minimpi(SRC)
+    capture = StreamCaptureSink()
+    run_compiled(compiled, 4, tracer=capture)
+    return compiled, capture.streams
+
+
+@pytest.fixture
+def registry():
+    reg = obs.enable()
+    yield reg
+    obs.disable()
+
+
+def _blob(comp):
+    return serialize.dumps(merge_all([comp.ctt(r) for r in comp.ranks()]))
 
 
 class TestHappyPath:
@@ -173,3 +198,87 @@ class TestPipelineRecoveryByteIdentity:
                     SRC, nprocs=4, compress_workers=2,
                     fault_plan=plan, strict=True,
                 )
+
+
+class TestWorkersRoute:
+    """``compress_streams(workers=2)`` has one route — ``run_tasks`` —
+    and its result is byte-identical to serial whatever the input form
+    and whatever happens to a worker."""
+
+    def test_packed_blob_input_equals_serial(self, captured):
+        # bytes input takes ingest_runs inside the workers.
+        compiled, streams = captured
+        serial = _blob(compress_streams(compiled.cst, streams, workers=None))
+        blobs = {
+            r: packed.encode_stream(s).to_bytes() for r, s in streams.items()
+        }
+        assert _blob(compress_streams(compiled.cst, blobs, workers=2)) == serial
+
+    def test_killed_worker_retries_to_identical_bytes(
+        self, captured, registry
+    ):
+        compiled, streams = captured
+        serial = _blob(compress_streams(compiled.cst, streams, workers=None))
+        plan = FaultPlan(
+            worker_faults=(WorkerFault(stage="intra", task=0, action="kill"),)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a recovered retry is silent
+            comp = compress_streams(
+                compiled.cst, streams, workers=2, fault_plan=plan
+            )
+        assert registry.counters.get("faults.retries", 0) == 1
+        assert registry.counters.get("faults.pool_fallbacks", 0) == 0
+        assert _blob(comp) == serial
+
+    def test_corrupt_rank_is_quarantined_healthy_ranks_compress(self, captured):
+        compiled, streams = captured
+        # Rewrite one event's op on rank 1 so its stream no longer
+        # matches the CST: the mismatch surfaces at ingest inside a
+        # worker, whose quarantine report must travel home with the
+        # healthy results.
+        bad = dict(streams)
+        mutated = list(bad[1])
+        for i, item in enumerate(mutated):
+            if item[0] == OP_EVENT:
+                mutated[i] = (
+                    OP_EVENT, dataclasses.replace(item[1], op="MPI_Scan"),
+                )
+                break
+        bad[1] = mutated
+        comp = compress_streams(compiled.cst, bad, workers=2, strict=False)
+        assert [q.rank for q in comp.quarantine] == [1]
+        q = next(iter(comp.quarantine))
+        assert q.stage == "intra"
+        assert q.raw_stream is not None
+        assert comp.ranks() == [0, 2, 3]
+
+
+class TestNoForkDegradation:
+    """Platforms without the fork start method: the pool must refuse to
+    silently switch to spawn — loud serial execution instead."""
+
+    def _no_fork(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+
+    def test_run_tasks_serial_fallback_is_loud(self, monkeypatch, registry):
+        self._no_fork(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="running serially"):
+            out = run_tasks(_double, [1, 2, 3], stage="intra", workers=3)
+        assert out == [2, 4, 6]
+        assert registry.counters.get("faults.pool_fallbacks", 0) == 3
+
+    def test_compress_streams_still_correct_without_fork(
+        self, captured, monkeypatch, registry
+    ):
+        compiled, streams = captured
+        serial = _blob(compress_streams(compiled.cst, streams, workers=None))
+        self._no_fork(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="running serially"):
+            degraded = _blob(
+                compress_streams(compiled.cst, streams, workers=2)
+            )
+        assert degraded == serial
+        assert registry.counters.get("faults.pool_fallbacks", 0) == 2

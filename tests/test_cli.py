@@ -61,6 +61,18 @@ class TestValidation:
         with pytest.raises(SystemExit):
             main(["trace", "nope", "-n", "4"])
 
+    @pytest.mark.parametrize("command", ["trace", "verify"])
+    @pytest.mark.parametrize("flag", ["--compress-workers", "--merge-workers"])
+    @pytest.mark.parametrize("value", ["foo", "0", "-2"])
+    def test_bad_worker_count_is_a_usage_error(
+        self, command, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "ep", "-n", "4", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err and "'auto'" in err
+
 
 class TestFaultFlags:
     def test_trace_strict_and_quarantine_out(self, tmp_path, capsys):
@@ -141,6 +153,24 @@ class TestFaultFlags:
             ["trace", "ep", "-n", "4", "--scale", "0.5", "-o", trace]
         ) == 0
         assert main(["info", trace, "--salvage"]) == 0
+
+    def test_diff_salvage_warns_about_truncated_container(
+        self, tmp_path, capsys
+    ):
+        import os
+
+        golden = os.path.join(
+            os.path.dirname(__file__), "data", "golden_fig11.cyp"
+        )
+        data = open(golden, "rb").read()
+        cut = str(tmp_path / "cut.cyp")
+        with open(cut, "wb") as fh:
+            fh.write(data[: len(data) * 2 // 3])
+        assert main(["diff", golden, cut, "--salvage"]) == 1
+        captured = capsys.readouterr()
+        assert "ranks only in A" in captured.out
+        assert "salvaged" in captured.err and "cut.cyp" in captured.err
+        assert "golden_fig11.cyp" not in captured.err  # intact side is quiet
 
     def test_verify_accepts_fault_flags(self, capsys):
         assert main([

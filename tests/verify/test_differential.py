@@ -36,7 +36,7 @@ class TestDifferentialCheck:
         assert report.events > 0
         assert sorted(report.variants) == [
             "budgeted", "fastpath", "inline", "packed", "packed_runs",
-            "packed_runs_live", "parallel", "parallel_shm", "reference",
+            "packed_runs_live", "parallel", "reference",
         ]
         assert report.schedules == ["fold", "tree", "parallel"]
         d = report.to_dict()
