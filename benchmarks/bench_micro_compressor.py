@@ -17,7 +17,9 @@ through five ingestion modes
 
 * ``reference``  — ``CypressConfig(fastpath=False)``: generic child scan,
   fresh key per event (the pre-optimization code path);
-* ``callbacks``  — fast path, one ``on_*`` call per marker/event;
+* ``callbacks``  — fast path, one ``on_*`` call per marker/event: the
+  live-tracing route (append to the rank's buffer, drain through
+  ``ingest_stream`` a buffer at a time, final ``flush()`` included);
 * ``stream``     — fast path, batched :meth:`ingest_stream` over a
   captured opcode stream;
 * ``packed_ingest`` — run-collapsed :meth:`ingest_runs` over a
@@ -283,7 +285,8 @@ SHAPE_NAMES = ("fig11", "collectives", "nested", "irecv_waitall")
 
 def _drive_callbacks(comp: IntraProcessCompressor, rank: int, stream) -> None:
     """Replay a captured stream as individual per-callback calls — the
-    live-tracing (non-batched) ingestion mode."""
+    live-tracing mode: the callbacks buffer, and the end-of-run
+    ``flush()`` the runtime would issue is part of the timed work."""
     for item in stream:
         code = item[0]
         if code == OP_EVENT:
@@ -300,6 +303,7 @@ def _drive_callbacks(comp: IntraProcessCompressor, rank: int, stream) -> None:
             comp.on_loop_pop(rank, item[1])
         else:  # pragma: no cover - shapes use only the opcodes above
             raise ValueError(f"unexpected opcode {code}")
+    comp.flush()
 
 
 def _merged_blob(comp: IntraProcessCompressor) -> bytes:
@@ -566,6 +570,7 @@ def _drive_cypress(comp, loop_id, branch_id, iters):
                                    nbytes=8))
         seq += 1
     comp.on_loop_pop(0, loop_id)
+    comp.flush()
 
 
 def _drive_flat(comp, iters):

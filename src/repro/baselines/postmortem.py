@@ -107,4 +107,5 @@ def compress_postmortem(
             if ev.op == "MPI_Irecv" and ev.wildcard and ev.req in resolutions:
                 src, nbytes = resolutions[ev.req]
                 comp.on_request_complete(rank, ev.req, src, nbytes, 0.0)
+    comp.flush()
     return comp

@@ -187,7 +187,10 @@ def run_cypress(
 
     ``measure_overhead=True`` wraps the compressor in a
     :class:`~repro.mpisim.pmpi.TimingSink` so ``intra_seconds`` reports the
-    CPU time spent compressing (Fig. 16's numerator).
+    CPU time spent compressing (Fig. 16's numerator).  The compressor
+    buffers callbacks and ingests them in batches; the runtime flushes
+    it when the last rank finishes, so the returned run holds no
+    buffered items and ``intra_seconds`` includes the last drain.
 
     ``compress_workers`` switches to *deferred* compression: the run is
     traced into a :class:`~repro.mpisim.pmpi.StreamCaptureSink` and the

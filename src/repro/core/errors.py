@@ -17,7 +17,11 @@ The taxonomy (docs/INTERNALS.md §7):
     indicates a static/dynamic inconsistency: a bug, a corrupted
     capture, or an un-instrumented program.  In lenient mode the
     offending *rank* is quarantined instead of the error propagating
-    (see :func:`repro.core.intra.compress_streams`).
+    (see :func:`repro.core.intra.compress_streams`).  Live tracing
+    buffers callbacks and ingests them in batches, so the error surfaces
+    no later than the next drain, ``flush()`` or read of that rank —
+    not at the offending callback; ``item_index`` (the item's position
+    in the rank's stream) says which one it was.
 
 ``MergeError``
     Two trees disagree structurally during the inter-process merge
@@ -57,7 +61,22 @@ class CypressError(Exception):
 class StreamMismatchError(CypressError):
     """The event/marker stream did not match the static CST — indicates
     a static/dynamic inconsistency (a bug, a corrupted capture, or an
-    un-instrumented program)."""
+    un-instrumented program).
+
+    ``item_index`` is the offending item's index in the rank's stream
+    of markers and events as ``ingest_stream`` consumed it (``None``
+    when the stream did not come through there) — live tracing raises
+    at a drain, after the callback returned, so the message alone no
+    longer says where.
+    """
+
+    item_index: int | None = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        if self.item_index is None:
+            return message
+        return f"{message} [stream item {self.item_index}]"
 
 
 class MergeError(CypressError):

@@ -45,9 +45,10 @@ The per-event budget is O(1), and the implementation spends it carefully
   overwhelmingly common case inside a loop — skips ``make_key``, both
   ``encode_peer`` calls and the ``record_index`` hash of a 12-tuple
   entirely and lands directly in ``CompressedRecord.add_occurrence``;
-* batched entry points (:meth:`IntraProcessCompressor.on_events`,
-  :meth:`IntraProcessCompressor.ingest_stream`) hoist the per-rank state
-  and bound methods out of the event loop.
+* :meth:`IntraProcessCompressor.ingest_stream` hoists the per-rank state
+  and bound methods out of the item loop — and it is the only live
+  ingest: the ``on_*`` callbacks append to a bounded per-rank buffer
+  that drains through it.
 
 ``CypressConfig(fastpath=False)`` disables the dispatch tables and the
 key-interning cache, forcing the pre-optimization reference path (generic
@@ -68,6 +69,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import length_hint
 
 from repro import obs
 
@@ -83,7 +85,7 @@ from repro.mpisim.pmpi import (
     OP_RECURSE_ENTER,
     OP_RECURSE_EXIT,
     OP_REQ_COMPLETE,
-    TraceSink,
+    CaptureCallbacks,
 )
 from repro.static.cst import CALL, LOOP, CSTNode
 
@@ -145,6 +147,17 @@ class CypressConfig:
     memory_budget_bytes: int | None = None  # None = unbounded (no budget)
     spill_dir: str | None = None  # spill-container home (budget mode)
 
+
+# Live-tracing buffers (docs/INTERNALS.md §5).  A rank's buffer drains
+# when it holds DRAIN_ITEMS items, and every buffer drains when the
+# process holds TOTAL_ITEMS between them — all P simulated ranks share
+# this process, so residency is bounded by a constant, not by P.
+# Chosen by measurement on the five e2e workloads (CHANGES.md, PR 14).
+DRAIN_ITEMS = 4096
+TOTAL_ITEMS = 32768
+# One buffered item in the live-bytes estimate: the opcode tuple plus,
+# for about half the items, the CommEvent it keeps alive.
+_ITEM_LIVE_BYTES = 200
 
 # Cursor frames are plain three-slot lists ``[kind, vertex, iters]`` —
 # one is allocated per loop/branch entry on the hot path, and a list
@@ -311,15 +324,25 @@ def _state_live_bytes(st: _RankState) -> int:
     return total
 
 
-class IntraProcessCompressor(TraceSink):
-    """CYPRESS dynamic module, intra-process phase."""
+class IntraProcessCompressor(CaptureCallbacks):
+    """CYPRESS dynamic module, intra-process phase.
 
-    wants_markers = True
+    As a live sink it is a bounded :class:`~repro.mpisim.pmpi.
+    CaptureCallbacks`: callbacks append, :meth:`ingest_stream` compresses
+    a buffer at a time, and every method that reads a rank's state
+    drains that rank first, so readers never see a half-ingested rank.
+    """
 
     def __init__(self, cst: CSTNode, config: CypressConfig | None = None) -> None:
         self.cst = cst
         self.config = config or CypressConfig()
         self._states: dict[int, _RankState] = {}
+        # Live tracing: per-rank buffers of not-yet-ingested items, how
+        # many they hold between them, and how many items per rank
+        # ingest_stream has consumed (locates a deferred mismatch).
+        self._buffers: dict[int, list] = {}
+        self._buffered = 0
+        self._items_done: dict[int, int] = {}
         # Ranks excluded by lenient stream compression (populated only
         # by compress_streams; empty for inline tracing).
         self.quarantine = QuarantineReport()
@@ -346,6 +369,8 @@ class IntraProcessCompressor(TraceSink):
         self.m_run_collapsed = 0  # events committed via adjacent-run bulk
         self.m_plan_replays = 0  # loop-body iteration-plan replays
         self.m_plan_bodies = 0  # loop bodies consumed by plan replays
+        self.m_live_drains = 0  # live buffers drained through ingest_stream
+        self.m_live_buffer_peak = 0  # peak items resident across buffers
         # Bounded-memory streaming mode (docs/INTERNALS.md §15).
         self._budget = self.config.memory_budget_bytes
         self.budget_counters = (
@@ -362,7 +387,6 @@ class IntraProcessCompressor(TraceSink):
         self._fold_skip: set[int] = set()  # quarantined (never folds)
         self._touch_clock = 0
         self._touch: dict[int, int] = {}  # rank -> LRU stamp
-        self._event_tick = 0
         # Event/record totals of folded+spilled ranks, so the derived
         # metrics stay exact after their CTT state leaves memory.
         self._archived_events = 0
@@ -371,6 +395,7 @@ class IntraProcessCompressor(TraceSink):
     # ------------------------------------------------------------------
 
     def state(self, rank: int) -> _RankState:
+        self._drain(rank)
         st = self._states.get(rank)
         if st is None:
             if rank in self._folded:
@@ -386,6 +411,7 @@ class IntraProcessCompressor(TraceSink):
         return st
 
     def ranks(self) -> list[int]:
+        self.flush()
         return sorted({*self._states, *self._spilled, *self._folded})
 
     def ctt(self, rank: int) -> CTT:
@@ -409,12 +435,19 @@ class IntraProcessCompressor(TraceSink):
         return _state_live_bytes(self.state(rank))
 
     def total_bytes(self) -> int:
+        self.flush()
         return sum(self.approx_bytes(r) for r in self._states)
 
     def total_live_bytes(self) -> int:
         """Live footprint of every in-memory rank (spilled ranks cost
-        nothing — that is the point; they are not reloaded here)."""
-        return sum(_state_live_bytes(st) for st in self._states.values())
+        nothing — that is the point; they are not reloaded here) plus
+        the items live tracing has buffered but not ingested.  The one
+        reader that does not drain: it is what the budget prologue of a
+        drain calls."""
+        return (
+            sum(_state_live_bytes(st) for st in self._states.values())
+            + _ITEM_LIVE_BYTES * self._buffered
+        )
 
     # ------------------------------------------------------------------
     # Observability (docs/INTERNALS.md §6).
@@ -424,6 +457,7 @@ class IntraProcessCompressor(TraceSink):
         from CTT state rather than sampled on the hot path: every
         dispatched event increments exactly one leaf's ``leaf_visits``,
         so cache *hits* are ``events - misses`` at zero per-event cost."""
+        self.flush()
         events = self._archived_events
         records = self._archived_records
         for st in self._states.values():
@@ -445,6 +479,8 @@ class IntraProcessCompressor(TraceSink):
             "intra.run_collapsed_events": self.m_run_collapsed,
             "intra.plan_replays": self.m_plan_replays,
             "intra.plan_replayed_bodies": self.m_plan_bodies,
+            "intra.live_drains": self.m_live_drains,
+            "intra.live_buffer_peak_items": self.m_live_buffer_peak,
         }
 
     def absorb_metrics_counters(self, counters: dict[str, int]) -> None:
@@ -458,16 +494,22 @@ class IntraProcessCompressor(TraceSink):
         self.m_plan_replays += counters.get("intra.plan_replays", 0)
         self.m_plan_bodies += counters.get("intra.plan_replayed_bodies", 0)
         self.m_wildcard_deferred += counters.get("intra.wildcard_deferred", 0)
+        self.m_live_drains += counters.get("intra.live_drains", 0)
         depth = counters.get("intra.wildcard_max_depth", 0)
         if depth > self.m_wildcard_max_depth:
             self.m_wildcard_max_depth = depth
+        peak = counters.get("intra.live_buffer_peak_items", 0)
+        if peak > self.m_live_buffer_peak:
+            self.m_live_buffer_peak = peak
 
     def publish_metrics(self, registry) -> None:
         """Push counters plus derived hit-rate gauges into ``registry``."""
         counters = self.metrics_counters()
         events = counters["intra.events"]
         for name, value in counters.items():
-            if name == "intra.wildcard_max_depth":
+            if name in (
+                "intra.wildcard_max_depth", "intra.live_buffer_peak_items"
+            ):
                 registry.gauge_max(name, value)
             else:
                 registry.counter_add(name, value)
@@ -560,9 +602,9 @@ class IntraProcessCompressor(TraceSink):
     def _enforce_budget(self, active_rank: int | None = None) -> None:
         """Bring the live footprint back under the budget by spilling
         the coldest evictable ranks (never the one currently ingesting).
-        Called from the batched entry points and the periodic event
-        tick; one call is O(live tree), so the cadence is per batch, not
-        per event."""
+        Called from the batched entry points — live tracing reaches it
+        once per drain; one call is O(live tree), so the cadence is per
+        batch, not per event."""
         budget = self._budget
         if budget is None:
             return
@@ -621,6 +663,7 @@ class IntraProcessCompressor(TraceSink):
         """Mark one rank's stream complete: its CTT is final and
         eligible for incremental folding.  No-op unless the fold is
         armed."""
+        self._drain(rank)
         if not self._fold_enabled or rank in self._fold_skip:
             return
         bc = self.budget_counters
@@ -717,6 +760,8 @@ class IntraProcessCompressor(TraceSink):
         """Drop every trace of a rank (quarantine path): live state,
         spill container, fold bookkeeping.  Folding of later ranks is
         unblocked by marking the rank permanently excluded."""
+        self._buffered -= len(self._buffers.pop(rank, ()))
+        self._items_done.pop(rank, None)
         st = self._states.pop(rank, None)
         if st is None and rank in self._spilled:
             # Its archived totals were added at spill time; the rank is
@@ -750,12 +795,54 @@ class IntraProcessCompressor(TraceSink):
             self._spilled.clear()
 
     # ------------------------------------------------------------------
-    # Structural markers.  Public callbacks resolve the rank state once
-    # and delegate to the _-prefixed internals the batched entry points
-    # drive directly.
+    # Live tracing (docs/INTERNALS.md §5).  The inherited ``on_*``
+    # callbacks only append an opcode tuple to the rank's buffer; the
+    # buffer is drained through :meth:`ingest_stream`, the one loop that
+    # interprets items.  A CST/stream mismatch therefore raises no later
+    # than the next drain, ``flush()`` or read of that rank.
 
-    def on_loop_push(self, rank: int, ast_id: int) -> None:
-        self._loop_push(self.state(rank), ast_id)
+    def _append(self, rank: int, item: tuple) -> None:
+        try:
+            buf = self._buffers[rank]
+        except KeyError:
+            buf = self._buffers[rank] = []
+        buf.append(item)
+        self._buffered = resident = self._buffered + 1
+        if len(buf) >= DRAIN_ITEMS:
+            self._drain(rank)
+        elif resident >= TOTAL_ITEMS:
+            self.flush()
+
+    def _drain(self, rank: int) -> None:
+        buf = self._buffers.get(rank)
+        if not buf:
+            return
+        if self._buffered > self.m_live_buffer_peak:
+            self.m_live_buffer_peak = self._buffered
+        # Detach first: ingest_stream reads this rank's state, and
+        # reading a rank drains it.
+        self._buffers[rank] = []
+        self._buffered -= len(buf)
+        self.m_live_drains += 1
+        self.ingest_stream(rank, buf)
+
+    def flush(self) -> None:
+        """Drain every rank's buffer (end of run, and before any reader
+        that looks across ranks)."""
+        if self._buffered:
+            for rank, buf in list(self._buffers.items()):
+                if buf:
+                    self._drain(rank)
+
+    def on_finalize(self, rank: int) -> None:
+        # The rank's stream is complete: an unresolved wildcard receive
+        # must fail here, inside the run, not at some later read.
+        super().on_finalize(rank)
+        self._drain(rank)
+
+    # ------------------------------------------------------------------
+    # Structural markers: the handlers ``ingest_stream``/``ingest_runs``
+    # drive, each taking the resolved rank state.
 
     def _loop_push(self, st: _RankState, ast_id: int) -> list:
         stack = st.stack
@@ -777,9 +864,6 @@ class IntraProcessCompressor(TraceSink):
         stack.append(frame)
         return frame
 
-    def on_loop_iter(self, rank: int, ast_id: int) -> None:
-        self._loop_iter(self.state(rank), ast_id)
-
     def _loop_iter(self, st: _RankState, ast_id: int) -> None:
         stack = st.stack
         if not stack or stack[-1][_F_KIND] != _LOOP:
@@ -793,9 +877,6 @@ class IntraProcessCompressor(TraceSink):
         if vertex is not None:
             vertex.search_pos = 0
 
-    def on_loop_pop(self, rank: int, ast_id: int) -> None:
-        self._loop_pop(self.state(rank), ast_id)
-
     def _loop_pop(self, st: _RankState, ast_id: int) -> None:
         stack = st.stack
         if not stack or stack[-1][_F_KIND] != _LOOP:
@@ -806,9 +887,6 @@ class IntraProcessCompressor(TraceSink):
         vertex = frame[_F_VERTEX]
         if vertex is not None:
             vertex.loop_counts.append(frame[_F_ITERS])
-
-    def on_branch_enter(self, rank: int, ast_id: int, path: int) -> None:
-        self._branch_enter(self.state(rank), ast_id, path)
 
     def _branch_enter(self, st: _RankState, ast_id: int, path: int) -> None:
         stack = st.stack
@@ -843,9 +921,6 @@ class IntraProcessCompressor(TraceSink):
                     frame[_F_VERTEX] = path_vertex
         stack.append(frame)
 
-    def on_branch_exit(self, rank: int, ast_id: int) -> None:
-        self._branch_exit(self.state(rank), ast_id)
-
     def _branch_exit(self, st: _RankState, ast_id: int) -> None:
         stack = st.stack
         if not stack or stack[-1][_F_KIND] != _BRANCH:
@@ -854,9 +929,6 @@ class IntraProcessCompressor(TraceSink):
                 "with no open branch"
             )
         stack.pop()
-
-    def on_recurse_enter(self, rank: int, ast_id: int) -> None:
-        self._recurse_enter(self.state(rank), ast_id)
 
     def _recurse_enter(self, st: _RankState, ast_id: int) -> None:
         # Find an active pseudo-loop frame for this function.
@@ -880,9 +952,6 @@ class IntraProcessCompressor(TraceSink):
         frame[_F_ITERS] = 1
         st.recursion_saved.append(None)
 
-    def on_recurse_exit(self, rank: int, ast_id: int) -> None:
-        self._recurse_exit(self.state(rank), ast_id)
-
     def _recurse_exit(self, st: _RankState, ast_id: int) -> None:
         if not st.recursion_saved:
             raise CompressionError(
@@ -896,25 +965,6 @@ class IntraProcessCompressor(TraceSink):
 
     # ------------------------------------------------------------------
     # Communication events.
-
-    def on_event(self, rank: int, ev: CommEvent) -> None:
-        self._ingest(self.state(rank), ev)
-        if self._budget is not None:
-            # Inline-tracing budget tick: enforcement is O(live tree),
-            # so it runs every 4096 events, not per event.
-            self._event_tick += 1
-            if not self._event_tick & 4095:
-                self._budget_prologue(rank)
-
-    def on_events(self, rank: int, events) -> None:
-        """Batched ingestion: resolve the rank state and the ingest
-        binding once for a run of consecutive events."""
-        if self._budget is not None:
-            self._budget_prologue(rank)
-        st = self.state(rank)
-        ingest = self._ingest
-        for ev in events:
-            ingest(st, ev)
 
     def _ingest_fast(self, st: _RankState, ev: CommEvent) -> None:
         """Fast-path event ingestion: monomorphic leaf dispatch plus the
@@ -1155,11 +1205,6 @@ class IntraProcessCompressor(TraceSink):
             leaf.record_index[key] = record
         return record
 
-    def on_request_complete(
-        self, rank: int, rid: int, source: int, nbytes: int, when: float
-    ) -> None:
-        self._request_complete(self.state(rank), rid, source, nbytes, when)
-
     def _request_complete(
         self, st: _RankState, rid: int, source: int, nbytes: int, when: float
     ) -> None:
@@ -1206,26 +1251,43 @@ class IntraProcessCompressor(TraceSink):
             if entry[0] is leaf and entry[3] > removed_pos:
                 pending[key_rid] = (entry[0], entry[1], entry[2], entry[3] - 1)
 
-    def on_finalize(self, rank: int) -> None:
-        st = self.state(rank)
+    @staticmethod
+    def _finalize(st: _RankState) -> None:
         if st.pending:
             raise CompressionError(
-                f"rank {rank}: {len(st.pending)} wildcard receive(s) never completed"
+                f"rank {st.rank}: {len(st.pending)} wildcard receive(s) "
+                "never completed"
             )
 
     # ------------------------------------------------------------------
     # Batched stream ingestion (capture/replay and the parallel executor).
 
     def ingest_stream(self, rank: int, stream) -> None:
-        """Compress one rank's captured marker/event stream (the opcode
-        tuples :class:`~repro.mpisim.pmpi.StreamCaptureSink` records) in
-        one call.  Equivalent to replaying the individual callbacks, with
-        the rank state and all handler bindings hoisted out of the loop —
-        this is the entry point the parallel compression workers and the
-        ingestion benchmarks use."""
+        """Compress a run of one rank's marker/event stream (a list of
+        the opcode tuples :class:`~repro.mpisim.pmpi.CaptureCallbacks`
+        builds), with the rank state and all handler bindings hoisted
+        out of the loop.  The only interpreter of stream items: live
+        tracing drains its buffers through here, and so do the parallel
+        compression workers, the server and the ingestion benchmarks.
+
+        A :class:`~repro.core.errors.StreamMismatchError` leaves with
+        ``item_index`` set to the offending item's index in the rank's
+        stream, counted over every ``ingest_stream`` call for the rank.
+        """
         if self._budget is not None:
             self._budget_prologue(rank)
         st = self.state(rank)
+        done = self._items_done.get(rank, 0)
+        it = iter(stream)
+        try:
+            self._walk(st, it)
+        except StreamMismatchError as exc:
+            # A list iterator knows exactly how many items it has left.
+            exc.item_index = done + len(stream) - length_hint(it) - 1
+            raise
+        self._items_done[rank] = done + len(stream)
+
+    def _walk(self, st: _RankState, stream) -> None:
         ingest = self._ingest
         loop_push = self._loop_push
         loop_iter = self._loop_iter
@@ -1413,7 +1475,7 @@ class IntraProcessCompressor(TraceSink):
                 elif code == OP_RECURSE_EXIT:
                     recurse_exit(st, item[1])
                 elif code == OP_FINALIZE:
-                    self.on_finalize(rank)
+                    self._finalize(st)
                 else:  # pragma: no cover - capture writes only known opcodes
                     raise CompressionError(f"unknown stream opcode {code!r}")
             return
@@ -1438,7 +1500,7 @@ class IntraProcessCompressor(TraceSink):
             elif code == OP_RECURSE_EXIT:
                 recurse_exit(st, item[1])
             elif code == OP_FINALIZE:
-                self.on_finalize(rank)
+                self._finalize(st)
             else:  # pragma: no cover - capture writes only known opcodes
                 raise CompressionError(f"unknown stream opcode {code!r}")
 
@@ -2296,7 +2358,7 @@ class IntraProcessCompressor(TraceSink):
                 if rec is not None:
                     rec_abort()
                 mi += 1
-                self.on_finalize(rank)
+                self._finalize(st)
             else:  # pragma: no cover - encoder writes only known codes
                 raise CompressionError(f"unknown stream opcode {code!r}")
 

@@ -35,8 +35,15 @@ class TracedComm:
     def __init__(self, comm, structure: BuiltStructure) -> None:
         self._comm = comm
         self._structure = structure
-        self._tracer = comm.runtime.tracer
-        self._emit = self._tracer.wants_markers
+        tracer = comm.runtime.tracer
+        self._emit = tracer.wants_markers
+        # Resolved once, not per marker.
+        self._rank = comm.rank
+        self._on_loop_push = tracer.on_loop_push
+        self._on_loop_iter = tracer.on_loop_iter
+        self._on_loop_pop = tracer.on_loop_pop
+        self._on_branch_enter = tracer.on_branch_enter
+        self._on_branch_exit = tracer.on_branch_exit
 
     # -- identity -----------------------------------------------------------
 
@@ -79,27 +86,27 @@ class TracedComm:
         """Bracket an iteration over ``iterable`` with loop markers."""
         ast_id = self._ast_id(label)
         if self._emit:
-            self._tracer.on_loop_push(self.rank, ast_id)
+            self._on_loop_push(self._rank, ast_id)
         try:
             for item in iterable:
                 if self._emit:
-                    self._tracer.on_loop_iter(self.rank, ast_id)
+                    self._on_loop_iter(self._rank, ast_id)
                 yield item
         finally:
             if self._emit:
-                self._tracer.on_loop_pop(self.rank, ast_id)
+                self._on_loop_pop(self._rank, ast_id)
 
     def branch(self, label: str, condition) -> bool:
         """Record a branch outcome; pair with :meth:`end_branch`."""
         ast_id = self._ast_id(label)
         taken = bool(condition)
         if self._emit:
-            self._tracer.on_branch_enter(self.rank, ast_id, 0 if taken else 1)
+            self._on_branch_enter(self._rank, ast_id, 0 if taken else 1)
         return taken
 
     def end_branch(self, label: str) -> None:
         if self._emit:
-            self._tracer.on_branch_exit(self.rank, self._ast_id(label))
+            self._on_branch_exit(self._rank, self._ast_id(label))
 
     @contextmanager
     def branch_scope(self, label: str, condition):

@@ -122,8 +122,18 @@ class Interpreter:
         self.defines = dict(defines or {})
         self.plan = plan
         self.output = output
-        self._tracer = comm.runtime.tracer
-        self._emit_markers = plan is not None and self._tracer.wants_markers
+        tracer = comm.runtime.tracer
+        self._emit_markers = plan is not None and tracer.wants_markers
+        # Markers fire per loop iteration and per branch: resolve the
+        # rank and the sink's bound methods once, not per marker.
+        self._rank = comm.rank
+        self._on_loop_push = tracer.on_loop_push
+        self._on_loop_iter = tracer.on_loop_iter
+        self._on_loop_pop = tracer.on_loop_pop
+        self._on_branch_enter = tracer.on_branch_enter
+        self._on_branch_exit = tracer.on_branch_exit
+        self._on_recurse_enter = tracer.on_recurse_enter
+        self._on_recurse_exit = tracer.on_recurse_exit
         self._steps = 0
         self._max_steps = max_steps
         self._call_depth = 0
@@ -160,7 +170,7 @@ class Interpreter:
         if self._emit_markers:
             pseudo = self.plan.recursive_pseudo.get(name)
         if pseudo is not None:
-            self._tracer.on_recurse_enter(self.comm.rank, pseudo)
+            self._on_recurse_enter(self._rank, pseudo)
         try:
             value = 0
             try:
@@ -170,7 +180,7 @@ class Interpreter:
             return value
         finally:
             if pseudo is not None:
-                self._tracer.on_recurse_exit(self.comm.rank, pseudo)
+                self._on_recurse_exit(self._rank, pseudo)
             self._call_depth -= 1
 
     # -- statements -----------------------------------------------------
@@ -242,12 +252,12 @@ class Interpreter:
             self._emit_markers and stmt.node_id in self.plan.instrumented_ast_ids
         )
         if instrumented:
-            self._tracer.on_branch_enter(self.comm.rank, stmt.node_id, path)
+            self._on_branch_enter(self._rank, stmt.node_id, path)
         try:
             yield from self._exec_block(body, frame)
         finally:
             if instrumented:
-                self._tracer.on_branch_exit(self.comm.rank, stmt.node_id)
+                self._on_branch_exit(self._rank, stmt.node_id)
 
     def _exec_loop(self, stmt: A.For | A.While, frame: dict):
         is_for = isinstance(stmt, A.For)
@@ -257,7 +267,7 @@ class Interpreter:
             self._emit_markers and stmt.node_id in self.plan.instrumented_ast_ids
         )
         if instrumented:
-            self._tracer.on_loop_push(self.comm.rank, stmt.node_id)
+            self._on_loop_push(self._rank, stmt.node_id)
         try:
             cond_pure = stmt.cond is not None and not _has_call(stmt.cond)
             while True:
@@ -270,7 +280,7 @@ class Interpreter:
                     if not cond:
                         break
                 if instrumented:
-                    self._tracer.on_loop_iter(self.comm.rank, stmt.node_id)
+                    self._on_loop_iter(self._rank, stmt.node_id)
                 try:
                     yield from self._exec_block(stmt.body, frame)
                 except _Break:
@@ -281,7 +291,7 @@ class Interpreter:
                     yield from self._exec_stmt(stmt.step, frame)
         finally:
             if instrumented:
-                self._tracer.on_loop_pop(self.comm.rank, stmt.node_id)
+                self._on_loop_pop(self._rank, stmt.node_id)
 
     # -- expressions ---------------------------------------------------------
 

@@ -18,8 +18,14 @@ communication events of one rank in a single call, letting sinks hoist
 their per-rank state out of the loop.  The default implementation simply
 fans out to ``on_event``, so sinks only override it when it pays.
 
-Capture: :class:`StreamCaptureSink` records the complete callback stream
-per rank as compact opcode tuples.  A captured stream can be replayed
+Deferred work: a sink may buffer callbacks and process them later (the
+CYPRESS compressor does), so whoever drives a sink calls ``flush()`` once
+after the last callback — :meth:`Runtime.run <repro.mpisim.runtime.Runtime.run>`
+does, and :class:`MultiSink` / :class:`TimingSink` pass it on.
+
+Capture: :class:`CaptureCallbacks` turns every callback into one compact
+opcode tuple; :class:`StreamCaptureSink` keeps the complete per-rank
+stream of them.  A captured stream can be replayed
 into any sink later (``replay_into``) or handed to
 :func:`repro.core.intra.compress_streams`, which shards ranks over a
 process pool — the deferred-compression mode behind
@@ -89,6 +95,11 @@ class TraceSink:
     def on_finalize(self, rank: int) -> None:
         """Called when ``rank`` executes MPI_Finalize."""
 
+    def flush(self) -> None:
+        """Called once after the last callback of a run (by
+        :meth:`~repro.mpisim.runtime.Runtime.run`, after the last rank
+        finishes): a sink that defers work completes it here."""
+
     # -- hints -----------------------------------------------------------
 
     wants_markers: bool = False  # runtimes skip marker plumbing when False
@@ -149,6 +160,10 @@ class MultiSink(TraceSink):
         for s in self.sinks:
             s.on_finalize(rank)
 
+    def flush(self):
+        for s in self.sinks:
+            s.flush()
+
 
 class TimingSink(TraceSink):
     """Wraps a sink, accumulating the CPU time spent inside it.
@@ -206,6 +221,9 @@ class TimingSink(TraceSink):
     def on_finalize(self, rank):
         self._timed(self.inner.on_finalize, rank)
 
+    def flush(self):
+        self._timed(self.inner.flush)
+
 
 class RecordingSink(TraceSink):
     """Collects raw per-rank event lists — ground truth for tests and for
@@ -230,14 +248,14 @@ class RecordingSink(TraceSink):
                 break
 
 
-class StreamCaptureSink(TraceSink):
-    """Records the complete per-rank callback stream as opcode tuples.
-
-    Capturing is one tuple construction plus a list append per callback —
-    far cheaper than compressing inline — which is what makes deferred
-    (and parallel) compression worthwhile: the traced run finishes at
-    near-uninstrumented speed and the captured streams are compressed
-    afterwards, per rank, on however many workers are available.
+class CaptureCallbacks(TraceSink):
+    """The capture half of a sink: every callback becomes one opcode
+    tuple ``(opcode, *args)`` handed to ``_append(rank, item)`` — one
+    tuple construction per callback, nothing else at the source.  What
+    happens to the items is the subclass's business:
+    :class:`StreamCaptureSink` keeps them all,
+    :class:`~repro.core.intra.IntraProcessCompressor` buffers a bounded
+    number and drains them through its batched ingest loop.
 
     Per-rank callback order is preserved exactly, which is the only
     ordering the intra-process compressor depends on (rank states never
@@ -246,47 +264,64 @@ class StreamCaptureSink(TraceSink):
 
     wants_markers = True
 
+    def _append(self, rank: int, item: tuple) -> None:
+        raise NotImplementedError
+
+    def on_loop_push(self, rank, ast_id):
+        self._append(rank, (OP_LOOP_PUSH, ast_id))
+
+    def on_loop_iter(self, rank, ast_id):
+        self._append(rank, (OP_LOOP_ITER, ast_id))
+
+    def on_loop_pop(self, rank, ast_id):
+        self._append(rank, (OP_LOOP_POP, ast_id))
+
+    def on_branch_enter(self, rank, ast_id, path):
+        self._append(rank, (OP_BRANCH_ENTER, ast_id, path))
+
+    def on_branch_exit(self, rank, ast_id):
+        self._append(rank, (OP_BRANCH_EXIT, ast_id))
+
+    def on_recurse_enter(self, rank, ast_id):
+        self._append(rank, (OP_RECURSE_ENTER, ast_id))
+
+    def on_recurse_exit(self, rank, ast_id):
+        self._append(rank, (OP_RECURSE_EXIT, ast_id))
+
+    def on_event(self, rank, event):
+        self._append(rank, (OP_EVENT, event))
+
+    def on_events(self, rank, events):
+        append = self._append
+        for event in events:
+            append(rank, (OP_EVENT, event))
+
+    def on_request_complete(self, rank, rid, source, nbytes, when):
+        self._append(rank, (OP_REQ_COMPLETE, rid, source, nbytes, when))
+
+    def on_finalize(self, rank):
+        self._append(rank, (OP_FINALIZE,))
+
+
+class StreamCaptureSink(CaptureCallbacks):
+    """Records the complete per-rank callback stream as opcode tuples.
+
+    Capturing is one tuple construction plus a list append per callback —
+    far cheaper than compressing at the callback — which is what makes
+    deferred (and parallel) compression worthwhile: the traced run
+    finishes at near-uninstrumented speed and the captured streams are
+    compressed afterwards, per rank, on however many workers are
+    available.
+    """
+
     def __init__(self) -> None:
         self.streams: dict[int, list] = {}
 
-    def _stream(self, rank: int) -> list:
-        stream = self.streams.get(rank)
-        if stream is None:
-            stream = self.streams[rank] = []
-        return stream
-
-    def on_loop_push(self, rank, ast_id):
-        self._stream(rank).append((OP_LOOP_PUSH, ast_id))
-
-    def on_loop_iter(self, rank, ast_id):
-        self._stream(rank).append((OP_LOOP_ITER, ast_id))
-
-    def on_loop_pop(self, rank, ast_id):
-        self._stream(rank).append((OP_LOOP_POP, ast_id))
-
-    def on_branch_enter(self, rank, ast_id, path):
-        self._stream(rank).append((OP_BRANCH_ENTER, ast_id, path))
-
-    def on_branch_exit(self, rank, ast_id):
-        self._stream(rank).append((OP_BRANCH_EXIT, ast_id))
-
-    def on_recurse_enter(self, rank, ast_id):
-        self._stream(rank).append((OP_RECURSE_ENTER, ast_id))
-
-    def on_recurse_exit(self, rank, ast_id):
-        self._stream(rank).append((OP_RECURSE_EXIT, ast_id))
-
-    def on_event(self, rank, event):
-        self._stream(rank).append((OP_EVENT, event))
-
-    def on_events(self, rank, events):
-        self._stream(rank).extend((OP_EVENT, ev) for ev in events)
-
-    def on_request_complete(self, rank, rid, source, nbytes, when):
-        self._stream(rank).append((OP_REQ_COMPLETE, rid, source, nbytes, when))
-
-    def on_finalize(self, rank):
-        self._stream(rank).append((OP_FINALIZE,))
+    def _append(self, rank, item):
+        try:
+            self.streams[rank].append(item)
+        except KeyError:
+            self.streams[rank] = [item]
 
     # ------------------------------------------------------------------
 
@@ -303,7 +338,8 @@ class StreamCaptureSink(TraceSink):
         """Re-drive ``sink`` from the captured streams, one rank at a
         time, batching runs of consecutive events through ``on_events``.
         Only per-rank callback order is preserved (sufficient for any
-        sink whose state is per-rank, like the compressors)."""
+        sink whose state is per-rank, like the compressors).  Ends with
+        ``sink.flush()``, as every driver of a sink does."""
         for rank in sorted(self.streams) if ranks is None else ranks:
             stream = self.streams.get(rank, [])
             batch: list[CommEvent] = []
@@ -337,3 +373,4 @@ class StreamCaptureSink(TraceSink):
                     sink.on_finalize(rank)
             if batch:
                 sink.on_events(rank, batch)
+        sink.flush()

@@ -158,6 +158,9 @@ class Runtime:
                     for r in live
                 }
                 raise DeadlockError(blocked)
+        # Every rank is done: let a sink that deferred work finish it
+        # inside the run, where its time and its errors belong.
+        self.tracer.flush()
         self._check_leaks()
         return RunResult(
             nprocs=self.nprocs,

@@ -23,13 +23,22 @@ METRICS_SCHEMA: dict = {
     "type": "object",
     "required": ["version", "counters", "gauges", "timers", "spans"],
     "properties": {
-        "version": {"const": 1},
+        # 2: live tracing publishes its drain count and buffer peak.
+        "version": {"const": 2},
         "counters": {
             "type": "object",
+            "properties": {
+                "intra.live_drains": {"type": "integer", "minimum": 0},
+            },
             "additionalProperties": {"type": "integer"},
         },
         "gauges": {
             "type": "object",
+            "properties": {
+                "intra.live_buffer_peak_items": {
+                    "type": "number", "minimum": 0,
+                },
+            },
             "additionalProperties": {"type": "number"},
         },
         "timers": {

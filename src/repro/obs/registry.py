@@ -207,7 +207,7 @@ class MetricsRegistry:
 
     def to_dict(self) -> dict:
         return {
-            "version": 1,
+            "version": 2,
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "timers": {k: t.to_dict() for k, t in self.timers.items()},

@@ -5,7 +5,8 @@ equivalent:
 
 * fastpath compression == reference compression
   (``CypressConfig(fastpath=False)``);
-* inline (callback) compression == deferred serial == deferred parallel
+* inline (callback) compression — capture-and-drain with a small drain
+  size — == deferred serial == deferred parallel
   (``compress_streams(workers=N)``);
 * the packed codec + columnar ingest == the list-stream path
   (``packed``);
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import packed, serialize
+from repro.core import intra, packed, serialize
 from repro.core.decompress import decompress_merged_rank, decompress_rank
 from repro.core.inter import merge_all
 from repro.core.intra import CypressConfig, IntraProcessCompressor, compress_streams
@@ -133,8 +134,15 @@ def differential_check(
             report.divergences.append(div)
 
     # -- compression variants, all from the same captured streams --------
+    # The live path: callbacks into seven-item buffers, so drain
+    # boundaries fall inside loops, branches and request lifetimes
+    # instead of re-chunking what `fastpath` ingests whole.
     inline = IntraProcessCompressor(compiled.cst)
-    capture.replay_into(inline)
+    drain_items, intra.DRAIN_ITEMS = intra.DRAIN_ITEMS, 7
+    try:
+        capture.replay_into(inline)
+    finally:
+        intra.DRAIN_ITEMS = drain_items
     packed_streams = {
         rank: packed.encode_stream(stream).to_bytes()
         for rank, stream in capture.streams.items()

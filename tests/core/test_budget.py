@@ -243,6 +243,63 @@ class TestBudgetProperty:
             assert budget_blob == blob, f"diverges from {sched} schedule"
 
 
+class TestLiveTracingUnderBudget:
+    """Live tracing has no budget cadence of its own: callbacks append,
+    and every drain is an ``ingest_stream`` batch with the usual
+    prologue.  Buffered items count as live bytes until they drain."""
+
+    @pytest.mark.parametrize("name", ["cg", "fig11"])
+    def test_live_run_spills_and_matches_unbudgeted(
+        self, name, tmp_path, monkeypatch
+    ):
+        from repro.core import intra
+        from repro.core.api import run_cypress
+
+        # Several drains per rank at test size, so ranks are evicted
+        # and reloaded mid-run, not only at MPI_Finalize.
+        monkeypatch.setattr(intra, "DRAIN_ITEMS", 64)
+        w = WORKLOADS[name]
+        nprocs = 4
+        defines = w.defines(nprocs, 1.0)
+        spill_dir = tmp_path / "spill"
+        plain = run_cypress(w.source, nprocs, defines=defines)
+        run = run_cypress(
+            w.source, nprocs, defines=defines,
+            config=CypressConfig(
+                memory_budget_bytes=1, spill_dir=str(spill_dir)
+            ),
+        )
+        comp = run.compressor
+        try:
+            assert comp._buffered == 0 and not any(comp._buffers.values())
+            bc = comp.budget_counters
+            assert bc.spills > 0 and bc.peak_live_bytes > 0
+            drains = comp.metrics_counters()["intra.live_drains"]
+            assert drains > 2 * nprocs
+            assert bc.spills >= drains - nprocs  # one eviction a drain
+            assert run.trace_bytes() == plain.trace_bytes()
+            assert serialize.dumps(run.merge()) == serialize.dumps(
+                plain.merge()
+            )
+            assert bc.reloads > 0
+        finally:
+            comp.close_spill()
+        assert not spill_dir.exists() or not any(spill_dir.iterdir())
+
+    def test_buffered_items_count_as_live_bytes(self):
+        from repro.core import intra
+
+        w = WORKLOADS["fig11"]
+        compiled, _ = _capture(w.source, 2, w.defines(2, 0.3))
+        comp = IntraProcessCompressor(compiled.cst)
+        before = comp.total_live_bytes()
+        for _ in range(10):
+            comp.on_loop_iter(0, 5)
+        # The estimator counts the buffered items; it does not drain them.
+        assert comp.total_live_bytes() == before + 10 * intra._ITEM_LIVE_BYTES
+        assert comp._buffered == 10
+
+
 class TestFoldSemantics:
     def test_folded_rank_state_is_gone(self):
         w = WORKLOADS["fig11"]
@@ -251,6 +308,12 @@ class TestFoldSemantics:
         try:
             with pytest.raises(StreamMismatchError, match="folded"):
                 comp.state(0)
+            # A late callback for a folded rank only buffers; the drain
+            # a read triggers finds the state gone and says so.
+            comp.on_loop_iter(0, 1)
+            with pytest.raises(StreamMismatchError, match="folded"):
+                comp.state(0)
+            comp.discard_rank(0)
             comp.merged(nranks=4)
         finally:
             comp.close_spill()

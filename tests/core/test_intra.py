@@ -381,6 +381,10 @@ class TestRecursion:
 
 
 class TestErrors:
+    # Callbacks only buffer: a CST/stream mismatch raises no later than
+    # the next drain, flush() or read of that rank, and carries the
+    # offending item's index in the rank's stream.
+
     def test_event_without_marker_context_raises(self):
         # Feed the compressor a mismatched stream directly.
         from repro.core.intra import IntraProcessCompressor
@@ -389,8 +393,12 @@ class TestErrors:
 
         compiled = compile_minimpi("func main() { mpi_barrier(); }")
         comp = IntraProcessCompressor(compiled.cst)
-        with pytest.raises(CompressionError):
-            comp.on_event(0, CommEvent(op="MPI_Send", rank=0, seq=0))
+        comp.on_event(0, CommEvent(op="MPI_Barrier", rank=0, seq=0))
+        comp.on_event(0, CommEvent(op="MPI_Send", rank=0, seq=1))
+        with pytest.raises(CompressionError, match="rank 0: no CST leaf") as err:
+            comp.flush()
+        assert err.value.item_index == 1
+        assert "[stream item 1]" in str(err.value)
 
     def test_unbalanced_loop_exit_raises(self):
         from repro.core.intra import IntraProcessCompressor
@@ -400,5 +408,28 @@ class TestErrors:
             "func main() { for (;x;) { mpi_barrier(); } }"
         )
         comp = IntraProcessCompressor(compiled.cst)
-        with pytest.raises(CompressionError):
-            comp.on_loop_pop(0, 123)
+        comp.on_loop_pop(0, 123)
+        with pytest.raises(CompressionError, match="no open loop") as err:
+            comp.ctt(0)  # a read of the rank drains it
+        assert err.value.item_index == 0
+
+    def test_mismatch_index_counts_across_drains(self, monkeypatch):
+        from repro.core import intra
+        from repro.static.instrument import compile_minimpi
+
+        monkeypatch.setattr(intra, "DRAIN_ITEMS", 2)
+        compiled = compile_minimpi(
+            "func main() { for (;x;) { mpi_barrier(); } }"
+        )
+        loop = next(v for v in compiled.cst.preorder() if v.kind == "loop")
+        comp = intra.IntraProcessCompressor(compiled.cst)
+        comp.on_loop_push(0, loop.ast_id)
+        for _ in range(4):
+            comp.on_loop_iter(0, loop.ast_id)
+        comp.on_loop_pop(0, loop.ast_id)
+        # Items 0-5 drained in pairs; item 6 is the bad one and waits in
+        # the buffer until item 7 fills it.
+        comp.on_branch_exit(0, 99)
+        with pytest.raises(CompressionError, match="no open branch") as err:
+            comp.on_loop_pop(0, loop.ast_id)
+        assert err.value.item_index == 6

@@ -82,6 +82,22 @@ class TestStageCoverage:
         # Loops repeat identical events: key interning must mostly hit.
         assert registry.gauges["intra.key_cache_hit_rate"] >= 0.5
 
+    def test_live_tracing_publishes_drains_and_buffer_peak(self):
+        import jsonschema
+
+        registry, run, _, _ = _observed_run()
+        # SOURCE never calls mpi_finalize and fits one buffer a rank:
+        # everything drains in the end-of-run flush, one drain per rank.
+        assert registry.counters["intra.live_drains"] == 4
+        items = registry.gauges["intra.live_buffer_peak_items"]
+        assert run.run_result.total_events < items <= 32768
+        doc = registry.to_dict()
+        assert doc["version"] == 2
+        jsonschema.validate(doc, obs.METRICS_SCHEMA)
+        doc["counters"]["intra.live_drains"] = -1
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, obs.METRICS_SCHEMA)
+
     def test_merge_and_serialize_counters(self):
         registry, _, blob, _ = _observed_run()
         c = registry.counters
