@@ -2,7 +2,7 @@
 
 Compresses a 100x-longer fig11/cg workload (measured in *events*, not
 the scale knob — cg's event count grows quadratically in scale) through
-the budgeted interleaved-ingest path (docs/INTERNALS.md §15) and fails
+the budgeted interleaved-ingest path (docs/INTERNALS.md §14) and fails
 if the process RSS grows past ``budget + fixed overhead`` during
 ingestion.  The capture phase is excluded from the gate: the captured
 streams are allocated before the baseline RSS is taken and stay

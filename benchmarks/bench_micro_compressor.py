@@ -13,7 +13,7 @@ harness**: it sweeps four workload shapes
 * ``nested``         — doubly nested point-to-point loop (marker heavy)
 * ``irecv_waitall``  — nonblocking pairs + waitall (request-GID path)
 
-through five ingestion modes
+through four ingestion modes
 
 * ``reference``  — ``CypressConfig(fastpath=False)``: generic child scan,
   fresh key per event (the pre-optimization code path);
@@ -22,10 +22,6 @@ through five ingestion modes
   ``ingest_stream`` a buffer at a time, final ``flush()`` included);
 * ``stream``     — fast path, batched :meth:`ingest_stream` over a
   captured opcode stream;
-* ``packed_ingest`` — run-collapsed :meth:`ingest_runs` over a
-  pre-packed CYPK blob (what ``compress_streams`` and the server run on
-  packed input): columnar batch time decode plus iteration-replay plans
-  that walk the CTT once per repeated loop body;
 * ``parallel``   — :func:`compress_streams` with ``workers=2`` over
   capture lists, exactly as callers invoke it (fork, pickle the results
   home, join — all inside the timed region).  Reported beside ``stream``
@@ -35,10 +31,8 @@ All modes must produce byte-identical serialized traces; the harness
 asserts this on every run.  ``python -m benchmarks.bench_micro_compressor``
 rewrites ``results/BENCH_intra.json`` including conservative regression
 floors (25% of measured); ``--smoke`` (CI) re-measures every shape and
-fails if fig11 throughput drops below the committed floor, the fast
-path stops beating the reference path, or any shape's ``packed_ingest``
-rate falls under 1.5× that shape's pinned pre-PR ``stream`` rate
-(``STREAM_PRE_RUNS_PR``).
+fails if fig11 throughput drops below the committed floor or the fast
+path stops beating the reference path.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ import time
 
 from repro.baselines.scalatrace import ScalaTraceCompressor
 from repro.baselines.scalatrace2 import ScalaTrace2Compressor
-from repro.core import packed, serialize
+from repro.core import serialize
 from repro.core.inter import merge_all
 from repro.core.intra import (
     CypressConfig,
@@ -94,19 +88,6 @@ BASELINE_PRE_PR = 247_272
 # 5 rounds.  Committed at measurement time; the live single-run ratio is
 # also written to the JSON for comparison.
 PAIRED_SPEEDUP_VS_PRE_PR = 3.16
-
-# Serial ``stream`` (ingest_stream) rates per shape, measured on the
-# commit preceding the columnar run-length ingest engine (best of 3,
-# events/s, this box).  The --smoke ``packed_ingest`` gate is relative
-# to these pinned numbers — run-collapsed ingestion over a packed blob
-# must stay ≥ 1.5× the pre-PR streaming rate on every shape.
-STREAM_PRE_RUNS_PR = {
-    "fig11": 461_238,
-    "collectives": 644_497,
-    "nested": 583_889,
-    "irecv_waitall": 354_409,
-}
-PACKED_INGEST_MIN_SPEEDUP = 1.5
 
 # A loop over a branch pair — the paper's Fig. 11 shape.
 PROGRAM = """
@@ -341,16 +322,10 @@ def measure_shape(name: str, scale: int = 1, rounds: int = 3,
         comps["stream"] = c = IntraProcessCompressor(cst)
         c.ingest_stream(0, stream)
 
-    def run_packed_ingest():
-        comps["packed_ingest"] = c = IntraProcessCompressor(cst)
-        c.ingest_runs(0, blob_packed)
-
-    blob_packed = packed.encode_stream(stream).to_bytes()
     rates = {
         "reference": nevents / best(run_reference),
         "callbacks": nevents / best(run_callbacks),
         "stream": nevents / best(run_stream),
-        "packed_ingest": nevents / best(run_packed_ingest),
     }
 
     # The worker pool over rank copies (per-rank independence): list
@@ -367,7 +342,7 @@ def measure_shape(name: str, scale: int = 1, rounds: int = 3,
 
     # Byte-identity across every mode.
     blob = _merged_blob(comps["reference"])
-    for mode in ("callbacks", "stream", "packed_ingest"):
+    for mode in ("callbacks", "stream"):
         assert _merged_blob(comps[mode]) == blob, (
             f"{name}: {mode} trace differs from reference")
     assert _merged_blob(comps["parallel"]) == _merged_blob(
@@ -474,26 +449,16 @@ def run_harness(scale: int = 1) -> dict:
         "floors": {
             name: {
                 mode: int(shapes[name]["rates"][mode] * 0.25)
-                for mode in ("reference", "callbacks", "stream",
-                             "packed_ingest")
+                for mode in ("reference", "callbacks", "stream")
             }
-            for name in SHAPE_NAMES
-        },
-        # Machine-pinned acceptance ratios of the run-length ingest PR,
-        # recomputed live on every full run (smoke re-derives them).
-        "packed_ingest_vs_pre_pr_stream": {
-            name: round(
-                shapes[name]["rates"]["packed_ingest"]
-                / STREAM_PRE_RUNS_PR[name], 2)
             for name in SHAPE_NAMES
         },
     }
 
 
 def check_smoke() -> int:
-    """CI gate: re-measure every shape, compare against the committed
-    floors (fig11) and the machine-pinned run-length ingest ratios (all
-    shapes)."""
+    """CI gate: re-measure every shape (each asserts byte-identity
+    across its modes) and compare fig11 against the committed floors."""
     committed = json.loads(BENCH_JSON.read_text())
     floors = committed["floors"]["fig11"]
     measured = {
@@ -503,11 +468,10 @@ def check_smoke() -> int:
     rates = measured["fig11"]
     print(f"fig11 smoke: reference {rates['reference']:,} ev/s, "
           f"callbacks {rates['callbacks']:,} ev/s, "
-          f"stream {rates['stream']:,} ev/s, "
-          f"packed_ingest {rates['packed_ingest']:,} ev/s "
+          f"stream {rates['stream']:,} ev/s "
           f"(floors: {floors})")
     failed = 0
-    for mode in ("reference", "callbacks", "stream", "packed_ingest"):
+    for mode in ("reference", "callbacks", "stream"):
         floor = floors.get(mode)
         if floor is not None and rates[mode] < floor:
             print(f"FAIL: {mode} {rates[mode]:,} ev/s below committed "
@@ -522,19 +486,6 @@ def check_smoke() -> int:
     print(f"fig11 parallel (workers=2, list input): "
           f"{rates['parallel']:,} ev/s beside stream {rates['stream']:,} "
           f"(no floor)")
-    # Run-length ingest acceptance, per shape: packed ingest must beat
-    # the pinned pre-PR streaming rate by 1.5x.
-    for name in SHAPE_NAMES:
-        r = measured[name]
-        need = PACKED_INGEST_MIN_SPEEDUP * STREAM_PRE_RUNS_PR[name]
-        print(f"{name}: packed_ingest {r['packed_ingest']:,} ev/s "
-              f"(need {need:,.0f})")
-        if r["packed_ingest"] < need:
-            print(f"FAIL: {name} packed_ingest {r['packed_ingest']:,} < "
-                  f"{PACKED_INGEST_MIN_SPEEDUP}x pinned pre-PR stream "
-                  f"{STREAM_PRE_RUNS_PR[name]:,} — run-collapsed ingest "
-                  f"regressed")
-            failed = 1
     ov = measure_obs_overhead()
     print(f"fig11 metrics-on overhead: trimmed-median paired ratio "
           f"{ov['median_on_off_ratio']:.4f} over {ov['rounds']} rounds "
@@ -670,16 +621,12 @@ def main(argv: list[str] | None = None) -> int:
             obs.write_json(registry, metrics_out)
             print(f"metrics -> {metrics_out}")
     print("intra-process ingestion throughput (events/s, best of 3):")
-    modes = ("reference", "callbacks", "stream", "packed_ingest", "parallel")
+    modes = ("reference", "callbacks", "stream", "parallel")
     header = f"  {'shape':16s}" + "".join(f"{m:>14s}" for m in modes)
     print(header)
     for name, shape in result["shapes"].items():
         r = shape["rates"]
         print(f"  {name:16s}" + "".join(f"{r[m]:14,d}" for m in modes))
-    for name in SHAPE_NAMES:
-        print(f"  {name}: packed_ingest "
-              f"{result['packed_ingest_vs_pre_pr_stream'][name]:.2f}x "
-              f"pre-PR stream")
     print(f"  fig11 stream vs pre-PR baseline "
           f"({BASELINE_PRE_PR:,} ev/s): "
           f"{result['speedup_stream_vs_pre_pr_live']:.2f}x live, "

@@ -406,7 +406,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the online ingest daemon (docs/INTERNALS.md §14)."""
+    """Run the online ingest daemon (docs/INTERNALS.md §13)."""
     import asyncio
     import os
 

@@ -286,7 +286,7 @@ class SpillStore:
 
 @dataclass
 class BudgetCounters:
-    """The ``budget.*`` observability counters (docs/INTERNALS.md §15)."""
+    """The ``budget.*`` observability counters (docs/INTERNALS.md §14)."""
 
     spills: int = 0
     spill_bytes: int = 0

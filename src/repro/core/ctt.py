@@ -52,17 +52,15 @@ from .sequences import IntSequence
 # CPython live-memory cost model (64-bit).  Deliberately coarse: the
 # budget trigger needs to track the real footprint to within a small
 # factor, not byte-perfectly — but it must *see* the transient state
-# (interned dicts, raw byte caches, run plans) that the serialized-size
-# estimate ignores, because under budget pressure that state dominates.
+# (interned dicts, key caches) that the serialized-size estimate
+# ignores, because under budget pressure that state dominates.
 _PTR = 8
 _VERTEX_BASE = 360       # CTTVertex slots + dispatch-table headers
 _SEQ_BASE = 120          # IntSequence object + terms list header
 _SEQ_LIVE_FACTOR = 3     # boxed terms vs packed varint estimate
 _DICT_ENTRY = 104        # amortized dict slot (hash + key + value + growth)
 _LIST_BASE = 64
-_BYTES_BASE = 33
 _TUPLE_BASE = 56
-_RUN_PLAN_BYTES = 256    # one validated loop-body replay plan (MRU slot)
 
 
 @dataclass
@@ -107,19 +105,6 @@ class CTTVertex:
         "last_params",
         "last_key",
         "last_record",
-        # packed-ingest byte cache (repro.core.intra.ingest_runs): the
-        # raw param-window bytes that were verified to decode to
-        # ``last_params``, plus the identity of that tuple — a window
-        # match against the same tuple object proves params equality
-        # without decoding the event record
-        "last_params_raw",
-        "last_params_raw_key",
-        # iteration-replay plans (loop vertices; transient compression
-        # state of repro.core.intra.ingest_runs): a small MRU list of
-        # validated loop-body plans, or False once plan building has
-        # repeatedly failed for this vertex and is disabled
-        "run_plans",
-        "run_plan_fails",
     )
 
     def __init__(self, cst_node: CSTNode) -> None:
@@ -168,10 +153,6 @@ class CTTVertex:
         self.last_params: tuple | None = None
         self.last_key = None
         self.last_record: CompressedRecord | None = None
-        self.last_params_raw: bytes | None = None
-        self.last_params_raw_key: tuple | None = None
-        self.run_plans = None
-        self.run_plan_fails = 0
 
     def _build_groups(self) -> list[BranchGroup]:
         groups: list[BranchGroup] = []
@@ -276,9 +257,8 @@ class CTTVertex:
     def live_bytes(self) -> int:
         """Estimated *live* in-RAM footprint of this vertex: the payload
         as boxed CPython objects plus the transient compression state the
-        serialized estimate ignores — the key/record interning dicts, the
-        packed-ingest raw byte cache, and the run-plan MRU.  This is the
-        budget mode's eviction trigger."""
+        serialized estimate ignores — the key/record interning dicts and
+        the key cache.  This is the budget mode's eviction trigger."""
         total = _VERTEX_BASE
         if self.loop_counts is not None:
             total += _SEQ_BASE + _SEQ_LIVE_FACTOR * self.loop_counts.approx_bytes()
@@ -294,10 +274,6 @@ class CTTVertex:
             total += _LIST_BASE + _DICT_ENTRY * len(self.record_index)
         if self.last_params is not None:
             total += _TUPLE_BASE + _PTR * len(self.last_params)
-        if self.last_params_raw is not None:
-            total += _BYTES_BASE + len(self.last_params_raw)
-        if self.run_plans:
-            total += _LIST_BASE + _RUN_PLAN_BYTES * len(self.run_plans)
         return total
 
 

@@ -512,7 +512,7 @@ class MergedCTT:
     def fold_rank(self, ctt: CTT, nranks: int | None = None) -> "MergedCTT":
         """Incrementally fold one completed rank into this partial tree
         and release its sources (the budget mode's streaming merge,
-        docs/INTERNALS.md §15).
+        docs/INTERNALS.md §14).
 
         Byte-identity invariant: folding ranks one at a time **in
         ascending rank order**, finalizing after each fold, performs the

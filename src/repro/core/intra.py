@@ -66,9 +66,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import length_hint
 
 from repro import obs
@@ -130,7 +128,7 @@ class CypressConfig:
     ingestion benchmarks).
 
     ``memory_budget_bytes`` arms the bounded-memory streaming mode
-    (docs/INTERNALS.md §15): the compressor keeps its total live
+    (docs/INTERNALS.md §14): the compressor keeps its total live
     footprint (:meth:`IntraProcessCompressor.total_live_bytes`) under
     the budget by folding completed ranks into a partial merged tree and
     spilling cold rank states to crash-safe containers under
@@ -166,127 +164,6 @@ _ITEM_LIVE_BYTES = 200
 _LOOP = 0
 _BRANCH = 1
 _F_KIND, _F_VERTEX, _F_ITERS = range(3)
-
-# ---------------------------------------------------------------------------
-# Iteration-replay plans (ingest_runs).
-#
-# A plan captures one fully-resolved loop-body iteration of a packed
-# stream: the body's codes/marker byte spans (matched with two memcmps
-# before any replay) plus one *slot* per item recording the resolution
-# the generic walk computed — which CTT vertex dispatched, which record
-# committed, which frames pushed/popped.  Replaying a slot re-applies
-# exactly the state transitions of the generic walk without any lookup,
-# and because slots carry the full cursor state, a replay can bail at
-# any event slot (head bytes differ, request GIDs differ) and hand the
-# failing item back to the generic walk with everything before it
-# already committed.
-#
-# Slot tuples (index 0 is the kind):
-#   (0, head, parent, sp, leaf, record)                 plain event
-#   (1, head, parent, sp, leaf, record)                 nonblocking event
-#   (2, head, parent, sp, leaf, record, nreqs, gids)    request-consuming
-#   (3,)                                                loop iter
-#   (4,)                                                branch exit
-#   (5, parent, sp, child)                              loop push
-#   (6, parent, sp, group, path_vertex)                 branch enter
-#   (7,)                                                loop pop
-#
-# ``head`` is the record's leading bytes [0, EVENT_PARAMS_END) — op
-# index plus the param window — so a head match proves the event
-# re-resolves and re-keys identically.
-
-_PLAN_CAP = 4  # plans kept per loop vertex (MRU)
-_PLAN_FAIL_CAP = 8  # aborted recordings before plans are disabled
-_PLAN_MAX_SLOTS = 4096  # recording size cap (items per body)
-_PLAN_MAX_BATCH_EVENTS = 4096  # events committed per columnar batch
-
-_M_ITER_SLOT = (3,)
-_M_BEXIT_SLOT = (4,)
-_M_POP_SLOT = (7,)
-_M_NULL_BENTER_SLOT = (6, None, -1, None, None)
-
-_MISSING = object()  # overlay sentinel: request untouched by this batch body
-
-
-class _RunPlan:
-    """One recorded loop-body iteration of a packed stream."""
-
-    __slots__ = (
-        "codes", "markers", "rep_codes", "rep_markers",
-        "n_items", "n_events", "n_markers",
-        "slots", "heads", "groups", "req_fx", "merged_of",
-    )
-
-    def __init__(self, codes: bytes, markers: bytes, slots: list, ast_id: int):
-        self.codes = codes
-        self.markers = markers
-        # The byte pattern of "one more iteration of this body": the
-        # loop-iter separator followed by the body again.  Counting
-        # ``startswith`` matches of these spans finds how many upcoming
-        # iterations a columnar batch may commit at once.
-        self.rep_codes = bytes((OP_LOOP_ITER,)) + codes
-        self.rep_markers = packed.MARKER_STRUCT.pack(ast_id, 0) + markers
-        self.slots = slots
-        self.n_items = len(slots)
-        self.merged_of = None
-        n_events = 0
-        n_markers = 0
-        heads: list[bytes] = []
-        req_fx: list[tuple] = []
-        by_leaf: dict = {}
-        columnar = True
-        for s in slots:
-            k = s[0]
-            if k <= 2:
-                j = n_events
-                n_events += 1
-                heads.append(s[1])
-                leaf = s[4]
-                record = s[5]
-                entry = by_leaf.get(leaf)
-                if entry is None:
-                    by_leaf[leaf] = (record, leaf, [j])
-                elif entry[0] is record:
-                    entry[2].append(j)
-                else:
-                    # The leaf commits to more than one record inside a
-                    # body: its occurrence indices interleave across
-                    # records, so the consecutive-visit bulk commit does
-                    # not apply — single-body replay only.
-                    columnar = False
-                if k == 1:
-                    req_fx.append((1, j, leaf))
-                elif k == 2:
-                    req_fx.append((2, j, s[6], s[7]))
-            else:
-                n_markers += 1
-        self.n_events = n_events
-        self.n_markers = n_markers
-        self.heads = heads
-        self.groups = (
-            [(e[0], e[1], tuple(e[2])) for e in by_leaf.values()]
-            if columnar and n_events
-            else None
-        )
-        self.req_fx = req_fx or None
-
-
-def _merge_plans(first: _RunPlan, second: _RunPlan, ast_id: int) -> _RunPlan:
-    """Fuse two plans that alternate (A,B,A,B,... bodies — e.g. a branch
-    taking different paths on even/odd iterations) into one period-2
-    super-plan, which the columnar batch path can then repeat-match."""
-    codes = first.codes + bytes((OP_LOOP_ITER,)) + second.codes
-    markers = (
-        first.markers
-        + packed.MARKER_STRUCT.pack(ast_id, 0)
-        + second.markers
-    )
-    plan = _RunPlan(
-        codes, markers, first.slots + [_M_ITER_SLOT] + second.slots, ast_id
-    )
-    plan.merged_of = (first, second)
-    return plan
-
 
 @dataclass(slots=True)
 class _RankState:
@@ -366,12 +243,9 @@ class IntraProcessCompressor(CaptureCallbacks):
         self.m_stream_fallback = 0  # inline stream loop -> generic handler
         self.m_wildcard_deferred = 0  # wildcard receives queued pending
         self.m_wildcard_max_depth = 0  # peak pending-queue depth
-        self.m_run_collapsed = 0  # events committed via adjacent-run bulk
-        self.m_plan_replays = 0  # loop-body iteration-plan replays
-        self.m_plan_bodies = 0  # loop bodies consumed by plan replays
         self.m_live_drains = 0  # live buffers drained through ingest_stream
         self.m_live_buffer_peak = 0  # peak items resident across buffers
-        # Bounded-memory streaming mode (docs/INTERNALS.md §15).
+        # Bounded-memory streaming mode (docs/INTERNALS.md §14).
         self._budget = self.config.memory_budget_bytes
         self.budget_counters = (
             BudgetCounters() if self._budget is not None else None
@@ -476,9 +350,6 @@ class IntraProcessCompressor(CaptureCallbacks):
             "intra.stream_fallback": self.m_stream_fallback,
             "intra.wildcard_deferred": self.m_wildcard_deferred,
             "intra.wildcard_max_depth": self.m_wildcard_max_depth,
-            "intra.run_collapsed_events": self.m_run_collapsed,
-            "intra.plan_replays": self.m_plan_replays,
-            "intra.plan_replayed_bodies": self.m_plan_bodies,
             "intra.live_drains": self.m_live_drains,
             "intra.live_buffer_peak_items": self.m_live_buffer_peak,
         }
@@ -490,9 +361,6 @@ class IntraProcessCompressor(CaptureCallbacks):
         self.m_mono_miss += counters.get("intra.mono_cache_miss", 0)
         self.m_key_build += counters.get("intra.key_builds", 0)
         self.m_stream_fallback += counters.get("intra.stream_fallback", 0)
-        self.m_run_collapsed += counters.get("intra.run_collapsed_events", 0)
-        self.m_plan_replays += counters.get("intra.plan_replays", 0)
-        self.m_plan_bodies += counters.get("intra.plan_replayed_bodies", 0)
         self.m_wildcard_deferred += counters.get("intra.wildcard_deferred", 0)
         self.m_live_drains += counters.get("intra.live_drains", 0)
         depth = counters.get("intra.wildcard_max_depth", 0)
@@ -531,7 +399,7 @@ class IntraProcessCompressor(CaptureCallbacks):
                     registry.counter_add(name, value)
 
     # ------------------------------------------------------------------
-    # Bounded-memory streaming mode (docs/INTERNALS.md §15): incremental
+    # Bounded-memory streaming mode (docs/INTERNALS.md §14): incremental
     # fold of completed ranks into a partial merged tree + LRU spill of
     # cold rank states to crash-safe containers.  Off unless
     # ``config.memory_budget_bytes`` is set (or a caller arms the fold
@@ -562,8 +430,8 @@ class IntraProcessCompressor(CaptureCallbacks):
     def _reload_rank(self, rank: int) -> _RankState:
         """Bring a spilled rank back: decode the snapshot, discard the
         container, re-enter the live accounting.  The reloaded state is
-        cursor-exact; only the warm-up caches (dispatch, key interning,
-        run plans) start cold — same output bytes, slower first batch."""
+        cursor-exact; only the warm-up caches (dispatch, key interning)
+        start cold — same output bytes, slower first batch."""
         payload = self._ensure_spill().load(rank)
         st = decode_rank_state(
             payload,
@@ -841,8 +709,8 @@ class IntraProcessCompressor(CaptureCallbacks):
         self._drain(rank)
 
     # ------------------------------------------------------------------
-    # Structural markers: the handlers ``ingest_stream``/``ingest_runs``
-    # drive, each taking the resolved rank state.
+    # Structural markers: the handlers ``ingest_stream`` drives, each
+    # taking the resolved rank state.
 
     def _loop_push(self, st: _RankState, ast_id: int) -> list:
         stack = st.stack
@@ -1053,9 +921,6 @@ class IntraProcessCompressor(CaptureCallbacks):
             leaf.last_params = params
             leaf.last_key = key
             leaf.last_record = None
-            # The packed-window byte cache proves equality against the
-            # *current* ``last_params`` tuple; params changed, so drop it.
-            leaf.last_params_raw = None
         record = self._add_record(leaf, key, visit, duration, gap)
         if self._window_unbounded:
             # Valid only for the unbounded keyed merge: record_index
@@ -1505,878 +1370,20 @@ class IntraProcessCompressor(CaptureCallbacks):
                 raise CompressionError(f"unknown stream opcode {code!r}")
 
     def ingest_runs(self, rank: int, source) -> None:
-        """Run-collapsed packed-stream ingestion (docs/INTERNALS.md §12).
-
-        The weave walks the codes column and tests the key-interning
-        cache on raw bytes: an event whose *param window* equals the
-        window last verified (by a full decode) against
-        ``leaf.last_params`` is a hit and decodes only its two timing
-        doubles; only a genuine params change materializes a
-        ``CommEvent``.  Three run-granular layers sit on top, each
-        byte-identical to the per-event path (the differential harness
-        enforces this):
-
-        * **adjacent-run collapse** — when consecutive stream items are
-          events with byte-equal heads (op + param window, the property
-          the encoder's run descriptors detect), the whole run commits
-          with one dispatch: the timing doubles decode in a tight loop
-          and fold through :meth:`CompressedRecord.add_occurrences`,
-          which replays the exact sequential Welford recurrence on
-          hoisted locals;
-        * **iteration-replay plans** — the first repeated iteration of a
-          loop body records the body's byte spans plus one *slot* per
-          item capturing how the generic walk resolved it; later
-          iterations match the body with two ``memcmp``s and replay the
-          slots with no dispatch, no key interning and no marker decode;
-        * **columnar batches** — when the upcoming stream repeats the
-          same body N times (matched by repeating the plan's
-          iter+body byte pattern), all N bodies commit at once: heads
-          validate first, then each record's duration/gap samples are
-          gathered in stream order and folded in one bulk call.
-
-        Inline nonblocking and request-consuming events are handled on
-        the hit path: a nonblocking hit registers its request GID from
-        the cold field, and a request-consuming hit probes the request
-        table *without popping* and only consumes on a confirmed match —
-        a mismatch falls back before any state changes.
-
-        Plans require the unbounded window (record identity is permanent
-        there) and split conservatively: wildcard fallbacks, request
-        completions, recursion markers and ``FINALIZE`` abort recording,
-        and replay bails to the generic walk at the first divergent
-        event.  With ``fastpath=False`` the blob is decoded and replayed
-        through the reference path instead.
-        """
-        cols = packed.columns_of(source)
-        if not self._fastpath:
-            self.ingest_stream(rank, packed.decode_stream(cols))
-            return
-        if self._budget is not None:
-            self._budget_prologue(rank)
-        st = self.state(rank)
-        ingest = self._ingest
-        loop_push = self._loop_push
-        loop_iter = self._loop_iter
-        loop_pop = self._loop_pop
-        branch_exit = self._branch_exit
-        recurse_enter = self._recurse_enter
-        recurse_exit = self._recurse_exit
-        request_complete = self._request_complete
-        event_from_fields = packed.event_from_fields
-        ops = cols.ops
-        arena = cols.arena
-        stack = st.stack
-        root = st.ctt.root
-        # Zero-copy events access when the source offers it (a bytes
-        # blob, or the encoder's live buffer): ``e0`` rebases every
-        # event offset into the shared buffer, skipping a full-section
-        # copy per rank.
-        ebuf = cols.events_buf
-        e0 = cols.events_off
-        if ebuf is None:
-            ebuf = bytes(cols.events)
-            e0 = 0
-        esize = packed.EVENT_STRUCT.size
-        eunpack = packed.EVENT_STRUCT.unpack_from
-        etimes = packed.EVENT_TIMES.unpack_from
-        pw_off = packed.EVENT_PARAMS_OFF
-        hlen = packed.EVENT_PARAMS_END
-        t_off = packed.EVENT_TIMES_OFF
-        rq_off = packed.EVENT_REQ_OFF
-        rq_ptr_off = packed.EVENT_REQS_PTR_OFF
-        req_at = packed.EVENT_REQ.unpack_from
-        reqs_ptr_at = packed.EVENT_REQS_PTR.unpack_from
-        mbuf = bytes(cols.markers)
-        rbuf = bytes(cols.reqc)
-        munpack = packed.MARKER_STRUCT.unpack_from
-        runpack = packed.REQC_STRUCT.unpack_from
-        msize = packed.MARKER_STRUCT.size
-        rsize = packed.REQC_STRUCT.size
-        codes_b = cols.codes
-        n_codes = len(codes_b)
-        plans_on = self._window_unbounded
-        # Recording state: at most one body records at a time; plans are
-        # keyed off the loop vertex of the innermost recording frame.
-        rec: list | None = None
-        rec_vertex = None
-        rec_frame = None
-        rec_depth = 0
-        rec_ci0 = 0
-        rec_mi0 = 0
-        last_hit: dict = {}  # vertex -> (plan, prev plan, alternation streak)
-
-        def rec_abort() -> None:
-            nonlocal rec
-            rec = None
-            v = rec_vertex
-            v.run_plan_fails += 1
-            if v.run_plan_fails >= _PLAN_FAIL_CAP:
-                v.run_plans = False
-
-        def rec_add(slot) -> None:
-            rec.append(slot)
-            if len(rec) > _PLAN_MAX_SLOTS:
-                rec_abort()
-
-        def rec_finalize(ci_end: int, m_end: int) -> None:
-            nonlocal rec
-            plan = _RunPlan(
-                codes_b[rec_ci0:ci_end],
-                mbuf[rec_mi0 * msize:m_end],
-                rec,
-                rec_vertex.ast_id,
-            )
-            if plan.n_events and plan.n_items == len(plan.codes):
-                plans0 = rec_vertex.run_plans
-                if plans0:
-                    plans0.insert(0, plan)
-                    del plans0[_PLAN_CAP:]
-                else:
-                    rec_vertex.run_plans = [plan]
-                rec = None
-            else:
-                rec_abort()
-
-        ei = mi = ri = 0
-        it = iter(codes_b)
-        for code in it:
-            if code == OP_EVENT:
-                off = e0 + ei * esize
-                ei += 1
-                op = ops[ebuf[off] | (ebuf[off + 1] << 8)]
-                cur = stack[-1][1] if stack else root
-                if cur is not None and cur.mono_op is op:
-                    found = cur.mono_pair
-                elif cur is not None:
-                    lst = cur.call_children_by_op.get(op)
-                    if lst is None:
-                        found = None
-                    elif len(lst) == 1:
-                        found = lst[0]
-                        cur.mono_op = op
-                        cur.mono_pair = found
-                    else:
-                        found = cur.find_call_child(op, cur.search_pos)
-                else:
-                    found = None
-                f = None
-                hit = False
-                reqs = None
-                exp = ()
-                if found is not None:
-                    idx, leaf = found
-                    record = leaf.last_record
-                    if record is not None:
-                        raw = leaf.last_params_raw
-                        if raw is not None and ebuf.startswith(raw, off + pw_off):
-                            hit = True
-                        else:
-                            # Window miss: decode once, revalidate
-                            # against the tuple the handlers maintain.
-                            # Events carrying requests probe the table
-                            # without popping — only a hit may consume.
-                            f = eunpack(ebuf, off)
-                            rl = f[11]
-                            if rl:
-                                table = st.req_gid
-                                rs = arena[f[17]:f[17] + rl]
-                                gids = tuple([table.get(r, -1) for r in rs])
-                            else:
-                                rs = None
-                                gids = ()
-                            if (
-                                f[1], f[2], f[3], gids, f[4], f[5], f[6],
-                                f[7], f[8], f[10] != 0, f[9],
-                            ) == leaf.last_params:
-                                hit = True
-                                reqs = rs
-                                leaf.last_params_raw = (
-                                    ebuf[off + pw_off:off + hlen]
-                                )
-                                leaf.last_params_raw_key = leaf.last_params
-                    if hit:
-                        exp = leaf.last_params[3]
-                        if exp:
-                            table = st.req_gid
-                            if reqs is None:
-                                ro = reqs_ptr_at(ebuf, off + rq_ptr_off)[0]
-                                reqs = arena[ro:ro + len(exp)]
-                                gids = tuple(
-                                    [table.get(r, -1) for r in reqs]
-                                )
-                                if gids != exp:
-                                    hit = False
-                            if hit:
-                                for r in reqs:
-                                    table.pop(r, None)
-                        if hit and leaf.op_nonblocking:
-                            st.req_gid[req_at(ebuf, off + rq_off)[0]] = (
-                                leaf.gid
-                            )
-                if hit:
-                    if f is None:
-                        start, duration = etimes(ebuf, off + t_off)
-                    else:
-                        start = f[12]
-                        duration = f[13]
-                    cur.search_pos = idx + 1
-                    visit = leaf.leaf_visits
-                    leaf.leaf_visits = visit + 1
-                    last_end = st.last_event_end
-                    gap = start - last_end
-                    if gap < 0.0:
-                        gap = 0.0
-                    end = start + duration
-                    if end > last_end:
-                        st.last_event_end = end
-                    occ = record.occurrences
-                    terms = occ.terms
-                    if terms:
-                        s0, c0, d0 = terms[-1]
-                        if c0 == 1:
-                            terms[-1] = (s0, 2, visit - s0)
-                            occ.length += 1
-                        elif visit == s0 + c0 * d0:
-                            terms[-1] = (s0, c0 + 1, d0)
-                            occ.length += 1
-                        else:
-                            occ.append(visit)
-                    else:
-                        occ.append(visit)
-                    stats = record.duration
-                    if stats.bins is None:
-                        stats.count = n = stats.count + 1
-                        delta = duration - stats.mean
-                        stats.mean += delta / n
-                        stats.m2 += delta * (duration - stats.mean)
-                        if duration < stats.minimum:
-                            stats.minimum = duration
-                        if duration > stats.maximum:
-                            stats.maximum = duration
-                    else:
-                        stats.add(duration)
-                    stats = record.pre_gap
-                    if stats.bins is None:
-                        stats.count = n = stats.count + 1
-                        delta = gap - stats.mean
-                        stats.mean += delta / n
-                        stats.m2 += delta * (gap - stats.mean)
-                        if gap < stats.minimum:
-                            stats.minimum = gap
-                        if gap > stats.maximum:
-                            stats.maximum = gap
-                    else:
-                        stats.add(gap)
-                    if rec is not None:
-                        head = ebuf[off:off + hlen]
-                        if exp:
-                            rec_add(
-                                (2, head, cur, idx + 1, leaf, record,
-                                 len(exp), exp)
-                            )
-                        elif leaf.op_nonblocking:
-                            rec_add((1, head, cur, idx + 1, leaf, record))
-                        else:
-                            rec_add((0, head, cur, idx + 1, leaf, record))
-                    elif (
-                        plans_on
-                        and not exp
-                        and cur.mono_op is op
-                        and not leaf.op_nonblocking
-                    ):
-                        # Adjacent-run collapse: byte-equal heads on
-                        # consecutive event items re-resolve to the same
-                        # leaf (monomorphic dispatch) and the same record
-                        # (unbounded window), so the rest of the run
-                        # commits without re-dispatching.
-                        ci2 = ei + mi + ri
-                        off2 = off + esize
-                        if (
-                            ci2 < n_codes
-                            and codes_b[ci2] == OP_EVENT
-                            and ebuf[off2:off2 + hlen] == ebuf[off:off + hlen]
-                        ):
-                            head = ebuf[off:off + hlen]
-                            durs: list[float] = []
-                            gaps: list[float] = []
-                            dapp = durs.append
-                            gapp = gaps.append
-                            last_end = st.last_event_end
-                            while True:
-                                s2, d2 = etimes(ebuf, off2 + t_off)
-                                g2 = s2 - last_end
-                                if g2 < 0.0:
-                                    g2 = 0.0
-                                dapp(d2)
-                                gapp(g2)
-                                e2 = s2 + d2
-                                if e2 > last_end:
-                                    last_end = e2
-                                ci2 += 1
-                                off2 += esize
-                                if (
-                                    ci2 >= n_codes
-                                    or codes_b[ci2] != OP_EVENT
-                                    or ebuf[off2:off2 + hlen] != head
-                                ):
-                                    break
-                            st.last_event_end = last_end
-                            cnt = len(durs)
-                            v0 = leaf.leaf_visits
-                            record.add_occurrences(v0, durs, gaps)
-                            leaf.leaf_visits = v0 + cnt
-                            self.m_run_collapsed += cnt
-                            ei += cnt
-                            deque(islice(it, cnt), maxlen=0)
-                    continue
-                if rec is not None:
-                    rec_abort()
-                self.m_stream_fallback += 1
-                if f is None:
-                    f = eunpack(ebuf, off)
-                ingest(st, event_from_fields(f, ops, arena))
-            elif code == OP_BRANCH_ENTER:
-                ast_id, path = munpack(mbuf, mi * msize)
-                mi += 1
-                cur = stack[-1][1] if stack else root
-                if cur is None:
-                    stack.append([_BRANCH, None, 0])
-                    if rec is not None:
-                        rec_add(_M_NULL_BENTER_SLOT)
-                    continue
-                lst = cur.group_by_ast_id.get(ast_id)
-                if lst is None:
-                    stack.append([_BRANCH, None, 0])
-                    if rec is not None:
-                        rec_add(_M_NULL_BENTER_SLOT)
-                    continue
-                group = None
-                sp = cur.search_pos
-                for g in lst:
-                    if g.first_index >= sp:
-                        group = g
-                        break
-                if group is None:
-                    group = lst[0]
-                cur.search_pos = group.last_index + 1
-                visit = group.visit_counter
-                group.visit_counter = visit + 1
-                path_vertex = group.paths.get(path)
-                if path_vertex is None:
-                    stack.append([_BRANCH, None, 0])
-                    if rec is not None:
-                        rec_add((6, cur, group.last_index + 1, group, None))
-                    continue
-                seq = path_vertex.visits
-                terms = seq.terms
-                if terms:
-                    s0, c0, d0 = terms[-1]
-                    if c0 == 1:
-                        terms[-1] = (s0, 2, visit - s0)
-                        seq.length += 1
-                    elif visit == s0 + c0 * d0:
-                        terms[-1] = (s0, c0 + 1, d0)
-                        seq.length += 1
-                    else:
-                        seq.append(visit)
-                else:
-                    seq.append(visit)
-                path_vertex.search_pos = 0
-                stack.append([_BRANCH, path_vertex, 0])
-                if rec is not None:
-                    rec_add(
-                        (6, cur, group.last_index + 1, group, path_vertex)
-                    )
-            elif code == OP_BRANCH_EXIT:
-                mi += 1
-                if stack and stack[-1][0] == _BRANCH:
-                    stack.pop()
-                    if rec is not None:
-                        rec_add(_M_BEXIT_SLOT)
-                else:
-                    branch_exit(st, munpack(mbuf, (mi - 1) * msize)[0])
-            elif code == OP_LOOP_ITER:
-                mi += 1
-                if not stack or stack[-1][0] != _LOOP:
-                    loop_iter(st, munpack(mbuf, (mi - 1) * msize)[0])
-                    continue
-                frame = stack[-1]
-                if rec is not None:
-                    if len(stack) == rec_depth and frame is rec_frame:
-                        # Body complete: store the plan, then process
-                        # this marker normally — it may immediately
-                        # trigger a replay of the plan just stored.
-                        rec_finalize(ei + mi + ri - 1, (mi - 1) * msize)
-                    elif len(stack) > rec_depth:
-                        rec_add(_M_ITER_SLOT)
-                        frame[2] += 1
-                        vertex = frame[1]
-                        if vertex is not None:
-                            vertex.search_pos = 0
-                        continue
-                    else:
-                        rec_abort()
-                frame[2] += 1
-                vertex = frame[1]
-                if vertex is not None:
-                    vertex.search_pos = 0
-                if vertex is None or not plans_on:
-                    continue
-                plans = vertex.run_plans
-                if plans is False:
-                    continue
-                matched = None
-                if plans:
-                    ci = ei + mi + ri
-                    moff = mi * msize
-                    for p in plans:
-                        if codes_b.startswith(p.codes, ci) and mbuf.startswith(
-                            p.markers, moff
-                        ):
-                            matched = p
-                            break
-                if matched is None:
-                    if frame[2] >= 2 and rec is None:
-                        rec = []
-                        rec_vertex = vertex
-                        rec_frame = frame
-                        rec_depth = len(stack)
-                        rec_ci0 = ei + mi + ri
-                        rec_mi0 = mi
-                    continue
-                p = matched
-                self.m_plan_replays += 1
-                # Alternation tracking: bodies cycling between two plans
-                # (a branch flipping paths per iteration) fuse into a
-                # period-2 super-plan the batch path can repeat-match.
-                prev = last_hit.get(vertex)
-                if prev is not None and prev[0] is not p:
-                    q = prev[0]
-                    streak = prev[2] + 1 if prev[1] is p else 1
-                    last_hit[vertex] = (p, q, streak)
-                    if (
-                        streak >= 3
-                        and p.merged_of is None
-                        and q.merged_of is None
-                        and p.n_items + q.n_items + 1 <= _PLAN_MAX_SLOTS
-                        and not any(
-                            pl.merged_of is not None
-                            and pl.merged_of[0] is p
-                            and pl.merged_of[1] is q
-                            for pl in plans
-                        )
-                    ):
-                        plans.insert(0, _merge_plans(p, q, vertex.ast_id))
-                        del plans[_PLAN_CAP:]
-                else:
-                    last_hit[vertex] = (p, None, 0)
-                nev = p.n_events
-                groups = p.groups
-                nbodies = 0
-                if groups is not None:
-                    # Count upcoming repeats of (iter + body) — each is
-                    # one more identical iteration the columnar batch
-                    # can commit in bulk.
-                    nit = p.n_items
-                    nmk = p.n_markers
-                    max_b = _PLAN_MAX_BATCH_EVENTS // nev
-                    reps = 1
-                    coff = ei + mi + ri + nit
-                    moff2 = (mi + nmk) * msize
-                    rep_c = p.rep_codes
-                    rep_m = p.rep_markers
-                    while (
-                        reps < max_b
-                        and codes_b.startswith(rep_c, coff)
-                        and mbuf.startswith(rep_m, moff2)
-                    ):
-                        reps += 1
-                        coff += nit + 1
-                        moff2 += (nmk + 1) * msize
-                    if reps >= 2:
-                        # Validate every event head in the span; commit
-                        # only whole validated bodies — a failing body
-                        # is left for the single-body path to bail in
-                        # precisely.
-                        heads = p.heads
-                        off2 = e0 + ei * esize
-                        for _b in range(reps):
-                            okb = True
-                            for h in heads:
-                                if ebuf[off2:off2 + hlen] != h:
-                                    okb = False
-                                    break
-                                off2 += esize
-                            if not okb:
-                                break
-                            nbodies += 1
-                        if nbodies >= 2 and p.req_fx is not None:
-                            # Request effects per body, in order: check
-                            # the body's expected GIDs against a dry-run
-                            # overlay, then apply the net table update.
-                            # The first divergent body truncates the
-                            # batch before anything of it is applied.
-                            req_fx = p.req_fx
-                            table = st.req_gid
-                            base = e0 + ei * esize
-                            bsz = nev * esize
-                            applied = 0
-                            for _b in range(nbodies):
-                                sim: dict = {}
-                                okb = True
-                                for fx in req_fx:
-                                    if fx[0] == 1:
-                                        rq = req_at(
-                                            ebuf,
-                                            base + fx[1] * esize + rq_off,
-                                        )[0]
-                                        sim[rq] = fx[2].gid
-                                    else:
-                                        ro = reqs_ptr_at(
-                                            ebuf,
-                                            base + fx[1] * esize + rq_ptr_off,
-                                        )[0]
-                                        rs = arena[ro:ro + fx[2]]
-                                        gl = []
-                                        for r in rs:
-                                            v = sim.get(r, _MISSING)
-                                            if v is _MISSING:
-                                                gl.append(table.get(r, -1))
-                                            elif v is None:
-                                                gl.append(-1)
-                                            else:
-                                                gl.append(v)
-                                        if tuple(gl) != fx[3]:
-                                            okb = False
-                                            break
-                                        for r in rs:
-                                            sim[r] = None
-                                if not okb:
-                                    break
-                                for rk, rv in sim.items():
-                                    if rv is None:
-                                        table.pop(rk, None)
-                                    else:
-                                        table[rk] = rv
-                                applied += 1
-                                base += bsz
-                            nbodies = applied
-                if nbodies >= 2:
-                    # --- columnar batch commit over nbodies bodies.
-                    total = nbodies * nev
-                    durs = []
-                    gaps = []
-                    dapp = durs.append
-                    gapp = gaps.append
-                    off2 = e0 + ei * esize + t_off
-                    last_end = st.last_event_end
-                    for _i in range(total):
-                        s2, d2 = etimes(ebuf, off2)
-                        off2 += esize
-                        g2 = s2 - last_end
-                        if g2 < 0.0:
-                            g2 = 0.0
-                        dapp(d2)
-                        gapp(g2)
-                        e2 = s2 + d2
-                        if e2 > last_end:
-                            last_end = e2
-                    st.last_event_end = last_end
-                    # Each record's samples, gathered in stream order
-                    # (body-major, slot-minor), fold in one bulk call —
-                    # its occurrence indices are consecutive because
-                    # every visit of its leaf in the span commits to it.
-                    for g_rec, g_leaf, g_pos in p.groups:
-                        if len(g_pos) == 1:
-                            j = g_pos[0]
-                            dcol = durs[j::nev]
-                            gcol = gaps[j::nev]
-                        else:
-                            dcol = [
-                                x
-                                for t2 in zip(*[durs[j::nev] for j in g_pos])
-                                for x in t2
-                            ]
-                            gcol = [
-                                x
-                                for t2 in zip(*[gaps[j::nev] for j in g_pos])
-                                for x in t2
-                            ]
-                        v0 = g_leaf.leaf_visits
-                        g_rec.add_occurrences(v0, dcol, gcol)
-                        g_leaf.leaf_visits = v0 + len(dcol)
-                    # Cursor/marker side effects per body, in slot order
-                    # (event slots contribute only their search-pos
-                    # write — their commits happened columnar above).
-                    slots = p.slots
-                    for b in range(nbodies):
-                        if b:
-                            frame[2] += 1
-                            vertex.search_pos = 0
-                        for s in slots:
-                            k2 = s[0]
-                            if k2 <= 2:
-                                s[2].search_pos = s[3]
-                            elif k2 == 3:
-                                fr2 = stack[-1]
-                                fr2[2] += 1
-                                v2 = fr2[1]
-                                if v2 is not None:
-                                    v2.search_pos = 0
-                            elif k2 == 4:
-                                stack.pop()
-                            elif k2 == 5:
-                                pv = s[1]
-                                if pv is not None:
-                                    pv.search_pos = s[2]
-                                ch = s[3]
-                                if ch is not None:
-                                    ch.search_pos = 0
-                                stack.append([_LOOP, ch, 0])
-                            elif k2 == 6:
-                                pv = s[1]
-                                if pv is None:
-                                    stack.append([_BRANCH, None, 0])
-                                else:
-                                    pv.search_pos = s[2]
-                                    group2 = s[3]
-                                    visit2 = group2.visit_counter
-                                    group2.visit_counter = visit2 + 1
-                                    pvx = s[4]
-                                    if pvx is None:
-                                        stack.append([_BRANCH, None, 0])
-                                    else:
-                                        seq = pvx.visits
-                                        terms = seq.terms
-                                        if terms:
-                                            s0, c0, d0 = terms[-1]
-                                            if c0 == 1:
-                                                terms[-1] = (
-                                                    s0, 2, visit2 - s0,
-                                                )
-                                                seq.length += 1
-                                            elif visit2 == s0 + c0 * d0:
-                                                terms[-1] = (
-                                                    s0, c0 + 1, d0,
-                                                )
-                                                seq.length += 1
-                                            else:
-                                                seq.append(visit2)
-                                        else:
-                                            seq.append(visit2)
-                                        pvx.search_pos = 0
-                                        stack.append([_BRANCH, pvx, 0])
-                            else:
-                                fr2 = stack.pop()
-                                v2 = fr2[1]
-                                if v2 is not None:
-                                    v2.loop_counts.append(fr2[2])
-                    self.m_plan_bodies += nbodies
-                    ei += total
-                    mi += nbodies * p.n_markers + (nbodies - 1)
-                    deque(
-                        islice(it, nbodies * p.n_items + (nbodies - 1)),
-                        maxlen=0,
-                    )
-                    continue
-                # --- single-body replay: validate event-by-event and
-                # commit inline; a divergence bails with all prior slots
-                # committed and the failing item unconsumed.
-                a_ei = ei
-                a_mi = mi
-                last_end = st.last_event_end
-                table = st.req_gid
-                for s in p.slots:
-                    k2 = s[0]
-                    if k2 <= 2:
-                        off2 = e0 + a_ei * esize
-                        if ebuf[off2:off2 + hlen] != s[1]:
-                            break
-                        leaf = s[4]
-                        if k2 == 2:
-                            ro = reqs_ptr_at(ebuf, off2 + rq_ptr_off)[0]
-                            rs = arena[ro:ro + s[6]]
-                            if tuple([table.get(r, -1) for r in rs]) != s[7]:
-                                break
-                            for r in rs:
-                                table.pop(r, None)
-                        elif k2 == 1:
-                            table[req_at(ebuf, off2 + rq_off)[0]] = leaf.gid
-                        start, duration = etimes(ebuf, off2 + t_off)
-                        s[2].search_pos = s[3]
-                        visit = leaf.leaf_visits
-                        leaf.leaf_visits = visit + 1
-                        gap = start - last_end
-                        if gap < 0.0:
-                            gap = 0.0
-                        end = start + duration
-                        if end > last_end:
-                            last_end = end
-                        record = s[5]
-                        occ = record.occurrences
-                        terms = occ.terms
-                        if terms:
-                            s0, c0, d0 = terms[-1]
-                            if c0 == 1:
-                                terms[-1] = (s0, 2, visit - s0)
-                                occ.length += 1
-                            elif visit == s0 + c0 * d0:
-                                terms[-1] = (s0, c0 + 1, d0)
-                                occ.length += 1
-                            else:
-                                occ.append(visit)
-                        else:
-                            occ.append(visit)
-                        stats = record.duration
-                        if stats.bins is None:
-                            stats.count = n = stats.count + 1
-                            delta = duration - stats.mean
-                            stats.mean += delta / n
-                            stats.m2 += delta * (duration - stats.mean)
-                            if duration < stats.minimum:
-                                stats.minimum = duration
-                            if duration > stats.maximum:
-                                stats.maximum = duration
-                        else:
-                            stats.add(duration)
-                        stats = record.pre_gap
-                        if stats.bins is None:
-                            stats.count = n = stats.count + 1
-                            delta = gap - stats.mean
-                            stats.mean += delta / n
-                            stats.m2 += delta * (gap - stats.mean)
-                            if gap < stats.minimum:
-                                stats.minimum = gap
-                            if gap > stats.maximum:
-                                stats.maximum = gap
-                        else:
-                            stats.add(gap)
-                        a_ei += 1
-                    elif k2 == 3:
-                        fr2 = stack[-1]
-                        fr2[2] += 1
-                        v2 = fr2[1]
-                        if v2 is not None:
-                            v2.search_pos = 0
-                        a_mi += 1
-                    elif k2 == 4:
-                        stack.pop()
-                        a_mi += 1
-                    elif k2 == 5:
-                        pv = s[1]
-                        if pv is not None:
-                            pv.search_pos = s[2]
-                        ch = s[3]
-                        if ch is not None:
-                            ch.search_pos = 0
-                        stack.append([_LOOP, ch, 0])
-                        a_mi += 1
-                    elif k2 == 6:
-                        pv = s[1]
-                        if pv is None:
-                            stack.append([_BRANCH, None, 0])
-                        else:
-                            pv.search_pos = s[2]
-                            group2 = s[3]
-                            visit2 = group2.visit_counter
-                            group2.visit_counter = visit2 + 1
-                            pvx = s[4]
-                            if pvx is None:
-                                stack.append([_BRANCH, None, 0])
-                            else:
-                                seq = pvx.visits
-                                terms = seq.terms
-                                if terms:
-                                    s0, c0, d0 = terms[-1]
-                                    if c0 == 1:
-                                        terms[-1] = (s0, 2, visit2 - s0)
-                                        seq.length += 1
-                                    elif visit2 == s0 + c0 * d0:
-                                        terms[-1] = (s0, c0 + 1, d0)
-                                        seq.length += 1
-                                    else:
-                                        seq.append(visit2)
-                                else:
-                                    seq.append(visit2)
-                                pvx.search_pos = 0
-                                stack.append([_BRANCH, pvx, 0])
-                        a_mi += 1
-                    else:
-                        fr2 = stack.pop()
-                        v2 = fr2[1]
-                        if v2 is not None:
-                            v2.loop_counts.append(fr2[2])
-                        a_mi += 1
-                else:
-                    self.m_plan_bodies += 1
-                st.last_event_end = last_end
-                consumed = (a_ei - ei) + (a_mi - mi)
-                ei = a_ei
-                mi = a_mi
-                if consumed:
-                    deque(islice(it, consumed), maxlen=0)
-            elif code == OP_LOOP_PUSH:
-                loop_push(st, munpack(mbuf, mi * msize)[0])
-                mi += 1
-                if rec is not None:
-                    parent = stack[-2][1] if len(stack) > 1 else root
-                    rec_add((
-                        5,
-                        parent,
-                        parent.search_pos if parent is not None else -1,
-                        stack[-1][1],
-                    ))
-            elif code == OP_LOOP_POP:
-                if rec is not None and len(stack) == rec_depth:
-                    if stack[-1] is rec_frame:
-                        # The recorded loop itself exits: the body since
-                        # the last iter marker is complete.
-                        rec_finalize(ei + mi + ri, mi * msize)
-                    else:
-                        rec_abort()
-                loop_pop(st, munpack(mbuf, mi * msize)[0])
-                mi += 1
-                if rec is not None:
-                    rec_add(_M_POP_SLOT)
-            elif code == OP_REQ_COMPLETE:
-                if rec is not None:
-                    rec_abort()
-                r = runpack(rbuf, ri * rsize)
-                ri += 1
-                request_complete(st, r[0], r[1], r[2], r[3])
-            elif code == OP_RECURSE_ENTER:
-                if rec is not None:
-                    rec_abort()
-                recurse_enter(st, munpack(mbuf, mi * msize)[0])
-                mi += 1
-            elif code == OP_RECURSE_EXIT:
-                if rec is not None:
-                    rec_abort()
-                recurse_exit(st, munpack(mbuf, mi * msize)[0])
-                mi += 1
-            elif code == OP_FINALIZE:
-                if rec is not None:
-                    rec_abort()
-                mi += 1
-                self._finalize(st)
-            else:  # pragma: no cover - encoder writes only known codes
-                raise CompressionError(f"unknown stream opcode {code!r}")
+        """:meth:`ingest_stream` on a decoded CYPK source.  Kept only
+        because ``benchmarks/e2e/batch.py`` times it as
+        ``intra.ingest_runs_s``."""
+        self.ingest_stream(rank, packed.decode_stream(source))
 
 
 # ---------------------------------------------------------------------------
 # Sharded parallel compression executor (fault-tolerant; see respool).
 
 
-def _stream_event_count(stream) -> int:
-    if packed.is_packed(stream):
-        return packed.event_count(stream)
-    return sum(1 for item in stream if item[0] == OP_EVENT)
-
-
 def _raw_stream_of(stream):
-    """The capture-list form of ``stream`` for quarantine retention —
-    packed sources are decoded once (quarantine is the rare path; the
-    raw list is what fallback replay consumes)."""
+    """The capture-list form of ``stream``: a CYPK source (blob or
+    :class:`~repro.core.packed.PackedStream`) is decoded, a list is
+    returned as it is."""
     if packed.is_packed(stream):
         return packed.decode_stream(stream)
     return stream
@@ -2392,11 +1399,9 @@ def _ingest_or_quarantine(
     """Compress one rank's stream (capture-list or packed form); in
     lenient mode a CST/stream mismatch quarantines the rank (partial CTT
     discarded, raw capture kept) instead of aborting the whole run."""
+    raw = _raw_stream_of(stream)
     try:
-        if packed.is_packed(stream):
-            comp.ingest_runs(rank, stream)
-        else:
-            comp.ingest_stream(rank, stream)
+        comp.ingest_stream(rank, raw)
     except StreamMismatchError as exc:
         if strict:
             raise
@@ -2406,8 +1411,8 @@ def _ingest_or_quarantine(
                 rank=rank,
                 stage="intra",
                 error=str(exc),
-                events=_stream_event_count(stream),
-                raw_stream=_raw_stream_of(stream),
+                events=sum(1 for item in raw if item[0] == OP_EVENT),
+                raw_stream=raw,
             )
         )
 
@@ -2492,9 +1497,9 @@ def compress_streams(
     silently.  ``fault_plan`` lets tests/CI inject worker faults.
 
     ``streams`` values may be capture lists, :class:`~repro.core.packed.
-    PackedStream` objects, or packed blobs (``bytes``); packed sources
-    take the columnar :meth:`~IntraProcessCompressor.ingest_runs` path,
-    lists :meth:`~IntraProcessCompressor.ingest_stream`.
+    PackedStream` objects, or packed blobs (``bytes``); a packed source
+    is decoded (:func:`~repro.core.packed.decode_stream`) and every rank
+    runs :meth:`~IntraProcessCompressor.ingest_stream`.
 
     With ``config.memory_budget_bytes`` set the call runs the bounded
     serial path regardless of ``workers``: each rank is sealed and

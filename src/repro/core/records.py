@@ -103,99 +103,6 @@ class CompressedRecord:
         else:
             stats.add(gap_us)
 
-    def add_occurrences(self, start_visit: int, durations, gaps) -> None:
-        """Fold a run of ``len(durations)`` consecutive occurrences
-        (visit indices ``start_visit, start_visit+1, ...``) in one call.
-
-        Bit-identical to calling :meth:`add_occurrence` once per element
-        in order: occurrence, duration and pre-gap state are disjoint, so
-        committing them as three blocks cannot reorder any float op
-        within a stats object, and each block replays the exact per-event
-        recurrence.  The occurrence block collapses to O(1) once the last
-        stride term reaches the steady stride-1 state; the timing blocks
-        run the same sequential Welford updates on hoisted locals."""
-        n = len(durations)
-        if n == 0:
-            return
-        if len(gaps) != n:
-            raise ValueError("durations and gaps length mismatch")
-        occ = self.occurrences
-        terms = occ.terms
-        index = start_visit
-        end = start_visit + n
-        # Per-index steps until the trailing term is a stride-1 run that
-        # the next consecutive index extends; then the remaining indices
-        # all take the `index == start + count * stride` branch and the
-        # whole tail is one term rewrite.
-        while index < end:
-            if terms:
-                start, count, stride = terms[-1]
-                if count == 1:
-                    terms[-1] = (start, 2, index - start)
-                    occ.length += 1
-                elif index == start + count * stride:
-                    if stride == 1:
-                        left = end - index
-                        terms[-1] = (start, count + left, 1)
-                        occ.length += left
-                        index = end
-                        break
-                    terms[-1] = (start, count + 1, stride)
-                    occ.length += 1
-                else:
-                    occ.append(index)
-            else:
-                occ.append(index)
-            index += 1
-        stats = self.duration
-        if stats.bins is None:
-            cnt = stats.count
-            mean = stats.mean
-            m2 = stats.m2
-            minimum = stats.minimum
-            maximum = stats.maximum
-            for x in durations:
-                cnt += 1
-                delta = x - mean
-                mean += delta / cnt
-                m2 += delta * (x - mean)
-                if x < minimum:
-                    minimum = x
-                if x > maximum:
-                    maximum = x
-            stats.count = cnt
-            stats.mean = mean
-            stats.m2 = m2
-            stats.minimum = minimum
-            stats.maximum = maximum
-        else:
-            for x in durations:
-                stats.add(x)
-        stats = self.pre_gap
-        if stats.bins is None:
-            cnt = stats.count
-            mean = stats.mean
-            m2 = stats.m2
-            minimum = stats.minimum
-            maximum = stats.maximum
-            for g in gaps:
-                cnt += 1
-                delta = g - mean
-                mean += delta / cnt
-                m2 += delta * (g - mean)
-                if g < minimum:
-                    minimum = g
-                if g > maximum:
-                    maximum = g
-            stats.count = cnt
-            stats.mean = mean
-            stats.m2 = m2
-            stats.minimum = minimum
-            stats.maximum = maximum
-        else:
-            for g in gaps:
-                stats.add(g)
-
     def merge_from(self, other: "CompressedRecord") -> None:
         """Fold another record with the same key into this one (intra-rank
         deferred-wildcard resolution path).  Occurrence indices are merged

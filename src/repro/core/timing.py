@@ -67,39 +67,6 @@ class TimeStats:
         if self.mode == HIST:
             self.bins[_bin_index(us)] += 1
 
-    def add_many(self, values) -> None:
-        """Fold a batch of samples, bit-identical to ``add`` called once
-        per element in order.
-
-        The Welford recurrence is inherently sequential; the win here is
-        hoisting the attribute traffic out of the loop — the per-sample
-        body runs on locals and the slots are written back once.
-        Histogram mode keeps the per-sample ``add`` (the bin update needs
-        the running count anyway and is off the hot path)."""
-        if self.mode == HIST:
-            for us in values:
-                self.add(us)
-            return
-        n = self.count
-        mean = self.mean
-        m2 = self.m2
-        minimum = self.minimum
-        maximum = self.maximum
-        for us in values:
-            n += 1
-            delta = us - mean
-            mean += delta / n
-            m2 += delta * (us - mean)
-            if us < minimum:
-                minimum = us
-            if us > maximum:
-                maximum = us
-        self.count = n
-        self.mean = mean
-        self.m2 = m2
-        self.minimum = minimum
-        self.maximum = maximum
-
     @property
     def std(self) -> float:
         if self.count < 2:
@@ -136,7 +103,7 @@ class TimeStats:
     def merge_many(self, others) -> None:
         """Fold a sequence of stats, bit-identical to :meth:`merge`
         called once per element in order — the same float operations on
-        locals, the slots written back once (cf. :meth:`add_many`)."""
+        locals, the slots written back once."""
         mode = self.mode
         n = self.count
         mean = self.mean

@@ -91,9 +91,6 @@ class FaultPlan:
                 return fault.action
         return None
 
-    def wants_stage(self, stage: str) -> bool:
-        return any(f.stage == stage for f in self.worker_faults)
-
     def with_seed(self, seed: int) -> "FaultPlan":
         return replace(self, seed=seed)
 

@@ -2,7 +2,7 @@
 
 The batch pipeline (``repro trace``) assumes every rank's capture is
 already on the local machine.  This package turns the same CTT
-machinery into a long-running service (docs/INTERNALS.md §14):
+machinery into a long-running service (docs/INTERNALS.md §13):
 
 * :mod:`repro.server.protocol` — the CRC-framed wire protocol clients
   speak (HELLO / BATCH / EOS control flow, THROTTLE backpressure,

@@ -7,7 +7,7 @@ one ``(job, rank)``; the daemon keeps a live
 every acked batch immediately, so the invariant at all times — live or
 after crash recovery — is *compressor state equals batches 1..acked*.
 
-Robustness machinery (docs/INTERNALS.md §14):
+Robustness machinery (docs/INTERNALS.md §13):
 
 * **Backpressure** — acked-but-not-durable batch bytes are bounded by a
   high/low watermark pair.  Crossing the high watermark broadcasts a

@@ -26,7 +26,7 @@ from repro.core import run_cypress, serialize
 from repro.faults import FaultPlan
 from repro.workloads import get as get_workload
 
-from .client import submit_workload
+from .client import capture_workload, split_batches, submit_workload
 
 #: The byte-identity matrix: (workload, nprocs, scale).
 MATRIX = (
@@ -195,30 +195,52 @@ def _finish(thread: threading.Thread, result: dict,
 # Scenarios.  Each returns a human-readable detail string or raises.
 
 
+def submission_batches(workload: str, nprocs: int, scale: float) -> int:
+    """How many batches ``submit_workload`` sends for this submission."""
+    return sum(
+        len(split_batches(stream, _BATCH_EVENTS))
+        for stream in capture_workload(workload, nprocs, scale).values()
+    )
+
+
+def kill_points(seed: int, workload: str, kills: int, batches: int
+                ) -> list[int]:
+    """Seeded ``--kill-after-batches`` values for ``kills`` successive
+    daemons serving one submission of ``batches`` batches.  Each point
+    is below the number of batches its daemon is still owed (a killed
+    daemon made at most ``point - 1`` of them durable), so every kill
+    fires and leaves at least one batch for the daemon after it."""
+    rng = FaultPlan(seed=seed).rng("server-kill", workload, kills)
+    points = []
+    for _ in range(kills):
+        hi = min(13, batches)
+        points.append(rng.randrange(min(4, hi - 1), hi))
+        batches -= points[-1] - 1
+    return points
+
+
 def scenario_kill_recover(root: str, seed: int, workload: str, nprocs: int,
                           scale: float, kills: int = 1) -> str:
     """SIGKILL the daemon at seeded ingest points mid-stream; restarted
     daemons recover from checkpoints and clients resume exactly-once."""
     name = f"kill-{workload}-{kills}"
     state, out = _dirs(root, name)
-    rng = FaultPlan(seed=seed).rng("server-kill", workload, kills)
-    kill_at = rng.randrange(4, 13)
-    d = DaemonProc(state, out, kill_after_batches=kill_at)
+    points = kill_points(
+        seed, workload, kills, submission_batches(workload, nprocs, scale)
+    )
+    d = DaemonProc(state, out, kill_after_batches=points[0])
     try:
         port = d.start()
         thread, result = _submit_async(
             port, job=name, workload=workload, nprocs=nprocs, scale=scale,
             batch_events=_BATCH_EVENTS, max_attempts=60,
         )
-        kill_points = [kill_at]
         rc = d.wait_exit()
         if rc != 137:
             raise AssertionError(
                 f"daemon exit rc={rc}, expected injected 137"
             )
-        for round_no in range(1, kills):
-            next_kill = rng.randrange(4, 13)
-            kill_points.append(next_kill)
+        for round_no, next_kill in enumerate(points[1:], 1):
             d = DaemonProc(
                 state, out, port=port, kill_after_batches=next_kill
             )
@@ -233,7 +255,7 @@ def scenario_kill_recover(root: str, seed: int, workload: str, nprocs: int,
         _finish(thread, result)
         detail = _check_identity(out, name, workload, nprocs, scale)
         d.terminate()
-        return f"{detail}; kill points {kill_points}, " \
+        return f"{detail}; kill points {points}, " \
                f"reconnects {result['reconnects']}"
     finally:
         d.kill()

@@ -8,12 +8,8 @@ equivalent:
 * inline (callback) compression — capture-and-drain with a small drain
   size — == deferred serial == deferred parallel
   (``compress_streams(workers=N)``);
-* the packed codec + columnar ingest == the list-stream path
-  (``packed``);
-* run-collapsed ingestion (:meth:`ingest_runs` — batch time decode +
-  iteration-replay plans) == event-at-a-time ingestion, from both a
-  packed blob (``packed_runs``) and a live :class:`PackedStream`
-  (``packed_runs_live``, the zero-copy ``events_buf`` path);
+* the packed codec (CYPK blobs through ``compress_streams``: encode,
+  decode, walk) == the list-stream path (``packed``);
 * fold merge == tree merge == parallel tree merge (byte-identical);
 * every rank's replay is the same before and after the merge, and equals
   the ground-truth recorded sequence.
@@ -147,19 +143,7 @@ def differential_check(
         rank: packed.encode_stream(stream).to_bytes()
         for rank, stream in capture.streams.items()
     }
-    # Run-collapsed ingestion called directly (not via compress_streams
-    # routing, which may change): once over serialized blobs, once over
-    # live PackedStream objects whose events live in a bytearray the
-    # zero-copy plan matcher slices without snapshotting.
-    packed_runs = IntraProcessCompressor(compiled.cst)
-    for rank, blob in packed_streams.items():
-        packed_runs.ingest_runs(rank, blob)
-    packed_runs_live = IntraProcessCompressor(compiled.cst)
-    for rank, stream in capture.streams.items():
-        packed_runs_live.ingest_runs(rank, packed.encode_stream(stream))
     variants = {
-        "packed_runs": packed_runs,
-        "packed_runs_live": packed_runs_live,
         "inline": inline,
         "fastpath": compress_streams(compiled.cst, capture.streams),
         "reference": compress_streams(
@@ -169,7 +153,7 @@ def differential_check(
         "parallel": compress_streams(
             compiled.cst, capture.streams, workers=2, parallel_threshold=2,
         ),
-        # Packed codec + columnar ingest, serially (no pool in the way).
+        # Packed codec round trip, serially (no pool in the way).
         "packed": compress_streams(compiled.cst, packed_streams),
     }
     report.variants = sorted(variants)
@@ -190,9 +174,7 @@ def differential_check(
 
     # -- byte identity across the variant matrix --------------------------
     # Replay diffs above catch semantic divergence; this catches encoding
-    # divergence (e.g. run-collapsed ingestion producing equal replays
-    # from different record/timing layouts — the bulk add_occurrences
-    # path must be bit-for-bit the same as N single adds).
+    # divergence (equal replays from different record/timing layouts).
     def variant_blob(comp):
         return serialize.dumps(merge_all(
             [comp.ctt(r) for r in range(nprocs)], nranks=nprocs))

@@ -1,4 +1,4 @@
-"""Bounded-memory streaming compression (docs/INTERNALS.md §15).
+"""Bounded-memory streaming compression (docs/INTERNALS.md §14).
 
 The contract under test: with ``memory_budget_bytes`` set, the
 compressor folds finished ranks into a partial merge and spills cold

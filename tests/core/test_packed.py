@@ -1,19 +1,24 @@
 """Packed event codec: round-trip properties and wire-format hardening.
 
-The packed encoding is the server wire format and the input of
-``ingest_runs``; the differential harness proves byte-identity of the
-*compressed output*, while these tests pin the codec itself: ``decode_stream(encode_stream(s).to_bytes())``
-must reproduce the capture list exactly for every opcode, every sentinel
-peer, every int64 boundary value, and empty/huge variable-length tuples.
+The packed encoding is the server wire format; it reaches the compressor
+decoded (``decode_stream``, then ``ingest_stream``).  These tests pin the
+codec itself — ``decode_stream(encode_stream(s).to_bytes())`` must
+reproduce the capture list exactly for every opcode, every sentinel
+peer, every int64 boundary value, and empty/huge variable-length tuples
+— and that a packed source through ``compress_streams`` gives the bytes,
+the error index and the quarantine record of the list it encodes.
 """
 
-import struct
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import packed
+from repro.core import StreamMismatchError, packed, serialize
+from repro.core.inter import merge_all
+from repro.core.intra import CypressConfig, compress_streams
+from repro.driver import run_compiled
 from repro.mpisim.datatypes import ANY_SOURCE
 from repro.mpisim.events import NO_PEER, CommEvent
 from repro.mpisim.pmpi import (
@@ -27,7 +32,14 @@ from repro.mpisim.pmpi import (
     OP_RECURSE_ENTER,
     OP_RECURSE_EXIT,
     OP_REQ_COMPLETE,
+    StreamCaptureSink,
 )
+from repro.static.instrument import compile_minimpi
+
+sys.path.insert(0, "tests")
+from generators import program  # noqa: E402
+
+from .test_live_drain import _blobs  # noqa: E402
 
 SETTINGS = dict(
     max_examples=25,
@@ -201,27 +213,80 @@ class TestMalformedInput:
         assert not packed.is_packed(b"xy")
 
 
-def test_param_window_layout_is_injective_prefix():
-    # The ingest fast path compares EVENT_PARAMS_OFF..EVENT_PARAMS_END
-    # raw bytes to prove params equality.  Two events differing in any
-    # key field must differ inside the window; ones differing only in
-    # time/rank/seq/req must NOT (that is what makes the cache useful).
-    base = dict(op="MPI_Send", rank=0, seq=0, peer=3, nbytes=64, tag=9)
+# ---------------------------------------------------------------------------
+# A packed source through compress_streams == the list it encodes.
 
-    def window(ev):
-        ps = packed.PackedStream()
-        ps.append_event(ev)
-        return bytes(ps.events[packed.EVENT_PARAMS_OFF:packed.EVENT_PARAMS_END])
+NPROCS = 2
 
-    ref = window(CommEvent(**base))
-    assert window(CommEvent(**{**base, "rank": 7, "seq": 5, "time_start": 2.0,
-                               "duration": 1.0, "req": 11})) == ref
-    for field, value in [
-        ("peer", 4), ("nbytes", 65), ("tag", 10), ("peer2", 1), ("tag2", 1),
-        ("nbytes2", 1), ("comm", 1), ("root", 0), ("result_comm", 0),
-        ("wildcard", True), ("reqs", (1,)),
-    ]:
-        assert window(CommEvent(**{**base, field: value})) != ref
 
-    assert struct.calcsize("<dd") == 16
-    assert packed.EVENT_TIMES_OFF == packed.EVENT_PARAMS_END
+def _capture(source, nprocs):
+    compiled = compile_minimpi(source)
+    capture = StreamCaptureSink()
+    run_compiled(compiled, nprocs, tracer=capture)
+    return compiled, {r: capture.streams.get(r, []) for r in range(nprocs)}
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(program(allow_functions=True), st.sampled_from([None, 1, 4]))
+def test_packed_sources_match_list_path(source, window):
+    compiled, streams = _capture(source, NPROCS)
+    cfg = CypressConfig(window=window)
+    want = _blobs(compress_streams(compiled.cst, streams, config=cfg), NPROCS)
+    live = {r: packed.encode_stream(s) for r, s in streams.items()}
+    blobs = {r: ps.to_bytes() for r, ps in live.items()}
+    assert _blobs(
+        compress_streams(compiled.cst, blobs, config=cfg), NPROCS
+    ) == want, f"window={window}: packed blob diverged"
+    assert _blobs(
+        compress_streams(compiled.cst, live, config=cfg), NPROCS
+    ) == want, f"window={window}: live PackedStream diverged"
+
+
+RING = """
+func main() {
+  var rank = mpi_comm_rank();
+  var size = mpi_comm_size();
+  for (var i = 0; i < 6; i = i + 1) {
+    if (rank < size - 1) { mpi_send(rank + 1, 64, 1); }
+    if (rank > 0) { mpi_recv(rank - 1, 64, 1); }
+    mpi_allreduce(8);
+  }
+}
+"""
+
+
+def test_corrupt_opcode_blob_carries_index_and_quarantines_once(monkeypatch):
+    compiled, streams = _capture(RING, 4)
+    encoded = {r: packed.encode_stream(s) for r, s in streams.items()}
+    # Rank 1's third loop-iteration marker becomes a branch exit: still a
+    # marker code, so the blob decodes, but the walk finds a loop frame
+    # where the stream claims an open branch.
+    bad_at = [
+        i for i, item in enumerate(streams[1]) if item[0] == OP_LOOP_ITER
+    ][2]
+    encoded[1].codes[bad_at] = OP_BRANCH_EXIT
+    blobs = {r: ps.to_bytes() for r, ps in encoded.items()}
+
+    with pytest.raises(StreamMismatchError, match="no open branch") as err:
+        compress_streams(compiled.cst, blobs, strict=True)
+    assert err.value.item_index == bad_at
+
+    decodes = []
+    real = packed.decode_stream
+    monkeypatch.setattr(
+        packed, "decode_stream",
+        lambda source: decodes.append(1) or real(source),
+    )
+    comp = compress_streams(compiled.cst, blobs)
+    assert len(decodes) == 4  # the quarantined rank is not decoded twice
+    (entry,) = list(comp.quarantine)
+    assert entry.rank == 1 and f"[stream item {bad_at}]" in entry.error
+    assert entry.raw_stream == real(blobs[1])
+    assert entry.events == packed.event_count(blobs[1])
+    healthy = compress_streams(compiled.cst, streams)
+    for rank in (0, 2, 3):
+        assert serialize.dumps(
+            merge_all([comp.ctt(rank)], nranks=4)
+        ) == serialize.dumps(merge_all([healthy.ctt(rank)], nranks=4))

@@ -5,11 +5,9 @@ import pytest
 from repro.faults import (
     ACTION_HANG,
     ACTION_KILL,
-    ACTION_RAISE,
     BOGUS_OP,
     BOGUS_OPCODE,
     CORRUPT_KINDS,
-    NO_FAULTS,
     FaultPlan,
     WorkerFault,
     bitflip,
@@ -67,14 +65,6 @@ class TestWorkerFault:
         assert plan.worker_fault("intra", 2, 2) is None  # retry succeeds
         assert plan.worker_fault("intra", 1, 0) is None
         assert plan.worker_fault("inter", 2, 0) is None
-
-    def test_wants_stage(self):
-        plan = FaultPlan(worker_faults=(
-            WorkerFault(stage="inter", task=0, action=ACTION_RAISE),
-        ))
-        assert plan.wants_stage("inter")
-        assert not plan.wants_stage("intra")
-        assert not NO_FAULTS.wants_stage("intra")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -206,7 +206,7 @@ class TestWorkersRoute:
     and whatever happens to a worker."""
 
     def test_packed_blob_input_equals_serial(self, captured):
-        # bytes input takes ingest_runs inside the workers.
+        # bytes input is decoded inside the workers, then walked.
         compiled, streams = captured
         serial = _blob(compress_streams(compiled.cst, streams, workers=None))
         blobs = {

@@ -255,3 +255,21 @@ class TestDecodeOnce:
         assert not session.mem_batches
         server.checkpoint_all()
         assert open(log, "rb").read() == durable
+
+
+class TestFaultsmokeKillPoints:
+    @pytest.mark.parametrize("seed", [20260807, 20260809])
+    @pytest.mark.parametrize("kills", [1, 2])
+    def test_every_kill_fires_with_a_batch_to_spare(self, seed, kills):
+        # A kill point at or past the batch count never fires, and the
+        # scenario then waits out its timeout (farm sends 9 batches;
+        # seed 20260807 used to draw 12).
+        from repro.server import faultsmoke
+
+        for workload, nprocs, scale in faultsmoke.MATRIX:
+            owed = faultsmoke.submission_batches(workload, nprocs, scale)
+            points = faultsmoke.kill_points(seed, workload, kills, owed)
+            assert len(points) == kills
+            for point in points:
+                assert 1 <= point < owed, (workload, points)
+                owed -= point - 1

@@ -1,4 +1,4 @@
-"""Budget-mode daemon (docs/INTERNALS.md §15): byte-identity under
+"""Budget-mode daemon (docs/INTERNALS.md §14): byte-identity under
 fold/spill pressure, budget-aware recovery, the budget-shrunk watermark,
 and the pre-HELLO frame-loop hardening."""
 

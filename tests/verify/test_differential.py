@@ -35,8 +35,8 @@ class TestDifferentialCheck:
         assert report.ok, [d.format() for d in report.divergences]
         assert report.events > 0
         assert sorted(report.variants) == [
-            "budgeted", "fastpath", "inline", "packed", "packed_runs",
-            "packed_runs_live", "parallel", "reference",
+            "budgeted", "fastpath", "inline", "packed", "parallel",
+            "reference",
         ]
         assert report.schedules == ["fold", "tree", "parallel"]
         d = report.to_dict()
