@@ -1,4 +1,4 @@
-"""Merge-scaling sweep: serial vs parallel inter-process merge, P up to 1024.
+"""Merge-scaling sweep: the inter-process merge, P up to 1024.
 
 The inter-process merge is the one CYPRESS stage whose input grows with
 the job size (P per-rank CTTs), so its asymptotics decide whether the
@@ -8,17 +8,11 @@ even/odd halo kernel — relative peer encoding means clones of the same
 template carry identical payloads and group together, exactly the
 regular-application regime of the paper — then times
 
-* ``fold`` / ``tree`` — the serial merge; both names run the same
-  single pass (one ``add_rank`` walk per rank into one accumulator);
-* ``parallel`` — the multiprocessing tree schedule (``workers="auto"``):
-  chunks merged by the single pass in workers, shard roots combined
-  pairwise in the parent.
-
-All three must produce byte-identical serialized traces (deferred
-canonical-order stats materialization makes the merge association-free).
-Results go to ``results/merge_scaling.json`` including a log-log scaling
-exponent for the serial merge; the acceptance bar is sub-quadratic
-(exponent < 2) at P = 1024.
+``fold`` / ``tree`` — both names run the same single pass (one
+``add_rank`` walk per rank into one accumulator) and must produce
+byte-identical serialized traces.  Results go to
+``results/merge_scaling.json`` including a log-log scaling exponent;
+the acceptance bar is sub-quadratic (exponent < 2) at P = 1024.
 
 Per-rank gate: at P = 256 the single pass is timed against the schedule
 it replaced — one ``MergedCTT`` per rank, combined pairwise up a binary
@@ -162,28 +156,19 @@ def per_rank_gate(templates, nranks: int = GATE_RANKS) -> dict:
     }
 
 
-def run_point(templates, nranks: int, workers="auto") -> dict:
+def run_point(templates, nranks: int) -> dict:
     ctts = synthesize_ranks(templates, nranks)
     merged_fold, fold_s = _timed(lambda: merge_all(ctts, schedule="fold"))
     merged_tree, tree_s = _timed(lambda: merge_all(ctts, schedule="tree"))
-    merged_par, par_s = _timed(
-        lambda: merge_all(
-            ctts, schedule="tree", workers=workers, parallel_threshold=16
-        ),
-        repeats=1,  # pays pool start-up per call
-    )
     blob_fold = serialize.dumps(merged_fold)
     blob_tree = serialize.dumps(merged_tree)
-    blob_par = serialize.dumps(merged_par)
     assert blob_tree == blob_fold, f"tree != fold bytes at P={nranks}"
-    assert blob_par == blob_tree, f"parallel != serial bytes at P={nranks}"
     groups = sum(len(v.groups) for v in merged_tree.vertices())
     return {
         "nranks": nranks,
         "fold_s": round(fold_s, 6),
         "tree_s": round(tree_s, 6),
         "tree_us_per_rank": round(tree_s / nranks * 1e6, 2),
-        "parallel_s": round(par_s, 6),
         "trace_bytes": len(blob_tree),
         "groups": groups,
     }
@@ -202,13 +187,12 @@ def scaling_exponent(points: list[dict], key: str = "tree_s") -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
 
 
-def run_sweep(grid, workers="auto") -> dict:
+def run_sweep(grid) -> dict:
     templates = _template_ctts()
-    points = [run_point(templates, p, workers=workers) for p in grid]
+    points = [run_point(templates, p) for p in grid]
     result = {
         "bench": "merge_scaling",
         "grid": list(grid),
-        "workers": workers,
         "points": points,
         "tree_scaling_exponent": round(scaling_exponent(points), 3),
         "fold_scaling_exponent": round(
@@ -236,8 +220,7 @@ def test_merge_scaling_sweep():
     for p in result["points"]:
         print(
             f"  P={p['nranks']:5d}  fold {p['fold_s']:.4f}s  "
-            f"tree {p['tree_s']:.4f}s  parallel {p['parallel_s']:.4f}s  "
-            f"{p['trace_bytes']} bytes"
+            f"tree {p['tree_s']:.4f}s  {p['trace_bytes']} bytes"
         )
     if FULL:
         emit_json(result)
@@ -251,14 +234,13 @@ def main(argv: list[str] | None = None) -> int:
     smoke = "--smoke" in argv
     grid = SMOKE_GRID if smoke else FULL_GRID
     result = run_sweep(grid)
-    print(f"merge scaling sweep (workers={result['workers']}):")
+    print("merge scaling sweep:")
     print(f"  {'P':>6s} {'fold (s)':>10s} {'tree (s)':>10s} "
-          f"{'parallel (s)':>13s} {'bytes':>10s} {'groups':>7s}")
+          f"{'bytes':>10s} {'groups':>7s}")
     for p in result["points"]:
         print(
             f"  {p['nranks']:6d} {p['fold_s']:10.4f} {p['tree_s']:10.4f} "
-            f"{p['parallel_s']:13.4f} {p['trace_bytes']:10d} "
-            f"{p['groups']:7d}"
+            f"{p['trace_bytes']:10d} {p['groups']:7d}"
         )
     print(f"  tree scaling exponent: {result['tree_scaling_exponent']}"
           f" (fold: {result['fold_scaling_exponent']})")

@@ -13,7 +13,7 @@ harness**: it sweeps four workload shapes
 * ``nested``         — doubly nested point-to-point loop (marker heavy)
 * ``irecv_waitall``  — nonblocking pairs + waitall (request-GID path)
 
-through four ingestion modes
+through three ingestion modes
 
 * ``reference``  — ``CypressConfig(fastpath=False)``: generic child scan,
   fresh key per event (the pre-optimization code path);
@@ -21,11 +21,7 @@ through four ingestion modes
   live-tracing route (append to the rank's buffer, drain through
   ``ingest_stream`` a buffer at a time, final ``flush()`` included);
 * ``stream``     — fast path, batched :meth:`ingest_stream` over a
-  captured opcode stream;
-* ``parallel``   — :func:`compress_streams` with ``workers=2`` over
-  capture lists, exactly as callers invoke it (fork, pickle the results
-  home, join — all inside the timed region).  Reported beside ``stream``
-  for comparison; it has no floor.
+  captured opcode stream.
 
 All modes must produce byte-identical serialized traces; the harness
 asserts this on every run.  ``python -m benchmarks.bench_micro_compressor``
@@ -45,11 +41,7 @@ from repro.baselines.scalatrace import ScalaTraceCompressor
 from repro.baselines.scalatrace2 import ScalaTrace2Compressor
 from repro.core import serialize
 from repro.core.inter import merge_all
-from repro.core.intra import (
-    CypressConfig,
-    IntraProcessCompressor,
-    compress_streams,
-)
+from repro.core.intra import CypressConfig, IntraProcessCompressor
 from repro.mpisim.events import NO_PEER, CommEvent
 from repro.mpisim.pmpi import (
     OP_BRANCH_ENTER,
@@ -292,8 +284,7 @@ def _merged_blob(comp: IntraProcessCompressor) -> bytes:
     return serialize.dumps(merge_all([comp.ctt(r) for r in ranks]))
 
 
-def measure_shape(name: str, scale: int = 1, rounds: int = 3,
-                  parallel_ranks: int = 8) -> dict:
+def measure_shape(name: str, scale: int = 1, rounds: int = 3) -> dict:
     """Measure one shape through every ingestion mode; assert all modes
     produce byte-identical traces.  Rates are best-of-``rounds``."""
     cst, stream, nevents = _shape(name, scale)
@@ -328,26 +319,11 @@ def measure_shape(name: str, scale: int = 1, rounds: int = 3,
         "stream": nevents / best(run_stream),
     }
 
-    # The worker pool over rank copies (per-rank independence): list
-    # input and a plain compress_streams call, so fork, result pickling
-    # and join are all inside the timed region.  In a sandbox that
-    # cannot fork the call falls back loudly to serial — still a valid
-    # (if unflattering) measurement.
-    streams = {r: stream for r in range(parallel_ranks)}
-
-    def run_parallel():
-        comps["parallel"] = compress_streams(cst, streams, workers=2)
-
-    rates["parallel"] = parallel_ranks * nevents / best(run_parallel)
-
     # Byte-identity across every mode.
     blob = _merged_blob(comps["reference"])
     for mode in ("callbacks", "stream"):
         assert _merged_blob(comps[mode]) == blob, (
             f"{name}: {mode} trace differs from reference")
-    assert _merged_blob(comps["parallel"]) == _merged_blob(
-        compress_streams(cst, streams)
-    ), f"{name}: parallel trace differs from serial"
     publish_gauges(name, {f"{k}_events_per_s": v for k, v in rates.items()})
     return {
         "events": nevents,
@@ -483,9 +459,6 @@ def check_smoke() -> int:
         print(f"FAIL: stream ({rates['stream']:,}) < 1.5x reference "
               f"({rates['reference']:,}) — fast path regressed")
         failed = 1
-    print(f"fig11 parallel (workers=2, list input): "
-          f"{rates['parallel']:,} ev/s beside stream {rates['stream']:,} "
-          f"(no floor)")
     ov = measure_obs_overhead()
     print(f"fig11 metrics-on overhead: trimmed-median paired ratio "
           f"{ov['median_on_off_ratio']:.4f} over {ov['rounds']} rounds "
@@ -621,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
             obs.write_json(registry, metrics_out)
             print(f"metrics -> {metrics_out}")
     print("intra-process ingestion throughput (events/s, best of 3):")
-    modes = ("reference", "callbacks", "stream", "parallel")
+    modes = ("reference", "callbacks", "stream")
     header = f"  {'shape':16s}" + "".join(f"{m:>14s}" for m in modes)
     print(header)
     for name, shape in result["shapes"].items():

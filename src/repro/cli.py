@@ -14,9 +14,9 @@ Commands:
 * ``verify``   — end-to-end self-check: trace a workload, decompress, and
   compare against ground truth (sequence preservation)
 * ``hotspots`` — which loops/call sites dominate communication time
-* ``faultsmoke`` — run the seeded fault-injection matrix (worker kill /
-  hang / raise, stream corruption, trace truncation) and check every
-  degraded mode recovers; writes a JSON report for CI
+* ``faultsmoke`` — run the seeded fault-injection matrix (stream
+  corruption, trace truncation, bit flips) and check every degraded
+  mode recovers; writes a JSON report for CI
 * ``check``    — trace-integrity suite (docs/INTERNALS.md §8): structural
   invariants over the CST and (merged) CTTs, the wildcard nondeterminism
   audit, and optionally the differential harness and the seeded payload
@@ -83,31 +83,9 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
                    help="iteration-count scale factor (1.0 = repo default)")
 
 
-def _workers_arg(value: str) -> int | str:
-    """argparse ``type=`` for worker counts: ``'auto'`` or a positive
-    integer."""
-    if value == "auto":
-        return value
-    if value.isdecimal() and int(value) > 0:
-        return int(value)
-    raise argparse.ArgumentTypeError(
-        f"expected 'auto' or a positive integer, got {value!r}"
-    )
-
-
 def _add_merge_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--merge-schedule", choices=("tree", "fold"), default="tree",
                    help="inter-process merge schedule (default: tree)")
-    p.add_argument("--merge-workers", type=_workers_arg, default=None,
-                   help="worker processes for the tree merge: an integer "
-                        "or 'auto' (default: serial)")
-
-
-def _add_compress_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--compress-workers", type=_workers_arg, default=None,
-                   help="defer compression and shard ranks over this many "
-                        "worker processes: an integer or 'auto' "
-                        "(default: compress inline while tracing)")
 
 
 def _add_salvage_arg(p: argparse.ArgumentParser) -> None:
@@ -120,13 +98,6 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strict", action="store_true",
                    help="abort on any CST/stream mismatch instead of "
                         "quarantining the offending rank")
-    p.add_argument("--retry", type=int, default=1, metavar="N",
-                   help="worker-pool retry rounds before serial "
-                        "re-execution (default: 1)")
-    p.add_argument("--task-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-task timeout for pool workers; a hung worker "
-                        "is killed and its task retried (default: none)")
     p.add_argument("--quarantine-out", default=None, metavar="PATH",
                    help="write the QuarantineReport as JSON to PATH")
 
@@ -182,24 +153,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
     w = WORKLOADS[args.workload]
     w.check_procs(args.nprocs)
     config = None
-    compress_workers = args.compress_workers
     if args.memory_budget is not None:
         from repro.core.intra import CypressConfig
 
         config = CypressConfig(memory_budget_bytes=args.memory_budget)
-        if compress_workers is None:
-            # The incremental fold runs on the deferred (captured-stream)
-            # path; budget mode is serial anyway, so one worker.
-            compress_workers = 1
     run = run_cypress(
         w.source, args.nprocs, defines=w.defines(args.nprocs, args.scale),
         config=config,
-        compress_workers=compress_workers,
-        strict=args.strict, retries=args.retry,
-        task_timeout=args.task_timeout,
+        # The incremental fold runs on the deferred (captured-stream) path.
+        deferred=args.memory_budget is not None,
+        strict=args.strict,
     )
-    run.merge(schedule=args.merge_schedule, workers=args.merge_workers,
-              retries=args.retry, task_timeout=args.task_timeout)
+    run.merge(schedule=args.merge_schedule)
     nbytes = run.save(args.output, gzip=args.gzip)
     print(f"{args.workload} on {args.nprocs} ranks:")
     print(f"  events traced    : {run.run_result.total_events}")
@@ -339,41 +304,23 @@ def cmd_hotspots(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from repro.core.decompress import decompress_merged_rank
     from repro.core.inter import merge_all
-    from repro.core.intra import IntraProcessCompressor, compress_streams
+    from repro.core.intra import IntraProcessCompressor
     from repro.driver import run_compiled
-    from repro.mpisim.pmpi import MultiSink, RecordingSink, StreamCaptureSink
+    from repro.mpisim.pmpi import MultiSink, RecordingSink
     from repro.static.instrument import compile_minimpi
 
     w = WORKLOADS[args.workload]
     w.check_procs(args.nprocs)
     compiled = compile_minimpi(w.source)
     recorder = RecordingSink()
-    workers = args.compress_workers
-    if workers is not None:
-        capture = StreamCaptureSink()
-        run_compiled(
-            compiled, args.nprocs, defines=w.defines(args.nprocs, args.scale),
-            tracer=MultiSink([recorder, capture]),
-        )
-        compressor = compress_streams(
-            compiled.cst, capture.streams, workers=workers,
-            strict=args.strict, retries=args.retry,
-            task_timeout=args.task_timeout,
-        )
-    else:
-        compressor = IntraProcessCompressor(compiled.cst)
-        run_compiled(
-            compiled, args.nprocs, defines=w.defines(args.nprocs, args.scale),
-            tracer=MultiSink([recorder, compressor]),
-        )
-    bad_ranks = compressor.quarantine.rank_set()
-    _report_quarantine(compressor.quarantine, args.quarantine_out)
+    compressor = IntraProcessCompressor(compiled.cst)
+    run_compiled(
+        compiled, args.nprocs, defines=w.defines(args.nprocs, args.scale),
+        tracer=MultiSink([recorder, compressor]),
+    )
     merged = merge_all(
-        [compressor.ctt(r) for r in range(args.nprocs) if r not in bad_ranks],
+        [compressor.ctt(r) for r in range(args.nprocs)],
         schedule=args.merge_schedule,
-        workers=args.merge_workers,
-        retries=args.retry,
-        task_timeout=args.task_timeout,
         nranks=args.nprocs,
     )
     from repro import obs
@@ -384,8 +331,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     bad = 0
     total = 0
     for rank in range(args.nprocs):
-        if rank in bad_ranks:
-            continue
         truth = [e.replay_tuple() for e in recorder.events.get(rank, [])]
         replay = [e.call_tuple() for e in decompress_merged_rank(merged, rank)]
         total += len(truth)
@@ -397,12 +342,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 1
     if args.selfcheck and _selfcheck(compiled.cst, merged, args.nprocs):
         return 1
-    healthy = args.nprocs - len(bad_ranks)
     print(
-        f"OK: {healthy} ranks, {total} events — every healthy rank's exact "
+        f"OK: {args.nprocs} ranks, {total} events — every rank's exact "
         "sequence reproduced from the compressed trace"
     )
-    return 1 if bad_ranks else 0
+    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -471,10 +415,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
 def cmd_faultsmoke(args: argparse.Namespace) -> int:
     """Seeded fault-injection matrix: every degraded mode must recover.
 
-    Each scenario injects one fault class (worker kill / hang / raise,
-    stream corruption, file truncation, bit flips) into an otherwise
-    healthy run and checks the documented recovery: pool faults recover
-    byte-identically, corruption quarantines exactly the victims,
+    Each scenario injects one fault class (stream corruption, file
+    truncation, bit flips) into an otherwise healthy run and checks the
+    documented recovery: corruption quarantines exactly the victims,
     damaged files fail loudly and salvage to a checksum-valid prefix.
     """
     import json
@@ -486,15 +429,12 @@ def cmd_faultsmoke(args: argparse.Namespace) -> int:
         return run_server_faultsmoke(args)
 
     from repro.core import TraceFormatError, run_cypress, serialize
-    from repro.core.inter import merge_all
-    from repro.faults import FaultPlan, WorkerFault, bitflip, truncate
+    from repro.faults import FaultPlan, bitflip, truncate
 
     w = WORKLOADS[args.workload]
     w.check_procs(args.nprocs)
     defines = w.defines(args.nprocs, args.scale)
-    baseline = run_cypress(
-        w.source, args.nprocs, defines=defines, compress_workers=2
-    )
+    baseline = run_cypress(w.source, args.nprocs, defines=defines)
     base_bytes = serialize.dumps(baseline.merge())
     scenarios: list[dict] = []
     quarantine_dict: dict | None = None
@@ -516,52 +456,12 @@ def cmd_faultsmoke(args: argparse.Namespace) -> int:
         })
         print(f"  {'ok  ' if ok else 'FAIL'} {name}: {detail}")
 
-    def check_identical(run) -> str:
-        if run.quarantine:
-            raise AssertionError(
-                f"unexpected quarantine: {run.quarantine.summary()}"
-            )
-        if serialize.dumps(run.merge()) != base_bytes:
-            raise AssertionError("recovered trace differs from baseline")
-        return "byte-identical to healthy baseline"
-
-    def scenario_kill() -> str:
-        plan = FaultPlan(seed=args.seed, worker_faults=(
-            WorkerFault(stage="intra", task=0, action="kill"),
-        ))
-        return check_identical(run_cypress(
-            w.source, args.nprocs, defines=defines,
-            compress_workers=2, fault_plan=plan,
-        ))
-
-    def scenario_hang() -> str:
-        plan = FaultPlan(seed=args.seed, worker_faults=(
-            WorkerFault(stage="intra", task=1, action="hang"),
-        ), hang_seconds=30.0)
-        return check_identical(run_cypress(
-            w.source, args.nprocs, defines=defines,
-            compress_workers=2, fault_plan=plan, task_timeout=2.0,
-        ))
-
-    def scenario_merge_raise() -> str:
-        plan = FaultPlan(seed=args.seed, worker_faults=(
-            WorkerFault(stage="inter", task=0, action="raise"),
-        ))
-        ctts = [baseline.compressor.ctt(r) for r in range(args.nprocs)]
-        merged = merge_all(
-            ctts, workers=2, parallel_threshold=2, fault_plan=plan,
-        )
-        if serialize.dumps(merged) != base_bytes:
-            raise AssertionError("recovered merge differs from baseline")
-        return "byte-identical to healthy baseline"
-
     def scenario_corrupt() -> str:
         nonlocal quarantine_dict
         victims = (args.nprocs // 2, args.nprocs - 1)
         plan = FaultPlan(seed=args.seed, corrupt_ranks=victims)
         run = run_cypress(
-            w.source, args.nprocs, defines=defines,
-            compress_workers=2, fault_plan=plan,
+            w.source, args.nprocs, defines=defines, fault_plan=plan
         )
         quarantine_dict = run.quarantine.to_dict()
         if run.quarantine.ranks() != sorted(set(victims)):
@@ -620,9 +520,6 @@ def cmd_faultsmoke(args: argparse.Namespace) -> int:
 
     print(f"fault-injection smoke: {args.workload} on {args.nprocs} ranks "
           f"(seed {args.seed}, baseline {len(base_bytes)} bytes)")
-    run_scenario("worker-kill-intra", scenario_kill)
-    run_scenario("worker-hang-timeout", scenario_hang)
-    run_scenario("worker-raise-inter", scenario_merge_raise)
     run_scenario("stream-corruption-quarantine", scenario_corrupt)
     run_scenario("truncation-salvage", scenario_truncate)
     run_scenario("bitflip-loudness", scenario_bitflips)
@@ -677,7 +574,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
     schedules = tuple(s for s in args.schedules.split(",") if s)
     for s in schedules:
-        if s not in ("fold", "tree", "parallel"):
+        if s not in ("fold", "tree"):
             print(f"unknown merge schedule {s!r}", file=sys.stderr)
             return 2
     registry = obs.active()
@@ -701,13 +598,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             violations += check_ctt(ctt, nranks=nprocs)
         merged = None
         for schedule in schedules:
-            merged = merge_all(
-                ctts,
-                schedule="tree" if schedule == "parallel" else schedule,
-                workers=2 if schedule == "parallel" else None,
-                parallel_threshold=2,
-                nranks=nprocs,
-            )
+            merged = merge_all(ctts, schedule=schedule, nranks=nprocs)
             violations += check_merged(merged, nranks=nprocs)
         audit = audit_wildcards(merged) if merged is not None else None
         findings = audit.findings if audit is not None else []
@@ -896,7 +787,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("trace", help="trace a workload with CYPRESS")
     _add_workload_args(p)
     _add_merge_args(p)
-    _add_compress_args(p)
     _add_metrics_args(p)
     _add_fault_args(p)
     p.add_argument("-o", "--output", default="trace.cyp")
@@ -952,9 +842,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("verify", help="end-to-end sequence-preservation check")
     _add_workload_args(p)
     _add_merge_args(p)
-    _add_compress_args(p)
     _add_metrics_args(p)
-    _add_fault_args(p)
     p.add_argument("--selfcheck", action="store_true",
                    help="also run the structural invariant checker on the "
                         "CST and merged trace")
@@ -1074,11 +962,11 @@ def main(argv: list[str] | None = None) -> int:
                         "per workload)")
     p.add_argument("--scale", type=float, default=0.3,
                    help="iteration-count scale factor (default: 0.3)")
-    p.add_argument("--schedules", default="fold,tree,parallel",
+    p.add_argument("--schedules", default="fold,tree",
                    help="comma-separated merge schedules to check "
-                        "(default: fold,tree,parallel)")
+                        "(default: fold,tree)")
     p.add_argument("--differential", action="store_true",
-                   help="also cross-check fastpath/reference/parallel "
+                   help="also cross-check fastpath/reference/deferred "
                         "compression and every merge schedule against "
                         "ground truth")
     p.add_argument("--fault-matrix", action="store_true",

@@ -29,20 +29,10 @@ from .intra import CypressConfig, IntraProcessCompressor, compress_streams
 from .quarantine import QuarantineReport
 
 
-@dataclass
-class CypressRun:
-    """Everything produced by one traced execution."""
-
-    compiled: CompiledProgram
-    nprocs: int
-    compressor: IntraProcessCompressor
-    run_result: RunResult
-    intra_seconds: float | None = None  # compression CPU time (if measured)
-    # Captured marker/event streams when the run used deferred
-    # compression (``compress_workers=``); lets ``compress()`` redo the
-    # compression with a different worker count.
-    capture: StreamCaptureSink | None = field(default=None, repr=False)
-    _merged: MergedCTT | None = field(default=None, repr=False)
+class MergedRunMixin:
+    """``merge`` / ``trace_bytes`` / ``save`` for a run object holding
+    ``compressor``, ``nprocs`` and a ``_merged`` cache — shared by
+    :class:`CypressRun` and :class:`repro.frontend.runner.PythonRun`."""
 
     @property
     def quarantine(self) -> QuarantineReport:
@@ -50,51 +40,10 @@ class CypressRun:
         Empty on a healthy run."""
         return self.compressor.quarantine
 
-    def compress(
-        self,
-        workers: int | str | None = None,
-        *,
-        strict: bool = False,
-        retries: int = 1,
-        task_timeout: float | None = None,
-        fault_plan=None,
-    ) -> IntraProcessCompressor:
-        """(Re-)compress the captured streams, optionally sharding ranks
-        over ``workers`` processes — byte-identical to serial.  Only
-        available when the run traced with ``compress_workers=`` (the
-        capture is kept); replaces ``compressor`` and drops any cached
-        merge."""
-        if self.capture is None:
-            raise ValueError(
-                "no captured streams: run with compress_workers= to defer "
-                "compression"
-            )
-        self.compressor = compress_streams(
-            self.compiled.cst,
-            self.capture.streams,
-            config=self.compressor.config,
-            workers=workers,
-            strict=strict,
-            retries=retries,
-            task_timeout=task_timeout,
-            fault_plan=fault_plan,
-            nranks=self.nprocs,
-        )
-        self._merged = None
-        return self.compressor
-
-    def merge(
-        self,
-        schedule: str = "tree",
-        workers: int | str | None = None,
-        *,
-        retries: int = 1,
-        task_timeout: float | None = None,
-    ) -> MergedCTT:
-        """Inter-process merge (cached).  ``workers`` > 1 (or ``"auto"``)
-        runs the reduction tree on a process pool for large rank counts.
-        Quarantined ranks are left out — the merge covers the healthy
-        survivors (their bytes are unaffected by the victims).
+    def merge(self, schedule: str = "tree") -> MergedCTT:
+        """Inter-process merge (cached).  Quarantined ranks are left
+        out — the merge covers the healthy survivors (their bytes are
+        unaffected by the victims).
 
         Under a memory budget the compressor has already folded completed
         ranks into a partial merge; finishing that merge is the only
@@ -115,9 +64,7 @@ class CypressRun:
                     f"({self.quarantine.summary()})"
                 )
             self._merged = merge_all(
-                ctts, schedule=schedule, workers=workers,
-                retries=retries, task_timeout=task_timeout,
-                nranks=self.nprocs,
+                ctts, schedule=schedule, nranks=self.nprocs
             )
         return self._merged
 
@@ -126,6 +73,18 @@ class CypressRun:
 
     def save(self, path: str, gzip: bool = False) -> int:
         return serialize.save(self.merge(), path, gzip=gzip)
+
+
+@dataclass
+class CypressRun(MergedRunMixin):
+    """Everything produced by one traced execution."""
+
+    compiled: CompiledProgram
+    nprocs: int
+    compressor: IntraProcessCompressor
+    run_result: RunResult
+    intra_seconds: float | None = None  # compression CPU time (if measured)
+    _merged: MergedCTT | None = field(default=None, repr=False)
 
     def replay(self, rank: int, merged: bool = True) -> list[ReplayEvent]:
         """Reconstruct ``rank``'s event sequence.  A quarantined rank has
@@ -175,11 +134,9 @@ def run_cypress(
     measure_overhead: bool = False,
     extra_sinks: list[TraceSink] | None = None,
     network: NetworkModel | None = None,
-    compress_workers: int | str | None = None,
+    deferred: bool = False,
     *,
     strict: bool = False,
-    retries: int = 1,
-    task_timeout: float | None = None,
     fault_plan=None,
 ) -> CypressRun:
     """Compile (if needed) and execute a MiniMPI program with the CYPRESS
@@ -192,27 +149,22 @@ def run_cypress(
     it when the last rank finishes, so the returned run holds no
     buffered items and ``intra_seconds`` includes the last drain.
 
-    ``compress_workers`` switches to *deferred* compression: the run is
-    traced into a :class:`~repro.mpisim.pmpi.StreamCaptureSink` and the
-    captured per-rank streams are compressed afterwards, sharded over
-    that many worker processes (``"auto"`` = all cores).  The result is
-    byte-identical to inline compression; with ``measure_overhead`` the
-    deferred compression wall time is reported as ``intra_seconds``.
+    ``deferred=True`` traces the run into a
+    :class:`~repro.mpisim.pmpi.StreamCaptureSink` and compresses the
+    captured per-rank streams afterwards (:func:`compress_streams`).
+    The result is byte-identical to inline compression; with
+    ``measure_overhead`` the deferred compression wall time is reported
+    as ``intra_seconds``.
 
     Fault tolerance (docs/INTERNALS.md §7): in the default lenient mode
     (``strict=False``) a rank whose captured stream mismatches the CST
     is quarantined instead of aborting the run — inspect
-    ``run.quarantine``.  ``retries``/``task_timeout`` govern worker-pool
-    recovery for sharded compression.  ``fault_plan`` injects seeded
-    faults (stream corruption and worker kill/hang/raise) for tests and
-    the CI fault-smoke job; stream corruption needs captured streams, so
-    a plan with ``corrupt_ranks`` forces deferred compression even when
-    ``compress_workers`` is unset.
+    ``run.quarantine``.  ``fault_plan`` injects seeded stream corruption
+    for tests and the CI fault-smoke job; corruption needs captured
+    streams, so a plan with ``corrupt_ranks`` forces deferred
+    compression.
     """
-    if fault_plan is not None and fault_plan.corrupt_ranks and (
-        compress_workers is None
-    ):
-        compress_workers = 1  # corruption applies to captured streams
+    corrupt = fault_plan is not None and bool(fault_plan.corrupt_ranks)
     registry = obs.active()
     compiled = (
         source if isinstance(source, CompiledProgram) else compile_minimpi(source)
@@ -221,7 +173,7 @@ def run_cypress(
         raise ValueError("program must be compiled with cypress=True")
     capture: StreamCaptureSink | None = None
     timing: TimingSink | None = None
-    if compress_workers is not None:
+    if deferred or corrupt:
         capture = StreamCaptureSink()
         sink: TraceSink = capture
     else:
@@ -248,7 +200,7 @@ def run_cypress(
     )
     if capture is not None:
         streams = capture.streams
-        if fault_plan is not None and fault_plan.corrupt_ranks:
+        if corrupt:
             from repro.faults import corrupt_streams
 
             streams = corrupt_streams(streams, fault_plan)
@@ -256,12 +208,7 @@ def run_cypress(
         with obs.span("intra.compress"):
             compressor = compress_streams(
                 compiled.cst, streams, config=config,
-                workers=compress_workers,
-                strict=strict,
-                retries=retries,
-                task_timeout=task_timeout,
-                fault_plan=fault_plan,
-                nranks=nprocs,
+                strict=strict, nranks=nprocs,
             )
         if measure_overhead:
             intra_seconds = time.perf_counter() - t0
@@ -280,5 +227,4 @@ def run_cypress(
         compressor=compressor,
         run_result=result,
         intra_seconds=intra_seconds,
-        capture=capture,
     )

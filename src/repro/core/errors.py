@@ -43,12 +43,6 @@ The taxonomy (docs/INTERNALS.md §7):
     replay context — ``rank``, ``gid``, ``op``, ``visit``, the record
     keys that were tried and the remaining cursor state — so salvage
     reports name the exact divergence instead of just a vertex.
-
-Worker-pool faults deliberately have no exception class of their own:
-the resilient executor (:mod:`repro.core.respool`) retries and then
-re-executes failed tasks serially in the parent, so the only errors
-that ever propagate are the task's own deterministic ones — which
-re-raise as themselves.
 """
 
 from __future__ import annotations

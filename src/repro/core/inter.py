@@ -24,18 +24,15 @@ no per-rank tree is ever built.  What keeps it linear:
 * ``rank → group`` lookups use a lazily built per-vertex map (O(1) per
   query during replay instead of a scan over all groups).
 
-``merge_all`` keeps its two schedule names.  Without workers ``tree``
-and ``fold`` are the same single pass.  ``tree`` with ``workers > 1``
-and at least ``parallel_threshold`` ranks runs on a ``multiprocessing``
-pool: contiguous power-of-two chunks of pickled CTTs merge concurrently
-(each chunk by the same single pass) and the parent combines the shard
-roots pairwise (:meth:`MergedCTT.absorb`) up a binary reduction tree.
+``merge_all`` keeps its two schedule names; ``tree`` and ``fold`` are
+the same single pass.  The paper's O(n log P) binary reduction is a
+statement about critical-path depth on P nodes; in this one-process
+harness it is the depth arithmetic in ``benchmarks/bench_ablations.py``.
+Pairwise :meth:`MergedCTT.absorb` stays as the reference the tests and
+``bench_merge_scaling`` compare the single pass against.
 """
 
 from __future__ import annotations
-
-import os
-import time
 
 from hashlib import blake2b
 
@@ -46,7 +43,6 @@ from .ctt import CTT, CTTVertex
 from .errors import MergeError  # noqa: F401 - historical import location
 from .ranks import ABS, REL
 from .records import CompressedRecord
-from .respool import run_tasks
 from .sequences import IntSequence
 
 
@@ -58,33 +54,21 @@ def _stable_hash(key: tuple) -> int:
     """Salt-free 64-bit signature hash.
 
     ``hash(tuple_of_strings)`` depends on the per-process
-    ``PYTHONHASHSEED`` salt, so a worker-computed hash is garbage in the
-    parent — the old ``__reduce__`` threw it away and re-walked the key
-    on every unpickle.  Hashing the key's packed byte form instead makes
-    signature identity process-independent: merge shards shipped home by
-    the pool carry their hashes with them, and dict lookups on either
-    side of the pipe agree."""
+    ``PYTHONHASHSEED`` salt, and group order at a vertex follows the
+    signature hash.  Hashing the key's packed byte form instead makes
+    group order — and so the container bytes — the same in every
+    process."""
     digest = blake2b(
         repr(key).encode("utf-8", "surrogatepass"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little", signed=True)
 
 
-def _restore_signature(key: tuple, cached_hash: int) -> "Signature":
-    sig = Signature.__new__(Signature)
-    sig.key = key
-    sig._hash = cached_hash
-    return sig
-
-
 class Signature:
     """An interned payload signature: hashes once, compares by pointer
     within a merge session (falling back to tuple equality across
-    sessions, e.g. when comparing trees merged independently).
-
-    The hash is salt-free (:func:`_stable_hash`), so it survives a
-    process hop: pickling ships the cached hash instead of re-deriving
-    it, and two processes always agree on a signature's hash."""
+    sessions, e.g. when comparing trees merged independently).  The
+    hash is salt-free (:func:`_stable_hash`)."""
 
     __slots__ = ("key", "_hash")
 
@@ -101,9 +85,6 @@ class Signature:
         if isinstance(other, Signature):
             return self.key == other.key
         return NotImplemented
-
-    def __reduce__(self):
-        return (_restore_signature, (self.key, self._hash))
 
     def __repr__(self) -> str:
         return f"Signature({self.key!r})"
@@ -136,7 +117,7 @@ class InternTable:
 
     def canon(self, sig: Signature) -> Signature:
         """Canonical representative for a foreign Signature (absorbing a
-        shard merged in another process/session)."""
+        tree merged in another session)."""
         cached = self._table.get(sig.key)
         if cached is not None:
             self.hits += 1
@@ -264,8 +245,8 @@ class Group:
 
     def absorb_ranks(self, other: "Group") -> None:
         """Take over ``other``'s (disjoint) member ranks, keeping the
-        list sorted — a concat for the contiguous rank chunks a reduction
-        tree produces, else a sort of two sorted runs (linear)."""
+        list sorted — a concat for contiguous rank chunks, else a sort
+        of two sorted runs (linear)."""
         a, b = self.ranks, other.ranks
         sa, sb = self._sources, other._sources
         deferred = sa is not None and sb is not None
@@ -477,7 +458,7 @@ class MergedCTT:
 
     def absorb(self, other: "MergedCTT") -> "MergedCTT":
         """Merge another merged tree into this one (O(n) vertex walk) —
-        how the parent combines the shard roots of a parallel merge."""
+        the pairwise reference the single pass is tested against."""
         mine_vertices = self.vertices()
         their_vertices = other.vertices()
         if len(mine_vertices) != len(their_vertices):
@@ -539,157 +520,20 @@ class MergedCTT:
 
 
 # ---------------------------------------------------------------------------
-# Schedules.
-
-
-def _merge_serial(ctts: list[CTT], nranks: int | None) -> MergedCTT:
-    """The single pass: every rank CTT walked once into one accumulator
-    (not finalized)."""
-    merged = MergedCTT(MergedVertex(ctts[0].root), 0)
-    for ctt in ctts:
-        merged.add_rank(ctt, nranks)
-    return merged
-
-
-def _tree_reduce(merged: list[MergedCTT], registry=None) -> MergedCTT:
-    """Binary reduction of shard roots: level-by-level adjacent pairing.
-
-    With an active metrics ``registry``, each reduction level's wall time
-    is recorded as timer ``inter.level.NN`` (two clock reads per *level*,
-    so the instrumented and bare paths are the same code)."""
-    level = 0
-    while len(merged) > 1:
-        t0 = time.perf_counter() if registry is not None else 0.0
-        nxt = []
-        for i in range(0, len(merged) - 1, 2):
-            nxt.append(merged[i].absorb(merged[i + 1]))
-        if len(merged) % 2:
-            nxt.append(merged[-1])
-        merged = nxt
-        if registry is not None:
-            registry.observe(
-                f"inter.level.{level:02d}", time.perf_counter() - t0
-            )
-        level += 1
-    if registry is not None and level:
-        registry.gauge_max("inter.levels", float(level))
-    return merged[0]
-
-
-def _merge_shard(payload) -> tuple:
-    """Worker entry point: merge one contiguous chunk of rank CTTs
-    (``payload`` is ``(ctts, nranks)``).
-
-    Must stay a module-level function (pickled by ``multiprocessing``).
-    The shard is *not* finalized — statistics materialize once, in the
-    parent, in global rank order.  Ships ``(merged, stats)`` so the
-    parent can aggregate per-worker timings and intern-table hit counts
-    (the shard's own intern table also travels inside ``merged``; the
-    parent only adds counts for shards whose tables get discarded when
-    they are absorbed into shard 0's).
-    """
-    ctts, nranks = payload
-    t0 = time.perf_counter()
-    merged = _merge_serial(ctts, nranks)
-    stats = {
-        "elapsed": time.perf_counter() - t0,
-        "intern_hits": merged.interns.hits,
-        "intern_misses": merged.interns.misses,
-    }
-    return merged, stats
-
-
-def _resolve_workers(workers) -> int:
-    if workers in (None, 0, 1):
-        return 1
-    if workers == "auto":
-        return os.cpu_count() or 1
-    n = int(workers)
-    return n if n > 1 else 1
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
-
-
-def _parallel_tree_merge(
-    ctts: list[CTT],
-    nworkers: int,
-    retries: int = 1,
-    task_timeout: float | None = None,
-    fault_plan=None,
-    nranks: int | None = None,
-) -> MergedCTT | None:
-    """Merge on a process pool; ``None`` means "fall back to serial"
-    (too few chunks to win).
-
-    Chunks are contiguous, power-of-two-sized and aligned: each worker
-    merges one chunk in a single pass, the parent reduces the shard
-    roots pairwise, level by level.
-
-    Worker failures are handled by the resilient executor
-    (:func:`repro.core.respool.run_tasks`): a chunk whose worker raises,
-    dies, or exceeds ``task_timeout`` is retried and ultimately
-    merged serially in the parent — ``_merge_shard`` is
-    deterministic over immutable per-rank CTTs, so the recovered merge
-    is byte-identical to an all-healthy run.
-    """
-    chunk = _next_pow2(-(-len(ctts) // nworkers))
-    chunks = [
-        (ctts[i : i + chunk], nranks) for i in range(0, len(ctts), chunk)
-    ]
-    if len(chunks) < 2:
-        return None
-    results = run_tasks(
-        _merge_shard,
-        chunks,
-        stage="inter",
-        workers=min(nworkers, len(chunks)),
-        retries=retries,
-        timeout=task_timeout,
-        fault_plan=fault_plan,
-    )
-    shards = [merged for merged, _stats in results]
-    registry = obs.active()
-    if registry is not None:
-        registry.gauge_max("inter.workers", float(len(chunks)))
-        for i, (_merged, stats) in enumerate(results):
-            registry.observe("inter.worker_seconds", stats["elapsed"])
-            if i > 0:  # shard 0's table survives; count the discarded ones
-                registry.counter_add("inter.intern_hits", stats["intern_hits"])
-                registry.counter_add(
-                    "inter.intern_misses", stats["intern_misses"]
-                )
-    return _tree_reduce(shards, registry)
+# The merge.
 
 
 def merge_all(
     ctts: list[CTT],
     schedule: str = "tree",
-    workers: int | str | None = None,
-    parallel_threshold: int = 64,
     *,
-    retries: int = 1,
-    task_timeout: float | None = None,
-    fault_plan=None,
     nranks: int | None = None,
 ) -> MergedCTT:
     """Merge every rank's CTT into the job-wide compressed trace.
 
-    Serially, both schedules are one pass over the ranks into a single
-    accumulator.  ``schedule='tree'`` with ``workers=N`` (or ``"auto"``)
-    runs the paper's parallel binary reduction (O(n log P) critical
-    path) on a ``multiprocessing`` pool once at least
-    ``parallel_threshold`` ranks are being merged; ``schedule='fold'``
-    never uses the pool.  Every schedule produces a bit-identical merged
-    trace: group statistics always materialize in ascending rank order.
-
-    Pool-worker failures (crash, kill, hang under ``task_timeout``) are
-    retried ``retries`` times with backoff, then the failed chunks are
-    merged serially in the parent — loudly (``RuntimeWarning`` plus
-    ``faults.*`` counters), with the recovered result byte-identical to
-    an all-healthy run.  ``fault_plan`` lets tests/CI inject worker
-    faults (docs/INTERNALS.md §7).
+    Both schedule names run the same single pass over the ranks into one
+    accumulator; group statistics always materialize in ascending rank
+    order.
 
     With ``nranks`` given, record keys whose relative peer would decode
     outside ``[0, nranks)`` for their rank are re-encoded absolute at
@@ -703,18 +547,11 @@ def merge_all(
         raise ValueError(f"unknown merge schedule {schedule!r}")
     registry = obs.active()
     with obs.span("inter.merge"):
-        result = None
-        nworkers = _resolve_workers(workers) if schedule == "tree" else 1
-        if nworkers > 1 and len(ctts) >= parallel_threshold:
-            result = _parallel_tree_merge(
-                ctts, nworkers,
-                retries=retries, task_timeout=task_timeout,
-                fault_plan=fault_plan, nranks=nranks,
-            )
-        if result is None:
-            if registry is not None:
-                registry.counter_add("inter.add_rank", len(ctts))
-            result = _merge_serial(ctts, nranks)
+        if registry is not None:
+            registry.counter_add("inter.add_rank", len(ctts))
+        result = MergedCTT(MergedVertex(ctts[0].root), 0)
+        for ctt in ctts:
+            result.add_rank(ctt, nranks)
         result.finalize()
     if registry is not None:
         _publish_merge_metrics(registry, result)

@@ -55,17 +55,14 @@ key-interning cache, forcing the pre-optimization reference path (generic
 predicate scan + fresh key per event); tests assert both paths produce
 byte-identical serialized traces.
 
-Parallel compression: per-rank states are fully independent, so captured
+Deferred compression: per-rank states are fully independent, so captured
 marker/event streams (:class:`~repro.mpisim.pmpi.StreamCaptureSink`) can
-be compressed by :func:`compress_streams` on a multiprocessing pool —
-rank shards compress concurrently, mirroring the inter-process merge
-workers, with output guaranteed byte-identical to serial compression.
+be compressed after the run by :func:`compress_streams`, with output
+byte-identical to compressing in line.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from operator import length_hint
 
@@ -99,7 +96,6 @@ from .errors import MergeError, StreamMismatchError
 from .quarantine import QuarantinedRank, QuarantineReport
 from .ranks import encode_peer
 from .records import CompressedRecord, make_key
-from .respool import run_tasks
 from .timing import MEANSTD, TimeStats
 
 #: Backwards-compatible alias — the dynamic module's historical name for
@@ -133,9 +129,7 @@ class CypressConfig:
     the budget by folding completed ranks into a partial merged tree and
     spilling cold rank states to crash-safe containers under
     ``spill_dir`` (a private temp dir when None).  Budgeted output is
-    byte-identical to the unbudgeted pipeline; budgeted compression runs
-    the serial path (eager sharded merging would reassociate the
-    schedule-invariant stats fold).
+    byte-identical to the unbudgeted pipeline.
     """
 
     window: int | None = None  # None = unbounded keyed merge
@@ -353,22 +347,6 @@ class IntraProcessCompressor(CaptureCallbacks):
             "intra.live_drains": self.m_live_drains,
             "intra.live_buffer_peak_items": self.m_live_buffer_peak,
         }
-
-    def absorb_metrics_counters(self, counters: dict[str, int]) -> None:
-        """Fold a worker shard's counter snapshot into this compressor
-        (only the slow-path counters — the derived totals recompute from
-        the absorbed CTTs)."""
-        self.m_mono_miss += counters.get("intra.mono_cache_miss", 0)
-        self.m_key_build += counters.get("intra.key_builds", 0)
-        self.m_stream_fallback += counters.get("intra.stream_fallback", 0)
-        self.m_wildcard_deferred += counters.get("intra.wildcard_deferred", 0)
-        self.m_live_drains += counters.get("intra.live_drains", 0)
-        depth = counters.get("intra.wildcard_max_depth", 0)
-        if depth > self.m_wildcard_max_depth:
-            self.m_wildcard_max_depth = depth
-        peak = counters.get("intra.live_buffer_peak_items", 0)
-        if peak > self.m_live_buffer_peak:
-            self.m_live_buffer_peak = peak
 
     def publish_metrics(self, registry) -> None:
         """Push counters plus derived hit-rate gauges into ``registry``."""
@@ -1125,15 +1103,15 @@ class IntraProcessCompressor(CaptureCallbacks):
             )
 
     # ------------------------------------------------------------------
-    # Batched stream ingestion (capture/replay and the parallel executor).
+    # Batched stream ingestion (live drains, deferred compression, server).
 
     def ingest_stream(self, rank: int, stream) -> None:
         """Compress a run of one rank's marker/event stream (a list of
         the opcode tuples :class:`~repro.mpisim.pmpi.CaptureCallbacks`
         builds), with the rank state and all handler bindings hoisted
         out of the loop.  The only interpreter of stream items: live
-        tracing drains its buffers through here, and so do the parallel
-        compression workers, the server and the ingestion benchmarks.
+        tracing drains its buffers through here, and so do
+        :func:`compress_streams`, the server and the ingestion benchmarks.
 
         A :class:`~repro.core.errors.StreamMismatchError` leaves with
         ``item_index`` set to the offending item's index in the rank's
@@ -1377,7 +1355,7 @@ class IntraProcessCompressor(CaptureCallbacks):
 
 
 # ---------------------------------------------------------------------------
-# Sharded parallel compression executor (fault-tolerant; see respool).
+# Deferred compression of captured streams, with rank quarantine.
 
 
 def _raw_stream_of(stream):
@@ -1417,46 +1395,6 @@ def _ingest_or_quarantine(
         )
 
 
-def _compress_shard(payload) -> tuple:
-    """Worker entry point: compress one contiguous shard of rank streams.
-
-    Must stay a module-level function of one argument (the respool
-    pickling contract).  Per-rank compression is deterministic and rank
-    states never interact, so shard results are exactly what serial
-    compression would produce — which is also why the resilient executor
-    may safely re-execute a shard after a worker failure.  Besides the
-    CTTs, the worker ships quarantine metadata (raw streams stay with
-    the parent, which already holds them), its counter snapshot and wall
-    time home so the parent can aggregate per-worker metrics.
-    """
-    cst, config, items, strict = payload
-    t0 = time.perf_counter()
-    comp = IntraProcessCompressor(cst, config=config)
-    report = QuarantineReport()
-    for rank, stream in items:
-        _ingest_or_quarantine(comp, rank, stream, strict, report)
-    elapsed = time.perf_counter() - t0
-    return (
-        [
-            (rank, comp.ctt(rank))
-            for rank, _stream in items
-            if rank in comp._states
-        ],
-        [(q.rank, q.error, q.events) for q in report],
-        comp.metrics_counters(),
-        elapsed,
-    )
-
-
-def _resolve_workers(workers) -> int:
-    if workers in (None, 0, 1):
-        return 1
-    if workers == "auto":
-        return os.cpu_count() or 1
-    n = int(workers)
-    return n if n > 1 else 1
-
-
 def close_shared_sessions() -> None:
     """No-op: nothing outlives a :func:`compress_streams` call.  Kept
     only because ``benchmarks/e2e`` (``batch.py``, ``run.py``) calls it."""
@@ -1466,43 +1404,32 @@ def compress_streams(
     cst: CSTNode,
     streams: dict[int, list],
     config: CypressConfig | None = None,
-    workers: int | str | None = None,
-    parallel_threshold: int = 2,
+    workers=None,
     *,
     strict: bool = False,
-    retries: int = 1,
-    task_timeout: float | None = None,
-    fault_plan=None,
     nranks: int | None = None,
 ) -> IntraProcessCompressor:
     """Compress captured per-rank streams into an
-    :class:`IntraProcessCompressor`, optionally sharding ranks over
-    forked worker processes (``workers`` as an int or ``"auto"``).
+    :class:`IntraProcessCompressor`, one rank after another in this
+    process.
 
-    Rank states are fully independent, so the parallel result is
-    **byte-identical** to serial in-line compression; fewer than
-    ``parallel_threshold`` ranks compress serially.  Serial is the
-    default and the fastest at every benchmarked size (README,
-    "Parallel compression").
+    ``workers`` is accepted and ignored.  Kept only because
+    ``benchmarks/e2e/batch.py`` passes ``workers=2`` in its traced pass
+    (its ``compress_w2_s`` row then times this same loop).
 
     Fault tolerance (docs/INTERNALS.md §7): by default
     (``strict=False``) a rank whose stream mismatches the CST is
     *quarantined* — recorded on the returned compressor's
     ``.quarantine`` report with its raw capture, while every healthy
     rank compresses normally; ``strict=True`` restores the fail-fast
-    :class:`~repro.core.errors.StreamMismatchError` raise.  Worker-pool
-    failures (crash, kill, hang under ``task_timeout``) are retried
-    ``retries`` times with backoff and then re-executed serially in the
-    parent — loudly (``RuntimeWarning`` + ``faults.*`` counters), never
-    silently.  ``fault_plan`` lets tests/CI inject worker faults.
+    :class:`~repro.core.errors.StreamMismatchError` raise.
 
     ``streams`` values may be capture lists, :class:`~repro.core.packed.
     PackedStream` objects, or packed blobs (``bytes``); a packed source
     is decoded (:func:`~repro.core.packed.decode_stream`) and every rank
     runs :meth:`~IntraProcessCompressor.ingest_stream`.
 
-    With ``config.memory_budget_bytes`` set the call runs the bounded
-    serial path regardless of ``workers``: each rank is sealed and
+    With ``config.memory_budget_bytes`` set each rank is sealed and
     incrementally folded into a partial merged tree as its stream ends,
     cold ranks spill under budget pressure, and the result is read via
     ``comp.merged(...)`` — byte-identical to the unbudgeted pipeline
@@ -1511,56 +1438,14 @@ def compress_streams(
     """
     comp = IntraProcessCompressor(cst, config=config)
     items = sorted(streams.items())
-    nworkers = _resolve_workers(workers)
     if comp.config.memory_budget_bytes is not None:
-        # Bounded-memory mode is serial by construction: the incremental
-        # fold must absorb ranks in ascending order through the shared
-        # partial tree, which sharded eager merging cannot reproduce.
-        nworkers = 1
         comp.enable_incremental_fold(
             nranks=nranks, domain=[rank for rank, _ in items]
         )
+    for rank, stream in items:
+        _ingest_or_quarantine(comp, rank, stream, strict, comp.quarantine)
+        comp.seal_rank(rank)  # no-op unless the fold is armed
     registry = obs.active()
-    if nworkers > 1 and len(items) >= max(2, parallel_threshold):
-        nworkers = min(nworkers, len(items))
-        chunk = -(-len(items) // nworkers)
-        payloads = [
-            (cst, comp.config, items[i : i + chunk], strict)
-            for i in range(0, len(items), chunk)
-        ]
-        results = run_tasks(
-            _compress_shard,
-            payloads,
-            stage="intra",
-            workers=len(payloads),
-            retries=retries,
-            timeout=task_timeout,
-            fault_plan=fault_plan,
-        )
-        for shard_ctts, shard_quarantined, shard_counters, shard_seconds in results:
-            for rank, ctt in shard_ctts:
-                comp._states[rank] = _RankState(ctt=ctt, rank=rank)
-            for rank, error, nevents in shard_quarantined:
-                # Workers ship quarantine metadata only; the raw capture
-                # never left the parent.
-                comp.quarantine.add(
-                    QuarantinedRank(
-                        rank=rank,
-                        stage="intra",
-                        error=error,
-                        events=nevents,
-                        raw_stream=_raw_stream_of(streams[rank]),
-                    )
-                )
-            comp.absorb_metrics_counters(shard_counters)
-            if registry is not None:
-                registry.observe("intra.worker_seconds", shard_seconds)
-        if registry is not None:
-            registry.gauge_max("intra.workers", float(len(payloads)))
-    else:
-        for rank, stream in items:
-            _ingest_or_quarantine(comp, rank, stream, strict, comp.quarantine)
-            comp.seal_rank(rank)  # no-op unless the fold is armed
     if comp.quarantine and registry is not None:
         registry.counter_add("faults.quarantined_ranks", len(comp.quarantine))
     return comp

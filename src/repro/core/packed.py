@@ -294,7 +294,7 @@ def iter_column_chunks(cols: Columns, chunk_items: int = CHUNK_ITEMS):
     """Yield ``(codes, events, markers, reqc)`` chunks of at most
     ``chunk_items`` stream items, each column fully unpacked to tuples.
 
-    Splitting by item count keeps worker memory bounded on huge streams
+    Splitting by item count keeps decode memory bounded on huge streams
     while each column slice still decodes in one ``iter_unpack`` sweep.
     """
     codes = cols.codes

@@ -24,13 +24,13 @@ Container layout (version 6, crash-safe — docs/INTERNALS.md §7)::
     kind 0 END      : number of preceding sections | total vertex count
 
 Every section carries a CRC32 over its own framing and payload, and the
-END marker pins the section count — so a v5 file fails loudly
+END marker pins the section count — so a file fails loudly
 (:class:`~repro.core.errors.TraceFormatError`) on any flipped bit or
 missing tail, while ``loads(..., salvage=True)`` recovers the longest
 checksum-valid prefix of a truncated file (vertices whose payload chunk
-was lost simply have no groups).  Version 5 stays readable; older,
-unframed files do not.  :func:`save` is atomic: temp file + fsync +
-``os.replace``, so an interrupted save never clobbers an existing trace.
+was lost simply have no groups).  Older versions are refused.
+:func:`save` is atomic: temp file + fsync + ``os.replace``, so an
+interrupted save never clobbers an existing trace.
 
 Round-trips: ``loads(dumps(m))`` reconstructs a replayable MergedCTT.
 """
@@ -53,13 +53,8 @@ from .timing import HIST, MEANSTD, TimeStats
 
 _MAGIC = b"CYTR"
 _VERSION = 6
-# Version 5 differs only in topology: branch vertices carried no ast id,
-# so adjacent sibling branch groups could not be told apart at replay
-# (they fused when their taken paths happened to differ).  Still
-# readable; replay of a v5 tree keeps the old (fusing) behavior.
-_V5 = 5
 
-# Section kinds of the v5 container.
+# Section kinds of the container.
 _SEC_END = 0
 _SEC_HEADER = 1
 _SEC_TOPOLOGY = 2
@@ -263,8 +258,7 @@ def _read_record(r: ByteReader, ops: list[str]) -> CompressedRecord:
 
 
 def _write_topology(
-    w: ByteWriter, vertices, strings: dict[str, int],
-    with_ast: bool = False,
+    w: ByteWriter, vertices, strings: dict[str, int]
 ) -> None:
     for v in vertices:
         w.u(_KIND_CODE[v.kind])
@@ -273,12 +267,11 @@ def _write_topology(
             w.u(strings[v.name] if v.name is not None else len(strings))
         elif v.kind == BRANCH:
             w.u(v.branch_path if v.branch_path is not None else 0)
-            if with_ast:
-                # Replay groups consecutive same-ast branch children;
-                # without the ast id, two adjacent sibling branches that
-                # took different paths are indistinguishable from one
-                # two-path group.
-                w.z(v.ast_id if v.ast_id is not None else -1)
+            # Replay groups consecutive same-ast branch children;
+            # without the ast id, two adjacent sibling branches that
+            # took different paths are indistinguishable from one
+            # two-path group.
+            w.z(v.ast_id if v.ast_id is not None else -1)
         w.u(len(v.children))
 
 
@@ -294,9 +287,7 @@ def _blank_vertex(gid: int, kind: str) -> MergedVertex:
     return v
 
 
-def _read_topology_vertex(
-    r: ByteReader, strings: list[str], with_ast: bool = False,
-) -> MergedVertex:
+def _read_topology_vertex(r: ByteReader, strings: list[str]) -> MergedVertex:
     kind = _CODE_KIND[r.u()]
     v = _blank_vertex(-1, kind)
     if kind == CALL:
@@ -306,12 +297,11 @@ def _read_topology_vertex(
         v.name = strings[name_idx] if name_idx < len(strings) else None
     elif kind == BRANCH:
         v.branch_path = r.u()
-        if with_ast:
-            ast = r.z()
-            v.ast_id = None if ast == -1 else ast
+        ast = r.z()
+        v.ast_id = None if ast == -1 else ast
     nchildren = r.u()
     v.children = [
-        _read_topology_vertex(r, strings, with_ast) for _ in range(nchildren)
+        _read_topology_vertex(r, strings) for _ in range(nchildren)
     ]
     return v
 
@@ -366,7 +356,7 @@ def _read_vertex_payload(
 
 
 # ---------------------------------------------------------------------------
-# v5 section framing.
+# Section framing.
 
 
 def _write_section(w: ByteWriter, kind: int, payload: bytes) -> None:
@@ -487,7 +477,7 @@ def _dumps(merged: MergedCTT, gzip: bool, chunk_bytes: int) -> bytes:
     for text in strings:  # dict preserves insertion order
         hw.s(text)
     tw = ByteWriter()
-    _write_topology(tw, vertices, strings, with_ast=True)
+    _write_topology(tw, vertices, strings)
     # Payload, pre-order, chunked so a truncated file salvages to the
     # longest checksum-valid prefix of vertices instead of losing the
     # whole payload.
@@ -569,7 +559,7 @@ def loads(data: bytes, salvage: bool = False) -> MergedCTT:
     Corrupt input raises :class:`~repro.core.errors.TraceFormatError`
     (a :class:`ValueError` subclass for one release) — never an
     arbitrary internal exception.  With ``salvage=True`` a truncated or
-    tail-corrupted v5 file loads as the longest checksum-valid prefix:
+    tail-corrupted file loads as the longest checksum-valid prefix:
     the returned tree carries ``salvage_info`` describing what was
     recovered; the header and topology sections must survive or
     salvage, too, fails.
@@ -592,20 +582,17 @@ def _loads(data: bytes, salvage: bool) -> MergedCTT:
     r = ByteReader(data)
     r.raw(4)
     version = r.u()
-    if version not in (_V5, _VERSION):
+    if version != _VERSION:
         raise TraceFormatError(f"unsupported trace version {version}")
     sections, complete, error = _read_sections(data, r._pos, salvage)
-    return _assemble_v5(
-        sections, complete, error, salvage, with_ast=version >= _VERSION
-    )
+    return _assemble(sections, complete, error, salvage)
 
 
-def _assemble_v5(
+def _assemble(
     sections: list[tuple[int, bytes]],
     complete: bool,
     error: str | None,
     salvage: bool,
-    with_ast: bool = True,
 ) -> MergedCTT:
     if not sections or sections[0][0] != _SEC_HEADER:
         raise TraceFormatError(
@@ -621,7 +608,7 @@ def _assemble_v5(
     nranks = hr.u()
     strings = [hr.s() for _ in range(hr.u())]
     tr = ByteReader(sections[1][1])
-    root = _read_topology_vertex(tr, strings, with_ast)
+    root = _read_topology_vertex(tr, strings)
     vertices = list(root.preorder())
     for gid, v in enumerate(vertices):
         v.gid = gid
@@ -682,7 +669,7 @@ def _torn_in_container_header(data: bytes) -> bool:
         return False
     if len(data) == 4:
         return True
-    return len(data) == 5 and data[4] in (_V5, _VERSION)
+    return len(data) == 5 and data[4] == _VERSION
 
 
 def _empty_salvage(nbytes: int) -> MergedCTT:

@@ -1,17 +1,14 @@
 """Deterministic fault injection for the compression pipeline.
 
-Production petascale runs lose ranks, workers, and file tails; this
-package makes every one of those failures *reproducible* so the
-resilience layer (rank quarantine, pool retries, crash-safe trace I/O —
-docs/INTERNALS.md §7) is testable in CI instead of only in postmortems.
+Production petascale runs lose ranks and file tails; this package makes
+each of those failures *reproducible* so the resilience layer (rank
+quarantine, crash-safe trace I/O — docs/INTERNALS.md §7) is testable in
+CI instead of only in postmortems.
 
 Everything is driven by a seeded :class:`FaultPlan`:
 
 * :func:`corrupt_streams` mangles captured per-rank event streams
   (unknown ops, bogus opcodes, unbalanced markers);
-* :class:`WorkerFault` entries kill, hang, or fail specific pool tasks
-  on specific attempts (executed worker-side by
-  :func:`apply_worker_fault` via :mod:`repro.core.respool`);
 * :func:`truncate` / :func:`bitflip` / :func:`corrupt_bytes` damage
   serialized trace bytes the way a crash mid-write or bit rot would;
 * :func:`corrupt_merged` damages a *merged trace's payload* in ways the
@@ -23,35 +20,16 @@ Same seed → byte-identical faults, every run.
 
 from .data import bitflip, corrupt_bytes, truncate
 from .payload import PAYLOAD_KINDS, corrupt_merged
-from .plan import (
-    ACTION_HANG,
-    ACTION_KILL,
-    ACTION_RAISE,
-    CORRUPT_KINDS,
-    NO_FAULTS,
-    STAGE_INTER,
-    STAGE_INTRA,
-    FaultPlan,
-    WorkerFault,
-)
+from .plan import CORRUPT_KINDS, NO_FAULTS, FaultPlan
 from .streams import BOGUS_OP, BOGUS_OPCODE, corrupt_stream, corrupt_streams
-from .workers import InjectedWorkerError, apply_worker_fault
 
 __all__ = [
-    "ACTION_HANG",
-    "ACTION_KILL",
-    "ACTION_RAISE",
     "BOGUS_OP",
     "BOGUS_OPCODE",
     "CORRUPT_KINDS",
     "FaultPlan",
-    "InjectedWorkerError",
     "NO_FAULTS",
     "PAYLOAD_KINDS",
-    "STAGE_INTER",
-    "STAGE_INTRA",
-    "WorkerFault",
-    "apply_worker_fault",
     "bitflip",
     "corrupt_bytes",
     "corrupt_merged",

@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro import obs
+from repro.core.api import MergedRunMixin
 from repro.core.decompress import ReplayEvent, decompress_merged_rank
-from repro.core.inter import MergedCTT, merge_all
+from repro.core.inter import MergedCTT
 from repro.core.intra import CypressConfig, IntraProcessCompressor, compress_streams
-from repro.core import serialize
 from repro.mpisim.netmodel import NetworkModel
 from repro.mpisim.pmpi import MultiSink, StreamCaptureSink, TraceSink
 from repro.mpisim.runtime import Runtime, RunResult
@@ -21,46 +21,14 @@ RankFunction = Callable[[TracedComm], Iterator[None]]
 
 
 @dataclass
-class PythonRun:
+class PythonRun(MergedRunMixin):
     """Result of tracing a Python rank function."""
 
     structure: BuiltStructure
     nprocs: int
     compressor: IntraProcessCompressor
     run_result: RunResult
-    capture: StreamCaptureSink | None = field(default=None, repr=False)
     _merged: MergedCTT | None = field(default=None, repr=False)
-
-    def compress(self, workers: int | str | None = None) -> IntraProcessCompressor:
-        """(Re-)compress the captured streams (see
-        :meth:`repro.core.api.CypressRun.compress`)."""
-        if self.capture is None:
-            raise ValueError(
-                "no captured streams: run with compress_workers= to defer "
-                "compression"
-            )
-        self.compressor = compress_streams(
-            self.structure.cst,
-            self.capture.streams,
-            config=self.compressor.config,
-            workers=workers,
-        )
-        self._merged = None
-        return self.compressor
-
-    def merge(
-        self, schedule: str = "tree", workers: int | str | None = None
-    ) -> MergedCTT:
-        if self._merged is None:
-            ctts = [self.compressor.ctt(r) for r in range(self.nprocs)]
-            self._merged = merge_all(ctts, schedule=schedule, workers=workers)
-        return self._merged
-
-    def trace_bytes(self, gzip: bool = False) -> int:
-        return len(serialize.dumps(self.merge(), gzip=gzip))
-
-    def save(self, path: str, gzip: bool = False) -> int:
-        return serialize.save(self.merge(), path, gzip=gzip)
 
     def replay(self, rank: int) -> list[ReplayEvent]:
         return decompress_merged_rank(self.merge(), rank)
@@ -73,7 +41,7 @@ def run_python(
     config: CypressConfig | None = None,
     extra_sinks: list[TraceSink] | None = None,
     network: NetworkModel | None = None,
-    compress_workers: int | str | None = None,
+    deferred: bool = False,
 ) -> PythonRun:
     """Execute ``rank_fn`` on every simulated rank with CYPRESS attached.
 
@@ -81,10 +49,8 @@ def run_python(
     :class:`TracedComm`; ``structure`` is the declared communication
     structure (see :class:`repro.frontend.structure.S`).
 
-    ``compress_workers`` defers compression: the run is traced into a
-    stream capture and compressed afterwards on that many worker
-    processes (``"auto"`` = all cores), byte-identical to inline
-    compression.
+    ``deferred=True`` traces the run into a stream capture and
+    compresses it afterwards, byte-identical to inline compression.
     """
     registry = obs.active()
     built = (
@@ -93,7 +59,7 @@ def run_python(
         else build_structure(structure)
     )
     capture: StreamCaptureSink | None = None
-    if compress_workers is not None:
+    if deferred:
         capture = StreamCaptureSink()
         sink: TraceSink = capture
     else:
@@ -111,8 +77,7 @@ def run_python(
     if capture is not None:
         with obs.span("intra.compress"):
             compressor = compress_streams(
-                built.cst, capture.streams, config=config,
-                workers=compress_workers,
+                built.cst, capture.streams, config=config, nranks=nprocs
             )
     if registry is not None:
         compressor.publish_metrics(registry)
@@ -122,5 +87,4 @@ def run_python(
         nprocs=nprocs,
         compressor=compressor,
         run_result=result,
-        capture=capture,
     )

@@ -27,10 +27,8 @@ Capture: :class:`CaptureCallbacks` turns every callback into one compact
 opcode tuple; :class:`StreamCaptureSink` keeps the complete per-rank
 stream of them.  A captured stream can be replayed
 into any sink later (``replay_into``) or handed to
-:func:`repro.core.intra.compress_streams`, which shards ranks over a
-process pool — the deferred-compression mode behind
-``run_cypress(compress_workers=...)`` and the CLI ``--compress-workers``
-flag.
+:func:`repro.core.intra.compress_streams` — the deferred-compression
+mode behind ``run_cypress(deferred=True)``.
 """
 
 from __future__ import annotations
@@ -308,10 +306,9 @@ class StreamCaptureSink(CaptureCallbacks):
 
     Capturing is one tuple construction plus a list append per callback —
     far cheaper than compressing at the callback — which is what makes
-    deferred (and parallel) compression worthwhile: the traced run
-    finishes at near-uninstrumented speed and the captured streams are
-    compressed afterwards, per rank, on however many workers are
-    available.
+    deferred compression worthwhile: the traced run finishes at
+    near-uninstrumented speed and the captured streams are compressed
+    afterwards, per rank.
     """
 
     def __init__(self) -> None:

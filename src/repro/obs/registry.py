@@ -23,12 +23,10 @@ gauges (last-write-wins floats with a ``gauge_max`` variant), timers
 (count/total/min/max aggregates) and spans (wall-clock stage intervals
 with a dotted hierarchy path built from the active span stack).
 
-Cross-process aggregation: worker processes (``--compress-workers`` /
-``--merge-workers`` pools) never touch the global registry — they return
-plain stat dicts which the parent folds in via :meth:`merge_dict`
-(counters sum, gauges max, timers merge, worker spans fold into timers
-keyed by their path, since wall-clock offsets are not comparable across
-processes).
+Cross-process aggregation: another process's :meth:`to_dict` output
+folds in via :meth:`merge_dict` (counters sum, gauges max, timers merge,
+foreign spans fold into timers keyed by their path, since wall-clock
+offsets are not comparable across processes).
 """
 
 from __future__ import annotations
@@ -186,9 +184,9 @@ class MetricsRegistry:
     # -- aggregation ------------------------------------------------------
 
     def merge_dict(self, data: dict) -> None:
-        """Fold a worker process's :meth:`to_dict` output into this
+        """Fold another process's :meth:`to_dict` output into this
         registry: counters sum, gauges take the max (they are depths and
-        rates), timers merge, and worker spans become timer observations
+        rates), timers merge, and its spans become timer observations
         keyed by span path — wall-clock offsets from another process are
         not comparable with ours."""
         for name, value in data.get("counters", {}).items():

@@ -6,11 +6,10 @@ equivalent:
 * fastpath compression == reference compression
   (``CypressConfig(fastpath=False)``);
 * inline (callback) compression — capture-and-drain with a small drain
-  size — == deferred serial == deferred parallel
-  (``compress_streams(workers=N)``);
+  size — == deferred compression (``compress_streams``);
 * the packed codec (CYPK blobs through ``compress_streams``: encode,
   decode, walk) == the list-stream path (``packed``);
-* fold merge == tree merge == parallel tree merge (byte-identical);
+* fold merge == tree merge (byte-identical);
 * every rank's replay is the same before and after the merge, and equals
   the ground-truth recorded sequence.
 
@@ -106,7 +105,7 @@ def differential_check(
     defines: dict[str, int] | None = None,
     *,
     workload: str = "<inline>",
-    schedules: tuple[str, ...] = ("fold", "tree", "parallel"),
+    schedules: tuple[str, ...] = ("fold", "tree"),
     max_divergences: int = 20,
 ) -> DifferentialReport:
     """Cross-check every compression variant and merge schedule against
@@ -150,10 +149,7 @@ def differential_check(
             compiled.cst, capture.streams,
             config=CypressConfig(fastpath=False),
         ),
-        "parallel": compress_streams(
-            compiled.cst, capture.streams, workers=2, parallel_threshold=2,
-        ),
-        # Packed codec round trip, serially (no pool in the way).
+        # Packed codec round trip.
         "packed": compress_streams(compiled.cst, packed_streams),
     }
     report.variants = sorted(variants)
@@ -192,15 +188,10 @@ def differential_check(
 
     # -- merge schedules, all from the fastpath CTTs ----------------------
     ctts = [variants["fastpath"].ctt(r) for r in range(nprocs)]
-    merged_by: dict[str, object] = {}
-    for sched in schedules:
-        if sched == "parallel":
-            merged_by[sched] = merge_all(
-                ctts, schedule="tree", workers=2, parallel_threshold=2,
-                nranks=nprocs,
-            )
-        else:
-            merged_by[sched] = merge_all(ctts, schedule=sched, nranks=nprocs)
+    merged_by = {
+        sched: merge_all(ctts, schedule=sched, nranks=nprocs)
+        for sched in schedules
+    }
     report.schedules = list(schedules)
     blobs = {s: serialize.dumps(m) for s, m in merged_by.items()}
     names = list(schedules)

@@ -59,12 +59,8 @@ def _schedule_blobs(cst, streams, nprocs):
     ref = compress_streams(cst, streams)
     ctts = [ref.ctt(r) for r in sorted(streams)]
     blobs = {}
-    for sched in ("fold", "tree", "parallel"):
-        if sched == "parallel":
-            m = merge_all(ctts, schedule="tree", workers=2,
-                          parallel_threshold=2, nranks=nprocs)
-        else:
-            m = merge_all(ctts, schedule=sched, nranks=nprocs)
+    for sched in ("fold", "tree"):
+        m = merge_all(ctts, schedule=sched, nranks=nprocs)
         blobs[sched] = serialize.dumps(m)
     return blobs
 
@@ -122,23 +118,15 @@ class TestBudgetPressure:
         for sched, blob in blobs.items():
             assert budget_blob == blob, f"diverges from {sched} schedule"
 
-    def test_batch_compress_streams_path(self, monkeypatch):
+    def test_batch_compress_streams_path(self):
         """The one-shot ``compress_streams`` budget path: every rank
         folds right after its stream, and the merged bytes match each
-        unbudgeted schedule.  A budget forces the serial path whatever
-        ``workers`` says — the pool is never entered."""
-        from repro.core import intra
-
+        unbudgeted schedule."""
         w = WORKLOADS["fig11"]
         compiled, streams = _capture(w.source, 4, w.defines(4, 0.3))
         blobs = _schedule_blobs(compiled.cst, streams, 4)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("budget mode entered run_tasks")
-
-        monkeypatch.setattr(intra, "run_tasks", no_pool)
         comp = compress_streams(
-            compiled.cst, streams, workers=2,
+            compiled.cst, streams,
             config=CypressConfig(memory_budget_bytes=1), nranks=4,
         )
         try:
@@ -223,7 +211,7 @@ class TestSpillReloadRoundTrip:
 
 class TestBudgetProperty:
     """Random programs: budgeted interleaved ingest ==
-    {fold, tree, parallel} merge of the unbudgeted pipeline."""
+    {fold, tree} merge of the unbudgeted pipeline."""
 
     @settings(**SETTINGS)
     @given(program(allow_functions=True), st.sampled_from([2, 4]),

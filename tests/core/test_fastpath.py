@@ -1,8 +1,8 @@
 """Fast-path equivalence (docs/INTERNALS.md §5).
 
-The monomorphic dispatch tables, the per-leaf key-interning cache, the
-batched stream ingestion and the parallel compression executor are pure
-optimizations: every one must produce a serialized trace byte-identical
+The monomorphic dispatch tables, the per-leaf key-interning cache and
+the batched stream ingestion are pure optimizations: every one must
+produce a serialized trace byte-identical
 to the generic reference path (``CypressConfig(fastpath=False)``).
 """
 
@@ -46,12 +46,10 @@ def _assert_all_modes_identical(
     nprocs: int,
     window: int | None,
     defines: dict[str, int] | None = None,
-    parallel: bool = True,
 ) -> bytes:
     """Trace once with the reference and fast-path compressors plus a
-    stream capture attached; assert inline fast path, batched serial
-    compression and the parallel executor all match the reference
-    byte-for-byte."""
+    stream capture attached; assert the inline fast path and deferred
+    batched compression both match the reference byte-for-byte."""
     compiled = compile_minimpi(source)
     ref = IntraProcessCompressor(
         compiled.cst, CypressConfig(window=window, fastpath=False)
@@ -64,17 +62,10 @@ def _assert_all_modes_identical(
     )
     expected = _blob(ref, nprocs)
     assert _blob(fast, nprocs) == expected, "inline fast path diverges"
-    serial = compress_streams(
-        compiled.cst, capture.streams,
-        config=CypressConfig(window=window), workers=None,
+    deferred = compress_streams(
+        compiled.cst, capture.streams, config=CypressConfig(window=window)
     )
-    assert _blob(serial, nprocs) == expected, "batched stream path diverges"
-    if parallel:
-        par = compress_streams(
-            compiled.cst, capture.streams,
-            config=CypressConfig(window=window), workers=2,
-        )
-        assert _blob(par, nprocs) == expected, "parallel executor diverges"
+    assert _blob(deferred, nprocs) == expected, "batched stream path diverges"
     return expected
 
 
@@ -82,17 +73,12 @@ class TestFastPathProperty:
     @settings(**SETTINGS)
     @given(program(allow_functions=True), st.sampled_from([None, 1, 4]))
     def test_random_programs_all_modes_byte_identical(self, source, window):
-        # Parallel pool startup per example is too slow for hypothesis;
-        # the pool is covered by the fixed-program tests below (the
-        # executor runs the same ingest_stream the serial path does).
-        _assert_all_modes_identical(source, nprocs=2, window=window,
-                                    parallel=False)
+        _assert_all_modes_identical(source, nprocs=2, window=window)
 
     @settings(**SETTINGS)
     @given(program(allow_functions=True, allow_subcomms=True))
     def test_subcomm_programs_all_modes_byte_identical(self, source):
-        _assert_all_modes_identical(source, nprocs=4, window=None,
-                                    parallel=False)
+        _assert_all_modes_identical(source, nprocs=4, window=None)
 
 
 class TestFastPathWorkloads:
@@ -100,9 +86,8 @@ class TestFastPathWorkloads:
         # farm is the wildcard workload: the master posts
         # MPI_Irecv(ANY_SOURCE) and compression is deferred to request
         # completion — the pending path must behave identically in all
-        # four modes (including the parallel pool, where the completed
-        # peer travels in the OP_REQ_COMPLETE stream entry, not in the
-        # shared event object).
+        # three modes (in a captured stream the completed peer travels
+        # in the OP_REQ_COMPLETE entry, not in the shared event object).
         w = WORKLOADS["farm"]
         nprocs = 4
         w.check_procs(nprocs)

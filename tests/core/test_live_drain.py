@@ -315,16 +315,3 @@ class TestLiveCounters:
         counters = comp.metrics_counters()
         assert counters["intra.live_buffer_peak_items"] <= intra.TOTAL_ITEMS
         assert counters["intra.live_drains"] >= nprocs
-
-    def test_worker_counters_are_absorbed(self):
-        compiled = compile_minimpi(WAITALL)
-        a = IntraProcessCompressor(compiled.cst)
-        a.absorb_metrics_counters(
-            {"intra.live_drains": 3, "intra.live_buffer_peak_items": 9}
-        )
-        a.absorb_metrics_counters(
-            {"intra.live_drains": 2, "intra.live_buffer_peak_items": 4}
-        )
-        counters = a.metrics_counters()
-        assert counters["intra.live_drains"] == 5
-        assert counters["intra.live_buffer_peak_items"] == 9

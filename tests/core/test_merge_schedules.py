@@ -3,23 +3,15 @@
 Welford stat combination is float non-associative, so a naive merge
 gives schedule-dependent bytes.  The merge defers stat materialization
 and always folds per-rank sources in ascending rank order, which makes
-``fold``, serial ``tree`` and the multiprocessing tree produce
-byte-identical serialized traces — the property the parallel executor
-relies on to be a pure speed-up."""
+``fold`` and ``tree`` produce byte-identical serialized traces."""
 
 import sys
-
-import pytest
 
 sys.path.insert(0, "tests")
 from helpers import run_traced  # noqa: E402
 
 from repro.core import serialize  # noqa: E402
-from repro.core.inter import (  # noqa: E402
-    _parallel_tree_merge,
-    _resolve_workers,
-    merge_all,
-)
+from repro.core.inter import merge_all  # noqa: E402
 
 NPROCS = 8
 
@@ -49,24 +41,11 @@ def _ctts():
 
 
 class TestScheduleByteIdentity:
-    def test_fold_tree_parallel_identical_bytes(self):
+    def test_fold_tree_identical_bytes(self):
         ctts = _ctts()
         blob_fold = serialize.dumps(merge_all(ctts, schedule="fold"))
         blob_tree = serialize.dumps(merge_all(ctts, schedule="tree"))
-        blob_par = serialize.dumps(
-            merge_all(ctts, schedule="tree", workers=2, parallel_threshold=4)
-        )
         assert blob_tree == blob_fold
-        assert blob_par == blob_tree
-
-    def test_parallel_helper_matches_serial_when_pool_available(self):
-        ctts = _ctts()
-        serial = serialize.dumps(merge_all(ctts, schedule="tree"))
-        merged = _parallel_tree_merge(ctts, nworkers=2)
-        if merged is None:
-            pytest.skip("no usable multiprocessing pool in this environment")
-        merged.finalize()
-        assert serialize.dumps(merged) == serial
 
     def test_roundtrip_is_canonical(self):
         # dumps() -> loads() -> dumps() must reach a fixed point after one
@@ -79,42 +58,15 @@ class TestScheduleByteIdentity:
         blob2 = serialize.dumps(serialize.loads(blob))
         assert serialize.dumps(serialize.loads(blob2)) == blob2
 
-    def test_below_threshold_stays_serial(self):
-        ctts = _ctts()
-        merged = merge_all(
-            ctts, schedule="tree", workers=4, parallel_threshold=10_000
-        )
-        assert merged.nranks_merged == NPROCS
-        assert serialize.dumps(merged) == serialize.dumps(
-            merge_all(ctts, schedule="tree")
-        )
-
-
-class TestWorkerResolution:
-    def test_defaults_are_serial(self):
-        assert _resolve_workers(None) == 1
-        assert _resolve_workers(0) == 1
-        assert _resolve_workers(1) == 1
-
-    def test_auto_uses_cpu_count(self):
-        assert _resolve_workers("auto") >= 1
-
-    def test_explicit_count_passes_through(self):
-        assert _resolve_workers(3) == 3
-
-    def test_bad_value_rejected(self):
-        with pytest.raises(ValueError):
-            _resolve_workers("many")
-
 
 class TestApiPlumbing:
-    def test_run_merge_accepts_workers(self):
+    def test_run_merge_is_cached(self):
         from repro.core.api import run_cypress
         from repro.workloads import get
 
         w = get("cg")
         run = run_cypress(w.source, 8, defines=w.defines(8, 0.2))
-        merged = run.merge(schedule="tree", workers=2)
+        merged = run.merge(schedule="tree")
         assert merged.nranks_merged == 8
         # cached — second call returns the same object
         assert run.merge() is merged

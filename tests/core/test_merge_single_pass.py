@@ -151,8 +151,6 @@ def _check_all_paths(cst, streams, nprocs, order, seed):
     got = {
         "fold": merge_all(ctts, schedule="fold", nranks=nprocs),
         "tree": merge_all(ctts, schedule="tree", nranks=nprocs),
-        "parallel": merge_all(ctts, schedule="tree", workers=2,
-                              parallel_threshold=2, nranks=nprocs),
         "budget fold": _budget_fold(cst, streams, ranks, nprocs),
     }
     for path, merged in got.items():

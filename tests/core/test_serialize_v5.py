@@ -11,7 +11,6 @@ from helpers import run_traced  # noqa: E402
 
 from repro.core import TraceFormatError, serialize  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
-from repro.core.serialize import ByteWriter  # noqa: E402
 
 SRC = """
 func main() {
@@ -35,26 +34,6 @@ def merged():
 @pytest.fixture(scope="module")
 def blob(merged):
     return serialize.dumps(merged)
-
-
-def _dump_v5(blob):
-    """Re-frame a v6 container as version 5: same sections, topology
-    written without branch ast ids."""
-    sections, _, _ = serialize.read_sections(blob, 5, False)
-    hr = serialize.ByteReader(sections[0][1])
-    hr.u()  # nranks
-    strings = {hr.s(): i for i in range(hr.u())}
-    vertices = list(serialize.loads(blob).root.preorder())
-    tw = ByteWriter()
-    serialize._write_topology(tw, vertices, strings, with_ast=False)
-    w = ByteWriter()
-    w.raw(serialize._MAGIC)
-    w.u(5)
-    for kind, payload in sections:
-        if kind == serialize._SEC_TOPOLOGY:
-            payload = tw.bytes()
-        serialize.write_section(w, kind, payload)
-    return w.bytes()
 
 
 class TestRoundTrip:
@@ -93,16 +72,15 @@ class TestV4Compat:
         with pytest.raises(TraceFormatError, match="version 4"):
             serialize.loads(legacy, salvage=True)
 
-    def test_v5_file_still_loads(self, blob):
-        legacy = _dump_v5(blob)
-        assert legacy[4] == 5
-        # v5 topology carried no branch ast ids, so its re-dump equals a
-        # fresh v6 dump with them stripped (everything else intact).
-        expect = serialize.loads(blob)
-        for v in expect.root.preorder():
-            v.ast_id = None
-        assert serialize.dumps(serialize.loads(legacy)) == \
-            serialize.dumps(expect)
+    def test_v5_file_is_unsupported(self, blob):
+        # v6 has been the only writer since before the goldens; the v5
+        # reader (topology without branch ast ids) is gone too.
+        legacy = blob[:4] + b"\x05" + blob[5:]
+        for salvage in (False, True):
+            with pytest.raises(
+                TraceFormatError, match="unsupported trace version 5"
+            ):
+                serialize.loads(legacy, salvage=salvage)
 
     def test_unknown_version_rejected(self, blob):
         bad = bytearray(blob)

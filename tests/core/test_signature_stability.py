@@ -1,15 +1,13 @@
 """Signature hashing must be process-independent.
 
-Merge shards cross process boundaries (pickle over the pool pipe), so
+Group order at a merged vertex follows the signature hash, so
 ``Signature.__hash__`` cannot depend on the per-process
-``PYTHONHASHSEED`` salt: a worker-computed hash must still index the
-parent's intern table.  These tests pin the salt-free hash, the
-pickle round-trip that ships it, and the resulting cross-process
-intern hit rate of the parallel merge.
+``PYTHONHASHSEED`` salt.  These tests pin the salt-free hash, a foreign
+signature's lookup in an intern table, and the intern hit rate of the
+merge.
 """
 
 import os
-import pickle
 import subprocess
 import sys
 
@@ -25,18 +23,12 @@ class TestStableHash:
     def test_deterministic_in_process(self):
         assert _stable_hash(KEY) == _stable_hash(tuple(KEY))
 
-    def test_pickle_preserves_hash(self):
-        sig = Signature(KEY)
-        clone = pickle.loads(pickle.dumps(sig))
-        assert clone == sig
-        assert clone._hash == sig._hash
-        assert hash(clone) == hash(sig)
-
-    def test_unpickled_signature_indexes_intern_table(self):
+    def test_foreign_signature_indexes_intern_table(self):
         table = InternTable()
         local = table.intern(KEY)
-        shipped = pickle.loads(pickle.dumps(Signature(KEY)))
-        assert table.canon(shipped) is local
+        foreign = Signature(tuple(KEY))
+        assert foreign == local and hash(foreign) == hash(local)
+        assert table.canon(foreign) is local
         assert table.hits == 1
 
     def test_hash_identical_across_hash_seeds(self):
@@ -61,14 +53,11 @@ class TestStableHash:
         assert len(values) == 1
 
 
-class TestCrossProcessInternHitRate:
-    def test_parallel_merge_interns_hit(self):
+class TestInternHitRate:
+    def test_merge_interns_hit(self):
         # Ranks running the same SPMD loop produce identical signature
-        # keys; after a parallel merge (shards hashed in workers, then
-        # absorbed by the parent via pickled Signatures) the intern
-        # table must register hits — zero hits would mean every worker
-        # hash was discarded and re-derived, the bug the salt-free hash
-        # removed.
+        # keys; the merge must find them in its intern table rather
+        # than founding a signature per rank.
         src = """
         func main() {
           var rank = mpi_comm_rank();
@@ -81,12 +70,5 @@ class TestCrossProcessInternHitRate:
         }
         """
         _, _, cyp, _ = run_traced(src, 4)
-        ctts = [cyp.ctt(r) for r in range(4)]
-        serial = merge_all([pickle.loads(pickle.dumps(c)) for c in ctts])
-        parallel = merge_all(
-            ctts, workers=2, parallel_threshold=2
-        )
-        assert parallel.interns.hits > 0
-        from repro.core import serialize
-
-        assert serialize.dumps(parallel) == serialize.dumps(serial)
+        merged = merge_all([cyp.ctt(r) for r in range(4)])
+        assert merged.interns.hits > 0

@@ -3,13 +3,10 @@
 import pytest
 
 from repro.faults import (
-    ACTION_HANG,
-    ACTION_KILL,
     BOGUS_OP,
     BOGUS_OPCODE,
     CORRUPT_KINDS,
     FaultPlan,
-    WorkerFault,
     bitflip,
     corrupt_bytes,
     corrupt_stream,
@@ -53,24 +50,6 @@ class TestPlanDeterminism:
         twice = corrupt_streams(streams, plan)
         assert once[0] == twice[0]
         assert once[1] is streams[1]  # healthy streams shared, not copied
-
-
-class TestWorkerFault:
-    def test_fires_only_configured_attempts(self):
-        plan = FaultPlan(worker_faults=(
-            WorkerFault(stage="intra", task=2, action=ACTION_KILL, attempts=2),
-        ))
-        assert plan.worker_fault("intra", 2, 0) == ACTION_KILL
-        assert plan.worker_fault("intra", 2, 1) == ACTION_KILL
-        assert plan.worker_fault("intra", 2, 2) is None  # retry succeeds
-        assert plan.worker_fault("intra", 1, 0) is None
-        assert plan.worker_fault("inter", 2, 0) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkerFault(stage="intra", task=0, action="explode")
-        with pytest.raises(ValueError):
-            WorkerFault(stage="outer", task=0, action=ACTION_HANG)
 
 
 class TestStreamCorruption:

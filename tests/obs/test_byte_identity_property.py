@@ -1,7 +1,7 @@
 """The observability layer must never change what the pipeline produces:
 for random structured programs, the serialized trace bytes are identical
-with metrics on and off — across the serial (inline callback), batched
-(deferred ``ingest_stream``) and parallel-worker compression paths."""
+with metrics on and off — across the inline (callback) and deferred
+(``compress_streams``) compression paths."""
 
 import sys
 
@@ -21,22 +21,19 @@ SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-# serial = inline per-callback compression; batched = deferred
-# ingest_stream in-process; parallel = deferred, sharded over 2 workers.
-MODES = {"serial": None, "batched": 1, "parallel": 2}
+# mode name -> run_cypress(deferred=)
+MODES = {"inline": False, "deferred": True}
 
 
 def _trace_bytes(
-    source: str, nprocs: int, compress_workers, metrics: bool,
+    source: str, nprocs: int, deferred: bool, metrics: bool,
     strict: bool = False,
 ):
     obs.disable()
     if metrics:
         obs.enable()
     try:
-        run = run_cypress(
-            source, nprocs, compress_workers=compress_workers, strict=strict
-        )
+        run = run_cypress(source, nprocs, deferred=deferred, strict=strict)
         return serialize.dumps(run.merge())
     finally:
         obs.disable()
@@ -56,11 +53,10 @@ class TestMetricsByteIdentity:
     def test_modes_identical_under_metrics(self, source):
         nprocs = 2
         blobs = {
-            mode: _trace_bytes(source, nprocs, workers, metrics=True)
-            for mode, workers in MODES.items()
+            mode: _trace_bytes(source, nprocs, deferred, metrics=True)
+            for mode, deferred in MODES.items()
         }
-        assert blobs["batched"] == blobs["serial"]
-        assert blobs["parallel"] == blobs["serial"]
+        assert blobs["deferred"] == blobs["inline"]
 
     @settings(**SETTINGS)
     @given(program(allow_functions=True), st.sampled_from(sorted(MODES)))

@@ -1,7 +1,7 @@
 """End-to-end instrumentation coverage: one observed pipeline run must
 produce stage spans and counters for every stage (static CST build,
 tracing, intra-process compression, inter-process merge, serialization,
-replay), and worker-pool aggregation must reproduce the serial counters."""
+replay), and deferred compression must reproduce the inline counters."""
 
 import pytest
 
@@ -9,8 +9,6 @@ from repro import obs
 from repro.core import serialize
 from repro.core.api import run_cypress
 from repro.core.decompress import decompress_all
-from repro.core.inter import merge_all
-from repro.core.intra import compress_streams
 
 SOURCE = """
 func main() {
@@ -102,11 +100,7 @@ class TestStageCoverage:
         registry, _, blob, _ = _observed_run()
         c = registry.counters
         assert c["inter.ranks_merged"] == 4
-        # A serial merge is one add_rank per rank and has no reduction
-        # levels; those exist only where shard roots are combined.
-        assert c["inter.add_rank"] == 4
-        assert "inter.levels" not in registry.gauges
-        assert not [t for t in registry.timers if t.startswith("inter.level")]
+        assert c["inter.add_rank"] == 4  # one walk per rank
         assert c["inter.intern_hits"] + c["inter.intern_misses"] > 0
         assert 0.0 <= registry.gauges["inter.intern_hit_rate"] <= 1.0
         assert c["serialize.bytes.total"] == len(blob)
@@ -117,18 +111,6 @@ class TestStageCoverage:
             == c["serialize.bytes.total"]
         )
         assert registry.gauges["serialize.ratio_vs_raw"] > 1.0
-
-    def test_parallel_merge_reports_shard_root_levels(self):
-        run = run_cypress(SOURCE, nprocs=4)
-        ctts = [run.compressor.ctt(r) for r in range(4)]
-        registry = obs.enable()
-        try:
-            merge_all(ctts, workers=2, parallel_threshold=2)
-        finally:
-            obs.disable()
-        assert registry.gauges["inter.levels"] == 1.0  # two shard roots
-        assert "inter.level.00" in registry.timers
-        assert "inter.add_rank" not in registry.counters  # done in workers
 
     def test_replay_counters(self):
         registry, run, _, replays = _observed_run()
@@ -145,47 +127,17 @@ class TestStageCoverage:
         )
 
     def test_inline_compression_attributed_as_span(self):
-        registry, _, _, _ = _observed_run()  # inline (no compress_workers)
+        registry, _, _, _ = _observed_run()  # inline (not deferred)
         assert any(p.endswith("intra.compress") for p in registry.span_paths())
 
 
-class TestWorkerAggregation:
-    def test_parallel_counters_match_serial(self):
-        run = run_cypress(SOURCE, nprocs=4, compress_workers=2)
-        streams = run.capture.streams
-        cst = run.compiled.cst
-
-        def observed_counters(workers):
-            registry = obs.enable()
-            try:
-                comp = compress_streams(cst, streams, workers=workers)
-                comp.publish_metrics(registry)
-            finally:
-                obs.disable()
-            return comp, {
-                k: v
-                for k, v in registry.counters.items()
-                if k.startswith("intra.")
-            }
-
-        serial_comp, serial = observed_counters(None)
-        parallel_comp, parallel = observed_counters(2)
-        assert parallel == serial
-        assert serial["intra.events"] == run.run_result.total_events
-        # ... and the aggregation did not change the compression itself.
-        ranks = sorted(serial_comp.ranks())
-        assert [parallel_comp.ctt(r).record_count() for r in ranks] == [
-            serial_comp.ctt(r).record_count() for r in ranks
-        ]
-
-    def test_parallel_run_reports_worker_pool(self):
-        registry = obs.enable()
-        try:
-            run_cypress(SOURCE, nprocs=4, compress_workers=2)
-        finally:
-            obs.disable()
-        # Pool may fall back to serial in restricted sandboxes; when it
-        # ran, per-worker timings and the pool width must be recorded.
-        if "intra.worker_seconds" in registry.timers:
-            assert registry.timers["intra.worker_seconds"].count >= 1
-            assert registry.gauges["intra.workers"] >= 1.0
+class TestDeferredCounters:
+    def test_deferred_counters_match_inline(self):
+        inline, run, blob, _ = _observed_run()
+        deferred, _, deferred_blob, _ = _observed_run(deferred=True)
+        assert deferred_blob == blob
+        for name in ("intra.events", "intra.records", "intra.ranks"):
+            assert deferred.counters[name] == inline.counters[name], name
+        assert deferred.counters["intra.events"] == run.run_result.total_events
+        # Deferred compression has no live buffers to drain.
+        assert deferred.counters["intra.live_drains"] == 0

@@ -2,8 +2,8 @@
 merge schedule.
 
 This is the acceptance gate for the query layer: for each workload in
-the registry, trace it once, merge the per-rank CTTs under fold / tree /
-parallel schedules, and assert that every query's decompression-free
+the registry, trace it once, merge the per-rank CTTs under the fold and
+tree schedules, and assert that every query's decompression-free
 answer equals the answer computed from full replay.  Replay per merged
 tree happens once (``decompress_all``) and feeds every oracle."""
 
@@ -21,7 +21,7 @@ from repro.core.inter import merge_all
 from repro.static.cst import CALL
 from repro.workloads import WORKLOADS
 
-SCHEDULES = ("fold", "tree", "parallel")
+SCHEDULES = ("fold", "tree")
 
 #: Most leaves × ranks to sweep for the ordering query per tree — it is
 #: O(pairs) and the point is coverage of shapes, not volume.
@@ -38,7 +38,7 @@ _CTTS: dict[str, tuple[list, int]] = {}
 
 
 def _ctts(name: str):
-    """Per-session cache: each workload is traced once, merged three ways."""
+    """Per-session cache: each workload is traced once, merged per schedule."""
     if name not in _CTTS:
         w = WORKLOADS[name]
         nprocs = _nprocs(w)
@@ -49,9 +49,6 @@ def _ctts(name: str):
 
 def _merged(name: str, schedule: str):
     ctts, nprocs = _ctts(name)
-    if schedule == "parallel":
-        return merge_all(ctts, schedule="tree", workers=2,
-                         parallel_threshold=2), nprocs
     return merge_all(ctts, schedule=schedule), nprocs
 
 
@@ -102,7 +99,7 @@ def test_every_query_agrees_with_replay(name, schedule):
 
 
 def test_schedules_give_identical_answers():
-    """The three merge schedules are association-free, so queries must
+    """The merge schedules are association-free, so queries must
     not be able to tell them apart either."""
     results = []
     for schedule in SCHEDULES:

@@ -6,7 +6,7 @@ Two tiers:
 * a light always-on property (fastpath compression, tree merge) that
   rides in tier-1;
 * the full sweep over {reference, fastpath, packed} compression ×
-  {fold, tree, parallel} merge schedules, marked ``slow``.  It runs a
+  {fold, tree} merge schedules, marked ``slow``.  It runs a
   small number of examples by default (tier-1 has no marker filter) and
   CI's query-differential job raises ``QUERY_SWEEP_EXAMPLES`` for a
   deeper pass.
@@ -66,9 +66,6 @@ def _compress(compiled, streams, variant: str) -> IntraProcessCompressor:
 
 def _merge(compressor, schedule: str):
     ctts = [compressor.ctt(r) for r in range(NPROCS)]
-    if schedule == "parallel":
-        return merge_all(ctts, schedule="tree", workers=2,
-                         parallel_threshold=2)
     return merge_all(ctts, schedule=schedule)
 
 
@@ -121,6 +118,6 @@ class TestQueryDifferential:
         compiled, streams = _captured_streams(source)
         for variant in ("reference", "fastpath", "packed"):
             compressor = _compress(compiled, streams, variant)
-            for schedule in ("fold", "tree", "parallel"):
+            for schedule in ("fold", "tree"):
                 merged = _merge(compressor, schedule)
                 _check_all_queries(merged, f"{variant}/{schedule}")

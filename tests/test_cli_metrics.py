@@ -1,6 +1,6 @@
 """CLI tests for the --metrics / --metrics-out flags, plus smoke tests
-for previously-untested flag combinations (merge schedules and worker
-pools through the CLI)."""
+for previously-untested flag combinations (merge schedules and the
+budgeted deferred path through the CLI)."""
 
 import json
 
@@ -57,10 +57,10 @@ class TestMetricsOut:
         _trace(tmp_path, "--metrics-out", str(tmp_path / "m.json"))
         assert obs.active() is None
 
-    def test_parallel_workers_aggregate(self, tmp_path):
-        """Counters folded across a worker pool equal a one-worker run
-        of the same (batched) ingestion path; the inline path may take
-        different slow-path branches but must agree on the totals."""
+    def test_deferred_totals_match_inline(self, tmp_path):
+        """The deferred path (what ``--memory-budget`` runs) may take
+        different slow-path branches than inline compression but must
+        agree on the totals."""
         mpath = tmp_path / "m.json"
 
         def counters(name, *extra):
@@ -68,15 +68,10 @@ class TestMetricsOut:
             return json.loads(mpath.read_text())["counters"]
 
         inline = counters("a.cyp")
-        serial = counters("b.cyp", "--compress-workers", "1")
-        parallel = counters(
-            "c.cyp", "--compress-workers", "2", "--merge-workers", "2"
-        )
-        intra = lambda c: {k: v for k, v in c.items()  # noqa: E731
-                           if k.startswith("intra.")}
-        assert intra(parallel) == intra(serial)
+        deferred = counters("b.cyp", "--memory-budget", "1")
         for key in ("intra.events", "intra.records", "intra.ranks"):
-            assert inline[key] == parallel[key]
+            assert inline[key] == deferred[key]
+        assert deferred["budget.folds"] == 4
 
 
 class TestMetricsPrint:
@@ -116,25 +111,17 @@ class TestFlagCombos:
         with open(fold, "rb") as a, open(tree, "rb") as b:
             assert a.read() == b.read()
 
-    def test_trace_parallel_workers_match_serial(self, tmp_path):
-        serial = _trace(tmp_path, name="serial.cyp")
-        parallel = _trace(
-            tmp_path, "--compress-workers", "2", "--merge-workers", "2",
-            name="parallel.cyp",
+    def test_trace_budgeted_matches_inline(self, tmp_path):
+        inline = _trace(tmp_path, name="inline.cyp")
+        budgeted = _trace(
+            tmp_path, "--memory-budget", "1", name="budgeted.cyp"
         )
-        with open(serial, "rb") as a, open(parallel, "rb") as b:
+        with open(inline, "rb") as a, open(budgeted, "rb") as b:
             assert a.read() == b.read()
 
-    def test_verify_fold_and_workers(self, capsys):
+    def test_verify_fold(self, capsys):
         assert main(
             ["verify", "ep", "-n", "4", "--scale", "0.4",
-             "--merge-schedule", "fold", "--compress-workers", "2"]
-        ) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_verify_merge_workers(self, capsys):
-        assert main(
-            ["verify", "ep", "-n", "4", "--scale", "0.4",
-             "--merge-workers", "2"]
+             "--merge-schedule", "fold"]
         ) == 0
         assert "OK" in capsys.readouterr().out

@@ -101,6 +101,25 @@ class TestTracing:
         (group,) = send.groups.values()
         assert group.ranks == [0, 1, 2, 3, 4]
 
+    def test_budgeted_deferred_bytes_match_inline(self):
+        from repro.core import serialize
+        from repro.core.intra import CypressConfig
+
+        inline = run_python(self.rank_main, self.SPEC, 6)
+        budgeted = run_python(
+            self.rank_main, self.SPEC, 6, deferred=True,
+            config=CypressConfig(memory_budget_bytes=1),
+        )
+        try:
+            # Every rank was folded as its stream ended; merge() must
+            # finish that partial merge, not ask for per-rank CTTs.
+            assert budgeted.compressor.has_partial_merge()
+            assert serialize.dumps(budgeted.merge()) == serialize.dumps(
+                inline.merge()
+            )
+        finally:
+            budgeted.compressor.close_spill()
+
     def test_trace_file_roundtrip(self, tmp_path):
         from repro.core import serialize
         from repro.core.decompress import decompress_merged_rank

@@ -35,10 +35,10 @@ class TestDifferentialCheck:
         assert report.ok, [d.format() for d in report.divergences]
         assert report.events > 0
         assert sorted(report.variants) == [
-            "budgeted", "fastpath", "inline", "packed", "parallel",
+            "budgeted", "fastpath", "inline", "packed",
             "reference",
         ]
-        assert report.schedules == ["fold", "tree", "parallel"]
+        assert report.schedules == ["fold", "tree"]
         d = report.to_dict()
         assert d["ok"] is True and d["divergences"] == []
 
