@@ -15,15 +15,30 @@ compression (ordered child matching position, visit counters).  Branch
 *groups* — the sibling path-vertices of one source-level ``if`` — share a
 visit counter, precomputed per parent.
 
+Shape and fill
+--------------
+
+Everything the CST fixes — identity fields, child order, which children
+a marker or an op can dispatch to, how sibling branch paths group — is
+extracted once per program into a :class:`CTTShape`.  A rank's
+:class:`CTT` is a flat pre-order *fill* of that shape: one vertex object
+per shape node, then the per-rank tables of the vertices that have
+children.  The static module runs once (paper §III); only payload and
+cursor state are per rank.
+
 Hot-path dispatch tables
 ------------------------
 
 Cursor moves are the per-marker/per-event cost the paper budgets at O(1),
 so child lookup must not scan the generic child list with a predicate.
-At construction every vertex precomputes *monomorphic* dispatch tables —
+Every vertex with children carries *monomorphic* dispatch tables —
 ``loop_child_by_ast_id``, ``call_children_by_op`` and ``group_by_ast_id``
 — mapping the marker/event identity straight to the (few) candidate
 children, as ``(child_index, child)`` pairs in ascending child order.
+The shape holds them as child *positions*; the fill binds them to the
+rank's vertex objects.  A vertex without children shares immutable empty
+tables (and an empty ``children`` tuple) with every other one, so a
+stray write raises instead of aliasing.
 The ordered wrap-around semantics ("first candidate at or after
 ``search_pos``, else the first candidate overall") is thereby a scan over
 a list that is almost always length 1, instead of a closure applied to
@@ -39,6 +54,7 @@ repeatedly — the steady state inside any loop body.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.minilang.builtins import MPI_INTRINSICS
@@ -55,7 +71,8 @@ from .sequences import IntSequence
 # (interned dicts, key caches) that the serialized-size estimate
 # ignores, because under budget pressure that state dominates.
 _PTR = 8
-_VERTEX_BASE = 360       # CTTVertex slots + dispatch-table headers
+_VERTEX_BASE = 360       # CTTVertex slots + payload containers (a flat
+                         # average: parents also own tables, leaves none)
 _SEQ_BASE = 120          # IntSequence object + terms list header
 _SEQ_LIVE_FACTOR = 3     # boxed terms vs packed varint estimate
 _DICT_ENTRY = 104        # amortized dict slot (hash + key + value + growth)
@@ -63,7 +80,43 @@ _LIST_BASE = 64
 _TUPLE_BASE = 56
 
 
-@dataclass
+class _EmptyTable(Mapping):
+    """An always-empty dispatch table with no way to write to it, whose
+    deep copy is itself (``copy.deepcopy(ctt)`` must keep sharing it)."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __deepcopy__(self, memo) -> "_EmptyTable":
+        return self
+
+
+# What a vertex without children holds in place of a child list and
+# tables of its own.  Shared by every such vertex of every rank, so
+# immutable: a stray write raises instead of aliasing.
+_EMPTY: tuple = ()
+_EMPTY_TABLE = _EmptyTable()
+
+
+def _bind(table: tuple, children: list) -> dict:
+    """A shape dispatch table — ``(identity, child positions)`` items —
+    bound to one rank's child objects: ``identity -> [(position, child),
+    ...]`` in ascending position."""
+    return {
+        identity: [(pos, children[pos]) for pos in positions]
+        for identity, positions in table
+    }
+
+
+@dataclass(slots=True)
 class BranchGroup:
     """Sibling branch-path vertices of one ``if`` under one parent."""
 
@@ -75,6 +128,9 @@ class BranchGroup:
 
 
 class CTTVertex:
+    """One vertex of one rank's tree.  Built only by
+    :meth:`CTTShape.fill`, which sets every slot."""
+
     __slots__ = (
         "gid",
         "kind",
@@ -86,98 +142,30 @@ class CTTVertex:
         "loop_counts",
         "visits",
         "records",
+        # key -> record, for unbounded (position-independent) merging
         "record_index",
         "branch_groups",
         "search_pos",
         "leaf_visits",
-        "_iters_active",
         # monomorphic dispatch tables (fixed after construction)
         "loop_child_by_ast_id",
         "call_children_by_op",
         "group_by_ast_id",
+        # does this leaf's op create a request?  (Spares the per-event
+        # frozenset membership test on the hot path.)
         "op_nonblocking",
         # single-slot monomorphic dispatch cache: the last op dispatched
         # from this vertex, valid only when it has exactly one candidate
         # child (wrap-around over one candidate always yields it)
         "mono_op",
         "mono_pair",
-        # key-interning cache (leaf vertices; transient compression state)
+        # key-interning cache (leaf vertices; transient compression
+        # state): the last event's key-relevant parameters as one tuple,
+        # compared with a single C-level tuple equality on the hot path
         "last_params",
         "last_key",
         "last_record",
     )
-
-    def __init__(self, cst_node: CSTNode) -> None:
-        self.gid = cst_node.gid
-        self.kind = cst_node.kind
-        self.ast_id = cst_node.ast_id
-        self.name = cst_node.name
-        self.branch_path = cst_node.branch_path
-        self.op: str | None = None
-        if cst_node.kind == CALL and cst_node.name in MPI_INTRINSICS:
-            self.op = MPI_INTRINSICS[cst_node.name][1]
-        # Precomputed per-leaf: does this op create a request?  (Spares
-        # the per-event frozenset membership test on the hot path.)
-        self.op_nonblocking = self.op in NONBLOCKING_OPS
-        self.children: list[CTTVertex] = [CTTVertex(c) for c in cst_node.children]
-        # payload
-        self.loop_counts: IntSequence | None = IntSequence() if cst_node.kind == LOOP else None
-        self.visits: IntSequence | None = IntSequence() if cst_node.kind == BRANCH else None
-        self.records: list[CompressedRecord] | None = [] if cst_node.kind == CALL else None
-        # key -> record, for unbounded (position-independent) merging.
-        self.record_index: dict | None = {} if cst_node.kind == CALL else None
-        # transient compression state
-        self.branch_groups: list[BranchGroup] = self._build_groups()
-        self.search_pos = 0
-        self.leaf_visits = 0
-        self._iters_active = 0
-        # dispatch tables: marker/event identity -> ascending (idx, child)
-        loops: dict[int, list[tuple[int, CTTVertex]]] = {}
-        calls: dict[str, list[tuple[int, CTTVertex]]] = {}
-        for idx, child in enumerate(self.children):
-            if child.kind == LOOP:
-                loops.setdefault(child.ast_id, []).append((idx, child))
-            elif child.kind == CALL and child.op is not None:
-                calls.setdefault(child.op, []).append((idx, child))
-        self.loop_child_by_ast_id = loops
-        self.call_children_by_op = calls
-        groups: dict[int, list[BranchGroup]] = {}
-        for g in self.branch_groups:
-            groups.setdefault(g.ast_id, []).append(g)
-        self.group_by_ast_id = groups
-        self.mono_op: str | None = None
-        self.mono_pair: tuple[int, CTTVertex] | None = None
-        # key-interning cache (meaningful on leaves only): the last
-        # event's key-relevant parameters as one tuple, compared with a
-        # single C-level tuple equality on the hot path.
-        self.last_params: tuple | None = None
-        self.last_key = None
-        self.last_record: CompressedRecord | None = None
-
-    def _build_groups(self) -> list[BranchGroup]:
-        groups: list[BranchGroup] = []
-        current: BranchGroup | None = None
-        for idx, child in enumerate(self.children):
-            if child.kind != BRANCH:
-                current = None
-                continue
-            if (
-                current is not None
-                and current.ast_id == child.ast_id
-                and child.branch_path not in current.paths
-                and idx == current.last_index + 1
-            ):
-                current.paths[child.branch_path] = child
-                current.last_index = idx
-            else:
-                current = BranchGroup(
-                    ast_id=child.ast_id,
-                    first_index=idx,
-                    last_index=idx,
-                    paths={child.branch_path: child},
-                )
-                groups.append(current)
-        return groups
 
     # ------------------------------------------------------------------
 
@@ -277,26 +265,153 @@ class CTTVertex:
         return total
 
 
+class CTTShape:
+    """What the CST fixes about every rank's CTT, extracted once per
+    program: per vertex the identity fields, and per vertex *with
+    children* the child order, the loop/call dispatch tables and the
+    branch-group layout — as vertex indices and child positions, so
+    :meth:`fill` can bind them to any rank's vertex objects."""
+
+    __slots__ = ("nodes", "parents")
+
+    def __init__(self, cst: CSTNode) -> None:
+        order = list(cst.preorder())
+        index = {id(node): i for i, node in enumerate(order)}
+        #: per vertex, pre-order: (gid, kind, ast_id, name, op,
+        #: branch_path, op_nonblocking)
+        self.nodes: list[tuple] = []
+        for node in order:
+            op = None
+            if node.kind == CALL and node.name in MPI_INTRINSICS:
+                op = MPI_INTRINSICS[node.name][1]
+            self.nodes.append((
+                node.gid, node.kind, node.ast_id, node.name, op,
+                node.branch_path, op in NONBLOCKING_OPS,
+            ))
+        #: per vertex with children: (own index, child indices, loop
+        #: table, call table, branch groups).  A table is ``(identity,
+        #: child positions)`` items, positions ascending; a group is
+        #: ``(ast_id, first position, last position, ((path, position),
+        #: ...))``.
+        self.parents: list[tuple] = []
+        for i, node in enumerate(order):
+            if not node.children:
+                continue
+            kids = tuple(index[id(c)] for c in node.children)
+            loops: dict[int, list[int]] = {}
+            calls: dict[str, list[int]] = {}
+            for pos, (child, j) in enumerate(zip(node.children, kids)):
+                op = self.nodes[j][4]
+                if child.kind == LOOP:
+                    loops.setdefault(child.ast_id, []).append(pos)
+                elif child.kind == CALL and op is not None:
+                    calls.setdefault(op, []).append(pos)
+            self.parents.append((
+                i, kids,
+                tuple((k, tuple(v)) for k, v in loops.items()),
+                tuple((k, tuple(v)) for k, v in calls.items()),
+                self._group_layout(node.children),
+            ))
+
+    @staticmethod
+    def _group_layout(children: list[CSTNode]) -> tuple:
+        """Runs of consecutive BRANCH children of one ``if`` — a run
+        ends at a non-branch sibling, another ``ast_id`` or a repeated
+        path (the next inlined copy of the same ``if``)."""
+        groups: list[list] = []
+        current: list | None = None
+        for pos, child in enumerate(children):
+            if child.kind != BRANCH:
+                current = None
+                continue
+            if (
+                current is not None
+                and current[0] == child.ast_id
+                and child.branch_path not in current[3]
+            ):
+                current[3][child.branch_path] = pos
+                current[2] = pos
+            else:
+                current = [child.ast_id, pos, pos, {child.branch_path: pos}]
+                groups.append(current)
+        return tuple(
+            (ast_id, first, last, tuple(paths.items()))
+            for ast_id, first, last, paths in groups
+        )
+
+    def fill(self) -> list["CTTVertex"]:
+        """The vertices of one rank's tree, in pre-order: a vertex per
+        shape node in one flat pass, then the tables of the vertices
+        that have children.  No object built here is shared with another
+        call's vertices."""
+        new = CTTVertex.__new__
+        vertices: list[CTTVertex] = []
+        append = vertices.append
+        for gid, kind, ast_id, name, op, branch_path, nonblocking in self.nodes:
+            v = new(CTTVertex)
+            v.gid = gid
+            v.kind = kind
+            v.ast_id = ast_id
+            v.name = name
+            v.op = op
+            v.branch_path = branch_path
+            v.op_nonblocking = nonblocking
+            if kind == CALL:
+                v.records = []
+                v.record_index = {}
+                v.loop_counts = v.visits = None
+            else:
+                v.records = v.record_index = None
+                v.loop_counts = IntSequence() if kind == LOOP else None
+                v.visits = IntSequence() if kind == BRANCH else None
+            v.children = v.branch_groups = _EMPTY
+            v.loop_child_by_ast_id = _EMPTY_TABLE
+            v.call_children_by_op = _EMPTY_TABLE
+            v.group_by_ast_id = _EMPTY_TABLE
+            v.search_pos = v.leaf_visits = 0
+            v.mono_op = v.mono_pair = None
+            v.last_params = v.last_key = v.last_record = None
+            append(v)
+        for i, kids, loops, calls, group_layout in self.parents:
+            v = vertices[i]
+            v.children = children = [vertices[j] for j in kids]
+            v.loop_child_by_ast_id = _bind(loops, children) if loops else {}
+            v.call_children_by_op = _bind(calls, children) if calls else {}
+            v.branch_groups = groups = []
+            v.group_by_ast_id = by_ast_id = {}
+            for ast_id, first, last, paths in group_layout:
+                group = BranchGroup(
+                    ast_id, first, last,
+                    {path: children[pos] for path, pos in paths},
+                )
+                groups.append(group)
+                by_ast_id.setdefault(ast_id, []).append(group)
+        return vertices
+
+
 class CTT:
     """One rank's compressed trace tree."""
 
-    def __init__(self, cst: CSTNode, rank: int) -> None:
+    def __init__(self, cst: "CSTNode | CTTShape", rank: int) -> None:
+        """``cst`` is the program's CST root, or the :class:`CTTShape`
+        already extracted from it — what a caller that builds many ranks
+        of one program passes, so the extraction happens once."""
+        shape = cst if isinstance(cst, CTTShape) else CTTShape(cst)
         self.rank = rank
-        self.root = CTTVertex(cst)
+        # Topology is fixed from here on (only payloads mutate), so the
+        # pre-order list the fill produced is the cached vertices().
+        self._vertices = shape.fill()
+        self.root = self._vertices[0]
         self._by_gid: dict[int, CTTVertex] | None = None
-        self._vertices: list[CTTVertex] | None = None
 
     def vertex(self, gid: int) -> CTTVertex:
         if self._by_gid is None:
-            self._by_gid = {v.gid: v for v in self.root.preorder()}
+            self._by_gid = {v.gid: v for v in self._vertices}
         return self._by_gid[gid]
 
     def vertices(self) -> list[CTTVertex]:
-        """Pre-order vertex list, cached (topology is fixed after
-        construction; only payloads mutate).  The inter-process merge
-        walks this once per rank — caching avoids P re-traversals."""
-        if self._vertices is None:
-            self._vertices = list(self.root.preorder())
+        """Pre-order vertex list (the inter-process merge walks it once
+        per rank)."""
         return self._vertices
 
     def preorder(self):

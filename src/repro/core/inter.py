@@ -139,19 +139,45 @@ def _records_signature(records: list[CompressedRecord]) -> tuple:
     return ("R", tuple((r.key, r.occurrences.length, tuple(r.occurrences.terms)) for r in records))
 
 
+def _leaf_signature(
+    records: list[CompressedRecord], rank: int, nranks: int
+) -> tuple[list[CompressedRecord], tuple]:
+    """``(records, _records_signature(records))`` for one rank's leaf,
+    range-checking every relative peer on the way: a REL delta decodes
+    inside ``[0, nranks)`` for ``rank`` exactly when it lies in
+    ``[-rank, nranks - rank)``.  One pass in the healthy case; the first
+    out-of-range delta hands the leaf to :func:`_abs_fallback_records`
+    and signs the repaired list instead."""
+    lo = -rank
+    hi = nranks - rank
+    parts = []
+    for record in records:
+        key = record.key
+        if key is not None:
+            enc = key[1]
+            enc2 = key[2]
+            if (enc[0] == REL and not lo <= enc[1] < hi) or (
+                enc2[0] == REL and not lo <= enc2[1] < hi
+            ):
+                records = _abs_fallback_records(records, rank, nranks)
+                return records, _records_signature(records)
+        occ = record.occurrences
+        parts.append((key, occ.length, tuple(occ.terms)))
+    return records, ("R", tuple(parts))
+
+
 def _abs_fallback_records(
     records: list[CompressedRecord], rank: int, nranks: int
-) -> list[CompressedRecord] | None:
+) -> list[CompressedRecord]:
     """Re-encode relative peers that would decode out of ``[0, nranks)``
-    for ``rank`` as absolute (copy-on-write; ``None`` when every decode
-    is in range — the healthy case, so healthy merges stay
-    byte-identical).  An out-of-range REL key can only come from an
-    already-damaged CTT (e.g. a corrupted trace file); keeping it
-    relative would silently alias onto a *plausible* rank for the other
-    members of whatever group it lands in — absolute encoding keeps the
-    bogus value rank-independent and loud (replay validation and the
-    invariant checker then pinpoint it)."""
-    repaired: list[CompressedRecord] | None = None
+    for ``rank`` as absolute (copy-on-write: the rank's own list and
+    records are left as they are).  An out-of-range REL key can only
+    come from an already-damaged CTT (e.g. a corrupted trace file);
+    keeping it relative would silently alias onto a *plausible* rank for
+    the other members of whatever group it lands in — absolute encoding
+    keeps the bogus value rank-independent and loud (replay validation
+    and the invariant checker then pinpoint it)."""
+    repaired = list(records)
     for i, record in enumerate(records):
         key = record.key
         if key is None:
@@ -164,8 +190,6 @@ def _abs_fallback_records(
                     new_key = list(key)
                 new_key[slot] = (ABS, rank + enc[1])
         if new_key is not None:
-            if repaired is None:
-                repaired = list(records)
             fixed = record.copy()
             fixed.key = tuple(new_key)
             repaired[i] = fixed
@@ -417,11 +441,11 @@ class MergedCTT:
                 records = src.records
                 if not records:
                     continue
-                if nranks is not None:
-                    records = (
-                        _abs_fallback_records(records, rank, nranks) or records
-                    )
-                signature = intern(_records_signature(records))
+                if nranks is None:
+                    signature = intern(_records_signature(records))
+                else:
+                    records, key = _leaf_signature(records, rank, nranks)
+                    signature = intern(key)
                 sources = [(rank, records)]  # stats merge deferred
             elif kind == LOOP:
                 counts = src.loop_counts

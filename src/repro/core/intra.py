@@ -42,7 +42,7 @@ The per-event budget is O(1), and the implementation spends it carefully
 * record keys are *interned* per leaf: the leaf caches the last event's
   parameter fields together with the key (and, for the default unbounded
   window, the record) they produced, so a repeated event — the
-  overwhelmingly common case inside a loop — skips ``make_key``, both
+  overwhelmingly common case inside a loop — skips the key build, both
   ``encode_peer`` calls and the ``record_index`` hash of a 12-tuple
   entirely and lands directly in ``CompressedRecord.add_occurrence``;
 * :meth:`IntraProcessCompressor.ingest_stream` hoists the per-rank state
@@ -91,12 +91,12 @@ from .budget import (
     decode_rank_state,
     encode_rank_state,
 )
-from .ctt import CTT, CTTVertex
+from .ctt import CTT, CTTShape, CTTVertex
 from .errors import MergeError, StreamMismatchError
 from .quarantine import QuarantinedRank, QuarantineReport
 from .ranks import encode_peer
-from .records import CompressedRecord, make_key
-from .timing import MEANSTD, TimeStats
+from .records import CompressedRecord
+from .timing import MEANSTD, check_mode
 
 #: Backwards-compatible alias — the dynamic module's historical name for
 #: a CST/stream mismatch.  New code catches
@@ -138,6 +138,11 @@ class CypressConfig:
     fastpath: bool = True  # monomorphic dispatch + key interning
     memory_budget_bytes: int | None = None  # None = unbounded (no budget)
     spill_dir: str | None = None  # spill-container home (budget mode)
+
+    def __post_init__(self) -> None:
+        # Checked here, once: the record-commit path builds its
+        # TimeStats without re-validating the mode per record.
+        check_mode(self.timing_mode)
 
 
 # Live-tracing buffers (docs/INTERNALS.md §5).  A rank's buffer drains
@@ -207,6 +212,8 @@ class IntraProcessCompressor(CaptureCallbacks):
     def __init__(self, cst: CSTNode, config: CypressConfig | None = None) -> None:
         self.cst = cst
         self.config = config or CypressConfig()
+        # The static half of every rank's CTT, extracted once.
+        self._shape = CTTShape(cst)
         self._states: dict[int, _RankState] = {}
         # Live tracing: per-rank buffers of not-yet-ingested items, how
         # many they hold between them, and how many items per rank
@@ -274,9 +281,11 @@ class IntraProcessCompressor(CaptureCallbacks):
                 )
             if rank in self._spilled:
                 return self._reload_rank(rank)
-            st = _RankState(ctt=CTT(self.cst, rank), rank=rank)
-            self._states[rank] = st
+            st = self._states[rank] = self._new_state(rank)
         return st
+
+    def _new_state(self, rank: int) -> _RankState:
+        return _RankState(ctt=CTT(self._shape, rank), rank=rank)
 
     def ranks(self) -> list[int]:
         self.flush()
@@ -412,9 +421,7 @@ class IntraProcessCompressor(CaptureCallbacks):
         start cold — same output bytes, slower first batch."""
         payload = self._ensure_spill().load(rank)
         st = decode_rank_state(
-            payload,
-            lambda r: _RankState(ctt=CTT(self.cst, r), rank=r),
-            rebuild_index=self._window_unbounded,
+            payload, self._new_state, rebuild_index=self._window_unbounded
         )
         self._states[rank] = st
         self._spilled.discard(rank)
@@ -619,9 +626,7 @@ class IntraProcessCompressor(CaptureCallbacks):
                 pass
             if payload is not None:
                 reloaded = decode_rank_state(
-                    payload,
-                    lambda r: _RankState(ctt=CTT(self.cst, r), rank=r),
-                    rebuild_index=False,
+                    payload, self._new_state, rebuild_index=False
                 )
                 self._archive_rank_counts(reloaded.ctt, -1)
         if rank in self._spilled:
@@ -870,8 +875,8 @@ class IntraProcessCompressor(CaptureCallbacks):
 
         # Key interning: if every key-relevant parameter matches the
         # leaf's last event, reuse the cached key — and for the
-        # unbounded window, the cached record, skipping make_key, both
-        # encode_peer calls and the record_index hash of a 12-tuple
+        # unbounded window, the cached record, skipping the key build,
+        # both encode_peer calls and the record_index hash of a 12-tuple
         # entirely.  One tuple build plus one C-level tuple equality.
         # (``op`` needs no comparison: the leaf was dispatched by op.)
         params = (
@@ -976,8 +981,9 @@ class IntraProcessCompressor(CaptureCallbacks):
     ) -> None:
         """Wildcard receive: delay compression until the source is known
         (paper §IV-A)."""
-        record = CompressedRecord(key=None, pending=True)
-        record.add_occurrence(visit, duration, gap)
+        record = CompressedRecord.first(
+            None, visit, duration, gap, self._timing_mode, pending=True
+        )
         st.pending[ev.req] = (leaf, record, ev, len(leaf.records))
         leaf.records.append(record)
         self.m_wildcard_deferred += 1
@@ -999,19 +1005,20 @@ class IntraProcessCompressor(CaptureCallbacks):
         (including ``result_comm``), or completed wildcards would merge
         under keys that can never match non-deferred records."""
         relative = self._relative
-        return make_key(
-            op=ev.op,
-            peer_enc=encode_peer(ev.peer if peer is None else peer, rank, relative),
-            peer2_enc=encode_peer(ev.peer2, rank, relative),
-            tag=ev.tag,
-            tag2=ev.tag2,
-            nbytes=ev.nbytes if nbytes is None else nbytes,
-            nbytes2=ev.nbytes2,
-            comm=ev.comm,
-            root=ev.root,
-            wildcard=ev.wildcard,
-            req_gids=req_gids,
-            result_comm=ev.result_comm,
+        # The key layout of records.make_key, built in place.
+        return (
+            ev.op,
+            encode_peer(ev.peer if peer is None else peer, rank, relative),
+            encode_peer(ev.peer2, rank, relative),
+            ev.tag,
+            ev.tag2,
+            ev.nbytes if nbytes is None else nbytes,
+            ev.nbytes2,
+            ev.comm,
+            ev.root,
+            ev.wildcard,
+            req_gids,
+            ev.result_comm,
         )
 
     def _add_record(
@@ -1037,12 +1044,9 @@ class IntraProcessCompressor(CaptureCallbacks):
                 if candidate.key == key:
                     candidate.add_occurrence(visit, duration, gap)
                     return candidate
-        record = CompressedRecord(
-            key=key,
-            duration=TimeStats(mode=self._timing_mode),
-            pre_gap=TimeStats(mode=self._timing_mode),
+        record = CompressedRecord.first(
+            key, visit, duration, gap, self._timing_mode
         )
-        record.add_occurrence(visit, duration, gap)
         records.append(record)
         if window is None:
             leaf.record_index[key] = record

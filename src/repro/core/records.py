@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from .sequences import IntSequence
 from .timing import MEANSTD, TimeStats
 
+_new = object.__new__
+
 # key layout: (op, peer_enc, peer2_enc, tag, tag2, nbytes, nbytes2,
 #              comm, root, wildcard, req_gids, result_comm)
 RecordKey = tuple
@@ -38,15 +40,53 @@ RecordKey = tuple
 class CompressedRecord:
     key: RecordKey
     occurrences: IntSequence = field(default_factory=IntSequence)
-    duration: TimeStats = None  # type: ignore[assignment]
-    pre_gap: TimeStats = None  # type: ignore[assignment]
+    duration: TimeStats = field(default_factory=TimeStats)
+    pre_gap: TimeStats = field(default_factory=TimeStats)
     pending: bool = False  # wildcard receive awaiting source resolution
 
-    def __post_init__(self) -> None:
-        if self.duration is None:
-            self.duration = TimeStats(mode=MEANSTD)
-        if self.pre_gap is None:
-            self.pre_gap = TimeStats(mode=MEANSTD)
+    @classmethod
+    def first(
+        cls,
+        key: RecordKey,
+        index: int,
+        duration_us: float,
+        gap_us: float,
+        mode: str = MEANSTD,
+        pending: bool = False,
+    ) -> "CompressedRecord":
+        """A record at its first occurrence, built in one step with its
+        contents known: bit-identical to an empty record in timing
+        ``mode`` followed by ``add_occurrence(index, duration_us,
+        gap_us)``.  What a first-seen parameter set costs — on wide-rank
+        traces that is nearly every event — so, like ``add_occurrence``,
+        it inlines the meanstd case (:meth:`TimeStats.first` is the
+        reference) and writes the slots without going through the
+        dataclass ``__init__`` chain.  ``mode`` is trusted."""
+        rec = _new(cls)
+        rec.key = key
+        rec.occurrences = occ = _new(IntSequence)
+        occ.terms = [(index, 1, 0)]
+        occ.length = 1
+        if mode == MEANSTD:
+            rec.duration = stats = _new(TimeStats)
+            stats.mode = mode
+            stats.count = 1
+            stats.mean = 0.0 + duration_us
+            stats.m2 = 0.0
+            stats.minimum = stats.maximum = duration_us
+            stats.bins = None
+            rec.pre_gap = stats = _new(TimeStats)
+            stats.mode = mode
+            stats.count = 1
+            stats.mean = 0.0 + gap_us
+            stats.m2 = 0.0
+            stats.minimum = stats.maximum = gap_us
+            stats.bins = None
+        else:
+            rec.duration = TimeStats.first(mode, duration_us)
+            rec.pre_gap = TimeStats.first(mode, gap_us)
+        rec.pending = pending
+        return rec
 
     @property
     def count(self) -> int:
@@ -125,15 +165,14 @@ class CompressedRecord:
         return self.key == other.key and self.occurrences == other.occurrences
 
     def copy(self) -> "CompressedRecord":
-        rec = CompressedRecord(
-            key=self.key,
-            occurrences=IntSequence(terms=list(self.occurrences.terms),
-                                    length=self.occurrences.length),
-            duration=self.duration.copy(),
-            pre_gap=self.pre_gap.copy(),
-            pending=self.pending,
+        occ = self.occurrences
+        return CompressedRecord(
+            self.key,
+            IntSequence(list(occ.terms), occ.length),
+            self.duration.copy(),
+            self.pre_gap.copy(),
+            self.pending,
         )
-        return rec
 
     def approx_bytes(self) -> int:
         # Serialized estimate (container bytes):

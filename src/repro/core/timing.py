@@ -23,11 +23,18 @@ HIST = "hist"
 # Log-scale histogram bin edges in microseconds: <1, <2, <4, ... <2^22, inf
 _NBINS = 24
 
+_new = object.__new__
+
 
 def _bin_index(us: float) -> int:
     if us < 1.0:
         return 0
     return min(_NBINS - 1, int(math.log2(us)) + 1)
+
+
+def check_mode(mode: str) -> None:
+    if mode not in (MEANSTD, HIST):
+        raise ValueError(f"unknown timing mode {mode!r}")
 
 
 @dataclass(slots=True)
@@ -48,10 +55,32 @@ class TimeStats:
     bins: list[int] | None = None  # histogram mode only
 
     def __post_init__(self) -> None:
-        if self.mode not in (MEANSTD, HIST):
-            raise ValueError(f"unknown timing mode {self.mode!r}")
+        check_mode(self.mode)
         if self.mode == HIST and self.bins is None:
             self.bins = [0] * _NBINS
+
+    @classmethod
+    def first(cls, mode: str, us: float) -> "TimeStats":
+        """The stats of one sample, built in one step: bit-identical to
+        ``TimeStats(mode)`` followed by ``add(us)`` (Welford at n = 1 is
+        ``mean = 0.0 + us``, ``m2 = 0.0``, ``min = max = us`` for finite
+        ``us``).  Part of the record-commit path
+        (:meth:`~repro.core.records.CompressedRecord.first`), so ``mode``
+        is trusted: it was checked where it entered
+        (:class:`~repro.core.intra.CypressConfig`)."""
+        st = _new(cls)
+        st.mode = mode
+        st.count = 1
+        st.mean = 0.0 + us
+        st.m2 = 0.0
+        st.minimum = us
+        st.maximum = us
+        if mode == HIST:
+            st.bins = bins = [0] * _NBINS
+            bins[_bin_index(us)] = 1
+        else:
+            st.bins = None
+        return st
 
     # -- update --------------------------------------------------------
 
@@ -145,15 +174,15 @@ class TimeStats:
         self.bins = bins
 
     def copy(self) -> "TimeStats":
-        return TimeStats(
-            mode=self.mode,
-            count=self.count,
-            mean=self.mean,
-            m2=self.m2,
-            minimum=self.minimum,
-            maximum=self.maximum,
-            bins=list(self.bins) if self.bins is not None else None,
-        )
+        st = _new(TimeStats)
+        st.mode = self.mode
+        st.count = self.count
+        st.mean = self.mean
+        st.m2 = self.m2
+        st.minimum = self.minimum
+        st.maximum = self.maximum
+        st.bins = list(self.bins) if self.bins is not None else None
+        return st
 
     # -- size ------------------------------------------------------------
 

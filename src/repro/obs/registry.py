@@ -22,11 +22,6 @@ The registry itself is deliberately small: counters (monotonic ints),
 gauges (last-write-wins floats with a ``gauge_max`` variant), timers
 (count/total/min/max aggregates) and spans (wall-clock stage intervals
 with a dotted hierarchy path built from the active span stack).
-
-Cross-process aggregation: another process's :meth:`to_dict` output
-folds in via :meth:`merge_dict` (counters sum, gauges max, timers merge,
-foreign spans fold into timers keyed by their path, since wall-clock
-offsets are not comparable across processes).
 """
 
 from __future__ import annotations
@@ -180,26 +175,6 @@ class MetricsRegistry:
 
     def span_paths(self) -> list[str]:
         return [s["path"] for s in self.spans]
-
-    # -- aggregation ------------------------------------------------------
-
-    def merge_dict(self, data: dict) -> None:
-        """Fold another process's :meth:`to_dict` output into this
-        registry: counters sum, gauges take the max (they are depths and
-        rates), timers merge, and its spans become timer observations
-        keyed by span path — wall-clock offsets from another process are
-        not comparable with ours."""
-        for name, value in data.get("counters", {}).items():
-            self.counter_add(name, value)
-        for name, value in data.get("gauges", {}).items():
-            self.gauge_max(name, value)
-        for name, tdata in data.get("timers", {}).items():
-            timer = self.timers.get(name)
-            if timer is None:
-                timer = self.timers[name] = TimerStat()
-            timer.merge(TimerStat.from_dict(tdata))
-        for span in data.get("spans", []):
-            self.observe(f"span/{span['path']}", span["seconds"])
 
     # -- export -----------------------------------------------------------
 

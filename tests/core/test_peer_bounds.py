@@ -159,6 +159,33 @@ class TestMergeAbsFallback:
         # value instead of aliasing onto other ranks' plausible peers.
         assert found == (ABS, 7)
 
+    @pytest.mark.parametrize("slot", [1, 2])
+    @pytest.mark.parametrize(
+        "delta,repaired", [(-3, True), (-2, False), (1, False), (2, True)]
+    )
+    def test_range_edges_of_the_one_pass_check(self, slot, delta, repaired):
+        # On rank 2 of 4 the in-range deltas are exactly [-2, 2): the
+        # merge signs a leaf and range-checks both peer slots in one
+        # pass, and only an out-of-range delta may reach the repair.
+        _, _, cyp, _ = run_traced(RING, 4)
+        ctts = [cyp.ctt(r) for r in range(4)]
+        _, record = _find_rel_leaf(ctts[2])
+        key = list(record.key)
+        key[slot] = (REL, delta)
+        record.key = tuple(key)
+        merged = merge_all(ctts, nranks=4)
+        encodings = {
+            rec.key[slot]
+            for vertex in merged.root.preorder()
+            for group in vertex.groups.values()
+            if group.records is not None and 2 in group.ranks
+            for rec in group.records
+            if rec.key[0] == "MPI_Send"
+        }
+        want = (ABS, 2 + delta) if repaired else (REL, delta)
+        assert want in encodings
+        assert ((REL, delta) in encodings) != repaired
+
     def test_other_ranks_unaffected_by_victim(self):
         _, rec, cyp, _ = run_traced(RING, 4)
         ctts = [cyp.ctt(r) for r in range(4)]

@@ -1,7 +1,14 @@
 """CompressedRecord unit tests."""
 
+import struct
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.core.records import CompressedRecord, make_key
 from repro.core.sequences import IntSequence
+from repro.core.timing import HIST, MEANSTD, TimeStats
 
 
 def key(**kw):
@@ -74,3 +81,73 @@ class TestCopy:
         a = CompressedRecord(key=key(req_gids=(1, 2, 3)))
         a.add_occurrence(0, 1.0, 0.0)
         assert a.approx_bytes() > 20
+
+
+def _bits(stats):
+    """A TimeStats field for field, floats by their bit pattern."""
+    pack = struct.Struct("<d").pack
+    return (
+        stats.mode, stats.count, pack(stats.mean), pack(stats.m2),
+        pack(stats.minimum), pack(stats.maximum), stats.bins,
+    )
+
+
+def _record_bits(rec):
+    return (
+        rec.key, rec.occurrences.terms, rec.occurrences.length,
+        _bits(rec.duration), _bits(rec.pre_gap), rec.pending,
+    )
+
+
+#: Finite, non-negative microseconds — what a simulated clock can hand
+#: the compressor — with the corners the Welford shortcut could miss.
+MICROSECONDS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e300]),
+    st.floats(min_value=0.0, max_value=1e300, allow_nan=False,
+              allow_subnormal=True),
+)
+
+
+class TestFirstOccurrence:
+    """``first`` is default-construct + ``add_occurrence`` in one step,
+    bit for bit — and stays so after the next occurrence."""
+
+    @pytest.mark.parametrize("mode", [MEANSTD, HIST])
+    @given(
+        visit=st.integers(0, 1 << 40), later=st.integers(0, 1 << 40),
+        d=MICROSECONDS, g=MICROSECONDS, d2=MICROSECONDS, g2=MICROSECONDS,
+        pending=st.booleans(),
+    )
+    def test_equals_construct_then_add(
+        self, mode, visit, later, d, g, d2, g2, pending
+    ):
+        k = None if pending else key()
+        direct = CompressedRecord.first(k, visit, d, g, mode, pending)
+        stepwise = CompressedRecord(
+            key=k, duration=TimeStats(mode=mode),
+            pre_gap=TimeStats(mode=mode), pending=pending,
+        )
+        stepwise.add_occurrence(visit, d, g)
+        assert _record_bits(direct) == _record_bits(stepwise)
+        direct.add_occurrence(later, d2, g2)
+        stepwise.add_occurrence(later, d2, g2)
+        assert _record_bits(direct) == _record_bits(stepwise)
+
+    @pytest.mark.parametrize("mode", [MEANSTD, HIST])
+    @given(us=MICROSECONDS, us2=MICROSECONDS)
+    def test_stats_first_equals_construct_then_add(self, mode, us, us2):
+        direct = TimeStats.first(mode, us)
+        stepwise = TimeStats(mode=mode)
+        stepwise.add(us)
+        assert _bits(direct) == _bits(stepwise)
+        direct.add(us2)
+        stepwise.add(us2)
+        assert _bits(direct) == _bits(stepwise)
+
+    def test_copy_is_field_for_field(self):
+        rec = CompressedRecord.first(key(), 3, 2.5, 0.5, HIST)
+        rec.add_occurrence(9, 40.0, 1.0)
+        dup = rec.copy()
+        assert _record_bits(dup) == _record_bits(rec)
+        assert dup.duration.bins is not rec.duration.bins
+        assert dup.occurrences.terms is not rec.occurrences.terms

@@ -155,6 +155,13 @@ class TestHistogram:
         with pytest.raises(ValueError):
             TimeStats(mode="exotic")
 
+    def test_unknown_mode_rejected_where_it_enters(self):
+        # The record-commit path trusts the configured mode.
+        from repro.core.intra import CypressConfig
+
+        with pytest.raises(ValueError, match="exotic"):
+            CypressConfig(timing_mode="exotic")
+
 
 class TestCopy:
     def test_copy_independent(self):

@@ -8,10 +8,14 @@ record's key, and the merge must work whichever policy is active."""
 
 import sys
 
+import pytest
+
 sys.path.insert(0, "tests")
 from helpers import assert_replay_exact, run_traced  # noqa: E402
 
+from repro.core import serialize  # noqa: E402
 from repro.core.intra import CypressConfig  # noqa: E402
+from repro.core.timing import HIST  # noqa: E402
 
 # Rank 0 posts wildcard irecvs in a loop; ranks 1 and 2 each send six
 # same-shaped messages, so resolved records differ only by source rank.
@@ -83,3 +87,26 @@ class TestWildcardCompletionMerging:
             assert len(records) == 1
             assert records[0].count == 10
             assert_replay_exact(rec, cyp, 2, merged=True)
+
+
+class TestWildcardHistogramMode:
+    """A pending wildcard record must be born in the configured timing
+    mode: built with the ``meanstd`` default it silently lost its
+    histogram, and ``merge_from`` against a ``hist`` record of the same
+    key would refuse to mix the modes."""
+
+    @pytest.mark.parametrize("window", [None, 1])
+    def test_every_record_keeps_its_histogram(self, window):
+        config = CypressConfig(window=window, timing_mode=HIST)
+        _, rec, cyp, _ = run_traced(SRC, 3, config=config)
+        assert _irecv_records(cyp)
+        for rank in range(3):
+            for v in cyp.ctt(rank).preorder():
+                for record in v.records or ():
+                    for stats in (record.duration, record.pre_gap):
+                        assert stats.mode == HIST, (rank, v.gid, v.op)
+                        assert sum(stats.bins) == record.count
+        merged = assert_replay_exact(rec, cyp, 3, merged=True)
+        assert_replay_exact(rec, cyp, 3)
+        blob = serialize.dumps(merged)
+        assert serialize.dumps(serialize.loads(blob)) == blob

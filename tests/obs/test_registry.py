@@ -136,33 +136,6 @@ class TestActivation:
             pass
 
 
-class TestMergeDict:
-    def _worker_dict(self):
-        w = MetricsRegistry()
-        w.counter_add("c", 3)
-        w.gauge_max("depth", 2.0)
-        w.observe("t", 0.5)
-        with w.span("work"):
-            pass
-        return w.to_dict()
-
-    def test_counters_sum_gauges_max_timers_merge(self):
-        parent = MetricsRegistry()
-        parent.counter_add("c", 1)
-        parent.gauge_max("depth", 5.0)
-        parent.merge_dict(self._worker_dict())
-        parent.merge_dict(self._worker_dict())
-        assert parent.counters["c"] == 7
-        assert parent.gauges["depth"] == 5.0
-        assert parent.timers["t"].count == 2
-
-    def test_worker_spans_fold_into_timers(self):
-        parent = MetricsRegistry()
-        parent.merge_dict(self._worker_dict())
-        assert parent.spans == []  # wall clocks are not comparable
-        assert parent.timers["span/work"].count == 1
-
-
 class TestExport:
     def _populated(self):
         reg = MetricsRegistry()
