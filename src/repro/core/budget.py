@@ -48,6 +48,7 @@ from .serialize import (
     ByteWriter,
     _read_record,
     _read_seq,
+    _uvarint,
     _write_record,
     _write_seq,
     read_sections,
@@ -146,22 +147,26 @@ def decode_rank_state(data: bytes, state_factory, rebuild_index: bool = True):
         req_gid[rid] = r.z()
     st.req_gid = req_gid
     ops = [r.s() for _ in range(r.u())]
+    pos = r.pos  # payloads: the container's one-pass decoders from here
     for v in ctt.vertices():
-        v.search_pos = r.u()
-        v.leaf_visits = r.u()
+        v.search_pos, pos = _uvarint(data, pos)
+        v.leaf_visits, pos = _uvarint(data, pos)
         if v.loop_counts is not None:
-            v.loop_counts = _read_seq(r)
+            v.loop_counts, pos = _read_seq(data, pos)
         if v.visits is not None:
-            v.visits = _read_seq(r)
+            v.visits, pos = _read_seq(data, pos)
         if v.records is not None:
-            records = [_read_record(r, ops) for _ in range(r.u())]
-            v.records = records
+            nrecords, pos = _uvarint(data, pos)
+            v.records = records = []
+            for _ in range(nrecords):
+                rec, pos = _read_record(data, pos, ops)
+                records.append(rec)
             if rebuild_index:
                 index = v.record_index
                 for rec in records:
                     index[rec.key] = rec
         for group in v.branch_groups:
-            group.visit_counter = r.u()
+            group.visit_counter, pos = _uvarint(data, pos)
     return st
 
 

@@ -34,8 +34,6 @@ Pairwise :meth:`MergedCTT.absorb` stays as the reference the tests and
 
 from __future__ import annotations
 
-from hashlib import blake2b
-
 from repro import obs
 from repro.static.cst import BRANCH, CALL, LOOP
 
@@ -50,31 +48,23 @@ from .sequences import IntSequence
 # Interned payload signatures.
 
 
-def _stable_hash(key: tuple) -> int:
-    """Salt-free 64-bit signature hash.
-
-    ``hash(tuple_of_strings)`` depends on the per-process
-    ``PYTHONHASHSEED`` salt, and group order at a vertex follows the
-    signature hash.  Hashing the key's packed byte form instead makes
-    group order — and so the container bytes — the same in every
-    process."""
-    digest = blake2b(
-        repr(key).encode("utf-8", "surrogatepass"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little", signed=True)
-
-
 class Signature:
     """An interned payload signature: hashes once, compares by pointer
     within a merge session (falling back to tuple equality across
-    sessions, e.g. when comparing trees merged independently).  The
-    hash is salt-free (:func:`_stable_hash`)."""
+    sessions, e.g. when comparing trees merged independently).
+
+    The hash is the key tuple's own — the one the intern table's
+    ``dict.get(key)`` computes anyway — so it carries the process's
+    ``PYTHONHASHSEED`` salt.  Nothing ordered depends on it: groups are
+    written by lowest member rank (:meth:`MergedVertex.sorted_groups`),
+    statistics fold in ascending rank order, and every dict here is
+    read in insertion order or by key."""
 
     __slots__ = ("key", "_hash")
 
     def __init__(self, key: tuple) -> None:
         self.key = key
-        self._hash = _stable_hash(key)
+        self._hash = hash(key)
 
     def __hash__(self) -> int:
         return self._hash

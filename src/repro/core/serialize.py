@@ -47,9 +47,10 @@ from repro.static.cst import BRANCH, CALL, LOOP, ROOT
 
 from .errors import TraceFormatError
 from .inter import Group, InternTable, MergedCTT, MergedVertex
+from .ranks import ABS, REL
 from .records import CompressedRecord
 from .sequences import IntSequence
-from .timing import HIST, MEANSTD, TimeStats
+from .timing import _NBINS, HIST, MEANSTD, TimeStats
 
 _MAGIC = b"CYTR"
 _VERSION = 6
@@ -68,6 +69,8 @@ _KIND_CODE = {ROOT: 0, LOOP: 1, BRANCH: 2, CALL: 3}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 _pack_double = struct.Struct("<d").pack
+_unpack_4d = struct.Struct("<4d").unpack_from  # mean, m2, minimum, maximum
+_new = object.__new__
 
 
 class ByteWriter:
@@ -114,32 +117,57 @@ class ByteWriter:
         self._buf += data
 
 
+def _uvarint(data: bytes, pos: int) -> tuple[int, int]:
+    """The unsigned LEB128 varint at ``data[pos]``: ``(value, next
+    position)``.  Running off the end is an :class:`IndexError`, which
+    the callers that own a buffer translate.
+
+    The body decoders below read the one-byte case — nearly every field
+    — in line (``x = data[pos]; pos += 1``) and come here, one byte
+    back, only when the continuation bit is set."""
+    value = data[pos]
+    pos += 1
+    if value > 0x7F:
+        value &= 0x7F
+        shift = 7
+        while True:
+            byte = data[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+    return value, pos
+
+
 class ByteReader:
-    def __init__(self, data: bytes) -> None:
+    """Field-at-a-time decoder for the framing and cursor fields; the
+    record bodies are decoded by the one-pass ``_read_*`` functions
+    below, which take ``pos`` and hand it back."""
+
+    __slots__ = ("_data", "pos")
+
+    def __init__(self, data: bytes, pos: int = 0) -> None:
         self._data = data
-        self._pos = 0
+        self.pos = pos
 
     def raw(self, n: int) -> bytes:
-        out = self._data[self._pos : self._pos + n]
+        out = self._data[self.pos : self.pos + n]
         if len(out) != n:
             raise TraceFormatError("truncated trace file")
-        self._pos += n
+        self.pos += n
         return out
 
     def u(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self._data[self._pos]
-            self._pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
+        try:
+            value, self.pos = _uvarint(self._data, self.pos)
+        except IndexError:
+            raise TraceFormatError("truncated trace file") from None
+        return value
 
     def z(self) -> int:
         raw = self.u()
-        return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
+        return (raw >> 1) ^ -(raw & 1)
 
     def f(self) -> float:
         return struct.unpack("<d", self.raw(8))[0]
@@ -148,7 +176,7 @@ class ByteReader:
         return self.raw(self.u()).decode("utf-8")
 
     def eof(self) -> bool:
-        return self._pos >= len(self._data)
+        return self.pos >= len(self._data)
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +190,34 @@ def _write_seq(w: ByteWriter, seq: IntSequence) -> None:
         w.z(stride)
 
 
-def _read_seq(r: ByteReader) -> IntSequence:
-    nterms = r.u()
+def _read_seq(data: bytes, pos: int) -> tuple[IntSequence, int]:
+    nterms = data[pos]
+    pos += 1
+    if nterms > 0x7F:
+        nterms, pos = _uvarint(data, pos - 1)
     terms = []
     length = 0
     for _ in range(nterms):
-        start = r.z()
-        count = r.u()
-        stride = r.z()
-        terms.append((start, count, stride))
+        start = data[pos]
+        pos += 1
+        if start > 0x7F:
+            start, pos = _uvarint(data, pos - 1)
+        count = data[pos]
+        pos += 1
+        if count > 0x7F:
+            count, pos = _uvarint(data, pos - 1)
+        stride = data[pos]
+        pos += 1
+        if stride > 0x7F:
+            stride, pos = _uvarint(data, pos - 1)
+        terms.append(
+            ((start >> 1) ^ -(start & 1), count, (stride >> 1) ^ -(stride & 1))
+        )
         length += count
-    return IntSequence(terms=terms, length=length)
+    seq = _new(IntSequence)
+    seq.terms = terms
+    seq.length = length
+    return seq, pos
 
 
 def _write_stats(w: ByteWriter, st: TimeStats) -> None:
@@ -190,19 +235,30 @@ def _write_stats(w: ByteWriter, st: TimeStats) -> None:
             w.u(b)
 
 
-def _read_stats(r: ByteReader) -> TimeStats:
-    mode = MEANSTD if r.u() == 0 else HIST
-    st = TimeStats(mode=mode)
-    st.count = r.u()
-    st.mean = r.f()
-    st.m2 = r.f()
-    st.minimum = r.f()
-    st.maximum = r.f()
-    if mode == HIST:
-        for _ in range(r.u()):
-            i = r.u()
-            st.bins[i] = r.u()
-    return st
+def _read_stats(data: bytes, pos: int) -> tuple[TimeStats, int]:
+    hist = data[pos]
+    pos += 1
+    if hist > 0x7F:
+        hist, pos = _uvarint(data, pos - 1)
+    count = data[pos]
+    pos += 1
+    if count > 0x7F:
+        count, pos = _uvarint(data, pos - 1)
+    st = _new(TimeStats)
+    st.count = count
+    st.mean, st.m2, st.minimum, st.maximum = _unpack_4d(data, pos)
+    pos += 32
+    if not hist:
+        st.mode = MEANSTD
+        st.bins = None
+        return st, pos
+    st.mode = HIST
+    st.bins = bins = [0] * _NBINS
+    nonzero, pos = _uvarint(data, pos)
+    for _ in range(nonzero):
+        i, pos = _uvarint(data, pos)
+        bins[i], pos = _uvarint(data, pos)
+    return st, pos
 
 
 def _write_record(w: ByteWriter, rec: CompressedRecord, ops: dict[str, int]) -> None:
@@ -228,29 +284,48 @@ def _write_record(w: ByteWriter, rec: CompressedRecord, ops: dict[str, int]) -> 
     _write_stats(w, rec.pre_gap)
 
 
-def _read_record(r: ByteReader, ops: list[str]) -> CompressedRecord:
-    op = ops[r.u()]
-    peers = []
-    for _ in range(2):
-        mode = "abs" if r.u() == 0 else "rel"
-        peers.append((mode, r.z()))
-    tag = r.z()
-    tag2 = r.z()
-    nbytes = r.u()
-    nbytes2 = r.u()
-    comm = r.u()
-    root = r.z()
-    wc = bool(r.u())
-    gids = tuple(r.z() for _ in range(r.u()))
-    result_comm = r.z()
-    key = (op, peers[0], peers[1], tag, tag2, nbytes, nbytes2, comm, root, wc,
-           gids, result_comm)
-    occurrences = _read_seq(r)
-    duration = _read_stats(r)
-    pre_gap = _read_stats(r)
-    return CompressedRecord(
-        key=key, occurrences=occurrences, duration=duration, pre_gap=pre_gap
+def _read_record(
+    data: bytes, pos: int, ops: list[str]
+) -> tuple[CompressedRecord, int]:
+    """The one record decoder (the container and the budget spill store
+    share it): a single pass with the position in a local, one-byte
+    varints read in line, objects filled slot by slot as
+    :meth:`CompressedRecord.first` does."""
+    # op, peer mode/value twice, tag, tag2, nbytes, nbytes2, comm, root,
+    # wildcard flag, number of request gids: thirteen varints in a row.
+    fields = []
+    for _ in range(13):
+        value = data[pos]
+        pos += 1
+        if value > 0x7F:
+            value, pos = _uvarint(data, pos - 1)
+        fields.append(value)
+    op, m1, p1, m2, p2, tag, tag2, nbytes, nbytes2, comm, root, wc, ngids = fields
+    gids = ()
+    if ngids:
+        gid_list = []
+        for _ in range(ngids):
+            gid, pos = _uvarint(data, pos)
+            gid_list.append((gid >> 1) ^ -(gid & 1))
+        gids = tuple(gid_list)
+    result_comm = data[pos]
+    pos += 1
+    if result_comm > 0x7F:
+        result_comm, pos = _uvarint(data, pos - 1)
+    rec = _new(CompressedRecord)
+    rec.key = (
+        ops[op],
+        (REL if m1 else ABS, (p1 >> 1) ^ -(p1 & 1)),
+        (REL if m2 else ABS, (p2 >> 1) ^ -(p2 & 1)),
+        (tag >> 1) ^ -(tag & 1), (tag2 >> 1) ^ -(tag2 & 1),
+        nbytes, nbytes2, comm, (root >> 1) ^ -(root & 1), wc != 0,
+        gids, (result_comm >> 1) ^ -(result_comm & 1),
     )
+    rec.occurrences, pos = _read_seq(data, pos)
+    rec.duration, pos = _read_stats(data, pos)
+    rec.pre_gap, pos = _read_stats(data, pos)
+    rec.pending = False
+    return rec, pos
 
 
 # ---------------------------------------------------------------------------
@@ -325,34 +400,53 @@ def _write_vertex_payload(w: ByteWriter, v, strings: dict[str, int]) -> None:
 
 
 def _read_vertex_payload(
-    r: ByteReader, v: MergedVertex, strings: list[str], interns: InternTable
-) -> None:
-    ngroups = r.u()
+    data: bytes,
+    pos: int,
+    v: MergedVertex,
+    strings: list[str],
+    interns: InternTable,
+    nranks: int,
+) -> int:
+    """Decode one vertex's groups from ``data[pos:]`` into ``v``;
+    returns the position after them."""
+    kind = v.kind
+    groups = v.groups
+    ngroups, pos = _uvarint(data, pos)
     for _ in range(ngroups):
-        ranks = _read_seq(r).to_list()
-        counts = visits = records = None
-        if v.kind == LOOP:
-            counts = _read_seq(r)
-            key = ("L", counts.length, tuple(counts.terms))
-        elif v.kind == BRANCH:
-            visits = _read_seq(r)
-            key = ("B", visits.length, tuple(visits.terms))
-        elif v.kind == CALL:
-            records = [_read_record(r, strings) for _ in range(r.u())]
-            key = (
-                "R",
-                tuple(
-                    (rec.key, rec.occurrences.length, tuple(rec.occurrences.terms))
-                    for rec in records
-                ),
+        rank_seq, pos = _read_seq(data, pos)
+        # Groups at a vertex are disjoint, so none outnumbers the job.
+        # Checked on the declared length, before any list exists: one
+        # stride term can claim 10**11 ranks in six checksum-valid bytes.
+        if rank_seq.length > nranks:
+            raise TraceFormatError(
+                f"vertex {v.gid}: a group declares {rank_seq.length} "
+                f"member rank(s), the header {nranks}"
             )
+        counts = visits = records = None
+        if kind == CALL:
+            nrecords, pos = _uvarint(data, pos)
+            records = []
+            parts = []
+            for _ in range(nrecords):
+                rec, pos = _read_record(data, pos, strings)
+                records.append(rec)
+                occ = rec.occurrences
+                parts.append((rec.key, occ.length, tuple(occ.terms)))
+            key = ("R", tuple(parts))
+        elif kind == LOOP:
+            counts, pos = _read_seq(data, pos)
+            key = ("L", counts.length, tuple(counts.terms))
+        elif kind == BRANCH:
+            visits, pos = _read_seq(data, pos)
+            key = ("B", visits.length, tuple(visits.terms))
         else:
             key = ()
         group = Group(
-            signature=interns.intern(key), ranks=ranks,
+            signature=interns.intern(key), ranks=rank_seq.to_list(),
             counts=counts, visits=visits, records=records,
         )
-        v.groups[group.signature] = group
+        groups[group.signature] = group
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +476,10 @@ def _read_sections(
     n = len(data)
     while pos < n:
         try:
-            sr = ByteReader(data)
-            sr._pos = pos
+            sr = ByteReader(data, pos)
             kind = sr.u()
             length = sr.u()
-            payload_end = sr._pos + length
+            payload_end = sr.pos + length
             crc_end = payload_end + 4
             if crc_end > n:
                 raise TraceFormatError(
@@ -398,18 +491,12 @@ def _read_sections(
                 raise TraceFormatError(
                     f"section checksum mismatch at byte {pos}"
                 )
-            payload = data[sr._pos : payload_end]
+            payload = data[sr.pos : payload_end]
         except TraceFormatError as exc:
             if salvage:
                 error = str(exc)
                 break
             raise
-        except IndexError:
-            exc_msg = f"truncated section framing at byte {pos}"
-            if salvage:
-                error = exc_msg
-                break
-            raise TraceFormatError(exc_msg) from None
         sections.append((kind, payload))
         pos = crc_end
         if kind == _SEC_END:
@@ -584,7 +671,7 @@ def _loads(data: bytes, salvage: bool) -> MergedCTT:
     version = r.u()
     if version != _VERSION:
         raise TraceFormatError(f"unsupported trace version {version}")
-    sections, complete, error = _read_sections(data, r._pos, salvage)
+    sections, complete, error = _read_sections(data, r.pos, salvage)
     return _assemble(sections, complete, error, salvage)
 
 
@@ -631,9 +718,20 @@ def _assemble(
                 f"payload chunk covers vertices {chunk_first}.."
                 f"{chunk_first + chunk_count} out of order"
             )
-        for v in vertices[chunk_first : chunk_first + chunk_count]:
-            _read_vertex_payload(pr, v, strings, interns)
+        pos = pr.pos
         covered = chunk_first + chunk_count
+        try:
+            for v in vertices[chunk_first:covered]:
+                pos = _read_vertex_payload(
+                    payload, pos, v, strings, interns, nranks
+                )
+        except (IndexError, struct.error):
+            # Ran off the chunk, or named a string or histogram bin
+            # that does not exist.
+            raise TraceFormatError(
+                f"payload chunk of vertices {chunk_first}..{covered} is "
+                f"truncated or indexes out of range (at vertex {v.gid})"
+            ) from None
     if not salvage:
         if declared_sections != len(sections) - 1:
             raise TraceFormatError(
@@ -645,6 +743,7 @@ def _assemble(
                 f"payload covers {covered}/{len(vertices)} vertices"
             )
     merged = MergedCTT(root, nranks, interns)
+    merged._vertices = vertices
     if salvage:
         merged.salvage_info = {
             "complete": complete and covered == len(vertices),

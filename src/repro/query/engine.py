@@ -159,7 +159,7 @@ def rank_count(merged) -> int:
     tree) — the rank-space size queries validate decoded peers against
     when the caller does not pass ``nprocs`` explicitly."""
     highest = -1
-    for vertex in merged.root.preorder():
+    for vertex in merged.vertices():
         for group in vertex.groups.values():
             if group.ranks and group.ranks[-1] > highest:
                 highest = group.ranks[-1]
@@ -224,14 +224,16 @@ def traffic(
         raise ValueError(f"unknown traffic grouping {group_by!r}")
     registry = obs.active()
     with obs.span("query.traffic"):
-        out: dict = {}
-        vertices = 0
+        # Plain int sums per cell; the frozen results are built once, at
+        # the end.  Both dicts gain a key together, so they stay aligned.
+        msgs: dict = {}
+        vol: dict = {}
         records_seen = 0
         dropped = 0
         if group_by == "rank_pair" and nprocs is None:
             nprocs = rank_count(merged)
-        for vertex in merged.root.preorder():
-            vertices += 1
+        vertices = merged.vertices()
+        for vertex in vertices:
             if vertex.kind != CALL or not vertex.groups:
                 continue
             for group in vertex.groups.values():
@@ -241,35 +243,34 @@ def traffic(
                 nmembers = len(group.ranks)
                 for record in records:
                     key = record.key
-                    if key is None or record.count == 0:
+                    count = record.occurrences.length
+                    if key is None or count == 0:
                         continue
                     records_seen += 1
-                    count = record.count
                     if group_by == "rank_pair":
                         if key[0] not in SEND_OPS:
                             continue
-                        nbytes = key[_NBYTES]
+                        nbytes = count * key[_NBYTES]
                         for rank in group.ranks:
                             dst, ok = try_decode_peer(key[1], rank, nprocs)
                             if not ok or not 0 <= dst < nprocs:
                                 dropped += count
                                 continue
-                            cell = out.get((rank, dst))
-                            out[(rank, dst)] = Traffic(
-                                messages=(cell.messages if cell else 0) + count,
-                                nbytes=(cell.nbytes if cell else 0)
-                                + count * nbytes,
-                            )
+                            cell = (rank, dst)
+                            msgs[cell] = msgs.get(cell, 0) + count
+                            vol[cell] = vol.get(cell, 0) + nbytes
                         continue
-                    gkey = vertex.gid if group_by == "vertex" else key[0]
+                    cell = vertex.gid if group_by == "vertex" else key[0]
                     messages = count * nmembers
-                    nbytes = (key[_NBYTES] + key[_NBYTES2]) * messages
-                    cell = out.get(gkey)
-                    out[gkey] = Traffic(
-                        messages=(cell.messages if cell else 0) + messages,
-                        nbytes=(cell.nbytes if cell else 0) + nbytes,
-                    )
-        _count_queries(registry, "traffic", vertices, records_seen)
+                    msgs[cell] = msgs.get(cell, 0) + messages
+                    vol[cell] = vol.get(cell, 0) + (
+                        key[_NBYTES] + key[_NBYTES2]
+                    ) * messages
+        out = {
+            cell: Traffic(messages=n, nbytes=vol[cell])
+            for cell, n in msgs.items()
+        }
+        _count_queries(registry, "traffic", len(vertices), records_seen)
         if dropped and registry is not None:
             registry.counter_add("query.out_of_range_peers", dropped)
         return out
@@ -411,10 +412,9 @@ def rank_profile(merged, rank: int) -> RankProfile:
     registry = obs.active()
     with obs.span("query.rank_profile"):
         profile = RankProfile(rank=rank)
-        vertices = 0
         records_seen = 0
-        for vertex in merged.root.preorder():
-            vertices += 1
+        vertices = merged.vertices()
+        for vertex in vertices:
             if vertex.kind != CALL or not vertex.groups:
                 continue
             group = vertex.group_of(rank)
@@ -438,7 +438,7 @@ def rank_profile(merged, rank: int) -> RankProfile:
                 profile.events += count
                 profile.comm_us += time_us
                 profile.gap_us += gap_us
-        _count_queries(registry, "rank_profile", vertices, records_seen)
+        _count_queries(registry, "rank_profile", len(vertices), records_seen)
         return profile
 
 
@@ -455,9 +455,8 @@ def critical_leaves(
     with obs.span("query.critical_leaves"):
         idx = index if index is not None else TreeIndex(merged)
         leaves: list[CriticalLeaf] = []
-        vertices = 0
-        for vertex in merged.root.preorder():
-            vertices += 1
+        vertices = merged.vertices()
+        for vertex in vertices:
             if vertex.kind != CALL or not vertex.groups:
                 continue
             total_us, calls = leaf_time(vertex)
@@ -471,7 +470,7 @@ def critical_leaves(
                 total_us=total_us,
                 path=idx.path(vertex.gid),
             ))
-        _count_queries(registry, "critical_leaves", vertices)
+        _count_queries(registry, "critical_leaves", len(vertices))
         return rank_leaves(leaves, k)
 
 

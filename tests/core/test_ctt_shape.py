@@ -10,7 +10,7 @@ from repro.core import serialize
 from repro.core.budget import decode_rank_state, encode_rank_state
 from repro.core.ctt import CTT, CTTShape
 from repro.core.inter import merge_all
-from repro.core.intra import IntraProcessCompressor, compress_streams
+from repro.core.intra import CypressConfig, IntraProcessCompressor, compress_streams
 from repro.driver import run_compiled
 from repro.mpisim.pmpi import StreamCaptureSink
 from repro.static.instrument import compile_minimpi
@@ -24,8 +24,8 @@ def _immutable(obj):
     )
 
 
-def _capture_mg(nprocs):
-    w = WORKLOADS["mg"]
+def _capture(name, nprocs):
+    w = WORKLOADS[name]
     compiled = compile_minimpi(w.source)
     capture = StreamCaptureSink()
     run_compiled(compiled, nprocs, defines=w.defines(nprocs, 0.1),
@@ -67,7 +67,7 @@ def _owned_objects(ctt):
 
 class TestRankIsolation:
     def test_ranks_share_only_the_shape(self):
-        cst, streams = _capture_mg(16)
+        cst, streams = _capture("mg", 16)
         comp = IntraProcessCompressor(cst)
         # Even and odd ranks take different branches of mg's exchange.
         ranks = (0, 5, 14)
@@ -82,7 +82,7 @@ class TestRankIsolation:
                 assert not shared, [type(mine[k]).__name__ for k in shared]
 
     def test_what_a_rank_ingests_stays_on_that_rank(self):
-        cst, streams = _capture_mg(16)
+        cst, streams = _capture("mg", 16)
         comp = IntraProcessCompressor(cst)
         comp.ingest_stream(5, streams[5])
         idle = comp.ctt(0)
@@ -93,7 +93,7 @@ class TestRankIsolation:
                    for v in idle.vertices() for g in v.branch_groups)
 
     def test_shared_empties_are_immutable(self):
-        cst, _ = _capture_mg(16)
+        cst, _ = _capture("mg", 16)
         shape = CTTShape(cst)
         a, b = CTT(shape, 0), CTT(shape, 1)
         leaves = [v for v in a.vertices() if not v.children]
@@ -116,7 +116,7 @@ class TestRankIsolation:
                 assert va.branch_groups is not vb.branch_groups
 
     def test_deep_copy_is_another_isolated_rank(self):
-        cst, streams = _capture_mg(16)
+        cst, streams = _capture("mg", 16)
         comp = IntraProcessCompressor(cst)
         comp.ingest_stream(5, streams[5])
         original = comp.ctt(5)
@@ -126,7 +126,7 @@ class TestRankIsolation:
             merge_all([original]))
 
     def test_standalone_ctt_matches_shape_fill(self):
-        cst, _ = _capture_mg(16)
+        cst, _ = _capture("mg", 16)
         alone, filled = CTT(cst, 3), CTT(CTTShape(cst), 3)
         assert alone.rank == filled.rank == 3
         for va, vb in zip(alone.vertices(), filled.vertices(), strict=True):
@@ -138,21 +138,29 @@ class TestRankIsolation:
         assert alone.vertices() == list(alone.root.preorder())
 
     def test_snapshot_round_trip_mid_stream_continues_to_same_bytes(self):
-        nprocs = 16
-        cst, streams = _capture_mg(nprocs)
-        ref = compress_streams(cst, streams)
-        want = serialize.dumps(merge_all(
-            [ref.ctt(r) for r in range(nprocs)], nranks=nprocs))
-        comp = IntraProcessCompressor(cst)
-        for rank in range(nprocs):
-            stream = streams[rank]
-            half = len(stream) // 2
-            comp.ingest_stream(rank, stream[:half])
-            snapshot = encode_rank_state(comp.state(rank))
-            # Decode into a fresh fill of the compressor's shape, as a
-            # reload does, and carry on from there.
-            comp._states[rank] = decode_rank_state(snapshot, comp._new_state)
-            comp.ingest_stream(rank, stream[half:])
-        got = serialize.dumps(merge_all(
-            [comp.ctt(r) for r in range(nprocs)], nranks=nprocs))
-        assert got == want
+        _snapshot_mid_stream("mg", 16, CypressConfig())
+
+    def test_snapshot_round_trip_mid_stream_with_histograms(self):
+        # The spill reader is the container's record decoder; only this
+        # mode makes it fill bins.
+        _snapshot_mid_stream("cg", 8, CypressConfig(timing_mode="hist"))
+
+
+def _snapshot_mid_stream(name, nprocs, config):
+    cst, streams = _capture(name, nprocs)
+    ref = compress_streams(cst, streams, config=config)
+    want = serialize.dumps(merge_all(
+        [ref.ctt(r) for r in range(nprocs)], nranks=nprocs))
+    comp = IntraProcessCompressor(cst, config=config)
+    for rank in range(nprocs):
+        stream = streams[rank]
+        half = len(stream) // 2
+        comp.ingest_stream(rank, stream[:half])
+        snapshot = encode_rank_state(comp.state(rank))
+        # Decode into a fresh fill of the compressor's shape, as a
+        # reload does, and carry on from there.
+        comp._states[rank] = decode_rank_state(snapshot, comp._new_state)
+        comp.ingest_stream(rank, stream[half:])
+    got = serialize.dumps(merge_all(
+        [comp.ctt(r) for r in range(nprocs)], nranks=nprocs))
+    assert got == want

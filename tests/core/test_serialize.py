@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, "tests")
 from helpers import run_traced  # noqa: E402
 
-from repro.core import serialize  # noqa: E402
+from repro.core import TraceFormatError, serialize  # noqa: E402
 from repro.core.decompress import decompress_merged_rank  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
 from repro.core.serialize import ByteReader, ByteWriter  # noqa: E402
@@ -75,6 +75,15 @@ class TestVarints:
         w.f(1.0)
         with pytest.raises(ValueError):
             ByteReader(w.bytes()[:4]).f()
+
+    def test_truncated_varint_rejected(self):
+        # Off the end mid-varint is the same error as off the end
+        # mid-double, not a bare IndexError.
+        for data in (b"", b"\x80", b"\xff\xff"):
+            with pytest.raises(TraceFormatError, match="truncated"):
+                ByteReader(data).u()
+            with pytest.raises(TraceFormatError, match="truncated"):
+                ByteReader(data).z()
 
     def test_small_values_one_byte(self):
         w = ByteWriter()

@@ -1,5 +1,6 @@
-"""Crash-safe v5 container: checksummed sections, loud corruption,
-salvage, old-version handling, and atomic save."""
+"""Crash-safe container (v6 — the file keeps the name it had when the
+format was v5, which it now asserts is refused): checksummed sections,
+loud corruption, salvage, old-version handling, and atomic save."""
 
 import os
 import sys
