@@ -1,7 +1,9 @@
 """Binary serialization of the baselines' merged traces.
 
 Gives ScalaTrace and ScalaTrace-2 the same compact varint encoding the
-CYPRESS writer uses (:mod:`repro.core.serialize`), so the trace-size
+CYPRESS writer uses (:mod:`repro.core.serialize`) — stride terms, an
+interned string table and, as there, one table of the distinct
+timing-stats blocks that events name by index — so the trace-size
 comparisons of Figs. 15/19 measure representation power, not encoder
 quality.
 """
@@ -9,6 +11,7 @@ quality.
 from __future__ import annotations
 
 import gzip as _gzip
+import struct
 
 from repro.core.serialize import ByteWriter
 from repro.core.sequences import IntSequence
@@ -36,14 +39,45 @@ def _write_seq(w: ByteWriter, seq: IntSequence) -> None:
         w.z(stride)
 
 
-def _write_stats(w: ByteWriter, st: TimeStats) -> None:
-    w.u(st.count)
-    w.f(st.mean)
-    w.f(st.m2)
+_pack_2d = struct.Struct("<2d").pack
 
 
-def _write_sig(w: ByteWriter, sig: tuple, ops: dict[str, int]) -> None:
-    w.u(ops.setdefault(sig[0], len(ops)))
+class _Tables:
+    """What a baseline trace interns while its body is written and
+    emits ahead of it: op strings, and the distinct ``count | mean | m2``
+    stats blocks in first-use order (keyed by their bytes)."""
+
+    def __init__(self) -> None:
+        self.ops: dict[str, int] = {}
+        self.stats: dict[tuple, int] = {}
+        self.blocks = ByteWriter()
+
+    def op(self, text: str) -> int:
+        return self.ops.setdefault(text, len(self.ops))
+
+    def write_stats(self, w: ByteWriter, st: TimeStats) -> None:
+        key = (st.count, _pack_2d(st.mean, st.m2))
+        at = self.stats.get(key)
+        if at is None:
+            at = self.stats[key] = len(self.stats)
+            self.blocks.u(st.count)
+            self.blocks.raw(key[1])
+        w.u(at)
+
+    def dumps(self, body: ByteWriter, gzip: bool) -> bytes:
+        w = ByteWriter()
+        w.u(len(self.ops))
+        for text in self.ops:
+            w.s(text)
+        w.u(len(self.stats))
+        w.raw(self.blocks.bytes())
+        w.raw(body.bytes())
+        data = w.bytes()
+        return _gzip.compress(data, 6) if gzip else data
+
+
+def _write_sig(w: ByteWriter, sig: tuple, tables: _Tables) -> None:
+    w.u(tables.op(sig[0]))
     for enc in (sig[1], sig[2]):
         if isinstance(enc, tuple):
             w.u(0 if enc[0] == "abs" else (1 if enc[0] == "rel" else 2))
@@ -57,57 +91,50 @@ def _write_sig(w: ByteWriter, sig: tuple, ops: dict[str, int]) -> None:
         elif isinstance(value, int):
             w.z(value)
         elif isinstance(value, str):
-            w.u(ops.setdefault(value, len(ops)))
+            w.u(tables.op(value))
         else:
             w.z(0)
 
 
-def _write_term(w: ByteWriter, term: Term, ops: dict[str, int]) -> None:
+def _write_term(w: ByteWriter, term: Term, tables: _Tables) -> None:
     if isinstance(term, EventTerm):
         w.u(0)
-        _write_sig(w, term.sig, ops)
-        _write_stats(w, term.duration)
-        _write_stats(w, term.pre_gap)
+        _write_sig(w, term.sig, tables)
+        tables.write_stats(w, term.duration)
+        tables.write_stats(w, term.pre_gap)
     else:
         w.u(1)
         w.u(term.count)
         w.u(len(term.body))
         for t in term.body:
-            _write_term(w, t, ops)
+            _write_term(w, t, tables)
 
 
 def scalatrace_dumps(merged: MergedQueue, gzip: bool = False) -> bytes:
-    w = ByteWriter()
-    ops: dict[str, int] = {}
+    tables = _Tables()
     body = ByteWriter()
     body.u(len(merged))
     for slot in merged:
         body.u(len(slot.variants))
         for ranks, term in slot.variants:
             _write_ranks(body, ranks)
-            _write_term(body, term, ops)
-    # op string table (built while writing, emitted first)
-    w.u(len(ops))
-    for text in ops:
-        w.s(text)
-    w.raw(body.bytes())
-    data = w.bytes()
-    return _gzip.compress(data, 6) if gzip else data
+            _write_term(body, term, tables)
+    return tables.dumps(body, gzip)
 
 
 # ---------------------------------------------------------------------------
 
 
-def _write_shape(w: ByteWriter, shape: tuple, ops: dict[str, int]) -> None:
+def _write_shape(w: ByteWriter, shape: tuple, tables: _Tables) -> None:
     # Shapes are nested tuples of ints/strings; encode generically.
     if isinstance(shape, tuple):
         w.u(0)
         w.u(len(shape))
         for item in shape:
-            _write_shape(w, item, ops)
+            _write_shape(w, item, tables)
     elif isinstance(shape, str):
         w.u(1)
-        w.u(ops.setdefault(shape, len(ops)))
+        w.u(tables.op(shape))
     elif isinstance(shape, bool):
         w.u(2)
         w.u(1 if shape else 0)
@@ -119,26 +146,25 @@ def _write_shape(w: ByteWriter, shape: tuple, ops: dict[str, int]) -> None:
         w.u(0)
 
 
-def _write_eterm(w: ByteWriter, term: ETerm, ops: dict[str, int]) -> None:
+def _write_eterm(w: ByteWriter, term: ETerm, tables: _Tables) -> None:
     if isinstance(term, ElasticEvent):
         w.u(0)
-        _write_shape(w, term.shape, ops)
+        _write_shape(w, term.shape, tables)
         _write_seq(w, term.peers)
         _write_seq(w, term.sizes)
-        _write_stats(w, term.duration)
-        _write_stats(w, term.pre_gap)
+        tables.write_stats(w, term.duration)
+        tables.write_stats(w, term.pre_gap)
     else:
         assert isinstance(term, ElasticRSD)
         w.u(1)
         _write_seq(w, term.counts)
         w.u(len(term.body))
         for t in term.body:
-            _write_eterm(w, t, ops)
+            _write_eterm(w, t, tables)
 
 
 def scalatrace2_dumps(merged: ST2Merged, gzip: bool = False) -> bytes:
-    w = ByteWriter()
-    ops: dict[str, int] = {}
+    tables = _Tables()
     body = ByteWriter()
     body.u(len(merged.slots))
     body.u(1 if merged.lossy else 0)
@@ -146,10 +172,5 @@ def scalatrace2_dumps(merged: ST2Merged, gzip: bool = False) -> bytes:
         body.u(len(slot.variants))
         for ranks, term in slot.variants:
             _write_ranks(body, ranks)
-            _write_eterm(body, term, ops)
-    w.u(len(ops))
-    for text in ops:
-        w.s(text)
-    w.raw(body.bytes())
-    data = w.bytes()
-    return _gzip.compress(data, 6) if gzip else data
+            _write_eterm(body, term, tables)
+    return tables.dumps(body, gzip)

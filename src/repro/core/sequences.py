@@ -92,7 +92,15 @@ class IntSequence:
                 value += stride
 
     def to_list(self) -> list[int]:
-        return list(self)
+        """All values, built a term at a time (``loads`` expands every
+        group's rank set and every multi-valued leaf column with it)."""
+        out: list[int] = []
+        for start, count, stride in self.terms:
+            if stride:
+                out.extend(range(start, start + count * stride, stride))
+            else:
+                out.extend([start] * count)
+        return out
 
     def total(self) -> int:
         """Sum of all values — O(terms), not O(length).  (For a loop

@@ -7,7 +7,7 @@ varint-coded integers, zigzag for signed values, an interned string table
 for op names, stride terms for every integer sequence, and sparse
 histogram bins.
 
-Container layout (version 6, crash-safe — docs/INTERNALS.md §7)::
+Container layout (version 7, crash-safe — docs/INTERNALS.md §7)::
 
     magic "CYTR" | version | sections...
 
@@ -16,19 +16,42 @@ Container layout (version 6, crash-safe — docs/INTERNALS.md §7)::
     kind 1 HEADER   : nranks | string table
     kind 2 TOPOLOGY : tree (pre-order): kind, [op/name idx],
                       [branch_path, branch ast id], nchildren
-    kind 3 PAYLOAD  : first vertex index | nvertices | per vertex,
-                      ngroups, then each group:
-                      rankset terms | payload (counts / visits / records)
+    kind 3 PAYLOAD  : first vertex index | nvertices | stats table |
+                      per vertex, ngroups, then each group:
+                      rankset terms | payload (counts / visits / leaf block)
                       (chunked ~64 KiB so truncation loses one chunk,
                       not the whole payload)
     kind 0 END      : number of preceding sections | total vertex count
+
+    stats table := nblocks | the chunk's distinct timing-stats blocks
+                   (mode, count, mean, m2, min, max, sparse bins) in
+                   first-use order; records name theirs by index
+    leaf block  := nrecords << 1 | columnar, then
+                   rows    : per record, mask | the fields that differ
+                             from the record before (from the defaults
+                             in the first)
+                   columns : mask | sequence mask | one value per
+                             single-valued column | per other column,
+                             stride terms across the records
+
+Virtual time repeats exactly, so a trace holds few distinct stats
+blocks (43 of 4 044 on sp), and the records of an irregular leaf differ
+in one or two parameters: a field every record shares with the default
+(``NO_PEER``, tag 0, one occurrence term starting at the record's
+position, …) is not written, one they share with each other is written
+once, and one that varies costs a stride term a run, not a value a
+record.  The table is per chunk so that a chunk still decodes from the
+header and topology alone.
 
 Every section carries a CRC32 over its own framing and payload, and the
 END marker pins the section count — so a file fails loudly
 (:class:`~repro.core.errors.TraceFormatError`) on any flipped bit or
 missing tail, while ``loads(..., salvage=True)`` recovers the longest
 checksum-valid prefix of a truncated file (vertices whose payload chunk
-was lost simply have no groups).  Older versions are refused.
+was lost simply have no groups).  :func:`loads` also reads version 6
+(records as rows of every field, stats in line — the form
+:mod:`repro.core.budget` keeps for its transient spill store); nothing
+writes it, and older versions are refused.
 :func:`save` is atomic: temp file + fsync + ``os.replace``, so an
 interrupted save never clobbers an existing trace.
 
@@ -41,8 +64,10 @@ import gzip as _gzip
 import os
 import struct
 import zlib
+from itertools import repeat
 
 from repro import obs
+from repro.mpisim.events import NO_PEER
 from repro.static.cst import BRANCH, CALL, LOOP, ROOT
 
 from .errors import TraceFormatError
@@ -53,7 +78,10 @@ from .sequences import IntSequence
 from .timing import _NBINS, HIST, MEANSTD, TimeStats
 
 _MAGIC = b"CYTR"
-_VERSION = 6
+_VERSION = 7
+#: Versions :func:`loads` reads.  6 wrote a CALL group's records as
+#: rows (the form the budget spill store still uses); nothing writes it.
+_READABLE = (6, 7)
 
 # Section kinds of the container.
 _SEC_END = 0
@@ -69,6 +97,7 @@ _KIND_CODE = {ROOT: 0, LOOP: 1, BRANCH: 2, CALL: 3}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 _pack_double = struct.Struct("<d").pack
+_pack_4d = struct.Struct("<4d").pack
 _unpack_4d = struct.Struct("<4d").unpack_from  # mean, m2, minimum, maximum
 _new = object.__new__
 
@@ -91,6 +120,10 @@ class ByteWriter:
     def raw(self, data: bytes) -> None:
         self._buf += data
 
+    def truncate(self, size: int) -> None:
+        """Drop everything written after the first ``size`` bytes."""
+        del self._buf[size:]
+
     def u(self, value: int) -> None:
         """Unsigned varint (LEB128)."""
         buf = self._buf
@@ -105,8 +138,8 @@ class ByteWriter:
         buf.append(value)
 
     def z(self, value: int) -> None:
-        """Signed varint (zigzag)."""
-        self.u((value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1)
+        """Signed varint (zigzag), exact for every Python int."""
+        self.u(value << 1 if value >= 0 else (-value << 1) - 1)
 
     def f(self, value: float) -> None:
         self._buf += _pack_double(value)
@@ -329,6 +362,570 @@ def _read_record(
 
 
 # ---------------------------------------------------------------------------
+# Leaf blocks (version 7): a CALL group's records over the chunk's stats
+# table, as rows of written fields or column by column.
+
+#: The fields of a record in mask-bit (= wire) order: the ones an
+#: ordinary leaf writes come first, so its masks fit one or two bytes,
+#: and a field that sizes others (``NTERMS``, ``NGIDS``) precedes them.
+(
+    _C_DUR, _C_GAP, _C_PEER_MODE, _C_PEER, _C_TAG, _C_NBYTES, _C_NTERMS,
+    _C_COUNT, _C_STRIDE, _C_START, _C_COMM, _C_ROOT, _C_NGIDS, _C_GIDS,
+    _C_WILDCARD, _C_PEER2_MODE, _C_PEER2, _C_TAG2, _C_NBYTES2,
+    _C_RESULT_COMM, _C_OP,
+) = range(21)
+_NCOLS = 21
+
+#: What a field holds when its mask bit is clear.  ``None``: no
+#: constant — an unwritten ``START`` counts the group's occurrence terms
+#: 0, 1, 2, … (one term a record: its position), ``GIDS`` is unwritten
+#: only without request gids, ``OP`` defaults to the vertex's own op.
+_DEFAULTS = tuple(
+    NO_PEER if col in (_C_PEER, _C_PEER2)
+    else 1 if col in (_C_NTERMS, _C_COUNT)
+    else -1 if col in (_C_ROOT, _C_RESULT_COMM)
+    else None if col in (_C_START, _C_GIDS, _C_OP)
+    else 0
+    for col in range(_NCOLS)
+)
+
+#: Per seven mask bits, the positions set in them.
+_SET_BITS = [
+    tuple(bit for bit in range(7) if byte >> bit & 1) for byte in range(128)
+]
+
+#: A group of at most this many records, every one of them scalar (at
+#: most one occurrence term and one request gid), is written as rows.
+#: Measured, not tuned per workload: up to four records rows read faster
+#: than columns set up and are no larger (mg, cg); from eighteen on the
+#: stride terms win (sp: rows +45%); nothing in the suite lies between.
+_ROW_GROUP = 4
+
+#: Column ranges by the length of their sequences: one value a record,
+#: except one an occurrence term (``COUNT``..``START``) or a request gid.
+_PER_TERM = 1 << _C_COUNT | 1 << _C_STRIDE | 1 << _C_START
+_BELOW_PER_TERM = (1 << _C_COUNT) - 1
+_COMM_TO_NGIDS = 1 << _C_COMM | 1 << _C_ROOT | 1 << _C_NGIDS
+_ABOVE_GIDS = (1 << _NCOLS) - (1 << _C_WILDCARD)
+
+
+class _StatsTable:
+    """A chunk's distinct stats blocks in first-use order, keyed by the
+    exact bytes of their fields (``-0.0``, NaN payloads and empty blocks
+    are themselves, not what they compare equal to)."""
+
+    __slots__ = ("index", "blocks")
+
+    def __init__(self) -> None:
+        self.index: dict[tuple, int] = {}
+        self.blocks = ByteWriter()
+
+    def add(self, st: TimeStats) -> int:
+        """The table index of ``st``, appended on first use."""
+        count = st.count
+        low, high = (st.minimum, st.maximum) if count else (0.0, 0.0)
+        key = (
+            count, _pack_4d(st.mean, st.m2, low, high),
+            tuple(st.bins) if st.mode == HIST else None,
+        )
+        index = self.index
+        at = index.get(key)
+        if at is None:
+            at = index[key] = len(index)
+            _write_stats(self.blocks, st)
+        return at
+
+
+def _is_scalar(rec: CompressedRecord) -> bool:
+    return len(rec.occurrences.terms) <= 1 and len(rec.key[10]) <= 1
+
+
+def _write_row(
+    w: ByteWriter, rec: CompressedRecord, position: int,
+    strings: dict[str, int], previous: list, stats: _StatsTable,
+) -> list:
+    """One scalar record: the mask of its fields that differ from the
+    ``previous`` row's (the defaults before the first), then those
+    fields.  Returns this row's fields."""
+    (op, (mode, peer), (mode2, peer2), tag, tag2, nbytes, nbytes2, comm,
+     root, wildcard, gids, result_comm) = rec.key
+    terms = rec.occurrences.terms
+    count = previous[_C_COUNT]
+    stride = previous[_C_STRIDE]
+    start = previous[_C_START]
+    if terms:
+        (at, count, stride), = terms
+        if start is not None or at != position:
+            start = at  # else unwritten so far: the record's position
+    fields = [  # in column order
+        stats.add(rec.duration), stats.add(rec.pre_gap),
+        0 if mode == ABS else 1, peer, tag, nbytes, len(terms), count,
+        stride, start, comm, root, len(gids),
+        gids[0] if gids else previous[_C_GIDS], 1 if wildcard else 0,
+        0 if mode2 == ABS else 1, peer2, tag2, nbytes2, result_comm,
+        strings[op],
+    ]
+    mask = 0
+    written = []
+    for col, value in enumerate(fields):
+        if value != previous[col]:
+            mask |= 1 << col
+            written.append(value)
+    w.u(mask)
+    for value in written:
+        w.z(value)
+    return fields
+
+
+def _leaf_columns(
+    records: list[CompressedRecord], strings: dict[str, int],
+    stats: _StatsTable,
+) -> list:
+    """The records of one CALL group, transposed: a sequence of values
+    per column."""
+    (ops, peers, peers2, tags, tags2, nbytes, nbytes2, comms, roots,
+     wildcards, gids, result_comms) = zip(*[rec.key for rec in records])
+    terms = [rec.occurrences.terms for rec in records]
+    flat = [term for seq in terms for term in seq]
+    starts, counts, strides = zip(*flat) if flat else ((), (), ())
+    durations = []
+    gaps = []
+    for rec in records:  # first use: duration, then pre-gap, a record
+        durations.append(stats.add(rec.duration))
+        gaps.append(stats.add(rec.pre_gap))
+    return [  # in column order
+        durations, gaps,
+        [0 if mode == ABS else 1 for mode, _ in peers],
+        [value for _, value in peers],
+        tags, nbytes, [len(seq) for seq in terms], counts, strides, starts,
+        comms, roots, [len(g) for g in gids],
+        [gid for g in gids for gid in g],
+        [1 if wc else 0 for wc in wildcards],
+        [0 if mode == ABS else 1 for mode, _ in peers2],
+        [value for _, value in peers2],
+        tags2, nbytes2, result_comms, [strings[op] for op in ops],
+    ]
+
+
+def _short_terms(values) -> list[tuple[int, int, int]]:
+    """Stride terms of at most three values each: three varints or more
+    a term, so never less than a byte a value."""
+    terms = []
+    for start, count, stride in IntSequence.from_values(values).terms:
+        while count > 3:
+            terms.append((start, 3, stride))
+            start += 3 * stride
+            count -= 3
+        terms.append((start, count, stride))
+    return terms
+
+
+def _write_columns(
+    w: ByteWriter, cols: list, defaults: list, spread: int | None
+) -> None:
+    """The mask of written columns, the mask of those written as
+    sequences, one value per other written column, then the sequences:
+    stride terms until their counts cover the column (short ones for
+    column ``spread``, whatever it holds)."""
+    mask = multi = 0
+    singles = []
+    sequences = []
+    for col, values in enumerate(cols):
+        length = len(values)
+        if not length:
+            continue
+        first = values[0]
+        bit = 1 << col
+        if col == spread:
+            multi |= bit
+            sequences.append(_short_terms(values))
+        elif col == _C_START and not first and values == tuple(range(length)):
+            continue
+        elif length == 1 or values.count(first) == length:
+            if first == defaults[col]:
+                continue
+            singles.append(first)
+        else:
+            multi |= bit
+            sequences.append(IntSequence.from_values(values).terms)
+        mask |= bit
+    w.u(mask)
+    w.u(multi)
+    for value in singles:
+        w.z(value)
+    for terms in sequences:
+        for start, count, stride in terms:
+            w.z(start)
+            w.u(count)
+            w.z(stride)
+
+
+def _write_leaf(
+    w: ByteWriter, records: list[CompressedRecord], strings: dict[str, int],
+    defaults: list, stats: _StatsTable,
+) -> None:
+    """``nrecords << 1 | columnar``, then the rows or the columns."""
+    nrecords = len(records)
+    if nrecords <= _ROW_GROUP and all(map(_is_scalar, records)):
+        w.u(nrecords << 1)
+        fields = defaults
+        for position, rec in enumerate(records):
+            fields = _write_row(w, rec, position, strings, fields, stats)
+        return
+    w.u(nrecords << 1 | 1)
+    cols = _leaf_columns(records, strings, stats)
+    start = w.size()
+    _write_columns(w, cols, defaults, None)
+    # The reader refuses a record, term or gid count above the bytes left
+    # in its chunk, so a block may not stride-code below a byte apiece:
+    # one that does is rewritten with its longest such column spread out.
+    declared, longest = max(
+        (nrecords, _C_NTERMS), (len(cols[_C_START]), _C_START),
+        (len(cols[_C_GIDS]), _C_GIDS), key=lambda pair: pair[0],
+    )
+    if w.size() - start < declared:
+        w.truncate(start)
+        _write_columns(w, cols, defaults, longest)
+
+
+def _new_record(
+    key: tuple, terms: list, length: int, duration: tuple, gap: tuple
+) -> CompressedRecord:
+    """A loaded record, filled slot by slot as
+    :meth:`CompressedRecord.first` does, its stats copied out of two
+    table entries."""
+    rec = _new(CompressedRecord)
+    rec.key = key
+    rec.occurrences = occ = _new(IntSequence)
+    occ.terms = terms
+    occ.length = length
+    rec.duration = st = _new(TimeStats)
+    st.mode, st.count, st.mean, st.m2, st.minimum, st.maximum, bins = duration
+    st.bins = bins and list(bins)
+    rec.pre_gap = st = _new(TimeStats)
+    st.mode, st.count, st.mean, st.m2, st.minimum, st.maximum, bins = gap
+    st.bins = bins and list(bins)
+    rec.pending = False
+    return rec
+
+
+def _read_rows(
+    data: bytes, pos: int, nrecords: int, strings: list[str], table: list,
+    defaults: list, gid: int, records: list, parts: list,
+) -> int:
+    """Decode ``nrecords`` scalar records, each one masked pass over the
+    fields of the row before it (``defaults`` before the first)."""
+    ntable = len(table)
+    fields = defaults.copy()
+    for position in range(nrecords):
+        mask = data[pos]
+        pos += 1
+        if mask > 0x7F:
+            mask, pos = _uvarint(data, pos - 1)
+            if mask >> _NCOLS:
+                raise TraceFormatError(
+                    f"vertex {gid}: record mask {mask:#x} names a field "
+                    f"past the last ({_NCOLS - 1})"
+                )
+        base = 0
+        while mask:
+            for bit in _SET_BITS[mask & 0x7F]:
+                value = data[pos]
+                pos += 1
+                if value > 0x7F:
+                    value, pos = _uvarint(data, pos - 1)
+                fields[base + bit] = (value >> 1) ^ -(value & 1)
+            mask >>= 7
+            base += 7
+        (duration, gap, mode, peer, tag, nbytes, nterms, count, stride,
+         start, comm, root, ngids, gids, wildcard, mode2, peer2, tag2,
+         nbytes2, result_comm, op) = fields
+        # Unsigned where a negative would index from the end or
+        # multiply a list; a row holds at most one term and one gid.
+        if (
+            not 0 <= duration < ntable or not 0 <= gap < ntable or op < 0
+            or not 0 <= nterms <= 1 or not 0 <= ngids <= 1
+            or (ngids and gids is None)
+        ):
+            raise TraceFormatError(
+                f"vertex {gid}: a record's stats index ({duration}, {gap} "
+                f"of {ntable}), op index ({op}), term count ({nterms}) or "
+                f"request gids ({ngids}) is out of range"
+            )
+        key = (
+            strings[op], (REL if mode else ABS, peer),
+            (REL if mode2 else ABS, peer2), tag, tag2, nbytes, nbytes2,
+            comm, root, wildcard != 0, (gids,) * ngids, result_comm,
+        )
+        if nterms:
+            terms = [(position if start is None else start, count, stride)]
+        else:
+            terms = []
+            count = 0
+        records.append(
+            _new_record(key, terms, count, table[duration], table[gap])
+        )
+        parts.append((key, count, tuple(terms)))
+    return pos
+
+
+def _read_sequences(
+    data: bytes, pos: int, vals: list, bits: int, length: int, gid: int
+) -> int:
+    """Decode the sequence columns named by ``bits``, each ``length``
+    values long, into ``vals``; returns the position after them.  A
+    term may not cover more than the column has left, so nothing longer
+    than ``length`` — which the caller has bounded — is ever built."""
+    col = 0
+    while bits:
+        if bits & 1:
+            values: list[int] = []
+            left = length
+            while left:
+                start = data[pos]
+                pos += 1
+                if start > 0x7F:
+                    start, pos = _uvarint(data, pos - 1)
+                count = data[pos]
+                pos += 1
+                if count > 0x7F:
+                    count, pos = _uvarint(data, pos - 1)
+                stride = data[pos]
+                pos += 1
+                if stride > 0x7F:
+                    stride, pos = _uvarint(data, pos - 1)
+                if not 0 < count <= left:
+                    raise TraceFormatError(
+                        f"vertex {gid}: a term of leaf column {col} covers "
+                        f"{count} value(s), the column has {left} left"
+                    )
+                left -= count
+                start = (start >> 1) ^ -(start & 1)
+                if stride:
+                    stride = (stride >> 1) ^ -(stride & 1)
+                    values.extend(range(start, start + count * stride, stride))
+                else:
+                    values.extend([start] * count)
+            vals[col] = values
+        bits >>= 1
+        col += 1
+    return pos
+
+
+def _declared_total(
+    vals: list, col: int, multi: int, nrecords: int, room: int, gid: int
+) -> int:
+    """The sum of a counting column (occurrence terms or request gids
+    a record), refused when negative anywhere or beyond the bytes left
+    in the chunk — before anything of that size is built."""
+    counts = vals[col]
+    if multi >> col & 1:
+        total = sum(counts)
+        lowest = min(counts)
+    else:
+        total = counts * nrecords
+        lowest = counts
+    if lowest < 0 or total > room:
+        raise TraceFormatError(
+            f"vertex {gid}: leaf column {col} declares {total} value(s) "
+            f"(lowest count {lowest}) with {room} byte(s) left in the chunk"
+        )
+    return total
+
+
+def _stats_of(vals: list, col: int, multi: int, table: list, gid: int):
+    """Per record, the table entry a stats-index column names."""
+    index = vals[col]
+    is_sequence = multi >> col & 1
+    low, high = (min(index), max(index)) if is_sequence else (index, index)
+    if low < 0 or high >= len(table):  # -1 must not index from the end
+        raise TraceFormatError(
+            f"vertex {gid}: stats index {low if low < 0 else high} outside "
+            f"the chunk's table of {len(table)}"
+        )
+    if is_sequence:
+        return [table[i] for i in index]
+    return repeat(table[index])
+
+
+def _peers_of(vals: list, mode_col: int, value_col: int, multi: int):
+    modes, values = vals[mode_col], vals[value_col]
+    if multi >> mode_col & 1:
+        modes = [REL if mode else ABS for mode in modes]
+    else:
+        modes = REL if modes else ABS
+        if not multi >> value_col & 1:
+            return repeat((modes, values))
+        modes = repeat(modes)
+    if not multi >> value_col & 1:
+        values = repeat(values)
+    return zip(modes, values)
+
+
+def _read_columns(
+    data: bytes, pos: int, nrecords: int, room: int, strings: list[str],
+    table: list, defaults: list, gid: int, records: list, parts: list,
+) -> int:
+    """Decode ``nrecords`` records written column by column.  Every
+    single value is read in one masked pass into a copy of ``defaults``;
+    only columns written as sequences become lists, and an unwritten or
+    single-valued column is never expanded (``repeat``)."""
+    mask, pos = _uvarint(data, pos)
+    multi, pos = _uvarint(data, pos)
+    if mask >> _NCOLS or multi & ~mask or not nrecords:
+        raise TraceFormatError(
+            f"vertex {gid}: leaf masks {mask:#x}/{multi:#x} of {nrecords} "
+            f"record(s) name a column past the last ({_NCOLS - 1}) or a "
+            f"sequence that is not written"
+        )
+    vals = defaults.copy()
+    bits = mask ^ multi
+    base = 0
+    while bits:
+        for bit in _SET_BITS[bits & 0x7F]:
+            value, pos = _uvarint(data, pos)
+            vals[base + bit] = (value >> 1) ^ -(value & 1)
+        bits >>= 7
+        base += 7
+    if multi & _BELOW_PER_TERM:
+        pos = _read_sequences(
+            data, pos, vals, multi & _BELOW_PER_TERM, nrecords, gid
+        )
+    nterms = _declared_total(vals, _C_NTERMS, multi, nrecords, room, gid)
+    if multi & _PER_TERM:
+        pos = _read_sequences(data, pos, vals, multi & _PER_TERM, nterms, gid)
+    if multi & _COMM_TO_NGIDS:
+        pos = _read_sequences(
+            data, pos, vals, multi & _COMM_TO_NGIDS, nrecords, gid
+        )
+    ngids = _declared_total(vals, _C_NGIDS, multi, nrecords, room, gid)
+    if multi >> _C_GIDS & 1:
+        pos = _read_sequences(data, pos, vals, 1 << _C_GIDS, ngids, gid)
+    if multi & _ABOVE_GIDS:
+        pos = _read_sequences(
+            data, pos, vals, multi & _ABOVE_GIDS, nrecords, gid
+        )
+
+    def column(col):
+        return vals[col] if multi >> col & 1 else repeat(vals[col])
+
+    # Keys, a column at a time; ``zip`` hands back the 12-tuples.
+    ops = vals[_C_OP]
+    if (min(ops) if multi >> _C_OP & 1 else ops) < 0:
+        raise TraceFormatError(f"vertex {gid}: negative op index")
+    if multi >> _C_OP & 1:
+        ops = [strings[op] for op in ops]
+    else:
+        ops = repeat(strings[ops])
+    wildcards = vals[_C_WILDCARD]
+    if multi >> _C_WILDCARD & 1:
+        wildcards = [wc != 0 for wc in wildcards]
+    else:
+        wildcards = repeat(wildcards != 0)
+    if ngids:
+        values = vals[_C_GIDS]
+        if values is None:
+            raise TraceFormatError(
+                f"vertex {gid}: {ngids} request gid(s) declared, none written"
+            )
+        if not multi >> _C_GIDS & 1:
+            values = [values] * ngids
+        at = 0
+        gids = []
+        for _, k in zip(range(nrecords), column(_C_NGIDS)):
+            gids.append(tuple(values[at : at + k]))
+            at += k
+    else:
+        gids = repeat(())
+    keys = zip(
+        ops, _peers_of(vals, _C_PEER_MODE, _C_PEER, multi),
+        _peers_of(vals, _C_PEER2_MODE, _C_PEER2, multi),
+        column(_C_TAG), column(_C_TAG2), column(_C_NBYTES),
+        column(_C_NBYTES2), column(_C_COMM), column(_C_ROOT), wildcards,
+        gids, column(_C_RESULT_COMM),
+    )
+    # Occurrence terms: ``zip`` hands back ``(start, count, stride)``.
+    starts = vals[_C_START]
+    if starts is None:
+        starts = range(nterms)
+    elif not multi >> _C_START & 1:
+        starts = repeat(starts)
+    terms = zip(starts, column(_C_COUNT), column(_C_STRIDE))
+    durations = _stats_of(vals, _C_DUR, multi, table, gid)
+    gaps = _stats_of(vals, _C_GAP, multi, table, gid)
+    if mask >> _C_NTERMS & 1:
+        flat = [term for _, term in zip(range(nterms), terms)]
+        at = 0
+        for _, key, k, duration, gap in zip(
+            range(nrecords), keys, column(_C_NTERMS), durations, gaps
+        ):
+            own = flat[at : at + k]
+            at += k
+            length = sum([count for _, count, _ in own])
+            records.append(_new_record(key, own, length, duration, gap))
+            parts.append((key, length, tuple(own)))
+    else:  # one term a record
+        for _, key, term, duration, gap in zip(
+            range(nrecords), keys, terms, durations, gaps
+        ):
+            records.append(_new_record(key, [term], term[1], duration, gap))
+            parts.append((key, term[1], (term,)))
+    return pos
+
+
+def _read_leaf(
+    data: bytes, pos: int, strings: list[str], table: list, defaults: list,
+    gid: int,
+) -> tuple[list[CompressedRecord], list[tuple], int]:
+    """Decode one leaf block: ``(records, signature parts, position
+    after it)``.  A record costs at least a byte in either form (the
+    writer sees to it for columns), which bounds the declared count."""
+    room = len(data) - pos
+    head, pos = _uvarint(data, pos)
+    nrecords = head >> 1
+    if nrecords > room:
+        raise TraceFormatError(
+            f"vertex {gid}: a group declares {nrecords} record(s) with "
+            f"{room} byte(s) left in the chunk"
+        )
+    records: list[CompressedRecord] = []
+    parts: list[tuple] = []
+    if head & 1:
+        pos = _read_columns(
+            data, pos, nrecords, room, strings, table, defaults, gid,
+            records, parts,
+        )
+    else:
+        pos = _read_rows(
+            data, pos, nrecords, strings, table, defaults, gid, records,
+            parts,
+        )
+    return records, parts, pos
+
+
+def _read_stats_table(data: bytes, pos: int) -> tuple[list[tuple], int]:
+    """A chunk's stats table as slot tuples ``(mode, count, mean, m2,
+    minimum, maximum, bins)`` — every record gets its own
+    :class:`TimeStats` filled from one, so loaded records share no
+    mutable state."""
+    room = len(data) - pos
+    nblocks, pos = _uvarint(data, pos)
+    if nblocks * 34 > room:  # a block is two varints and four doubles
+        raise TraceFormatError(
+            f"stats table declares {nblocks} block(s) with {room} byte(s) "
+            f"left in the chunk"
+        )
+    table = []
+    for _ in range(nblocks):
+        st, pos = _read_stats(data, pos)
+        table.append((
+            st.mode, st.count, st.mean, st.m2, st.minimum, st.maximum,
+            st.bins,
+        ))
+    return table, pos
+
+
+# ---------------------------------------------------------------------------
 # Body encoding (the bytes inside the framed sections).
 
 
@@ -381,12 +978,17 @@ def _read_topology_vertex(r: ByteReader, strings: list[str]) -> MergedVertex:
     return v
 
 
-def _write_vertex_payload(w: ByteWriter, v, strings: dict[str, int]) -> None:
+def _write_vertex_payload(
+    w: ByteWriter, v, strings: dict[str, int], stats: _StatsTable
+) -> None:
     # Groups are written in canonical order (by lowest member rank —
     # member sets are disjoint) so the bytes do not depend on the merge
     # schedule that produced the tree.
     groups = v.sorted_groups()
     w.u(len(groups))
+    if v.kind == CALL:
+        defaults = list(_DEFAULTS)
+        defaults[_C_OP] = strings.get(v.op, len(strings))
     for group in groups:
         _write_seq(w, group.rank_sequence())
         if v.kind == LOOP:
@@ -394,9 +996,7 @@ def _write_vertex_payload(w: ByteWriter, v, strings: dict[str, int]) -> None:
         elif v.kind == BRANCH:
             _write_seq(w, group.visits)
         elif v.kind == CALL:
-            w.u(len(group.records))
-            for rec in group.records:
-                _write_record(w, rec, strings)
+            _write_leaf(w, group.records, strings, defaults, stats)
 
 
 def _read_vertex_payload(
@@ -406,12 +1006,19 @@ def _read_vertex_payload(
     strings: list[str],
     interns: InternTable,
     nranks: int,
+    table: list | None,
 ) -> int:
     """Decode one vertex's groups from ``data[pos:]`` into ``v``;
-    returns the position after them."""
+    returns the position after them.  ``table`` is the chunk's stats
+    table, ``None`` in a version-6 chunk (records as rows)."""
     kind = v.kind
     groups = v.groups
     ngroups, pos = _uvarint(data, pos)
+    if kind == CALL and table is not None and ngroups:
+        defaults = list(_DEFAULTS)
+        defaults[_C_OP] = (
+            strings.index(v.op) if v.op is not None else len(strings)
+        )
     for _ in range(ngroups):
         rank_seq, pos = _read_seq(data, pos)
         # Groups at a vertex are disjoint, so none outnumbers the job.
@@ -424,14 +1031,19 @@ def _read_vertex_payload(
             )
         counts = visits = records = None
         if kind == CALL:
-            nrecords, pos = _uvarint(data, pos)
-            records = []
-            parts = []
-            for _ in range(nrecords):
-                rec, pos = _read_record(data, pos, strings)
-                records.append(rec)
-                occ = rec.occurrences
-                parts.append((rec.key, occ.length, tuple(occ.terms)))
+            if table is not None:
+                records, parts, pos = _read_leaf(
+                    data, pos, strings, table, defaults, v.gid
+                )
+            else:
+                nrecords, pos = _uvarint(data, pos)
+                records = []
+                parts = []
+                for _ in range(nrecords):
+                    rec, pos = _read_record(data, pos, strings)
+                    records.append(rec)
+                    occ = rec.occurrences
+                    parts.append((rec.key, occ.length, tuple(occ.terms)))
             key = ("R", tuple(parts))
         elif kind == LOOP:
             counts, pos = _read_seq(data, pos)
@@ -567,21 +1179,33 @@ def _dumps(merged: MergedCTT, gzip: bool, chunk_bytes: int) -> bytes:
     _write_topology(tw, vertices, strings)
     # Payload, pre-order, chunked so a truncated file salvages to the
     # longest checksum-valid prefix of vertices instead of losing the
-    # whole payload.
-    chunks: list[tuple[int, int, bytes]] = []
+    # whole payload.  Each chunk opens with its own stats table, so it
+    # decodes with nothing but the header and topology sections.
+    chunks: list[bytes] = []
+    table_blocks = table_bytes = 0
     cw = ByteWriter()
+    stats = _StatsTable()
     first = 0
     count = 0
     for v in vertices:
-        _write_vertex_payload(cw, v, strings)
+        _write_vertex_payload(cw, v, strings, stats)
         count += 1
-        if cw.size() >= chunk_bytes:
-            chunks.append((first, count, cw.bytes()))
+        last = first + count == len(vertices)
+        if last or cw.size() + stats.blocks.size() >= chunk_bytes:
+            pw = ByteWriter()
+            pw.u(first)
+            pw.u(count)
+            covered = pw.size()
+            pw.u(len(stats.index))
+            pw.raw(stats.blocks.bytes())
+            table_blocks += len(stats.index)
+            table_bytes += pw.size() - covered
+            pw.raw(cw.bytes())
+            chunks.append(pw.bytes())
             first += count
             count = 0
             cw = ByteWriter()
-    if count:
-        chunks.append((first, count, cw.bytes()))
+            stats = _StatsTable()
     w = ByteWriter()
     w.raw(_MAGIC)
     w.u(_VERSION)
@@ -589,11 +1213,8 @@ def _dumps(merged: MergedCTT, gzip: bool, chunk_bytes: int) -> bytes:
     header_bytes = w.size()
     _write_section(w, _SEC_TOPOLOGY, tw.bytes())
     topology_bytes = w.size() - header_bytes
-    for chunk_first, chunk_count, chunk_payload in chunks:
-        pw = ByteWriter()
-        pw.u(chunk_first)
-        pw.u(chunk_count)
-        _write_section(w, _SEC_PAYLOAD, pw.bytes() + chunk_payload)
+    for chunk in chunks:
+        _write_section(w, _SEC_PAYLOAD, chunk)
     ew = ByteWriter()
     ew.u(2 + len(chunks))  # sections preceding END
     ew.u(len(vertices))
@@ -601,7 +1222,8 @@ def _dumps(merged: MergedCTT, gzip: bool, chunk_bytes: int) -> bytes:
     data = w.bytes()
     if registry is not None:
         _publish_dump_metrics(
-            registry, merged, vertices, header_bytes, topology_bytes, len(data)
+            registry, vertices, header_bytes, topology_bytes, len(data),
+            table_bytes, table_blocks,
         )
     if gzip:
         packed = _gzip.compress(data, compresslevel=6)
@@ -613,18 +1235,21 @@ def _dumps(merged: MergedCTT, gzip: bool, chunk_bytes: int) -> bytes:
 
 
 def _publish_dump_metrics(
-    registry, merged, vertices, header_bytes, topology_bytes, total
+    registry, vertices, header_bytes, topology_bytes, total,
+    table_bytes, table_blocks,
 ) -> None:
-    """Section byte counts plus the compression ratio vs. a nominal raw
+    """Section byte counts, what the stats tables hold against what the
+    records reference, plus the compression ratio vs. a nominal raw
     per-event trace — computed only when observability is on (one extra
     walk over the groups, outside any hot path)."""
-    events = 0
+    events = nrecords = 0
     for v in vertices:
         if v.kind != CALL:
             continue
         for group in v.groups.values():
             records = group.records
             if records:
+                nrecords += len(records)
                 per_rank = sum(rec.occurrences.length for rec in records)
                 events += per_rank * len(group.ranks)
     registry.counter_add("serialize.bytes.header", header_bytes)
@@ -632,7 +1257,11 @@ def _publish_dump_metrics(
     registry.counter_add(
         "serialize.bytes.payload", total - header_bytes - topology_bytes
     )
+    # Part of the payload bytes, not a fourth summand of the total.
+    registry.counter_add("serialize.bytes.stats_table", table_bytes)
     registry.counter_add("serialize.bytes.total", total)
+    registry.counter_add("serialize.stats_blocks", 2 * nrecords)
+    registry.counter_add("serialize.stats_blocks_distinct", table_blocks)
     registry.counter_add("serialize.events", events)
     if total:
         registry.gauge_set(
@@ -669,10 +1298,10 @@ def _loads(data: bytes, salvage: bool) -> MergedCTT:
     r = ByteReader(data)
     r.raw(4)
     version = r.u()
-    if version != _VERSION:
+    if version not in _READABLE:
         raise TraceFormatError(f"unsupported trace version {version}")
     sections, complete, error = _read_sections(data, r.pos, salvage)
-    return _assemble(sections, complete, error, salvage)
+    return _assemble(sections, complete, error, salvage, version)
 
 
 def _assemble(
@@ -680,6 +1309,7 @@ def _assemble(
     complete: bool,
     error: str | None,
     salvage: bool,
+    version: int,
 ) -> MergedCTT:
     if not sections or sections[0][0] != _SEC_HEADER:
         raise TraceFormatError(
@@ -720,17 +1350,21 @@ def _assemble(
             )
         pos = pr.pos
         covered = chunk_first + chunk_count
+        table = v = None
         try:
+            if version >= 7:
+                table, pos = _read_stats_table(payload, pos)
             for v in vertices[chunk_first:covered]:
                 pos = _read_vertex_payload(
-                    payload, pos, v, strings, interns, nranks
+                    payload, pos, v, strings, interns, nranks, table
                 )
         except (IndexError, struct.error):
             # Ran off the chunk, or named a string or histogram bin
             # that does not exist.
+            where = "its stats table" if v is None else f"vertex {v.gid}"
             raise TraceFormatError(
                 f"payload chunk of vertices {chunk_first}..{covered} is "
-                f"truncated or indexes out of range (at vertex {v.gid})"
+                f"truncated or indexes out of range (at {where})"
             ) from None
     if not salvage:
         if declared_sections != len(sections) - 1:
@@ -768,7 +1402,7 @@ def _torn_in_container_header(data: bytes) -> bool:
         return False
     if len(data) == 4:
         return True
-    return len(data) == 5 and data[4] == _VERSION
+    return len(data) == 5 and data[4] in _READABLE
 
 
 def _empty_salvage(nbytes: int) -> MergedCTT:

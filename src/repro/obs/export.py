@@ -24,11 +24,19 @@ METRICS_SCHEMA: dict = {
     "required": ["version", "counters", "gauges", "timers", "spans"],
     "properties": {
         # 2: live tracing publishes its drain count and buffer peak.
-        "version": {"const": 2},
+        # 3: ``serialize.dumps`` publishes what its stats tables hold.
+        "version": {"const": 3},
         "counters": {
             "type": "object",
             "properties": {
                 "intra.live_drains": {"type": "integer", "minimum": 0},
+                "serialize.bytes.stats_table": {
+                    "type": "integer", "minimum": 0,
+                },
+                "serialize.stats_blocks": {"type": "integer", "minimum": 0},
+                "serialize.stats_blocks_distinct": {
+                    "type": "integer", "minimum": 0,
+                },
             },
             "additionalProperties": {"type": "integer"},
         },

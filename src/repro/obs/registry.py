@@ -180,7 +180,7 @@ class MetricsRegistry:
 
     def to_dict(self) -> dict:
         return {
-            "version": 2,
+            "version": 3,
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "timers": {k: t.to_dict() for k, t in self.timers.items()},

@@ -6,9 +6,11 @@ import sys
 sys.path.insert(0, "tests")
 from helpers import run_traced  # noqa: E402
 
+from repro.baselines.rsd import EventTerm  # noqa: E402
 from repro.baselines.scalatrace import ScalaTraceCompressor, merge_all_queues  # noqa: E402
 from repro.baselines.scalatrace2 import ScalaTrace2Compressor, merge_all_st2  # noqa: E402
 from repro.baselines.serialize import scalatrace2_dumps, scalatrace_dumps  # noqa: E402
+from repro.core.serialize import ByteWriter  # noqa: E402
 from repro.driver import run_compiled  # noqa: E402
 from repro.mpisim.pmpi import MultiSink  # noqa: E402
 from repro.static.instrument import compile_minimpi  # noqa: E402
@@ -50,6 +52,36 @@ class TestScalaTraceDumps:
             sizes.append(len(scalatrace_dumps(merged)))
         # Only RSD counts and the stats varints grow.
         assert sizes[1] <= sizes[0] + 32
+
+    def test_a_stats_block_is_written_once(self):
+        # The CYPRESS writer's stats table, so that Fig. 15 compares
+        # representations: events name their timing stats by index.
+        st, _ = compressors(4, {"n": 50})
+        merged = merge_all_queues({r: st.queue(r) for r in range(4)})
+
+        def stats_of(term):
+            if isinstance(term, EventTerm):
+                yield term.duration
+                yield term.pre_gap
+            else:
+                for inner in term.body:
+                    yield from stats_of(inner)
+
+        def block(stats):  # count | mean | m2, as the table holds it
+            w = ByteWriter()
+            w.u(stats.count)
+            w.f(stats.mean)
+            w.f(stats.m2)
+            return w.bytes()
+
+        blocks = [
+            block(s) for slot in merged for _, term in slot.variants
+            for s in stats_of(term)
+        ]
+        assert len(set(blocks)) < len(blocks)
+        data = scalatrace_dumps(merged)
+        for block in set(blocks):
+            assert data.count(block) == 1
 
     def test_gzip_variant(self):
         st, _ = compressors(4, {"n": 50})

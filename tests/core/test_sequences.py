@@ -271,6 +271,21 @@ class TestProperties:
         assert seq.to_list() == values
         assert len(seq) == len(values)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(-(2**40), 2**40), st.integers(0, 40),
+        st.sampled_from([0, 1, -1, 7, -13, 2**35, -(2**35)]),
+    ), max_size=6))
+    def test_to_list_is_the_iteration(self, terms):
+        # Built a term at a time (range / repeat), not a value at a time:
+        # the same list for negative, zero and large strides, empty
+        # terms and the empty sequence.
+        seq = IntSequence(
+            terms=terms, length=sum(count for _, count, _ in terms)
+        )
+        assert seq.to_list() == list(iter(seq))
+        assert len(seq.to_list()) == len(seq)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-1000, 1000)))
     def test_incremental_equals_bulk(self, values):

@@ -1,8 +1,9 @@
-"""Crash-safe container (v6 — the file keeps the name it had when the
-format was v5, which it now asserts is refused): checksummed sections,
-loud corruption, salvage, old-version handling, and atomic save."""
+"""Crash-safe container (v7): checksummed sections, loud corruption,
+salvage, old-version handling (v6 read, v5 and older refused), and
+atomic save."""
 
 import os
+import pathlib
 import sys
 
 import pytest
@@ -12,6 +13,8 @@ from helpers import run_traced  # noqa: E402
 
 from repro.core import TraceFormatError, serialize  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 SRC = """
 func main() {
@@ -40,7 +43,7 @@ def blob(merged):
 class TestRoundTrip:
     def test_version_byte(self, blob):
         assert blob[:4] == b"CYTR"
-        assert blob[4] == 6
+        assert blob[4] == 7
 
     def test_redump_identity(self, blob):
         assert serialize.dumps(serialize.loads(blob)) == blob
@@ -74,14 +77,23 @@ class TestV4Compat:
             serialize.loads(legacy, salvage=True)
 
     def test_v5_file_is_unsupported(self, blob):
-        # v6 has been the only writer since before the goldens; the v5
-        # reader (topology without branch ast ids) is gone too.
+        # The v5 reader (topology without branch ast ids) is gone.
         legacy = blob[:4] + b"\x05" + blob[5:]
         for salvage in (False, True):
             with pytest.raises(
                 TraceFormatError, match="unsupported trace version 5"
             ):
                 serialize.loads(legacy, salvage=salvage)
+
+    def test_v6_file_is_read(self):
+        # Version 6 files exist on disks and in a daemon's out_dir: the
+        # row reader stays (tests/data/golden_fig11.cyp is one such
+        # file), though nothing writes the version any more.
+        old = (DATA / "golden_fig11.cyp").read_bytes()
+        assert old[4] == 6
+        again = serialize.dumps(serialize.loads(old))
+        assert again[4] == 7
+        assert again == (DATA / "golden_fig11_v7.cyp").read_bytes()
 
     def test_unknown_version_rejected(self, blob):
         bad = bytearray(blob)

@@ -1,10 +1,9 @@
 """The container body decoder, where the golden files do not reach:
 every field it fills (a property over random trees with the extremes
-edited in), corruption that carries a *valid* checksum, and the bound
-on a group's declared rank-set length."""
+edited in), corruption that carries a *valid* checksum, and the bounds
+on every length a group, leaf block or stats table declares."""
 
 import pathlib
-import struct
 import subprocess
 import sys
 import time
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, "tests")
 from generators import program  # noqa: E402
-from helpers import run_traced  # noqa: E402
+from helpers import run_traced, tree_fields  # noqa: E402
 
 from repro.core import TraceFormatError, serialize  # noqa: E402
 from repro.core.inter import Group, merge_all  # noqa: E402
@@ -26,48 +25,11 @@ from repro.core.timing import TimeStats  # noqa: E402
 from repro.static.cst import BRANCH, CALL, LOOP  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
-GOLDEN_FIG11 = ROOT / "tests" / "data" / "golden_fig11.cyp"
-
-_pack = struct.Struct("<d").pack
-
+DATA = ROOT / "tests" / "data"
+GOLDEN_FIG11 = DATA / "golden_fig11.cyp"
 
 # ---------------------------------------------------------------------------
 # (i) loads(dumps(m)) == m, field for field.
-
-
-def _seq_fields(seq):
-    return None if seq is None else (seq.length, tuple(seq.terms))
-
-
-def _stats_fields(st):
-    # Floats by bit pattern (NaN, -0.0); an empty block's +-inf extremes
-    # are written as 0.0, the one normalisation the format makes.
-    lo, hi = (st.minimum, st.maximum) if st.count else (0.0, 0.0)
-    return (st.mode, st.count, _pack(st.mean), _pack(st.m2), _pack(lo),
-            _pack(hi), None if st.bins is None else tuple(st.bins))
-
-
-def tree_fields(merged):
-    """Everything a container carries about ``merged``."""
-    vertices = []
-    for v in merged.root.preorder():
-        groups = [
-            (
-                tuple(g.ranks), _seq_fields(g.counts), _seq_fields(g.visits),
-                None if g.records is None else [
-                    (r.key, _seq_fields(r.occurrences), r.pending,
-                     _stats_fields(r.duration), _stats_fields(r.pre_gap))
-                    for r in g.records
-                ],
-            )
-            for g in v.sorted_groups()
-        ]
-        vertices.append((
-            v.kind, len(v.children), groups,
-            (v.op, v.name) if v.kind == CALL else None,
-            (v.branch_path or 0, v.ast_id) if v.kind == BRANCH else None,
-        ))
-    return merged.nranks_merged, vertices
 
 
 #: Values the workloads never produce: varints of two bytes and more
@@ -148,7 +110,23 @@ class TestFieldForField:
 
 
 # ---------------------------------------------------------------------------
-# The rank-set bound.
+# Declared lengths.
+
+
+def assert_refused_cheaply(blob, match):
+    """``blob`` (every checksum valid) is refused with a message
+    matching ``match``, before anything large is built."""
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(TraceFormatError, match=match):
+            serialize.loads(blob)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05
+    assert peak < 1 << 20
 
 
 class TestRankSetBound:
@@ -160,18 +138,8 @@ class TestRankSetBound:
         # What ``dumps`` writes for the group's members: one stride term,
         # six bytes, every section checksum valid.
         group._rank_seq = IntSequence(terms=[(0, 10**11, 1)], length=10**11)
-        blob = serialize.dumps(merged)
-        tracemalloc.start()
-        started = time.perf_counter()
-        try:
-            with pytest.raises(TraceFormatError, match=r"vertex \d+: a group"):
-                serialize.loads(blob)
-            elapsed = time.perf_counter() - started
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert elapsed < 0.05
-        assert peak < 1 << 20  # the parent built a 10**11-element list
+        # before the check, a 10**11-element list
+        assert_refused_cheaply(serialize.dumps(merged), r"vertex \d+: a group")
 
     def test_full_membership_still_loads(self):
         blob = GOLDEN_FIG11.read_bytes()
@@ -179,6 +147,176 @@ class TestRankSetBound:
         assert max(
             len(g.ranks) for v in merged.vertices() for g in v.groups.values()
         ) == merged.nranks_merged
+
+
+def _one_value(col, value, nrecords=1):
+    """The body of a columnar leaf block whose only written column
+    holds ``value`` for every record."""
+    def body(w, stats):
+        w.u(nrecords << 1 | 1)
+        w.u(1 << col)
+        w.u(0)
+        w.z(value)
+    return body
+
+
+def _one_term(count):
+    """Two records whose tag column is one stride term of ``count``."""
+    def body(w, stats):
+        w.u(2 << 1 | 1)
+        w.u(1 << serialize._C_TAG)
+        w.u(1 << serialize._C_TAG)
+        w.z(0)
+        w.u(count)
+        w.z(1)
+    return body
+
+
+def _words(*words):
+    def body(w, stats):
+        for word in words:
+            w.u(word)
+    return body
+
+
+#: name → (what the one leaf block of the file holds, the refusal).
+#: Sizes are what a build *without* the check can survive building
+#: (tens of MB, a fraction of a second) — and fail the assertions on.
+_BAD_LEAVES = {
+    "records beyond the chunk": (
+        _words(10**5 << 1 | 1, 0, 0), r"declares 100000 record\(s\) with",
+    ),
+    "row mask past the last field": (
+        _words(1 << 1, 1 << serialize._NCOLS), r"names a field past the last",
+    ),
+    "column mask past the last column": (
+        _words(1 << 1 | 1, 1 << serialize._NCOLS, 0), r"past the last \(20\)",
+    ),
+    "sequence of an unwritten column": (
+        _words(1 << 1 | 1, 0, 1), r"a sequence that is not written",
+    ),
+    "row stats index -1": (  # zigzag -1 is the varint 1
+        _words(1 << 1, 1 << serialize._C_DUR, 1),
+        r"stats index \(-1, 0 of 2\)",
+    ),
+    "column stats index -1": (
+        _one_value(serialize._C_GAP, -1), r"stats index -1 outside",
+    ),
+    "column stats index past the table": (
+        _one_value(serialize._C_GAP, 2), r"stats index 2 outside",
+    ),
+    "term beyond its column": (
+        _one_term(10**6), r"covers 1000000 value\(s\), the column has 2 left",
+    ),
+    "empty term": (_one_term(0), r"covers 0 value\(s\)"),
+    "occurrence terms beyond the chunk": (
+        _one_value(serialize._C_NTERMS, 10**6), r"declares 1000000 value\(s\)",
+    ),
+    "negative occurrence term count": (
+        _one_value(serialize._C_NTERMS, -1), r"lowest count -1",
+    ),
+    "request gids beyond the chunk": (
+        _one_value(serialize._C_NGIDS, 10**6), r"declares 1000000 value\(s\)",
+    ),
+    "negative op index": (
+        _one_value(serialize._C_OP, -1), r"negative op index",
+    ),
+}
+
+
+@pytest.fixture
+def one_leaf():
+    return serialize.loads((DATA / "golden_single_v7.cyp").read_bytes())
+
+
+class TestLeafBounds:
+    """What a version-7 leaf block or stats table declares is checked
+    against what its chunk can hold before anything of that size is
+    built, and an index is unsigned before it indexes."""
+
+    @pytest.mark.parametrize("name", sorted(_BAD_LEAVES))
+    def test_bad_leaf_is_refused_cheaply(self, name, one_leaf, monkeypatch):
+        body, match = _BAD_LEAVES[name]
+
+        def write_leaf(w, records, strings, defaults, stats):
+            for rec in records:  # the table an honest block would leave
+                stats.add(rec.duration)
+                stats.add(rec.pre_gap)
+            body(w, stats)
+
+        monkeypatch.setattr(serialize, "_write_leaf", write_leaf)
+        blob = serialize.dumps(one_leaf)  # every section checksum valid
+        monkeypatch.undo()
+        assert_refused_cheaply(blob, match)
+
+    def test_stats_table_longer_than_its_chunk(self, one_leaf):
+        data = serialize.dumps(one_leaf)
+        sections, _, _ = serialize.read_sections(data, 5, False)
+        w = serialize.ByteWriter()
+        w.raw(data[:5])
+        for kind, body in sections:
+            if kind == 3:  # PAYLOAD: first vertex | nvertices | nblocks
+                assert body[:3] == bytes([0, 2, 2])
+                count = serialize.ByteWriter()
+                count.u(10**5)
+                body = body[:2] + count.bytes() + body[3:]
+            serialize.write_section(w, kind, body)
+        assert_refused_cheaply(w.bytes(), r"stats table declares 100000")
+
+    def test_a_leaf_below_a_byte_a_record_still_loads(self):
+        # 300 records that differ in a stride-coded tag, one occurrence
+        # each at its own position, one stats block between them: the
+        # columns alone take some twenty bytes.  The writer spreads one
+        # of them out rather than declare more than the block holds.
+        source = """
+        func main() {
+          var rank = mpi_comm_rank();
+          for (var i = 0; i < 300; i = i + 1) {
+            if (rank == 0) { mpi_send(1, 8, i); }
+            if (rank == 1) { mpi_recv(0, 8, i); }
+          }
+        }
+        """
+        _, _, cyp, _ = run_traced(source, 2)
+        merged = merge_all([cyp.ctt(r) for r in range(2)])
+        want = tree_fields(merged)
+        for chunk_bytes in (1, serialize._CHUNK_BYTES):
+            blob = serialize.dumps(merged, chunk_bytes=chunk_bytes)
+            assert 600 <= len(blob) < 2000  # v6: 54 KB
+            assert tree_fields(serialize.loads(blob)) == want
+
+
+class TestChunkedSalvage:
+    def test_truncated_sp_recovers_every_complete_chunk(self):
+        # The stats table is per chunk: a chunk decodes with nothing but
+        # the header and topology, whatever was lost after it.
+        merged = serialize.loads((DATA / "golden_sp_v7.cyp").read_bytes())
+        want = tree_fields(merged)[1]
+        blob = serialize.dumps(merged, chunk_bytes=64)
+        sections, _, _ = serialize.read_sections(blob, 5, False)
+        assert len(sections) > 8
+        ends = []  # file offset after each section
+        at = 5
+        for kind, body in sections:
+            framed = serialize.ByteWriter()
+            serialize.write_section(framed, kind, body)
+            at += framed.size()
+            ends.append(at)
+        covered = 0
+        for index in range(2, len(sections) - 1):  # each payload chunk
+            reader = serialize.ByteReader(sections[index][1])
+            first, count = reader.u(), reader.u()
+            assert first == covered
+            covered += count
+            # cut in the middle of the section after it
+            cut = (ends[index] + ends[index + 1]) // 2
+            got = serialize.loads(blob[:cut], salvage=True)
+            info = got.salvage_info
+            assert info["complete"] is False
+            assert info["vertices_with_payload"] == covered
+            fields = tree_fields(got)[1]
+            assert fields[:covered] == want[:covered]
+            assert all(not groups for _, _, groups, _, _ in fields[covered:])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +347,7 @@ for index, (kind, body) in enumerate(sections):
         continue
     assert resealed(index, body) == data
     for at in range(len(body)):
-        for mask in (0x01, 0x80, 0xFF):
+        for mask in map(int, sys.argv[2].split(",")):
             damaged = bytearray(body)
             damaged[at] ^= mask
             try:
@@ -222,16 +360,25 @@ print(loaded, refused, time.perf_counter() - started)
 
 
 class TestResealedCorruption:
-    def test_payload_flips_load_or_raise_trace_format_error(self):
+    # The version-6 rows, the version-7 rows, and — sp is the golden
+    # with leaves wide enough for them — the version-7 columns.
+    @pytest.mark.parametrize("golden, masks, limit", [
+        ("golden_fig11.cyp", "1,128,255", 5.0),
+        ("golden_fig11_v7.cyp", "1,128,255", 5.0),
+        ("golden_sp_v7.cyp", "1,128", 15.0),
+    ])
+    def test_payload_flips_load_or_raise_trace_format_error(
+        self, golden, masks, limit
+    ):
         # A flipped bit behind a recomputed CRC reaches the body decoder
         # itself: it may yield a (wrong) tree or TraceFormatError, never
         # another exception, a hang or a large allocation.
         out = subprocess.run(
-            [sys.executable, "-c", _RESEALED_SWEEP, str(GOLDEN_FIG11)],
+            [sys.executable, "-c", _RESEALED_SWEEP, str(DATA / golden), masks],
             capture_output=True, text=True, cwd=ROOT, timeout=120,
             env={"PYTHONPATH": "src"},
         )
         assert out.returncode == 0, out.stderr
         loaded, refused, seconds = out.stdout.split()
         assert int(loaded) > 0 and int(refused) > 0
-        assert float(seconds) < 5.0
+        assert float(seconds) < limit

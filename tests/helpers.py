@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import struct
+
 from repro.baselines.scalatrace import event_signature
 from repro.core.decompress import decompress_merged_rank, decompress_rank
 from repro.core.inter import merge_all
 from repro.core.intra import CypressConfig, IntraProcessCompressor
 from repro.driver import run_compiled
 from repro.mpisim.pmpi import MultiSink, RecordingSink
+from repro.static.cst import BRANCH, CALL
 from repro.static.instrument import compile_minimpi
+
+_pack = struct.Struct("<d").pack
 
 
 def run_traced(
@@ -55,3 +60,38 @@ def assert_replay_exact(recorder, compressor, nprocs: int, merged: bool = False)
 
 def truth_signatures(recorder, rank: int):
     return [event_signature(e, rank) for e in recorder.events.get(rank, [])]
+
+
+def _seq_fields(seq):
+    return None if seq is None else (seq.length, tuple(seq.terms))
+
+
+def _stats_fields(st):
+    # Floats by bit pattern (NaN, -0.0); an empty block's +-inf extremes
+    # are written as 0.0, the one normalisation the format makes.
+    lo, hi = (st.minimum, st.maximum) if st.count else (0.0, 0.0)
+    return (st.mode, st.count, _pack(st.mean), _pack(st.m2), _pack(lo),
+            _pack(hi), None if st.bins is None else tuple(st.bins))
+
+
+def tree_fields(merged):
+    """Everything a container carries about ``merged``."""
+    vertices = []
+    for v in merged.root.preorder():
+        groups = [
+            (
+                tuple(g.ranks), _seq_fields(g.counts), _seq_fields(g.visits),
+                None if g.records is None else [
+                    (r.key, _seq_fields(r.occurrences), r.pending,
+                     _stats_fields(r.duration), _stats_fields(r.pre_gap))
+                    for r in g.records
+                ],
+            )
+            for g in v.sorted_groups()
+        ]
+        vertices.append((
+            v.kind, len(v.children), groups,
+            (v.op, v.name) if v.kind == CALL else None,
+            (v.branch_path or 0, v.ast_id) if v.kind == BRANCH else None,
+        ))
+    return merged.nranks_merged, vertices

@@ -90,7 +90,7 @@ class TestStageCoverage:
         items = registry.gauges["intra.live_buffer_peak_items"]
         assert run.run_result.total_events < items <= 32768
         doc = registry.to_dict()
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         jsonschema.validate(doc, obs.METRICS_SCHEMA)
         doc["counters"]["intra.live_drains"] = -1
         with pytest.raises(jsonschema.ValidationError):
@@ -110,6 +110,19 @@ class TestStageCoverage:
             + c["serialize.bytes.payload"]
             == c["serialize.bytes.total"]
         )
+        # The stats tables are part of the payload: every record names
+        # two blocks, the tables hold each distinct one once a chunk
+        # (34 bytes a mean/std block, one count varint a table).
+        merged = serialize.loads(blob)
+        nrecords = sum(
+            len(g.records) for v in merged.vertices()
+            for g in v.groups.values() if g.records
+        )
+        assert c["serialize.stats_blocks"] == 2 * nrecords
+        distinct = c["serialize.stats_blocks_distinct"]
+        assert 0 < distinct < c["serialize.stats_blocks"]
+        assert c["serialize.bytes.stats_table"] == 34 * distinct + 1
+        assert c["serialize.bytes.stats_table"] < c["serialize.bytes.payload"]
         assert registry.gauges["serialize.ratio_vs_raw"] > 1.0
 
     def test_replay_counters(self):
