@@ -302,7 +302,7 @@ def cmd_hotspots(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from repro.core.decompress import decompress_merged_rank
+    from repro.core.decompress import decompress_all
     from repro.core.inter import merge_all
     from repro.core.intra import IntraProcessCompressor
     from repro.driver import run_compiled
@@ -330,9 +330,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         compressor.publish_metrics(registry)
     bad = 0
     total = 0
+    replays = decompress_all(merged)
     for rank in range(args.nprocs):
         truth = [e.replay_tuple() for e in recorder.events.get(rank, [])]
-        replay = [e.call_tuple() for e in decompress_merged_rank(merged, rank)]
+        replay = [e.call_tuple() for e in replays.get(rank, [])]
         total += len(truth)
         if replay != truth:
             bad += 1

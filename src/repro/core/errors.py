@@ -38,11 +38,12 @@ The taxonomy (docs/INTERNALS.md §7):
 
 ``DecompressionError``
     The compressed trace is internally inconsistent: replay reached a
-    state the payload cannot satisfy (a leaf visit no record covers, an
-    exhausted cursor, an out-of-range decoded peer).  Carries the full
-    replay context — ``rank``, ``gid``, ``op``, ``visit``, the record
-    keys that were tried and the remaining cursor state — so salvage
-    reports name the exact divergence instead of just a vertex.
+    state the payload cannot satisfy (a leaf visit that no record, or
+    more than one, claims; an occurrence total no schedule can hold; an
+    out-of-range decoded peer).  Carries the full replay context —
+    ``rank``, ``gid``, ``op``, ``visit``, the leaf's record keys and
+    each record's next occurrence — so salvage reports name the exact
+    divergence instead of just a vertex.
 """
 
 from __future__ import annotations
@@ -90,11 +91,12 @@ class TraceFormatError(CypressError, ValueError):
 class DecompressionError(CypressError):
     """The compressed trace is internally inconsistent under replay.
 
-    ``candidates`` holds the record keys that were tried at the failing
-    leaf and ``cursors`` the remaining state of each record's occurrence
-    cursor as ``(record_index, next_value)`` pairs (``next_value`` is
-    ``None`` for an exhausted cursor) — enough to see *which* payload the
-    replay expected and what it found instead.
+    ``candidates`` holds the record keys of the failing leaf and
+    ``cursors`` where each record would next have replayed, as
+    ``(record_index, next_value)`` pairs — the record's first occurrence
+    at or after the failing ``visit``, ``None`` when it has none left —
+    enough to see *which* payload the replay expected and what it found
+    instead.
     """
 
     def __init__(

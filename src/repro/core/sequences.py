@@ -121,6 +121,25 @@ class IntSequence:
             pos -= count
         raise IndexError(f"position {pos} beyond terms")  # pragma: no cover
 
+    def first_at_least(self, value: int) -> int | None:
+        """The smallest recorded value ``>= value``, or ``None`` —
+        O(terms) arithmetic, whatever the counts (replay names a damaged
+        leaf's next occurrences with it)."""
+        best = None
+        for start, count, stride in self.terms:
+            if count < 1:
+                continue
+            if stride < 0:  # read a descending term from its low end
+                start, stride = start + (count - 1) * stride, -stride
+            if start < value:
+                skip = -((start - value) // stride) if stride else count
+                if skip >= count:
+                    continue
+                start += skip * stride
+            if best is None or start < best:
+                best = start
+        return best
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntSequence):
             return NotImplemented

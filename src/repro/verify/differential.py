@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core import intra, packed, serialize
-from repro.core.decompress import decompress_merged_rank, decompress_rank
+from repro.core.decompress import decompress_all, decompress_rank
 from repro.core.inter import merge_all
 from repro.core.intra import CypressConfig, IntraProcessCompressor, compress_streams
 from repro.driver import run_compiled
@@ -96,6 +96,16 @@ def _replays(compressor, nprocs):
     return {
         r: [e.call_tuple() for e in decompress_rank(compressor.ctt(r))]
         for r in range(nprocs)
+    }
+
+
+def _replay_all(merged, nprocs, nranks=None):
+    """Every rank's call tuples from one shared-plan walk of ``merged``
+    (``nranks`` as in ``decompress_all``); a rank no group holds replays
+    as the empty sequence."""
+    traces = decompress_all(merged, nranks)
+    return {
+        r: [e.call_tuple() for e in traces.get(r, [])] for r in range(nprocs)
     }
 
 
@@ -198,13 +208,12 @@ def differential_check(
     for other in names[1:]:
         if blobs[other] != blobs[names[0]]:
             # Byte mismatch: localize it via per-rank replay diffs.
+            theirs = _replay_all(merged_by[other], nprocs)
+            ours = _replay_all(merged_by[names[0]], nprocs)
             for rank in range(nprocs):
                 note(first_divergence(
                     f"merge:{other}", f"merge:{names[0]}", rank,
-                    [e.call_tuple() for e in
-                     decompress_merged_rank(merged_by[other], rank)],
-                    [e.call_tuple() for e in
-                     decompress_merged_rank(merged_by[names[0]], rank)],
+                    theirs[rank], ours[rank],
                 ))
             note(Divergence(
                 f"merge:{other}", f"merge:{names[0]}", -1, -1,
@@ -212,13 +221,10 @@ def differential_check(
             ))
 
     # -- replay before vs after merge -------------------------------------
-    merged = merged_by[names[0]]
+    replayed = _replay_all(merged_by[names[0]], nprocs, nranks=nprocs)
     for rank in range(nprocs):
         note(first_divergence(
-            "merged-replay", "per-rank-replay", rank,
-            [e.call_tuple()
-             for e in decompress_merged_rank(merged, rank, nranks=nprocs)],
-            base[rank],
+            "merged-replay", "per-rank-replay", rank, replayed[rank], base[rank],
         ))
 
     # -- budgeted streaming mode (PR-5 invariant) --------------------------
@@ -237,13 +243,11 @@ def differential_check(
     budgeted.close_spill()
     ref_blob = serialize.dumps(merge_all(ctts, nranks=nprocs))
     if budget_blob != ref_blob:
-        merged_budget = serialize.loads(budget_blob)
+        replayed = _replay_all(serialize.loads(budget_blob), nprocs, nranks=nprocs)
         for rank in range(nprocs):
             note(first_divergence(
                 "budgeted-replay", "per-rank-replay", rank,
-                [e.call_tuple() for e in
-                 decompress_merged_rank(merged_budget, rank, nranks=nprocs)],
-                base[rank],
+                replayed[rank], base[rank],
             ))
         note(Divergence(
             "bytes:budgeted", "bytes:merge_all", -1, -1,

@@ -237,7 +237,7 @@ def _check_records(records, gid, rank, nranks, expected_total, rep) -> None:
 
 def _branch_runs(children):
     """Consecutive same-``ast_id`` branch-path children, grouped the way
-    replay groups them (see ``decompress._replay_group``)."""
+    replay groups them (see ``decompress._compile``)."""
     runs, i = [], 0
     while i < len(children):
         child = children[i]

@@ -196,6 +196,27 @@ class TestDonationRepairChains:
         assert seq.length == sum(c for _s, c, _d in seq.terms)
         assert all(c >= 1 for _s, c, _d in seq.terms)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-6, 12), st.integers(0, 5), st.integers(-3, 3)),
+            max_size=4,
+        ),
+        st.integers(-10, 20),
+    )
+    def test_first_at_least_is_the_min_over_all_values(self, terms, probe):
+        # Hand-built terms: descending, constant and empty ones included,
+        # which `from_values` never lays down but a file can declare.
+        seq = IntSequence(terms, sum(c for _s, c, _d in terms))
+        want = min((v for v in seq if v >= probe), default=None)
+        assert seq.first_at_least(probe) == want
+
+    def test_first_at_least_does_not_enumerate(self):
+        seq = IntSequence([(3, 10**18, 0), (5, 10**18, 7)], 2 * 10**18)
+        assert seq.first_at_least(4) == 5
+        assert seq.first_at_least(20) == 26
+        assert seq.first_at_least(5 + 7 * 10**18) is None
+
     def test_interleaved_pairs_with_tail_run(self):
         # A repair chain directly followed by material for another:
         # exercises the terms[-2] fold-back branch twice in a row.
