@@ -24,11 +24,13 @@ resurrecting a half-written cursor.
 (loop counts, branch visits, leaf records) plus the cursor state that
 determines future output — ``search_pos``, ``leaf_visits``, branch-group
 visit counters, the open frame stack, recursion save-slots, the
-request-id table and the pre-gap clock.  **What it drops** (cold on
-reload): the monomorphic dispatch caches, key-interning slots, packed
-raw-byte caches and run-plan MRUs.  Those are pure accelerators — a
-reloaded rank re-warms them and produces the same bytes, which is what
-the spill/reload property tests pin down.
+request-id table and the pre-gap clock.  **What it drops** (empty on
+reload): the per-leaf record caches in front of ``record_index`` —
+``last_params``/``last_record`` and the ``params -> record`` index.
+Those are pure accelerators — a reloaded rank refills them from
+``record_index`` (which the decoder rebuilds) one key build per
+parameter set and produces the same bytes, which is what the
+spill/reload property tests pin down.
 
 A rank with unresolved wildcard receives (``pending`` non-empty) is
 **unevictable**: its pending records hold live event objects whose

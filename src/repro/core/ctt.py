@@ -44,12 +44,13 @@ The ordered wrap-around semantics ("first candidate at or after
 a list that is almost always length 1, instead of a closure applied to
 every sibling.
 
-Leaf vertices additionally carry the key-interning cache slots the
-intra-process compressor uses (``last_params``/``last_key``/
-``last_record``, see :mod:`repro.core.intra`), plus a single-slot
-monomorphic dispatch cache (``mono_op``/``mono_pair``) that shortcuts
-the dict lookup when a vertex dispatches the same single-candidate op
-repeatedly — the steady state inside any loop body.
+An MPI event skips even that when the program runs its calls in source
+order: the compressor first tries the child *at* ``search_pos`` and
+consults ``call_children_by_op`` only when that is not the event's leaf.
+
+Leaf vertices additionally carry the record caches the intra-process
+compressor probes before it builds a key (``last_params``/
+``last_record``, then ``params_index``; see :mod:`repro.core.intra`).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .sequences import IntSequence
 # CPython live-memory cost model (64-bit).  Deliberately coarse: the
 # budget trigger needs to track the real footprint to within a small
 # factor, not byte-perfectly — but it must *see* the transient state
-# (interned dicts, key caches) that the serialized-size estimate
+# (record and params indexes) that the serialized-size estimate
 # ignores, because under budget pressure that state dominates.
 _PTR = 8
 _VERTEX_BASE = 360       # CTTVertex slots + payload containers (a flat
@@ -77,7 +78,10 @@ _SEQ_BASE = 120          # IntSequence object + terms list header
 _SEQ_LIVE_FACTOR = 3     # boxed terms vs packed varint estimate
 _DICT_ENTRY = 104        # amortized dict slot (hash + key + value + growth)
 _LIST_BASE = 64
-_TUPLE_BASE = 56
+# One ``params_index`` entry: the 11-field parameter tuple only the
+# index keeps alive (144 B; its elements are the key's) plus its dict
+# slot — tracemalloc says 158 B an entry on sp, 177-186 on cg / mg.
+_PARAMS_ENTRY = 160
 
 
 class _EmptyTable(Mapping):
@@ -154,17 +158,13 @@ class CTTVertex:
         # does this leaf's op create a request?  (Spares the per-event
         # frozenset membership test on the hot path.)
         "op_nonblocking",
-        # single-slot monomorphic dispatch cache: the last op dispatched
-        # from this vertex, valid only when it has exactly one candidate
-        # child (wrap-around over one candidate always yields it)
-        "mono_op",
-        "mono_pair",
-        # key-interning cache (leaf vertices; transient compression
-        # state): the last event's key-relevant parameters as one tuple,
-        # compared with a single C-level tuple equality on the hot path
+        # record caches in front of ``record_index`` (leaf vertices;
+        # transient compression state, unbounded window only): the last
+        # event's key-relevant parameters as one tuple with the record
+        # they committed to, and every parameter tuple seen -> its record
         "last_params",
-        "last_key",
         "last_record",
+        "params_index",
     )
 
     # ------------------------------------------------------------------
@@ -193,16 +193,6 @@ class CTTVertex:
         first candidate.  Equivalent to ``find_child`` with a
         kind/ast_id predicate, without the closure or the sibling scan."""
         lst = self.loop_child_by_ast_id.get(ast_id)
-        if lst is None:
-            return None
-        for pair in lst:
-            if pair[0] >= start:
-                return pair
-        return lst[0]
-
-    def find_call_child(self, op: str, start: int) -> tuple[int, "CTTVertex"] | None:
-        """Monomorphic ordered wrap-around lookup of an MPI-call leaf."""
-        lst = self.call_children_by_op.get(op)
         if lst is None:
             return None
         for pair in lst:
@@ -245,8 +235,9 @@ class CTTVertex:
     def live_bytes(self) -> int:
         """Estimated *live* in-RAM footprint of this vertex: the payload
         as boxed CPython objects plus the transient compression state the
-        serialized estimate ignores — the key/record interning dicts and
-        the key cache.  This is the budget mode's eviction trigger."""
+        serialized estimate ignores — the key -> record interning dict
+        and the parameter index in front of it.  This is the budget
+        mode's eviction trigger."""
         total = _VERTEX_BASE
         if self.loop_counts is not None:
             total += _SEQ_BASE + _SEQ_LIVE_FACTOR * self.loop_counts.approx_bytes()
@@ -260,8 +251,10 @@ class CTTVertex:
             # Interned key -> record map: one slot per distinct key (the
             # key tuples themselves are shared with the records).
             total += _LIST_BASE + _DICT_ENTRY * len(self.record_index)
-        if self.last_params is not None:
-            total += _TUPLE_BASE + _PTR * len(self.last_params)
+        if self.params_index is not None:
+            # Every leaf owns the dict, filled or not; ``last_params``
+            # is one of its tuples, not another.
+            total += _LIST_BASE + _PARAMS_ENTRY * len(self.params_index)
         return total
 
 
@@ -359,9 +352,10 @@ class CTTShape:
             if kind == CALL:
                 v.records = []
                 v.record_index = {}
+                v.params_index = {}
                 v.loop_counts = v.visits = None
             else:
-                v.records = v.record_index = None
+                v.records = v.record_index = v.params_index = None
                 v.loop_counts = IntSequence() if kind == LOOP else None
                 v.visits = IntSequence() if kind == BRANCH else None
             v.children = v.branch_groups = _EMPTY
@@ -369,8 +363,7 @@ class CTTShape:
             v.call_children_by_op = _EMPTY_TABLE
             v.group_by_ast_id = _EMPTY_TABLE
             v.search_pos = v.leaf_visits = 0
-            v.mono_op = v.mono_pair = None
-            v.last_params = v.last_key = v.last_record = None
+            v.last_params = v.last_record = None
             append(v)
         for i, kids, loops, calls, group_layout in self.parents:
             v = vertices[i]

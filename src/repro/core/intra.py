@@ -36,24 +36,25 @@ The fast path
 The per-event budget is O(1), and the implementation spends it carefully
 (docs/INTERNALS.md §5):
 
-* cursor moves use the CTT's precomputed monomorphic dispatch tables
-  (:meth:`CTTVertex.find_loop_child` / ``find_call_child`` /
-  ``find_group``) — no closure allocation, no generic sibling scan;
-* record keys are *interned* per leaf: the leaf caches the last event's
-  parameter fields together with the key (and, for the default unbounded
-  window, the record) they produced, so a repeated event — the
-  overwhelmingly common case inside a loop — skips the key build, both
-  ``encode_peer`` calls and the ``record_index`` hash of a 12-tuple
-  entirely and lands directly in ``CompressedRecord.add_occurrence``;
-* :meth:`IntraProcessCompressor.ingest_stream` hoists the per-rank state
-  and bound methods out of the item loop — and it is the only live
-  ingest: the ``on_*`` callbacks append to a bounded per-rank buffer
-  that drains through it.
+* marker moves use the CTT's precomputed monomorphic dispatch tables
+  (:meth:`CTTVertex.find_loop_child` / ``find_group``) — no closure
+  allocation, no generic sibling scan;
+* :meth:`IntraProcessCompressor.ingest_stream` is the only live ingest
+  (the ``on_*`` callbacks append to a bounded per-rank buffer that
+  drains through it), and its loop commits an event in line whatever the
+  MPI call: the leaf is the child at the parent's search position (the
+  op table is consulted only when it is not), a nonblocking op's request
+  is registered and a completion's requests are resolved and evicted
+  there, and one tuple of the key-relevant parameters is probed against
+  the leaf's last event, then against a per-leaf ``params -> record``
+  index.  A hit lands directly in the record; only a parameter set with
+  no record yet builds the 12-tuple key (both ``encode_peer`` calls, the
+  ``record_index`` hash).  A wildcard ``Irecv`` and the bounded window
+  are the two events that leave the loop.
 
-``CypressConfig(fastpath=False)`` disables the dispatch tables and the
-key-interning cache, forcing the pre-optimization reference path (generic
-predicate scan + fresh key per event); tests assert both paths produce
-byte-identical serialized traces.
+``CypressConfig(fastpath=False)`` disables all of it, forcing the
+pre-optimization reference path (generic predicate scan + fresh key per
+event); tests assert both paths produce byte-identical serialized traces.
 
 Deferred compression: per-rank states are fully independent, so captured
 marker/event streams (:class:`~repro.mpisim.pmpi.StreamCaptureSink`) can
@@ -118,8 +119,8 @@ class CypressConfig:
     (``window=1``, §IV-A) and mentions larger sliding windows as the
     cost/effectiveness trade-off — the ablation bench sweeps this.
 
-    ``fastpath=False`` disables the monomorphic dispatch tables and the
-    per-leaf key-interning cache, running the generic reference path
+    ``fastpath=False`` disables the dispatch tables, the inline commit
+    and the per-leaf record caches, running the generic reference path
     instead (same output bytes, used by the equivalence tests and the
     ingestion benchmarks).
 
@@ -135,7 +136,7 @@ class CypressConfig:
     window: int | None = None  # None = unbounded keyed merge
     timing_mode: str = MEANSTD  # 'meanstd' or 'hist'
     relative_ranks: bool = True  # relative peer encoding (paper §IV-B)
-    fastpath: bool = True  # monomorphic dispatch + key interning
+    fastpath: bool = True  # dispatch tables + inline commit + record caches
     memory_budget_bytes: int | None = None  # None = unbounded (no budget)
     spill_dir: str | None = None  # spill-container home (budget mode)
 
@@ -231,17 +232,14 @@ class IntraProcessCompressor(CaptureCallbacks):
         self._relative = self.config.relative_ranks
         self._timing_mode = self.config.timing_mode
         self._fastpath = self.config.fastpath
-        # Monomorphic event ingestion: pick the variant once, so the hot
-        # path carries no per-event mode branch.
-        self._ingest = self._ingest_fast if self._fastpath else self._ingest_ref
         # Observability counters (docs/INTERNALS.md §6).  Always
         # maintained: each one is incremented only on a path that already
         # misses a cache (or defers a wildcard), so the fast path carries
         # no metrics cost, and totals to rate them against are derived
         # from CTT state (leaf_visits) in metrics_counters().
-        self.m_mono_miss = 0  # dispatch-cache misses (dict/scan fallback)
-        self.m_key_build = 0  # fresh record keys built (key-cache misses)
-        self.m_stream_fallback = 0  # inline stream loop -> generic handler
+        self.m_mono_miss = 0  # leaf was not the next child (table + scan)
+        self.m_key_build = 0  # record keys built (no record for the params)
+        self.m_stream_fallback = 0  # events committed outside the walk
         self.m_wildcard_deferred = 0  # wildcard receives queued pending
         self.m_wildcard_max_depth = 0  # peak pending-queue depth
         self.m_live_drains = 0  # live buffers drained through ingest_stream
@@ -417,8 +415,9 @@ class IntraProcessCompressor(CaptureCallbacks):
     def _reload_rank(self, rank: int) -> _RankState:
         """Bring a spilled rank back: decode the snapshot, discard the
         container, re-enter the live accounting.  The reloaded state is
-        cursor-exact; only the warm-up caches (dispatch, key interning)
-        start cold — same output bytes, slower first batch."""
+        cursor-exact; only the record caches (``last_params``,
+        ``params_index``) start empty and refill from ``record_index``
+        — same output bytes, one key build per parameter set."""
         payload = self._ensure_spill().load(rank)
         st = decode_rank_state(
             payload, self._new_state, rebuild_index=self._window_unbounded
@@ -817,99 +816,51 @@ class IntraProcessCompressor(CaptureCallbacks):
     # ------------------------------------------------------------------
     # Communication events.
 
-    def _ingest_fast(self, st: _RankState, ev: CommEvent) -> None:
-        """Fast-path event ingestion: monomorphic leaf dispatch plus the
-        per-leaf key-interning cache.  ``self._ingest`` binds to this
-        variant when ``config.fastpath`` (the default)."""
-        stack = st.stack
-        cur = stack[-1][_F_VERTEX] if stack else st.ctt.root
+    def _no_leaf(self, st: _RankState, cur, op: str) -> StreamMismatchError:
+        """The cold end of leaf dispatch: nothing under ``cur`` takes
+        this event."""
         if cur is None:
-            raise CompressionError(
-                f"rank {st.rank}: event {ev.op} inside a pruned structure"
+            return CompressionError(
+                f"rank {st.rank}: event {op} inside a pruned structure"
             )
-        op = ev.op
-        if cur.mono_op is op:
-            # Single-candidate dispatch cache hit: wrap-around over one
-            # candidate always yields it, independent of search_pos.
-            idx, leaf = cur.mono_pair
-        else:
-            self.m_mono_miss += 1
-            lst = cur.call_children_by_op.get(op)
-            if lst is None:
-                raise CompressionError(
-                    f"rank {st.rank}: no CST leaf for {op} under vertex "
-                    f"gid={cur.gid} ({cur.kind})"
-                )
-            if len(lst) == 1:
-                found = lst[0]
-                cur.mono_op = op
-                cur.mono_pair = found
-            else:
-                found = cur.find_call_child(op, cur.search_pos)
-            idx, leaf = found
-        cur.search_pos = idx + 1
-        visit = leaf.leaf_visits
-        leaf.leaf_visits = visit + 1
-
-        if leaf.op_nonblocking:
-            st.req_gid[ev.req] = leaf.gid
-        reqs = ev.reqs
-        if reqs:
-            req_gids = self._consume_reqs(st, reqs)
-        else:
-            req_gids = ()
-
-        start = ev.time_start
-        last_end = st.last_event_end
-        gap = start - last_end
-        if gap < 0.0:
-            gap = 0.0
-        duration = ev.duration
-        end = start + duration
-        if end > last_end:
-            st.last_event_end = end
-
-        if ev.wildcard and op == "MPI_Irecv":
-            self._ingest_pending(st, leaf, ev, visit, duration, gap)
-            return
-
-        # Key interning: if every key-relevant parameter matches the
-        # leaf's last event, reuse the cached key — and for the
-        # unbounded window, the cached record, skipping the key build,
-        # both encode_peer calls and the record_index hash of a 12-tuple
-        # entirely.  One tuple build plus one C-level tuple equality.
-        # (``op`` needs no comparison: the leaf was dispatched by op.)
-        params = (
-            ev.peer,
-            ev.nbytes,
-            ev.tag,
-            req_gids,
-            ev.peer2,
-            ev.tag2,
-            ev.nbytes2,
-            ev.comm,
-            ev.root,
-            ev.wildcard,
-            ev.result_comm,
+        return CompressionError(
+            f"rank {st.rank}: no CST leaf for {op} under vertex "
+            f"gid={cur.gid} ({cur.kind})"
         )
-        if params == leaf.last_params:
-            record = leaf.last_record
-            if record is not None:
-                record.add_occurrence(visit, duration, gap)
-                return
-            key = leaf.last_key
+
+    def _commit_unseen(
+        self,
+        st: _RankState,
+        leaf: CTTVertex,
+        ev: CommEvent,
+        params: tuple,
+        visit: int,
+        duration: float,
+        gap: float,
+    ) -> None:
+        """Unbounded-window commit of an event whose parameter tuple the
+        leaf's ``params_index`` does not hold: the one place the walk
+        builds a key.  ``record_index`` is the truth — it already has
+        the record when the index restarted empty (spill reload);
+        otherwise this is a first occurrence.  Either way the index
+        learns the tuple: ``encode_peer`` is injective for a fixed rank
+        and a ``record_index`` entry is never replaced, so the mapping
+        holds for the rest of the rank's stream."""
+        self.m_key_build += 1
+        key = self._event_key(ev, st.rank, params[3])
+        # Built before the probe so the 12-tuple is hashed once, not
+        # twice; wasted only on the reload refill.
+        first = CompressedRecord.first(
+            key, visit, duration, gap, self._timing_mode
+        )
+        record = leaf.record_index.setdefault(key, first)
+        if record is first:
+            leaf.records.append(record)
         else:
-            self.m_key_build += 1
-            key = self._event_key(ev, st.rank, req_gids)
-            leaf.last_params = params
-            leaf.last_key = key
-            leaf.last_record = None
-        record = self._add_record(leaf, key, visit, duration, gap)
-        if self._window_unbounded:
-            # Valid only for the unbounded keyed merge: record_index
-            # maps this key to this record permanently (entries are
-            # never replaced), so the cache can shortcut to it.
-            leaf.last_record = record
+            record.add_occurrence(visit, duration, gap)
+        leaf.params_index[params] = record
+        leaf.last_params = params
+        leaf.last_record = record
 
     def _ingest_ref(self, st: _RankState, ev: CommEvent) -> None:
         """Pre-optimization reference path (``config.fastpath=False``):
@@ -918,19 +869,14 @@ class IntraProcessCompressor(CaptureCallbacks):
         stack = st.stack
         cur = stack[-1][_F_VERTEX] if stack else st.ctt.root
         rank = st.rank
-        if cur is None:
-            raise CompressionError(
-                f"rank {rank}: event {ev.op} inside a pruned structure"
-            )
         op = ev.op
+        if cur is None:
+            raise self._no_leaf(st, cur, op)
         hit = cur.find_child(
             lambda c: c.kind == CALL and c.op == op, cur.search_pos
         )
         if hit is None:
-            raise CompressionError(
-                f"rank {rank}: no CST leaf for {op} under vertex "
-                f"gid={cur.gid} ({cur.kind})"
-            )
+            raise self._no_leaf(st, cur, op)
         leaf, idx = hit
         cur.search_pos = idx + 1
         visit = leaf.leaf_visits
@@ -1135,7 +1081,6 @@ class IntraProcessCompressor(CaptureCallbacks):
         self._items_done[rank] = done + len(stream)
 
     def _walk(self, st: _RankState, stream) -> None:
-        ingest = self._ingest
         loop_push = self._loop_push
         loop_iter = self._loop_iter
         loop_pop = self._loop_pop
@@ -1145,115 +1090,151 @@ class IntraProcessCompressor(CaptureCallbacks):
         recurse_exit = self._recurse_exit
         request_complete = self._request_complete
         if self._fastpath:
-            # The dominant opcodes (event, branch enter/exit, loop iter)
-            # are handled inline: the common case of each runs without a
-            # method call, and anything unusual falls back to the shared
-            # handler *before* any state has been mutated — so inline and
-            # fallback compose to exactly the handler's semantics.
-            # ``stack`` and ``root`` can be hoisted: both are mutated only
-            # in place, never rebound.
+            # The dominant opcodes are handled inline.  An event is
+            # dispatched and committed here, whatever the MPI call: one
+            # leaf lookup, its requests, one parameter tuple, and the
+            # record it already has.  Only a parameter set with no
+            # record yet, a wildcard Irecv and the bounded window leave
+            # the loop.  Branch enter/exit and loop iter fall back to the
+            # shared handler *before* any state has been mutated.
+            # ``stack``, ``root`` and the request table can be hoisted:
+            # they are mutated only in place, never rebound.
             stack = st.stack
             root = st.ctt.root
+            req_gid = st.req_gid
+            pending = st.pending
+            unbounded = self._window_unbounded
             for item in stream:
                 code = item[0]
                 if code == OP_EVENT:
                     ev = item[1]
+                    op = ev.op
                     cur = stack[-1][1] if stack else root
-                    if cur is not None and cur.mono_op is ev.op:
-                        # Single-candidate dispatch cache (see
-                        # _ingest_fast): wrap-around over one candidate
-                        # always yields it, independent of search_pos.
-                        found = cur.mono_pair
-                    elif cur is not None:
-                        lst = cur.call_children_by_op.get(ev.op)
+                    if cur is None:
+                        raise self._no_leaf(st, cur, op)
+                    # A program runs its calls in source order: the leaf
+                    # is the child at search_pos, or dispatch looks it up.
+                    idx = cur.search_pos
+                    try:
+                        leaf = cur.children[idx]
+                    except IndexError:
+                        leaf = cur  # past the last child: wraps around
+                    if leaf.op != op:
+                        self.m_mono_miss += 1
+                        lst = cur.call_children_by_op.get(op)
                         if lst is None:
-                            found = None
-                        elif len(lst) == 1:
-                            found = lst[0]
-                            cur.mono_op = ev.op
-                            cur.mono_pair = found
+                            raise self._no_leaf(st, cur, op)
+                        # First candidate at or after search_pos, else
+                        # wrap to the first overall.
+                        for found in lst:
+                            if found[0] >= idx:
+                                break
                         else:
-                            found = cur.find_call_child(ev.op, cur.search_pos)
-                    else:
-                        found = None
-                    if found is not None:
+                            found = lst[0]
                         idx, leaf = found
+                    cur.search_pos = idx + 1
+                    visit = leaf.leaf_visits
+                    leaf.leaf_visits = visit + 1
+                    if leaf.op_nonblocking:
+                        req_gid[ev.req] = leaf.gid
+                    reqs = ev.reqs
+                    if reqs:
+                        # _consume_reqs, in its order: resolve every id,
+                        # then evict every id.
+                        req_gids = tuple([req_gid.get(r, -1) for r in reqs])
+                        for r in reqs:
+                            req_gid.pop(r, None)
+                    else:
+                        req_gids = ()
+                    start = ev.time_start
+                    last_end = st.last_event_end
+                    gap = start - last_end
+                    if gap < 0.0:
+                        gap = 0.0
+                    duration = ev.duration
+                    end = start + duration
+                    if end > last_end:
+                        st.last_event_end = end
+                    wildcard = ev.wildcard
+                    if wildcard and op == "MPI_Irecv":
+                        self.m_stream_fallback += 1
+                        self._ingest_pending(st, leaf, ev, visit, duration, gap)
+                        continue
+                    if not unbounded:
+                        # The paper's bounded scan: the reference commit.
+                        self.m_stream_fallback += 1
+                        self.m_key_build += 1
+                        self._add_record(
+                            leaf, self._event_key(ev, st.rank, req_gids),
+                            visit, duration, gap,
+                        )
+                        continue
+                    # One tuple of every key-relevant parameter (``op``
+                    # is the leaf's), probed against the leaf's last
+                    # event, then against every tuple the leaf has seen.
+                    params = (
+                        ev.peer,
+                        ev.nbytes,
+                        ev.tag,
+                        req_gids,
+                        ev.peer2,
+                        ev.tag2,
+                        ev.nbytes2,
+                        ev.comm,
+                        ev.root,
+                        wildcard,
+                        ev.result_comm,
+                    )
+                    if params == leaf.last_params:
                         record = leaf.last_record
-                        if (
-                            record is not None
-                            and not leaf.op_nonblocking
-                            and not ev.reqs
-                            and (
-                                ev.peer,
-                                ev.nbytes,
-                                ev.tag,
-                                (),
-                                ev.peer2,
-                                ev.tag2,
-                                ev.nbytes2,
-                                ev.comm,
-                                ev.root,
-                                ev.wildcard,
-                                ev.result_comm,
+                    else:
+                        record = leaf.params_index.get(params)
+                        if record is None:
+                            self._commit_unseen(
+                                st, leaf, ev, params, visit, duration, gap
                             )
-                            == leaf.last_params
-                        ):
-                            # Cache hit on a plain event: commit the
-                            # cursor move and the occurrence inline
-                            # (same float ops as add_occurrence).
-                            cur.search_pos = idx + 1
-                            visit = leaf.leaf_visits
-                            leaf.leaf_visits = visit + 1
-                            start = ev.time_start
-                            last_end = st.last_event_end
-                            gap = start - last_end
-                            if gap < 0.0:
-                                gap = 0.0
-                            duration = ev.duration
-                            end = start + duration
-                            if end > last_end:
-                                st.last_event_end = end
-                            occ = record.occurrences
-                            terms = occ.terms
-                            if terms:
-                                s0, c0, d0 = terms[-1]
-                                if c0 == 1:
-                                    terms[-1] = (s0, 2, visit - s0)
-                                    occ.length += 1
-                                elif visit == s0 + c0 * d0:
-                                    terms[-1] = (s0, c0 + 1, d0)
-                                    occ.length += 1
-                                else:
-                                    occ.append(visit)
-                            else:
-                                occ.append(visit)
-                            stats = record.duration
-                            if stats.bins is None:
-                                stats.count = n = stats.count + 1
-                                delta = duration - stats.mean
-                                stats.mean += delta / n
-                                stats.m2 += delta * (duration - stats.mean)
-                                if duration < stats.minimum:
-                                    stats.minimum = duration
-                                if duration > stats.maximum:
-                                    stats.maximum = duration
-                            else:
-                                stats.add(duration)
-                            stats = record.pre_gap
-                            if stats.bins is None:
-                                stats.count = n = stats.count + 1
-                                delta = gap - stats.mean
-                                stats.mean += delta / n
-                                stats.m2 += delta * (gap - stats.mean)
-                                if gap < stats.minimum:
-                                    stats.minimum = gap
-                                if gap > stats.maximum:
-                                    stats.maximum = gap
-                            else:
-                                stats.add(gap)
                             continue
-                    self.m_stream_fallback += 1
-                    ingest(st, ev)
+                        leaf.last_params = params
+                        leaf.last_record = record
+                    # record.add_occurrence, inlined (same float ops).
+                    occ = record.occurrences
+                    terms = occ.terms
+                    if terms:
+                        s0, c0, d0 = terms[-1]
+                        if c0 == 1:
+                            terms[-1] = (s0, 2, visit - s0)
+                            occ.length += 1
+                        elif visit == s0 + c0 * d0:
+                            terms[-1] = (s0, c0 + 1, d0)
+                            occ.length += 1
+                        else:
+                            occ.append(visit)
+                    else:
+                        occ.append(visit)
+                    stats = record.duration
+                    if stats.bins is None:
+                        stats.count = n = stats.count + 1
+                        delta = duration - stats.mean
+                        stats.mean += delta / n
+                        stats.m2 += delta * (duration - stats.mean)
+                        if duration < stats.minimum:
+                            stats.minimum = duration
+                        if duration > stats.maximum:
+                            stats.maximum = duration
+                    else:
+                        stats.add(duration)
+                    stats = record.pre_gap
+                    if stats.bins is None:
+                        stats.count = n = stats.count + 1
+                        delta = gap - stats.mean
+                        stats.mean += delta / n
+                        stats.m2 += delta * (gap - stats.mean)
+                        if gap < stats.minimum:
+                            stats.minimum = gap
+                        if gap > stats.maximum:
+                            stats.maximum = gap
+                    else:
+                        stats.add(gap)
                 elif code == OP_BRANCH_ENTER:
                     # Inlined _branch_enter (identical semantics; the
                     # shared handler stays the reference).
@@ -1316,7 +1297,8 @@ class IntraProcessCompressor(CaptureCallbacks):
                 elif code == OP_LOOP_POP:
                     loop_pop(st, item[1])
                 elif code == OP_REQ_COMPLETE:
-                    request_complete(st, item[1], item[2], item[3], item[4])
+                    if pending:  # else: no wildcard receive to resolve
+                        request_complete(st, item[1], item[2], item[3], item[4])
                 elif code == OP_RECURSE_ENTER:
                     recurse_enter(st, item[1])
                 elif code == OP_RECURSE_EXIT:
@@ -1326,6 +1308,7 @@ class IntraProcessCompressor(CaptureCallbacks):
                 else:  # pragma: no cover - capture writes only known opcodes
                     raise CompressionError(f"unknown stream opcode {code!r}")
             return
+        ingest = self._ingest_ref
         for item in stream:
             code = item[0]
             if code == OP_EVENT:

@@ -62,7 +62,7 @@ class CommEvent:
     """A single traced MPI call of one rank.
 
     ``slots=True``: the tracing fast path reads a dozen fields per event
-    (key-interning compares them one by one), and the runtime allocates
+    (it gathers them into one parameter tuple), and the runtime allocates
     one instance per MPI call — slot storage makes both cheap."""
 
     op: str

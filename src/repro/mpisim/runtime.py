@@ -136,6 +136,32 @@ class Runtime:
         Returns the run result; raises :class:`DeadlockError` if the job
         wedges and propagates any :class:`MPISimError` from rank code.
         """
+        for comm in self.ranks:
+            comm.runtime = self
+        try:
+            rounds = self._schedule(rank_main)
+            # Every rank is done: let a sink that deferred work finish it
+            # inside the run, where its time and its errors belong.
+            self.tracer.flush()
+            self._check_leaks()
+        finally:
+            # ``ranks`` <-> ``RankComm.runtime`` is the one reference
+            # cycle of a job; left in place it pins every Request until
+            # a full collection.  The ranks need the way back only while
+            # they execute.
+            for comm in self.ranks:
+                comm.runtime = None
+        return RunResult(
+            nprocs=self.nprocs,
+            finish_times=[c.clock for c in self.ranks],
+            total_messages=self.total_messages,
+            total_events=sum(c.event_seq for c in self.ranks),
+            rounds=rounds,
+        )
+
+    def _schedule(self, rank_main) -> int:
+        """Round-robin the rank generators to completion; returns the
+        number of scheduler rounds."""
         gens = {r: rank_main(self.ranks[r]) for r in range(self.nprocs)}
         live: deque[int] = deque(range(self.nprocs))
         rounds = 0
@@ -158,17 +184,7 @@ class Runtime:
                     for r in live
                 }
                 raise DeadlockError(blocked)
-        # Every rank is done: let a sink that deferred work finish it
-        # inside the run, where its time and its errors belong.
-        self.tracer.flush()
-        self._check_leaks()
-        return RunResult(
-            nprocs=self.nprocs,
-            finish_times=[c.clock for c in self.ranks],
-            total_messages=self.total_messages,
-            total_events=sum(c.event_seq for c in self.ranks),
-            rounds=rounds,
-        )
+        return rounds
 
     def _check_leaks(self) -> None:
         pending_recvs = sum(len(p) for p in self._posted)
