@@ -13,7 +13,7 @@ from __future__ import annotations
 import gzip as _gzip
 import struct
 
-from repro.core.serialize import ByteWriter
+from repro.core.serialize import ByteWriter, _write_seq
 from repro.core.sequences import IntSequence
 from repro.core.timing import TimeStats
 
@@ -23,20 +23,7 @@ from .scalatrace2 import ElasticEvent, ElasticRSD, ETerm, ST2Merged
 
 
 def _write_ranks(w: ByteWriter, ranks: list[int]) -> None:
-    seq = IntSequence.from_values(sorted(ranks))
-    w.u(len(seq.terms))
-    for start, count, stride in seq.terms:
-        w.z(start)
-        w.u(count)
-        w.z(stride)
-
-
-def _write_seq(w: ByteWriter, seq: IntSequence) -> None:
-    w.u(len(seq.terms))
-    for start, count, stride in seq.terms:
-        w.z(start)
-        w.u(count)
-        w.z(stride)
+    _write_seq(w, IntSequence.from_values(sorted(ranks)))
 
 
 _pack_2d = struct.Struct("<2d").pack

@@ -13,12 +13,15 @@ both orchestrated by :mod:`repro.core.intra`:
   rank's next batch arrives or when replay/query touches the rank.
 
 This module owns the snapshot codec and the on-disk store.  The
-container reuses the v5/v6 trace format's CRC32-framed sections
+container reuses the trace format's CRC32-framed sections
 (:func:`repro.core.serialize.write_section` /
 :func:`~repro.core.serialize.read_sections`), so a torn spill is
 detected exactly like a torn trace: the checksum fails and the load
 raises :class:`~repro.core.errors.TraceFormatError` instead of
-resurrecting a half-written cursor.
+resurrecting a half-written cursor.  Inside it a leaf's records are
+what they are in a trace — leaf blocks over the snapshot's one stats
+table (:class:`~repro.core.serialize.LeafWriter`); the record wire
+format lives in :mod:`repro.core.serialize` alone.
 
 **What a snapshot captures** (byte-exactly): every vertex's payload
 (loop counts, branch visits, leaf records) plus the cursor state that
@@ -48,17 +51,18 @@ from .errors import TraceFormatError
 from .serialize import (
     ByteReader,
     ByteWriter,
-    _read_record,
+    LeafReader,
+    LeafWriter,
     _read_seq,
     _uvarint,
-    _write_record,
     _write_seq,
+    atomic_write,
     read_sections,
     write_section,
 )
 
 _MAGIC = b"CYSP"
-_VERSION = 1
+_VERSION = 2
 
 #: Section kinds inside a spill container.
 SEC_END = 0
@@ -108,19 +112,22 @@ def encode_rank_state(st) -> bytes:
     w.u(len(ops))
     for op in ops:  # dict preserves insertion order
         w.s(op)
+    # The stats table goes before the payloads that filled it.
+    leaves = LeafWriter(ops)
+    pw = ByteWriter()
     for v in vertices:
-        w.u(v.search_pos)
-        w.u(v.leaf_visits)
+        pw.u(v.search_pos)
+        pw.u(v.leaf_visits)
         if v.loop_counts is not None:
-            _write_seq(w, v.loop_counts)
+            _write_seq(pw, v.loop_counts)
         if v.visits is not None:
-            _write_seq(w, v.visits)
+            _write_seq(pw, v.visits)
         if v.records is not None:
-            w.u(len(v.records))
-            for rec in v.records:
-                _write_record(w, rec, ops)
+            leaves.leaf(pw, v.op, v.records)
         for group in v.branch_groups:
-            w.u(group.visit_counter)
+            pw.u(group.visit_counter)
+    leaves.table(w)
+    w.raw(pw.bytes())
     return w.bytes()
 
 
@@ -149,7 +156,9 @@ def decode_rank_state(data: bytes, state_factory, rebuild_index: bool = True):
         req_gid[rid] = r.z()
     st.req_gid = req_gid
     ops = [r.s() for _ in range(r.u())]
-    pos = r.pos  # payloads: the container's one-pass decoders from here
+    # Payloads: the container's one-pass decoders from here.
+    leaves = LeafReader(data, r.pos, ops)
+    pos = leaves.pos
     for v in ctt.vertices():
         v.search_pos, pos = _uvarint(data, pos)
         v.leaf_visits, pos = _uvarint(data, pos)
@@ -158,14 +167,10 @@ def decode_rank_state(data: bytes, state_factory, rebuild_index: bool = True):
         if v.visits is not None:
             v.visits, pos = _read_seq(data, pos)
         if v.records is not None:
-            nrecords, pos = _uvarint(data, pos)
-            v.records = records = []
-            for _ in range(nrecords):
-                rec, pos = _read_record(data, pos, ops)
-                records.append(rec)
+            v.records, _, pos = leaves.leaf(data, pos, v.op, v.gid)
             if rebuild_index:
                 index = v.record_index
-                for rec in records:
+                for rec in v.records:
                     index[rec.key] = rec
         for group in v.branch_groups:
             group.visit_counter, pos = _uvarint(data, pos)
@@ -196,7 +201,7 @@ def _read_frames(r: ByteReader, ctt) -> list:
 
 class SpillStore:
     """Crash-safe home of evicted rank snapshots: one container file per
-    rank, written atomically (temp + ``os.replace``) so a crash
+    rank, written atomically (``serialize.atomic_write``) so a crash
     mid-spill leaves either the previous snapshot or none — never a torn
     one that silently decodes to a wrong cursor."""
 
@@ -231,20 +236,7 @@ class SpillStore:
         ew.u(1)
         write_section(w, SEC_END, ew.bytes())
         data = w.bytes()
-        path = self.path(rank)
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path(rank), data)
         self._ranks.add(rank)
         return len(data)
 

@@ -203,7 +203,7 @@ class Group:
 
     __slots__ = (
         "signature", "ranks", "counts", "visits",
-        "_records", "_sources", "_owns_records", "_rank_seq", "_bytes",
+        "_records", "_sources", "_owns_records", "_rank_seq",
     )
 
     def __init__(
@@ -223,7 +223,6 @@ class Group:
         self._sources = sources
         self._owns_records = False
         self._rank_seq: IntSequence | None = None
-        self._bytes: int | None = None
 
     # -- merged records (deferred, canonical rank order) -----------------
 
@@ -280,7 +279,6 @@ class Group:
         else:
             self._absorb_records_eager(other)
         self._rank_seq = None
-        self._bytes = None
 
     def _absorb_records_eager(self, other: "Group") -> None:
         """Fallback stats merge for groups without per-rank sources
@@ -295,28 +293,12 @@ class Group:
             m.duration.merge(t.duration)
             m.pre_gap.merge(t.pre_gap)
 
-    # -- cached size accounting ------------------------------------------
-
     def rank_sequence(self) -> IntSequence:
         """Stride-compressed rank set (cached until the group changes)."""
         seq = self._rank_seq
         if seq is None:
             seq = self._rank_seq = IntSequence.from_values(self.ranks)
         return seq
-
-    def approx_bytes(self) -> int:
-        total = self._bytes
-        if total is None:
-            total = self.rank_sequence().approx_bytes()
-            if self.counts is not None:
-                total += self.counts.approx_bytes()
-            if self.visits is not None:
-                total += self.visits.approx_bytes()
-            records = self.records
-            if records is not None:
-                total += 2 + sum(r.approx_bytes() for r in records)
-            self._bytes = total
-        return total
 
 
 class MergedVertex:
@@ -367,9 +349,6 @@ class MergedVertex:
         sets are disjoint, so this is a schedule-independent total
         order."""
         return sorted(self.groups.values(), key=lambda g: g.ranks[0])
-
-    def approx_bytes(self) -> int:
-        return 6 + sum(g.approx_bytes() for g in self.groups.values())
 
 
 class MergedCTT:
@@ -459,7 +438,6 @@ class MergedCTT:
                     group._records = None
                     group._owns_records = False
                 group._rank_seq = None
-                group._bytes = None
                 dst._by_rank = None
             else:  # founds the group, or merges out of order / eagerly
                 dst.add_group(
@@ -528,9 +506,6 @@ class MergedCTT:
 
     def group_count(self) -> int:
         return sum(len(v.groups) for v in self.vertices())
-
-    def approx_bytes(self) -> int:
-        return sum(v.approx_bytes() for v in self.vertices())
 
 
 # ---------------------------------------------------------------------------

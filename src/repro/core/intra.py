@@ -260,10 +260,9 @@ class IntraProcessCompressor(CaptureCallbacks):
         self._fold_skip: set[int] = set()  # quarantined (never folds)
         self._touch_clock = 0
         self._touch: dict[int, int] = {}  # rank -> LRU stamp
-        # Event/record totals of folded+spilled ranks, so the derived
-        # metrics stay exact after their CTT state leaves memory.
-        self._archived_events = 0
-        self._archived_records = 0
+        # rank -> (events, records) of every folded or spilled rank, so
+        # the derived metrics stay exact after its CTT leaves memory.
+        self._archived: dict[int, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
 
@@ -333,8 +332,8 @@ class IntraProcessCompressor(CaptureCallbacks):
         dispatched event increments exactly one leaf's ``leaf_visits``,
         so cache *hits* are ``events - misses`` at zero per-event cost."""
         self.flush()
-        events = self._archived_events
-        records = self._archived_records
+        events = sum(e for e, _ in self._archived.values())
+        records = sum(r for _, r in self._archived.values())
         for st in self._states.values():
             for v in st.ctt.vertices():
                 events += v.leaf_visits
@@ -399,18 +398,17 @@ class IntraProcessCompressor(CaptureCallbacks):
         self._touch_clock += 1
         self._touch[rank] = self._touch_clock
 
-    def _archive_rank_counts(self, ctt: CTT, sign: int) -> None:
-        """Move a rank's derived metric totals between the live tree and
-        the archived tally as the tree leaves (+1) or re-enters (-1)
-        memory, keeping ``metrics_counters`` exact throughout."""
+    def _archive_rank_counts(self, rank: int, ctt: CTT) -> None:
+        """Keep a rank's derived metric totals as its tree leaves memory
+        (spill or fold), until it re-enters (reload) or is discarded:
+        ``metrics_counters`` stays exact throughout."""
         events = 0
         records = 0
         for v in ctt.vertices():
             events += v.leaf_visits
             if v.records is not None:
                 records += len(v.records)
-        self._archived_events += sign * events
-        self._archived_records += sign * records
+        self._archived[rank] = (events, records)
 
     def _reload_rank(self, rank: int) -> _RankState:
         """Bring a spilled rank back: decode the snapshot, discard the
@@ -425,7 +423,7 @@ class IntraProcessCompressor(CaptureCallbacks):
         self._states[rank] = st
         self._spilled.discard(rank)
         self._spill.discard(rank)
-        self._archive_rank_counts(st.ctt, -1)
+        del self._archived[rank]
         bc = self.budget_counters
         if bc is not None:
             bc.reloads += 1
@@ -442,7 +440,7 @@ class IntraProcessCompressor(CaptureCallbacks):
             return False
         payload = encode_rank_state(st)
         nbytes = self._ensure_spill().spill(rank, payload)
-        self._archive_rank_counts(st.ctt, +1)
+        self._archive_rank_counts(rank, st.ctt)
         del self._states[rank]
         self._spilled.add(rank)
         bc = self.budget_counters
@@ -563,7 +561,7 @@ class IntraProcessCompressor(CaptureCallbacks):
         from .inter import MergedCTT
 
         ctt = st.ctt
-        self._archive_rank_counts(ctt, +1)
+        self._archive_rank_counts(rank, ctt)
         if self._partial is None:
             self._partial = MergedCTT.from_rank(
                 ctt, nranks=self._fold_nranks
@@ -614,21 +612,10 @@ class IntraProcessCompressor(CaptureCallbacks):
         unblocked by marking the rank permanently excluded."""
         self._buffered -= len(self._buffers.pop(rank, ()))
         self._items_done.pop(rank, None)
-        st = self._states.pop(rank, None)
-        if st is None and rank in self._spilled:
-            # Its archived totals were added at spill time; the rank is
-            # leaving for good, so take them back out.
-            payload = None
-            try:
-                payload = self._ensure_spill().load(rank)
-            except Exception:
-                pass
-            if payload is not None:
-                reloaded = decode_rank_state(
-                    payload, self._new_state, rebuild_index=False
-                )
-                self._archive_rank_counts(reloaded.ctt, -1)
+        self._states.pop(rank, None)
         if rank in self._spilled:
+            # The rank is leaving for good: so do its archived totals.
+            del self._archived[rank]
             self._spilled.discard(rank)
             self._ensure_spill().discard(rank)
         self._sealed.discard(rank)

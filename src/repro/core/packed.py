@@ -85,11 +85,6 @@ _MARKER_CODES = frozenset(
     )
 )
 
-#: Default decode granularity (items per chunk) for bounded-memory
-#: ingest of large blobs.
-CHUNK_ITEMS = 1 << 16
-
-
 class PackedStreamError(ValueError):
     """Malformed packed blob (bad magic/version or truncated section)."""
 
@@ -111,9 +106,7 @@ class PackedStream:
     """Append-only packed encoder for one rank's callback stream.
 
     Mirrors the :class:`TraceSink` callback set; ``to_bytes()`` emits
-    the self-contained blob described in the module docstring.  The
-    in-memory columns can also be decoded directly (``columns_of``)
-    without a serialization round-trip.
+    the self-contained blob described in the module docstring.
     """
 
     __slots__ = (
@@ -213,25 +206,6 @@ class PackedStream:
         )
 
 
-class Columns:
-    """Decoded column view of a packed stream: raw section buffers plus
-    the op table and event count.  ``events``/``markers``/``reqc`` are
-    memoryviews over the struct arrays; ``arena`` is an ``int64`` array."""
-
-    __slots__ = (
-        "ops", "codes", "events", "markers", "reqc", "arena", "nevents",
-    )
-
-    def __init__(self, ops, codes, events, markers, reqc, arena):
-        self.ops = ops
-        self.codes = codes
-        self.events = events
-        self.markers = markers
-        self.reqc = reqc
-        self.arena = arena
-        self.nevents = len(events) // EVENT_STRUCT.size
-
-
 def is_packed(source) -> bool:
     """True when ``source`` is a :class:`PackedStream` or a packed blob."""
     if isinstance(source, PackedStream):
@@ -241,18 +215,9 @@ def is_packed(source) -> bool:
     return False
 
 
-def columns_of(source) -> Columns:
-    """Column view of ``source`` (a :class:`PackedStream` or a blob)."""
-    if isinstance(source, PackedStream):
-        return Columns(
-            source.ops,
-            bytes(source.codes),
-            memoryview(source.events),
-            memoryview(source.markers),
-            memoryview(source.reqc),
-            source.arena,
-        )
-    buf = memoryview(source)
+def _parse_header(buf: memoryview) -> tuple[list[str], tuple, int]:
+    """``(ops, counts, offset of the codes column)`` of a blob, after
+    checking magic, version and that every declared column is there."""
     if bytes(buf[:4]) != MAGIC:
         raise PackedStreamError("bad magic: not a packed stream")
     if buf[4] != VERSION:
@@ -266,7 +231,8 @@ def columns_of(source) -> Columns:
         pos += 2
         ops.append(bytes(buf[pos:pos + nlen]).decode("utf-8"))
         pos += nlen
-    nitems, nevents, nmarkers, nreqc, arena_len = _COUNTS.unpack_from(buf, pos)
+    counts = _COUNTS.unpack_from(buf, pos)
+    nitems, nevents, nmarkers, nreqc, arena_len = counts
     pos += _COUNTS.size
     need = (
         pos + nitems + nmarkers * MARKER_STRUCT.size
@@ -277,62 +243,7 @@ def columns_of(source) -> Columns:
         raise PackedStreamError(
             f"truncated packed stream: need {need} bytes, have {len(buf)}"
         )
-    codes = bytes(buf[pos:pos + nitems])
-    pos += nitems
-    markers = buf[pos:pos + nmarkers * MARKER_STRUCT.size]
-    pos += nmarkers * MARKER_STRUCT.size
-    events = buf[pos:pos + nevents * EVENT_STRUCT.size]
-    pos += nevents * EVENT_STRUCT.size
-    reqc = buf[pos:pos + nreqc * REQC_STRUCT.size]
-    pos += nreqc * REQC_STRUCT.size
-    arena = array("q")
-    arena.frombytes(buf[pos:pos + arena_len * 8])
-    return Columns(ops, codes, events, markers, reqc, arena)
-
-
-def iter_column_chunks(cols: Columns, chunk_items: int = CHUNK_ITEMS):
-    """Yield ``(codes, events, markers, reqc)`` chunks of at most
-    ``chunk_items`` stream items, each column fully unpacked to tuples.
-
-    Splitting by item count keeps decode memory bounded on huge streams
-    while each column slice still decodes in one ``iter_unpack`` sweep.
-    """
-    codes = cols.codes
-    ev_off = mk_off = rc_off = 0
-    ev_size, mk_size, rc_size = (
-        EVENT_STRUCT.size, MARKER_STRUCT.size, REQC_STRUCT.size,
-    )
-    for start in range(0, len(codes), chunk_items):
-        chunk = codes[start:start + chunk_items]
-        nev = chunk.count(OP_EVENT)
-        nrc = chunk.count(OP_REQ_COMPLETE)
-        nmk = len(chunk) - nev - nrc
-        events = list(EVENT_STRUCT.iter_unpack(
-            cols.events[ev_off:ev_off + nev * ev_size]
-        ))
-        markers = list(MARKER_STRUCT.iter_unpack(
-            cols.markers[mk_off:mk_off + nmk * mk_size]
-        ))
-        reqc = list(REQC_STRUCT.iter_unpack(
-            cols.reqc[rc_off:rc_off + nrc * rc_size]
-        ))
-        ev_off += nev * ev_size
-        mk_off += nmk * mk_size
-        rc_off += nrc * rc_size
-        yield chunk, events, markers, reqc
-
-
-def event_from_fields(f: tuple, ops: list, arena) -> CommEvent:
-    """Materialize one :class:`CommEvent` from an unpacked event record."""
-    reqs_len = f[11]
-    gids_len = f[19]
-    return CommEvent(
-        ops[f[0]], f[14], f[15], f[1], f[4], f[3], f[5], f[2], f[6],
-        f[7], f[8], f[16],
-        tuple(arena[f[17]:f[17] + reqs_len]) if reqs_len else (),
-        bool(f[10]), f[9], f[12], f[13],
-        tuple(arena[f[18]:f[18] + gids_len]) if gids_len else (),
-    )
+    return ops, counts, pos
 
 
 def encode_stream(stream) -> PackedStream:
@@ -358,34 +269,59 @@ def encode_stream(stream) -> PackedStream:
 
 
 def decode_stream(source) -> list[tuple]:
-    """Decode a packed stream back to the capture-list tuple form.
+    """Decode a packed stream (a blob or a :class:`PackedStream`) back
+    to the capture-list tuple form.
 
     The inverse of :func:`encode_stream`, and the only way a packed
     stream reaches the compressor: the server daemon, recovery replay
     and :func:`~repro.core.intra.compress_streams` all decode a blob
     once and walk the list."""
-    cols = columns_of(source)
-    ops, arena = cols.ops, cols.arena
+    if isinstance(source, PackedStream):
+        source = source.to_bytes()
+    buf = memoryview(source)
+    ops, counts, pos = _parse_header(buf)
+    nitems, nevents, nmarkers, nreqc, arena_len = counts
+    codes = bytes(buf[pos:pos + nitems])
+    if (
+        codes.count(OP_EVENT) != nevents
+        or codes.count(OP_REQ_COMPLETE) != nreqc
+        or nitems - nevents - nreqc != nmarkers
+    ):
+        raise PackedStreamError(
+            "packed stream's codes disagree with its column counts"
+        )
+    pos += nitems
+    end = pos + nmarkers * MARKER_STRUCT.size
+    markers = MARKER_STRUCT.iter_unpack(buf[pos:end])
+    pos, end = end, end + nevents * EVENT_STRUCT.size
+    events = EVENT_STRUCT.iter_unpack(buf[pos:end])
+    pos, end = end, end + nreqc * REQC_STRUCT.size
+    reqc = REQC_STRUCT.iter_unpack(buf[pos:end])
+    arena = array("q")
+    arena.frombytes(buf[end:end + arena_len * 8])
     out: list[tuple] = []
     append = out.append
-    for codes, events, markers, reqc in iter_column_chunks(cols):
-        ei = mi = ri = 0
-        for code in codes:
-            if code == OP_EVENT:
-                append((OP_EVENT, event_from_fields(events[ei], ops, arena)))
-                ei += 1
-            elif code == OP_REQ_COMPLETE:
-                append((OP_REQ_COMPLETE,) + reqc[ri])
-                ri += 1
-            elif code == OP_FINALIZE:
-                append((OP_FINALIZE,))
-                mi += 1
-            elif code == OP_BRANCH_ENTER:
-                append((code, markers[mi][0], markers[mi][1]))
-                mi += 1
-            else:
-                append((code, markers[mi][0]))
-                mi += 1
+    for code in codes:
+        if code == OP_EVENT:
+            f = next(events)
+            reqs_len = f[11]
+            gids_len = f[19]
+            append((OP_EVENT, CommEvent(
+                ops[f[0]], f[14], f[15], f[1], f[4], f[3], f[5], f[2], f[6],
+                f[7], f[8], f[16],
+                tuple(arena[f[17]:f[17] + reqs_len]) if reqs_len else (),
+                bool(f[10]), f[9], f[12], f[13],
+                tuple(arena[f[18]:f[18] + gids_len]) if gids_len else (),
+            )))
+        elif code == OP_REQ_COMPLETE:
+            append((OP_REQ_COMPLETE,) + next(reqc))
+        elif code == OP_FINALIZE:
+            next(markers)
+            append((OP_FINALIZE,))
+        elif code == OP_BRANCH_ENTER:
+            append((code,) + next(markers))
+        else:
+            append((code, next(markers)[0]))
     return out
 
 
@@ -394,4 +330,4 @@ def event_count(source) -> int:
     full decode (reads the header / encoder counter only)."""
     if isinstance(source, PackedStream):
         return source.nevents
-    return columns_of(source).nevents
+    return _parse_header(memoryview(source))[1][1]

@@ -48,12 +48,11 @@ END marker pins the section count — so a file fails loudly
 (:class:`~repro.core.errors.TraceFormatError`) on any flipped bit or
 missing tail, while ``loads(..., salvage=True)`` recovers the longest
 checksum-valid prefix of a truncated file (vertices whose payload chunk
-was lost simply have no groups).  :func:`loads` also reads version 6
-(records as rows of every field, stats in line — the form
-:mod:`repro.core.budget` keeps for its transient spill store); nothing
-writes it, and older versions are refused.
-:func:`save` is atomic: temp file + fsync + ``os.replace``, so an
-interrupted save never clobbers an existing trace.
+was lost simply have no groups); every other version is refused.  The
+leaf block is a record's one wire form: :mod:`repro.core.budget` writes
+a rank snapshot's records through :class:`LeafWriter` too.  :func:`save`
+is atomic (:func:`atomic_write`): an interrupted save never clobbers an
+existing trace.
 
 Round-trips: ``loads(dumps(m))`` reconstructs a replayable MergedCTT.
 """
@@ -79,9 +78,6 @@ from .timing import _NBINS, HIST, MEANSTD, TimeStats
 
 _MAGIC = b"CYTR"
 _VERSION = 7
-#: Versions :func:`loads` reads.  6 wrote a CALL group's records as
-#: rows (the form the budget spill store still uses); nothing writes it.
-_READABLE = (6, 7)
 
 # Section kinds of the container.
 _SEC_END = 0
@@ -208,9 +204,6 @@ class ByteReader:
     def s(self) -> str:
         return self.raw(self.u()).decode("utf-8")
 
-    def eof(self) -> bool:
-        return self.pos >= len(self._data)
-
 
 # ---------------------------------------------------------------------------
 
@@ -268,102 +261,9 @@ def _write_stats(w: ByteWriter, st: TimeStats) -> None:
             w.u(b)
 
 
-def _read_stats(data: bytes, pos: int) -> tuple[TimeStats, int]:
-    hist = data[pos]
-    pos += 1
-    if hist > 0x7F:
-        hist, pos = _uvarint(data, pos - 1)
-    count = data[pos]
-    pos += 1
-    if count > 0x7F:
-        count, pos = _uvarint(data, pos - 1)
-    st = _new(TimeStats)
-    st.count = count
-    st.mean, st.m2, st.minimum, st.maximum = _unpack_4d(data, pos)
-    pos += 32
-    if not hist:
-        st.mode = MEANSTD
-        st.bins = None
-        return st, pos
-    st.mode = HIST
-    st.bins = bins = [0] * _NBINS
-    nonzero, pos = _uvarint(data, pos)
-    for _ in range(nonzero):
-        i, pos = _uvarint(data, pos)
-        bins[i], pos = _uvarint(data, pos)
-    return st, pos
-
-
-def _write_record(w: ByteWriter, rec: CompressedRecord, ops: dict[str, int]) -> None:
-    (op, peer, peer2, tag, tag2, nbytes, nbytes2, comm, root, wc, gids,
-     result_comm) = rec.key
-    w.u(ops[op])
-    for enc in (peer, peer2):
-        w.u(0 if enc[0] == "abs" else 1)
-        w.z(enc[1])
-    w.z(tag)
-    w.z(tag2)
-    w.u(nbytes)
-    w.u(nbytes2)
-    w.u(comm)
-    w.z(root)
-    w.u(1 if wc else 0)
-    w.u(len(gids))
-    for gid in gids:
-        w.z(gid)
-    w.z(result_comm)
-    _write_seq(w, rec.occurrences)
-    _write_stats(w, rec.duration)
-    _write_stats(w, rec.pre_gap)
-
-
-def _read_record(
-    data: bytes, pos: int, ops: list[str]
-) -> tuple[CompressedRecord, int]:
-    """The one record decoder (the container and the budget spill store
-    share it): a single pass with the position in a local, one-byte
-    varints read in line, objects filled slot by slot as
-    :meth:`CompressedRecord.first` does."""
-    # op, peer mode/value twice, tag, tag2, nbytes, nbytes2, comm, root,
-    # wildcard flag, number of request gids: thirteen varints in a row.
-    fields = []
-    for _ in range(13):
-        value = data[pos]
-        pos += 1
-        if value > 0x7F:
-            value, pos = _uvarint(data, pos - 1)
-        fields.append(value)
-    op, m1, p1, m2, p2, tag, tag2, nbytes, nbytes2, comm, root, wc, ngids = fields
-    gids = ()
-    if ngids:
-        gid_list = []
-        for _ in range(ngids):
-            gid, pos = _uvarint(data, pos)
-            gid_list.append((gid >> 1) ^ -(gid & 1))
-        gids = tuple(gid_list)
-    result_comm = data[pos]
-    pos += 1
-    if result_comm > 0x7F:
-        result_comm, pos = _uvarint(data, pos - 1)
-    rec = _new(CompressedRecord)
-    rec.key = (
-        ops[op],
-        (REL if m1 else ABS, (p1 >> 1) ^ -(p1 & 1)),
-        (REL if m2 else ABS, (p2 >> 1) ^ -(p2 & 1)),
-        (tag >> 1) ^ -(tag & 1), (tag2 >> 1) ^ -(tag2 & 1),
-        nbytes, nbytes2, comm, (root >> 1) ^ -(root & 1), wc != 0,
-        gids, (result_comm >> 1) ^ -(result_comm & 1),
-    )
-    rec.occurrences, pos = _read_seq(data, pos)
-    rec.duration, pos = _read_stats(data, pos)
-    rec.pre_gap, pos = _read_stats(data, pos)
-    rec.pending = False
-    return rec, pos
-
-
 # ---------------------------------------------------------------------------
-# Leaf blocks (version 7): a CALL group's records over the chunk's stats
-# table, as rows of written fields or column by column.
+# Leaf blocks: a CALL group's records over a stats table, as rows of
+# written fields or column by column.
 
 #: The fields of a record in mask-bit (= wire) order: the ones an
 #: ordinary leaf writes come first, so its masks fit one or two bytes,
@@ -409,16 +309,30 @@ _COMM_TO_NGIDS = 1 << _C_COMM | 1 << _C_ROOT | 1 << _C_NGIDS
 _ABOVE_GIDS = (1 << _NCOLS) - (1 << _C_WILDCARD)
 
 
-class _StatsTable:
-    """A chunk's distinct stats blocks in first-use order, keyed by the
-    exact bytes of their fields (``-0.0``, NaN payloads and empty blocks
-    are themselves, not what they compare equal to)."""
+def _leaf_defaults(op_index: int) -> list:
+    """What an unwritten field holds at a CALL vertex whose own op has
+    ``op_index`` in the string table."""
+    defaults = list(_DEFAULTS)
+    defaults[_C_OP] = op_index
+    return defaults
 
-    __slots__ = ("index", "blocks")
 
-    def __init__(self) -> None:
+class LeafWriter:
+    """The records of CALL vertices as leaf blocks over one stats table
+    — a payload chunk's here, a rank snapshot's in
+    :mod:`repro.core.budget`.  The table holds the distinct stats blocks
+    in first-use order, keyed by the exact bytes of their fields
+    (``-0.0``, NaN payloads and empty blocks are themselves, not what
+    they compare equal to); it is complete, and written
+    (:meth:`table`), once the last block is."""
+
+    __slots__ = ("strings", "index", "blocks", "_defaults")
+
+    def __init__(self, strings: dict[str, int]) -> None:
+        self.strings = strings
         self.index: dict[tuple, int] = {}
         self.blocks = ByteWriter()
+        self._defaults: dict[str | None, list] = {}
 
     def add(self, st: TimeStats) -> int:
         """The table index of ``st``, appended on first use."""
@@ -435,6 +349,21 @@ class _StatsTable:
             _write_stats(self.blocks, st)
         return at
 
+    def leaf(self, w: ByteWriter, op: str | None, records: list) -> None:
+        """Append the leaf block of ``records`` at a vertex of ``op``."""
+        defaults = self._defaults.get(op)
+        if defaults is None:
+            strings = self.strings
+            defaults = self._defaults[op] = _leaf_defaults(
+                strings.get(op, len(strings))
+            )
+        _write_leaf(w, records, self.strings, defaults, self)
+
+    def table(self, w: ByteWriter) -> None:
+        """Append ``nblocks | blocks``: what a reader needs first."""
+        w.u(len(self.index))
+        w.raw(self.blocks.bytes())
+
 
 def _is_scalar(rec: CompressedRecord) -> bool:
     return len(rec.occurrences.terms) <= 1 and len(rec.key[10]) <= 1
@@ -442,7 +371,7 @@ def _is_scalar(rec: CompressedRecord) -> bool:
 
 def _write_row(
     w: ByteWriter, rec: CompressedRecord, position: int,
-    strings: dict[str, int], previous: list, stats: _StatsTable,
+    strings: dict[str, int], previous: list, stats: LeafWriter,
 ) -> list:
     """One scalar record: the mask of its fields that differ from the
     ``previous`` row's (the defaults before the first), then those
@@ -479,7 +408,7 @@ def _write_row(
 
 def _leaf_columns(
     records: list[CompressedRecord], strings: dict[str, int],
-    stats: _StatsTable,
+    stats: LeafWriter,
 ) -> list:
     """The records of one CALL group, transposed: a sequence of values
     per column."""
@@ -562,7 +491,7 @@ def _write_columns(
 
 def _write_leaf(
     w: ByteWriter, records: list[CompressedRecord], strings: dict[str, int],
-    defaults: list, stats: _StatsTable,
+    defaults: list, stats: LeafWriter,
 ) -> None:
     """``nrecords << 1 | columnar``, then the rows or the columns."""
     nrecords = len(records)
@@ -903,26 +832,55 @@ def _read_leaf(
     return records, parts, pos
 
 
-def _read_stats_table(data: bytes, pos: int) -> tuple[list[tuple], int]:
-    """A chunk's stats table as slot tuples ``(mode, count, mean, m2,
-    minimum, maximum, bins)`` — every record gets its own
-    :class:`TimeStats` filled from one, so loaded records share no
-    mutable state."""
-    room = len(data) - pos
-    nblocks, pos = _uvarint(data, pos)
-    if nblocks * 34 > room:  # a block is two varints and four doubles
-        raise TraceFormatError(
-            f"stats table declares {nblocks} block(s) with {room} byte(s) "
-            f"left in the chunk"
-        )
-    table = []
-    for _ in range(nblocks):
-        st, pos = _read_stats(data, pos)
-        table.append((
-            st.mode, st.count, st.mean, st.m2, st.minimum, st.maximum,
-            st.bins,
-        ))
-    return table, pos
+class LeafReader:
+    """The inverse of :class:`LeafWriter`: reads the stats table at
+    ``data[pos]`` (``pos`` is then the position after it) and decodes
+    leaf blocks against it."""
+
+    __slots__ = ("strings", "pos", "_table", "_defaults")
+
+    def __init__(self, data: bytes, pos: int, strings: list[str]) -> None:
+        room = len(data) - pos
+        nblocks, pos = _uvarint(data, pos)
+        if nblocks * 34 > room:  # a block is two varints and four doubles
+            raise TraceFormatError(
+                f"stats table declares {nblocks} block(s) with {room} "
+                f"byte(s) left in the chunk"
+            )
+        # Slot tuples ``(mode, count, mean, m2, minimum, maximum, bins)``:
+        # every record gets its own :class:`TimeStats` filled from one,
+        # so loaded records share no mutable state.
+        table = []
+        for _ in range(nblocks):
+            hist, pos = _uvarint(data, pos)
+            count, pos = _uvarint(data, pos)
+            doubles = _unpack_4d(data, pos)
+            pos += 32
+            bins = None
+            if hist:
+                bins = [0] * _NBINS
+                nonzero, pos = _uvarint(data, pos)
+                for _ in range(nonzero):
+                    i, pos = _uvarint(data, pos)
+                    bins[i], pos = _uvarint(data, pos)
+            table.append((HIST if hist else MEANSTD, count, *doubles, bins))
+        self.strings = strings
+        self.pos = pos
+        self._table = table
+        self._defaults: dict[str | None, list] = {}
+
+    def leaf(
+        self, data: bytes, pos: int, op: str | None, gid: int
+    ) -> tuple[list[CompressedRecord], list[tuple], int]:
+        """The leaf block at ``data[pos]`` of vertex ``gid``, whose own
+        op is ``op``: ``(records, signature parts, position after)``."""
+        defaults = self._defaults.get(op)
+        if defaults is None:
+            strings = self.strings
+            defaults = self._defaults[op] = _leaf_defaults(
+                strings.index(op) if op in strings else len(strings)
+            )
+        return _read_leaf(data, pos, self.strings, self._table, defaults, gid)
 
 
 # ---------------------------------------------------------------------------
@@ -978,17 +936,12 @@ def _read_topology_vertex(r: ByteReader, strings: list[str]) -> MergedVertex:
     return v
 
 
-def _write_vertex_payload(
-    w: ByteWriter, v, strings: dict[str, int], stats: _StatsTable
-) -> None:
+def _write_vertex_payload(w: ByteWriter, v, leaves: LeafWriter) -> None:
     # Groups are written in canonical order (by lowest member rank —
     # member sets are disjoint) so the bytes do not depend on the merge
     # schedule that produced the tree.
     groups = v.sorted_groups()
     w.u(len(groups))
-    if v.kind == CALL:
-        defaults = list(_DEFAULTS)
-        defaults[_C_OP] = strings.get(v.op, len(strings))
     for group in groups:
         _write_seq(w, group.rank_sequence())
         if v.kind == LOOP:
@@ -996,29 +949,19 @@ def _write_vertex_payload(
         elif v.kind == BRANCH:
             _write_seq(w, group.visits)
         elif v.kind == CALL:
-            _write_leaf(w, group.records, strings, defaults, stats)
+            leaves.leaf(w, v.op, group.records)
 
 
 def _read_vertex_payload(
-    data: bytes,
-    pos: int,
-    v: MergedVertex,
-    strings: list[str],
-    interns: InternTable,
-    nranks: int,
-    table: list | None,
+    data: bytes, pos: int, v: MergedVertex, interns: InternTable,
+    nranks: int, leaves: LeafReader,
 ) -> int:
     """Decode one vertex's groups from ``data[pos:]`` into ``v``;
-    returns the position after them.  ``table`` is the chunk's stats
-    table, ``None`` in a version-6 chunk (records as rows)."""
+    returns the position after them.  ``leaves`` holds the chunk's
+    stats table."""
     kind = v.kind
     groups = v.groups
     ngroups, pos = _uvarint(data, pos)
-    if kind == CALL and table is not None and ngroups:
-        defaults = list(_DEFAULTS)
-        defaults[_C_OP] = (
-            strings.index(v.op) if v.op is not None else len(strings)
-        )
     for _ in range(ngroups):
         rank_seq, pos = _read_seq(data, pos)
         # Groups at a vertex are disjoint, so none outnumbers the job.
@@ -1031,19 +974,7 @@ def _read_vertex_payload(
             )
         counts = visits = records = None
         if kind == CALL:
-            if table is not None:
-                records, parts, pos = _read_leaf(
-                    data, pos, strings, table, defaults, v.gid
-                )
-            else:
-                nrecords, pos = _uvarint(data, pos)
-                records = []
-                parts = []
-                for _ in range(nrecords):
-                    rec, pos = _read_record(data, pos, strings)
-                    records.append(rec)
-                    occ = rec.occurrences
-                    parts.append((rec.key, occ.length, tuple(occ.terms)))
+            records, parts, pos = leaves.leaf(data, pos, v.op, v.gid)
             key = ("R", tuple(parts))
         elif kind == LOOP:
             counts, pos = _read_seq(data, pos)
@@ -1062,10 +993,11 @@ def _read_vertex_payload(
 
 
 # ---------------------------------------------------------------------------
-# Section framing.
+# Section framing.  The server's session store and the budget spill store
+# build their own crash-safe containers from these two.
 
 
-def _write_section(w: ByteWriter, kind: int, payload: bytes) -> None:
+def write_section(w: ByteWriter, kind: int, payload: bytes) -> None:
     hdr = ByteWriter()
     hdr.u(kind)
     hdr.u(len(payload))
@@ -1075,7 +1007,7 @@ def _write_section(w: ByteWriter, kind: int, payload: bytes) -> None:
     w.raw(struct.pack("<I", zlib.crc32(framed + payload) & 0xFFFFFFFF))
 
 
-def _read_sections(
+def read_sections(
     data: bytes, pos: int, salvage: bool
 ) -> tuple[list[tuple[int, bytes]], bool, str | None]:
     """Parse the framed sections starting at ``pos``.  Returns
@@ -1122,14 +1054,6 @@ def _read_sections(
     if pos != n and not salvage:
         raise TraceFormatError(f"{n - pos} trailing byte(s) after end section")
     return sections, True, None
-
-
-#: Public aliases of the section framing: the server's session store
-#: (:mod:`repro.server.session`) and the budget spill store
-#: (:mod:`repro.core.budget`) build their own crash-safe containers from
-#: the same CRC-framed primitives.
-write_section = _write_section
-read_sections = _read_sections
 
 
 # ---------------------------------------------------------------------------
@@ -1184,41 +1108,40 @@ def _dumps(merged: MergedCTT, gzip: bool, chunk_bytes: int) -> bytes:
     chunks: list[bytes] = []
     table_blocks = table_bytes = 0
     cw = ByteWriter()
-    stats = _StatsTable()
+    leaves = LeafWriter(strings)
     first = 0
     count = 0
     for v in vertices:
-        _write_vertex_payload(cw, v, strings, stats)
+        _write_vertex_payload(cw, v, leaves)
         count += 1
         last = first + count == len(vertices)
-        if last or cw.size() + stats.blocks.size() >= chunk_bytes:
+        if last or cw.size() + leaves.blocks.size() >= chunk_bytes:
             pw = ByteWriter()
             pw.u(first)
             pw.u(count)
             covered = pw.size()
-            pw.u(len(stats.index))
-            pw.raw(stats.blocks.bytes())
-            table_blocks += len(stats.index)
+            leaves.table(pw)
+            table_blocks += len(leaves.index)
             table_bytes += pw.size() - covered
             pw.raw(cw.bytes())
             chunks.append(pw.bytes())
             first += count
             count = 0
             cw = ByteWriter()
-            stats = _StatsTable()
+            leaves = LeafWriter(strings)
     w = ByteWriter()
     w.raw(_MAGIC)
     w.u(_VERSION)
-    _write_section(w, _SEC_HEADER, hw.bytes())
+    write_section(w, _SEC_HEADER, hw.bytes())
     header_bytes = w.size()
-    _write_section(w, _SEC_TOPOLOGY, tw.bytes())
+    write_section(w, _SEC_TOPOLOGY, tw.bytes())
     topology_bytes = w.size() - header_bytes
     for chunk in chunks:
-        _write_section(w, _SEC_PAYLOAD, chunk)
+        write_section(w, _SEC_PAYLOAD, chunk)
     ew = ByteWriter()
     ew.u(2 + len(chunks))  # sections preceding END
     ew.u(len(vertices))
-    _write_section(w, _SEC_END, ew.bytes())
+    write_section(w, _SEC_END, ew.bytes())
     data = w.bytes()
     if registry is not None:
         _publish_dump_metrics(
@@ -1298,10 +1221,10 @@ def _loads(data: bytes, salvage: bool) -> MergedCTT:
     r = ByteReader(data)
     r.raw(4)
     version = r.u()
-    if version not in _READABLE:
+    if version != _VERSION:
         raise TraceFormatError(f"unsupported trace version {version}")
-    sections, complete, error = _read_sections(data, r.pos, salvage)
-    return _assemble(sections, complete, error, salvage, version)
+    sections, complete, error = read_sections(data, r.pos, salvage)
+    return _assemble(sections, complete, error, salvage)
 
 
 def _assemble(
@@ -1309,7 +1232,6 @@ def _assemble(
     complete: bool,
     error: str | None,
     salvage: bool,
-    version: int,
 ) -> MergedCTT:
     if not sections or sections[0][0] != _SEC_HEADER:
         raise TraceFormatError(
@@ -1348,15 +1270,14 @@ def _assemble(
                 f"payload chunk covers vertices {chunk_first}.."
                 f"{chunk_first + chunk_count} out of order"
             )
-        pos = pr.pos
         covered = chunk_first + chunk_count
-        table = v = None
+        v = None
         try:
-            if version >= 7:
-                table, pos = _read_stats_table(payload, pos)
+            leaves = LeafReader(payload, pr.pos, strings)
+            pos = leaves.pos
             for v in vertices[chunk_first:covered]:
                 pos = _read_vertex_payload(
-                    payload, pos, v, strings, interns, nranks, table
+                    payload, pos, v, interns, nranks, leaves
                 )
         except (IndexError, struct.error):
             # Ran off the chunk, or named a string or histogram bin
@@ -1402,7 +1323,7 @@ def _torn_in_container_header(data: bytes) -> bool:
         return False
     if len(data) == 4:
         return True
-    return len(data) == 5 and data[4] in _READABLE
+    return len(data) == 5 and data[4] == _VERSION
 
 
 def _empty_salvage(nbytes: int) -> MergedCTT:
@@ -1442,14 +1363,11 @@ def _gunzip(data: bytes, salvage: bool) -> bytes:
     return bytes(out)
 
 
-def save(merged: MergedCTT, path: str, gzip: bool = False) -> int:
-    """Write to ``path`` atomically; returns the byte count.
-
-    The bytes land in ``path + ".tmp"`` first, are fsynced, and then
-    ``os.replace`` the destination — a crash mid-save leaves any
-    existing trace at ``path`` untouched instead of truncated.
-    """
-    data = dumps(merged, gzip=gzip)
+def atomic_write(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data``, durably or not at all: the bytes
+    land in ``path + ".tmp"``, are fsynced, and then ``os.replace`` the
+    destination — a crash leaves what was at ``path`` before (or
+    nothing), never a torn or empty file."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -1463,6 +1381,14 @@ def save(merged: MergedCTT, path: str, gzip: bool = False) -> int:
         except OSError:
             pass
         raise
+
+
+def save(merged: MergedCTT, path: str, gzip: bool = False) -> int:
+    """Write to ``path`` atomically (:func:`atomic_write`: an
+    interrupted save leaves any existing trace at ``path`` untouched);
+    returns the byte count."""
+    data = dumps(merged, gzip=gzip)
+    atomic_write(path, data)
     return len(data)
 
 

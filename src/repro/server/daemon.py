@@ -430,10 +430,7 @@ class CypressTraceServer:
             qpath = os.path.join(
                 self.config.out_dir, f"{job.job}.quarantine.json"
             )
-            tmp = qpath + ".tmp"
-            with open(tmp, "w") as fh:
-                fh.write(report.to_json())
-            os.replace(tmp, qpath)
+            serialize.atomic_write(qpath, report.to_json().encode())
         job.finalized = True
         self._count("server.jobs_finalized")
 
@@ -683,10 +680,10 @@ class CypressTraceServer:
         self._count("server.drains")
         if self.config.metrics_json:
             snap = self.metrics_snapshot()
-            tmp = self.config.metrics_json + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(snap, fh, indent=2, sort_keys=True)
-            os.replace(tmp, self.config.metrics_json)
+            serialize.atomic_write(
+                self.config.metrics_json,
+                json.dumps(snap, indent=2, sort_keys=True).encode(),
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Every message on the socket is one frame::
     kind u8 | length u32 | payload[length] | crc32 u32
 
 with the CRC taken over ``kind | length | payload`` — the same
-"checksum everything, fail loudly" discipline as the v5/v6 trace
+"checksum everything, fail loudly" discipline as the trace
 container (docs/INTERNALS.md §7).  A torn frame (connection cut
 mid-payload) is indistinguishable from a dead peer and surfaces as
 :class:`ConnectionError`; a frame whose CRC does not match raises

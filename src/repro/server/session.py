@@ -2,7 +2,7 @@
 
 A session's durable footprint is two small files in the server's state
 directory, both built from the same CRC32-framed section container the
-v5/v6 trace format uses (:mod:`repro.core.serialize`):
+trace format uses (:mod:`repro.core.serialize`):
 
 * ``{job}__r{rank}.log`` — the **batch log**: an append-only sequence
   of framed BATCH sections (``seq u64 | CYPK blob``).  Appends are
@@ -11,8 +11,8 @@ v5/v6 trace format uses (:mod:`repro.core.serialize`):
   scan the trace container uses).  The log is the source of truth: a
   batch is *durable* exactly when its section survives the prefix scan.
 * ``{job}__r{rank}.meta.a`` / ``.b`` — the **meta checkpoint**,
-  written whole (temp file + fsync + ``os.replace``) into alternating
-  slots with a monotonically increasing generation counter.  Recovery
+  written whole (:func:`~repro.core.serialize.atomic_write`) into
+  alternating slots with a monotonically increasing generation counter.  Recovery
   reads both slots and keeps the newest one that validates — a torn or
   corrupt checkpoint silently loses one generation, never the session.
 
@@ -34,7 +34,12 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import TraceFormatError
 from repro.core.quarantine import QuarantinedRank
-from repro.core.serialize import ByteWriter, _read_sections, _write_section
+from repro.core.serialize import (
+    ByteWriter,
+    atomic_write,
+    read_sections,
+    write_section,
+)
 
 _LOG_MAGIC = b"CYSL"
 _META_MAGIC = b"CYSM"
@@ -48,10 +53,6 @@ SEC_BATCH = 2
 _SEQ = struct.Struct("<Q")
 
 _JOB_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,127}$")
-
-
-class SessionFormatError(TraceFormatError):
-    """A session file that is damaged beyond salvage."""
 
 
 def check_job_id(job: str) -> str:
@@ -209,7 +210,7 @@ class SessionStore:
             return
         w = ByteWriter()
         for seq, blob in batches:
-            _write_section(w, SEC_BATCH, _SEQ.pack(seq) + blob)
+            write_section(w, SEC_BATCH, _SEQ.pack(seq) + blob)
         path = self.log_path(job, rank)
         new = not os.path.exists(path)
         with open(path, "ab") as fh:
@@ -228,23 +229,11 @@ class SessionStore:
         w = ByteWriter()
         w.raw(_META_MAGIC + bytes([_VERSION]))
         payload = json.dumps(session.meta_dict(), sort_keys=True).encode()
-        _write_section(w, SEC_META, payload)
+        write_section(w, SEC_META, payload)
         ew = ByteWriter()
         ew.u(1)
-        _write_section(w, SEC_END, ew.bytes())
-        tmp = target + ".tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(w.bytes())
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_section(w, SEC_END, ew.bytes())
+        atomic_write(target, w.bytes())
         session._meta_dirty = False
 
     def checkpoint(self, session: SessionState) -> int:
@@ -278,7 +267,7 @@ class SessionStore:
             return []
         if data[:4] != _LOG_MAGIC:
             return []
-        sections, _complete, _error = _read_sections(data, 5, salvage=True)
+        sections, _complete, _error = read_sections(data, 5, salvage=True)
         batches: list[tuple[int, bytes]] = []
         expect = 1
         for kind, payload in sections:
@@ -300,7 +289,7 @@ class SessionStore:
         if data[:4] != _META_MAGIC or len(data) < 5:
             return None
         try:
-            sections, complete, _error = _read_sections(data, 5, salvage=False)
+            sections, complete, _error = read_sections(data, 5, salvage=False)
         except TraceFormatError:
             return None
         if not complete or not sections or sections[0][0] != SEC_META:

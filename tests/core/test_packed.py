@@ -115,7 +115,7 @@ def test_round_trip_through_bytes(stream):
 @settings(**SETTINGS)
 @given(streams)
 def test_in_memory_columns_match_serialized(stream):
-    # columns_of(PackedStream) skips the blob round-trip; both views must
+    # decode_stream takes the encoder as it takes its blob; both must
     # decode identically.
     ps = packed.encode_stream(stream)
     assert packed.decode_stream(ps) == packed.decode_stream(ps.to_bytes())

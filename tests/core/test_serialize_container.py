@@ -1,9 +1,8 @@
 """Crash-safe container (v7): checksummed sections, loud corruption,
-salvage, old-version handling (v6 read, v5 and older refused), and
+salvage, old-version handling (v6 and older refused), and
 atomic save."""
 
 import os
-import pathlib
 import sys
 
 import pytest
@@ -13,8 +12,6 @@ from helpers import run_traced  # noqa: E402
 
 from repro.core import TraceFormatError, serialize  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
-
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 SRC = """
 func main() {
@@ -85,15 +82,14 @@ class TestV4Compat:
             ):
                 serialize.loads(legacy, salvage=salvage)
 
-    def test_v6_file_is_read(self):
-        # Version 6 files exist on disks and in a daemon's out_dir: the
-        # row reader stays (tests/data/golden_fig11.cyp is one such
-        # file), though nothing writes the version any more.
-        old = (DATA / "golden_fig11.cyp").read_bytes()
-        assert old[4] == 6
-        again = serialize.dumps(serialize.loads(old))
-        assert again[4] == 7
-        assert again == (DATA / "golden_fig11_v7.cyp").read_bytes()
+    def test_v6_file_is_unsupported(self, blob):
+        # The v6 reader (records as rows of every field) is gone.
+        legacy = blob[:4] + b"\x06" + blob[5:]
+        for salvage in (False, True):
+            with pytest.raises(
+                TraceFormatError, match="unsupported trace version 6"
+            ):
+                serialize.loads(legacy, salvage=salvage)
 
     def test_unknown_version_rejected(self, blob):
         bad = bytearray(blob)

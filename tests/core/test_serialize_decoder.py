@@ -26,7 +26,7 @@ from repro.static.cst import BRANCH, CALL, LOOP  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 DATA = ROOT / "tests" / "data"
-GOLDEN_FIG11 = DATA / "golden_fig11.cyp"
+GOLDEN_FIG11 = DATA / "golden_fig11_v7.cyp"
 
 # ---------------------------------------------------------------------------
 # (i) loads(dumps(m)) == m, field for field.
@@ -282,7 +282,7 @@ class TestLeafBounds:
         want = tree_fields(merged)
         for chunk_bytes in (1, serialize._CHUNK_BYTES):
             blob = serialize.dumps(merged, chunk_bytes=chunk_bytes)
-            assert 600 <= len(blob) < 2000  # v6: 54 KB
+            assert 600 <= len(blob) < 2000  # a value a record: 54 KB
             assert tree_fields(serialize.loads(blob)) == want
 
 
@@ -360,10 +360,9 @@ print(loaded, refused, time.perf_counter() - started)
 
 
 class TestResealedCorruption:
-    # The version-6 rows, the version-7 rows, and — sp is the golden
-    # with leaves wide enough for them — the version-7 columns.
+    # The rows, and — sp is the golden with leaves wide enough for
+    # them — the columns.
     @pytest.mark.parametrize("golden, masks, limit", [
-        ("golden_fig11.cyp", "1,128,255", 5.0),
         ("golden_fig11_v7.cyp", "1,128,255", 5.0),
         ("golden_sp_v7.cyp", "1,128", 15.0),
     ])

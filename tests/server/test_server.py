@@ -130,12 +130,30 @@ class TestRecovery:
 
 
 class TestIdleQuarantine:
-    def test_stalled_rank_quarantined_and_job_finalizes(self, tmp_path):
+    def test_stalled_rank_quarantined_and_job_finalizes(
+        self, tmp_path, monkeypatch
+    ):
         # Satellite: quarantine by idle timeout — the new stage
         # ("server") alongside the existing intra kill/hang/raise kinds.
         # Rank 1 sends one batch and goes silent; rank 0 completes.  The
         # reaper must quarantine rank 1, finalize the job without it,
-        # and emit a quarantine report that round-trips from JSON.
+        # and emit a quarantine report that round-trips from JSON — and
+        # that is on disk before it takes its name (a crash after
+        # finalize must not leave an empty report beside the trace).
+        synced = set()  # inodes fsynced so far
+        renamed = {}  # destination -> was its source fsynced first?
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            real_fsync(fd)
+            synced.add(os.fstat(fd).st_ino)
+
+        def replace(src, dst):
+            renamed[dst] = os.stat(src).st_ino in synced
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
         cfg = _config(tmp_path, idle_timeout=0.4)
         streams = capture_workload(WORKLOAD, 2, SCALE)
         with ServerThread(cfg) as st:
@@ -164,6 +182,8 @@ class TestIdleQuarantine:
                 )
             finally:
                 stale.close()
+        assert renamed[os.path.join(cfg.out_dir, "stall.cyp")]
+        assert renamed[os.path.join(cfg.out_dir, "stall.quarantine.json")]
         report = QuarantineReport.from_json(qjson.decode())
         assert report.ranks() == [1]
         item = report.get(1)

@@ -152,6 +152,18 @@ class TestFaultFlags:
             ["trace", "ep", "-n", "4", "--scale", "0.5", "-o", trace]
         ) == 0
         assert main(["info", trace, "--salvage"]) == 0
+        # A version no reader is left for is refused either way.
+        from repro.cli import EXIT_CORRUPT_TRACE
+
+        data = open(trace, "rb").read()
+        with open(trace, "wb") as fh:
+            fh.write(data[:4] + b"\x06" + data[5:])
+        capsys.readouterr()
+        for argv in (["info", trace], ["info", trace, "--salvage"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == EXIT_CORRUPT_TRACE
+            assert "unsupported trace version 6" in capsys.readouterr().err
 
     def test_diff_salvage_warns_about_truncated_container(
         self, tmp_path, capsys
@@ -159,7 +171,7 @@ class TestFaultFlags:
         import os
 
         golden = os.path.join(
-            os.path.dirname(__file__), "data", "golden_fig11.cyp"
+            os.path.dirname(__file__), "data", "golden_fig11_v7.cyp"
         )
         data = open(golden, "rb").read()
         cut = str(tmp_path / "cut.cyp")
@@ -169,7 +181,7 @@ class TestFaultFlags:
         captured = capsys.readouterr()
         assert "ranks only in A" in captured.out
         assert "salvaged" in captured.err and "cut.cyp" in captured.err
-        assert "golden_fig11.cyp" not in captured.err  # intact side is quiet
+        assert "golden_fig11_v7.cyp" not in captured.err  # intact side is quiet
 
 
 class TestFaultsmoke:
