@@ -102,6 +102,6 @@ def test_fig18_merge_complexity_scaling(benchmark):
     ctts = [comp.ctt(r) for r in range(nprocs)]
 
     merged = benchmark.pedantic(
-        lambda: merge_all(ctts, schedule="tree"), rounds=3, iterations=1
+        lambda: merge_all(ctts), rounds=3, iterations=1
     )
     assert merged.nranks_merged == nprocs

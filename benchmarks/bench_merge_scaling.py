@@ -6,11 +6,9 @@ top-down design survives at scale.  This bench builds synthetic rank
 populations by cloning the CTTs of a real traced run of a FIG5-style
 even/odd halo kernel — relative peer encoding means clones of the same
 template carry identical payloads and group together, exactly the
-regular-application regime of the paper — then times
-
-``fold`` / ``tree`` — both names run the same single pass (one
-``add_rank`` walk per rank into one accumulator) and must produce
-byte-identical serialized traces.  Results go to
+regular-application regime of the paper — then times ``merge_all``,
+the single pass (one ``add_rank`` walk per rank into one accumulator).
+Results go to
 ``results/merge_scaling.json`` including a log-log scaling exponent;
 the acceptance bar is sub-quadratic (exponent < 2) at P = 1024.
 
@@ -143,7 +141,7 @@ def _pairwise_tree_merge(ctts):
 
 def per_rank_gate(templates, nranks: int = GATE_RANKS) -> dict:
     ctts = synthesize_ranks(templates, nranks)
-    merged, single_s = _timed(lambda: merge_all(ctts, schedule="tree"), 7)
+    merged, single_s = _timed(lambda: merge_all(ctts), 7)
     reference, pairwise_s = _timed(lambda: _pairwise_tree_merge(ctts), 7)
     assert serialize.dumps(merged) == serialize.dumps(reference), \
         f"single pass != pairwise bytes at P={nranks}"
@@ -158,23 +156,17 @@ def per_rank_gate(templates, nranks: int = GATE_RANKS) -> dict:
 
 def run_point(templates, nranks: int) -> dict:
     ctts = synthesize_ranks(templates, nranks)
-    merged_fold, fold_s = _timed(lambda: merge_all(ctts, schedule="fold"))
-    merged_tree, tree_s = _timed(lambda: merge_all(ctts, schedule="tree"))
-    blob_fold = serialize.dumps(merged_fold)
-    blob_tree = serialize.dumps(merged_tree)
-    assert blob_tree == blob_fold, f"tree != fold bytes at P={nranks}"
-    groups = sum(len(v.groups) for v in merged_tree.vertices())
+    merged, merge_s = _timed(lambda: merge_all(ctts))
     return {
         "nranks": nranks,
-        "fold_s": round(fold_s, 6),
-        "tree_s": round(tree_s, 6),
-        "tree_us_per_rank": round(tree_s / nranks * 1e6, 2),
-        "trace_bytes": len(blob_tree),
-        "groups": groups,
+        "merge_s": round(merge_s, 6),
+        "us_per_rank": round(merge_s / nranks * 1e6, 2),
+        "trace_bytes": len(serialize.dumps(merged)),
+        "groups": sum(len(v.groups) for v in merged.vertices()),
     }
 
 
-def scaling_exponent(points: list[dict], key: str = "tree_s") -> float:
+def scaling_exponent(points: list[dict], key: str = "merge_s") -> float:
     """Least-squares slope of log(time) vs log(P)."""
     xs = [math.log(p["nranks"]) for p in points]
     ys = [math.log(max(p[key], 1e-9)) for p in points]
@@ -194,10 +186,7 @@ def run_sweep(grid) -> dict:
         "bench": "merge_scaling",
         "grid": list(grid),
         "points": points,
-        "tree_scaling_exponent": round(scaling_exponent(points), 3),
-        "fold_scaling_exponent": round(
-            scaling_exponent(points, "fold_s"), 3
-        ),
+        "scaling_exponent": round(scaling_exponent(points), 3),
         "per_rank_gate": per_rank_gate(templates),
     }
     return result
@@ -219,13 +208,13 @@ def test_merge_scaling_sweep():
     result = run_sweep(grid)
     for p in result["points"]:
         print(
-            f"  P={p['nranks']:5d}  fold {p['fold_s']:.4f}s  "
-            f"tree {p['tree_s']:.4f}s  {p['trace_bytes']} bytes"
+            f"  P={p['nranks']:5d}  merge {p['merge_s']:.4f}s  "
+            f"{p['trace_bytes']} bytes"
         )
     if FULL:
         emit_json(result)
     # Sub-quadratic: a P^2 merge would show exponent ~2 on this sweep.
-    assert result["tree_scaling_exponent"] < 1.8, result
+    assert result["scaling_exponent"] < 1.8, result
     assert result["per_rank_gate"]["ratio"] <= GATE_RATIO, result
 
 
@@ -235,15 +224,13 @@ def main(argv: list[str] | None = None) -> int:
     grid = SMOKE_GRID if smoke else FULL_GRID
     result = run_sweep(grid)
     print("merge scaling sweep:")
-    print(f"  {'P':>6s} {'fold (s)':>10s} {'tree (s)':>10s} "
-          f"{'bytes':>10s} {'groups':>7s}")
+    print(f"  {'P':>6s} {'merge (s)':>10s} {'bytes':>10s} {'groups':>7s}")
     for p in result["points"]:
         print(
-            f"  {p['nranks']:6d} {p['fold_s']:10.4f} {p['tree_s']:10.4f} "
+            f"  {p['nranks']:6d} {p['merge_s']:10.4f} "
             f"{p['trace_bytes']:10d} {p['groups']:7d}"
         )
-    print(f"  tree scaling exponent: {result['tree_scaling_exponent']}"
-          f" (fold: {result['fold_scaling_exponent']})")
+    print(f"  scaling exponent: {result['scaling_exponent']}")
     gate = result["per_rank_gate"]
     print(f"  per-rank gate at P={gate['nranks']}: single pass "
           f"{gate['single_pass_us_per_rank']} us/rank vs pairwise "

@@ -144,7 +144,7 @@ def measure_all_methods(
         data = cypress_dumps(merged_c)
         m.trace_bytes = len(data)
         m.gzip_bytes = len(_gzip_compress(data))
-        m.memory_bytes = max(cyp.approx_bytes(r) for r in range(nprocs))
+        m.memory_bytes = max(cyp.serialized_bytes(r) for r in range(nprocs))
         out.methods["cypress"] = m
     return out
 

@@ -83,11 +83,6 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
                    help="iteration-count scale factor (1.0 = repo default)")
 
 
-def _add_merge_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--merge-schedule", choices=("tree", "fold"), default="tree",
-                   help="inter-process merge schedule (default: tree)")
-
-
 def _add_salvage_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--salvage", action="store_true",
                    help="recover the longest checksum-valid prefix of a "
@@ -160,11 +155,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     run = run_cypress(
         w.source, args.nprocs, defines=w.defines(args.nprocs, args.scale),
         config=config,
-        # The incremental fold runs on the deferred (captured-stream) path.
-        deferred=args.memory_budget is not None,
         strict=args.strict,
     )
-    run.merge(schedule=args.merge_schedule)
     nbytes = run.save(args.output, gzip=args.gzip)
     print(f"{args.workload} on {args.nprocs} ranks:")
     print(f"  events traced    : {run.run_result.total_events}")
@@ -303,7 +295,6 @@ def cmd_hotspots(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from repro.core.decompress import decompress_all
-    from repro.core.inter import merge_all
     from repro.core.intra import IntraProcessCompressor
     from repro.driver import run_compiled
     from repro.mpisim.pmpi import MultiSink, RecordingSink
@@ -318,11 +309,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         compiled, args.nprocs, defines=w.defines(args.nprocs, args.scale),
         tracer=MultiSink([recorder, compressor]),
     )
-    merged = merge_all(
-        [compressor.ctt(r) for r in range(args.nprocs)],
-        schedule=args.merge_schedule,
-        nranks=args.nprocs,
-    )
+    merged = compressor.merged(nranks=args.nprocs, ranks=range(args.nprocs))
     from repro import obs
 
     registry = obs.active()
@@ -547,17 +534,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     """Trace-integrity suite over one workload or the whole registry.
 
     Always runs the structural invariant checker (CST, every per-rank
-    CTT, the merged CTT under each requested merge schedule) and the
-    wildcard nondeterminism audit.  ``--differential`` adds the
-    cross-implementation harness, ``--fault-matrix`` the seeded
-    corruption matrix.  Wildcard findings are informational; the exit
+    CTT, the merged CTT) and the wildcard nondeterminism audit.
+    ``--differential`` adds the cross-implementation harness,
+    ``--fault-matrix`` the seeded corruption matrix.  Wildcard findings are informational; the exit
     code reflects invariant violations and matrix/differential failures.
     """
     import json
 
     from repro import obs
     from repro.core.errors import TraceFormatError
-    from repro.core.inter import merge_all
     from repro.core.intra import compress_streams
     from repro.driver import run_compiled
     from repro.mpisim.pmpi import StreamCaptureSink
@@ -573,11 +558,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     from repro.verify.faultmatrix import run_fault_matrix
 
     names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
-    schedules = tuple(s for s in args.schedules.split(",") if s)
-    for s in schedules:
-        if s not in ("fold", "tree"):
-            print(f"unknown merge schedule {s!r}", file=sys.stderr)
-            return 2
     registry = obs.active()
     failed = False
     workload_reports = []
@@ -592,18 +572,14 @@ def cmd_check(args: argparse.Namespace) -> int:
             tracer=capture,
         )
         compressor = compress_streams(compiled.cst, capture.streams)
-        ctts = [compressor.ctt(r) for r in range(nprocs)]
-
         violations = list(check_cst(compiled.cst))
-        for ctt in ctts:
-            violations += check_ctt(ctt, nranks=nprocs)
-        merged = None
-        for schedule in schedules:
-            merged = merge_all(ctts, schedule=schedule, nranks=nprocs)
-            violations += check_merged(merged, nranks=nprocs)
-        audit = audit_wildcards(merged) if merged is not None else None
-        findings = audit.findings if audit is not None else []
-        checks = 1 + nprocs + len(schedules) + (audit is not None)
+        for rank in range(nprocs):
+            violations += check_ctt(compressor.ctt(rank), nranks=nprocs)
+        merged = compressor.merged(nranks=nprocs, ranks=range(nprocs))
+        violations += check_merged(merged, nranks=nprocs)
+        audit = audit_wildcards(merged)
+        findings = audit.findings
+        checks = 1 + nprocs + 2  # CST, every CTT, merged tree, audit
         publish_verify_metrics(
             registry, checks=checks, violations=len(violations),
             findings=len(findings),
@@ -612,7 +588,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "workload": name,
             "nprocs": nprocs,
             "violations": [v.to_dict() for v in violations],
-            "wildcard_audit": audit.to_dict() if audit is not None else None,
+            "wildcard_audit": audit.to_dict(),
         }
         status = "ok  " if not violations else "FAIL"
         extra = ""
@@ -631,7 +607,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             try:
                 diff = differential_check(
                     w.source, nprocs, w.defines(nprocs, args.scale),
-                    workload=name, schedules=schedules,
+                    workload=name,
                 )
             except TraceFormatError as exc:
                 # Same contract as replay/query: a corrupt container is
@@ -681,7 +657,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         workload_reports.append(entry)
 
     report = {
-        "schedules": list(schedules),
         "seed": args.seed,
         "ok": not failed,
         "workloads": workload_reports,
@@ -787,7 +762,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("trace", help="trace a workload with CYPRESS")
     _add_workload_args(p)
-    _add_merge_args(p)
     _add_metrics_args(p)
     _add_fault_args(p)
     p.add_argument("-o", "--output", default="trace.cyp")
@@ -842,7 +816,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("verify", help="end-to-end sequence-preservation check")
     _add_workload_args(p)
-    _add_merge_args(p)
     _add_metrics_args(p)
     p.add_argument("--selfcheck", action="store_true",
                    help="also run the structural invariant checker on the "
@@ -963,13 +936,10 @@ def main(argv: list[str] | None = None) -> int:
                         "per workload)")
     p.add_argument("--scale", type=float, default=0.3,
                    help="iteration-count scale factor (default: 0.3)")
-    p.add_argument("--schedules", default="fold,tree",
-                   help="comma-separated merge schedules to check "
-                        "(default: fold,tree)")
     p.add_argument("--differential", action="store_true",
-                   help="also cross-check fastpath/reference/deferred "
-                        "compression and every merge schedule against "
-                        "ground truth")
+                   help="also cross-check fastpath/reference/inline/"
+                        "packed/budgeted compression against ground "
+                        "truth and each other")
     p.add_argument("--fault-matrix", action="store_true",
                    help="also run the seeded corruption matrix: every "
                         "damage kind must be detected")

@@ -24,7 +24,7 @@ from repro.static.instrument import CompiledProgram, compile_minimpi
 from . import serialize
 from .decompress import ReplayEvent, decompress_merged_rank, decompress_rank
 from .errors import MergeError
-from .inter import MergedCTT, merge_all
+from .inter import MergedCTT
 from .intra import CypressConfig, IntraProcessCompressor, compress_streams
 from .quarantine import QuarantineReport
 
@@ -41,30 +41,23 @@ class MergedRunMixin:
         return self.compressor.quarantine
 
     def merge(self, schedule: str = "tree") -> MergedCTT:
-        """Inter-process merge (cached).  Quarantined ranks are left
-        out — the merge covers the healthy survivors (their bytes are
-        unaffected by the victims).
+        """Inter-process merge (cached): ``compressor.merged()`` over the
+        healthy ranks.  Quarantined ranks are left out — the merge
+        covers the survivors (their bytes are unaffected by the
+        victims).
 
-        Under a memory budget the compressor has already folded completed
-        ranks into a partial merge; finishing that merge is the only
-        valid path (folded ranks no longer have a per-rank CTT), and its
-        bytes are identical to the unbudgeted ``merge_all``."""
-        if self._merged is None and self.compressor.has_partial_merge():
-            self._merged = self.compressor.merged(nranks=self.nprocs)
+        ``schedule`` is accepted and ignored: there is one merge, and
+        only ``benchmarks/e2e`` still passes the name."""
         if self._merged is None:
             bad = self.quarantine.rank_set()
-            ctts = [
-                self.compressor.ctt(r)
-                for r in range(self.nprocs)
-                if r not in bad
-            ]
-            if not ctts:
+            healthy = [r for r in range(self.nprocs) if r not in bad]
+            if not healthy:
                 raise MergeError(
                     "every rank was quarantined — nothing to merge "
                     f"({self.quarantine.summary()})"
                 )
-            self._merged = merge_all(
-                ctts, schedule=schedule, nranks=self.nprocs
+            self._merged = self.compressor.merged(
+                nranks=self.nprocs, ranks=healthy
             )
         return self._merged
 
@@ -134,7 +127,6 @@ def run_cypress(
     measure_overhead: bool = False,
     extra_sinks: list[TraceSink] | None = None,
     network: NetworkModel | None = None,
-    deferred: bool = False,
     *,
     strict: bool = False,
     fault_plan=None,
@@ -149,20 +141,19 @@ def run_cypress(
     it when the last rank finishes, so the returned run holds no
     buffered items and ``intra_seconds`` includes the last drain.
 
-    ``deferred=True`` traces the run into a
-    :class:`~repro.mpisim.pmpi.StreamCaptureSink` and compresses the
-    captured per-rank streams afterwards (:func:`compress_streams`).
-    The result is byte-identical to inline compression; with
-    ``measure_overhead`` the deferred compression wall time is reported
-    as ``intra_seconds``.
+    The compressor is told the job's ranks, so under
+    ``config.memory_budget_bytes`` a rank folds into the partial merged
+    tree when it finalizes (docs/INTERNALS.md §14); ``run.merge()`` is
+    the same bytes with or without the budget.
 
-    Fault tolerance (docs/INTERNALS.md §7): in the default lenient mode
-    (``strict=False``) a rank whose captured stream mismatches the CST
-    is quarantined instead of aborting the run — inspect
-    ``run.quarantine``.  ``fault_plan`` injects seeded stream corruption
-    for tests and the CI fault-smoke job; corruption needs captured
-    streams, so a plan with ``corrupt_ranks`` forces deferred
-    compression.
+    Fault tolerance (docs/INTERNALS.md §7): ``fault_plan`` injects
+    seeded stream corruption for tests and the CI fault-smoke job.
+    Corruption needs captured streams, so a plan with ``corrupt_ranks``
+    traces into a :class:`~repro.mpisim.pmpi.StreamCaptureSink` and
+    compresses afterwards (:func:`compress_streams`), where in the
+    default lenient mode (``strict=False``) a rank whose stream
+    mismatches the CST is quarantined instead of aborting the run —
+    inspect ``run.quarantine``.
     """
     corrupt = fault_plan is not None and bool(fault_plan.corrupt_ranks)
     registry = obs.active()
@@ -171,20 +162,20 @@ def run_cypress(
     )
     if compiled.static is None:
         raise ValueError("program must be compiled with cypress=True")
-    capture: StreamCaptureSink | None = None
     timing: TimingSink | None = None
-    if deferred or corrupt:
+    if corrupt:
         capture = StreamCaptureSink()
         sink: TraceSink = capture
     else:
         compressor = IntraProcessCompressor(compiled.cst, config=config)
+        compressor.enable_incremental_fold(nranks=nprocs, domain=range(nprocs))
         sink = compressor
         if measure_overhead or registry is not None:
             # With observability on, the inline compression time becomes
             # the "intra.compress" stage attribution; TimingSink's
             # per-callback clock reads are part of the metrics-on cost
-            # of *live* tracing (deferred ingestion stays untouched —
-            # the bench overhead guard measures that path).
+            # of *live* tracing (compress_streams stays untouched — the
+            # bench overhead guard measures that path).
             timing = TimingSink(compressor)
             sink = timing
     if extra_sinks:
@@ -198,20 +189,14 @@ def run_cypress(
     intra_seconds = (
         timing.elapsed if timing is not None and measure_overhead else None
     )
-    if capture is not None:
-        streams = capture.streams
-        if corrupt:
-            from repro.faults import corrupt_streams
+    if corrupt:
+        from repro.faults import corrupt_streams
 
-            streams = corrupt_streams(streams, fault_plan)
-        t0 = time.perf_counter()
         with obs.span("intra.compress"):
             compressor = compress_streams(
-                compiled.cst, streams, config=config,
-                strict=strict, nranks=nprocs,
+                compiled.cst, corrupt_streams(capture.streams, fault_plan),
+                config=config, strict=strict, nranks=nprocs,
             )
-        if measure_overhead:
-            intra_seconds = time.perf_counter() - t0
     if registry is not None:
         if timing is not None:
             registry.attribute_span("intra.compress", timing.elapsed)

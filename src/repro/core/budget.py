@@ -1,18 +1,31 @@
-"""Bounded-memory streaming compression: spill store + budget accounting.
+"""A rank's life outside the walk: live, spilled, sealed, folded.
 
-The budget mode (``CypressConfig(memory_budget_bytes=...)``) keeps the
-compressor's live footprint under a target by two complementary moves,
-both orchestrated by :mod:`repro.core.intra`:
+:class:`RankTable` owns every rank's compression state between the
+batches :mod:`repro.core.intra` walks, and the way from there to the
+job-wide :class:`~repro.core.inter.MergedCTT` (:meth:`RankTable.merged`).
+A rank is in one place: ``table.live`` holds the resident states,
+coldest first (a touch moves a rank to the end — the dict order *is*
+the LRU order), and every other known rank has one row, ``SPILLED`` or
+``FOLDED``, with the event and record totals that left memory with it.
+A discarded rank (quarantine) has no row and leaves the fold domain.
 
-* **fold** — a rank whose stream has fully ended is merged into a
-  partial :class:`~repro.core.inter.MergedCTT` (ScalaTrace-style
-  incremental inter-process merge) and its per-rank state is dropped;
-* **spill** — a *cold* rank (open stream, but not the one currently
-  ingesting) has its entire ``_RankState`` snapshotted into a crash-safe
-  on-disk container and evicted; the snapshot reloads on demand when the
-  rank's next batch arrives or when replay/query touches the rank.
+Under ``CypressConfig(memory_budget_bytes=...)`` two moves keep the live
+footprint under the budget:
 
-This module owns the snapshot codec and the on-disk store.  The
+* **fold** — a rank whose stream has ended (*sealed*) is merged into a
+  partial tree (ScalaTrace-style incremental inter-process merge) once
+  every lower rank of the fold domain is folded or discarded, and its
+  state is dropped;
+* **spill** — a *cold* rank (not the one currently ingesting) has its
+  entire :class:`RankState` snapshotted into a crash-safe on-disk
+  container and evicted; it reloads when its next batch arrives, when
+  it folds, or when a reader touches it.
+
+Without a budget the table is the same object doing less: a sealed rank
+stays live (folding early buys only memory, and every fold re-finalizes
+the partial tree), and ``merged`` is one ``merge_all`` pass.
+
+This module also owns the snapshot codec and the on-disk store.  The
 container reuses the trace format's CRC32-framed sections
 (:func:`repro.core.serialize.write_section` /
 :func:`~repro.core.serialize.read_sections`), so a torn spill is
@@ -38,16 +51,20 @@ spill/reload property tests pin down.
 A rank with unresolved wildcard receives (``pending`` non-empty) is
 **unevictable**: its pending records hold live event objects whose
 identity the resolution path needs, so :func:`encode_rank_state` refuses
-and the budget enforcer skips the rank until the wildcards resolve.
+and :meth:`RankTable.make_room` skips the rank until the wildcards
+resolve.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import TraceFormatError
+from .ctt import CTT, CTTShape, CTTVertex
+from .errors import MergeError, StreamMismatchError, TraceFormatError
+from .inter import MergedCTT, MergedVertex, merge_all
+from .records import CompressedRecord
 from .serialize import (
     ByteReader,
     ByteWriter,
@@ -74,12 +91,59 @@ class SpillFormatError(TraceFormatError):
 
 
 # ---------------------------------------------------------------------------
+# One rank's compression state.
+
+
+@dataclass(slots=True)
+class RankState:
+    ctt: CTT
+    rank: int = 0
+    # Cursor frames ``[kind, vertex, iters]`` (see repro.core.intra).
+    stack: list[list] = field(default_factory=list)
+    recursion_saved: list[list[list] | None] = field(default_factory=list)
+    req_gid: dict[int, int] = field(default_factory=dict)
+    # rid -> (leaf, record, event, index of record in leaf.records); the
+    # stored index lets resolution find the record in O(1) instead of a
+    # backward identity scan, and is kept current when a resolved record
+    # merges away (see IntraProcessCompressor._request_complete).
+    pending: dict[int, tuple[CTTVertex, CompressedRecord, object, int]] = field(
+        default_factory=dict
+    )
+    last_event_end: float = 0.0
+
+
+def state_live_bytes(st: RankState) -> int:
+    """Live footprint of one rank: the CTT plus the state-level maps the
+    tree-level estimate cannot see (frame stack, recursion save-slots,
+    request table, pending-wildcard entries — each pending entry pins a
+    record, an event object and a frame tuple)."""
+    total = st.ctt.live_bytes() + 96
+    total += 88 * len(st.stack)
+    for saved in st.recursion_saved:
+        total += 32 + (88 * len(saved) if saved else 0)
+    total += 120 * len(st.req_gid)
+    total += 400 * len(st.pending)
+    return total
+
+
+def _totals(ctt: CTT) -> tuple[int, int]:
+    """``(events, records)`` one rank's tree holds: every dispatched
+    event incremented exactly one leaf's ``leaf_visits``."""
+    events = records = 0
+    for v in ctt.vertices():
+        events += v.leaf_visits
+        if v.records is not None:
+            records += len(v.records)
+    return events, records
+
+
+# ---------------------------------------------------------------------------
 # Rank-state snapshot codec.
 
 
 def encode_rank_state(st) -> bytes:
     """Serialize one rank's complete compression state (duck-typed
-    ``_RankState``).  Raises :class:`ValueError` if the rank holds
+    :class:`RankState`).  Raises :class:`ValueError` if the rank holds
     unresolved wildcard receives — those pin the rank in memory."""
     if st.pending:
         raise ValueError(
@@ -221,12 +285,6 @@ class SpillStore:
     def __contains__(self, rank: int) -> bool:
         return rank in self._ranks
 
-    def __len__(self) -> int:
-        return len(self._ranks)
-
-    def ranks(self) -> list[int]:
-        return sorted(self._ranks)
-
     def spill(self, rank: int, payload: bytes) -> int:
         """Persist one encoded snapshot; returns the container size."""
         w = ByteWriter()
@@ -305,3 +363,224 @@ class BudgetCounters:
             "budget.live_bytes": self.live_bytes,
             "budget.peak_live_bytes": self.peak_live_bytes,
         }
+
+
+# ---------------------------------------------------------------------------
+# The owner of every rank's state.
+
+LIVE, SPILLED, FOLDED = "live", "spilled", "folded"
+
+
+class RankTable:
+    """Where every rank's state is, and the way from there to the merged
+    tree (module docstring; docs/INTERNALS.md §14)."""
+
+    def __init__(self, shape: CTTShape, config) -> None:
+        self._shape = shape
+        self._rebuild_index = config.window is None
+        self._spill_dir = config.spill_dir
+        self.budget: int | None = config.memory_budget_bytes
+        self.counters = BudgetCounters()
+        #: Resident states, coldest first.
+        self.live: dict[int, RankState] = {}
+        # rank -> (SPILLED | FOLDED, events, records) of every rank whose
+        # tree has left memory; the totals keep the metrics exact.
+        self._away: dict[int, tuple[str, int, int]] = {}
+        self._store: SpillStore | None = None
+        self._partial: MergedCTT | None = None
+        self._nranks: int | None = None
+        # The fold domain's ranks not yet folded or discarded, ascending:
+        # rank -> has its stream ended (sealed)?
+        self._waiting: dict[int, bool] = {}
+
+    # -- where a rank is ---------------------------------------------------
+
+    def status(self, rank: int) -> str | None:
+        """``LIVE``, ``SPILLED``, ``FOLDED``, or None for a rank never
+        seen (or discarded)."""
+        if rank in self.live:
+            return LIVE
+        row = self._away.get(rank)
+        return row[0] if row is not None else None
+
+    def ranks(self) -> list[int]:
+        return sorted({*self.live, *self._away})
+
+    def state(self, rank: int) -> RankState:
+        """The rank's resident state: created on first sight, reloaded
+        if it was spilled."""
+        st = self.live.get(rank)
+        if st is not None:
+            return st
+        status = self.status(rank)
+        if status == SPILLED:
+            return self._reload(rank)
+        if status == FOLDED:
+            raise StreamMismatchError(
+                f"rank {rank} was folded into the partial merged tree "
+                "(memory budget mode); per-rank state is gone — use "
+                "merged() / merged replay instead"
+            )
+        st = self.live[rank] = self._new_state(rank)
+        return st
+
+    def _new_state(self, rank: int) -> RankState:
+        return RankState(ctt=CTT(self._shape, rank), rank=rank)
+
+    def totals(self) -> tuple[int, int]:
+        """``(events, records)`` over every known rank, resident or not."""
+        rows = [row[1:] for row in self._away.values()]
+        rows += [_totals(st.ctt) for st in self.live.values()]
+        return sum(e for e, _ in rows), sum(r for _, r in rows)
+
+    def live_bytes(self) -> int:
+        """Live footprint of the resident ranks (a spilled rank costs
+        nothing — that is the point; it is not reloaded here)."""
+        return sum(state_live_bytes(st) for st in self.live.values())
+
+    # -- spill and reload --------------------------------------------------
+
+    def _spill(self, rank: int) -> None:
+        if self._store is None:
+            self._store = SpillStore(self._spill_dir)
+        st = self.live[rank]
+        nbytes = self._store.spill(rank, encode_rank_state(st))
+        del self.live[rank]
+        self._away[rank] = (SPILLED, *_totals(st.ctt))
+        self.counters.spills += 1
+        self.counters.spill_bytes += nbytes
+
+    def _reload(self, rank: int) -> RankState:
+        """Bring a spilled rank back, as the hottest: decode the
+        snapshot, discard the container.  The reloaded state is
+        cursor-exact; only the record caches start empty (module
+        docstring)."""
+        payload = self._store.load(rank)
+        st = decode_rank_state(
+            payload, self._new_state, rebuild_index=self._rebuild_index
+        )
+        self._store.discard(rank)
+        del self._away[rank]
+        self.live[rank] = st
+        self.counters.reloads += 1
+        self.counters.reload_bytes += len(payload)
+        return st
+
+    def _sample(self, extra: int) -> int:
+        """The live total (``extra``: bytes the caller holds outside the
+        table), recorded as the gauge and against the high-water mark."""
+        bc = self.counters
+        bc.live_bytes = total = self.live_bytes() + extra
+        if total > bc.peak_live_bytes:
+            bc.peak_live_bytes = total
+        return total
+
+    def make_room(self, extra: int, active: int | None = None) -> None:
+        """Mark ``active`` the hottest rank and bring the live footprint
+        back under the budget by spilling the coldest evictable ranks
+        (never ``active``, never one with unresolved wildcards).  One
+        call is O(live tree): the cadence is per batch, not per event."""
+        live = self.live
+        if active in live:
+            live[active] = live.pop(active)
+        total = self._sample(extra)
+        if total > self.budget:
+            for rank in list(live):  # coldest first
+                st = live[rank]
+                if rank != active and not st.pending:
+                    total -= state_live_bytes(st)
+                    self._spill(rank)
+                    if total <= self.budget:
+                        break
+            self.counters.live_bytes = total
+
+    # -- seal and fold -----------------------------------------------------
+
+    def arm(self, nranks: int | None = None, domain=None) -> None:
+        if nranks is not None:
+            self._nranks = nranks
+        if domain is not None:
+            self._waiting = dict.fromkeys(sorted(domain), False)
+
+    def seal(self, rank: int, extra: int) -> None:
+        """``rank``'s stream has ended.  Under a budget it folds as soon
+        as the ascending barrier lets it; without one it stays live."""
+        if self.budget is None or rank not in self._waiting:
+            return
+        # Sampled before the fold releases the rank — the peak the soak
+        # gate tracks.
+        self._sample(extra)
+        self._waiting[rank] = True
+        self._fold_ready()
+        self.make_room(extra)
+
+    def _fold_ready(self) -> None:
+        """Fold from the front of the domain up to the first rank still
+        streaming: ascending order is what makes the fold byte-identical
+        to the single pass (:meth:`~repro.core.inter.MergedCTT.fold_rank`)."""
+        for rank, sealed in list(self._waiting.items()):
+            if not sealed:
+                break
+            del self._waiting[rank]
+            self._fold(rank)
+
+    def _fold(self, rank: int) -> None:
+        st = self.state(rank)  # reloads a spilled rank
+        if st.pending:
+            raise StreamMismatchError(
+                f"rank {rank}: cannot fold with {len(st.pending)} "
+                "unresolved wildcard receive(s)"
+            )
+        ctt = st.ctt
+        if self._partial is None:
+            self._partial = MergedCTT(MergedVertex(ctt.root), 0)
+        self._partial.fold_rank(ctt, self._nranks)
+        del self.live[rank]
+        self._away[rank] = (FOLDED, *_totals(ctt))
+        self.counters.folds += 1
+
+    def merged(self, ranks: list[int], nranks: int | None = None) -> MergedCTT:
+        """The finish line: the merged tree over ``ranks`` (ascending).
+        With no budget, one :func:`merge_all` pass; with one, the ranks
+        not folded yet fold now, one resident at a time.  Same bytes."""
+        if nranks is not None:
+            self._nranks = nranks
+        if not ranks:
+            raise MergeError("no ranks to merge")
+        if self.budget is None:
+            return merge_all(
+                [self.state(rank).ctt for rank in ranks], nranks=self._nranks
+            )
+        folded = {r for r, row in self._away.items() if row[0] == FOLDED}
+        if not folded.issubset(ranks):
+            raise MergeError(
+                f"rank(s) {sorted(folded.difference(ranks))} were already "
+                "folded but are excluded from the requested merge — a "
+                "fold cannot be undone"
+            )
+        for rank in ranks:
+            if rank not in folded:
+                self._fold(rank)
+        self.make_room(0)
+        return self._partial
+
+    def discard(self, rank: int) -> None:
+        """Drop a rank's state wherever it is (quarantine) and take it
+        out of the fold domain, which may unblock the ranks behind it.
+        A fold cannot be undone: a folded rank keeps its row."""
+        self.live.pop(rank, None)
+        if self.status(rank) == SPILLED:
+            del self._away[rank]
+            self._store.discard(rank)
+        if self._waiting.pop(rank, None) is not None:
+            self._fold_ready()
+
+    def close(self) -> None:
+        """Delete every spill container (end of job)."""
+        if self._store is not None:
+            self._store.close()
+            self._store = None
+            self._away = {
+                rank: row for rank, row in self._away.items()
+                if row[0] != SPILLED
+            }

@@ -19,17 +19,18 @@ no per-rank tree is ever built.  What keeps it linear:
   cached until the group next changes;
 * per-rank timing contributions are *deferred*: groups collect references
   into the source CTTs and materialize merged statistics once, in
-  ascending rank order — so every schedule produces bit-identical merged
-  statistics, and the walk itself does no floating-point work;
+  ascending rank order — so every arrival order produces bit-identical
+  merged statistics, and the walk itself does no floating-point work;
 * ``rank → group`` lookups use a lazily built per-vertex map (O(1) per
   query during replay instead of a scan over all groups).
 
-``merge_all`` keeps its two schedule names; ``tree`` and ``fold`` are
-the same single pass.  The paper's O(n log P) binary reduction is a
-statement about critical-path depth on P nodes; in this one-process
-harness it is the depth arithmetic in ``benchmarks/bench_ablations.py``.
-Pairwise :meth:`MergedCTT.absorb` stays as the reference the tests and
-``bench_merge_scaling`` compare the single pass against.
+:func:`merge_all` is the one merge; a compressor reaches it through
+``IntraProcessCompressor.merged``.  The paper's O(n log P) binary
+reduction is a statement about critical-path depth on P nodes; in this
+one-process harness it is the depth arithmetic in
+``benchmarks/bench_ablations.py``.  Pairwise :meth:`MergedCTT.absorb`
+stays as the reference the tests and ``bench_merge_scaling`` compare the
+single pass against.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro import obs
 from repro.static.cst import BRANCH, CALL, LOOP
 
 from .ctt import CTT, CTTVertex
-from .errors import MergeError  # noqa: F401 - historical import location
+from .errors import MergeError
 from .ranks import ABS, REL
 from .records import CompressedRecord
 from .sequences import IntSequence
@@ -198,7 +199,7 @@ class Group:
     contributions are kept as ``(rank, records)`` references into the
     source CTTs, aligned with ``ranks``; merged records materialize
     lazily, folding statistics in ascending rank order, so the result is
-    independent of the merge schedule.
+    independent of the order ranks joined in.
     """
 
     __slots__ = (
@@ -346,7 +347,7 @@ class MergedVertex:
 
     def sorted_groups(self) -> list[Group]:
         """Groups in canonical order (by lowest member rank) — member
-        sets are disjoint, so this is a schedule-independent total
+        sets are disjoint, so this is an arrival-order-independent total
         order."""
         return sorted(self.groups.values(), key=lambda g: g.ranks[0])
 
@@ -475,8 +476,8 @@ class MergedCTT:
 
     def finalize(self) -> "MergedCTT":
         """Materialize every group's merged records in canonical rank
-        order.  Idempotent; called by :func:`merge_all` so the result is
-        bit-identical across schedules."""
+        order.  Idempotent; called by :func:`merge_all` so the result
+        does not depend on the order the ranks arrived in."""
         for vertex in self.vertices():
             for group in vertex.groups.values():
                 group.finalize()
@@ -494,8 +495,8 @@ class MergedCTT:
         copy-then-merge-ascending recurrence that deferred
         materialization (:meth:`Group._materialize`) runs at the end.
         Folding out of ascending order would reassociate the Welford
-        combines and break bit-identity; callers (``IntraProcessCompressor
-        .merged``) enforce the ordering.
+        combines and break bit-identity; the caller
+        (:class:`~repro.core.budget.RankTable`) enforces the ordering.
         """
         return self.add_rank(ctt, nranks).finalize()
 
@@ -518,11 +519,13 @@ def merge_all(
     *,
     nranks: int | None = None,
 ) -> MergedCTT:
-    """Merge every rank's CTT into the job-wide compressed trace.
+    """Merge every rank's CTT into the job-wide compressed trace: a
+    single pass over the ranks into one accumulator; group statistics
+    always materialize in ascending rank order.
 
-    Both schedule names run the same single pass over the ranks into one
-    accumulator; group statistics always materialize in ascending rank
-    order.
+    ``schedule`` is accepted and ignored.  Kept only because
+    ``benchmarks/e2e/batch.py`` passes ``"tree"`` and ``"fold"`` (its
+    ``inter.merge_fold_s`` row then times this same pass).
 
     With ``nranks`` given, record keys whose relative peer would decode
     outside ``[0, nranks)`` for their rank are re-encoded absolute at
@@ -532,8 +535,6 @@ def merge_all(
     """
     if not ctts:
         raise ValueError("no CTTs to merge")
-    if schedule not in ("tree", "fold"):
-        raise ValueError(f"unknown merge schedule {schedule!r}")
     registry = obs.active()
     with obs.span("inter.merge"):
         if registry is not None:

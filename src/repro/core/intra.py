@@ -56,15 +56,20 @@ The per-event budget is O(1), and the implementation spends it carefully
 pre-optimization reference path (generic predicate scan + fresh key per
 event); tests assert both paths produce byte-identical serialized traces.
 
-Deferred compression: per-rank states are fully independent, so captured
-marker/event streams (:class:`~repro.mpisim.pmpi.StreamCaptureSink`) can
-be compressed after the run by :func:`compress_streams`, with output
-byte-identical to compressing in line.
+Per-rank states are fully independent, so captured marker/event streams
+(:class:`~repro.mpisim.pmpi.StreamCaptureSink`) can be compressed after
+the run by :func:`compress_streams`, with output byte-identical to
+compressing in line.
+
+What happens to a rank between batches — resident, spilled, sealed,
+folded — and the way from the ranks to the merged tree belong to
+:class:`~repro.core.budget.RankTable`; this module is buffers, cursor,
+record commit and :meth:`IntraProcessCompressor._walk`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import length_hint
 
 from repro import obs
@@ -86,14 +91,9 @@ from repro.mpisim.pmpi import (
 from repro.static.cst import CALL, LOOP, CSTNode
 
 from . import packed
-from .budget import (
-    BudgetCounters,
-    SpillStore,
-    decode_rank_state,
-    encode_rank_state,
-)
+from .budget import RankState, RankTable, state_live_bytes
 from .ctt import CTT, CTTShape, CTTVertex
-from .errors import MergeError, StreamMismatchError
+from .errors import StreamMismatchError
 from .quarantine import QuarantinedRank, QuarantineReport
 from .ranks import encode_peer
 from .records import CompressedRecord
@@ -165,41 +165,6 @@ _LOOP = 0
 _BRANCH = 1
 _F_KIND, _F_VERTEX, _F_ITERS = range(3)
 
-@dataclass(slots=True)
-class _RankState:
-    ctt: CTT
-    rank: int = 0
-    stack: list[list] = field(default_factory=list)
-    recursion_saved: list[list[list] | None] = field(default_factory=list)
-    req_gid: dict[int, int] = field(default_factory=dict)
-    # rid -> (leaf, record, event, index of record in leaf.records); the
-    # stored index lets resolution find the record in O(1) instead of a
-    # backward identity scan, and is kept current when a resolved record
-    # merges away (see _request_complete).
-    pending: dict[int, tuple[CTTVertex, CompressedRecord, CommEvent, int]] = field(
-        default_factory=dict
-    )
-    last_event_end: float = 0.0
-
-    def top_vertex(self) -> CTTVertex | None:
-        if not self.stack:
-            return self.ctt.root
-        return self.stack[-1][_F_VERTEX]
-
-
-def _state_live_bytes(st: _RankState) -> int:
-    """Live footprint of one rank: the CTT plus the state-level maps the
-    tree-level estimate cannot see (frame stack, recursion save-slots,
-    request table, pending-wildcard entries — each pending entry pins a
-    record, an event object and a frame tuple)."""
-    total = st.ctt.live_bytes() + 96
-    total += 88 * len(st.stack)
-    for saved in st.recursion_saved:
-        total += 32 + (88 * len(saved) if saved else 0)
-    total += 120 * len(st.req_gid)
-    total += 400 * len(st.pending)
-    return total
-
 
 class IntraProcessCompressor(CaptureCallbacks):
     """CYPRESS dynamic module, intra-process phase.
@@ -213,9 +178,9 @@ class IntraProcessCompressor(CaptureCallbacks):
     def __init__(self, cst: CSTNode, config: CypressConfig | None = None) -> None:
         self.cst = cst
         self.config = config or CypressConfig()
-        # The static half of every rank's CTT, extracted once.
-        self._shape = CTTShape(cst)
-        self._states: dict[int, _RankState] = {}
+        # Where every rank's state is (live, spilled, folded), built on
+        # the static half of every rank's CTT, extracted once.
+        self.table = RankTable(CTTShape(cst), self.config)
         # Live tracing: per-rank buffers of not-yet-ingested items, how
         # many they hold between them, and how many items per rank
         # ingest_stream has consumed (locates a deferred mismatch).
@@ -244,61 +209,28 @@ class IntraProcessCompressor(CaptureCallbacks):
         self.m_wildcard_max_depth = 0  # peak pending-queue depth
         self.m_live_drains = 0  # live buffers drained through ingest_stream
         self.m_live_buffer_peak = 0  # peak items resident across buffers
-        # Bounded-memory streaming mode (docs/INTERNALS.md §14).
-        self._budget = self.config.memory_budget_bytes
+        #: The ``budget.*`` counters; None without a memory budget.
         self.budget_counters = (
-            BudgetCounters() if self._budget is not None else None
+            self.table.counters if self.table.budget is not None else None
         )
-        self._spill: SpillStore | None = None
-        self._spilled: set[int] = set()  # ranks currently on disk
-        self._partial = None  # incrementally-folded MergedCTT
-        self._folded: set[int] = set()  # ranks absorbed into _partial
-        self._sealed: set[int] = set()  # stream ended, fold-eligible
-        self._fold_enabled = False
-        self._fold_nranks: int | None = None
-        self._fold_domain: list[int] | None = None
-        self._fold_skip: set[int] = set()  # quarantined (never folds)
-        self._touch_clock = 0
-        self._touch: dict[int, int] = {}  # rank -> LRU stamp
-        # rank -> (events, records) of every folded or spilled rank, so
-        # the derived metrics stay exact after its CTT leaves memory.
-        self._archived: dict[int, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
 
-    def state(self, rank: int) -> _RankState:
+    def state(self, rank: int) -> RankState:
         self._drain(rank)
-        st = self._states.get(rank)
-        if st is None:
-            if rank in self._folded:
-                raise CompressionError(
-                    f"rank {rank} was folded into the partial merged tree "
-                    "(memory budget mode); per-rank state is gone — use "
-                    "merged() / merged replay instead"
-                )
-            if rank in self._spilled:
-                return self._reload_rank(rank)
-            st = self._states[rank] = self._new_state(rank)
-        return st
-
-    def _new_state(self, rank: int) -> _RankState:
-        return _RankState(ctt=CTT(self._shape, rank), rank=rank)
+        return self.table.state(rank)
 
     def ranks(self) -> list[int]:
         self.flush()
-        return sorted({*self._states, *self._spilled, *self._folded})
+        return self.table.ranks()
 
     def ctt(self, rank: int) -> CTT:
         return self.state(rank).ctt
 
-    def approx_bytes(self, rank: int) -> int:
+    def serialized_bytes(self, rank: int) -> int:
         """Per-rank *serialized* size estimate of the compressed trace —
         container bytes, not live memory (see :meth:`live_bytes` for the
         in-RAM footprint the budget mode tracks)."""
-        return self.state(rank).ctt.serialized_bytes()
-
-    def serialized_bytes(self, rank: int) -> int:
-        """Alias of :meth:`approx_bytes` under its precise name."""
         return self.state(rank).ctt.serialized_bytes()
 
     def live_bytes(self, rank: int) -> int:
@@ -306,22 +238,13 @@ class IntraProcessCompressor(CaptureCallbacks):
         state: the CTT (transient caches included) plus the rank-state
         overheads (frame stack, pending wildcards, request table).
         Reloads the rank if it was spilled."""
-        return _state_live_bytes(self.state(rank))
-
-    def total_bytes(self) -> int:
-        self.flush()
-        return sum(self.approx_bytes(r) for r in self._states)
+        return state_live_bytes(self.state(rank))
 
     def total_live_bytes(self) -> int:
-        """Live footprint of every in-memory rank (spilled ranks cost
-        nothing — that is the point; they are not reloaded here) plus
-        the items live tracing has buffered but not ingested.  The one
-        reader that does not drain: it is what the budget prologue of a
-        drain calls."""
-        return (
-            sum(_state_live_bytes(st) for st in self._states.values())
-            + _ITEM_LIVE_BYTES * self._buffered
-        )
+        """Live footprint of every in-memory rank plus the items live
+        tracing has buffered but not ingested.  The one reader that does
+        not drain."""
+        return self.table.live_bytes() + _ITEM_LIVE_BYTES * self._buffered
 
     # ------------------------------------------------------------------
     # Observability (docs/INTERNALS.md §6).
@@ -331,20 +254,12 @@ class IntraProcessCompressor(CaptureCallbacks):
         from CTT state rather than sampled on the hot path: every
         dispatched event increments exactly one leaf's ``leaf_visits``,
         so cache *hits* are ``events - misses`` at zero per-event cost."""
-        self.flush()
-        events = sum(e for e, _ in self._archived.values())
-        records = sum(r for _, r in self._archived.values())
-        for st in self._states.values():
-            for v in st.ctt.vertices():
-                events += v.leaf_visits
-                if v.records is not None:
-                    records += len(v.records)
+        ranks = self.ranks()  # flushes
+        events, records = self.table.totals()
         return {
             "intra.events": events,
             "intra.records": records,
-            "intra.ranks": (
-                len(self._states) + len(self._spilled) + len(self._folded)
-            ),
+            "intra.ranks": len(ranks),
             "intra.mono_cache_miss": self.m_mono_miss,
             "intra.key_builds": self.m_key_build,
             "intra.stream_fallback": self.m_stream_fallback,
@@ -383,253 +298,46 @@ class IntraProcessCompressor(CaptureCallbacks):
                     registry.counter_add(name, value)
 
     # ------------------------------------------------------------------
-    # Bounded-memory streaming mode (docs/INTERNALS.md §14): incremental
-    # fold of completed ranks into a partial merged tree + LRU spill of
-    # cold rank states to crash-safe containers.  Off unless
-    # ``config.memory_budget_bytes`` is set (or a caller arms the fold
-    # explicitly); every method here is a no-op on the default path.
+    # A rank's life beyond the walk (docs/INTERNALS.md §14): each of
+    # these drains what it must, then asks the table.
 
-    def _ensure_spill(self) -> SpillStore:
-        if self._spill is None:
-            self._spill = SpillStore(self.config.spill_dir)
-        return self._spill
-
-    def _touch_rank(self, rank: int) -> None:
-        self._touch_clock += 1
-        self._touch[rank] = self._touch_clock
-
-    def _archive_rank_counts(self, rank: int, ctt: CTT) -> None:
-        """Keep a rank's derived metric totals as its tree leaves memory
-        (spill or fold), until it re-enters (reload) or is discarded:
-        ``metrics_counters`` stays exact throughout."""
-        events = 0
-        records = 0
-        for v in ctt.vertices():
-            events += v.leaf_visits
-            if v.records is not None:
-                records += len(v.records)
-        self._archived[rank] = (events, records)
-
-    def _reload_rank(self, rank: int) -> _RankState:
-        """Bring a spilled rank back: decode the snapshot, discard the
-        container, re-enter the live accounting.  The reloaded state is
-        cursor-exact; only the record caches (``last_params``,
-        ``params_index``) start empty and refill from ``record_index``
-        — same output bytes, one key build per parameter set."""
-        payload = self._ensure_spill().load(rank)
-        st = decode_rank_state(
-            payload, self._new_state, rebuild_index=self._window_unbounded
-        )
-        self._states[rank] = st
-        self._spilled.discard(rank)
-        self._spill.discard(rank)
-        del self._archived[rank]
-        bc = self.budget_counters
-        if bc is not None:
-            bc.reloads += 1
-            bc.reload_bytes += len(payload)
-        self._touch_rank(rank)
-        return st
-
-    def _spill_rank(self, rank: int) -> bool:
-        """Evict one cold rank to disk.  Refused (returns False) when
-        the rank holds unresolved wildcard receives — their pending
-        records pin live event objects the resolution path needs."""
-        st = self._states.get(rank)
-        if st is None or st.pending:
-            return False
-        payload = encode_rank_state(st)
-        nbytes = self._ensure_spill().spill(rank, payload)
-        self._archive_rank_counts(rank, st.ctt)
-        del self._states[rank]
-        self._spilled.add(rank)
-        bc = self.budget_counters
-        if bc is not None:
-            bc.spills += 1
-            bc.spill_bytes += nbytes
-        return True
-
-    def _enforce_budget(self, active_rank: int | None = None) -> None:
-        """Bring the live footprint back under the budget by spilling
-        the coldest evictable ranks (never the one currently ingesting).
-        Called from the batched entry points — live tracing reaches it
-        once per drain; one call is O(live tree), so the cadence is per
-        batch, not per event."""
-        budget = self._budget
-        if budget is None:
-            return
-        bc = self.budget_counters
-        total = self.total_live_bytes()
-        if total > bc.peak_live_bytes:
-            bc.peak_live_bytes = total
-        if total > budget:
-            touch = self._touch
-            order = sorted(
-                (r for r in self._states if r != active_rank),
-                key=lambda r: touch.get(r, 0),
-            )
-            for rank in order:
-                if total <= budget:
-                    break
-                st = self._states.get(rank)
-                if st is None or st.pending:
-                    continue
-                freed = _state_live_bytes(st)
-                if self._spill_rank(rank):
-                    total -= freed
-        bc.live_bytes = total
-
-    def _budget_prologue(self, rank: int) -> None:
-        """Per-batch budget bookkeeping: stamp the rank hot and make
-        room for its growth by evicting colder ranks first."""
-        self._touch_rank(rank)
-        self._enforce_budget(rank)
-
-    # -- incremental fold ----------------------------------------------
-
-    def enable_incremental_fold(
-        self,
-        nranks: int | None = None,
-        domain=None,
-    ) -> None:
-        """Arm the streaming merge: sealed ranks fold into a partial
-        :class:`~repro.core.inter.MergedCTT` as soon as every preceding
-        rank is folded (or permanently excluded), releasing their
-        per-rank state while ingest continues.
-
-        ``nranks`` is forwarded to the merge's damaged-delta repair
-        (must match what an unbudgeted ``merge_all(..., nranks=...)``
-        would get, or bytes diverge on *damaged* traces).  ``domain`` is
-        the full rank set expected to stream; without it, folding
-        happens only at :meth:`merged` time.
-        """
-        self._fold_enabled = True
-        if nranks is not None:
-            self._fold_nranks = nranks
-        if domain is not None:
-            self._fold_domain = sorted(domain)
+    def enable_incremental_fold(self, nranks: int | None = None, domain=None) -> None:
+        """Arm the streaming merge, by whoever knows the job's ranks.
+        ``domain`` is the full rank set expected to stream: under a
+        memory budget a sealed rank folds into the partial merged tree
+        as soon as every lower rank of the domain is folded or
+        discarded.  ``nranks`` is what :meth:`merged` hands the merge's
+        damaged-delta repair when it is not told again."""
+        self.table.arm(nranks, domain)
 
     def seal_rank(self, rank: int) -> None:
-        """Mark one rank's stream complete: its CTT is final and
-        eligible for incremental folding.  No-op unless the fold is
-        armed."""
+        """Mark one rank's stream complete (idempotent): its CTT is
+        final, and under a memory budget eligible for folding."""
         self._drain(rank)
-        if not self._fold_enabled or rank in self._fold_skip:
-            return
-        bc = self.budget_counters
-        if bc is not None:
-            # Sample the high-water mark before the fold releases the
-            # sealed rank — this is the peak the soak gate tracks.
-            total = self.total_live_bytes()
-            bc.live_bytes = total
-            if total > bc.peak_live_bytes:
-                bc.peak_live_bytes = total
-        self._sealed.add(rank)
-        self._try_fold()
-        self._enforce_budget()
-
-    def has_partial_merge(self) -> bool:
-        """Whether any rank has been folded — callers must then use
-        :meth:`merged` instead of per-rank ``ctt()`` + ``merge_all``."""
-        return self._partial is not None or bool(
-            self._fold_enabled and (self._sealed or self._folded)
-        )
-
-    def _try_fold(self) -> None:
-        """Fold every fold-eligible rank, in ascending rank order.  A
-        rank is eligible when sealed and every lower rank in the domain
-        is already folded or permanently excluded — the ordering that
-        makes the incremental fold byte-identical to ``merge_all``
-        (see :meth:`~repro.core.inter.MergedCTT.fold_rank`)."""
-        domain = self._fold_domain
-        if domain is None:
-            return
-        for rank in domain:
-            if rank in self._folded or rank in self._fold_skip:
-                continue
-            if rank not in self._sealed:
-                break  # ascending-order barrier
-            self._fold_rank(rank)
-
-    def _fold_rank(self, rank: int) -> None:
-        st = self.state(rank)  # reloads a spilled rank
-        if st.pending:
-            raise CompressionError(
-                f"rank {rank}: cannot fold with {len(st.pending)} "
-                "unresolved wildcard receive(s)"
-            )
-        from .inter import MergedCTT
-
-        ctt = st.ctt
-        self._archive_rank_counts(rank, ctt)
-        if self._partial is None:
-            self._partial = MergedCTT.from_rank(
-                ctt, nranks=self._fold_nranks
-            ).finalize()
-        else:
-            self._partial.fold_rank(ctt, nranks=self._fold_nranks)
-        del self._states[rank]
-        self._folded.add(rank)
-        self._sealed.discard(rank)
-        self._touch.pop(rank, None)
-        bc = self.budget_counters
-        if bc is not None:
-            bc.folds += 1
+        self.table.seal(rank, _ITEM_LIVE_BYTES * self._buffered)
 
     def merged(self, nranks: int | None = None, ranks=None):
-        """Finalize the incremental fold and return the job-wide merged
-        tree — byte-identical to ``merge_all([ctt(r) for r in ranks],
-        nranks=...)`` on the unbudgeted pipeline.
-
-        ``ranks`` restricts the merge (the server passes its healthy,
-        non-quarantined set); default is every rank seen.  Remaining
-        live or spilled ranks fold now, ascending."""
-        if nranks is not None:
-            self._fold_nranks = nranks
-        self._fold_enabled = True
+        """The finish line of every driver: the job-wide merged tree
+        over ``ranks`` (the server passes its healthy set; default is
+        every rank seen and not quarantined) — one ``merge_all`` pass
+        without a budget, the rest of the ascending fold with one, the
+        same bytes either way."""
+        self.flush()
         if ranks is None:
-            quarantined = {q.rank for q in self.quarantine}
-            ranks = [r for r in self.ranks() if r not in quarantined]
-        ranks = sorted(ranks)
-        stray = self._folded.difference(ranks)
-        if stray:
-            raise MergeError(
-                f"rank(s) {sorted(stray)} were already folded but are "
-                "excluded from the requested merge — a fold cannot be "
-                "undone"
-            )
-        for rank in ranks:
-            if rank not in self._folded:
-                self._fold_rank(rank)
-        if self._partial is None:
-            raise MergeError("no ranks to merge")
-        self._enforce_budget()
-        return self._partial
+            bad = self.quarantine.rank_set()
+            ranks = [r for r in self.table.ranks() if r not in bad]
+        return self.table.merged(sorted(ranks), nranks)
 
     def discard_rank(self, rank: int) -> None:
-        """Drop every trace of a rank (quarantine path): live state,
-        spill container, fold bookkeeping.  Folding of later ranks is
-        unblocked by marking the rank permanently excluded."""
+        """Drop every trace of a rank (quarantine path): buffer, state,
+        spill container, its place in the fold domain."""
         self._buffered -= len(self._buffers.pop(rank, ()))
         self._items_done.pop(rank, None)
-        self._states.pop(rank, None)
-        if rank in self._spilled:
-            # The rank is leaving for good: so do its archived totals.
-            del self._archived[rank]
-            self._spilled.discard(rank)
-            self._ensure_spill().discard(rank)
-        self._sealed.discard(rank)
-        self._touch.pop(rank, None)
-        if self._fold_enabled:
-            self._fold_skip.add(rank)
-            self._try_fold()
+        self.table.discard(rank)
 
     def close_spill(self) -> None:
         """Delete every spill container (end of job)."""
-        if self._spill is not None:
-            self._spill.close()
-            self._spill = None
-            self._spilled.clear()
+        self.table.close()
 
     # ------------------------------------------------------------------
     # Live tracing (docs/INTERNALS.md §5).  The inherited ``on_*``
@@ -675,13 +383,13 @@ class IntraProcessCompressor(CaptureCallbacks):
         # The rank's stream is complete: an unresolved wildcard receive
         # must fail here, inside the run, not at some later read.
         super().on_finalize(rank)
-        self._drain(rank)
+        self.seal_rank(rank)
 
     # ------------------------------------------------------------------
     # Structural markers: the handlers ``ingest_stream`` drives, each
     # taking the resolved rank state.
 
-    def _loop_push(self, st: _RankState, ast_id: int) -> list:
+    def _loop_push(self, st: RankState, ast_id: int) -> list:
         stack = st.stack
         cur = stack[-1][_F_VERTEX] if stack else st.ctt.root
         frame = [_LOOP, None, 0]
@@ -701,7 +409,7 @@ class IntraProcessCompressor(CaptureCallbacks):
         stack.append(frame)
         return frame
 
-    def _loop_iter(self, st: _RankState, ast_id: int) -> None:
+    def _loop_iter(self, st: RankState, ast_id: int) -> None:
         stack = st.stack
         if not stack or stack[-1][_F_KIND] != _LOOP:
             raise CompressionError(
@@ -714,7 +422,7 @@ class IntraProcessCompressor(CaptureCallbacks):
         if vertex is not None:
             vertex.search_pos = 0
 
-    def _loop_pop(self, st: _RankState, ast_id: int) -> None:
+    def _loop_pop(self, st: RankState, ast_id: int) -> None:
         stack = st.stack
         if not stack or stack[-1][_F_KIND] != _LOOP:
             raise CompressionError(
@@ -725,7 +433,7 @@ class IntraProcessCompressor(CaptureCallbacks):
         if vertex is not None:
             vertex.loop_counts.append(frame[_F_ITERS])
 
-    def _branch_enter(self, st: _RankState, ast_id: int, path: int) -> None:
+    def _branch_enter(self, st: RankState, ast_id: int, path: int) -> None:
         stack = st.stack
         cur = stack[-1][_F_VERTEX] if stack else st.ctt.root
         frame = [_BRANCH, None, 0]
@@ -737,28 +445,12 @@ class IntraProcessCompressor(CaptureCallbacks):
                 group.visit_counter = visit + 1
                 path_vertex = group.paths.get(path)
                 if path_vertex is not None:
-                    # Inlined IntSequence.append fast cases (extend /
-                    # absorb the last stride term) — identical semantics,
-                    # the repair path falls back to append().
-                    seq = path_vertex.visits
-                    terms = seq.terms
-                    if terms:
-                        s0, c0, d0 = terms[-1]
-                        if c0 == 1:
-                            terms[-1] = (s0, 2, visit - s0)
-                            seq.length += 1
-                        elif visit == s0 + c0 * d0:
-                            terms[-1] = (s0, c0 + 1, d0)
-                            seq.length += 1
-                        else:
-                            seq.append(visit)
-                    else:
-                        seq.append(visit)
+                    path_vertex.visits.append(visit)
                     path_vertex.search_pos = 0
                     frame[_F_VERTEX] = path_vertex
         stack.append(frame)
 
-    def _branch_exit(self, st: _RankState, ast_id: int) -> None:
+    def _branch_exit(self, st: RankState, ast_id: int) -> None:
         stack = st.stack
         if not stack or stack[-1][_F_KIND] != _BRANCH:
             raise CompressionError(
@@ -767,7 +459,7 @@ class IntraProcessCompressor(CaptureCallbacks):
             )
         stack.pop()
 
-    def _recurse_enter(self, st: _RankState, ast_id: int) -> None:
+    def _recurse_enter(self, st: RankState, ast_id: int) -> None:
         # Find an active pseudo-loop frame for this function.
         for i in range(len(st.stack) - 1, -1, -1):
             frame = st.stack[i]
@@ -789,7 +481,7 @@ class IntraProcessCompressor(CaptureCallbacks):
         frame[_F_ITERS] = 1
         st.recursion_saved.append(None)
 
-    def _recurse_exit(self, st: _RankState, ast_id: int) -> None:
+    def _recurse_exit(self, st: RankState, ast_id: int) -> None:
         if not st.recursion_saved:
             raise CompressionError(
                 f"rank {st.rank}: recursion exit marker {ast_id} without entry"
@@ -803,7 +495,7 @@ class IntraProcessCompressor(CaptureCallbacks):
     # ------------------------------------------------------------------
     # Communication events.
 
-    def _no_leaf(self, st: _RankState, cur, op: str) -> StreamMismatchError:
+    def _no_leaf(self, st: RankState, cur, op: str) -> StreamMismatchError:
         """The cold end of leaf dispatch: nothing under ``cur`` takes
         this event."""
         if cur is None:
@@ -817,7 +509,7 @@ class IntraProcessCompressor(CaptureCallbacks):
 
     def _commit_unseen(
         self,
-        st: _RankState,
+        st: RankState,
         leaf: CTTVertex,
         ev: CommEvent,
         params: tuple,
@@ -849,7 +541,7 @@ class IntraProcessCompressor(CaptureCallbacks):
         leaf.last_params = params
         leaf.last_record = record
 
-    def _ingest_ref(self, st: _RankState, ev: CommEvent) -> None:
+    def _ingest_ref(self, st: RankState, ev: CommEvent) -> None:
         """Pre-optimization reference path (``config.fastpath=False``):
         generic predicate scan over the children, fresh key per event.
         Kept as the byte-identity oracle for the fast path."""
@@ -892,7 +584,7 @@ class IntraProcessCompressor(CaptureCallbacks):
         self._add_record(leaf, key, visit, duration, gap)
 
     @staticmethod
-    def _consume_reqs(st: _RankState, reqs) -> tuple[int, ...]:
+    def _consume_reqs(st: RankState, reqs) -> tuple[int, ...]:
         """Resolve consumed request ids to creator GIDs and evict them —
         the table stays bounded by the number of in-flight requests, and
         a runtime that reuses a request id never resolves it to the
@@ -905,7 +597,7 @@ class IntraProcessCompressor(CaptureCallbacks):
 
     def _ingest_pending(
         self,
-        st: _RankState,
+        st: RankState,
         leaf: CTTVertex,
         ev: CommEvent,
         visit: int,
@@ -986,7 +678,7 @@ class IntraProcessCompressor(CaptureCallbacks):
         return record
 
     def _request_complete(
-        self, st: _RankState, rid: int, source: int, nbytes: int, when: float
+        self, st: RankState, rid: int, source: int, nbytes: int, when: float
     ) -> None:
         entry = st.pending.pop(rid, None)
         if entry is None:
@@ -1019,7 +711,7 @@ class IntraProcessCompressor(CaptureCallbacks):
                 return
 
     @staticmethod
-    def _shift_pending(st: _RankState, leaf: CTTVertex, removed_pos: int) -> None:
+    def _shift_pending(st: RankState, leaf: CTTVertex, removed_pos: int) -> None:
         """A resolved record merged away and was deleted from
         ``leaf.records[removed_pos]`` — keep the stored indices of the
         remaining pending records at that leaf accurate.  O(#pending),
@@ -1032,7 +724,7 @@ class IntraProcessCompressor(CaptureCallbacks):
                 pending[key_rid] = (entry[0], entry[1], entry[2], entry[3] - 1)
 
     @staticmethod
-    def _finalize(st: _RankState) -> None:
+    def _finalize(st: RankState) -> None:
         if st.pending:
             raise CompressionError(
                 f"rank {st.rank}: {len(st.pending)} wildcard receive(s) "
@@ -1054,8 +746,10 @@ class IntraProcessCompressor(CaptureCallbacks):
         ``item_index`` set to the offending item's index in the rank's
         stream, counted over every ``ingest_stream`` call for the rank.
         """
-        if self._budget is not None:
-            self._budget_prologue(rank)
+        if self.table.budget is not None:
+            # Per-batch budget bookkeeping: the rank is the hottest, and
+            # colder ranks make room for its growth.
+            self.table.make_room(_ITEM_LIVE_BYTES * self._buffered, rank)
         st = self.state(rank)
         done = self._items_done.get(rank, 0)
         it = iter(stream)
@@ -1067,7 +761,7 @@ class IntraProcessCompressor(CaptureCallbacks):
             raise
         self._items_done[rank] = done + len(stream)
 
-    def _walk(self, st: _RankState, stream) -> None:
+    def _walk(self, st: RankState, stream) -> None:
         loop_push = self._loop_push
         loop_iter = self._loop_iter
         loop_pop = self._loop_pop
@@ -1332,15 +1026,6 @@ class IntraProcessCompressor(CaptureCallbacks):
 # Deferred compression of captured streams, with rank quarantine.
 
 
-def _raw_stream_of(stream):
-    """The capture-list form of ``stream``: a CYPK source (blob or
-    :class:`~repro.core.packed.PackedStream`) is decoded, a list is
-    returned as it is."""
-    if packed.is_packed(stream):
-        return packed.decode_stream(stream)
-    return stream
-
-
 def _ingest_or_quarantine(
     comp: IntraProcessCompressor,
     rank: int,
@@ -1351,7 +1036,7 @@ def _ingest_or_quarantine(
     """Compress one rank's stream (capture-list or packed form); in
     lenient mode a CST/stream mismatch quarantines the rank (partial CTT
     discarded, raw capture kept) instead of aborting the whole run."""
-    raw = _raw_stream_of(stream)
+    raw = packed.decode_stream(stream) if packed.is_packed(stream) else stream
     try:
         comp.ingest_stream(rank, raw)
     except StreamMismatchError as exc:
@@ -1403,22 +1088,18 @@ def compress_streams(
     is decoded (:func:`~repro.core.packed.decode_stream`) and every rank
     runs :meth:`~IntraProcessCompressor.ingest_stream`.
 
-    With ``config.memory_budget_bytes`` set each rank is sealed and
-    incrementally folded into a partial merged tree as its stream ends,
-    cold ranks spill under budget pressure, and the result is read via
-    ``comp.merged(...)`` — byte-identical to the unbudgeted pipeline
-    (``nranks`` is forwarded to the merge's damaged-delta repair and
-    must match the eventual ``merge_all(..., nranks=...)``).
+    Each rank is sealed as its stream ends and the result is read via
+    ``comp.merged(...)``; with ``config.memory_budget_bytes`` set the
+    sealed ranks fold into a partial merged tree on the way and cold
+    ranks spill under budget pressure — byte-identical to the unbudgeted
+    pipeline (``nranks`` is forwarded to the merge's damaged-delta
+    repair).
     """
     comp = IntraProcessCompressor(cst, config=config)
-    items = sorted(streams.items())
-    if comp.config.memory_budget_bytes is not None:
-        comp.enable_incremental_fold(
-            nranks=nranks, domain=[rank for rank, _ in items]
-        )
-    for rank, stream in items:
+    comp.enable_incremental_fold(nranks=nranks, domain=streams)
+    for rank, stream in sorted(streams.items()):
         _ingest_or_quarantine(comp, rank, stream, strict, comp.quarantine)
-        comp.seal_rank(rank)  # no-op unless the fold is armed
+        comp.seal_rank(rank)
     registry = obs.active()
     if comp.quarantine and registry is not None:
         registry.counter_add("faults.quarantined_ranks", len(comp.quarantine))

@@ -9,9 +9,9 @@ from repro import obs
 from repro.core.api import MergedRunMixin
 from repro.core.decompress import ReplayEvent, decompress_merged_rank
 from repro.core.inter import MergedCTT
-from repro.core.intra import CypressConfig, IntraProcessCompressor, compress_streams
+from repro.core.intra import CypressConfig, IntraProcessCompressor
 from repro.mpisim.netmodel import NetworkModel
-from repro.mpisim.pmpi import MultiSink, StreamCaptureSink, TraceSink
+from repro.mpisim.pmpi import MultiSink, TraceSink
 from repro.mpisim.runtime import Runtime, RunResult
 
 from .structure import BuiltStructure, Spec, build_structure
@@ -41,16 +41,12 @@ def run_python(
     config: CypressConfig | None = None,
     extra_sinks: list[TraceSink] | None = None,
     network: NetworkModel | None = None,
-    deferred: bool = False,
 ) -> PythonRun:
     """Execute ``rank_fn`` on every simulated rank with CYPRESS attached.
 
     ``rank_fn(tc)`` must be a generator function taking a
     :class:`TracedComm`; ``structure`` is the declared communication
     structure (see :class:`repro.frontend.structure.S`).
-
-    ``deferred=True`` traces the run into a stream capture and
-    compresses it afterwards, byte-identical to inline compression.
     """
     registry = obs.active()
     built = (
@@ -58,13 +54,9 @@ def run_python(
         if isinstance(structure, BuiltStructure)
         else build_structure(structure)
     )
-    capture: StreamCaptureSink | None = None
-    if deferred:
-        capture = StreamCaptureSink()
-        sink: TraceSink = capture
-    else:
-        compressor = IntraProcessCompressor(built.cst, config=config)
-        sink = compressor
+    compressor = IntraProcessCompressor(built.cst, config=config)
+    compressor.enable_incremental_fold(nranks=nprocs, domain=range(nprocs))
+    sink: TraceSink = compressor
     if extra_sinks:
         sink = MultiSink([sink, *extra_sinks])
     runtime = Runtime(nprocs, network=network, tracer=sink)
@@ -74,11 +66,6 @@ def run_python(
 
     with obs.span("trace.run"):
         result = runtime.run(rank_main)
-    if capture is not None:
-        with obs.span("intra.compress"):
-            compressor = compress_streams(
-                built.cst, capture.streams, config=config, nranks=nprocs
-            )
     if registry is not None:
         compressor.publish_metrics(registry)
         registry.counter_add("trace.total_events", result.total_events)

@@ -13,11 +13,6 @@ compressors at once (so a benchmark can trace one run with CYPRESS,
 ScalaTrace and the raw writer simultaneously), and :class:`TimingSink`
 wraps any sink with CPU-time accounting used by the overhead figures.
 
-Batching: ``on_events(rank, events)`` delivers a run of consecutive
-communication events of one rank in a single call, letting sinks hoist
-their per-rank state out of the loop.  The default implementation simply
-fans out to ``on_event``, so sinks only override it when it pays.
-
 Deferred work: a sink may buffer callbacks and process them later (the
 CYPRESS compressor does), so whoever drives a sink calls ``flush()`` once
 after the last callback — :meth:`Runtime.run <repro.mpisim.runtime.Runtime.run>`
@@ -27,8 +22,7 @@ Capture: :class:`CaptureCallbacks` turns every callback into one compact
 opcode tuple; :class:`StreamCaptureSink` keeps the complete per-rank
 stream of them.  A captured stream can be replayed
 into any sink later (``replay_into``) or handed to
-:func:`repro.core.intra.compress_streams` — the deferred-compression
-mode behind ``run_cypress(deferred=True)``.
+:func:`repro.core.intra.compress_streams`.
 """
 
 from __future__ import annotations
@@ -76,13 +70,6 @@ class TraceSink:
     # -- communication events ------------------------------------------
 
     def on_event(self, rank: int, event: CommEvent) -> None: ...
-
-    def on_events(self, rank: int, events) -> None:
-        """Batched delivery of consecutive events of one rank.  Sinks
-        with per-rank state override this to hoist it out of the loop."""
-        on_event = self.on_event
-        for event in events:
-            on_event(rank, event)
 
     def on_request_complete(
         self, rank: int, rid: int, source: int, nbytes: int, when: float
@@ -146,10 +133,6 @@ class MultiSink(TraceSink):
         for s in self.sinks:
             s.on_event(rank, event)
 
-    def on_events(self, rank, events):
-        for s in self.sinks:
-            s.on_events(rank, events)
-
     def on_request_complete(self, rank, rid, source, nbytes, when):
         for s in self.sinks:
             s.on_request_complete(rank, rid, source, nbytes, when)
@@ -207,12 +190,6 @@ class TimingSink(TraceSink):
     def on_event(self, rank, event):
         self._timed(self.inner.on_event, rank, event)
 
-    def on_events(self, rank, events):
-        t0 = time.perf_counter()
-        self.inner.on_events(rank, events)
-        self.elapsed += time.perf_counter() - t0
-        self.calls += len(events)
-
     def on_request_complete(self, rank, rid, source, nbytes, when):
         self._timed(self.inner.on_request_complete, rank, rid, source, nbytes, when)
 
@@ -232,9 +209,6 @@ class RecordingSink(TraceSink):
 
     def on_event(self, rank: int, event: CommEvent) -> None:
         self.events.setdefault(rank, []).append(event)
-
-    def on_events(self, rank: int, events) -> None:
-        self.events.setdefault(rank, []).extend(events)
 
     def on_request_complete(self, rank, rid, source, nbytes, when):
         # Resolve wildcard receives in the recorded ground truth the same
@@ -289,11 +263,6 @@ class CaptureCallbacks(TraceSink):
     def on_event(self, rank, event):
         self._append(rank, (OP_EVENT, event))
 
-    def on_events(self, rank, events):
-        append = self._append
-        for event in events:
-            append(rank, (OP_EVENT, event))
-
     def on_request_complete(self, rank, rid, source, nbytes, when):
         self._append(rank, (OP_REQ_COMPLETE, rid, source, nbytes, when))
 
@@ -320,35 +289,17 @@ class StreamCaptureSink(CaptureCallbacks):
         except KeyError:
             self.streams[rank] = [item]
 
-    # ------------------------------------------------------------------
-
-    def event_count(self, rank: int | None = None) -> int:
-        streams = (
-            [self.streams.get(rank, [])] if rank is not None
-            else self.streams.values()
-        )
-        return sum(
-            1 for stream in streams for item in stream if item[0] == OP_EVENT
-        )
-
     def replay_into(self, sink: TraceSink, ranks=None) -> None:
         """Re-drive ``sink`` from the captured streams, one rank at a
-        time, batching runs of consecutive events through ``on_events``.
-        Only per-rank callback order is preserved (sufficient for any
-        sink whose state is per-rank, like the compressors).  Ends with
-        ``sink.flush()``, as every driver of a sink does."""
+        time.  Only per-rank callback order is preserved (sufficient for
+        any sink whose state is per-rank, like the compressors).  Ends
+        with ``sink.flush()``, as every driver of a sink does."""
         for rank in sorted(self.streams) if ranks is None else ranks:
-            stream = self.streams.get(rank, [])
-            batch: list[CommEvent] = []
-            for item in stream:
+            for item in self.streams.get(rank, []):
                 code = item[0]
                 if code == OP_EVENT:
-                    batch.append(item[1])
-                    continue
-                if batch:
-                    sink.on_events(rank, batch)
-                    batch = []
-                if code == OP_LOOP_PUSH:
+                    sink.on_event(rank, item[1])
+                elif code == OP_LOOP_PUSH:
                     sink.on_loop_push(rank, item[1])
                 elif code == OP_LOOP_ITER:
                     sink.on_loop_iter(rank, item[1])
@@ -368,6 +319,4 @@ class StreamCaptureSink(CaptureCallbacks):
                     )
                 elif code == OP_FINALIZE:
                     sink.on_finalize(rank)
-            if batch:
-                sink.on_events(rank, batch)
         sink.flush()

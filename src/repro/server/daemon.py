@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.core import packed, serialize
 from repro.core.errors import StreamMismatchError
-from repro.core.inter import merge_all
 from repro.core.intra import CypressConfig, IntraProcessCompressor
 from repro.core.quarantine import QuarantinedRank, QuarantineReport
 from repro.static.instrument import compile_minimpi
@@ -111,28 +110,19 @@ class JobState:
 
 
 def _build_compressor(
-    workload: str,
-    nranks: int | None = None,
-    server_config: ServerConfig | None = None,
-    jobid: str | None = None,
+    workload: str, nranks: int, server_config: ServerConfig, jobid: str
 ) -> IntraProcessCompressor:
-    w = get_workload(workload)
-    compiled = compile_minimpi(w.source)
+    compiled = compile_minimpi(get_workload(workload).source)
     config = None
-    if server_config is not None and server_config.memory_budget is not None:
+    if server_config.memory_budget is not None:
         config = CypressConfig(
             memory_budget_bytes=server_config.memory_budget,
-            spill_dir=os.path.join(
-                server_config.state_dir, "spill", jobid or "job"
-            ),
+            spill_dir=os.path.join(server_config.state_dir, "spill", jobid),
         )
     comp = IntraProcessCompressor(compiled.cst, config=config)
-    if config is not None and nranks is not None:
-        # The fold domain is every rank of the job — quarantined ranks
-        # simply never seal; finalize folds around them explicitly.
-        comp.enable_incremental_fold(
-            nranks=nranks, domain=range(nranks)
-        )
+    # The fold domain is every rank of the job — quarantined ranks
+    # simply never seal; finalize folds around them explicitly.
+    comp.enable_incremental_fold(nranks=nranks, domain=range(nranks))
     return comp
 
 
@@ -228,8 +218,8 @@ class CypressTraceServer:
             for _seq, blob in rec.batches:
                 self._ingest_blob(job, session, blob)
             if session.finalized and session.quarantined is None:
-                # Recovered ranks whose streams already ended fold into
-                # the partial merge exactly as their live EOS did.
+                # A recovered rank whose stream already ended is sealed
+                # exactly as its live EOS sealed it.
                 job.compressor.seal_rank(session.rank)
             recovered += 1
             self._count("server.recoveries")
@@ -246,8 +236,8 @@ class CypressTraceServer:
                 scale=session.scale,
                 nranks=session.nranks,
                 compressor=_build_compressor(
-                    session.workload, nranks=session.nranks,
-                    server_config=self.config, jobid=session.job,
+                    session.workload, session.nranks, self.config,
+                    session.job,
                 ),
             )
             self.jobs[session.job] = job
@@ -409,18 +399,8 @@ class CypressTraceServer:
         for session in job.sessions.values():
             if session.dirty:
                 self._checkpoint_session(session)
-        if self.config.memory_budget is not None:
-            # Budgeted path: finish the incremental fold over the healthy
-            # survivors — byte-identical to the merge_all below.
-            merged = job.compressor.merged(
-                nranks=job.nranks, ranks=healthy
-            )
-            job.compressor.close_spill()
-        else:
-            merged = merge_all(
-                [job.compressor.ctt(r) for r in healthy],
-                schedule="tree", nranks=job.nranks,
-            )
+        merged = job.compressor.merged(nranks=job.nranks, ranks=healthy)
+        job.compressor.close_spill()
         serialize.save(merged, self.out_path(job.job))
         report = QuarantineReport()
         for session in job.sessions.values():
@@ -618,8 +598,8 @@ class CypressTraceServer:
         ))
         if final:
             if session.quarantined is None:
-                # Stream complete and durable: fold it into the partial
-                # merge (no-op unless the budget armed the fold).
+                # Stream complete and durable: under a memory budget it
+                # can fold into the partial merge now.
                 job.compressor.seal_rank(session.rank)
             self._maybe_finalize_job(job)
 

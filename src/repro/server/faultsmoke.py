@@ -133,7 +133,7 @@ def oracle_bytes(workload: str, nprocs: int, scale: float) -> bytes:
         run = run_cypress(
             w.source, nprocs, defines=w.defines(nprocs, scale)
         )
-        _ORACLES[key] = serialize.dumps(run.merge(schedule="tree"))
+        _ORACLES[key] = serialize.dumps(run.merge())
     return _ORACLES[key]
 
 

@@ -9,8 +9,8 @@ Three layers, cheapest first:
   context.
 * :mod:`repro.verify.differential` — cross-checks the pipeline's
   equivalence claims (fastpath vs reference compressor, inline vs
-  deferred compression, fold vs tree merge, replay before vs after
-  merge) by diffing replayed event sequences at the first
+  captured-stream compression, budgeted vs unbudgeted, replay before
+  vs after merge) by diffing replayed event sequences at the first
   diverging event.
 * :mod:`repro.verify.wildcards` — audits compressed wildcard receives
   for nondeterminism (resolved sources that differ across merged groups,

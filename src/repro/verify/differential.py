@@ -9,7 +9,8 @@ equivalent:
   size — == deferred compression (``compress_streams``);
 * the packed codec (CYPK blobs through ``compress_streams``: encode,
   decode, walk) == the list-stream path (``packed``);
-* fold merge == tree merge (byte-identical);
+* compression under a 1-byte memory budget (spill, reload, ascending
+  fold) == the unbudgeted pipeline (byte-identical);
 * every rank's replay is the same before and after the merge, and equals
   the ground-truth recorded sequence.
 
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 
 from repro.core import intra, packed, serialize
 from repro.core.decompress import decompress_all, decompress_rank
-from repro.core.inter import merge_all
 from repro.core.intra import CypressConfig, IntraProcessCompressor, compress_streams
 from repro.driver import run_compiled
 from repro.mpisim.pmpi import MultiSink, RecordingSink, StreamCaptureSink
@@ -58,7 +58,6 @@ class DifferentialReport:
     nprocs: int
     events: int = 0
     variants: list[str] = field(default_factory=list)
-    schedules: list[str] = field(default_factory=list)
     divergences: list[Divergence] = field(default_factory=list)
 
     @property
@@ -71,7 +70,6 @@ class DifferentialReport:
             "nprocs": self.nprocs,
             "events": self.events,
             "variants": self.variants,
-            "schedules": self.schedules,
             "ok": self.ok,
             "divergences": [d.format() for d in self.divergences],
         }
@@ -115,11 +113,10 @@ def differential_check(
     defines: dict[str, int] | None = None,
     *,
     workload: str = "<inline>",
-    schedules: tuple[str, ...] = ("fold", "tree"),
     max_divergences: int = 20,
 ) -> DifferentialReport:
-    """Cross-check every compression variant and merge schedule against
-    ground truth and against each other."""
+    """Cross-check every compression variant against ground truth and
+    against each other."""
     report = DifferentialReport(workload=workload, nprocs=nprocs)
     compiled = compile_minimpi(source)
     recorder = RecordingSink()
@@ -181,76 +178,44 @@ def differential_check(
     # -- byte identity across the variant matrix --------------------------
     # Replay diffs above catch semantic divergence; this catches encoding
     # divergence (equal replays from different record/timing layouts).
-    def variant_blob(comp):
-        return serialize.dumps(merge_all(
-            [comp.ctt(r) for r in range(nprocs)], nranks=nprocs))
-
-    base_blob = variant_blob(variants["fastpath"])
-    for name in sorted(variants):
-        if name == "fastpath":
-            continue
-        vb = variant_blob(variants[name])
-        if vb != base_blob:
-            note(Divergence(
-                f"bytes:{name}", "bytes:fastpath", -1, -1,
-                (len(vb), "bytes"), (len(base_blob), "bytes"),
-            ))
-
-    # -- merge schedules, all from the fastpath CTTs ----------------------
-    ctts = [variants["fastpath"].ctt(r) for r in range(nprocs)]
-    merged_by = {
-        sched: merge_all(ctts, schedule=sched, nranks=nprocs)
-        for sched in schedules
-    }
-    report.schedules = list(schedules)
-    blobs = {s: serialize.dumps(m) for s, m in merged_by.items()}
-    names = list(schedules)
-    for other in names[1:]:
-        if blobs[other] != blobs[names[0]]:
-            # Byte mismatch: localize it via per-rank replay diffs.
-            theirs = _replay_all(merged_by[other], nprocs)
-            ours = _replay_all(merged_by[names[0]], nprocs)
-            for rank in range(nprocs):
-                note(first_divergence(
-                    f"merge:{other}", f"merge:{names[0]}", rank,
-                    theirs[rank], ours[rank],
-                ))
-            note(Divergence(
-                f"merge:{other}", f"merge:{names[0]}", -1, -1,
-                (len(blobs[other]), "bytes"), (len(blobs[names[0]]), "bytes"),
-            ))
-
-    # -- replay before vs after merge -------------------------------------
-    replayed = _replay_all(merged_by[names[0]], nprocs, nranks=nprocs)
-    for rank in range(nprocs):
-        note(first_divergence(
-            "merged-replay", "per-rank-replay", rank, replayed[rank], base[rank],
-        ))
-
-    # -- budgeted streaming mode (PR-5 invariant) --------------------------
-    # A separate section, not a `variants` entry: folded compressors no
-    # longer expose per-rank CTTs (the fold is one-way), so the
-    # comparison is over the merged container bytes and merged replay.
-    # A 1-byte budget maximizes pressure — every rank folds, and any
-    # eviction/reload the interleaving triggers must not change a byte.
-    budgeted = compress_streams(
+    # The budgeted streaming mode joins here, not above: a folded
+    # compressor no longer exposes per-rank CTTs (the fold is one-way),
+    # so it is compared over the merged container bytes and, on a
+    # mismatch, the merged replay.  A 1-byte budget maximizes pressure —
+    # every rank folds, and any eviction/reload the interleaving
+    # triggers must not change a byte.
+    variants["budgeted"] = compress_streams(
         compiled.cst, capture.streams,
         config=CypressConfig(memory_budget_bytes=1),
         nranks=nprocs,
     )
     report.variants.append("budgeted")
-    budget_blob = serialize.dumps(budgeted.merged(nranks=nprocs))
-    budgeted.close_spill()
-    ref_blob = serialize.dumps(merge_all(ctts, nranks=nprocs))
-    if budget_blob != ref_blob:
-        replayed = _replay_all(serialize.loads(budget_blob), nprocs, nranks=nprocs)
-        for rank in range(nprocs):
-            note(first_divergence(
-                "budgeted-replay", "per-rank-replay", rank,
-                replayed[rank], base[rank],
-            ))
+
+    merged = variants["fastpath"].merged(nranks=nprocs)
+    base_blob = serialize.dumps(merged)
+    for name in report.variants:
+        if name == "fastpath":
+            continue
+        vb = serialize.dumps(variants[name].merged(nranks=nprocs))
+        variants[name].close_spill()
+        if vb == base_blob:
+            continue
+        if name == "budgeted":
+            replayed = _replay_all(serialize.loads(vb), nprocs, nranks=nprocs)
+            for rank in range(nprocs):
+                note(first_divergence(
+                    "budgeted-replay", "per-rank-replay", rank,
+                    replayed[rank], base[rank],
+                ))
         note(Divergence(
-            "bytes:budgeted", "bytes:merge_all", -1, -1,
-            (len(budget_blob), "bytes"), (len(ref_blob), "bytes"),
+            f"bytes:{name}", "bytes:fastpath", -1, -1,
+            (len(vb), "bytes"), (len(base_blob), "bytes"),
+        ))
+
+    # -- replay before vs after merge -------------------------------------
+    replayed = _replay_all(merged, nprocs, nranks=nprocs)
+    for rank in range(nprocs):
+        note(first_divergence(
+            "merged-replay", "per-rank-replay", rank, replayed[rank], base[rank],
         ))
     return report

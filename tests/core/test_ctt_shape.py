@@ -159,7 +159,8 @@ def _snapshot_mid_stream(name, nprocs, config):
         snapshot = encode_rank_state(comp.state(rank))
         # Decode into a fresh fill of the compressor's shape, as a
         # reload does, and carry on from there.
-        comp._states[rank] = decode_rank_state(snapshot, comp._new_state)
+        comp.table.live[rank] = decode_rank_state(
+            snapshot, comp.table._new_state)
         comp.ingest_stream(rank, stream[half:])
     got = serialize.dumps(merge_all(
         [comp.ctt(r) for r in range(nprocs)], nranks=nprocs))

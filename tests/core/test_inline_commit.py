@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.core import serialize
+from repro.core.budget import SPILLED
 from repro.core.inter import merge_all
 from repro.core.intra import (
     CypressConfig,
@@ -268,7 +269,7 @@ class TestSpillBetweenIsendAndWaitall:
         for rank in range(1, nprocs):  # 1-byte budget: rank 0 spills
             comp.ingest_stream(rank, streams[rank])
         assert comp.budget_counters.spills >= 1
-        assert 0 not in comp._states
+        assert comp.table.status(0) == SPILLED
 
         st0 = comp.state(0)  # reload
         assert st0.req_gid, "the Isend's request must survive the spill"

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, "tests")
 from helpers import assert_replay_exact, run_traced  # noqa: E402
 
+from repro.core import serialize  # noqa: E402
 from repro.core.inter import MergedCTT, MergeError, merge_all  # noqa: E402
 from repro.static.cst import CALL, LOOP  # noqa: E402
 
@@ -35,9 +36,9 @@ func bar() {
 """
 
 
-def merged_for(src, nprocs, defines=None, schedule="tree"):
+def merged_for(src, nprocs, defines=None):
     _, rec, cyp, _ = run_traced(src, nprocs, defines=defines)
-    merged = merge_all([cyp.ctt(r) for r in range(nprocs)], schedule=schedule)
+    merged = merge_all([cyp.ctt(r) for r in range(nprocs)])
     return rec, cyp, merged
 
 
@@ -168,23 +169,12 @@ class TestTimingMerge:
 class TestSchedules:
     @pytest.mark.parametrize("schedule", ["tree", "fold"])
     def test_schedules_agree(self, schedule):
-        _, _, merged = merged_for(
-            FIG5_RUNNABLE, 8, defines={"k": 4}, schedule=schedule
-        )
-        assert merged.nranks_merged == 8
-
-    def test_tree_and_fold_same_groups(self):
-        _, cyp1, m_tree = merged_for(FIG5_RUNNABLE, 8, defines={"k": 4}, schedule="tree")
-        _, cyp2, m_fold = merged_for(FIG5_RUNNABLE, 8, defines={"k": 4}, schedule="fold")
-        for a, b in zip(m_tree.root.preorder(), m_fold.root.preorder()):
-            assert set(a.groups.keys()) == set(b.groups.keys())
-            for sig in a.groups:
-                assert sorted(a.groups[sig].ranks) == sorted(b.groups[sig].ranks)
-
-    def test_unknown_schedule_rejected(self):
-        _, rec, cyp, _ = run_traced(FIG5_RUNNABLE, 2, defines={"k": 2})
-        with pytest.raises(ValueError):
-            merge_all([cyp.ctt(0), cyp.ctt(1)], schedule="magic")
+        """There is one merge; ``schedule`` is accepted and ignored, for
+        the two names ``benchmarks/e2e`` still passes."""
+        _, cyp, merged = merged_for(FIG5_RUNNABLE, 8, defines={"k": 4})
+        named = merge_all([cyp.ctt(r) for r in range(8)], schedule=schedule)
+        assert named.nranks_merged == merged.nranks_merged == 8
+        assert serialize.dumps(named) == serialize.dumps(merged)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """Golden containers: the bytes ``dumps`` writes are pinned.
 
 ``tests/data/golden_{fig11,sp,mg,single}_v7.cyp`` are what
-``run_cypress`` → ``merge("tree")`` → ``dumps`` writes at the sizes
+``run_cypress`` → ``merge()`` → ``dumps`` writes at the sizes
 below — a merge or writer change that moves a single byte (group order,
 a float's last ulp, a varint) fails here first.  To regenerate after an
 *intended* format change, write ``_fresh(...)`` to the files."""
@@ -28,25 +28,24 @@ def _golden(name: str) -> bytes:
     return (DATA / f"golden_{name}_v7.cyp").read_bytes()
 
 
-def _fresh_tree(name: str, schedule: str = "tree"):
+def _fresh_tree(name: str):
     nprocs, scale = GOLDEN[name]
     if scale is None:
         run = run_cypress(SINGLE, nprocs)
     else:
         w = get_workload(name)
         run = run_cypress(w.source, nprocs, defines=w.defines(nprocs, scale))
-    return run.merge(schedule=schedule)
+    return run.merge()
 
 
-def _fresh(name: str, schedule: str = "tree") -> bytes:
-    return serialize.dumps(_fresh_tree(name, schedule))
+def _fresh(name: str) -> bytes:
+    return serialize.dumps(_fresh_tree(name))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 class TestGoldenContainers:
     def test_dumps_is_byte_stable(self, name):
         assert _fresh(name) == _golden(name)
-        assert _fresh(name, schedule="fold") == _golden(name)
 
     def test_redump_is_identity(self, name):
         blob = _golden(name)

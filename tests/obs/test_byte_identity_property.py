@@ -1,7 +1,7 @@
 """The observability layer must never change what the pipeline produces:
 for random structured programs, the serialized trace bytes are identical
-with metrics on and off — across the inline (callback) and deferred
-(``compress_streams``) compression paths."""
+with metrics on and off — across the inline (callback) and
+capture-then-``compress_streams`` compression paths."""
 
 import sys
 
@@ -14,6 +14,10 @@ from generators import program  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.core import serialize  # noqa: E402
 from repro.core.api import run_cypress  # noqa: E402
+from repro.core.intra import compress_streams  # noqa: E402
+from repro.driver import run_compiled  # noqa: E402
+from repro.mpisim.pmpi import StreamCaptureSink  # noqa: E402
+from repro.static.instrument import compile_minimpi  # noqa: E402
 
 SETTINGS = dict(
     max_examples=10,
@@ -21,7 +25,7 @@ SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-# mode name -> run_cypress(deferred=)
+# mode name -> capture the streams and compress them afterwards?
 MODES = {"inline": False, "deferred": True}
 
 
@@ -33,8 +37,18 @@ def _trace_bytes(
     if metrics:
         obs.enable()
     try:
-        run = run_cypress(source, nprocs, deferred=deferred, strict=strict)
-        return serialize.dumps(run.merge())
+        if not deferred:
+            run = run_cypress(source, nprocs, strict=strict)
+            return serialize.dumps(run.merge())
+        compiled = compile_minimpi(source)
+        capture = StreamCaptureSink()
+        run_compiled(compiled, nprocs, tracer=capture)
+        comp = compress_streams(
+            compiled.cst, capture.streams, strict=strict, nranks=nprocs
+        )
+        return serialize.dumps(
+            comp.merged(nranks=nprocs, ranks=range(nprocs))
+        )
     finally:
         obs.disable()
 

@@ -1,7 +1,8 @@
 """End-to-end instrumentation coverage: one observed pipeline run must
 produce stage spans and counters for every stage (static CST build,
 tracing, intra-process compression, inter-process merge, serialization,
-replay), and deferred compression must reproduce the inline counters."""
+replay), and compressing a captured run afterwards must reproduce the
+inline counters."""
 
 import pytest
 
@@ -9,6 +10,10 @@ from repro import obs
 from repro.core import serialize
 from repro.core.api import run_cypress
 from repro.core.decompress import decompress_all
+from repro.core.intra import compress_streams
+from repro.driver import run_compiled
+from repro.mpisim.pmpi import StreamCaptureSink
+from repro.static.instrument import compile_minimpi
 
 SOURCE = """
 func main() {
@@ -140,14 +145,23 @@ class TestStageCoverage:
         )
 
     def test_inline_compression_attributed_as_span(self):
-        registry, _, _, _ = _observed_run()  # inline (not deferred)
+        registry, _, _, _ = _observed_run()
         assert any(p.endswith("intra.compress") for p in registry.span_paths())
 
 
 class TestDeferredCounters:
     def test_deferred_counters_match_inline(self):
         inline, run, blob, _ = _observed_run()
-        deferred, _, deferred_blob, _ = _observed_run(deferred=True)
+        deferred = obs.enable()
+        try:
+            compiled = compile_minimpi(SOURCE)
+            capture = StreamCaptureSink()
+            run_compiled(compiled, 4, tracer=capture)
+            comp = compress_streams(compiled.cst, capture.streams, nranks=4)
+            comp.publish_metrics(deferred)
+            deferred_blob = serialize.dumps(comp.merged(nranks=4))
+        finally:
+            obs.disable()
         assert deferred_blob == blob
         for name in ("intra.events", "intra.records", "intra.ranks"):
             assert deferred.counters[name] == inline.counters[name], name

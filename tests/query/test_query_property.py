@@ -1,12 +1,12 @@
-"""Differential property: random programs × compression variants ×
-merge schedules — every query equals its replay oracle.
+"""Differential property: random programs × compression variants —
+every query equals its replay oracle.
 
 Two tiers:
 
-* a light always-on property (fastpath compression, tree merge) that
-  rides in tier-1;
-* the full sweep over {reference, fastpath, packed} compression ×
-  {fold, tree} merge schedules, marked ``slow``.  It runs a
+* a light always-on property (fastpath compression) that rides in
+  tier-1;
+* the full sweep over {reference, fastpath, packed} compression,
+  marked ``slow``.  It runs a
   small number of examples by default (tier-1 has no marker filter) and
   CI's query-differential job raises ``QUERY_SWEEP_EXAMPLES`` for a
   deeper pass.
@@ -64,9 +64,8 @@ def _compress(compiled, streams, variant: str) -> IntraProcessCompressor:
     return compress_streams(compiled.cst, streams)  # fastpath
 
 
-def _merge(compressor, schedule: str):
-    ctts = [compressor.ctt(r) for r in range(NPROCS)]
-    return merge_all(ctts, schedule=schedule)
+def _merge(compressor):
+    return merge_all([compressor.ctt(r) for r in range(NPROCS)])
 
 
 def _check_all_queries(merged, label: str) -> None:
@@ -108,8 +107,8 @@ class TestQueryDifferential:
     @given(program(allow_functions=True))
     def test_fastpath_tree_light(self, source):
         compiled, streams = _captured_streams(source)
-        merged = _merge(_compress(compiled, streams, "fastpath"), "tree")
-        _check_all_queries(merged, "fastpath/tree")
+        merged = _merge(_compress(compiled, streams, "fastpath"))
+        _check_all_queries(merged, "fastpath")
 
     @pytest.mark.slow
     @settings(max_examples=SWEEP_EXAMPLES, **SETTINGS)
@@ -117,7 +116,5 @@ class TestQueryDifferential:
     def test_full_variant_matrix(self, source):
         compiled, streams = _captured_streams(source)
         for variant in ("reference", "fastpath", "packed"):
-            compressor = _compress(compiled, streams, variant)
-            for schedule in ("fold", "tree"):
-                merged = _merge(compressor, schedule)
-                _check_all_queries(merged, f"{variant}/{schedule}")
+            merged = _merge(_compress(compiled, streams, variant))
+            _check_all_queries(merged, variant)

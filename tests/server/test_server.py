@@ -27,7 +27,7 @@ WORKLOAD, NPROCS, SCALE = "ep", 4, 0.5
 def oracle():
     w = get_workload(WORKLOAD)
     run = run_cypress(w.source, NPROCS, defines=w.defines(NPROCS, SCALE))
-    return serialize.dumps(run.merge(schedule="tree"))
+    return serialize.dumps(run.merge())
 
 
 def _config(tmp_path, **kw):

@@ -1,8 +1,11 @@
 """CLI tests for the --metrics / --metrics-out flags, plus smoke tests
-for previously-untested flag combinations (merge schedules and the
-budgeted deferred path through the CLI)."""
+for previously-untested flag combinations (the budgeted path through
+the CLI)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -58,9 +61,8 @@ class TestMetricsOut:
         assert obs.active() is None
 
     def test_deferred_totals_match_inline(self, tmp_path):
-        """The deferred path (what ``--memory-budget`` runs) may take
-        different slow-path branches than inline compression but must
-        agree on the totals."""
+        """``--memory-budget`` folds each rank away as it finalizes; the
+        totals must still agree with the unbudgeted run's."""
         mpath = tmp_path / "m.json"
 
         def counters(name, *extra):
@@ -68,10 +70,10 @@ class TestMetricsOut:
             return json.loads(mpath.read_text())["counters"]
 
         inline = counters("a.cyp")
-        deferred = counters("b.cyp", "--memory-budget", "1")
+        budgeted = counters("b.cyp", "--memory-budget", "1")
         for key in ("intra.events", "intra.records", "intra.ranks"):
-            assert inline[key] == deferred[key]
-        assert deferred["budget.folds"] == 4
+            assert inline[key] == budgeted[key]
+        assert budgeted["budget.folds"] == 4
 
 
 class TestMetricsPrint:
@@ -103,14 +105,6 @@ class TestMetricsPrint:
 class TestFlagCombos:
     """Smoke coverage for flag combinations no test exercised before."""
 
-    def test_trace_fold_schedule(self, tmp_path):
-        fold = _trace(tmp_path, "--merge-schedule", "fold", name="fold.cyp")
-        tree = _trace(tmp_path, "--merge-schedule", "tree", name="tree.cyp")
-        # Serialization is canonical: the schedule must not leak into
-        # the bytes.
-        with open(fold, "rb") as a, open(tree, "rb") as b:
-            assert a.read() == b.read()
-
     def test_trace_budgeted_matches_inline(self, tmp_path):
         inline = _trace(tmp_path, name="inline.cyp")
         budgeted = _trace(
@@ -119,9 +113,38 @@ class TestFlagCombos:
         with open(inline, "rb") as a, open(budgeted, "rb") as b:
             assert a.read() == b.read()
 
-    def test_verify_fold(self, capsys):
-        assert main(
-            ["verify", "ep", "-n", "4", "--scale", "0.4",
-             "--merge-schedule", "fold"]
-        ) == 0
-        assert "OK" in capsys.readouterr().out
+    def test_memory_budget_costs_no_more_memory_than_none(self, tmp_path):
+        """``trace --memory-budget`` traces live and folds a rank when
+        it finalizes.  It once captured the whole run first and
+        compressed the capture under the budget — 1.4x the peak RSS of
+        no budget at all at this size."""
+        script = (
+            "import resource, sys\n"
+            "from repro.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print('ru_maxrss', rss)\n"
+            "sys.exit(rc)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+
+        def run(name, *extra):
+            out = subprocess.run(
+                [sys.executable, "-c", script, "trace", "cg", "-n", "8",
+                 "--scale", "4", "-o", str(tmp_path / name), *extra],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            return int(out.rsplit("ru_maxrss", 1)[1])
+
+        mpath = tmp_path / "m.json"
+        plain = run("plain.cyp")
+        budgeted = run(
+            "budgeted.cyp", "--memory-budget", "1",
+            "--metrics-out", str(mpath),
+        )
+        assert budgeted <= 1.15 * plain
+        assert (tmp_path / "budgeted.cyp").read_bytes() == (
+            tmp_path / "plain.cyp").read_bytes()
+        counters = json.loads(mpath.read_text())["counters"]
+        assert counters["budget.folds"] == 8

@@ -38,10 +38,6 @@ class TestCheckCommand:
         assert entry["differential"]["ok"] is True
         capsys.readouterr()
 
-    def test_bad_schedule_is_rejected(self, capsys):
-        assert main(["check", "cg", "--schedules", "fold,bogus"]) == 2
-        assert "bogus" in capsys.readouterr().err
-
 
 class TestSelfcheckFlags:
     def test_trace_selfcheck(self, tmp_path, capsys):

@@ -38,7 +38,6 @@ class TestDifferentialCheck:
             "budgeted", "fastpath", "inline", "packed",
             "reference",
         ]
-        assert report.schedules == ["fold", "tree"]
         d = report.to_dict()
         assert d["ok"] is True and d["divergences"] == []
 
@@ -48,6 +47,5 @@ class TestDifferentialCheck:
         w = WORKLOADS["farm"]
         report = differential_check(
             w.source, 4, w.defines(4, 0.3), workload="farm",
-            schedules=("fold", "tree"),
         )
         assert report.ok, [d.format() for d in report.divergences]
