@@ -89,14 +89,6 @@ def _add_salvage_arg(p: argparse.ArgumentParser) -> None:
                         "damaged trace instead of failing")
 
 
-def _add_fault_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strict", action="store_true",
-                   help="abort on any CST/stream mismatch instead of "
-                        "quarantining the offending rank")
-    p.add_argument("--quarantine-out", default=None, metavar="PATH",
-                   help="write the QuarantineReport as JSON to PATH")
-
-
 def _default_procs(w) -> int:
     """Smallest valid rank count >= 4 (else the smallest valid one) —
     big enough for real grouping, small enough for CI."""
@@ -124,15 +116,6 @@ def _selfcheck(compiled_cst, merged, nprocs: int) -> int:
     return len(violations)
 
 
-def _report_quarantine(quarantine, out_path: str | None) -> None:
-    if quarantine:
-        print(f"WARNING: {quarantine.summary()}", file=sys.stderr)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(quarantine.to_json())
-        print(f"quarantine report -> {out_path}")
-
-
 def _add_metrics_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metrics", action="store_true",
                    help="print a pipeline-metrics summary (stage spans, "
@@ -155,14 +138,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     run = run_cypress(
         w.source, args.nprocs, defines=w.defines(args.nprocs, args.scale),
         config=config,
-        strict=args.strict,
     )
     nbytes = run.save(args.output, gzip=args.gzip)
     print(f"{args.workload} on {args.nprocs} ranks:")
     print(f"  events traced    : {run.run_result.total_events}")
     print(f"  virtual time     : {run.run_result.elapsed / 1e6:.3f} s")
     print(f"  compressed trace : {nbytes} bytes -> {args.output}")
-    _report_quarantine(run.quarantine, args.quarantine_out)
     if args.selfcheck and _selfcheck(run.compiled.cst, run.merge(),
                                      args.nprocs):
         return 1
@@ -763,7 +744,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("trace", help="trace a workload with CYPRESS")
     _add_workload_args(p)
     _add_metrics_args(p)
-    _add_fault_args(p)
     p.add_argument("-o", "--output", default="trace.cyp")
     p.add_argument("--gzip", action="store_true")
     p.add_argument("--memory-budget", type=_parse_bytes, default=None,

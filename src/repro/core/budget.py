@@ -231,7 +231,8 @@ def decode_rank_state(data: bytes, state_factory, rebuild_index: bool = True):
         if v.visits is not None:
             v.visits, pos = _read_seq(data, pos)
         if v.records is not None:
-            v.records, _, pos = leaves.leaf(data, pos, v.op, v.gid)
+            block, pos = leaves.leaf(data, pos, v.op, v.gid)
+            v.records = block.records()
             if rebuild_index:
                 index = v.record_index
                 for rec in v.records:

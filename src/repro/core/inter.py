@@ -41,7 +41,7 @@ from repro.static.cst import BRANCH, CALL, LOOP
 from .ctt import CTT, CTTVertex
 from .errors import MergeError
 from .ranks import ABS, REL
-from .records import CompressedRecord
+from .records import CompressedRecord, LeafView
 from .sequences import IntSequence
 
 
@@ -59,13 +59,35 @@ class Signature:
     ``PYTHONHASHSEED`` salt.  Nothing ordered depends on it: groups are
     written by lowest member rank (:meth:`MergedVertex.sorted_groups`),
     statistics fold in ascending rank order, and every dict here is
-    read in insertion order or by key."""
+    read in insertion order or by key.
 
-    __slots__ = ("key", "_hash")
+    A leaf group of a *loaded* tree is signed :meth:`of_block` instead:
+    hashed by its place at its vertex, its key built from the leaf block
+    as decoded, the first time something compares it — so equal keys no
+    longer mean equal hashes, which is why nothing merges into or out of
+    a loaded tree (:meth:`MergedCTT.add_rank`)."""
+
+    __slots__ = ("_key", "_hash", "_block")
 
     def __init__(self, key: tuple) -> None:
-        self.key = key
+        self._key = key
         self._hash = hash(key)
+
+    @classmethod
+    def of_block(cls, block, place: int) -> "Signature":
+        sig = cls.__new__(cls)
+        sig._key = None
+        sig._hash = place
+        sig._block = block
+        return sig
+
+    @property
+    def key(self) -> tuple:
+        key = self._key
+        if key is None:
+            key = self._key = self._block.signature_key()
+            self._block = None
+        return key
 
     def __hash__(self) -> int:
         return self._hash
@@ -195,16 +217,23 @@ class Group:
     """One payload shared by a set of ranks at one merged vertex.
 
     ``ranks`` is a sorted list; member sets of distinct groups at one
-    vertex are disjoint.  For leaf (CALL) groups the per-rank timing
-    contributions are kept as ``(rank, records)`` references into the
-    source CTTs, aligned with ``ranks``; merged records materialize
-    lazily, folding statistics in ascending rank order, so the result is
-    independent of the order ranks joined in.
+    vertex are disjoint.  A leaf (CALL) group's records come from one of
+    three places.  Handed over (``records``), they are simply held.
+    While merging, the per-rank timing contributions are kept as
+    ``(rank, records)`` references into the source CTTs (``sources``),
+    aligned with ``ranks``; merged records materialize lazily, folding
+    statistics in ascending rank order, so the result is independent of
+    the order ranks joined in.  In a loaded tree the group holds its
+    decoded leaf block (``block``, a ``serialize.LeafColumns``) and the
+    records are built on first access.  Whichever it was, once
+    :attr:`records` has been read that list is the truth for every
+    reader — the block is let go, and :meth:`leaf_view` transposes the
+    records instead.
     """
 
     __slots__ = (
         "signature", "ranks", "counts", "visits",
-        "_records", "_sources", "_owns_records", "_rank_seq",
+        "_records", "_sources", "_block", "_owns_records", "_rank_seq",
     )
 
     def __init__(
@@ -215,6 +244,7 @@ class Group:
         visits: IntSequence | None = None,
         records: list[CompressedRecord] | None = None,
         sources: list[tuple[int, list[CompressedRecord]]] | None = None,
+        block=None,
     ) -> None:
         self.signature = signature
         self.ranks = ranks
@@ -222,6 +252,7 @@ class Group:
         self.visits = visits
         self._records = records
         self._sources = sources
+        self._block = block
         self._owns_records = False
         self._rank_seq: IntSequence | None = None
 
@@ -230,9 +261,29 @@ class Group:
     @property
     def records(self) -> list[CompressedRecord] | None:
         rec = self._records
-        if rec is None and self._sources is not None:
-            rec = self._records = self._materialize()
+        if rec is None:
+            if self._sources is not None:
+                rec = self._records = self._materialize()
+            elif self._block is not None:
+                rec = self._records = self._block.records()
+                self._block = None
+                registry = obs.active()
+                if registry is not None:
+                    registry.counter_add(
+                        "serialize.records_materialized", len(rec)
+                    )
         return rec
+
+    def leaf_view(self) -> LeafView | None:
+        """The group's records as the columns the queries reduce, or
+        ``None`` without any: the decoded block's own lists while the
+        records of a loaded group are unbuilt, the records transposed
+        otherwise."""
+        block = self._block
+        if block is not None:
+            return block.view()
+        records = self.records
+        return LeafView.of_records(records) if records else None
 
     def _materialize(self) -> list[CompressedRecord]:
         sources = self._sources
@@ -282,8 +333,9 @@ class Group:
         self._rank_seq = None
 
     def _absorb_records_eager(self, other: "Group") -> None:
-        """Fallback stats merge for groups without per-rank sources
-        (deserialized traces): copy-on-write, merge in absorb order."""
+        """Stats merge for groups whose per-rank sources are gone
+        (finalized — ``fold_rank`` after each rank): copy-on-write,
+        merge in absorb order."""
         mine, theirs = self.records, other.records
         if mine is None or theirs is None:
             return
@@ -368,6 +420,10 @@ class MergedCTT:
         #: Populated by ``serialize.loads(..., salvage=True)`` when the
         #: tree was recovered from a damaged file (docs/INTERNALS.md §7).
         self.salvage_info: dict | None = None
+        #: Set by ``serialize.loads``: the leaf groups are signed by
+        #: place (:meth:`Signature.of_block`), so the tree is read-only
+        #: to the merge.
+        self.loaded = False
 
     def vertices(self) -> list[MergedVertex]:
         if self._vertices is None:
@@ -391,6 +447,7 @@ class MergedCTT:
         founding) the group with its interned signature.  Ranks arriving
         in ascending order join by an O(1) append; any other order, and
         groups already finalized, take :meth:`MergedVertex.add_group`."""
+        self._refuse_loaded(self)
         mine_vertices = self.vertices()
         their_vertices = ctt.vertices()
         if len(mine_vertices) != len(their_vertices):
@@ -449,9 +506,19 @@ class MergedCTT:
 
     # -- merging ------------------------------------------------------------
 
+    @staticmethod
+    def _refuse_loaded(*trees: "MergedCTT") -> None:
+        if any(tree.loaded for tree in trees):
+            raise MergeError(
+                "a tree opened from a container does not merge: its leaf "
+                "groups are signed by place, not by payload — merge the "
+                "per-rank CTTs and save the result"
+            )
+
     def absorb(self, other: "MergedCTT") -> "MergedCTT":
         """Merge another merged tree into this one (O(n) vertex walk) —
         the pairwise reference the single pass is tested against."""
+        self._refuse_loaded(self, other)
         mine_vertices = self.vertices()
         their_vertices = other.vertices()
         if len(mine_vertices) != len(their_vertices):

@@ -25,6 +25,7 @@ dispatch into :class:`TimeStats`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .sequences import IntSequence
 from .timing import MEANSTD, TimeStats
@@ -200,6 +201,54 @@ class CompressedRecord:
             + 3 * self.occurrences.approx_bytes()
             + 2 * 144
         )
+
+
+class LeafView(NamedTuple):
+    """The records of one leaf group as the columns the queries reduce
+    (:mod:`repro.query.engine`), a value a record — transposed from the
+    records here, or handed over as decoded by a loaded tree's leaf
+    block (``serialize.LeafColumns.view``).  The lists may be the
+    owner's own: read, never written."""
+
+    ops: str | list[str]  # the one op of every record, or one each
+    lengths: list[int]  # occurrences (per member rank)
+    nbytes: list[int]
+    nbytes2: list[int]
+    durations: list  # ``.mean`` / ``.count`` holders (group-wide)
+    gaps: list
+
+    @classmethod
+    def of(cls, ops, *columns) -> "LeafView":
+        """The view of ``columns`` under ``ops`` — one name, or one a
+        record, which become the one where they all agree."""
+        if not isinstance(ops, str) and ops.count(ops[0]) == len(ops):
+            ops = ops[0]
+        return cls(ops, *columns)
+
+    @classmethod
+    def of_records(cls, records: list[CompressedRecord]) -> "LeafView":
+        keys = [rec.key for rec in records]
+        return cls.of(
+            [key[0] for key in keys],
+            [rec.occurrences.length for rec in records],
+            [key[5] for key in keys], [key[6] for key in keys],
+            [rec.duration for rec in records],
+            [rec.pre_gap for rec in records],
+        )
+
+    def by_op(self) -> list[tuple[str, "LeafView"]]:
+        """``(op, the view of its records)``: this one, but for a leaf
+        that names more than one op."""
+        ops = self.ops
+        if isinstance(ops, str):
+            return [(ops, self)]
+        rows: dict[str, list[int]] = {}
+        for at, op in enumerate(ops):
+            rows.setdefault(op, []).append(at)
+        return [
+            (op, LeafView(op, *[[col[at] for at in ats] for col in self[1:]]))
+            for op, ats in rows.items()
+        ]
 
 
 def make_key(

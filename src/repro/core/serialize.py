@@ -63,16 +63,19 @@ import gzip as _gzip
 import os
 import struct
 import zlib
-from itertools import repeat
+from collections import namedtuple
+from itertools import (
+    accumulate, count as _naturals, islice, repeat, starmap,
+)
 
 from repro import obs
 from repro.mpisim.events import NO_PEER
 from repro.static.cst import BRANCH, CALL, LOOP, ROOT
 
 from .errors import TraceFormatError
-from .inter import Group, InternTable, MergedCTT, MergedVertex
+from .inter import Group, InternTable, MergedCTT, MergedVertex, Signature
 from .ranks import ABS, REL
-from .records import CompressedRecord
+from .records import CompressedRecord, LeafView
 from .sequences import IntSequence
 from .timing import _NBINS, HIST, MEANSTD, TimeStats
 
@@ -517,6 +520,13 @@ def _write_leaf(
         _write_columns(w, cols, defaults, longest)
 
 
+#: One block of a chunk's stats table, named like the
+#: :class:`TimeStats` slots it fills.
+StatsEntry = namedtuple(
+    "StatsEntry", "mode count mean m2 minimum maximum bins"
+)
+
+
 def _new_record(
     key: tuple, terms: list, length: int, duration: tuple, gap: tuple
 ) -> CompressedRecord:
@@ -538,14 +548,169 @@ def _new_record(
     return rec
 
 
+def _runs(values: list, sizes: list[int]) -> list[list]:
+    """``values`` cut into consecutive runs of ``sizes``."""
+    return [values[end - k : end] for k, end in zip(sizes, accumulate(sizes))]
+
+
+def _peers_of(vals: list, mode_col: int, value_col: int, multi: int):
+    modes, values = vals[mode_col], vals[value_col]
+    if multi >> mode_col & 1:
+        modes = [REL if mode else ABS for mode in modes]
+    else:
+        modes = REL if modes else ABS
+        if not multi >> value_col & 1:
+            return repeat((modes, values))
+        modes = repeat(modes)
+    if not multi >> value_col & 1:
+        values = repeat(values)
+    return zip(modes, values)
+
+
+class LeafColumns:
+    """One decoded leaf block as the reader holds it, validated: every
+    refusal was the decoder's, so nothing here can fail, and nothing
+    here is built before it is asked for.
+
+    Written as columns: ``vals[col]`` is the column's one value or,
+    where bit ``col`` of ``multi`` is set, a list — a value a record,
+    except an occurrence term for ``COUNT``..``START`` and a request gid
+    for ``GIDS``; ``START`` ``None`` numbers the terms 0, 1, 2, ….
+    Written as rows (at most ``_ROW_GROUP`` scalar records, where
+    setting columns up costs more than the records): ``rows`` holds each
+    record's 21 fields, ``START`` filled in.  Either way the index
+    fields are resolved — ``DUR`` / ``GAP`` hold the chunk's
+    :class:`StatsEntry`, ``OP`` the name."""
+
+    __slots__ = ("nrecords", "rows", "multi", "vals", "_view")
+
+    def __init__(self, nrecords, rows=None, multi=0, vals=None) -> None:
+        self.nrecords = nrecords
+        self.rows = rows
+        self.multi = multi
+        self.vals = vals
+        self._view: LeafView | None = None
+
+    def _column(self, col: int):
+        value = self.vals[col]
+        return value if self.multi >> col & 1 else repeat(value)
+
+    def _spread(self, col: int) -> list:
+        value = self.vals[col]
+        return value if self.multi >> col & 1 else [value] * self.nrecords
+
+    def _one_term_each(self) -> bool:
+        return self.vals[_C_NTERMS] == 1 and not self.multi >> _C_NTERMS & 1
+
+    def _lengths(self) -> list[int]:
+        """Occurrences a record: the counts of its terms, summed."""
+        if self._one_term_each():
+            return self._spread(_C_COUNT)
+        nterms = self._spread(_C_NTERMS)
+        counts = self.vals[_C_COUNT]
+        if not self.multi >> _C_COUNT & 1:
+            return [counts * k for k in nterms]
+        return list(map(sum, _runs(counts, nterms)))
+
+    def view(self) -> LeafView | None:
+        """The columns the queries reduce (:mod:`repro.query.engine`),
+        ``None`` for a block without records; built once."""
+        view = self._view
+        if view is None and self.nrecords:
+            if self.rows is not None:
+                view = LeafView.of(*zip(*[
+                    (row[_C_OP], row[_C_COUNT] * row[_C_NTERMS],
+                     row[_C_NBYTES], row[_C_NBYTES2], row[_C_DUR],
+                     row[_C_GAP])
+                    for row in self.rows
+                ]))
+            else:
+                view = LeafView.of(
+                    self.vals[_C_OP], self._lengths(), *map(
+                        self._spread,
+                        (_C_NBYTES, _C_NBYTES2, _C_DUR, _C_GAP),
+                    )
+                )
+            self._view = view
+        return view
+
+    def _payloads(self):
+        """Per record, what :func:`_new_record` takes: ``(key,
+        occurrence terms, occurrence length, duration, gap)``.  From
+        columns ``zip`` hands back the 12-tuples and the ``(start,
+        count, stride)`` terms a column at a time, and an unwritten or
+        single-valued column is never expanded (``repeat``)."""
+        if self.rows is not None:
+            return [
+                (
+                    (op, (REL if mode else ABS, peer),
+                     (REL if mode2 else ABS, peer2), tag, tag2, nbytes,
+                     nbytes2, comm, root, wildcard != 0, (gids,) * ngids,
+                     result_comm),
+                    [(start, count, stride)] * nterms, count * nterms,
+                    duration, gap,
+                )
+                for (duration, gap, mode, peer, tag, nbytes, nterms, count,
+                     stride, start, comm, root, ngids, gids, wildcard, mode2,
+                     peer2, tag2, nbytes2, result_comm, op) in self.rows
+            ]
+        vals, multi, column = self.vals, self.multi, self._column
+        wildcards = vals[_C_WILDCARD]
+        if multi >> _C_WILDCARD & 1:
+            wildcards = [wc != 0 for wc in wildcards]
+        else:
+            wildcards = repeat(wildcards != 0)
+        values = vals[_C_GIDS]
+        if values is None:
+            gids = repeat(())
+        else:
+            ngids = self._spread(_C_NGIDS)
+            if not multi >> _C_GIDS & 1:
+                values = [values] * sum(ngids)
+            gids = map(tuple, _runs(values, ngids))
+        keys = zip(
+            column(_C_OP), _peers_of(vals, _C_PEER_MODE, _C_PEER, multi),
+            _peers_of(vals, _C_PEER2_MODE, _C_PEER2, multi),
+            column(_C_TAG), column(_C_TAG2), column(_C_NBYTES),
+            column(_C_NBYTES2), column(_C_COMM), column(_C_ROOT), wildcards,
+            gids, column(_C_RESULT_COMM),
+        )
+        starts = vals[_C_START]
+        if starts is None:
+            starts = _naturals()
+        elif not multi >> _C_START & 1:
+            starts = repeat(starts)
+        terms = zip(starts, column(_C_COUNT), column(_C_STRIDE))
+        if self._one_term_each():
+            terms = map(list, zip(terms))
+        else:
+            terms = [list(islice(terms, k)) for k in self._spread(_C_NTERMS)]
+        return zip(
+            keys, terms, self._lengths(), column(_C_DUR), column(_C_GAP)
+        )
+
+    def records(self) -> list[CompressedRecord]:
+        """The block as records, each with stats of its own (no two
+        loaded records share mutable state)."""
+        return list(starmap(_new_record, self._payloads()))
+
+    def signature_key(self) -> tuple:
+        """What ``inter._records_signature`` gives :meth:`records`."""
+        return ("R", tuple([
+            (key, length, tuple(terms))
+            for key, terms, length, _, _ in self._payloads()
+        ]))
+
+
 def _read_rows(
     data: bytes, pos: int, nrecords: int, strings: list[str], table: list,
-    defaults: list, gid: int, records: list, parts: list,
-) -> int:
+    defaults: list, gid: int,
+) -> tuple[LeafColumns, int]:
     """Decode ``nrecords`` scalar records, each one masked pass over the
     fields of the row before it (``defaults`` before the first)."""
     ntable = len(table)
     fields = defaults.copy()
+    rows = []
     for position in range(nrecords):
         mask = data[pos]
         pos += 1
@@ -566,36 +731,28 @@ def _read_rows(
                 fields[base + bit] = (value >> 1) ^ -(value & 1)
             mask >>= 7
             base += 7
-        (duration, gap, mode, peer, tag, nbytes, nterms, count, stride,
-         start, comm, root, ngids, gids, wildcard, mode2, peer2, tag2,
-         nbytes2, result_comm, op) = fields
+        row = fields.copy()
+        duration, gap, op = row[_C_DUR], row[_C_GAP], row[_C_OP]
+        nterms, ngids = row[_C_NTERMS], row[_C_NGIDS]
         # Unsigned where a negative would index from the end or
         # multiply a list; a row holds at most one term and one gid.
         if (
             not 0 <= duration < ntable or not 0 <= gap < ntable or op < 0
             or not 0 <= nterms <= 1 or not 0 <= ngids <= 1
-            or (ngids and gids is None)
+            or (ngids and row[_C_GIDS] is None)
         ):
             raise TraceFormatError(
                 f"vertex {gid}: a record's stats index ({duration}, {gap} "
                 f"of {ntable}), op index ({op}), term count ({nterms}) or "
                 f"request gids ({ngids}) is out of range"
             )
-        key = (
-            strings[op], (REL if mode else ABS, peer),
-            (REL if mode2 else ABS, peer2), tag, tag2, nbytes, nbytes2,
-            comm, root, wildcard != 0, (gids,) * ngids, result_comm,
-        )
-        if nterms:
-            terms = [(position if start is None else start, count, stride)]
-        else:
-            terms = []
-            count = 0
-        records.append(
-            _new_record(key, terms, count, table[duration], table[gap])
-        )
-        parts.append((key, count, tuple(terms)))
-    return pos
+        row[_C_DUR] = table[duration]
+        row[_C_GAP] = table[gap]
+        row[_C_OP] = strings[op]  # past the table: the caller's IndexError
+        if row[_C_START] is None:  # unwritten so far: the record's position
+            row[_C_START] = position
+        rows.append(row)
+    return LeafColumns(nrecords, rows), pos
 
 
 def _read_sequences(
@@ -662,43 +819,27 @@ def _declared_total(
     return total
 
 
-def _stats_of(vals: list, col: int, multi: int, table: list, gid: int):
-    """Per record, the table entry a stats-index column names."""
+def _check_stats_index(
+    vals: list, col: int, multi: int, ntable: int, gid: int
+) -> None:
+    """A stats-index column stays inside the chunk's table."""
     index = vals[col]
-    is_sequence = multi >> col & 1
-    low, high = (min(index), max(index)) if is_sequence else (index, index)
-    if low < 0 or high >= len(table):  # -1 must not index from the end
+    many = multi >> col & 1
+    low, high = (min(index), max(index)) if many else (index, index)
+    if low < 0 or high >= ntable:  # -1 must not index from the end
         raise TraceFormatError(
             f"vertex {gid}: stats index {low if low < 0 else high} outside "
-            f"the chunk's table of {len(table)}"
+            f"the chunk's table of {ntable}"
         )
-    if is_sequence:
-        return [table[i] for i in index]
-    return repeat(table[index])
-
-
-def _peers_of(vals: list, mode_col: int, value_col: int, multi: int):
-    modes, values = vals[mode_col], vals[value_col]
-    if multi >> mode_col & 1:
-        modes = [REL if mode else ABS for mode in modes]
-    else:
-        modes = REL if modes else ABS
-        if not multi >> value_col & 1:
-            return repeat((modes, values))
-        modes = repeat(modes)
-    if not multi >> value_col & 1:
-        values = repeat(values)
-    return zip(modes, values)
 
 
 def _read_columns(
     data: bytes, pos: int, nrecords: int, room: int, strings: list[str],
-    table: list, defaults: list, gid: int, records: list, parts: list,
-) -> int:
+    table: list, defaults: list, gid: int,
+) -> tuple[LeafColumns, int]:
     """Decode ``nrecords`` records written column by column.  Every
     single value is read in one masked pass into a copy of ``defaults``;
-    only columns written as sequences become lists, and an unwritten or
-    single-valued column is never expanded (``repeat``)."""
+    only columns written as sequences become lists."""
     mask, pos = _uvarint(data, pos)
     multi, pos = _uvarint(data, pos)
     if mask >> _NCOLS or multi & ~mask or not nrecords:
@@ -734,81 +875,30 @@ def _read_columns(
         pos = _read_sequences(
             data, pos, vals, multi & _ABOVE_GIDS, nrecords, gid
         )
-
-    def column(col):
-        return vals[col] if multi >> col & 1 else repeat(vals[col])
-
-    # Keys, a column at a time; ``zip`` hands back the 12-tuples.
     ops = vals[_C_OP]
     if (min(ops) if multi >> _C_OP & 1 else ops) < 0:
         raise TraceFormatError(f"vertex {gid}: negative op index")
-    if multi >> _C_OP & 1:
-        ops = [strings[op] for op in ops]
-    else:
-        ops = repeat(strings[ops])
-    wildcards = vals[_C_WILDCARD]
-    if multi >> _C_WILDCARD & 1:
-        wildcards = [wc != 0 for wc in wildcards]
-    else:
-        wildcards = repeat(wildcards != 0)
-    if ngids:
-        values = vals[_C_GIDS]
-        if values is None:
-            raise TraceFormatError(
-                f"vertex {gid}: {ngids} request gid(s) declared, none written"
-            )
-        if not multi >> _C_GIDS & 1:
-            values = [values] * ngids
-        at = 0
-        gids = []
-        for _, k in zip(range(nrecords), column(_C_NGIDS)):
-            gids.append(tuple(values[at : at + k]))
-            at += k
-    else:
-        gids = repeat(())
-    keys = zip(
-        ops, _peers_of(vals, _C_PEER_MODE, _C_PEER, multi),
-        _peers_of(vals, _C_PEER2_MODE, _C_PEER2, multi),
-        column(_C_TAG), column(_C_TAG2), column(_C_NBYTES),
-        column(_C_NBYTES2), column(_C_COMM), column(_C_ROOT), wildcards,
-        gids, column(_C_RESULT_COMM),
-    )
-    # Occurrence terms: ``zip`` hands back ``(start, count, stride)``.
-    starts = vals[_C_START]
-    if starts is None:
-        starts = range(nterms)
-    elif not multi >> _C_START & 1:
-        starts = repeat(starts)
-    terms = zip(starts, column(_C_COUNT), column(_C_STRIDE))
-    durations = _stats_of(vals, _C_DUR, multi, table, gid)
-    gaps = _stats_of(vals, _C_GAP, multi, table, gid)
-    if mask >> _C_NTERMS & 1:
-        flat = [term for _, term in zip(range(nterms), terms)]
-        at = 0
-        for _, key, k, duration, gap in zip(
-            range(nrecords), keys, column(_C_NTERMS), durations, gaps
-        ):
-            own = flat[at : at + k]
-            at += k
-            length = sum([count for _, count, _ in own])
-            records.append(_new_record(key, own, length, duration, gap))
-            parts.append((key, length, tuple(own)))
-    else:  # one term a record
-        for _, key, term, duration, gap in zip(
-            range(nrecords), keys, terms, durations, gaps
-        ):
-            records.append(_new_record(key, [term], term[1], duration, gap))
-            parts.append((key, term[1], (term,)))
-    return pos
+    if ngids and vals[_C_GIDS] is None:
+        raise TraceFormatError(
+            f"vertex {gid}: {ngids} request gid(s) declared, none written"
+        )
+    _check_stats_index(vals, _C_DUR, multi, len(table), gid)
+    _check_stats_index(vals, _C_GAP, multi, len(table), gid)
+    # The index columns name what they point at from here on; an op
+    # past the string table is the caller's ``IndexError``.
+    for col, names in (_C_DUR, table), (_C_GAP, table), (_C_OP, strings):
+        at = vals[col]
+        vals[col] = [names[i] for i in at] if multi >> col & 1 else names[at]
+    return LeafColumns(nrecords, None, multi, vals), pos
 
 
 def _read_leaf(
     data: bytes, pos: int, strings: list[str], table: list, defaults: list,
     gid: int,
-) -> tuple[list[CompressedRecord], list[tuple], int]:
-    """Decode one leaf block: ``(records, signature parts, position
-    after it)``.  A record costs at least a byte in either form (the
-    writer sees to it for columns), which bounds the declared count."""
+) -> tuple[LeafColumns, int]:
+    """Decode one leaf block: ``(columns, position after it)``.  A
+    record costs at least a byte in either form (the writer sees to it
+    for columns), which bounds the declared count."""
     room = len(data) - pos
     head, pos = _uvarint(data, pos)
     nrecords = head >> 1
@@ -817,19 +907,11 @@ def _read_leaf(
             f"vertex {gid}: a group declares {nrecords} record(s) with "
             f"{room} byte(s) left in the chunk"
         )
-    records: list[CompressedRecord] = []
-    parts: list[tuple] = []
     if head & 1:
-        pos = _read_columns(
-            data, pos, nrecords, room, strings, table, defaults, gid,
-            records, parts,
+        return _read_columns(
+            data, pos, nrecords, room, strings, table, defaults, gid
         )
-    else:
-        pos = _read_rows(
-            data, pos, nrecords, strings, table, defaults, gid, records,
-            parts,
-        )
-    return records, parts, pos
+    return _read_rows(data, pos, nrecords, strings, table, defaults, gid)
 
 
 class LeafReader:
@@ -863,7 +945,9 @@ class LeafReader:
                 for _ in range(nonzero):
                     i, pos = _uvarint(data, pos)
                     bins[i], pos = _uvarint(data, pos)
-            table.append((HIST if hist else MEANSTD, count, *doubles, bins))
+            table.append(
+                StatsEntry(HIST if hist else MEANSTD, count, *doubles, bins)
+            )
         self.strings = strings
         self.pos = pos
         self._table = table
@@ -871,9 +955,9 @@ class LeafReader:
 
     def leaf(
         self, data: bytes, pos: int, op: str | None, gid: int
-    ) -> tuple[list[CompressedRecord], list[tuple], int]:
+    ) -> tuple[LeafColumns, int]:
         """The leaf block at ``data[pos]`` of vertex ``gid``, whose own
-        op is ``op``: ``(records, signature parts, position after)``."""
+        op is ``op``: ``(columns, position after)``."""
         defaults = self._defaults.get(op)
         if defaults is None:
             strings = self.strings
@@ -961,6 +1045,7 @@ def _read_vertex_payload(
     stats table."""
     kind = v.kind
     groups = v.groups
+    intern = interns.intern
     ngroups, pos = _uvarint(data, pos)
     for _ in range(ngroups):
         rank_seq, pos = _read_seq(data, pos)
@@ -972,23 +1057,23 @@ def _read_vertex_payload(
                 f"vertex {v.gid}: a group declares {rank_seq.length} "
                 f"member rank(s), the header {nranks}"
             )
-        counts = visits = records = None
+        counts = visits = block = None
         if kind == CALL:
-            records, parts, pos = leaves.leaf(data, pos, v.op, v.gid)
-            key = ("R", tuple(parts))
+            # Signed by its place at the vertex: the payload key is
+            # built from the block only when something compares it.
+            block, pos = leaves.leaf(data, pos, v.op, v.gid)
+            signature = Signature.of_block(block, len(groups))
         elif kind == LOOP:
             counts, pos = _read_seq(data, pos)
-            key = ("L", counts.length, tuple(counts.terms))
+            signature = intern(("L", counts.length, tuple(counts.terms)))
         elif kind == BRANCH:
             visits, pos = _read_seq(data, pos)
-            key = ("B", visits.length, tuple(visits.terms))
+            signature = intern(("B", visits.length, tuple(visits.terms)))
         else:
-            key = ()
-        group = Group(
-            signature=interns.intern(key), ranks=rank_seq.to_list(),
-            counts=counts, visits=visits, records=records,
+            signature = intern(())
+        groups[signature] = Group(
+            signature, rank_seq.to_list(), counts, visits, block=block
         )
-        groups[group.signature] = group
     return pos
 
 
@@ -1204,11 +1289,17 @@ def loads(data: bytes, salvage: bool = False) -> MergedCTT:
     salvage, too, fails.
     """
     try:
-        return _loads(data, salvage)
+        merged = _loads(data, salvage)
     except ValueError:
         raise
     except Exception as exc:  # truncated varints, bad indices, zlib noise
         raise TraceFormatError(f"corrupt CYPRESS trace file: {exc}") from exc
+    registry = obs.active()
+    if registry is not None:  # one per CALL group: counted after the fact
+        registry.counter_add("serialize.leaf_blocks", sum(
+            len(v.groups) for v in merged.vertices() if v.kind == CALL
+        ))
+    return merged
 
 
 def _loads(data: bytes, salvage: bool) -> MergedCTT:
@@ -1299,6 +1390,7 @@ def _assemble(
             )
     merged = MergedCTT(root, nranks, interns)
     merged._vertices = vertices
+    merged.loaded = True
     if salvage:
         merged.salvage_info = {
             "complete": complete and covered == len(vertices),

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, attrgetter, mul
 
 from repro import obs
 from repro.core.ranks import try_decode_peer
@@ -64,7 +65,8 @@ from .paths import QueryError, TreeIndex
 #: :mod:`repro.analysis.patterns` uses for the communication matrix.
 SEND_OPS = frozenset({"MPI_Send", "MPI_Isend", "MPI_Sendrecv"})
 
-_NBYTES, _NBYTES2 = 5, 6  # record-key slots (see repro.core.records)
+_NBYTES = 5  # record-key slot (see repro.core.records)
+_MEAN = attrgetter("mean")
 
 #: Float fields of an engine answer and of its replay oracle agree to
 #: this relative/absolute tolerance (:mod:`repro.query.oracle`).
@@ -172,16 +174,17 @@ def leaf_time(vertex) -> tuple[float, int]:
     total = 0.0
     calls = 0
     for group in vertex.groups.values():
-        records = group.records
-        if not records:
+        view = group.leaf_view()
+        if view is None:
             continue
-        nmembers = len(group.ranks)
-        for record in records:
-            if record.key is None:
-                continue
-            total += record.duration.mean * record.duration.count
-            calls += record.count * nmembers
+        total += sum([d.mean * d.count for d in view.durations])
+        calls += sum(view.lengths) * len(group.ranks)
     return total, calls
+
+
+def _volume(view) -> int:
+    """Send + receive payload bytes of one member rank."""
+    return sum(map(mul, view.lengths, map(add, view.nbytes, view.nbytes2)))
 
 
 def _count_queries(registry, name: str, vertices: int = 0, records: int = 0):
@@ -237,35 +240,27 @@ def traffic(
             if vertex.kind != CALL or not vertex.groups:
                 continue
             for group in vertex.groups.values():
-                records = group.records
-                if not records:
+                if group_by == "rank_pair":
+                    seen, lost = _pair_traffic(group, nprocs, msgs, vol)
+                    records_seen += seen
+                    dropped += lost
                     continue
+                view = group.leaf_view()
+                if view is None:
+                    continue
+                if registry is not None:  # records that occur at all
+                    records_seen += len(view.lengths) - view.lengths.count(0)
                 nmembers = len(group.ranks)
-                for record in records:
-                    key = record.key
-                    count = record.occurrences.length
-                    if key is None or count == 0:
+                parts = (
+                    [(vertex.gid, view)] if group_by == "vertex"
+                    else view.by_op()
+                )
+                for cell, part in parts:
+                    messages = sum(part.lengths) * nmembers
+                    if not messages:
                         continue
-                    records_seen += 1
-                    if group_by == "rank_pair":
-                        if key[0] not in SEND_OPS:
-                            continue
-                        nbytes = count * key[_NBYTES]
-                        for rank in group.ranks:
-                            dst, ok = try_decode_peer(key[1], rank, nprocs)
-                            if not ok or not 0 <= dst < nprocs:
-                                dropped += count
-                                continue
-                            cell = (rank, dst)
-                            msgs[cell] = msgs.get(cell, 0) + count
-                            vol[cell] = vol.get(cell, 0) + nbytes
-                        continue
-                    cell = vertex.gid if group_by == "vertex" else key[0]
-                    messages = count * nmembers
                     msgs[cell] = msgs.get(cell, 0) + messages
-                    vol[cell] = vol.get(cell, 0) + (
-                        key[_NBYTES] + key[_NBYTES2]
-                    ) * messages
+                    vol[cell] = vol.get(cell, 0) + _volume(part) * nmembers
         out = {
             cell: Traffic(messages=n, nbytes=vol[cell])
             for cell, n in msgs.items()
@@ -274,6 +269,32 @@ def traffic(
         if dropped and registry is not None:
             registry.counter_add("query.out_of_range_peers", dropped)
         return out
+
+
+def _pair_traffic(
+    group, nprocs: int, msgs: dict, vol: dict
+) -> tuple[int, int]:
+    """Charge a leaf group's sends to their ``(src, dst)`` cells, record
+    by record (a peer decodes per member rank): ``(records, lost)``."""
+    seen = dropped = 0
+    for record in group.records or ():
+        key = record.key
+        count = record.occurrences.length
+        if count == 0:
+            continue
+        seen += 1
+        if key[0] not in SEND_OPS:
+            continue
+        nbytes = count * key[_NBYTES]
+        for rank in group.ranks:
+            dst, ok = try_decode_peer(key[1], rank, nprocs)
+            if not ok or not 0 <= dst < nprocs:
+                dropped += count
+                continue
+            cell = (rank, dst)
+            msgs[cell] = msgs.get(cell, 0) + count
+            vol[cell] = vol.get(cell, 0) + nbytes
+    return seen, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +306,8 @@ def _leaf_event_count(vertex, rank: int) -> int:
     its group's records (occurrence sets exactly cover the visit
     range)."""
     group = vertex.group_of(rank)
-    if group is None or not group.records:
-        return 0
-    return sum(r.count for r in group.records)
+    view = group.leaf_view() if group is not None else None
+    return sum(view.lengths) if view is not None else 0
 
 
 def _activation_of(counts: IntSequence, j: int) -> int:
@@ -418,24 +438,26 @@ def rank_profile(merged, rank: int) -> RankProfile:
             if vertex.kind != CALL or not vertex.groups:
                 continue
             group = vertex.group_of(rank)
-            if group is None or not group.records:
+            view = group.leaf_view() if group is not None else None
+            if view is None:
                 continue
-            for record in group.records:
-                key = record.key
-                if key is None or record.count == 0:
+            if registry is not None:
+                records_seen += len(view.lengths) - view.lengths.count(0)
+            for op, part in view.by_op():
+                lengths = part.lengths
+                calls = sum(lengths)
+                if not calls:
                     continue
-                records_seen += 1
-                count = record.count
-                entry = profile.ops.get(key[0])
+                entry = profile.ops.get(op)
                 if entry is None:
-                    entry = profile.ops[key[0]] = OpProfile(op=key[0])
-                entry.calls += count
-                entry.nbytes += (key[_NBYTES] + key[_NBYTES2]) * count
-                time_us = record.duration.mean * count
-                gap_us = record.pre_gap.mean * count
+                    entry = profile.ops[op] = OpProfile(op=op)
+                entry.calls += calls
+                entry.nbytes += _volume(part)
+                time_us = sum(map(mul, lengths, map(_MEAN, part.durations)))
+                gap_us = sum(map(mul, lengths, map(_MEAN, part.gaps)))
                 entry.time_us += time_us
                 entry.gap_us += gap_us
-                profile.events += count
+                profile.events += calls
                 profile.comm_us += time_us
                 profile.gap_us += gap_us
         _count_queries(registry, "rank_profile", len(vertices), records_seen)

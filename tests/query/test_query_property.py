@@ -23,7 +23,7 @@ sys.path.insert(0, "tests")
 from generators import program  # noqa: E402
 
 from repro import query  # noqa: E402
-from repro.core import packed  # noqa: E402
+from repro.core import packed, serialize  # noqa: E402
 from repro.core.decompress import decompress_all  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
 from repro.core.intra import (  # noqa: E402
@@ -68,9 +68,14 @@ def _merge(compressor):
     return merge_all([compressor.ctt(r) for r in range(NPROCS)])
 
 
-def _check_all_queries(merged, label: str) -> None:
-    traces = decompress_all(merged)
-    for group_by in ("vertex", "op", "rank_pair"):
+def _check_all_queries(merged, label: str, traces=None) -> dict:
+    """Every query on ``merged`` against its oracle over ``traces``
+    (``merged``'s own replay unless handed in)."""
+    if traces is None:
+        traces = decompress_all(merged)
+    # ``rank_pair`` decodes peers per record: asked last, so that on a
+    # loaded tree everything before it reads the decoded leaf blocks.
+    for group_by in ("vertex", "op"):
         query.assert_agrees(
             query.traffic(merged, group_by=group_by),
             query.traffic_via_replay(merged, group_by=group_by,
@@ -100,6 +105,21 @@ def _check_all_queries(merged, label: str) -> None:
                                           events=events),
                 f"{label}/ordering.{gid_a}-{gid_b}.r{rank}",
             )
+    query.assert_agrees(
+        query.traffic(merged, group_by="rank_pair"),
+        query.traffic_via_replay(merged, group_by="rank_pair", traces=traces),
+        f"{label}/traffic.rank_pair",
+    )
+    return traces
+
+
+def _check_fresh_and_loaded(merged, label: str) -> None:
+    """The tree as merged, then the tree a user opens — asked before
+    anything has built a record from its leaf blocks, and held to the
+    fresh tree's replay (the round trip is lossless)."""
+    traces = _check_all_queries(merged, label)
+    loaded = serialize.loads(serialize.dumps(merged))
+    _check_all_queries(loaded, f"{label}/loaded", traces)
 
 
 class TestQueryDifferential:
@@ -108,7 +128,7 @@ class TestQueryDifferential:
     def test_fastpath_tree_light(self, source):
         compiled, streams = _captured_streams(source)
         merged = _merge(_compress(compiled, streams, "fastpath"))
-        _check_all_queries(merged, "fastpath")
+        _check_fresh_and_loaded(merged, "fastpath")
 
     @pytest.mark.slow
     @settings(max_examples=SWEEP_EXAMPLES, **SETTINGS)
@@ -117,4 +137,4 @@ class TestQueryDifferential:
         compiled, streams = _captured_streams(source)
         for variant in ("reference", "fastpath", "packed"):
             merged = _merge(_compress(compiled, streams, variant))
-            _check_all_queries(merged, variant)
+            _check_fresh_and_loaded(merged, variant)

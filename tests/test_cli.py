@@ -75,17 +75,16 @@ class TestValidation:
 
 class TestFaultFlags:
     def test_trace_strict_and_quarantine_out(self, tmp_path, capsys):
+        # Both are gone from ``trace``: it compresses live, no capture
+        # is ever checked against the CST afterwards, so neither could
+        # change what it does (``run_cypress(strict=, fault_plan=)`` is
+        # the door the fault-smoke job uses).
         trace = str(tmp_path / "t.cyp")
-        qpath = str(tmp_path / "q.json")
-        assert main([
-            "trace", "ep", "-n", "4", "--scale", "0.5", "-o", trace,
-            "--strict", "--quarantine-out", qpath,
-        ]) == 0
-        import json
-
-        with open(qpath) as fh:
-            report = json.load(fh)
-        assert report["quarantined_ranks"] == 0
+        for flag in (["--strict"], ["--quarantine-out", "q.json"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["trace", "ep", "-n", "4", "-o", trace, *flag])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_replay_salvage_of_truncated_trace(self, tmp_path, capsys):
         trace = str(tmp_path / "t.cyp")
