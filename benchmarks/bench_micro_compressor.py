@@ -13,22 +13,19 @@ harness**: it sweeps four workload shapes
 * ``nested``         — doubly nested point-to-point loop (marker heavy)
 * ``irecv_waitall``  — nonblocking pairs + waitall (request-GID path)
 
-through three ingestion modes
+through two ingestion modes
 
-* ``reference``  — ``CypressConfig(fastpath=False)``: generic child scan,
-  fresh key per event (the pre-optimization code path);
-* ``callbacks``  — fast path, one ``on_*`` call per marker/event: the
-  live-tracing route (append to the rank's buffer, drain through
-  ``ingest_stream`` a buffer at a time, final ``flush()`` included);
-* ``stream``     — fast path, batched :meth:`ingest_stream` over a
-  captured opcode stream.
+* ``callbacks``  — one ``on_*`` call per marker/event: the live-tracing
+  route (append to the rank's buffer, drain through ``ingest_stream`` a
+  buffer at a time, final ``flush()`` included);
+* ``stream``     — batched :meth:`ingest_stream` over a captured opcode
+  stream.
 
-All modes must produce byte-identical serialized traces; the harness
+Both modes must produce byte-identical serialized traces; the harness
 asserts this on every run.  ``python -m benchmarks.bench_micro_compressor``
 rewrites ``results/BENCH_intra.json`` including conservative regression
 floors (25% of measured); ``--smoke`` (CI) re-measures every shape and
-fails if fig11 throughput drops below the committed floor or the fast
-path stops beating the reference path.
+fails if fig11 throughput drops below the committed floor.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from repro.baselines.scalatrace import ScalaTraceCompressor
 from repro.baselines.scalatrace2 import ScalaTrace2Compressor
 from repro.core import serialize
 from repro.core.inter import merge_all
-from repro.core.intra import CypressConfig, IntraProcessCompressor
+from repro.core.intra import IntraProcessCompressor
 from repro.mpisim.events import NO_PEER, CommEvent
 from repro.mpisim.pmpi import (
     OP_BRANCH_ENTER,
@@ -250,6 +247,7 @@ def _shape(name: str, scale: int = 1):
 
 
 SHAPE_NAMES = ("fig11", "collectives", "nested", "irecv_waitall")
+MODES = ("callbacks", "stream")
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +298,6 @@ def measure_shape(name: str, scale: int = 1, rounds: int = 3) -> dict:
 
     comps: dict[str, IntraProcessCompressor] = {}
 
-    def run_reference():
-        comps["reference"] = c = IntraProcessCompressor(
-            cst, CypressConfig(fastpath=False))
-        _drive_callbacks(c, 0, stream)
-
     def run_callbacks():
         comps["callbacks"] = c = IntraProcessCompressor(cst)
         _drive_callbacks(c, 0, stream)
@@ -314,16 +307,13 @@ def measure_shape(name: str, scale: int = 1, rounds: int = 3) -> dict:
         c.ingest_stream(0, stream)
 
     rates = {
-        "reference": nevents / best(run_reference),
         "callbacks": nevents / best(run_callbacks),
         "stream": nevents / best(run_stream),
     }
 
-    # Byte-identity across every mode.
-    blob = _merged_blob(comps["reference"])
-    for mode in ("callbacks", "stream"):
-        assert _merged_blob(comps[mode]) == blob, (
-            f"{name}: {mode} trace differs from reference")
+    # Byte-identity across the modes.
+    assert _merged_blob(comps["stream"]) == _merged_blob(comps["callbacks"]), (
+        f"{name}: stream trace differs from callbacks")
     publish_gauges(name, {f"{k}_events_per_s": v for k, v in rates.items()})
     return {
         "events": nevents,
@@ -417,15 +407,13 @@ def run_harness(scale: int = 1) -> dict:
         "speedup_stream_vs_pre_pr_live": round(
             fig11["stream"] / BASELINE_PRE_PR, 2),
         "speedup_stream_vs_pre_pr_paired": PAIRED_SPEEDUP_VS_PRE_PR,
-        "speedup_stream_vs_reference": round(
-            fig11["stream"] / fig11["reference"], 2),
         # Conservative regression floors: 25% of measured, absorbing
         # machine variance while still catching order-of-magnitude
         # regressions (a lost fast path, an accidental O(n) scan).
         "floors": {
             name: {
                 mode: int(shapes[name]["rates"][mode] * 0.25)
-                for mode in ("reference", "callbacks", "stream")
+                for mode in MODES
             }
             for name in SHAPE_NAMES
         },
@@ -435,30 +423,22 @@ def run_harness(scale: int = 1) -> dict:
 def check_smoke() -> int:
     """CI gate: re-measure every shape (each asserts byte-identity
     across its modes) and compare fig11 against the committed floors."""
-    committed = json.loads(BENCH_JSON.read_text())
-    floors = committed["floors"]["fig11"]
+    committed = json.loads(BENCH_JSON.read_text())["floors"]["fig11"]
+    floors = {mode: committed.get(mode) for mode in MODES}
     measured = {
         name: measure_shape(name, scale=1, rounds=3)["rates"]
         for name in SHAPE_NAMES
     }
     rates = measured["fig11"]
-    print(f"fig11 smoke: reference {rates['reference']:,} ev/s, "
-          f"callbacks {rates['callbacks']:,} ev/s, "
+    print(f"fig11 smoke: callbacks {rates['callbacks']:,} ev/s, "
           f"stream {rates['stream']:,} ev/s "
           f"(floors: {floors})")
     failed = 0
-    for mode in ("reference", "callbacks", "stream"):
-        floor = floors.get(mode)
+    for mode, floor in floors.items():
         if floor is not None and rates[mode] < floor:
             print(f"FAIL: {mode} {rates[mode]:,} ev/s below committed "
                   f"floor {floor:,}")
             failed = 1
-    # Machine-independent check: the fast path must beat the reference
-    # path measured on the same machine in the same process.
-    if rates["stream"] < 1.5 * rates["reference"]:
-        print(f"FAIL: stream ({rates['stream']:,}) < 1.5x reference "
-              f"({rates['reference']:,}) — fast path regressed")
-        failed = 1
     ov = measure_obs_overhead()
     print(f"fig11 metrics-on overhead: trimmed-median paired ratio "
           f"{ov['median_on_off_ratio']:.4f} over {ov['rounds']} rounds "
@@ -594,12 +574,11 @@ def main(argv: list[str] | None = None) -> int:
             obs.write_json(registry, metrics_out)
             print(f"metrics -> {metrics_out}")
     print("intra-process ingestion throughput (events/s, best of 3):")
-    modes = ("reference", "callbacks", "stream")
-    header = f"  {'shape':16s}" + "".join(f"{m:>14s}" for m in modes)
+    header = f"  {'shape':16s}" + "".join(f"{m:>14s}" for m in MODES)
     print(header)
     for name, shape in result["shapes"].items():
         r = shape["rates"]
-        print(f"  {name:16s}" + "".join(f"{r[m]:14,d}" for m in modes))
+        print(f"  {name:16s}" + "".join(f"{r[m]:14,d}" for m in MODES))
     print(f"  fig11 stream vs pre-PR baseline "
           f"({BASELINE_PRE_PR:,} ev/s): "
           f"{result['speedup_stream_vs_pre_pr_live']:.2f}x live, "

@@ -917,9 +917,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--scale", type=float, default=0.3,
                    help="iteration-count scale factor (default: 0.3)")
     p.add_argument("--differential", action="store_true",
-                   help="also cross-check fastpath/reference/inline/"
-                        "packed/budgeted compression against ground "
-                        "truth and each other")
+                   help="also cross-check deferred/inline/packed/"
+                        "budgeted compression against ground truth "
+                        "and each other")
     p.add_argument("--fault-matrix", action="store_true",
                    help="also run the seeded corruption matrix: every "
                         "damage kind must be detected")

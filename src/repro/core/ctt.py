@@ -176,22 +176,11 @@ class CTTVertex:
             yield node
             stack.extend(reversed(node.children))
 
-    def find_child(self, predicate, start: int) -> tuple["CTTVertex", int] | None:
-        """Ordered wrap-around search among children (generic reference
-        path — the dispatch tables below are the fast equivalents)."""
-        n = len(self.children)
-        for k in range(n):
-            idx = (start + k) % n
-            child = self.children[idx]
-            if predicate(child):
-                return child, idx
-        return None
-
     def find_loop_child(self, ast_id: int, start: int) -> tuple[int, "CTTVertex"] | None:
-        """Monomorphic ordered wrap-around lookup of a loop child:
-        first candidate at child index >= ``start``, else wrap to the
-        first candidate.  Equivalent to ``find_child`` with a
-        kind/ast_id predicate, without the closure or the sibling scan."""
+        """Ordered wrap-around lookup of a loop child: ``(child index,
+        child)`` of the first candidate at child index >= ``start``, else
+        of the first candidate — a dict probe and a scan of the (usually
+        one) candidates, without a closure or a sibling scan."""
         lst = self.loop_child_by_ast_id.get(ast_id)
         if lst is None:
             return None
@@ -199,19 +188,6 @@ class CTTVertex:
             if pair[0] >= start:
                 return pair
         return lst[0]
-
-    def find_group(self, ast_id: int, start: int) -> BranchGroup | None:
-        """Ordered wrap-around search among branch groups (by the child
-        index of the group's first vertex).  Scans the precomputed
-        per-``ast_id`` group list in place — no candidate list is
-        allocated per marker."""
-        lst = self.group_by_ast_id.get(ast_id)
-        if lst is None:
-            return None
-        for group in lst:
-            if group.first_index >= start:
-                return group
-        return lst[0]  # wrap around
 
     # ------------------------------------------------------------------
 
@@ -227,10 +203,6 @@ class CTTVertex:
         if self.records is not None:
             total += 2 + sum(r.approx_bytes() for r in self.records)
         return total
-
-    #: Backwards-compatible alias — the historical name for the
-    #: *serialized* estimate (analysis/baselines size accounting).
-    approx_bytes = serialized_bytes
 
     def live_bytes(self) -> int:
         """Estimated *live* in-RAM footprint of this vertex: the payload
@@ -421,9 +393,6 @@ class CTT:
     def serialized_bytes(self) -> int:
         """Serialized-size estimate of the whole tree (container bytes)."""
         return sum(v.serialized_bytes() for v in self.vertices())
-
-    #: Historical name for the serialized estimate.
-    approx_bytes = serialized_bytes
 
     def live_bytes(self) -> int:
         """Estimated live in-RAM footprint of the whole tree, transient

@@ -30,14 +30,14 @@ Wildcard receives (paper §IV-A "Non-Deterministic Events"): a nonblocking
 ``MPI_Irecv(ANY_SOURCE)`` is cached as a *pending* record; compression is
 delayed until the request completes and the actual source is known.
 
-The fast path
--------------
+The hot path
+------------
 
 The per-event budget is O(1), and the implementation spends it carefully
 (docs/INTERNALS.md §5):
 
 * marker moves use the CTT's precomputed monomorphic dispatch tables
-  (:meth:`CTTVertex.find_loop_child` / ``find_group``) — no closure
+  (``loop_child_by_ast_id``, ``group_by_ast_id``) — no closure
   allocation, no generic sibling scan;
 * :meth:`IntraProcessCompressor.ingest_stream` is the only live ingest
   (the ``on_*`` callbacks append to a bounded per-rank buffer that
@@ -52,9 +52,9 @@ The per-event budget is O(1), and the implementation spends it carefully
   ``record_index`` hash).  A wildcard ``Irecv`` and the bounded window
   are the two events that leave the loop.
 
-``CypressConfig(fastpath=False)`` disables all of it, forcing the
-pre-optimization reference path (generic predicate scan + fresh key per
-event); tests assert both paths produce byte-identical serialized traces.
+There is no second implementation in the product: the tests hold every
+path to a naive §IV-A compressor of their own (``tests/spec_compress.py``:
+generic child scan, a fresh key per event), byte for byte.
 
 Per-rank states are fully independent, so captured marker/event streams
 (:class:`~repro.mpisim.pmpi.StreamCaptureSink`) can be compressed after
@@ -88,7 +88,7 @@ from repro.mpisim.pmpi import (
     OP_REQ_COMPLETE,
     CaptureCallbacks,
 )
-from repro.static.cst import CALL, LOOP, CSTNode
+from repro.static.cst import CSTNode
 
 from . import packed
 from .budget import RankState, RankTable, state_live_bytes
@@ -119,11 +119,6 @@ class CypressConfig:
     (``window=1``, §IV-A) and mentions larger sliding windows as the
     cost/effectiveness trade-off — the ablation bench sweeps this.
 
-    ``fastpath=False`` disables the dispatch tables, the inline commit
-    and the per-leaf record caches, running the generic reference path
-    instead (same output bytes, used by the equivalence tests and the
-    ingestion benchmarks).
-
     ``memory_budget_bytes`` arms the bounded-memory streaming mode
     (docs/INTERNALS.md §14): the compressor keeps its total live
     footprint (:meth:`IntraProcessCompressor.total_live_bytes`) under
@@ -136,7 +131,6 @@ class CypressConfig:
     window: int | None = None  # None = unbounded keyed merge
     timing_mode: str = MEANSTD  # 'meanstd' or 'hist'
     relative_ranks: bool = True  # relative peer encoding (paper §IV-B)
-    fastpath: bool = True  # dispatch tables + inline commit + record caches
     memory_budget_bytes: int | None = None  # None = unbounded (no budget)
     spill_dir: str | None = None  # spill-container home (budget mode)
 
@@ -196,10 +190,9 @@ class IntraProcessCompressor(CaptureCallbacks):
         self._window_unbounded = self.config.window is None
         self._relative = self.config.relative_ranks
         self._timing_mode = self.config.timing_mode
-        self._fastpath = self.config.fastpath
         # Observability counters (docs/INTERNALS.md §6).  Always
         # maintained: each one is incremented only on a path that already
-        # misses a cache (or defers a wildcard), so the fast path carries
+        # misses a cache (or defers a wildcard), so the hot path carries
         # no metrics cost, and totals to rate them against are derived
         # from CTT state (leaf_visits) in metrics_counters().
         self.m_mono_miss = 0  # leaf was not the next child (table + scan)
@@ -386,21 +379,15 @@ class IntraProcessCompressor(CaptureCallbacks):
         self.seal_rank(rank)
 
     # ------------------------------------------------------------------
-    # Structural markers: the handlers ``ingest_stream`` drives, each
-    # taking the resolved rank state.
+    # Structural markers: the cold handlers ``_walk`` calls, each taking
+    # the resolved rank state.
 
     def _loop_push(self, st: RankState, ast_id: int) -> list:
         stack = st.stack
         cur = stack[-1][_F_VERTEX] if stack else st.ctt.root
         frame = [_LOOP, None, 0]
         if cur is not None:
-            if self._fastpath:
-                found = cur.find_loop_child(ast_id, cur.search_pos)
-            else:
-                hit = cur.find_child(
-                    lambda c: c.kind == LOOP and c.ast_id == ast_id, cur.search_pos
-                )
-                found = (hit[1], hit[0]) if hit is not None else None
+            found = cur.find_loop_child(ast_id, cur.search_pos)
             if found is not None:
                 idx, child = found
                 cur.search_pos = idx + 1
@@ -432,23 +419,6 @@ class IntraProcessCompressor(CaptureCallbacks):
         vertex = frame[_F_VERTEX]
         if vertex is not None:
             vertex.loop_counts.append(frame[_F_ITERS])
-
-    def _branch_enter(self, st: RankState, ast_id: int, path: int) -> None:
-        stack = st.stack
-        cur = stack[-1][_F_VERTEX] if stack else st.ctt.root
-        frame = [_BRANCH, None, 0]
-        if cur is not None:
-            group = cur.find_group(ast_id, cur.search_pos)
-            if group is not None:
-                cur.search_pos = group.last_index + 1
-                visit = group.visit_counter
-                group.visit_counter = visit + 1
-                path_vertex = group.paths.get(path)
-                if path_vertex is not None:
-                    path_vertex.visits.append(visit)
-                    path_vertex.search_pos = 0
-                    frame[_F_VERTEX] = path_vertex
-        stack.append(frame)
 
     def _branch_exit(self, st: RankState, ast_id: int) -> None:
         stack = st.stack
@@ -540,60 +510,6 @@ class IntraProcessCompressor(CaptureCallbacks):
         leaf.params_index[params] = record
         leaf.last_params = params
         leaf.last_record = record
-
-    def _ingest_ref(self, st: RankState, ev: CommEvent) -> None:
-        """Pre-optimization reference path (``config.fastpath=False``):
-        generic predicate scan over the children, fresh key per event.
-        Kept as the byte-identity oracle for the fast path."""
-        stack = st.stack
-        cur = stack[-1][_F_VERTEX] if stack else st.ctt.root
-        rank = st.rank
-        op = ev.op
-        if cur is None:
-            raise self._no_leaf(st, cur, op)
-        hit = cur.find_child(
-            lambda c: c.kind == CALL and c.op == op, cur.search_pos
-        )
-        if hit is None:
-            raise self._no_leaf(st, cur, op)
-        leaf, idx = hit
-        cur.search_pos = idx + 1
-        visit = leaf.leaf_visits
-        leaf.leaf_visits = visit + 1
-
-        if leaf.op_nonblocking:
-            st.req_gid[ev.req] = leaf.gid
-        reqs = ev.reqs
-        req_gids = self._consume_reqs(st, reqs) if reqs else ()
-
-        start = ev.time_start
-        gap = start - st.last_event_end
-        if gap < 0.0:
-            gap = 0.0
-        duration = ev.duration
-        end = start + duration
-        if end > st.last_event_end:
-            st.last_event_end = end
-
-        if ev.wildcard and op == "MPI_Irecv":
-            self._ingest_pending(st, leaf, ev, visit, duration, gap)
-            return
-
-        self.m_key_build += 1
-        key = self._event_key(ev, rank, req_gids)
-        self._add_record(leaf, key, visit, duration, gap)
-
-    @staticmethod
-    def _consume_reqs(st: RankState, reqs) -> tuple[int, ...]:
-        """Resolve consumed request ids to creator GIDs and evict them —
-        the table stays bounded by the number of in-flight requests, and
-        a runtime that reuses a request id never resolves it to the
-        stale creator GID."""
-        table = st.req_gid
-        req_gids = tuple(table.get(r, -1) for r in reqs)
-        for r in reqs:
-            table.pop(r, None)
-        return req_gids
 
     def _ingest_pending(
         self,
@@ -765,247 +681,221 @@ class IntraProcessCompressor(CaptureCallbacks):
         loop_push = self._loop_push
         loop_iter = self._loop_iter
         loop_pop = self._loop_pop
-        branch_enter = self._branch_enter
         branch_exit = self._branch_exit
         recurse_enter = self._recurse_enter
         recurse_exit = self._recurse_exit
         request_complete = self._request_complete
-        if self._fastpath:
-            # The dominant opcodes are handled inline.  An event is
-            # dispatched and committed here, whatever the MPI call: one
-            # leaf lookup, its requests, one parameter tuple, and the
-            # record it already has.  Only a parameter set with no
-            # record yet, a wildcard Irecv and the bounded window leave
-            # the loop.  Branch enter/exit and loop iter fall back to the
-            # shared handler *before* any state has been mutated.
-            # ``stack``, ``root`` and the request table can be hoisted:
-            # they are mutated only in place, never rebound.
-            stack = st.stack
-            root = st.ctt.root
-            req_gid = st.req_gid
-            pending = st.pending
-            unbounded = self._window_unbounded
-            for item in stream:
-                code = item[0]
-                if code == OP_EVENT:
-                    ev = item[1]
-                    op = ev.op
-                    cur = stack[-1][1] if stack else root
-                    if cur is None:
-                        raise self._no_leaf(st, cur, op)
-                    # A program runs its calls in source order: the leaf
-                    # is the child at search_pos, or dispatch looks it up.
-                    idx = cur.search_pos
-                    try:
-                        leaf = cur.children[idx]
-                    except IndexError:
-                        leaf = cur  # past the last child: wraps around
-                    if leaf.op != op:
-                        self.m_mono_miss += 1
-                        lst = cur.call_children_by_op.get(op)
-                        if lst is None:
-                            raise self._no_leaf(st, cur, op)
-                        # First candidate at or after search_pos, else
-                        # wrap to the first overall.
-                        for found in lst:
-                            if found[0] >= idx:
-                                break
-                        else:
-                            found = lst[0]
-                        idx, leaf = found
-                    cur.search_pos = idx + 1
-                    visit = leaf.leaf_visits
-                    leaf.leaf_visits = visit + 1
-                    if leaf.op_nonblocking:
-                        req_gid[ev.req] = leaf.gid
-                    reqs = ev.reqs
-                    if reqs:
-                        # _consume_reqs, in its order: resolve every id,
-                        # then evict every id.
-                        req_gids = tuple([req_gid.get(r, -1) for r in reqs])
-                        for r in reqs:
-                            req_gid.pop(r, None)
-                    else:
-                        req_gids = ()
-                    start = ev.time_start
-                    last_end = st.last_event_end
-                    gap = start - last_end
-                    if gap < 0.0:
-                        gap = 0.0
-                    duration = ev.duration
-                    end = start + duration
-                    if end > last_end:
-                        st.last_event_end = end
-                    wildcard = ev.wildcard
-                    if wildcard and op == "MPI_Irecv":
-                        self.m_stream_fallback += 1
-                        self._ingest_pending(st, leaf, ev, visit, duration, gap)
-                        continue
-                    if not unbounded:
-                        # The paper's bounded scan: the reference commit.
-                        self.m_stream_fallback += 1
-                        self.m_key_build += 1
-                        self._add_record(
-                            leaf, self._event_key(ev, st.rank, req_gids),
-                            visit, duration, gap,
-                        )
-                        continue
-                    # One tuple of every key-relevant parameter (``op``
-                    # is the leaf's), probed against the leaf's last
-                    # event, then against every tuple the leaf has seen.
-                    params = (
-                        ev.peer,
-                        ev.nbytes,
-                        ev.tag,
-                        req_gids,
-                        ev.peer2,
-                        ev.tag2,
-                        ev.nbytes2,
-                        ev.comm,
-                        ev.root,
-                        wildcard,
-                        ev.result_comm,
-                    )
-                    if params == leaf.last_params:
-                        record = leaf.last_record
-                    else:
-                        record = leaf.params_index.get(params)
-                        if record is None:
-                            self._commit_unseen(
-                                st, leaf, ev, params, visit, duration, gap
-                            )
-                            continue
-                        leaf.last_params = params
-                        leaf.last_record = record
-                    # record.add_occurrence, inlined (same float ops).
-                    occ = record.occurrences
-                    terms = occ.terms
-                    if terms:
-                        s0, c0, d0 = terms[-1]
-                        if c0 == 1:
-                            terms[-1] = (s0, 2, visit - s0)
-                            occ.length += 1
-                        elif visit == s0 + c0 * d0:
-                            terms[-1] = (s0, c0 + 1, d0)
-                            occ.length += 1
-                        else:
-                            occ.append(visit)
-                    else:
-                        occ.append(visit)
-                    stats = record.duration
-                    if stats.bins is None:
-                        stats.count = n = stats.count + 1
-                        delta = duration - stats.mean
-                        stats.mean += delta / n
-                        stats.m2 += delta * (duration - stats.mean)
-                        if duration < stats.minimum:
-                            stats.minimum = duration
-                        if duration > stats.maximum:
-                            stats.maximum = duration
-                    else:
-                        stats.add(duration)
-                    stats = record.pre_gap
-                    if stats.bins is None:
-                        stats.count = n = stats.count + 1
-                        delta = gap - stats.mean
-                        stats.mean += delta / n
-                        stats.m2 += delta * (gap - stats.mean)
-                        if gap < stats.minimum:
-                            stats.minimum = gap
-                        if gap > stats.maximum:
-                            stats.maximum = gap
-                    else:
-                        stats.add(gap)
-                elif code == OP_BRANCH_ENTER:
-                    # Inlined _branch_enter (identical semantics; the
-                    # shared handler stays the reference).
-                    cur = stack[-1][1] if stack else root
-                    if cur is None:
-                        stack.append([_BRANCH, None, 0])
-                        continue
-                    lst = cur.group_by_ast_id.get(item[1])
-                    if lst is None:
-                        stack.append([_BRANCH, None, 0])
-                        continue
-                    group = None
-                    sp = cur.search_pos
-                    for g in lst:
-                        if g.first_index >= sp:
-                            group = g
-                            break
-                    if group is None:
-                        group = lst[0]
-                    cur.search_pos = group.last_index + 1
-                    visit = group.visit_counter
-                    group.visit_counter = visit + 1
-                    path_vertex = group.paths.get(item[2])
-                    if path_vertex is None:
-                        stack.append([_BRANCH, None, 0])
-                        continue
-                    seq = path_vertex.visits
-                    terms = seq.terms
-                    if terms:
-                        s0, c0, d0 = terms[-1]
-                        if c0 == 1:
-                            terms[-1] = (s0, 2, visit - s0)
-                            seq.length += 1
-                        elif visit == s0 + c0 * d0:
-                            terms[-1] = (s0, c0 + 1, d0)
-                            seq.length += 1
-                        else:
-                            seq.append(visit)
-                    else:
-                        seq.append(visit)
-                    path_vertex.search_pos = 0
-                    stack.append([_BRANCH, path_vertex, 0])
-                elif code == OP_BRANCH_EXIT:
-                    if stack and stack[-1][0] == _BRANCH:
-                        stack.pop()
-                    else:
-                        branch_exit(st, item[1])
-                elif code == OP_LOOP_ITER:
-                    if stack:
-                        frame = stack[-1]
-                        if frame[0] == _LOOP:
-                            frame[2] += 1
-                            vertex = frame[1]
-                            if vertex is not None:
-                                vertex.search_pos = 0
-                            continue
-                    loop_iter(st, item[1])
-                elif code == OP_LOOP_PUSH:
-                    loop_push(st, item[1])
-                elif code == OP_LOOP_POP:
-                    loop_pop(st, item[1])
-                elif code == OP_REQ_COMPLETE:
-                    if pending:  # else: no wildcard receive to resolve
-                        request_complete(st, item[1], item[2], item[3], item[4])
-                elif code == OP_RECURSE_ENTER:
-                    recurse_enter(st, item[1])
-                elif code == OP_RECURSE_EXIT:
-                    recurse_exit(st, item[1])
-                elif code == OP_FINALIZE:
-                    self._finalize(st)
-                else:  # pragma: no cover - capture writes only known opcodes
-                    raise CompressionError(f"unknown stream opcode {code!r}")
-            return
-        ingest = self._ingest_ref
+        # The dominant opcodes are handled inline.  An event is
+        # dispatched and committed here, whatever the MPI call: one leaf
+        # lookup, its requests, one parameter tuple, and the record it
+        # already has.  Only a parameter set with no record yet, a
+        # wildcard Irecv and the bounded window leave the loop.  Branch
+        # enter is whole here; branch exit and loop iter fall back to
+        # the handler that raises *before* any state has been mutated.
+        # ``stack``, ``root`` and the request table can be hoisted: they
+        # are mutated only in place, never rebound.
+        stack = st.stack
+        root = st.ctt.root
+        req_gid = st.req_gid
+        pending = st.pending
+        unbounded = self._window_unbounded
         for item in stream:
             code = item[0]
             if code == OP_EVENT:
-                ingest(st, item[1])
+                ev = item[1]
+                op = ev.op
+                cur = stack[-1][1] if stack else root
+                if cur is None:
+                    raise self._no_leaf(st, cur, op)
+                # A program runs its calls in source order: the leaf
+                # is the child at search_pos, or dispatch looks it up.
+                idx = cur.search_pos
+                try:
+                    leaf = cur.children[idx]
+                except IndexError:
+                    leaf = cur  # past the last child: wraps around
+                if leaf.op != op:
+                    self.m_mono_miss += 1
+                    lst = cur.call_children_by_op.get(op)
+                    if lst is None:
+                        raise self._no_leaf(st, cur, op)
+                    # First candidate at or after search_pos, else
+                    # wrap to the first overall.
+                    for found in lst:
+                        if found[0] >= idx:
+                            break
+                    else:
+                        found = lst[0]
+                    idx, leaf = found
+                cur.search_pos = idx + 1
+                visit = leaf.leaf_visits
+                leaf.leaf_visits = visit + 1
+                if leaf.op_nonblocking:
+                    req_gid[ev.req] = leaf.gid
+                reqs = ev.reqs
+                if reqs:
+                    # Resolve every id, then evict every id: the table
+                    # holds only requests in flight, and a reused id
+                    # never resolves to a stale creator.
+                    req_gids = tuple([req_gid.get(r, -1) for r in reqs])
+                    for r in reqs:
+                        req_gid.pop(r, None)
+                else:
+                    req_gids = ()
+                start = ev.time_start
+                last_end = st.last_event_end
+                gap = start - last_end
+                if gap < 0.0:
+                    gap = 0.0
+                duration = ev.duration
+                end = start + duration
+                if end > last_end:
+                    st.last_event_end = end
+                wildcard = ev.wildcard
+                if wildcard and op == "MPI_Irecv":
+                    self.m_stream_fallback += 1
+                    self._ingest_pending(st, leaf, ev, visit, duration, gap)
+                    continue
+                if not unbounded:
+                    # The paper's bounded scan, which no cache serves.
+                    self.m_stream_fallback += 1
+                    self.m_key_build += 1
+                    self._add_record(
+                        leaf, self._event_key(ev, st.rank, req_gids),
+                        visit, duration, gap,
+                    )
+                    continue
+                # One tuple of every key-relevant parameter (``op``
+                # is the leaf's), probed against the leaf's last
+                # event, then against every tuple the leaf has seen.
+                params = (
+                    ev.peer,
+                    ev.nbytes,
+                    ev.tag,
+                    req_gids,
+                    ev.peer2,
+                    ev.tag2,
+                    ev.nbytes2,
+                    ev.comm,
+                    ev.root,
+                    wildcard,
+                    ev.result_comm,
+                )
+                if params == leaf.last_params:
+                    record = leaf.last_record
+                else:
+                    record = leaf.params_index.get(params)
+                    if record is None:
+                        self._commit_unseen(
+                            st, leaf, ev, params, visit, duration, gap
+                        )
+                        continue
+                    leaf.last_params = params
+                    leaf.last_record = record
+                # record.add_occurrence, inlined (same float ops).
+                occ = record.occurrences
+                terms = occ.terms
+                if terms:
+                    s0, c0, d0 = terms[-1]
+                    if c0 == 1:
+                        terms[-1] = (s0, 2, visit - s0)
+                        occ.length += 1
+                    elif visit == s0 + c0 * d0:
+                        terms[-1] = (s0, c0 + 1, d0)
+                        occ.length += 1
+                    else:
+                        occ.append(visit)
+                else:
+                    occ.append(visit)
+                stats = record.duration
+                if stats.bins is None:
+                    stats.count = n = stats.count + 1
+                    delta = duration - stats.mean
+                    stats.mean += delta / n
+                    stats.m2 += delta * (duration - stats.mean)
+                    if duration < stats.minimum:
+                        stats.minimum = duration
+                    if duration > stats.maximum:
+                        stats.maximum = duration
+                else:
+                    stats.add(duration)
+                stats = record.pre_gap
+                if stats.bins is None:
+                    stats.count = n = stats.count + 1
+                    delta = gap - stats.mean
+                    stats.mean += delta / n
+                    stats.m2 += delta * (gap - stats.mean)
+                    if gap < stats.minimum:
+                        stats.minimum = gap
+                    if gap > stats.maximum:
+                        stats.maximum = gap
+                else:
+                    stats.add(gap)
             elif code == OP_BRANCH_ENTER:
-                branch_enter(st, item[1], item[2])
+                # The group at or after search_pos, else the first one
+                # (wrap-around); a pruned structure or path pushes a
+                # null frame.
+                cur = stack[-1][1] if stack else root
+                if cur is None:
+                    stack.append([_BRANCH, None, 0])
+                    continue
+                lst = cur.group_by_ast_id.get(item[1])
+                if lst is None:
+                    stack.append([_BRANCH, None, 0])
+                    continue
+                group = None
+                sp = cur.search_pos
+                for g in lst:
+                    if g.first_index >= sp:
+                        group = g
+                        break
+                if group is None:
+                    group = lst[0]
+                cur.search_pos = group.last_index + 1
+                visit = group.visit_counter
+                group.visit_counter = visit + 1
+                path_vertex = group.paths.get(item[2])
+                if path_vertex is None:
+                    stack.append([_BRANCH, None, 0])
+                    continue
+                seq = path_vertex.visits
+                terms = seq.terms
+                if terms:
+                    s0, c0, d0 = terms[-1]
+                    if c0 == 1:
+                        terms[-1] = (s0, 2, visit - s0)
+                        seq.length += 1
+                    elif visit == s0 + c0 * d0:
+                        terms[-1] = (s0, c0 + 1, d0)
+                        seq.length += 1
+                    else:
+                        seq.append(visit)
+                else:
+                    seq.append(visit)
+                path_vertex.search_pos = 0
+                stack.append([_BRANCH, path_vertex, 0])
             elif code == OP_BRANCH_EXIT:
-                branch_exit(st, item[1])
+                if stack and stack[-1][0] == _BRANCH:
+                    stack.pop()
+                else:
+                    branch_exit(st, item[1])
             elif code == OP_LOOP_ITER:
+                if stack:
+                    frame = stack[-1]
+                    if frame[0] == _LOOP:
+                        frame[2] += 1
+                        vertex = frame[1]
+                        if vertex is not None:
+                            vertex.search_pos = 0
+                        continue
                 loop_iter(st, item[1])
             elif code == OP_LOOP_PUSH:
                 loop_push(st, item[1])
             elif code == OP_LOOP_POP:
                 loop_pop(st, item[1])
             elif code == OP_REQ_COMPLETE:
-                request_complete(st, item[1], item[2], item[3], item[4])
+                if pending:  # else: no wildcard receive to resolve
+                    request_complete(st, item[1], item[2], item[3], item[4])
             elif code == OP_RECURSE_ENTER:
                 recurse_enter(st, item[1])
             elif code == OP_RECURSE_EXIT:

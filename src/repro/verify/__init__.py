@@ -8,9 +8,9 @@ Three layers, cheapest first:
   :class:`~repro.verify.invariants.Violation`\\ s with gid/rank/sequence
   context.
 * :mod:`repro.verify.differential` — cross-checks the pipeline's
-  equivalence claims (fastpath vs reference compressor, inline vs
-  captured-stream compression, budgeted vs unbudgeted, replay before
-  vs after merge) by diffing replayed event sequences at the first
+  equivalence claims (inline vs deferred compression of the captured
+  streams, list vs packed streams, budgeted vs unbudgeted, replay
+  before vs after merge) by diffing replayed event sequences at the first
   diverging event.
 * :mod:`repro.verify.wildcards` — audits compressed wildcard receives
   for nondeterminism (resolved sources that differ across merged groups,

@@ -3,12 +3,11 @@
 The codebase claims several independently-implemented paths are
 equivalent:
 
-* fastpath compression == reference compression
-  (``CypressConfig(fastpath=False)``);
 * inline (callback) compression — capture-and-drain with a small drain
-  size — == deferred compression (``compress_streams``);
+  size — == deferred compression of the captured streams
+  (``compress_streams``);
 * the packed codec (CYPK blobs through ``compress_streams``: encode,
-  decode, walk) == the list-stream path (``packed``);
+  decode, walk) == the list-stream path;
 * compression under a 1-byte memory budget (spill, reload, ascending
   fold) == the unbudgeted pipeline (byte-identical);
 * every rank's replay is the same before and after the merge, and equals
@@ -37,7 +36,7 @@ from repro.static.instrument import compile_minimpi
 class Divergence:
     """First diverging event between two supposedly equal sequences."""
 
-    left: str  # variant name, e.g. "fastpath"
+    left: str  # variant name, e.g. "deferred"
     right: str  # variant name or "truth"
     rank: int
     index: int  # first diverging event index (or the shorter length)
@@ -138,7 +137,7 @@ def differential_check(
     # -- compression variants, all from the same captured streams --------
     # The live path: callbacks into seven-item buffers, so drain
     # boundaries fall inside loops, branches and request lifetimes
-    # instead of re-chunking what `fastpath` ingests whole.
+    # instead of re-chunking what `deferred` ingests whole.
     inline = IntraProcessCompressor(compiled.cst)
     drain_items, intra.DRAIN_ITEMS = intra.DRAIN_ITEMS, 7
     try:
@@ -151,11 +150,7 @@ def differential_check(
     }
     variants = {
         "inline": inline,
-        "fastpath": compress_streams(compiled.cst, capture.streams),
-        "reference": compress_streams(
-            compiled.cst, capture.streams,
-            config=CypressConfig(fastpath=False),
-        ),
+        "deferred": compress_streams(compiled.cst, capture.streams),
         # Packed codec round trip.
         "packed": compress_streams(compiled.cst, packed_streams),
     }
@@ -166,13 +161,13 @@ def differential_check(
             note(first_divergence(
                 name, "truth", rank, replays[name][rank], truth[rank]
             ))
-    base = replays["fastpath"]
+    base = replays["deferred"]
     for name in sorted(variants):
-        if name == "fastpath":
+        if name == "deferred":
             continue
         for rank in range(nprocs):
             note(first_divergence(
-                name, "fastpath", rank, replays[name][rank], base[rank]
+                name, "deferred", rank, replays[name][rank], base[rank]
             ))
 
     # -- byte identity across the variant matrix --------------------------
@@ -191,10 +186,10 @@ def differential_check(
     )
     report.variants.append("budgeted")
 
-    merged = variants["fastpath"].merged(nranks=nprocs)
+    merged = variants["deferred"].merged(nranks=nprocs)
     base_blob = serialize.dumps(merged)
     for name in report.variants:
-        if name == "fastpath":
+        if name == "deferred":
             continue
         vb = serialize.dumps(variants[name].merged(nranks=nprocs))
         variants[name].close_spill()
@@ -208,7 +203,7 @@ def differential_check(
                     replayed[rank], base[rank],
                 ))
         note(Divergence(
-            f"bytes:{name}", "bytes:fastpath", -1, -1,
+            f"bytes:{name}", "bytes:deferred", -1, -1,
             (len(vb), "bytes"), (len(base_blob), "bytes"),
         ))
 

@@ -410,8 +410,6 @@ class TestLiveBytesEstimator:
         for rank in range(4):
             ctt = comp.ctt(rank)
             assert ctt.live_bytes() > ctt.serialized_bytes()
-            # The alias keeps the historical name meaning "serialized".
-            assert ctt.approx_bytes() == ctt.serialized_bytes()
             assert comp.live_bytes(rank) > comp.serialized_bytes(rank)
 
     def test_serialized_estimate_tracks_container(self):

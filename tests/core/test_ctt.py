@@ -1,8 +1,14 @@
-"""CTT structure tests: mirroring, branch groups, cursor helpers."""
+"""CTT structure tests: mirroring, branch groups, and the cursor helpers
+of the spec compressor (``tests/spec_compress.py``) on a CTT's children."""
+
+import sys
 
 from repro.core.ctt import CTT
 from repro.static.cst import BRANCH, CALL, LOOP, ROOT
 from repro.static.instrument import compile_minimpi
+
+sys.path.insert(0, "tests")
+from spec_compress import find_child, find_group  # noqa: E402
 
 SRC = """
 func main() {
@@ -69,8 +75,11 @@ class TestBranchGroups:
         _, ctt = build()
         loop = next(v for v in ctt.preorder() if v.kind == LOOP)
         (group,) = loop.branch_groups
-        assert loop.find_group(group.ast_id, 0) is group
-        assert loop.find_group(999999, 0) is None
+        assert loop.group_by_ast_id == {group.ast_id: [group]}
+        assert find_group(loop, group.ast_id, 0) == (
+            group.ast_id, group.first_index, group.last_index, group.paths
+        )
+        assert find_group(loop, 999999, 0) is None
 
     def test_root_has_no_groups(self):
         _, ctt = build()
@@ -78,39 +87,37 @@ class TestBranchGroups:
 
 
 class TestFindChild:
+    @staticmethod
+    def _barrier(c):
+        return c.kind == CALL and c.op == "MPI_Barrier"
+
     def test_ordered_search(self):
         _, ctt = build()
         loop = next(v for v in ctt.preorder() if v.kind == LOOP)
         # two inlined exchange() copies -> two barrier leaves
         barriers = [c for c in loop.children if c.op == "MPI_Barrier"]
         assert len(barriers) == 2
-        first, idx1 = loop.find_child(
-            lambda c: c.kind == CALL and c.op == "MPI_Barrier", 0
-        )
-        second, idx2 = loop.find_child(
-            lambda c: c.kind == CALL and c.op == "MPI_Barrier", idx1 + 1
-        )
+        first, idx1 = find_child(loop, self._barrier, 0)
+        second, idx2 = find_child(loop, self._barrier, idx1 + 1)
         assert first is barriers[0] and second is barriers[1]
 
     def test_wraparound(self):
         _, ctt = build()
         loop = next(v for v in ctt.preorder() if v.kind == LOOP)
-        nchildren = len(loop.children)
+        barriers = [c for c in loop.children if c.op == "MPI_Barrier"]
         # Start past the end: wraps to the beginning.
-        found, idx = loop.find_child(
-            lambda c: c.kind == CALL and c.op == "MPI_Barrier", nchildren - 1
-        )
-        assert found.op == "MPI_Barrier"
+        found, idx = find_child(loop, self._barrier, len(loop.children))
+        assert found is barriers[0] and loop.children[idx] is found
 
     def test_no_match(self):
         _, ctt = build()
-        assert ctt.root.find_child(lambda c: c.kind == "nope", 0) is None
+        assert find_child(ctt.root, lambda c: c.kind == "nope", 0) is None
 
 
 class TestSizeAccounting:
     def test_empty_ctt_small(self):
         _, ctt = build()
-        assert 0 < ctt.approx_bytes() < 500
+        assert 0 < ctt.serialized_bytes() < 500
 
     def test_record_count_zero_before_tracing(self):
         _, ctt = build()

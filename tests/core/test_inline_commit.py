@@ -8,6 +8,8 @@ yet.  These tests pin the counters that say so, and that the inline
 request handling and the per-leaf params index change no byte.
 """
 
+import sys
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
@@ -25,6 +27,9 @@ from repro.mpisim.events import CommEvent
 from repro.mpisim.pmpi import OP_EVENT, StreamCaptureSink
 from repro.static.instrument import compile_minimpi
 from repro.workloads import WORKLOADS
+
+sys.path.insert(0, "tests")
+from spec_compress import SpecWalk  # noqa: E402
 
 # Rank 0 posts wildcard irecvs; the others send (tests/core/
 # test_wildcard_window.py's shape, with a nonblocking reply added).
@@ -72,6 +77,17 @@ def _blob(comp, nprocs):
     return serialize.dumps(
         merge_all([comp.ctt(r) for r in range(nprocs)], nranks=nprocs)
     )
+
+
+def _spec(cst, sink, **config) -> SpecWalk:
+    """The spec fed rank 0 of what ``sink`` (a capture) recorded."""
+    walk = SpecWalk(cst, 0, **config)
+    walk.feed(sink.streams[0])
+    return walk
+
+
+def _spec_blob(walk) -> bytes:
+    return serialize.dumps(merge_all([walk.ctt], nranks=1))
 
 
 class TestCounterContract:
@@ -129,31 +145,31 @@ func main() {
 
 class TestLeafDispatch:
     """The leaf is the child at ``search_pos`` when the program runs its
-    calls in source order; any other order must land where the reference
+    calls in source order; any other order must land where the spec's
     scan ("first candidate at or after search_pos, else the first")
     lands."""
 
     ORDER = ["MPI_Send", "MPI_Send", "MPI_Bcast", "MPI_Send", "MPI_Send"]
     #         child 0     skips 1->2  past end->1   child 2     wraps->0
 
-    def _drive(self, config):
-        compiled = compile_minimpi(STRAIGHT)
-        comp = IntraProcessCompressor(compiled.cst, config)
+    def _drive(self, sink):
         for seq, op in enumerate(self.ORDER):
-            comp.on_event(0, CommEvent(
+            sink.on_event(0, CommEvent(
                 op=op, rank=0, seq=seq, peer=1, nbytes=8,
                 time_start=5.0 * seq, duration=1.0,
             ))
-        comp.on_finalize(0)
-        return comp
+        sink.on_finalize(0)
+        return sink
 
     def test_out_of_order_events_scan_and_wrap_like_the_reference(self):
-        fast = self._drive(None)
-        ref = self._drive(CypressConfig(fastpath=False))
-        visits = [v.leaf_visits for v in fast.ctt(0).root.children]
+        cst = compile_minimpi(STRAIGHT).cst
+        fast = self._drive(IntraProcessCompressor(cst))
+        spec = _spec(cst, self._drive(StreamCaptureSink()))
+        root = fast.ctt(0).root
+        visits = [v.leaf_visits for v in root.children]
         assert visits == [2, 1, 2]
-        assert visits == [v.leaf_visits for v in ref.ctt(0).root.children]
-        assert _blob(fast, 1) == _blob(ref, 1)
+        assert visits == [spec.leaf_visits.get(v, 0) for v in spec.ctt.root.children]
+        assert _blob(fast, 1) == _spec_blob(spec)
         # Events 2, 3 and 5 were not at the search position.
         assert fast.metrics_counters()["intra.mono_cache_miss"] == 3
 
@@ -193,8 +209,7 @@ _iteration = st.tuples(
 )
 
 
-def _drive_halo(config, iterations):
-    comp = IntraProcessCompressor(_HALO.cst, config)
+def _drive_halo(comp, iterations):
     seq = 0
 
     def event(op, **kw):
@@ -227,16 +242,23 @@ class TestInlineRequestsProperty:
     def test_fast_and_reference_agree_on_odd_request_ids(
         self, iterations, window
     ):
-        fast = _drive_halo(CypressConfig(window=window), iterations)
-        ref = _drive_halo(
-            CypressConfig(window=window, fastpath=False), iterations
+        fast = _drive_halo(
+            IntraProcessCompressor(_HALO.cst, CypressConfig(window=window)),
+            iterations,
         )
-        assert _blob(fast, 1) == _blob(ref, 1)
-        assert fast.state(0).req_gid == ref.state(0).req_gid
+        spec = _spec(
+            _HALO.cst, _drive_halo(StreamCaptureSink(), iterations),
+            window=window,
+        )
+        assert _blob(fast, 1) == _spec_blob(spec)
+        assert fast.state(0).req_gid == spec.req_gid
 
     def test_duplicate_id_in_one_completion_resolves_twice(self):
         # Get-all-then-pop-all: both occurrences of id 1 see its creator.
-        comp = _drive_halo(None, [(1, 8, 2, 8, (1, 1, 5), 3, 0, 3)])
+        comp = _drive_halo(
+            IntraProcessCompressor(_HALO.cst),
+            [(1, 8, 2, 8, (1, 1, 5), 3, 0, 3)],
+        )
         waitall = next(
             v for v in comp.ctt(0).preorder() if v.op == "MPI_Waitall"
         )

@@ -3,7 +3,8 @@ append to bounded per-rank buffers and ``ingest_stream`` compresses a
 buffer at a time.  Where the drain boundaries fall is an accident of two
 module constants, so it must not move a byte: for every buffer size the
 live compressor's per-rank and merged bytes equal ``compress_streams``
-of the captured stream, fast path and reference path alike.
+of the captured stream, and both equal the naive compressor in
+``tests/spec_compress.py``.
 """
 
 import sys
@@ -37,6 +38,7 @@ from repro.workloads import WORKLOADS
 
 sys.path.insert(0, "tests")
 from generators import program  # noqa: E402
+from spec_compress import spec_compress_streams  # noqa: E402
 
 SETTINGS = dict(
     max_examples=10,
@@ -56,30 +58,30 @@ SIZES = [
 
 def _blobs(comp, nprocs: int) -> list[bytes]:
     """Per-rank bytes, then the merged container."""
-    ctts = [comp.ctt(r) for r in range(nprocs)]
+    return _ctt_blobs([comp.ctt(r) for r in range(nprocs)], nprocs)
+
+
+def _ctt_blobs(ctts, nprocs: int) -> list[bytes]:
     return [
         serialize.dumps(merge_all([ctt], nranks=nprocs)) for ctt in ctts
     ] + [serialize.dumps(merge_all(ctts, nranks=nprocs))]
 
 
 def _live(compiled, nprocs, defines, window, sizes, extra=()):
-    """One live run with both compressors attached, buffers sized
-    ``sizes``; the constants are read at every callback, so setting the
-    module globals around the run is all it takes."""
-    fast = IntraProcessCompressor(compiled.cst, CypressConfig(window=window))
-    ref = IntraProcessCompressor(
-        compiled.cst, CypressConfig(window=window, fastpath=False)
-    )
+    """One live run, buffers sized ``sizes``; the constants are read at
+    every callback, so setting the module globals around the run is all
+    it takes."""
+    comp = IntraProcessCompressor(compiled.cst, CypressConfig(window=window))
     saved = (intra.DRAIN_ITEMS, intra.TOTAL_ITEMS)
     intra.DRAIN_ITEMS, intra.TOTAL_ITEMS = sizes
     try:
         run_compiled(
             compiled, nprocs, defines=defines,
-            tracer=MultiSink([fast, ref, *extra]), max_steps=2_000_000,
+            tracer=MultiSink([comp, *extra]), max_steps=2_000_000,
         )
     finally:
         intra.DRAIN_ITEMS, intra.TOTAL_ITEMS = saved
-    return fast, ref
+    return comp
 
 
 def _assert_boundary_free(source, nprocs, window, defines=None, sizes=SIZES):
@@ -87,24 +89,20 @@ def _assert_boundary_free(source, nprocs, window, defines=None, sizes=SIZES):
     capture = StreamCaptureSink()
     run_compiled(compiled, nprocs, defines=defines, tracer=capture,
                  max_steps=2_000_000)
-    expected = _blobs(
+    streams = {r: capture.streams.get(r, []) for r in range(nprocs)}
+    expected = _ctt_blobs(
+        spec_compress_streams(compiled.cst, streams, window=window), nprocs
+    )
+    assert expected == _blobs(
         compress_streams(
             compiled.cst, capture.streams, config=CypressConfig(window=window)
         ),
         nprocs,
     )
-    assert expected == _blobs(
-        compress_streams(
-            compiled.cst, capture.streams,
-            config=CypressConfig(window=window, fastpath=False),
-        ),
-        nprocs,
-    )
     for size in sizes:
-        fast, ref = _live(compiled, nprocs, defines, window, size)
-        assert _blobs(fast, nprocs) == expected, f"live fast path, {size}"
-        assert _blobs(ref, nprocs) == expected, f"live reference, {size}"
-        assert not any(fast._buffers.values()) and fast._buffered == 0
+        comp = _live(compiled, nprocs, defines, window, size)
+        assert _blobs(comp, nprocs) == expected, f"live, {size}"
+        assert not any(comp._buffers.values()) and comp._buffered == 0
     return capture.streams
 
 
@@ -167,10 +165,10 @@ class TestBoundaryCases:
         )
         codes = [item[0] for item in streams[0]]
         assert codes.count(OP_REQ_COMPLETE) == 12
-        fast, _ = _live(
+        comp = _live(
             compile_minimpi(WILDCARD_IRECV), 3, None, window, (1, DEFAULT[1])
         )
-        assert fast.metrics_counters()["intra.wildcard_deferred"] == 12
+        assert comp.metrics_counters()["intra.wildcard_deferred"] == 12
 
     def test_waitall_requests_created_in_the_previous_drain(self):
         # Irecv, Isend, Waitall are consecutive items: with three-item
@@ -203,10 +201,10 @@ class TestBoundaryCases:
         # shared CommEvent when the request completes — before the
         # compressor, which only buffered the event, has looked at it.
         compiled = compile_minimpi(WILDCARD_IRECV)
-        plain, _ = _live(compiled, 3, None, None, DEFAULT)
+        plain = _live(compiled, 3, None, None, DEFAULT)
         for size in [(1, DEFAULT[1]), DEFAULT]:
             recorder = RecordingSink()
-            shared, _ = _live(compiled, 3, None, None, size, extra=[recorder])
+            shared = _live(compiled, 3, None, None, size, extra=[recorder])
             assert _blobs(shared, 3) == _blobs(plain, 3)
             irecvs = [e for e in recorder.events[0] if e.op == "MPI_Irecv"]
             assert irecvs and all(e.peer in (1, 2) for e in irecvs)
@@ -216,9 +214,9 @@ class TestBoundaryCases:
         nprocs = 4
         compiled = compile_minimpi(w.source)
         defines = w.defines(nprocs, 1.0)
-        plain, _ = _live(compiled, nprocs, defines, None, DEFAULT)
+        plain = _live(compiled, nprocs, defines, None, DEFAULT)
         for size in [(1, DEFAULT[1]), (7, DEFAULT[1]), DEFAULT]:
-            comp, _ = _live(
+            comp = _live(
                 compiled, nprocs, defines, None, size, extra=[RecordingSink()]
             )
             assert _blobs(comp, nprocs) == _blobs(plain, nprocs)

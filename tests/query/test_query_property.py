@@ -3,13 +3,13 @@ every query equals its replay oracle.
 
 Two tiers:
 
-* a light always-on property (fastpath compression) that rides in
-  tier-1;
-* the full sweep over {reference, fastpath, packed} compression,
-  marked ``slow``.  It runs a
-  small number of examples by default (tier-1 has no marker filter) and
-  CI's query-differential job raises ``QUERY_SWEEP_EXAMPLES`` for a
-  deeper pass.
+* a light always-on property (``compress_streams`` of the captured
+  lists) that rides in tier-1;
+* the full sweep over {spec, lists, packed} compression (the spec is
+  the naive compressor in ``tests/spec_compress.py``), marked ``slow``.
+  It runs a small number of examples by default (tier-1 has no marker
+  filter) and CI's query-differential job raises
+  ``QUERY_SWEEP_EXAMPLES`` for a deeper pass.
 """
 
 import itertools
@@ -21,16 +21,13 @@ from hypothesis import HealthCheck, given, settings
 
 sys.path.insert(0, "tests")
 from generators import program  # noqa: E402
+from spec_compress import spec_compress_streams  # noqa: E402
 
 from repro import query  # noqa: E402
 from repro.core import packed, serialize  # noqa: E402
 from repro.core.decompress import decompress_all  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
-from repro.core.intra import (  # noqa: E402
-    CypressConfig,
-    IntraProcessCompressor,
-    compress_streams,
-)
+from repro.core.intra import compress_streams  # noqa: E402
 from repro.driver import run_compiled  # noqa: E402
 from repro.mpisim.pmpi import MultiSink, StreamCaptureSink  # noqa: E402
 from repro.static.cst import CALL  # noqa: E402
@@ -53,19 +50,20 @@ def _captured_streams(source: str):
     return compiled, capture.streams
 
 
-def _compress(compiled, streams, variant: str) -> IntraProcessCompressor:
-    if variant == "reference":
-        return compress_streams(compiled.cst, streams,
-                                config=CypressConfig(fastpath=False))
+def _compressed(compiled, streams, variant: str):
+    """Every rank's CTT, compressed by ``variant``."""
+    streams = {r: streams.get(r, []) for r in range(NPROCS)}
+    if variant == "spec":
+        return spec_compress_streams(compiled.cst, streams)
     if variant == "packed":
-        blobs = {rank: packed.encode_stream(stream).to_bytes()
-                 for rank, stream in streams.items()}
-        return compress_streams(compiled.cst, blobs)
-    return compress_streams(compiled.cst, streams)  # fastpath
+        streams = {rank: packed.encode_stream(stream).to_bytes()
+                   for rank, stream in streams.items()}
+    comp = compress_streams(compiled.cst, streams)
+    return [comp.ctt(r) for r in range(NPROCS)]
 
 
-def _merge(compressor):
-    return merge_all([compressor.ctt(r) for r in range(NPROCS)])
+def _merged(compiled, streams, variant: str):
+    return merge_all(_compressed(compiled, streams, variant))
 
 
 def _check_all_queries(merged, label: str, traces=None) -> dict:
@@ -127,14 +125,14 @@ class TestQueryDifferential:
     @given(program(allow_functions=True))
     def test_fastpath_tree_light(self, source):
         compiled, streams = _captured_streams(source)
-        merged = _merge(_compress(compiled, streams, "fastpath"))
-        _check_fresh_and_loaded(merged, "fastpath")
+        merged = _merged(compiled, streams, "lists")
+        _check_fresh_and_loaded(merged, "lists")
 
     @pytest.mark.slow
     @settings(max_examples=SWEEP_EXAMPLES, **SETTINGS)
     @given(program(allow_functions=True, allow_subcomms=True))
     def test_full_variant_matrix(self, source):
         compiled, streams = _captured_streams(source)
-        for variant in ("reference", "fastpath", "packed"):
-            merged = _merge(_compress(compiled, streams, variant))
+        for variant in ("spec", "lists", "packed"):
+            merged = _merged(compiled, streams, variant)
             _check_fresh_and_loaded(merged, variant)

@@ -35,8 +35,7 @@ class TestDifferentialCheck:
         assert report.ok, [d.format() for d in report.divergences]
         assert report.events > 0
         assert sorted(report.variants) == [
-            "budgeted", "fastpath", "inline", "packed",
-            "reference",
+            "budgeted", "deferred", "inline", "packed",
         ]
         d = report.to_dict()
         assert d["ok"] is True and d["divergences"] == []
