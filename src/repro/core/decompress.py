@@ -12,11 +12,13 @@ event sequence:
   whose occurrence set contains it.
 
 A leaf visit is an index, not a search: the records' occurrence terms are
-laid out once as a *visit schedule* (``schedule[visit]`` → record index),
-and a record becomes one immutable :class:`ReplayEvent` per rank that
-every later occurrence appends again (docs/INTERNALS.md §9).  The same
-walker replays a single-rank CTT or one rank's view of a merged CTT; the
-difference is one ``payload(vertex)`` callable.
+laid out once as a *visit schedule* (``schedule[visit]`` → record index).
+The walk emits *slots* into a table of ``(record, gid)`` pairs, which a
+rank decodes once each (docs/INTERNALS.md §9).  Only peers depend on the
+rank, so the ranks of a merged CTT holding the same group at every
+vertex (a *rank class*) share one walk, and a record with no relative
+peer is one event for every rank.  A single-rank CTT takes the same
+walk; the difference is one ``payload(vertex)`` callable.
 
 For non-tail recursion the pseudo-loop linearisation makes the *order*
 approximate (the paper's "approximate loop control structure"); for
@@ -26,33 +28,32 @@ truth.
 
 from __future__ import annotations
 
+import sys
 import time
-from dataclasses import dataclass
+from collections import defaultdict
+from itertools import repeat
+from typing import Iterator, NamedTuple
 
 from repro import obs
 from repro.static.cst import BRANCH, CALL, LOOP
 
 from .ctt import CTT
 from .errors import DecompressionError
-from .ranks import try_decode_peer
+from .ranks import ABS, try_decode_peer
 from .records import CompressedRecord
-from .sequences import IntSequence, SequenceCursor
+from .sequences import IntSequence
 
 __all__ = [
-    "DecompressionError",
-    "ReplayEvent",
-    "decompress_rank",
-    "decompress_merged_rank",
-    "decompress_all",
+    "DecompressionError", "ReplayEvent",
+    "decompress_rank", "decompress_merged_rank", "decompress_all",
 ]
 
 
-@dataclass(frozen=True)
-class ReplayEvent:
+class ReplayEvent(NamedTuple):
     """One reconstructed MPI call (timing as recorded statistics).
 
-    Every occurrence of a record replays as the *same* object for a
-    rank, so an event must never be mutated or keyed by identity."""
+    A record replays as one object for a rank, and one with no relative
+    peer as one object for every rank: never key an event by identity."""
 
     op: str
     peer: int
@@ -84,6 +85,18 @@ _HOLE = -1  # schedule entry: no record claims the visit
 _CLASH = -2  # schedule entry: more than one claim on the visit
 
 
+def _values(seq: IntSequence) -> Iterator[int]:
+    """``seq``'s values in the order ``SequenceCursor.next`` reads them,
+    which yields a term's start once when its count is 1 or less."""
+    for start, count, stride in seq.terms:
+        if count <= 1:
+            yield start
+        elif stride:
+            yield from range(start, start + count * stride, stride)
+        else:  # repeat() takes a C size; no walk reads past one anyway
+            yield from repeat(start, min(count, sys.maxsize))
+
+
 def _own_payload(vertex):
     """What a vertex of a rank's own CTT stores: a LOOP's activation
     counts, a BRANCH path's visits, a CALL's records."""
@@ -93,12 +106,12 @@ def _own_payload(vertex):
     return vertex.loop_counts if kind == LOOP else vertex.visits
 
 
-def _group_payload(rank: int):
-    """The same, read from the group of a merged vertex that holds
-    ``rank`` (``None`` where no group does)."""
+def _group_payload(group_at):
+    """The same, read from ``group_at(vertex)``, the group of a merged
+    vertex that holds the ranks walked (``None`` where no group does)."""
 
     def payload(vertex):
-        group = vertex.group_of(rank)
+        group = group_at(vertex)
         if group is None:
             return None
         kind = vertex.kind
@@ -172,40 +185,33 @@ def _schedule(records: list[CompressedRecord]) -> list[int]:
     return schedule
 
 
-class _Replayer:
-    """One rank's walk over compiled ``steps``.  ``schedules`` (keyed by
-    the identity of a record list, which it keeps alive) holds nothing
-    rank-dependent, so :func:`decompress_all` shares one across ranks."""
+class _Walker:
+    """One walk of ``steps`` as ``rank`` reads the tree through ``payload``:
+    a slot per event, a ``(record, gid)`` table entry per record reached;
+    a failed walk keeps that prefix and its ``error``.  ``schedules``
+    (keyed by a record list's identity, which it keeps alive) is shared."""
 
-    def __init__(
-        self, steps: list[tuple], payload, rank: int,
-        nranks: int | None, schedules: dict[int, tuple],
-    ) -> None:
-        self.steps = steps
+    def __init__(self, steps, payload, rank: int, schedules: dict) -> None:
         self.payload = payload
         self.rank = rank
-        self.nranks = nranks
         self.schedules = schedules
-        self.events: list[ReplayEvent] = []
-        self._loops: dict[int, SequenceCursor] = {}
-        # id(paths) -> [visits so far, [(path cursor, path steps), ...]]
+        self.slots: list[int] = []
+        self.table: list[tuple[CompressedRecord, int]] = []
+        self.error: DecompressionError | None = None
+        self._loops: dict[int, Iterator[int]] = {}
+        # id(paths) -> [visits so far, [[next visit, visits, steps], ...]]
         self._groups: dict[int, list] = {}
-        # id(leaf) -> [visits so far, schedule, records, event per record]
+        # id(leaf) -> [visits so far, schedule, records, slot per record]
         self._leaves: dict[int, list] = {}
+        try:
+            self._walk(steps)
+        except DecompressionError as exc:
+            self.error = exc
+        self._loops = self._groups = self._leaves = None
 
-    def run(self) -> list[ReplayEvent]:
-        t0 = time.perf_counter() if obs.enabled() else 0.0
-        self._run(self.steps)
-        registry = obs.active()
-        if registry is not None:
-            registry.observe("replay.rank_seconds", time.perf_counter() - t0)
-            registry.counter_add("replay.events", len(self.events))
-            registry.counter_add("replay.ranks", 1)
-        return self.events
-
-    def _run(self, steps: list[tuple]) -> None:
+    def _walk(self, steps: list[tuple]) -> None:
         leaves = self._leaves
-        emit = self.events.append
+        emit = self.slots.append
         for kind, node, inner in steps:
             if kind == CALL:
                 state = leaves.get(id(node)) or self._open_leaf(node)
@@ -215,33 +221,32 @@ class _Replayer:
                 index = schedule[visit] if visit < len(schedule) else _HOLE
                 if index < 0:
                     raise self._unscheduled(node, visit, state[2], index == _CLASH)
-                event = state[3][index]
-                if event is None:
-                    event = state[3][index] = self._to_event(
-                        state[2][index], node.gid
-                    )
-                emit(event)
+                slot = state[3][index]
+                if slot is None:
+                    slot = state[3][index] = len(self.table)
+                    self.table.append((state[2][index], node.gid))
+                emit(slot)
             elif kind == LOOP:
-                cursor = self._loops.get(id(node))
-                if cursor is None:
-                    cursor = self._loops[id(node)] = SequenceCursor(
+                counts = self._loops.get(id(node))
+                if counts is None:
+                    counts = self._loops[id(node)] = _values(
                         self.payload(node) or _EMPTY
                     )
-                count = cursor.next() if not cursor.exhausted() else 0
-                for _ in range(count):
-                    self._run(inner)
+                for _ in range(next(counts, 0)):
+                    self._walk(inner)
             else:
                 state = self._groups.get(id(node))
                 if state is None:
-                    state = self._groups[id(node)] = [0, [
-                        (SequenceCursor(self.payload(path) or _EMPTY), body)
-                        for path, body in zip(node, inner)
-                    ]]
+                    state = self._groups[id(node)] = [0, []]
+                    for path, body in zip(node, inner):
+                        visits = _values(self.payload(path) or _EMPTY)
+                        state[1].append([next(visits, None), visits, body])
                 visit = state[0]
                 state[0] = visit + 1
-                for cursor, body in state[1]:
-                    if cursor.contains_next(visit):
-                        self._run(body)
+                for path in state[1]:
+                    if path[0] == visit:
+                        path[0] = next(path[1], None)
+                        self._walk(path[2])
                         break
 
     def _open_leaf(self, vertex) -> list:
@@ -259,14 +264,11 @@ class _Replayer:
                     candidates=tuple(r.key for r in records),
                 ) from exc
             self.schedules[id(records)] = cached
-        state = self._leaves[id(vertex)] = [
-            0, cached[0], records, [None] * len(records)
-        ]
+        state = [0, cached[0], records, [None] * len(records)]
+        self._leaves[id(vertex)] = state
         return state
 
-    def _unscheduled(
-        self, vertex, visit: int, records, clash: bool
-    ) -> DecompressionError:
+    def _unscheduled(self, vertex, visit, records, clash) -> DecompressionError:
         """The error for a visit the leaf's schedule cannot serve;
         ``cursors`` says where each record would next have replayed."""
         nexts = [r.occurrences.first_at_least(visit) for r in records]
@@ -285,30 +287,68 @@ class _Replayer:
             cursors=tuple(enumerate(nexts)),
         )
 
-    def _decode(self, encoded, gid: int, op: str) -> int:
-        """A record's peer as this rank sees it.  Under ``nranks=`` a
-        relative decode must land on a real rank and an absolute one on a
-        rank or a legal sentinel (a REL result of −1 is an overflow, not
-        ``ANY_SOURCE``: sentinels are stored absolute)."""
-        peer, ok = try_decode_peer(encoded, self.rank, self.nranks)
-        if not ok and self.nranks is not None:
-            raise DecompressionError(
-                f"rank {self.rank}: leaf gid={gid} ({op}) decodes peer "
-                f"{encoded!r} to {peer}, outside [0, {self.nranks})",
-                rank=self.rank, gid=gid, op=op, candidates=(encoded,),
-            )
-        return peer
 
-    def _to_event(self, record: CompressedRecord, gid: int) -> ReplayEvent:
+def _decode(encoded, rank: int, nranks: int | None, gid: int, op: str) -> int:
+    """A record's peer as ``rank`` sees it.  Under ``nranks=`` a REL
+    decode must land on a real rank and an ABS one on a rank or a legal
+    sentinel (a REL −1 is an overflow: sentinels are stored absolute)."""
+    peer, ok = try_decode_peer(encoded, rank, nranks)
+    if not ok and nranks is not None:
+        raise DecompressionError(
+            f"rank {rank}: leaf gid={gid} ({op}) decodes peer "
+            f"{encoded!r} to {peer}, outside [0, {nranks})",
+            rank=rank, gid=gid, op=op, candidates=(encoded,),
+        )
+    return peer
+
+
+def _events(walk: _Walker, rank: int, nranks, shared: dict) -> list:
+    """``rank``'s events from its class's walk: each table entry decoded
+    once, in first-reach order (so what a rank reaches first raises
+    first), then the slots expanded.  ``shared``: id(record) → the one
+    event of a record with no relative peer."""
+    new = tuple.__new__  # a ReplayEvent from one tuple: no argument binding
+    decoded = []
+    for record, gid in walk.table:
         (
             op, peer_enc, peer2_enc, tag, tag2, nbytes, nbytes2,
             comm, root, wildcard, req_gids, result_comm,
         ) = record.key
-        return ReplayEvent(
-            op, self._decode(peer_enc, gid, op), self._decode(peer2_enc, gid, op),
-            tag, tag2, nbytes, nbytes2, comm, root, wildcard, req_gids,
-            record.duration.mean, record.pre_gap.mean, gid, result_comm,
-        )
+        absolute = peer_enc[0] == ABS and peer2_enc[0] == ABS
+        event = shared.get(id(record)) if absolute else None
+        if event is None:
+            event = new(ReplayEvent, (
+                op, _decode(peer_enc, rank, nranks, gid, op),
+                _decode(peer2_enc, rank, nranks, gid, op),
+                tag, tag2, nbytes, nbytes2, comm, root, wildcard, req_gids,
+                record.duration.mean, record.pre_gap.mean, gid, result_comm,
+            ))
+            if absolute:
+                shared[id(record)] = event
+        decoded.append(event)
+    if walk.error is not None:
+        raise walk.error
+    return list(map(decoded.__getitem__, walk.slots))
+
+
+def _replay(steps, members, nranks) -> dict[int, list[ReplayEvent]]:
+    """Replay each ``(rank, [payload, walk])`` of ``members`` in rank
+    order; a class's walk is taken by its first (lowest) rank."""
+    registry = obs.active()
+    schedules, shared, out = {}, {}, {}
+    for rank, cls in members:
+        t0 = time.perf_counter() if registry is not None else 0.0
+        walk = cls[1]
+        if walk is None:
+            walk = cls[1] = _Walker(steps, cls[0], rank, schedules)
+            if registry is not None:
+                registry.counter_add("replay.walks", 1)
+        events = out[rank] = _events(walk, rank, nranks, shared)
+        if registry is not None:
+            registry.observe("replay.rank_seconds", time.perf_counter() - t0)
+            registry.counter_add("replay.events", len(events))
+            registry.counter_add("replay.ranks", 1)
+    return out
 
 
 def decompress_rank(ctt: CTT, nranks: int | None = None) -> list[ReplayEvent]:
@@ -318,7 +358,8 @@ def decompress_rank(ctt: CTT, nranks: int | None = None) -> list[ReplayEvent]:
     ``[0, nranks)`` (plus the legal sentinels) and an out-of-range decode
     raises :class:`DecompressionError` instead of yielding a bogus rank.
     """
-    return _Replayer(_compile(ctt.root), _own_payload, ctt.rank, nranks, {}).run()
+    members = [(ctt.rank, [_own_payload, None])]
+    return _replay(_compile(ctt.root), members, nranks)[ctt.rank]
 
 
 def decompress_merged_rank(
@@ -328,24 +369,32 @@ def decompress_merged_rank(
 
     ``nranks`` enables strict peer-range validation (see
     :func:`decompress_rank`)."""
-    steps = _compile(merged.root)
-    return _Replayer(steps, _group_payload(rank), rank, nranks, {}).run()
+    members = [(rank, [_group_payload(lambda v: v.group_of(rank)), None])]
+    return _replay(_compile(merged.root), members, nranks)[rank]
 
 
 def decompress_all(
     merged, nranks: int | None = None
 ) -> dict[int, list[ReplayEvent]]:
-    """Replay every merged rank (0..nranks-1 inferred from group members);
-    the compiled walk and every group's visit schedule are built once and
-    shared by the ranks.  ``nranks`` as in :func:`decompress_rank`."""
-    ranks: set[int] = set()
-    for vertex in merged.root.preorder():
-        for group in vertex.groups.values():
-            ranks.update(group.ranks)
+    """Replay every merged rank (0..nranks-1 inferred from group members).
+
+    A rank's class is the groups holding it, in preorder (a group
+    belongs to one vertex, so they name the vertices too); the ranks of
+    a class share one walk.  ``nranks`` as in :func:`decompress_rank`."""
     with obs.span("replay.decompress_all"):
-        steps = _compile(merged.root)
-        schedules: dict[int, tuple] = {}
-        return {
-            r: _Replayer(steps, _group_payload(r), r, nranks, schedules).run()
-            for r in sorted(ranks)
-        }
+        owner = {}
+        held: defaultdict[int, list] = defaultdict(list)
+        for vertex in merged.root.preorder():
+            for group in vertex.groups.values():
+                owner[group] = vertex
+                for r in group.ranks:
+                    held[r].append(group)
+        classes: dict[tuple, list] = {}
+        members = []
+        for r in sorted(held):
+            groups = tuple(held[r])
+            if groups not in classes:
+                at = {owner[g]: g for g in groups}
+                classes[groups] = [_group_payload(at.get), None]
+            members.append((r, classes[groups]))
+        return _replay(_compile(merged.root), members, nranks)

@@ -1,11 +1,12 @@
 """``repro.core.decompress`` against the naive reference walker in
 ``tests/spec_replay.py``: equal event for event on sound traces, a
-``DecompressionError`` with its context set on damaged leaves, and the
-two structural facts the schedule walker rests on (one event object per
-reached (record, rank); no occurrence cursor at a leaf)."""
+``DecompressionError`` with its context set on damaged leaves (the same
+one from all three entry points, whichever ranks share a walk), and the
+structural facts the walker rests on (one walk per rank class; one event
+object per reached (record, rank), or per record when no peer is
+relative; no occurrence cursor at a leaf)."""
 
 import sys
-from dataclasses import astuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,16 +17,19 @@ from generators import program  # noqa: E402
 from helpers import run_traced  # noqa: E402
 from spec_replay import spec_all, spec_merged_rank, spec_rank  # noqa: E402
 
+from repro import obs  # noqa: E402
 from repro.core import serialize  # noqa: E402
 from repro.core.decompress import (  # noqa: E402
     DecompressionError,
+    _values,
     decompress_all,
     decompress_merged_rank,
     decompress_rank,
 )
 from repro.core.inter import merge_all  # noqa: E402
 from repro.core.intra import CypressConfig  # noqa: E402
-from repro.core.sequences import SequenceCursor  # noqa: E402
+from repro.core.ranks import ABS  # noqa: E402
+from repro.core.sequences import IntSequence, SequenceCursor  # noqa: E402
 from repro.core.timing import HIST, MEANSTD  # noqa: E402
 from repro.workloads import WORKLOADS  # noqa: E402
 
@@ -39,7 +43,7 @@ SETTINGS = dict(
 def _fields(events):
     """Every ``ReplayEvent`` field, ``mean_duration``/``mean_gap``/``gid``/
     ``req_gids`` included (``call_tuple`` leaves those out)."""
-    return [astuple(e) for e in events]
+    return [tuple(e) for e in events]
 
 
 def _assert_equals_spec(cyp, nprocs):
@@ -183,15 +187,168 @@ class TestDamagedLeaves:
         assert isinstance(err.__cause__, (MemoryError, OverflowError))
 
 
+class TestSequenceValues:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(-5, 20), st.integers(-2, 5), st.integers(-3, 3)),
+        max_size=6,
+    ))
+    def test_values_are_what_the_cursor_reads(self, terms):
+        # Loop counts and branch visits are read through a generator;
+        # a term with a count of 1 or less still yields its start once.
+        seq = IntSequence(list(terms), sum(max(c, 0) for _, c, _ in terms))
+        cursor, want = SequenceCursor(seq), []
+        while not cursor.exhausted():
+            want.append(cursor.next())
+        assert list(_values(seq)) == want
+
+
 # ---------------------------------------------------------------------------
-# Structure, no clock: sp P=16 scale 3 (the benchmark's irregular_sp).
+# Damage inside a rank class.  Ranks 1-3 run the alternating loop and
+# share its groups; rank 0 skips it.  ``decompress_all`` walks the class
+# once, as rank 1, yet every entry point must raise what the rank itself
+# would.
+
+SHARED = """
+func main() {
+  var rank = mpi_comm_rank();
+  if (rank > 0) {
+    for (var i = 0; i < 6; i = i + 1) {
+      mpi_send(rank, 8 + 8 * (i % 2), 1);
+      mpi_recv(rank, 8 + 8 * (i % 2), 1);
+    }
+  }
+  mpi_barrier();
+}
+"""
+
+
+def _shared_class():
+    _, _, cyp, _ = run_traced(SHARED, 4)
+    return cyp, merge_all([cyp.ctt(r) for r in range(4)], nranks=4)
+
+
+def _record_lists(cyp, merged, op):
+    """The ``op`` leaf's gid and every record list that replays it: the
+    merged group's, then ranks 1-3's own."""
+    vertex = next(v for v in merged.root.preorder() if v.op == op)
+    (group,) = vertex.groups.values()
+    assert group.ranks == [1, 2, 3]
+    lists = [group.records] + [
+        next(v.records for v in cyp.ctt(r).vertices() if v.op == op)
+        for r in group.ranks
+    ]
+    return vertex.gid, lists
+
+
+def _error(walk):
+    with pytest.raises(DecompressionError) as exc:
+        walk()
+    err = exc.value
+    return err.rank, err.gid, err.op, err.visit
+
+
+def _every_entry_point(cyp, merged, nranks=None):
+    """The error of ``decompress_all`` and, for each rank of the class,
+    of ``decompress_merged_rank`` and ``decompress_rank``."""
+    errors = {"all": _error(lambda: decompress_all(merged, nranks))}
+    for r in (1, 2, 3):
+        errors[f"merged {r}"] = _error(
+            lambda: decompress_merged_rank(merged, r, nranks)
+        )
+        errors[f"own {r}"] = _error(lambda: decompress_rank(cyp.ctt(r), nranks))
+    return errors
+
+
+class TestDamageAcrossRanks:
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_hostile_terms_raise_the_same_error_everywhere(self, case):
+        terms0, terms1, visit, _ = HOSTILE[case]
+        cyp, merged = _shared_class()
+        gid, lists = _record_lists(cyp, merged, "MPI_Send")
+        for records in lists:
+            _set_terms(records[0], terms0)
+            _set_terms(records[1], terms1)
+        errors = _every_entry_point(cyp, merged)
+        # The shared walk names the group's lowest member.
+        assert errors["all"] == (1, gid, "MPI_Send", visit)
+        for r in (1, 2, 3):
+            assert errors[f"merged {r}"] == errors[f"own {r}"] == (
+                r, gid, "MPI_Send", visit
+            )
+
+    def test_peer_error_before_a_hole_raises_first(self):
+        cyp, merged = _shared_class()
+        send_gid, sends = _record_lists(cyp, merged, "MPI_Send")
+        _, recvs = _record_lists(cyp, merged, "MPI_Recv")
+        for records in sends:  # the first event of each rank: out of range
+            record = records[0]
+            record.key = (record.key[0], ("rel", 100)) + record.key[2:]
+        for records in recvs:  # recv visit 3 (event 7) is claimed by nobody
+            _set_terms(records[1], [(1, 1, 0), (5, 1, 0)])
+        errors = _every_entry_point(cyp, merged, nranks=4)
+        assert set(errors.values()) == {
+            (r, send_gid, "MPI_Send", -1) for r in (1, 2, 3)
+        }
+        assert errors["all"][0] == 1
+        # Without nranks= no peer is out of range: the hole raises.
+        errors = _every_entry_point(cyp, merged)
+        assert errors["all"][0] == 1 and errors["all"][2:] == ("MPI_Recv", 3)
+
+    def test_hole_before_a_peer_error_raises_first(self):
+        # The walk stops at the hole, so a record it never reached is
+        # never decoded.
+        cyp, merged = _shared_class()
+        _, sends = _record_lists(cyp, merged, "MPI_Send")
+        recv_gid, recvs = _record_lists(cyp, merged, "MPI_Recv")
+        for records in sends:  # first reached at event 2
+            record = records[1]
+            record.key = (record.key[0], ("rel", 100)) + record.key[2:]
+        for records in recvs:  # recv visit 0 (event 1) is claimed by nobody
+            _set_terms(records[0], [(2, 2, 2)])
+        errors = _every_entry_point(cyp, merged, nranks=4)
+        assert errors["all"] == (1, recv_gid, "MPI_Recv", 0)
+        for r in (1, 2, 3):
+            assert errors[f"merged {r}"] == errors[f"own {r}"] == (
+                r, recv_gid, "MPI_Recv", 0
+            )
+
+
+# ---------------------------------------------------------------------------
+# Structure, no clock: sp P=16 scale 3 and mg P=256 scale 0.1 (the
+# benchmark's irregular_sp and wide_mg).  Pinned: (events, event objects,
+# walks).  Every rank of sp is its own class; mg's 256 ranks fall in 50.
+
+PINNED = {"sp": (20784, 5766, 16), "mg": (9888, 7317, 50)}
+
+
+def _merged_workload(name, nprocs, scale):
+    w = WORKLOADS[name]
+    _, _, cyp, _ = run_traced(w.source, nprocs, defines=w.defines(nprocs, scale))
+    return merge_all([cyp.ctt(r) for r in range(nprocs)], nranks=nprocs)
 
 
 @pytest.fixture(scope="module")
 def sp_merged():
-    w = WORKLOADS["sp"]
-    _, _, cyp, _ = run_traced(w.source, 16, defines=w.defines(16, 3))
-    return merge_all([cyp.ctt(r) for r in range(16)], nranks=16)
+    return _merged_workload("sp", 16, 3)
+
+
+@pytest.fixture(scope="module")
+def mg_merged():
+    return _merged_workload("mg", 256, 0.1)
+
+
+def _observed_replay(merged):
+    registry = obs.enable()
+    try:
+        traces = decompress_all(merged)
+    finally:
+        obs.disable()
+    return traces, registry.counters
+
+
+def _absolute(record):
+    return record.key[1][0] == ABS and record.key[2][0] == ABS
 
 
 def _count_peeks(monkeypatch, walk, merged):
@@ -216,14 +373,41 @@ def _count_peeks(monkeypatch, walk, merged):
 
 
 class TestStructure:
-    def test_one_event_object_per_reached_record_and_rank(self, sp_merged):
-        traces = decompress_all(sp_merged)
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_event_objects_per_reached_record(self, name, request):
+        merged = request.getfixturevalue(f"{name}_merged")
+        traces, _ = _observed_replay(merged)
         events = sum(len(t) for t in traces.values())
         objects = {id(e) for t in traces.values() for e in t}
-        reached = {(r, astuple(e)) for r, t in traces.items() for e in t}
-        assert (events, len(objects)) == (20784, 5856)
-        # Equal events of one rank are one object, i.e. one per record.
-        assert len(objects) == len(reached)
+        # Every member of a sound group reaches each of its records: a
+        # record with a relative peer is one object per member rank, an
+        # all-absolute one a single object for all of them.
+        relative = absolute = 0
+        for v in merged.root.preorder():
+            for g in v.groups.values():
+                for r in g.records or ():
+                    if _absolute(r):
+                        absolute += 1
+                    else:
+                        relative += len(g.ranks)
+        assert len(objects) == relative + absolute
+        assert (events, len(objects)) == PINNED[name][:2]
+        # Equal events of one rank are one object.
+        for t in traces.values():
+            assert len({id(e) for e in t}) == len(set(t))
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_one_walk_per_group_vector(self, name, request):
+        merged = request.getfixturevalue(f"{name}_merged")
+        _, counters = _observed_replay(merged)
+        vectors: dict[int, list] = {}
+        for v in merged.root.preorder():
+            for g in v.sorted_groups():
+                for r in g.ranks:
+                    vectors.setdefault(r, []).append(id(g))
+        walks = len({tuple(groups) for groups in vectors.values()})
+        assert counters["replay.walks"] == walks == PINNED[name][2]
+        assert counters["replay.ranks"] == len(vectors)
 
     def test_no_occurrence_cursor_at_a_leaf(self, sp_merged, monkeypatch):
         spec = _count_peeks(monkeypatch, spec_all, sp_merged)

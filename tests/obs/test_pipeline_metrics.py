@@ -134,6 +134,11 @@ class TestStageCoverage:
         registry, run, _, replays = _observed_run()
         c = registry.counters
         assert c["replay.ranks"] == 4
+        # Ranks that hold the same group at every vertex share one walk:
+        # SOURCE's even and odd ranks take one branch each.
+        assert c["replay.walks"] <= c["replay.ranks"]
+        assert c["replay.walks"] == 2
+        assert registry.timers["replay.rank_seconds"].count == 4
         assert c["replay.events"] == sum(len(ev) for ev in replays.values())
         assert c["replay.events"] == run.run_result.total_events
 
