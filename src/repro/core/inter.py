@@ -8,19 +8,20 @@ into one *group* holding the payload once plus the set of ranks; timing
 statistics merge across the group (paper Fig. 13: ``<p0, p1: k>`` when
 both ranks agree, ``<p0: ..., p1: null>`` when they differ).
 
-The serial merge is one pass: every rank CTT is walked once against a
-single accumulating :class:`MergedCTT` (:meth:`MergedCTT.add_rank`) —
-no per-rank tree is ever built.  What keeps it linear:
+The merge is one pass: every rank CTT is walked once, in ascending rank
+order, against a single accumulating :class:`MergedCTT`
+(:meth:`MergedCTT.add_rank`) — no per-rank tree is ever built, and a
+rank at or below the last one taken is refused.  What keeps it linear:
 
 * payload signatures are *interned* per merge session — group lookup
   compares pointers with a cached hash, never re-hashing nested tuples;
-* a rank arriving in ascending order joins its group by an O(1) append;
-  rank sets stay sorted disjoint lists, stride-compressed lazily and
-  cached until the group next changes;
-* per-rank timing contributions are *deferred*: groups collect references
-  into the source CTTs and materialize merged statistics once, in
-  ascending rank order — so every arrival order produces bit-identical
-  merged statistics, and the walk itself does no floating-point work;
+* a rank joins its group by an O(1) append, so rank sets stay sorted
+  disjoint lists, stride-compressed lazily and cached until the group
+  next changes;
+* per-rank timing contributions are *deferred*: leaf groups collect the
+  source CTTs' record lists and materialize merged statistics once, in
+  the ascending order they joined in, so the walk itself does no
+  floating-point work;
 * ``rank → group`` lookups use a lazily built per-vertex map (O(1) per
   query during replay instead of a scan over all groups).
 
@@ -28,12 +29,13 @@ no per-rank tree is ever built.  What keeps it linear:
 ``IntraProcessCompressor.merged``.  The paper's O(n log P) binary
 reduction is a statement about critical-path depth on P nodes; in this
 one-process harness it is the depth arithmetic in
-``benchmarks/bench_ablations.py``.  Pairwise :meth:`MergedCTT.absorb`
-stays as the reference the tests and ``bench_merge_scaling`` compare the
-single pass against.
+``benchmarks/bench_ablations.py``.  The merge's oracle is
+``tests/spec_merge.py``, §IV-B written out naively.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from repro import obs
 from repro.static.cst import BRANCH, CALL, LOOP
@@ -128,17 +130,6 @@ class InternTable:
             self.hits += 1
         return sig
 
-    def canon(self, sig: Signature) -> Signature:
-        """Canonical representative for a foreign Signature (absorbing a
-        tree merged in another session)."""
-        cached = self._table.get(sig.key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        self._table[sig.key] = sig
-        return sig
-
 
 def _loop_signature(counts: IntSequence) -> tuple:
     return ("L", counts.length, tuple(counts.terms))
@@ -219,16 +210,15 @@ class Group:
     ``ranks`` is a sorted list; member sets of distinct groups at one
     vertex are disjoint.  A leaf (CALL) group's records come from one of
     three places.  Handed over (``records``), they are simply held.
-    While merging, the per-rank timing contributions are kept as
-    ``(rank, records)`` references into the source CTTs (``sources``),
-    aligned with ``ranks``; merged records materialize lazily, folding
-    statistics in ascending rank order, so the result is independent of
-    the order ranks joined in.  In a loaded tree the group holds its
-    decoded leaf block (``block``, a ``serialize.LeafColumns``) and the
-    records are built on first access.  Whichever it was, once
-    :attr:`records` has been read that list is the truth for every
-    reader — the block is let go, and :meth:`leaf_view` transposes the
-    records instead.
+    While merging, each joining rank's record list is appended to
+    ``sources`` — a reference into its CTT, in ascending rank order —
+    and :meth:`finalize` folds them into one list, which a rank joining
+    later reopens the sources from.  In a
+    loaded tree the group holds its decoded leaf block (``block``, a
+    ``serialize.LeafColumns``) and the records are built on first
+    access.  Whichever it was, once :attr:`records` has been read that
+    list is the truth for every reader — the sources or the block are
+    let go, and :meth:`leaf_view` transposes the records instead.
     """
 
     __slots__ = (
@@ -243,7 +233,7 @@ class Group:
         counts: IntSequence | None = None,
         visits: IntSequence | None = None,
         records: list[CompressedRecord] | None = None,
-        sources: list[tuple[int, list[CompressedRecord]]] | None = None,
+        sources: list[list[CompressedRecord]] | None = None,
         block=None,
     ) -> None:
         self.signature = signature
@@ -256,14 +246,15 @@ class Group:
         self._owns_records = False
         self._rank_seq: IntSequence | None = None
 
-    # -- merged records (deferred, canonical rank order) -----------------
+    # -- merged records (deferred, ascending rank order) -----------------
 
     @property
     def records(self) -> list[CompressedRecord] | None:
         rec = self._records
         if rec is None:
             if self._sources is not None:
-                rec = self._records = self._materialize()
+                self.finalize()
+                rec = self._records
             elif self._block is not None:
                 rec = self._records = self._block.records()
                 self._block = None
@@ -286,65 +277,27 @@ class Group:
         return LeafView.of_records(records) if records else None
 
     def _materialize(self) -> list[CompressedRecord]:
-        sources = self._sources
-        if len(sources) == 1:
-            # Borrow the single rank's record list — per-rank CTTs stay
-            # immutable; a copy happens only if another rank ever joins.
-            return sources[0][1]
-        merged = [r.copy() for r in sources[0][1]]
-        self._owns_records = True
-        rest = [recs for _, recs in sources[1:]]
-        for i, mine in enumerate(merged):
+        """The first source with every later one's statistics merged in,
+        in join order.  A single source is borrowed as it is — per-rank
+        CTTs stay immutable — and a list the group does not own is
+        copied before anything merges into it."""
+        first, *rest = self._sources
+        if not rest:
+            return first
+        if not self._owns_records:
+            first = [r.copy() for r in first]
+            self._owns_records = True
+        for i, mine in enumerate(first):
             mine.duration.merge_many([recs[i].duration for recs in rest])
             mine.pre_gap.merge_many([recs[i].pre_gap for recs in rest])
-        return merged
+        return first
 
     def finalize(self) -> None:
-        """Materialize merged records and drop per-rank source refs."""
+        """Materialize merged records and drop per-rank source refs.  A
+        rank that joins later reopens the group from these records."""
         if self._sources is not None:
-            if self._records is None:
-                self._records = self._materialize()
+            self._records = self._materialize()
             self._sources = None
-
-    # -- absorption ------------------------------------------------------
-
-    def absorb_ranks(self, other: "Group") -> None:
-        """Take over ``other``'s (disjoint) member ranks, keeping the
-        list sorted — a concat for contiguous rank chunks, else a sort
-        of two sorted runs (linear)."""
-        a, b = self.ranks, other.ranks
-        sa, sb = self._sources, other._sources
-        deferred = sa is not None and sb is not None
-        if a[-1] < b[0]:
-            a.extend(b)
-            if deferred:
-                sa.extend(sb)
-        else:
-            self.ranks = sorted(a + b)  # disjoint, rarely out of order
-            if deferred:
-                merged_sources = sa + sb
-                merged_sources.sort(key=lambda s: s[0])
-                self._sources = merged_sources
-        if deferred:
-            self._records = None
-            self._owns_records = False
-        else:
-            self._absorb_records_eager(other)
-        self._rank_seq = None
-
-    def _absorb_records_eager(self, other: "Group") -> None:
-        """Stats merge for groups whose per-rank sources are gone
-        (finalized — ``fold_rank`` after each rank): copy-on-write,
-        merge in absorb order."""
-        mine, theirs = self.records, other.records
-        if mine is None or theirs is None:
-            return
-        if not self._owns_records:
-            mine = self._records = [r.copy() for r in mine]
-            self._owns_records = True
-        for m, t in zip(mine, theirs):
-            m.duration.merge(t.duration)
-            m.pre_gap.merge(t.pre_gap)
 
     def rank_sequence(self) -> IntSequence:
         """Stride-compressed rank set (cached until the group changes)."""
@@ -389,14 +342,6 @@ class MergedVertex:
                     by_rank[r] = group
         return by_rank.get(rank)
 
-    def add_group(self, group: Group) -> None:
-        existing = self.groups.get(group.signature)
-        if existing is None:
-            self.groups[group.signature] = group
-        else:
-            existing.absorb_ranks(group)
-        self._by_rank = None
-
     def sorted_groups(self) -> list[Group]:
         """Groups in canonical order (by lowest member rank) — member
         sets are disjoint, so this is an arrival-order-independent total
@@ -417,6 +362,7 @@ class MergedCTT:
         self.nranks_merged = nranks_merged
         self.interns = interns if interns is not None else InternTable()
         self._vertices: list[MergedVertex] | None = None
+        self._last_rank = -1
         #: Populated by ``serialize.loads(..., salvage=True)`` when the
         #: tree was recovered from a damaged file (docs/INTERNALS.md §7).
         self.salvage_info: dict | None = None
@@ -432,22 +378,24 @@ class MergedCTT:
 
     # -- construction -----------------------------------------------------
 
-    @classmethod
-    def from_rank(
-        cls,
-        ctt: CTT,
-        interns: InternTable | None = None,
-        nranks: int | None = None,
-    ) -> "MergedCTT":
-        return cls(MergedVertex(ctt.root), 0, interns).add_rank(ctt, nranks)
-
     def add_rank(self, ctt: CTT, nranks: int | None = None) -> "MergedCTT":
         """Merge one rank's CTT into this tree: a single walk of its
         vertices against ours, each non-empty payload joining (or
-        founding) the group with its interned signature.  Ranks arriving
-        in ascending order join by an O(1) append; any other order, and
-        groups already finalized, take :meth:`MergedVertex.add_group`."""
-        self._refuse_loaded(self)
+        founding) the group with its interned signature.  Ranks arrive
+        in ascending order, each once, so a join is an O(1) append of
+        the rank (and, at a leaf, of its record list)."""
+        if self.loaded:
+            raise MergeError(
+                "a tree opened from a container does not merge: its leaf "
+                "groups are signed by place, not by payload — merge the "
+                "per-rank CTTs and save the result"
+            )
+        rank = ctt.rank
+        if rank <= self._last_rank:
+            raise MergeError(
+                f"rank {rank} cannot join after rank {self._last_rank}: "
+                "each rank merges once, in ascending order"
+            )
         mine_vertices = self.vertices()
         their_vertices = ctt.vertices()
         if len(mine_vertices) != len(their_vertices):
@@ -456,14 +404,13 @@ class MergedCTT:
                 f"{len(their_vertices)} vertices (different programs?)"
             )
         intern = self.interns.intern
-        rank = ctt.rank
         for dst, src in zip(mine_vertices, their_vertices):
             kind = src.kind
             if dst.gid != src.gid or dst.kind != kind:
                 raise MergeError(
                     f"structural mismatch at gid {dst.gid} vs {src.gid}"
                 )
-            counts = visits = sources = None
+            counts = visits = records = None
             if kind == CALL:
                 records = src.records
                 if not records:
@@ -473,7 +420,6 @@ class MergedCTT:
                 else:
                     records, key = _leaf_signature(records, rank, nranks)
                     signature = intern(key)
-                sources = [(rank, records)]  # stats merge deferred
             elif kind == LOOP:
                 counts = src.loop_counts
                 if not len(counts):
@@ -487,83 +433,43 @@ class MergedCTT:
             else:
                 continue
             group = dst.groups.get(signature)
-            if group is not None and group.ranks[-1] < rank and (
-                sources is None or group._sources is not None
-            ):
-                group.ranks.append(rank)
-                if sources is not None:
-                    group._sources.append(sources[0])
-                    group._records = None
-                    group._owns_records = False
-                group._rank_seq = None
-                dst._by_rank = None
-            else:  # founds the group, or merges out of order / eagerly
-                dst.add_group(
-                    Group(signature, [rank], counts, visits, sources=sources)
+            if group is None:
+                dst.groups[signature] = Group(
+                    signature, [rank], counts, visits,
+                    sources=None if records is None else [records],
                 )
+            else:
+                group.ranks.append(rank)
+                group._rank_seq = None
+                if records is not None:  # stats merge deferred
+                    sources = group._sources
+                    if sources is None:  # finalized by a fold: reopen
+                        sources = group._sources = [group._records]
+                        group._records = None
+                    sources.append(records)
+            dst._by_rank = None
+        self._last_rank = rank
         self.nranks_merged += 1
         return self
 
-    # -- merging ------------------------------------------------------------
-
-    @staticmethod
-    def _refuse_loaded(*trees: "MergedCTT") -> None:
-        if any(tree.loaded for tree in trees):
-            raise MergeError(
-                "a tree opened from a container does not merge: its leaf "
-                "groups are signed by place, not by payload — merge the "
-                "per-rank CTTs and save the result"
-            )
-
-    def absorb(self, other: "MergedCTT") -> "MergedCTT":
-        """Merge another merged tree into this one (O(n) vertex walk) —
-        the pairwise reference the single pass is tested against."""
-        self._refuse_loaded(self, other)
-        mine_vertices = self.vertices()
-        their_vertices = other.vertices()
-        if len(mine_vertices) != len(their_vertices):
-            raise MergeError(
-                f"structural mismatch: {len(mine_vertices)} vs "
-                f"{len(their_vertices)} vertices (different programs?)"
-            )
-        canon = self.interns.canon
-        foreign = other.interns is not self.interns
-        for mine, theirs in zip(mine_vertices, their_vertices):
-            if mine.gid != theirs.gid or mine.kind != theirs.kind:
-                raise MergeError(
-                    f"structural mismatch at gid {mine.gid} vs {theirs.gid}"
-                )
-            if theirs.groups:
-                for group in theirs.groups.values():
-                    if foreign:
-                        group.signature = canon(group.signature)
-                    mine.add_group(group)
-        self.nranks_merged += other.nranks_merged
-        return self
-
     def finalize(self) -> "MergedCTT":
-        """Materialize every group's merged records in canonical rank
-        order.  Idempotent; called by :func:`merge_all` so the result
-        does not depend on the order the ranks arrived in."""
+        """Materialize every group's merged records.  Idempotent; called
+        by :func:`merge_all`."""
         for vertex in self.vertices():
             for group in vertex.groups.values():
                 group.finalize()
         return self
 
     def fold_rank(self, ctt: CTT, nranks: int | None = None) -> "MergedCTT":
-        """Incrementally fold one completed rank into this partial tree
-        and release its sources (the budget mode's streaming merge,
+        """Fold one completed rank into this partial tree and release
+        its sources (the budget mode's streaming merge,
         docs/INTERNALS.md §14).
 
-        Byte-identity invariant: folding ranks one at a time **in
-        ascending rank order**, finalizing after each fold, performs the
-        exact float-op sequence of :func:`merge_all` — each fold's eager
-        stats merge (:meth:`Group._absorb_records_eager`) replays the
-        copy-then-merge-ascending recurrence that deferred
-        materialization (:meth:`Group._materialize`) runs at the end.
-        Folding out of ascending order would reassociate the Welford
-        combines and break bit-identity; the caller
-        (:class:`~repro.core.budget.RankTable`) enforces the ordering.
+        Folding ranks one at a time, finalizing after each, is
+        byte-identical to :func:`merge_all` over the same ranks: the
+        next rank reopens each group it joins from the records the last
+        finalize left, and ``TimeStats.merge_many`` over one source is
+        the same float operations as one step of the batch fold.
         """
         return self.add_rank(ctt, nranks).finalize()
 
@@ -587,8 +493,9 @@ def merge_all(
     nranks: int | None = None,
 ) -> MergedCTT:
     """Merge every rank's CTT into the job-wide compressed trace: a
-    single pass over the ranks into one accumulator; group statistics
-    always materialize in ascending rank order.
+    single pass over the ranks, in ascending rank order whatever order
+    ``ctts`` lists them in, into one accumulator.  A rank listed twice
+    raises :class:`MergeError`.
 
     ``schedule`` is accepted and ignored.  Kept only because
     ``benchmarks/e2e/batch.py`` passes ``"tree"`` and ``"fold"`` (its
@@ -602,6 +509,7 @@ def merge_all(
     """
     if not ctts:
         raise ValueError("no CTTs to merge")
+    ctts = sorted(ctts, key=attrgetter("rank"))
     registry = obs.active()
     with obs.span("inter.merge"):
         if registry is not None:

@@ -2,15 +2,20 @@
 
 Everything else in this package traces real MiniMPI programs; here the
 merged CTT is constructed payload by payload (CST skeleton → per-rank
-CTT → ``MergedCTT.from_rank`` → absorb → finalize), so every expected
-number is written down literally rather than derived from a second
-implementation.  This pins the aggregation formulas (count × members,
-send+recv bytes, mean × count time) to known inputs."""
+CTT → ``merge_all``, checked against ``tests/spec_merge.py``), so every
+expected number is written down literally rather than derived from a
+second implementation.  This pins the aggregation formulas (count ×
+members, send+recv bytes, mean × count time) to known inputs."""
+
+import sys
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
+sys.path.insert(0, "tests")
+from spec_merge import spec_merge  # noqa: E402
+
+from repro.analysis import (  # noqa: E402
     communication_matrix,
     diff_traces,
     hotspots,
@@ -19,12 +24,13 @@ from repro.analysis import (
     summarize,
     top_leaves,
 )
-from repro import query
-from repro.core.ctt import CTT
-from repro.core.inter import MergedCTT
-from repro.core.records import CompressedRecord, make_key
-from repro.mpisim.events import NO_PEER
-from repro.static.cst import CALL, LOOP, ROOT, CSTNode, assign_gids
+from repro import query  # noqa: E402
+from repro.core import serialize  # noqa: E402
+from repro.core.ctt import CTT  # noqa: E402
+from repro.core.inter import MergedCTT, merge_all  # noqa: E402
+from repro.core.records import CompressedRecord, make_key  # noqa: E402
+from repro.mpisim.events import NO_PEER  # noqa: E402
+from repro.static.cst import CALL, LOOP, ROOT, CSTNode, assign_gids  # noqa: E402
 
 _NOPEER = ("abs", NO_PEER)
 
@@ -61,12 +67,12 @@ def _coll_record(nbytes: int, duration_us: float) -> CompressedRecord:
     return rec
 
 
-def build_merged(nranks: int = 2, iters: int = 3,
-                 nbytes: int = 512) -> MergedCTT:
+def build_ctts(nranks: int = 2, iters: int = 3,
+               nbytes: int = 512) -> list[CTT]:
     """Each rank sends ``iters`` × ``nbytes`` around the ring, then one
     allreduce.  Rank r's send takes (r+1)×10 µs per call."""
     cst = _skeleton()
-    merged = None
+    ctts = []
     for rank in range(nranks):
         ctt = CTT(cst, rank)
         loop, leaf = ctt.vertex(1), ctt.vertex(2)
@@ -76,9 +82,13 @@ def build_merged(nranks: int = 2, iters: int = 3,
         leaf.records.append(
             _send_record(delta, nbytes, iters, 10.0 * (rank + 1)))
         coll.records.append(_coll_record(8, 5.0))
-        part = MergedCTT.from_rank(ctt)
-        merged = part if merged is None else merged.absorb(part)
-    return merged.finalize()
+        ctts.append(ctt)
+    return ctts
+
+
+def build_merged(nranks: int = 2, iters: int = 3,
+                 nbytes: int = 512) -> MergedCTT:
+    return merge_all(build_ctts(nranks, iters, nbytes))
 
 
 NRANKS, ITERS, NBYTES = 3, 4, 256
@@ -87,6 +97,11 @@ NRANKS, ITERS, NBYTES = 3, 4, 256
 @pytest.fixture(scope="module")
 def merged():
     return build_merged(NRANKS, ITERS, NBYTES)
+
+
+def test_handbuilt_merge_matches_the_spec():
+    ctts = build_ctts(NRANKS, ITERS, NBYTES)
+    assert serialize.dumps(merge_all(ctts)) == serialize.dumps(spec_merge(ctts))
 
 
 class TestPatternsOnHandbuilt:
@@ -117,7 +132,7 @@ class TestPatternsOnHandbuilt:
         ctt = CTT(cst, 1)
         ctt.vertex(1).loop_counts.append(2)
         ctt.vertex(2).records.append(_send_record(+1, 64, 2, 1.0))
-        broken = MergedCTT.from_rank(ctt).finalize()
+        broken = merge_all([ctt])
         registry = obs.enable()
         try:
             with pytest.warns(RuntimeWarning, match="out-of-range"):
@@ -221,7 +236,7 @@ class TestDiffOnHandbuilt:
             ctt.vertex(1).records.append(_coll_record(8, 5.0))
             ctt.vertex(2).loop_counts.append(iters)
             ctt.vertex(3).records.append(_send_record(0, 64, iters, 1.0))
-            return MergedCTT.from_rank(ctt).finalize()
+            return merge_all([ctt])
 
         d = diff_traces(trailing_loop(2), trailing_loop(3))
         assert not d.identical

@@ -6,9 +6,10 @@ import pytest
 
 sys.path.insert(0, "tests")
 from helpers import assert_replay_exact, run_traced  # noqa: E402
+from spec_merge import spec_merge  # noqa: E402
 
 from repro.core import serialize  # noqa: E402
-from repro.core.inter import MergedCTT, MergeError, merge_all  # noqa: E402
+from repro.core.inter import MergeError, merge_all  # noqa: E402
 from repro.static.cst import CALL, LOOP  # noqa: E402
 
 FIG5_RUNNABLE = """
@@ -185,12 +186,12 @@ class TestStructuralMismatch:
     def test_different_programs_rejected(self):
         _, _, cyp_a, _ = run_traced("func main() { mpi_barrier(); }", 1)
         _, _, cyp_b, _ = run_traced(
-            "func main() { mpi_barrier(); mpi_barrier(); }", 1
+            "func main() { mpi_barrier(); mpi_barrier(); }", 2
         )
-        a = MergedCTT.from_rank(cyp_a.ctt(0))
-        b = MergedCTT.from_rank(cyp_b.ctt(0))
-        with pytest.raises(MergeError):
-            a.absorb(b)
+        ctts = [cyp_a.ctt(0), cyp_b.ctt(1)]
+        for merge in (merge_all, spec_merge):
+            with pytest.raises(MergeError, match="structural mismatch"):
+                merge(ctts)
 
 
 class TestComplexity:

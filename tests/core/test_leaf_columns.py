@@ -33,7 +33,7 @@ from repro import obs, query  # noqa: E402
 from repro.core import TraceFormatError, run_cypress, serialize  # noqa: E402
 from repro.core.decompress import decompress_all  # noqa: E402
 from repro.core.errors import MergeError  # noqa: E402
-from repro.core.inter import MergedCTT, merge_all  # noqa: E402
+from repro.core.inter import merge_all  # noqa: E402
 from repro.core.intra import CypressConfig  # noqa: E402
 from repro.faults import corrupt_merged  # noqa: E402
 from repro.static.cst import CALL  # noqa: E402
@@ -345,8 +345,6 @@ class TestLoadedTreeDoesNotMerge:
         for merge in (
             lambda: loaded.add_rank(ctts[0]),
             lambda: loaded.fold_rank(ctts[0]),
-            lambda: loaded.absorb(MergedCTT.from_rank(ctts[0])),
-            lambda: merge_all(ctts[:2]).absorb(loaded),
         ):
             with pytest.raises(MergeError, match="does not merge"):
                 merge()

@@ -1,5 +1,6 @@
-"""Regression guards: inter-process merging must never mutate the
-per-rank CTTs (groups copy records lazily on first stats merge)."""
+"""Regression guards: inter-process merging — one pass or a fold at a
+time — must never mutate the per-rank CTTs (groups copy records lazily
+on first stats merge)."""
 
 import copy
 import sys
@@ -7,7 +8,7 @@ import sys
 sys.path.insert(0, "tests")
 from helpers import run_traced  # noqa: E402
 
-from repro.core.inter import merge_all  # noqa: E402
+from repro.core.inter import MergedCTT, MergedVertex, merge_all  # noqa: E402
 
 SRC = """
 func main() {
@@ -42,6 +43,18 @@ class TestMergeImmutability:
         merge_all(ctts)
         after = [snapshot(c) for c in ctts]
         assert before == after
+
+    def test_fold_leaves_sources_intact(self):
+        # Each fold finalizes; the next rank reopens the group from a
+        # record list borrowed from rank 0's CTT, which must be copied
+        # before rank 1's statistics merge into it.
+        _, rec, cyp, _ = run_traced(SRC, 6)
+        ctts = [cyp.ctt(r) for r in range(6)]
+        before = [snapshot(c) for c in ctts]
+        partial = MergedCTT(MergedVertex(ctts[0].root), 0)
+        for ctt in ctts:
+            partial.fold_rank(ctt)
+        assert [snapshot(c) for c in ctts] == before
 
     def test_repeated_merges_identical(self):
         _, rec, cyp, _ = run_traced(SRC, 4)

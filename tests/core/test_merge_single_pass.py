@@ -1,12 +1,13 @@
-"""The single-pass inter-process merge against a naive pairwise reference.
+"""The single-pass inter-process merge against the naive §IV-B spec.
 
-``merge_all`` walks every rank CTT once into one accumulating tree
-(``MergedCTT.add_rank``).  The reference below is the merge written the
-slow, obvious way — one throw-away table per rank, combined pairwise,
-statistics folded by sequential ``TimeStats.merge`` — and shares nothing
-with the production loop but the payload containers ``serialize.dumps``
-reads.  The single pass and the budget mode's ascending fold, on every
-rank order, must serialize to the reference's bytes."""
+``merge_all`` walks every rank CTT once, in ascending rank order, into
+one accumulating tree (``MergedCTT.add_rank``).  ``tests/spec_merge.py``
+is the merge written the slow, obvious way — one throw-away table per
+rank, combined pairwise, statistics folded by sequential
+``TimeStats.merge`` — and shares nothing with the production loop but
+the payload containers ``serialize.dumps`` reads.  The single pass and
+the budget mode's ascending fold, on every rank order, must serialize
+to the spec's bytes."""
 
 import random
 import sys
@@ -17,15 +18,11 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, "tests")
 from generators import program  # noqa: E402
+from spec_merge import spec_merge  # noqa: E402
 
 from repro.core import serialize  # noqa: E402
 from repro.core.errors import MergeError  # noqa: E402
-from repro.core.inter import (  # noqa: E402
-    Group,
-    MergedCTT,
-    MergedVertex,
-    merge_all,
-)
+from repro.core.inter import MergedCTT, MergedVertex, merge_all  # noqa: E402
 from repro.core.intra import (  # noqa: E402
     CypressConfig,
     IntraProcessCompressor,
@@ -33,7 +30,6 @@ from repro.core.intra import (  # noqa: E402
 )
 from repro.driver import run_compiled  # noqa: E402
 from repro.mpisim.pmpi import StreamCaptureSink  # noqa: E402
-from repro.static.cst import BRANCH, CALL, LOOP  # noqa: E402
 from repro.static.instrument import compile_minimpi  # noqa: E402
 from repro.workloads import WORKLOADS  # noqa: E402
 
@@ -44,65 +40,6 @@ SETTINGS = dict(
 )
 
 ORDERS = ("ascending", "shuffled", "gapped")
-
-
-# ---------------------------------------------------------------------------
-# The reference.
-
-
-def _seq_key(seq) -> tuple:
-    return (seq.length, tuple(seq.terms))
-
-
-def _rank_table(ctt) -> list[dict]:
-    """Per vertex: ``{payload key: [(rank, payload)]}`` for one rank."""
-    tables = []
-    for v in ctt.vertices():
-        table = {}
-        if v.kind == LOOP and len(v.loop_counts):
-            table[_seq_key(v.loop_counts)] = [(ctt.rank, v.loop_counts)]
-        elif v.kind == BRANCH and len(v.visits):
-            table[_seq_key(v.visits)] = [(ctt.rank, v.visits)]
-        elif v.kind == CALL and v.records:
-            key = tuple((r.key, _seq_key(r.occurrences)) for r in v.records)
-            table[key] = [(ctt.rank, v.records)]
-        tables.append(table)
-    return tables
-
-
-def _combine(a: list[dict], b: list[dict]) -> list[dict]:
-    out = []
-    for ta, tb in zip(a, b):
-        merged = {key: list(members) for key, members in ta.items()}
-        for key, members in tb.items():
-            merged.setdefault(key, []).extend(members)
-        out.append(merged)
-    return out
-
-
-def naive_merge(ctts) -> MergedCTT:
-    tables = _rank_table(ctts[0])
-    for ctt in ctts[1:]:
-        tables = _combine(tables, _rank_table(ctt))
-    result = MergedCTT(MergedVertex(ctts[0].root), len(ctts))
-    for vertex, table in zip(result.vertices(), tables):
-        for key, members in table.items():
-            members.sort(key=lambda m: m[0])
-            ranks = [rank for rank, _ in members]
-            first = members[0][1]
-            if vertex.kind == LOOP:
-                group = Group(key, ranks, counts=first)
-            elif vertex.kind == BRANCH:
-                group = Group(key, ranks, visits=first)
-            else:
-                records = [r.copy() for r in first]
-                for _, theirs in members[1:]:  # ascending rank order
-                    for mine, other in zip(records, theirs):
-                        mine.duration.merge(other.duration)
-                        mine.pre_gap.merge(other.pre_gap)
-                group = Group(key, ranks, records=records)
-            vertex.groups[key] = group
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +84,7 @@ def _check_all_paths(cst, streams, nprocs, order, seed):
     ranks = _ordered(sorted(streams), order, seed)
     ctts_of = compress_streams(cst, streams).ctt
     ctts = [ctts_of(r) for r in ranks]
-    want = serialize.dumps(naive_merge(ctts))
+    want = serialize.dumps(spec_merge(ctts))
     got = {
         "single pass": merge_all(ctts, nranks=nprocs),
         "budget fold": _budget_fold(cst, streams, ranks, nprocs),
@@ -170,7 +107,7 @@ class TestAgainstNaiveReference:
     @pytest.mark.parametrize("name,nprocs", [("mg", 16), ("sp", 9)])
     def test_rank_dependent_workloads(self, name, nprocs, order):
         # Many groups per vertex: ranks join groups founded by others,
-        # out of order and across shard boundaries.
+        # listed in any order.
         w = WORKLOADS[name]
         compiled, streams = _capture(w.source, nprocs, w.defines(nprocs, 0.1))
         _check_all_paths(compiled.cst, streams, nprocs, order, seed=nprocs)
@@ -183,39 +120,59 @@ class TestAddRank:
         comp = compress_streams(compiled.cst, streams)
         return [comp.ctt(r) for r in range(nprocs)]
 
-    def test_from_rank_is_empty_tree_plus_add_rank(self):
+    @staticmethod
+    def _empty(ctts) -> MergedCTT:
+        return MergedCTT(MergedVertex(ctts[0].root), 0)
+
+    def test_one_rank_matches_the_spec(self):
         ctts = self._ctts()
-        one = MergedCTT.from_rank(ctts[2], nranks=4).finalize()
+        one = self._empty(ctts).add_rank(ctts[2], nranks=4).finalize()
         assert one.nranks_merged == 1
-        assert serialize.dumps(one) == serialize.dumps(naive_merge([ctts[2]]))
+        assert serialize.dumps(one) == serialize.dumps(spec_merge([ctts[2]]))
 
     def test_joining_a_finalized_group_out_of_order(self):
-        # add_rank after finalize() takes the eager stats path; arriving
-        # descending it must still sort the rank list.
+        # A fold finalizes rank 3's groups; rank 1 arriving after it is
+        # refused before anything moves.
         ctts = self._ctts()
-        acc = MergedCTT.from_rank(ctts[3]).finalize()
-        for ctt in (ctts[1], ctts[2], ctts[0]):
-            acc.add_rank(ctt)
-        for vertex in acc.vertices():
-            for group in vertex.groups.values():
-                assert group.ranks == sorted(group.ranks)
-        assert acc.nranks_merged == 4
+        acc = self._empty(ctts).fold_rank(ctts[3])
+        before = serialize.dumps(acc)
+        with pytest.raises(MergeError, match="rank 1 cannot join after rank 3"):
+            acc.add_rank(ctts[1])
+        assert acc.nranks_merged == 1
+        assert serialize.dumps(acc) == before
+
+    def test_rank_merged_twice_is_refused(self):
+        c0, c1, c2, c3 = self._ctts()
+        with pytest.raises(MergeError, match="rank 1 "):
+            merge_all([c0, c1, c1, c2, c3], nranks=4)
+        with pytest.raises(MergeError, match="rank 1 "):
+            spec_merge([c0, c1, c1, c2, c3])
+
+    def test_each_fold_matches_the_spec(self):
+        # Every fold reopens the groups the last finalize closed.
+        ctts = self._ctts()
+        acc = self._empty(ctts)
+        for k, ctt in enumerate(ctts):
+            acc.fold_rank(ctt, 4)
+            assert serialize.dumps(acc) == serialize.dumps(
+                spec_merge(ctts[: k + 1])
+            ), f"after rank {k}"
 
     def test_sources_stay_untouched(self):
         ctts = self._ctts()
-        before = [serialize.dumps(naive_merge([c])) for c in ctts]
+        before = [serialize.dumps(spec_merge([c])) for c in ctts]
         merge_all(ctts)
-        assert [serialize.dumps(naive_merge([c])) for c in ctts] == before
+        assert [serialize.dumps(spec_merge([c])) for c in ctts] == before
 
     def test_different_program_rejected(self):
         ctts = self._ctts()
         compiled, streams = _capture("func main() { mpi_barrier(); }", 1)
         other = compress_streams(compiled.cst, streams).ctt(0)
-        acc = MergedCTT.from_rank(ctts[0])
         with pytest.raises(MergeError, match="structural mismatch"):
-            acc.add_rank(other)
-        with pytest.raises(MergeError, match="structural mismatch"):
-            merge_all([ctts[0], other])
+            self._empty(ctts).add_rank(other)
+        for merge in (merge_all, spec_merge):
+            with pytest.raises(MergeError, match="structural mismatch"):
+                merge([other, ctts[1]])
 
 
 class TestCanonicalAndCached:

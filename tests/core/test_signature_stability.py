@@ -5,8 +5,8 @@
 groups are written by lowest member rank, statistics fold in ascending
 rank order, dicts are read in insertion order.  These tests pin that
 *property* — the same bytes under different salts, whatever order the
-ranks arrive in — plus a foreign signature's lookup in an intern table
-and the intern hit rate of the merge.
+ranks are listed in — plus a foreign signature's lookup in an intern
+table and the intern hit rate of the merge.
 """
 
 import hashlib
@@ -19,9 +19,10 @@ import sys
 
 sys.path.insert(0, "tests")
 from helpers import run_traced  # noqa: E402
+from spec_merge import spec_merge  # noqa: E402
 
 from repro.core import serialize  # noqa: E402
-from repro.core.inter import InternTable, MergedCTT, Signature, merge_all  # noqa: E402
+from repro.core.inter import InternTable, Signature, merge_all  # noqa: E402
 from repro.core.intra import IntraProcessCompressor  # noqa: E402
 from repro.driver import run_compiled  # noqa: E402
 from repro.static.instrument import compile_minimpi  # noqa: E402
@@ -38,8 +39,8 @@ SHAPES = (("sp", 4, 0.1), ("mg", 16, 0.1))
 
 def container_digests() -> dict[str, str]:
     """SHA-256 of every container this process can be asked for: each
-    shape merged with ranks arriving ascending, descending and shuffled
-    through ``add_rank`` and pairwise through ``from_rank`` + ``absorb``,
+    shape's ranks listed ascending, descending and shuffled, merged by
+    ``merge_all`` and by the pairwise spec (``tests/spec_merge.py``),
     and each golden file loaded and dumped again.  Runs in this process
     and, through ``-c``, under other hash seeds."""
     out = {}
@@ -57,17 +58,13 @@ def container_digests() -> dict[str, str]:
         orders = {
             "ascending": ctts, "descending": ctts[::-1], "shuffled": shuffled,
         }
-        blob = serialize.dumps(merge_all(ctts, nranks=nprocs))
-        out[f"{name}/merge_all"] = hashlib.sha256(blob).hexdigest()
         for label, order in orders.items():
-            single = MergedCTT.from_rank(order[0], nranks=nprocs)
-            pairwise = MergedCTT.from_rank(order[0], nranks=nprocs)
-            for ctt in order[1:]:
-                single.add_rank(ctt, nprocs)
-                # its own intern table: every signature arrives foreign
-                pairwise.absorb(MergedCTT.from_rank(ctt, nranks=nprocs))
-            for route, merged in (("add_rank", single), ("absorb", pairwise)):
-                blob = serialize.dumps(merged.finalize())
+            routes = {
+                "merge_all": merge_all(order, nranks=nprocs),
+                "spec": spec_merge(order),
+            }
+            for route, merged in routes.items():
+                blob = serialize.dumps(merged)
                 out[f"{name}/{label}/{route}"] = hashlib.sha256(blob).hexdigest()
     for path in sorted(DATA.glob("golden_*.cyp")):
         blob = serialize.dumps(serialize.loads(path.read_bytes()))
@@ -81,12 +78,13 @@ class TestStableHash:
         local = table.intern(KEY)
         foreign = Signature(tuple(KEY))
         assert foreign == local and hash(foreign) == hash(local)
-        assert table.canon(foreign) is local
+        assert {local: "group"}[foreign] == "group"  # a vertex's group dict
+        assert table.intern(foreign.key) is local
         assert table.hits == 1
 
     def test_bytes_identical_across_hash_seeds(self):
         here = container_digests()
-        # Every arrival order and both merge routes agree in-process ...
+        # Every listing order and both merge routes agree in-process ...
         for name, _nprocs, _scale in SHAPES:
             assert len({
                 digest for key, digest in here.items()
