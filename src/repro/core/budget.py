@@ -79,7 +79,7 @@ from .serialize import (
 )
 
 _MAGIC = b"CYSP"
-_VERSION = 2
+_VERSION = 3
 
 #: Section kinds inside a spill container.
 SEC_END = 0

@@ -166,14 +166,17 @@ class CompressedRecord:
         return self.key == other.key and self.occurrences == other.occurrences
 
     def copy(self) -> "CompressedRecord":
-        occ = self.occurrences
-        return CompressedRecord(
-            self.key,
-            IntSequence(list(occ.terms), occ.length),
-            self.duration.copy(),
-            self.pre_gap.copy(),
-            self.pending,
-        )
+        """An independent copy, filled slot by slot as :meth:`first`
+        does (the merge copies every record of a group it does not own)."""
+        rec = _new(CompressedRecord)
+        rec.key = self.key
+        rec.occurrences = occ = _new(IntSequence)
+        occ.terms = self.occurrences.terms.copy()
+        occ.length = self.occurrences.length
+        rec.duration = self.duration.copy()
+        rec.pre_gap = self.pre_gap.copy()
+        rec.pending = self.pending
+        return rec
 
     def approx_bytes(self) -> int:
         # Serialized estimate (container bytes):

@@ -9,11 +9,17 @@ online append: a new value either extends the last term or opens a new
 one.
 
 A constant run ``a×n`` is the stride-0 term ``(a, n, 0)``.
+
+On disk (container v8) a rank set or a leaf column may also repeat a
+window of terms with a constant shift: :func:`nest` finds such blocks
+and :func:`expand` turns them back into the flat terms, which are all
+that is ever held in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 
@@ -205,3 +211,118 @@ class SequenceCursor:
             self.next()
             return True
         return False
+
+
+# ---------------------------------------------------------------------------
+# Nested stride blocks: the serialized form of a rank set or a leaf column.
+#
+# An *item* is a flat term ``(start, count, stride)`` with ``count >= 1``
+# or a block ``(delta, 0, reps, items)``: ``items`` written once and
+# standing for ``reps`` copies, the r-th with every start shifted by
+# ``r * delta``.  The zero in the count slot is the wire tag that tells
+# the two apart.
+
+#: How deep blocks may nest.  A rank set that is a slice of a 3-D grid
+#: is a block (planes) of blocks (rows) of runs.
+MAX_DEPTH = 3
+
+#: The widest window of terms a block repeats.  Bounds the builder's work
+#: a term; a grid slice of 256 ranks repeats windows of 16.
+_MAX_WINDOW = 32
+
+#: The least a block header costs: delta, the zero tag, reps and the
+#: item count, one byte each.
+_HEADER_BYTES = 4
+
+
+def _ubytes(value: int) -> int:
+    """Bytes of ``value`` as an unsigned LEB128 varint."""
+    return (value.bit_length() + 6) // 7 or 1
+
+
+def _zbytes(value: int) -> int:
+    """Bytes of ``value`` as a zigzag varint."""
+    zigzag = value << 1 if value >= 0 else ~(value << 1)
+    return (zigzag.bit_length() + 6) // 7 or 1
+
+
+def nest(terms: list[tuple[int, int, int]], depth: int = MAX_DEPTH) -> list:
+    """Items for ``terms``, greedily: at each position the block that
+    saves the most bytes against writing its terms flat — every window
+    of up to ``_MAX_WINDOW`` terms that repeats with one shift, for as
+    long as it repeats — else the term itself; a chosen window is nested
+    the same way, ``depth`` levels in all.  Deterministic, one pass a
+    level, and never more bytes than ``terms`` flat: a block is taken
+    only when it saves some.  Returns ``terms`` itself when no block
+    pays."""
+    n = len(terms)
+    if depth == 0 or n < 2:
+        return terms
+    sizes = [0]
+    sizes.extend(accumulate([
+        _zbytes(start) + _ubytes(count) + _zbytes(stride)
+        for start, count, stride in terms
+    ]))
+    out = []
+    i = 0
+    while i < n:
+        best = 0
+        start, count, stride = terms[i]
+        for k in range(1, min(_MAX_WINDOW, (n - i) // 2) + 1):
+            # Even covering every term left, this window saves no more.
+            if sizes[n] - sizes[i + k] - _HEADER_BYTES <= best:
+                break
+            next_start, next_count, next_stride = terms[i + k]
+            if next_count != count or next_stride != stride:
+                continue
+            delta = next_start - start
+            j = i + 1
+            end = n - k
+            while j < end:
+                a_start, a_count, a_stride = terms[j]
+                b_start, b_count, b_stride = terms[j + k]
+                if (
+                    b_start - a_start != delta or b_count != a_count
+                    or b_stride != a_stride
+                ):
+                    break
+                j += 1
+            reps = (j - i) // k + 1
+            if reps < 2:
+                continue
+            saving = (
+                sizes[i + k * reps] - sizes[i + k] - _zbytes(delta) - 1
+                - _ubytes(reps) - _ubytes(k)
+            )
+            if saving > best:
+                best, window, times, shift = saving, k, reps, delta
+        if best:
+            out.append(
+                (shift, 0, times, nest(terms[i : i + window], depth - 1))
+            )
+            i += window * times
+        else:
+            out.append(terms[i])
+            i += 1
+    return out if len(out) < n else terms  # no block: the same list
+
+
+def expand(items) -> list[tuple[int, int, int]]:
+    """The flat terms ``items`` stand for.  A block of a few bytes may
+    stand for any number of terms: a reader bounds the values ``items``
+    cover, arithmetically, before it calls this."""
+    out: list[tuple[int, int, int]] = []
+    for item in items:
+        if item[1]:
+            out.append(item)
+            continue
+        delta, _, reps, inner = item
+        inner = expand(inner)
+        out.extend(inner)
+        for r in range(1, reps):
+            shift = r * delta
+            out.extend([
+                (start + shift, count, stride)
+                for start, count, stride in inner
+            ])
+    return out

@@ -7,7 +7,7 @@ varint-coded integers, zigzag for signed values, an interned string table
 for op names, stride terms for every integer sequence, and sparse
 histogram bins.
 
-Container layout (version 7, crash-safe — docs/INTERNALS.md §7)::
+Container layout (version 8, crash-safe — docs/INTERNALS.md §7)::
 
     magic "CYTR" | version | sections...
 
@@ -18,21 +18,29 @@ Container layout (version 7, crash-safe — docs/INTERNALS.md §7)::
                       [branch_path, branch ast id], nchildren
     kind 3 PAYLOAD  : first vertex index | nvertices | stats table |
                       per vertex, ngroups, then each group:
-                      rankset terms | payload (counts / visits / leaf block)
+                      rank set (nitems | items) | payload
+                      (counts / visits as flat terms, or a leaf block)
                       (chunked ~64 KiB so truncation loses one chunk,
                       not the whole payload)
     kind 0 END      : number of preceding sections | total vertex count
 
+    item        := start | count >= 1 | stride        (a stride term)
+                 | delta | 0 | reps >= 2 | k >= 1 | k items
+                   (the k items reps times, copy r shifted by
+                   r * delta; at most MAX_DEPTH blocks deep)
     stats table := nblocks | the chunk's distinct timing-stats blocks
-                   (mode, count, mean, m2, min, max, sparse bins) in
-                   first-use order; records name theirs by index
+                   in first-use order; records name theirs by index.
+                   A block is form 0 (mean/std: count, mean, m2, min,
+                   max), 1 (histogram: the same, then sparse bins) or
+                   2 (one value: count, value; mean, min and max are
+                   the value and m2 is 0)
     leaf block  := nrecords << 1 | columnar, then
                    rows    : per record, mask | the fields that differ
                              from the record before (from the defaults
                              in the first)
                    columns : mask | sequence mask | one value per
                              single-valued column | per other column,
-                             stride terms across the records
+                             items across the records
 
 Virtual time repeats exactly, so a trace holds few distinct stats
 blocks (43 of 4 044 on sp), and the records of an irregular leaf differ
@@ -48,7 +56,9 @@ END marker pins the section count — so a file fails loudly
 (:class:`~repro.core.errors.TraceFormatError`) on any flipped bit or
 missing tail, while ``loads(..., salvage=True)`` recovers the longest
 checksum-valid prefix of a truncated file (vertices whose payload chunk
-was lost simply have no groups); every other version is refused.  The
+was lost simply have no groups).  Version 7 files still load: v7 wrote
+only flat terms (never a zero count) and stats forms 0 and 1, so the one
+reader takes both; every other version is refused.  The
 leaf block is a record's one wire form: :mod:`repro.core.budget` writes
 a rank snapshot's records through :class:`LeafWriter` too.  :func:`save`
 is atomic (:func:`atomic_write`): an interrupted save never clobbers an
@@ -76,11 +86,13 @@ from .errors import TraceFormatError
 from .inter import Group, InternTable, MergedCTT, MergedVertex, Signature
 from .ranks import ABS, REL
 from .records import CompressedRecord, LeafView
-from .sequences import IntSequence
+from .sequences import MAX_DEPTH, IntSequence, expand, nest
 from .timing import _NBINS, HIST, MEANSTD, TimeStats
 
 _MAGIC = b"CYTR"
-_VERSION = 7
+_VERSION = 8
+#: What ``loads`` reads: v7 is v8 without blocks and one-value stats.
+_READABLE = (7, 8)
 
 # Section kinds of the container.
 _SEC_END = 0
@@ -96,9 +108,16 @@ _KIND_CODE = {ROOT: 0, LOOP: 1, BRANCH: 2, CALL: 3}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 _pack_double = struct.Struct("<d").pack
+_unpack_double = struct.Struct("<d").unpack_from
 _pack_4d = struct.Struct("<4d").pack
 _unpack_4d = struct.Struct("<4d").unpack_from  # mean, m2, minimum, maximum
 _new = object.__new__
+
+# Stats block forms (the first varint of a block).
+_FORM_MEANSTD = 0
+_FORM_HIST = 1
+_FORM_ONE = 2
+_POSITIVE_ZERO = _pack_double(0.0)
 
 
 class ByteWriter:
@@ -212,6 +231,8 @@ class ByteReader:
 
 
 def _write_seq(w: ByteWriter, seq: IntSequence) -> None:
+    """Flat stride terms, counted: loop counts, branch visits and the
+    baselines' sequences."""
     w.u(len(seq.terms))
     for start, count, stride in seq.terms:
         w.z(start)
@@ -220,6 +241,8 @@ def _write_seq(w: ByteWriter, seq: IntSequence) -> None:
 
 
 def _read_seq(data: bytes, pos: int) -> tuple[IntSequence, int]:
+    """The inverse of :func:`_write_seq`.  Flat terms only: a zero count
+    (a block elsewhere) is refused."""
     nterms = data[pos]
     pos += 1
     if nterms > 0x7F:
@@ -235,6 +258,11 @@ def _read_seq(data: bytes, pos: int) -> tuple[IntSequence, int]:
         pos += 1
         if count > 0x7F:
             count, pos = _uvarint(data, pos - 1)
+        elif not count:
+            raise TraceFormatError(
+                "a loop count or branch visit sequence holds a term of "
+                "count 0"
+            )
         stride = data[pos]
         pos += 1
         if stride > 0x7F:
@@ -249,19 +277,109 @@ def _read_seq(data: bytes, pos: int) -> tuple[IntSequence, int]:
     return seq, pos
 
 
-def _write_stats(w: ByteWriter, st: TimeStats) -> None:
-    w.u(0 if st.mode == MEANSTD else 1)
-    w.u(st.count)
-    w.f(st.mean)
-    w.f(st.m2)
-    w.f(st.minimum if st.count else 0.0)
-    w.f(st.maximum if st.count else 0.0)
-    if st.mode == HIST:
-        nonzero = [(i, b) for i, b in enumerate(st.bins) if b]
-        w.u(len(nonzero))
-        for i, b in nonzero:
-            w.u(i)
-            w.u(b)
+def _write_items(w: ByteWriter, items) -> None:
+    """Stride terms and blocks (:func:`~repro.core.sequences.nest`)."""
+    for item in items:
+        if item[1]:
+            start, count, stride = item
+            w.z(start)
+            w.u(count)
+            w.z(stride)
+        else:
+            delta, _, reps, inner = item
+            w.z(delta)
+            w.u(0)
+            w.u(reps)
+            w.u(len(inner))
+            _write_items(w, inner)
+
+
+def _read_block(
+    data: bytes, pos: int, delta: int, left: int, depth: int, where: str
+) -> tuple[tuple, int, int]:
+    """The block whose ``z(delta) u(0)`` were just read, ``depth``
+    blocks deep: ``(the block as an item, values it stands for,
+    position after)``.  Its items are read first, each bounded by
+    ``left``; the copies are then bounded arithmetically — nothing is
+    expanded here, and nothing longer than ``left`` ever will be."""
+    reps, pos = _uvarint(data, pos)
+    nitems, pos = _uvarint(data, pos)
+    if depth > MAX_DEPTH:
+        raise TraceFormatError(
+            f"{where}: blocks nest deeper than {MAX_DEPTH}"
+        )
+    if reps < 2 or not nitems:
+        raise TraceFormatError(
+            f"{where}: a block repeats {nitems} item(s) {reps} time(s)"
+        )
+    items, covered, pos = _read_items(data, pos, nitems, left, depth, where)
+    if reps * covered > left:
+        raise TraceFormatError(
+            f"{where}: a block covers {reps} x {covered} value(s), "
+            f"{left} left"
+        )
+    return (delta, 0, reps, items), reps * covered, pos
+
+
+def _read_items(
+    data: bytes, pos: int, nitems: int, left: int, depth: int, where: str
+) -> tuple[list, int, int]:
+    """``nitems`` items inside ``depth`` blocks, together covering at
+    most ``left`` values: ``(items, values covered, position after)``."""
+    items = []
+    covered = 0
+    for _ in range(nitems):
+        start = data[pos]
+        pos += 1
+        if start > 0x7F:
+            start, pos = _uvarint(data, pos - 1)
+        start = (start >> 1) ^ -(start & 1)
+        count = data[pos]
+        pos += 1
+        if count > 0x7F:
+            count, pos = _uvarint(data, pos - 1)
+        if count:
+            stride = data[pos]
+            pos += 1
+            if stride > 0x7F:
+                stride, pos = _uvarint(data, pos - 1)
+            if count > left - covered:
+                raise TraceFormatError(
+                    f"{where}: a term covers {count} value(s), "
+                    f"{left - covered} left"
+                )
+            items.append((start, count, (stride >> 1) ^ -(stride & 1)))
+        else:
+            item, count, pos = _read_block(
+                data, pos, start, left - covered, depth + 1, where
+            )
+            items.append(item)
+        covered += count
+    return items, covered, pos
+
+
+def _read_ranks(
+    data: bytes, pos: int, nranks: int, gid: int, known: dict
+) -> tuple[list[int], int]:
+    """A group's rank set: ``nitems | items``, refused as soon as it
+    declares more members than the job has — on the declared lengths,
+    before any list exists (one stride term can claim 10**11 ranks in
+    six checksum-valid bytes).  ``known`` maps the bytes of every rank
+    set read so far to its ranks: a job's groups repeat their rank sets
+    vertex after vertex, and each is expanded once."""
+    at = pos
+    nitems = data[pos]
+    pos += 1
+    if nitems > 0x7F:
+        nitems, pos = _uvarint(data, pos - 1)
+    items, total, pos = _read_items(
+        data, pos, nitems, nranks, 0, f"vertex {gid}: a group's rank set"
+    )
+    key = data[at:pos]
+    ranks = known.get(key)
+    if ranks is None:
+        ranks = known[key] = IntSequence(expand(items), total).to_list()
+    return ranks.copy(), pos
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +422,12 @@ _SET_BITS = [
 #: stride terms win (sp: rows +45%); nothing in the suite lies between.
 _ROW_GROUP = 4
 
+#: A leaf block may declare at most this many records, occurrence terms
+#: or request gids a byte left in its chunk: the reader's bound ahead of
+#: every list a block builds.  Blocks code a regular column below a byte
+#: a value (sp: 84 records in 56 bytes), so the bound is not one.
+_PER_BYTE = 4
+
 #: Column ranges by the length of their sequences: one value a record,
 #: except one an occurrence term (``COUNT``..``START``) or a request gid.
 _PER_TERM = 1 << _C_COUNT | 1 << _C_STRIDE | 1 << _C_START
@@ -329,27 +453,60 @@ class LeafWriter:
     they compare equal to); it is complete, and written
     (:meth:`table`), once the last block is."""
 
-    __slots__ = ("strings", "index", "blocks", "_defaults")
+    __slots__ = ("strings", "index", "blocks", "_defaults", "_nested")
 
     def __init__(self, strings: dict[str, int]) -> None:
         self.strings = strings
         self.index: dict[tuple, int] = {}
         self.blocks = ByteWriter()
         self._defaults: dict[str | None, list] = {}
+        self._nested: dict[tuple, list] = {}
+
+    def nest(self, terms: list) -> list:
+        """:func:`~repro.core.sequences.nest` of ``terms``, built once a
+        chunk: a job's groups repeat their rank sets and leaf columns
+        vertex after vertex."""
+        key = tuple(terms)
+        items = self._nested.get(key)
+        if items is None:
+            items = self._nested[key] = nest(terms)
+        return items
 
     def add(self, st: TimeStats) -> int:
-        """The table index of ``st``, appended on first use."""
+        """The table index of ``st``, appended on first use: form 2 when
+        mean, minimum and maximum are one value bit for bit and ``m2``
+        is ``+0.0`` (a histogram keeps its bins in form 1)."""
         count = st.count
         low, high = (st.minimum, st.maximum) if count else (0.0, 0.0)
-        key = (
-            count, _pack_4d(st.mean, st.m2, low, high),
-            tuple(st.bins) if st.mode == HIST else None,
-        )
+        hist = st.mode == HIST
+        doubles = _pack_4d(st.mean, st.m2, low, high)
+        key = (count, doubles, tuple(st.bins) if hist else None)
         index = self.index
         at = index.get(key)
         if at is None:
             at = index[key] = len(index)
-            _write_stats(self.blocks, st)
+            w = self.blocks
+            value = doubles[:8]
+            if hist:
+                w.u(_FORM_HIST)
+                w.u(count)
+                w.raw(doubles)
+                nonzero = [(i, b) for i, b in enumerate(st.bins) if b]
+                w.u(len(nonzero))
+                for i, b in nonzero:
+                    w.u(i)
+                    w.u(b)
+            elif (
+                doubles[8:16] == _POSITIVE_ZERO
+                and value == doubles[16:24] == doubles[24:]
+            ):
+                w.u(_FORM_ONE)
+                w.u(count)
+                w.raw(value)
+            else:
+                w.u(_FORM_MEANSTD)
+                w.u(count)
+                w.raw(doubles)
         return at
 
     def leaf(self, w: ByteWriter, op: str | None, records: list) -> None:
@@ -453,12 +610,13 @@ def _short_terms(values) -> list[tuple[int, int, int]]:
 
 
 def _write_columns(
-    w: ByteWriter, cols: list, defaults: list, spread: int | None
+    w: ByteWriter, cols: list, defaults: list, spread: int | None,
+    stats: LeafWriter,
 ) -> None:
     """The mask of written columns, the mask of those written as
     sequences, one value per other written column, then the sequences:
-    stride terms until their counts cover the column (short ones for
-    column ``spread``, whatever it holds)."""
+    items until they cover the column (flat short terms for column
+    ``spread``, whatever it holds)."""
     mask = multi = 0
     singles = []
     sequences = []
@@ -479,17 +637,16 @@ def _write_columns(
             singles.append(first)
         else:
             multi |= bit
-            sequences.append(IntSequence.from_values(values).terms)
+            sequences.append(
+                stats.nest(IntSequence.from_values(values).terms)
+            )
         mask |= bit
     w.u(mask)
     w.u(multi)
     for value in singles:
         w.z(value)
-    for terms in sequences:
-        for start, count, stride in terms:
-            w.z(start)
-            w.u(count)
-            w.z(stride)
+    for items in sequences:
+        _write_items(w, items)
 
 
 def _write_leaf(
@@ -507,17 +664,18 @@ def _write_leaf(
     w.u(nrecords << 1 | 1)
     cols = _leaf_columns(records, strings, stats)
     start = w.size()
-    _write_columns(w, cols, defaults, None)
-    # The reader refuses a record, term or gid count above the bytes left
-    # in its chunk, so a block may not stride-code below a byte apiece:
-    # one that does is rewritten with its longest such column spread out.
+    _write_columns(w, cols, defaults, None, stats)
+    # The reader refuses a record, term or gid count above _PER_BYTE
+    # times the bytes left in its chunk, so a block may not code below
+    # that: one that does is rewritten with its longest such column
+    # spread out.
     declared, longest = max(
         (nrecords, _C_NTERMS), (len(cols[_C_START]), _C_START),
         (len(cols[_C_GIDS]), _C_GIDS), key=lambda pair: pair[0],
     )
-    if w.size() - start < declared:
+    if _PER_BYTE * (w.size() - start) < declared:
         w.truncate(start)
-        _write_columns(w, cols, defaults, longest)
+        _write_columns(w, cols, defaults, longest, stats)
 
 
 #: One block of a chunk's stats table, named like the
@@ -759,8 +917,8 @@ def _read_sequences(
     data: bytes, pos: int, vals: list, bits: int, length: int, gid: int
 ) -> int:
     """Decode the sequence columns named by ``bits``, each ``length``
-    values long, into ``vals``; returns the position after them.  A
-    term may not cover more than the column has left, so nothing longer
+    values long, into ``vals``; returns the position after them.  An
+    item may not cover more than the column has left, so nothing longer
     than ``length`` — which the caller has bounded — is ever built."""
     col = 0
     while bits:
@@ -772,21 +930,29 @@ def _read_sequences(
                 pos += 1
                 if start > 0x7F:
                     start, pos = _uvarint(data, pos - 1)
+                start = (start >> 1) ^ -(start & 1)
                 count = data[pos]
                 pos += 1
                 if count > 0x7F:
                     count, pos = _uvarint(data, pos - 1)
+                elif not count:  # a block, shifted by ``start`` a copy
+                    block, count, pos = _read_block(
+                        data, pos, start, left, 1,
+                        f"vertex {gid}: leaf column {col}",
+                    )
+                    left -= count
+                    values += IntSequence(expand((block,)), count).to_list()
+                    continue
                 stride = data[pos]
                 pos += 1
                 if stride > 0x7F:
                     stride, pos = _uvarint(data, pos - 1)
-                if not 0 < count <= left:
+                if count > left:
                     raise TraceFormatError(
                         f"vertex {gid}: a term of leaf column {col} covers "
                         f"{count} value(s), the column has {left} left"
                     )
                 left -= count
-                start = (start >> 1) ^ -(start & 1)
                 if stride:
                     stride = (stride >> 1) ^ -(stride & 1)
                     values.extend(range(start, start + count * stride, stride))
@@ -802,8 +968,9 @@ def _declared_total(
     vals: list, col: int, multi: int, nrecords: int, room: int, gid: int
 ) -> int:
     """The sum of a counting column (occurrence terms or request gids
-    a record), refused when negative anywhere or beyond the bytes left
-    in the chunk — before anything of that size is built."""
+    a record), refused when negative anywhere or beyond ``_PER_BYTE``
+    times the bytes left in the chunk — before anything of that size is
+    built."""
     counts = vals[col]
     if multi >> col & 1:
         total = sum(counts)
@@ -811,7 +978,7 @@ def _declared_total(
     else:
         total = counts * nrecords
         lowest = counts
-    if lowest < 0 or total > room:
+    if lowest < 0 or total > _PER_BYTE * room:
         raise TraceFormatError(
             f"vertex {gid}: leaf column {col} declares {total} value(s) "
             f"(lowest count {lowest}) with {room} byte(s) left in the chunk"
@@ -897,12 +1064,13 @@ def _read_leaf(
     gid: int,
 ) -> tuple[LeafColumns, int]:
     """Decode one leaf block: ``(columns, position after it)``.  A
-    record costs at least a byte in either form (the writer sees to it
-    for columns), which bounds the declared count."""
+    record costs at least a byte as a row and ``1 / _PER_BYTE`` of one
+    in columns (the writer sees to it), which bounds the declared
+    count."""
     room = len(data) - pos
     head, pos = _uvarint(data, pos)
     nrecords = head >> 1
-    if nrecords > room:
+    if nrecords > _PER_BYTE * room:
         raise TraceFormatError(
             f"vertex {gid}: a group declares {nrecords} record(s) with "
             f"{room} byte(s) left in the chunk"
@@ -924,7 +1092,7 @@ class LeafReader:
     def __init__(self, data: bytes, pos: int, strings: list[str]) -> None:
         room = len(data) - pos
         nblocks, pos = _uvarint(data, pos)
-        if nblocks * 34 > room:  # a block is two varints and four doubles
+        if nblocks * 10 > room:  # form 2: two varints and a double
             raise TraceFormatError(
                 f"stats table declares {nblocks} block(s) with {room} "
                 f"byte(s) left in the chunk"
@@ -933,20 +1101,39 @@ class LeafReader:
         # every record gets its own :class:`TimeStats` filled from one,
         # so loaded records share no mutable state.
         table = []
+        forms = set()
         for _ in range(nblocks):
-            hist, pos = _uvarint(data, pos)
+            form, pos = _uvarint(data, pos)
             count, pos = _uvarint(data, pos)
+            forms.add(form)
+            if form == _FORM_ONE:
+                value, = _unpack_double(data, pos)
+                pos += 8
+                table.append(
+                    StatsEntry(MEANSTD, count, value, 0.0, value, value, None)
+                )
+                continue
+            if form > _FORM_ONE:
+                raise TraceFormatError(f"stats block of unknown form {form}")
             doubles = _unpack_4d(data, pos)
             pos += 32
             bins = None
-            if hist:
+            if form == _FORM_HIST:
                 bins = [0] * _NBINS
                 nonzero, pos = _uvarint(data, pos)
                 for _ in range(nonzero):
                     i, pos = _uvarint(data, pos)
                     bins[i], pos = _uvarint(data, pos)
             table.append(
-                StatsEntry(HIST if hist else MEANSTD, count, *doubles, bins)
+                StatsEntry(
+                    MEANSTD if bins is None else HIST, count, *doubles, bins
+                )
+            )
+        if _FORM_HIST in forms and len(forms) > 1:
+            # A trace has one timing mode: a histogram block beside a
+            # mean/std one (of either form) is damage, not a trace.
+            raise TraceFormatError(
+                "stats table mixes histogram and mean/std blocks"
             )
         self.strings = strings
         self.pos = pos
@@ -1027,7 +1214,9 @@ def _write_vertex_payload(w: ByteWriter, v, leaves: LeafWriter) -> None:
     groups = v.sorted_groups()
     w.u(len(groups))
     for group in groups:
-        _write_seq(w, group.rank_sequence())
+        items = leaves.nest(group.rank_sequence().terms)
+        w.u(len(items))
+        _write_items(w, items)
         if v.kind == LOOP:
             _write_seq(w, group.counts)
         elif v.kind == BRANCH:
@@ -1038,25 +1227,19 @@ def _write_vertex_payload(w: ByteWriter, v, leaves: LeafWriter) -> None:
 
 def _read_vertex_payload(
     data: bytes, pos: int, v: MergedVertex, interns: InternTable,
-    nranks: int, leaves: LeafReader,
+    nranks: int, leaves: LeafReader, rank_sets: dict,
 ) -> int:
     """Decode one vertex's groups from ``data[pos:]`` into ``v``;
     returns the position after them.  ``leaves`` holds the chunk's
-    stats table."""
+    stats table, ``rank_sets`` the rank sets read so far
+    (:func:`_read_ranks`)."""
     kind = v.kind
     groups = v.groups
     intern = interns.intern
     ngroups, pos = _uvarint(data, pos)
     for _ in range(ngroups):
-        rank_seq, pos = _read_seq(data, pos)
         # Groups at a vertex are disjoint, so none outnumbers the job.
-        # Checked on the declared length, before any list exists: one
-        # stride term can claim 10**11 ranks in six checksum-valid bytes.
-        if rank_seq.length > nranks:
-            raise TraceFormatError(
-                f"vertex {v.gid}: a group declares {rank_seq.length} "
-                f"member rank(s), the header {nranks}"
-            )
+        ranks, pos = _read_ranks(data, pos, nranks, v.gid, rank_sets)
         counts = visits = block = None
         if kind == CALL:
             # Signed by its place at the vertex: the payload key is
@@ -1072,7 +1255,7 @@ def _read_vertex_payload(
         else:
             signature = intern(())
         groups[signature] = Group(
-            signature, rank_seq.to_list(), counts, visits, block=block
+            signature, ranks, counts, visits, block=block
         )
     return pos
 
@@ -1312,7 +1495,7 @@ def _loads(data: bytes, salvage: bool) -> MergedCTT:
     r = ByteReader(data)
     r.raw(4)
     version = r.u()
-    if version != _VERSION:
+    if version not in _READABLE:
         raise TraceFormatError(f"unsupported trace version {version}")
     sections, complete, error = read_sections(data, r.pos, salvage)
     return _assemble(sections, complete, error, salvage)
@@ -1343,6 +1526,7 @@ def _assemble(
     for gid, v in enumerate(vertices):
         v.gid = gid
     interns = InternTable()
+    rank_sets: dict[bytes, list[int]] = {}
     covered = 0
     declared_sections = declared_vertices = None
     for kind, payload in sections[2:]:
@@ -1368,7 +1552,7 @@ def _assemble(
             pos = leaves.pos
             for v in vertices[chunk_first:covered]:
                 pos = _read_vertex_payload(
-                    payload, pos, v, interns, nranks, leaves
+                    payload, pos, v, interns, nranks, leaves, rank_sets
                 )
         except (IndexError, struct.error):
             # Ran off the chunk, or named a string or histogram bin
@@ -1415,7 +1599,7 @@ def _torn_in_container_header(data: bytes) -> bool:
         return False
     if len(data) == 4:
         return True
-    return len(data) == 5 and data[4] == _VERSION
+    return len(data) == 5 and data[4] in _READABLE
 
 
 def _empty_salvage(nbytes: int) -> MergedCTT:

@@ -173,7 +173,9 @@ class TestRefusalsStayInLoads:
     @pytest.mark.parametrize("name", sorted(_BAD_LEAVES))
     def test_bad_leaf_is_refused_before_any_record(self, name, monkeypatch):
         body, match = _BAD_LEAVES[name]
-        one_leaf = serialize.loads((DATA / "golden_single_v7.cyp").read_bytes())
+        one_leaf = serialize.loads(
+            (DATA / "golden_single_v8.cyp").read_bytes()
+        )
 
         def write_leaf(w, records, strings, defaults, stats):
             for rec in records:

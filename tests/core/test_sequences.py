@@ -1,9 +1,22 @@
 """Stride-tuple sequence tests (unit + property-based)."""
 
+import pathlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sequences import IntSequence, SequenceCursor
+from repro.core import run_cypress, serialize
+from repro.core.sequences import (
+    MAX_DEPTH,
+    IntSequence,
+    SequenceCursor,
+    expand,
+    nest,
+)
+from repro.workloads import get as get_workload
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 class TestEncoding:
@@ -338,3 +351,229 @@ class TestProperties:
     def test_term_count_never_exceeds_length(self, values):
         seq = IntSequence.from_values(values)
         assert seq.term_count() <= max(1, len(values))
+
+
+# ---------------------------------------------------------------------------
+# Nested stride blocks: the v8 container's form of rank sets and leaf
+# columns (``nest`` builds it, ``expand`` undoes it).
+
+
+def _written(items) -> int:
+    """Bytes the container writer spends on ``items``."""
+    w = serialize.ByteWriter()
+    serialize._write_items(w, items)
+    return w.size()
+
+
+def _varint_bytes(value: int, signed: bool = False) -> int:
+    if signed:
+        value = value * 2 if value >= 0 else -value * 2 - 1
+    size = 1
+    while value > 0x7F:
+        value >>= 7
+        size += 1
+    return size
+
+
+def optimal_bytes(terms, depth=MAX_DEPTH) -> int:
+    """The fewest bytes any items over ``terms`` take, blocks at most
+    ``depth`` deep: an interval DP over the same grammar, with no window
+    bound and every block's item count charged one byte (so a lower
+    bound even where a window holds 128 items or more)."""
+    n = len(terms)
+    if not n:
+        return 0
+    flat = [
+        _varint_bytes(s, True) + _varint_bytes(c) + _varint_bytes(d, True)
+        for s, c, d in terms
+    ]
+    # shift[k][i]: terms[i + k] is terms[i] moved by this much, or None.
+    shift = {
+        k: [
+            b[0] - a[0] if a[1:] == b[1:] else None
+            for a, b in zip(terms, terms[k:])
+        ]
+        for k in range(1, n // 2 + 1)
+    }
+    shallower = None
+    for level in range(depth + 1):
+        cost = {}
+        for length in range(1, n + 1):
+            for i in range(n - length + 1):
+                j = i + length
+                if length == 1:
+                    cost[i, j] = flat[i]
+                    continue
+                best = min(cost[i, m] + cost[m, j] for m in range(i + 1, j))
+                for k in range(1, length // 2 + 1) if level else ():
+                    delta = shift[k][i]
+                    if length % k or delta is None or any(
+                        shift[k][m] != delta for m in range(i, j - k)
+                    ):
+                        continue
+                    best = min(best, (
+                        _varint_bytes(delta, True) + 1
+                        + _varint_bytes(length // k) + 1 + shallower[i, i + k]
+                    ))
+                cost[i, j] = best
+        shallower = cost
+    return shallower[0, n]
+
+
+def _depth(items) -> int:
+    return max(
+        (1 + _depth(item[3]) for item in items if not item[1]), default=0
+    )
+
+
+def _assert_codec(terms):
+    items = nest(terms)
+    assert expand(items) == terms
+    assert _written(items) <= _written(terms)
+    assert _depth(items) <= MAX_DEPTH
+    if items is not terms:  # some block paid for itself
+        assert _written(items) < _written(terms)
+    return items
+
+
+def _repeated(base, reps, shift):
+    return [v + r * shift for r in range(reps) for v in base]
+
+
+_PERIODIC = st.builds(
+    lambda prefix, base, inner, outer, suffix: prefix + _repeated(
+        _repeated(base, *inner), *outer
+    ) + suffix,
+    st.lists(st.integers(-50, 50), max_size=4),
+    st.lists(st.integers(-20, 300), min_size=1, max_size=6),
+    st.tuples(st.integers(1, 5), st.integers(-12, 12)),
+    st.tuples(st.integers(1, 4), st.integers(-300, 300)),
+    st.lists(st.integers(-50, 50), max_size=4),
+)
+
+
+def _grid_slice(dims, lows, highs):
+    """Ranks ``x + X*y + X*Y*z`` of a box in an ``X×Y×Z`` grid — the
+    rank set of a group of processes a 3-D stencil treats alike."""
+    (nx, ny, nz) = dims
+    box = [range(lo % n, max(lo % n, hi % n) + 1)
+           for lo, hi, n in zip(lows, highs, dims)]
+    return sorted(
+        x + nx * y + nx * ny * z
+        for z in box[2] for y in box[1] for x in box[0]
+    )
+
+
+_GRID = st.builds(
+    _grid_slice,
+    st.tuples(*[st.integers(1, 10)] * 3),
+    st.tuples(*[st.integers(0, 9)] * 3),
+    st.tuples(*[st.integers(0, 9)] * 3),
+)
+
+
+class TestNestedBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-64, 64), max_size=40))
+    def test_any_values(self, values):
+        _assert_codec(IntSequence.from_values(values).terms)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PERIODIC)
+    def test_shifted_repeats(self, values):
+        _assert_codec(IntSequence.from_values(values).terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_GRID)
+    def test_grid_slices(self, ranks):
+        _assert_codec(IntSequence.from_values(ranks).terms)
+
+    def test_a_wide_mg_rank_set_is_one_item(self):
+        # mg P=256: rows of a 3-D slice, the 16 of one plane repeated
+        # on the next — 32 flat terms, 115 bytes.
+        plane = (
+            _repeated([1, 3, 5, 7, 9, 10, 11, 12, 13, 14, 15], 4, 16)
+            + _repeated(list(range(65, 72)), 8, 8)
+        )
+        terms = IntSequence.from_values(_repeated(plane, 2, 128)).terms
+        assert len(terms) == 32
+        items = _assert_codec(terms)
+        assert items == [(128, 0, 2, [
+            (16, 0, 4, [(1, 5, 2), (10, 6, 1)]), (8, 0, 8, [(65, 7, 1)]),
+        ])]
+        assert _written(items) * 4 < _written(terms)
+
+    def test_a_period_inside_a_period(self):
+        # sp's tag column: 100..103 three apart, the four repeated seven
+        # times — a block of a block of one term.
+        terms = IntSequence.from_values(
+            _repeated(_repeated([100, 110, 120], 4, 1), 7, 0)
+        ).terms
+        assert _assert_codec(terms) == [(0, 0, 7, [(1, 0, 4, [(100, 3, 10)])])]
+
+    def test_nothing_to_repeat_is_the_terms_themselves(self):
+        terms = [(0, 5, 1), (9, 2, 3), (40, 1, 0)]
+        assert nest(terms) is terms
+        assert nest(terms, depth=0) is terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_PERIODIC, _GRID))
+    def test_the_optimum_is_a_lower_bound(self, values):
+        terms = IntSequence.from_values(values).terms
+        assert optimal_bytes(terms) <= _written(nest(terms)) <= _written(terms)
+
+
+def _nested_sequences(merged) -> list:
+    """Every term list the writer nests for ``merged``: rank sets and
+    leaf columns."""
+    seen = []
+    real = serialize.nest
+
+    def recording(terms):
+        seen.append(list(terms))
+        return real(terms)
+
+    serialize.nest = recording
+    try:
+        serialize.dumps(merged)
+    finally:
+        serialize.nest = real
+    return seen
+
+
+#: The five benchmarks/e2e containers at their full sizes.
+_E2E = {
+    "loop_fig11": [("fig11", 4, 5)],
+    "irregular_sp": [("sp", 16, 3)],
+    "wide_mg": [("mg", 256, 0.1)],
+    "budget_cg": [("cg", 8, 3)],
+    "serve_mixed": [("fig11", 4, 10), ("farm", 8, 20)],
+}
+_GOLDENS = ("fig11", "sp", "mg", "single")
+
+
+class TestGreedyAgainstOptimum:
+    """The greedy is within 1.25x of the optimum over the same grammar
+    on every rank set and column the workloads write."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(_E2E) + [f"golden_{g}" for g in _GOLDENS]
+    )
+    def test_within_a_quarter_of_the_optimum(self, name):
+        if name.startswith("golden_"):
+            path = DATA / f"{name}_v8.cyp"
+            trees = [serialize.loads(path.read_bytes())]
+        else:
+            trees = []
+            for workload, nprocs, scale in _E2E[name]:
+                w = get_workload(workload)
+                trees.append(run_cypress(
+                    w.source, nprocs, defines=w.defines(nprocs, scale)
+                ).merge())
+        sequences = {
+            tuple(terms) for tree in trees for terms in _nested_sequences(tree)
+        }
+        assert sequences
+        for terms in map(list, sequences):
+            greedy = _written(nest(terms))
+            assert optimal_bytes(terms) * 1.25 >= greedy, terms

@@ -1,5 +1,5 @@
-"""Crash-safe container (v7): checksummed sections, loud corruption,
-salvage, old-version handling (v6 and older refused), and
+"""Crash-safe container (v8): checksummed sections, loud corruption,
+salvage, old-version handling (v7 read, v6 and older refused), and
 atomic save."""
 
 import os
@@ -40,7 +40,7 @@ def blob(merged):
 class TestRoundTrip:
     def test_version_byte(self, blob):
         assert blob[:4] == b"CYTR"
-        assert blob[4] == 7
+        assert blob[4] == 8
 
     def test_redump_identity(self, blob):
         assert serialize.dumps(serialize.loads(blob)) == blob

@@ -26,7 +26,7 @@ from repro.static.cst import BRANCH, CALL, LOOP  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 DATA = ROOT / "tests" / "data"
-GOLDEN_FIG11 = DATA / "golden_fig11_v7.cyp"
+GOLDEN_FIG11 = DATA / "golden_fig11_v8.cyp"
 
 # ---------------------------------------------------------------------------
 # (i) loads(dumps(m)) == m, field for field.
@@ -129,6 +129,14 @@ def assert_refused_cheaply(blob, match):
     assert peak < 1 << 20
 
 
+def _nested(depth, leaf=(0, 1, 0)):
+    """``depth`` blocks, each repeating the next twice, around ``leaf``."""
+    item = leaf
+    for _ in range(depth):
+        item = (0, 0, 2, [item])
+    return item
+
+
 class TestRankSetBound:
     def test_oversized_rank_set_is_refused_cheaply(self):
         merged = serialize.loads(GOLDEN_FIG11.read_bytes())
@@ -141,12 +149,51 @@ class TestRankSetBound:
         # before the check, a 10**11-element list
         assert_refused_cheaply(serialize.dumps(merged), r"vertex \d+: a group")
 
+    @pytest.mark.parametrize("items, match", [
+        ([(1, 0, 2**62, [(0, 1, 0)])],
+         r"a block covers 4611686018427387904 x 1 value\(s\), 4 left"),
+        ([(1, 0, 5, [(0, 1, 0)])], r"a block covers 5 x 1 value\(s\), 4 left"),
+        ([(0, 0, 2, [(0, 10**11, 1)])], r"a term covers 10{11}"),
+        ([(0, 0, 2, [])], r"repeats 0 item\(s\) 2 time"),
+        ([_nested(4)], r"nest deeper than 3"),
+    ], ids=["reps 2**62", "past nranks", "term past nranks", "k = 0", "depth"])
+    def test_hostile_rank_set_block_is_refused_cheaply(
+        self, items, match, monkeypatch
+    ):
+        # Every group's rank set becomes ``items`` (fig11 has no leaf
+        # columns, so nothing else is nested); 4 ranks in the header.
+        merged = serialize.loads(GOLDEN_FIG11.read_bytes())
+        monkeypatch.setattr(serialize, "nest", lambda terms: items)
+        blob = serialize.dumps(merged)
+        monkeypatch.undo()
+        assert_refused_cheaply(
+            blob, r"vertex \d+: a group's rank set: .*" + match
+        )
+
     def test_full_membership_still_loads(self):
         blob = GOLDEN_FIG11.read_bytes()
         merged = serialize.loads(blob)
         assert max(
             len(g.ranks) for v in merged.vertices() for g in v.groups.values()
         ) == merged.nranks_merged
+
+
+class TestFlatSequences:
+    """Loop counts and branch visits stay flat stride terms: a zero
+    count there is not a block but damage."""
+
+    @pytest.mark.parametrize("kind", [LOOP, BRANCH])
+    def test_zero_count_is_refused(self, kind):
+        merged = serialize.loads(GOLDEN_FIG11.read_bytes())
+        group = next(
+            g for v in merged.vertices() if v.kind == kind
+            for g in v.groups.values()
+        )
+        seq = group.counts if kind == LOOP else group.visits
+        seq.terms = [(7, 0, 1)] + seq.terms
+        assert_refused_cheaply(
+            serialize.dumps(merged), r"holds a term of count 0"
+        )
 
 
 def _one_value(col, value, nrecords=1):
@@ -179,6 +226,38 @@ def _words(*words):
     return body
 
 
+def _tag_items(items, nrecords=2):
+    """``nrecords`` records whose tag column is ``items`` — stride terms
+    and blocks as :func:`~repro.core.sequences.nest` gives them, written
+    by the product's own item writer."""
+    def body(w, stats):
+        w.u(nrecords << 1 | 1)
+        w.u(1 << serialize._C_TAG)
+        w.u(1 << serialize._C_TAG)
+        serialize._write_items(w, items)
+    return body
+
+
+def _stats_forms(*forms):
+    """A stats table of one block in each of ``forms`` (count 1, value
+    1.0), then a leaf of one row that names none of its fields."""
+    def body(w, stats):
+        table = serialize.ByteWriter()
+        for form in forms:
+            table.u(form)
+            table.u(1)
+            table.f(1.0)
+            if form != serialize._FORM_ONE:
+                table.raw(bytes(24))  # m2, minimum, maximum
+            if form == serialize._FORM_HIST:
+                table.u(0)  # no bins
+        stats.blocks = table
+        stats.index = dict.fromkeys(range(len(forms)))
+        w.u(1 << 1)
+        w.u(0)
+    return body
+
+
 #: name → (what the one leaf block of the file holds, the refusal).
 #: Sizes are what a build *without* the check can survive building
 #: (tens of MB, a fraction of a second) — and fail the assertions on.
@@ -208,7 +287,40 @@ _BAD_LEAVES = {
     "term beyond its column": (
         _one_term(10**6), r"covers 1000000 value\(s\), the column has 2 left",
     ),
-    "empty term": (_one_term(0), r"covers 0 value\(s\)"),
+    # A zero count is a block's tag since v8: an empty term is a block
+    # that stands for nothing.
+    "empty term": (
+        _tag_items([(0, 0, 0, [(5, 1, 0)])]), r"repeats 1 item\(s\) 0 time",
+    ),
+    "block repeated once": (
+        _tag_items([(0, 0, 1, [(5, 2, 0)])]), r"repeats 1 item\(s\) 1 time",
+    ),
+    "block of no items": (
+        _tag_items([(0, 0, 2, [])]), r"repeats 0 item\(s\) 2 time",
+    ),
+    "block repeated 2**62 times": (
+        _tag_items([(1, 0, 2**62, [(0, 1, 0)])]),
+        r"leaf column 4: a block covers 4611686018427387904 x 1 value\(s\), "
+        r"2 left",
+    ),
+    "block beyond its column": (
+        _tag_items([(1, 0, 3, [(0, 1, 0)])]),
+        r"a block covers 3 x 1 value\(s\), 2 left",
+    ),
+    "term in a block beyond its column": (
+        _tag_items([(1, 0, 2, [(0, 10**6, 1)])]),
+        r"leaf column 4: a term covers 1000000 value\(s\), 2 left",
+    ),
+    "blocks nested past the limit": (
+        _tag_items([_nested(4)], nrecords=16), r"nest deeper than 3",
+    ),
+    "one-value stats beside a histogram block": (
+        _stats_forms(serialize._FORM_HIST, serialize._FORM_ONE),
+        r"mixes histogram and mean/std blocks",
+    ),
+    "stats block of an unknown form": (
+        _stats_forms(3), r"stats block of unknown form 3",
+    ),
     "occurrence terms beyond the chunk": (
         _one_value(serialize._C_NTERMS, 10**6), r"declares 1000000 value\(s\)",
     ),
@@ -226,7 +338,7 @@ _BAD_LEAVES = {
 
 @pytest.fixture
 def one_leaf():
-    return serialize.loads((DATA / "golden_single_v7.cyp").read_bytes())
+    return serialize.loads((DATA / "golden_single_v8.cyp").read_bytes())
 
 
 class TestLeafBounds:
@@ -365,6 +477,8 @@ class TestResealedCorruption:
     @pytest.mark.parametrize("golden, masks, limit", [
         ("golden_fig11_v7.cyp", "1,128,255", 5.0),
         ("golden_sp_v7.cyp", "1,128", 15.0),
+        # blocks in rank sets and columns, one-value stats blocks
+        ("golden_sp_v8.cyp", "1,128,255", 15.0),
     ])
     def test_payload_flips_load_or_raise_trace_format_error(
         self, golden, masks, limit

@@ -1,16 +1,24 @@
 """Golden containers: the bytes ``dumps`` writes are pinned.
 
-``tests/data/golden_{fig11,sp,mg,single}_v7.cyp`` are what
+``tests/data/golden_{fig11,sp,mg,single}_v8.cyp`` are what
 ``run_cypress`` → ``merge()`` → ``dumps`` writes at the sizes
 below — a merge or writer change that moves a single byte (group order,
 a float's last ulp, a varint) fails here first.  To regenerate after an
-*intended* format change, write ``_fresh(...)`` to the files."""
+*intended* format change, write ``_fresh(...)`` to the files.
+
+``golden_*_v7.cyp`` are what the same trees were as container v7 (flat
+stride terms, four doubles a stats block).  They are kept as read
+fixtures: ``loads`` still takes them, and dumping one writes its v8
+golden byte for byte."""
 
 import pathlib
 
 import pytest
 
+from repro import query
 from repro.core import run_cypress, serialize
+from repro.core.decompress import decompress_all
+from repro.static.cst import CALL
 from repro.workloads import get as get_workload
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -24,8 +32,8 @@ GOLDEN = {
 SINGLE = "func main() { mpi_barrier(); }\n"
 
 
-def _golden(name: str) -> bytes:
-    return (DATA / f"golden_{name}_v7.cyp").read_bytes()
+def _golden(name: str, version: int = 8) -> bytes:
+    return (DATA / f"golden_{name}_v{version}.cyp").read_bytes()
 
 
 def _fresh_tree(name: str):
@@ -42,6 +50,20 @@ def _fresh(name: str) -> bytes:
     return serialize.dumps(_fresh_tree(name))
 
 
+def _answers(merged) -> tuple:
+    """Every query's answer and every rank's replay."""
+    nranks = merged.nranks_merged
+    leaves = [v.gid for v in merged.vertices() if v.kind == CALL and v.groups]
+    return (
+        query.traffic(merged, group_by="vertex"),
+        query.traffic(merged, group_by="op"),
+        query.critical_leaves(merged),
+        [query.rank_profile(merged, rank) for rank in range(nranks)],
+        query.ordering(merged, leaves[0], leaves[-1], 0),
+        decompress_all(merged, nranks),
+    )
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 class TestGoldenContainers:
     def test_dumps_is_byte_stable(self, name):
@@ -49,9 +71,20 @@ class TestGoldenContainers:
 
     def test_redump_is_identity(self, name):
         blob = _golden(name)
-        assert blob[4] == 7
+        assert blob[4] == 8
         merged = serialize.loads(blob)
         assert merged.nranks_merged == GOLDEN[name][0]
         assert serialize.dumps(merged) == blob
         packed = serialize.dumps(merged, gzip=True)
         assert serialize.dumps(serialize.loads(packed)) == blob
+
+    def test_v7_file_redumps_as_its_v8_golden(self, name):
+        old = _golden(name, 7)
+        assert old[4] == 7
+        assert len(_golden(name)) < len(old)
+        assert serialize.dumps(serialize.loads(old)) == _golden(name)
+
+    def test_v7_file_answers_as_the_fresh_tree(self, name):
+        assert _answers(serialize.loads(_golden(name, 7))) == _answers(
+            _fresh_tree(name)
+        )

@@ -90,10 +90,12 @@ class TestStableHash:
                 digest for key, digest in here.items()
                 if key.startswith(f"{name}/")
             }) == 1, name
-        # ... the goldens survive a load and dump ...
+        # ... the goldens survive a load and dump (a v7 one as its v8
+        # golden) ...
         for path in sorted(DATA.glob("golden_*.cyp")):
+            written = path.with_name(path.name.replace("_v7.", "_v8."))
             assert here[f"redump/{path.name}"] == hashlib.sha256(
-                path.read_bytes()
+                written.read_bytes()
             ).hexdigest()
         # ... and a process with another salt writes the same bytes.
         code = (

@@ -117,16 +117,30 @@ class TestStageCoverage:
         )
         # The stats tables are part of the payload: every record names
         # two blocks, the tables hold each distinct one once a chunk
-        # (34 bytes a mean/std block, one count varint a table).
+        # (a mean/std block is a form, a count and four doubles, one of a
+        # single value a form, a count and one double; one count varint
+        # a table).
         merged = serialize.loads(blob)
-        nrecords = sum(
-            len(g.records) for v in merged.vertices()
-            for g in v.groups.values() if g.records
-        )
-        assert c["serialize.stats_blocks"] == 2 * nrecords
+        records = [
+            rec for v in merged.vertices()
+            for g in v.groups.values() if g.records for rec in g.records
+        ]
+        assert c["serialize.stats_blocks"] == 2 * len(records)
         distinct = c["serialize.stats_blocks_distinct"]
         assert 0 < distinct < c["serialize.stats_blocks"]
-        assert c["serialize.bytes.stats_table"] == 34 * distinct + 1
+        blocks = {
+            (st.count, st.mean, st.m2, st.minimum, st.maximum)
+            for rec in records for st in (rec.duration, rec.pre_gap)
+        }
+        assert len(blocks) == distinct
+        assert all(count < 128 for count, *_ in blocks)
+        one = sum(
+            m2 == 0.0 and mean == low == high
+            for _, mean, m2, low, high in blocks
+        )
+        assert c["serialize.bytes.stats_table"] == (
+            34 * (distinct - one) + 10 * one + 1
+        )
         assert c["serialize.bytes.stats_table"] < c["serialize.bytes.payload"]
         assert registry.gauges["serialize.ratio_vs_raw"] > 1.0
 
