@@ -14,13 +14,16 @@ Commands:
 * ``verify``   — end-to-end self-check: trace a workload, decompress, and
   compare against ground truth (sequence preservation)
 * ``hotspots`` — which loops/call sites dominate communication time
-* ``faultsmoke`` — run the seeded fault-injection matrix (stream
-  corruption, trace truncation, bit flips) and check every degraded
-  mode recovers; writes a JSON report for CI
+* ``serve`` / ``submit`` — the online ingest daemon and its client
+* ``faultsmoke`` — the online-ingest fault matrix (daemon kills, client
+  disconnects, torn frames, stalled ranks, drain) or, with ``--soak``,
+  the endurance run; writes a JSON report for CI
 * ``check``    — trace-integrity suite (docs/INTERNALS.md §8): structural
   invariants over the CST and (merged) CTTs, the wildcard nondeterminism
-  audit, and optionally the differential harness and the seeded payload
-  fault matrix; exits nonzero on invariant violations
+  audit, and optionally the differential harness and the seeded fault
+  matrix (payload, stream and container damage); exits nonzero on
+  invariant violations
+* ``query``    — decompression-free queries over a stored trace
 """
 
 from __future__ import annotations
@@ -382,133 +385,14 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_faultsmoke(args: argparse.Namespace) -> int:
-    """Seeded fault-injection matrix: every degraded mode must recover.
+    """The online-ingest fault matrix (or, with ``--soak``, the
+    endurance run): seeded daemon kills, client disconnects, torn
+    frames, stalled ranks and drains, each asserting the recovered trace
+    is byte-identical to the batch pipeline.  The batch fault matrix is
+    ``repro check --fault-matrix``."""
+    from repro.server.faultsmoke import run_server_faultsmoke
 
-    Each scenario injects one fault class (stream corruption, file
-    truncation, bit flips) into an otherwise healthy run and checks the
-    documented recovery: corruption quarantines exactly the victims,
-    damaged files fail loudly and salvage to a checksum-valid prefix.
-    """
-    import json
-    import warnings
-
-    if args.server:
-        from repro.server.faultsmoke import run_server_faultsmoke
-
-        return run_server_faultsmoke(args)
-
-    from repro.core import TraceFormatError, run_cypress, serialize
-    from repro.faults import FaultPlan, bitflip, truncate
-
-    w = WORKLOADS[args.workload]
-    w.check_procs(args.nprocs)
-    defines = w.defines(args.nprocs, args.scale)
-    baseline = run_cypress(w.source, args.nprocs, defines=defines)
-    base_bytes = serialize.dumps(baseline.merge())
-    scenarios: list[dict] = []
-    quarantine_dict: dict | None = None
-
-    def run_scenario(name: str, fn) -> None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                detail = fn() or "recovered"
-                ok = True
-            except Exception as exc:  # a scenario must never escape
-                detail = f"{type(exc).__name__}: {exc}"
-                ok = False
-        scenarios.append({
-            "scenario": name,
-            "ok": ok,
-            "detail": detail,
-            "warnings": [str(c.message) for c in caught],
-        })
-        print(f"  {'ok  ' if ok else 'FAIL'} {name}: {detail}")
-
-    def scenario_corrupt() -> str:
-        nonlocal quarantine_dict
-        victims = (args.nprocs // 2, args.nprocs - 1)
-        plan = FaultPlan(seed=args.seed, corrupt_ranks=victims)
-        run = run_cypress(
-            w.source, args.nprocs, defines=defines, fault_plan=plan
-        )
-        quarantine_dict = run.quarantine.to_dict()
-        if run.quarantine.ranks() != sorted(set(victims)):
-            raise AssertionError(
-                f"quarantined {run.quarantine.ranks()}, "
-                f"expected {sorted(set(victims))}"
-            )
-        merged = run.merge()
-        expected = args.nprocs - len(set(victims))
-        if merged.nranks_merged != expected:
-            raise AssertionError(
-                f"merged {merged.nranks_merged} ranks, expected {expected}"
-            )
-        healthy = next(
-            r for r in range(args.nprocs) if r not in run.quarantine.rank_set()
-        )
-        run.replay(healthy)
-        run.replay(sorted(set(victims))[0])  # raw-capture fallback
-        return (
-            f"quarantined exactly {sorted(set(victims))}; "
-            f"{expected} healthy ranks merged and replayed"
-        )
-
-    def scenario_truncate() -> str:
-        rng = FaultPlan(seed=args.seed).rng("truncate")
-        # Small payload chunks so a small trace still spans several
-        # sections — the truncation then lands mid-payload and salvage
-        # recovers a non-trivial vertex prefix.
-        chunked = serialize.dumps(baseline.merge(), chunk_bytes=256)
-        cut = truncate(chunked, fraction=0.8, rng=rng)
-        try:
-            serialize.loads(cut)
-            raise AssertionError("truncated trace loaded without error")
-        except TraceFormatError:
-            pass
-        merged = serialize.loads(cut, salvage=True)
-        info = merged.salvage_info
-        return (
-            f"strict load failed loudly; salvage recovered "
-            f"{info['vertices_with_payload']}/{info['vertices_total']} "
-            "vertices"
-        )
-
-    def scenario_bitflips() -> str:
-        rng = FaultPlan(seed=args.seed).rng("bitflip")
-        for trial in range(args.flips):
-            bad = bitflip(base_bytes, rng)
-            try:
-                serialize.loads(bad)
-                raise AssertionError(
-                    f"bit flip #{trial} loaded without error"
-                )
-            except (TraceFormatError, ValueError):
-                pass
-        return f"all {args.flips} single-bit flips failed loudly"
-
-    print(f"fault-injection smoke: {args.workload} on {args.nprocs} ranks "
-          f"(seed {args.seed}, baseline {len(base_bytes)} bytes)")
-    run_scenario("stream-corruption-quarantine", scenario_corrupt)
-    run_scenario("truncation-salvage", scenario_truncate)
-    run_scenario("bitflip-loudness", scenario_bitflips)
-    passed = all(s["ok"] for s in scenarios)
-    report = {
-        "workload": args.workload,
-        "nprocs": args.nprocs,
-        "seed": args.seed,
-        "baseline_bytes": len(base_bytes),
-        "passed": passed,
-        "scenarios": scenarios,
-        "quarantine": quarantine_dict,
-    }
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report -> {args.out}")
-    print("PASSED" if passed else "FAILED")
-    return 0 if passed else 1
+    return run_server_faultsmoke(args)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -804,33 +688,22 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "faultsmoke",
-        help="seeded fault-injection matrix: verify every degraded mode",
+        help="online-ingest fault matrix: seeded daemon kills, client "
+             "disconnects, torn frames, stalled ranks, drain — each "
+             "asserting the recovered trace is byte-identical to the "
+             "batch pipeline",
     )
-    p.add_argument("workload", nargs="?", default="cg",
-                   choices=sorted(WORKLOADS))
-    p.add_argument("-n", "--nprocs", type=int, default=8)
-    p.add_argument("--scale", type=float, default=0.5,
-                   help="iteration-count scale factor (default: 0.5)")
     p.add_argument("--seed", type=int, default=20260807,
                    help="FaultPlan seed (default: 20260807)")
-    p.add_argument("--flips", type=int, default=64,
-                   help="random single-bit flips to test (default: 64)")
-    p.add_argument("--server", action="store_true",
-                   help="run the online-ingest matrix instead: seeded "
-                        "daemon kills, client disconnects, torn frames, "
-                        "stalled ranks, drain — each asserting the "
-                        "recovered trace is byte-identical to the batch "
-                        "pipeline")
     p.add_argument("--soak", action="store_true",
-                   help="with --server: endurance mode (concurrent client "
-                        "waves, seeded kills/drops) for the CI soak job")
+                   help="endurance mode instead (concurrent client waves, "
+                        "seeded kills/drops) for the CI soak job")
     p.add_argument("--duration", type=float, default=60.0,
                    help="soak duration in seconds (default: 60)")
     p.add_argument("--clients", type=int, default=8,
                    help="concurrent soak clients per wave (default: 8)")
     p.add_argument("-o", "--out", default=None, metavar="PATH",
-                   help="write the JSON report (incl. the QuarantineReport) "
-                        "to PATH")
+                   help="write the JSON report to PATH")
     p.set_defaults(func=cmd_faultsmoke)
 
     p = sub.add_parser(
@@ -872,10 +745,10 @@ def main(argv: list[str] | None = None) -> int:
                         "drain")
     p.add_argument("--kill-after-batches", type=int, default=None,
                    help="fault injection: hard-exit after the Nth ingested "
-                        "batch (faultsmoke --server)")
+                        "batch (faultsmoke)")
     p.add_argument("--kill-after-checkpoints", type=int, default=None,
                    help="fault injection: hard-exit after the Nth "
-                        "checkpoint (faultsmoke --server)")
+                        "checkpoint (faultsmoke)")
     p.add_argument("--memory-budget", type=_parse_bytes, default=None,
                    metavar="BYTES",
                    help="per-job compressor memory budget (suffixes "

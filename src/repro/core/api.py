@@ -17,16 +17,14 @@ import time
 from repro import obs
 from repro.driver import run_compiled
 from repro.mpisim.netmodel import NetworkModel
-from repro.mpisim.pmpi import MultiSink, StreamCaptureSink, TimingSink, TraceSink
+from repro.mpisim.pmpi import MultiSink, TimingSink, TraceSink
 from repro.mpisim.runtime import RunResult
 from repro.static.instrument import CompiledProgram, compile_minimpi
 
 from . import serialize
 from .decompress import ReplayEvent, decompress_merged_rank, decompress_rank
-from .errors import MergeError
 from .inter import MergedCTT
-from .intra import CypressConfig, IntraProcessCompressor, compress_streams
-from .quarantine import QuarantineReport
+from .intra import CypressConfig, IntraProcessCompressor
 
 
 class MergedRunMixin:
@@ -34,30 +32,15 @@ class MergedRunMixin:
     ``compressor``, ``nprocs`` and a ``_merged`` cache — shared by
     :class:`CypressRun` and :class:`repro.frontend.runner.PythonRun`."""
 
-    @property
-    def quarantine(self) -> QuarantineReport:
-        """Ranks excluded from compression (docs/INTERNALS.md §7).
-        Empty on a healthy run."""
-        return self.compressor.quarantine
-
     def merge(self, schedule: str = "tree") -> MergedCTT:
-        """Inter-process merge (cached): ``compressor.merged()`` over the
-        healthy ranks.  Quarantined ranks are left out — the merge
-        covers the survivors (their bytes are unaffected by the
-        victims).
+        """Inter-process merge (cached): ``compressor.merged()`` over
+        every rank.
 
         ``schedule`` is accepted and ignored: there is one merge, and
         only ``benchmarks/e2e`` still passes the name."""
         if self._merged is None:
-            bad = self.quarantine.rank_set()
-            healthy = [r for r in range(self.nprocs) if r not in bad]
-            if not healthy:
-                raise MergeError(
-                    "every rank was quarantined — nothing to merge "
-                    f"({self.quarantine.summary()})"
-                )
             self._merged = self.compressor.merged(
-                nranks=self.nprocs, ranks=healthy
+                nranks=self.nprocs, ranks=range(self.nprocs)
             )
         return self._merged
 
@@ -80,43 +63,10 @@ class CypressRun(MergedRunMixin):
     _merged: MergedCTT | None = field(default=None, repr=False)
 
     def replay(self, rank: int, merged: bool = True) -> list[ReplayEvent]:
-        """Reconstruct ``rank``'s event sequence.  A quarantined rank has
-        no compressed form, so it replays from its retained raw capture
-        instead (exact events, recorded rather than aggregated timing)."""
-        item = self.quarantine.get(rank)
-        if item is not None:
-            if item.raw_stream is None:
-                raise MergeError(
-                    f"rank {rank} was quarantined ({item.error}) and its "
-                    "raw stream was not retained"
-                )
-            return _replay_raw(item.raw_events())
+        """Reconstruct ``rank``'s event sequence."""
         if merged:
             return decompress_merged_rank(self.merge(), rank)
         return decompress_rank(self.compressor.ctt(rank))
-
-
-def _replay_raw(events) -> list[ReplayEvent]:
-    """Raw-capture fallback replay for quarantined ranks: each traced
-    CommEvent maps 1:1 to a ReplayEvent (its own duration and gap stand
-    in for the group statistics a compressed replay would carry)."""
-    out: list[ReplayEvent] = []
-    prev_end = 0.0
-    for ev in events:
-        out.append(
-            ReplayEvent(
-                op=ev.op, peer=ev.peer, peer2=ev.peer2,
-                tag=ev.tag, tag2=ev.tag2,
-                nbytes=ev.nbytes, nbytes2=ev.nbytes2,
-                comm=ev.comm, root=ev.root, wildcard=ev.wildcard,
-                req_gids=tuple(ev.req_gids),
-                mean_duration=ev.duration,
-                mean_gap=max(0.0, ev.time_start - prev_end),
-                result_comm=ev.result_comm,
-            )
-        )
-        prev_end = ev.time_start + ev.duration
-    return out
 
 
 def run_cypress(
@@ -127,9 +77,6 @@ def run_cypress(
     measure_overhead: bool = False,
     extra_sinks: list[TraceSink] | None = None,
     network: NetworkModel | None = None,
-    *,
-    strict: bool = False,
-    fault_plan=None,
 ) -> CypressRun:
     """Compile (if needed) and execute a MiniMPI program with the CYPRESS
     tracer attached; returns the per-rank compressed traces.
@@ -146,38 +93,29 @@ def run_cypress(
     tree when it finalizes (docs/INTERNALS.md §14); ``run.merge()`` is
     the same bytes with or without the budget.
 
-    Fault tolerance (docs/INTERNALS.md §7): ``fault_plan`` injects
-    seeded stream corruption for tests and the CI fault-smoke job.
-    Corruption needs captured streams, so a plan with ``corrupt_ranks``
-    traces into a :class:`~repro.mpisim.pmpi.StreamCaptureSink` and
-    compresses afterwards (:func:`compress_streams`), where in the
-    default lenient mode (``strict=False``) a rank whose stream
-    mismatches the CST is quarantined instead of aborting the run —
-    inspect ``run.quarantine``.
+    The trace is compressed live, so a CST/stream mismatch raises
+    :class:`~repro.core.errors.StreamMismatchError`; only a capture
+    compressed afterwards (:func:`~repro.core.intra.compress_streams`)
+    quarantines a rank (docs/INTERNALS.md §7).
     """
-    corrupt = fault_plan is not None and bool(fault_plan.corrupt_ranks)
     registry = obs.active()
     compiled = (
         source if isinstance(source, CompiledProgram) else compile_minimpi(source)
     )
     if compiled.static is None:
         raise ValueError("program must be compiled with cypress=True")
+    compressor = IntraProcessCompressor(compiled.cst, config=config)
+    compressor.enable_incremental_fold(nranks=nprocs, domain=range(nprocs))
+    sink: TraceSink = compressor
     timing: TimingSink | None = None
-    if corrupt:
-        capture = StreamCaptureSink()
-        sink: TraceSink = capture
-    else:
-        compressor = IntraProcessCompressor(compiled.cst, config=config)
-        compressor.enable_incremental_fold(nranks=nprocs, domain=range(nprocs))
-        sink = compressor
-        if measure_overhead or registry is not None:
-            # With observability on, the inline compression time becomes
-            # the "intra.compress" stage attribution; TimingSink's
-            # per-callback clock reads are part of the metrics-on cost
-            # of *live* tracing (compress_streams stays untouched — the
-            # bench overhead guard measures that path).
-            timing = TimingSink(compressor)
-            sink = timing
+    if measure_overhead or registry is not None:
+        # With observability on, the inline compression time becomes
+        # the "intra.compress" stage attribution; TimingSink's
+        # per-callback clock reads are part of the metrics-on cost of
+        # live tracing (compress_streams stays untouched — the bench
+        # overhead guard measures that path).
+        timing = TimingSink(compressor)
+        sink = timing
     if extra_sinks:
         sink = MultiSink([sink, *extra_sinks])
     t_run = time.perf_counter()
@@ -189,17 +127,8 @@ def run_cypress(
     intra_seconds = (
         timing.elapsed if timing is not None and measure_overhead else None
     )
-    if corrupt:
-        from repro.faults import corrupt_streams
-
-        with obs.span("intra.compress"):
-            compressor = compress_streams(
-                compiled.cst, corrupt_streams(capture.streams, fault_plan),
-                config=config, strict=strict, nranks=nprocs,
-            )
     if registry is not None:
-        if timing is not None:
-            registry.attribute_span("intra.compress", timing.elapsed)
+        registry.attribute_span("intra.compress", timing.elapsed)
         compressor.publish_metrics(registry)
         registry.counter_add("trace.total_events", result.total_events)
         if run_seconds > 0:

@@ -15,9 +15,10 @@ The taxonomy (docs/INTERNALS.md §7):
     The dynamic marker/event stream did not match the static CST
     (unknown GID/op, unbalanced structure markers, bad opcode) —
     indicates a static/dynamic inconsistency: a bug, a corrupted
-    capture, or an un-instrumented program.  In lenient mode the
-    offending *rank* is quarantined instead of the error propagating
-    (see :func:`repro.core.intra.compress_streams`).  Live tracing
+    capture, or an un-instrumented program.  When a capture is
+    compressed afterwards the offending *rank* is quarantined instead
+    of the error propagating (see
+    :func:`repro.core.intra.compress_streams`).  Live tracing
     buffers callbacks and ingests them in batches, so the error surfaces
     no later than the next drain, ``flush()`` or read of that rank —
     not at the offending callback; ``item_index`` (the item's position

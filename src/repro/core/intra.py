@@ -920,18 +920,15 @@ def _ingest_or_quarantine(
     comp: IntraProcessCompressor,
     rank: int,
     stream,
-    strict: bool,
     report: QuarantineReport,
 ) -> None:
-    """Compress one rank's stream (capture-list or packed form); in
-    lenient mode a CST/stream mismatch quarantines the rank (partial CTT
-    discarded, raw capture kept) instead of aborting the whole run."""
+    """Compress one rank's stream (capture-list or packed form); a
+    CST/stream mismatch quarantines the rank (partial CTT discarded, raw
+    capture kept) instead of aborting the whole run."""
     raw = packed.decode_stream(stream) if packed.is_packed(stream) else stream
     try:
         comp.ingest_stream(rank, raw)
     except StreamMismatchError as exc:
-        if strict:
-            raise
         comp.discard_rank(rank)
         report.add(
             QuarantinedRank(
@@ -955,7 +952,6 @@ def compress_streams(
     config: CypressConfig | None = None,
     workers=None,
     *,
-    strict: bool = False,
     nranks: int | None = None,
 ) -> IntraProcessCompressor:
     """Compress captured per-rank streams into an
@@ -966,12 +962,12 @@ def compress_streams(
     ``benchmarks/e2e/batch.py`` passes ``workers=2`` in its traced pass
     (its ``compress_w2_s`` row then times this same loop).
 
-    Fault tolerance (docs/INTERNALS.md §7): by default
-    (``strict=False``) a rank whose stream mismatches the CST is
-    *quarantined* — recorded on the returned compressor's
-    ``.quarantine`` report with its raw capture, while every healthy
-    rank compresses normally; ``strict=True`` restores the fail-fast
-    :class:`~repro.core.errors.StreamMismatchError` raise.
+    Fault tolerance (docs/INTERNALS.md §7): a rank whose stream
+    mismatches the CST is *quarantined* — recorded on the returned
+    compressor's ``.quarantine`` report with its raw capture, while
+    every healthy rank compresses normally.  A caller that wants the
+    :class:`~repro.core.errors.StreamMismatchError` raised calls
+    :meth:`IntraProcessCompressor.ingest_stream` itself.
 
     ``streams`` values may be capture lists, :class:`~repro.core.packed.
     PackedStream` objects, or packed blobs (``bytes``); a packed source
@@ -988,7 +984,7 @@ def compress_streams(
     comp = IntraProcessCompressor(cst, config=config)
     comp.enable_incremental_fold(nranks=nranks, domain=streams)
     for rank, stream in sorted(streams.items()):
-        _ingest_or_quarantine(comp, rank, stream, strict, comp.quarantine)
+        _ingest_or_quarantine(comp, rank, stream, comp.quarantine)
         comp.seal_rank(rank)
     registry = obs.active()
     if comp.quarantine and registry is not None:

@@ -3,14 +3,14 @@
 When one rank's captured stream does not match the static CST (a
 corrupted capture, an un-instrumented code path, a tracer bug on one
 node), aborting whole-run compression throws away every *healthy*
-rank's data.  In lenient mode (the default of
-:func:`repro.core.intra.compress_streams`) the offending rank is
-instead **quarantined**: its partial CTT is discarded, its raw captured
-stream is kept as a fallback record, healthy ranks compress normally,
-and the merge covers the survivors.  The :class:`QuarantineReport`
-names every victim with the exact mismatch error — nothing fails
-silently, nothing healthy is lost.  Strict mode restores the
-fail-fast raise (docs/INTERNALS.md §7).
+rank's data.  :func:`repro.core.intra.compress_streams` and the ingest
+daemon instead **quarantine** the offending rank: its partial CTT is
+discarded, its raw captured stream is kept as a fallback record,
+healthy ranks compress normally, and the merge covers the survivors.
+The :class:`QuarantineReport` names every victim with the exact
+mismatch error — nothing fails silently, nothing healthy is lost.
+Calling ``ingest_stream`` directly keeps the fail-fast raise
+(docs/INTERNALS.md §7).
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ class QuarantinedRank:
     """One rank excluded from compression, with its raw capture kept."""
 
     rank: int
-    stage: str  # pipeline stage that quarantined it (currently 'intra')
-    error: str  # the StreamMismatchError message
+    #: 'intra' (a CST/stream mismatch) or 'server' (the daemon's idle
+    #: reaper: the rank went silent).
+    stage: str
+    error: str  # the StreamMismatchError message, or the idle reason
     events: int  # communication events in the raw captured stream
     #: The rank's full captured opcode stream (markers + events) — the
     #: raw-capture fallback that keeps the rank analyzable.  Held

@@ -1473,9 +1473,9 @@ def loads(data: bytes, salvage: bool = False) -> MergedCTT:
     """
     try:
         merged = _loads(data, salvage)
-    except ValueError:
+    except TraceFormatError:
         raise
-    except Exception as exc:  # truncated varints, bad indices, zlib noise
+    except Exception as exc:  # truncated varints, bad indices, bad UTF-8, zlib noise
         raise TraceFormatError(f"corrupt CYPRESS trace file: {exc}") from exc
     registry = obs.active()
     if registry is not None:  # one per CALL group: counted after the fact

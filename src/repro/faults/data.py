@@ -7,8 +7,6 @@ docs/INTERNALS.md §7) must detect: a write cut short mid-file
 
 from __future__ import annotations
 
-from .plan import FaultPlan
-
 
 def truncate(data: bytes, fraction: float | None = None, rng=None) -> bytes:
     """Cut ``data`` short.  ``fraction`` in (0, 1) fixes the cut point;
@@ -30,13 +28,3 @@ def bitflip(data: bytes, rng, flips: int = 1) -> bytes:
         pos = rng.randrange(len(out))
         out[pos] ^= 1 << rng.randrange(8)
     return bytes(out)
-
-
-def corrupt_bytes(data: bytes, plan: FaultPlan) -> bytes:
-    """Apply ``plan``'s byte-level faults (truncation first, then
-    flips)."""
-    if plan.truncate_fraction is not None:
-        data = truncate(data, fraction=plan.truncate_fraction)
-    if plan.bitflips and data:
-        data = bitflip(data, plan.rng("bytes"), flips=plan.bitflips)
-    return data

@@ -1,18 +1,19 @@
-"""Seeded fault plans — the deterministic driver of every injection.
+"""Seeded fault plans — the deterministic source of every injection.
 
-A :class:`FaultPlan` is an immutable description of *which* faults to
-inject *where*: corrupt these rank streams, truncate or bit-flip the
-saved trace bytes.  All randomness is derived from ``seed`` through
-:meth:`FaultPlan.rng`, so a plan replayed with the same seed injects
-byte-identical faults — every failure mode the resilience layer handles
-is reproducible in CI.
+A :class:`FaultPlan` is a seed.  Every random choice an injection makes
+derives from it through :meth:`FaultPlan.rng`, salted by what is being
+damaged, so a plan replayed with the same seed injects byte-identical
+faults — every failure mode the resilience layer handles is reproducible
+in CI.  What to damage is the caller's choice: ``repro check
+--fault-matrix`` (:mod:`repro.verify.faultmatrix`) and the server matrix
+(:mod:`repro.server.faultsmoke`) pick their own victims.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 #: Stream-corruption kinds (see :mod:`repro.faults.streams`).
@@ -21,19 +22,9 @@ CORRUPT_KINDS = ("opcode", "unknown-op", "unbalanced")
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """One deterministic set of faults to inject into a pipeline run."""
+    """The seed every injection of one run derives from."""
 
     seed: int = 0
-    #: Ranks whose captured streams get corrupted (``corrupt_kind``).
-    corrupt_ranks: tuple[int, ...] = ()
-    #: 'opcode' | 'unknown-op' | 'unbalanced' | 'mixed' (seeded pick).
-    corrupt_kind: str = "mixed"
-    #: Truncate saved trace bytes at this fraction of the file (0..1).
-    truncate_fraction: float | None = None
-    #: Number of single-bit flips to apply to saved trace bytes.
-    bitflips: int = 0
-
-    # ------------------------------------------------------------------
 
     def rng(self, *salt) -> random.Random:
         """A :class:`random.Random` derived from ``seed`` plus ``salt``
@@ -44,7 +35,3 @@ class FaultPlan:
 
     def with_seed(self, seed: int) -> "FaultPlan":
         return replace(self, seed=seed)
-
-
-#: A plan that injects nothing — handy default for plumbing.
-NO_FAULTS = FaultPlan()

@@ -1,8 +1,8 @@
 """Deterministic corruption of captured marker/event streams.
 
 Operates on the opcode-tuple streams :class:`~repro.mpisim.pmpi.
-StreamCaptureSink` records — the representation the deferred compression
-path (:func:`repro.core.intra.compress_streams`) consumes — so an
+StreamCaptureSink` records — the representation
+:func:`repro.core.intra.compress_streams` consumes — so an
 injected corruption exercises exactly the CST/stream-mismatch paths the
 quarantine machinery must survive:
 
@@ -13,7 +13,7 @@ quarantine machinery must survive:
 
 Every kind is guaranteed to raise
 :class:`~repro.core.errors.StreamMismatchError` when the stream is
-compressed strictly.
+ingested (``IntraProcessCompressor.ingest_stream``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import replace as _replace
 
 from repro.mpisim.pmpi import OP_EVENT, OP_LOOP_POP
 
-from .plan import CORRUPT_KINDS, FaultPlan
+from .plan import CORRUPT_KINDS
 
 #: Stream opcode no capture ever writes (pmpi opcodes are 0..9).
 BOGUS_OPCODE = 99
@@ -51,22 +51,4 @@ def corrupt_stream(stream: list, kind: str, rng) -> list:
             out[i] = (OP_EVENT, _replace(out[i][1], op=BOGUS_OP))
     else:
         raise ValueError(f"unknown stream-corruption kind {kind!r}")
-    return out
-
-
-def corrupt_streams(
-    streams: dict[int, list], plan: FaultPlan
-) -> dict[int, list]:
-    """Apply ``plan``'s stream corruption; victims absent from
-    ``streams`` are ignored.  Returns a new dict (victim streams are
-    copies; healthy streams are shared)."""
-    if not plan.corrupt_ranks:
-        return streams
-    out = dict(streams)
-    for rank in plan.corrupt_ranks:
-        stream = out.get(rank)
-        if stream is not None:
-            out[rank] = corrupt_stream(
-                stream, plan.corrupt_kind, plan.rng("stream", rank)
-            )
     return out

@@ -14,7 +14,7 @@ machinery into a long-running service (docs/INTERNALS.md §13):
   quarantine, periodic checkpoints, graceful drain, crash recovery;
 * :mod:`repro.server.client` — the retry/reconnect/resume client
   library behind ``repro submit``;
-* :mod:`repro.server.faultsmoke` — the ``faultsmoke --server`` matrix:
+* :mod:`repro.server.faultsmoke` — the ``repro faultsmoke`` matrix:
   seeded daemon kills, client disconnects, torn frames and stalled
   ranks, all asserting byte-identity against the batch pipeline.
 """

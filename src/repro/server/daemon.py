@@ -73,7 +73,7 @@ class ServerConfig:
     session_watermark: int = 2 << 20
     checkpoint_interval: float = 0.25
     idle_timeout: float = 30.0
-    #: Fault injection (faultsmoke --server): hard-exit the process
+    #: Fault injection (``repro faultsmoke``): hard-exit the process
     #: after the Nth ingested batch / Nth checkpoint — simulates a
     #: crash at a seeded point, bypassing every cleanup path.
     kill_after_batches: int | None = None

@@ -1,4 +1,4 @@
-"""``repro faultsmoke --server``: the online-ingest fault matrix.
+"""``repro faultsmoke``: the online-ingest fault matrix.
 
 Every scenario drives real daemon subprocesses (``python -m repro
 serve``) through a seeded fault — SIGKILL at a chosen batch count,
@@ -9,6 +9,9 @@ offline batch pipeline (:func:`repro.core.run_cypress`) produces for
 the same workload.  ``--soak`` runs the CI endurance mode: N seconds of
 concurrent client waves with seeded daemon kills and client drops,
 verifying every completed job and emitting a metrics JSON artifact.
+The batch pipeline's fault matrix (stream corruption, container
+truncation and bit flips) is ``repro check --fault-matrix``
+(:mod:`repro.verify.faultmatrix`).
 """
 
 from __future__ import annotations
@@ -430,10 +433,10 @@ def scenario_backpressure(root: str, seed: int) -> str:
 
 
 def run_server_faultsmoke(args) -> int:
-    """The ``faultsmoke --server`` matrix (or ``--soak``)."""
+    """The ``faultsmoke`` matrix (or ``--soak``)."""
     import tempfile
 
-    if getattr(args, "soak", False):
+    if args.soak:
         return run_server_soak(args)
     seed = args.seed
     scenarios: list[dict] = []

@@ -87,7 +87,9 @@ class SessionState:
     buffered_bytes: int = 0
     #: EOS received: the total batch count the client declared, or None.
     eos_seq: int | None = None
-    #: Set when the idle reaper quarantined this rank (lenient path).
+    #: Set when the rank is quarantined: by the idle reaper (stage
+    #: 'server', revived if the rank comes back) or by a batch that
+    #: mismatches the CST (stage 'intra', permanent).
     quarantined: QuarantinedRank | None = None
     generation: int = 0
     last_activity: float = field(default_factory=time.monotonic)

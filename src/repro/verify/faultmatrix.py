@@ -1,14 +1,21 @@
 """Seeded fault matrix: prove the checkers detect every damage class.
 
 A checker that always says "clean" is worse than no checker.  This
-module runs the *negative* half of ``repro check``: for every
-payload-corruption kind (:data:`repro.faults.payload.PAYLOAD_KINDS`) it
-damages a freshly merged trace and requires :func:`check_merged` to
-report at least one violation — including the kind's namesake code —
-and for every stream-corruption kind
-(:data:`repro.faults.plan.CORRUPT_KINDS`) it requires strict compression
-to raise :class:`~repro.core.errors.StreamMismatchError` and lenient
-compression to quarantine exactly the victim rank.
+module runs the *negative* half of ``repro check``:
+
+* for every payload-corruption kind
+  (:data:`repro.faults.payload.PAYLOAD_KINDS`) it damages a freshly
+  merged trace and requires :func:`check_merged` to report at least one
+  violation — including the kind's namesake code;
+* for every stream-corruption kind (:data:`repro.faults.plan.
+  CORRUPT_KINDS`) it requires a bare ``ingest_stream`` of the victim to
+  raise :class:`~repro.core.errors.StreamMismatchError` and
+  :func:`~repro.core.intra.compress_streams` to quarantine exactly the
+  victim rank;
+* for the two container kinds it requires a truncated file to fail a
+  strict load and salvage to an incomplete prefix, and every one of
+  :data:`CONTAINER_BITFLIPS` seeded single-bit flips to be refused with
+  :class:`~repro.core.errors.TraceFormatError`.
 
 Same seed → same victims, same damage — a failing matrix entry is
 reproducible from the CI report alone.
@@ -18,10 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.errors import StreamMismatchError
+from repro.core import serialize
+from repro.core.errors import StreamMismatchError, TraceFormatError
 from repro.core.inter import merge_all
-from repro.core.intra import compress_streams
+from repro.core.intra import IntraProcessCompressor, compress_streams
 from repro.driver import run_compiled
+from repro.faults.data import bitflip, truncate
 from repro.faults.payload import PAYLOAD_KINDS, corrupt_merged
 from repro.faults.plan import CORRUPT_KINDS, FaultPlan
 from repro.faults.streams import corrupt_stream
@@ -29,6 +38,10 @@ from repro.mpisim.pmpi import StreamCaptureSink
 from repro.static.instrument import compile_minimpi
 
 from .invariants import check_merged
+
+#: Seeded single-bit flips ``container:bitflip`` applies to the saved
+#: container, one at a time; every one must be refused.
+CONTAINER_BITFLIPS = 64
 
 #: Violation codes each payload kind must produce (the namesake plus the
 #: secondary codes the same damage legitimately trips).
@@ -137,7 +150,9 @@ def run_fault_matrix(
             list(streams[victim]), kind, plan.rng("stream", kind)
         )
         try:
-            compress_streams(compiled.cst, streams, strict=True)
+            IntraProcessCompressor(compiled.cst).ingest_stream(
+                victim, streams[victim]
+            )
             strict_raised = False
         except StreamMismatchError:
             strict_raised = True
@@ -154,4 +169,66 @@ def run_fault_matrix(
             codes=["stream-mismatch"] if strict_raised else [],
             violations=int(strict_raised) + len(quarantined),
         ))
+
+    merged = merge_all(ctts, nranks=nprocs)
+    report.entries.append(_container_truncate(merged))
+    report.entries.append(_container_bitflip(merged, plan))
     return report
+
+
+def _refused(blob: bytes) -> bool:
+    """Whether a strict load refuses ``blob`` with TraceFormatError."""
+    try:
+        serialize.loads(blob)
+    except TraceFormatError:
+        return True
+    return False
+
+
+def _container_truncate(merged) -> MatrixEntry:
+    """A write cut short: a 256-byte-chunked dump (so a small trace
+    still spans several payload sections) cut at 80% must fail a strict
+    load and salvage to an incomplete checksum-valid prefix."""
+    blob = serialize.dumps(merged, chunk_bytes=256)
+    cut = truncate(blob, fraction=0.8)
+    refused = _refused(cut)
+    try:
+        info = serialize.loads(cut, salvage=True).salvage_info
+    except TraceFormatError as exc:
+        info, salvage = None, f"salvage failed: {exc}"
+    else:
+        salvage = (
+            f"salvage recovered {info['vertices_with_payload']}/"
+            f"{info['vertices_total']} vertices"
+        )
+    detected = refused and info is not None and not info["complete"]
+    return MatrixEntry(
+        kind="container:truncate",
+        detected=detected,
+        description=(
+            f"{len(blob)}-byte container cut to {len(cut)} bytes; strict "
+            f"load refused: {refused}; {salvage}"
+        ),
+        codes=["trace-format"] if refused else [],
+        violations=int(refused),
+    )
+
+
+def _container_bitflip(merged, plan: FaultPlan) -> MatrixEntry:
+    """Bit rot: each of :data:`CONTAINER_BITFLIPS` seeded single-bit
+    flips of the container must be refused by a strict load."""
+    blob = serialize.dumps(merged)
+    rng = plan.rng("container", "bitflip")
+    refused = sum(
+        _refused(bitflip(blob, rng)) for _ in range(CONTAINER_BITFLIPS)
+    )
+    return MatrixEntry(
+        kind="container:bitflip",
+        detected=refused == CONTAINER_BITFLIPS,
+        description=(
+            f"{refused}/{CONTAINER_BITFLIPS} single-bit flips of a "
+            f"{len(blob)}-byte container refused"
+        ),
+        codes=["trace-format"] if refused else [],
+        violations=refused,
+    )

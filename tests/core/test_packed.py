@@ -17,7 +17,11 @@ from hypothesis import strategies as st
 
 from repro.core import StreamMismatchError, packed, serialize
 from repro.core.inter import merge_all
-from repro.core.intra import CypressConfig, compress_streams
+from repro.core.intra import (
+    CypressConfig,
+    IntraProcessCompressor,
+    compress_streams,
+)
 from repro.driver import run_compiled
 from repro.mpisim.datatypes import ANY_SOURCE
 from repro.mpisim.events import NO_PEER, CommEvent
@@ -270,7 +274,9 @@ def test_corrupt_opcode_blob_carries_index_and_quarantines_once(monkeypatch):
     blobs = {r: ps.to_bytes() for r, ps in encoded.items()}
 
     with pytest.raises(StreamMismatchError, match="no open branch") as err:
-        compress_streams(compiled.cst, blobs, strict=True)
+        IntraProcessCompressor(compiled.cst).ingest_stream(
+            1, packed.decode_stream(blobs[1])
+        )
     assert err.value.item_index == bad_at
 
     decodes = []

@@ -455,7 +455,7 @@ def resealed(index, payload):
 loaded = refused = 0
 started = time.perf_counter()
 for index, (kind, body) in enumerate(sections):
-    if kind != 3:  # PAYLOAD
+    if kind not in (1, 2, 3):  # HEADER, TOPOLOGY, PAYLOAD
         continue
     assert resealed(index, body) == data
     for at in range(len(body)):
@@ -484,8 +484,10 @@ class TestResealedCorruption:
         self, golden, masks, limit
     ):
         # A flipped bit behind a recomputed CRC reaches the body decoder
-        # itself: it may yield a (wrong) tree or TraceFormatError, never
-        # another exception, a hang or a large allocation.
+        # itself — header string table, topology and payload alike: it
+        # may yield a (wrong) tree or TraceFormatError, never another
+        # exception (a UnicodeDecodeError included), a hang or a large
+        # allocation.
         out = subprocess.run(
             [sys.executable, "-c", _RESEALED_SWEEP, str(DATA / golden), masks],
             capture_output=True, text=True, cwd=ROOT, timeout=120,

@@ -1,5 +1,6 @@
-"""Rank quarantine: lenient vs strict compression, survivor merges,
-raw-capture replay, and the QuarantineReport."""
+"""Rank quarantine: a capture compressed through ``compress_streams``
+quarantines mismatching ranks, a bare ``ingest_stream`` raises, the
+survivors merge and replay unchanged, and the QuarantineReport."""
 
 import json
 
@@ -8,12 +9,16 @@ import pytest
 from repro.core import (
     MergeError,
     StreamMismatchError,
-    run_cypress,
+    decompress_merged_rank,
     serialize,
 )
 from repro.core.inter import merge_all
+from repro.core.intra import IntraProcessCompressor, compress_streams
 from repro.core.quarantine import QuarantinedRank, QuarantineReport
-from repro.faults import CORRUPT_KINDS, FaultPlan
+from repro.driver import run_compiled
+from repro.faults import CORRUPT_KINDS, FaultPlan, corrupt_stream
+from repro.mpisim.pmpi import OP_EVENT, StreamCaptureSink
+from repro.static.instrument import compile_minimpi
 
 SRC = """
 func main() {
@@ -27,65 +32,88 @@ func main() {
 }
 """
 NPROCS = 4
+COMPILED = compile_minimpi(SRC)
 
 
-def _corrupted_run(victims=(1,), kind="unbalanced", **kw):
-    plan = FaultPlan(seed=9, corrupt_ranks=victims, corrupt_kind=kind)
-    return run_cypress(SRC, NPROCS, fault_plan=plan, **kw)
+def _capture() -> dict[int, list]:
+    capture = StreamCaptureSink()
+    run_compiled(COMPILED, NPROCS, tracer=capture)
+    return capture.streams
+
+
+def _corrupted(victims=(1,), kind="unbalanced") -> dict[int, list]:
+    plan = FaultPlan(seed=9)
+    streams = dict(_capture())
+    for rank in victims:
+        streams[rank] = corrupt_stream(
+            streams[rank], kind, plan.rng("stream", rank)
+        )
+    return streams
+
+
+def _compressed(victims=(1,), kind="unbalanced"):
+    return compress_streams(
+        COMPILED.cst, _corrupted(victims, kind), nranks=NPROCS
+    )
+
+
+def _healthy():
+    return compress_streams(COMPILED.cst, _capture(), nranks=NPROCS)
 
 
 class TestLenientMode:
     @pytest.mark.parametrize("kind", CORRUPT_KINDS + ("mixed",))
     def test_every_corruption_kind_quarantines(self, kind):
-        run = _corrupted_run(kind=kind)
-        assert run.quarantine.ranks() == [1]
+        comp = _compressed(kind=kind)
+        assert comp.quarantine.ranks() == [1]
 
     def test_named_victims_exactly(self):
-        run = _corrupted_run(victims=(0, 3))
-        assert run.quarantine.ranks() == [0, 3]
-        assert run.quarantine.rank_set() == frozenset({0, 3})
+        comp = _compressed(victims=(0, 3))
+        assert comp.quarantine.ranks() == [0, 3]
+        assert comp.quarantine.rank_set() == frozenset({0, 3})
 
     def test_survivor_merge_matches_healthy_subset(self):
         """Quarantining rank 1 must leave the other ranks' bytes exactly
         as a healthy run would merge them."""
-        healthy = run_cypress(SRC, NPROCS)
+        healthy = _healthy()
         expect = merge_all(
-            [healthy.compressor.ctt(r) for r in range(NPROCS) if r != 1]
+            [healthy.ctt(r) for r in range(NPROCS) if r != 1]
         )
-        run = _corrupted_run()
-        merged = run.merge()
+        merged = _compressed().merged(nranks=NPROCS)
         assert merged.nranks_merged == NPROCS - 1
         assert serialize.dumps(merged) == serialize.dumps(expect)
 
     def test_healthy_ranks_replay_exactly(self):
-        healthy = run_cypress(SRC, NPROCS)
-        run = _corrupted_run()
+        want_tree = _healthy().merged(nranks=NPROCS)
+        got_tree = _compressed().merged(nranks=NPROCS)
         for rank in (0, 2, 3):
-            got = [e.call_tuple() for e in run.replay(rank)]
-            want = [e.call_tuple() for e in healthy.replay(rank)]
+            got = [e.call_tuple() for e in decompress_merged_rank(got_tree, rank)]
+            want = [
+                e.call_tuple() for e in decompress_merged_rank(want_tree, rank)
+            ]
             assert got == want, f"rank {rank} diverged"
 
     def test_quarantined_rank_replays_from_raw_capture(self):
         # 'unbalanced' inserts a marker without touching events, so the
-        # raw fallback must reproduce the victim's true call sequence.
-        healthy = run_cypress(SRC, NPROCS)
-        run = _corrupted_run(victims=(1,), kind="unbalanced")
-        got = [e.call_tuple() for e in run.replay(1)]
-        want = [e.call_tuple() for e in healthy.replay(1)]
-        assert got == want
+        # retained raw capture holds the victim's recorded events.
+        recorded = [
+            item[1] for item in _capture()[1] if item[0] == OP_EVENT
+        ]
+        item = _compressed(victims=(1,), kind="unbalanced").quarantine.get(1)
+        assert item.raw_events() == recorded
 
     def test_all_ranks_quarantined_merge_raises(self):
-        run = _corrupted_run(victims=tuple(range(NPROCS)))
-        assert len(run.quarantine) == NPROCS
-        with pytest.raises(MergeError, match="every rank was quarantined"):
-            run.merge()
+        comp = _compressed(victims=tuple(range(NPROCS)))
+        assert len(comp.quarantine) == NPROCS
+        with pytest.raises(MergeError, match="no ranks to merge"):
+            comp.merged(nranks=NPROCS)
 
     def test_fault_counter_published(self):
         from repro import obs
 
         registry = obs.enable()
         try:
-            _corrupted_run()
+            _compressed()
         finally:
             obs.disable()
         assert registry.counters.get("faults.quarantined_ranks") == 1
@@ -93,18 +121,21 @@ class TestLenientMode:
 
 class TestStrictMode:
     def test_strict_raises(self):
+        stream = _corrupted()[1]
         with pytest.raises(StreamMismatchError):
-            _corrupted_run(strict=True)
+            IntraProcessCompressor(COMPILED.cst).ingest_stream(1, stream)
 
     def test_strict_healthy_run_unaffected(self):
-        run = run_cypress(SRC, NPROCS, strict=True)
-        assert not run.quarantine
-        assert run.merge().nranks_merged == NPROCS
+        comp = IntraProcessCompressor(COMPILED.cst)
+        for rank, stream in sorted(_capture().items()):
+            comp.ingest_stream(rank, stream)
+        assert not comp.quarantine
+        assert comp.merged(nranks=NPROCS).nranks_merged == NPROCS
 
 
 class TestQuarantineReport:
     def test_item_fields(self):
-        item = _corrupted_run().quarantine.get(1)
+        item = _compressed().quarantine.get(1)
         assert item is not None
         assert item.stage == "intra"
         assert item.error
@@ -113,18 +144,18 @@ class TestQuarantineReport:
         assert len(item.raw_events()) == item.events
 
     def test_json_roundtrip(self):
-        report = _corrupted_run(victims=(1, 2)).quarantine
+        report = _compressed(victims=(1, 2)).quarantine
         data = json.loads(report.to_json())
         assert data["quarantined_ranks"] == 2
         assert [i["rank"] for i in data["items"]] == [1, 2]
         assert all(i["raw_captured"] for i in data["items"])
 
     def test_from_json_full_roundtrip(self):
-        # Satellite: the report must survive a to_json -> from_json trip
-        # intact (the server persists quarantine state this way across
-        # daemon restarts).  The raw stream is in-memory only, so the
+        # The report must survive a to_json -> from_json trip intact
+        # (the server persists quarantine state this way across daemon
+        # restarts).  The raw stream is in-memory only, so the
         # round-tripped items carry raw_stream=None by contract.
-        report = _corrupted_run(victims=(1, 3)).quarantine
+        report = _compressed(victims=(1, 3)).quarantine
         again = QuarantineReport.from_json(report.to_json())
         assert again.ranks() == report.ranks() == [1, 3]
         assert bool(again) and len(again) == 2

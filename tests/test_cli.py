@@ -77,8 +77,7 @@ class TestFaultFlags:
     def test_trace_strict_and_quarantine_out(self, tmp_path, capsys):
         # Both are gone from ``trace``: it compresses live, no capture
         # is ever checked against the CST afterwards, so neither could
-        # change what it does (``run_cypress(strict=, fault_plan=)`` is
-        # the door the fault-smoke job uses).
+        # change what it does.
         trace = str(tmp_path / "t.cyp")
         for flag in (["--strict"], ["--quarantine-out", "q.json"]):
             with pytest.raises(SystemExit) as excinfo:
@@ -164,6 +163,43 @@ class TestFaultFlags:
             assert excinfo.value.code == EXIT_CORRUPT_TRACE
             assert "unsupported trace version 6" in capsys.readouterr().err
 
+    def test_info_on_resealed_invalid_utf8_exits_corrupt(
+        self, tmp_path, capsys
+    ):
+        # A CRC-valid container whose header string table is not UTF-8:
+        # the decode error must surface as a corrupt trace (exit 3 and
+        # the --salvage hint), not as a traceback.
+        import os
+
+        from repro.cli import EXIT_CORRUPT_TRACE
+        from repro.core import serialize
+
+        golden = os.path.join(
+            os.path.dirname(__file__), "data", "golden_fig11_v8.cyp"
+        )
+        data = open(golden, "rb").read()
+        sections, complete, _ = serialize.read_sections(data, 5, False)
+        assert complete
+        header = serialize.ByteReader(sections[0][1])
+        header.u()  # nranks
+        assert header.u() > 0  # string count
+        header.u()  # first string's length
+        bad = bytearray(sections[0][1])
+        bad[header.pos] = 0xFF  # never valid in UTF-8
+        w = serialize.ByteWriter()
+        w.raw(data[:5])
+        for i, (kind, body) in enumerate(sections):
+            serialize.write_section(w, kind, bytes(bad) if i == 0 else body)
+        trace = str(tmp_path / "resealed.cyp")
+        with open(trace, "wb") as fh:
+            fh.write(w.bytes())
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["info", trace])
+        assert excinfo.value.code == EXIT_CORRUPT_TRACE
+        err = capsys.readouterr().err
+        assert "hint" in err and "--salvage" in err
+
     def test_diff_salvage_warns_about_truncated_container(
         self, tmp_path, capsys
     ):
@@ -185,17 +221,33 @@ class TestFaultFlags:
 
 class TestFaultsmoke:
     def test_matrix_passes_and_writes_report(self, tmp_path, capsys):
+        # The batch fault matrix is ``check --fault-matrix``: stream
+        # corruption, container truncation and bit flips.
         out = str(tmp_path / "report.json")
         assert main([
-            "faultsmoke", "cg", "-n", "4", "--scale", "0.25",
-            "--flips", "4", "-o", out,
+            "check", "cg", "-n", "4", "--scale", "0.25", "--fault-matrix",
+            "-o", out,
         ]) == 0
         import json
 
         with open(out) as fh:
             report = json.load(fh)
-        assert report["passed"] is True
-        assert len(report["scenarios"]) == 3
-        assert report["quarantine"]["quarantined_ranks"] == 2
-        stdout = capsys.readouterr().out
-        assert "PASSED" in stdout
+        assert report["ok"] is True
+        (workload,) = report["workloads"]
+        entries = {e["kind"]: e for e in workload["fault_matrix"]["entries"]}
+        for kind in ("container:truncate", "container:bitflip"):
+            assert entries[kind]["detected"] is True
+        streams = [e for k, e in entries.items() if k.startswith("stream:")]
+        assert len(streams) == 3
+        for entry in streams:  # strict raise, then exactly rank 3 quarantined
+            assert entry["detected"] is True
+            assert entry["description"].endswith("quarantined: [3]")
+        assert "PASSED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["cg", "-n", "4"], ["--server"]])
+    def test_batch_arguments_are_rejected(self, argv, capsys):
+        # ``faultsmoke`` is the server matrix alone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["faultsmoke", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -37,6 +37,11 @@ class TestMatrix:
         kinds = {e.kind for e in matrix.entries}
         assert set(PAYLOAD_KINDS) <= kinds
         assert {k for k in kinds if k.startswith("stream:")}
+        containers = {
+            e.kind: e for e in matrix.entries if e.kind.startswith("container:")
+        }
+        assert set(containers) == {"container:truncate", "container:bitflip"}
+        assert all(e.detected for e in containers.values())
 
     def test_inapplicable_kind_skips_not_fails(self):
         # dt at n=5 is too small for a multi-occurrence record:
@@ -57,7 +62,7 @@ class TestMatrix:
     def test_report_serializes(self, matrix):
         d = matrix.to_dict()
         assert d["ok"] is True
-        assert len(d["entries"]) == len(PAYLOAD_KINDS) + 3
+        assert len(d["entries"]) == len(PAYLOAD_KINDS) + 5
 
     def test_same_seed_is_reproducible(self, matrix):
         w = WORKLOADS["cg"]
