@@ -560,29 +560,35 @@ def cmd_query(args: argparse.Namespace) -> int:
         if value is None:
             raise SystemExit(f"repro query {args.query}: {flag} is required")
 
-    if args.query == "traffic":
-        result = query.traffic(merged, group_by=args.group_by,
-                               nprocs=args.nprocs)
-        oracle = (query.traffic_via_replay(merged, group_by=args.group_by,
-                                           nprocs=args.nprocs)
-                  if args.oracle else None)
-    elif args.query == "ordering":
-        _require("--gid-a", args.gid_a)
-        _require("--gid-b", args.gid_b)
-        _require("--rank", args.rank)
-        result = query.ordering(merged, args.gid_a, args.gid_b, args.rank)
-        oracle = (query.ordering_via_replay(merged, args.gid_a, args.gid_b,
-                                            args.rank)
-                  if args.oracle else None)
-    elif args.query == "rank-profile":
-        _require("--rank", args.rank)
-        result = query.rank_profile(merged, args.rank)
-        oracle = (query.rank_profile_via_replay(merged, args.rank)
-                  if args.oracle else None)
-    else:  # critical-leaves
-        result = query.critical_leaves(merged, k=args.top)
-        oracle = (query.critical_leaves_via_replay(merged, k=args.top)
-                  if args.oracle else None)
+    try:
+        if args.query == "traffic":
+            result = query.traffic(merged, group_by=args.group_by,
+                                   nprocs=args.nprocs)
+            oracle = (query.traffic_via_replay(
+                          merged, group_by=args.group_by, nprocs=args.nprocs)
+                      if args.oracle else None)
+        elif args.query == "ordering":
+            _require("--gid-a", args.gid_a)
+            _require("--gid-b", args.gid_b)
+            _require("--rank", args.rank)
+            result = query.ordering(merged, args.gid_a, args.gid_b, args.rank)
+            oracle = (query.ordering_via_replay(merged, args.gid_a,
+                                                args.gid_b, args.rank)
+                      if args.oracle else None)
+        elif args.query == "rank-profile":
+            _require("--rank", args.rank)
+            result = query.rank_profile(merged, args.rank)
+            oracle = (query.rank_profile_via_replay(merged, args.rank)
+                      if args.oracle else None)
+        else:  # critical-leaves
+            result = query.critical_leaves(merged, k=args.top)
+            oracle = (query.critical_leaves_via_replay(merged, k=args.top)
+                      if args.oracle else None)
+    except query.QueryError as exc:
+        # A question the trace cannot answer (a rank or gid it does not
+        # have): the usage exit code, not the oracle-mismatch one.
+        print(f"repro query {args.query}: {exc}", file=sys.stderr)
+        return 2
 
     if args.oracle:
         errors = query.agreement_errors(result, oracle, args.query)

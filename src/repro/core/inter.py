@@ -35,6 +35,7 @@ one-process harness it is the depth arithmetic in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import attrgetter
 
 from repro import obs
@@ -310,7 +311,7 @@ class Group:
 class MergedVertex:
     __slots__ = (
         "gid", "kind", "ast_id", "name", "op", "branch_path",
-        "children", "groups", "_by_rank",
+        "children", "groups",
     )
 
     def __init__(self, template: CTTVertex) -> None:
@@ -322,7 +323,6 @@ class MergedVertex:
         self.branch_path = template.branch_path
         self.children = [MergedVertex(c) for c in template.children]
         self.groups: dict[Signature, Group] = {}
-        self._by_rank: dict[int, Group] | None = None
 
     def preorder(self):
         stack = [self]
@@ -332,15 +332,15 @@ class MergedVertex:
             stack.extend(reversed(node.children))
 
     def group_of(self, rank: int) -> Group | None:
-        """O(1) rank → group lookup (lazily built map, rebuilt after the
-        vertex next changes)."""
-        by_rank = self._by_rank
-        if by_rank is None:
-            by_rank = self._by_rank = {}
-            for group in self.groups.values():
-                for r in group.ranks:
-                    by_rank[r] = group
-        return by_rank.get(rank)
+        """The group holding ``rank``: a bisection of each group's
+        ascending rank list (a vertex holds a handful of disjoint
+        groups).  Should two hold it, the one inserted last answers."""
+        for group in reversed(self.groups.values()):
+            ranks = group.ranks
+            i = bisect_left(ranks, rank)
+            if i < len(ranks) and ranks[i] == rank:
+                return group
+        return None
 
     def sorted_groups(self) -> list[Group]:
         """Groups in canonical order (by lowest member rank) — member
@@ -447,7 +447,6 @@ class MergedCTT:
                         sources = group._sources = [group._records]
                         group._records = None
                     sources.append(records)
-            dst._by_rank = None
         self._last_rank = rank
         self.nranks_merged += 1
         return self

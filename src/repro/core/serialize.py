@@ -77,6 +77,7 @@ from collections import namedtuple
 from itertools import (
     accumulate, count as _naturals, islice, repeat, starmap,
 )
+from operator import lt
 
 from repro import obs
 from repro.mpisim.events import NO_PEER
@@ -358,27 +359,55 @@ def _read_items(
     return items, covered, pos
 
 
+#: A rank set is matched against at most this many rank sets parsed
+#: earlier with the same first four bytes, latest first, before it is
+#: parsed itself: a hostile file can make any number share them.  (The
+#: 32 distinct rank sets of mg at 256 ranks share at most 13 a head.)
+_RANK_SET_PROBES = 32
+
+
 def _read_ranks(
     data: bytes, pos: int, nranks: int, gid: int, known: dict
 ) -> tuple[list[int], int]:
     """A group's rank set: ``nitems | items``, refused as soon as it
     declares more members than the job has — on the declared lengths,
     before any list exists (one stride term can claim 10**11 ranks in
-    six checksum-valid bytes).  ``known`` maps the bytes of every rank
-    set read so far to its ranks: a job's groups repeat their rank sets
-    vertex after vertex, and each is expanded once."""
+    six checksum-valid bytes) — and refused, too, when it is empty or
+    is not a strictly ascending list of ranks ≥ 0 (the writer's only
+    form, which ``MergedVertex.group_of`` bisects).
+
+    A job's groups repeat their rank sets vertex after vertex, so each
+    distinct one is parsed once a load.  ``known`` maps the first four
+    bytes of every rank set parsed so far (the shortest legal one: one
+    item count, one three-varint term) to ``(bytes, ranks)`` pairs.  The
+    encoding is prefix-free, so bytes at ``pos`` that start with a
+    parsed rank set *are* that rank set, already checked."""
+    bucket = known.get(data[pos:pos + 4])
+    if bucket is not None:
+        for word, ranks in islice(reversed(bucket), _RANK_SET_PROBES):
+            if data.startswith(word, pos):
+                return ranks.copy(), pos + len(word)
     at = pos
     nitems = data[pos]
     pos += 1
     if nitems > 0x7F:
         nitems, pos = _uvarint(data, pos - 1)
+    if not nitems:
+        raise TraceFormatError(f"vertex {gid}: a group's rank set is empty")
     items, total, pos = _read_items(
         data, pos, nitems, nranks, 0, f"vertex {gid}: a group's rank set"
     )
-    key = data[at:pos]
-    ranks = known.get(key)
-    if ranks is None:
-        ranks = known[key] = IntSequence(expand(items), total).to_list()
+    ranks = IntSequence(expand(items), total).to_list()
+    if ranks[0] < 0:
+        raise TraceFormatError(
+            f"vertex {gid}: a group's rank set names rank {ranks[0]}"
+        )
+    if not all(map(lt, ranks, islice(ranks, 1, None))):
+        raise TraceFormatError(
+            f"vertex {gid}: a group's rank set is not ascending"
+        )
+    word = data[at:pos]
+    known.setdefault(word[:4], []).append((word, ranks))
     return ranks.copy(), pos
 
 
@@ -1184,7 +1213,6 @@ def _blank_vertex(gid: int, kind: str) -> MergedVertex:
     v.ast_id = v.name = v.op = v.branch_path = None
     v.children = []
     v.groups = {}
-    v._by_rank = None
     return v
 
 
@@ -1231,7 +1259,7 @@ def _read_vertex_payload(
 ) -> int:
     """Decode one vertex's groups from ``data[pos:]`` into ``v``;
     returns the position after them.  ``leaves`` holds the chunk's
-    stats table, ``rank_sets`` the rank sets read so far
+    stats table, ``rank_sets`` the rank sets parsed so far
     (:func:`_read_ranks`)."""
     kind = v.kind
     groups = v.groups
@@ -1471,21 +1499,29 @@ def loads(data: bytes, salvage: bool = False) -> MergedCTT:
     recovered; the header and topology sections must survive or
     salvage, too, fails.
     """
+    rank_sets: dict[bytes, list] = {}
     try:
-        merged = _loads(data, salvage)
+        merged = _loads(data, salvage, rank_sets)
     except TraceFormatError:
         raise
     except Exception as exc:  # truncated varints, bad indices, bad UTF-8, zlib noise
         raise TraceFormatError(f"corrupt CYPRESS trace file: {exc}") from exc
     registry = obs.active()
-    if registry is not None:  # one per CALL group: counted after the fact
+    if registry is not None:  # counted after the fact
+        vertices = merged.vertices()
         registry.counter_add("serialize.leaf_blocks", sum(
-            len(v.groups) for v in merged.vertices() if v.kind == CALL
+            len(v.groups) for v in vertices if v.kind == CALL
+        ))
+        registry.counter_add("serialize.rank_sets", sum(
+            len(v.groups) for v in vertices
+        ))
+        registry.counter_add("serialize.rank_sets_parsed", sum(
+            map(len, rank_sets.values())
         ))
     return merged
 
 
-def _loads(data: bytes, salvage: bool) -> MergedCTT:
+def _loads(data: bytes, salvage: bool, rank_sets: dict) -> MergedCTT:
     if data[:2] == b"\x1f\x8b":
         data = _gunzip(data, salvage)
     if salvage and _torn_in_container_header(data):
@@ -1498,7 +1534,7 @@ def _loads(data: bytes, salvage: bool) -> MergedCTT:
     if version not in _READABLE:
         raise TraceFormatError(f"unsupported trace version {version}")
     sections, complete, error = read_sections(data, r.pos, salvage)
-    return _assemble(sections, complete, error, salvage)
+    return _assemble(sections, complete, error, salvage, rank_sets)
 
 
 def _assemble(
@@ -1506,6 +1542,7 @@ def _assemble(
     complete: bool,
     error: str | None,
     salvage: bool,
+    rank_sets: dict,
 ) -> MergedCTT:
     if not sections or sections[0][0] != _SEC_HEADER:
         raise TraceFormatError(
@@ -1526,7 +1563,6 @@ def _assemble(
     for gid, v in enumerate(vertices):
         v.gid = gid
     interns = InternTable()
-    rank_sets: dict[bytes, list[int]] = {}
     covered = 0
     declared_sections = declared_vertices = None
     for kind, payload in sections[2:]:

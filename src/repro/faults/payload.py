@@ -99,7 +99,6 @@ def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
             stolen = groups[0].ranks[0]
             groups[1].ranks = sorted(set(groups[1].ranks) | {stolen})
             groups[1]._rank_seq = None
-            vertex._by_rank = None
             return f"gid={vertex.gid}: rank {stolen} copied into a 2nd group"
         # Degenerate tree (one group everywhere): duplicate a member
         # instead — breaks the strictly-ascending rank-list invariant.
@@ -108,7 +107,6 @@ def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
         )
         group.ranks = group.ranks + [group.ranks[-1]]
         group._rank_seq = None
-        vertex._by_rank = None
         return f"gid={vertex.gid}: rank {group.ranks[-1]} duplicated in-group"
     if kind == "rank-range":
         vertex, group = _pick(
@@ -118,7 +116,6 @@ def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
         bogus = (nranks if nranks is not None else merged.nranks_merged) + 7
         group.ranks = group.ranks + [bogus]
         group._rank_seq = None
-        vertex._by_rank = None
         return f"gid={vertex.gid}: bogus rank {bogus} appended to a group"
     if kind == "signature-stale":
         sites = [

@@ -378,6 +378,17 @@ def _exec_interval(
     return lo, hi, index.child_pos[vertex.gid]
 
 
+def _check_rank(merged, rank: int) -> None:
+    """Refuse a rank outside the job: ``[0, nranks_merged)``, or up to
+    :func:`rank_count` if the groups name more.  The tree holds nothing
+    to answer it from."""
+    nprocs = merged.nranks_merged
+    if rank >= nprocs:  # only then is a scan worth it
+        nprocs = max(nprocs, rank_count(merged))
+    if not 0 <= rank < nprocs:
+        raise QueryError(f"rank {rank} outside [0, {nprocs})")
+
+
 def ordering(
     merged,
     gid_a: int,
@@ -387,9 +398,11 @@ def ordering(
 ) -> OrderingResult:
     """Happens-before between two call sites for one rank, answered
     from the compressed structure (see the module docstring for the
-    exact semantics and the derivation)."""
+    exact semantics and the derivation).  A rank outside the job
+    raises :class:`QueryError`."""
     registry = obs.active()
     with obs.span("query.ordering"):
+        _check_rank(merged, rank)
         idx = index if index is not None else TreeIndex(merged)
         leaf_a = idx.call_leaf(gid_a)
         leaf_b = idx.call_leaf(gid_b)
@@ -428,9 +441,11 @@ def ordering(
 def rank_profile(merged, rank: int) -> RankProfile:
     """One rank's per-op communication profile, folded from the groups
     it belongs to.  Timing is the group statistics the replay would
-    carry (``mean × count``); calls and bytes are exact."""
+    carry (``mean × count``); calls and bytes are exact.  A rank
+    outside the job raises :class:`QueryError`."""
     registry = obs.active()
     with obs.span("query.rank_profile"):
+        _check_rank(merged, rank)
         profile = RankProfile(rank=rank)
         records_seen = 0
         vertices = merged.vertices()

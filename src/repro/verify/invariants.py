@@ -32,6 +32,7 @@ from repro.static.cst import BRANCH, CALL, FUNC, LOOP, ROOT, CSTNode
 
 from repro.core.inter import (
     MergedCTT,
+    MergedVertex,
     _loop_signature,
     _records_signature,
     _visits_signature,
@@ -360,8 +361,11 @@ def check_merged(
     """
     rep = _Report(limit)
     all_ranks: set[int] = set()
+    # Each vertex's rank → group map (the last group listing a rank
+    # wins): the per-rank walk below looks its groups up here.
+    owners: dict[MergedVertex, dict[int, object]] = {}
     for vertex in merged.vertices():
-        seen: dict[int, object] = {}
+        seen = owners[vertex] = {}
         for sig, group in vertex.groups.items():
             ranks = group.ranks
             if not ranks:
@@ -423,13 +427,13 @@ def check_merged(
 
     # Per-rank arity walk through the group view.
     for rank in sorted(all_ranks):
-        _check_merged_rank(merged, rank, nranks, rep)
+        _check_merged_rank(merged, rank, nranks, owners, rep)
     return rep.violations
 
 
-def _check_merged_rank(merged, rank, nranks, rep) -> None:
+def _check_merged_rank(merged, rank, nranks, owners, rep) -> None:
     def payload(vertex):
-        return vertex.group_of(rank)
+        return owners[vertex].get(rank)
 
     def walk(vertex, e_body: int) -> None:
         for child in vertex.children:

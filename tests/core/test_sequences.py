@@ -1,20 +1,23 @@
 """Stride-tuple sequence tests (unit + property-based)."""
 
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import run_cypress, serialize
-from repro.core.sequences import (
+sys.path.insert(0, "tests")
+from helpers import E2E_SHAPES, e2e_trees  # noqa: E402
+
+from repro.core import serialize  # noqa: E402
+from repro.core.sequences import (  # noqa: E402
     MAX_DEPTH,
     IntSequence,
     SequenceCursor,
     expand,
     nest,
 )
-from repro.workloads import get as get_workload
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -91,11 +94,29 @@ class TestCursor:
         assert cur.peek() is None
 
     def test_next_on_exhausted_raises(self):
-        import pytest
-
         cur = SequenceCursor(IntSequence())
         with pytest.raises(StopIteration):
             cur.next()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(-6, 6), max_size=25),
+        # None probes the value that is next, so hits are common.
+        probes=st.lists(st.none() | st.integers(-7, 7), max_size=40),
+    )
+    def test_contains_next_is_a_match_on_the_next_value(self, values, probes):
+        seq = IntSequence.from_values(values)
+        expected = seq.to_list()
+        cur = SequenceCursor(seq)
+        at = 0
+        for probe in probes:
+            nxt = expected[at] if at < len(expected) else None
+            if probe is None:
+                probe = 0 if nxt is None else nxt
+            hit = probe == nxt
+            assert cur.contains_next(probe) is hit
+            at += hit  # consumed exactly on a hit
+            assert cur.peek() == (expected[at] if at < len(expected) else None)
 
 
 def _greedy_reference_terms(values):
@@ -541,14 +562,6 @@ def _nested_sequences(merged) -> list:
     return seen
 
 
-#: The five benchmarks/e2e containers at their full sizes.
-_E2E = {
-    "loop_fig11": [("fig11", 4, 5)],
-    "irregular_sp": [("sp", 16, 3)],
-    "wide_mg": [("mg", 256, 0.1)],
-    "budget_cg": [("cg", 8, 3)],
-    "serve_mixed": [("fig11", 4, 10), ("farm", 8, 20)],
-}
 _GOLDENS = ("fig11", "sp", "mg", "single")
 
 
@@ -557,19 +570,14 @@ class TestGreedyAgainstOptimum:
     on every rank set and column the workloads write."""
 
     @pytest.mark.parametrize(
-        "name", sorted(_E2E) + [f"golden_{g}" for g in _GOLDENS]
+        "name", sorted(E2E_SHAPES) + [f"golden_{g}" for g in _GOLDENS]
     )
     def test_within_a_quarter_of_the_optimum(self, name):
         if name.startswith("golden_"):
             path = DATA / f"{name}_v8.cyp"
             trees = [serialize.loads(path.read_bytes())]
         else:
-            trees = []
-            for workload, nprocs, scale in _E2E[name]:
-                w = get_workload(workload)
-                trees.append(run_cypress(
-                    w.source, nprocs, defines=w.defines(nprocs, scale)
-                ).merge())
+            trees = e2e_trees(name)
         sequences = {
             tuple(terms) for tree in trees for terms in _nested_sequences(tree)
         }

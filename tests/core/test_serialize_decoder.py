@@ -17,10 +17,11 @@ sys.path.insert(0, "tests")
 from generators import program  # noqa: E402
 from helpers import run_traced, tree_fields  # noqa: E402
 
+from repro import obs  # noqa: E402
 from repro.core import TraceFormatError, serialize  # noqa: E402
 from repro.core.inter import Group, merge_all  # noqa: E402
 from repro.core.intra import CypressConfig  # noqa: E402
-from repro.core.sequences import IntSequence  # noqa: E402
+from repro.core.sequences import MAX_DEPTH, IntSequence  # noqa: E402
 from repro.core.timing import TimeStats  # noqa: E402
 from repro.static.cst import BRANCH, CALL, LOOP  # noqa: E402
 
@@ -170,12 +171,196 @@ class TestRankSetBound:
             blob, r"vertex \d+: a group's rank set: .*" + match
         )
 
+    # ``nitems = 0`` loaded as groups with no member, which answer
+    # every query with nothing.  A rank set is a strictly ascending
+    # list of ranks >= 0: ``group_of`` bisects it.
+    @pytest.mark.parametrize("items, match", [
+        ([], "is empty"),
+        ([(-1, 3, 1)], "names rank -1"),  # -1, 0, 1
+        ([(5, 3, -1)], "is not ascending"),  # 5, 4, 3
+        ([(2, 1, 0), (2, 1, 0)], "is not ascending"),  # 2, 2
+        ([(1, 0, 2, [(0, 2, 1)])], "is not ascending"),  # 0, 1, 1, 2
+    ], ids=["no items", "negative", "descending", "repeated", "overlapping"])
+    def test_empty_negative_or_unordered_rank_set_is_refused(
+        self, items, match, monkeypatch
+    ):
+        merged = serialize.loads(GOLDEN_FIG11.read_bytes())
+        monkeypatch.setattr(serialize, "nest", lambda terms: items)
+        blob = serialize.dumps(merged)
+        monkeypatch.undo()
+        assert_refused_cheaply(
+            blob, r"vertex \d+: a group's rank set " + match + "$"
+        )
+
     def test_full_membership_still_loads(self):
         blob = GOLDEN_FIG11.read_bytes()
         merged = serialize.loads(blob)
         assert max(
             len(g.ranks) for v in merged.vertices() for g in v.groups.values()
         ) == merged.nranks_merged
+
+
+def _expand(items):
+    """Rank-set items as values, the obvious way: a term counts out its
+    stride, a block repeats its items shifted ``r * delta`` each."""
+    values = []
+    for item in items:
+        if item[1]:
+            start, count, stride = item
+            values += [start + i * stride for i in range(count)]
+        else:
+            delta, _, reps, inner = item
+            once = _expand(inner)
+            for r in range(reps):
+                values += [v + r * delta for v in once]
+    return values
+
+
+@st.composite
+def _ascending(draw, low=0, depth=0):
+    """Rank-set items whose values ascend strictly from ``low`` or
+    above, as the writer's always do: ``(items, first, last value)``."""
+    items = []
+    first = None
+    for _ in range(draw(st.integers(1, 3 if depth == 0 else 2))):
+        start = low + draw(st.integers(0, 20))
+        if depth == MAX_DEPTH or draw(st.booleans()):
+            count = draw(st.integers(1, 4))
+            stride = draw(st.integers(1, 3))
+            item = (start, count, stride)
+            last = start + (count - 1) * stride
+        else:
+            inner, start, end = draw(_ascending(start, depth + 1))
+            delta = end - start + draw(st.integers(1, 5))
+            reps = draw(st.integers(2, 3))
+            item = (delta, 0, reps, inner)
+            last = end + (reps - 1) * delta
+        items.append(item)
+        first = start if first is None else first
+        low = last + 1
+    return items, first, last
+
+
+#: At most 3 x (3 x 2)**3 x 4 = 2 592 values a rank set.
+_RANK_SET = _ascending().map(lambda drawn: drawn[0])
+
+
+def _dump_with_rank_sets(
+    merged, rank_sets, chunk_bytes=serialize._CHUNK_BYTES
+):
+    """``merged`` dumped with its groups' rank sets written as
+    ``rank_sets`` (item lists), in the order ``dumps`` visits groups."""
+    written = iter(rank_sets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            serialize.LeafWriter, "nest", lambda self, terms: next(written)
+        )
+        blob = serialize.dumps(merged, chunk_bytes=chunk_bytes)
+    assert next(written, None) is None
+    return blob
+
+
+def _rank_lists(merged):
+    return [g.ranks for v in merged.vertices() for g in v.groups.values()]
+
+
+class TestRepeatedRankSets:
+    """A rank set whose bytes the load has already parsed is not parsed
+    again: the encoding is prefix-free, so matching bytes are the same
+    rank set.  Every other rank set is parsed and bounded."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_group_gets_its_ranks(self, data):
+        merged = serialize.loads(GOLDEN_FIG11.read_bytes())
+        merged.nranks_merged = 1 << 15  # above every drawn value
+        ngroups = len(_rank_lists(merged))
+        pool = data.draw(st.lists(_RANK_SET, min_size=1, max_size=5))
+        picks = data.draw(st.lists(
+            st.integers(0, len(pool) - 1), min_size=ngroups, max_size=ngroups
+        ))
+        blob = _dump_with_rank_sets(
+            merged, [pool[i] for i in picks],
+            chunk_bytes=data.draw(st.sampled_from([1, 64, 1 << 16])),
+        )
+        registry = obs.enable()
+        try:
+            back = serialize.loads(blob)
+        finally:
+            obs.disable()
+        got = _rank_lists(back)
+        assert got == [_expand(pool[i]) for i in picks]
+        assert len(set(map(id, got))) == len(got)  # a list each
+        counters = registry.counters
+        assert counters["serialize.rank_sets"] == ngroups
+        assert counters["serialize.rank_sets_parsed"] == len(
+            {repr(pool[i]) for i in picks}
+        )
+
+    def test_same_head_different_tail_is_parsed(self):
+        merged = serialize.loads(GOLDEN_FIG11.read_bytes())
+        ngroups = len(_rank_lists(merged))
+        first = [(0, 2, 1), (2, 1, 0)]  # head 02 00 02 02, then 04 01 00
+        rest = [(0, 2, 1), (3, 1, 0)]
+        blob = _dump_with_rank_sets(merged, [first] + [rest] * (ngroups - 1))
+        assert _rank_lists(serialize.loads(blob)) == (
+            [[0, 1, 2]] + [[0, 1, 3]] * (ngroups - 1)
+        )
+
+    def test_same_head_different_tail_is_bounded(self):
+        merged = serialize.loads(GOLDEN_FIG11.read_bytes())
+        ngroups = len(_rank_lists(merged))
+        first = [(0, 2, 1), (2, 1, 0)]
+        rest = [(0, 2, 1), (2, 10**11, 1)]
+        assert_refused_cheaply(
+            _dump_with_rank_sets(merged, [first] + [rest] * (ngroups - 1)),
+            r"a group's rank set: a term covers 10{11} value\(s\), 2 left",
+        )
+
+    def test_many_sets_under_one_head_read_in_linear_time(self):
+        # 8 000 distinct rank sets {0, i}, all with the head 02 00 01 00:
+        # each is matched against a bounded number of earlier ones, not
+        # against every one parsed so far.
+        n = 8000
+        w = serialize.ByteWriter()
+        for i in range(1, n + 1):
+            w.u(2)
+            serialize._write_items(w, [(0, 1, 0), (i, 1, 0)])
+        data = w.bytes()
+        known = {}
+        pos = 0
+        got = []
+        started = time.perf_counter()
+        for _ in range(n):
+            ranks, pos = serialize._read_ranks(data, pos, n + 1, 0, known)
+            got.append(ranks)
+        elapsed = time.perf_counter() - started
+        assert pos == len(data)
+        assert got == [[0, i] for i in range(1, n + 1)]
+        assert elapsed < 1.0
+
+    def test_known_rank_set_cut_by_the_chunk_end_is_refused(self):
+        merged = serialize.loads(GOLDEN_FIG11.read_bytes())
+        merged.nranks_merged = 200
+        # 01 ac02 03 0e: its four-byte head is known from the first group
+        word = [(150, 3, 7)]
+        blob = _dump_with_rank_sets(merged, [word] * len(_rank_lists(merged)))
+        assert _rank_lists(serialize.loads(blob))[-1] == [150, 157, 164]
+        sections, _, _ = serialize.read_sections(blob, 5, False)
+        index, body = max(
+            (i, body) for i, (kind, body) in enumerate(sections)
+            if kind == serialize._SEC_PAYLOAD
+        )
+        at = body.rfind(b"\x01\xac\x02\x03\x0e")
+        w = serialize.ByteWriter()
+        w.raw(blob[:5])
+        for i, (kind, payload) in enumerate(sections):
+            serialize.write_section(
+                w, kind, body[:at + 4] if i == index else payload
+            )
+        assert_refused_cheaply(
+            w.bytes(), r"truncated or indexes out of range \(at vertex \d+\)"
+        )
 
 
 class TestFlatSequences:

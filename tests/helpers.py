@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from repro.baselines.scalatrace import event_signature
+from repro.core import run_cypress
 from repro.core.decompress import decompress_merged_rank, decompress_rank
 from repro.core.inter import merge_all
 from repro.core.intra import CypressConfig, IntraProcessCompressor
@@ -12,6 +14,7 @@ from repro.driver import run_compiled
 from repro.mpisim.pmpi import MultiSink, RecordingSink
 from repro.static.cst import BRANCH, CALL
 from repro.static.instrument import compile_minimpi
+from repro.workloads import get as get_workload
 
 _pack = struct.Struct("<d").pack
 
@@ -95,3 +98,27 @@ def tree_fields(merged):
             (v.branch_path or 0, v.ast_id) if v.kind == BRANCH else None,
         ))
     return merged.nranks_merged, vertices
+
+
+#: The five benchmarks/e2e containers at their full sizes: (workload,
+#: nprocs, scale) for each job a workload traces.
+E2E_SHAPES = {
+    "loop_fig11": [("fig11", 4, 5)],
+    "irregular_sp": [("sp", 16, 3)],
+    "wide_mg": [("mg", 256, 0.1)],
+    "budget_cg": [("cg", 8, 3)],
+    "serve_mixed": [("fig11", 4, 10), ("farm", 8, 20)],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def e2e_trees(name: str) -> tuple:
+    """The merged trees of one :data:`E2E_SHAPES` workload, built once a
+    session: callers must not change them."""
+    trees = []
+    for workload, nprocs, scale in E2E_SHAPES[name]:
+        w = get_workload(workload)
+        trees.append(run_cypress(
+            w.source, nprocs, defines=w.defines(nprocs, scale)
+        ).merge())
+    return tuple(trees)

@@ -39,6 +39,17 @@ func main() {
 }
 """
 
+# Ranks 2 and up record no event at all.
+PAIR_ONLY = """
+func main() {
+  var rank = mpi_comm_rank();
+  if (rank < 2) {
+    mpi_send(1 - rank, 512, 1);
+    mpi_recv(1 - rank, 512, 1);
+  }
+}
+"""
+
 SEQUENTIAL = """
 func main() {
   mpi_init();
@@ -281,9 +292,22 @@ class TestProfiles:
         assert p.events == 2 * n + 3
 
     def test_rank_profile_absent_rank_is_empty(self):
-        merged = merged_of(RING, 2, {"n": 2})
+        # A rank of the job that recorded nothing (one outside the job
+        # is refused: below).
+        merged = merged_of(PAIR_ONLY, 18)
+        assert query.rank_count(merged) == 2
         p = query.rank_profile(merged, 17)
         assert p.events == 0 and p.ops == {}
+
+    @pytest.mark.parametrize("rank", [-1, 2])
+    def test_rank_outside_the_trace_raises(self, rank):
+        merged = merged_of(RING, 2, {"n": 2})
+        send = leaf_gids(merged, "MPI_Send")[0]
+        message = rf"rank {rank} outside \[0, 2\)"
+        with pytest.raises(query.QueryError, match=message):
+            query.rank_profile(merged, rank)
+        with pytest.raises(query.QueryError, match=message):
+            query.ordering(merged, send, send, rank)
 
     def test_critical_leaves_paths_and_order(self):
         merged = merged_of(RING, 4, {"n": 5})

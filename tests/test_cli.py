@@ -1,5 +1,7 @@
 """CLI smoke tests."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
@@ -217,6 +219,35 @@ class TestFaultFlags:
         assert "ranks only in A" in captured.out
         assert "salvaged" in captured.err and "cut.cyp" in captured.err
         assert "golden_fig11_v7.cyp" not in captured.err  # intact side is quiet
+
+
+class TestQueryUsageErrors:
+    """A rank or gid the trace does not have is a usage error: one line,
+    exit 2 — not an empty answer, a traceback, or the oracle-mismatch
+    exit 1.  The golden trace has 8 ranks."""
+
+    GOLDEN = str(pathlib.Path(__file__).parent / "data" / "golden_mg_v8.cyp")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rank-profile", "--rank", "8"], "rank 8 outside [0, 8)"),
+        (["rank-profile", "--rank", "-1"], "rank -1 outside [0, 8)"),
+        (["rank-profile", "--rank", "8", "--oracle"], "rank 8 outside [0, 8)"),
+        (["ordering", "--gid-a", "1", "--gid-b", "6", "--rank", "8",
+          "--oracle"], "rank 8 outside [0, 8)"),
+        (["ordering", "--gid-a", "999", "--gid-b", "6", "--rank", "0"],
+         "no vertex with gid 999 in this trace"),
+    ])
+    def test_exits_2_with_one_line(self, argv, message, capsys):
+        assert main(["query", self.GOLDEN, *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"repro query {argv[0]}: {message}\n"
+
+    def test_rank_in_range_still_answers(self, capsys):
+        assert main(
+            ["query", self.GOLDEN, "rank-profile", "--rank", "5", "--oracle"]
+        ) == 0
+        assert "engine == replay" in capsys.readouterr().err
 
 
 class TestFaultsmoke:

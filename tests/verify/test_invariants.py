@@ -1,15 +1,21 @@
 """Structural invariant checkers: clean on healthy traces, loud on
 hand-corrupted ones (docs/INTERNALS.md §8)."""
 
+import pathlib
+import random
 import sys
+
+import pytest
 
 sys.path.insert(0, "tests")
 from helpers import run_traced  # noqa: E402
 
 from repro import obs  # noqa: E402
+from repro.core import serialize  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
 from repro.core.ranks import REL  # noqa: E402
 from repro.core.sequences import IntSequence  # noqa: E402
+from repro.faults.payload import corrupt_merged  # noqa: E402
 from repro.static.cst import CALL  # noqa: E402
 from repro.verify import (  # noqa: E402
     check_cst,
@@ -33,6 +39,7 @@ func main() {
 """
 
 NPROCS = 4
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
 
 def _codes(violations):
@@ -164,8 +171,38 @@ class TestMergedDirect:
         groups = vertex.sorted_groups()
         groups[1].ranks = sorted(set(groups[1].ranks) | {groups[0].ranks[0]})
         groups[1]._rank_seq = None
-        vertex._by_rank = None
         assert "rank-overlap" in _codes(check_merged(merged, nranks=NPROCS))
+
+    # What the checker reported for these faults when its per-rank walk
+    # looked groups up through a rank -> group map built at each vertex
+    # (the last group listing a rank won).  It now reads the maps its
+    # first pass builds, and must report the same, in the same order.
+    @pytest.mark.parametrize("golden, kind, seed, want", [
+        ("mg", "rank-overlap", 1, [
+            ("rank-overlap", 12, 0), ("peer-range", 12, 0),
+            ("peer-range", 12, 0), ("peer-range", 12, 0),
+            ("peer-range", 12, 0),
+        ]),
+        ("fig11", "rank-overlap", 1, [
+            ("ranks-unsorted", 4, 0), ("rank-overlap", 4, 2),
+        ]),
+        ("sp", "rank-range", 2, [
+            ("rank-range", 2, 11), ("rank-population", -1, -1),
+            ("occ-count", 1, 11), ("loop-arity", 3, 11),
+            ("occ-count", 13, 11), ("occ-count", 14, 11),
+        ]),
+        ("fig11", "rank-range", 2, [
+            ("rank-range", 1, 11), ("rank-population", -1, -1),
+            ("loop-arity", 2, 11), ("occ-count", 8, 11),
+        ]),
+    ])
+    def test_rank_faults_report_what_they_did(self, golden, kind, seed, want):
+        blob = (DATA / f"golden_{golden}_v8.cyp").read_bytes()
+        merged = serialize.loads(blob)
+        nranks = merged.nranks_merged
+        corrupt_merged(merged, kind, random.Random(seed), nranks=nranks)
+        got = check_merged(merged, nranks=nranks)
+        assert [(v.code, v.gid, v.rank) for v in got] == want
 
     def test_violation_to_dict_roundtrips(self):
         _c, _r, comp, _res = run_traced(RING, NPROCS)
