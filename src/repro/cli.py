@@ -413,6 +413,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     from repro.mpisim.pmpi import StreamCaptureSink
     from repro.static.instrument import compile_minimpi
     from repro.verify import (
+        Violation,
         audit_wildcards,
         check_cst,
         check_ctt,
@@ -438,9 +439,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         compressor = compress_streams(compiled.cst, capture.streams)
         violations = list(check_cst(compiled.cst))
-        for rank in range(nprocs):
+        for q in compressor.quarantine:
+            violations.append(Violation(
+                "rank-quarantined", q.error, rank=q.rank))
+        kept = compressor.ranks()
+        for rank in kept:
             violations += check_ctt(compressor.ctt(rank), nranks=nprocs)
-        merged = compressor.merged(nranks=nprocs, ranks=range(nprocs))
+        merged = compressor.merged(nranks=nprocs, ranks=kept)
         violations += check_merged(merged, nranks=nprocs)
         audit = audit_wildcards(merged)
         findings = audit.findings

@@ -7,7 +7,8 @@ A rank is in one place: ``table.live`` holds the resident states,
 coldest first (a touch moves a rank to the end — the dict order *is*
 the LRU order), and every other known rank has one row, ``SPILLED`` or
 ``FOLDED``, with the event and record totals that left memory with it.
-A discarded rank (quarantine) has no row and leaves the fold domain.
+A discarded rank (quarantine) has no row, leaves the fold domain and
+cannot come back: reading it raises.
 
 Under ``CypressConfig(memory_budget_bytes=...)`` two moves keep the live
 footprint under the budget:
@@ -188,8 +189,8 @@ def encode_rank_state(st) -> bytes:
             _write_seq(pw, v.visits)
         if v.records is not None:
             leaves.leaf(pw, v.op, v.records)
-        for group in v.branch_groups:
-            pw.u(group.visit_counter)
+        for count in v.group_visits:
+            pw.u(count)
     leaves.table(w)
     w.raw(pw.bytes())
     return w.bytes()
@@ -237,8 +238,8 @@ def decode_rank_state(data: bytes, state_factory, rebuild_index: bool = True):
                 index = v.record_index
                 for rec in v.records:
                     index[rec.key] = rec
-        for group in v.branch_groups:
-            group.visit_counter, pos = _uvarint(data, pos)
+        for i in range(len(v.group_visits)):
+            v.group_visits[i], pos = _uvarint(data, pos)
     return st
 
 
@@ -393,6 +394,8 @@ class RankTable:
         # The fold domain's ranks not yet folded or discarded, ascending:
         # rank -> has its stream ended (sealed)?
         self._waiting: dict[int, bool] = {}
+        # Ranks discard() dropped: their state is gone for good.
+        self._discarded: set[int] = set()
 
     # -- where a rank is ---------------------------------------------------
 
@@ -409,7 +412,7 @@ class RankTable:
 
     def state(self, rank: int) -> RankState:
         """The rank's resident state: created on first sight, reloaded
-        if it was spilled."""
+        if it was spilled.  A folded or discarded rank raises."""
         st = self.live.get(rank)
         if st is not None:
             return st
@@ -421,6 +424,10 @@ class RankTable:
                 f"rank {rank} was folded into the partial merged tree "
                 "(memory budget mode); per-rank state is gone — use "
                 "merged() / merged replay instead"
+            )
+        if rank in self._discarded:
+            raise StreamMismatchError(
+                f"rank {rank} was discarded (quarantined); its state is gone"
             )
         st = self.live[rank] = self._new_state(rank)
         return st
@@ -569,6 +576,7 @@ class RankTable:
         """Drop a rank's state wherever it is (quarantine) and take it
         out of the fold domain, which may unblock the ranks behind it.
         A fold cannot be undone: a folded rank keeps its row."""
+        self._discarded.add(rank)
         self.live.pop(rank, None)
         if self.status(rank) == SPILLED:
             del self._away[rank]

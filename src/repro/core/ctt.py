@@ -10,10 +10,10 @@ in:
   stride-compressed (paper Fig. 11);
 * leaf vertices — the list of :class:`CompressedRecord`s.
 
-Vertices also hold the transient cursor state used during on-the-fly
-compression (ordered child matching position, visit counters).  Branch
-*groups* — the sibling path-vertices of one source-level ``if`` — share a
-visit counter, precomputed per parent.
+A vertex also holds its rank's transient cursor state (the position
+the ordered child match resumes from, the leaf's visit count) and, on
+a parent, one visit counter per branch *group* — the sibling
+path-vertices of one source-level ``if`` share one.
 
 Shape and fill
 --------------
@@ -22,26 +22,25 @@ Everything the CST fixes — identity fields, child order, which children
 a marker or an op can dispatch to, how sibling branch paths group — is
 extracted once per program into a :class:`CTTShape`.  A rank's
 :class:`CTT` is a flat pre-order *fill* of that shape: one vertex object
-per shape node, then the per-rank tables of the vertices that have
-children.  The static module runs once (paper §III); only payload and
-cursor state are per rank.
+per shape node, then each parent's child list and group counters.  The
+static module runs once (paper §III) and every rank shares what it
+fixed (§IV-B); a rank pays only for its payload and cursor (§IV-A).
 
 Hot-path dispatch tables
 ------------------------
 
 Cursor moves are the per-marker/per-event cost the paper budgets at O(1),
 so child lookup must not scan the generic child list with a predicate.
-Every vertex with children carries *monomorphic* dispatch tables —
-``loop_child_by_ast_id``, ``call_children_by_op`` and ``group_by_ast_id``
-— mapping the marker/event identity straight to the (few) candidate
-children, as ``(child_index, child)`` pairs in ascending child order.
-The shape holds them as child *positions*; the fill binds them to the
-rank's vertex objects.  A vertex without children shares immutable empty
-tables (and an empty ``children`` tuple) with every other one, so a
-stray write raises instead of aliasing.
+Every vertex points at three *monomorphic* dispatch tables of its
+shape node — ``loop_child_by_ast_id``, ``call_children_by_op`` and
+``group_by_ast_id`` — mapping the marker/event identity straight to the
+(few) candidates in ascending child order: child *positions* for loops
+and calls, :class:`BranchGroup` layouts for branches.  The walk takes
+the child with ``vertex.children[position]``.  The tables are the
+shape's read-only :class:`ShapeTable` dicts, probed with ``dict.get``.
 The ordered wrap-around semantics ("first candidate at or after
 ``search_pos``, else the first candidate overall") is thereby a scan over
-a list that is almost always length 1, instead of a closure applied to
+a tuple that is almost always length 1, instead of a closure applied to
 every sibling.
 
 An MPI event skips even that when the program runs its calls in source
@@ -55,14 +54,12 @@ compressor probes before it builds a key (``last_params``/
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.minilang.builtins import MPI_INTRINSICS
 from repro.mpisim.events import NONBLOCKING_OPS
-from repro.static.cst import BRANCH, CALL, LOOP, ROOT, CSTNode
+from repro.static.cst import BRANCH, CALL, LOOP, CSTNode
 
-from .records import CompressedRecord
 from .sequences import IntSequence
 
 # ---------------------------------------------------------------------------
@@ -73,7 +70,7 @@ from .sequences import IntSequence
 # ignores, because under budget pressure that state dominates.
 _PTR = 8
 _VERTEX_BASE = 360       # CTTVertex slots + payload containers (a flat
-                         # average: parents also own tables, leaves none)
+                         # average; the dispatch tables are the shape's)
 _SEQ_BASE = 120          # IntSequence object + terms list header
 _SEQ_LIVE_FACTOR = 3     # boxed terms vs packed varint estimate
 _DICT_ENTRY = 104        # amortized dict slot (hash + key + value + growth)
@@ -84,51 +81,50 @@ _LIST_BASE = 64
 _PARAMS_ENTRY = 160
 
 
-class _EmptyTable(Mapping):
-    """An always-empty dispatch table with no way to write to it, whose
-    deep copy is itself (``copy.deepcopy(ctt)`` must keep sharing it)."""
+class ShapeTable(dict):
+    """A dispatch table the CST fixes, built once per program and shared
+    by every rank's vertices: a write raises, and a copy or deep copy is
+    the table itself (``copy.deepcopy(ctt)`` keeps sharing it).  Reads
+    are the plain ``dict`` ones, so the walk's ``.get`` stays C-level."""
 
     __slots__ = ()
 
-    def __getitem__(self, key):
-        raise KeyError(key)
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a shape table is shared by every rank: read-only")
 
-    def __iter__(self):
-        return iter(())
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
-    def __len__(self) -> int:
-        return 0
-
-    def __deepcopy__(self, memo) -> "_EmptyTable":
+    def __deepcopy__(self, memo=None) -> "ShapeTable":
         return self
+
+    __copy__ = __deepcopy__
+
+
+@dataclass(frozen=True, slots=True)
+class BranchGroup:
+    """Sibling branch-path children of one ``if`` under one parent, as
+    child positions; ``number`` indexes the parent's ``group_visits``.
+    Frozen, as every rank shares it; slots, as the walk reads four
+    fields per branch entry (a ``NamedTuple`` read is not specialised)."""
+
+    number: int
+    ast_id: int
+    first_index: int  # child position of the first path vertex
+    last_index: int  # child position of the last path vertex
+    paths: ShapeTable  # branch path -> child position
 
 
 # What a vertex without children holds in place of a child list and
-# tables of its own.  Shared by every such vertex of every rank, so
-# immutable: a stray write raises instead of aliasing.
+# group counters, and every vertex in place of a table it has no entry
+# for.  Shared by every such vertex of every rank, so immutable: a
+# stray write raises instead of aliasing.
 _EMPTY: tuple = ()
-_EMPTY_TABLE = _EmptyTable()
+_EMPTY_TABLE = ShapeTable()
 
 
-def _bind(table: tuple, children: list) -> dict:
-    """A shape dispatch table — ``(identity, child positions)`` items —
-    bound to one rank's child objects: ``identity -> [(position, child),
-    ...]`` in ascending position."""
-    return {
-        identity: [(pos, children[pos]) for pos in positions]
-        for identity, positions in table
-    }
-
-
-@dataclass(slots=True)
-class BranchGroup:
-    """Sibling branch-path vertices of one ``if`` under one parent."""
-
-    ast_id: int
-    first_index: int  # child index of the first path vertex
-    last_index: int  # child index of the last path vertex
-    paths: dict[int, "CTTVertex"] = field(default_factory=dict)
-    visit_counter: int = 0  # runtime state
+def _table(entries: dict) -> ShapeTable:
+    return ShapeTable(entries) if entries else _EMPTY_TABLE
 
 
 class CTTVertex:
@@ -148,10 +144,12 @@ class CTTVertex:
         "records",
         # key -> record, for unbounded (position-independent) merging
         "record_index",
-        "branch_groups",
+        # per branch group of this parent, in child order: the times one
+        # of its paths was entered
+        "group_visits",
         "search_pos",
         "leaf_visits",
-        # monomorphic dispatch tables (fixed after construction)
+        # the shape node's monomorphic dispatch tables (shared, read-only)
         "loop_child_by_ast_id",
         "call_children_by_op",
         "group_by_ast_id",
@@ -180,14 +178,16 @@ class CTTVertex:
         """Ordered wrap-around lookup of a loop child: ``(child index,
         child)`` of the first candidate at child index >= ``start``, else
         of the first candidate — a dict probe and a scan of the (usually
-        one) candidates, without a closure or a sibling scan."""
-        lst = self.loop_child_by_ast_id.get(ast_id)
-        if lst is None:
+        one) candidate positions, without a closure or a sibling scan."""
+        positions = self.loop_child_by_ast_id.get(ast_id)
+        if positions is None:
             return None
-        for pair in lst:
-            if pair[0] >= start:
-                return pair
-        return lst[0]
+        for pos in positions:
+            if pos >= start:
+                break
+        else:
+            pos = positions[0]
+        return pos, self.children[pos]
 
     # ------------------------------------------------------------------
 
@@ -234,8 +234,8 @@ class CTTShape:
     """What the CST fixes about every rank's CTT, extracted once per
     program: per vertex the identity fields, and per vertex *with
     children* the child order, the loop/call dispatch tables and the
-    branch-group layout — as vertex indices and child positions, so
-    :meth:`fill` can bind them to any rank's vertex objects."""
+    branch-group layout — as vertex indices, child positions and the
+    :class:`ShapeTable` dicts every :meth:`fill` shares."""
 
     __slots__ = ("nodes", "parents")
 
@@ -254,32 +254,32 @@ class CTTShape:
                 node.branch_path, op in NONBLOCKING_OPS,
             ))
         #: per vertex with children: (own index, child indices, loop
-        #: table, call table, branch groups).  A table is ``(identity,
-        #: child positions)`` items, positions ascending; a group is
-        #: ``(ast_id, first position, last position, ((path, position),
-        #: ...))``.
+        #: table, call table, group table, group count).  The loop and
+        #: call tables map an identity to its child positions,
+        #: ascending; the group table an ``ast_id`` to its groups.
         self.parents: list[tuple] = []
         for i, node in enumerate(order):
             if not node.children:
                 continue
-            kids = tuple(index[id(c)] for c in node.children)
-            loops: dict[int, list[int]] = {}
-            calls: dict[str, list[int]] = {}
-            for pos, (child, j) in enumerate(zip(node.children, kids)):
-                op = self.nodes[j][4]
+            loops: dict[int, tuple] = {}
+            calls: dict[str, tuple] = {}
+            for pos, child in enumerate(node.children):
+                op = self.nodes[index[id(child)]][4]
                 if child.kind == LOOP:
-                    loops.setdefault(child.ast_id, []).append(pos)
+                    loops[child.ast_id] = loops.get(child.ast_id, ()) + (pos,)
                 elif child.kind == CALL and op is not None:
-                    calls.setdefault(op, []).append(pos)
+                    calls[op] = calls.get(op, ()) + (pos,)
+            groups = self._group_layout(node.children)
+            by_ast_id: dict[int, tuple] = {}
+            for group in groups:
+                by_ast_id[group.ast_id] = by_ast_id.get(group.ast_id, ()) + (group,)
             self.parents.append((
-                i, kids,
-                tuple((k, tuple(v)) for k, v in loops.items()),
-                tuple((k, tuple(v)) for k, v in calls.items()),
-                self._group_layout(node.children),
+                i, tuple(index[id(c)] for c in node.children),
+                _table(loops), _table(calls), _table(by_ast_id), len(groups),
             ))
 
     @staticmethod
-    def _group_layout(children: list[CSTNode]) -> tuple:
+    def _group_layout(children: list[CSTNode]) -> list[BranchGroup]:
         """Runs of consecutive BRANCH children of one ``if`` — a run
         ends at a non-branch sibling, another ``ast_id`` or a repeated
         path (the next inlined copy of the same ``if``)."""
@@ -299,16 +299,17 @@ class CTTShape:
             else:
                 current = [child.ast_id, pos, pos, {child.branch_path: pos}]
                 groups.append(current)
-        return tuple(
-            (ast_id, first, last, tuple(paths.items()))
-            for ast_id, first, last, paths in groups
-        )
+        return [
+            BranchGroup(number, ast_id, first, last, ShapeTable(paths))
+            for number, (ast_id, first, last, paths) in enumerate(groups)
+        ]
 
     def fill(self) -> list["CTTVertex"]:
         """The vertices of one rank's tree, in pre-order: a vertex per
-        shape node in one flat pass, then the tables of the vertices
-        that have children.  No object built here is shared with another
-        call's vertices."""
+        shape node in one flat pass, then the child lists and group
+        counters of the vertices that have children.  Every mutable
+        object built here is this call's own; the tables are the
+        shape's."""
         new = CTTVertex.__new__
         vertices: list[CTTVertex] = []
         append = vertices.append
@@ -330,27 +331,21 @@ class CTTShape:
                 v.records = v.record_index = v.params_index = None
                 v.loop_counts = IntSequence() if kind == LOOP else None
                 v.visits = IntSequence() if kind == BRANCH else None
-            v.children = v.branch_groups = _EMPTY
+            v.children = v.group_visits = _EMPTY
             v.loop_child_by_ast_id = _EMPTY_TABLE
             v.call_children_by_op = _EMPTY_TABLE
             v.group_by_ast_id = _EMPTY_TABLE
             v.search_pos = v.leaf_visits = 0
             v.last_params = v.last_record = None
             append(v)
-        for i, kids, loops, calls, group_layout in self.parents:
+        for i, kids, loops, calls, groups, ngroups in self.parents:
             v = vertices[i]
-            v.children = children = [vertices[j] for j in kids]
-            v.loop_child_by_ast_id = _bind(loops, children) if loops else {}
-            v.call_children_by_op = _bind(calls, children) if calls else {}
-            v.branch_groups = groups = []
-            v.group_by_ast_id = by_ast_id = {}
-            for ast_id, first, last, paths in group_layout:
-                group = BranchGroup(
-                    ast_id, first, last,
-                    {path: children[pos] for path, pos in paths},
-                )
-                groups.append(group)
-                by_ast_id.setdefault(ast_id, []).append(group)
+            v.children = [vertices[j] for j in kids]
+            v.loop_child_by_ast_id = loops
+            v.call_children_by_op = calls
+            v.group_by_ast_id = groups
+            if ngroups:
+                v.group_visits = [0] * ngroups
         return vertices
 
 
@@ -367,12 +362,14 @@ class CTT:
         # pre-order list the fill produced is the cached vertices().
         self._vertices = shape.fill()
         self.root = self._vertices[0]
-        self._by_gid: dict[int, CTTVertex] | None = None
 
     def vertex(self, gid: int) -> CTTVertex:
-        if self._by_gid is None:
-            self._by_gid = {v.gid: v for v in self._vertices}
-        return self._by_gid[gid]
+        """The vertex of ``gid``: gids are pre-order indexes
+        (:func:`repro.static.cst.assign_gids`)."""
+        vertices = self._vertices
+        if 0 <= gid < len(vertices) and vertices[gid].gid == gid:
+            return vertices[gid]
+        raise KeyError(gid)
 
     def vertices(self) -> list[CTTVertex]:
         """Pre-order vertex list (the inter-process merge walks it once

@@ -36,9 +36,10 @@ The hot path
 The per-event budget is O(1), and the implementation spends it carefully
 (docs/INTERNALS.md §5):
 
-* marker moves use the CTT's precomputed monomorphic dispatch tables
-  (``loop_child_by_ast_id``, ``group_by_ast_id``) — no closure
-  allocation, no generic sibling scan;
+* marker moves use the shape's monomorphic dispatch tables
+  (``loop_child_by_ast_id``, ``group_by_ast_id``), built once per
+  program and keyed to child positions — no closure allocation, no
+  generic sibling scan, no per-rank copy;
 * :meth:`IntraProcessCompressor.ingest_stream` is the only live ingest
   (the ``on_*`` callbacks append to a bounded per-rank buffer that
   drains through it), and its loop commits an event in line whatever the
@@ -569,29 +570,20 @@ class IntraProcessCompressor(CaptureCallbacks):
         visit: int,
         duration: float,
         gap: float,
-    ) -> CompressedRecord:
+    ) -> None:
+        """Bounded-window commit: the paper's scan of the leaf's last
+        ``window`` records for one with ``key``."""
         records = leaf.records
-        window = self._window
-        if window is None:
-            candidate = leaf.record_index.get(key)
-            if candidate is not None:
+        for back in range(1, min(self._window, len(records)) + 1):
+            candidate = records[-back]
+            if candidate.pending:
+                continue
+            if candidate.key == key:
                 candidate.add_occurrence(visit, duration, gap)
-                return candidate
-        else:
-            for back in range(1, min(window, len(records)) + 1):
-                candidate = records[-back]
-                if candidate.pending:
-                    continue
-                if candidate.key == key:
-                    candidate.add_occurrence(visit, duration, gap)
-                    return candidate
-        record = CompressedRecord.first(
+                return
+        records.append(CompressedRecord.first(
             key, visit, duration, gap, self._timing_mode
-        )
-        records.append(record)
-        if window is None:
-            leaf.record_index[key] = record
-        return record
+        ))
 
     def _request_complete(
         self, st: RankState, rid: int, source: int, nbytes: int, when: float
@@ -716,17 +708,18 @@ class IntraProcessCompressor(CaptureCallbacks):
                     leaf = cur  # past the last child: wraps around
                 if leaf.op != op:
                     self.m_mono_miss += 1
-                    lst = cur.call_children_by_op.get(op)
-                    if lst is None:
+                    positions = cur.call_children_by_op.get(op)
+                    if positions is None:
                         raise self._no_leaf(st, cur, op)
                     # First candidate at or after search_pos, else
                     # wrap to the first overall.
-                    for found in lst:
-                        if found[0] >= idx:
+                    for pos in positions:
+                        if pos >= idx:
                             break
                     else:
-                        found = lst[0]
-                    idx, leaf = found
+                        pos = positions[0]
+                    idx = pos
+                    leaf = cur.children[pos]
                 cur.search_pos = idx + 1
                 visit = leaf.leaf_visits
                 leaf.leaf_visits = visit + 1
@@ -839,25 +832,25 @@ class IntraProcessCompressor(CaptureCallbacks):
                 if cur is None:
                     stack.append([_BRANCH, None, 0])
                     continue
-                lst = cur.group_by_ast_id.get(item[1])
-                if lst is None:
+                groups = cur.group_by_ast_id.get(item[1])
+                if groups is None:
                     stack.append([_BRANCH, None, 0])
                     continue
-                group = None
                 sp = cur.search_pos
-                for g in lst:
-                    if g.first_index >= sp:
-                        group = g
+                for group in groups:
+                    if group.first_index >= sp:
                         break
-                if group is None:
-                    group = lst[0]
+                else:
+                    group = groups[0]
                 cur.search_pos = group.last_index + 1
-                visit = group.visit_counter
-                group.visit_counter = visit + 1
-                path_vertex = group.paths.get(item[2])
-                if path_vertex is None:
+                counters = cur.group_visits
+                visit = counters[group.number]
+                counters[group.number] = visit + 1
+                pos = group.paths.get(item[2])
+                if pos is None:
                     stack.append([_BRANCH, None, 0])
                     continue
+                path_vertex = cur.children[pos]
                 seq = path_vertex.visits
                 terms = seq.terms
                 if terms:

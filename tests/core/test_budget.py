@@ -425,16 +425,19 @@ class TestLiveBytesEstimator:
         assert actual // 10 <= est <= actual * 10
 
     @pytest.mark.parametrize(
-        "name,nprocs,scale", [("mg", 64, 0.1), ("sp", 16, 1), ("cg", 8, 1)]
+        "name,nprocs,scale",
+        [("mg", 64, 0.1), ("sp", 16, 1), ("cg", 8, 1), ("mg", 256, 0.1)],
     )
     def test_live_estimate_tracks_tracemalloc(self, name, nprocs, scale):
         """A budget that claims to bound memory must check its estimate
         against ground truth: ``total_live_bytes()`` stays within a
         factor 1.5 of what ``compress_streams`` really allocated and
         kept, on a wide, an irregular and a loop-heavy shape (measured
-        0.81 / 1.01 / 0.73 with the per-leaf params index counted).
-        The index is part of both sides: sp, where it is a fifth of the
-        footprint, must stay inside 0.75-1.03."""
+        0.95 / 1.02 / 0.87 with the per-leaf params index counted, and
+        0.94 on mg P=256; the dispatch tables are the shape's, so no
+        rank pays for them).  The index is part of both sides: sp,
+        where it is a fifth of the footprint, must stay inside
+        0.75-1.03."""
         w = WORKLOADS[name]
         compiled, streams = _capture(
             w.source, nprocs, w.defines(nprocs, scale)

@@ -62,28 +62,37 @@ class TestMirroring:
             assert ctt.vertex(v.gid) is v
 
 
+def _groups(vertex):
+    """The branch groups of ``vertex``'s shape node, in child order."""
+    groups = [g for gs in vertex.group_by_ast_id.values() for g in gs]
+    return sorted(groups, key=lambda g: g.number)
+
+
 class TestBranchGroups:
     def test_paths_grouped(self):
         _, ctt = build()
         loop = next(v for v in ctt.preorder() if v.kind == LOOP)
-        assert len(loop.branch_groups) == 1
-        (group,) = loop.branch_groups
+        assert len(_groups(loop)) == 1
+        (group,) = _groups(loop)
         assert sorted(group.paths) == [0, 1]
         assert group.last_index == group.first_index + 1
+        assert loop.group_visits == [0]
 
     def test_find_group_by_ast_id(self):
         _, ctt = build()
         loop = next(v for v in ctt.preorder() if v.kind == LOOP)
-        (group,) = loop.branch_groups
-        assert loop.group_by_ast_id == {group.ast_id: [group]}
+        (group,) = _groups(loop)
+        assert loop.group_by_ast_id == {group.ast_id: (group,)}
         assert find_group(loop, group.ast_id, 0) == (
-            group.ast_id, group.first_index, group.last_index, group.paths
+            group.ast_id, group.first_index, group.last_index,
+            {path: loop.children[pos] for path, pos in group.paths.items()},
         )
         assert find_group(loop, 999999, 0) is None
 
     def test_root_has_no_groups(self):
         _, ctt = build()
-        assert ctt.root.branch_groups == []
+        assert _groups(ctt.root) == []
+        assert ctt.root.group_visits == ()
 
 
 class TestFindChild:

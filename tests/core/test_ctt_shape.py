@@ -1,14 +1,15 @@
 """One per-program :class:`CTTShape`, many per-rank fills: the ranks of
-one compressor share the shape and nothing else."""
+one compressor share the shape's tables and nothing else."""
 
 import copy
-from collections.abc import Mapping, MutableMapping
+import gc
+import tracemalloc
 
 import pytest
 
 from repro.core import serialize
 from repro.core.budget import decode_rank_state, encode_rank_state
-from repro.core.ctt import CTT, CTTShape
+from repro.core.ctt import CTT, CTTShape, ShapeTable
 from repro.core.inter import merge_all
 from repro.core.intra import CypressConfig, IntraProcessCompressor, compress_streams
 from repro.driver import run_compiled
@@ -16,12 +17,14 @@ from repro.mpisim.pmpi import StreamCaptureSink
 from repro.static.instrument import compile_minimpi
 from repro.workloads import WORKLOADS
 
-def _immutable(obj):
-    """A write cannot go through ``obj``: sharing it between two ranks
-    cannot alias state."""
-    return isinstance(obj, (tuple, str, int, float, bool, type(None))) or (
-        isinstance(obj, Mapping) and not isinstance(obj, MutableMapping)
-    )
+_TABLES = ("loop_child_by_ast_id", "call_children_by_op", "group_by_ast_id")
+
+
+def _fixed(obj):
+    """Nothing a rank writes goes through ``obj``: an immutable value, or
+    a table of the shape (read-only, shared by every rank)."""
+    return isinstance(
+        obj, (tuple, str, int, float, bool, type(None), ShapeTable))
 
 
 def _capture(name, nprocs):
@@ -35,24 +38,17 @@ def _capture(name, nprocs):
 
 def _owned_objects(ctt):
     """Every mutable object reachable from one rank's tree (vertices,
-    their lists, dicts, groups, sequences, records), by identity."""
+    their lists, dicts, counters, sequences, records), by identity."""
     owned = {}
 
     def own(obj):
-        if not _immutable(obj):
+        if not _fixed(obj):
             owned[id(obj)] = obj
 
     for v in ctt.vertices():
         own(v)
         for slot in type(v).__slots__:
             own(getattr(v, slot))
-        for table in (v.loop_child_by_ast_id, v.call_children_by_op,
-                      v.group_by_ast_id):
-            for candidates in table.values():
-                own(candidates)
-        for group in v.branch_groups:
-            own(group)
-            own(group.paths)
         for seq in (v.loop_counts, v.visits):
             if seq is not None:
                 own(seq.terms)
@@ -63,6 +59,17 @@ def _owned_objects(ctt):
             own(record.duration)
             own(record.pre_gap)
     return owned
+
+
+def _tables(ctt):
+    """Per vertex, pre-order: the three dispatch tables it points at."""
+    return [[getattr(v, name) for name in _TABLES] for v in ctt.vertices()]
+
+
+def _assert_same_tables(a, b):
+    for ta, tb in zip(_tables(a), _tables(b), strict=True):
+        for x, y in zip(ta, tb):
+            assert type(x) is ShapeTable and x is y
 
 
 class TestRankIsolation:
@@ -80,6 +87,9 @@ class TestRankIsolation:
             for theirs in owned[i + 1:]:
                 shared = mine.keys() & theirs.keys()
                 assert not shared, [type(mine[k]).__name__ for k in shared]
+        # ...and every vertex of every rank points at the shape's tables.
+        for rank in ranks[1:]:
+            _assert_same_tables(comp.ctt(ranks[0]), comp.ctt(rank))
 
     def test_what_a_rank_ingests_stays_on_that_rank(self):
         cst, streams = _capture("mg", 16)
@@ -89,8 +99,9 @@ class TestRankIsolation:
         assert idle.record_count() == 0
         assert all(v.leaf_visits == 0 and v.search_pos == 0
                    for v in idle.vertices())
-        assert all(g.visit_counter == 0
-                   for v in idle.vertices() for g in v.branch_groups)
+        assert all(count == 0
+                   for v in idle.vertices() for count in v.group_visits)
+        assert any(v.group_visits for v in idle.vertices())
 
     def test_shared_empties_are_immutable(self):
         cst, _ = _capture("mg", 16)
@@ -100,20 +111,37 @@ class TestRankIsolation:
         assert leaves
         for leaf in leaves:
             assert type(leaf.children) is tuple
-            assert type(leaf.branch_groups) is tuple
-            for table in (leaf.loop_child_by_ast_id, leaf.call_children_by_op,
-                          leaf.group_by_ast_id):
-                assert _immutable(table) and not table
-                assert table.get("MPI_Send") is None
-                with pytest.raises(TypeError):
-                    table["stray"] = []
+            assert type(leaf.group_visits) is tuple
+            for name in _TABLES:
+                assert not getattr(leaf, name)
             with pytest.raises(AttributeError):
                 leaf.children.append(leaf)
-        # ...and a parent's tables are its own.
+        # Every table, empty or not, is the shape's: a write raises.
+        for tables in _tables(a):
+            for table in tables:
+                assert table.get("stray") is None
+                for write in (
+                    lambda t: t.__setitem__("stray", ()),
+                    lambda t: t.setdefault("stray", ()),
+                    lambda t: t.update(stray=()),
+                    lambda t: t.pop("stray", None),
+                    lambda t: t.clear(),
+                ):
+                    with pytest.raises(TypeError):
+                        write(table)
+        groups = [g for v in a.vertices()
+                  for gs in v.group_by_ast_id.values() for g in gs]
+        assert groups
+        for group in groups:
+            with pytest.raises(AttributeError):
+                group.number = 0
+        _assert_same_tables(a, b)
+        # ...and a parent's child list and group counters are its own.
         for va, vb in zip(a.vertices(), b.vertices()):
             if va.children:
                 assert va.children is not vb.children
-                assert va.branch_groups is not vb.branch_groups
+            if va.group_visits:
+                assert va.group_visits is not vb.group_visits
 
     def test_deep_copy_is_another_isolated_rank(self):
         cst, streams = _capture("mg", 16)
@@ -122,6 +150,7 @@ class TestRankIsolation:
         original = comp.ctt(5)
         clone = copy.deepcopy(original)
         assert not _owned_objects(original).keys() & _owned_objects(clone).keys()
+        _assert_same_tables(original, clone)
         assert serialize.dumps(merge_all([clone])) == serialize.dumps(
             merge_all([original]))
 
@@ -144,6 +173,26 @@ class TestRankIsolation:
         # The spill reader is the container's record decoder; only this
         # mode makes it fill bins.
         _snapshot_mid_stream("cg", 8, CypressConfig(timing_mode="hist"))
+
+
+class TestFootprint:
+    def test_256_mg_fills_fit_in_5_5_mb(self):
+        """What ``wide_mg`` pays per rank before its first event: 256
+        fills of mg's 45-vertex shape.  Payload and cursor only — 4.7 MB
+        under tracemalloc, against 7.6 MB when every rank bound its own
+        dispatch tables and branch groups."""
+        shape = CTTShape(compile_minimpi(WORKLOADS["mg"].source).cst)
+        CTT(shape, 0)  # warm
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ctts = [CTT(shape, rank) for rank in range(256)]
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ctts[-1].vertices()) == 45
+        assert grown <= 5.5e6
 
 
 def _snapshot_mid_stream(name, nprocs, config):

@@ -175,6 +175,7 @@ class TestFindGroupWrapAround:
         ast_id = next(iter(groups))
         first, second = groups[ast_id]
         assert (first.first_index, second.first_index) == (0, 2)
+        assert (first.number, second.number) == (0, 1)
         # The first copy, then the second, then past the last copy the
         # lookup wraps to the first again.
         stream = []
@@ -188,27 +189,35 @@ class TestFindGroupWrapAround:
         comp = IntraProcessCompressor(compiled.cst)
         comp.ingest_stream(0, stream)
         root = comp.ctt(0).root
-        (first, second) = root.group_by_ast_id[ast_id]
-        assert first.visit_counter == 2 and second.visit_counter == 1
-        assert first.paths[0].visits.to_list() == [0, 1]
-        assert first.paths[1].visits.to_list() == []
-        assert second.paths[1].visits.to_list() == [0]
+        assert root.group_by_ast_id[ast_id] == (first, second)
+        assert root.group_visits == [2, 1]
+        kids = root.children
+        assert kids[first.paths[0]].visits.to_list() == [0, 1]
+        assert kids[first.paths[1]].visits.to_list() == []
+        assert kids[second.paths[1]].visits.to_list() == [0]
         spec = spec_compress(compiled.cst, stream)
         assert _blob([comp.ctt(0)], 1) == _blob([spec], 1)
 
     def test_generic_and_monomorphic_lookups_agree(self):
-        # The CTT's dispatch tables against the spec's scans over
+        # The shape's dispatch tables against the spec's scans over
         # ``children``, at every start position of every vertex of every
         # workload's tree (and the two-copy tree above).
         sources = [w.source for w in WORKLOADS.values()] + [INLINED_TWICE]
         for source in sources:
             for v in CTT(compile_minimpi(source).cst, 0).vertices():
+                groups = sorted(
+                    (g for gs in v.group_by_ast_id.values() for g in gs),
+                    key=lambda g: g.number,
+                )
+                assert [g.number for g in groups] == list(
+                    range(len(v.group_visits)))
                 assert [
-                    (g.ast_id, g.first_index, g.last_index, g.paths)
-                    for g in v.branch_groups
+                    (g.ast_id, g.first_index, g.last_index,
+                     {path: v.children[pos] for path, pos in g.paths.items()})
+                    for g in groups
                 ] == branch_groups(v)
                 for ast_id, lst in v.group_by_ast_id.items():
-                    assert lst == [g for g in v.branch_groups if g.ast_id == ast_id]
+                    assert lst == tuple(g for g in groups if g.ast_id == ast_id)
                 for start in range(len(v.children) + 1):
                     for ast_id in v.loop_child_by_ast_id:
                         child, idx = find_child(
@@ -216,12 +225,12 @@ class TestFindGroupWrapAround:
                             start,
                         )
                         assert v.find_loop_child(ast_id, start) == (idx, child)
-                    for op, lst in v.call_children_by_op.items():
-                        at = [pair for pair in lst if pair[0] >= start]
-                        idx, child = at[0] if at else lst[0]
+                    for op, positions in v.call_children_by_op.items():
+                        at = [pos for pos in positions if pos >= start]
+                        idx = at[0] if at else positions[0]
                         assert find_child(
                             v, lambda c: c.kind == CALL and c.op == op, start
-                        ) == (child, idx)
+                        ) == (v.children[idx], idx)
 
 
 LOOP_SEND = """

@@ -17,8 +17,9 @@ from repro.core.intra import IntraProcessCompressor, compress_streams
 from repro.core.quarantine import QuarantinedRank, QuarantineReport
 from repro.driver import run_compiled
 from repro.faults import CORRUPT_KINDS, FaultPlan, corrupt_stream
-from repro.mpisim.pmpi import OP_EVENT, StreamCaptureSink
+from repro.mpisim.pmpi import OP_EVENT, OP_LOOP_POP, StreamCaptureSink
 from repro.static.instrument import compile_minimpi
+from repro.workloads import WORKLOADS
 
 SRC = """
 func main() {
@@ -101,6 +102,25 @@ class TestLenientMode:
         ]
         item = _compressed(victims=(1,), kind="unbalanced").quarantine.get(1)
         assert item.raw_events() == recorded
+
+    def test_quarantined_rank_does_not_come_back_empty(self):
+        """Naming a discarded rank raises; it is not merged as an empty
+        tree in its own place.  A rank never seen still reads empty."""
+        w = WORKLOADS["fig11"]
+        compiled = compile_minimpi(w.source)
+        capture = StreamCaptureSink()
+        run_compiled(compiled, 4, defines=w.defines(4, 1.0), tracer=capture)
+        streams = dict(capture.streams)
+        streams[2] = [(OP_LOOP_POP, 12345), *streams[2]]
+        comp = compress_streams(compiled.cst, streams, nranks=4)
+        assert comp.quarantine.ranks() == [2]
+        with pytest.raises(StreamMismatchError, match="rank 2 "):
+            comp.merged(nranks=4, ranks=range(4))
+        with pytest.raises(StreamMismatchError, match="rank 2 "):
+            comp.ctt(2)
+        assert comp.ranks() == [0, 1, 3]
+        assert comp.merged(nranks=4).nranks_merged == 3
+        assert comp.ctt(4).record_count() == 0
 
     def test_all_ranks_quarantined_merge_raises(self):
         comp = _compressed(victims=tuple(range(NPROCS)))

@@ -38,6 +38,24 @@ class TestCheckCommand:
         assert entry["differential"]["ok"] is True
         capsys.readouterr()
 
+    def test_quarantined_rank_is_a_violation(self, monkeypatch, capsys):
+        # compress_streams quarantines a rank whose stream does not fit
+        # the CST; check counts it and checks and merges the kept ranks.
+        from repro.core import intra
+        from repro.mpisim.pmpi import OP_LOOP_POP
+
+        compress = intra.compress_streams
+
+        def damaging(cst, streams, *args, **kwargs):
+            streams = {**streams, 2: [(OP_LOOP_POP, 12345), *streams[2]]}
+            return compress(cst, streams, *args, **kwargs)
+
+        monkeypatch.setattr(intra, "compress_streams", damaging)
+        assert main(["check", "cg", "-n", "4", "--scale", "0.3"]) == 1
+        out = capsys.readouterr()
+        assert "1 violation(s)" in out.out and "FAILED" in out.out
+        assert "[rank-quarantined] rank 2: loop exit marker 12345" in out.err
+
 
 class TestSelfcheckFlags:
     def test_trace_selfcheck(self, tmp_path, capsys):
