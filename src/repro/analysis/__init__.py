@@ -1,38 +1,15 @@
-"""Trace analytics: communication patterns and measurement harness.
-
-The decompression-free query layer lives in :mod:`repro.query`; its
-public entry points are re-exported here so analysis callers have one
-import surface.
+"""Trace analytics: renderers over :mod:`repro.query` answers
+(summary, communication patterns, hotspots), the replay-based trace
+diff and the measurement harness.
 """
-
-from repro.query import (
-    CriticalLeaf,
-    OrderingResult,
-    RankProfile,
-    Traffic,
-    critical_leaves,
-    ordering,
-    rank_profile,
-    traffic,
-    vertex_path,
-)
 
 from .patterns import ascii_heatmap, communication_matrix, message_sizes, neighbor_sets
 from .diff import RankDiff, TraceDiff, diff_traces
-from .hotspots import Hotspot, hotspots, top_leaves
-from .report import OpSummary, TraceReport, summarize
+from .hotspots import Hotspot, hotspots
+from .report import TraceReport, summarize
 from .stats import MethodResult, RunMeasurement, measure_all_methods, APP_MEMORY_BASELINE
 
 __all__ = [
-    "CriticalLeaf",
-    "OrderingResult",
-    "RankProfile",
-    "Traffic",
-    "critical_leaves",
-    "ordering",
-    "rank_profile",
-    "traffic",
-    "vertex_path",
     "ascii_heatmap",
     "communication_matrix",
     "message_sizes",
@@ -41,7 +18,6 @@ __all__ = [
     "RunMeasurement",
     "measure_all_methods",
     "APP_MEMORY_BASELINE",
-    "OpSummary",
     "TraceReport",
     "summarize",
     "RankDiff",
@@ -49,5 +25,4 @@ __all__ = [
     "diff_traces",
     "Hotspot",
     "hotspots",
-    "top_leaves",
 ]

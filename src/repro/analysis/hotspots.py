@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.inter import MergedCTT, MergedVertex
-from repro.query.engine import critical_leaves, leaf_time as _leaf_time
+from repro.query.engine import leaf_time as _leaf_time
 from repro.static.cst import BRANCH, CALL, LOOP
 
 
@@ -62,14 +62,3 @@ def hotspots(merged: MergedCTT) -> Hotspot:
 
     return walk(merged.root, 0)
 
-
-def top_leaves(merged: MergedCTT, n: int = 10) -> list[Hotspot]:
-    """The n most expensive MPI call sites (delegates to the query
-    engine's :func:`repro.query.engine.critical_leaves`)."""
-    return [
-        Hotspot(
-            gid=c.gid, kind=CALL, label=c.op, depth=c.depth,
-            total_us=c.total_us, calls=c.calls,
-        )
-        for c in critical_leaves(merged, n)
-    ]

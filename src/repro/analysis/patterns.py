@@ -2,86 +2,36 @@
 "The basic function with the compressed traces of CYPRESS is to analyze
 program communication patterns", Figs. 17 and 20).
 
-The volume matrix is computed directly from the merged CTT's leaf records
-— no decompression pass needed: each send-type record contributes
-``count × nbytes`` from every rank in its group to the decoded
-destination.
+The volume matrix and the message sizes are :func:`repro.query.traffic`
+answers — read from the merged CTT's leaf groups, no decompression pass
+needed: each send-type record contributes ``count × nbytes`` from every
+rank in its group to the decoded destination.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro import obs
 from repro.core.inter import MergedCTT
-from repro.core.ranks import try_decode_peer
-
-_SEND_OPS = {"MPI_Send", "MPI_Isend", "MPI_Sendrecv"}
+from repro.query.engine import traffic
 
 
 def communication_matrix(merged: MergedCTT, nprocs: int) -> np.ndarray:
-    """``M[src, dst]`` = total point-to-point bytes sent src→dst.
-
-    A destination that decodes outside ``[0, nprocs)`` (a damaged trace,
-    or a matrix requested for the wrong rank count) cannot be charged to
-    any cell; such sends are dropped *loudly* — a ``RuntimeWarning``
-    naming the leaf plus a ``patterns.out_of_range_peers`` counter —
-    instead of silently vanishing from the plot.
-    """
+    """``M[src, dst]`` = total point-to-point bytes sent src→dst: the
+    ``rank_pair`` traffic made dense.  A destination outside
+    ``[0, nprocs)`` is dropped with the engine's ``RuntimeWarning``."""
     matrix = np.zeros((nprocs, nprocs), dtype=np.int64)
-    dropped = 0
-    dropped_at: tuple | None = None
-    for vertex in merged.root.preorder():
-        for group in vertex.groups.values():
-            if group.records is None:
-                continue
-            for record in group.records:
-                op = record.key[0]
-                if op not in _SEND_OPS:
-                    continue
-                count = record.count
-                nbytes = record.key[5]
-                for rank in group.ranks:
-                    dst, ok = try_decode_peer(record.key[1], rank, nprocs)
-                    if ok and 0 <= dst < nprocs:
-                        matrix[rank, dst] += count * nbytes
-                    else:
-                        dropped += 1
-                        if dropped_at is None:
-                            dropped_at = (vertex.gid, rank, dst)
-    if dropped:
-        gid, rank, dst = dropped_at
-        warnings.warn(
-            f"communication_matrix: dropped {dropped} send record(s) with "
-            f"out-of-range destinations (first: gid={gid} rank={rank} "
-            f"dst={dst}, nprocs={nprocs}) — damaged trace or wrong rank "
-            "count",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        registry = obs.active()
-        if registry is not None:
-            registry.counter_add("patterns.out_of_range_peers", dropped)
+    for cell, sent in traffic(merged, "rank_pair", nprocs).items():
+        matrix[cell] = sent.nbytes
     return matrix
 
 
 def message_sizes(merged: MergedCTT) -> dict[int, int]:
     """Distinct point-to-point message sizes -> total message count
     (the paper observes exactly two sizes for LESlie3d)."""
-    sizes: dict[int, int] = {}
-    for vertex in merged.root.preorder():
-        for group in vertex.groups.values():
-            if group.records is None:
-                continue
-            for record in group.records:
-                if record.key[0] in _SEND_OPS or record.key[0] == "MPI_Sendrecv":
-                    nbytes = record.key[5]
-                    sizes[nbytes] = sizes.get(nbytes, 0) + record.count * len(
-                        group.ranks
-                    )
-    return sizes
+    return {
+        size: sent.messages for size, sent in traffic(merged, "size").items()
+    }
 
 
 def neighbor_sets(matrix: np.ndarray) -> dict[int, list[int]]:

@@ -1,6 +1,7 @@
-"""Summary reports over compressed traces — computed from the CTT records
-directly, without decompression (one of the points of structural
-compression: analyses read the compressed form).
+"""Summary reports over compressed traces: the job-wide
+:func:`repro.query.rank_profile` rendered — no record is built and
+nothing is decompressed (one of the points of structural compression:
+analyses read the compressed form).
 """
 
 from __future__ import annotations
@@ -9,14 +10,7 @@ from dataclasses import dataclass, field
 
 from repro.core.inter import MergedCTT
 from repro.mpisim.events import COLLECTIVES
-
-
-@dataclass
-class OpSummary:
-    op: str
-    calls: int = 0  # total dynamic calls across ranks
-    nbytes: int = 0  # total payload bytes
-    time_us: float = 0.0  # total time inside the op (sum over ranks)
+from repro.query.engine import OpProfile, rank_profile
 
 
 @dataclass
@@ -24,7 +18,7 @@ class TraceReport:
     nranks: int
     vertices: int
     groups: int
-    ops: dict[str, OpSummary] = field(default_factory=dict)
+    ops: dict[str, OpProfile] = field(default_factory=dict)
     total_comm_us: float = 0.0
     total_gap_us: float = 0.0  # computation time between events
 
@@ -62,29 +56,16 @@ class TraceReport:
 
 
 def summarize(merged: MergedCTT) -> TraceReport:
-    """Aggregate per-op statistics straight from the merged records."""
-    ranks: set[int] = set()
-    report = TraceReport(
-        nranks=0,
+    """The job-wide per-op profile (``rank_profile(merged, None)``) with
+    the tree's shape."""
+    profile = rank_profile(merged, None)
+    ranks = {r for v in merged.vertices() for g in v.groups.values()
+             for r in g.ranks}
+    return TraceReport(
+        nranks=len(ranks),
         vertices=merged.vertex_count(),
         groups=merged.group_count(),
+        ops=profile.ops,
+        total_comm_us=profile.comm_us,
+        total_gap_us=profile.gap_us,
     )
-    for vertex in merged.root.preorder():
-        for group in vertex.groups.values():
-            ranks.update(group.ranks)
-            if not group.records:
-                continue
-            nmembers = len(group.ranks)
-            for record in group.records:
-                op = record.key[0]
-                entry = report.ops.setdefault(op, OpSummary(op=op))
-                calls = record.count * nmembers
-                entry.calls += calls
-                entry.nbytes += (record.key[5] + record.key[6]) * calls
-                entry.time_us += record.duration.mean * record.duration.count
-                report.total_comm_us += (
-                    record.duration.mean * record.duration.count
-                )
-                report.total_gap_us += record.pre_gap.mean * record.pre_gap.count
-    report.nranks = len(ranks)
-    return report

@@ -11,8 +11,6 @@ Commands:
 * ``info``     — per-op summary of a trace file (from the compressed form)
 * ``export``   — flatten a trace file to text or CSV
 * ``diff``     — compare two trace files by replayed call sequences
-* ``verify``   — end-to-end self-check: trace a workload, decompress, and
-  compare against ground truth (sequence preservation)
 * ``hotspots`` — which loops/call sites dominate communication time
 * ``serve`` / ``submit`` — the online ingest daemon and its client
 * ``faultsmoke`` — the online-ingest fault matrix (daemon kills, client
@@ -20,9 +18,10 @@ Commands:
   the endurance run; writes a JSON report for CI
 * ``check``    — trace-integrity suite (docs/INTERNALS.md §8): structural
   invariants over the CST and (merged) CTTs, the wildcard nondeterminism
-  audit, and optionally the differential harness and the seeded fault
-  matrix (payload, stream and container damage); exits nonzero on
-  invariant violations
+  audit, and optionally the differential harness (``--differential``:
+  every rank's replay against ground truth — the end-to-end
+  sequence-preservation check) and the seeded fault matrix (payload,
+  stream and container damage); exits nonzero on invariant violations
 * ``query``    — decompression-free queries over a stored trace
 """
 
@@ -100,8 +99,8 @@ def _default_procs(w) -> int:
 
 
 def _selfcheck(compiled_cst, merged, nprocs: int) -> int:
-    """Shared --selfcheck tail for trace/verify: invariant-check the
-    artifacts just produced; returns the number of violations."""
+    """The ``trace --selfcheck`` tail: invariant-check the artifacts
+    just produced; returns the number of violations."""
     from repro import obs
     from repro.verify import check_cst, check_merged, publish_verify_metrics
 
@@ -265,59 +264,16 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_hotspots(args: argparse.Namespace) -> int:
-    from repro.analysis.hotspots import hotspots, top_leaves
+    from repro.analysis.hotspots import hotspots
+    from repro.query import critical_leaves
 
     merged = _load_trace(args.trace, salvage=args.salvage)
     tree = hotspots(merged)
     print(tree.format())
     print("\ntop call sites:")
-    for h in top_leaves(merged, args.top):
-        print(f"  gid={h.gid:4d} {h.label:<16s} {h.total_us / 1e3:10.2f} ms "
-              f"({h.calls} calls)")
-    return 0
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    from repro.core.decompress import decompress_all
-    from repro.core.intra import IntraProcessCompressor
-    from repro.driver import run_compiled
-    from repro.mpisim.pmpi import MultiSink, RecordingSink
-    from repro.static.instrument import compile_minimpi
-
-    w = WORKLOADS[args.workload]
-    w.check_procs(args.nprocs)
-    compiled = compile_minimpi(w.source)
-    recorder = RecordingSink()
-    compressor = IntraProcessCompressor(compiled.cst)
-    run_compiled(
-        compiled, args.nprocs, defines=w.defines(args.nprocs, args.scale),
-        tracer=MultiSink([recorder, compressor]),
-    )
-    merged = compressor.merged(nranks=args.nprocs, ranks=range(args.nprocs))
-    from repro import obs
-
-    registry = obs.active()
-    if registry is not None:
-        compressor.publish_metrics(registry)
-    bad = 0
-    total = 0
-    replays = decompress_all(merged)
-    for rank in range(args.nprocs):
-        truth = [e.replay_tuple() for e in recorder.events.get(rank, [])]
-        replay = [e.call_tuple() for e in replays.get(rank, [])]
-        total += len(truth)
-        if replay != truth:
-            bad += 1
-            print(f"rank {rank}: replay DIVERGES")
-    if bad:
-        print(f"FAILED: {bad}/{args.nprocs} ranks diverged")
-        return 1
-    if args.selfcheck and _selfcheck(compiled.cst, merged, args.nprocs):
-        return 1
-    print(
-        f"OK: {args.nprocs} ranks, {total} events — every rank's exact "
-        "sequence reproduced from the compressed trace"
-    )
+    for c in critical_leaves(merged, args.top):
+        print(f"  gid={c.gid:4d} {c.op:<16s} {c.total_us / 1e3:10.2f} ms "
+              f"({c.calls} calls)")
     return 0
 
 
@@ -688,14 +644,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--top", type=int, default=10)
     _add_salvage_arg(p)
     p.set_defaults(func=cmd_hotspots)
-
-    p = sub.add_parser("verify", help="end-to-end sequence-preservation check")
-    _add_workload_args(p)
-    _add_metrics_args(p)
-    p.add_argument("--selfcheck", action="store_true",
-                   help="also run the structural invariant checker on the "
-                        "CST and merged trace")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "faultsmoke",

@@ -219,6 +219,7 @@ class LeafView(NamedTuple):
     nbytes2: list[int]
     durations: list  # ``.mean`` / ``.count`` holders (group-wide)
     gaps: list
+    peers: list  # encoded destinations (``key[1]``)
 
     @classmethod
     def of(cls, ops, *columns) -> "LeafView":
@@ -237,6 +238,7 @@ class LeafView(NamedTuple):
             [key[5] for key in keys], [key[6] for key in keys],
             [rec.duration for rec in records],
             [rec.pre_gap for rec in records],
+            [key[1] for key in keys],
         )
 
     def by_op(self) -> list[tuple[str, "LeafView"]]:

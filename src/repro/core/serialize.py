@@ -740,18 +740,21 @@ def _runs(values: list, sizes: list[int]) -> list[list]:
     return [values[end - k : end] for k, end in zip(sizes, accumulate(sizes))]
 
 
-def _peers_of(vals: list, mode_col: int, value_col: int, multi: int):
+def _peers_of(
+    vals: list, mode_col: int, value_col: int, multi: int, n: int
+) -> list:
+    """The ``n`` encoded peers a pair of peer columns holds."""
     modes, values = vals[mode_col], vals[value_col]
     if multi >> mode_col & 1:
         modes = [REL if mode else ABS for mode in modes]
     else:
         modes = REL if modes else ABS
         if not multi >> value_col & 1:
-            return repeat((modes, values))
+            return [(modes, values)] * n
         modes = repeat(modes)
     if not multi >> value_col & 1:
         values = repeat(values)
-    return zip(modes, values)
+    return list(zip(modes, values))
 
 
 class LeafColumns:
@@ -808,7 +811,8 @@ class LeafColumns:
                 view = LeafView.of(*zip(*[
                     (row[_C_OP], row[_C_COUNT] * row[_C_NTERMS],
                      row[_C_NBYTES], row[_C_NBYTES2], row[_C_DUR],
-                     row[_C_GAP])
+                     row[_C_GAP],
+                     (REL if row[_C_PEER_MODE] else ABS, row[_C_PEER]))
                     for row in self.rows
                 ]))
             else:
@@ -816,7 +820,9 @@ class LeafColumns:
                     self.vals[_C_OP], self._lengths(), *map(
                         self._spread,
                         (_C_NBYTES, _C_NBYTES2, _C_DUR, _C_GAP),
-                    )
+                    ),
+                    _peers_of(self.vals, _C_PEER_MODE, _C_PEER, self.multi,
+                              self.nrecords),
                 )
             self._view = view
         return view
@@ -856,8 +862,9 @@ class LeafColumns:
                 values = [values] * sum(ngids)
             gids = map(tuple, _runs(values, ngids))
         keys = zip(
-            column(_C_OP), _peers_of(vals, _C_PEER_MODE, _C_PEER, multi),
-            _peers_of(vals, _C_PEER2_MODE, _C_PEER2, multi),
+            column(_C_OP),
+            _peers_of(vals, _C_PEER_MODE, _C_PEER, multi, self.nrecords),
+            _peers_of(vals, _C_PEER2_MODE, _C_PEER2, multi, self.nrecords),
             column(_C_TAG), column(_C_TAG2), column(_C_NBYTES),
             column(_C_NBYTES2), column(_C_COMM), column(_C_ROOT), wildcards,
             gids, column(_C_RESULT_COMM),

@@ -11,13 +11,13 @@ happens-before analysis).
 
 Queries:
 
-* :func:`traffic` — byte/message aggregation by vertex, op, or
-  (src, dst) rank pair (the communication matrix generalized);
+* :func:`traffic` — byte/message aggregation by vertex, op, send
+  size, or (src, dst) rank pair (the communication matrix generalized);
 * :func:`ordering` — does every event of one call site precede every
   event of another, for a given rank?  Answered from preorder position,
   loop-nesting intervals and visit counts;
 * :func:`rank_profile` — one rank's per-op calls/bytes/time, folded
-  from the groups the rank belongs to;
+  from the groups the rank belongs to (or the whole job's);
 * :func:`critical_leaves` — the top-k time-weighted call sites with
   their structural paths (the hotspot view, without the tree render).
 
@@ -51,6 +51,7 @@ decide the relation exactly.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from operator import add, attrgetter, mul
 
@@ -61,12 +62,15 @@ from repro.static.cst import BRANCH, CALL, LOOP
 
 from .paths import QueryError, TreeIndex
 
-#: Point-to-point send ops charged to a (src, dst) cell — the same set
-#: :mod:`repro.analysis.patterns` uses for the communication matrix.
+#: Point-to-point send ops: the ones the ``rank_pair`` and ``size``
+#: groupings of :func:`traffic` count.
 SEND_OPS = frozenset({"MPI_Send", "MPI_Isend", "MPI_Sendrecv"})
 
-_NBYTES = 5  # record-key slot (see repro.core.records)
+#: The keys :func:`traffic` groups by.
+GROUPINGS = ("vertex", "op", "size", "rank_pair")
+
 _MEAN = attrgetter("mean")
+_COUNT = attrgetter("count")
 
 #: Float fields of an engine answer and of its replay oracle agree to
 #: this relative/absolute tolerance (:mod:`repro.query.oracle`).
@@ -120,7 +124,7 @@ class OpProfile:
 
 @dataclass
 class RankProfile:
-    rank: int
+    rank: int | None  # None: the whole job
     events: int = 0
     comm_us: float = 0.0
     gap_us: float = 0.0
@@ -215,15 +219,19 @@ def traffic(
     * ``"vertex"`` — keys are leaf GIDs; every op counts; bytes are
       send+recv payload (``nbytes + nbytes2``);
     * ``"op"`` — same totals keyed by MPI op name;
+    * ``"size"`` — keys are send payload sizes; only the
+      :data:`SEND_OPS` count, with send-side bytes;
     * ``"rank_pair"`` — keys are ``(src, dst)`` tuples; only the
       :data:`SEND_OPS` count, with send-side bytes — the communication
       matrix as a sparse dict.  A destination decoding outside
-      ``[0, nprocs)`` cannot be charged to a cell and is counted in the
-      ``query.out_of_range_peers`` counter (damaged trace).
+      ``[0, nprocs)`` cannot be charged to a cell: such messages are
+      dropped with a ``RuntimeWarning`` naming the first one and counted
+      in the ``query.out_of_range_peers`` counter (damaged trace, or the
+      wrong rank count).
 
     ``nprocs`` defaults to :func:`rank_count` of the tree.
     """
-    if group_by not in ("vertex", "op", "rank_pair"):
+    if group_by not in GROUPINGS:
         raise ValueError(f"unknown traffic grouping {group_by!r}")
     registry = obs.active()
     with obs.span("query.traffic"):
@@ -232,7 +240,7 @@ def traffic(
         msgs: dict = {}
         vol: dict = {}
         records_seen = 0
-        dropped = 0
+        lost: list = []  # (gid, rank, dst, messages) out of range
         if group_by == "rank_pair" and nprocs is None:
             nprocs = rank_count(merged)
         vertices = merged.vertices()
@@ -240,16 +248,17 @@ def traffic(
             if vertex.kind != CALL or not vertex.groups:
                 continue
             for group in vertex.groups.values():
-                if group_by == "rank_pair":
-                    seen, lost = _pair_traffic(group, nprocs, msgs, vol)
-                    records_seen += seen
-                    dropped += lost
-                    continue
                 view = group.leaf_view()
                 if view is None:
                     continue
                 if registry is not None:  # records that occur at all
                     records_seen += len(view.lengths) - view.lengths.count(0)
+                if group_by in ("size", "rank_pair"):
+                    _charge_sends(
+                        group_by, vertex.gid, group.ranks, view, nprocs,
+                        msgs, vol, lost,
+                    )
+                    continue
                 nmembers = len(group.ranks)
                 parts = (
                     [(vertex.gid, view)] if group_by == "vertex"
@@ -266,35 +275,48 @@ def traffic(
             for cell, n in msgs.items()
         }
         _count_queries(registry, "traffic", len(vertices), records_seen)
-        if dropped and registry is not None:
-            registry.counter_add("query.out_of_range_peers", dropped)
+        if lost:
+            gid, rank, dst, _ = lost[0]
+            dropped = sum(messages for *_, messages in lost)
+            warnings.warn(
+                f"traffic: dropped {dropped} message(s) with out-of-range "
+                f"destinations (first: gid={gid} rank={rank} dst={dst}, "
+                f"nprocs={nprocs}) — damaged trace or wrong rank count",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            if registry is not None:
+                registry.counter_add("query.out_of_range_peers", dropped)
         return out
 
 
-def _pair_traffic(
-    group, nprocs: int, msgs: dict, vol: dict
-) -> tuple[int, int]:
-    """Charge a leaf group's sends to their ``(src, dst)`` cells, record
-    by record (a peer decodes per member rank): ``(records, lost)``."""
-    seen = dropped = 0
-    for record in group.records or ():
-        key = record.key
-        count = record.occurrences.length
-        if count == 0:
+def _charge_sends(
+    group_by: str, gid: int, ranks: list[int], view, nprocs: int,
+    msgs: dict, vol: dict, lost: list,
+) -> None:
+    """Charge a leaf group's sends to their cells: by payload size or,
+    record by record (a peer decodes per member rank), by ``(src,
+    dst)``.  A destination outside ``[0, nprocs)`` goes to ``lost``."""
+    for op, part in view.by_op():
+        if op not in SEND_OPS:
             continue
-        seen += 1
-        if key[0] not in SEND_OPS:
-            continue
-        nbytes = count * key[_NBYTES]
-        for rank in group.ranks:
-            dst, ok = try_decode_peer(key[1], rank, nprocs)
-            if not ok or not 0 <= dst < nprocs:
-                dropped += count
+        for count, nbytes, peer in zip(part.lengths, part.nbytes, part.peers):
+            if not count:
                 continue
-            cell = (rank, dst)
-            msgs[cell] = msgs.get(cell, 0) + count
-            vol[cell] = vol.get(cell, 0) + nbytes
-    return seen, dropped
+            if group_by == "size":
+                messages = count * len(ranks)
+                msgs[nbytes] = msgs.get(nbytes, 0) + messages
+                vol[nbytes] = vol.get(nbytes, 0) + messages * nbytes
+                continue
+            nbytes *= count
+            for rank in ranks:
+                dst, ok = try_decode_peer(peer, rank, nprocs)
+                if not ok or not 0 <= dst < nprocs:
+                    lost.append((gid, rank, dst, count))
+                    continue
+                cell = (rank, dst)
+                msgs[cell] = msgs.get(cell, 0) + count
+                vol[cell] = vol.get(cell, 0) + nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -438,45 +460,62 @@ def ordering(
 # rank_profile.
 
 
-def rank_profile(merged, rank: int) -> RankProfile:
+def rank_profile(merged, rank: int | None) -> RankProfile:
     """One rank's per-op communication profile, folded from the groups
-    it belongs to.  Timing is the group statistics the replay would
-    carry (``mean × count``); calls and bytes are exact.  A rank
-    outside the job raises :class:`QueryError`."""
+    it belongs to; for ``rank=None`` the whole job's, every group folded
+    weighted by its member count.  Calls and bytes are exact.  A rank's
+    time is the group statistics the replay would carry (``mean`` once
+    an occurrence), the job's ``mean × count`` (as :func:`leaf_time`
+    weighs a leaf).  A rank outside the job raises :class:`QueryError`."""
     registry = obs.active()
     with obs.span("query.rank_profile"):
-        _check_rank(merged, rank)
+        if rank is not None:
+            _check_rank(merged, rank)
         profile = RankProfile(rank=rank)
         records_seen = 0
         vertices = merged.vertices()
         for vertex in vertices:
             if vertex.kind != CALL or not vertex.groups:
                 continue
-            group = vertex.group_of(rank)
-            view = group.leaf_view() if group is not None else None
-            if view is None:
-                continue
-            if registry is not None:
-                records_seen += len(view.lengths) - view.lengths.count(0)
-            for op, part in view.by_op():
-                lengths = part.lengths
-                calls = sum(lengths)
-                if not calls:
+            if rank is None:
+                groups = vertex.groups.values()
+            else:
+                group = vertex.group_of(rank)
+                groups = () if group is None else (group,)
+            for group in groups:
+                view = group.leaf_view()
+                if view is None:
                     continue
-                entry = profile.ops.get(op)
-                if entry is None:
-                    entry = profile.ops[op] = OpProfile(op=op)
-                entry.calls += calls
-                entry.nbytes += _volume(part)
-                time_us = sum(map(mul, lengths, map(_MEAN, part.durations)))
-                gap_us = sum(map(mul, lengths, map(_MEAN, part.gaps)))
-                entry.time_us += time_us
-                entry.gap_us += gap_us
-                profile.events += calls
-                profile.comm_us += time_us
-                profile.gap_us += gap_us
+                if registry is not None:
+                    records_seen += len(view.lengths) - view.lengths.count(0)
+                members = 1 if rank is not None else len(group.ranks)
+                for op, part in view.by_op():
+                    calls = sum(part.lengths) * members
+                    if not calls:
+                        continue
+                    weights = part.lengths if rank is not None else None
+                    time_us = _stat_time(part.durations, weights)
+                    gap_us = _stat_time(part.gaps, weights)
+                    entry = profile.ops.get(op)
+                    if entry is None:
+                        entry = profile.ops[op] = OpProfile(op=op)
+                    entry.calls += calls
+                    entry.nbytes += _volume(part) * members
+                    entry.time_us += time_us
+                    entry.gap_us += gap_us
+                    profile.events += calls
+                    profile.comm_us += time_us
+                    profile.gap_us += gap_us
         _count_queries(registry, "rank_profile", len(vertices), records_seen)
         return profile
+
+
+def _stat_time(stats: list, weights: list[int] | None) -> float:
+    """``Σ mean × weight`` over a view's time statistics — each one's
+    own ``count`` where ``weights`` is ``None``."""
+    if weights is None:
+        weights = map(_COUNT, stats)
+    return sum(map(mul, weights, map(_MEAN, stats)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,13 @@ expensive part.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from repro.core.decompress import ReplayEvent, decompress_all, decompress_merged_rank
 
 from .engine import (
     AGREEMENT_TOL as _TOL,
+    GROUPINGS,
     SEND_OPS,
     CriticalLeaf,
     OpProfile,
@@ -54,7 +56,7 @@ def traffic_via_replay(
     traces: dict[int, list[ReplayEvent]] | None = None,
 ) -> dict:
     """Replay every rank and aggregate events one by one."""
-    if group_by not in ("vertex", "op", "rank_pair"):
+    if group_by not in GROUPINGS:
         raise ValueError(f"unknown traffic grouping {group_by!r}")
     if traces is None:
         traces = decompress_all(merged)
@@ -74,6 +76,9 @@ def traffic_via_replay(
             if group_by == "rank_pair":
                 if ev.op in SEND_OPS and 0 <= ev.peer < nprocs:
                     bump((rank, ev.peer), 1, ev.nbytes)
+            elif group_by == "size":
+                if ev.op in SEND_OPS:
+                    bump(ev.nbytes, 1, ev.nbytes)
             elif group_by == "vertex":
                 bump(ev.gid, 1, ev.nbytes + ev.nbytes2)
             else:
@@ -113,11 +118,16 @@ def ordering_via_replay(
 
 def rank_profile_via_replay(
     merged,
-    rank: int,
-    events: list[ReplayEvent] | None = None,
+    rank: int | None,
+    events: list[ReplayEvent] | dict[int, list[ReplayEvent]] | None = None,
 ) -> RankProfile:
-    """Replay one rank and fold its events into a per-op profile."""
-    if events is None:
+    """Replay one rank — every rank for ``rank=None``, ``events`` then
+    being the traces by rank — and fold its events into a per-op
+    profile."""
+    if rank is None:
+        traces = events if events is not None else decompress_all(merged)
+        events = chain.from_iterable(traces.values())
+    elif events is None:
         events = decompress_merged_rank(merged, rank)
     profile = RankProfile(rank=rank)
     for ev in events:

@@ -22,7 +22,6 @@ from repro.analysis import (  # noqa: E402
     message_sizes,
     neighbor_sets,
     summarize,
-    top_leaves,
 )
 from repro import query  # noqa: E402
 from repro.core import serialize  # noqa: E402
@@ -140,10 +139,9 @@ class TestPatternsOnHandbuilt:
         finally:
             obs.disable()
         assert m.sum() == 0
-        # One record x one rank = one dropped entry (the counter tracks
-        # dropped records, unlike query.out_of_range_peers which tracks
-        # messages).
-        assert registry.counters["patterns.out_of_range_peers"] == 1
+        # One rank's one record, two messages: the engine's counter
+        # tracks dropped messages.
+        assert registry.counters["query.out_of_range_peers"] == 2
 
 
 class TestSummarizeOnHandbuilt:
@@ -172,13 +170,13 @@ class TestSummarizeOnHandbuilt:
 
 class TestHotspotsOnHandbuilt:
     def test_leaf_weights_exact(self, merged):
-        leaves = {h.gid: h for h in top_leaves(merged, 10)}
+        leaves = {c.gid: c for c in query.critical_leaves(merged, 10)}
         send_total = sum(ITERS * 10.0 * (r + 1) for r in range(NRANKS))
         assert leaves[2].total_us == pytest.approx(send_total)
         assert leaves[2].calls == NRANKS * ITERS
         assert leaves[3].total_us == pytest.approx(NRANKS * 5.0)
         # The send loop dominates the allreduce.
-        assert top_leaves(merged, 1)[0].gid == 2
+        assert query.critical_leaves(merged, 1)[0].gid == 2
 
     def test_tree_rollup(self, merged):
         root = hotspots(merged)

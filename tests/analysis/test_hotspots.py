@@ -5,8 +5,9 @@ import sys
 sys.path.insert(0, "tests")
 from helpers import run_traced  # noqa: E402
 
-from repro.analysis.hotspots import hotspots, top_leaves  # noqa: E402
+from repro.analysis.hotspots import hotspots  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
+from repro.query import critical_leaves  # noqa: E402
 
 # Two loops: the second moves 100x the data -> must dominate.
 SRC = """
@@ -32,7 +33,7 @@ class TestHotspots:
     def test_total_matches_sum_of_leaves(self):
         merged = merged_of()
         tree = hotspots(merged)
-        leaves = top_leaves(merged, 100)
+        leaves = critical_leaves(merged, 100)
         assert tree.total_us > 0
         assert abs(tree.total_us - sum(h.total_us for h in leaves)) < 1e-6
 
@@ -46,10 +47,10 @@ class TestHotspots:
 
     def test_top_leaves_ordered(self):
         merged = merged_of()
-        leaves = top_leaves(merged, 5)
-        times = [h.total_us for h in leaves]
+        leaves = critical_leaves(merged, 5)
+        times = [c.total_us for c in leaves]
         assert times == sorted(times, reverse=True)
-        assert leaves[0].label == "MPI_Alltoall"
+        assert leaves[0].op == "MPI_Alltoall"
 
     def test_call_counts(self):
         merged = merged_of(4)

@@ -1,4 +1,5 @@
-"""The text the analysis commands print, pinned byte for byte.
+"""The analyses render query-engine answers: the text they print is
+pinned byte for byte, and on a loaded trace they build no record.
 
 ``repro info`` and ``repro hotspots`` render the four v8 golden
 containers, and ``repro patterns`` traces leslie3d itself; the expected
@@ -12,10 +13,16 @@ import shlex
 
 import pytest
 
+from repro import obs
+from repro.analysis import (
+    communication_matrix, hotspots, message_sizes, summarize,
+)
 from repro.cli import main
+from repro.core import serialize
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
-EXPECTED = json.loads((ROOT / "tests" / "data" / "rendered_text.json").read_text())
+DATA = ROOT / "tests" / "data"
+EXPECTED = json.loads((DATA / "rendered_text.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(EXPECTED))
@@ -23,3 +30,17 @@ def test_stdout_is_pinned(command, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr().out == EXPECTED[command]
+
+
+@pytest.mark.parametrize("name", ["fig11", "mg", "single", "sp"])
+def test_analyses_build_no_record(name):
+    merged = serialize.loads((DATA / f"golden_{name}_v8.cyp").read_bytes())
+    registry = obs.enable()
+    try:
+        summarize(merged)
+        communication_matrix(merged, merged.nranks_merged)
+        message_sizes(merged)
+        hotspots(merged)
+    finally:
+        obs.disable()
+    assert "serialize.records_materialized" not in registry.counters

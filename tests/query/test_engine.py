@@ -210,7 +210,8 @@ class TestTraffic:
                 record.key = tuple(key)
         registry = obs.enable()
         try:
-            t = query.traffic(merged, group_by="rank_pair")
+            with pytest.warns(RuntimeWarning, match="out-of-range"):
+                t = query.traffic(merged, group_by="rank_pair")
         finally:
             obs.disable()
         assert t == {}  # both directions of the 2-ring went through gid

@@ -83,9 +83,10 @@ def _assert_every_query_agrees(merged, nprocs: int, label: str) -> None:
     ]
     engine = {
         **{("traffic", by): query.traffic(merged, group_by=by)
-           for by in ("vertex", "op")},
+           for by in ("vertex", "op", "size", "rank_pair")},
+        # ``None``: the whole job, every group weighted by its members.
         **{("rank_profile", rank): query.rank_profile(merged, rank)
-           for rank in range(nprocs)},
+           for rank in [*range(nprocs), None]},
         # Compared as rankings: engine and oracle share one sort key
         # (``rank_leaves``) under which totals within the tolerance tie.
         ("critical_leaves",): query.critical_leaves(merged, k=10**9),
@@ -94,7 +95,6 @@ def _assert_every_query_agrees(merged, nprocs: int, label: str) -> None:
     }
     if merged.loaded:  # answered from the decoded blocks alone
         assert all(g._records is None for g in _leaf_groups(merged))
-    engine["traffic", "rank_pair"] = query.traffic(merged, group_by="rank_pair")
 
     traces = decompress_all(merged)
     for what, got in engine.items():
@@ -103,8 +103,9 @@ def _assert_every_query_agrees(merged, nprocs: int, label: str) -> None:
             want = query.traffic_via_replay(merged, group_by=args[0],
                                             traces=traces)
         elif kind == "rank_profile":
-            want = query.rank_profile_via_replay(
-                merged, args[0], events=traces.get(args[0], []))
+            events = traces if args[0] is None else traces.get(args[0], [])
+            want = query.rank_profile_via_replay(merged, args[0],
+                                                 events=events)
         elif kind == "critical_leaves":
             want = query.critical_leaves_via_replay(merged, k=10**9,
                                                     traces=traces)
@@ -135,9 +136,11 @@ def test_fresh_and_loaded_give_identical_answers():
         results.append((
             query.traffic(merged, group_by="op"),
             query.traffic(merged, group_by="vertex"),
-            [query.rank_profile(merged, rank) for rank in range(nprocs)],
+            [query.rank_profile(merged, rank)
+             for rank in [*range(nprocs), None]],
             query.critical_leaves(merged, k=10**9),
             query.traffic(merged, group_by="rank_pair"),
+            query.traffic(merged, group_by="size"),
         ))
     assert results[0] == results[1]
 

@@ -71,5 +71,6 @@ class TestWaitAnalysis:
     def test_cli_verify_command(self, capsys):
         from repro.cli import main
 
-        assert main(["verify", "mg", "-n", "8", "--scale", "0.3"]) == 0
-        assert "OK" in capsys.readouterr().out
+        assert main(["check", "mg", "-n", "8", "--scale", "0.3",
+                     "--differential"]) == 0
+        assert "differential: ok" in capsys.readouterr().out

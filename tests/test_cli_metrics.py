@@ -90,17 +90,6 @@ class TestMetricsPrint:
         out = capsys.readouterr().out
         assert "replay.events" in out and "replay.rank_seconds" in out
 
-    def test_verify_metrics_out(self, tmp_path, capsys):
-        mpath = tmp_path / "verify.json"
-        assert main(
-            ["verify", "ep", "-n", "4", "--scale", "0.4",
-             "--metrics-out", str(mpath)]
-        ) == 0
-        assert "OK" in capsys.readouterr().out
-        doc = json.loads(mpath.read_text())
-        jsonschema.validate(doc, METRICS_SCHEMA)
-        assert doc["counters"]["intra.events"] > 0
-
 
 class TestFlagCombos:
     """Smoke coverage for flag combinations no test exercised before."""

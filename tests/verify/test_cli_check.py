@@ -67,10 +67,11 @@ class TestSelfcheckFlags:
         assert "selfcheck: trace invariants OK" in capsys.readouterr().out
 
     def test_verify_selfcheck(self, capsys):
-        rc = main(["verify", "cg", "-n", "4", "--scale", "0.3",
-                   "--selfcheck"])
+        rc = main(["check", "cg", "-n", "4", "--scale", "0.3",
+                   "--differential"])
         assert rc == 0
-        assert "selfcheck: trace invariants OK" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0 violation(s)" in out and "differential: ok" in out
 
     def test_check_publishes_metrics(self, capsys):
         assert main(["check", "cg", "--scale", "0.3", "--metrics"]) == 0
