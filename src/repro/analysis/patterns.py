@@ -10,16 +10,21 @@ rank in its group to the decoded destination.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.inter import MergedCTT
 from repro.query.engine import traffic
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def communication_matrix(merged: MergedCTT, nprocs: int) -> np.ndarray:
     """``M[src, dst]`` = total point-to-point bytes sent src→dst: the
     ``rank_pair`` traffic made dense.  A destination outside
     ``[0, nprocs)`` is dropped with the engine's ``RuntimeWarning``."""
+    import numpy as np
+
     matrix = np.zeros((nprocs, nprocs), dtype=np.int64)
     for cell, sent in traffic(merged, "rank_pair", nprocs).items():
         matrix[cell] = sent.nbytes
@@ -36,6 +41,8 @@ def message_sizes(merged: MergedCTT) -> dict[int, int]:
 
 def neighbor_sets(matrix: np.ndarray) -> dict[int, list[int]]:
     """Per-rank list of communication partners (non-zero volume)."""
+    import numpy as np
+
     out: dict[int, list[int]] = {}
     for rank in range(matrix.shape[0]):
         peers = sorted(

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.ranks import encode_peer
 from repro.core.timing import TimeStats
 from repro.mpisim.events import CommEvent
@@ -246,6 +244,8 @@ def lift_queue(queue: list[Term], rank: int) -> MergedQueue:
 def _align(sa: list[int], sb: list[int]) -> list[tuple[int | None, int | None]]:
     """LCS alignment of two hash sequences; returns ordered index pairs
     with ``None`` for gaps.  O(len(sa)·len(sb)) — deliberately."""
+    import numpy as np
+
     n, m = len(sa), len(sb)
     a = np.asarray(sa, dtype=np.int64)
     b = np.asarray(sb, dtype=np.int64)

@@ -219,8 +219,6 @@ def cmd_cst(args: argparse.Namespace) -> int:
 
 
 def cmd_patterns(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from repro.analysis import ascii_heatmap, communication_matrix, message_sizes
     from repro.core import run_cypress
 
@@ -231,7 +229,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     )
     matrix = communication_matrix(run.merge(), args.nprocs)
     print(f"{args.workload} communication matrix ({args.nprocs} ranks, "
-          f"{int(np.sum(matrix)) // 1024} KB total):")
+          f"{int(matrix.sum()) // 1024} KB total):")
     print(ascii_heatmap(matrix))
     print("message sizes:", dict(sorted(message_sizes(run.merge()).items())))
     return 0

@@ -18,7 +18,7 @@ footprint under the budget:
   every lower rank of the fold domain is folded or discarded, and its
   state is dropped;
 * **spill** — a *cold* rank (not the one currently ingesting) has its
-  entire :class:`RankState` snapshotted into a crash-safe on-disk
+  entire :class:`RankState` snapshotted into a CRC-framed on-disk
   container and evicted; it reloads when its next batch arrives, when
   it folds, or when a reader touches it.
 
@@ -74,7 +74,6 @@ from .serialize import (
     _read_seq,
     _uvarint,
     _write_seq,
-    atomic_write,
     read_sections,
     write_section,
 )
@@ -266,10 +265,12 @@ def _read_frames(r: ByteReader, ctt) -> list:
 
 
 class SpillStore:
-    """Crash-safe home of evicted rank snapshots: one container file per
-    rank, written atomically (``serialize.atomic_write``) so a crash
-    mid-spill leaves either the previous snapshot or none — never a torn
-    one that silently decodes to a wrong cursor."""
+    """Home of evicted rank snapshots: one container file per rank,
+    written once with a plain ``write`` — no temp file, no fsync.  A
+    spill belongs to the one process that wrote it and recovery replays
+    session logs, never spills, so durability buys nothing; a torn spill
+    is still refused by the CRC section framing, never silently decoded
+    to a wrong cursor."""
 
     def __init__(self, directory: str | None = None) -> None:
         if directory is None:
@@ -296,7 +297,16 @@ class SpillStore:
         ew.u(1)
         write_section(w, SEC_END, ew.bytes())
         data = w.bytes()
-        atomic_write(self.path(rank), data)
+        path = self.path(rank)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BaseException:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            raise
         self._ranks.add(rank)
         return len(data)
 

@@ -11,8 +11,6 @@ small, honest model error into every prediction.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.driver import run_compiled
 from repro.mpisim.netmodel import NetworkModel
 from repro.mpisim.pmpi import RecordingSink
@@ -61,6 +59,8 @@ def fit_loggp(
     """Fit LogGP to ping-pong measurements: least squares on
     ``t(k) = a + G·k`` with ``a = L + 2o`` split using the runtime's
     nominal overhead share."""
+    import numpy as np
+
     ks = np.array(sizes, dtype=float)
     ts = np.array(
         [measure_pingpong(int(k), reps=reps, network=network) for k in sizes]

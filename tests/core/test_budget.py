@@ -9,7 +9,10 @@ live-memory estimator split.  The rank table's transitions in arbitrary
 order are ``test_rank_table.py``'s.
 """
 
+import errno
 import gc
+import io
+import os
 import sys
 import tracemalloc
 import types
@@ -379,6 +382,69 @@ class TestSpillStore:
         store.discard(7)
         assert 7 not in store
         store.close()
+
+    def test_spills_need_no_fsync_or_replace(self, monkeypatch):
+        """A spill is one plain write: with ``os.fsync`` and
+        ``os.replace`` made to raise, a chunked cg run under a 1-byte
+        budget still spills, reloads and gives the unbudgeted bytes."""
+        w = WORKLOADS["cg"]
+        compiled, streams = _capture(w.source, 8, w.defines(8, 0.3))
+        blob = _reference_blob(compiled.cst, streams, 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spill must not fsync or replace")
+
+        monkeypatch.setattr(os, "fsync", refuse)
+        monkeypatch.setattr(os, "replace", refuse)
+        comp = _interleaved_budget_compress(compiled.cst, streams, 8)
+        try:
+            budget_blob = serialize.dumps(comp.merged(nranks=8))
+            assert comp.budget_counters.spills > 0
+            assert comp.budget_counters.reloads > 0
+        finally:
+            comp.close_spill()
+        assert budget_blob == blob
+
+    def test_failed_spill_keeps_the_rank_resident(self, tmp_path,
+                                                   monkeypatch):
+        """A write that raises mid-spill unlinks the partial file and
+        re-raises; the rank stays live and the store does not claim
+        it."""
+        w = WORKLOADS["cg"]
+        compiled, streams = _capture(w.source, 4, w.defines(4, 0.3))
+        comp = IntraProcessCompressor(
+            compiled.cst,
+            config=CypressConfig(memory_budget_bytes=1,
+                                 spill_dir=str(tmp_path)),
+        )
+        comp.ingest_stream(1, streams[1])
+
+        class TornFile(io.BytesIO):
+            def __init__(self, path):
+                super().__init__()
+                self.fh = open(path, "wb")
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "no space left on device")
+
+            def close(self):
+                self.fh.close()
+                super().close()
+
+        monkeypatch.setattr(
+            "repro.core.budget.open", lambda path, mode: TornFile(path),
+            raising=False,
+        )
+        try:
+            with pytest.raises(OSError, match="no space"):
+                comp.ingest_stream(0, streams[0])  # evicts rank 1
+            assert 1 in comp.table.live
+            assert 1 not in comp.table._store
+            assert os.listdir(tmp_path) == []
+        finally:
+            comp.close_spill()
 
     def test_pending_wildcards_are_unevictable(self):
         st_obj = types.SimpleNamespace(rank=3, pending={11: object()})
