@@ -48,3 +48,39 @@ class TestDifferentialCheck:
             w.source, 4, w.defines(4, 0.3), workload="farm",
         )
         assert report.ok, [d.format() for d in report.divergences]
+
+
+class TestPlantedDivergence:
+    def test_damaging_packed_encoder_is_named(self, monkeypatch):
+        # An encoder that changes the tag of rank 2's sixth event must
+        # make exactly the packed variant diverge, at that rank and
+        # event index.  (A dropped event would not replay at all: the
+        # leaf's visit schedule gets a hole.)
+        from dataclasses import replace
+
+        from repro.core import packed
+
+        victim, index = 2, 5
+        encode = packed.encode_stream
+
+        def damaging(stream):
+            return encode([
+                (code, replace(item[0], tag=item[0].tag + 1))
+                if code == packed.OP_EVENT
+                and item[0].rank == victim and item[0].seq == index
+                else (code, *item)
+                for code, *item in stream
+            ])
+
+        monkeypatch.setattr(packed, "encode_stream", damaging)
+        w = WORKLOADS["cg"]
+        report = differential_check(
+            w.source, 4, w.defines(4, 0.3), workload="cg"
+        )
+        assert not report.ok
+        named = {d.left.removeprefix("bytes:") for d in report.divergences}
+        assert named == {"packed"}, [d.format() for d in report.divergences]
+        first = report.divergences[0]
+        assert (first.left, first.right) == ("packed", "truth")
+        assert (first.rank, first.index) == (victim, index)
+        assert first.left_event[3] == first.right_event[3] + 1  # the tag
