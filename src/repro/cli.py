@@ -355,17 +355,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     Always runs the structural invariant checker (CST, every per-rank
     CTT, the merged CTT) and the wildcard nondeterminism audit.
     ``--differential`` adds the cross-implementation harness,
-    ``--fault-matrix`` the seeded corruption matrix.  Wildcard findings are informational; the exit
-    code reflects invariant violations and matrix/differential failures.
+    ``--fault-matrix`` the seeded corruption matrix; both start from the
+    check pass's one run and its compressor.  Wildcard findings are
+    informational; the exit code reflects invariant violations and
+    matrix/differential failures.
     """
     import json
 
     from repro import obs
     from repro.core.errors import TraceFormatError
     from repro.core.intra import compress_streams
-    from repro.driver import run_compiled
-    from repro.mpisim.pmpi import StreamCaptureSink
-    from repro.static.instrument import compile_minimpi
+    from repro.driver import capture_run
     from repro.verify import (
         Violation,
         audit_wildcards,
@@ -385,14 +385,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         w = WORKLOADS[name]
         nprocs = args.nprocs if args.nprocs is not None else _default_procs(w)
         w.check_procs(nprocs)
-        compiled = compile_minimpi(w.source)
-        capture = StreamCaptureSink()
-        run_compiled(
-            compiled, nprocs, defines=w.defines(nprocs, args.scale),
-            tracer=capture,
+        run = capture_run(
+            w.source, nprocs, w.defines(nprocs, args.scale),
+            truth=args.differential,
         )
-        compressor = compress_streams(compiled.cst, capture.streams)
-        violations = list(check_cst(compiled.cst))
+        cst = run.compiled.cst
+        compressor = compress_streams(cst, run.streams)
+        violations = list(check_cst(cst))
         for q in compressor.quarantine:
             violations.append(Violation(
                 "rank-quarantined", q.error, rank=q.rank))
@@ -429,10 +428,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
         if args.differential:
             try:
-                diff = differential_check(
-                    w.source, nprocs, w.defines(nprocs, args.scale),
-                    workload=name,
-                )
+                diff = differential_check(run, compressor, workload=name)
             except TraceFormatError as exc:
                 # Same contract as replay/query: a corrupt container is
                 # exit code 3, not a generic failure.
@@ -454,8 +450,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.fault_matrix:
             try:
                 matrix = run_fault_matrix(
-                    w.source, nprocs, w.defines(nprocs, args.scale),
-                    workload=name, seed=args.seed,
+                    run, compressor, workload=name, seed=args.seed,
                 )
             except TraceFormatError as exc:
                 print(f"error: corrupted trace container during fault "

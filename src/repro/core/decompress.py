@@ -46,6 +46,7 @@ from .sequences import IntSequence
 __all__ = [
     "DecompressionError", "ReplayEvent",
     "decompress_rank", "decompress_merged_rank", "decompress_all",
+    "own_payload", "group_payload",
 ]
 
 
@@ -97,16 +98,18 @@ def _values(seq: IntSequence) -> Iterator[int]:
             yield from repeat(start, min(count, sys.maxsize))
 
 
-def _own_payload(vertex):
+def own_payload(vertex):
     """What a vertex of a rank's own CTT stores: a LOOP's activation
-    counts, a BRANCH path's visits, a CALL's records."""
+    counts, a BRANCH path's visits, a CALL's records.  The replay walk
+    and the invariant checker's arity walk both read payloads through
+    this or :func:`group_payload`."""
     kind = vertex.kind
     if kind == CALL:
         return vertex.records
     return vertex.loop_counts if kind == LOOP else vertex.visits
 
 
-def _group_payload(group_at):
+def group_payload(group_at):
     """The same, read from ``group_at(vertex)``, the group of a merged
     vertex that holds the ranks walked (``None`` where no group does)."""
 
@@ -358,7 +361,7 @@ def decompress_rank(ctt: CTT, nranks: int | None = None) -> list[ReplayEvent]:
     ``[0, nranks)`` (plus the legal sentinels) and an out-of-range decode
     raises :class:`DecompressionError` instead of yielding a bogus rank.
     """
-    members = [(ctt.rank, [_own_payload, None])]
+    members = [(ctt.rank, [own_payload, None])]
     return _replay(_compile(ctt.root), members, nranks)[ctt.rank]
 
 
@@ -369,7 +372,7 @@ def decompress_merged_rank(
 
     ``nranks`` enables strict peer-range validation (see
     :func:`decompress_rank`)."""
-    members = [(rank, [_group_payload(lambda v: v.group_of(rank)), None])]
+    members = [(rank, [group_payload(lambda v: v.group_of(rank)), None])]
     return _replay(_compile(merged.root), members, nranks)[rank]
 
 
@@ -395,6 +398,6 @@ def decompress_all(
             groups = tuple(held[r])
             if groups not in classes:
                 at = {owner[g]: g for g in groups}
-                classes[groups] = [_group_payload(at.get), None]
+                classes[groups] = [group_payload(at.get), None]
             members.append((r, classes[groups]))
         return _replay(_compile(merged.root), members, nranks)

@@ -86,12 +86,14 @@ _MARKER_CODES = frozenset(
 )
 
 class PackedStreamError(ValueError):
-    """Malformed packed blob (bad magic/version or truncated section)."""
+    """Malformed packed blob (bad magic/version, a cut or undecodable
+    header, a truncated section, an op index past the op table): the one
+    exception a decode raises for a hostile blob."""
 
 
 #: Exceptions an encode of a hostile (e.g. fault-injected) stream can
 #: raise: unknown opcodes, non-integer fields, values outside int64.
-#: The server daemon maps any of these to a protocol error on a batch.
+#: A decode raises only :class:`PackedStreamError`.
 ENCODE_ERRORS = (
     PackedStreamError,
     struct.error,
@@ -220,18 +222,22 @@ def _parse_header(buf: memoryview) -> tuple[list[str], tuple, int]:
     checking magic, version and that every declared column is there."""
     if bytes(buf[:4]) != MAGIC:
         raise PackedStreamError("bad magic: not a packed stream")
-    if buf[4] != VERSION:
-        raise PackedStreamError(f"unsupported packed-stream version {buf[4]}")
-    pos = 5
-    (nops,) = _U16.unpack_from(buf, pos)
-    pos += 2
-    ops = []
-    for _ in range(nops):
-        (nlen,) = _U16.unpack_from(buf, pos)
+    try:
+        if buf[4] != VERSION:
+            raise PackedStreamError(
+                f"unsupported packed-stream version {buf[4]}")
+        pos = 5
+        (nops,) = _U16.unpack_from(buf, pos)
         pos += 2
-        ops.append(bytes(buf[pos:pos + nlen]).decode("utf-8"))
-        pos += nlen
-    counts = _COUNTS.unpack_from(buf, pos)
+        ops = []
+        for _ in range(nops):
+            (nlen,) = _U16.unpack_from(buf, pos)
+            pos += 2
+            ops.append(bytes(buf[pos:pos + nlen]).decode("utf-8"))
+            pos += nlen
+        counts = _COUNTS.unpack_from(buf, pos)
+    except (IndexError, struct.error, UnicodeDecodeError) as exc:
+        raise PackedStreamError(f"malformed packed header: {exc}") from None
     nitems, nevents, nmarkers, nreqc, arena_len = counts
     pos += _COUNTS.size
     need = (
@@ -301,27 +307,30 @@ def decode_stream(source) -> list[tuple]:
     arena.frombytes(buf[end:end + arena_len * 8])
     out: list[tuple] = []
     append = out.append
-    for code in codes:
-        if code == OP_EVENT:
-            f = next(events)
-            reqs_len = f[11]
-            gids_len = f[19]
-            append((OP_EVENT, CommEvent(
-                ops[f[0]], f[14], f[15], f[1], f[4], f[3], f[5], f[2], f[6],
-                f[7], f[8], f[16],
-                tuple(arena[f[17]:f[17] + reqs_len]) if reqs_len else (),
-                bool(f[10]), f[9], f[12], f[13],
-                tuple(arena[f[18]:f[18] + gids_len]) if gids_len else (),
-            )))
-        elif code == OP_REQ_COMPLETE:
-            append((OP_REQ_COMPLETE,) + next(reqc))
-        elif code == OP_FINALIZE:
-            next(markers)
-            append((OP_FINALIZE,))
-        elif code == OP_BRANCH_ENTER:
-            append((code,) + next(markers))
-        else:
-            append((code, next(markers)[0]))
+    try:
+        for code in codes:
+            if code == OP_EVENT:
+                f = next(events)
+                reqs_len = f[11]
+                gids_len = f[19]
+                append((OP_EVENT, CommEvent(
+                    ops[f[0]], f[14], f[15], f[1], f[4], f[3], f[5], f[2],
+                    f[6], f[7], f[8], f[16],
+                    tuple(arena[f[17]:f[17] + reqs_len]) if reqs_len else (),
+                    bool(f[10]), f[9], f[12], f[13],
+                    tuple(arena[f[18]:f[18] + gids_len]) if gids_len else (),
+                )))
+            elif code == OP_REQ_COMPLETE:
+                append((OP_REQ_COMPLETE,) + next(reqc))
+            elif code == OP_FINALIZE:
+                next(markers)
+                append((OP_FINALIZE,))
+            elif code == OP_BRANCH_ENTER:
+                append((code,) + next(markers))
+            else:
+                append((code, next(markers)[0]))
+    except IndexError:  # an op index past the op table
+        raise PackedStreamError(f"event op {f[0]} past the op table") from None
     return out
 
 

@@ -9,13 +9,19 @@ This is the glue the examples, workloads and benchmarks use::
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.minilang.interp import Interpreter
 from repro.mpisim.netmodel import NetworkModel
-from repro.mpisim.pmpi import TraceSink
+from repro.mpisim.pmpi import (
+    MultiSink, RecordingSink, StreamCaptureSink, TraceSink,
+)
 from repro.mpisim.runtime import Runtime, RunResult
 from repro.static.instrument import CompiledProgram, compile_minimpi
 
-__all__ = ["compile_minimpi", "run_compiled", "run_source"]
+__all__ = [
+    "Capture", "capture_run", "compile_minimpi", "run_compiled", "run_source",
+]
 
 
 def run_compiled(
@@ -40,6 +46,39 @@ def run_compiled(
         return interp.run()
 
     return runtime.run(rank_main)
+
+
+class Capture(NamedTuple):
+    """One run of a program under the stream capture sink."""
+
+    compiled: CompiledProgram
+    nprocs: int
+    streams: dict[int, list]  # rank -> opcode tuples (StreamCaptureSink)
+    events: int
+    truth: dict[int, list] | None  # RecordingSink events, when asked for
+
+
+def capture_run(
+    source: str,
+    nprocs: int,
+    defines: dict[str, int] | None = None,
+    *,
+    truth: bool = False,
+) -> Capture:
+    """Compile ``source`` and run it once, capturing every rank's
+    stream; with ``truth`` an independent :class:`RecordingSink` records
+    the ground-truth events in the same run."""
+    compiled = compile_minimpi(source)
+    capture = StreamCaptureSink()
+    recorder = RecordingSink() if truth else None
+    result = run_compiled(
+        compiled, nprocs, defines=defines,
+        tracer=capture if recorder is None else MultiSink([recorder, capture]),
+    )
+    return Capture(
+        compiled, nprocs, capture.streams, result.total_events,
+        None if recorder is None else recorder.events,
+    )
 
 
 def run_source(

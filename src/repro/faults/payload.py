@@ -21,6 +21,9 @@ kind                invariant broken (expected violation codes)
 ==================  =====================================================
 
 Same seed → the same victim vertex and the same damage, every run.
+Damage lands on the merged tree only: a lone rank's group borrows that
+rank's record list, so the record kinds damage a copy the group alone
+holds, and the per-rank CTTs the tree was merged from stay intact.
 """
 
 from __future__ import annotations
@@ -61,6 +64,14 @@ def _pick(candidates, rng, kind):
     return candidates[rng.randrange(len(candidates))]
 
 
+def _own_record(group, record):
+    """Swap ``record`` in ``group`` for a copy only the group holds and
+    return the copy (the record and its list may be a rank's CTT's)."""
+    copy = record.copy()
+    group._records = [copy if r is record else r for r in group.records]
+    return copy
+
+
 def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
     """Apply one payload corruption in place; returns a description of
     what was damaged.  Raises :class:`ValueError` when the tree has no
@@ -72,7 +83,8 @@ def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
             for r in (g.records or [])
             if r.key is not None and len(r.occurrences) >= 2
         ]
-        vertex, _group, record = _pick(sites, rng, kind)
+        vertex, group, record = _pick(sites, rng, kind)
+        record = _own_record(group, record)
         values = record.occurrences.to_list()
         values[-1] = values[0]  # duplicate the first index, lose the last
         record.occurrences = IntSequence.from_values(sorted(values))
@@ -84,7 +96,8 @@ def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
             for r in (g.records or [])
             if r.key is not None and len(r.occurrences) >= 1
         ]
-        vertex, _group, record = _pick(sites, rng, kind)
+        vertex, group, record = _pick(sites, rng, kind)
+        record = _own_record(group, record)
         values = record.occurrences.to_list()
         dropped = values.pop(rng.randrange(len(values)))
         record.occurrences = IntSequence.from_values(values)
@@ -145,6 +158,7 @@ def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
             if r.key is not None and r.key[1][0] == REL
         ]
         vertex, group, record = _pick(sites, rng, kind)
+        record = _own_record(group, record)
         span = nranks if nranks is not None else merged.nranks_merged
         key = list(record.key)
         key[1] = (REL, span + 5)

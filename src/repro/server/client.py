@@ -22,9 +22,7 @@ import threading
 import time
 
 from repro.core import packed
-from repro.driver import run_compiled
-from repro.mpisim.pmpi import StreamCaptureSink
-from repro.static.instrument import compile_minimpi
+from repro.driver import capture_run
 from repro.workloads import get as get_workload
 
 from . import protocol as proto
@@ -266,12 +264,7 @@ def capture_workload(workload: str, nprocs: int, scale: float = 1.0
     compression) — the per-rank opcode streams a client submits."""
     w = get_workload(workload)
     w.check_procs(nprocs)
-    compiled = compile_minimpi(w.source)
-    capture = StreamCaptureSink()
-    run_compiled(
-        compiled, nprocs, defines=w.defines(nprocs, scale), tracer=capture
-    )
-    return capture.streams
+    return capture_run(w.source, nprocs, w.defines(nprocs, scale)).streams
 
 
 def submit_workload(

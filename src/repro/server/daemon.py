@@ -281,7 +281,7 @@ class CypressTraceServer:
             raise proto.ProtocolError("batch payload is not a CYPK stream")
         try:
             return packed.decode_stream(blob)
-        except (*packed.ENCODE_ERRORS, ValueError, IndexError) as exc:
+        except packed.PackedStreamError as exc:
             raise proto.ProtocolError(f"undecodable batch payload: {exc}")
 
     def _maybe_resume(self) -> None:

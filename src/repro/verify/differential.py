@@ -13,9 +13,10 @@ equivalent:
 * every rank's replay is the same before and after the merge, and equals
   the ground-truth recorded sequence.
 
-This harness runs a workload *once* (capturing both ground truth and the
-raw streams) and drives every variant from the same capture, so any
-divergence is a pipeline bug, not run-to-run noise.  Sequences are
+This harness takes one run of a workload (``repro.driver.capture_run``
+with ``truth=True``: ground truth and the raw streams from the same
+run) and drives every variant from that capture, so any divergence is a
+pipeline bug, not run-to-run noise.  Sequences are
 diffed at the **first diverging event** — index plus both events —
 rather than byte-level, so a report says *what* diverged.
 """
@@ -27,9 +28,8 @@ from dataclasses import dataclass, field
 from repro.core import intra, packed, serialize
 from repro.core.decompress import decompress_all, decompress_rank
 from repro.core.intra import CypressConfig, IntraProcessCompressor, compress_streams
-from repro.driver import run_compiled
-from repro.mpisim.pmpi import MultiSink, RecordingSink, StreamCaptureSink
-from repro.static.instrument import compile_minimpi
+from repro.driver import Capture
+from repro.mpisim.pmpi import StreamCaptureSink
 
 
 @dataclass(frozen=True)
@@ -96,39 +96,38 @@ def _replays(compressor, nprocs):
     }
 
 
-def _replay_all(merged, nprocs, nranks=None):
-    """Every rank's call tuples from one shared-plan walk of ``merged``
-    (``nranks`` as in ``decompress_all``); a rank no group holds replays
-    as the empty sequence."""
-    traces = decompress_all(merged, nranks)
+def _replay_all(merged, nprocs):
+    """Every rank's call tuples from one shared-plan walk of ``merged``,
+    peers range-checked; a rank no group holds replays as the empty
+    sequence."""
+    traces = decompress_all(merged, nprocs)
     return {
         r: [e.call_tuple() for e in traces.get(r, [])] for r in range(nprocs)
     }
 
 
 def differential_check(
-    source: str,
-    nprocs: int,
-    defines: dict[str, int] | None = None,
+    capture: Capture,
+    deferred: IntraProcessCompressor,
     *,
     workload: str = "<inline>",
     max_divergences: int = 20,
 ) -> DifferentialReport:
     """Cross-check every compression variant against ground truth and
-    against each other."""
-    report = DifferentialReport(workload=workload, nprocs=nprocs)
-    compiled = compile_minimpi(source)
-    recorder = RecordingSink()
-    capture = StreamCaptureSink()
-    result = run_compiled(
-        compiled, nprocs, defines=defines,
-        tracer=MultiSink([recorder, capture]),
+    against each other.
+
+    ``capture`` is one run with ``truth=True``; ``deferred`` is
+    ``compress_streams`` of its streams without a budget, the variant
+    every other one is compared with."""
+    nprocs = capture.nprocs
+    report = DifferentialReport(
+        workload=workload, nprocs=nprocs, events=capture.events,
     )
-    report.events = result.total_events
     truth = {
-        r: [e.replay_tuple() for e in recorder.events.get(r, [])]
+        r: [e.replay_tuple() for e in capture.truth.get(r, [])]
         for r in range(nprocs)
     }
+    cst = capture.compiled.cst
 
     def note(div):
         if div is not None and len(report.divergences) < max_divergences:
@@ -138,10 +137,12 @@ def differential_check(
     # The live path: callbacks into seven-item buffers, so drain
     # boundaries fall inside loops, branches and request lifetimes
     # instead of re-chunking what `deferred` ingests whole.
-    inline = IntraProcessCompressor(compiled.cst)
+    inline = IntraProcessCompressor(cst)
+    replayer = StreamCaptureSink()
+    replayer.streams = capture.streams
     drain_items, intra.DRAIN_ITEMS = intra.DRAIN_ITEMS, 7
     try:
-        capture.replay_into(inline)
+        replayer.replay_into(inline)
     finally:
         intra.DRAIN_ITEMS = drain_items
     packed_streams = {
@@ -150,9 +151,9 @@ def differential_check(
     }
     variants = {
         "inline": inline,
-        "deferred": compress_streams(compiled.cst, capture.streams),
+        "deferred": deferred,
         # Packed codec round trip.
-        "packed": compress_streams(compiled.cst, packed_streams),
+        "packed": compress_streams(cst, packed_streams),
     }
     report.variants = sorted(variants)
     replays = {name: _replays(comp, nprocs) for name, comp in variants.items()}
@@ -180,7 +181,7 @@ def differential_check(
     # every rank folds, and any eviction/reload the interleaving
     # triggers must not change a byte.
     variants["budgeted"] = compress_streams(
-        compiled.cst, capture.streams,
+        cst, capture.streams,
         config=CypressConfig(memory_budget_bytes=1),
         nranks=nprocs,
     )
@@ -196,7 +197,7 @@ def differential_check(
         if vb == base_blob:
             continue
         if name == "budgeted":
-            replayed = _replay_all(serialize.loads(vb), nprocs, nranks=nprocs)
+            replayed = _replay_all(serialize.loads(vb), nprocs)
             for rank in range(nprocs):
                 note(first_divergence(
                     "budgeted-replay", "per-rank-replay", rank,
@@ -208,7 +209,7 @@ def differential_check(
         ))
 
     # -- replay before vs after merge -------------------------------------
-    replayed = _replay_all(merged, nprocs, nranks=nprocs)
+    replayed = _replay_all(merged, nprocs)
     for rank in range(nprocs):
         note(first_divergence(
             "merged-replay", "per-rank-replay", rank, replayed[rank], base[rank],

@@ -29,13 +29,11 @@ from repro.core import serialize
 from repro.core.errors import StreamMismatchError, TraceFormatError
 from repro.core.inter import merge_all
 from repro.core.intra import IntraProcessCompressor, compress_streams
-from repro.driver import run_compiled
+from repro.driver import Capture
 from repro.faults.data import bitflip, truncate
 from repro.faults.payload import PAYLOAD_KINDS, corrupt_merged
 from repro.faults.plan import CORRUPT_KINDS, FaultPlan
 from repro.faults.streams import corrupt_stream
-from repro.mpisim.pmpi import StreamCaptureSink
-from repro.static.instrument import compile_minimpi
 
 from .invariants import check_merged
 
@@ -105,20 +103,19 @@ class MatrixReport:
 
 
 def run_fault_matrix(
-    source: str,
-    nprocs: int,
-    defines: dict[str, int] | None = None,
+    capture: Capture,
+    compressor: IntraProcessCompressor,
     *,
     workload: str = "<inline>",
     seed: int = 20260807,
 ) -> MatrixReport:
-    """Run every corruption kind against one workload's trace."""
+    """Run every corruption kind against one workload's trace:
+    ``compressor`` is ``compress_streams`` of ``capture``'s streams,
+    whose per-rank CTTs every payload kind re-merges."""
+    nprocs = capture.nprocs
+    cst = capture.compiled.cst
     report = MatrixReport(workload=workload, nprocs=nprocs, seed=seed)
     plan = FaultPlan(seed=seed)
-    compiled = compile_minimpi(source)
-    capture = StreamCaptureSink()
-    run_compiled(compiled, nprocs, defines=defines, tracer=capture)
-    compressor = compress_streams(compiled.cst, capture.streams)
     ctts = [compressor.ctt(r) for r in range(nprocs)]
 
     for kind in PAYLOAD_KINDS:
@@ -150,13 +147,13 @@ def run_fault_matrix(
             list(streams[victim]), kind, plan.rng("stream", kind)
         )
         try:
-            IntraProcessCompressor(compiled.cst).ingest_stream(
+            IntraProcessCompressor(cst).ingest_stream(
                 victim, streams[victim]
             )
             strict_raised = False
         except StreamMismatchError:
             strict_raised = True
-        lenient = compress_streams(compiled.cst, streams)
+        lenient = compress_streams(cst, streams)
         quarantined = lenient.quarantine.ranks()
         detected = strict_raised and quarantined == [victim]
         report.entries.append(MatrixEntry(

@@ -30,6 +30,7 @@ from repro.mpisim.datatypes import ANY_SOURCE
 from repro.mpisim.events import NO_PEER
 from repro.static.cst import BRANCH, CALL, FUNC, LOOP, ROOT, CSTNode
 
+from repro.core.decompress import _compile, group_payload, own_payload
 from repro.core.inter import (
     MergedCTT,
     MergedVertex,
@@ -163,9 +164,12 @@ def _check_monotone(seq, what, gid, rank, rep, strict=True) -> None:
         prev = v
 
 
-def _check_records(records, gid, rank, nranks, expected_total, rep) -> None:
+def _check_records(
+    records, gid, rank, nranks, expected_total, call_gids, rep
+) -> None:
     """One leaf's record list: monotone disjoint occurrences whose union
-    is exactly ``{0..expected_total-1}``, legal keys, in-range peers."""
+    is exactly ``{0..expected_total-1}``, legal keys, in-range peers,
+    request gids that name CALL vertices."""
     covered: list[int] = []
     for idx, record in enumerate(records):
         key = record.key
@@ -213,6 +217,14 @@ def _check_records(records, gid, rank, nranks, expected_total, rep) -> None:
                 "wildcard flag",
                 gid=gid, rank=rank, detail=(key,),
             )
+        for g in key[10]:
+            if g != -1 and g not in call_gids:
+                rep.add(
+                    "req-gid",
+                    f"leaf gid={gid} rank {rank}: req_gid {g} is not a "
+                    "CALL vertex",
+                    gid=gid, rank=rank, detail=(g,),
+                )
     covered.sort()
     if expected_total is not None and len(covered) != expected_total:
         rep.add(
@@ -236,31 +248,79 @@ def _check_records(records, gid, rank, nranks, expected_total, rep) -> None:
             return
 
 
-def _branch_runs(children):
-    """Consecutive same-``ast_id`` branch-path children, grouped the way
-    replay groups them (see ``decompress._compile``)."""
-    runs, i = [], 0
-    while i < len(children):
-        child = children[i]
-        if child.kind != BRANCH:
-            i += 1
-            continue
-        run, paths = [], set()
-        while (
-            i < len(children)
-            and children[i].kind == BRANCH
-            and children[i].ast_id == child.ast_id
-            and children[i].branch_path not in paths
-        ):
-            run.append(children[i])
-            paths.add(children[i].branch_path)
-            i += 1
-        runs.append(run)
-    return runs
-
-
 # ---------------------------------------------------------------------------
-# Per-rank CTT.
+# The arity walk.
+
+
+def _check_rank(steps, rank, payload, nranks, call_gids, rep) -> None:
+    """Check ``rank``'s view of a tree against the arity invariants,
+    walking replay's ``steps`` (``decompress._compile``) and reading each
+    vertex's payload through ``payload(vertex)``, one of replay's own
+    accessors."""
+
+    def walk(steps, e_body: int) -> None:
+        for kind, node, inner in steps:
+            if kind == CALL:
+                _check_records(
+                    payload(node) or [], node.gid, rank, nranks, e_body,
+                    call_gids, rep,
+                )
+            elif kind == LOOP:
+                counts = payload(node) or ()
+                if len(counts) != e_body:
+                    rep.add(
+                        "loop-arity",
+                        f"loop gid={node.gid} rank {rank}: {len(counts)} "
+                        f"activations recorded, parent body executed "
+                        f"{e_body} times",
+                        gid=node.gid, rank=rank,
+                        detail=(len(counts), e_body),
+                    )
+                total = 0
+                for c in counts:
+                    if c < 0:
+                        rep.add(
+                            "loop-negative",
+                            f"loop gid={node.gid} rank {rank}: negative "
+                            f"iteration count {c}",
+                            gid=node.gid, rank=rank, detail=(c,),
+                        )
+                    else:
+                        total += c
+                walk(inner, total)
+            else:  # a branch group: ``node`` is its paths
+                taken: dict[int, int] = {}
+                for path, path_steps in zip(node, inner):
+                    visits = payload(path) or ()
+                    _check_monotone(visits, "visits", path.gid, rank, rep)
+                    n_visits = 0
+                    for v in visits:
+                        n_visits += 1
+                        if not 0 <= v < e_body:
+                            rep.add(
+                                "visit-bounds",
+                                f"branch gid={path.gid} rank {rank}: visit "
+                                f"{v} outside [0, {e_body})",
+                                gid=path.gid, rank=rank, detail=(v, e_body),
+                            )
+                        elif v in taken:
+                            rep.add(
+                                "visit-overlap",
+                                f"branch gid={path.gid} rank {rank}: visit "
+                                f"{v} already taken by sibling "
+                                f"gid={taken[v]}",
+                                gid=path.gid, rank=rank,
+                                detail=(v, taken[v]),
+                            )
+                        else:
+                            taken[v] = path.gid
+                    walk(path_steps, n_visits)
+
+    walk(steps, 1)
+
+
+def _call_gids(vertices) -> set[int]:
+    return {v.gid for v in vertices if v.kind == CALL}
 
 
 def check_ctt(ctt, nranks: int | None = None, limit: int = 200) -> list[Violation]:
@@ -273,79 +333,11 @@ def check_ctt(ctt, nranks: int | None = None, limit: int = 200) -> list[Violatio
     if nranks is not None and not 0 <= rank < nranks:
         rep.add("rank-range", f"CTT rank {rank} outside [0, {nranks})",
                 rank=rank)
-    call_gids = {
-        v.gid for v in ctt.vertices() if v.kind == CALL
-    }
-
-    def walk(vertex, e_body: int) -> None:
-        for child in vertex.children:
-            if child.kind == LOOP:
-                counts = child.loop_counts
-                if len(counts) != e_body:
-                    rep.add(
-                        "loop-arity",
-                        f"loop gid={child.gid}: {len(counts)} activations "
-                        f"recorded, parent body executed {e_body} times",
-                        gid=child.gid, rank=rank,
-                        detail=(len(counts), e_body),
-                    )
-                total = 0
-                for c in counts:
-                    if c < 0:
-                        rep.add(
-                            "loop-negative",
-                            f"loop gid={child.gid}: negative iteration "
-                            f"count {c}",
-                            gid=child.gid, rank=rank, detail=(c,),
-                        )
-                    else:
-                        total += c
-                walk(child, total)
-            elif child.kind == CALL:
-                _check_records(
-                    child.records or [], child.gid, rank, nranks, e_body, rep
-                )
-                for record in child.records or []:
-                    if record.key is None:
-                        continue
-                    for g in record.key[10]:
-                        if g != -1 and g not in call_gids:
-                            rep.add(
-                                "req-gid",
-                                f"leaf gid={child.gid}: req_gid {g} is not "
-                                "a CALL vertex",
-                                gid=child.gid, rank=rank, detail=(g,),
-                            )
-        for run in _branch_runs(vertex.children):
-            taken: dict[int, int] = {}
-            for path in run:
-                visits = path.visits or ()
-                _check_monotone(visits, "visits", path.gid, rank, rep)
-                for v in visits:
-                    if not 0 <= v < e_body:
-                        rep.add(
-                            "visit-bounds",
-                            f"branch gid={path.gid}: visit {v} outside "
-                            f"[0, {e_body})",
-                            gid=path.gid, rank=rank, detail=(v, e_body),
-                        )
-                    elif v in taken:
-                        rep.add(
-                            "visit-overlap",
-                            f"branch gid={path.gid}: visit {v} already "
-                            f"taken by sibling gid={taken[v]}",
-                            gid=path.gid, rank=rank, detail=(v, taken[v]),
-                        )
-                    else:
-                        taken[v] = path.gid
-                walk(path, len(visits))
-
-    walk(ctt.root, 1)
+    _check_rank(
+        _compile(ctt.root), rank, own_payload, nranks,
+        _call_gids(ctt.vertices()), rep,
+    )
     return rep.violations
-
-
-# ---------------------------------------------------------------------------
-# Merged CTT.
 
 
 def check_merged(
@@ -356,8 +348,8 @@ def check_merged(
     Per-vertex: group rank sets sorted, disjoint, in range, and drawn
     from one global rank population whose size matches
     ``nranks_merged``; stored interned signatures agree with the payload
-    they summarize.  Per-rank: the same arity invariants as
-    :func:`check_ctt`, evaluated through each rank's group view.
+    they summarize.  Per-rank: the arity walk of :func:`check_ctt`, each
+    rank reading its own group at every vertex.
     """
     rep = _Report(limit)
     all_ranks: set[int] = set()
@@ -425,74 +417,12 @@ def check_merged(
             detail=(len(all_ranks), merged.nranks_merged),
         )
 
-    # Per-rank arity walk through the group view.
+    steps = _compile(merged.root)
+    call_gids = _call_gids(owners)
     for rank in sorted(all_ranks):
-        _check_merged_rank(merged, rank, nranks, owners, rep)
+        payload = group_payload(lambda v, r=rank: owners[v].get(r))
+        _check_rank(steps, rank, payload, nranks, call_gids, rep)
     return rep.violations
-
-
-def _check_merged_rank(merged, rank, nranks, owners, rep) -> None:
-    def payload(vertex):
-        return owners[vertex].get(rank)
-
-    def walk(vertex, e_body: int) -> None:
-        for child in vertex.children:
-            group = payload(child)
-            if child.kind == LOOP:
-                counts = group.counts if group is not None else ()
-                n = len(counts) if counts is not None else 0
-                if n != e_body:
-                    rep.add(
-                        "loop-arity",
-                        f"loop gid={child.gid} rank {rank}: {n} activations "
-                        f"recorded, parent body executed {e_body} times",
-                        gid=child.gid, rank=rank, detail=(n, e_body),
-                    )
-                total = 0
-                for c in counts or ():
-                    if c < 0:
-                        rep.add(
-                            "loop-negative",
-                            f"loop gid={child.gid} rank {rank}: negative "
-                            f"iteration count {c}",
-                            gid=child.gid, rank=rank, detail=(c,),
-                        )
-                    else:
-                        total += c
-                walk(child, total)
-            elif child.kind == CALL:
-                records = group.records if group is not None else []
-                _check_records(
-                    records or [], child.gid, rank, nranks, e_body, rep
-                )
-        for run in _branch_runs(vertex.children):
-            taken: dict[int, int] = {}
-            for path in run:
-                group = payload(path)
-                visits = group.visits if group is not None else ()
-                _check_monotone(visits or (), "visits", path.gid, rank, rep)
-                n_visits = 0
-                for v in visits or ():
-                    n_visits += 1
-                    if not 0 <= v < e_body:
-                        rep.add(
-                            "visit-bounds",
-                            f"branch gid={path.gid} rank {rank}: visit {v} "
-                            f"outside [0, {e_body})",
-                            gid=path.gid, rank=rank, detail=(v, e_body),
-                        )
-                    elif v in taken:
-                        rep.add(
-                            "visit-overlap",
-                            f"branch gid={path.gid} rank {rank}: visit {v} "
-                            f"already taken by sibling gid={taken[v]}",
-                            gid=path.gid, rank=rank, detail=(v, taken[v]),
-                        )
-                    else:
-                        taken[v] = path.gid
-                walk(path, n_visits)
-
-    walk(merged.root, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,24 @@ class TestMalformedInput:
         with pytest.raises(packed.PackedStreamError):
             packed.decode_stream(blob[:-1])
 
+    def test_header_cut_inside_op_table(self):
+        with pytest.raises(packed.PackedStreamError, match="header"):
+            packed.decode_stream(b"CYPK\x01\x05")
+
+    def test_op_name_not_utf8(self):
+        blob = b"CYPK\x01" + b"\x01\x00" + b"\x01\x00\xff" + b"\x00" * 40
+        with pytest.raises(packed.PackedStreamError, match="header"):
+            packed.decode_stream(blob)
+
+    def test_op_index_past_op_table(self):
+        stream = [(OP_EVENT, CommEvent("MPI_Send", 0, 0))]
+        blob = bytearray(packed.encode_stream(stream).to_bytes())
+        _ops, counts, pos = packed._parse_header(memoryview(bytes(blob)))
+        at = pos + counts[0] + counts[2] * packed.MARKER_STRUCT.size
+        blob[at:at + 2] = (7).to_bytes(2, "little")
+        with pytest.raises(packed.PackedStreamError, match="op table"):
+            packed.decode_stream(bytes(blob))
+
     def test_is_packed_negative(self):
         assert not packed.is_packed([(OP_FINALIZE,)])
         assert not packed.is_packed(b"xy")

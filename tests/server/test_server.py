@@ -277,6 +277,15 @@ class TestDecodeOnce:
         assert open(log, "rb").read() == durable
 
 
+@pytest.mark.parametrize("blob", [
+    b"CYPK\x01\x05",  # header cut inside the op table
+    b"CYPK\x01\x01\x00\x01\x00\xff" + b"\x00" * 40,  # op name not UTF-8
+])
+def test_malformed_blob_is_one_protocol_error(blob):
+    with pytest.raises(proto.ProtocolError, match="undecodable"):
+        CypressTraceServer._validate_blob(blob)
+
+
 class TestFaultsmokeKillPoints:
     @pytest.mark.parametrize("seed", [20260807, 20260809])
     @pytest.mark.parametrize("kills", [1, 2])

@@ -1,12 +1,15 @@
 """CLI surface of the integrity suite: ``repro check`` and the
-``--selfcheck`` flags on ``trace``/``verify``."""
+``--selfcheck`` flag on ``trace``."""
 
 import json
 import sys
 
 sys.path.insert(0, "tests")
 
+import pytest  # noqa: E402
+
 from repro.cli import main  # noqa: E402
+from repro.workloads import WORKLOADS  # noqa: E402
 
 
 class TestCheckCommand:
@@ -36,6 +39,27 @@ class TestCheckCommand:
         assert entry["violations"] == []
         assert entry["fault_matrix"]["ok"] is True
         assert entry["differential"]["ok"] is True
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, runs", [
+        (["check", "cg", "--differential", "--fault-matrix"], 1),
+        (["check", "all"], len(WORKLOADS)),
+    ])
+    def test_each_workload_runs_once(self, monkeypatch, capsys, argv, runs):
+        # The check pass, the differential and the fault matrix all
+        # start from one simulated run of the workload.
+        from repro.mpisim.runtime import Runtime
+
+        calls = []
+        run = Runtime.run
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Runtime, "run", counting)
+        assert main(argv) == 0
+        assert len(calls) == runs
         capsys.readouterr()
 
     def test_quarantined_rank_is_a_violation(self, monkeypatch, capsys):

@@ -5,9 +5,18 @@ import sys
 
 sys.path.insert(0, "tests")
 
+from repro.core.intra import compress_streams  # noqa: E402
+from repro.driver import capture_run  # noqa: E402
 from repro.verify import differential_check  # noqa: E402
 from repro.verify.differential import first_divergence  # noqa: E402
 from repro.workloads import WORKLOADS  # noqa: E402
+
+
+def _differential(name, nprocs, scale=0.3):
+    w = WORKLOADS[name]
+    run = capture_run(w.source, nprocs, w.defines(nprocs, scale), truth=True)
+    deferred = compress_streams(run.compiled.cst, run.streams)
+    return differential_check(run, deferred, workload=name)
 
 
 class TestFirstDivergence:
@@ -28,10 +37,7 @@ class TestFirstDivergence:
 
 class TestDifferentialCheck:
     def test_cg_all_variants_agree(self):
-        w = WORKLOADS["cg"]
-        report = differential_check(
-            w.source, 4, w.defines(4, 0.3), workload="cg"
-        )
+        report = _differential("cg", 4)
         assert report.ok, [d.format() for d in report.divergences]
         assert report.events > 0
         assert sorted(report.variants) == [
@@ -43,10 +49,7 @@ class TestDifferentialCheck:
     def test_wildcard_workload_agrees_too(self):
         # The farm's wildcard records stress the pending-resolution
         # paths in every compression variant.
-        w = WORKLOADS["farm"]
-        report = differential_check(
-            w.source, 4, w.defines(4, 0.3), workload="farm",
-        )
+        report = _differential("farm", 4)
         assert report.ok, [d.format() for d in report.divergences]
 
 
@@ -73,10 +76,7 @@ class TestPlantedDivergence:
             ])
 
         monkeypatch.setattr(packed, "encode_stream", damaging)
-        w = WORKLOADS["cg"]
-        report = differential_check(
-            w.source, 4, w.defines(4, 0.3), workload="cg"
-        )
+        report = _differential("cg", 4)
         assert not report.ok
         named = {d.left.removeprefix("bytes:") for d in report.divergences}
         assert named == {"packed"}, [d.format() for d in report.divergences]

@@ -9,6 +9,8 @@ from helpers import run_traced  # noqa: E402
 import pytest  # noqa: E402
 
 from repro.core.inter import merge_all  # noqa: E402
+from repro.core.intra import compress_streams  # noqa: E402
+from repro.driver import capture_run  # noqa: E402
 from repro.faults import PAYLOAD_KINDS, FaultPlan, corrupt_merged  # noqa: E402
 from repro.verify import check_merged  # noqa: E402
 from repro.verify.faultmatrix import (  # noqa: E402
@@ -20,12 +22,16 @@ from repro.workloads import WORKLOADS  # noqa: E402
 NPROCS = 4
 
 
+def _matrix(name, nprocs, scale=0.3):
+    w = WORKLOADS[name]
+    run = capture_run(w.source, nprocs, w.defines(nprocs, scale))
+    compressor = compress_streams(run.compiled.cst, run.streams)
+    return run_fault_matrix(run, compressor, workload=name)
+
+
 @pytest.fixture(scope="module")
 def matrix():
-    w = WORKLOADS["cg"]
-    return run_fault_matrix(
-        w.source, NPROCS, w.defines(NPROCS, 0.3), workload="cg"
-    )
+    return _matrix("cg", NPROCS)
 
 
 class TestMatrix:
@@ -46,10 +52,7 @@ class TestMatrix:
     def test_inapplicable_kind_skips_not_fails(self):
         # dt at n=5 is too small for a multi-occurrence record:
         # occ-overlap has no site, which must not fail the matrix.
-        w = WORKLOADS["dt"]
-        report = run_fault_matrix(
-            w.source, 5, w.defines(5, 0.3), workload="dt"
-        )
+        report = _matrix("dt", 5)
         assert report.ok
         skipped = [e for e in report.entries if e.skipped]
         assert skipped and not any(e.detected for e in skipped)
@@ -65,10 +68,7 @@ class TestMatrix:
         assert len(d["entries"]) == len(PAYLOAD_KINDS) + 5
 
     def test_same_seed_is_reproducible(self, matrix):
-        w = WORKLOADS["cg"]
-        again = run_fault_matrix(
-            w.source, NPROCS, w.defines(NPROCS, 0.3), workload="cg"
-        )
+        again = _matrix("cg", NPROCS)
         assert [e.description for e in again.entries] == [
             e.description for e in matrix.entries
         ]
@@ -99,3 +99,30 @@ class TestCorruptMerged:
         )
         with pytest.raises(ValueError, match="unknown"):
             corrupt_merged(merged, "no-such-kind", FaultPlan(seed=1).rng("x"))
+
+
+@pytest.mark.parametrize("name", ["farm", "sp"])
+def test_damage_stays_in_the_merged_tree(name):
+    # A lone rank's group borrows that rank's record list: corrupting
+    # the merged tree must not reach the CTTs it was merged from.
+    from repro.core import serialize
+    from repro.verify import check_ctt
+
+    w = WORKLOADS[name]
+    run = capture_run(w.source, NPROCS, w.defines(NPROCS, 0.3))
+    comp = compress_streams(run.compiled.cst, run.streams)
+    ctts = [comp.ctt(r) for r in range(NPROCS)]
+    clean = serialize.dumps(merge_all(ctts, nranks=NPROCS))
+    plan = FaultPlan(seed=20260807)
+    for kind in PAYLOAD_KINDS:
+        try:
+            corrupt_merged(
+                merge_all(ctts, nranks=NPROCS), kind,
+                plan.rng("payload", kind), nranks=NPROCS,
+            )
+        except ValueError:  # no site for this kind in this shape
+            continue
+        for ctt in ctts:
+            assert check_ctt(ctt, nranks=NPROCS) == [], (kind, ctt.rank)
+        again = serialize.dumps(merge_all(ctts, nranks=NPROCS))
+        assert again == clean, kind

@@ -16,7 +16,7 @@ from repro.core.inter import merge_all  # noqa: E402
 from repro.core.ranks import REL  # noqa: E402
 from repro.core.sequences import IntSequence  # noqa: E402
 from repro.faults.payload import corrupt_merged  # noqa: E402
-from repro.static.cst import CALL  # noqa: E402
+from repro.static.cst import CALL, LOOP  # noqa: E402
 from repro.verify import (  # noqa: E402
     check_cst,
     check_ctt,
@@ -142,6 +142,52 @@ class TestCTT:
         loop.loop_counts = IntSequence.from_values(values)
         codes = _codes(check_ctt(ctt, nranks=NPROCS))
         assert "loop-negative" in codes
+
+
+def _point_req_gid_off_the_calls(records, tree):
+    """Replace the first record of ``records`` with a copy whose
+    ``req_gids`` name a LOOP vertex of ``tree``; returns that gid."""
+    loop_gid = next(v.gid for v in tree.vertices() if v.kind == LOOP)
+    bad = records[0].copy()
+    key = list(bad.key)
+    key[10] = (loop_gid,)
+    bad.key = tuple(key)
+    records[0] = bad
+    return loop_gid
+
+
+class TestReqGid:
+    def test_ctt_req_gid_off_a_call(self):
+        _c, _r, comp, _res = run_traced(RING, NPROCS)
+        ctt = comp.ctt(1)
+        leaf, _record = _rel_leaf(ctt, op="MPI_Recv")
+        gid = _point_req_gid_off_the_calls(leaf.records, ctt)
+        got = [v for v in check_ctt(ctt, nranks=NPROCS) if v.code == "req-gid"]
+        assert [(v.gid, v.rank, v.detail) for v in got] == [
+            (leaf.gid, 1, (gid,))
+        ]
+
+    def test_merged_req_gid_off_a_call(self):
+        _c, _r, comp, _res = run_traced(RING, NPROCS)
+        merged = merge_all(
+            [comp.ctt(r) for r in range(NPROCS)], nranks=NPROCS
+        )
+        leaf = next(
+            v for v in merged.vertices()
+            if v.kind == CALL and v.op == "MPI_Recv"
+        )
+        group = leaf.sorted_groups()[0]
+        records = list(group.records)
+        gid = _point_req_gid_off_the_calls(records, merged)
+        group._records = records
+        got = [
+            v for v in check_merged(merged, nranks=NPROCS)
+            if v.code == "req-gid"
+        ]
+        # One violation per rank that reads the group.
+        assert [(v.gid, v.rank, v.detail) for v in got] == [
+            (leaf.gid, r, (gid,)) for r in group.ranks
+        ]
 
 
 # Rank-dependent message sizes force distinct record signatures, so the
