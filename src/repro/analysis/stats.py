@@ -47,6 +47,15 @@ class RunMeasurement:
         sec = m.intra_seconds if phase == "intra" else m.inter_seconds
         return 100.0 * sec / self.base_seconds if self.base_seconds else 0.0
 
+    def us_per_event(self, method: str, phase: str = "intra") -> float:
+        """``method``'s compression time per traced application event, in
+        microseconds.  Unlike :meth:`overhead_pct`, whose denominator is
+        the simulated application's own run time, it does not move when
+        the application gets cheaper to simulate."""
+        m = self.methods[method]
+        sec = m.intra_seconds if phase == "intra" else m.inter_seconds
+        return 1e6 * sec / self.app_events if self.app_events else 0.0
+
 
 # Nominal per-rank application heap the memory overheads are measured
 # against (the simulator has no real application arrays; NPB CLASS D uses

@@ -18,15 +18,22 @@ with ``truth=True``: ground truth and the raw streams from the same
 run) and drives every variant from that capture, so any divergence is a
 pipeline bug, not run-to-run noise.  Sequences are
 diffed at the **first diverging event** — index plus both events —
-rather than byte-level, so a report says *what* diverged.
+rather than byte-level, so a report says *what* diverged.  A variant
+whose replay raises is reported the same way, at the first event the
+replay could not produce, with the error's text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core import intra, packed, serialize
-from repro.core.decompress import decompress_all, decompress_rank
+from repro.core.decompress import (
+    _compile, _Walker, decompress_all, decompress_rank, group_payload,
+    own_payload,
+)
+from repro.core.errors import DecompressionError
 from repro.core.intra import CypressConfig, IntraProcessCompressor, compress_streams
 from repro.driver import Capture
 from repro.mpisim.pmpi import StreamCaptureSink
@@ -42,8 +49,15 @@ class Divergence:
     index: int  # first diverging event index (or the shorter length)
     left_event: tuple | None  # None when one side is shorter
     right_event: tuple | None
+    error: str | None = None  # why ``left`` could not be replayed at all
 
     def format(self) -> str:
+        if self.error is not None:
+            return (
+                f"{self.left} vs {self.right}, rank {self.rank}: replay "
+                f"raised at event {self.index} "
+                f"(expected {self.right_event!r}): {self.error}"
+            )
         return (
             f"{self.left} vs {self.right}, rank {self.rank}: first "
             f"divergence at event {self.index}: "
@@ -89,21 +103,70 @@ def first_divergence(left_name, right_name, rank, left_seq, right_seq):
     return None
 
 
+class _Failed(NamedTuple):
+    """A replay that raised: the first event it could not produce, and
+    the error's text."""
+
+    index: int
+    error: str
+
+
+def _failed(root, payload, rank: int, exc: DecompressionError) -> _Failed:
+    """``exc`` at the length of the prefix one walk of the tree keeps
+    (0 when the tree cannot even be compiled into steps)."""
+    try:
+        steps = _compile(root)
+    except DecompressionError:
+        return _Failed(0, str(exc))
+    return _Failed(len(_Walker(steps, payload, rank, {}).slots), str(exc))
+
+
 def _replays(compressor, nprocs):
-    return {
-        r: [e.call_tuple() for e in decompress_rank(compressor.ctt(r))]
-        for r in range(nprocs)
-    }
+    """Every rank's call tuples, or a :class:`_Failed` for a rank whose
+    replay raises."""
+    out = {}
+    for r in range(nprocs):
+        ctt = compressor.ctt(r)
+        try:
+            out[r] = [e.call_tuple() for e in decompress_rank(ctt)]
+        except DecompressionError as exc:
+            out[r] = _failed(ctt.root, own_payload, r, exc)
+    return out
 
 
 def _replay_all(merged, nprocs):
     """Every rank's call tuples from one shared-plan walk of ``merged``,
     peers range-checked; a rank no group holds replays as the empty
-    sequence."""
-    traces = decompress_all(merged, nprocs)
+    sequence.  A raise maps the rank it names (-1 for none) to a
+    :class:`_Failed`."""
+    try:
+        traces = decompress_all(merged, nprocs)
+    except DecompressionError as exc:
+        rank = exc.rank
+        if rank is None:
+            return {-1: _Failed(0, str(exc))}
+        payload = group_payload(lambda v: v.group_of(rank))
+        return {rank: _failed(merged.root, payload, rank, exc)}
     return {
         r: [e.call_tuple() for e in traces.get(r, [])] for r in range(nprocs)
     }
+
+
+def _compare(left_name, right_name, rank, left, right):
+    """:func:`first_divergence` of two replays, either of which may be
+    :class:`_Failed`; a failed ``left`` is reported, a failed ``right``
+    has been reported where it was replayed."""
+    if isinstance(left, _Failed):
+        expected = None
+        if isinstance(right, list) and left.index < len(right):
+            expected = right[left.index]
+        return Divergence(
+            left_name, right_name, rank, left.index, None, expected,
+            error=left.error,
+        )
+    if isinstance(right, _Failed):
+        return None
+    return first_divergence(left_name, right_name, rank, left, right)
 
 
 def differential_check(
@@ -159,7 +222,7 @@ def differential_check(
     replays = {name: _replays(comp, nprocs) for name, comp in variants.items()}
     for name in sorted(variants):
         for rank in range(nprocs):
-            note(first_divergence(
+            note(_compare(
                 name, "truth", rank, replays[name][rank], truth[rank]
             ))
     base = replays["deferred"]
@@ -167,9 +230,10 @@ def differential_check(
         if name == "deferred":
             continue
         for rank in range(nprocs):
-            note(first_divergence(
-                name, "deferred", rank, replays[name][rank], base[rank]
-            ))
+            if not isinstance(replays[name][rank], _Failed):
+                note(_compare(
+                    name, "deferred", rank, replays[name][rank], base[rank]
+                ))
 
     # -- byte identity across the variant matrix --------------------------
     # Replay diffs above catch semantic divergence; this catches encoding
@@ -198,10 +262,10 @@ def differential_check(
             continue
         if name == "budgeted":
             replayed = _replay_all(serialize.loads(vb), nprocs)
-            for rank in range(nprocs):
-                note(first_divergence(
+            for rank in sorted(replayed):
+                note(_compare(
                     "budgeted-replay", "per-rank-replay", rank,
-                    replayed[rank], base[rank],
+                    replayed[rank], base.get(rank, []),
                 ))
         note(Divergence(
             f"bytes:{name}", "bytes:deferred", -1, -1,
@@ -210,8 +274,9 @@ def differential_check(
 
     # -- replay before vs after merge -------------------------------------
     replayed = _replay_all(merged, nprocs)
-    for rank in range(nprocs):
-        note(first_divergence(
-            "merged-replay", "per-rank-replay", rank, replayed[rank], base[rank],
+    for rank in sorted(replayed):
+        note(_compare(
+            "merged-replay", "per-rank-replay", rank,
+            replayed[rank], base.get(rank, []),
         ))
     return report

@@ -57,8 +57,8 @@ class TestPlantedDivergence:
     def test_damaging_packed_encoder_is_named(self, monkeypatch):
         # An encoder that changes the tag of rank 2's sixth event must
         # make exactly the packed variant diverge, at that rank and
-        # event index.  (A dropped event would not replay at all: the
-        # leaf's visit schedule gets a hole.)
+        # event index.  (A dropped event does not replay at all: the
+        # next test.)
         from dataclasses import replace
 
         from repro.core import packed
@@ -84,3 +84,35 @@ class TestPlantedDivergence:
         assert (first.left, first.right) == ("packed", "truth")
         assert (first.rank, first.index) == (victim, index)
         assert first.left_event[3] == first.right_event[3] + 1  # the tag
+
+    def test_dropping_packed_encoder_is_named(self, monkeypatch):
+        # An encoder that drops rank 2's sixth event leaves a hole in
+        # its leaf's visit schedule: the packed variant's replay of rank
+        # 2 raises, and the report names the variant, the rank, the
+        # event the replay could not produce, and the replay's error.
+        from repro.core import packed
+
+        victim, index = 2, 5
+        encode = packed.encode_stream
+
+        def dropping(stream):
+            return encode([
+                item for item in stream
+                if not (item[0] == packed.OP_EVENT
+                        and item[1].rank == victim and item[1].seq == index)
+            ])
+
+        monkeypatch.setattr(packed, "encode_stream", dropping)
+        report = _differential("cg", 4)
+        assert not report.ok
+        named = {d.left.removeprefix("bytes:") for d in report.divergences}
+        assert named == {"packed"}, [d.format() for d in report.divergences]
+        first = report.divergences[0]
+        assert (first.left, first.right, first.rank) == ("packed", "truth", victim)
+        # The hole is found where the leaf runs out of records, past the
+        # dropped event; the report points at the event truth has there.
+        assert first.index > index
+        assert first.left_event is None
+        assert first.right_event[0] == "MPI_Isend"
+        assert "(MPI_Isend) has no record for visit" in first.error
+        assert f"replay raised at event {first.index}" in first.format()
