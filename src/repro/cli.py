@@ -13,15 +13,11 @@ Commands:
 * ``diff``     — compare two trace files by replayed call sequences
 * ``hotspots`` — which loops/call sites dominate communication time
 * ``serve`` / ``submit`` — the online ingest daemon and its client
-* ``faultsmoke`` — the online-ingest fault matrix (daemon kills, client
-  disconnects, torn frames, stalled ranks, drain) or, with ``--soak``,
-  the endurance run; writes a JSON report for CI
 * ``check``    — trace-integrity suite (docs/INTERNALS.md §8): structural
   invariants over the CST and (merged) CTTs, the wildcard nondeterminism
   audit, and optionally the differential harness (``--differential``:
   every rank's replay against ground truth — the end-to-end
-  sequence-preservation check) and the seeded fault matrix (payload,
-  stream and container damage); exits nonzero on invariant violations
+  sequence-preservation check); exits nonzero on invariant violations
 * ``query``    — decompression-free queries over a stored trace
 """
 
@@ -293,7 +289,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_interval=args.checkpoint_interval,
         idle_timeout=args.idle_timeout,
         kill_after_batches=args.kill_after_batches,
-        kill_after_checkpoints=args.kill_after_checkpoints,
         metrics_json=args.metrics_json,
         memory_budget=args.memory_budget,
     )
@@ -338,27 +333,15 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_faultsmoke(args: argparse.Namespace) -> int:
-    """The online-ingest fault matrix (or, with ``--soak``, the
-    endurance run): seeded daemon kills, client disconnects, torn
-    frames, stalled ranks and drains, each asserting the recovered trace
-    is byte-identical to the batch pipeline.  The batch fault matrix is
-    ``repro check --fault-matrix``."""
-    from repro.server.faultsmoke import run_server_faultsmoke
-
-    return run_server_faultsmoke(args)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     """Trace-integrity suite over one workload or the whole registry.
 
     Always runs the structural invariant checker (CST, every per-rank
     CTT, the merged CTT) and the wildcard nondeterminism audit.
-    ``--differential`` adds the cross-implementation harness,
-    ``--fault-matrix`` the seeded corruption matrix; both start from the
-    check pass's one run and its compressor.  Wildcard findings are
-    informational; the exit code reflects invariant violations and
-    matrix/differential failures.
+    ``--differential`` adds the cross-implementation harness, which
+    starts from the check pass's one run and its compressor.  Wildcard
+    findings are informational; the exit code reflects invariant
+    violations and differential failures.
     """
     import json
 
@@ -375,7 +358,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         differential_check,
         publish_verify_metrics,
     )
-    from repro.verify.faultmatrix import run_fault_matrix
 
     names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
     registry = obs.active()
@@ -447,36 +429,9 @@ def cmd_check(args: argparse.Namespace) -> int:
                 for d in diff.divergences[:args.limit]:
                     print(f"         {d.format()}", file=sys.stderr)
 
-        if args.fault_matrix:
-            try:
-                matrix = run_fault_matrix(
-                    run, compressor, workload=name, seed=args.seed,
-                )
-            except TraceFormatError as exc:
-                print(f"error: corrupted trace container during fault "
-                      f"matrix of {name!r}: {exc}", file=sys.stderr)
-                return EXIT_CORRUPT_TRACE
-            entry["fault_matrix"] = matrix.to_dict()
-            missed = [
-                e for e in matrix.entries if not e.detected and not e.skipped
-            ]
-            skipped = [e for e in matrix.entries if e.skipped]
-            if matrix.ok:
-                ran = len(matrix.entries) - len(skipped)
-                note = f" ({len(skipped)} without a site)" if skipped else ""
-                print(f"       fault matrix: all {ran} applicable "
-                      f"corruption kinds detected{note}")
-            else:
-                failed = True
-                print(f"       fault matrix: {len(missed)} kind(s) MISSED",
-                      file=sys.stderr)
-                for e in missed:
-                    print(f"         {e.kind}: {e.description}",
-                          file=sys.stderr)
         workload_reports.append(entry)
 
     report = {
-        "seed": args.seed,
         "ok": not failed,
         "workloads": workload_reports,
     }
@@ -639,26 +594,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_hotspots)
 
     p = sub.add_parser(
-        "faultsmoke",
-        help="online-ingest fault matrix: seeded daemon kills, client "
-             "disconnects, torn frames, stalled ranks, drain — each "
-             "asserting the recovered trace is byte-identical to the "
-             "batch pipeline",
-    )
-    p.add_argument("--seed", type=int, default=20260807,
-                   help="FaultPlan seed (default: 20260807)")
-    p.add_argument("--soak", action="store_true",
-                   help="endurance mode instead (concurrent client waves, "
-                        "seeded kills/drops) for the CI soak job")
-    p.add_argument("--duration", type=float, default=60.0,
-                   help="soak duration in seconds (default: 60)")
-    p.add_argument("--clients", type=int, default=8,
-                   help="concurrent soak clients per wave (default: 8)")
-    p.add_argument("-o", "--out", default=None, metavar="PATH",
-                   help="write the JSON report to PATH")
-    p.set_defaults(func=cmd_faultsmoke)
-
-    p = sub.add_parser(
         "serve",
         help="run the online ingest daemon (many clients, one live "
              "compressor per job, crash-safe checkpoints)",
@@ -697,10 +632,7 @@ def main(argv: list[str] | None = None) -> int:
                         "drain")
     p.add_argument("--kill-after-batches", type=int, default=None,
                    help="fault injection: hard-exit after the Nth ingested "
-                        "batch (faultsmoke)")
-    p.add_argument("--kill-after-checkpoints", type=int, default=None,
-                   help="fault injection: hard-exit after the Nth "
-                        "checkpoint (faultsmoke)")
+                        "batch (the server fault matrix)")
     p.add_argument("--memory-budget", type=_parse_bytes, default=None,
                    metavar="BYTES",
                    help="per-job compressor memory budget (suffixes "
@@ -732,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "check",
         help="trace-integrity suite: invariants, wildcard audit, and "
-             "optional differential / fault-matrix passes",
+             "an optional differential pass",
     )
     p.add_argument("workload", nargs="?", default="all",
                    choices=sorted(WORKLOADS) + ["all"])
@@ -745,11 +677,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="also cross-check deferred/inline/packed/"
                         "budgeted compression against ground truth "
                         "and each other")
-    p.add_argument("--fault-matrix", action="store_true",
-                   help="also run the seeded corruption matrix: every "
-                        "damage kind must be detected")
-    p.add_argument("--seed", type=int, default=20260807,
-                   help="fault-matrix seed (default: 20260807)")
     p.add_argument("--limit", type=int, default=10,
                    help="max violations/divergences printed per workload")
     p.add_argument("-o", "--out", default=None, metavar="PATH",

@@ -14,9 +14,12 @@ machinery into a long-running service (docs/INTERNALS.md §13):
   quarantine, periodic checkpoints, graceful drain, crash recovery;
 * :mod:`repro.server.client` — the retry/reconnect/resume client
   library behind ``repro submit``;
-* :mod:`repro.server.faultsmoke` — the ``repro faultsmoke`` matrix:
-  seeded daemon kills, client disconnects, torn frames and stalled
-  ranks, all asserting byte-identity against the batch pipeline.
+* :mod:`repro.server.faultsmoke` — ``DaemonProc``, one ``repro serve``
+  subprocess on a known port.
+
+The server fault matrix that drives it (seeded daemon kills, client
+disconnects, torn frames, stalled ranks) is a test harness,
+``python -m tests.faults.smoke``.
 """
 
 from .client import TraceClient, split_batches, submit_workload

@@ -71,10 +71,6 @@ class TraceClient:
         backoff_cap: float = 1.0,
         connect_timeout: float = 5.0,
         io_timeout: float = 60.0,
-        drop_after_batches: int | None = None,
-        torn_frame: bool = False,
-        batch_delay: float = 0.0,
-        stall_seconds: float | None = None,
     ) -> None:
         self.host, self.port = host, port
         self.job, self.rank, self.nranks = job, rank, nranks
@@ -84,19 +80,6 @@ class TraceClient:
         self.backoff, self.backoff_cap = backoff, backoff_cap
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
-        #: Fault injection: hard-close the socket after sending this
-        #: many batches on the *first* connection (client-disconnect
-        #: scenario); ``torn_frame`` sends half a frame first (torn-frame
-        #: scenario).  Both then reconnect and resume normally.
-        self.drop_after_batches = drop_after_batches
-        self.torn_frame = torn_frame
-        #: Fault injection: sleep after each batch send (trickle sender
-        #: for the stalled-rank scenario's *live* peer) / sleep once
-        #: after the injected disconnect before reconnecting (the stall
-        #: itself — long enough for the server's idle reaper to fire).
-        self.batch_delay = batch_delay
-        self.stall_seconds = stall_seconds
-        self._stalled = False
         self.acked_seq = 0
         self.reconnects = 0
         self.throttles_seen = 0
@@ -132,8 +115,7 @@ class TraceClient:
             )
         return int(fields["acked_seq"])
 
-    def _stream_once(self, sock: socket.socket, blobs: list[bytes],
-                     first_connection: bool) -> None:
+    def _stream_once(self, sock: socket.socket, blobs: list[bytes]) -> None:
         """Send everything past the server's acked seq; raises
         ConnectionError/ProtocolError on trouble (caller reconnects)."""
         acked = self._hello(sock)
@@ -146,7 +128,6 @@ class TraceClient:
         self.acked_seq = acked
         next_seq = acked + 1
         throttled = False
-        sent_on_conn = 0
         while self.acked_seq < len(blobs):
             # Fill the window, then block on one server frame.
             while (
@@ -154,22 +135,8 @@ class TraceClient:
                 and next_seq <= len(blobs)
                 and next_seq - self.acked_seq <= self.window
             ):
-                if first_connection and self.torn_frame and \
-                        sent_on_conn == (self.drop_after_batches or 0):
-                    frame = proto.batch_frame(next_seq, blobs[next_seq - 1])
-                    sock.sendall(frame[:max(1, len(frame) // 2)])
-                    sock.close()
-                    raise ConnectionError("injected torn frame")
                 sock.sendall(proto.batch_frame(next_seq, blobs[next_seq - 1]))
                 next_seq += 1
-                sent_on_conn += 1
-                if self.batch_delay:
-                    time.sleep(self.batch_delay)
-                if first_connection and not self.torn_frame and \
-                        self.drop_after_batches is not None and \
-                        sent_on_conn >= self.drop_after_batches:
-                    sock.close()
-                    raise ConnectionError("injected disconnect")
             kind, payload = proto.read_frame(sock)
             if kind == proto.BATCH_ACK:
                 fields = proto.decode_control(payload)
@@ -204,12 +171,11 @@ class TraceClient:
         count.  Raises :class:`ClientError` after ``max_attempts``
         failed connections (backoff-capped) or a server rejection."""
         delay = self.backoff
-        first = True
         for attempt in range(self.max_attempts):
             sock = None
             try:
                 sock = self._connect()
-                self._stream_once(sock, blobs, first)
+                self._stream_once(sock, blobs)
                 return self.reconnects
             except _JobFinalized:
                 return self.reconnects
@@ -218,13 +184,8 @@ class TraceClient:
             except (ConnectionError, proto.ProtocolError, OSError,
                     socket.timeout):
                 self.reconnects += 1
-                first = False
-                if self.stall_seconds is not None and not self._stalled:
-                    self._stalled = True
-                    time.sleep(self.stall_seconds)
-                else:
-                    time.sleep(delay)
-                    delay = min(delay * 2, self.backoff_cap)
+                time.sleep(delay)
+                delay = min(delay * 2, self.backoff_cap)
             finally:
                 if sock is not None:
                     try:
@@ -235,27 +196,6 @@ class TraceClient:
             f"gave up after {self.max_attempts} attempts "
             f"(job={self.job} rank={self.rank}, acked={self.acked_seq})"
         )
-
-    def status(self) -> dict:
-        """One-shot ``STATUS`` probe on a fresh connection, without a
-        ``HELLO``.
-
-        The daemon sends ``STATUS_ACK`` (its ``server.*`` snapshot) only
-        on a connection that has identified itself; a pre-``HELLO``
-        ``STATUS`` is answered with ``ERROR`` ("HELLO required first"),
-        which this method raises as :class:`ProtocolError` ("expected
-        STATUS_ACK, got ERROR").  For counters without a session, start
-        the daemon with ``repro serve --metrics-json PATH`` and read the
-        snapshot it writes at drain."""
-        with self._connect() as sock:
-            sock.sendall(proto.control_frame(proto.STATUS))
-            kind, payload = proto.read_frame(sock)
-            if kind != proto.STATUS_ACK:
-                raise proto.ProtocolError(
-                    f"expected STATUS_ACK, got "
-                    f"{proto.KIND_NAMES.get(kind, kind)}"
-                )
-            return proto.decode_control(payload)
 
 
 def capture_workload(workload: str, nprocs: int, scale: float = 1.0
@@ -279,52 +219,37 @@ def submit_workload(
     window: int = 32,
     max_attempts: int = 30,
     backoff: float = 0.05,
-    parallel: bool = True,
-    client_overrides: dict[int, dict] | None = None,
 ) -> dict:
-    """Capture ``workload`` locally and stream every rank to the daemon;
-    returns a summary dict.  ``client_overrides`` maps rank -> extra
-    :class:`TraceClient` kwargs (the fault-injection knobs); the special
-    key ``batch_events`` overrides that rank's batch size instead."""
-    overrides = {r: dict(kw) for r, kw in (client_overrides or {}).items()}
+    """Capture ``workload`` locally and stream every rank to the daemon,
+    one thread per rank; returns a summary dict."""
     streams = capture_workload(workload, nprocs, scale)
     per_rank_blobs = {
-        rank: split_batches(
-            stream,
-            overrides.get(rank, {}).pop("batch_events", batch_events),
-        )
+        rank: split_batches(stream, batch_events)
         for rank, stream in streams.items()
     }
     clients: dict[int, TraceClient] = {}
     errors: list[BaseException] = []
 
     def _send(rank: int) -> None:
-        kwargs = dict(
-            job=job, rank=rank, nranks=nprocs, workload=workload,
-            scale=scale, window=window, max_attempts=max_attempts,
-            backoff=backoff,
+        client = TraceClient(
+            host, port, job=job, rank=rank, nranks=nprocs,
+            workload=workload, scale=scale, window=window,
+            max_attempts=max_attempts, backoff=backoff,
         )
-        kwargs.update(overrides.get(rank, {}))
-        client = TraceClient(host, port, **kwargs)
         clients[rank] = client
         try:
             client.send(per_rank_blobs[rank])
         except BaseException as exc:  # surfaced to the caller below
             errors.append(exc)
 
-    ranks = sorted(per_rank_blobs)
-    if parallel:
-        threads = [
-            threading.Thread(target=_send, args=(r,), daemon=True)
-            for r in ranks
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    else:
-        for r in ranks:
-            _send(r)
+    threads = [
+        threading.Thread(target=_send, args=(r,), daemon=True)
+        for r in sorted(per_rank_blobs)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
     if errors:
         raise errors[0]
     return {

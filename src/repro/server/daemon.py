@@ -40,7 +40,6 @@ import json
 import os
 import signal
 import struct
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -73,11 +72,11 @@ class ServerConfig:
     session_watermark: int = 2 << 20
     checkpoint_interval: float = 0.25
     idle_timeout: float = 30.0
-    #: Fault injection (``repro faultsmoke``): hard-exit the process
-    #: after the Nth ingested batch / Nth checkpoint — simulates a
-    #: crash at a seeded point, bypassing every cleanup path.
+    #: Hard-exit the process (status 137) after the Nth ingested batch,
+    #: bypassing every cleanup path: a crash at a seeded point.  The
+    #: server fault matrix and the ``serve_mixed`` benchmark set it
+    #: through ``--kill-after-batches``.
     kill_after_batches: int | None = None
-    kill_after_checkpoints: int | None = None
     metrics_json: str | None = None
     #: Per-job compressor memory budget (bytes).  Arms the bounded
     #: streaming mode: finalized ranks fold incrementally into a partial
@@ -128,7 +127,7 @@ def _build_compressor(
 
 class CypressTraceServer:
     """The daemon.  Construct, optionally :meth:`recover`, then
-    :meth:`serve` (or use :class:`ServerThread` from tests)."""
+    :meth:`serve`."""
 
     def __init__(self, config: ServerConfig) -> None:
         self.config = config
@@ -144,7 +143,6 @@ class CypressTraceServer:
         self._writers: set[asyncio.StreamWriter] = set()
         self._server: asyncio.base_events.Server | None = None
         self._batches_ingested = 0
-        self._checkpoints_done = 0
         self.port: int | None = None
 
     # -- metrics ---------------------------------------------------------
@@ -306,10 +304,6 @@ class CypressTraceServer:
         self._buffered -= spilled
         self._gauge("server.buffered_bytes", self._buffered)
         self._count("server.checkpoints")
-        self._checkpoints_done += 1
-        kac = self.config.kill_after_checkpoints
-        if kac is not None and self._checkpoints_done >= kac:
-            os._exit(137)
         self._maybe_resume()
 
     def checkpoint_all(self) -> int:
@@ -489,14 +483,38 @@ class CypressTraceServer:
             except Exception:
                 pass
 
+    @staticmethod
+    def _hello_identity(fields: dict) -> tuple[str, int, int, str, float]:
+        """``(job, rank, nranks, workload, scale)`` of a HELLO, checked
+        before any state is created: a session the daemon cannot hold
+        is a :class:`~repro.server.protocol.ProtocolError`, which the
+        client reads as a rejection, not as a reason to retry."""
+        missing = [
+            k for k in ("job", "rank", "nranks", "workload") if k not in fields
+        ]
+        if missing:
+            raise proto.ProtocolError(f"HELLO lacks {', '.join(missing)}")
+        rank, nranks = fields["rank"], fields["nranks"]
+        if type(rank) is not int or type(nranks) is not int:
+            raise proto.ProtocolError(
+                f"HELLO rank {rank!r} and nranks {nranks!r} must be integers"
+            )
+        if nranks < 1 or not 0 <= rank < nranks:
+            raise proto.ProtocolError(
+                f"HELLO rank {rank} outside [0, {nranks})"
+            )
+        try:
+            jobid = check_job_id(fields["job"])
+            workload = fields["workload"]
+            get_workload(workload)
+            scale = float(fields.get("scale", 1.0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise proto.ProtocolError(f"HELLO refused: {exc.args[0]}")
+        return jobid, rank, nranks, workload, scale
+
     def _on_hello(self, fields: dict, writer: asyncio.StreamWriter
                   ) -> tuple[SessionState, JobState]:
-        jobid = check_job_id(fields["job"])
-        rank = int(fields["rank"])
-        nranks = int(fields["nranks"])
-        workload = str(fields["workload"])
-        scale = float(fields.get("scale", 1.0))
-        get_workload(workload)  # validate before creating state
+        jobid, rank, nranks, workload, scale = self._hello_identity(fields)
         jobstate = self.jobs.get(jobid)
         if jobstate is not None and jobstate.finalized:
             writer.write(proto.control_frame(
@@ -504,6 +522,12 @@ class CypressTraceServer:
                 error=f"job {jobid!r} already finalized",
             ))
             raise ConnectionError("late HELLO on finalized job")
+        if jobstate is not None and \
+                (jobstate.nranks, jobstate.workload) != (nranks, workload):
+            raise proto.ProtocolError(
+                f"job {jobid!r} is {jobstate.workload} on "
+                f"{jobstate.nranks} ranks, not {workload} on {nranks}"
+            )
         session = None if jobstate is None else jobstate.sessions.get(rank)
         if session is None:
             session = SessionState(
@@ -609,20 +633,20 @@ class CypressTraceServer:
         self._drain_event.set()
         self._gate.set()  # unpark readers so they observe the drain
 
-    async def serve(self, *, install_signals: bool = True,
-                    on_started=None) -> None:
-        """Run until drained (SIGTERM / :meth:`request_drain`)."""
+    async def serve(self, *, on_started=None) -> None:
+        """Run until drained (SIGTERM / :meth:`request_drain`).  Off the
+        main thread the loop cannot take signals, so only
+        :meth:`request_drain` ends it."""
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self.request_drain)
-                except (NotImplementedError, RuntimeError):
-                    pass
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(sig, self.request_drain)
+            except (NotImplementedError, RuntimeError):
+                pass
         if on_started is not None:
             on_started(self)
         tasks = [
@@ -664,51 +688,3 @@ class CypressTraceServer:
                 self.config.metrics_json,
                 json.dumps(snap, indent=2, sort_keys=True).encode(),
             )
-
-
-# ---------------------------------------------------------------------------
-# In-process harness for tests: the daemon on a background thread.
-
-
-class ServerThread:
-    """Run a :class:`CypressTraceServer` on its own thread + loop."""
-
-    def __init__(self, config: ServerConfig, *, recover: bool = True) -> None:
-        self.server = CypressTraceServer(config)
-        if recover:
-            self.server.recover()
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        await self.server.serve(
-            install_signals=False,
-            on_started=lambda _srv: self._ready.set(),
-        )
-
-    def start(self) -> int:
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("server failed to start")
-        assert self.server.port is not None
-        return self.server.port
-
-    def stop(self, timeout: float = 30) -> None:
-        """Graceful drain (checkpoints + finalize), then join."""
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.server.request_drain)
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("server thread did not drain in time")
-
-    def __enter__(self) -> "ServerThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -17,10 +17,10 @@ Three layers, cheapest first:
   iteration-dependent match orders) without decompressing.
 
 The CLI front end is ``repro check`` (plus ``--selfcheck`` on
-``trace``); :mod:`repro.verify.faultmatrix` drives the seeded
-corruption matrix CI runs to prove the checkers actually detect damage.
-Both harnesses take the check pass's one run of a workload
-(``repro.driver.capture_run``) and its compressor.
+``trace``); the differential harness takes the check pass's one run of
+a workload (``repro.driver.capture_run``) and its compressor.  The
+seeded corruption matrix that proves the checkers detect damage is a
+test harness, ``python -m tests.faults.matrix``.
 """
 
 from .differential import DifferentialReport, Divergence, differential_check

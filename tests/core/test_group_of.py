@@ -13,7 +13,7 @@ from helpers import E2E_SHAPES, e2e_trees  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.core import serialize  # noqa: E402
-from repro.faults.payload import corrupt_merged  # noqa: E402
+from tests.faults.payload import corrupt_merged  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 GOLDENS = sorted(p.name for p in DATA.glob("golden_*_v[78].cyp"))

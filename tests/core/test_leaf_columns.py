@@ -35,11 +35,11 @@ from repro.core.decompress import decompress_all  # noqa: E402
 from repro.core.errors import MergeError  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
 from repro.core.intra import CypressConfig  # noqa: E402
-from repro.faults import corrupt_merged  # noqa: E402
 from repro.static.cst import CALL  # noqa: E402
-from repro.verify.faultmatrix import EXPECTED_CODES  # noqa: E402
 from repro.verify.invariants import check_merged  # noqa: E402
 from repro.workloads import get as get_workload  # noqa: E402
+from tests.faults.matrix import EXPECTED_CODES  # noqa: E402
+from tests.faults.payload import corrupt_merged  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 

@@ -1,13 +1,13 @@
 """Seeded fault matrix: prove the checkers detect every damage class.
 
 A checker that always says "clean" is worse than no checker.  This
-module runs the *negative* half of ``repro check``:
+module is the *negative* half of ``repro check``:
 
 * for every payload-corruption kind
-  (:data:`repro.faults.payload.PAYLOAD_KINDS`) it damages a freshly
+  (:data:`tests.faults.payload.PAYLOAD_KINDS`) it damages a freshly
   merged trace and requires :func:`check_merged` to report at least one
   violation — including the kind's namesake code;
-* for every stream-corruption kind (:data:`repro.faults.plan.
+* for every stream-corruption kind (:data:`tests.faults.plan.
   CORRUPT_KINDS`) it requires a bare ``ingest_stream`` of the victim to
   raise :class:`~repro.core.errors.StreamMismatchError` and
   :func:`~repro.core.intra.compress_streams` to quarantine exactly the
@@ -18,24 +18,37 @@ module runs the *negative* half of ``repro check``:
   :class:`~repro.core.errors.TraceFormatError`.
 
 Same seed → same victims, same damage — a failing matrix entry is
-reproducible from the CI report alone.
+reproducible from the CI report alone.  Run it from the repository
+root::
+
+    PYTHONPATH=src python -m tests.faults.matrix cg -n 256 --scale 0.1 \
+        --seed 20260807 -o matrix.json
+
+It runs the workload once (``capture_run``), compresses the capture
+once (``compress_streams``) and writes the :class:`MatrixReport` as
+JSON; the exit code is 0 when every applicable kind was detected.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import sys
 from dataclasses import dataclass, field
 
+from repro.cli import _default_procs
 from repro.core import serialize
 from repro.core.errors import StreamMismatchError, TraceFormatError
 from repro.core.inter import merge_all
 from repro.core.intra import IntraProcessCompressor, compress_streams
-from repro.driver import Capture
-from repro.faults.data import bitflip, truncate
-from repro.faults.payload import PAYLOAD_KINDS, corrupt_merged
-from repro.faults.plan import CORRUPT_KINDS, FaultPlan
-from repro.faults.streams import corrupt_stream
+from repro.driver import Capture, capture_run
+from repro.verify.invariants import check_merged
+from repro.workloads import WORKLOADS
 
-from .invariants import check_merged
+from .data import bitflip, truncate
+from .payload import PAYLOAD_KINDS, corrupt_merged
+from .plan import CORRUPT_KINDS, FaultPlan
+from .streams import corrupt_stream
 
 #: Seeded single-bit flips ``container:bitflip`` applies to the saved
 #: container, one at a time; every one must be refused.
@@ -229,3 +242,52 @@ def _container_bitflip(merged, plan: FaultPlan) -> MatrixEntry:
         codes=["trace-format"] if refused else [],
         violations=refused,
     )
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(
+        prog="python -m tests.faults.matrix",
+        description="seeded corruption matrix over one workload: every "
+                    "damage kind must be detected",
+    )
+    p.add_argument("workload", choices=sorted(WORKLOADS))
+    p.add_argument("-n", "--nprocs", type=int, default=None,
+                   help="rank count (default: smallest valid count >= 4)")
+    p.add_argument("--scale", type=float, default=0.3,
+                   help="iteration-count scale factor (default: 0.3)")
+    p.add_argument("--seed", type=int, default=20260807,
+                   help="FaultPlan seed (default: 20260807)")
+    p.add_argument("-o", "--out", default=None, metavar="PATH",
+                   help="write the JSON report to PATH")
+    args = p.parse_args(argv)
+    w = WORKLOADS[args.workload]
+    nprocs = args.nprocs if args.nprocs is not None else _default_procs(w)
+    w.check_procs(nprocs)
+    run = capture_run(w.source, nprocs, w.defines(nprocs, args.scale))
+    compressor = compress_streams(run.compiled.cst, run.streams)
+    report = run_fault_matrix(
+        run, compressor, workload=args.workload, seed=args.seed,
+    )
+    missed = [e for e in report.entries if not e.detected and not e.skipped]
+    skipped = [e for e in report.entries if e.skipped]
+    if report.ok:
+        note = f" ({len(skipped)} without a site)" if skipped else ""
+        print(f"{args.workload} n={nprocs}: all "
+              f"{len(report.entries) - len(skipped)} applicable "
+              f"corruption kinds detected{note}")
+    else:
+        print(f"{args.workload} n={nprocs}: {len(missed)} kind(s) MISSED",
+              file=sys.stderr)
+        for e in missed:
+            print(f"  {e.kind}: {e.description}", file=sys.stderr)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"report -> {args.out}")
+    print("PASSED" if report.ok else "FAILED")
+    return 0 if report.ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,6 @@
 """Deterministic corruption of *merged-trace payloads*.
 
-:mod:`repro.faults.streams` damages the capture before compression (and
+:mod:`tests.faults.streams` damages the capture before compression (and
 is caught by quarantine); the kinds here damage a **merged CTT** after
 the pipeline finished — the domain of the invariant checker
 (:mod:`repro.verify.invariants`).  Each kind breaks exactly one

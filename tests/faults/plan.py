@@ -4,9 +4,9 @@ A :class:`FaultPlan` is a seed.  Every random choice an injection makes
 derives from it through :meth:`FaultPlan.rng`, salted by what is being
 damaged, so a plan replayed with the same seed injects byte-identical
 faults — every failure mode the resilience layer handles is reproducible
-in CI.  What to damage is the caller's choice: ``repro check
---fault-matrix`` (:mod:`repro.verify.faultmatrix`) and the server matrix
-(:mod:`repro.server.faultsmoke`) pick their own victims.
+in CI.  What to damage is the caller's choice: the batch matrix
+(:mod:`tests.faults.matrix`) and the server matrix
+(:mod:`tests.faults.smoke`) pick their own victims.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import zlib
 from dataclasses import dataclass, replace
 
 
-#: Stream-corruption kinds (see :mod:`repro.faults.streams`).
+#: Stream-corruption kinds (see :mod:`tests.faults.streams`).
 CORRUPT_KINDS = ("opcode", "unknown-op", "unbalanced")
 
 

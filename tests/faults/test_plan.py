@@ -2,17 +2,11 @@
 
 import pytest
 
-from repro.faults import (
-    BOGUS_OP,
-    BOGUS_OPCODE,
-    CORRUPT_KINDS,
-    FaultPlan,
-    bitflip,
-    corrupt_stream,
-    truncate,
-)
 from repro.mpisim.events import CommEvent
 from repro.mpisim.pmpi import OP_EVENT, OP_LOOP_POP, OP_LOOP_PUSH
+from tests.faults.data import bitflip, truncate
+from tests.faults.plan import CORRUPT_KINDS, FaultPlan
+from tests.faults.streams import BOGUS_OP, BOGUS_OPCODE, corrupt_stream
 
 
 def _stream(nevents=4):

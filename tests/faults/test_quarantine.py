@@ -16,10 +16,11 @@ from repro.core.inter import merge_all
 from repro.core.intra import IntraProcessCompressor, compress_streams
 from repro.core.quarantine import QuarantinedRank, QuarantineReport
 from repro.driver import run_compiled
-from repro.faults import CORRUPT_KINDS, FaultPlan, corrupt_stream
 from repro.mpisim.pmpi import OP_EVENT, OP_LOOP_POP, StreamCaptureSink
 from repro.static.instrument import compile_minimpi
 from repro.workloads import WORKLOADS
+from tests.faults.plan import CORRUPT_KINDS, FaultPlan
+from tests.faults.streams import corrupt_stream
 
 SRC = """
 func main() {

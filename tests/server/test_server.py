@@ -11,14 +11,17 @@ from repro.core import run_cypress, serialize
 from repro.core.quarantine import QuarantineReport
 from repro.server import protocol as proto
 from repro.server.client import (
+    ClientError,
     TraceClient,
     capture_workload,
     split_batches,
     submit_workload,
 )
-from repro.server.daemon import CypressTraceServer, ServerConfig, ServerThread
+from repro.server.daemon import CypressTraceServer, ServerConfig
 from repro.server.session import SessionStore
 from repro.workloads import get as get_workload
+from tests.faults.client import submit
+from tests.server.harness import ServerThread
 
 WORKLOAD, NPROCS, SCALE = "ep", 4, 0.5
 
@@ -79,6 +82,133 @@ class TestEndToEnd:
             )
             client.send(blobs)
             _wait_file(os.path.join(cfg.out_dir, "solo.cyp"))
+
+
+class TestReconnect:
+    """``TraceClient.send``'s retry and resume: one rank's connection
+    fails mid-stream, the client reconnects, learns the acked sequence
+    from HELLO_ACK and re-sends from there."""
+
+    @pytest.mark.parametrize("faults", [
+        {1: {"drop_after_batches": 2}},
+        {1: {"torn_frame": True, "drop_after_batches": 1}},
+    ], ids=["drop", "torn-frame"])
+    def test_rank_resumes_byte_identical(self, tmp_path, oracle, faults):
+        cfg = _config(tmp_path)
+        with ServerThread(cfg) as st:
+            result = submit(
+                st.server.port, job="resume", workload=WORKLOAD,
+                nprocs=NPROCS, scale=SCALE, batch_events=2, faults=faults,
+            )
+            got = _wait_file(os.path.join(cfg.out_dir, "resume.cyp"))
+        assert got == oracle
+        assert result["reconnects"] >= 1
+        assert result["acked_regressions"] == 0
+
+
+def _client(port, **kw):
+    fields = dict(
+        job="hello", rank=0, nranks=NPROCS, workload=WORKLOAD, scale=SCALE,
+        max_attempts=3,
+    )
+    return TraceClient("127.0.0.1", port, **{**fields, **kw})
+
+
+class TestHelloValidation:
+    """A HELLO naming a session the daemon cannot hold is answered with
+    an ERROR frame and a close: the client gives up at once instead of
+    retrying against a bare hang-up."""
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"rank": 0, "nranks": 4, "workload": WORKLOAD}, "lacks job"),
+        ({"job": "j", "nranks": 4}, "lacks rank, workload"),
+        ({"job": "j", "rank": "0", "nranks": 4, "workload": WORKLOAD},
+         "must be integers"),
+        ({"job": "j", "rank": 0, "nranks": 2.5, "workload": WORKLOAD},
+         "must be integers"),
+        ({"job": "j", "rank": True, "nranks": 4, "workload": WORKLOAD},
+         "must be integers"),
+        ({"job": "j", "rank": 0, "nranks": 4, "workload": ["ep"]},
+         "unhashable"),
+        ({"job": "j", "rank": 0, "nranks": 4, "workload": WORKLOAD,
+          "scale": "big"}, "could not convert"),
+    ])
+    def test_malformed_hello_is_an_error_frame(self, tmp_path, fields,
+                                               error):
+        with ServerThread(_config(tmp_path)) as st:
+            with socket.create_connection(
+                ("127.0.0.1", st.server.port), timeout=5
+            ) as sock:
+                sock.sendall(proto.control_frame(proto.HELLO, **fields))
+                kind, payload = proto.read_frame(sock)
+                assert kind == proto.ERROR
+                assert error in proto.decode_control(payload)["error"]
+                with pytest.raises(ConnectionError):
+                    proto.read_frame(sock)  # ...and the daemon hangs up
+            assert st.server.metrics["server.protocol_errors"] == 1
+            assert st.server.jobs == {}
+
+    @pytest.mark.parametrize("kw, error", [
+        ({"rank": 7}, "rank 7 outside [0, 4)"),
+        ({"rank": -1}, "rank -1 outside [0, 4)"),
+        ({"nranks": 0}, "rank 0 outside [0, 0)"),
+        ({"workload": "nope"}, "unknown workload 'nope'"),
+        ({"job": "../x"}, "bad job id '../x'"),
+    ])
+    def test_client_is_rejected_without_retrying(self, tmp_path, kw, error):
+        with ServerThread(_config(tmp_path)) as st:
+            client = _client(st.server.port, **kw)
+            with pytest.raises(ClientError, match="server rejected HELLO") \
+                    as excinfo:
+                client.send(split_batches([], 16))
+            assert error in str(excinfo.value)
+            assert client.reconnects == 0
+            assert st.server.metrics["server.protocol_errors"] == 1
+            assert st.server.jobs == {}
+
+    @pytest.mark.parametrize("kw, error", [
+        ({"rank": 1, "nranks": 2}, "is ep on 4 ranks, not ep on 2"),
+        ({"rank": 1, "workload": "cg"}, "is ep on 4 ranks, not cg on 4"),
+    ])
+    def test_hello_must_match_its_job(self, tmp_path, kw, error):
+        with ServerThread(_config(tmp_path)) as st:
+            port = st.server.port
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.sendall(proto.control_frame(
+                    proto.HELLO, job="hello", rank=0, nranks=NPROCS,
+                    workload=WORKLOAD, scale=SCALE,
+                ))
+                assert proto.read_frame(sock)[0] == proto.HELLO_ACK
+            client = _client(port, **kw)
+            with pytest.raises(ClientError, match="server rejected HELLO") \
+                    as excinfo:
+                client.send(split_batches([], 16))
+            assert error in str(excinfo.value)
+            assert client.reconnects == 0
+            assert sorted(st.server.jobs["hello"].sessions) == [0]
+
+    def test_out_of_range_rank_leaves_finalize_and_drain_intact(
+        self, tmp_path, oracle
+    ):
+        # A rank 7 of 4 used to be acked: with ranks 0-2 it made the job
+        # look complete, and finalize (in the connection callback, then
+        # in the drain) raised KeyError for the missing rank 3.
+        cfg = _config(tmp_path)
+        streams = capture_workload(WORKLOAD, NPROCS, SCALE)
+        with ServerThread(cfg) as st:
+            rogue = _client(st.server.port, job="rogue", rank=7)
+            with pytest.raises(ClientError, match="server rejected HELLO"):
+                rogue.send(split_batches(streams[3], 32))
+            for rank in range(NPROCS):
+                _client(st.server.port, job="rogue", rank=rank).send(
+                    split_batches(streams[rank], 32)
+                )
+            got = _wait_file(os.path.join(cfg.out_dir, "rogue.cyp"))
+        assert got == oracle
+        assert st.server.jobs["rogue"].finalized
+        assert sorted(st.server.jobs["rogue"].sessions) == list(range(NPROCS))
+        assert st.server.metrics["server.protocol_errors"] == 1
+        assert st.server.metrics["server.drains"] == 1
 
 
 class TestRecovery:
@@ -293,11 +423,11 @@ class TestFaultsmokeKillPoints:
         # A kill point at or past the batch count never fires, and the
         # scenario then waits out its timeout (farm sends 9 batches;
         # seed 20260807 used to draw 12).
-        from repro.server import faultsmoke
+        from tests.faults import smoke
 
-        for workload, nprocs, scale in faultsmoke.MATRIX:
-            owed = faultsmoke.submission_batches(workload, nprocs, scale)
-            points = faultsmoke.kill_points(seed, workload, kills, owed)
+        for workload, nprocs, scale in smoke.MATRIX:
+            owed = smoke.submission_batches(workload, nprocs, scale)
+            points = smoke.kill_points(seed, workload, kills, owed)
             assert len(points) == kills
             for point in points:
                 assert 1 <= point < owed, (workload, points)

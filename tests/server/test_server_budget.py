@@ -10,9 +10,10 @@ import pytest
 from repro.core import run_cypress, serialize
 from repro.server import protocol as proto
 from repro.server.client import capture_workload, split_batches, submit_workload
-from repro.server.daemon import CypressTraceServer, ServerConfig, ServerThread
+from repro.server.daemon import CypressTraceServer, ServerConfig
 from repro.server.session import SessionState, SessionStore
 from repro.workloads import get as get_workload
+from tests.server.harness import ServerThread
 
 WORKLOAD, NPROCS, SCALE = "ep", 4, 0.5
 

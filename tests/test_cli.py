@@ -251,21 +251,26 @@ class TestQueryUsageErrors:
 
 
 class TestFaultsmoke:
+    """The fault harness is not a ``repro`` command: the batch matrix is
+    ``python -m tests.faults.matrix``, the server matrix
+    ``python -m tests.faults.smoke``."""
+
     def test_matrix_passes_and_writes_report(self, tmp_path, capsys):
-        # The batch fault matrix is ``check --fault-matrix``: stream
-        # corruption, container truncation and bit flips.
+        # The batch fault matrix: payload damage, stream corruption,
+        # container truncation and bit flips.
+        from tests.faults import matrix
+
         out = str(tmp_path / "report.json")
-        assert main([
-            "check", "cg", "-n", "4", "--scale", "0.25", "--fault-matrix",
-            "-o", out,
+        assert matrix.main([
+            "cg", "-n", "4", "--scale", "0.25", "-o", out,
         ]) == 0
         import json
 
         with open(out) as fh:
             report = json.load(fh)
         assert report["ok"] is True
-        (workload,) = report["workloads"]
-        entries = {e["kind"]: e for e in workload["fault_matrix"]["entries"]}
+        assert report["workload"] == "cg" and report["nprocs"] == 4
+        entries = {e["kind"]: e for e in report["entries"]}
         for kind in ("container:truncate", "container:bitflip"):
             assert entries[kind]["detected"] is True
         streams = [e for k, e in entries.items() if k.startswith("stream:")]
@@ -277,8 +282,22 @@ class TestFaultsmoke:
 
     @pytest.mark.parametrize("argv", [["cg", "-n", "4"], ["--server"]])
     def test_batch_arguments_are_rejected(self, argv, capsys):
-        # ``faultsmoke`` is the server matrix alone.
+        # The smoke harness is the server matrix alone.
+        from tests.faults import smoke
+
         with pytest.raises(SystemExit) as excinfo:
-            main(["faultsmoke", *argv])
+            smoke.main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["faultsmoke"],
+        ["check", "cg", "--fault-matrix"],
+        ["check", "cg", "--seed", "1"],
+        ["serve", "--kill-after-checkpoints", "1"],
+    ])
+    def test_harness_options_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        capsys.readouterr()

@@ -1,15 +1,20 @@
-"""numpy stays off the product path (docs/INTERNALS.md §10).
+"""What the product imports: numpy stays off its path (docs/INTERNALS.md
+§10), and nothing in it comes from the test tree.
 
 Only ``fit_loggp``, ``communication_matrix`` / ``neighbor_sets`` and the
 ScalaTrace baseline's ``_align`` compute with numpy, and each imports it
-in its own body.  Both checks run in a fresh interpreter: this one has
-numpy loaded already.
+in its own body.  The numpy checks run in a fresh interpreter: this one
+has numpy loaded already.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_mg_v8.cyp"
@@ -54,3 +59,22 @@ def test_cli_commands_import_no_numpy(tmp_path):
             line for line in result.stderr.splitlines() if "numpy" in line
         ]
         assert numpy_lines == [], (argv, numpy_lines[:5])
+
+
+def test_product_does_not_ship_the_fault_harness():
+    # The fault harness lives under tests/faults/: nothing under
+    # src/repro imports from tests/, and its old module paths are gone.
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(
+                n == "tests" or n.startswith("tests.") for n in names
+            ), (path, names)
+    for name in ("repro.faults", "repro.verify.faultmatrix"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(name)

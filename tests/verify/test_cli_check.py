@@ -28,26 +28,27 @@ class TestCheckCommand:
     def test_json_report_with_matrix(self, tmp_path, capsys):
         out_path = tmp_path / "check.json"
         rc = main([
-            "check", "cg", "--scale", "0.3", "--fault-matrix",
+            "check", "cg", "--scale", "0.3",
             "--differential", "-o", str(out_path),
         ])
         assert rc == 0
         report = json.loads(out_path.read_text())
         assert report["ok"] is True
+        assert "seed" not in report  # the fault matrix left the product
         (entry,) = report["workloads"]
         assert entry["workload"] == "cg"
         assert entry["violations"] == []
-        assert entry["fault_matrix"]["ok"] is True
+        assert "fault_matrix" not in entry
         assert entry["differential"]["ok"] is True
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv, runs", [
-        (["check", "cg", "--differential", "--fault-matrix"], 1),
+        (["check", "cg", "--differential"], 1),
         (["check", "all"], len(WORKLOADS)),
     ])
     def test_each_workload_runs_once(self, monkeypatch, capsys, argv, runs):
-        # The check pass, the differential and the fault matrix all
-        # start from one simulated run of the workload.
+        # The check pass and the differential both start from one
+        # simulated run of the workload.
         from repro.mpisim.runtime import Runtime
 
         calls = []

@@ -11,13 +11,11 @@ import pytest  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
 from repro.core.intra import compress_streams  # noqa: E402
 from repro.driver import capture_run  # noqa: E402
-from repro.faults import PAYLOAD_KINDS, FaultPlan, corrupt_merged  # noqa: E402
 from repro.verify import check_merged  # noqa: E402
-from repro.verify.faultmatrix import (  # noqa: E402
-    EXPECTED_CODES,
-    run_fault_matrix,
-)
 from repro.workloads import WORKLOADS  # noqa: E402
+from tests.faults.matrix import EXPECTED_CODES, run_fault_matrix  # noqa: E402
+from tests.faults.payload import PAYLOAD_KINDS, corrupt_merged  # noqa: E402
+from tests.faults.plan import FaultPlan  # noqa: E402
 
 NPROCS = 4
 

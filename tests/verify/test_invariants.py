@@ -15,7 +15,6 @@ from repro.core import serialize  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
 from repro.core.ranks import REL  # noqa: E402
 from repro.core.sequences import IntSequence  # noqa: E402
-from repro.faults.payload import corrupt_merged  # noqa: E402
 from repro.static.cst import CALL, LOOP  # noqa: E402
 from repro.verify import (  # noqa: E402
     check_cst,
@@ -23,6 +22,7 @@ from repro.verify import (  # noqa: E402
     check_merged,
     publish_verify_metrics,
 )
+from tests.faults.payload import corrupt_merged  # noqa: E402
 
 RING = """
 func main() {
