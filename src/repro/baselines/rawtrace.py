@@ -18,8 +18,6 @@ from repro.mpisim.pmpi import TraceSink
 class RawTraceSink(TraceSink):
     """Accumulates plain-text traces per rank."""
 
-    wants_markers = False
-
     def __init__(self) -> None:
         self._chunks: dict[int, list[bytes]] = {}
         self._nbytes: dict[int, int] = {}

@@ -64,8 +64,6 @@ def _merge_term_stats(dst: Term, src: Term) -> None:
 class ScalaTraceCompressor(TraceSink):
     """Intra-process phase of ScalaTrace."""
 
-    wants_markers = False
-
     def __init__(self, max_window: int = 32, relative_ranks: bool = True) -> None:
         self.max_window = max_window
         self.relative_ranks = relative_ranks

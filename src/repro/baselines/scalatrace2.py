@@ -121,8 +121,6 @@ def _queue_shape(queue: list[ETerm]) -> tuple:
 class ScalaTrace2Compressor(TraceSink):
     """Intra-process phase of ScalaTrace-2."""
 
-    wants_markers = False
-
     def __init__(self, max_window: int = 32, relative_ranks: bool = True) -> None:
         self.max_window = max_window
         self.relative_ranks = relative_ranks

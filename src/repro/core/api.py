@@ -11,6 +11,7 @@ The one-call entry points the examples and benchmarks use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import time
 
@@ -84,7 +85,7 @@ def run_cypress(
     ``measure_overhead=True`` wraps the compressor in a
     :class:`~repro.mpisim.pmpi.TimingSink` so ``intra_seconds`` reports the
     CPU time spent compressing (Fig. 16's numerator).  The compressor
-    buffers callbacks and ingests them in batches; the runtime flushes
+    buffers items and ingests them in batches; the runtime flushes
     it when the last rank finishes, so the returned run holds no
     buffered items and ``intra_seconds`` includes the last drain.
 
@@ -98,35 +99,56 @@ def run_cypress(
     compressed afterwards (:func:`~repro.core.intra.compress_streams`)
     quarantines a rank (docs/INTERNALS.md §7).
     """
-    registry = obs.active()
     compiled = (
         source if isinstance(source, CompiledProgram) else compile_minimpi(source)
     )
     if compiled.static is None:
         raise ValueError("program must be compiled with cypress=True")
-    compressor = IntraProcessCompressor(compiled.cst, config=config)
+    compressor, result, intra_seconds = trace_live(
+        compiled.cst, nprocs,
+        lambda sink: run_compiled(
+            compiled, nprocs, defines=defines, tracer=sink, network=network
+        ),
+        config=config, extra_sinks=extra_sinks,
+        measure_overhead=measure_overhead,
+    )
+    return CypressRun(
+        compiled=compiled,
+        nprocs=nprocs,
+        compressor=compressor,
+        run_result=result,
+        intra_seconds=intra_seconds,
+    )
+
+
+def trace_live(
+    cst, nprocs: int, run: Callable[[TraceSink], RunResult], *,
+    config: CypressConfig | None = None,
+    extra_sinks: list[TraceSink] | None = None,
+    measure_overhead: bool = False,
+) -> tuple[IntraProcessCompressor, RunResult, float | None]:
+    """The set-up :func:`run_cypress` and ``run_python`` share: a live
+    compressor told the job's ranks, the sinks around it, ``run(sink)``
+    in the ``trace.run`` span, the metrics.  Returns the compressor, the
+    run result and the compressor's seconds (``measure_overhead``)."""
+    registry = obs.active()
+    compressor = IntraProcessCompressor(cst, config=config)
     compressor.enable_incremental_fold(nranks=nprocs, domain=range(nprocs))
     sink: TraceSink = compressor
     timing: TimingSink | None = None
     if measure_overhead or registry is not None:
         # With observability on, the inline compression time becomes
         # the "intra.compress" stage attribution; TimingSink's
-        # per-callback clock reads are part of the metrics-on cost of
+        # per-item clock reads are part of the metrics-on cost of
         # live tracing (compress_streams stays untouched — the bench
         # overhead guard measures that path).
-        timing = TimingSink(compressor)
-        sink = timing
+        timing = sink = TimingSink(compressor)
     if extra_sinks:
         sink = MultiSink([sink, *extra_sinks])
     t_run = time.perf_counter()
     with obs.span("trace.run"):
-        result = run_compiled(
-            compiled, nprocs, defines=defines, tracer=sink, network=network
-        )
+        result = run(sink)
     run_seconds = time.perf_counter() - t_run
-    intra_seconds = (
-        timing.elapsed if timing is not None and measure_overhead else None
-    )
     if registry is not None:
         registry.attribute_span("intra.compress", timing.elapsed)
         compressor.publish_metrics(registry)
@@ -135,10 +157,5 @@ def run_cypress(
             registry.gauge_set(
                 "trace.events_per_s", result.total_events / run_seconds
             )
-    return CypressRun(
-        compiled=compiled,
-        nprocs=nprocs,
-        compressor=compressor,
-        run_result=result,
-        intra_seconds=intra_seconds,
-    )
+    intra_seconds = timing.elapsed if measure_overhead else None
+    return compressor, result, intra_seconds

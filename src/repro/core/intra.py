@@ -41,8 +41,8 @@ The per-event budget is O(1), and the implementation spends it carefully
   program and keyed to child positions — no closure allocation, no
   generic sibling scan, no per-rank copy;
 * :meth:`IntraProcessCompressor.ingest_stream` is the only live ingest
-  (the ``on_*`` callbacks append to a bounded per-rank buffer that
-  drains through it), and its loop commits an event in line whatever the
+  (a rank's emitter appends to its bounded buffer, which drains through
+  it), and its loop commits an event in line whatever the
   MPI call: the leaf is the child at the parent's search position (the
   op table is consulted only when it is not), a nonblocking op's request
   is registered and a completion's requests are resolved and evicted
@@ -87,7 +87,7 @@ from repro.mpisim.pmpi import (
     OP_RECURSE_ENTER,
     OP_RECURSE_EXIT,
     OP_REQ_COMPLETE,
-    CaptureCallbacks,
+    ItemSink,
 )
 from repro.static.cst import CSTNode
 
@@ -148,9 +148,11 @@ class CypressConfig:
 # Chosen by measurement on the five e2e workloads (CHANGES.md, PR 14).
 DRAIN_ITEMS = 4096
 TOTAL_ITEMS = 32768
-# One buffered item in the live-bytes estimate: the opcode tuple plus,
-# for about half the items, the CommEvent it keeps alive.
-_ITEM_LIVE_BYTES = 200
+# One buffered item in the live-bytes estimate (a shared marker item
+# costs its list slot, an event its tuple and CommEvent): the geometric
+# mean of 125-254 bytes measured on live runs of the five e2e shapes
+# (tests/core/test_budget.py checks it against tracemalloc).
+_ITEM_LIVE_BYTES = 160
 
 # Cursor frames are plain three-slot lists ``[kind, vertex, iters]`` —
 # one is allocated per loop/branch entry on the hot path, and a list
@@ -161,13 +163,14 @@ _BRANCH = 1
 _F_KIND, _F_VERTEX, _F_ITERS = range(3)
 
 
-class IntraProcessCompressor(CaptureCallbacks):
+class IntraProcessCompressor(ItemSink):
     """CYPRESS dynamic module, intra-process phase.
 
-    As a live sink it is a bounded :class:`~repro.mpisim.pmpi.
-    CaptureCallbacks`: callbacks append, :meth:`ingest_stream` compresses
-    a buffer at a time, and every method that reads a rank's state
-    drains that rank first, so readers never see a half-ingested rank.
+    As a live sink it is a bounded :class:`~repro.mpisim.pmpi.ItemSink`:
+    a rank's emitter appends to the rank's buffer, :meth:`ingest_stream`
+    compresses a buffer at a time, and every method that reads a rank's
+    state drains that rank first, so readers never see a half-ingested
+    rank.
     """
 
     def __init__(self, cst: CSTNode, config: CypressConfig | None = None) -> None:
@@ -323,9 +326,11 @@ class IntraProcessCompressor(CaptureCallbacks):
         return self.table.merged(sorted(ranks), nranks)
 
     def discard_rank(self, rank: int) -> None:
-        """Drop every trace of a rank (quarantine path): buffer, state,
-        spill container, its place in the fold domain."""
-        self._buffered -= len(self._buffers.pop(rank, ()))
+        """Drop every trace of a rank (quarantine path): buffered items,
+        state, spill container, its place in the fold domain."""
+        buf = self._buffers.get(rank, [])
+        self._buffered -= len(buf)
+        buf.clear()  # in place: the rank's emitter may hold it
         self._items_done.pop(rank, None)
         self.table.discard(rank)
 
@@ -334,23 +339,24 @@ class IntraProcessCompressor(CaptureCallbacks):
         self.table.close()
 
     # ------------------------------------------------------------------
-    # Live tracing (docs/INTERNALS.md §5).  The inherited ``on_*``
-    # callbacks only append an opcode tuple to the rank's buffer; the
-    # buffer is drained through :meth:`ingest_stream`, the one loop that
-    # interprets items.  A CST/stream mismatch therefore raises no later
-    # than the next drain, ``flush()`` or read of that rank.
+    # Live tracing (docs/INTERNALS.md §5).  A rank's emitter only
+    # appends the item to the rank's buffer and applies the two bounds;
+    # the buffer is drained through :meth:`ingest_stream`, the one loop
+    # that interprets items.  A CST/stream mismatch therefore raises no
+    # later than the next drain, ``flush()`` or read of that rank.
 
-    def _append(self, rank: int, item: tuple) -> None:
-        try:
-            buf = self._buffers[rank]
-        except KeyError:
-            buf = self._buffers[rank] = []
-        buf.append(item)
-        self._buffered = resident = self._buffered + 1
-        if len(buf) >= DRAIN_ITEMS:
-            self._drain(rank)
-        elif resident >= TOTAL_ITEMS:
-            self.flush()
+    def stream(self, rank: int):
+        buf = self._buffers.setdefault(rank, [])
+        append = buf.append
+
+        def emit(item):
+            append(item)
+            self._buffered = resident = self._buffered + 1
+            if len(buf) >= DRAIN_ITEMS:
+                self._drain(rank)
+            elif resident >= TOTAL_ITEMS:
+                self.flush()
+        return emit
 
     def _drain(self, rank: int) -> None:
         buf = self._buffers.get(rank)
@@ -358,12 +364,14 @@ class IntraProcessCompressor(CaptureCallbacks):
             return
         if self._buffered > self.m_live_buffer_peak:
             self.m_live_buffer_peak = self._buffered
-        # Detach first: ingest_stream reads this rank's state, and
-        # reading a rank drains it.
-        self._buffers[rank] = []
-        self._buffered -= len(buf)
+        # Empty the list in place (the rank's emitter holds it) before
+        # ingesting: ingest_stream reads this rank's state, and reading a
+        # rank drains it.
+        items = buf[:]
+        buf.clear()
+        self._buffered -= len(items)
         self.m_live_drains += 1
-        self.ingest_stream(rank, buf)
+        self.ingest_stream(rank, items)
 
     def flush(self) -> None:
         """Drain every rank's buffer (end of run, and before any reader
@@ -644,8 +652,8 @@ class IntraProcessCompressor(CaptureCallbacks):
 
     def ingest_stream(self, rank: int, stream) -> None:
         """Compress a run of one rank's marker/event stream (a list of
-        the opcode tuples :class:`~repro.mpisim.pmpi.CaptureCallbacks`
-        builds), with the rank state and all handler bindings hoisted
+        the opcode tuples a :class:`~repro.mpisim.pmpi.TraceSink`'s
+        emitter takes), with the rank state and all handler bindings hoisted
         out of the loop.  The only interpreter of stream items: live
         tracing drains its buffers through here, and so do
         :func:`compress_streams`, the server and the ingestion benchmarks.

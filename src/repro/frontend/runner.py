@@ -5,13 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro import obs
-from repro.core.api import MergedRunMixin
+from repro.core.api import MergedRunMixin, trace_live
 from repro.core.decompress import ReplayEvent, decompress_merged_rank
 from repro.core.inter import MergedCTT
 from repro.core.intra import CypressConfig, IntraProcessCompressor
 from repro.mpisim.netmodel import NetworkModel
-from repro.mpisim.pmpi import MultiSink, TraceSink
+from repro.mpisim.pmpi import TraceSink
 from repro.mpisim.runtime import Runtime, RunResult
 
 from .structure import BuiltStructure, Spec, build_structure
@@ -48,27 +47,21 @@ def run_python(
     :class:`TracedComm`; ``structure`` is the declared communication
     structure (see :class:`repro.frontend.structure.S`).
     """
-    registry = obs.active()
     built = (
         structure
         if isinstance(structure, BuiltStructure)
         else build_structure(structure)
     )
-    compressor = IntraProcessCompressor(built.cst, config=config)
-    compressor.enable_incremental_fold(nranks=nprocs, domain=range(nprocs))
-    sink: TraceSink = compressor
-    if extra_sinks:
-        sink = MultiSink([sink, *extra_sinks])
-    runtime = Runtime(nprocs, network=network, tracer=sink)
 
     def rank_main(comm):
         return rank_fn(TracedComm(comm, built))
 
-    with obs.span("trace.run"):
-        result = runtime.run(rank_main)
-    if registry is not None:
-        compressor.publish_metrics(registry)
-        registry.counter_add("trace.total_events", result.total_events)
+    def run(sink):
+        return Runtime(nprocs, network=network, tracer=sink).run(rank_main)
+
+    compressor, result, _ = trace_live(
+        built.cst, nprocs, run, config=config, extra_sinks=extra_sinks
+    )
     return PythonRun(
         structure=built,
         nprocs=nprocs,

@@ -18,7 +18,7 @@ generator (like any simulated rank), using ``yield from`` for MPI calls::
 ``loop`` brackets the iterable with push/iter/pop markers; ``branch``
 emits the enter marker for the taken path and returns the condition (the
 matching ``end_branch`` emits the exit).  For ``with``-style scoping use
-:meth:`branch_scope`.
+:meth:`branch_scope`.  Each marker is an opcode tuple built once per label.
 """
 
 from __future__ import annotations
@@ -27,6 +27,17 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from repro.frontend.structure import BuiltStructure, StructureError
+from repro.mpisim import pmpi
+
+
+def _marker_items(ast_id: int) -> tuple:
+    """A label's marker items: loop push, iter, pop; branch entry taken,
+    not taken; branch exit."""
+    return (
+        (pmpi.OP_LOOP_PUSH, ast_id), (pmpi.OP_LOOP_ITER, ast_id),
+        (pmpi.OP_LOOP_POP, ast_id), (pmpi.OP_BRANCH_ENTER, ast_id, 0),
+        (pmpi.OP_BRANCH_ENTER, ast_id, 1), (pmpi.OP_BRANCH_EXIT, ast_id),
+    )
 
 
 class TracedComm:
@@ -34,16 +45,12 @@ class TracedComm:
 
     def __init__(self, comm, structure: BuiltStructure) -> None:
         self._comm = comm
-        self._structure = structure
-        tracer = comm.runtime.tracer
-        self._emit = tracer.wants_markers
-        # Resolved once, not per marker.
-        self._rank = comm.rank
-        self._on_loop_push = tracer.on_loop_push
-        self._on_loop_iter = tracer.on_loop_iter
-        self._on_loop_pop = tracer.on_loop_pop
-        self._on_branch_enter = tracer.on_branch_enter
-        self._on_branch_exit = tracer.on_branch_exit
+        self._marking = comm.runtime.tracer.wants_markers
+        self._emit = comm.emit
+        self._items = {
+            label: _marker_items(ast_id)
+            for label, ast_id in structure.label_ids.items()
+        }
 
     # -- identity -----------------------------------------------------------
 
@@ -74,9 +81,9 @@ class TracedComm:
 
     # -- structure markers ---------------------------------------------------
 
-    def _ast_id(self, label: str) -> int:
+    def _marks(self, label: str) -> tuple:
         try:
-            return self._structure.label_ids[label]
+            return self._items[label]
         except KeyError:
             raise StructureError(
                 f"label {label!r} was not declared in the structure spec"
@@ -84,29 +91,30 @@ class TracedComm:
 
     def loop(self, label: str, iterable: Iterable) -> Iterator:
         """Bracket an iteration over ``iterable`` with loop markers."""
-        ast_id = self._ast_id(label)
-        if self._emit:
-            self._on_loop_push(self._rank, ast_id)
+        push, step, pop = self._marks(label)[:3]
+        marking, emit = self._marking, self._emit
+        if marking:
+            emit(push)
         try:
             for item in iterable:
-                if self._emit:
-                    self._on_loop_iter(self._rank, ast_id)
+                if marking:
+                    emit(step)
                 yield item
         finally:
-            if self._emit:
-                self._on_loop_pop(self._rank, ast_id)
+            if marking:
+                emit(pop)
 
     def branch(self, label: str, condition) -> bool:
         """Record a branch outcome; pair with :meth:`end_branch`."""
-        ast_id = self._ast_id(label)
+        marks = self._marks(label)
         taken = bool(condition)
-        if self._emit:
-            self._on_branch_enter(self._rank, ast_id, 0 if taken else 1)
+        if self._marking:
+            self._emit(marks[3] if taken else marks[4])
         return taken
 
     def end_branch(self, label: str) -> None:
-        if self._emit:
-            self._on_branch_exit(self._rank, self._ast_id(label))
+        if self._marking:
+            self._emit(self._marks(label)[5])
 
     @contextmanager
     def branch_scope(self, label: str, condition):

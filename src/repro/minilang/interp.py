@@ -17,15 +17,16 @@ every execution is settled at compile time:
   compiles with its ``PMPI_COMM_Structure`` / ``..._Exit`` markers (loop
   push/iter/pop, branch enter/exit) and a function with a recursion
   pseudo-loop with its enter/exit, every other node without any
-  (selective bracketing);
+  (selective bracketing), each marker as its opcode tuple, built once
+  and handed to the rank's emitter at every execution;
 * each MPI intrinsic's :class:`~repro.mpisim.comm.RankComm` handler.
 
 An :class:`Interpreter` runs one rank: it holds the rank's state (its
-communicator, the sink's bound marker methods, the step and call-depth
-counters) and drives the compiled ``main``.  The observable behaviour —
-the callback stream, ``print`` output and every :class:`InterpError` —
-is that of the tree-walker in ``tests/spec_interp.py``, which the tests
-run against this one.
+communicator, its emitter, the step and call-depth counters) and drives
+the compiled ``main``.  The observable behaviour — the item stream,
+``print`` output and every :class:`InterpError` — is that of the
+tree-walker in ``tests/spec_interp.py``, which the tests run against
+this one.
 
 Language semantics notes:
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.mpisim import pmpi
 from repro.mpisim.comm import RankComm
 
 from . import ast_nodes as A
@@ -103,9 +105,7 @@ class _Rank:
     """One rank's run-time state; every compiled closure takes it."""
 
     __slots__ = (
-        "comm", "rank", "defines", "output", "steps", "max_steps", "depth",
-        "loop_push", "loop_iter", "loop_pop", "branch_enter", "branch_exit",
-        "recurse_enter", "recurse_exit",
+        "comm", "defines", "output", "steps", "max_steps", "depth", "emit",
     )
 
 
@@ -126,26 +126,18 @@ class Interpreter:
         self.defines = dict(defines or {})
         self.plan = plan
         self.output = output
-        tracer = comm.runtime.tracer
-        markers = plan is not None and tracer.wants_markers
+        markers = plan is not None and comm.runtime.tracer.wants_markers
         self._functions = _compiled(
             program, plan if markers else None, max_steps is not None
         )
         st = self._state = _Rank()
         st.comm = comm
-        st.rank = comm.rank
         st.defines = self.defines
         st.output = output
         st.steps = 0
         st.max_steps = max_steps
         st.depth = 0
-        st.loop_push = tracer.on_loop_push
-        st.loop_iter = tracer.on_loop_iter
-        st.loop_pop = tracer.on_loop_pop
-        st.branch_enter = tracer.on_branch_enter
-        st.branch_exit = tracer.on_branch_exit
-        st.recurse_enter = tracer.on_recurse_enter
-        st.recurse_exit = tracer.on_recurse_exit
+        st.emit = comm.emit
 
     def run(self) -> Iterator[None]:
         """Top-level generator: execute ``main()``."""
@@ -367,6 +359,9 @@ class _Compiler:
         name, params = fdef.name, tuple(fdef.params)
         nparams = len(params)
         pseudo = self.pseudo.get(name)
+        if pseudo is not None:
+            enter_item = (pmpi.OP_RECURSE_ENTER, pseudo)
+            exit_item = (pmpi.OP_RECURSE_EXIT, pseudo)
         body, gen, mayret = self.block(fdef.body)
 
         def enter(st, args):
@@ -378,12 +373,12 @@ class _Compiler:
             if st.depth > MAX_CALL_DEPTH:
                 raise InterpError(f"call depth limit exceeded in {name}()")
             if pseudo is not None:
-                st.recurse_enter(st.rank, pseudo)
+                st.emit(enter_item)
             return dict(zip(params, args))
 
         def leave(st):
             if pseudo is not None:
-                st.recurse_exit(st.rank, pseudo)
+                st.emit(exit_item)
             st.depth -= 1
 
         if gen:
@@ -541,30 +536,33 @@ class _Compiler:
             other = _clean(other, ogen)
         nid = stmt.node_id
         marked = nid in self.marked
+        taken = (pmpi.OP_BRANCH_ENTER, nid, 0)
+        not_taken = (pmpi.OP_BRANCH_ENTER, nid, 1)
+        leave = (pmpi.OP_BRANCH_EXIT, nid)
 
         if not (cgen or tgen or ogen):
             def if_(fr, st):
                 c = cond(fr, st)
                 if marked:
-                    st.branch_enter(st.rank, nid, 0 if c else 1)
+                    st.emit(taken if c else not_taken)
                 try:
                     return then(fr, st) if c else other(fr, st)
                 finally:
                     if marked:
-                        st.branch_exit(st.rank, nid)
+                        st.emit(leave)
             return if_, False, mayret
 
         def if_(fr, st):
             c = (yield from cond(fr, st)) if cgen else cond(fr, st)
             if marked:
-                st.branch_enter(st.rank, nid, 0 if c else 1)
+                st.emit(taken if c else not_taken)
             try:
                 if c:
                     return (yield from then(fr, st)) if tgen else then(fr, st)
                 return (yield from other(fr, st)) if ogen else other(fr, st)
             finally:
                 if marked:
-                    st.branch_exit(st.rank, nid)
+                    st.emit(leave)
         return if_, True, mayret
 
     def loop(self, stmt: A.For | A.While):
@@ -581,13 +579,16 @@ class _Compiler:
         nid, line = stmt.node_id, stmt.line
         marked = nid in self.marked
         counting = self.counting
+        push = (pmpi.OP_LOOP_PUSH, nid)
+        next_iter = (pmpi.OP_LOOP_ITER, nid)
+        pop = (pmpi.OP_LOOP_POP, nid)
 
         if not (igen or sgen or cgen or bgen):
             def loop(fr, st):
                 if init is not None:
                     init(fr, st)
                 if marked:
-                    st.loop_push(st.rank, nid)
+                    st.emit(push)
                 try:
                     while True:
                         if counting:
@@ -595,7 +596,7 @@ class _Compiler:
                         if cond is not None and not cond(fr, st):
                             break
                         if marked:
-                            st.loop_iter(st.rank, nid)
+                            st.emit(next_iter)
                         try:
                             r = body(fr, st)
                             if mayret and r is not None:
@@ -608,7 +609,7 @@ class _Compiler:
                             step(fr, st)
                 finally:
                     if marked:
-                        st.loop_pop(st.rank, nid)
+                        st.emit(pop)
             return loop, False, mayret
 
         def loop(fr, st):
@@ -618,7 +619,7 @@ class _Compiler:
                 else:
                     init(fr, st)
             if marked:
-                st.loop_push(st.rank, nid)
+                st.emit(push)
             try:
                 while True:
                     if counting:
@@ -628,7 +629,7 @@ class _Compiler:
                         if not c:
                             break
                     if marked:
-                        st.loop_iter(st.rank, nid)
+                        st.emit(next_iter)
                     try:
                         r = (yield from body(fr, st)) if bgen else body(fr, st)
                         if mayret and r is not None:
@@ -644,7 +645,7 @@ class _Compiler:
                             step(fr, st)
             finally:
                 if marked:
-                    st.loop_pop(st.rank, nid)
+                    st.emit(pop)
         return loop, True, mayret
 
     # -- expressions ----------------------------------------------------

@@ -4,8 +4,8 @@ Every MiniMPI ``mpi_*`` intrinsic is routed through :meth:`RankComm.call`,
 a generator: operations that cannot complete yet ``yield`` control back to
 the runtime scheduler and are resumed until they can.  The method computes
 virtual-time costs with the machine's :class:`~repro.mpisim.netmodel.NetworkModel`
-and reports one :class:`~repro.mpisim.events.CommEvent` per call to the
-PMPI trace sink.
+and emits one :class:`~repro.mpisim.events.CommEvent` per call through
+the rank's PMPI emitter.
 
 Blocking receives are internally implemented as irecv+wait (one posted
 request) so ordering between blocking and nonblocking receives follows MPI
@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Iterator
 from .datatypes import ANY_SOURCE
 from .errors import InvalidRequestError, ProgramError
 from .events import NO_PEER, CommEvent
+from .pmpi import OP_EVENT
 from .request import IRECV, ISEND, Request
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,11 +38,13 @@ class RankComm:
         self.event_seq = 0
         self.finalized = False
         self.blocked_on: str | None = None  # for deadlock diagnostics
+        #: This rank's emitter: the one way its items reach the sink.
+        self.emit = runtime.tracer.stream(rank)
 
     # ------------------------------------------------------------------
 
     def _emit(self, ev: CommEvent) -> None:
-        self.runtime.tracer.on_event(self.rank, ev)
+        self.emit((OP_EVENT, ev))
 
     def _new_event(self, op: str, **kw) -> CommEvent:
         ev = CommEvent(op=op, rank=self.rank, seq=self.event_seq, **kw)
@@ -133,7 +136,7 @@ class RankComm:
         cost = self.runtime.network.overhead * 0.5
         self.clock = t0 + cost
         # Emit the event BEFORE posting: posting may match an already
-        # arrived message and fire on_request_complete immediately, and
+        # arrived message and emit its completion immediately, and
         # sinks must see the Irecv first (wildcard resolution ordering).
         self._emit(
             self._new_event(

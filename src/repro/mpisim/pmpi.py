@@ -5,24 +5,34 @@ instrumentation is active, every control-structure marker — to a
 :class:`TraceSink`.  This mirrors the paper's customised MPI communication
 library built on the MPI profiling layer, including the two instrumented
 functions ``PMPI_COMM_Structure`` / ``PMPI_COMM_Structure_Exit`` (Fig. 9),
-which appear here as the ``on_loop_* / on_branch_* / on_recurse_*``
-callbacks.
+which appear here as the loop, branch and recursion marker items.
 
-Sinks compose: :class:`MultiSink` fans one execution out to several
-compressors at once (so a benchmark can trace one run with CYPRESS,
-ScalaTrace and the raw writer simultaneously), and :class:`TimingSink`
-wraps any sink with CPU-time accounting used by the overhead figures.
+One hand-off: a producer (the runtime, the interpreter, the Python
+frontend) asks the sink once per rank for an *emitter*,
+``emit = sink.stream(rank)``, and hands it every item of that rank as
+one opcode tuple ``(opcode, *args)`` — the ``OP_*`` codes below.  Marker
+items carry no run-time values, so the interpreter builds each one once,
+at compile time.  ``on_finalize(rank)`` and ``flush()`` stay calls.
 
-Deferred work: a sink may buffer callbacks and process them later (the
+Two kinds of sink meet behind that one door:
+
+* an :class:`ItemSink` consumes the tuples themselves:
+  :class:`StreamCaptureSink` keeps them all (its emitter is the rank
+  list's ``append``), :class:`~repro.core.intra.IntraProcessCompressor`
+  buffers a bounded number and drains them through its batched ingest
+  loop, and :class:`MultiSink` / :class:`TimingSink` compose the
+  emitters of the sinks they wrap;
+* a callback sink (the :class:`TraceSink` default, e.g.
+  :class:`RecordingSink` and the ScalaTrace compressors) overrides the
+  ``on_*`` callbacks, and its emitter is the one adapter that calls them.
+
+Deferred work: a sink may buffer items and process them later (the
 CYPRESS compressor does), so whoever drives a sink calls ``flush()`` once
-after the last callback — :meth:`Runtime.run <repro.mpisim.runtime.Runtime.run>`
+after the last item — :meth:`Runtime.run <repro.mpisim.runtime.Runtime.run>`
 does, and :class:`MultiSink` / :class:`TimingSink` pass it on.
 
-Capture: :class:`CaptureCallbacks` turns every callback into one compact
-opcode tuple; :class:`StreamCaptureSink` keeps the complete per-rank
-stream of them.  A captured stream can be replayed
-into any sink later (``replay_into``) or handed to
-:func:`repro.core.intra.compress_streams`.
+A captured stream can be replayed into any sink later (``replay_into``)
+or handed to :func:`repro.core.intra.compress_streams`.
 """
 
 from __future__ import annotations
@@ -31,9 +41,10 @@ import time
 
 from .events import CommEvent
 
-# Opcodes of captured callback streams (StreamCaptureSink.streams).  One
-# tuple per callback: (opcode, *args) with the rank implied by the
-# per-rank stream the tuple is stored in.
+# Opcodes of the items every emitter takes (and StreamCaptureSink.streams
+# keeps): one tuple per item, (opcode, *args), with the rank implied by
+# the emitter (the per-rank stream the tuple is stored in).  The order is
+# TraceSink.stream's dispatch table.
 (
     OP_LOOP_PUSH,
     OP_LOOP_ITER,
@@ -48,8 +59,33 @@ from .events import CommEvent
 ) = range(10)
 
 
+def _ignore(item: tuple) -> None:
+    """The emitter of a sink that wants nothing."""
+
+
 class TraceSink:
-    """Interface every trace consumer implements.  Default: ignore all."""
+    """Interface every trace consumer implements.  Default: ignore all.
+
+    Producers reach a sink only through :meth:`stream`; a callback sink
+    overrides the ``on_*`` methods and inherits the adapter that
+    dispatches each item to them.
+    """
+
+    def stream(self, rank: int):
+        """The emitter of ``rank``: a one-argument callable that takes
+        each of the rank's items, in order, as an ``(opcode, *args)``
+        tuple.  This default dispatches every item to the ``on_*``
+        callback its opcode names."""
+        calls = (
+            self.on_loop_push, self.on_loop_iter, self.on_loop_pop,
+            self.on_branch_enter, self.on_branch_exit,
+            self.on_recurse_enter, self.on_recurse_exit,
+            self.on_event, self.on_request_complete, self.on_finalize,
+        )
+
+        def emit(item):
+            calls[item[0]](rank, *item[1:])
+        return emit
 
     # -- structural markers (CYPRESS instrumentation only) ---------------
 
@@ -81,7 +117,7 @@ class TraceSink:
         """Called when ``rank`` executes MPI_Finalize."""
 
     def flush(self) -> None:
-        """Called once after the last callback of a run (by
+        """Called once after the last item of a run (by
         :meth:`~repro.mpisim.runtime.Runtime.run`, after the last rank
         finishes): a sink that defers work completes it here."""
 
@@ -93,49 +129,61 @@ class TraceSink:
 class NullSink(TraceSink):
     """Tracing disabled (used to measure the uninstrumented baseline)."""
 
+    def stream(self, rank: int):
+        return _ignore
 
-class MultiSink(TraceSink):
-    """Broadcast every callback to several sinks."""
+
+def _reverse_adapter(opcode: int):
+    """An ``on_*`` method that builds its item and emits it."""
+    def on(self, rank, *args):
+        self.stream(rank)((opcode, *args))
+    return on
+
+
+class ItemSink(TraceSink):
+    """A sink that consumes the opcode tuples themselves: a subclass
+    defines :meth:`stream`.  Its ``on_*`` methods are the reverse
+    adapter — each builds its item and hands it to the rank's emitter —
+    kept for callers that drive a sink by callback (the tree-walking
+    interpreter in ``tests/spec_interp.py``, ``bench_micro_compressor``
+    and tests); producers in the product use :meth:`stream`.
+
+    Per-rank item order is preserved exactly, which is the only ordering
+    the intra-process compressor depends on (rank states never
+    interact).
+    """
+
+    wants_markers = True
+
+    def stream(self, rank: int):
+        raise NotImplementedError
+
+    on_loop_push = _reverse_adapter(OP_LOOP_PUSH)
+    on_loop_iter = _reverse_adapter(OP_LOOP_ITER)
+    on_loop_pop = _reverse_adapter(OP_LOOP_POP)
+    on_branch_enter = _reverse_adapter(OP_BRANCH_ENTER)
+    on_branch_exit = _reverse_adapter(OP_BRANCH_EXIT)
+    on_recurse_enter = _reverse_adapter(OP_RECURSE_ENTER)
+    on_recurse_exit = _reverse_adapter(OP_RECURSE_EXIT)
+    on_event = _reverse_adapter(OP_EVENT)
+    on_request_complete = _reverse_adapter(OP_REQ_COMPLETE)
+    on_finalize = _reverse_adapter(OP_FINALIZE)
+
+
+class MultiSink(ItemSink):
+    """Broadcast every item to several sinks."""
 
     def __init__(self, sinks: list[TraceSink]) -> None:
         self.sinks = list(sinks)
         self.wants_markers = any(s.wants_markers for s in sinks)
 
-    def on_loop_push(self, rank, ast_id):
-        for s in self.sinks:
-            s.on_loop_push(rank, ast_id)
+    def stream(self, rank):
+        emitters = [s.stream(rank) for s in self.sinks]
 
-    def on_loop_iter(self, rank, ast_id):
-        for s in self.sinks:
-            s.on_loop_iter(rank, ast_id)
-
-    def on_loop_pop(self, rank, ast_id):
-        for s in self.sinks:
-            s.on_loop_pop(rank, ast_id)
-
-    def on_branch_enter(self, rank, ast_id, path):
-        for s in self.sinks:
-            s.on_branch_enter(rank, ast_id, path)
-
-    def on_branch_exit(self, rank, ast_id):
-        for s in self.sinks:
-            s.on_branch_exit(rank, ast_id)
-
-    def on_recurse_enter(self, rank, ast_id):
-        for s in self.sinks:
-            s.on_recurse_enter(rank, ast_id)
-
-    def on_recurse_exit(self, rank, ast_id):
-        for s in self.sinks:
-            s.on_recurse_exit(rank, ast_id)
-
-    def on_event(self, rank, event):
-        for s in self.sinks:
-            s.on_event(rank, event)
-
-    def on_request_complete(self, rank, rid, source, nbytes, when):
-        for s in self.sinks:
-            s.on_request_complete(rank, rid, source, nbytes, when)
+        def emit(item):
+            for e in emitters:
+                e(item)
+        return emit
 
     def on_finalize(self, rank):
         for s in self.sinks:
@@ -146,12 +194,13 @@ class MultiSink(TraceSink):
             s.flush()
 
 
-class TimingSink(TraceSink):
+class TimingSink(ItemSink):
     """Wraps a sink, accumulating the CPU time spent inside it.
 
     ``elapsed`` (seconds) is the intra-process compression overhead
     attributable to the wrapped compressor — the quantity Fig. 16 plots
-    relative to application time.
+    relative to application time.  ``calls`` counts the items, finalize
+    calls and flushes timed.
     """
 
     def __init__(self, inner: TraceSink) -> None:
@@ -160,38 +209,22 @@ class TimingSink(TraceSink):
         self.calls = 0
         self.wants_markers = inner.wants_markers
 
+    def stream(self, rank):
+        inner = self.inner.stream(rank)
+        clock = time.perf_counter
+
+        def emit(item):
+            t0 = clock()
+            inner(item)
+            self.elapsed += clock() - t0
+            self.calls += 1
+        return emit
+
     def _timed(self, fn, *args) -> None:
         t0 = time.perf_counter()
         fn(*args)
         self.elapsed += time.perf_counter() - t0
         self.calls += 1
-
-    def on_loop_push(self, rank, ast_id):
-        self._timed(self.inner.on_loop_push, rank, ast_id)
-
-    def on_loop_iter(self, rank, ast_id):
-        self._timed(self.inner.on_loop_iter, rank, ast_id)
-
-    def on_loop_pop(self, rank, ast_id):
-        self._timed(self.inner.on_loop_pop, rank, ast_id)
-
-    def on_branch_enter(self, rank, ast_id, path):
-        self._timed(self.inner.on_branch_enter, rank, ast_id, path)
-
-    def on_branch_exit(self, rank, ast_id):
-        self._timed(self.inner.on_branch_exit, rank, ast_id)
-
-    def on_recurse_enter(self, rank, ast_id):
-        self._timed(self.inner.on_recurse_enter, rank, ast_id)
-
-    def on_recurse_exit(self, rank, ast_id):
-        self._timed(self.inner.on_recurse_exit, rank, ast_id)
-
-    def on_event(self, rank, event):
-        self._timed(self.inner.on_event, rank, event)
-
-    def on_request_complete(self, rank, rid, source, nbytes, when):
-        self._timed(self.inner.on_request_complete, rank, rid, source, nbytes, when)
 
     def on_finalize(self, rank):
         self._timed(self.inner.on_finalize, rank)
@@ -220,103 +253,39 @@ class RecordingSink(TraceSink):
                 break
 
 
-class CaptureCallbacks(TraceSink):
-    """The capture half of a sink: every callback becomes one opcode
-    tuple ``(opcode, *args)`` handed to ``_append(rank, item)`` — one
-    tuple construction per callback, nothing else at the source.  What
-    happens to the items is the subclass's business:
-    :class:`StreamCaptureSink` keeps them all,
-    :class:`~repro.core.intra.IntraProcessCompressor` buffers a bounded
-    number and drains them through its batched ingest loop.
+class StreamCaptureSink(ItemSink):
+    """Records the complete per-rank item stream.
 
-    Per-rank callback order is preserved exactly, which is the only
-    ordering the intra-process compressor depends on (rank states never
-    interact).
-    """
-
-    wants_markers = True
-
-    def _append(self, rank: int, item: tuple) -> None:
-        raise NotImplementedError
-
-    def on_loop_push(self, rank, ast_id):
-        self._append(rank, (OP_LOOP_PUSH, ast_id))
-
-    def on_loop_iter(self, rank, ast_id):
-        self._append(rank, (OP_LOOP_ITER, ast_id))
-
-    def on_loop_pop(self, rank, ast_id):
-        self._append(rank, (OP_LOOP_POP, ast_id))
-
-    def on_branch_enter(self, rank, ast_id, path):
-        self._append(rank, (OP_BRANCH_ENTER, ast_id, path))
-
-    def on_branch_exit(self, rank, ast_id):
-        self._append(rank, (OP_BRANCH_EXIT, ast_id))
-
-    def on_recurse_enter(self, rank, ast_id):
-        self._append(rank, (OP_RECURSE_ENTER, ast_id))
-
-    def on_recurse_exit(self, rank, ast_id):
-        self._append(rank, (OP_RECURSE_EXIT, ast_id))
-
-    def on_event(self, rank, event):
-        self._append(rank, (OP_EVENT, event))
-
-    def on_request_complete(self, rank, rid, source, nbytes, when):
-        self._append(rank, (OP_REQ_COMPLETE, rid, source, nbytes, when))
-
-    def on_finalize(self, rank):
-        self._append(rank, (OP_FINALIZE,))
-
-
-class StreamCaptureSink(CaptureCallbacks):
-    """Records the complete per-rank callback stream as opcode tuples.
-
-    Capturing is one tuple construction plus a list append per callback —
-    far cheaper than compressing at the callback — which is what makes
-    deferred compression worthwhile: the traced run finishes at
-    near-uninstrumented speed and the captured streams are compressed
-    afterwards, per rank.
+    A rank's emitter is its list's own ``append`` — capturing costs one
+    call per item and no work beyond it, which is what makes deferred
+    compression worthwhile: the traced run finishes at near-uninstrumented
+    speed and the captured streams are compressed afterwards, per rank.
+    ``flush()`` drops the lists of ranks that emitted nothing, so
+    ``streams`` holds exactly the ranks with items.
     """
 
     def __init__(self) -> None:
         self.streams: dict[int, list] = {}
 
-    def _append(self, rank, item):
-        try:
-            self.streams[rank].append(item)
-        except KeyError:
-            self.streams[rank] = [item]
+    def stream(self, rank):
+        return self.streams.setdefault(rank, []).append
+
+    def flush(self):
+        for rank in [r for r, items in self.streams.items() if not items]:
+            del self.streams[rank]
 
     def replay_into(self, sink: TraceSink, ranks=None) -> None:
         """Re-drive ``sink`` from the captured streams, one rank at a
-        time.  Only per-rank callback order is preserved (sufficient for
-        any sink whose state is per-rank, like the compressors).  Ends
-        with ``sink.flush()``, as every driver of a sink does."""
+        time, through its emitters (a finalize item through
+        ``on_finalize``, as the runtime does).  Only per-rank order is
+        preserved (sufficient for any sink whose state is per-rank, like
+        the compressors).  Ends with ``sink.flush()``, as every driver of
+        a sink does."""
         for rank in sorted(self.streams) if ranks is None else ranks:
-            for item in self.streams.get(rank, []):
-                code = item[0]
-                if code == OP_EVENT:
-                    sink.on_event(rank, item[1])
-                elif code == OP_LOOP_PUSH:
-                    sink.on_loop_push(rank, item[1])
-                elif code == OP_LOOP_ITER:
-                    sink.on_loop_iter(rank, item[1])
-                elif code == OP_LOOP_POP:
-                    sink.on_loop_pop(rank, item[1])
-                elif code == OP_BRANCH_ENTER:
-                    sink.on_branch_enter(rank, item[1], item[2])
-                elif code == OP_BRANCH_EXIT:
-                    sink.on_branch_exit(rank, item[1])
-                elif code == OP_RECURSE_ENTER:
-                    sink.on_recurse_enter(rank, item[1])
-                elif code == OP_RECURSE_EXIT:
-                    sink.on_recurse_exit(rank, item[1])
-                elif code == OP_REQ_COMPLETE:
-                    sink.on_request_complete(
-                        rank, item[1], item[2], item[3], item[4]
-                    )
-                elif code == OP_FINALIZE:
+            emit = sink.stream(rank)
+            for item in self.streams.get(rank, ()):
+                if item[0] == OP_FINALIZE:
                     sink.on_finalize(rank)
+                else:
+                    emit(item)
         sink.flush()

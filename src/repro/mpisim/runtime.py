@@ -22,7 +22,7 @@ from .comm import RankComm
 from .errors import DeadlockError, MPISimError
 from .matching import Mailbox, Message
 from .netmodel import NetworkModel
-from .pmpi import NullSink, TraceSink
+from .pmpi import OP_REQ_COMPLETE, NullSink, TraceSink
 from .request import IRECV, Request
 
 
@@ -122,8 +122,8 @@ class Runtime:
             )
             req.finish(completion, source=msg.src, nbytes=msg.nbytes)
             self.progress += 1
-            self.tracer.on_request_complete(
-                rank, req.rid, msg.src, msg.nbytes, completion
+            self.ranks[rank].emit(
+                (OP_REQ_COMPLETE, req.rid, msg.src, msg.nbytes, completion)
             )
         self._posted[rank] = still_pending
 

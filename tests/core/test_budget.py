@@ -464,6 +464,41 @@ class TestSpillStore:
         }
 
 
+class _Holding(IntraProcessCompressor):
+    """A live compressor that never drains: every item stays buffered."""
+
+    def seal_rank(self, rank):
+        pass
+
+    def flush(self):
+        pass
+
+
+def _held_items_ratio(compiled, nprocs, defines, monkeypatch) -> float:
+    """``total_live_bytes()`` over what tracemalloc sees a live run keep
+    when every item it emits stays in the buffers — the events, their
+    tuples, completions, list slots; the marker items are the compiled
+    program's constants, built by a warm-up run before measuring."""
+    from repro.core import intra
+
+    monkeypatch.setattr(intra, "DRAIN_ITEMS", 1 << 40)
+    monkeypatch.setattr(intra, "TOTAL_ITEMS", 1 << 40)
+    run_compiled(compiled, nprocs, defines=defines,
+                 tracer=_Holding(compiled.cst))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        comp = _Holding(compiled.cst)
+        run_compiled(compiled, nprocs, defines=defines, tracer=comp)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert comp._buffered > 0 and not comp.table.ranks()
+    return comp.total_live_bytes() / grown
+
+
 class TestLiveBytesEstimator:
     """The serialized-size estimate is not the live-memory trigger: the
     live estimate is strictly larger (boxed objects, caches, index
@@ -492,9 +527,12 @@ class TestLiveBytesEstimator:
 
     @pytest.mark.parametrize(
         "name,nprocs,scale",
-        [("mg", 64, 0.1), ("sp", 16, 1), ("cg", 8, 1), ("mg", 256, 0.1)],
+        [("mg", 64, 0.1), ("sp", 16, 1), ("cg", 8, 1), ("mg", 256, 0.1),
+         ("fig11", 4, 1), ("farm", 8, 1)],
     )
-    def test_live_estimate_tracks_tracemalloc(self, name, nprocs, scale):
+    def test_live_estimate_tracks_tracemalloc(
+        self, name, nprocs, scale, monkeypatch
+    ):
         """A budget that claims to bound memory must check its estimate
         against ground truth: ``total_live_bytes()`` stays within a
         factor 1.5 of what ``compress_streams`` really allocated and
@@ -503,7 +541,8 @@ class TestLiveBytesEstimator:
         0.94 on mg P=256; the dispatch tables are the shape's, so no
         rank pays for them).  The index is part of both sides: sp,
         where it is a fifth of the footprint, must stay inside
-        0.75-1.03."""
+        0.75-1.03.  Buffered items are held to the same factor (see
+        ``_held_items_ratio``)."""
         w = WORKLOADS[name]
         compiled, streams = _capture(
             w.source, nprocs, w.defines(nprocs, scale)
@@ -533,3 +572,6 @@ class TestLiveBytesEstimator:
         for v in leaves:
             v.params_index.clear()
         assert ratio * grown - comp.total_live_bytes() >= 144 * entries
+        assert 0.5 <= _held_items_ratio(
+            compiled, nprocs, w.defines(nprocs, scale), monkeypatch
+        ) <= 1.5

@@ -313,3 +313,48 @@ class TestLiveCounters:
         counters = comp.metrics_counters()
         assert counters["intra.live_buffer_peak_items"] <= intra.TOTAL_ITEMS
         assert counters["intra.live_drains"] >= nprocs
+
+
+MARKER_ONLY = """
+func main() {
+  var rank = mpi_comm_rank();
+  for (var i = 0; i < N; i = i + 1) {
+    if (rank == 0) { mpi_sendrecv(0, 8, 0, 0, 8, 0); }
+  }
+}
+"""
+
+
+class _BatchLog(IntraProcessCompressor):
+    """Records ``(rank, items)`` for every batch the live buffers drain."""
+
+    def __init__(self, cst):
+        super().__init__(cst)
+        self.batches = []
+
+    def ingest_stream(self, rank, stream):
+        self.batches.append((rank, len(stream)))
+        super().ingest_stream(rank, stream)
+
+
+class TestMarkerOnlyRanks:
+    def test_a_rank_emitting_only_markers_drains_at_the_rank_bound(self):
+        # Rank 1 never calls MPI inside the loop: its loop-iter and
+        # branch markers are all it emits, and they must drain at
+        # DRAIN_ITEMS like any other items, not pile up until the total
+        # cap flushes every rank.
+        compiled = compile_minimpi(MARKER_ONLY)
+        defines = {"N": 3 * intra.DRAIN_ITEMS + 5}
+        capture = StreamCaptureSink()
+        run_compiled(compiled, 2, defines=defines, tracer=capture)
+        assert len(capture.streams[1]) > 3 * intra.DRAIN_ITEMS
+        comp = _BatchLog(compiled.cst)
+        run_compiled(compiled, 2, defines=defines, tracer=comp)
+        ones = [n for rank, n in comp.batches if rank == 1]
+        assert len(ones) >= 3  # drained mid-loop, not only at the end
+        assert max(n for _, n in comp.batches) <= intra.DRAIN_ITEMS
+        counters = comp.metrics_counters()
+        assert counters["intra.live_buffer_peak_items"] <= intra.TOTAL_ITEMS
+        assert _blobs(comp, 2) == _blobs(
+            compress_streams(compiled.cst, capture.streams), 2
+        )

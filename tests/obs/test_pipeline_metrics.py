@@ -12,6 +12,7 @@ from repro.core.api import run_cypress
 from repro.core.decompress import decompress_all
 from repro.core.intra import compress_streams
 from repro.driver import run_compiled
+from repro.frontend import S, run_python
 from repro.mpisim.pmpi import StreamCaptureSink
 from repro.static.instrument import compile_minimpi
 
@@ -166,6 +167,28 @@ class TestStageCoverage:
     def test_inline_compression_attributed_as_span(self):
         registry, _, _, _ = _observed_run()
         assert any(p.endswith("intra.compress") for p in registry.span_paths())
+
+    def test_python_frontend_attributes_inline_compression_too(self):
+        # run_python shares run_cypress's set-up: under an active
+        # registry the compressor is timed, and its time is a span.
+        def rank_main(tc):
+            yield from tc.mpi("mpi_init")
+            for _ in tc.loop("steps", range(4)):
+                yield from tc.mpi("mpi_barrier")
+
+        spec = S.root(
+            S.call("mpi_init"), S.loop("steps", S.call("mpi_barrier"))
+        )
+        registry = obs.enable()
+        try:
+            run = run_python(rank_main, spec, 3)
+        finally:
+            obs.disable()
+        paths = registry.span_paths()
+        assert any(p.endswith("intra.compress") for p in paths), paths
+        assert registry.counters["trace.total_events"] == 15
+        assert registry.counters["intra.events"] == 15
+        assert run.compressor.ranks() == [0, 1, 2]
 
 
 class TestDeferredCounters:

@@ -108,7 +108,7 @@ def find_group(vertex, ast_id: int, start: int):
 
 class SpecWalk:
     """One rank's compression state, fed an opcode stream by :meth:`feed`
-    (the items :class:`~repro.mpisim.pmpi.CaptureCallbacks` builds)."""
+    (the items a :class:`~repro.mpisim.pmpi.TraceSink`'s emitter takes)."""
 
     def __init__(
         self,
