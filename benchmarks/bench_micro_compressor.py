@@ -15,7 +15,8 @@ harness**: it sweeps four workload shapes
 
 through two ingestion modes
 
-* ``callbacks``  — one ``on_*`` call per marker/event: the live-tracing
+* ``callbacks``  — one emitter call per marker/event, through the
+  rank's emitter ``comp.stream(rank)`` bound once: the live-tracing
   route (append to the rank's buffer, drain through ``ingest_stream`` a
   buffer at a time, final ``flush()`` included);
 * ``stream``     — batched :meth:`ingest_stream` over a captured opcode
@@ -255,25 +256,12 @@ MODES = ("callbacks", "stream")
 
 
 def _drive_callbacks(comp: IntraProcessCompressor, rank: int, stream) -> None:
-    """Replay a captured stream as individual per-callback calls — the
-    live-tracing mode: the callbacks buffer, and the end-of-run
+    """Replay a captured stream one item per emitter call — the
+    live-tracing mode: the emitter buffers, and the end-of-run
     ``flush()`` the runtime would issue is part of the timed work."""
+    emit = comp.stream(rank)
     for item in stream:
-        code = item[0]
-        if code == OP_EVENT:
-            comp.on_event(rank, item[1])
-        elif code == OP_BRANCH_ENTER:
-            comp.on_branch_enter(rank, item[1], item[2])
-        elif code == OP_BRANCH_EXIT:
-            comp.on_branch_exit(rank, item[1])
-        elif code == OP_LOOP_ITER:
-            comp.on_loop_iter(rank, item[1])
-        elif code == OP_LOOP_PUSH:
-            comp.on_loop_push(rank, item[1])
-        elif code == OP_LOOP_POP:
-            comp.on_loop_pop(rank, item[1])
-        else:  # pragma: no cover - shapes use only the opcodes above
-            raise ValueError(f"unexpected opcode {code}")
+        emit(item)
     comp.flush()
 
 
@@ -460,32 +448,34 @@ def check_smoke() -> int:
 
 def _drive_cypress(comp, loop_id, branch_id, iters):
     seq = 0
-    comp.on_loop_push(0, loop_id)
+    emit = comp.stream(0)
+    emit((OP_LOOP_PUSH, loop_id))
     for i in range(iters):
-        comp.on_loop_iter(0, loop_id)
+        emit((OP_LOOP_ITER, loop_id))
         path = 0 if i % 2 == 0 else 1
-        comp.on_branch_enter(0, branch_id, path)
+        emit((OP_BRANCH_ENTER, branch_id, path))
         op = "MPI_Send" if path == 0 else "MPI_Recv"
-        comp.on_event(0, CommEvent(op=op, rank=0, seq=seq, peer=1,
-                                   tag=7, nbytes=4096))
+        emit((OP_EVENT, CommEvent(op=op, rank=0, seq=seq, peer=1,
+                                  tag=7, nbytes=4096)))
         seq += 1
-        comp.on_branch_exit(0, branch_id)
-        comp.on_event(0, CommEvent(op="MPI_Allreduce", rank=0, seq=seq,
-                                   nbytes=8))
+        emit((OP_BRANCH_EXIT, branch_id))
+        emit((OP_EVENT, CommEvent(op="MPI_Allreduce", rank=0, seq=seq,
+                                  nbytes=8)))
         seq += 1
-    comp.on_loop_pop(0, loop_id)
+    emit((OP_LOOP_POP, loop_id))
     comp.flush()
 
 
 def _drive_flat(comp, iters):
     seq = 0
+    emit = comp.stream(0)
     for i in range(iters):
         op = "MPI_Send" if i % 2 == 0 else "MPI_Recv"
-        comp.on_event(0, CommEvent(op=op, rank=0, seq=seq, peer=1,
-                                   tag=7, nbytes=4096))
+        emit((OP_EVENT, CommEvent(op=op, rank=0, seq=seq, peer=1,
+                                  tag=7, nbytes=4096)))
         seq += 1
-        comp.on_event(0, CommEvent(op="MPI_Allreduce", rank=0, seq=seq,
-                                   nbytes=8))
+        emit((OP_EVENT, CommEvent(op="MPI_Allreduce", rank=0, seq=seq,
+                                  nbytes=8)))
         seq += 1
 
 

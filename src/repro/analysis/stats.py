@@ -29,7 +29,7 @@ class MethodResult:
     name: str
     trace_bytes: int = 0
     gzip_bytes: int | None = None
-    intra_seconds: float = 0.0  # CPU time inside the compressor callbacks
+    intra_seconds: float = 0.0  # CPU time inside the compressor's emitters
     inter_seconds: float = 0.0  # wall time of the inter-process merge
     memory_bytes: int = 0  # per-process compressor working set (max rank)
 

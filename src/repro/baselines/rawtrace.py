@@ -12,7 +12,7 @@ from __future__ import annotations
 import gzip
 
 from repro.mpisim.events import CommEvent, format_event
-from repro.mpisim.pmpi import TraceSink
+from repro.mpisim.pmpi import TraceSink, event_emitter
 
 
 class RawTraceSink(TraceSink):
@@ -21,6 +21,9 @@ class RawTraceSink(TraceSink):
     def __init__(self) -> None:
         self._chunks: dict[int, list[bytes]] = {}
         self._nbytes: dict[int, int] = {}
+
+    def stream(self, rank: int):
+        return event_emitter(rank, self.on_event, self.on_request_complete)
 
     def on_event(self, rank: int, event: CommEvent) -> None:
         line = (format_event(event) + "\n").encode("ascii")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.core.ranks import encode_peer
 from repro.core.timing import TimeStats
 from repro.mpisim.events import CommEvent
-from repro.mpisim.pmpi import TraceSink
+from repro.mpisim.pmpi import TraceSink, event_emitter
 
 from .rsd import RSD, EventTerm, Term, queue_bytes, term_equal
 
@@ -78,6 +78,9 @@ class ScalaTraceCompressor(TraceSink):
 
     def ranks(self) -> list[int]:
         return sorted(self._queues)
+
+    def stream(self, rank: int):
+        return event_emitter(rank, self.on_event, self.on_request_complete)
 
     def on_event(self, rank: int, ev: CommEvent) -> None:
         queue = self.queue(rank)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.core.sequences import IntSequence
 from repro.core.timing import TimeStats
 from repro.mpisim.events import CommEvent
-from repro.mpisim.pmpi import TraceSink
+from repro.mpisim.pmpi import TraceSink, event_emitter
 
 from .scalatrace import event_signature
 
@@ -135,6 +135,9 @@ class ScalaTrace2Compressor(TraceSink):
         return sorted(self._queues)
 
     # ------------------------------------------------------------------
+
+    def stream(self, rank: int):
+        return event_emitter(rank, self.on_event, self.on_request_complete)
 
     def on_event(self, rank: int, ev: CommEvent) -> None:
         queue = self.queue(rank)

@@ -62,16 +62,19 @@ def _load_trace(path: str, salvage: bool = False):
 
 def _parse_bytes(value: str) -> int:
     """``'64M'`` / ``'512K'`` / ``'2G'`` / plain integer -> bytes
-    (binary units)."""
+    (binary units); a negative size is refused."""
     s = value.strip().upper()
     mult = 1
     if s and s[-1] in "KMG":
         mult = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}[s[-1]]
         s = s[:-1]
     try:
-        return int(s) * mult
+        n = int(s) * mult
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid byte size {value!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"negative byte size {value!r}")
+    return n
 
 
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
@@ -653,7 +656,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--job", required=True,
                    help="job id (also the output trace name, <job>.cyp)")
     p.add_argument("--batch-events", type=int, default=512,
-                   help="callback tuples per batch frame (default: 512)")
+                   help="opcode tuples per batch frame (default: 512)")
     p.add_argument("--window", type=int, default=32,
                    help="max unacked batches in flight (default: 32)")
     p.add_argument("--max-attempts", type=int, default=30,

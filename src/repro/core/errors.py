@@ -19,9 +19,9 @@ The taxonomy (docs/INTERNALS.md §7):
     compressed afterwards the offending *rank* is quarantined instead
     of the error propagating (see
     :func:`repro.core.intra.compress_streams`).  Live tracing
-    buffers callbacks and ingests them in batches, so the error surfaces
+    buffers items and ingests them in batches, so the error surfaces
     no later than the next drain, ``flush()`` or read of that rank —
-    not at the offending callback; ``item_index`` (the item's position
+    not at the offending item's emit; ``item_index`` (the item's position
     in the rank's stream) says which one it was.
 
 ``MergeError``
@@ -62,7 +62,7 @@ class StreamMismatchError(CypressError):
     ``item_index`` is the offending item's index in the rank's stream
     of markers and events as ``ingest_stream`` consumed it (``None``
     when the stream did not come through there) — live tracing raises
-    at a drain, after the callback returned, so the message alone no
+    at a drain, after the item's emit returned, so the message alone no
     longer says where.
     """
 

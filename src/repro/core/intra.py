@@ -42,7 +42,7 @@ The per-event budget is O(1), and the implementation spends it carefully
   generic sibling scan, no per-rank copy;
 * :meth:`IntraProcessCompressor.ingest_stream` is the only live ingest
   (a rank's emitter appends to its bounded buffer, which drains through
-  it), and its loop commits an event in line whatever the
+  it, and seals the rank at its ``OP_FINALIZE`` item), and its loop commits an event in line whatever the
   MPI call: the leaf is the child at the parent's search position (the
   op table is consulted only when it is not), a nonblocking op's request
   is registered and a completion's requests are resolved and evicted
@@ -87,7 +87,7 @@ from repro.mpisim.pmpi import (
     OP_RECURSE_ENTER,
     OP_RECURSE_EXIT,
     OP_REQ_COMPLETE,
-    ItemSink,
+    TraceSink,
 )
 from repro.static.cst import CSTNode
 
@@ -163,15 +163,17 @@ _BRANCH = 1
 _F_KIND, _F_VERTEX, _F_ITERS = range(3)
 
 
-class IntraProcessCompressor(ItemSink):
+class IntraProcessCompressor(TraceSink):
     """CYPRESS dynamic module, intra-process phase.
 
-    As a live sink it is a bounded :class:`~repro.mpisim.pmpi.ItemSink`:
-    a rank's emitter appends to the rank's buffer, :meth:`ingest_stream`
-    compresses a buffer at a time, and every method that reads a rank's
-    state drains that rank first, so readers never see a half-ingested
-    rank.
+    As a live sink it is a bounded :class:`~repro.mpisim.pmpi.TraceSink`:
+    a rank's emitter appends to the rank's buffer and seals the rank at
+    its finalize item, :meth:`ingest_stream` compresses a buffer at a
+    time, and every method that reads a rank's state drains that rank
+    first, so readers never see a half-ingested rank.
     """
+
+    wants_markers = True
 
     def __init__(self, cst: CSTNode, config: CypressConfig | None = None) -> None:
         self.cst = cst
@@ -340,10 +342,12 @@ class IntraProcessCompressor(ItemSink):
 
     # ------------------------------------------------------------------
     # Live tracing (docs/INTERNALS.md §5).  A rank's emitter only
-    # appends the item to the rank's buffer and applies the two bounds;
-    # the buffer is drained through :meth:`ingest_stream`, the one loop
-    # that interprets items.  A CST/stream mismatch therefore raises no
-    # later than the next drain, ``flush()`` or read of that rank.
+    # appends the item to the rank's buffer, seals the rank at its
+    # finalize item and applies the two bounds; the buffer is drained
+    # through :meth:`ingest_stream`, the one loop that interprets items.
+    # A CST/stream mismatch therefore raises no later than the next
+    # drain, ``flush()`` or read of that rank — and an unresolved
+    # wildcard receive at the rank's finalize, inside the run.
 
     def stream(self, rank: int):
         buf = self._buffers.setdefault(rank, [])
@@ -352,7 +356,9 @@ class IntraProcessCompressor(ItemSink):
         def emit(item):
             append(item)
             self._buffered = resident = self._buffered + 1
-            if len(buf) >= DRAIN_ITEMS:
+            if item[0] == OP_FINALIZE:
+                self.seal_rank(rank)
+            elif len(buf) >= DRAIN_ITEMS:
                 self._drain(rank)
             elif resident >= TOTAL_ITEMS:
                 self.flush()
@@ -380,12 +386,6 @@ class IntraProcessCompressor(ItemSink):
             for rank, buf in list(self._buffers.items()):
                 if buf:
                     self._drain(rank)
-
-    def on_finalize(self, rank: int) -> None:
-        # The rank's stream is complete: an unresolved wildcard receive
-        # must fail here, inside the run, not at some later read.
-        super().on_finalize(rank)
-        self.seal_rank(rank)
 
     # ------------------------------------------------------------------
     # Structural markers: the cold handlers ``_walk`` calls, each taking

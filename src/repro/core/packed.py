@@ -1,4 +1,4 @@
-"""Packed binary encoding of captured callback streams.
+"""Packed binary encoding of captured item streams.
 
 A captured stream (:class:`repro.mpisim.pmpi.StreamCaptureSink`) is a
 per-rank list of opcode tuples.  This module defines the fixed-width
@@ -105,9 +105,9 @@ ENCODE_ERRORS = (
 
 
 class PackedStream:
-    """Append-only packed encoder for one rank's callback stream.
+    """Append-only packed encoder for one rank's item stream.
 
-    Mirrors the :class:`TraceSink` callback set; ``to_bytes()`` emits
+    One ``append_*`` per kind of opcode tuple; ``to_bytes()`` emits
     the self-contained blob described in the module docstring.
     """
 

@@ -103,15 +103,6 @@ BLOCKING = frozenset(
 )
 
 
-def is_mpi(name: str) -> bool:
-    """True for traced MPI intrinsics (CST leaves)."""
-    return name in MPI_INTRINSICS
-
-
-def mpi_op_name(name: str) -> str:
-    return MPI_INTRINSICS[name][1]
-
-
 def make_classifier(program) -> "callable":
     """Build the classifier the static analysis uses: ``mpi`` for traced
     intrinsics, ``user`` for functions defined in the program, ``None``

@@ -19,13 +19,14 @@ from typing import TYPE_CHECKING, Iterator
 from .datatypes import ANY_SOURCE
 from .errors import InvalidRequestError, ProgramError
 from .events import NO_PEER, CommEvent
-from .pmpi import OP_EVENT
+from .pmpi import OP_EVENT, OP_FINALIZE
 from .request import IRECV, ISEND, Request
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
 
 WORLD = 0  # the only communicator id (MPI_COMM_WORLD)
+_FINALIZE = (OP_FINALIZE,)  # the item that ends a rank's stream
 
 
 class RankComm:
@@ -85,7 +86,7 @@ class RankComm:
         ev = self._new_event("MPI_Finalize", time_start=t0, duration=0.0)
         self._emit(ev)
         self.finalized = True
-        self.runtime.tracer.on_finalize(self.rank)
+        self.emit(_FINALIZE)
         return 0
         yield  # pragma: no cover
 

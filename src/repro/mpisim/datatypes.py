@@ -1,39 +1,11 @@
-"""MPI datatype registry.
+"""MPI wildcard and null-process constants, mirrored from MPI.
 
-MiniMPI programs pass raw byte counts to communication intrinsics, but the
-workload generators compute those counts from element counts and datatype
-sizes the way the original NPB sources do.  This registry mirrors the sizes
-of the common MPI predefined datatypes.
+MiniMPI programs pass raw byte counts to communication intrinsics, so
+the runtime needs no datatype registry — only these values.
 """
 
 from __future__ import annotations
 
-SIZES: dict[str, int] = {
-    "MPI_CHAR": 1,
-    "MPI_BYTE": 1,
-    "MPI_SHORT": 2,
-    "MPI_INT": 4,
-    "MPI_LONG": 8,
-    "MPI_FLOAT": 4,
-    "MPI_DOUBLE": 8,
-    "MPI_DOUBLE_COMPLEX": 16,
-    "MPI_LONG_LONG": 8,
-}
-
-# Wildcards, mirrored from MPI.
 ANY_SOURCE = -1
 ANY_TAG = -1
 PROC_NULL = -3
-
-
-def size_of(name: str) -> int:
-    try:
-        return SIZES[name]
-    except KeyError:
-        raise KeyError(f"unknown MPI datatype {name!r}") from None
-
-
-def bytes_of(count: int, datatype: str) -> int:
-    if count < 0:
-        raise ValueError(f"negative element count {count}")
-    return count * size_of(datatype)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .datatypes import ANY_SOURCE
-
 ISEND = "isend"
 IRECV = "irecv"
 
@@ -27,10 +25,6 @@ class Request:
     actual_source: int = -1  # resolved source for wildcard receives
     actual_nbytes: int = -1  # actual size matched (receives)
     consumed: bool = False  # a wait already returned this request
-
-    @property
-    def is_wildcard(self) -> bool:
-        return self.kind == IRECV and self.peer == ANY_SOURCE
 
     def finish(self, time: float, source: int = -1, nbytes: int = -1) -> None:
         self.complete = True

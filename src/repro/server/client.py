@@ -31,7 +31,7 @@ from . import protocol as proto
 def split_batches(stream: list, batch_events: int) -> list[bytes]:
     """Slice one rank's opcode-tuple stream into CYPK blobs of at most
     ``batch_events`` tuples each (markers count — the slicing unit is
-    the callback tuple, so any split point is valid)."""
+    the opcode tuple, so any split point is valid)."""
     if batch_events <= 0:
         raise ValueError("batch_events must be positive")
     blobs: list[bytes] = []

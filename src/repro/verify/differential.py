@@ -3,7 +3,7 @@
 The codebase claims several independently-implemented paths are
 equivalent:
 
-* inline (callback) compression — capture-and-drain with a small drain
+* inline (live) compression — capture-and-drain with a small drain
   size — == deferred compression of the captured streams
   (``compress_streams``);
 * the packed codec (CYPK blobs through ``compress_streams``: encode,
@@ -197,7 +197,7 @@ def differential_check(
             report.divergences.append(div)
 
     # -- compression variants, all from the same captured streams --------
-    # The live path: callbacks into seven-item buffers, so drain
+    # The live path: emitters into seven-item buffers, so drain
     # boundaries fall inside loops, branches and request lifetimes
     # instead of re-chunking what `deferred` ingests whole.
     inline = IntraProcessCompressor(cst)

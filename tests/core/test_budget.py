@@ -41,7 +41,7 @@ from repro.core.intra import (
     compress_streams,
 )
 from repro.driver import run_compiled
-from repro.mpisim.pmpi import StreamCaptureSink
+from repro.mpisim.pmpi import OP_LOOP_ITER, StreamCaptureSink
 from repro.static.instrument import compile_minimpi
 from repro.workloads import WORKLOADS
 
@@ -327,8 +327,9 @@ class TestLiveTracingUnderBudget:
         compiled, _ = _capture(w.source, 2, w.defines(2, 0.3))
         comp = IntraProcessCompressor(compiled.cst)
         before = comp.total_live_bytes()
+        emit = comp.stream(0)
         for _ in range(10):
-            comp.on_loop_iter(0, 5)
+            emit((OP_LOOP_ITER, 5))
         # The estimator counts the buffered items; it does not drain them.
         assert comp.total_live_bytes() == before + 10 * intra._ITEM_LIVE_BYTES
         assert comp._buffered == 10
@@ -342,9 +343,9 @@ class TestFoldSemantics:
         try:
             with pytest.raises(StreamMismatchError, match="folded"):
                 comp.state(0)
-            # A late callback for a folded rank only buffers; the drain
-            # a read triggers finds the state gone and says so.
-            comp.on_loop_iter(0, 1)
+            # A late item for a folded rank only buffers; the drain a
+            # read triggers finds the state gone and says so.
+            comp.stream(0)((OP_LOOP_ITER, 1))
             with pytest.raises(StreamMismatchError, match="folded"):
                 comp.state(0)
             comp.discard_rank(0)

@@ -27,6 +27,10 @@ from repro.mpisim.pmpi import (
     OP_BRANCH_ENTER,
     OP_BRANCH_EXIT,
     OP_EVENT,
+    OP_FINALIZE,
+    OP_LOOP_ITER,
+    OP_LOOP_POP,
+    OP_LOOP_PUSH,
     MultiSink,
     StreamCaptureSink,
 )
@@ -247,13 +251,14 @@ def _leaf(ctt):
 
 
 def _drive(sink, loop_id, payloads, rank=0):
-    sink.on_loop_push(rank, loop_id)
+    emit = sink.stream(rank)
+    emit((OP_LOOP_PUSH, loop_id))
     for seq, nbytes in enumerate(payloads):
-        sink.on_loop_iter(rank, loop_id)
-        sink.on_event(rank, CommEvent(
-            op="MPI_Send", rank=rank, seq=seq, peer=1, tag=7, nbytes=nbytes))
-    sink.on_loop_pop(rank, loop_id)
-    sink.on_finalize(rank)
+        emit((OP_LOOP_ITER, loop_id))
+        emit((OP_EVENT, CommEvent(
+            op="MPI_Send", rank=rank, seq=seq, peer=1, tag=7, nbytes=nbytes)))
+    emit((OP_LOOP_POP, loop_id))
+    emit((OP_FINALIZE,))
     return sink
 
 

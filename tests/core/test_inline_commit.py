@@ -24,7 +24,14 @@ from repro.core.intra import (
 )
 from repro.driver import run_compiled
 from repro.mpisim.events import CommEvent
-from repro.mpisim.pmpi import OP_EVENT, StreamCaptureSink
+from repro.mpisim.pmpi import (
+    OP_EVENT,
+    OP_FINALIZE,
+    OP_LOOP_ITER,
+    OP_LOOP_POP,
+    OP_LOOP_PUSH,
+    StreamCaptureSink,
+)
 from repro.static.instrument import compile_minimpi
 from repro.workloads import WORKLOADS
 
@@ -153,12 +160,13 @@ class TestLeafDispatch:
     #         child 0     skips 1->2  past end->1   child 2     wraps->0
 
     def _drive(self, sink):
+        emit = sink.stream(0)
         for seq, op in enumerate(self.ORDER):
-            sink.on_event(0, CommEvent(
+            emit((OP_EVENT, CommEvent(
                 op=op, rank=0, seq=seq, peer=1, nbytes=8,
                 time_start=5.0 * seq, duration=1.0,
-            ))
-        sink.on_finalize(0)
+            )))
+        emit((OP_FINALIZE,))
         return sink
 
     def test_out_of_order_events_scan_and_wrap_like_the_reference(self):
@@ -211,24 +219,25 @@ _iteration = st.tuples(
 
 def _drive_halo(comp, iterations):
     seq = 0
+    emit = comp.stream(0)
 
     def event(op, **kw):
         nonlocal seq
-        comp.on_event(0, CommEvent(
+        emit((OP_EVENT, CommEvent(
             op=op, rank=0, seq=seq, time_start=10.0 * seq, duration=1.0, **kw
-        ))
+        )))
         seq += 1
 
-    comp.on_loop_push(0, _HALO_LOOP)
+    emit((OP_LOOP_PUSH, _HALO_LOOP))
     for rreq, rbytes, sreq, sbytes, reqs, qreq, qtag, wreq in iterations:
-        comp.on_loop_iter(0, _HALO_LOOP)
+        emit((OP_LOOP_ITER, _HALO_LOOP))
         event("MPI_Irecv", peer=1, nbytes=rbytes, req=rreq)
         event("MPI_Isend", peer=1, nbytes=sbytes, req=sreq)
         event("MPI_Waitall", reqs=reqs)
         event("MPI_Isend", peer=1, nbytes=8, tag=qtag, req=qreq)
         event("MPI_Wait", reqs=(wreq,))
-    comp.on_loop_pop(0, _HALO_LOOP)
-    comp.on_finalize(0)
+    emit((OP_LOOP_POP, _HALO_LOOP))
+    emit((OP_FINALIZE,))
     return comp
 
 

@@ -389,12 +389,14 @@ class TestErrors:
         # Feed the compressor a mismatched stream directly.
         from repro.core.intra import IntraProcessCompressor
         from repro.mpisim.events import CommEvent
+        from repro.mpisim.pmpi import OP_EVENT
         from repro.static.instrument import compile_minimpi
 
         compiled = compile_minimpi("func main() { mpi_barrier(); }")
         comp = IntraProcessCompressor(compiled.cst)
-        comp.on_event(0, CommEvent(op="MPI_Barrier", rank=0, seq=0))
-        comp.on_event(0, CommEvent(op="MPI_Send", rank=0, seq=1))
+        emit = comp.stream(0)
+        emit((OP_EVENT, CommEvent(op="MPI_Barrier", rank=0, seq=0)))
+        emit((OP_EVENT, CommEvent(op="MPI_Send", rank=0, seq=1)))
         with pytest.raises(CompressionError, match="rank 0: no CST leaf") as err:
             comp.flush()
         assert err.value.item_index == 1
@@ -402,19 +404,26 @@ class TestErrors:
 
     def test_unbalanced_loop_exit_raises(self):
         from repro.core.intra import IntraProcessCompressor
+        from repro.mpisim.pmpi import OP_LOOP_POP
         from repro.static.instrument import compile_minimpi
 
         compiled = compile_minimpi(
             "func main() { for (;x;) { mpi_barrier(); } }"
         )
         comp = IntraProcessCompressor(compiled.cst)
-        comp.on_loop_pop(0, 123)
+        comp.stream(0)((OP_LOOP_POP, 123))
         with pytest.raises(CompressionError, match="no open loop") as err:
             comp.ctt(0)  # a read of the rank drains it
         assert err.value.item_index == 0
 
     def test_mismatch_index_counts_across_drains(self, monkeypatch):
         from repro.core import intra
+        from repro.mpisim.pmpi import (
+            OP_BRANCH_EXIT,
+            OP_LOOP_ITER,
+            OP_LOOP_POP,
+            OP_LOOP_PUSH,
+        )
         from repro.static.instrument import compile_minimpi
 
         monkeypatch.setattr(intra, "DRAIN_ITEMS", 2)
@@ -423,13 +432,14 @@ class TestErrors:
         )
         loop = next(v for v in compiled.cst.preorder() if v.kind == "loop")
         comp = intra.IntraProcessCompressor(compiled.cst)
-        comp.on_loop_push(0, loop.ast_id)
+        emit = comp.stream(0)
+        emit((OP_LOOP_PUSH, loop.ast_id))
         for _ in range(4):
-            comp.on_loop_iter(0, loop.ast_id)
-        comp.on_loop_pop(0, loop.ast_id)
+            emit((OP_LOOP_ITER, loop.ast_id))
+        emit((OP_LOOP_POP, loop.ast_id))
         # Items 0-5 drained in pairs; item 6 is the bad one and waits in
         # the buffer until item 7 fills it.
-        comp.on_branch_exit(0, 99)
+        emit((OP_BRANCH_EXIT, 99))
         with pytest.raises(CompressionError, match="no open branch") as err:
-            comp.on_loop_pop(0, loop.ast_id)
+            emit((OP_LOOP_POP, loop.ast_id))
         assert err.value.item_index == 6

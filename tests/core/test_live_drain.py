@@ -1,4 +1,4 @@
-"""Live tracing is capture-and-drain (docs/INTERNALS.md §5): callbacks
+"""Live tracing is capture-and-drain (docs/INTERNALS.md §5): emitters
 append to bounded per-rank buffers and ``ingest_stream`` compresses a
 buffer at a time.  Where the drain boundaries fall is an accident of two
 module constants, so it must not move a byte: for every buffer size the
@@ -197,9 +197,9 @@ class TestBoundaryCases:
         assert codes.count(OP_RECURSE_ENTER) == 7
 
     def test_recording_sink_mutating_shared_events(self):
-        # RecordingSink rewrites a wildcard Irecv's peer/nbytes on the
-        # shared CommEvent when the request completes — before the
-        # compressor, which only buffered the event, has looked at it.
+        # RecordingSink resolves a wildcard Irecv's peer/nbytes when the
+        # request completes — in its own copy, not on the CommEvent the
+        # compressor has only buffered so far.
         compiled = compile_minimpi(WILDCARD_IRECV)
         plain = _live(compiled, 3, None, None, DEFAULT)
         for size in [(1, DEFAULT[1]), DEFAULT]:

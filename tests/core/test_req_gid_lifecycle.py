@@ -9,6 +9,7 @@ from helpers import assert_replay_exact, run_traced  # noqa: E402
 
 from repro.core.intra import IntraProcessCompressor  # noqa: E402
 from repro.mpisim.events import CommEvent  # noqa: E402
+from repro.mpisim.pmpi import OP_EVENT  # noqa: E402
 from repro.static.instrument import compile_minimpi  # noqa: E402
 
 
@@ -78,8 +79,9 @@ class TestRequestIdReuse:
     def _drive(self, events):
         compiled = compile_minimpi(self.SRC)
         cyp = IntraProcessCompressor(compiled.cst)
+        emit = cyp.stream(0)
         for ev in events:
-            cyp.on_event(0, ev)
+            emit((OP_EVENT, ev))
         return cyp
 
     def test_reused_id_maps_to_new_creator(self):

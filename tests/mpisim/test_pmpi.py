@@ -1,8 +1,32 @@
-"""PMPI sink-layer tests: MultiSink fan-out, TimingSink accounting,
-marker plumbing."""
+"""PMPI sink-layer tests: the one sink contract, MultiSink fan-out,
+TimingSink accounting, RecordingSink ground truth, marker plumbing."""
 
+from repro.mpisim.datatypes import ANY_SOURCE
 from repro.mpisim.events import CommEvent
-from repro.mpisim.pmpi import MultiSink, NullSink, TimingSink, TraceSink
+from repro.mpisim.pmpi import (
+    OP_BRANCH_ENTER,
+    OP_BRANCH_EXIT,
+    OP_EVENT,
+    OP_FINALIZE,
+    OP_LOOP_ITER,
+    OP_LOOP_POP,
+    OP_LOOP_PUSH,
+    OP_RECURSE_ENTER,
+    OP_RECURSE_EXIT,
+    OP_REQ_COMPLETE,
+    MultiSink,
+    NullSink,
+    RecordingSink,
+    TimingSink,
+    TraceSink,
+)
+
+_NAMES = {
+    OP_LOOP_PUSH: "push", OP_LOOP_ITER: "iter", OP_LOOP_POP: "pop",
+    OP_BRANCH_ENTER: "benter", OP_BRANCH_EXIT: "bexit",
+    OP_RECURSE_ENTER: "renter", OP_RECURSE_EXIT: "rexit",
+    OP_EVENT: "event", OP_REQ_COMPLETE: "complete", OP_FINALIZE: "finalize",
+}
 
 
 class CountingSink(TraceSink):
@@ -11,52 +35,32 @@ class CountingSink(TraceSink):
     def __init__(self):
         self.counts = {}
 
-    def _bump(self, name):
-        self.counts[name] = self.counts.get(name, 0) + 1
+    def stream(self, rank):
+        def emit(item):
+            name = _NAMES[item[0]]
+            self.counts[name] = self.counts.get(name, 0) + 1
+        return emit
 
-    def on_loop_push(self, rank, ast_id):
-        self._bump("push")
 
-    def on_loop_iter(self, rank, ast_id):
-        self._bump("iter")
-
-    def on_loop_pop(self, rank, ast_id):
-        self._bump("pop")
-
-    def on_branch_enter(self, rank, ast_id, path):
-        self._bump("benter")
-
-    def on_branch_exit(self, rank, ast_id):
-        self._bump("bexit")
-
-    def on_recurse_enter(self, rank, ast_id):
-        self._bump("renter")
-
-    def on_recurse_exit(self, rank, ast_id):
-        self._bump("rexit")
-
-    def on_event(self, rank, event):
-        self._bump("event")
-
-    def on_request_complete(self, rank, rid, source, nbytes, when):
-        self._bump("complete")
-
-    def on_finalize(self, rank):
-        self._bump("finalize")
+EVENT = CommEvent(op="MPI_Send", rank=0, seq=0)
+ITEMS = [
+    (OP_LOOP_PUSH, 1), (OP_LOOP_ITER, 1), (OP_BRANCH_ENTER, 2, 0),
+    (OP_EVENT, EVENT), (OP_BRANCH_EXIT, 2), (OP_LOOP_POP, 1),
+    (OP_RECURSE_ENTER, 3), (OP_RECURSE_EXIT, 3),
+    (OP_REQ_COMPLETE, 1, 1, 8, 1.0), (OP_FINALIZE,),
+]
 
 
 def drive(sink):
-    ev = CommEvent(op="MPI_Send", rank=0, seq=0)
-    sink.on_loop_push(0, 1)
-    sink.on_loop_iter(0, 1)
-    sink.on_branch_enter(0, 2, 0)
-    sink.on_event(0, ev)
-    sink.on_branch_exit(0, 2)
-    sink.on_loop_pop(0, 1)
-    sink.on_recurse_enter(0, 3)
-    sink.on_recurse_exit(0, 3)
-    sink.on_request_complete(0, 1, 1, 8, 1.0)
-    sink.on_finalize(0)
+    emit = sink.stream(0)
+    for item in ITEMS:
+        emit(item)
+
+
+def test_trace_sink_is_stream_flush_and_wants_markers():
+    members = {name for name in vars(TraceSink) if not name.startswith("__")}
+    assert members == {"stream", "flush", "wants_markers"}
+    drive(NullSink())  # the default emitter takes every item and does nothing
 
 
 class TestMultiSink:
@@ -87,6 +91,48 @@ class TestTimingSink:
         assert not TimingSink(NullSink()).wants_markers
 
 
+WILDCARD_IRECV = """
+func main() {
+  var rank = mpi_comm_rank();
+  if (rank == 0) {
+    for (var i = 0; i < 12; i = i + 1) {
+      var r = mpi_irecv(-1, 8, 0);
+      compute(5);
+      mpi_wait(r);
+    }
+  } else {
+    for (var i = 0; i < 6; i = i + 1) { mpi_send(0, 8, 0); }
+  }
+}
+"""
+
+
+class TestRecordingSink:
+    def test_keeps_events_only_and_no_key_for_a_silent_rank(self):
+        sink = RecordingSink()
+        drive(sink)
+        sink.stream(1)((OP_FINALIZE,))
+        assert sink.events == {0: [EVENT]}
+
+    def test_truth_leaves_the_shared_events_alone(self):
+        # The recorder resolves a wildcard Irecv in its own copy: the
+        # captured stream is the same with and without it.
+        from repro.driver import capture_run
+
+        plain = capture_run(WILDCARD_IRECV, 3)
+        truth = capture_run(WILDCARD_IRECV, 3, truth=True)
+        assert truth.streams == plain.streams
+        captured = [
+            item[1] for item in truth.streams[0]
+            if item[0] == OP_EVENT and item[1].op == "MPI_Irecv"
+        ]
+        assert len(captured) == 12
+        assert all(ev.peer == ANY_SOURCE for ev in captured)
+        recorded = [ev for ev in truth.truth[0] if ev.op == "MPI_Irecv"]
+        assert len(recorded) == 12
+        assert all(ev.peer in (1, 2) and ev.nbytes == 8 for ev in recorded)
+
+
 class TestMarkersFromInterpreter:
     def test_marker_stream_matches_program_shape(self):
         from repro.driver import run_compiled
@@ -112,7 +158,6 @@ class TestMarkersFromInterpreter:
 
     def test_markers_suppressed_without_consumer(self):
         from repro.driver import run_compiled
-        from repro.mpisim.pmpi import RecordingSink
         from repro.static.instrument import compile_minimpi
 
         compiled = compile_minimpi(

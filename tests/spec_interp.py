@@ -40,6 +40,15 @@ from repro.minilang.builtins import (
     MPI_QUERIES,
 )
 from repro.minilang.interp import InstrumentationPlan, InterpError
+from repro.mpisim.pmpi import (
+    OP_BRANCH_ENTER,
+    OP_BRANCH_EXIT,
+    OP_LOOP_ITER,
+    OP_LOOP_POP,
+    OP_LOOP_PUSH,
+    OP_RECURSE_ENTER,
+    OP_RECURSE_EXIT,
+)
 
 
 class _Break(Exception):
@@ -108,18 +117,9 @@ class Interpreter:
         self.defines = dict(defines or {})
         self.plan = plan
         self.output = output
-        tracer = comm.runtime.tracer
-        self._emit_markers = plan is not None and tracer.wants_markers
-        # Markers fire per loop iteration and per branch: resolve the
-        # rank and the sink's bound methods once, not per marker.
-        self._rank = comm.rank
-        self._on_loop_push = tracer.on_loop_push
-        self._on_loop_iter = tracer.on_loop_iter
-        self._on_loop_pop = tracer.on_loop_pop
-        self._on_branch_enter = tracer.on_branch_enter
-        self._on_branch_exit = tracer.on_branch_exit
-        self._on_recurse_enter = tracer.on_recurse_enter
-        self._on_recurse_exit = tracer.on_recurse_exit
+        self._emit_markers = plan is not None and comm.runtime.tracer.wants_markers
+        # Markers go to the rank's emitter as opcode tuples.
+        self._emit = comm.emit
         self._steps = 0
         self._max_steps = max_steps
         self._call_depth = 0
@@ -156,7 +156,7 @@ class Interpreter:
         if self._emit_markers:
             pseudo = self.plan.recursive_pseudo.get(name)
         if pseudo is not None:
-            self._on_recurse_enter(self._rank, pseudo)
+            self._emit((OP_RECURSE_ENTER, pseudo))
         try:
             value = 0
             try:
@@ -166,7 +166,7 @@ class Interpreter:
             return value
         finally:
             if pseudo is not None:
-                self._on_recurse_exit(self._rank, pseudo)
+                self._emit((OP_RECURSE_EXIT, pseudo))
             self._call_depth -= 1
 
     # -- statements -----------------------------------------------------
@@ -238,12 +238,12 @@ class Interpreter:
             self._emit_markers and stmt.node_id in self.plan.instrumented_ast_ids
         )
         if instrumented:
-            self._on_branch_enter(self._rank, stmt.node_id, path)
+            self._emit((OP_BRANCH_ENTER, stmt.node_id, path))
         try:
             yield from self._exec_block(body, frame)
         finally:
             if instrumented:
-                self._on_branch_exit(self._rank, stmt.node_id)
+                self._emit((OP_BRANCH_EXIT, stmt.node_id))
 
     def _exec_loop(self, stmt: A.For | A.While, frame: dict):
         is_for = isinstance(stmt, A.For)
@@ -253,7 +253,7 @@ class Interpreter:
             self._emit_markers and stmt.node_id in self.plan.instrumented_ast_ids
         )
         if instrumented:
-            self._on_loop_push(self._rank, stmt.node_id)
+            self._emit((OP_LOOP_PUSH, stmt.node_id))
         try:
             cond_pure = stmt.cond is not None and not _has_call(stmt.cond)
             while True:
@@ -266,7 +266,7 @@ class Interpreter:
                     if not cond:
                         break
                 if instrumented:
-                    self._on_loop_iter(self._rank, stmt.node_id)
+                    self._emit((OP_LOOP_ITER, stmt.node_id))
                 try:
                     yield from self._exec_block(stmt.body, frame)
                 except _Break:
@@ -277,7 +277,7 @@ class Interpreter:
                     yield from self._exec_stmt(stmt.step, frame)
         finally:
             if instrumented:
-                self._on_loop_pop(self._rank, stmt.node_id)
+                self._emit((OP_LOOP_POP, stmt.node_id))
 
     # -- expressions ---------------------------------------------------------
 

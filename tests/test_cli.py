@@ -75,6 +75,19 @@ class TestValidation:
         assert "usage:" in err and "unrecognized arguments" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "cg", "-n", "8", "--scale", "0.3"],
+        ["serve"],
+    ])
+    @pytest.mark.parametrize("size", ["-5", "-1K"])
+    def test_negative_memory_budget_is_rejected(self, argv, size, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, f"--memory-budget={size}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"negative byte size '{size}'" in err
+
+
 class TestFaultFlags:
     def test_trace_strict_and_quarantine_out(self, tmp_path, capsys):
         # Both are gone from ``trace``: it compresses live, no capture
