@@ -286,9 +286,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         out_dir=args.out_dir,
         host=args.host,
         port=args.port,
-        high_watermark=args.high_watermark,
-        low_watermark=args.low_watermark,
-        session_watermark=args.session_watermark,
         checkpoint_interval=args.checkpoint_interval,
         idle_timeout=args.idle_timeout,
         kill_after_batches=args.kill_after_batches,
@@ -331,8 +328,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
           f"({summary['bytes']} bytes) across {args.nprocs} ranks")
     if summary["reconnects"]:
         print(f"  reconnects     : {summary['reconnects']}")
-    if summary["throttles_seen"]:
-        print(f"  throttles seen : {summary['throttles_seen']}")
     return 0
 
 
@@ -612,18 +607,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out-dir", default="server-out",
                    help="where finalized merged traces land as <job>.cyp "
                         "(default: server-out)")
-    p.add_argument("--high-watermark", type=int, default=8 << 20,
-                   help="global buffered-bytes level that throttles "
-                        "clients (default: 8 MiB)")
-    p.add_argument("--low-watermark", type=int, default=2 << 20,
-                   help="buffered-bytes level that resumes reading "
-                        "(default: 2 MiB)")
-    p.add_argument("--session-watermark", type=int, default=2 << 20,
-                   help="per-session buffered-bytes level that forces an "
-                        "inline spill (default: 2 MiB)")
     p.add_argument("--checkpoint-interval", type=float, default=0.25,
-                   help="seconds between incremental checkpoints of dirty "
-                        "sessions (default: 0.25)")
+                   help="seconds between checkpoints (fsync the batch "
+                        "logs, write the session meta) of dirty sessions "
+                        "(default: 0.25)")
     p.add_argument("--idle-timeout", type=float, default=30.0,
                    help="seconds of rank silence before quarantine "
                         "(default: 30)")
@@ -640,9 +627,8 @@ def main(argv: list[str] | None = None) -> int:
                    metavar="BYTES",
                    help="per-job compressor memory budget (suffixes "
                         "K/M/G): finalized ranks fold into the merge "
-                        "incrementally, cold ranks spill under "
-                        "<state-dir>/spill/, and the ingest watermark "
-                        "shrinks under unevictable pressure")
+                        "incrementally and cold ranks spill under "
+                        "<state-dir>/spill/")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

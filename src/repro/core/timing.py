@@ -105,34 +105,13 @@ class TimeStats:
     # -- merge (inter-process compression) --------------------------------
 
     def merge(self, other: "TimeStats") -> None:
-        if self.mode != other.mode:
-            raise ValueError("cannot merge time stats of different modes")
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self.m2 = other.m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            if self.mode == HIST:
-                self.bins = list(other.bins)
-            return
-        n1, n2 = self.count, other.count
-        delta = other.mean - self.mean
-        total = n1 + n2
-        self.mean += delta * n2 / total
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total
-        self.count = total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        if self.mode == HIST:
-            self.bins = [a + b for a, b in zip(self.bins, other.bins)]
+        """Fold one stats object in: :meth:`merge_many` of one."""
+        self.merge_many((other,))
 
     def merge_many(self, others) -> None:
-        """Fold a sequence of stats, bit-identical to :meth:`merge`
-        called once per element in order — the same float operations on
-        locals, the slots written back once."""
+        """Fold a sequence of stats in order (Chan et al.'s pairwise
+        Welford update) — float operations on locals, the slots written
+        back once."""
         mode = self.mode
         n = self.count
         mean = self.mean

@@ -35,6 +35,3 @@ class LogGPParams:
     def sender_busy(self, nbytes: int) -> float:
         """Time the sender's CPU is occupied."""
         return max(self.o, self.g)
-
-    def receiver_busy(self, _nbytes: int) -> float:
-        return self.o

@@ -5,13 +5,14 @@ already on the local machine.  This package turns the same CTT
 machinery into a long-running service (docs/INTERNALS.md §13):
 
 * :mod:`repro.server.protocol` — the CRC-framed wire protocol clients
-  speak (HELLO / BATCH / EOS control flow, THROTTLE backpressure,
-  exactly-once sequence numbering);
+  speak (HELLO / BATCH / EOS control flow, exactly-once sequence
+  numbering);
 * :mod:`repro.server.session` — per-``(job, rank)`` session state with
-  crash-safe checkpoint/batch-log files and prefix-salvage recovery;
+  a batch log appended on accept, crash-safe meta checkpoints and
+  prefix-salvage recovery;
 * :mod:`repro.server.daemon` — the asyncio TCP daemon behind
-  ``repro serve``: bounded buffering with high/low watermarks, idle
-  quarantine, periodic checkpoints, graceful drain, crash recovery;
+  ``repro serve``: no batch held in memory, idle quarantine, periodic
+  checkpoints, graceful drain, crash recovery;
 * :mod:`repro.server.client` — the retry/reconnect/resume client
   library behind ``repro submit``;
 * :mod:`repro.server.faultsmoke` — ``DaemonProc``, one ``repro serve``

@@ -2,17 +2,17 @@
 
 A :class:`TraceClient` streams one rank's captured opcode stream to the
 daemon as CYPK batch blobs.  The contract is exactly-once by sequence
-number: the client keeps every batch until the server acks it durable
-enough (the ack means *ingested*; durability follows at the next server
-checkpoint), and on any connection loss it reconnects with bounded
-exponential backoff, learns the server's acked sequence from HELLO_ACK,
-and re-sends from there — the server dedups anything it already has,
-so a kill-and-restart of either side never duplicates or drops a batch.
+number: the client keeps every batch (the ack means *in the session
+log and ingested*; the fsync follows at the next server checkpoint),
+and on any connection loss it reconnects with bounded exponential
+backoff, learns the server's acked sequence from HELLO_ACK, and
+re-sends from there — the server dedups anything it already has, so a
+kill-and-restart of either side never duplicates or drops a batch.
 
-Flow control: up to ``window`` batches may be in flight unacked; a
-THROTTLE frame pauses sending until the matching RESUME (acks keep
-arriving while paused, since the server drains its buffered bytes to
-the checkpoint log).
+Flow control: up to ``window`` batches may be in flight unacked.  The
+server reads a connection's next frame only after it has ingested the
+last one, so a slow server fills the socket buffers and TCP flow
+control blocks ``sendall``.
 """
 
 from __future__ import annotations
@@ -82,10 +82,10 @@ class TraceClient:
         self.io_timeout = io_timeout
         self.acked_seq = 0
         self.reconnects = 0
-        self.throttles_seen = 0
         #: Times a reconnect found the server acked *less* than we had
-        #: seen acked — expected after a hard crash (acked-not-durable
-        #: batches are re-sent), must be zero across a graceful drain.
+        #: seen acked — possible after a crash (batches the server had
+        #: not fsynced, or whose session had no checkpoint yet, are
+        #: re-sent), must be zero across a graceful drain.
         self.acked_regressions = 0
 
     # -- one connection attempt -----------------------------------------
@@ -127,12 +127,10 @@ class TraceClient:
             self.acked_regressions += 1
         self.acked_seq = acked
         next_seq = acked + 1
-        throttled = False
         while self.acked_seq < len(blobs):
             # Fill the window, then block on one server frame.
             while (
-                not throttled
-                and next_seq <= len(blobs)
+                next_seq <= len(blobs)
                 and next_seq - self.acked_seq <= self.window
             ):
                 sock.sendall(proto.batch_frame(next_seq, blobs[next_seq - 1]))
@@ -141,11 +139,6 @@ class TraceClient:
             if kind == proto.BATCH_ACK:
                 fields = proto.decode_control(payload)
                 self.acked_seq = max(self.acked_seq, int(fields["acked_seq"]))
-            elif kind == proto.THROTTLE:
-                throttled = True
-                self.throttles_seen += 1
-            elif kind == proto.RESUME:
-                throttled = False
             elif kind == proto.ERROR:
                 fields = proto.decode_control(payload)
                 raise ClientError(f"server error: {fields.get('error')}")
@@ -162,7 +155,6 @@ class TraceClient:
             if kind == proto.ERROR:
                 fields = proto.decode_control(payload)
                 raise ClientError(f"server error: {fields.get('error')}")
-            # THROTTLE/RESUME may still arrive; ignore
 
     # -- public API ------------------------------------------------------
 
@@ -262,7 +254,6 @@ def submit_workload(
             (len(x) for b in per_rank_blobs.values() for x in b), default=0
         ),
         "reconnects": sum(c.reconnects for c in clients.values()),
-        "throttles_seen": sum(c.throttles_seen for c in clients.values()),
         "acked_regressions": sum(
             c.acked_regressions for c in clients.values()
         ),

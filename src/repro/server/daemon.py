@@ -3,28 +3,26 @@
 One process, one event loop, many concurrent clients.  Each connection
 speaks the framed protocol (:mod:`repro.server.protocol`) on behalf of
 one ``(job, rank)``; the daemon keeps a live
-:class:`~repro.core.intra.IntraProcessCompressor` per job and ingests
-every acked batch immediately, so the invariant at all times — live or
-after crash recovery — is *compressor state equals batches 1..acked*.
+:class:`~repro.core.intra.IntraProcessCompressor` per job, appends every
+fresh batch to its session's log and then ingests it, so the invariant
+at all times — live or after crash recovery — is *compressor state
+equals batches 1..acked*.
 
 Robustness machinery (docs/INTERNALS.md §13):
 
-* **Backpressure** — acked-but-not-durable batch bytes are bounded by a
-  high/low watermark pair.  Crossing the high watermark broadcasts a
-  THROTTLE frame and parks every reader on a gate (the daemon stops
-  reading sockets — kernel TCP flow control does the rest); the
-  checkpoint loop spills the buffered batches to the session logs,
-  and dropping under the low watermark broadcasts RESUME and reopens
-  the gate.  A single firehose session is additionally spilled inline
-  when it alone crosses the per-session watermark.  No queue anywhere
-  is unbounded.
+* **No batch in memory** — an accepted batch goes straight to its
+  session log (no fsync), so a crashed process loses no acked batch.
+  Each connection ingests a batch before it reads its next frame, so
+  there is no queue to bound: a slow ingest stops the reads, and
+  kernel TCP flow control slows the client.  The protocol's two
+  throttle/resume frame kinds stay reserved and are no longer sent.
 * **Idle quarantine** — a rank silent past the idle timeout is
   quarantined through PR 4's lenient path (stage ``"server"``); the
   job can finalize without it.  A quarantined rank that reconnects
   before its job finalizes is revived and resumes exactly where its
   durable log ends.
 * **Checkpoints** — every dirty session is checkpointed on a short
-  period (append+fsync batch log, atomic meta with a generation
+  period (fsync the batch log, then the atomic meta with a generation
   counter); crash recovery salvages the newest valid checkpoint per
   session, re-ingests the durable batches, and tells each returning
   client its acked sequence so the stream resumes exactly-once.
@@ -65,11 +63,6 @@ class ServerConfig:
     out_dir: str
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is reported back
-    #: Global watermarks on acked-but-not-durable batch bytes.
-    high_watermark: int = 8 << 20
-    low_watermark: int = 2 << 20
-    #: One session alone crossing this is spilled inline.
-    session_watermark: int = 2 << 20
     checkpoint_interval: float = 0.25
     idle_timeout: float = 30.0
     #: Hard-exit the process (status 137) after the Nth ingested batch,
@@ -80,9 +73,7 @@ class ServerConfig:
     metrics_json: str | None = None
     #: Per-job compressor memory budget (bytes).  Arms the bounded
     #: streaming mode: finalized ranks fold incrementally into a partial
-    #: merge, cold ranks spill under ``state_dir/spill/<job>/``, and the
-    #: ingest watermark shrinks by any unevictable overage so TCP
-    #: backpressure slows clients instead of the daemon ballooning.
+    #: merge, and cold ranks spill under ``state_dir/spill/<job>/``.
     memory_budget: int | None = None
 
 
@@ -135,10 +126,9 @@ class CypressTraceServer:
         os.makedirs(config.out_dir, exist_ok=True)
         self.jobs: dict[str, JobState] = {}
         self.metrics: dict[str, float] = {}
+        #: Bytes appended to the session logs since the checkpoint
+        #: loop's last pass fsynced them (``server.buffered_bytes``).
         self._buffered = 0
-        self._throttled = False
-        self._gate = asyncio.Event()
-        self._gate.set()
         self._drain_event = asyncio.Event()
         self._writers: set[asyncio.StreamWriter] = set()
         self._server: asyncio.base_events.Server | None = None
@@ -181,25 +171,6 @@ class CypressTraceServer:
                     budget[key] = budget.get(key, 0) + value
         snap.update(budget)
         return snap
-
-    def _effective_high_watermark(self) -> int:
-        """The high watermark, shrunk by any compressor live-bytes
-        overage the budget enforcer could not evict (pending wildcard
-        receives pin their ranks in memory).  Never below the low
-        watermark: gating ingest entirely on unevictable state would
-        deadlock the very batches that resolve the wildcards."""
-        cfg = self.config
-        high = cfg.high_watermark
-        if cfg.memory_budget is None:
-            return high
-        over = 0
-        for job in self.jobs.values():
-            bc = job.compressor.budget_counters
-            if bc is not None:
-                over += max(0, bc.live_bytes - cfg.memory_budget)
-        if over:
-            high = max(cfg.low_watermark, high - over)
-        return high
 
     # -- recovery --------------------------------------------------------
 
@@ -282,29 +253,11 @@ class CypressTraceServer:
         except packed.PackedStreamError as exc:
             raise proto.ProtocolError(f"undecodable batch payload: {exc}")
 
-    def _maybe_resume(self) -> None:
-        if self._throttled and self._buffered <= self.config.low_watermark:
-            self._throttled = False
-            self._gate.set()
-            self._broadcast(proto.control_frame(
-                proto.RESUME, buffered=self._buffered,
-            ))
-
-    def _broadcast(self, frame: bytes) -> None:
-        for writer in list(self._writers):
-            try:
-                writer.write(frame)
-            except Exception:
-                pass
-
     # -- checkpoints -----------------------------------------------------
 
     def _checkpoint_session(self, session: SessionState) -> None:
-        spilled = self.store.checkpoint(session)
-        self._buffered -= spilled
-        self._gauge("server.buffered_bytes", self._buffered)
+        self.store.checkpoint(session)
         self._count("server.checkpoints")
-        self._maybe_resume()
 
     def checkpoint_all(self) -> int:
         done = 0
@@ -313,6 +266,8 @@ class CypressTraceServer:
                 if session.dirty:
                     self._checkpoint_session(session)
                     done += 1
+        self._buffered = 0  # every log is fsynced now
+        self._gauge("server.buffered_bytes", 0)
         return done
 
     async def _checkpoint_loop(self) -> None:
@@ -426,7 +381,6 @@ class CypressTraceServer:
         job: JobState | None = None
         try:
             while not self._drain_event.is_set():
-                await self._gate.wait()
                 kind, payload = await self._read_frame(reader)
                 if kind == proto.HELLO:
                     session, job = self._on_hello(
@@ -548,7 +502,6 @@ class CypressTraceServer:
             proto.HELLO_ACK,
             proto_version=proto.PROTO_VERSION,
             acked_seq=session.acked_seq,
-            throttled=self._throttled,
             revived=revived,
         ))
         self._count("server.hellos")
@@ -567,7 +520,7 @@ class CypressTraceServer:
         if seq > session.acked_seq:
             items = self._validate_blob(blob)
         try:
-            fresh = session.accept(seq, blob)
+            fresh = self.store.accept(session, seq, blob)
         except ValueError as exc:  # sequence gap: client bug or replay skew
             raise proto.ProtocolError(str(exc))
         if fresh:
@@ -580,18 +533,6 @@ class CypressTraceServer:
                 os._exit(137)  # seeded crash point, pre-ack
             self._gauge("server.buffered_bytes", self._buffered)
             self._gauge_max("server.buffered_bytes_max", self._buffered)
-            cfg = self.config
-            if session.buffered_bytes >= cfg.session_watermark:
-                self._checkpoint_session(session)
-            high = self._effective_high_watermark()
-            if self._buffered >= high and not self._throttled:
-                self._throttled = True
-                self._gate.clear()
-                self._count("server.throttles")
-                self._broadcast(proto.control_frame(
-                    proto.THROTTLE, buffered=self._buffered,
-                    high=high,
-                ))
         else:
             self._count("server.dup_batches")
         writer.write(proto.control_frame(
@@ -601,7 +542,11 @@ class CypressTraceServer:
 
     def _on_eos(self, job: JobState, session: SessionState,
                 fields: dict, writer: asyncio.StreamWriter) -> None:
-        total = int(fields["total"])
+        total = fields.get("total")
+        if type(total) is not int:
+            raise proto.ProtocolError(
+                f"EOS total {total!r} must be an integer"
+            )
         if total < session.acked_seq:
             writer.write(proto.control_frame(
                 proto.ERROR,
@@ -631,7 +576,6 @@ class CypressTraceServer:
 
     def request_drain(self) -> None:
         self._drain_event.set()
-        self._gate.set()  # unpark readers so they observe the drain
 
     async def serve(self, *, on_started=None) -> None:
         """Run until drained (SIGTERM / :meth:`request_drain`).  Off the

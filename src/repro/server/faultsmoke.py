@@ -25,9 +25,6 @@ class DaemonProc:
     def __init__(self, state_dir: str, out_dir: str, *, port: int = 0,
                  idle_timeout: float = 30.0,
                  checkpoint_interval: float = 0.05,
-                 high_watermark: int | None = None,
-                 low_watermark: int | None = None,
-                 session_watermark: int | None = None,
                  kill_after_batches: int | None = None,
                  metrics_json: str | None = None) -> None:
         self.state_dir, self.out_dir = state_dir, out_dir
@@ -43,12 +40,6 @@ class DaemonProc:
             "--idle-timeout", str(idle_timeout),
             "--checkpoint-interval", str(checkpoint_interval),
         ]
-        if high_watermark is not None:
-            argv += ["--high-watermark", str(high_watermark)]
-        if low_watermark is not None:
-            argv += ["--low-watermark", str(low_watermark)]
-        if session_watermark is not None:
-            argv += ["--session-watermark", str(session_watermark)]
         if kill_after_batches is not None:
             argv += ["--kill-after-batches", str(kill_after_batches)]
         if metrics_json is not None:

@@ -14,13 +14,15 @@ drops the connection, and the client reconnects and resumes from the
 server's acked sequence number.
 
 Control frames carry UTF-8 JSON payloads (HELLO, HELLO_ACK, EOS_ACK,
-STATUS, ERROR, THROTTLE); the hot BATCH frame is binary: a ``u64``
+STATUS, ERROR); the hot BATCH frame is binary: a ``u64``
 sequence number followed by a CYPK packed-stream blob
 (:mod:`repro.core.packed`).  Sequence numbers start at 1 and are the
 exactly-once contract: the server acks each batch it ingested, dedups
 anything at or below its acked counter, and rejects gaps — a client
 that reconnects asks HELLO, learns the acked counter, and re-sends
-from there.
+from there.  Kinds 131 and 132 (throttle and resume) are reserved:
+older servers sent them for backpressure, this one never does — it
+holds no batch in memory, and TCP flow control slows a fast client.
 """
 
 from __future__ import annotations

@@ -5,22 +5,21 @@ directory, both built from the same CRC32-framed section container the
 trace format uses (:mod:`repro.core.serialize`):
 
 * ``{job}__r{rank}.log`` — the **batch log**: an append-only sequence
-  of framed BATCH sections (``seq u64 | CYPK blob``).  Appends are
-  fsynced; a crash mid-append tears at most the last section, and
-  recovery keeps the longest checksum-valid prefix (the same salvage
-  scan the trace container uses).  The log is the source of truth: a
-  batch is *durable* exactly when its section survives the prefix scan.
+  of framed BATCH sections (``seq u64 | CYPK blob``).
+  :meth:`SessionStore.accept` appends each fresh batch the moment it
+  is accepted — one ``open``/``write``/``close``, no fsync — so the
+  daemon holds no batch in memory, and a crashed *process* loses
+  nothing it acked (the bytes are in the page cache).  The checkpoint
+  fsyncs the log.  A crash mid-append tears at most the last section;
+  recovery keeps the longest checksum-valid, contiguous prefix and cuts
+  the torn bytes off, so later appends are not hidden behind them.
+  The log is the source of truth: a batch is *durable* exactly when its
+  section survives the prefix scan.
 * ``{job}__r{rank}.meta.a`` / ``.b`` — the **meta checkpoint**,
   written whole (:func:`~repro.core.serialize.atomic_write`) into
   alternating slots with a monotonically increasing generation counter.  Recovery
   reads both slots and keeps the newest one that validates — a torn or
   corrupt checkpoint silently loses one generation, never the session.
-
-The in-memory :class:`SessionState` buffers acked-but-not-yet-durable
-batches; :meth:`SessionStore.checkpoint` appends them to the log,
-advances the meta generation, and releases the memory — which is what
-lets the daemon's backpressure spill a firehose session to disk and
-keep its buffered-bytes gauge under the watermark.
 """
 
 from __future__ import annotations
@@ -78,13 +77,9 @@ class SessionState:
     #: Highest contiguous batch sequence number ingested (acked to the
     #: client).  Starts at 0; batch ``seq`` must equal ``acked_seq + 1``.
     acked_seq: int = 0
-    #: Highest batch sequence number durable in the batch log.
+    #: Highest batch sequence number the last checkpoint fsynced (after
+    #: recovery: the end of the log's valid prefix).
     durable_seq: int = 0
-    #: Acked batches not yet appended to the log, in seq order.
-    mem_batches: list[tuple[int, bytes]] = field(default_factory=list)
-    #: Bytes held by ``mem_batches`` — the session's share of the
-    #: server's buffered-bytes gauge.
-    buffered_bytes: int = 0
     #: EOS received: the total batch count the client declared, or None.
     eos_seq: int | None = None
     #: Set when the rank is quarantined: by the idle reaper (stage
@@ -101,10 +96,10 @@ class SessionState:
 
     @property
     def dirty(self) -> bool:
-        """Anything acked (batches or EOS/quarantine state) not yet on
-        disk — the checkpoint loop's work predicate."""
-        return bool(self.mem_batches) or self.acked_seq > self.durable_seq \
-            or self.generation == 0 or self._meta_dirty
+        """Anything acked (batches or EOS/quarantine state) not yet
+        fsynced — the checkpoint loop's work predicate."""
+        return self.acked_seq > self.durable_seq or self.generation == 0 \
+            or self._meta_dirty
 
     _meta_dirty: bool = False
 
@@ -114,7 +109,7 @@ class SessionState:
     def mark_meta_dirty(self) -> None:
         self._meta_dirty = True
 
-    def accept(self, seq: int, blob: bytes) -> bool:
+    def accept(self, seq: int) -> bool:
         """Ack one batch; returns False for a duplicate (seq already
         acked — the exactly-once dedup), raises on a gap."""
         if seq <= self.acked_seq:
@@ -123,8 +118,6 @@ class SessionState:
             raise ValueError(
                 f"out-of-order batch {seq} (expected {self.acked_seq + 1})"
             )
-        self.mem_batches.append((seq, blob))
-        self.buffered_bytes += len(blob)
         self.acked_seq = seq
         self.touch()
         return True
@@ -203,24 +196,29 @@ class SessionStore:
 
     # -- write side ------------------------------------------------------
 
-    def append_batches(
-        self, job: str, rank: int, batches: list[tuple[int, bytes]]
-    ) -> None:
-        """Append framed batch sections to the log and fsync.  A crash
-        mid-call tears at most the final section (prefix salvage)."""
-        if not batches:
-            return
-        w = ByteWriter()
-        for seq, blob in batches:
+    def accept(self, session: SessionState, seq: int, blob: bytes) -> bool:
+        """:meth:`SessionState.accept` with the log append in front: the
+        next batch reaches the log before the session counts it acked.
+        Batch 1 starts the log afresh (a stale log of a session whose
+        meta never landed is overwritten, not appended to)."""
+        if seq == session.acked_seq + 1:
+            w = ByteWriter()
+            if seq == 1:
+                w.raw(_LOG_MAGIC + bytes([_VERSION]))
+                flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+            else:
+                flags = os.O_WRONLY | os.O_APPEND
             write_section(w, SEC_BATCH, _SEQ.pack(seq) + blob)
-        path = self.log_path(job, rank)
-        new = not os.path.exists(path)
-        with open(path, "ab") as fh:
-            if new:
-                fh.write(_LOG_MAGIC + bytes([_VERSION]))
-            fh.write(w.bytes())
-            fh.flush()
-            os.fsync(fh.fileno())
+            data = w.bytes()
+            path = self.log_path(session.job, session.rank)
+            fd = os.open(path, flags, 0o644)
+            try:
+                if os.write(fd, data) != len(data):
+                    raise OSError(f"short append to the batch log of "
+                                  f"{session.job} rank {session.rank}")
+            finally:
+                os.close(fd)
+        return session.accept(seq)
 
     def write_meta(self, session: SessionState) -> None:
         """Atomically persist the session meta into the older of the two
@@ -238,16 +236,18 @@ class SessionStore:
         atomic_write(target, w.bytes())
         session._meta_dirty = False
 
-    def checkpoint(self, session: SessionState) -> int:
-        """Make everything acked durable and release the batch memory;
-        returns the bytes spilled to the log."""
-        spilled = session.buffered_bytes
-        self.append_batches(session.job, session.rank, session.mem_batches)
-        session.durable_seq = session.acked_seq
-        session.mem_batches.clear()
-        session.buffered_bytes = 0
+    def checkpoint(self, session: SessionState) -> None:
+        """Fsync the batches appended since the last checkpoint, then
+        persist the meta that names them."""
+        if session.acked_seq > session.durable_seq:
+            fd = os.open(self.log_path(session.job, session.rank),
+                         os.O_WRONLY | os.O_APPEND)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            session.durable_seq = session.acked_seq
         self.write_meta(session)
-        return spilled
 
     def remove(self, job: str, rank: int) -> None:
         for path in (self.log_path(job, rank), *self.meta_paths(job, rank)):
@@ -261,26 +261,32 @@ class SessionStore:
     def read_log_batches(self, job: str, rank: int) -> list[tuple[int, bytes]]:
         """The durable batches: longest checksum-valid prefix of the
         log, kept only while sequence numbers stay contiguous from 1."""
+        return self._scan_log(job, rank)[0]
+
+    def _scan_log(self, job: str, rank: int
+                  ) -> tuple[list[tuple[int, bytes]], int, int]:
+        """``(batches, prefix_end, file_size)``: the durable batches and
+        the byte offset just past the last of them."""
         path = self.log_path(job, rank)
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
         except OSError:
-            return []
+            return [], 0, 0
         if data[:4] != _LOG_MAGIC:
-            return []
+            return [], 0, len(data)
         sections, _complete, _error = read_sections(data, 5, salvage=True)
         batches: list[tuple[int, bytes]] = []
-        expect = 1
+        kept = ByteWriter()  # re-framed, it measures the prefix
         for kind, payload in sections:
             if kind != SEC_BATCH or len(payload) < _SEQ.size:
                 break
             seq = _SEQ.unpack_from(payload)[0]
-            if seq != expect:
+            if seq != len(batches) + 1:
                 break
             batches.append((seq, payload[_SEQ.size:]))
-            expect += 1
-        return batches
+            write_section(kept, kind, payload)
+        return batches, 5 + kept.size(), len(data)
 
     def _read_meta(self, path: str) -> dict | None:
         try:
@@ -328,15 +334,19 @@ class SessionStore:
 
     def load_all(self) -> list[RecoveredSession]:
         """Salvage every session: newest valid meta + durable batch
-        prefix.  A session with a log but no readable meta is dropped
-        (nranks unknown — the client will re-HELLO and restart it)."""
+        prefix, with the log cut back to that prefix so the batches the
+        client re-sends land right behind it.  A session with a log but
+        no readable meta is dropped (nranks unknown — the client will
+        re-HELLO and restart it, and its batch 1 starts the log afresh)."""
         out: list[RecoveredSession] = []
         for job, rank in self.discover():
             meta = self.read_meta(job, rank)
             if meta is None:
                 continue
+            batches, end, size = self._scan_log(job, rank)
+            if size > end:
+                os.truncate(self.log_path(job, rank), end)
             out.append(RecoveredSession(
-                job=job, rank=rank, meta=meta,
-                batches=self.read_log_batches(job, rank),
+                job=job, rank=rank, meta=meta, batches=batches,
             ))
         return out

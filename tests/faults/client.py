@@ -127,7 +127,6 @@ def submit(port: int, *, job: str, workload: str, nprocs: int,
     if errors:
         raise errors[0]
     return {
-        "max_batch_bytes": max(len(b) for bs in blobs.values() for b in bs),
         "reconnects": sum(c.reconnects for c in clients.values()),
         "acked_regressions": sum(
             c.acked_regressions for c in clients.values()

@@ -4,12 +4,13 @@ Every scenario drives real daemon subprocesses (``python -m repro
 serve``, through :class:`~repro.server.faultsmoke.DaemonProc`) through a
 seeded fault — SIGKILL at a chosen batch count, client disconnects,
 torn frames, a rank stalled past the idle timeout, SIGTERM drain
-mid-ingest, watermark pressure — and then asserts the recovered,
-finalized merged trace is **byte-identical** to what the offline batch
-pipeline (:func:`repro.core.run_cypress`) produces for the same
-workload.  ``--soak`` runs the CI endurance mode: N seconds of
-concurrent client waves with seeded daemon kills and client drops,
-verifying every completed job and emitting a metrics JSON artifact.
+mid-ingest, a kill whose logs must hold every batch it ingested — and
+then asserts the recovered, finalized merged trace is
+**byte-identical** to what the offline batch pipeline
+(:func:`repro.core.run_cypress`) produces for the same workload.
+``--soak`` runs the CI endurance mode: N seconds of concurrent client
+waves with seeded daemon kills and client drops, verifying every
+completed job and emitting a metrics JSON artifact.
 Run it from the repository root::
 
     PYTHONPATH=src python -m tests.faults.smoke --seed 20260809 -o smoke.json
@@ -33,6 +34,7 @@ import time
 from repro.core import run_cypress, serialize
 from repro.server.client import capture_workload, split_batches
 from repro.server.faultsmoke import DaemonProc
+from repro.server.session import SessionStore
 from repro.workloads import get as get_workload
 
 from .client import submit
@@ -134,14 +136,15 @@ def kill_points(seed: int, workload: str, kills: int, batches: int
     """Seeded ``--kill-after-batches`` values for ``kills`` successive
     daemons serving one submission of ``batches`` batches.  Each point
     is below the number of batches its daemon is still owed (a killed
-    daemon made at most ``point - 1`` of them durable), so every kill
-    fires and leaves at least one batch for the daemon after it."""
+    daemon left at most ``point`` of them in its logs: the batch it dies
+    on was appended first), so every kill fires and leaves at least one
+    batch for the daemon after it."""
     rng = FaultPlan(seed=seed).rng("server-kill", workload, kills)
     points = []
     for _ in range(kills):
         hi = min(13, batches)
         points.append(rng.randrange(min(4, hi - 1), hi))
-        batches -= points[-1] - 1
+        batches -= points[-1]
     return points
 
 
@@ -313,40 +316,43 @@ def scenario_drain_resume(root: str, seed: int) -> str:
         d.kill()
 
 
-def scenario_backpressure(root: str, seed: int) -> str:
-    """Tiny watermarks + a firehose: THROTTLE frames must be emitted and
-    the buffered-bytes gauge must stay bounded by the watermark plus at
-    most one in-flight batch per connection."""
-    workload, nprocs, scale = MATRIX[0]
-    name = "backpressure"
+def scenario_kill_durability(root: str, seed: int) -> str:
+    """A daemon killed at batch N has all N batches in its session logs
+    (each is appended before it is ingested, and the crash bypasses
+    every cleanup), and a fresh daemon finishes the job byte-identical."""
+    workload, nprocs, scale = "fig11", 4, 1.0
+    name = "kill-durability"
     state, out = _dirs(root, name)
-    metrics = os.path.join(root, name, "metrics.json")
-    high, low = 24 * 1024, 4 * 1024
-    d = DaemonProc(
-        state, out, high_watermark=high, low_watermark=low,
-        session_watermark=1 << 20, checkpoint_interval=0.2,
-        metrics_json=metrics,
-    )
+    batches = submission_batches(workload, nprocs, scale)
+    rng = FaultPlan(seed=seed).rng("kill-durability")
+    kill_at = rng.randrange(batches // 3, 2 * batches // 3)
+    d = DaemonProc(state, out, checkpoint_interval=0.02,
+                   kill_after_batches=kill_at)
     try:
         port = d.start()
-        result = submit(
+        thread, result = _submit_async(
             port, job=name, workload=workload, nprocs=nprocs, scale=scale,
-            batch_events=_BATCH_EVENTS,
+            batch_events=_BATCH_EVENTS, max_attempts=60,
         )
+        rc = d.wait_exit()
+        if rc != 137:
+            raise AssertionError(f"daemon exit rc={rc}, expected 137")
+        store = SessionStore(state)
+        logged = sum(
+            len(store.read_log_batches(job, rank))
+            for job, rank in store.discover()
+        )
+        if logged != kill_at:
+            raise AssertionError(
+                f"killed at batch {kill_at}, logs hold {logged}"
+            )
+        d = DaemonProc(state, out, port=port, checkpoint_interval=0.02)
+        d.start()
+        _finish(thread, result)
         detail = _check_identity(out, name, workload, nprocs, scale)
         d.terminate()
-        snap = json.load(open(metrics))
-        throttles = snap.get("server.throttles", 0)
-        if throttles < 1:
-            raise AssertionError("no THROTTLE was ever emitted")
-        bound = high + nprocs * result["max_batch_bytes"]
-        peak = snap.get("server.buffered_bytes_max", 0)
-        if peak > bound:
-            raise AssertionError(
-                f"buffered bytes peaked at {peak}, above bound {bound}"
-            )
-        return (f"{detail}; {int(throttles)} throttle(s), "
-                f"peak {int(peak)}B <= bound {bound}B")
+        return f"{detail}; killed at batch {kill_at} of {batches}, " \
+               f"all {logged} in the logs"
     finally:
         d.kill()
 
@@ -385,7 +391,8 @@ def run_matrix(seed: int, out_path: str | None) -> int:
         run_scenario("stalled-rank-revival", scenario_stalled_rank,
                      root, seed)
         run_scenario("drain-resume", scenario_drain_resume, root, seed)
-        run_scenario("backpressure", scenario_backpressure, root, seed)
+        run_scenario("kill-durability", scenario_kill_durability,
+                     root, seed)
     passed = all(s["ok"] for s in scenarios)
     report = {
         "mode": "server",

@@ -211,7 +211,59 @@ class TestHelloValidation:
         assert st.server.metrics["server.drains"] == 1
 
 
+class TestEosValidation:
+    @pytest.mark.parametrize("fields", [{}, {"total": "x"}, {"total": None}])
+    def test_malformed_eos_is_an_error_frame(self, tmp_path, fields):
+        # ``int(fields["total"])`` used to escape the connection handler:
+        # no ERROR frame, and the client read a bare hang-up and retried.
+        with ServerThread(_config(tmp_path)) as st:
+            with socket.create_connection(
+                ("127.0.0.1", st.server.port), timeout=5
+            ) as sock:
+                sock.sendall(proto.control_frame(
+                    proto.HELLO, job="eos", rank=0, nranks=1,
+                    workload=WORKLOAD, scale=SCALE,
+                ))
+                assert proto.read_frame(sock)[0] == proto.HELLO_ACK
+                sock.sendall(proto.control_frame(proto.EOS, **fields))
+                kind, payload = proto.read_frame(sock)
+                assert kind == proto.ERROR
+                assert "must be an integer" in \
+                    proto.decode_control(payload)["error"]
+                with pytest.raises(ConnectionError):
+                    proto.read_frame(sock)
+            assert st.server.metrics["server.protocol_errors"] == 1
+
+
 class TestRecovery:
+    def test_acked_batches_survive_a_process_crash(self, tmp_path):
+        # Batches 2 and 3 are acked after the last checkpoint; the
+        # server is then abandoned without a drain.  They are in the
+        # session log already, so a fresh server recovers all three
+        # (it used to hold them in memory and recover 1).
+        cfg = _config(tmp_path)
+        blobs = split_batches(capture_workload(WORKLOAD, NPROCS, SCALE)[0], 2)
+        from repro.server.session import SessionState
+
+        server = CypressTraceServer(cfg)
+        session = SessionState(
+            job="crash", rank=0, nranks=NPROCS, workload=WORKLOAD,
+            scale=SCALE,
+        )
+        job = server._job_for(session)
+        job.sessions[0] = session
+        sink = _Sink()
+        server._on_batch(job, session, proto._SEQ.pack(1) + blobs[0], sink)
+        server.checkpoint_all()
+        for seq in (2, 3):
+            server._on_batch(
+                job, session, proto._SEQ.pack(seq) + blobs[seq - 1], sink
+            )
+        assert len(sink.frames) == 3
+        fresh = CypressTraceServer(cfg)
+        assert fresh.recover() == 1
+        assert fresh.jobs["crash"].sessions[0].acked_seq == 3
+
     def test_recover_reingests_and_finalizes(self, tmp_path, oracle):
         # Persist complete sessions (as the checkpoint loop would have)
         # and then boot a *fresh* daemon over the state dir: recovery
@@ -229,7 +281,7 @@ class TestRecovery:
                 workload=WORKLOAD, scale=SCALE,
             )
             for seq, blob in enumerate(split_batches(stream, 32), start=1):
-                s.accept(seq, blob)
+                store.accept(s, seq, blob)
             s.eos_seq = s.acked_seq
             store.checkpoint(s)
         server = CypressTraceServer(cfg)
@@ -249,7 +301,7 @@ class TestRecovery:
             workload=WORKLOAD, scale=SCALE,
         )
         blobs = split_batches(streams[0], 32)
-        s.accept(1, blobs[0])  # mid-stream: no EOS
+        store.accept(s, 1, blobs[0])  # mid-stream: no EOS
         store.checkpoint(s)
         server = CypressTraceServer(cfg)
         assert server.recover() == 1
@@ -382,9 +434,10 @@ class TestDecodeOnce:
         cfg = _config(tmp_path)
         blobs = split_batches(capture_workload(WORKLOAD, NPROCS, SCALE)[0], 4)
         s = self._session()
+        store = SessionStore(cfg.state_dir)
         for seq, blob in enumerate(blobs, start=1):
-            s.accept(seq, blob)
-        SessionStore(cfg.state_dir).checkpoint(s)
+            store.accept(s, seq, blob)
+        store.checkpoint(s)
         decodes = self._spy_decodes(monkeypatch)
         assert CypressTraceServer(cfg).recover() == 1
         assert decodes == [len(b) for b in blobs]
@@ -402,7 +455,6 @@ class TestDecodeOnce:
             server._on_batch(job, session, proto._SEQ.pack(2) + poison, sink)
         assert len(decodes) == 2  # the poison batch was decoded (once) too
         assert session.acked_seq == 1 and len(sink.frames) == 1
-        assert not session.mem_batches
         server.checkpoint_all()
         assert open(log, "rb").read() == durable
 
@@ -431,4 +483,4 @@ class TestFaultsmokeKillPoints:
             assert len(points) == kills
             for point in points:
                 assert 1 <= point < owed, (workload, points)
-                owed -= point - 1
+                owed -= point

@@ -1,6 +1,6 @@
 """Budget-mode daemon (docs/INTERNALS.md §14): byte-identity under
-fold/spill pressure, budget-aware recovery, the budget-shrunk watermark,
-and the pre-HELLO frame-loop hardening."""
+fold/spill pressure, budget-aware recovery, and the pre-HELLO
+frame-loop hardening."""
 
 import os
 import socket
@@ -70,7 +70,7 @@ class TestBudgetEndToEnd:
                 workload=WORKLOAD, scale=SCALE,
             )
             for seq, blob in enumerate(split_batches(stream, 32), start=1):
-                s.accept(seq, blob)
+                store.accept(s, seq, blob)
             s.eos_seq = s.acked_seq
             store.checkpoint(s)
         server = CypressTraceServer(cfg)
@@ -79,21 +79,6 @@ class TestBudgetEndToEnd:
         assert got == oracle
         snap = server.metrics_snapshot()
         assert snap["budget.folds"] == NPROCS
-
-    def test_effective_watermark_shrinks_under_overage(self, tmp_path):
-        cfg = _config(tmp_path, memory_budget=1,
-                      high_watermark=1 << 20, low_watermark=1 << 16)
-        server = CypressTraceServer(cfg)
-        assert server._effective_high_watermark() == 1 << 20
-        # Simulate unevictable overage on a live job's counters.
-        session = SessionState(job="wj", rank=0, nranks=1,
-                               workload=WORKLOAD, scale=SCALE)
-        job = server._job_for(session)
-        job.compressor.budget_counters.live_bytes = (1 << 19) + 1
-        assert server._effective_high_watermark() == (1 << 20) - (1 << 19)
-        # ...but never below the low watermark (wildcard deadlock guard).
-        job.compressor.budget_counters.live_bytes = 10 << 20
-        assert server._effective_high_watermark() == 1 << 16
 
 
 class TestPreHelloFrames:

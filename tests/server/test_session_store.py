@@ -1,5 +1,6 @@
-"""Session persistence: exactly-once accept, checkpoint round-trips,
-torn-log salvage, meta slot alternation, and recovery semantics."""
+"""Session persistence: exactly-once accept, the log append on accept,
+checkpoint round-trips, torn-log salvage, meta slot alternation, and
+recovery semantics."""
 
 import os
 
@@ -22,28 +23,27 @@ def _session(job="j1", rank=0, nranks=2):
 class TestSessionState:
     def test_accept_contiguous_and_dedup(self):
         s = _session()
-        assert s.accept(1, b"a") is True
-        assert s.accept(2, b"bb") is True
+        assert s.accept(1) is True
+        assert s.accept(2) is True
         assert s.acked_seq == 2
-        assert s.buffered_bytes == 3
         # Duplicates (at or below acked) are the exactly-once dedup.
-        assert s.accept(1, b"a") is False
-        assert s.accept(2, b"bb") is False
-        assert s.acked_seq == 2 and s.buffered_bytes == 3
+        assert s.accept(1) is False
+        assert s.accept(2) is False
+        assert s.acked_seq == 2
 
     def test_accept_gap_raises(self):
         s = _session()
-        s.accept(1, b"a")
+        s.accept(1)
         with pytest.raises(ValueError, match="out-of-order"):
-            s.accept(3, b"c")
+            s.accept(3)
 
     def test_finalized_needs_eos_and_full_ack(self):
         s = _session()
-        s.accept(1, b"a")
+        s.accept(1)
         assert not s.finalized
         s.eos_seq = 2
         assert not s.finalized
-        s.accept(2, b"b")
+        s.accept(2)
         assert s.finalized
 
     def test_job_id_validation(self):
@@ -57,12 +57,11 @@ class TestCheckpointRoundTrip:
     def test_checkpoint_then_read_back(self, tmp_path):
         store = SessionStore(str(tmp_path))
         s = _session()
-        s.accept(1, b"alpha")
-        s.accept(2, b"beta")
-        spilled = store.checkpoint(s)
-        assert spilled == 9
-        assert s.buffered_bytes == 0 and not s.mem_batches
-        assert s.durable_seq == 2
+        store.accept(s, 1, b"alpha")
+        store.accept(s, 2, b"beta")
+        assert s.durable_seq == 0 and s.dirty
+        store.checkpoint(s)
+        assert s.durable_seq == 2 and not s.dirty
         assert store.read_log_batches("j1", 0) == [(1, b"alpha"), (2, b"beta")]
         meta = store.read_meta("j1", 0)
         assert meta["acked_seq"] == 2
@@ -71,10 +70,10 @@ class TestCheckpointRoundTrip:
     def test_incremental_appends_accumulate(self, tmp_path):
         store = SessionStore(str(tmp_path))
         s = _session()
-        s.accept(1, b"a")
+        store.accept(s, 1, b"a")
         store.checkpoint(s)
-        s.accept(2, b"b")
-        s.accept(3, b"c")
+        store.accept(s, 2, b"b")
+        store.accept(s, 3, b"c")
         store.checkpoint(s)
         assert [seq for seq, _ in store.read_log_batches("j1", 0)] == [1, 2, 3]
 
@@ -82,7 +81,7 @@ class TestCheckpointRoundTrip:
         store = SessionStore(str(tmp_path))
         s = _session()
         for i, blob in enumerate((b"one", b"two", b"three"), start=1):
-            s.accept(i, blob)
+            store.accept(s, i, blob)
         store.checkpoint(s)
         path = store.log_path("j1", 0)
         data = open(path, "rb").read()
@@ -98,14 +97,40 @@ class TestCheckpointRoundTrip:
             fh.write(b"not a session log at all")
         assert store.read_log_batches("j1", 0) == []
 
+    def test_accept_appends_before_the_ack(self, tmp_path):
+        # No batch waits in memory for a checkpoint: the log holds it
+        # the moment the session counts it acked.  Dups and gaps write
+        # nothing.
+        store = SessionStore(str(tmp_path))
+        s = _session()
+        assert store.accept(s, 1, b"one")
+        assert store.read_log_batches("j1", 0) == [(1, b"one")]
+        size = os.path.getsize(store.log_path("j1", 0))
+        assert not store.accept(s, 1, b"one")
+        with pytest.raises(ValueError, match="out-of-order"):
+            store.accept(s, 3, b"three")
+        assert os.path.getsize(store.log_path("j1", 0)) == size
+        assert s.acked_seq == 1
+
+    def test_batch_one_starts_the_log_afresh(self, tmp_path):
+        # A session restarted from batch 1 (its meta never landed)
+        # overwrites the stale log instead of appending behind it.
+        store = SessionStore(str(tmp_path))
+        s = _session()
+        store.accept(s, 1, b"old")
+        store.accept(s, 2, b"old2")
+        s = _session()
+        store.accept(s, 1, b"new")
+        assert store.read_log_batches("j1", 0) == [(1, b"new")]
+
 
 class TestMetaSlots:
     def test_generations_alternate_slots(self, tmp_path):
         store = SessionStore(str(tmp_path))
         s = _session()
-        s.accept(1, b"a")
+        store.accept(s, 1, b"a")
         store.checkpoint(s)  # generation 1 -> slot a
-        s.accept(2, b"b")
+        store.accept(s, 2, b"b")
         store.checkpoint(s)  # generation 2 -> slot b
         slot_a, slot_b = store.meta_paths("j1", 0)
         assert os.path.exists(slot_a) and os.path.exists(slot_b)
@@ -114,9 +139,9 @@ class TestMetaSlots:
     def test_corrupt_newest_slot_falls_back_one_generation(self, tmp_path):
         store = SessionStore(str(tmp_path))
         s = _session()
-        s.accept(1, b"a")
+        store.accept(s, 1, b"a")
         store.checkpoint(s)
-        s.accept(2, b"b")
+        store.accept(s, 2, b"b")
         store.checkpoint(s)  # newest = generation 2 in slot b
         _slot_a, slot_b = store.meta_paths("j1", 0)
         data = open(slot_b, "rb").read()
@@ -136,7 +161,7 @@ class TestRecovery:
         store = SessionStore(str(tmp_path))
         for rank in (0, 1):
             s = _session(rank=rank)
-            s.accept(1, b"x")
+            store.accept(s, 1, b"x")
             store.checkpoint(s)
         recs = store.load_all()
         assert [(r.job, r.rank) for r in recs] == [("j1", 0), ("j1", 1)]
@@ -149,8 +174,8 @@ class TestRecovery:
         # let the client re-send from the durable point.
         store = SessionStore(str(tmp_path))
         s = _session()
-        s.accept(1, b"one")
-        s.accept(2, b"two")
+        store.accept(s, 1, b"one")
+        store.accept(s, 2, b"two")
         s.eos_seq = 2
         store.checkpoint(s)
         path = store.log_path("j1", 0)
@@ -163,17 +188,40 @@ class TestRecovery:
         assert state.eos_seq is None
         assert not state.finalized
 
+    def test_torn_tail_is_cut_off_at_recovery(self, tmp_path):
+        # Batches appended after a torn tail used to land behind the
+        # garbage, where the prefix scan never reaches them: the meta
+        # said 4 while every later recovery found [1, 2].
+        store = SessionStore(str(tmp_path))
+        s = _session()
+        for i, blob in enumerate((b"one", b"two", b"three"), start=1):
+            store.accept(s, i, blob)
+        store.checkpoint(s)
+        path = store.log_path("j1", 0)
+        data = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(data[:-4])
+        s = store.load_all()[0].to_state()
+        assert s.acked_seq == 2
+        store.accept(s, 3, b"three")
+        store.accept(s, 4, b"four")
+        store.checkpoint(s)
+        assert store.read_meta("j1", 0)["acked_seq"] == 4
+        (rec,) = store.load_all()
+        assert rec.batches == [
+            (1, b"one"), (2, b"two"), (3, b"three"), (4, b"four"),
+        ]
+
     def test_log_without_meta_is_dropped(self, tmp_path):
         store = SessionStore(str(tmp_path))
         s = _session()
-        s.accept(1, b"x")
-        store.append_batches("j1", 0, s.mem_batches)  # log only, no meta
+        store.accept(s, 1, b"x")  # log only, no meta
         assert store.load_all() == []
 
     def test_remove_clears_every_file(self, tmp_path):
         store = SessionStore(str(tmp_path))
         s = _session()
-        s.accept(1, b"x")
+        store.accept(s, 1, b"x")
         store.checkpoint(s)
         store.remove("j1", 0)
         assert store.discover() == []

@@ -74,6 +74,21 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "usage:" in err and "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("flag", [
+        "--high-watermark", "--low-watermark", "--session-watermark",
+    ])
+    def test_serve_has_no_watermark_flags(self, flag, capsys):
+        # The daemon holds no batch in memory, so there is no buffer
+        # for a watermark to bound.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--help"])
+        assert excinfo.value.code == 0
+        assert "watermark" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", flag, "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("argv", [
         ["trace", "cg", "-n", "8", "--scale", "0.3"],
