@@ -601,15 +601,16 @@ def main(argv: list[str] | None = None) -> int:
                    help="TCP port (0 = pick an ephemeral port; the bound "
                         "port is printed as 'LISTENING <port>')")
     p.add_argument("--state-dir", default="server-state",
-                   help="checkpoint directory (batch logs + session meta); "
+                   help="session directory (one log per session: "
+                        "identity, batches, EOS/quarantine state); "
                         "recovery scans it on startup (default: "
                         "server-state)")
     p.add_argument("--out-dir", default="server-out",
                    help="where finalized merged traces land as <job>.cyp "
                         "(default: server-out)")
     p.add_argument("--checkpoint-interval", type=float, default=0.25,
-                   help="seconds between checkpoints (fsync the batch "
-                        "logs, write the session meta) of dirty sessions "
+                   help="seconds between checkpoints (fsync every "
+                        "session log appended to since its last fsync) "
                         "(default: 0.25)")
     p.add_argument("--idle-timeout", type=float, default=30.0,
                    help="seconds of rank silence before quarantine "

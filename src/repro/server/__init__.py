@@ -7,8 +7,9 @@ machinery into a long-running service (docs/INTERNALS.md §13):
 * :mod:`repro.server.protocol` — the CRC-framed wire protocol clients
   speak (HELLO / BATCH / EOS control flow, exactly-once sequence
   numbering);
-* :mod:`repro.server.session` — per-``(job, rank)`` session state with
-  a batch log appended on accept, crash-safe meta checkpoints and
+* :mod:`repro.server.session` — per-``(job, rank)`` session state in
+  one append-only log (identity, batches appended on accept, EOS and
+  idle-quarantine records), fsynced at checkpoints, with
   prefix-salvage recovery;
 * :mod:`repro.server.daemon` — the asyncio TCP daemon behind
   ``repro serve``: no batch held in memory, idle quarantine, periodic

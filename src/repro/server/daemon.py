@@ -21,11 +21,13 @@ Robustness machinery (docs/INTERNALS.md §13):
   job can finalize without it.  A quarantined rank that reconnects
   before its job finalizes is revived and resumes exactly where its
   durable log ends.
-* **Checkpoints** — every dirty session is checkpointed on a short
-  period (fsync the batch log, then the atomic meta with a generation
-  counter); crash recovery salvages the newest valid checkpoint per
-  session, re-ingests the durable batches, and tells each returning
-  client its acked sequence so the stream resumes exactly-once.
+* **One file a session** — the session log holds the identity, the
+  batches and the EOS / idle-quarantine records; every session with
+  appends since its last fsync is checkpointed (its log fsynced) on a
+  short period.  Crash recovery adopts every log that opens with a
+  valid identity, re-ingests its durable batches (re-deriving any
+  mismatch quarantine), and tells each returning client its acked
+  sequence so the stream resumes exactly-once.
 * **Drain** — SIGTERM stops the listener, checkpoints everything,
   finalizes complete jobs (merge + atomic trace save), and exits;
   acked batches are never lost.
@@ -175,13 +177,11 @@ class CypressTraceServer:
     # -- recovery --------------------------------------------------------
 
     def recover(self) -> int:
-        """Rebuild every session from the newest valid checkpoint and
+        """Rebuild every session from its log's valid prefix and
         re-ingest its durable batches; returns the session count."""
         recovered = 0
         for rec in self.store.load_all():
-            session = rec.to_state()
-            if not session.workload:
-                continue  # pre-identity checkpoint; client will restart
+            session = rec.session
             job = self._job_for(session)
             job.sessions[session.rank] = session
             for _seq, blob in rec.batches:
@@ -238,7 +238,6 @@ class CypressTraceServer:
                 rank=session.rank, stage="intra", error=str(exc),
                 events=packed.event_count(blob),
             )
-            session.mark_meta_dirty()
             self._count("server.quarantines")
 
     @staticmethod
@@ -296,7 +295,7 @@ class CypressTraceServer:
                     error=f"idle timeout after {timeout:g}s",
                     events=0,
                 )
-                session.mark_meta_dirty()
+                self.store.record_state(session)
                 self._count("server.quarantines")
                 self._count("server.idle_quarantines")
             # Ranks that never connected: once every present rank is
@@ -309,9 +308,9 @@ class CypressTraceServer:
                     for rank in range(job.nranks):
                         if rank in job.sessions:
                             continue
-                        session = SessionState(
-                            job=job.job, rank=rank, nranks=job.nranks,
-                            workload=job.workload, scale=job.scale,
+                        session = self.store.create(
+                            job.job, rank, job.nranks, job.workload,
+                            job.scale,
                         )
                         session.quarantined = QuarantinedRank(
                             rank=rank, stage="server",
@@ -319,7 +318,7 @@ class CypressTraceServer:
                                   f"timeout ({timeout:g}s)",
                             events=0,
                         )
-                        session.mark_meta_dirty()
+                        self.store.record_state(session)
                         job.sessions[rank] = session
                         self._count("server.quarantines")
                         self._count("server.idle_quarantines")
@@ -484,10 +483,7 @@ class CypressTraceServer:
             )
         session = None if jobstate is None else jobstate.sessions.get(rank)
         if session is None:
-            session = SessionState(
-                job=jobid, rank=rank, nranks=nranks,
-                workload=workload, scale=scale,
-            )
+            session = self.store.create(jobid, rank, nranks, workload, scale)
             jobstate = self._job_for(session)
             jobstate.sessions[rank] = session
         session.touch()
@@ -495,7 +491,7 @@ class CypressTraceServer:
         if session.quarantined is not None and \
                 session.quarantined.stage == "server":
             session.quarantined = None
-            session.mark_meta_dirty()
+            self.store.record_state(session)
             revived = True
             self._count("server.revivals")
         writer.write(proto.control_frame(
@@ -514,7 +510,7 @@ class CypressTraceServer:
                 session.quarantined.stage == "server":
             # The stalled rank woke up on its existing connection.
             session.quarantined = None
-            session.mark_meta_dirty()
+            self.store.record_state(session)
             self._count("server.revivals")
         items = None
         if seq > session.acked_seq:
@@ -554,7 +550,7 @@ class CypressTraceServer:
             ))
             return
         session.eos_seq = total
-        session.mark_meta_dirty()
+        self.store.record_state(session)
         session.touch()
         final = session.finalized
         # Make the EOS (and with it every batch of this session) durable

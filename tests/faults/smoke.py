@@ -319,7 +319,9 @@ def scenario_drain_resume(root: str, seed: int) -> str:
 def scenario_kill_durability(root: str, seed: int) -> str:
     """A daemon killed at batch N has all N batches in its session logs
     (each is appended before it is ingested, and the crash bypasses
-    every cleanup), and a fresh daemon finishes the job byte-identical."""
+    every cleanup), recovery adopts all N (each log carries its
+    session's identity), and a fresh daemon finishes the job
+    byte-identical."""
     workload, nprocs, scale = "fig11", 4, 1.0
     name = "kill-durability"
     state, out = _dirs(root, name)
@@ -346,13 +348,18 @@ def scenario_kill_durability(root: str, seed: int) -> str:
             raise AssertionError(
                 f"killed at batch {kill_at}, logs hold {logged}"
             )
+        adopted = sum(len(rec.batches) for rec in store.load_all())
+        if adopted != kill_at:
+            raise AssertionError(
+                f"killed at batch {kill_at}, recovery adopts {adopted}"
+            )
         d = DaemonProc(state, out, port=port, checkpoint_interval=0.02)
         d.start()
         _finish(thread, result)
         detail = _check_identity(out, name, workload, nprocs, scale)
         d.terminate()
         return f"{detail}; killed at batch {kill_at} of {batches}, " \
-               f"all {logged} in the logs"
+               f"all {logged} in the logs and adopted"
     finally:
         d.kill()
 

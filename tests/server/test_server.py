@@ -1,6 +1,7 @@
 """The ingest daemon end-to-end (in-process): byte-identity with the
 batch pipeline, checkpoint-driven recovery, idle-timeout quarantine."""
 
+import dataclasses
 import os
 import socket
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from repro.core import run_cypress, serialize
 from repro.core.quarantine import QuarantineReport
+from repro.mpisim.pmpi import OP_EVENT
 from repro.server import protocol as proto
 from repro.server.client import (
     ClientError,
@@ -243,15 +245,8 @@ class TestRecovery:
         # (it used to hold them in memory and recover 1).
         cfg = _config(tmp_path)
         blobs = split_batches(capture_workload(WORKLOAD, NPROCS, SCALE)[0], 2)
-        from repro.server.session import SessionState
-
         server = CypressTraceServer(cfg)
-        session = SessionState(
-            job="crash", rank=0, nranks=NPROCS, workload=WORKLOAD,
-            scale=SCALE,
-        )
-        job = server._job_for(session)
-        job.sessions[0] = session
+        session, job = server._on_hello(_hello("crash", 0), _Sink())
         sink = _Sink()
         server._on_batch(job, session, proto._SEQ.pack(1) + blobs[0], sink)
         server.checkpoint_all()
@@ -273,16 +268,12 @@ class TestRecovery:
         cfg = _config(tmp_path)
         store = SessionStore(cfg.state_dir)
         streams = capture_workload(WORKLOAD, NPROCS, SCALE)
-        from repro.server.session import SessionState
-
         for rank, stream in streams.items():
-            s = SessionState(
-                job="recov", rank=rank, nranks=NPROCS,
-                workload=WORKLOAD, scale=SCALE,
-            )
+            s = store.create("recov", rank, NPROCS, WORKLOAD, SCALE)
             for seq, blob in enumerate(split_batches(stream, 32), start=1):
                 store.accept(s, seq, blob)
             s.eos_seq = s.acked_seq
+            store.record_state(s)
             store.checkpoint(s)
         server = CypressTraceServer(cfg)
         assert server.recover() == NPROCS
@@ -294,12 +285,7 @@ class TestRecovery:
         cfg = _config(tmp_path)
         store = SessionStore(cfg.state_dir)
         streams = capture_workload(WORKLOAD, NPROCS, SCALE)
-        from repro.server.session import SessionState
-
-        s = SessionState(
-            job="partial", rank=0, nranks=NPROCS,
-            workload=WORKLOAD, scale=SCALE,
-        )
+        s = store.create("partial", 0, NPROCS, WORKLOAD, SCALE)
         blobs = split_batches(streams[0], 32)
         store.accept(s, 1, blobs[0])  # mid-stream: no EOS
         store.checkpoint(s)
@@ -309,6 +295,66 @@ class TestRecovery:
         assert not job.finalized
         assert job.sessions[0].acked_seq == 1
         assert not os.path.exists(os.path.join(cfg.out_dir, "partial.cyp"))
+
+    def test_young_sessions_survive(self, tmp_path):
+        # No checkpoint tick and no EOS ever ran: each log's identity
+        # section alone lets a fresh daemon adopt every batch.
+        cfg = _config(tmp_path)
+        cfg.checkpoint_interval = 3600
+        streams = capture_workload(WORKLOAD, NPROCS, SCALE)
+        server = CypressTraceServer(cfg)
+        sink = _Sink()
+        sent = {}
+        for rank in range(NPROCS):
+            session, job = server._on_hello(_hello("young", rank), sink)
+            blobs = split_batches(streams[rank], 4)[: rank + 1]
+            for seq, blob in enumerate(blobs, start=1):
+                server._on_batch(
+                    job, session, proto._SEQ.pack(seq) + blob, sink
+                )
+            sent[rank] = len(blobs)
+        assert "server.checkpoints" not in server.metrics
+        fresh = CypressTraceServer(cfg)
+        assert fresh.recover() == NPROCS
+        acked = {
+            rank: s.acked_seq
+            for rank, s in fresh.jobs["young"].sessions.items()
+        }
+        assert acked == sent
+        assert sum(acked.values()) == server.metrics["server.batches"]
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["plain", "budget"])
+    def test_recovered_intra_quarantine_matches_live(self, tmp_path, budget):
+        # A rank whose stream mismatches the CST is quarantined live;
+        # recovery re-derives that quarantine from the same batches, so
+        # its event count (not each batch counted twice) and the fold
+        # domain match the live run.
+        streams = capture_workload(WORKLOAD, NPROCS, SCALE)
+        bad = list(streams[1])
+        at = [i for i, item in enumerate(bad) if item[0] == OP_EVENT][2]
+        bad[at] = (OP_EVENT, dataclasses.replace(bad[at][1], op="MPI_Bogus"))
+        streams[1] = bad
+        cfg = _config(tmp_path, memory_budget=budget)
+        with ServerThread(cfg) as st:
+            for rank in range(NPROCS):
+                _client(st.server.port, job="q", rank=rank).send(
+                    split_batches(streams[rank], 8)
+                )
+            live_cyp = _wait_file(os.path.join(cfg.out_dir, "q.cyp"))
+        live_q = _wait_file(os.path.join(cfg.out_dir, "q.quarantine.json"))
+        assert b'"stage": "intra"' in live_q
+        again = dataclasses.replace(cfg, out_dir=str(tmp_path / "again"))
+        assert CypressTraceServer(again).recover() == NPROCS
+        out = again.out_dir
+        assert open(os.path.join(out, "q.cyp"), "rb").read() == live_cyp
+        assert open(os.path.join(out, "q.quarantine.json"), "rb").read() \
+            == live_q
+        # A session is one file: nothing but logs (and the budget's
+        # spill directory) in the state directory.
+        assert {
+            name for name in os.listdir(cfg.state_dir)
+            if not name.endswith(".log")
+        } <= ({"spill"} if budget else set())
 
 
 class TestIdleQuarantine:
@@ -384,6 +430,11 @@ class _Sink:
         self.frames.append(frame)
 
 
+def _hello(job, rank):
+    return dict(job=job, rank=rank, nranks=NPROCS, workload=WORKLOAD,
+                scale=SCALE)
+
+
 class TestDecodeOnce:
     """A batch is decoded once — by the pre-ack validation, whose items
     the ingest reuses — and a poison batch is refused before the ack."""
@@ -402,19 +453,9 @@ class TestDecodeOnce:
         monkeypatch.setattr(packed, "decode_stream", spy)
         return decodes
 
-    @staticmethod
-    def _session():
-        from repro.server.session import SessionState
-
-        return SessionState(
-            job="once", rank=0, nranks=NPROCS, workload=WORKLOAD, scale=SCALE,
-        )
-
     def _server(self, tmp_path, monkeypatch):
         server = CypressTraceServer(_config(tmp_path))
-        session = self._session()
-        job = server._job_for(session)
-        job.sessions[0] = session
+        session, job = server._on_hello(_hello("once", 0), _Sink())
         return server, job, session, self._spy_decodes(monkeypatch)
 
     def test_live_batch_decodes_once(self, tmp_path, monkeypatch):
@@ -433,8 +474,8 @@ class TestDecodeOnce:
     def test_recovery_replay_decodes_once(self, tmp_path, monkeypatch):
         cfg = _config(tmp_path)
         blobs = split_batches(capture_workload(WORKLOAD, NPROCS, SCALE)[0], 4)
-        s = self._session()
         store = SessionStore(cfg.state_dir)
+        s = store.create("once", 0, NPROCS, WORKLOAD, SCALE)
         for seq, blob in enumerate(blobs, start=1):
             store.accept(s, seq, blob)
         store.checkpoint(s)

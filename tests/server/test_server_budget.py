@@ -11,7 +11,7 @@ from repro.core import run_cypress, serialize
 from repro.server import protocol as proto
 from repro.server.client import capture_workload, split_batches, submit_workload
 from repro.server.daemon import CypressTraceServer, ServerConfig
-from repro.server.session import SessionState, SessionStore
+from repro.server.session import SessionStore
 from repro.workloads import get as get_workload
 from tests.server.harness import ServerThread
 
@@ -60,18 +60,16 @@ class TestBudgetEndToEnd:
 
     def test_budget_recovery_finalizes_byte_identical(self, tmp_path, oracle):
         # Crash-after-EOS_ACK: a fresh budgeted daemon must rebuild from
-        # checkpoints alone, folding recovered ranks as it goes.
+        # the session logs alone, folding recovered ranks as it goes.
         cfg = _config(tmp_path, memory_budget=1)
         store = SessionStore(cfg.state_dir)
         streams = capture_workload(WORKLOAD, NPROCS, SCALE)
         for rank, stream in streams.items():
-            s = SessionState(
-                job="brecov", rank=rank, nranks=NPROCS,
-                workload=WORKLOAD, scale=SCALE,
-            )
+            s = store.create("brecov", rank, NPROCS, WORKLOAD, SCALE)
             for seq, blob in enumerate(split_batches(stream, 32), start=1):
                 store.accept(s, seq, blob)
             s.eos_seq = s.acked_seq
+            store.record_state(s)
             store.checkpoint(s)
         server = CypressTraceServer(cfg)
         assert server.recover() == NPROCS
