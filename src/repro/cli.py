@@ -13,11 +13,10 @@ Commands:
 * ``diff``     — compare two trace files by replayed call sequences
 * ``hotspots`` — which loops/call sites dominate communication time
 * ``serve`` / ``submit`` — the online ingest daemon and its client
-* ``check``    — trace-integrity suite (docs/INTERNALS.md §8): structural
-  invariants over the CST and (merged) CTTs, the wildcard nondeterminism
-  audit, and optionally the differential harness (``--differential``:
-  every rank's replay against ground truth — the end-to-end
-  sequence-preservation check); exits nonzero on invariant violations
+* ``check``    — integrity check of a trace file (docs/INTERNALS.md §8):
+  the structural invariants of the merged tree and the wildcard
+  nondeterminism audit, without decompressing; exit 0 when clean, 1 on
+  a violation, 3 on a damaged file
 * ``query``    — decompression-free queries over a stored trace
 """
 
@@ -34,18 +33,19 @@ from repro.workloads import WORKLOADS
 EXIT_CORRUPT_TRACE = 3
 
 
-def _load_trace(path: str, salvage: bool = False):
+def _load_trace(path: str, salvage: bool | None = False):
     """Load a trace for replay/query/info; a damaged file exits with
-    :data:`EXIT_CORRUPT_TRACE` and a one-line ``--salvage`` hint, and a
+    :data:`EXIT_CORRUPT_TRACE` and, unless ``salvage`` is ``None`` (a
+    command without the flag), a one-line ``--salvage`` hint; a
     salvaged (incomplete) one warns how much was recovered."""
     from repro.core import serialize
     from repro.core.errors import TraceFormatError
 
     try:
-        merged = serialize.load(path, salvage=salvage)
+        merged = serialize.load(path, salvage=bool(salvage))
     except TraceFormatError as exc:
         print(f"error: corrupted trace {path!r}: {exc}", file=sys.stderr)
-        if not salvage:
+        if salvage is False:
             print("hint: retry with --salvage to recover the longest "
                   "checksum-valid prefix", file=sys.stderr)
         raise SystemExit(EXIT_CORRUPT_TRACE)
@@ -77,6 +77,26 @@ def _parse_bytes(value: str) -> int:
     return n
 
 
+def _trace_file(value: str) -> str:
+    """A trace path argument: a missing file is a usage error."""
+    import os
+
+    if not os.path.isfile(value):
+        raise argparse.ArgumentTypeError(f"no such trace file {value!r}")
+    return value
+
+
+def _count(value: str) -> int:
+    """A non-negative integer option (``--top``, ``--limit``)."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count {value!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"negative count {value!r}")
+    return n
+
+
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("workload", choices=sorted(WORKLOADS))
     p.add_argument("-n", "--nprocs", type=int, required=True)
@@ -90,31 +110,54 @@ def _add_salvage_arg(p: argparse.ArgumentParser) -> None:
                         "damaged trace instead of failing")
 
 
-def _default_procs(w) -> int:
-    """Smallest valid rank count >= 4 (else the smallest valid one) —
-    big enough for real grouping, small enough for CI."""
-    eligible = [p for p in w.valid_procs if p >= 4]
-    return min(eligible or w.valid_procs)
+#: Violations ``check`` prints; the rest are only counted.
+CHECK_LIMIT = 10
 
 
-def _selfcheck(compiled_cst, merged, nprocs: int) -> int:
-    """The ``trace --selfcheck`` tail: invariant-check the artifacts
-    just produced; returns the number of violations."""
+def _check_trace(path: str, cst=None, out: str | None = None) -> bool:
+    """Load the container at ``path`` and check what it holds: the
+    structural invariants of the merged tree (and of ``cst``, the tree
+    it was compressed against, when given) and the wildcard audit.
+    Prints the first :data:`CHECK_LIMIT` violations, every wildcard
+    finding and a summary line, publishes ``verify.*``, writes the JSON
+    report to ``out``, and returns whether the trace is clean.  A
+    damaged file exits with :data:`EXIT_CORRUPT_TRACE`."""
+    import json
+
     from repro import obs
-    from repro.verify import check_cst, check_merged, publish_verify_metrics
-
-    violations = check_cst(compiled_cst) + check_merged(merged, nranks=nprocs)
-    publish_verify_metrics(
-        obs.active(), checks=2, violations=len(violations)
+    from repro.verify import (
+        audit_wildcards, check_cst, check_merged, publish_verify_metrics,
     )
-    if violations:
-        print(f"SELFCHECK FAILED: {len(violations)} violation(s)",
-              file=sys.stderr)
-        for v in violations[:10]:
-            print(f"  [{v.code}] {v.message}", file=sys.stderr)
-    else:
-        print("selfcheck: trace invariants OK")
-    return len(violations)
+
+    merged = _load_trace(path, salvage=None)
+    violations = check_merged(merged, nranks=merged.nranks_merged)
+    if cst is not None:
+        violations = check_cst(cst) + violations
+    audit = audit_wildcards(merged)
+    findings = audit.findings
+    publish_verify_metrics(
+        obs.active(), checks=2 + (cst is not None),
+        violations=len(violations), findings=len(findings),
+    )
+    for v in violations[:CHECK_LIMIT]:
+        print(f"  [{v.code}] {v.message}", file=sys.stderr)
+    for f in findings:
+        print(f"  note: {f.format()}")
+    extra = f", {len(findings)} wildcard finding(s)" if findings else ""
+    print(f"{path}: {merged.nranks_merged} ranks, "
+          f"{len(violations)} violation(s){extra}")
+    if out:
+        report = {
+            "ok": not violations, "trace": path,
+            "nranks": merged.nranks_merged,
+            "violations": [v.to_dict() for v in violations],
+            "wildcard_audit": audit.to_dict(),
+        }
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"report -> {out}")
+    return not violations
 
 
 def _add_metrics_args(p: argparse.ArgumentParser) -> None:
@@ -130,7 +173,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.core import run_cypress
 
     w = WORKLOADS[args.workload]
-    w.check_procs(args.nprocs)
     config = None
     if args.memory_budget is not None:
         from repro.core.intra import CypressConfig
@@ -145,9 +187,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(f"  events traced    : {run.run_result.total_events}")
     print(f"  virtual time     : {run.run_result.elapsed / 1e6:.3f} s")
     print(f"  compressed trace : {nbytes} bytes -> {args.output}")
-    if args.selfcheck and _selfcheck(run.compiled.cst, run.merge(),
-                                     args.nprocs):
-        return 1
+    if args.selfcheck:
+        if not _check_trace(args.output, cst=run.compiled.cst):
+            print("SELFCHECK FAILED", file=sys.stderr)
+            return 1
+        print("selfcheck: trace invariants OK")
     return 0
 
 
@@ -222,7 +266,6 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     from repro.core import run_cypress
 
     w = WORKLOADS[args.workload]
-    w.check_procs(args.nprocs)
     run = run_cypress(
         w.source, args.nprocs, defines=w.defines(args.nprocs, args.scale)
     )
@@ -332,114 +375,13 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    """Trace-integrity suite over one workload or the whole registry.
-
-    Always runs the structural invariant checker (CST, every per-rank
-    CTT, the merged CTT) and the wildcard nondeterminism audit.
-    ``--differential`` adds the cross-implementation harness, which
-    starts from the check pass's one run and its compressor.  Wildcard
-    findings are informational; the exit code reflects invariant
-    violations and differential failures.
-    """
-    import json
-
-    from repro import obs
-    from repro.core.errors import TraceFormatError
-    from repro.core.intra import compress_streams
-    from repro.driver import capture_run
-    from repro.verify import (
-        Violation,
-        audit_wildcards,
-        check_cst,
-        check_ctt,
-        check_merged,
-        differential_check,
-        publish_verify_metrics,
-    )
-
-    names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
-    registry = obs.active()
-    failed = False
-    workload_reports = []
-    for name in names:
-        w = WORKLOADS[name]
-        nprocs = args.nprocs if args.nprocs is not None else _default_procs(w)
-        w.check_procs(nprocs)
-        run = capture_run(
-            w.source, nprocs, w.defines(nprocs, args.scale),
-            truth=args.differential,
-        )
-        cst = run.compiled.cst
-        compressor = compress_streams(cst, run.streams)
-        violations = list(check_cst(cst))
-        for q in compressor.quarantine:
-            violations.append(Violation(
-                "rank-quarantined", q.error, rank=q.rank))
-        kept = compressor.ranks()
-        for rank in kept:
-            violations += check_ctt(compressor.ctt(rank), nranks=nprocs)
-        merged = compressor.merged(nranks=nprocs, ranks=kept)
-        violations += check_merged(merged, nranks=nprocs)
-        audit = audit_wildcards(merged)
-        findings = audit.findings
-        checks = 1 + nprocs + 2  # CST, every CTT, merged tree, audit
-        publish_verify_metrics(
-            registry, checks=checks, violations=len(violations),
-            findings=len(findings),
-        )
-        entry = {
-            "workload": name,
-            "nprocs": nprocs,
-            "violations": [v.to_dict() for v in violations],
-            "wildcard_audit": audit.to_dict(),
-        }
-        status = "ok  " if not violations else "FAIL"
-        extra = ""
-        if findings:
-            extra = f", {len(findings)} wildcard finding(s)"
-        print(f"  {status} {name:10s} n={nprocs}: "
-              f"{len(violations)} violation(s){extra}")
-        for v in violations[:args.limit]:
-            print(f"       [{v.code}] {v.message}", file=sys.stderr)
-        for f in findings:
-            print(f"       note: {f.format()}")
-        if violations:
-            failed = True
-
-        if args.differential:
-            try:
-                diff = differential_check(run, compressor, workload=name)
-            except TraceFormatError as exc:
-                # Same contract as replay/query: a corrupt container is
-                # exit code 3, not a generic failure.
-                print(f"error: corrupted trace container during "
-                      f"differential check of {name!r}: {exc}",
-                      file=sys.stderr)
-                return EXIT_CORRUPT_TRACE
-            entry["differential"] = diff.to_dict()
-            if diff.ok:
-                print(f"       differential: ok ({diff.events} events, "
-                      f"{len(diff.variants)} variants)")
-            else:
-                failed = True
-                print(f"       differential: {len(diff.divergences)} "
-                      "divergence(s)", file=sys.stderr)
-                for d in diff.divergences[:args.limit]:
-                    print(f"         {d.format()}", file=sys.stderr)
-
-        workload_reports.append(entry)
-
-    report = {
-        "ok": not failed,
-        "workloads": workload_reports,
-    }
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report -> {args.out}")
-    print("PASSED" if not failed else "FAILED")
-    return 0 if not failed else 1
+    """Integrity check of one trace file (:func:`_check_trace`).
+    Wildcard findings are informational; the exit code is 1 on any
+    invariant violation and :data:`EXIT_CORRUPT_TRACE` on a file that
+    does not load."""
+    clean = _check_trace(args.trace, out=args.out)
+    print("PASSED" if clean else "FAILED")
+    return 0 if clean else 1
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
@@ -455,8 +397,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     """Run one decompression-free query over a stored trace; optionally
-    cross-check it against the replay oracle (`--oracle`) and/or dump the
-    result as JSON (`-o`)."""
+    dump the result as JSON (`-o`)."""
     import json
 
     from repro import query
@@ -471,42 +412,21 @@ def cmd_query(args: argparse.Namespace) -> int:
         if args.query == "traffic":
             result = query.traffic(merged, group_by=args.group_by,
                                    nprocs=args.nprocs)
-            oracle = (query.traffic_via_replay(
-                          merged, group_by=args.group_by, nprocs=args.nprocs)
-                      if args.oracle else None)
         elif args.query == "ordering":
             _require("--gid-a", args.gid_a)
             _require("--gid-b", args.gid_b)
             _require("--rank", args.rank)
             result = query.ordering(merged, args.gid_a, args.gid_b, args.rank)
-            oracle = (query.ordering_via_replay(merged, args.gid_a,
-                                                args.gid_b, args.rank)
-                      if args.oracle else None)
         elif args.query == "rank-profile":
             _require("--rank", args.rank)
             result = query.rank_profile(merged, args.rank)
-            oracle = (query.rank_profile_via_replay(merged, args.rank)
-                      if args.oracle else None)
         else:  # critical-leaves
             result = query.critical_leaves(merged, k=args.top)
-            oracle = (query.critical_leaves_via_replay(merged, k=args.top)
-                      if args.oracle else None)
     except query.QueryError as exc:
         # A question the trace cannot answer (a rank or gid it does not
-        # have): the usage exit code, not the oracle-mismatch one.
+        # have): the usage exit code.
         print(f"repro query {args.query}: {exc}", file=sys.stderr)
         return 2
-
-    if args.oracle:
-        errors = query.agreement_errors(result, oracle, args.query)
-        if errors:
-            print(f"ORACLE MISMATCH ({len(errors)} differences):",
-                  file=sys.stderr)
-            for e in errors[:20]:
-                print(f"  {e}", file=sys.stderr)
-            return 1
-        print(f"oracle check: engine == replay ({args.query})",
-              file=sys.stderr)
 
     if args.output:
         payload = json.dumps(query.to_jsonable(result), indent=2,
@@ -560,15 +480,15 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("replay", help="decompress a trace file")
-    p.add_argument("trace")
+    p.add_argument("trace", type=_trace_file)
     p.add_argument("-r", "--rank", type=int, default=0)
-    p.add_argument("--limit", type=int, default=30)
+    p.add_argument("--limit", type=_count, default=30)
     _add_salvage_arg(p)
     _add_metrics_args(p)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("predict", help="SIM-MPI prediction from a trace")
-    p.add_argument("trace")
+    p.add_argument("trace", type=_trace_file)
     _add_salvage_arg(p)
     p.set_defaults(func=cmd_predict)
 
@@ -581,13 +501,13 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_patterns)
 
     p = sub.add_parser("info", help="per-op summary of a trace file")
-    p.add_argument("trace")
+    p.add_argument("trace", type=_trace_file)
     _add_salvage_arg(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("hotspots", help="communication-time hotspots by structure")
-    p.add_argument("trace")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("trace", type=_trace_file)
+    p.add_argument("--top", type=_count, default=10)
     _add_salvage_arg(p)
     p.set_defaults(func=cmd_hotspots)
 
@@ -653,30 +573,19 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "check",
-        help="trace-integrity suite: invariants, wildcard audit, and "
-             "an optional differential pass",
+        help="integrity check of a trace file: structural invariants and "
+             "the wildcard audit (exit 1 on a violation, 3 on a damaged "
+             "file)",
     )
-    p.add_argument("workload", nargs="?", default="all",
-                   choices=sorted(WORKLOADS) + ["all"])
-    p.add_argument("-n", "--nprocs", type=int, default=None,
-                   help="rank count (default: smallest valid count >= 4 "
-                        "per workload)")
-    p.add_argument("--scale", type=float, default=0.3,
-                   help="iteration-count scale factor (default: 0.3)")
-    p.add_argument("--differential", action="store_true",
-                   help="also cross-check deferred/inline/packed/"
-                        "budgeted compression against ground truth "
-                        "and each other")
-    p.add_argument("--limit", type=int, default=10,
-                   help="max violations/divergences printed per workload")
+    p.add_argument("trace", type=_trace_file)
     p.add_argument("-o", "--out", default=None, metavar="PATH",
                    help="write the JSON report to PATH")
     _add_metrics_args(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("diff", help="compare two trace files")
-    p.add_argument("a")
-    p.add_argument("b")
+    p.add_argument("a", type=_trace_file)
+    p.add_argument("b", type=_trace_file)
     _add_salvage_arg(p)
     p.set_defaults(func=cmd_diff)
 
@@ -684,11 +593,9 @@ def main(argv: list[str] | None = None) -> int:
         "query",
         help="decompression-free queries over a stored trace",
         description="Answer traffic/ordering/profile/hotspot questions "
-                    "straight from the compressed structure — no replay. "
-                    "--oracle cross-checks the answer against the replay "
-                    "twin (exit 1 on mismatch).",
+                    "straight from the compressed structure — no replay.",
     )
-    p.add_argument("trace")
+    p.add_argument("trace", type=_trace_file)
     p.add_argument("query", choices=("traffic", "ordering", "rank-profile",
                                      "critical-leaves"))
     p.add_argument("--group-by", choices=("vertex", "op", "rank_pair"),
@@ -699,13 +606,11 @@ def main(argv: list[str] | None = None) -> int:
                    help="second call-site GID (ordering)")
     p.add_argument("--rank", type=int, default=None,
                    help="rank to query (ordering, rank-profile)")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_count, default=10,
                    help="number of leaves (critical-leaves)")
     p.add_argument("--nprocs", type=int, default=None,
                    help="rank-space size for peer validation "
                         "(default: inferred from the trace)")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against the replay oracle")
     _add_salvage_arg(p)
     p.add_argument("-o", "--output", default=None, metavar="PATH",
                    help="write the result as JSON ('-' for stdout)")
@@ -713,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("export", help="flatten a trace file")
-    p.add_argument("trace")
+    p.add_argument("trace", type=_trace_file)
     p.add_argument("-f", "--format", choices=("text", "csv"), default="text")
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--ranks", default="", help="comma-separated rank filter")
@@ -721,6 +626,13 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_export)
 
     args = parser.parse_args(argv)
+    workload = WORKLOADS.get(getattr(args, "workload", None))
+    if workload is not None:
+        try:
+            workload.check_procs(args.nprocs)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out or getattr(args, "metrics", False):
         from repro import obs

@@ -17,7 +17,6 @@ from .errors import (
 )
 from .inter import MergedCTT, merge_all
 from .intra import (
-    CompressionError,
     CypressConfig,
     IntraProcessCompressor,
     compress_streams,
@@ -44,7 +43,6 @@ __all__ = [
     "MergeError",
     "StreamMismatchError",
     "TraceFormatError",
-    "CompressionError",
     "CypressConfig",
     "IntraProcessCompressor",
     "compress_streams",

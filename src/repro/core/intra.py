@@ -100,12 +100,6 @@ from .ranks import encode_peer
 from .records import CompressedRecord
 from .timing import MEANSTD, check_mode
 
-#: Backwards-compatible alias — the dynamic module's historical name for
-#: a CST/stream mismatch.  New code catches
-#: :class:`~repro.core.errors.StreamMismatchError` (or its
-#: :class:`~repro.core.errors.CypressError` base).
-CompressionError = StreamMismatchError
-
 
 @dataclass(frozen=True)
 class CypressConfig:
@@ -408,7 +402,7 @@ class IntraProcessCompressor(TraceSink):
     def _loop_iter(self, st: RankState, ast_id: int) -> None:
         stack = st.stack
         if not stack or stack[-1][_F_KIND] != _LOOP:
-            raise CompressionError(
+            raise StreamMismatchError(
                 f"rank {st.rank}: loop iteration marker {ast_id} "
                 "with no open loop"
             )
@@ -421,7 +415,7 @@ class IntraProcessCompressor(TraceSink):
     def _loop_pop(self, st: RankState, ast_id: int) -> None:
         stack = st.stack
         if not stack or stack[-1][_F_KIND] != _LOOP:
-            raise CompressionError(
+            raise StreamMismatchError(
                 f"rank {st.rank}: loop exit marker {ast_id} with no open loop"
             )
         frame = stack.pop()
@@ -432,7 +426,7 @@ class IntraProcessCompressor(TraceSink):
     def _branch_exit(self, st: RankState, ast_id: int) -> None:
         stack = st.stack
         if not stack or stack[-1][_F_KIND] != _BRANCH:
-            raise CompressionError(
+            raise StreamMismatchError(
                 f"rank {st.rank}: branch exit marker {ast_id} "
                 "with no open branch"
             )
@@ -462,7 +456,7 @@ class IntraProcessCompressor(TraceSink):
 
     def _recurse_exit(self, st: RankState, ast_id: int) -> None:
         if not st.recursion_saved:
-            raise CompressionError(
+            raise StreamMismatchError(
                 f"rank {st.rank}: recursion exit marker {ast_id} without entry"
             )
         saved = st.recursion_saved.pop()
@@ -478,10 +472,10 @@ class IntraProcessCompressor(TraceSink):
         """The cold end of leaf dispatch: nothing under ``cur`` takes
         this event."""
         if cur is None:
-            return CompressionError(
+            return StreamMismatchError(
                 f"rank {st.rank}: event {op} inside a pruned structure"
             )
-        return CompressionError(
+        return StreamMismatchError(
             f"rank {st.rank}: no CST leaf for {op} under vertex "
             f"gid={cur.gid} ({cur.kind})"
         )
@@ -642,7 +636,7 @@ class IntraProcessCompressor(TraceSink):
     @staticmethod
     def _finalize(st: RankState) -> None:
         if st.pending:
-            raise CompressionError(
+            raise StreamMismatchError(
                 f"rank {st.rank}: {len(st.pending)} wildcard receive(s) "
                 "never completed"
             )
@@ -904,7 +898,7 @@ class IntraProcessCompressor(TraceSink):
             elif code == OP_FINALIZE:
                 self._finalize(st)
             else:  # pragma: no cover - capture writes only known opcodes
-                raise CompressionError(f"unknown stream opcode {code!r}")
+                raise StreamMismatchError(f"unknown stream opcode {code!r}")
 
     def ingest_runs(self, rank: int, source) -> None:
         """:meth:`ingest_stream` on a decoded CYPK source.  Kept only

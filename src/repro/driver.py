@@ -13,9 +13,7 @@ from typing import NamedTuple
 
 from repro.minilang.interp import Interpreter
 from repro.mpisim.netmodel import NetworkModel
-from repro.mpisim.pmpi import (
-    MultiSink, RecordingSink, StreamCaptureSink, TraceSink,
-)
+from repro.mpisim.pmpi import StreamCaptureSink, TraceSink
 from repro.mpisim.runtime import Runtime, RunResult
 from repro.static.instrument import CompiledProgram, compile_minimpi
 
@@ -55,30 +53,19 @@ class Capture(NamedTuple):
     nprocs: int
     streams: dict[int, list]  # rank -> opcode tuples (StreamCaptureSink)
     events: int
-    truth: dict[int, list] | None  # RecordingSink events, when asked for
 
 
 def capture_run(
     source: str,
     nprocs: int,
     defines: dict[str, int] | None = None,
-    *,
-    truth: bool = False,
 ) -> Capture:
     """Compile ``source`` and run it once, capturing every rank's
-    stream; with ``truth`` an independent :class:`RecordingSink` records
-    the ground-truth events in the same run."""
+    stream."""
     compiled = compile_minimpi(source)
     capture = StreamCaptureSink()
-    recorder = RecordingSink() if truth else None
-    result = run_compiled(
-        compiled, nprocs, defines=defines,
-        tracer=capture if recorder is None else MultiSink([recorder, capture]),
-    )
-    return Capture(
-        compiled, nprocs, capture.streams, result.total_events,
-        None if recorder is None else recorder.events,
-    )
+    result = run_compiled(compiled, nprocs, defines=defines, tracer=capture)
+    return Capture(compiled, nprocs, capture.streams, result.total_events)
 
 
 def run_source(

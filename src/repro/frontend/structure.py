@@ -4,7 +4,7 @@ MiniMPI programs get their CST from static analysis; Python rank
 functions cannot be analysed that way, so the user *declares* the
 structure — which mirrors their code shape — and the runtime validates it
 while tracing (a marker that doesn't fit the declared tree raises
-:class:`~repro.core.intra.CompressionError`).
+:class:`~repro.core.errors.StreamMismatchError`).
 
 This is exactly how one would retrofit CYPRESS onto mpi4py programs: a
 PMPI-style wrapper plus lightweight loop/branch annotations.

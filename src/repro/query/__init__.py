@@ -1,8 +1,13 @@
 """Decompression-free queries over merged CTTs (paper §VII-D).
 
 The engine answers traffic, ordering, per-rank-profile and hotspot
-questions straight from the compressed structure; :mod:`.oracle` holds
-the replay-based twins the differential tests compare against.
+questions straight from the compressed structure.  :mod:`.oracle` holds
+the replay-based twins the engine is tested against, and
+:func:`agreement_errors`.  They are test code: they stay here only
+because the benchmarks (``benchmarks/e2e/pipeline.py``,
+``benchmarks/bench_query.py``) import them from this package, and they
+move to ``tests/spec_query.py`` with the next change to the end-to-end
+benchmark.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .engine import (
 )
 from .oracle import (
     agreement_errors,
-    assert_agrees,
     critical_leaves_via_replay,
     ordering_via_replay,
     rank_profile_via_replay,
@@ -43,7 +47,6 @@ __all__ = [
     "Traffic",
     "TreeIndex",
     "agreement_errors",
-    "assert_agrees",
     "critical_leaves",
     "critical_leaves_via_replay",
     "leaf_time",

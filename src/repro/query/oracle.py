@@ -16,8 +16,8 @@ match **exactly**.  Float fields (times) are compared with a relative/
 absolute tolerance of 1e-9: the engine computes ``mean × count`` per
 record while the oracle sums ``mean`` once per replayed event, and IEEE
 addition is not associative, so the two can differ in the last ulp.
-:func:`agreement_errors` encodes the convention once; tests and the CLI
-``--oracle`` flag both go through it.
+:func:`agreement_errors` encodes the convention once; the tests and the
+end-to-end benchmark both go through it.
 
 Each oracle accepts the replayed events (``traces=`` / ``events=``) so
 a test suite can decompress once and feed every oracle — replay is the
@@ -223,15 +223,3 @@ def agreement_errors(engine_result, oracle_result, label: str = "query") -> list
 
     walk(engine_result, oracle_result, label)
     return errors
-
-
-def assert_agrees(engine_result, oracle_result, label: str = "query") -> None:
-    """Raise ``AssertionError`` listing every mismatch (for tests and the
-    CLI ``--oracle`` cross-check)."""
-    errors = agreement_errors(engine_result, oracle_result, label)
-    if errors:
-        shown = "\n  ".join(errors[:20])
-        more = f"\n  ... and {len(errors) - 20} more" if len(errors) > 20 else ""
-        raise AssertionError(
-            f"{label}: engine and replay oracle disagree:\n  {shown}{more}"
-        )

@@ -1,29 +1,24 @@
-"""Trace integrity & self-verification (docs/INTERNALS.md §8).
+"""Trace integrity checks (docs/INTERNALS.md §8).
 
-Three layers, cheapest first:
+Both read the compressed form; neither decompresses:
 
 * :mod:`repro.verify.invariants` — O(n) structural validators for CSTs,
-  per-rank CTTs, and merged CTTs.  No decompression: one arity walk
-  reads the compressed form through replay's payload accessors and
-  reports :class:`~repro.verify.invariants.Violation`\\ s with
-  gid/rank/sequence context.
-* :mod:`repro.verify.differential` — cross-checks the pipeline's
-  equivalence claims (inline vs deferred compression of the captured
-  streams, list vs packed streams, budgeted vs unbudgeted, replay
-  before vs after merge) by diffing replayed event sequences at the first
-  diverging event.
+  per-rank CTTs, and merged CTTs.  One arity walk reads the compressed
+  form through replay's payload accessors and reports
+  :class:`~repro.verify.invariants.Violation`\\ s with gid/rank/sequence
+  context.
 * :mod:`repro.verify.wildcards` — audits compressed wildcard receives
   for nondeterminism (resolved sources that differ across merged groups,
-  iteration-dependent match orders) without decompressing.
+  iteration-dependent match orders).
 
-The CLI front end is ``repro check`` (plus ``--selfcheck`` on
-``trace``); the differential harness takes the check pass's one run of
-a workload (``repro.driver.capture_run``) and its compressor.  The
-seeded corruption matrix that proves the checkers detect damage is a
-test harness, ``python -m tests.faults.matrix``.
+The CLI front end is ``repro check FILE`` (and ``--selfcheck`` on
+``trace``, which checks the file it has just written).  The tool's own
+self-tests live under ``tests/``: the workload-driven suite with its
+differential harness (``python -m tests.verify.check``) and the seeded
+corruption matrix that proves the checkers detect damage
+(``python -m tests.faults.matrix``).
 """
 
-from .differential import DifferentialReport, Divergence, differential_check
 from .invariants import (
     Violation,
     check_cst,
@@ -34,14 +29,11 @@ from .invariants import (
 from .wildcards import WildcardFinding, audit_wildcards
 
 __all__ = [
-    "DifferentialReport",
-    "Divergence",
     "Violation",
     "WildcardFinding",
     "audit_wildcards",
     "check_cst",
     "check_ctt",
     "check_merged",
-    "differential_check",
     "publish_verify_metrics",
 ]

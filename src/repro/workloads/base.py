@@ -27,8 +27,15 @@ class Workload:
         if nprocs not in self.valid_procs:
             raise ValueError(
                 f"{self.name} does not run on {nprocs} processes "
-                f"(valid: {self.valid_procs})"
+                f"(valid: {describe_procs(self.valid_procs)})"
             )
+
+
+def describe_procs(procs: tuple[int, ...]) -> str:
+    """A short form of a valid rank-count set: the list itself when
+    short, else its first three members and its last."""
+    shown = procs if len(procs) <= 6 else (*procs[:3], "...", procs[-1])
+    return ", ".join(map(str, shown))
 
 
 def is_square(n: int) -> bool:

@@ -39,7 +39,7 @@ WORKLOAD = Workload(
     name="fig11",
     source=SOURCE,
     defines=defines,
-    valid_procs=tuple(range(2, 4097)),
+    valid_procs=tuple(range(2, 4097, 2)),  # the ring pairs even with odd
     paper_procs=(),  # illustration shape, not in the paper's grid
     description="Paper Fig. 11 loop: branch pair + collective per iteration",
 )

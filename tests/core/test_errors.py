@@ -1,9 +1,8 @@
-"""Error taxonomy: one CypressError root, compat aliases preserved."""
+"""Error taxonomy: one CypressError root, one name per error."""
 
 import pytest
 
 from repro.core import (
-    CompressionError,
     CypressError,
     MergeError,
     StreamMismatchError,
@@ -16,11 +15,6 @@ class TestTaxonomy:
     def test_common_root(self):
         for exc in (StreamMismatchError, MergeError, TraceFormatError):
             assert issubclass(exc, CypressError)
-
-    def test_compression_error_alias(self):
-        # Pre-taxonomy name; kept so existing `except CompressionError`
-        # call sites keep working.
-        assert CompressionError is StreamMismatchError
 
     def test_trace_format_error_is_valueerror_for_now(self):
         # One-release compatibility: serialize used to raise bare

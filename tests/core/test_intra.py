@@ -8,7 +8,8 @@ import pytest
 sys.path.insert(0, "tests")
 from helpers import assert_replay_exact, run_traced  # noqa: E402
 
-from repro.core.intra import CompressionError, CypressConfig  # noqa: E402
+from repro.core.errors import StreamMismatchError  # noqa: E402
+from repro.core.intra import CypressConfig  # noqa: E402
 from repro.static.cst import BRANCH, CALL, LOOP  # noqa: E402
 
 
@@ -282,7 +283,7 @@ class TestWildcards:
           }
         }
         """
-        with pytest.raises(CompressionError, match="wildcard"):
+        with pytest.raises(StreamMismatchError, match="wildcard"):
             run_traced(src, 2)
 
 
@@ -397,7 +398,8 @@ class TestErrors:
         emit = comp.stream(0)
         emit((OP_EVENT, CommEvent(op="MPI_Barrier", rank=0, seq=0)))
         emit((OP_EVENT, CommEvent(op="MPI_Send", rank=0, seq=1)))
-        with pytest.raises(CompressionError, match="rank 0: no CST leaf") as err:
+        with pytest.raises(StreamMismatchError,
+                           match="rank 0: no CST leaf") as err:
             comp.flush()
         assert err.value.item_index == 1
         assert "[stream item 1]" in str(err.value)
@@ -412,7 +414,7 @@ class TestErrors:
         )
         comp = IntraProcessCompressor(compiled.cst)
         comp.stream(0)((OP_LOOP_POP, 123))
-        with pytest.raises(CompressionError, match="no open loop") as err:
+        with pytest.raises(StreamMismatchError, match="no open loop") as err:
             comp.ctt(0)  # a read of the rank drains it
         assert err.value.item_index == 0
 
@@ -440,6 +442,6 @@ class TestErrors:
         # Items 0-5 drained in pairs; item 6 is the bad one and waits in
         # the buffer until item 7 fills it.
         emit((OP_BRANCH_EXIT, 99))
-        with pytest.raises(CompressionError, match="no open branch") as err:
+        with pytest.raises(StreamMismatchError, match="no open branch") as err:
             emit((OP_LOOP_POP, loop.ast_id))
         assert err.value.item_index == 6

@@ -34,9 +34,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.cli import _default_procs
 from repro.core import serialize
 from repro.core.errors import StreamMismatchError, TraceFormatError
 from repro.core.inter import merge_all
@@ -45,6 +44,7 @@ from repro.driver import Capture, capture_run
 from repro.verify.invariants import check_merged
 from repro.workloads import WORKLOADS
 
+from ..helpers import default_procs
 from .data import bitflip, truncate
 from .payload import PAYLOAD_KINDS, corrupt_merged
 from .plan import CORRUPT_KINDS, FaultPlan
@@ -78,16 +78,6 @@ class MatrixEntry:
     violations: int = 0
     skipped: bool = False  # kind has no site in this trace's shape
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "detected": self.detected,
-            "description": self.description,
-            "codes": self.codes,
-            "violations": self.violations,
-            "skipped": self.skipped,
-        }
-
 
 @dataclass
 class MatrixReport:
@@ -106,13 +96,7 @@ class MatrixReport:
         return bool(ran) and all(e.detected for e in ran)
 
     def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "nprocs": self.nprocs,
-            "seed": self.seed,
-            "ok": self.ok,
-            "entries": [e.to_dict() for e in self.entries],
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def run_fault_matrix(
@@ -261,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="write the JSON report to PATH")
     args = p.parse_args(argv)
     w = WORKLOADS[args.workload]
-    nprocs = args.nprocs if args.nprocs is not None else _default_procs(w)
+    nprocs = args.nprocs if args.nprocs is not None else default_procs(w)
     w.check_procs(nprocs)
     run = capture_run(w.source, nprocs, w.defines(nprocs, args.scale))
     compressor = compress_streams(run.compiled.cst, run.streams)

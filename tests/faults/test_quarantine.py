@@ -15,7 +15,7 @@ from repro.core import (
 from repro.core.inter import merge_all
 from repro.core.intra import IntraProcessCompressor, compress_streams
 from repro.core.quarantine import QuarantinedRank, QuarantineReport
-from repro.driver import run_compiled
+from repro.driver import capture_run, run_compiled
 from repro.mpisim.pmpi import OP_EVENT, OP_LOOP_POP, StreamCaptureSink
 from repro.static.instrument import compile_minimpi
 from repro.workloads import WORKLOADS
@@ -108,12 +108,9 @@ class TestLenientMode:
         """Naming a discarded rank raises; it is not merged as an empty
         tree in its own place.  A rank never seen still reads empty."""
         w = WORKLOADS["fig11"]
-        compiled = compile_minimpi(w.source)
-        capture = StreamCaptureSink()
-        run_compiled(compiled, 4, defines=w.defines(4, 1.0), tracer=capture)
-        streams = dict(capture.streams)
-        streams[2] = [(OP_LOOP_POP, 12345), *streams[2]]
-        comp = compress_streams(compiled.cst, streams, nranks=4)
+        run = capture_run(w.source, 4, w.defines(4, 1.0))
+        streams = {**run.streams, 2: [(OP_LOOP_POP, 12345), *run.streams[2]]}
+        comp = compress_streams(run.compiled.cst, streams, nranks=4)
         assert comp.quarantine.ranks() == [2]
         with pytest.raises(StreamMismatchError, match="rank 2 "):
             comp.merged(nranks=4, ranks=range(4))

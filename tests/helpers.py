@@ -10,8 +10,8 @@ from repro.core import run_cypress
 from repro.core.decompress import decompress_merged_rank, decompress_rank
 from repro.core.inter import merge_all
 from repro.core.intra import CypressConfig, IntraProcessCompressor
-from repro.driver import run_compiled
-from repro.mpisim.pmpi import MultiSink, RecordingSink
+from repro.driver import Capture, run_compiled
+from repro.mpisim.pmpi import MultiSink, RecordingSink, StreamCaptureSink
 from repro.static.cst import BRANCH, CALL
 from repro.static.instrument import compile_minimpi
 from repro.workloads import get as get_workload
@@ -42,6 +42,41 @@ def run_traced(
     return compiled, recorder, compressor, result
 
 
+def capture_with_truth(source: str, nprocs: int, defines=None):
+    """One run of ``source`` under a stream capture sink and an
+    independent ground-truth recorder: ``(Capture, recorder)``."""
+    compiled = compile_minimpi(source)
+    recorder, capture = RecordingSink(), StreamCaptureSink()
+    result = run_compiled(
+        compiled, nprocs, defines=defines,
+        tracer=MultiSink([recorder, capture]),
+    )
+    return (Capture(compiled, nprocs, capture.streams, result.total_events),
+            recorder)
+
+
+def default_procs(w) -> int:
+    """Smallest valid rank count >= 4 (else the smallest valid one) —
+    big enough for real grouping, small enough for CI."""
+    eligible = [p for p in w.valid_procs if p >= 4]
+    return min(eligible or w.valid_procs)
+
+
+def first_divergence(got, want) -> str | None:
+    """``None`` when two event sequences are equal, else where they
+    first differ and how."""
+    n = min(len(got), len(want))
+    i = next((i for i in range(n) if got[i] != want[i]), n)
+    if i == n and len(got) == len(want):
+        return None
+
+    def at(seq):
+        return repr(seq[i]) if i < len(seq) else "<end>"
+
+    return (f"first divergence at event {i}: {at(got)} != {at(want)} "
+            f"({len(got)} vs {len(want)} events)")
+
+
 def assert_replay_exact(recorder, compressor, nprocs: int, merged: bool = False):
     """Sequence-preservation check for every rank."""
     merged_ctt = None
@@ -53,11 +88,8 @@ def assert_replay_exact(recorder, compressor, nprocs: int, merged: bool = False)
             replay = [e.call_tuple() for e in decompress_merged_rank(merged_ctt, rank)]
         else:
             replay = [e.call_tuple() for e in decompress_rank(compressor.ctt(rank))]
-        assert replay == truth, (
-            f"rank {rank}: replay diverges at index "
-            f"{next((i for i, (a, b) in enumerate(zip(replay, truth)) if a != b), min(len(replay), len(truth)))}"
-            f" ({len(replay)} vs {len(truth)} events)"
-        )
+        divergence = first_divergence(replay, truth)
+        assert divergence is None, f"rank {rank}: {divergence}"
     return merged_ctt
 
 

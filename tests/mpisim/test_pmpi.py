@@ -118,9 +118,10 @@ class TestRecordingSink:
         # The recorder resolves a wildcard Irecv in its own copy: the
         # captured stream is the same with and without it.
         from repro.driver import capture_run
+        from tests.helpers import capture_with_truth
 
         plain = capture_run(WILDCARD_IRECV, 3)
-        truth = capture_run(WILDCARD_IRECV, 3, truth=True)
+        truth, recorder = capture_with_truth(WILDCARD_IRECV, 3)
         assert truth.streams == plain.streams
         captured = [
             item[1] for item in truth.streams[0]
@@ -128,7 +129,7 @@ class TestRecordingSink:
         ]
         assert len(captured) == 12
         assert all(ev.peer == ANY_SOURCE for ev in captured)
-        recorded = [ev for ev in truth.truth[0] if ev.op == "MPI_Irecv"]
+        recorded = [ev for ev in recorder.events[0] if ev.op == "MPI_Irecv"]
         assert len(recorded) == 12
         assert all(ev.peer in (1, 2) and ev.nbytes == 8 for ev in recorded)
 

@@ -18,9 +18,7 @@ from repro.core.intra import (  # noqa: E402
     IntraProcessCompressor,
     compress_streams,
 )
-from repro.driver import run_compiled  # noqa: E402
-from repro.mpisim.pmpi import StreamCaptureSink  # noqa: E402
-from repro.static.instrument import compile_minimpi  # noqa: E402
+from repro.driver import capture_run  # noqa: E402
 
 SETTINGS = dict(
     max_examples=10,
@@ -32,13 +30,6 @@ SETTINGS = dict(
 MODES = {"inline": False, "deferred": True}
 
 
-def _capture(source: str, nprocs: int):
-    compiled = compile_minimpi(source)
-    capture = StreamCaptureSink()
-    run_compiled(compiled, nprocs, tracer=capture)
-    return compiled, capture.streams
-
-
 def _trace_bytes(source: str, nprocs: int, deferred: bool, metrics: bool):
     obs.disable()
     if metrics:
@@ -47,7 +38,7 @@ def _trace_bytes(source: str, nprocs: int, deferred: bool, metrics: bool):
         if not deferred:
             run = run_cypress(source, nprocs)
             return serialize.dumps(run.merge())
-        compiled, streams = _capture(source, nprocs)
+        compiled, _, streams, _ = capture_run(source, nprocs)
         comp = compress_streams(compiled.cst, streams, nranks=nprocs)
         return serialize.dumps(
             comp.merged(nranks=nprocs, ranks=range(nprocs))
@@ -83,7 +74,7 @@ class TestMetricsByteIdentity:
         quarantines nothing and dumps the same bytes as a bare
         per-rank ``ingest_stream`` (raise on mismatch)."""
         nprocs = 2
-        compiled, streams = _capture(source, nprocs)
+        compiled, _, streams, _ = capture_run(source, nprocs)
         lenient = compress_streams(compiled.cst, streams, nranks=nprocs)
         assert not lenient.quarantine
         strict = IntraProcessCompressor(compiled.cst)

@@ -11,10 +11,8 @@ from repro.core import serialize
 from repro.core.api import run_cypress
 from repro.core.decompress import decompress_all
 from repro.core.intra import compress_streams
-from repro.driver import run_compiled
+from repro.driver import capture_run
 from repro.frontend import S, run_python
-from repro.mpisim.pmpi import StreamCaptureSink
-from repro.static.instrument import compile_minimpi
 
 SOURCE = """
 func main() {
@@ -196,10 +194,8 @@ class TestDeferredCounters:
         inline, run, blob, _ = _observed_run()
         deferred = obs.enable()
         try:
-            compiled = compile_minimpi(SOURCE)
-            capture = StreamCaptureSink()
-            run_compiled(compiled, 4, tracer=capture)
-            comp = compress_streams(compiled.cst, capture.streams, nranks=4)
+            cap = capture_run(SOURCE, 4)
+            comp = compress_streams(cap.compiled.cst, cap.streams, nranks=4)
             comp.publish_metrics(deferred)
             deferred_blob = serialize.dumps(comp.merged(nranks=4))
         finally:

@@ -1,11 +1,13 @@
-"""`repro query` CLI: every query, JSON output, the --oracle cross-check
-and its failure mode, and required-flag validation."""
+"""`repro query` CLI: every query, JSON output, required-flag
+validation, and the engine == replay cross-check of a stored trace
+(``python -m tests.query.check``) with its failure mode."""
 
 import json
 
 import pytest
 
 from repro.cli import main
+from tests.query import check
 
 
 @pytest.fixture(scope="module")
@@ -18,10 +20,11 @@ def trace(tmp_path_factory):
 
 class TestQueryCLI:
     def test_traffic_table_and_oracle(self, trace, capsys):
-        assert main(["query", trace, "traffic", "--oracle"]) == 0
-        captured = capsys.readouterr()
-        assert "messages" in captured.out and "MPI_" in captured.out
-        assert "oracle check: engine == replay" in captured.err
+        assert main(["query", trace, "traffic"]) == 0
+        out = capsys.readouterr().out
+        assert "messages" in out and "MPI_" in out
+        assert check.main([trace, "traffic"]) == 0
+        assert "oracle check: engine == replay" in capsys.readouterr().out
 
     def test_traffic_rank_pair_json(self, trace, tmp_path, capsys):
         out = str(tmp_path / "traffic.json")
@@ -35,19 +38,21 @@ class TestQueryCLI:
             assert cell["messages"] > 0
 
     def test_ordering(self, trace, capsys):
-        assert main(["query", trace, "ordering", "--gid-a", "5",
-                     "--gid-b", "7", "--rank", "0", "--oracle"]) == 0
+        question = ["ordering", "--gid-a", "5", "--gid-b", "7", "--rank", "0"]
+        assert main(["query", trace, *question]) == 0
         assert "rank 0" in capsys.readouterr().out
+        assert check.main([trace, *question]) == 0
 
     def test_ordering_requires_flags(self, trace):
         with pytest.raises(SystemExit, match="--gid-a is required"):
             main(["query", trace, "ordering"])
 
     def test_rank_profile(self, trace, capsys):
-        assert main(["query", trace, "rank-profile", "--rank", "1",
-                     "--oracle"]) == 0
+        question = ["rank-profile", "--rank", "1"]
+        assert main(["query", trace, *question]) == 0
         out = capsys.readouterr().out
         assert "rank 1" in out and "events" in out
+        assert check.main([trace, *question]) == 0
 
     def test_critical_leaves_json_stdout(self, trace, capsys):
         assert main(["query", trace, "critical-leaves", "--top", "3",
@@ -70,7 +75,7 @@ class TestQueryCLI:
             return out
 
         monkeypatch.setattr(q, "traffic", skewed)
-        assert main(["query", trace, "traffic", "--oracle"]) == 1
+        assert check.main([trace, "traffic"]) == 1
         assert "ORACLE MISMATCH" in capsys.readouterr().err
 
     def test_metrics_flag_reports_query_spans(self, trace, capsys):

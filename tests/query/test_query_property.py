@@ -28,10 +28,8 @@ from repro.core import packed, serialize  # noqa: E402
 from repro.core.decompress import decompress_all  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
 from repro.core.intra import compress_streams  # noqa: E402
-from repro.driver import run_compiled  # noqa: E402
-from repro.mpisim.pmpi import MultiSink, StreamCaptureSink  # noqa: E402
+from repro.driver import capture_run  # noqa: E402
 from repro.static.cst import CALL  # noqa: E402
-from repro.static.instrument import compile_minimpi  # noqa: E402
 
 NPROCS = 4
 
@@ -41,13 +39,6 @@ SETTINGS = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-
-def _captured_streams(source: str):
-    compiled = compile_minimpi(source)
-    capture = StreamCaptureSink()
-    run_compiled(compiled, NPROCS, tracer=MultiSink([capture]))
-    return compiled, capture.streams
 
 
 def _compressed(compiled, streams, variant: str):
@@ -74,20 +65,20 @@ def _check_all_queries(merged, label: str, traces=None) -> dict:
     # ``rank_pair`` decodes peers per record: asked last, so that on a
     # loaded tree everything before it reads the decoded leaf blocks.
     for group_by in ("vertex", "op"):
-        query.assert_agrees(
+        assert not query.agreement_errors(
             query.traffic(merged, group_by=group_by),
             query.traffic_via_replay(merged, group_by=group_by,
                                      traces=traces),
             f"{label}/traffic.{group_by}",
         )
     for rank in range(NPROCS):
-        query.assert_agrees(
+        assert not query.agreement_errors(
             query.rank_profile(merged, rank),
             query.rank_profile_via_replay(merged, rank,
                                           events=traces.get(rank, [])),
             f"{label}/rank_profile.{rank}",
         )
-    query.assert_agrees(
+    assert not query.agreement_errors(
         query.critical_leaves(merged, k=10**9),
         query.critical_leaves_via_replay(merged, k=10**9, traces=traces),
         f"{label}/critical_leaves",
@@ -97,13 +88,13 @@ def _check_all_queries(merged, label: str, traces=None) -> dict:
     for rank in range(min(NPROCS, 2)):
         events = traces.get(rank, [])
         for gid_a, gid_b in itertools.product(leaves, repeat=2):
-            query.assert_agrees(
+            assert not query.agreement_errors(
                 query.ordering(merged, gid_a, gid_b, rank, index=index),
                 query.ordering_via_replay(merged, gid_a, gid_b, rank,
                                           events=events),
                 f"{label}/ordering.{gid_a}-{gid_b}.r{rank}",
             )
-    query.assert_agrees(
+    assert not query.agreement_errors(
         query.traffic(merged, group_by="rank_pair"),
         query.traffic_via_replay(merged, group_by="rank_pair", traces=traces),
         f"{label}/traffic.rank_pair",
@@ -124,7 +115,7 @@ class TestQueryDifferential:
     @settings(max_examples=10, **SETTINGS)
     @given(program(allow_functions=True))
     def test_fastpath_tree_light(self, source):
-        compiled, streams = _captured_streams(source)
+        compiled, _, streams, _ = capture_run(source, NPROCS)
         merged = _merged(compiled, streams, "lists")
         _check_fresh_and_loaded(merged, "lists")
 
@@ -132,7 +123,7 @@ class TestQueryDifferential:
     @settings(max_examples=SWEEP_EXAMPLES, **SETTINGS)
     @given(program(allow_functions=True, allow_subcomms=True))
     def test_full_variant_matrix(self, source):
-        compiled, streams = _captured_streams(source)
+        compiled, _, streams, _ = capture_run(source, NPROCS)
         for variant in ("spec", "lists", "packed"):
             merged = _merged(compiled, streams, variant)
             _check_fresh_and_loaded(merged, variant)

@@ -69,8 +69,8 @@ class TestWaitAnalysis:
             assert 0.0 <= sim.wait_fraction(rank) <= 1.0
 
     def test_cli_verify_command(self, capsys):
-        from repro.cli import main
+        from tests.verify import check
 
-        assert main(["check", "mg", "-n", "8", "--scale", "0.3",
-                     "--differential"]) == 0
+        assert check.main(["mg", "-n", "8", "--scale", "0.3",
+                           "--differential"]) == 0
         assert "differential: ok" in capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.intra import CompressionError
+from repro.core.errors import StreamMismatchError
 from repro.frontend import S, StructureError, build_structure, run_python
 from repro.mpisim import RecordingSink
 from repro.static.cst import BRANCH, CALL, LOOP
@@ -152,7 +152,7 @@ class TestValidation:
         def rank_main(tc):
             yield from tc.mpi("mpi_allreduce", 8)
 
-        with pytest.raises(CompressionError):
+        with pytest.raises(StreamMismatchError):
             run_python(rank_main, spec, 2)
 
     def test_nonblocking_requests_supported(self):

@@ -50,6 +50,7 @@ def test_cli_commands_import_no_numpy(tmp_path):
         ["trace", "fig11", "-n", "4", "-o", str(tmp_path / "f.cyp")],
         ["info", str(GOLDEN)],
         ["query", str(GOLDEN), "traffic"],
+        ["check", str(GOLDEN)],
     )
     for argv in commands:
         result = _python("-X", "importtime", "-m", "repro", *argv)
@@ -75,6 +76,7 @@ def test_product_does_not_ship_the_fault_harness():
             assert not any(
                 n == "tests" or n.startswith("tests.") for n in names
             ), (path, names)
-    for name in ("repro.faults", "repro.verify.faultmatrix"):
+    for name in ("repro.faults", "repro.verify.faultmatrix",
+                 "repro.verify.differential"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(name)

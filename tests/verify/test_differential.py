@@ -1,56 +1,62 @@
-"""Differential harness: every variant agrees on healthy workloads, and
-divergences localize to the first differing event."""
+"""Differential harness (``tests/verify/check.py``): every variant
+agrees on healthy workloads, and divergences localize to the first
+differing event."""
 
 import sys
 
 sys.path.insert(0, "tests")
 
+from helpers import capture_with_truth, first_divergence  # noqa: E402
+
 from repro.core.intra import compress_streams  # noqa: E402
-from repro.driver import capture_run  # noqa: E402
-from repro.verify import differential_check  # noqa: E402
-from repro.verify.differential import first_divergence  # noqa: E402
 from repro.workloads import WORKLOADS  # noqa: E402
+from tests.verify.check import differential  # noqa: E402
 
 
 def _differential(name, nprocs, scale=0.3):
     w = WORKLOADS[name]
-    run = capture_run(w.source, nprocs, w.defines(nprocs, scale), truth=True)
+    run, recorder = capture_with_truth(
+        w.source, nprocs, w.defines(nprocs, scale))
     deferred = compress_streams(run.compiled.cst, run.streams)
-    return differential_check(run, deferred, workload=name)
+    return differential(run, recorder, deferred)
 
 
 class TestFirstDivergence:
     def test_equal_sequences_return_none(self):
-        assert first_divergence("a", "b", 0, [(1,), (2,)], [(1,), (2,)]) is None
+        assert first_divergence([(1,), (2,)], [(1,), (2,)]) is None
 
     def test_mismatch_localizes_index(self):
-        div = first_divergence("a", "truth", 3, [(1,), (9,)], [(1,), (2,)])
-        assert (div.rank, div.index) == (3, 1)
-        assert div.left_event == (9,) and div.right_event == (2,)
-        assert "rank 3" in div.format()
+        div = first_divergence([(1,), (9,)], [(1,), (2,)])
+        assert div == (
+            "first divergence at event 1: (9,) != (2,) (2 vs 2 events)")
 
     def test_length_mismatch_reports_missing_side(self):
-        div = first_divergence("a", "b", 0, [(1,)], [(1,), (2,)])
-        assert div.index == 1
-        assert div.left_event is None and div.right_event == (2,)
+        div = first_divergence([(1,)], [(1,), (2,)])
+        assert div == (
+            "first divergence at event 1: <end> != (2,) (1 vs 2 events)")
 
 
 class TestDifferentialCheck:
     def test_cg_all_variants_agree(self):
         report = _differential("cg", 4)
-        assert report.ok, [d.format() for d in report.divergences]
-        assert report.events > 0
-        assert sorted(report.variants) == [
+        assert report["ok"], report["divergences"]
+        assert report["events"] > 0
+        assert sorted(report["variants"]) == [
             "budgeted", "deferred", "inline", "packed",
         ]
-        d = report.to_dict()
-        assert d["ok"] is True and d["divergences"] == []
+        assert report["divergences"] == []
 
     def test_wildcard_workload_agrees_too(self):
         # The farm's wildcard records stress the pending-resolution
         # paths in every compression variant.
         report = _differential("farm", 4)
-        assert report.ok, [d.format() for d in report.divergences]
+        assert report["ok"], report["divergences"]
+
+
+def _named(report):
+    """The variants a report's divergences name."""
+    return {d.split(" ", 1)[0].removeprefix("bytes:")
+            for d in report["divergences"]}
 
 
 class TestPlantedDivergence:
@@ -77,19 +83,19 @@ class TestPlantedDivergence:
 
         monkeypatch.setattr(packed, "encode_stream", damaging)
         report = _differential("cg", 4)
-        assert not report.ok
-        named = {d.left.removeprefix("bytes:") for d in report.divergences}
-        assert named == {"packed"}, [d.format() for d in report.divergences]
-        first = report.divergences[0]
-        assert (first.left, first.right) == ("packed", "truth")
-        assert (first.rank, first.index) == (victim, index)
-        assert first.left_event[3] == first.right_event[3] + 1  # the tag
+        assert not report["ok"]
+        assert _named(report) == {"packed"}, report["divergences"]
+        first = report["divergences"][0]
+        assert first.startswith(
+            f"packed vs truth, rank {victim}: first divergence at event "
+            f"{index}: "
+        ), first
 
     def test_dropping_packed_encoder_is_named(self, monkeypatch):
         # An encoder that drops rank 2's sixth event leaves a hole in
         # its leaf's visit schedule: the packed variant's replay of rank
-        # 2 raises, and the report names the variant, the rank, the
-        # event the replay could not produce, and the replay's error.
+        # 2 raises, and the report names the variant, the rank and the
+        # replay's error.
         from repro.core import packed
 
         victim, index = 2, 5
@@ -104,15 +110,9 @@ class TestPlantedDivergence:
 
         monkeypatch.setattr(packed, "encode_stream", dropping)
         report = _differential("cg", 4)
-        assert not report.ok
-        named = {d.left.removeprefix("bytes:") for d in report.divergences}
-        assert named == {"packed"}, [d.format() for d in report.divergences]
-        first = report.divergences[0]
-        assert (first.left, first.right, first.rank) == ("packed", "truth", victim)
-        # The hole is found where the leaf runs out of records, past the
-        # dropped event; the report points at the event truth has there.
-        assert first.index > index
-        assert first.left_event is None
-        assert first.right_event[0] == "MPI_Isend"
-        assert "(MPI_Isend) has no record for visit" in first.error
-        assert f"replay raised at event {first.index}" in first.format()
+        assert not report["ok"]
+        assert _named(report) == {"packed"}, report["divergences"]
+        first = report["divergences"][0]
+        assert first.startswith(
+            f"packed vs truth, rank {victim}: replay raised: "), first
+        assert "(MPI_Isend) has no record for visit" in first

@@ -23,23 +23,37 @@ SMALL_PROCS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
+#: Every workload at its small count (id: the name), then at every valid
+#: count up to 9 at a small scale (id: name-P<count>).
+SHAPES = [
+    pytest.param(name, SMALL_PROCS[name], 0.5, id=name)
+    for name in sorted(WORKLOADS)
+] + [
+    pytest.param(name, p, 0.1, id=f"{name}-P{p}")
+    for name in sorted(WORKLOADS)
+    for p in WORKLOADS[name].valid_procs if p <= 9
+]
+
+
 class TestEveryWorkload:
-    def test_runs_and_replays_exactly(self, name):
+    @pytest.mark.parametrize("name, nprocs, scale", SHAPES)
+    def test_runs_and_replays_exactly(self, name, nprocs, scale):
         w = get(name)
-        nprocs = SMALL_PROCS[name]
         _, rec, cyp, result = run_traced(
-            w.source, nprocs, defines=w.defines(nprocs, 0.5), max_steps=None
+            w.source, nprocs, defines=w.defines(nprocs, scale),
+            max_steps=None,
         )
         assert result.total_events > 0
         assert_replay_exact(rec, cyp, nprocs, merged=True)
 
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_invalid_proc_count_rejected(self, name):
         w = get(name)
         bad = 3 if 3 not in w.valid_procs else 10**9
         with pytest.raises(ValueError):
             w.check_procs(bad)
 
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_scale_reduces_events(self, name):
         if name == "dt":
             pytest.skip("DT has no time-step loop")
