@@ -97,6 +97,14 @@ def _count(value: str) -> int:
     return n
 
 
+def _rank_list(value: str) -> list[int]:
+    """A comma-separated rank list (``--ranks 0,3``)."""
+    try:
+        return [int(r) for r in value.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid rank list {value!r}")
+
+
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("workload", choices=sorted(WORKLOADS))
     p.add_argument("-n", "--nprocs", type=int, required=True)
@@ -213,11 +221,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_ranks(merged, ranks) -> bool:
+    """Print one ``error:`` line for the first of ``ranks`` the trace
+    does not hold (:func:`repro.query.check_rank`); True if there was
+    one — the caller exits 2, the usage code, as ``repro query`` does."""
+    from repro import query
+
+    try:
+        for rank in ranks:
+            query.check_rank(merged, rank)
+    except query.QueryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     from repro.core import decompress_merged_rank
     from repro.core.export import format_peer
 
     merged = _load_trace(args.trace, salvage=args.salvage)
+    if _refuse_ranks(merged, [args.rank]):
+        return 2
     events = decompress_merged_rank(merged, args.rank)
     print(f"rank {args.rank}: {len(events)} events")
     for ev in events[: args.limit]:
@@ -289,7 +314,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     from repro.core import export
 
     merged = _load_trace(args.trace, salvage=args.salvage)
-    ranks = [int(r) for r in args.ranks.split(",")] if args.ranks else None
+    ranks = args.ranks
+    if ranks is not None and _refuse_ranks(merged, ranks):
+        return 2
     if args.format == "csv":
         text = export.to_csv(merged, ranks)
     else:
@@ -621,7 +648,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("trace", type=_trace_file)
     p.add_argument("-f", "--format", choices=("text", "csv"), default="text")
     p.add_argument("-o", "--output", default="-")
-    p.add_argument("--ranks", default="", help="comma-separated rank filter")
+    p.add_argument("--ranks", type=_rank_list, default=None,
+                   help="comma-separated rank filter")
     _add_salvage_arg(p)
     p.set_defaults(func=cmd_export)
 

@@ -41,12 +41,12 @@ format lives in :mod:`repro.core.serialize` alone.
 (loop counts, branch visits, leaf records) plus the cursor state that
 determines future output — ``search_pos``, ``leaf_visits``, branch-group
 visit counters, the open frame stack, recursion save-slots, the
-request-id table and the pre-gap clock.  **What it drops** (empty on
-reload): the per-leaf record caches in front of ``record_index`` —
-``last_params``/``last_record`` and the ``params -> record`` index.
-Those are pure accelerators — a reloaded rank refills them from
-``record_index`` (which the decoder rebuilds) one key build per
-parameter set and produces the same bytes, which is what the
+request-id table and the pre-gap clock.  Each leaf's ``params ->
+record`` index is not stored but rebuilt exactly, from each record's
+key (:func:`~repro.core.records.key_params`), so a reloaded rank builds
+no key for a parameter set it has seen.  **What it drops** (empty on
+reload): only the one-slot ``last_params``/``last_record`` cache in
+front of the index.  The same bytes either way is what the
 spill/reload property tests pin down.
 
 A rank with unresolved wildcard receives (``pending`` non-empty) is
@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 from .ctt import CTT, CTTShape, CTTVertex
 from .errors import MergeError, StreamMismatchError, TraceFormatError
 from .inter import MergedCTT, MergedVertex, merge_all
-from .records import CompressedRecord
+from .records import CompressedRecord, key_params
 from .serialize import (
     ByteReader,
     ByteWriter,
@@ -195,13 +195,12 @@ def encode_rank_state(st) -> bytes:
     return w.bytes()
 
 
-def decode_rank_state(data: bytes, state_factory, rebuild_index: bool = True):
+def decode_rank_state(data: bytes, state_factory):
     """Inverse of :func:`encode_rank_state`.  ``state_factory(rank)``
     must return a fresh state whose CTT mirrors the same CST the
     snapshot was taken against; the snapshot's cursor and payload are
-    written into it in pre-order.  ``rebuild_index`` repopulates the
-    per-leaf ``record_index`` (the unbounded-window key interner); pass
-    False for bounded-window configs, which never consult it."""
+    written into it in pre-order, and each leaf's ``params_index`` is
+    rebuilt from its records' keys."""
     r = ByteReader(data)
     rank = r.u()
     st = state_factory(rank)
@@ -232,11 +231,10 @@ def decode_rank_state(data: bytes, state_factory, rebuild_index: bool = True):
             v.visits, pos = _read_seq(data, pos)
         if v.records is not None:
             block, pos = leaves.leaf(data, pos, v.op, v.gid)
-            v.records = block.records()
-            if rebuild_index:
-                index = v.record_index
-                for rec in v.records:
-                    index[rec.key] = rec
+            v.records = records = block.records()
+            index = v.params_index
+            for rec in records:
+                index[key_params(rec.key, rank)] = rec
         for i in range(len(v.group_visits)):
             v.group_visits[i], pos = _uvarint(data, pos)
     return st
@@ -389,7 +387,6 @@ class RankTable:
 
     def __init__(self, shape: CTTShape, config) -> None:
         self._shape = shape
-        self._rebuild_index = config.window is None
         self._spill_dir = config.spill_dir
         self.budget: int | None = config.memory_budget_bytes
         self.counters = BudgetCounters()
@@ -471,12 +468,10 @@ class RankTable:
     def _reload(self, rank: int) -> RankState:
         """Bring a spilled rank back, as the hottest: decode the
         snapshot, discard the container.  The reloaded state is
-        cursor-exact; only the record caches start empty (module
-        docstring)."""
+        cursor-exact and its record index complete; only the one-slot
+        cache starts empty (module docstring)."""
         payload = self._store.load(rank)
-        st = decode_rank_state(
-            payload, self._new_state, rebuild_index=self._rebuild_index
-        )
+        st = decode_rank_state(payload, self._new_state)
         self._store.discard(rank)
         del self._away[rank]
         self.live[rank] = st

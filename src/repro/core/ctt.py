@@ -47,9 +47,11 @@ An MPI event skips even that when the program runs its calls in source
 order: the compressor first tries the child *at* ``search_pos`` and
 consults ``call_children_by_op`` only when that is not the event's leaf.
 
-Leaf vertices additionally carry the record caches the intra-process
-compressor probes before it builds a key (``last_params``/
-``last_record``, then ``params_index``; see :mod:`repro.core.intra`).
+Leaf vertices additionally carry the record index the intra-process
+compressor probes before it builds a key: ``params_index``, every
+parameter tuple seen -> its record (complete, so a miss is a first
+occurrence), behind the one-slot ``last_params``/``last_record`` cache
+(see :mod:`repro.core.intra`).
 """
 
 from __future__ import annotations
@@ -65,15 +67,14 @@ from .sequences import IntSequence
 # ---------------------------------------------------------------------------
 # CPython live-memory cost model (64-bit).  Deliberately coarse: the
 # budget trigger needs to track the real footprint to within a small
-# factor, not byte-perfectly — but it must *see* the transient state
-# (record and params indexes) that the serialized-size estimate
-# ignores, because under budget pressure that state dominates.
+# factor, not byte-perfectly — but it must *see* the state (the params
+# index) that the serialized-size estimate ignores, because under
+# budget pressure that state dominates.
 _PTR = 8
 _VERTEX_BASE = 360       # CTTVertex slots + payload containers (a flat
                          # average; the dispatch tables are the shape's)
 _SEQ_BASE = 120          # IntSequence object + terms list header
 _SEQ_LIVE_FACTOR = 3     # boxed terms vs packed varint estimate
-_DICT_ENTRY = 104        # amortized dict slot (hash + key + value + growth)
 _LIST_BASE = 64
 # One ``params_index`` entry: the 11-field parameter tuple only the
 # index keeps alive (144 B; its elements are the key's) plus its dict
@@ -142,8 +143,6 @@ class CTTVertex:
         "loop_counts",
         "visits",
         "records",
-        # key -> record, for unbounded (position-independent) merging
-        "record_index",
         # per branch group of this parent, in child order: the times one
         # of its paths was entered
         "group_visits",
@@ -156,10 +155,10 @@ class CTTVertex:
         # does this leaf's op create a request?  (Spares the per-event
         # frozenset membership test on the hot path.)
         "op_nonblocking",
-        # record caches in front of ``record_index`` (leaf vertices;
-        # transient compression state, unbounded window only): the last
-        # event's key-relevant parameters as one tuple with the record
-        # they committed to, and every parameter tuple seen -> its record
+        # the record index (leaf vertices; read by the unbounded window
+        # only): the last event's key-relevant parameters as one tuple
+        # with the record they committed to, and every parameter tuple
+        # seen -> its record, for position-independent merging
         "last_params",
         "last_record",
         "params_index",
@@ -206,10 +205,9 @@ class CTTVertex:
 
     def live_bytes(self) -> int:
         """Estimated *live* in-RAM footprint of this vertex: the payload
-        as boxed CPython objects plus the transient compression state the
-        serialized estimate ignores — the key -> record interning dict
-        and the parameter index in front of it.  This is the budget
-        mode's eviction trigger."""
+        as boxed CPython objects plus the compression state the
+        serialized estimate ignores — the parameter index.  This is the
+        budget mode's eviction trigger."""
         total = _VERTEX_BASE
         if self.loop_counts is not None:
             total += _SEQ_BASE + _SEQ_LIVE_FACTOR * self.loop_counts.approx_bytes()
@@ -219,10 +217,6 @@ class CTTVertex:
             total += _LIST_BASE + _PTR * len(self.records)
             for r in self.records:
                 total += r.live_bytes()
-        if self.record_index:
-            # Interned key -> record map: one slot per distinct key (the
-            # key tuples themselves are shared with the records).
-            total += _LIST_BASE + _DICT_ENTRY * len(self.record_index)
         if self.params_index is not None:
             # Every leaf owns the dict, filled or not; ``last_params``
             # is one of its tuples, not another.
@@ -324,11 +318,10 @@ class CTTShape:
             v.op_nonblocking = nonblocking
             if kind == CALL:
                 v.records = []
-                v.record_index = {}
                 v.params_index = {}
                 v.loop_counts = v.visits = None
             else:
-                v.records = v.record_index = v.params_index = None
+                v.records = v.params_index = None
                 v.loop_counts = IntSequence() if kind == LOOP else None
                 v.visits = IntSequence() if kind == BRANCH else None
             v.children = v.group_visits = _EMPTY

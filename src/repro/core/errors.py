@@ -94,10 +94,10 @@ class DecompressionError(CypressError):
 
     ``candidates`` holds the record keys of the failing leaf and
     ``cursors`` where each record would next have replayed, as
-    ``(record_index, next_value)`` pairs — the record's first occurrence
-    at or after the failing ``visit``, ``None`` when it has none left —
-    enough to see *which* payload the replay expected and what it found
-    instead.
+    ``(record position, next_value)`` pairs — the record's first
+    occurrence at or after the failing ``visit``, ``None`` when it has
+    none left — enough to see *which* payload the replay expected and
+    what it found instead.
     """
 
     def __init__(

@@ -47,11 +47,12 @@ The per-event budget is O(1), and the implementation spends it carefully
   op table is consulted only when it is not), a nonblocking op's request
   is registered and a completion's requests are resolved and evicted
   there, and one tuple of the key-relevant parameters is probed against
-  the leaf's last event, then against a per-leaf ``params -> record``
-  index.  A hit lands directly in the record; only a parameter set with
-  no record yet builds the 12-tuple key (both ``encode_peer`` calls, the
-  ``record_index`` hash).  A wildcard ``Irecv`` and the bounded window
-  are the two events that leave the loop.
+  the leaf's last event, then against the leaf's ``params -> record``
+  index — its only record index, always complete, so a miss is a first
+  occurrence.  A hit lands directly in the record; only a parameter set
+  with no record yet builds the 12-tuple key (both ``encode_peer``
+  calls).  A wildcard ``Irecv`` and the bounded window are the two
+  events that leave the loop.
 
 There is no second implementation in the product: the tests hold every
 path to a naive §IV-A compressor of their own (``tests/spec_compress.py``:
@@ -96,8 +97,7 @@ from .budget import RankState, RankTable, state_live_bytes
 from .ctt import CTT, CTTShape, CTTVertex
 from .errors import StreamMismatchError
 from .quarantine import QuarantinedRank, QuarantineReport
-from .ranks import encode_peer
-from .records import CompressedRecord
+from .records import CompressedRecord, event_key, key_params
 from .timing import MEANSTD, check_mode
 
 
@@ -228,7 +228,7 @@ class IntraProcessCompressor(TraceSink):
 
     def live_bytes(self, rank: int) -> int:
         """Estimated live in-RAM footprint of one rank's compression
-        state: the CTT (transient caches included) plus the rank-state
+        state: the CTT (its record index included) plus the rank-state
         overheads (frame stack, pending wildcards, request table).
         Reloads the rank if it was spilled."""
         return state_live_bytes(self.state(rank))
@@ -491,25 +491,14 @@ class IntraProcessCompressor(TraceSink):
         gap: float,
     ) -> None:
         """Unbounded-window commit of an event whose parameter tuple the
-        leaf's ``params_index`` does not hold: the one place the walk
-        builds a key.  ``record_index`` is the truth — it already has
-        the record when the index restarted empty (spill reload);
-        otherwise this is a first occurrence.  Either way the index
-        learns the tuple: ``encode_peer`` is injective for a fixed rank
-        and a ``record_index`` entry is never replaced, so the mapping
-        holds for the rest of the rank's stream."""
+        leaf's ``params_index`` does not hold — a first occurrence, and
+        the one place the walk builds a key."""
         self.m_key_build += 1
-        key = self._event_key(ev, st.rank, params[3])
-        # Built before the probe so the 12-tuple is hashed once, not
-        # twice; wasted only on the reload refill.
-        first = CompressedRecord.first(
-            key, visit, duration, gap, self._timing_mode
+        record = CompressedRecord.first(
+            event_key(ev, st.rank, self._relative, params[3]),
+            visit, duration, gap, self._timing_mode,
         )
-        record = leaf.record_index.setdefault(key, first)
-        if record is first:
-            leaf.records.append(record)
-        else:
-            record.add_occurrence(visit, duration, gap)
+        leaf.records.append(record)
         leaf.params_index[params] = record
         leaf.last_params = params
         leaf.last_record = record
@@ -534,36 +523,6 @@ class IntraProcessCompressor(TraceSink):
         depth = len(st.pending)
         if depth > self.m_wildcard_max_depth:
             self.m_wildcard_max_depth = depth
-
-    def _event_key(
-        self,
-        ev: CommEvent,
-        rank: int,
-        req_gids: tuple[int, ...],
-        peer: int | None = None,
-        nbytes: int | None = None,
-    ):
-        """The single source of truth for record keys.  ``peer``/``nbytes``
-        override the event's values when a wildcard receive resolves — the
-        resolved path must produce exactly the key shape of the eager path
-        (including ``result_comm``), or completed wildcards would merge
-        under keys that can never match non-deferred records."""
-        relative = self._relative
-        # The key layout of records.make_key, built in place.
-        return (
-            ev.op,
-            encode_peer(ev.peer if peer is None else peer, rank, relative),
-            encode_peer(ev.peer2, rank, relative),
-            ev.tag,
-            ev.tag2,
-            ev.nbytes if nbytes is None else nbytes,
-            ev.nbytes2,
-            ev.comm,
-            ev.root,
-            ev.wildcard,
-            req_gids,
-            ev.result_comm,
-        )
 
     def _add_record(
         self,
@@ -594,19 +553,21 @@ class IntraProcessCompressor(TraceSink):
         if entry is None:
             return
         leaf, record, ev, pos = entry
-        record.key = self._event_key(
-            ev, st.rank, req_gids=(), peer=source, nbytes=nbytes
+        record.key = event_key(
+            ev, st.rank, self._relative, (), peer=source, nbytes=nbytes
         )
         record.pending = False
         window = self._window
         if window is None:
-            other = leaf.record_index.get(record.key)
-            if other is not None and other is not record:
+            # Indexed under its resolved parameters, like any record.
+            params = key_params(record.key, st.rank)
+            other = leaf.params_index.get(params)
+            if other is None:
+                leaf.params_index[params] = record
+            else:
                 other.merge_from(record)
                 del leaf.records[pos]
                 self._shift_pending(st, leaf, pos)
-            else:
-                leaf.record_index[record.key] = record
             return
         # Bounded backward scan (the paper-faithful variant).
         lo = max(0, pos - window)
@@ -756,7 +717,7 @@ class IntraProcessCompressor(TraceSink):
                     self.m_stream_fallback += 1
                     self.m_key_build += 1
                     self._add_record(
-                        leaf, self._event_key(ev, st.rank, req_gids),
+                        leaf, event_key(ev, st.rank, self._relative, req_gids),
                         visit, duration, gap,
                     )
                     continue
@@ -787,7 +748,9 @@ class IntraProcessCompressor(TraceSink):
                         continue
                     leaf.last_params = params
                     leaf.last_record = record
-                # record.add_occurrence, inlined (same float ops).
+                # IntSequence.append's two common cases and
+                # TimeStats.add in the meanstd mode, inlined (same float
+                # ops as record.add_occurrence).
                 occ = record.occurrences
                 terms = occ.terms
                 if terms:

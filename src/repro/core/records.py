@@ -16,10 +16,13 @@ peers in relative encoding and raw request handles replaced by the GIDs of
 the vertices that created them (paper Fig. 12).
 
 Records are ``__slots__`` classes: one is touched per MPI event on the
-tracer's hot path, and ``add_occurrence`` inlines the Welford update for
-the default mean/std timing mode so the common repeated-event case costs
-one occurrence append plus a handful of float ops — no per-event method
-dispatch into :class:`TimeStats`.
+tracer's hot path, whose repeated-event commit lives in line in
+:meth:`repro.core.intra.IntraProcessCompressor._walk`;
+:meth:`CompressedRecord.first` inlines a first occurrence the same way.
+
+:func:`event_key` builds a record's key from a traced event, and
+:func:`key_params` turns a key back into the walk's parameter tuple —
+the two directions of one layout, kept together here.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .ranks import decode_peer, encode_peer
 from .sequences import IntSequence
 from .timing import MEANSTD, TimeStats
 
@@ -59,10 +63,10 @@ class CompressedRecord:
         contents known: bit-identical to an empty record in timing
         ``mode`` followed by ``add_occurrence(index, duration_us,
         gap_us)``.  What a first-seen parameter set costs — on wide-rank
-        traces that is nearly every event — so, like ``add_occurrence``,
-        it inlines the meanstd case (:meth:`TimeStats.first` is the
-        reference) and writes the slots without going through the
-        dataclass ``__init__`` chain.  ``mode`` is trusted."""
+        traces that is nearly every event — so it inlines the meanstd
+        case (:meth:`TimeStats.first` is the reference) and writes the
+        slots without going through the dataclass ``__init__`` chain.
+        ``mode`` is trusted."""
         rec = _new(cls)
         rec.key = key
         rec.occurrences = occ = _new(IntSequence)
@@ -98,51 +102,11 @@ class CompressedRecord:
         return self.key[0]
 
     def add_occurrence(self, index: int, duration_us: float, gap_us: float) -> None:
-        # Inlined IntSequence.append fast cases (extend / absorb the last
-        # stride term) — occurrence indices are near-monotone, so these
-        # cover almost every event; the repair path falls back to
-        # append(), which implements the identical semantics.
-        occ = self.occurrences
-        terms = occ.terms
-        if terms:
-            start, count, stride = terms[-1]
-            if count == 1:
-                terms[-1] = (start, 2, index - start)
-                occ.length += 1
-            elif index == start + count * stride:
-                terms[-1] = (start, count + 1, stride)
-                occ.length += 1
-            else:
-                occ.append(index)
-        else:
-            occ.append(index)
-        # Inlined TimeStats.add for the meanstd mode (the default):
-        # identical float operations in identical order, without two
-        # method calls per event.  Histogram mode falls back to add().
-        stats = self.duration
-        if stats.bins is None:
-            stats.count = n = stats.count + 1
-            delta = duration_us - stats.mean
-            stats.mean += delta / n
-            stats.m2 += delta * (duration_us - stats.mean)
-            if duration_us < stats.minimum:
-                stats.minimum = duration_us
-            if duration_us > stats.maximum:
-                stats.maximum = duration_us
-        else:
-            stats.add(duration_us)
-        stats = self.pre_gap
-        if stats.bins is None:
-            stats.count = n = stats.count + 1
-            delta = gap_us - stats.mean
-            stats.mean += delta / n
-            stats.m2 += delta * (gap_us - stats.mean)
-            if gap_us < stats.minimum:
-                stats.minimum = gap_us
-            if gap_us > stats.maximum:
-                stats.maximum = gap_us
-        else:
-            stats.add(gap_us)
+        """One more occurrence.  The walk commits a repeated event in
+        line with the same operations; this is the bounded window's."""
+        self.occurrences.append(index)
+        self.duration.add(duration_us)
+        self.pre_gap.add(gap_us)
 
     def merge_from(self, other: "CompressedRecord") -> None:
         """Fold another record with the same key into this one (intra-rank
@@ -193,14 +157,12 @@ class CompressedRecord:
 
     def live_bytes(self) -> int:
         """Estimated live in-RAM footprint: the record, key tuple, and
-        stats as boxed CPython objects rather than packed varints.  The
-        key tuple is shared with the leaf's ``record_index``, so it is
-        charged once, here."""
+        stats as boxed CPython objects rather than packed varints."""
         # record object + key tuple (12 slots + op string + gid tuple)
         # + two TimeStats + occurrence terms as boxed 3-tuples
         return (
             200
-            + 8 * len(self.key)
+            + 8 * len(self.key or ())  # None while a wildcard is pending
             + 3 * self.occurrences.approx_bytes()
             + 2 * 144
         )
@@ -273,4 +235,57 @@ def make_key(
     return (
         op, peer_enc, peer2_enc, tag, tag2, nbytes, nbytes2,
         comm, root, wildcard, req_gids, result_comm,
+    )
+
+
+def event_key(
+    ev,
+    rank: int,
+    relative: bool,
+    req_gids: tuple[int, ...],
+    peer: int | None = None,
+    nbytes: int | None = None,
+) -> RecordKey:
+    """The key of the record a traced event commits to on ``rank``: the
+    layout of :func:`make_key`, peers encoded (``relative``), ``reqs``
+    replaced by ``req_gids``.  ``peer``/``nbytes`` override the event's
+    when a wildcard receive resolves — the resolved record must have
+    exactly the key shape of the eager path (``result_comm`` included),
+    or it could never match one."""
+    return (
+        ev.op,
+        encode_peer(ev.peer if peer is None else peer, rank, relative),
+        encode_peer(ev.peer2, rank, relative),
+        ev.tag,
+        ev.tag2,
+        ev.nbytes if nbytes is None else nbytes,
+        ev.nbytes2,
+        ev.comm,
+        ev.root,
+        ev.wildcard,
+        req_gids,
+        ev.result_comm,
+    )
+
+
+def key_params(key: RecordKey, rank: int) -> tuple:
+    """The parameter tuple the walk probes a leaf's ``params_index``
+    with, for a record ``key`` built on ``rank`` — :func:`event_key`
+    read backwards: ``(peer, nbytes, tag, req_gids, peer2, tag2,
+    nbytes2, comm, root, wildcard, result_comm)``, the op left to the
+    leaf.  :func:`~repro.core.ranks.decode_peer` is the exact inverse
+    of ``encode_peer`` for a fixed rank, so the tuple is the one the
+    event itself gave."""
+    return (
+        decode_peer(key[1], rank),
+        key[5],
+        key[3],
+        key[10],
+        decode_peer(key[2], rank),
+        key[4],
+        key[6],
+        key[7],
+        key[8],
+        key[9],
+        key[11],
     )

@@ -90,27 +90,6 @@ class CommEvent:
     # and the GID of the vertex producing a request.
     req_gids: tuple[int, ...] = field(default_factory=tuple)
 
-    def key(self) -> tuple:
-        """Parameters compared when merging repeated records (everything
-        except time and the per-rank sequence number).  Raw request ids are
-        *excluded* — the CYPRESS tracer substitutes ``req_gids``; baselines
-        compare the GID-free shape the same way ScalaTrace does (request
-        handles are runtime values, never trace keys)."""
-        return (
-            self.op,
-            self.peer,
-            self.peer2,
-            self.tag,
-            self.tag2,
-            self.nbytes,
-            self.nbytes2,
-            self.comm,
-            self.root,
-            self.wildcard,
-            self.req_gids,
-            self.result_comm,
-        )
-
     @property
     def direction(self) -> int:
         return direction_of(self.op)

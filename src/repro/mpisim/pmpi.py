@@ -28,8 +28,9 @@ sinks they wrap, and the event-level sinks (:class:`RecordingSink`, the
 baselines) take the emitter of :func:`event_emitter`, which reads only
 events and request completions.
 
-A captured stream can be replayed into any sink later (``replay_into``)
-or handed to :func:`repro.core.intra.compress_streams`.
+A captured stream can be handed to
+:func:`repro.core.intra.compress_streams`, or fed to any sink later
+through its emitters (``emit = sink.stream(rank)``, then ``flush()``).
 """
 
 from __future__ import annotations
@@ -199,15 +200,3 @@ class StreamCaptureSink(TraceSink):
     def flush(self):
         for rank in [r for r, items in self.streams.items() if not items]:
             del self.streams[rank]
-
-    def replay_into(self, sink: TraceSink, ranks=None) -> None:
-        """Re-drive ``sink`` from the captured streams, one rank at a
-        time, through its emitters.  Only per-rank order is preserved
-        (sufficient for any sink whose state is per-rank, like the
-        compressors).  Ends with ``sink.flush()``, as every driver of a
-        sink does."""
-        for rank in sorted(self.streams) if ranks is None else ranks:
-            emit = sink.stream(rank)
-            for item in self.streams.get(rank, ()):
-                emit(item)
-        sink.flush()

@@ -22,6 +22,7 @@ from .engine import (
     RankProfile,
     Traffic,
     critical_leaves,
+    check_rank,
     leaf_time,
     ordering,
     rank_count,
@@ -47,6 +48,7 @@ __all__ = [
     "Traffic",
     "TreeIndex",
     "agreement_errors",
+    "check_rank",
     "critical_leaves",
     "critical_leaves_via_replay",
     "leaf_time",

@@ -400,7 +400,7 @@ def _exec_interval(
     return lo, hi, index.child_pos[vertex.gid]
 
 
-def _check_rank(merged, rank: int) -> None:
+def check_rank(merged, rank: int) -> None:
     """Refuse a rank outside the job: ``[0, nranks_merged)``, or up to
     :func:`rank_count` if the groups name more.  The tree holds nothing
     to answer it from."""
@@ -424,7 +424,7 @@ def ordering(
     raises :class:`QueryError`."""
     registry = obs.active()
     with obs.span("query.ordering"):
-        _check_rank(merged, rank)
+        check_rank(merged, rank)
         idx = index if index is not None else TreeIndex(merged)
         leaf_a = idx.call_leaf(gid_a)
         leaf_b = idx.call_leaf(gid_b)
@@ -470,7 +470,7 @@ def rank_profile(merged, rank: int | None) -> RankProfile:
     registry = obs.active()
     with obs.span("query.rank_profile"):
         if rank is not None:
-            _check_rank(merged, rank)
+            check_rank(merged, rank)
         profile = RankProfile(rank=rank)
         records_seen = 0
         vertices = merged.vertices()

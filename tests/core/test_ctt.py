@@ -48,7 +48,7 @@ class TestMirroring:
             assert (v.loop_counts is not None) == (v.kind == LOOP)
             assert (v.visits is not None) == (v.kind == BRANCH)
             assert (v.records is not None) == (v.kind == CALL)
-            assert (v.record_index is not None) == (v.kind == CALL)
+            assert (v.params_index is not None) == (v.kind == CALL)
 
     def test_op_names_resolved(self):
         _, ctt = build()

@@ -12,6 +12,7 @@ single pass over the same survivors, byte for byte."""
 
 import os
 import shutil
+import sys
 import tempfile
 
 from hypothesis import HealthCheck, settings
@@ -37,6 +38,9 @@ from repro.driver import run_compiled
 from repro.mpisim.pmpi import OP_EVENT, StreamCaptureSink
 from repro.static.instrument import compile_minimpi
 from repro.workloads import WORKLOADS
+
+sys.path.insert(0, "tests")
+from helpers import replay_into  # noqa: E402
 
 NPROCS = 4
 _SHAPES: dict[str, tuple] = {}
@@ -154,12 +158,10 @@ class RankTableMachine(RuleBasedStateMachine):
     @precondition(lambda self: self._feedable())
     @rule(data=st.data(), size=st.integers(1, 200))
     def feed_live(self, data, size):
-        """The same items through the ``on_*`` callbacks; a chunk that
+        """The same items through the rank's emitter; a chunk that
         ends the stream carries MPI_Finalize, which seals the rank."""
         rank = data.draw(st.sampled_from(self._feedable()))
-        capture = StreamCaptureSink()
-        capture.streams[rank] = self._take(rank, size)
-        capture.replay_into(self.comp)
+        replay_into({rank: self._take(rank, size)}, self.comp)
 
     @precondition(lambda self: self._sealable())
     @rule(data=st.data())

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.records import CompressedRecord, make_key
+from repro.core.records import (
+    CompressedRecord,
+    event_key,
+    key_params,
+    make_key,
+)
 from repro.core.sequences import IntSequence
 from repro.core.timing import HIST, MEANSTD, TimeStats
+from repro.mpisim.datatypes import ANY_SOURCE
+from repro.mpisim.events import NO_PEER, CommEvent
 
 
 def key(**kw):
@@ -151,3 +158,33 @@ class TestFirstOccurrence:
         assert _record_bits(dup) == _record_bits(rec)
         assert dup.duration.bins is not rec.duration.bins
         assert dup.occurrences.terms is not rec.occurrences.terms
+
+
+class TestKeyParams:
+    """``key_params`` reads ``event_key`` backwards: the tuple a leaf's
+    ``params_index`` is rebuilt under after a spill is the one the walk
+    probes it with, for every peer encoding (sentinels included)."""
+
+    PEERS = st.one_of(
+        st.sampled_from([NO_PEER, ANY_SOURCE, -5]), st.integers(0, 1 << 20)
+    )
+
+    @given(
+        peer=PEERS, peer2=PEERS, rank=st.integers(0, 1 << 20),
+        relative=st.booleans(), wildcard=st.booleans(),
+        gids=st.lists(st.integers(-1, 99), max_size=3).map(tuple),
+        ints=st.lists(st.integers(-1, 1 << 30), min_size=7, max_size=7),
+    )
+    def test_inverts_event_key(
+        self, peer, peer2, rank, relative, wildcard, gids, ints
+    ):
+        tag, tag2, nbytes, nbytes2, comm, root, result_comm = ints
+        ev = CommEvent(
+            "MPI_Sendrecv", rank, 0, peer=peer, peer2=peer2, tag=tag,
+            tag2=tag2, nbytes=nbytes, nbytes2=nbytes2, comm=comm,
+            root=root, wildcard=wildcard, result_comm=result_comm,
+        )
+        # The walk's parameter tuple (IntraProcessCompressor._walk).
+        params = (peer, nbytes, tag, gids, peer2, tag2, nbytes2, comm,
+                  root, wildcard, result_comm)
+        assert key_params(event_key(ev, rank, relative, gids), rank) == params

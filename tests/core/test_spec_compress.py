@@ -4,7 +4,7 @@
 * Mutated streams: a marker dropped, an exit duplicated, an op with no
   leaf under the cursor, a recursion exit with no entry, a wildcard
   ``Irecv`` never completed before finalize.  The product — whole
-  batches, and the live callbacks drained a few items at a time — and
+  batches, and the live emitter drained a few items at a time — and
   the spec must reject the same streams at the same
   ``StreamMismatchError.item_index`` and accept the same ones with equal
   bytes.
@@ -46,6 +46,7 @@ from repro.static.instrument import compile_minimpi
 
 sys.path.insert(0, "tests")
 from generators import program  # noqa: E402
+from helpers import replay_into  # noqa: E402
 from spec_compress import SpecWalk, spec_compress  # noqa: E402
 
 NPROCS = 4
@@ -108,13 +109,11 @@ def _batch(cst, rank, stream, window):
 
 
 def _live(cst, rank, stream, window):
-    """The callbacks, drained three items at a time."""
+    """The live emitter, drained three items at a time."""
     comp = IntraProcessCompressor(cst, CypressConfig(window=window))
-    capture = StreamCaptureSink()
-    capture.streams[rank] = stream
     saved, intra.DRAIN_ITEMS = intra.DRAIN_ITEMS, 3
     try:
-        capture.replay_into(comp)
+        replay_into({rank: stream}, comp)
     finally:
         intra.DRAIN_ITEMS = saved
     return comp.ctt(rank)

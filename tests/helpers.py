@@ -42,6 +42,19 @@ def run_traced(
     return compiled, recorder, compressor, result
 
 
+def replay_into(streams: dict[int, list], sink) -> None:
+    """Re-drive ``sink`` from captured per-rank item ``streams``, one
+    rank at a time, through its emitters.  Only per-rank order is
+    preserved (enough for any sink whose state is per-rank, like the
+    compressors).  Ends with ``sink.flush()``, as every driver of a
+    sink does."""
+    for rank in sorted(streams):
+        emit = sink.stream(rank)
+        for item in streams[rank]:
+            emit(item)
+    sink.flush()
+
+
 def capture_with_truth(source: str, nprocs: int, defines=None):
     """One run of ``source`` under a stream capture sink and an
     independent ground-truth recorder: ``(Capture, recorder)``."""

@@ -29,13 +29,6 @@ from repro.static.intra import build_intra_cst  # noqa: E402
 # ---------------------------------------------------------------------------
 
 
-def _calls_in_expr(expr, out, user_funcs):
-    for node in A.walk(expr):
-        if isinstance(node, A.Call):
-            pass  # ordering handled by _expr_calls below
-    return out
-
-
 def _expr_calls(expr, user_funcs):
     """Call leaves in evaluation order (matches the CFG lowering)."""
     out = []

@@ -316,6 +316,40 @@ class TestQueryUsageErrors:
         assert "rank 5" in capsys.readouterr().out
 
 
+class TestRankArgumentErrors:
+    """``replay -r`` and ``export --ranks`` refuse a rank the golden
+    trace (8 ranks) does not have the way ``repro query`` does: one
+    line, exit 2, nothing written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["replay", GOLDEN, "-r", "99"], "rank 99 outside [0, 8)"),
+        (["replay", GOLDEN, "-r", "-1"], "rank -1 outside [0, 8)"),
+        (["export", GOLDEN, "--ranks", "99"], "rank 99 outside [0, 8)"),
+        (["export", GOLDEN, "--ranks", "1,8"], "rank 8 outside [0, 8)"),
+    ])
+    def test_exits_2_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
+
+    def test_export_rank_list_is_parsed_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", GOLDEN, "--ranks", "x"])
+        assert exc.value.code == 2
+        assert "argument --ranks: invalid rank list 'x'" in (
+            capsys.readouterr().err
+        )
+
+    def test_ranks_in_range_still_answer(self, capsys):
+        assert main(["replay", GOLDEN, "-r", "7", "--limit", "1"]) == 0
+        assert capsys.readouterr().out.startswith("rank 7: ")
+        assert main(["export", GOLDEN, "--ranks", "1,7"]) == 0
+        out = capsys.readouterr().out
+        assert "# rank 1:" in out and "# rank 7:" in out
+        assert "# rank 0:" not in out
+
+
 class TestFaultsmoke:
     """The fault harness is not a ``repro`` command: the batch matrix is
     ``python -m tests.faults.matrix``, the server matrix

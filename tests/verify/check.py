@@ -30,13 +30,17 @@ from repro.core.decompress import decompress_all, decompress_rank
 from repro.core.errors import DecompressionError
 from repro.core.intra import CypressConfig, IntraProcessCompressor
 from repro.driver import capture_run
-from repro.mpisim.pmpi import StreamCaptureSink
 from repro.verify import (
     Violation, audit_wildcards, check_cst, check_ctt, check_merged,
 )
 from repro.workloads import WORKLOADS
 
-from ..helpers import capture_with_truth, default_procs, first_divergence
+from ..helpers import (
+    capture_with_truth,
+    default_procs,
+    first_divergence,
+    replay_into,
+)
 
 #: Violations and divergences printed per workload (a report keeps
 #: twice as many divergences).
@@ -66,11 +70,9 @@ def differential(capture, recorder, deferred) -> dict:
                 divergences.append(f"{name} vs truth, rank {rank}: {div}")
 
     inline = IntraProcessCompressor(cst)
-    replayer = StreamCaptureSink()
-    replayer.streams = capture.streams
     drain_items, intra.DRAIN_ITEMS = intra.DRAIN_ITEMS, 7
     try:
-        replayer.replay_into(inline)
+        replay_into(capture.streams, inline)
     finally:
         intra.DRAIN_ITEMS = drain_items
     variants = {
