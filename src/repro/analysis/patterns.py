@@ -21,8 +21,9 @@ if TYPE_CHECKING:
 
 def communication_matrix(merged: MergedCTT, nprocs: int) -> np.ndarray:
     """``M[src, dst]`` = total point-to-point bytes sent src→dst: the
-    ``rank_pair`` traffic made dense.  A destination outside
-    ``[0, nprocs)`` is dropped with the engine's ``RuntimeWarning``."""
+    ``rank_pair`` traffic made dense.  A message whose source or
+    destination lies outside ``[0, nprocs)`` is dropped with the engine's
+    ``RuntimeWarning``."""
     import numpy as np
 
     matrix = np.zeros((nprocs, nprocs), dtype=np.int64)

@@ -1,11 +1,9 @@
 """Comparison methods: Gzip raw traces, ScalaTrace, ScalaTrace-2."""
 
-from .postmortem import compress_postmortem, parse_rank_trace
 from .rawtrace import RawTraceSink
 from .scalatrace import (
     ScalaTraceCompressor,
     merge_all_queues,
-    merged_bytes,
     expand_rank,
     event_signature,
 )
@@ -18,11 +16,8 @@ from .scalatrace2 import (
 
 __all__ = [
     "RawTraceSink",
-    "compress_postmortem",
-    "parse_rank_trace",
     "ScalaTraceCompressor",
     "merge_all_queues",
-    "merged_bytes",
     "expand_rank",
     "event_signature",
     "ScalaTrace2Compressor",

@@ -6,7 +6,8 @@ ScalaTrace-2 improves on ScalaTrace in two ways this module models:
   parameters (message size, peer offset) no longer break RSD formation;
   the varying values are collected per elastic slot as stride-compressed
   value sequences.  This is what rescues SP-style codes whose message
-  sizes vary across iterations.
+  sizes vary across iterations.  The fold itself is ScalaTrace's
+  (:class:`~.rsd.QueueCompressor`), over slots that match by shape.
 * **Loop-agnostic inter-node merge** — instead of O(n²) alignment, ranks
   are bucketed by a whole-queue structural signature (O(n) per rank);
   within a bucket merging is positional.  When the number of distinct
@@ -27,16 +28,14 @@ from dataclasses import dataclass, field
 from repro.core.sequences import IntSequence
 from repro.core.timing import TimeStats
 from repro.mpisim.events import CommEvent
-from repro.mpisim.pmpi import TraceSink, event_emitter
 
+from .rsd import QueueCompressor
 from .scalatrace import event_signature
-
-# Elastic shape: signature with the two "data" fields (peer delta, nbytes)
-# blanked out; they live in per-slot value sequences instead.
-_ELASTIC_FIELDS = (1, 5)  # peer, nbytes positions in the signature tuple
 
 
 def elastic_shape(sig: tuple) -> tuple:
+    """The signature with its two "data" fields (peer delta at 1, nbytes
+    at 5) blanked out; they live in per-slot value sequences instead."""
     peer_mode = sig[1][0]
     return (
         sig[0], ("?", peer_mode), sig[2], sig[3], sig[4], "?",
@@ -54,16 +53,22 @@ class ElasticEvent:
     sizes: IntSequence = field(default_factory=IntSequence)
     duration: TimeStats = field(default_factory=TimeStats)
     pre_gap: TimeStats = field(default_factory=TimeStats)
-    # Number of values still provisional (unresolved wildcard receives);
-    # the matcher must not fold a slot whose values may still be patched.
-    pending: int = 0
+    # Its one value is provisional (an unresolved wildcard receive): the
+    # matcher must not fold a slot whose value may still be patched.
+    pending: bool = False
 
-    @property
-    def count(self) -> int:
-        return len(self.peers)
+    def matches(self, other: ETerm) -> bool:
+        # Shape equality; an event's shape never equals a loop's.
+        return self.shape == other.shape
 
-    def matches(self, sig: tuple) -> bool:
-        return elastic_shape(sig) == self.shape
+    def absorb(self, other: ElasticEvent) -> None:
+        """Fold a same-shape slot's values and timing into this one."""
+        for v in other.peers:
+            self.peers.append(v)
+        for v in other.sizes:
+            self.sizes.append(v)
+        self.duration.merge(other.duration)
+        self.pre_gap.merge(other.pre_gap)
 
     def add(self, sig: tuple, duration: float, gap: float) -> None:
         self.peers.append(sig[1][1])
@@ -99,6 +104,10 @@ class ElasticRSD:
     body: list["ETerm"]
     _shape: tuple | None = None
 
+    @classmethod
+    def twice(cls, body: list["ETerm"]) -> ElasticRSD:
+        return cls(counts=IntSequence.from_values([2]), body=body)
+
     @property
     def shape(self) -> tuple:
         # Cached: body *shapes* are immutable once built (only values and
@@ -106,6 +115,21 @@ class ElasticRSD:
         if self._shape is None:
             self._shape = ("R", tuple(t.shape for t in self.body))
         return self._shape
+
+    def matches(self, other: ETerm) -> bool:
+        return self.shape == other.shape
+
+    def absorb(self, other: ElasticRSD) -> None:
+        for v in other.counts:
+            self.counts.append(v)
+        for a, b in zip(self.body, other.body):
+            a.absorb(b)
+
+    def bump(self) -> None:
+        """Count one more trip of the latest activation."""
+        values = self.counts.to_list()
+        values[-1] += 1
+        self.counts = IntSequence.from_values(values)
 
     def approx_bytes(self) -> int:
         return self.counts.approx_bytes() + sum(t.approx_bytes() for t in self.body)
@@ -118,33 +142,12 @@ def _queue_shape(queue: list[ETerm]) -> tuple:
     return tuple(t.shape for t in queue)
 
 
-class ScalaTrace2Compressor(TraceSink):
+class ScalaTrace2Compressor(QueueCompressor):
     """Intra-process phase of ScalaTrace-2."""
 
-    def __init__(self, max_window: int = 32, relative_ranks: bool = True) -> None:
-        self.max_window = max_window
-        self.relative_ranks = relative_ranks
-        self._queues: dict[int, list[ETerm]] = {}
-        self._pending: dict[tuple[int, int], tuple[int, ElasticEvent]] = {}
-        self._last_end: dict[int, float] = {}
+    loop = ElasticRSD
 
-    def queue(self, rank: int) -> list[ETerm]:
-        return self._queues.setdefault(rank, [])
-
-    def ranks(self) -> list[int]:
-        return sorted(self._queues)
-
-    # ------------------------------------------------------------------
-
-    def stream(self, rank: int):
-        return event_emitter(rank, self.on_event, self.on_request_complete)
-
-    def on_event(self, rank: int, ev: CommEvent) -> None:
-        queue = self.queue(rank)
-        gap = max(0.0, ev.time_start - self._last_end.get(rank, 0.0))
-        self._last_end[rank] = max(
-            self._last_end.get(rank, 0.0), ev.time_start + ev.duration
-        )
+    def term(self, ev: CommEvent, rank: int, gap: float) -> ElasticEvent:
         sig = event_signature(ev, rank, self.relative_ranks)
         if ev.op == "MPI_Irecv" and ev.wildcard and self.relative_ranks:
             # The resolved source will be stored relative, like every other
@@ -152,90 +155,13 @@ class ScalaTrace2Compressor(TraceSink):
             sig = (sig[0], ("rel", sig[1][1])) + sig[2:]
         slot = ElasticEvent(shape=elastic_shape(sig), peer_mode=sig[1][0])
         slot.add(sig, ev.duration, gap)
-        queue.append(slot)
-        if ev.op == "MPI_Irecv" and ev.wildcard:
-            slot.pending += 1
-            self._pending[(rank, ev.req)] = (len(slot.peers) - 1, slot)
-            return
-        self._compress_tail(queue)
+        return slot
 
-    def on_request_complete(self, rank, rid, source, nbytes, when):
-        entry = self._pending.pop((rank, rid), None)
-        if entry is None:
-            return
-        idx, slot = entry
-        # Patch the provisional value in place (idx is 0 for a fresh slot).
-        peers = slot.peers.to_list()
-        sizes = slot.sizes.to_list()
+    def resolve(self, slot: ElasticEvent, rank, source, nbytes) -> None:
+        # A pending slot never folded, so its one value is the provisional one.
         delta = source - rank if slot.peer_mode == "rel" else source
-        peers[idx] = delta
-        sizes[idx] = nbytes
-        slot.peers = IntSequence.from_values(peers)
-        slot.sizes = IntSequence.from_values(sizes)
-        slot.pending -= 1
-        self._compress_tail(self.queue(rank))
-
-    # ------------------------------------------------------------------
-
-    def _compress_tail(self, queue: list[ETerm]) -> None:
-        changed = True
-        while changed:
-            changed = False
-            n = len(queue)
-            limit = min(self.max_window, n - 1)
-            for k in range(1, limit + 1):
-                # Case 1: preceding elastic RSD absorbs a matching tail.
-                if n >= k + 1:
-                    prev = queue[n - k - 1]
-                    tail = queue[n - k :]
-                    if (
-                        isinstance(prev, ElasticRSD)
-                        and len(prev.body) == k
-                        and not any(getattr(t, "pending", 0) for t in tail)
-                        and all(
-                            p.shape == t.shape for p, t in zip(prev.body, tail)
-                        )
-                    ):
-                        for p, t in zip(prev.body, tail):
-                            _absorb(p, t)
-                        self._bump_count(prev)
-                        del queue[n - k :]
-                        changed = True
-                        break
-                # Case 2: k-term tail repeats the k terms before it.
-                if n >= 2 * k:
-                    first = queue[n - 2 * k : n - k]
-                    tail = queue[n - k :]
-                    if not any(
-                        getattr(t, "pending", 0) for t in first + tail
-                    ) and all(a.shape == b.shape for a, b in zip(first, tail)):
-                        for a, b in zip(first, tail):
-                            _absorb(a, b)
-                        rsd = ElasticRSD(
-                            counts=IntSequence.from_values([2]), body=first
-                        )
-                        del queue[n - 2 * k :]
-                        queue.append(rsd)
-                        changed = True
-                        break
-
-    @staticmethod
-    def _bump_count(rsd: ElasticRSD) -> None:
-        """Increment the RSD's latest activation count by one."""
-        values = rsd.counts.to_list()
-        values[-1] += 1
-        rsd.counts = IntSequence.from_values(values)
-
-    # ------------------------------------------------------------------
-
-    def rank_bytes(self, rank: int) -> int:
-        return sum(t.approx_bytes() for t in self.queue(rank))
-
-    def total_bytes(self) -> int:
-        return sum(self.rank_bytes(r) for r in self._queues)
-
-    def approx_memory(self, rank: int) -> int:
-        return self.rank_bytes(rank) + 16 * len(self.queue(rank))
+        slot.peers = IntSequence.from_values([delta])
+        slot.sizes = IntSequence.from_values([nbytes])
 
 
 # ---------------------------------------------------------------------------
@@ -252,56 +178,11 @@ class ST2Slot:
     variants: list[tuple[list[int], ETerm]] = field(default_factory=list)
     summarized: bool = False
 
-    def approx_bytes(self) -> int:
-        if not self.variants:
-            return 8
-        total = 0
-        for i, (ranks, term) in enumerate(self.variants):
-            total += 2 + 4 * _runs(ranks)
-            total += term.approx_bytes() if i == 0 else term.approx_bytes() // 2
-        return total
-
-
-def _runs(ranks: list[int]) -> int:
-    if not ranks:
-        return 0
-    runs = 1
-    stride = None
-    for a, b in zip(ranks, ranks[1:]):
-        d = b - a
-        if stride is None:
-            stride = d
-        elif d != stride:
-            runs += 1
-            stride = None
-    return runs
-
 
 @dataclass
 class ST2Merged:
     slots: list[ST2Slot]
     lossy: bool = False
-
-    def approx_bytes(self) -> int:
-        return sum(s.approx_bytes() for s in self.slots)
-
-
-def _absorb(dst: ETerm, src: ETerm) -> None:
-    """Fold ``src``'s values and timing into ``dst`` (same shape)."""
-    if isinstance(dst, ElasticEvent):
-        assert isinstance(src, ElasticEvent)
-        for v in src.peers:
-            dst.peers.append(v)
-        for v in src.sizes:
-            dst.sizes.append(v)
-        dst.duration.merge(src.duration)
-        dst.pre_gap.merge(src.pre_gap)
-    else:
-        assert isinstance(src, ElasticRSD)
-        for v in src.counts:
-            dst.counts.append(v)
-        for a, b in zip(dst.body, src.body):
-            _absorb(a, b)
 
 
 def _values_equal(a: ETerm, b: ETerm) -> bool:

@@ -86,6 +86,27 @@ def _trace_file(value: str) -> str:
     return value
 
 
+def _source_file(value: str) -> str:
+    """A MiniMPI source argument (``-`` is stdin): a missing file is a
+    usage error."""
+    import os
+
+    if value != "-" and not os.path.isfile(value):
+        raise argparse.ArgumentTypeError(f"no such source file {value!r}")
+    return value
+
+
+def _positive(value: str) -> int:
+    """A positive integer option (``--nprocs``)."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count {value!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"not a positive count {value!r}")
+    return n
+
+
 def _count(value: str) -> int:
     """A non-negative integer option (``--top``, ``--limit``)."""
     try:
@@ -276,10 +297,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_cst(args: argparse.Namespace) -> int:
+    from repro.minilang.lexer import LexError
+    from repro.minilang.parser import ParseError
     from repro.static import compile_minimpi
+    from repro.static.legality import CompileError
 
     source = open(args.file).read() if args.file != "-" else sys.stdin.read()
-    compiled = compile_minimpi(source, source_name=args.file)
+    try:
+        compiled = compile_minimpi(source, source_name=args.file)
+    except (LexError, ParseError, CompileError) as exc:
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return 1
     print(compiled.cst.pretty())
     print(f"\n{compiled.cst.size()} vertices, "
           f"compile {compiled.compile_seconds * 1000:.1f} ms")
@@ -520,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("cst", help="print a MiniMPI program's CST")
-    p.add_argument("file")
+    p.add_argument("file", type=_source_file)
     p.set_defaults(func=cmd_cst)
 
     p = sub.add_parser("patterns", help="communication-matrix heatmap")
@@ -635,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="rank to query (ordering, rank-profile)")
     p.add_argument("--top", type=_count, default=10,
                    help="number of leaves (critical-leaves)")
-    p.add_argument("--nprocs", type=int, default=None,
+    p.add_argument("--nprocs", type=_positive, default=None,
                    help="rank-space size for peer validation "
                         "(default: inferred from the trace)")
     _add_salvage_arg(p)

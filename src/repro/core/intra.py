@@ -881,8 +881,8 @@ def _ingest_or_quarantine(
     report: QuarantineReport,
 ) -> None:
     """Compress one rank's stream (capture-list or packed form); a
-    CST/stream mismatch quarantines the rank (partial CTT discarded, raw
-    capture kept) instead of aborting the whole run."""
+    CST/stream mismatch quarantines the rank (partial CTT discarded, its
+    events counted) instead of aborting the whole run."""
     raw = packed.decode_stream(stream) if packed.is_packed(stream) else stream
     try:
         comp.ingest_stream(rank, raw)
@@ -894,7 +894,6 @@ def _ingest_or_quarantine(
                 stage="intra",
                 error=str(exc),
                 events=sum(1 for item in raw if item[0] == OP_EVENT),
-                raw_stream=raw,
             )
         )
 

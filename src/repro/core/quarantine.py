@@ -5,8 +5,8 @@ corrupted capture, an un-instrumented code path, a tracer bug on one
 node), aborting whole-run compression throws away every *healthy*
 rank's data.  :func:`repro.core.intra.compress_streams` and the ingest
 daemon instead **quarantine** the offending rank: its partial CTT is
-discarded, its raw captured stream is kept as a fallback record,
-healthy ranks compress normally, and the merge covers the survivors.
+discarded (its report keeps the error and its event count), healthy
+ranks compress normally, and the merge covers the survivors.
 The :class:`QuarantineReport` names every victim with the exact
 mismatch error — nothing fails silently, nothing healthy is lost.
 Calling ``ingest_stream`` directly keeps the fail-fast raise
@@ -16,32 +16,19 @@ Calling ``ingest_stream`` directly keeps the fail-fast raise
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-
-from repro.mpisim.pmpi import OP_EVENT
+from dataclasses import dataclass
 
 
 @dataclass
 class QuarantinedRank:
-    """One rank excluded from compression, with its raw capture kept."""
+    """One rank excluded from compression."""
 
     rank: int
     #: 'intra' (a CST/stream mismatch) or 'server' (the daemon's idle
     #: reaper: the rank went silent).
     stage: str
     error: str  # the StreamMismatchError message, or the idle reason
-    events: int  # communication events in the raw captured stream
-    #: The rank's full captured opcode stream (markers + events) — the
-    #: raw-capture fallback that keeps the rank analyzable.  Held
-    #: in-memory only; the JSON form carries the counts and the error.
-    raw_stream: list | None = field(default=None, repr=False, compare=False)
-
-    def raw_events(self) -> list:
-        """The raw :class:`~repro.mpisim.events.CommEvent` sequence of
-        the quarantined rank (empty if the stream was not kept)."""
-        if not self.raw_stream:
-            return []
-        return [item[1] for item in self.raw_stream if item[0] == OP_EVENT]
+    events: int  # communication events in the captured stream
 
     def to_dict(self) -> dict:
         return {
@@ -49,14 +36,11 @@ class QuarantinedRank:
             "stage": self.stage,
             "error": self.error,
             "events": self.events,
-            "raw_captured": self.raw_stream is not None,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuarantinedRank":
-        """Inverse of :meth:`to_dict`.  The raw stream is an in-memory
-        artifact and never serialized, so the round-tripped rank has
-        ``raw_stream=None`` (``raw_captured`` records that it existed)."""
+        """Inverse of :meth:`to_dict`."""
         return cls(
             rank=int(data["rank"]),
             stage=str(data["stage"]),
@@ -83,10 +67,6 @@ class QuarantineReport:
     def add(self, item: QuarantinedRank) -> None:
         self.items.append(item)
         self.items.sort(key=lambda q: q.rank)
-
-    def absorb(self, other: "QuarantineReport") -> None:
-        for item in other.items:
-            self.add(item)
 
     def ranks(self) -> list[int]:
         return [q.rank for q in self.items]

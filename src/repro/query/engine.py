@@ -223,11 +223,11 @@ def traffic(
       :data:`SEND_OPS` count, with send-side bytes;
     * ``"rank_pair"`` — keys are ``(src, dst)`` tuples; only the
       :data:`SEND_OPS` count, with send-side bytes — the communication
-      matrix as a sparse dict.  A destination decoding outside
-      ``[0, nprocs)`` cannot be charged to a cell: such messages are
-      dropped with a ``RuntimeWarning`` naming the first one and counted
-      in the ``query.out_of_range_peers`` counter (damaged trace, or the
-      wrong rank count).
+      matrix as a sparse dict.  A message whose source (member rank) or
+      decoded destination lies outside ``[0, nprocs)`` cannot be charged
+      to a cell: such messages are dropped with a ``RuntimeWarning``
+      naming the first one and counted in the ``query.out_of_range_peers``
+      counter (damaged trace, or the wrong rank count).
 
     ``nprocs`` defaults to :func:`rank_count` of the tree.
     """
@@ -279,9 +279,10 @@ def traffic(
             gid, rank, dst, _ = lost[0]
             dropped = sum(messages for *_, messages in lost)
             warnings.warn(
-                f"traffic: dropped {dropped} message(s) with out-of-range "
-                f"destinations (first: gid={gid} rank={rank} dst={dst}, "
-                f"nprocs={nprocs}) — damaged trace or wrong rank count",
+                f"traffic: dropped {dropped} message(s) with an out-of-range "
+                f"source or destination (first: gid={gid} rank={rank} "
+                f"dst={dst}, nprocs={nprocs}) — damaged trace or wrong rank "
+                f"count",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -296,7 +297,8 @@ def _charge_sends(
 ) -> None:
     """Charge a leaf group's sends to their cells: by payload size or,
     record by record (a peer decodes per member rank), by ``(src,
-    dst)``.  A destination outside ``[0, nprocs)`` goes to ``lost``."""
+    dst)``.  A source or destination outside ``[0, nprocs)`` goes to
+    ``lost``."""
     for op, part in view.by_op():
         if op not in SEND_OPS:
             continue
@@ -311,7 +313,7 @@ def _charge_sends(
             nbytes *= count
             for rank in ranks:
                 dst, ok = try_decode_peer(peer, rank, nprocs)
-                if not ok or not 0 <= dst < nprocs:
+                if not ok or not 0 <= dst < nprocs or rank >= nprocs:
                     lost.append((gid, rank, dst, count))
                     continue
                 cell = (rank, dst)

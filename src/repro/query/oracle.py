@@ -74,7 +74,8 @@ def traffic_via_replay(
     for rank, events in traces.items():
         for ev in events:
             if group_by == "rank_pair":
-                if ev.op in SEND_OPS and 0 <= ev.peer < nprocs:
+                if (ev.op in SEND_OPS and rank < nprocs
+                        and 0 <= ev.peer < nprocs):
                     bump((rank, ev.peer), 1, ev.nbytes)
             elif group_by == "size":
                 if ev.op in SEND_OPS:

@@ -7,6 +7,7 @@ expected number is written down literally rather than derived from a
 second implementation.  This pins the aggregation formulas (count ×
 members, send+recv bytes, mean × count time) to known inputs."""
 
+import pathlib
 import sys
 
 import numpy as np
@@ -142,6 +143,32 @@ class TestPatternsOnHandbuilt:
         # One rank's one record, two messages: the engine's counter
         # tracks dropped messages.
         assert registry.counters["query.out_of_range_peers"] == 2
+
+    def test_source_outside_nprocs_is_dropped_too(self):
+        # The 8-rank golden trace read as 2 ranks: ranks 2..7 send, but
+        # have no row.  Each of their sends is dropped and counted, and
+        # the matrix keeps its 2x2 shape.
+        from repro import obs
+
+        path = pathlib.Path(__file__).parent.parent / "data" / "golden_mg_v8.cyp"
+        golden = serialize.loads(path.read_bytes())
+        full = query.traffic(golden, "rank_pair")
+        kept = sum(cell.messages for (src, dst), cell in full.items()
+                   if src < 2 and dst < 2)
+        registry = obs.enable()
+        try:
+            with pytest.warns(RuntimeWarning,
+                              match="out-of-range source or destination"):
+                m = communication_matrix(golden, nprocs=2)
+        finally:
+            obs.disable()
+        assert m.shape == (2, 2) and m.sum() > 0
+        assert registry.counters["query.out_of_range_peers"] == (
+            sum(cell.messages for cell in full.values()) - kept
+        )
+        with pytest.warns(RuntimeWarning):
+            pairs = query.traffic(golden, "rank_pair", 2)
+        assert pairs == query.traffic_via_replay(golden, "rank_pair", 2)
 
 
 class TestSummarizeOnHandbuilt:

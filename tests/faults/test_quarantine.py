@@ -95,14 +95,14 @@ class TestLenientMode:
             ]
             assert got == want, f"rank {rank} diverged"
 
-    def test_quarantined_rank_replays_from_raw_capture(self):
+    def test_quarantined_rank_counts_its_recorded_events(self):
         # 'unbalanced' inserts a marker without touching events, so the
-        # retained raw capture holds the victim's recorded events.
+        # victim's count is its recorded events.
         recorded = [
             item[1] for item in _capture()[1] if item[0] == OP_EVENT
         ]
         item = _compressed(victims=(1,), kind="unbalanced").quarantine.get(1)
-        assert item.raw_events() == recorded
+        assert item.events == len(recorded)
 
     def test_quarantined_rank_does_not_come_back_empty(self):
         """Naming a discarded rank raises; it is not merged as an empty
@@ -158,21 +158,21 @@ class TestQuarantineReport:
         assert item.stage == "intra"
         assert item.error
         assert item.events > 0
-        assert item.raw_stream is not None
-        assert len(item.raw_events()) == item.events
 
     def test_json_roundtrip(self):
         report = _compressed(victims=(1, 2)).quarantine
         data = json.loads(report.to_json())
         assert data["quarantined_ranks"] == 2
         assert [i["rank"] for i in data["items"]] == [1, 2]
-        assert all(i["raw_captured"] for i in data["items"])
+        assert all(
+            set(i) == {"rank", "stage", "error", "events"}
+            for i in data["items"]
+        )
 
     def test_from_json_full_roundtrip(self):
         # The report must survive a to_json -> from_json trip intact
         # (the server persists quarantine state this way across daemon
-        # restarts).  The raw stream is in-memory only, so the
-        # round-tripped items carry raw_stream=None by contract.
+        # restarts).
         report = _compressed(victims=(1, 3)).quarantine
         again = QuarantineReport.from_json(report.to_json())
         assert again.ranks() == report.ranks() == [1, 3]
@@ -182,9 +182,7 @@ class TestQuarantineReport:
             assert back.stage == orig.stage
             assert back.error == orig.error
             assert back.events == orig.events
-            assert back.raw_stream is None
-        # A second trip is byte-stable except the raw_captured flag,
-        # which records the (now dropped) in-memory stream.
+        assert again.to_json() == report.to_json()
         twice = QuarantineReport.from_json(again.to_json())
         assert twice.to_json() == again.to_json()
 
@@ -199,13 +197,10 @@ class TestQuarantineReport:
         ])
         assert "rank(s) quarantined: 3" in report.summary()
 
-    def test_add_keeps_rank_order_and_absorb(self):
+    def test_add_keeps_rank_order(self):
         a = QuarantineReport()
-        a.add(QuarantinedRank(rank=5, stage="intra", error="e", events=0))
-        a.add(QuarantinedRank(rank=2, stage="intra", error="e", events=0))
-        b = QuarantineReport([
-            QuarantinedRank(rank=4, stage="intra", error="e", events=0),
-        ])
-        a.absorb(b)
+        for rank in (5, 2, 4):
+            a.add(QuarantinedRank(rank=rank, stage="intra", error="e",
+                                  events=0))
         assert a.ranks() == [2, 4, 5]
         assert a.get(9) is None

@@ -46,6 +46,28 @@ class TestCst:
         out = capsys.readouterr().out
         assert "loop" in out and "mpi_barrier" in out
 
+    def test_missing_file_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cst", "no-such.mpi"])
+        assert excinfo.value.code == 2
+        assert "no such source file 'no-such.mpi'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source, message", [
+        ("func main() { mpi_init( }", "expected expression at 1:25"),
+        ("func main() { @ }", "unexpected character '@' at 1:15"),
+        ("func main() { for (var i = 0; i < 3; i = i + 1) "
+         "{ mpi_barrier(); break; } }", "'break' at line 1"),
+    ], ids=["parse", "lex", "untraceable"])
+    def test_bad_program_is_one_error_line(self, tmp_path, source, message,
+                                           capsys):
+        path = tmp_path / "prog.mpi"
+        path.write_text(source)
+        assert main(["cst", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {path}: ")
+        assert message in out.err and out.err.count("\n") == 1
+
 
 class TestPatterns:
     def test_heatmap(self, capsys):
@@ -91,6 +113,9 @@ class TestValidation:
          "negative count '-1'"),
         *(([cmd, "no-such.cyp"], "no such trace file 'no-such.cyp'")
           for cmd in ("replay", "predict", "info", "check", "export")),
+        *((["query", GOLDEN, "traffic", "--group-by", "rank_pair",
+            "--nprocs", n], f"not a positive count '{n}'")
+          for n in ("0", "-3")),
     ])
     def test_bad_argument_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -314,6 +339,14 @@ class TestQueryUsageErrors:
             ["query", GOLDEN, "rank-profile", "--rank", "5"]
         ) == 0
         assert "rank 5" in capsys.readouterr().out
+
+    def test_rank_pair_drops_sources_outside_nprocs(self, capsys):
+        with pytest.warns(RuntimeWarning, match="out-of-range source"):
+            assert main(["query", GOLDEN, "traffic", "--group-by",
+                         "rank_pair", "--nprocs", "2"]) == 0
+        cells = [line.split()[0] for line in
+                 capsys.readouterr().out.splitlines()[1:]]
+        assert cells == ["0->1", "1->0"]
 
 
 class TestRankArgumentErrors:
