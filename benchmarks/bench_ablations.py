@@ -47,7 +47,7 @@ class TestWindowAblation:
                 merged = merge_all([comp.ctt(r) for r in range(nprocs)])
                 records = sum(
                     len(g.records) for v in merged.vertices()
-                    for g in v.groups.values() if g.records
+                    for g in v.groups if g.records
                 )
                 rows.append((window, len(dumps(merged)), records,
                              merged.group_count()))

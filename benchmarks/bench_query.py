@@ -85,7 +85,7 @@ def _pick_gids(merged) -> tuple[int, int, int]:
     for vertex in merged.root.preorder():
         if vertex.kind != CALL:
             continue
-        for group in vertex.groups.values():
+        for group in vertex.groups:
             if group.ranks and group.records:
                 rank = group.ranks[0]
                 gids = [

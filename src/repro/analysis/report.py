@@ -59,7 +59,7 @@ def summarize(merged: MergedCTT) -> TraceReport:
     """The job-wide per-op profile (``rank_profile(merged, None)``) with
     the tree's shape."""
     profile = rank_profile(merged, None)
-    ranks = {r for v in merged.vertices() for g in v.groups.values()
+    ranks = {r for v in merged.vertices() for g in v.groups
              for r in g.ranks}
     return TraceReport(
         nranks=len(ranks),

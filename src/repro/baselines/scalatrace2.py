@@ -86,14 +86,16 @@ class ElasticEvent:
             + self.pre_gap.approx_bytes()
         )
 
-    def nth_sig(self, n: int) -> tuple:
-        """Reconstruct the n-th concrete signature (replay)."""
-        peers = self.peers.to_list()
-        sizes = self.sizes.to_list()
+    def signatures(self) -> list[tuple]:
+        """Every concrete signature of the slot, in occurrence order
+        (replay)."""
         s = list(self.shape)
-        s[1] = (self.peer_mode, peers[n])
-        s[5] = sizes[n]
-        return tuple(s)
+        out = []
+        for peer, size in zip(self.peers.to_list(), self.sizes.to_list()):
+            s[1] = (self.peer_mode, peer)
+            s[5] = size
+            out.append(tuple(s))
+        return out
 
 
 @dataclass
@@ -292,26 +294,31 @@ def _absorb_summary(dst: ETerm, src: ETerm) -> None:
 
 
 def expand_intra(queue: list[ETerm]) -> list[tuple]:
+    """A rank's signature stream from its folded queue.  A term's value
+    sequences are decoded once, the first time the walk reaches it."""
     out: list[tuple] = []
+    # id(term) -> [its next occurrence (activation), its decoded values]
+    state: dict[int, list] = {}
 
-    def walk(term: ETerm, pos: dict[int, int]) -> None:
+    def walk(term: ETerm) -> None:
+        st = state.get(id(term))
+        if st is None:
+            values = (
+                term.signatures() if isinstance(term, ElasticEvent)
+                else term.counts.to_list()
+            )
+            st = state[id(term)] = [0, values]
+        n, values = st
+        st[0] = n + 1
         if isinstance(term, ElasticEvent):
-            n = pos.get(id(term), 0)
-            pos[id(term)] = n + 1
-            out.append(term.nth_sig(n))
+            out.append(values[n])
         else:
-            key = id(term)
-            acti = pos.get(key, 0)
-            pos[key] = acti + 1
-            counts = term.counts.to_list()
-            count = counts[acti] if acti < len(counts) else 0
-            for _ in range(count):
+            for _ in range(values[n] if n < len(values) else 0):
                 for t in term.body:
-                    walk(t, pos)
+                    walk(t)
 
-    positions: dict[int, int] = {}
     for term in queue:
-        walk(term, positions)
+        walk(term)
     return out
 
 

@@ -30,7 +30,7 @@ _pack_2d = struct.Struct("<2d").pack
 
 
 class _Tables:
-    """What a baseline trace interns while its body is written and
+    """What a baseline trace collects while its body is written and
     emits ahead of it: op strings, and the distinct ``count | mean | m2``
     stats blocks in first-use order (keyed by their bytes)."""
 

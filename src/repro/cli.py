@@ -97,7 +97,7 @@ def _source_file(value: str) -> str:
 
 
 def _positive(value: str) -> int:
-    """A positive integer option (``--nprocs``)."""
+    """A positive integer option (``--nprocs``, ``--window``, ...)."""
     try:
         n = int(value)
     except ValueError:
@@ -105,6 +105,19 @@ def _positive(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"not a positive count {value!r}")
     return n
+
+
+def _seconds(value: str) -> float:
+    """A positive number of seconds (``--idle-timeout``, ...)."""
+    try:
+        x = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {value!r}")
+    if not x > 0:  # NaN too
+        raise argparse.ArgumentTypeError(
+            f"not a positive number of seconds {value!r}"
+        )
+    return x
 
 
 def _count(value: str) -> int:
@@ -583,11 +596,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out-dir", default="server-out",
                    help="where finalized merged traces land as <job>.cyp "
                         "(default: server-out)")
-    p.add_argument("--checkpoint-interval", type=float, default=0.25,
+    p.add_argument("--checkpoint-interval", type=_seconds, default=0.25,
                    help="seconds between checkpoints (fsync every "
                         "session log appended to since its last fsync) "
                         "(default: 0.25)")
-    p.add_argument("--idle-timeout", type=float, default=30.0,
+    p.add_argument("--idle-timeout", type=_seconds, default=30.0,
                    help="seconds of rank silence before quarantine "
                         "(default: 30)")
     p.add_argument("--port-file", default=None, metavar="PATH",
@@ -617,11 +630,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--job", required=True,
                    help="job id (also the output trace name, <job>.cyp)")
-    p.add_argument("--batch-events", type=int, default=512,
+    p.add_argument("--batch-events", type=_positive, default=512,
                    help="opcode tuples per batch frame (default: 512)")
-    p.add_argument("--window", type=int, default=32,
+    p.add_argument("--window", type=_positive, default=32,
                    help="max unacked batches in flight (default: 32)")
-    p.add_argument("--max-attempts", type=int, default=30,
+    p.add_argument("--max-attempts", type=_positive, default=30,
                    help="connection attempts before giving up "
                         "(default: 30)")
     p.set_defaults(func=cmd_submit)

@@ -388,7 +388,7 @@ def decompress_all(
         owner = {}
         held: defaultdict[int, list] = defaultdict(list)
         for vertex in merged.root.preorder():
-            for group in vertex.groups.values():
+            for group in vertex.groups:
                 owner[group] = vertex
                 for r in group.ranks:
                     held[r].append(group)

@@ -13,17 +13,21 @@ order, against a single accumulating :class:`MergedCTT`
 (:meth:`MergedCTT.add_rank`) — no per-rank tree is ever built, and a
 rank at or below the last one taken is refused.  What keeps it linear:
 
-* payload signatures are *interned* per merge session — group lookup
-  compares pointers with a cached hash, never re-hashing nested tuples;
+* each vertex of the tree the merge builds has one index of its own,
+  ``{payload key: group}`` (:attr:`MergedCTT.index`), so a rank finds
+  its group with one dict lookup of the key tuple;
 * a rank joins its group by an O(1) append, so rank sets stay sorted
   disjoint lists, stride-compressed lazily and cached until the group
   next changes;
 * per-rank timing contributions are *deferred*: leaf groups collect the
   source CTTs' record lists and materialize merged statistics once, in
   the ascending order they joined in, so the walk itself does no
-  floating-point work;
-* ``rank → group`` lookups use a lazily built per-vertex map (O(1) per
-  query during replay instead of a scan over all groups).
+  floating-point work.
+
+Outside the merge a vertex's groups are a plain list in lowest-rank
+order (the order the merge founds them in, or the file's order), and
+``rank → group`` is a bisection of each group's ranks
+(:meth:`MergedVertex.group_of`).
 
 :func:`merge_all` is the one merge; a compressor reaches it through
 ``IntraProcessCompressor.merged``.  The paper's O(n log P) binary
@@ -46,90 +50,6 @@ from .errors import MergeError
 from .ranks import ABS, REL
 from .records import CompressedRecord, LeafView
 from .sequences import IntSequence
-
-
-# ---------------------------------------------------------------------------
-# Interned payload signatures.
-
-
-class Signature:
-    """An interned payload signature: hashes once, compares by pointer
-    within a merge session (falling back to tuple equality across
-    sessions, e.g. when comparing trees merged independently).
-
-    The hash is the key tuple's own — the one the intern table's
-    ``dict.get(key)`` computes anyway — so it carries the process's
-    ``PYTHONHASHSEED`` salt.  Nothing ordered depends on it: groups are
-    written by lowest member rank (:meth:`MergedVertex.sorted_groups`),
-    statistics fold in ascending rank order, and every dict here is
-    read in insertion order or by key.
-
-    A leaf group of a *loaded* tree is signed :meth:`of_block` instead:
-    hashed by its place at its vertex, its key built from the leaf block
-    as decoded, the first time something compares it — so equal keys no
-    longer mean equal hashes, which is why nothing merges into or out of
-    a loaded tree (:meth:`MergedCTT.add_rank`)."""
-
-    __slots__ = ("_key", "_hash", "_block")
-
-    def __init__(self, key: tuple) -> None:
-        self._key = key
-        self._hash = hash(key)
-
-    @classmethod
-    def of_block(cls, block, place: int) -> "Signature":
-        sig = cls.__new__(cls)
-        sig._key = None
-        sig._hash = place
-        sig._block = block
-        return sig
-
-    @property
-    def key(self) -> tuple:
-        key = self._key
-        if key is None:
-            key = self._key = self._block.signature_key()
-            self._block = None
-        return key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if isinstance(other, Signature):
-            return self.key == other.key
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Signature({self.key!r})"
-
-
-class InternTable:
-    """Signature intern pool for one merge session.
-
-    ``hits``/``misses`` count lookups that found / created an entry —
-    the interned-signature hit rate the observability layer reports.
-    (One integer add per *group*, not per event; not worth gating.)
-    """
-
-    __slots__ = ("_table", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._table: dict[tuple, Signature] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def intern(self, key: tuple) -> Signature:
-        sig = self._table.get(key)
-        if sig is None:
-            self.misses += 1
-            sig = Signature(key)
-            self._table[key] = sig
-        else:
-            self.hits += 1
-        return sig
 
 
 def _loop_signature(counts: IntSequence) -> tuple:
@@ -210,12 +130,11 @@ class Group:
 
     ``ranks`` is a sorted list; member sets of distinct groups at one
     vertex are disjoint.  A leaf (CALL) group's records come from one of
-    three places.  Handed over (``records``), they are simply held.
-    While merging, each joining rank's record list is appended to
-    ``sources`` — a reference into its CTT, in ascending rank order —
-    and :meth:`finalize` folds them into one list, which a rank joining
-    later reopens the sources from.  In a
-    loaded tree the group holds its decoded leaf block (``block``, a
+    two places.  While merging, each joining rank's record list is
+    appended to ``sources`` — a reference into its CTT, in ascending
+    rank order — and :meth:`finalize` folds them into one list, which a
+    rank joining later reopens the sources from.  In a loaded tree the
+    group holds its decoded leaf block (``block``, a
     ``serialize.LeafColumns``) and the records are built on first
     access.  Whichever it was, once :attr:`records` has been read that
     list is the truth for every reader — the sources or the block are
@@ -223,25 +142,22 @@ class Group:
     """
 
     __slots__ = (
-        "signature", "ranks", "counts", "visits",
+        "ranks", "counts", "visits",
         "_records", "_sources", "_block", "_owns_records", "_rank_seq",
     )
 
     def __init__(
         self,
-        signature,
         ranks: list[int],
         counts: IntSequence | None = None,
         visits: IntSequence | None = None,
-        records: list[CompressedRecord] | None = None,
         sources: list[list[CompressedRecord]] | None = None,
         block=None,
     ) -> None:
-        self.signature = signature
         self.ranks = ranks
         self.counts = counts
         self.visits = visits
-        self._records = records
+        self._records = None
         self._sources = sources
         self._block = block
         self._owns_records = False
@@ -308,6 +224,15 @@ class Group:
         return seq
 
 
+def payload_key(group: Group) -> tuple:
+    """The merge's index key for ``group``'s payload as it stands."""
+    if group.counts is not None:
+        return _loop_signature(group.counts)
+    if group.visits is not None:
+        return _visits_signature(group.visits)
+    return _records_signature(group.records)
+
+
 class MergedVertex:
     __slots__ = (
         "gid", "kind", "ast_id", "name", "op", "branch_path",
@@ -322,7 +247,7 @@ class MergedVertex:
         self.op = template.op
         self.branch_path = template.branch_path
         self.children = [MergedVertex(c) for c in template.children]
-        self.groups: dict[Signature, Group] = {}
+        self.groups: list[Group] = []
 
     def preorder(self):
         stack = [self]
@@ -335,7 +260,7 @@ class MergedVertex:
         """The group holding ``rank``: a bisection of each group's
         ascending rank list (a vertex holds a handful of disjoint
         groups).  Should two hold it, the one inserted last answers."""
-        for group in reversed(self.groups.values()):
+        for group in reversed(self.groups):
             ranks = group.ranks
             i = bisect_left(ranks, rank)
             if i < len(ranks) and ranks[i] == rank:
@@ -346,29 +271,26 @@ class MergedVertex:
         """Groups in canonical order (by lowest member rank) — member
         sets are disjoint, so this is an arrival-order-independent total
         order."""
-        return sorted(self.groups.values(), key=lambda g: g.ranks[0])
+        return sorted(self.groups, key=lambda g: g.ranks[0])
 
 
 class MergedCTT:
     """The job-wide compressed trace."""
 
-    def __init__(
-        self,
-        root: MergedVertex,
-        nranks_merged: int,
-        interns: InternTable | None = None,
-    ) -> None:
+    def __init__(self, root: MergedVertex, nranks_merged: int) -> None:
         self.root = root
         self.nranks_merged = nranks_merged
-        self.interns = interns if interns is not None else InternTable()
+        #: The merge's own payload index, built by the first
+        #: :meth:`add_rank`: ``index[i]`` maps a payload key to its
+        #: group at ``vertices()[i]``.  ``None`` on a tree no merge built.
+        self.index: list[dict[tuple, Group]] | None = None
         self._vertices: list[MergedVertex] | None = None
         self._last_rank = -1
         #: Populated by ``serialize.loads(..., salvage=True)`` when the
         #: tree was recovered from a damaged file (docs/INTERNALS.md §7).
         self.salvage_info: dict | None = None
-        #: Set by ``serialize.loads``: the leaf groups are signed by
-        #: place (:meth:`Signature.of_block`), so the tree is read-only
-        #: to the merge.
+        #: Set by ``serialize.loads``: the tree has no payload index, so
+        #: it is read-only to the merge.
         self.loaded = False
 
     def vertices(self) -> list[MergedVertex]:
@@ -381,14 +303,15 @@ class MergedCTT:
     def add_rank(self, ctt: CTT, nranks: int | None = None) -> "MergedCTT":
         """Merge one rank's CTT into this tree: a single walk of its
         vertices against ours, each non-empty payload joining (or
-        founding) the group with its interned signature.  Ranks arrive
-        in ascending order, each once, so a join is an O(1) append of
-        the rank (and, at a leaf, of its record list)."""
+        founding) the group its key indexes.  Ranks arrive in ascending
+        order, each once, so a join is an O(1) append of the rank (and,
+        at a leaf, of its record list), and groups are founded in
+        ascending order of their lowest rank."""
         if self.loaded:
             raise MergeError(
-                "a tree opened from a container does not merge: its leaf "
-                "groups are signed by place, not by payload — merge the "
-                "per-rank CTTs and save the result"
+                "a tree opened from a container does not merge: it keeps "
+                "no payload index — merge the per-rank CTTs and save the "
+                "result"
             )
         rank = ctt.rank
         if rank <= self._last_rank:
@@ -403,8 +326,9 @@ class MergedCTT:
                 f"structural mismatch: {len(mine_vertices)} vs "
                 f"{len(their_vertices)} vertices (different programs?)"
             )
-        intern = self.interns.intern
-        for dst, src in zip(mine_vertices, their_vertices):
+        if self.index is None:
+            self.index = [{} for _ in mine_vertices]
+        for dst, src, index in zip(mine_vertices, their_vertices, self.index):
             kind = src.kind
             if dst.gid != src.gid or dst.kind != kind:
                 raise MergeError(
@@ -416,28 +340,28 @@ class MergedCTT:
                 if not records:
                     continue
                 if nranks is None:
-                    signature = intern(_records_signature(records))
+                    key = _records_signature(records)
                 else:
                     records, key = _leaf_signature(records, rank, nranks)
-                    signature = intern(key)
             elif kind == LOOP:
                 counts = src.loop_counts
                 if not len(counts):
                     continue
-                signature = intern(_loop_signature(counts))
+                key = _loop_signature(counts)
             elif kind == BRANCH:
                 visits = src.visits
                 if not len(visits):
                     continue
-                signature = intern(_visits_signature(visits))
+                key = _visits_signature(visits)
             else:
                 continue
-            group = dst.groups.get(signature)
+            group = index.get(key)
             if group is None:
-                dst.groups[signature] = Group(
-                    signature, [rank], counts, visits,
+                group = index[key] = Group(
+                    [rank], counts, visits,
                     sources=None if records is None else [records],
                 )
+                dst.groups.append(group)
             else:
                 group.ranks.append(rank)
                 group._rank_seq = None
@@ -455,7 +379,7 @@ class MergedCTT:
         """Materialize every group's merged records.  Idempotent; called
         by :func:`merge_all`."""
         for vertex in self.vertices():
-            for group in vertex.groups.values():
+            for group in vertex.groups:
                 group.finalize()
         return self
 
@@ -523,13 +447,6 @@ def merge_all(
 
 
 def _publish_merge_metrics(registry, merged: MergedCTT) -> None:
-    interns = merged.interns
     registry.counter_add("inter.ranks_merged", merged.nranks_merged)
     registry.counter_add("inter.vertices", merged.vertex_count())
     registry.counter_add("inter.groups", merged.group_count())
-    registry.counter_add("inter.intern_hits", interns.hits)
-    registry.counter_add("inter.intern_misses", interns.misses)
-    hits = registry.counters.get("inter.intern_hits", 0)
-    misses = registry.counters.get("inter.intern_misses", 0)
-    if hits + misses:
-        registry.gauge_set("inter.intern_hit_rate", hits / (hits + misses))

@@ -84,7 +84,7 @@ from repro.mpisim.events import NO_PEER
 from repro.static.cst import BRANCH, CALL, LOOP, ROOT
 
 from .errors import TraceFormatError
-from .inter import Group, InternTable, MergedCTT, MergedVertex, Signature
+from .inter import Group, MergedCTT, MergedVertex
 from .ranks import ABS, REL
 from .records import CompressedRecord, LeafView
 from .sequences import MAX_DEPTH, IntSequence, expand, nest
@@ -888,13 +888,6 @@ class LeafColumns:
         loaded records share mutable state)."""
         return list(starmap(_new_record, self._payloads()))
 
-    def signature_key(self) -> tuple:
-        """What ``inter._records_signature`` gives :meth:`records`."""
-        return ("R", tuple([
-            (key, length, tuple(terms))
-            for key, terms, length, _, _ in self._payloads()
-        ]))
-
 
 def _read_rows(
     data: bytes, pos: int, nrecords: int, strings: list[str], table: list,
@@ -1219,7 +1212,7 @@ def _blank_vertex(gid: int, kind: str) -> MergedVertex:
     v.kind = kind
     v.ast_id = v.name = v.op = v.branch_path = None
     v.children = []
-    v.groups = {}
+    v.groups = []
     return v
 
 
@@ -1261,8 +1254,8 @@ def _write_vertex_payload(w: ByteWriter, v, leaves: LeafWriter) -> None:
 
 
 def _read_vertex_payload(
-    data: bytes, pos: int, v: MergedVertex, interns: InternTable,
-    nranks: int, leaves: LeafReader, rank_sets: dict,
+    data: bytes, pos: int, v: MergedVertex, nranks: int,
+    leaves: LeafReader, rank_sets: dict,
 ) -> int:
     """Decode one vertex's groups from ``data[pos:]`` into ``v``;
     returns the position after them.  ``leaves`` holds the chunk's
@@ -1270,28 +1263,18 @@ def _read_vertex_payload(
     (:func:`_read_ranks`)."""
     kind = v.kind
     groups = v.groups
-    intern = interns.intern
     ngroups, pos = _uvarint(data, pos)
     for _ in range(ngroups):
         # Groups at a vertex are disjoint, so none outnumbers the job.
         ranks, pos = _read_ranks(data, pos, nranks, v.gid, rank_sets)
         counts = visits = block = None
         if kind == CALL:
-            # Signed by its place at the vertex: the payload key is
-            # built from the block only when something compares it.
             block, pos = leaves.leaf(data, pos, v.op, v.gid)
-            signature = Signature.of_block(block, len(groups))
         elif kind == LOOP:
             counts, pos = _read_seq(data, pos)
-            signature = intern(("L", counts.length, tuple(counts.terms)))
         elif kind == BRANCH:
             visits, pos = _read_seq(data, pos)
-            signature = intern(("B", visits.length, tuple(visits.terms)))
-        else:
-            signature = intern(())
-        groups[signature] = Group(
-            signature, ranks, counts, visits, block=block
-        )
+        groups.append(Group(ranks, counts, visits, block=block))
     return pos
 
 
@@ -1472,7 +1455,7 @@ def _publish_dump_metrics(
     for v in vertices:
         if v.kind != CALL:
             continue
-        for group in v.groups.values():
+        for group in v.groups:
             records = group.records
             if records:
                 nrecords += len(records)
@@ -1569,7 +1552,6 @@ def _assemble(
     vertices = list(root.preorder())
     for gid, v in enumerate(vertices):
         v.gid = gid
-    interns = InternTable()
     covered = 0
     declared_sections = declared_vertices = None
     for kind, payload in sections[2:]:
@@ -1595,7 +1577,7 @@ def _assemble(
             pos = leaves.pos
             for v in vertices[chunk_first:covered]:
                 pos = _read_vertex_payload(
-                    payload, pos, v, interns, nranks, leaves, rank_sets
+                    payload, pos, v, nranks, leaves, rank_sets
                 )
         except (IndexError, struct.error):
             # Ran off the chunk, or named a string or histogram bin
@@ -1615,7 +1597,7 @@ def _assemble(
             raise TraceFormatError(
                 f"payload covers {covered}/{len(vertices)} vertices"
             )
-    merged = MergedCTT(root, nranks, interns)
+    merged = MergedCTT(root, nranks)
     merged._vertices = vertices
     merged.loaded = True
     if salvage:
@@ -1650,7 +1632,7 @@ def _empty_salvage(nbytes: int) -> MergedCTT:
     ``salvage_info`` records that the file tore inside the container
     header, so callers can report recovery stats without special-casing
     the degenerate truncations (0-byte files, torn first write)."""
-    merged = MergedCTT(_blank_vertex(0, ROOT), 0, InternTable())
+    merged = MergedCTT(_blank_vertex(0, ROOT), 0)
     merged.salvage_info = {
         "complete": False,
         "sections_recovered": 0,

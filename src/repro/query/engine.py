@@ -166,7 +166,7 @@ def rank_count(merged) -> int:
     when the caller does not pass ``nprocs`` explicitly."""
     highest = -1
     for vertex in merged.vertices():
-        for group in vertex.groups.values():
+        for group in vertex.groups:
             if group.ranks and group.ranks[-1] > highest:
                 highest = group.ranks[-1]
     return highest + 1
@@ -177,7 +177,7 @@ def leaf_time(vertex) -> tuple[float, int]:
     leaf, summed over every rank of every group — the hotspot weight."""
     total = 0.0
     calls = 0
-    for group in vertex.groups.values():
+    for group in vertex.groups:
         view = group.leaf_view()
         if view is None:
             continue
@@ -247,7 +247,7 @@ def traffic(
         for vertex in vertices:
             if vertex.kind != CALL or not vertex.groups:
                 continue
-            for group in vertex.groups.values():
+            for group in vertex.groups:
                 view = group.leaf_view()
                 if view is None:
                     continue
@@ -480,7 +480,7 @@ def rank_profile(merged, rank: int | None) -> RankProfile:
             if vertex.kind != CALL or not vertex.groups:
                 continue
             if rank is None:
-                groups = vertex.groups.values()
+                groups = vertex.groups
             else:
                 group = vertex.group_of(rank)
                 groups = () if group is None else (group,)

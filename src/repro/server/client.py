@@ -18,8 +18,8 @@ control blocks ``sendall``.
 from __future__ import annotations
 
 import socket
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.core import packed
 from repro.driver import capture_run
@@ -190,6 +190,11 @@ class TraceClient:
         )
 
 
+#: Ranks :func:`submit_workload` streams at once, each on its own thread
+#: and connection; the rest wait their turn, lowest rank first.
+MAX_CONCURRENT_RANKS = 16
+
+
 def capture_workload(workload: str, nprocs: int, scale: float = 1.0
                      ) -> dict[int, list]:
     """Run a registered workload under the capture sink (no local
@@ -213,37 +218,27 @@ def submit_workload(
     backoff: float = 0.05,
 ) -> dict:
     """Capture ``workload`` locally and stream every rank to the daemon,
-    one thread per rank; returns a summary dict."""
+    at most :data:`MAX_CONCURRENT_RANKS` ranks at a time; returns a
+    summary dict."""
     streams = capture_workload(workload, nprocs, scale)
     per_rank_blobs = {
         rank: split_batches(stream, batch_events)
         for rank, stream in streams.items()
     }
     clients: dict[int, TraceClient] = {}
-    errors: list[BaseException] = []
 
     def _send(rank: int) -> None:
-        client = TraceClient(
+        client = clients[rank] = TraceClient(
             host, port, job=job, rank=rank, nranks=nprocs,
             workload=workload, scale=scale, window=window,
             max_attempts=max_attempts, backoff=backoff,
         )
-        clients[rank] = client
-        try:
-            client.send(per_rank_blobs[rank])
-        except BaseException as exc:  # surfaced to the caller below
-            errors.append(exc)
+        client.send(per_rank_blobs[rank])
 
-    threads = [
-        threading.Thread(target=_send, args=(r,), daemon=True)
-        for r in sorted(per_rank_blobs)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(min(MAX_CONCURRENT_RANKS, nprocs)) as pool:
+        futures = [pool.submit(_send, r) for r in sorted(per_rank_blobs)]
+    for future in futures:
+        future.result()  # every rank has run: raise the lowest one's error
     return {
         "job": job,
         "workload": workload,

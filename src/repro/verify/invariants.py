@@ -31,13 +31,7 @@ from repro.mpisim.events import NO_PEER
 from repro.static.cst import BRANCH, CALL, FUNC, LOOP, ROOT, CSTNode
 
 from repro.core.decompress import _compile, group_payload, own_payload
-from repro.core.inter import (
-    MergedCTT,
-    MergedVertex,
-    _loop_signature,
-    _records_signature,
-    _visits_signature,
-)
+from repro.core.inter import MergedCTT, MergedVertex, payload_key
 from repro.core.ranks import ABS, REL
 
 _WILDCARD_SLOT = 9  # record key layout, see repro.core.records
@@ -347,18 +341,20 @@ def check_merged(
 
     Per-vertex: group rank sets sorted, disjoint, in range, and drawn
     from one global rank population whose size matches
-    ``nranks_merged``; stored interned signatures agree with the payload
-    they summarize.  Per-rank: the arity walk of :func:`check_ctt`, each
-    rank reading its own group at every vertex.
+    ``nranks_merged``; on a tree a merge built, every key of its payload
+    index agrees with the payload of the group it leads to.  Per-rank:
+    the arity walk of :func:`check_ctt`, each rank reading its own group
+    at every vertex.
     """
     rep = _Report(limit)
     all_ranks: set[int] = set()
     # Each vertex's rank → group map (the last group listing a rank
     # wins): the per-rank walk below looks its groups up here.
     owners: dict[MergedVertex, dict[int, object]] = {}
-    for vertex in merged.vertices():
+    vertices = merged.vertices()
+    for vertex, keys in zip(vertices, merged.index or [{}] * len(vertices)):
         seen = owners[vertex] = {}
-        for sig, group in vertex.groups.items():
+        for group in vertex.groups:
             ranks = group.ranks
             if not ranks:
                 rep.add("group-empty", f"gid={vertex.gid}: empty group",
@@ -387,27 +383,15 @@ def check_merged(
                         gid=vertex.gid, rank=r,
                     )
             all_ranks.update(ranks)
-            if sig is not group.signature and sig != group.signature:
-                rep.add(
-                    "signature-index",
-                    f"gid={vertex.gid}: group stored under a different "
-                    "signature than it carries",
-                    gid=vertex.gid, rank=ranks[0],
-                )
-            recomputed = None
-            if group.counts is not None:
-                recomputed = _loop_signature(group.counts)
-            elif group.visits is not None:
-                recomputed = _visits_signature(group.visits)
-            elif group.records is not None:
-                recomputed = _records_signature(group.records)
-            if recomputed is not None and recomputed != group.signature.key:
+        for key, group in keys.items():
+            recomputed = payload_key(group)
+            if recomputed != key:
                 rep.add(
                     "signature-stale",
                     f"gid={vertex.gid}: stored signature does not match "
                     "the group payload",
-                    gid=vertex.gid, rank=ranks[0],
-                    detail=(group.signature.key, recomputed),
+                    gid=vertex.gid, detail=(key, recomputed),
+                    rank=group.ranks[0] if group.ranks else -1,
                 )
     if len(all_ranks) > merged.nranks_merged:
         rep.add(

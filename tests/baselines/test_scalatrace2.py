@@ -17,6 +17,7 @@ from repro.baselines.scalatrace2 import (  # noqa: E402
     expand_rank_st2,
     merge_all_st2,
 )
+from repro.core.sequences import IntSequence  # noqa: E402
 from repro.driver import run_compiled  # noqa: E402
 from repro.mpisim.pmpi import MultiSink, RecordingSink  # noqa: E402
 from repro.static.instrument import compile_minimpi  # noqa: E402
@@ -183,3 +184,42 @@ class TestWildcardHandling:
         """
         rec, st2 = run_st2(src, 2)
         assert expand_intra(st2.queue(0)) == truth_signatures(rec, 0)
+
+
+class TestExpansionDecodesOnce:
+    BCAST_LOOP = """
+    func main() {
+      for (var i = 0; i < N; i = i + 1) {
+        mpi_bcast(0, 64 + 8 * i);
+      }
+    }
+    """
+
+    @staticmethod
+    def _to_list_calls(queue, monkeypatch):
+        calls = []
+        decode = IntSequence.to_list
+
+        def counted(seq):
+            calls.append(seq)
+            return decode(seq)
+
+        monkeypatch.setattr(IntSequence, "to_list", counted)
+        out = expand_intra(queue)
+        monkeypatch.undo()
+        return len(calls), out
+
+    def test_decodes_follow_terms_not_occurrences(self, monkeypatch):
+        counts = []
+        for n in (50, 400):
+            rec, st2 = run_st2(self.BCAST_LOOP, 2, defines={"N": n})
+            queue = st2.queue(0)
+            calls, out = self._to_list_calls(queue, monkeypatch)
+            assert out == truth_signatures(rec, 0)
+            assert len(out) == n
+            # one decode an RSD's counts, two an event slot's values
+            assert calls <= 2 * len(queue) + 2 * sum(
+                len(t.body) for t in queue if isinstance(t, ElasticRSD)
+            )
+            counts.append(calls)
+        assert counts[0] == counts[1]

@@ -21,7 +21,7 @@ GOLDENS = sorted(p.name for p in DATA.glob("golden_*_v[78].cyp"))
 
 def _naive_group_of(vertex, rank):
     found = None
-    for group in vertex.groups.values():
+    for group in vertex.groups:
         if rank in group.ranks:
             found = group
     return found

@@ -1,5 +1,6 @@
 """Inter-process merge tests (paper §IV-B, Fig. 13)."""
 
+import random
 import sys
 
 import pytest
@@ -9,8 +10,14 @@ from helpers import assert_replay_exact, run_traced  # noqa: E402
 from spec_merge import spec_merge  # noqa: E402
 
 from repro.core import serialize  # noqa: E402
-from repro.core.inter import MergeError, merge_all  # noqa: E402
+from repro.core.inter import MergeError, merge_all, payload_key  # noqa: E402
+from repro.core.intra import IntraProcessCompressor  # noqa: E402
+from repro.driver import run_compiled  # noqa: E402
 from repro.static.cst import CALL, LOOP  # noqa: E402
+from repro.static.instrument import compile_minimpi  # noqa: E402
+from repro.verify.invariants import check_merged  # noqa: E402
+from repro.workloads import get as get_workload  # noqa: E402
+from tests.faults.payload import corrupt_merged  # noqa: E402
 
 FIG5_RUNNABLE = """
 func main() {
@@ -50,7 +57,7 @@ class TestFigure13:
         loops = [v for v in merged.root.preorder() if v.kind == LOOP]
         outer = loops[0]
         assert len(outer.groups) == 1
-        (group,) = outer.groups.values()
+        (group,) = outer.groups
         assert group.ranks == list(range(8))
         assert group.counts.to_list() == [5]
 
@@ -61,7 +68,7 @@ class TestFigure13:
             if v.kind == CALL and v.op == "MPI_Send"
         ]
         (send,) = sends
-        (group,) = send.groups.values()
+        (group,) = send.groups
         assert group.ranks == [0, 2, 4, 6]
 
     def test_merged_replay_exact_for_all_ranks(self):
@@ -145,7 +152,7 @@ class TestGrouping:
             if v.kind == CALL and v.op == "MPI_Send"
         ]
         (send,) = sends
-        (group,) = send.groups.values()
+        (group,) = send.groups
         assert group.ranks == [0]
         assert_replay_exact(rec, cyp, 4, merged=True)
 
@@ -162,7 +169,7 @@ class TestTimingMerge:
             v for v in merged.root.preorder()
             if v.kind == CALL and v.op == "MPI_Allreduce"
         ][0]
-        (group,) = leaf.groups.values()
+        (group,) = leaf.groups
         (record,) = group.records
         assert record.duration.count == 4 * 8  # 4 calls x 8 ranks
 
@@ -209,3 +216,51 @@ class TestComplexity:
         big = merge_all([cyp_big.ctt(r) for r in range(4)])
         assert big.vertex_count() == small.vertex_count()
         assert big.group_count() == small.group_count()
+
+
+class TestGroupLists:
+    """A vertex's groups are a list in lowest-rank order; only the
+    merge keeps a payload index, on the tree it builds."""
+
+    @staticmethod
+    def _merged(nprocs=16):
+        w = get_workload("mg")  # rank-dependent branches: many groups
+        compiled = compile_minimpi(w.source)
+        comp = IntraProcessCompressor(compiled.cst)
+        run_compiled(
+            compiled, nprocs, defines=w.defines(nprocs, 0.1), tracer=comp
+        )
+        ctts = [comp.ctt(r) for r in range(nprocs)]
+        return merge_all(ctts[::-1], nranks=nprocs), ctts
+
+    def test_merged_and_loaded_groups_are_lists_by_lowest_rank(self):
+        merged, _ = self._merged()
+        loaded = serialize.loads(serialize.dumps(merged))
+        for tree in (merged, loaded):
+            assert max(len(v.groups) for v in tree.vertices()) > 1
+            for v in tree.vertices():
+                assert type(v.groups) is list
+                lows = [g.ranks[0] for g in v.groups]
+                assert lows == sorted(set(lows))
+                assert v.groups == v.sorted_groups()
+        for v, keys in zip(merged.vertices(), merged.index, strict=True):
+            assert list(keys.values()) == v.groups
+            assert all(payload_key(g) == k for k, g in keys.items())
+
+    def test_a_loaded_tree_has_no_index_and_does_not_merge(self):
+        merged, ctts = self._merged(4)
+        loaded = serialize.loads(serialize.dumps(merged))
+        assert loaded.index is None
+        with pytest.raises(MergeError, match="does not merge"):
+            loaded.add_rank(ctts[0])
+        assert loaded.index is None
+
+    def test_a_stale_index_key_is_reported_on_a_merged_tree(self):
+        merged, _ = self._merged()
+        corrupt_merged(merged, "signature-stale", random.Random(3))
+        codes = {v.code for v in check_merged(merged, nranks=16)}
+        assert "signature-stale" in codes
+        # a loaded tree stores no key, so the same damage is not stale
+        loaded = serialize.loads(serialize.dumps(merged))
+        codes = {v.code for v in check_merged(loaded, nranks=16)}
+        assert "signature-stale" not in codes

@@ -1,7 +1,7 @@
 """A loaded tree holds its leaves as decoded columns (PR 24).
 
 ``serialize.loads`` hands every leaf group its ``LeafColumns`` block and
-builds no ``CompressedRecord``, no signature key; ``Group.records``
+builds no ``CompressedRecord`` and no payload key; ``Group.records``
 builds the records on first access, and from then on they are the truth.
 This file pins what that laziness must not change:
 
@@ -33,7 +33,7 @@ from repro import obs, query  # noqa: E402
 from repro.core import TraceFormatError, run_cypress, serialize  # noqa: E402
 from repro.core.decompress import decompress_all  # noqa: E402
 from repro.core.errors import MergeError  # noqa: E402
-from repro.core.inter import merge_all  # noqa: E402
+from repro.core.inter import merge_all, payload_key  # noqa: E402
 from repro.core.intra import CypressConfig  # noqa: E402
 from repro.static.cst import CALL  # noqa: E402
 from repro.verify.invariants import check_merged  # noqa: E402
@@ -107,7 +107,6 @@ def assert_loads_what_was_written(fresh, blob=None):
                     )
                 mutable += [a] + ([a.bins] if a.bins is not None else [])
             mutable.append(mine.occurrences.terms)
-        assert got.signature == want.signature  # the key, built from the block
     assert len({id(x) for x in mutable}) == len(mutable)
     assert tree_fields(loaded) == tree_fields(serialize.loads(blob))
     assert serialize.dumps(loaded) == blob
@@ -157,7 +156,7 @@ def _materialise_everything(merged) -> None:
     leans on more than the blocks)."""
     groups = [
         g for v in merged.vertices() if v.kind == CALL
-        for g in v.groups.values()
+        for g in v.groups
     ]
     for by in ("vertex", "op"):
         query.traffic(merged, group_by=by)
@@ -165,8 +164,7 @@ def _materialise_everything(merged) -> None:
     for rank in sorted({r for g in groups for r in g.ranks})[:2]:
         query.rank_profile(merged, rank)
     for group in groups:
-        assert group.signature.key[0] == "R"
-        assert len(group.records) == len(group.signature.key[1])
+        assert isinstance(group.records, list)
 
 
 class TestRefusalsStayInLoads:
@@ -190,7 +188,7 @@ class TestRefusalsStayInLoads:
         def never(self):
             raise AssertionError("a refusal moved to materialisation time")
 
-        for lazy in ("records", "view", "signature_key", "_payloads"):
+        for lazy in ("records", "view", "_payloads"):
             monkeypatch.setattr(serialize.LeafColumns, lazy, never)
         with pytest.raises(TraceFormatError, match=match):
             serialize.loads(blob)
@@ -264,10 +262,9 @@ class TestCounters:
             assert counters["serialize.leaf_blocks"] == len(_leaf_groups(fresh))
             assert "serialize.records_materialized" not in counters
             assert counters["query.records"] > 0
-            # nothing was built for nobody: no record, no signature key
+            # nothing was built for nobody: no record
             for _, group in _leaf_groups(merged):
                 assert group._records is None
-                assert group.signature._key is None
 
             decompress_all(merged)
             assert check_merged(merged) == []
@@ -314,10 +311,13 @@ class TestMaterialisedRecordsAreTheTruth:
         ]
         assert what[0] == what[1]
         codes = {v.code for v in check_merged(loaded, nranks=self.NPROCS)}
-        # the invariant of the damage, and: the block as decoded no
-        # longer signs the records the group now holds
+        # the invariant of the damage; only the merged tree keeps a
+        # payload index for the damage to leave stale
         assert codes & EXPECTED_CODES[kind], codes
-        assert "signature-stale" in codes
+        assert "signature-stale" not in codes
+        assert "signature-stale" in {
+            v.code for v in check_merged(fresh, nranks=self.NPROCS)
+        }
         after = {
             by: query.traffic(loaded, group_by=by)
             for by in ("op", "rank_pair")
@@ -344,6 +344,7 @@ class TestLoadedTreeDoesNotMerge:
         fresh = merge_all(ctts)
         loaded = serialize.loads(serialize.dumps(fresh))
         assert loaded.loaded and not fresh.loaded
+        assert loaded.index is None and fresh.index is not None
         for merge in (
             lambda: loaded.add_rank(ctts[0]),
             lambda: loaded.fold_rank(ctts[0]),
@@ -351,6 +352,7 @@ class TestLoadedTreeDoesNotMerge:
             with pytest.raises(MergeError, match="does not merge"):
                 merge()
         # refused before anything moved
+        assert loaded.index is None
         assert serialize.dumps(loaded) == serialize.dumps(fresh)
 
     def test_a_loaded_signature_compares_by_payload(self):
@@ -359,6 +361,4 @@ class TestLoadedTreeDoesNotMerge:
         for (_, a), (_, b) in zip(
             _leaf_groups(fresh), _leaf_groups(loaded), strict=True
         ):
-            assert b.signature._key is None
-            assert a.signature == b.signature and b.signature == a.signature
-            assert b.signature.key == a.signature.key
+            assert payload_key(b) == payload_key(a)

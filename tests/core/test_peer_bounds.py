@@ -149,7 +149,7 @@ class TestMergeAbsFallback:
         merged = merge_all(ctts, nranks=4)
         found = None
         for vertex in merged.root.preorder():
-            for group in vertex.groups.values():
+            for group in vertex.groups:
                 if group.records is None or 2 not in group.ranks:
                     continue
                 for rec in group.records:
@@ -177,7 +177,7 @@ class TestMergeAbsFallback:
         encodings = {
             rec.key[slot]
             for vertex in merged.root.preorder()
-            for group in vertex.groups.values()
+            for group in vertex.groups
             if group.records is not None and 2 in group.ranks
             for rec in group.records
             if rec.key[0] == "MPI_Send"

@@ -232,7 +232,7 @@ def _record_lists(cyp, merged, op):
     """The ``op`` leaf's gid and every record list that replays it: the
     merged group's, then ranks 1-3's own."""
     vertex = next(v for v in merged.root.preorder() if v.op == op)
-    (group,) = vertex.groups.values()
+    (group,) = vertex.groups
     assert group.ranks == [1, 2, 3]
     lists = [group.records] + [
         next(v.records for v in cyp.ctt(r).vertices() if v.op == op)
@@ -356,7 +356,7 @@ def _count_peeks(monkeypatch, walk, merged):
     by whether the cursor reads a record's occurrence sequence."""
     occurrences = {
         id(r.occurrences)
-        for v in merged.root.preorder() for g in v.groups.values()
+        for v in merged.root.preorder() for g in v.groups
         for r in g.records or ()
     }
     calls = {"leaf": 0, "control": 0}
@@ -384,7 +384,7 @@ class TestStructure:
         # all-absolute one a single object for all of them.
         relative = absolute = 0
         for v in merged.root.preorder():
-            for g in v.groups.values():
+            for g in v.groups:
                 for r in g.records or ():
                     if _absolute(r):
                         absolute += 1

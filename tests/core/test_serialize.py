@@ -12,7 +12,7 @@ from helpers import run_traced  # noqa: E402
 
 from repro.core import TraceFormatError, serialize  # noqa: E402
 from repro.core.decompress import decompress_merged_rank  # noqa: E402
-from repro.core.inter import merge_all  # noqa: E402
+from repro.core.inter import merge_all, payload_key  # noqa: E402
 from repro.core.serialize import ByteReader, ByteWriter  # noqa: E402
 
 SRC = """
@@ -38,13 +38,12 @@ def make_merged(nprocs=6, timing_mode="meanstd"):
 
 
 def _paired_groups(merged, back):
-    """The groups of a tree and of its reload, side by side.  A loaded
-    leaf group is signed by its place, not hashed by its payload, so the
-    pairing is the canonical order; the keys must still agree."""
+    """The groups of a tree and of its reload, side by side in canonical
+    order; their payloads must agree."""
     for v_a, v_b in zip(merged.root.preorder(), back.root.preorder()):
         assert len(v_a.groups) == len(v_b.groups)
         for ga, gb in zip(v_a.sorted_groups(), v_b.sorted_groups()):
-            assert ga.signature == gb.signature
+            assert payload_key(ga) == payload_key(gb)
             yield ga, gb
 
 

@@ -53,13 +53,12 @@ def _edit_extremes(data, merged):
         if not v.groups:
             if v.kind in (CALL, LOOP, BRANCH) and data.draw(st.booleans()):
                 # an empty payload, as a rank that never got here has
-                empty = Group(
-                    merged.interns.intern(("empty", v.gid)), [spare_rank],
+                v.groups.append(Group(
+                    [spare_rank],
                     counts=IntSequence() if v.kind == LOOP else None,
                     visits=IntSequence() if v.kind == BRANCH else None,
-                    records=[] if v.kind == CALL else None,
-                )
-                v.groups[empty.signature] = empty
+                    sources=[[]] if v.kind == CALL else None,
+                ))
             continue
         group = v.sorted_groups()[0]
         if v.kind != CALL or not data.draw(st.booleans()):
@@ -142,7 +141,7 @@ class TestRankSetBound:
     def test_oversized_rank_set_is_refused_cheaply(self):
         merged = serialize.loads(GOLDEN_FIG11.read_bytes())
         group = next(
-            g for v in merged.vertices() for g in v.groups.values()
+            g for v in merged.vertices() for g in v.groups
         )
         # What ``dumps`` writes for the group's members: one stride term,
         # six bytes, every section checksum valid.
@@ -196,7 +195,7 @@ class TestRankSetBound:
         blob = GOLDEN_FIG11.read_bytes()
         merged = serialize.loads(blob)
         assert max(
-            len(g.ranks) for v in merged.vertices() for g in v.groups.values()
+            len(g.ranks) for v in merged.vertices() for g in v.groups
         ) == merged.nranks_merged
 
 
@@ -261,7 +260,7 @@ def _dump_with_rank_sets(
 
 
 def _rank_lists(merged):
-    return [g.ranks for v in merged.vertices() for g in v.groups.values()]
+    return [g.ranks for v in merged.vertices() for g in v.groups]
 
 
 class TestRepeatedRankSets:
@@ -372,7 +371,7 @@ class TestFlatSequences:
         merged = serialize.loads(GOLDEN_FIG11.read_bytes())
         group = next(
             g for v in merged.vertices() if v.kind == kind
-            for g in v.groups.values()
+            for g in v.groups
         )
         seq = group.counts if kind == LOOP else group.visits
         seq.terms = [(7, 0, 1)] + seq.terms

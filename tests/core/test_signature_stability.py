@@ -1,12 +1,11 @@
-"""Container bytes must not depend on the signature hash.
+"""Container bytes must not depend on the hash of a payload key.
 
-``Signature`` caches ``hash(key)``, which carries the per-process
-``PYTHONHASHSEED`` salt.  Nothing written to a container may follow it:
-groups are written by lowest member rank, statistics fold in ascending
-rank order, dicts are read in insertion order.  These tests pin that
-*property* — the same bytes under different salts, whatever order the
-ranks are listed in — plus a foreign signature's lookup in an intern
-table and the intern hit rate of the merge.
+The merge's payload index hashes each key tuple, and that hash carries
+the per-process ``PYTHONHASHSEED`` salt.  Nothing written to a container
+may follow it: groups are written by lowest member rank, statistics fold
+in ascending rank order, dicts are read in insertion order.  These tests
+pin that *property* — the same bytes under different salts, whatever
+order the ranks are listed in.
 """
 
 import hashlib
@@ -18,11 +17,10 @@ import subprocess
 import sys
 
 sys.path.insert(0, "tests")
-from helpers import run_traced  # noqa: E402
 from spec_merge import spec_merge  # noqa: E402
 
 from repro.core import serialize  # noqa: E402
-from repro.core.inter import InternTable, Signature, merge_all  # noqa: E402
+from repro.core.inter import merge_all  # noqa: E402
 from repro.core.intra import IntraProcessCompressor  # noqa: E402
 from repro.driver import run_compiled  # noqa: E402
 from repro.static.instrument import compile_minimpi  # noqa: E402
@@ -30,8 +28,6 @@ from repro.workloads import get as get_workload  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 DATA = ROOT / "tests" / "data"
-
-KEY = ("MPI_Send", 3, -100, 0, 0, 64, 0, 0, -1, False, (), -1)
 
 #: Irregular records, and groups that differ by rank.
 SHAPES = (("sp", 4, 0.1), ("mg", 16, 0.1))
@@ -73,15 +69,6 @@ def container_digests() -> dict[str, str]:
 
 
 class TestStableHash:
-    def test_foreign_signature_indexes_intern_table(self):
-        table = InternTable()
-        local = table.intern(KEY)
-        foreign = Signature(tuple(KEY))
-        assert foreign == local and hash(foreign) == hash(local)
-        assert {local: "group"}[foreign] == "group"  # a vertex's group dict
-        assert table.intern(foreign.key) is local
-        assert table.hits == 1
-
     def test_bytes_identical_across_hash_seeds(self):
         here = container_digests()
         # Every listing order and both merge routes agree in-process ...
@@ -111,23 +98,3 @@ class TestStableHash:
             )
             assert json.loads(out.stdout) == here, f"PYTHONHASHSEED={seed}"
 
-
-class TestInternHitRate:
-    def test_merge_interns_hit(self):
-        # Ranks running the same SPMD loop produce identical signature
-        # keys; the merge must find them in its intern table rather
-        # than founding a signature per rank.
-        src = """
-        func main() {
-          var rank = mpi_comm_rank();
-          var size = mpi_comm_size();
-          for (var i = 0; i < 6; i = i + 1) {
-            if (rank < size - 1) { mpi_send(rank + 1, 64, 1); }
-            if (rank > 0) { mpi_recv(rank - 1, 64, 1); }
-            mpi_allreduce(8);
-          }
-        }
-        """
-        _, _, cyp, _ = run_traced(src, 4)
-        merged = merge_all([cyp.ctt(r) for r in range(4)])
-        assert merged.interns.hits > 0

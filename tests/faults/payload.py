@@ -14,7 +14,7 @@ kind                invariant broken (expected violation codes)
 ``occ-hole``        occurrence union no longer ``{0..N-1}``
 ``rank-overlap``    one rank appears in two groups at a vertex
 ``rank-range``      a group contains a rank outside ``[0, nranks)``
-``signature-stale`` payload mutated without re-interning its signature
+``signature-stale`` payload mutated under its key in the merge's index
 ``loop-negative``   a negative loop iteration count
 ``peer-range``      a REL peer delta decoding outside the rank range
 ``visits-regress``  a branch visit sequence that is not monotone
@@ -138,7 +138,7 @@ def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
         vertex, group = _pick(sites, rng, kind)
         values = group.counts.to_list()
         values[rng.randrange(len(values))] += 1
-        group.counts = IntSequence.from_values(values)  # signature NOT re-interned
+        group.counts = IntSequence.from_values(values)  # index key NOT updated
         return f"gid={vertex.gid}: loop counts mutated under a stale signature"
     if kind == "loop-negative":
         sites = [

@@ -152,7 +152,7 @@ class TestTracedSubcommPrograms:
         ]
         (leaf,) = leaves
         assert len(leaf.groups) == 2
-        groups = sorted(g.ranks for g in leaf.groups.values())
+        groups = sorted(g.ranks for g in leaf.groups)
         assert groups == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
     def test_simmpi_replays_subcomm_collectives(self):

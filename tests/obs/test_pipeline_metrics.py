@@ -105,8 +105,6 @@ class TestStageCoverage:
         c = registry.counters
         assert c["inter.ranks_merged"] == 4
         assert c["inter.add_rank"] == 4  # one walk per rank
-        assert c["inter.intern_hits"] + c["inter.intern_misses"] > 0
-        assert 0.0 <= registry.gauges["inter.intern_hit_rate"] <= 1.0
         assert c["serialize.bytes.total"] == len(blob)
         assert (
             c["serialize.bytes.header"]
@@ -122,7 +120,7 @@ class TestStageCoverage:
         merged = serialize.loads(blob)
         records = [
             rec for v in merged.vertices()
-            for g in v.groups.values() if g.records for rec in g.records
+            for g in v.groups if g.records for rec in g.records
         ]
         assert c["serialize.stats_blocks"] == 2 * len(records)
         distinct = c["serialize.stats_blocks_distinct"]

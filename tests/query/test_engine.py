@@ -203,7 +203,7 @@ class TestTraffic:
         merged = merged_of(RING, 2, {"n": 2})
         send = leaf_gids(merged, "MPI_Send")[0]
         vertex = query.TreeIndex(merged).vertex(send)
-        for group in vertex.groups.values():
+        for group in vertex.groups:
             for record in group.records:
                 key = list(record.key)
                 key[1] = ("rel", 999)  # decodes outside [0, nprocs)

@@ -66,7 +66,7 @@ def _merged(name: str, form: str):
 
 def _leaf_groups(merged):
     return [g for v in merged.vertices() if v.kind == CALL
-            for g in v.groups.values()]
+            for g in v.groups]
 
 
 def _assert_every_query_agrees(merged, nprocs: int, label: str) -> None:

@@ -4,6 +4,7 @@ batch pipeline, checkpoint-driven recovery, idle-timeout quarantine."""
 import dataclasses
 import os
 import socket
+import threading
 import time
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from repro.core import run_cypress, serialize
 from repro.core.quarantine import QuarantineReport
 from repro.mpisim.pmpi import OP_EVENT
+from repro.server import client as client_mod
 from repro.server import protocol as proto
 from repro.server.client import (
     ClientError,
@@ -70,6 +72,41 @@ class TestEndToEnd:
         assert snap["server.hellos"] >= NPROCS
         assert snap["server.checkpoints"] >= 1
         assert snap["server.jobs_finalized"] == 1
+
+    def test_submit_streams_a_bounded_number_of_ranks(
+        self, tmp_path, monkeypatch
+    ):
+        # 64 ranks, more than the client opens threads and connections
+        # for at once; a short nap inside each send lets them overlap.
+        nprocs = 64
+        assert client_mod.MAX_CONCURRENT_RANKS < nprocs
+        lock = threading.Lock()
+        live = [0, 0]  # sends in flight now, and at the most
+        send = TraceClient.send
+
+        def counted(client, blobs):
+            with lock:
+                live[0] += 1
+                live[1] = max(live)
+            try:
+                time.sleep(0.01)
+                return send(client, blobs)
+            finally:
+                with lock:
+                    live[0] -= 1
+
+        monkeypatch.setattr(TraceClient, "send", counted)
+        cfg = _config(tmp_path)
+        with ServerThread(cfg) as st:
+            submit_workload(
+                "127.0.0.1", st.server.port, job="wide", workload="mg",
+                nprocs=nprocs, scale=0.1,
+            )
+            got = _wait_file(os.path.join(cfg.out_dir, "wide.cyp"))
+        assert 1 < live[1] <= client_mod.MAX_CONCURRENT_RANKS
+        w = get_workload("mg")
+        run = run_cypress(w.source, nprocs, defines=w.defines(nprocs, 0.1))
+        assert got == serialize.dumps(run.merge())
 
     def test_empty_rank_streams_still_finalize(self, tmp_path):
         # A zero-event stream still ships one (empty) CYPK blob so the

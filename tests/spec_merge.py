@@ -8,9 +8,10 @@ reduction tree, the schedule the paper describes.  Each combine checks
 that the two sides walk the same vertices and builds a new dict.  At the
 end every group's members are sorted by rank, and a leaf group's records
 are a copy of the lowest rank's with one ``TimeStats.merge`` per further
-member, in ascending rank order.
+member, in ascending rank order, handed to the group as its one source.
+Each vertex's groups are listed by lowest rank.
 
-Nothing is interned, deferred or borrowed, and nothing is shared with
+Nothing is deferred or borrowed, and nothing is shared with
 ``MergedCTT.add_rank``: the only imports from ``repro.core.inter`` are
 the payload containers that ``serialize.dumps`` reads.  Deliberately
 slow and obvious — do not optimise it.
@@ -82,20 +83,22 @@ def spec_merge(ctts) -> MergedCTT:
         ]
     result = MergedCTT(MergedVertex(ctts[0].root), len(ctts))
     for vertex, (_gid, _kind, table) in zip(result.vertices(), level[0]):
-        for key, members in table.items():
+        groups = []
+        for members in table.values():
             members = sorted(members, key=lambda m: m[0])
             ranks = [rank for rank, _ in members]
             first = members[0][1]
             if vertex.kind == LOOP:
-                group = Group(key, ranks, counts=first)
+                group = Group(ranks, counts=first)
             elif vertex.kind == BRANCH:
-                group = Group(key, ranks, visits=first)
+                group = Group(ranks, visits=first)
             else:
                 records = [r.copy() for r in first]
                 for _, theirs in members[1:]:
                     for mine, other in zip(records, theirs):
                         mine.duration.merge(other.duration)
                         mine.pre_gap.merge(other.pre_gap)
-                group = Group(key, ranks, records=records)
-            vertex.groups[key] = group
+                group = Group(ranks, sources=[records])
+            groups.append(group)
+        vertex.groups = sorted(groups, key=lambda g: g.ranks[0])
     return result

@@ -251,6 +251,6 @@ def spec_merged_rank(merged, rank: int, nranks: int | None = None) -> list[Repla
 def spec_all(merged, nranks: int | None = None) -> dict[int, list[ReplayEvent]]:
     """Replay every rank that is a member of some group."""
     ranks = {
-        r for v in merged.root.preorder() for g in v.groups.values() for r in g.ranks
+        r for v in merged.root.preorder() for g in v.groups for r in g.ranks
     }
     return {r: spec_merged_rank(merged, r, nranks) for r in sorted(ranks)}

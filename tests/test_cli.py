@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 
@@ -122,6 +123,35 @@ class TestValidation:
             main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        # --window 0 never sent a batch and waited out every read;
+        # --batch-events 0 was a ValueError traceback; --max-attempts 0
+        # gave up after 0 attempts.
+        *((["submit", "fig11", "-n", "4", "--port", "1", "--job", "j",
+            flag, value], f"not a positive count '{value}'")
+          for flag in ("--window", "--batch-events", "--max-attempts")
+          for value in ("0", "-1")),
+        # A zero checkpoint interval spun the checkpoint loop; a zero
+        # idle timeout quarantined every rank at the reaper's first pass.
+        *((["serve", flag, value],
+           f"not a positive number of seconds '{value}'")
+          for flag in ("--checkpoint-interval", "--idle-timeout")
+          for value in ("0", "-0.5", "nan")),
+    ])
+    def test_server_numbers_must_be_positive(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
+
+    def test_server_numbers_in_use_stay_valid(self):
+        # What DaemonProc, the e2e serve workload and the tests pass.
+        for value in ("0.02", "0.05", "0.25", "0.4", "0.5", "30", "3600"):
+            assert cli._seconds(value) == float(value)
+        for value in ("1", "32", "512"):
+            assert cli._positive(value) == int(value)
 
     def test_unknown_workload(self):
         with pytest.raises(SystemExit):

@@ -98,7 +98,7 @@ class TestTracing:
             if v.kind == CALL and v.op == "MPI_Send"
         ]
         (send,) = sends
-        (group,) = send.groups.values()
+        (group,) = send.groups
         assert group.ranks == [0, 1, 2, 3, 4]
 
     def test_budgeted_deferred_bytes_match_inline(self):

@@ -23,9 +23,9 @@ from tests.verify import check  # noqa: E402
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDENS = sorted(DATA.glob("golden_*_v[78].cyp"))
 
-#: Payload damage a file can carry.  ``signature-stale`` cannot: a
-#: group's signature is recomputed from its payload at load, so the
-#: stale one never reaches the checker.
+#: Payload damage a file can carry.  ``signature-stale`` cannot: the
+#: stale key lives in the merge's payload index, which a file does not
+#: hold, so it never reaches the checker.
 SAVED_KINDS = [k for k in PAYLOAD_KINDS if k != "signature-stale"]
 
 
