@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.inter import MergedCTT
-from repro.mpisim.events import COLLECTIVES
 from repro.query.engine import OpProfile, rank_profile
 
 
@@ -30,14 +29,6 @@ class TraceReport:
     def comm_fraction(self) -> float:
         total = self.total_comm_us + self.total_gap_us
         return self.total_comm_us / total if total else 0.0
-
-    def p2p_volume(self) -> int:
-        return sum(
-            o.nbytes for o in self.ops.values() if o.op not in COLLECTIVES
-        )
-
-    def collective_volume(self) -> int:
-        return sum(o.nbytes for o in self.ops.values() if o.op in COLLECTIVES)
 
     def format(self) -> str:
         lines = [

@@ -153,9 +153,39 @@ def measure_all_methods(
         data = cypress_dumps(merged_c)
         m.trace_bytes = len(data)
         m.gzip_bytes = len(_gzip_compress(data))
-        m.memory_bytes = max(cyp.serialized_bytes(r) for r in range(nprocs))
+        m.memory_bytes = max(
+            _container_estimate(cyp.ctt(r)) for r in range(nprocs)
+        )
         out.methods["cypress"] = m
     return out
+
+
+def _container_estimate(ctt) -> int:
+    """Fig. 16's memory column for CYPRESS: one rank's tree at the size
+    its container would take (payload + topology), estimated the way the
+    baselines' ``approx_memory`` estimates theirs — not its live
+    footprint (:func:`repro.core.budget.state_live_bytes`)."""
+    total = 0
+    for v in ctt.vertices():
+        total += 6  # gid + kind + child count
+        if v.loop_counts is not None:
+            total += v.loop_counts.approx_bytes()
+        if v.visits is not None:
+            total += v.visits.approx_bytes()
+        if v.records is not None:
+            total += 2
+            for r in v.records:
+                # op string + numeric params + gids + sequences + two
+                # stat blocks
+                key = r.key
+                total += (
+                    len(key[0]) + 6 * (len(key) - 1)
+                    + (4 * len(key[10]) if len(key) > 10 else 0)
+                    + r.occurrences.approx_bytes()
+                    + r.duration.approx_bytes()
+                    + r.pre_gap.approx_bytes()
+                )
+    return total
 
 
 def _gzip_compress(data: bytes) -> bytes:

@@ -23,7 +23,7 @@ from .intra import (
 )
 from .quarantine import QuarantinedRank, QuarantineReport
 from .records import CompressedRecord
-from .sequences import IntSequence, SequenceCursor
+from .sequences import IntSequence
 from .timing import TimeStats, MEANSTD, HIST
 from . import export, serialize
 
@@ -50,7 +50,6 @@ __all__ = [
     "QuarantineReport",
     "CompressedRecord",
     "IntSequence",
-    "SequenceCursor",
     "TimeStats",
     "MEANSTD",
     "HIST",

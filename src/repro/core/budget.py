@@ -112,17 +112,65 @@ class RankState:
     last_event_end: float = 0.0
 
 
+# ---------------------------------------------------------------------------
+# The live-memory model: what the budget compares against its bound.
+#
+# A CPython cost model (64-bit), deliberately coarse: the trigger needs
+# to track the real footprint to within a small factor, not
+# byte-perfectly — but it must *see* the state a serialized size
+# ignores (the params index), because under budget pressure that state
+# dominates.  tests/core/test_budget.py checks it against tracemalloc.
+_PTR = 8
+_VERTEX_BASE = 360       # CTTVertex slots + payload containers (a flat
+                         # average; the dispatch tables are the shape's)
+_SEQ_BASE = 120          # IntSequence object + terms list header
+_SEQ_LIVE_FACTOR = 3     # boxed terms vs packed varint estimate
+_LIST_BASE = 64
+# A record: the object, its key tuple's header and op string, and two
+# TimeStats (144 B each); then a slot per key field and its occurrence
+# terms as boxed 3-tuples.
+_RECORD_BASE = 200 + 2 * 144
+# One ``params_index`` entry: the 11-field parameter tuple only the
+# index keeps alive (144 B; its elements are the key's) plus its dict
+# slot — tracemalloc says 158 B an entry on sp, 177-186 on cg / mg.
+_PARAMS_ENTRY = 160
+# One item live tracing has buffered but not ingested (a shared marker
+# item costs its list slot, an event its tuple and CommEvent): the
+# geometric mean of 125-254 bytes measured on live runs of the five
+# e2e shapes.
+_ITEM_LIVE_BYTES = 160
+
+
 def state_live_bytes(st: RankState) -> int:
-    """Live footprint of one rank: the CTT plus the state-level maps the
-    tree-level estimate cannot see (frame stack, recursion save-slots,
-    request table, pending-wildcard entries — each pending entry pins a
-    record, an event object and a frame tuple)."""
-    total = st.ctt.live_bytes() + 96
-    total += 88 * len(st.stack)
+    """Live footprint of one rank: every vertex's payload as boxed
+    CPython objects plus its params index, and the state-level maps
+    (frame stack, recursion save-slots, request table, pending-wildcard
+    entries — each pending entry pins a record, an event object and a
+    frame tuple)."""
+    total = 96 + 88 * len(st.stack)
     for saved in st.recursion_saved:
         total += 32 + (88 * len(saved) if saved else 0)
     total += 120 * len(st.req_gid)
     total += 400 * len(st.pending)
+    for v in st.ctt.vertices():
+        total += _VERTEX_BASE
+        if v.loop_counts is not None:
+            total += _SEQ_BASE + _SEQ_LIVE_FACTOR * v.loop_counts.approx_bytes()
+        if v.visits is not None:
+            total += _SEQ_BASE + _SEQ_LIVE_FACTOR * v.visits.approx_bytes()
+        records = v.records
+        if records is not None:
+            total += _LIST_BASE + _PTR * len(records)
+            for r in records:
+                total += (
+                    _RECORD_BASE
+                    + _PTR * len(r.key or ())  # None while a wildcard is pending
+                    + _SEQ_LIVE_FACTOR * r.occurrences.approx_bytes()
+                )
+        if v.params_index is not None:
+            # Every leaf owns the dict, filled or not; ``last_params``
+            # is one of its tuples, not another.
+            total += _LIST_BASE + _PARAMS_ENTRY * len(v.params_index)
     return total
 
 
@@ -448,10 +496,14 @@ class RankTable:
         rows += [_totals(st.ctt) for st in self.live.values()]
         return sum(e for e, _ in rows), sum(r for _, r in rows)
 
-    def live_bytes(self) -> int:
+    def live_bytes(self, buffered: int = 0) -> int:
         """Live footprint of the resident ranks (a spilled rank costs
-        nothing — that is the point; it is not reloaded here)."""
-        return sum(state_live_bytes(st) for st in self.live.values())
+        nothing — that is the point; it is not reloaded here) and of
+        ``buffered`` items the caller holds outside the table."""
+        return (
+            sum(state_live_bytes(st) for st in self.live.values())
+            + _ITEM_LIVE_BYTES * buffered
+        )
 
     # -- spill and reload --------------------------------------------------
 
@@ -479,16 +531,17 @@ class RankTable:
         self.counters.reload_bytes += len(payload)
         return st
 
-    def _sample(self, extra: int) -> int:
-        """The live total (``extra``: bytes the caller holds outside the
-        table), recorded as the gauge and against the high-water mark."""
+    def _sample(self, buffered: int) -> int:
+        """The live total (``buffered``: items the caller holds outside
+        the table), recorded as the gauge and against the high-water
+        mark."""
         bc = self.counters
-        bc.live_bytes = total = self.live_bytes() + extra
+        bc.live_bytes = total = self.live_bytes(buffered)
         if total > bc.peak_live_bytes:
             bc.peak_live_bytes = total
         return total
 
-    def make_room(self, extra: int, active: int | None = None) -> None:
+    def make_room(self, buffered: int, active: int | None = None) -> None:
         """Mark ``active`` the hottest rank and bring the live footprint
         back under the budget by spilling the coldest evictable ranks
         (never ``active``, never one with unresolved wildcards).  One
@@ -496,7 +549,7 @@ class RankTable:
         live = self.live
         if active in live:
             live[active] = live.pop(active)
-        total = self._sample(extra)
+        total = self._sample(buffered)
         if total > self.budget:
             for rank in list(live):  # coldest first
                 st = live[rank]
@@ -515,17 +568,17 @@ class RankTable:
         if domain is not None:
             self._waiting = dict.fromkeys(sorted(domain), False)
 
-    def seal(self, rank: int, extra: int) -> None:
+    def seal(self, rank: int, buffered: int) -> None:
         """``rank``'s stream has ended.  Under a budget it folds as soon
         as the ascending barrier lets it; without one it stays live."""
         if self.budget is None or rank not in self._waiting:
             return
         # Sampled before the fold releases the rank — the peak the soak
         # gate tracks.
-        self._sample(extra)
+        self._sample(buffered)
         self._waiting[rank] = True
         self._fold_ready()
-        self.make_room(extra)
+        self.make_room(buffered)
 
     def _fold_ready(self) -> None:
         """Fold from the front of the domain up to the first rank still

@@ -60,26 +60,9 @@ from dataclasses import dataclass
 
 from repro.minilang.builtins import MPI_INTRINSICS
 from repro.mpisim.events import NONBLOCKING_OPS
-from repro.static.cst import BRANCH, CALL, LOOP, CSTNode
+from repro.static.cst import BRANCH, CALL, LOOP, CSTNode, branch_groups
 
 from .sequences import IntSequence
-
-# ---------------------------------------------------------------------------
-# CPython live-memory cost model (64-bit).  Deliberately coarse: the
-# budget trigger needs to track the real footprint to within a small
-# factor, not byte-perfectly — but it must *see* the state (the params
-# index) that the serialized-size estimate ignores, because under
-# budget pressure that state dominates.
-_PTR = 8
-_VERTEX_BASE = 360       # CTTVertex slots + payload containers (a flat
-                         # average; the dispatch tables are the shape's)
-_SEQ_BASE = 120          # IntSequence object + terms list header
-_SEQ_LIVE_FACTOR = 3     # boxed terms vs packed varint estimate
-_LIST_BASE = 64
-# One ``params_index`` entry: the 11-field parameter tuple only the
-# index keeps alive (144 B; its elements are the key's) plus its dict
-# slot — tracemalloc says 158 B an entry on sp, 177-186 on cg / mg.
-_PARAMS_ENTRY = 160
 
 
 class ShapeTable(dict):
@@ -188,41 +171,6 @@ class CTTVertex:
             pos = positions[0]
         return pos, self.children[pos]
 
-    # ------------------------------------------------------------------
-
-    def serialized_bytes(self) -> int:
-        """Serialized size estimate of this vertex's payload + topology
-        (what the on-disk container would take — NOT the live footprint;
-        see :meth:`live_bytes` for that)."""
-        total = 6  # gid + kind + child count
-        if self.loop_counts is not None:
-            total += self.loop_counts.approx_bytes()
-        if self.visits is not None:
-            total += self.visits.approx_bytes()
-        if self.records is not None:
-            total += 2 + sum(r.approx_bytes() for r in self.records)
-        return total
-
-    def live_bytes(self) -> int:
-        """Estimated *live* in-RAM footprint of this vertex: the payload
-        as boxed CPython objects plus the compression state the
-        serialized estimate ignores — the parameter index.  This is the
-        budget mode's eviction trigger."""
-        total = _VERTEX_BASE
-        if self.loop_counts is not None:
-            total += _SEQ_BASE + _SEQ_LIVE_FACTOR * self.loop_counts.approx_bytes()
-        if self.visits is not None:
-            total += _SEQ_BASE + _SEQ_LIVE_FACTOR * self.visits.approx_bytes()
-        if self.records is not None:
-            total += _LIST_BASE + _PTR * len(self.records)
-            for r in self.records:
-                total += r.live_bytes()
-        if self.params_index is not None:
-            # Every leaf owns the dict, filled or not; ``last_params``
-            # is one of its tuples, not another.
-            total += _LIST_BASE + _PARAMS_ENTRY * len(self.params_index)
-        return total
-
 
 class CTTShape:
     """What the CST fixes about every rank's CTT, extracted once per
@@ -255,48 +203,29 @@ class CTTShape:
         for i, node in enumerate(order):
             if not node.children:
                 continue
+            kids = node.children
             loops: dict[int, tuple] = {}
             calls: dict[str, tuple] = {}
-            for pos, child in enumerate(node.children):
+            for pos, child in enumerate(kids):
                 op = self.nodes[index[id(child)]][4]
                 if child.kind == LOOP:
                     loops[child.ast_id] = loops.get(child.ast_id, ()) + (pos,)
                 elif child.kind == CALL and op is not None:
                     calls[op] = calls.get(op, ()) + (pos,)
-            groups = self._group_layout(node.children)
+            groups = [
+                BranchGroup(
+                    number, kids[run.start].ast_id, run.start, run[-1],
+                    ShapeTable({kids[pos].branch_path: pos for pos in run}),
+                )
+                for number, run in enumerate(branch_groups(kids))
+            ]
             by_ast_id: dict[int, tuple] = {}
             for group in groups:
                 by_ast_id[group.ast_id] = by_ast_id.get(group.ast_id, ()) + (group,)
             self.parents.append((
-                i, tuple(index[id(c)] for c in node.children),
+                i, tuple(index[id(c)] for c in kids),
                 _table(loops), _table(calls), _table(by_ast_id), len(groups),
             ))
-
-    @staticmethod
-    def _group_layout(children: list[CSTNode]) -> list[BranchGroup]:
-        """Runs of consecutive BRANCH children of one ``if`` — a run
-        ends at a non-branch sibling, another ``ast_id`` or a repeated
-        path (the next inlined copy of the same ``if``)."""
-        groups: list[list] = []
-        current: list | None = None
-        for pos, child in enumerate(children):
-            if child.kind != BRANCH:
-                current = None
-                continue
-            if (
-                current is not None
-                and current[0] == child.ast_id
-                and child.branch_path not in current[3]
-            ):
-                current[3][child.branch_path] = pos
-                current[2] = pos
-            else:
-                current = [child.ast_id, pos, pos, {child.branch_path: pos}]
-                groups.append(current)
-        return [
-            BranchGroup(number, ast_id, first, last, ShapeTable(paths))
-            for number, (ast_id, first, last, paths) in enumerate(groups)
-        ]
 
     def fill(self) -> list["CTTVertex"]:
         """The vertices of one rank's tree, in pre-order: a vertex per
@@ -379,12 +308,3 @@ class CTT:
         return sum(
             len(v.records) for v in self.vertices() if v.records is not None
         )
-
-    def serialized_bytes(self) -> int:
-        """Serialized-size estimate of the whole tree (container bytes)."""
-        return sum(v.serialized_bytes() for v in self.vertices())
-
-    def live_bytes(self) -> int:
-        """Estimated live in-RAM footprint of the whole tree, transient
-        compression state included (the budget mode's trigger)."""
-        return sum(v.live_bytes() for v in self.vertices())

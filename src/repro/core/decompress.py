@@ -35,7 +35,7 @@ from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from repro import obs
-from repro.static.cst import BRANCH, CALL, LOOP
+from repro.static.cst import BRANCH, CALL, LOOP, branch_groups
 
 from .ctt import CTT
 from .errors import DecompressionError
@@ -87,8 +87,9 @@ _CLASH = -2  # schedule entry: more than one claim on the visit
 
 
 def _values(seq: IntSequence) -> Iterator[int]:
-    """``seq``'s values in the order ``SequenceCursor.next`` reads them,
-    which yields a term's start once when its count is 1 or less."""
+    """``seq``'s values in the order the replay spec's cursor reads them
+    (``tests/spec_replay.py``), a term's start once when its count is 1
+    or less."""
     for start, count, stride in seq.terms:
         if count <= 1:
             yield start
@@ -128,31 +129,27 @@ def group_payload(group_at):
 def _compile(vertex) -> list[tuple]:
     """The walk below ``vertex`` as nested steps, resolved once per tree:
     ``(CALL, leaf, None)``, ``(LOOP, vertex, body steps)`` and, for a
-    branch group (consecutive same-``ast_id`` path vertices, split where
-    a ``branch_path`` repeats), ``(BRANCH, paths, steps of each path)``."""
+    branch group (:func:`~repro.static.cst.branch_groups`),
+    ``(BRANCH, paths, steps of each path)``."""
     steps: list[tuple] = []
     children = vertex.children
+    groups = {run.start: run for run in branch_groups(children)}
     i = 0
     while i < len(children):
         child = children[i]
-        i += 1
         if child.kind == CALL:
             steps.append((CALL, child, None))
         elif child.kind == LOOP:
             steps.append((LOOP, child, _compile(child)))
         elif child.kind == BRANCH:
-            paths = [child]
-            while (
-                i < len(children)
-                and children[i].kind == BRANCH
-                and children[i].ast_id == child.ast_id
-                and all(children[i].branch_path != p.branch_path for p in paths)
-            ):
-                paths.append(children[i])
-                i += 1
+            run = groups[i]
+            paths = children[run.start:run.stop]
             steps.append((BRANCH, paths, [_compile(p) for p in paths]))
+            i = run.stop
+            continue
         else:  # pragma: no cover - CSTs only contain these kinds
             raise DecompressionError(f"unexpected vertex kind {child.kind}")
+        i += 1
     return steps
 
 

@@ -102,13 +102,3 @@ def to_csv(merged: MergedCTT, ranks: list[int] | None = None) -> str:
                 ]
             )
     return out.getvalue()
-
-
-def save_text(merged: MergedCTT, path: str, ranks: list[int] | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_text(merged, ranks))
-
-
-def save_csv(merged: MergedCTT, path: str, ranks: list[int] | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_csv(merged, ranks))

@@ -142,11 +142,6 @@ class CypressConfig:
 # Chosen by measurement on the five e2e workloads (CHANGES.md, PR 14).
 DRAIN_ITEMS = 4096
 TOTAL_ITEMS = 32768
-# One buffered item in the live-bytes estimate (a shared marker item
-# costs its list slot, an event its tuple and CommEvent): the geometric
-# mean of 125-254 bytes measured on live runs of the five e2e shapes
-# (tests/core/test_budget.py checks it against tracemalloc).
-_ITEM_LIVE_BYTES = 160
 
 # Cursor frames are plain three-slot lists ``[kind, vertex, iters]`` —
 # one is allocated per loop/branch entry on the hot path, and a list
@@ -220,24 +215,17 @@ class IntraProcessCompressor(TraceSink):
     def ctt(self, rank: int) -> CTT:
         return self.state(rank).ctt
 
-    def serialized_bytes(self, rank: int) -> int:
-        """Per-rank *serialized* size estimate of the compressed trace —
-        container bytes, not live memory (see :meth:`live_bytes` for the
-        in-RAM footprint the budget mode tracks)."""
-        return self.state(rank).ctt.serialized_bytes()
-
     def live_bytes(self, rank: int) -> int:
         """Estimated live in-RAM footprint of one rank's compression
-        state: the CTT (its record index included) plus the rank-state
-        overheads (frame stack, pending wildcards, request table).
-        Reloads the rank if it was spilled."""
+        state (:func:`~repro.core.budget.state_live_bytes`).  Reloads
+        the rank if it was spilled."""
         return state_live_bytes(self.state(rank))
 
     def total_live_bytes(self) -> int:
         """Live footprint of every in-memory rank plus the items live
         tracing has buffered but not ingested.  The one reader that does
         not drain."""
-        return self.table.live_bytes() + _ITEM_LIVE_BYTES * self._buffered
+        return self.table.live_bytes(self._buffered)
 
     # ------------------------------------------------------------------
     # Observability (docs/INTERNALS.md §6).
@@ -307,7 +295,7 @@ class IntraProcessCompressor(TraceSink):
         """Mark one rank's stream complete (idempotent): its CTT is
         final, and under a memory budget eligible for folding."""
         self._drain(rank)
-        self.table.seal(rank, _ITEM_LIVE_BYTES * self._buffered)
+        self.table.seal(rank, self._buffered)
 
     def merged(self, nranks: int | None = None, ranks=None):
         """The finish line of every driver: the job-wide merged tree
@@ -620,7 +608,7 @@ class IntraProcessCompressor(TraceSink):
         if self.table.budget is not None:
             # Per-batch budget bookkeeping: the rank is the hottest, and
             # colder ranks make room for its growth.
-            self.table.make_room(_ITEM_LIVE_BYTES * self._buffered, rank)
+            self.table.make_room(self._buffered, rank)
         st = self.state(rank)
         done = self._items_done.get(rank, 0)
         it = iter(stream)

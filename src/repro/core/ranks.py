@@ -91,11 +91,3 @@ def try_decode_peer(
             return value, False
         return value, nranks is None or value < nranks
     raise ValueError(f"bad encoded peer {encoded!r}")
-
-
-def rel_decode_bounds(
-    delta: int, ranks: list[int]
-) -> tuple[int, int]:
-    """Min/max decode of a REL delta over a sorted rank set — the O(1)
-    boundary check the invariant checker uses for merged groups."""
-    return ranks[0] + delta, ranks[-1] + delta

@@ -125,10 +125,6 @@ class CompressedRecord:
         self.duration.merge(other.duration)
         self.pre_gap.merge(other.pre_gap)
 
-    def payload_equal(self, other: "CompressedRecord") -> bool:
-        """Equality ignoring timing — the inter-process grouping test."""
-        return self.key == other.key and self.occurrences == other.occurrences
-
     def copy(self) -> "CompressedRecord":
         """An independent copy, filled slot by slot as :meth:`first`
         does (the merge copies every record of a group it does not own)."""
@@ -141,31 +137,6 @@ class CompressedRecord:
         rec.pre_gap = self.pre_gap.copy()
         rec.pending = self.pending
         return rec
-
-    def approx_bytes(self) -> int:
-        # Serialized estimate (container bytes):
-        # op string + numeric params + sequences + two stat blocks
-        key_bytes = len(self.key[0]) + 6 * (len(self.key) - 1)
-        gid_bytes = 4 * len(self.key[10]) if len(self.key) > 10 else 0
-        return (
-            key_bytes
-            + gid_bytes
-            + self.occurrences.approx_bytes()
-            + self.duration.approx_bytes()
-            + self.pre_gap.approx_bytes()
-        )
-
-    def live_bytes(self) -> int:
-        """Estimated live in-RAM footprint: the record, key tuple, and
-        stats as boxed CPython objects rather than packed varints."""
-        # record object + key tuple (12 slots + op string + gid tuple)
-        # + two TimeStats + occurrence terms as boxed 3-tuples
-        return (
-            200
-            + 8 * len(self.key or ())  # None while a wildcard is pending
-            + 3 * self.occurrences.approx_bytes()
-            + 2 * 144
-        )
 
 
 class LeafView(NamedTuple):
@@ -218,26 +189,6 @@ class LeafView(NamedTuple):
         ]
 
 
-def make_key(
-    op: str,
-    peer_enc,
-    peer2_enc,
-    tag: int,
-    tag2: int,
-    nbytes: int,
-    nbytes2: int,
-    comm: int,
-    root: int,
-    wildcard: bool,
-    req_gids: tuple[int, ...],
-    result_comm: int = -1,
-) -> RecordKey:
-    return (
-        op, peer_enc, peer2_enc, tag, tag2, nbytes, nbytes2,
-        comm, root, wildcard, req_gids, result_comm,
-    )
-
-
 def event_key(
     ev,
     rank: int,
@@ -247,7 +198,7 @@ def event_key(
     nbytes: int | None = None,
 ) -> RecordKey:
     """The key of the record a traced event commits to on ``rank``: the
-    layout of :func:`make_key`, peers encoded (``relative``), ``reqs``
+    layout of :data:`RecordKey`, peers encoded (``relative``), ``reqs``
     replaced by ``req_gids``.  ``peer``/``nbytes`` override the event's
     when a wildcard receive resolves — the resolved record must have
     exactly the key shape of the eager path (``result_comm`` included),

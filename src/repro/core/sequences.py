@@ -165,52 +165,9 @@ class IntSequence:
 
     # -- size accounting -----------------------------------------------------
 
-    def term_count(self) -> int:
-        return len(self.terms)
-
     def approx_bytes(self) -> int:
         """Serialized footprint estimate: 3 varint-ish ints per term."""
         return 2 + 6 * len(self.terms)
-
-
-class SequenceCursor:
-    """Sequential reader over an :class:`IntSequence` (replay helper).
-
-    ``peek``/``next`` walk values in order; ``contains_next(v)`` answers
-    "is ``v`` the next recorded value?" and consumes it when it is — the
-    O(1)-amortised membership test replay uses for monotone visit indices.
-    """
-
-    def __init__(self, seq: IntSequence) -> None:
-        self._seq = seq
-        self._term = 0
-        self._offset = 0
-
-    def exhausted(self) -> bool:
-        return self._term >= len(self._seq.terms)
-
-    def peek(self) -> int | None:
-        if self.exhausted():
-            return None
-        start, _count, stride = self._seq.terms[self._term]
-        return start + self._offset * stride
-
-    def next(self) -> int:
-        value = self.peek()
-        if value is None:
-            raise StopIteration("sequence exhausted")
-        start, count, _stride = self._seq.terms[self._term]
-        self._offset += 1
-        if self._offset >= count:
-            self._term += 1
-            self._offset = 0
-        return value
-
-    def contains_next(self, value: int) -> bool:
-        if self.peek() == value:
-            self.next()
-            return True
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -173,9 +173,6 @@ class MetricsRegistry:
              "end_s": now, "seconds": seconds}
         )
 
-    def span_paths(self) -> list[str]:
-        return [s["path"] for s in self.spans]
-
     # -- export -----------------------------------------------------------
 
     def to_dict(self) -> dict:

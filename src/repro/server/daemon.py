@@ -459,7 +459,9 @@ class CypressTraceServer:
         try:
             jobid = check_job_id(fields["job"])
             workload = fields["workload"]
-            get_workload(workload)
+            # Only a rank count the workload runs on: the fold domain
+            # and the reaper's placeholders are built per rank.
+            get_workload(workload).check_procs(nranks)
             scale = float(fields.get("scale", 1.0))
         except (KeyError, TypeError, ValueError) as exc:
             raise proto.ProtocolError(f"HELLO refused: {exc.args[0]}")

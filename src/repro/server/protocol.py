@@ -89,7 +89,9 @@ def batch_frame(seq: int, blob: bytes) -> bytes:
 def decode_control(payload: bytes) -> dict:
     try:
         fields = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON, or an int past the digit
+        # limit; RecursionError: nesting past the parser's depth.
         raise ProtocolError(f"bad control payload: {exc}") from exc
     if not isinstance(fields, dict):
         raise ProtocolError("control payload is not a JSON object")

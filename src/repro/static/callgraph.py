@@ -77,16 +77,6 @@ class CallGraph:
                         lowlink[parent] = min(lowlink[parent], lowlink[node])
         return result
 
-    def recursive_functions(self) -> set[str]:
-        """Functions involved in recursion (non-trivial SCCs or self loops)."""
-        recursive: set[str] = set()
-        for comp in self.sccs():
-            if len(comp) > 1:
-                recursive.update(comp)
-            elif comp[0] in self.edges.get(comp[0], []):
-                recursive.add(comp[0])
-        return recursive
-
     def postorder(self, root: str = "main") -> list[str]:
         """Functions in post-order from ``root`` (callees first), each SCC
         emitted as a unit.  Functions unreachable from ``root`` are appended

@@ -27,8 +27,6 @@ left-to-right matching disambiguates (see
 
 from __future__ import annotations
 
-import gzip
-import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -85,12 +83,6 @@ class CSTNode:
             if not node.children and node.kind in (CALL, FUNC):
                 yield node
 
-    def find_gid(self, gid: int) -> "CSTNode | None":
-        for node in self.preorder():
-            if node.gid == gid:
-                return node
-        return None
-
     # -- structure ----------------------------------------------------------
 
     def copy(self) -> "CSTNode":
@@ -134,6 +126,32 @@ def assign_gids(root: CSTNode) -> None:
         node.gid = gid
 
 
+def branch_groups(children: list) -> list[range]:
+    """The child positions of each branch group among ``children``: a
+    run of consecutive BRANCH vertices of one ``if`` (one per path),
+    ended by a non-branch sibling, another ``ast_id`` or a repeated
+    ``branch_path`` (the next inlined copy of the same ``if``).  The one
+    rule for CST, CTT and merged vertices alike: the compressor's
+    cursor (:class:`repro.core.ctt.CTTShape`) and the replay and
+    invariant walks (``repro.core.decompress._compile``) must agree."""
+    groups: list[range] = []
+    paths: set = set()
+    for pos, child in enumerate(children):
+        if child.kind != BRANCH:
+            paths = set()
+        elif (
+            paths
+            and children[pos - 1].ast_id == child.ast_id
+            and child.branch_path not in paths
+        ):
+            paths.add(child.branch_path)
+            groups[-1] = range(groups[-1].start, pos + 1)
+        else:
+            paths = {child.branch_path}
+            groups.append(range(pos, pos + 1))
+    return groups
+
+
 def prune(root: CSTNode) -> CSTNode:
     """Pruning pass (paper §III-B): iteratively delete leaf vertices that are
     not MPI invocations until every leaf is an MPI invocation.
@@ -160,57 +178,3 @@ def prune(root: CSTNode) -> CSTNode:
                 if len(node.children) != before:
                     changed = True
     return root
-
-
-# --------------------------------------------------------------------------
-# Serialization — the paper stores the CST "in a compressed text file".
-# We use a JSON line format wrapped in gzip.
-# --------------------------------------------------------------------------
-
-
-def _to_obj(node: CSTNode) -> dict:
-    obj: dict = {"k": node.kind, "g": node.gid}
-    if node.ast_id is not None:
-        obj["a"] = node.ast_id
-    if node.name is not None:
-        obj["n"] = node.name
-    if node.line:
-        obj["l"] = node.line
-    if node.branch_path is not None:
-        obj["p"] = node.branch_path
-    if node.children:
-        obj["c"] = [_to_obj(c) for c in node.children]
-    return obj
-
-
-def _from_obj(obj: dict) -> CSTNode:
-    return CSTNode(
-        kind=obj["k"],
-        gid=obj.get("g", -1),
-        ast_id=obj.get("a"),
-        name=obj.get("n"),
-        line=obj.get("l", 0),
-        branch_path=obj.get("p"),
-        children=[_from_obj(c) for c in obj.get("c", [])],
-    )
-
-
-def dumps(root: CSTNode) -> bytes:
-    """Serialize a CST to compressed bytes."""
-    text = json.dumps(_to_obj(root), separators=(",", ":"))
-    return gzip.compress(text.encode("utf-8"), compresslevel=6)
-
-
-def loads(data: bytes) -> CSTNode:
-    """Inverse of :func:`dumps`."""
-    return _from_obj(json.loads(gzip.decompress(data).decode("utf-8")))
-
-
-def save(root: CSTNode, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dumps(root))
-
-
-def load(path: str) -> CSTNode:
-    with open(path, "rb") as fh:
-        return loads(fh.read())

@@ -80,15 +80,6 @@ def _idoms(entry: int, rpo: list[int], preds) -> dict[int, int]:
     return idom
 
 
-def dominator_tree(idom: dict[int, int]) -> dict[int, list[int]]:
-    """Children lists of the dominator tree (root maps to itself in idom)."""
-    tree: dict[int, list[int]] = {bid: [] for bid in idom}
-    for bid, parent in idom.items():
-        if bid != parent:
-            tree[parent].append(bid)
-    return tree
-
-
 def dominates(idom: dict[int, int], a: int, b: int) -> bool:
     """True if block ``a`` dominates block ``b`` (reflexive)."""
     node = b

@@ -65,24 +65,3 @@ def natural_loops(cfg: CFG, idom: dict[int, int] | None = None) -> dict[int, Nat
     for header, loop in loops.items():
         loop._ast_id = cfg.blocks[header].ast_id
     return loops
-
-
-def loop_nesting(loops: dict[int, NaturalLoop]) -> dict[int, int | None]:
-    """Innermost-enclosing-loop map: header -> parent header (or ``None``).
-
-    Loop A encloses loop B iff B's header lies in A's body and A != B.  The
-    innermost such A is the parent.
-    """
-    parents: dict[int, int | None] = {}
-    for header, loop in loops.items():
-        parent: int | None = None
-        parent_size = None
-        for other_header, other in loops.items():
-            if other_header == header:
-                continue
-            if header in other.body:
-                if parent_size is None or len(other.body) < parent_size:
-                    parent = other_header
-                    parent_size = len(other.body)
-        parents[header] = parent
-    return parents

@@ -124,7 +124,7 @@ def check_cst(cst: CSTNode, limit: int = 200) -> list[Violation]:
         # path index is 0 (then) or 1 (else).  A *repeated* path under
         # the same ast_id is NOT a violation — the same inlined function
         # contributes one `if` instance per call site, and group
-        # formation splits runs at repeats (see CTTShape._group_layout).
+        # formation splits runs at repeats (see cst.branch_groups).
         for child in node.children:
             if (
                 child.kind == BRANCH

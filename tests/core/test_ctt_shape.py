@@ -3,19 +3,25 @@ one compressor share the shape's tables and nothing else."""
 
 import copy
 import gc
+import sys
 import tracemalloc
 
 import pytest
 
-from repro.core import serialize
-from repro.core.budget import decode_rank_state, encode_rank_state
-from repro.core.ctt import CTT, CTTShape, ShapeTable
-from repro.core.inter import merge_all
-from repro.core.intra import CypressConfig, IntraProcessCompressor, compress_streams
-from repro.driver import run_compiled
-from repro.mpisim.pmpi import StreamCaptureSink
-from repro.static.instrument import compile_minimpi
-from repro.workloads import WORKLOADS
+sys.path.insert(0, "tests")
+from spec_compress import branch_groups as spec_branch_groups  # noqa: E402
+
+from repro.core import serialize  # noqa: E402
+from repro.core.budget import decode_rank_state, encode_rank_state  # noqa: E402
+from repro.core.ctt import CTT, CTTShape, ShapeTable  # noqa: E402
+from repro.core.decompress import _compile  # noqa: E402
+from repro.core.inter import merge_all  # noqa: E402
+from repro.core.intra import CypressConfig, IntraProcessCompressor, compress_streams  # noqa: E402
+from repro.driver import run_compiled  # noqa: E402
+from repro.mpisim.pmpi import StreamCaptureSink  # noqa: E402
+from repro.static import cst as C  # noqa: E402
+from repro.static.instrument import compile_minimpi  # noqa: E402
+from repro.workloads import WORKLOADS  # noqa: E402
 
 _TABLES = ("loop_child_by_ast_id", "call_children_by_op", "group_by_ast_id")
 
@@ -173,6 +179,44 @@ class TestRankIsolation:
         # The spill reader is the container's record decoder; only this
         # mode makes it fill bins.
         _snapshot_mid_stream("cg", 8, CypressConfig(timing_mode="hist"))
+
+
+class TestBranchGroupRule:
+    """The compressor's cursor and the replay and invariant walks group
+    sibling branch paths by one rule, ``cst.branch_groups``, and it is
+    the spec compressor's."""
+
+    @staticmethod
+    def _check(cst):
+        for v in CTT(CTTShape(cst), 0).vertices():
+            runs = C.branch_groups(v.children)
+            assert [(run.start, run[-1]) for run in runs] == [
+                group[1:3] for group in spec_branch_groups(v)
+            ]
+            layouts = sorted(
+                (g for gs in v.group_by_ast_id.values() for g in gs),
+                key=lambda g: g.number,
+            )
+            assert [(g.first_index, g.last_index) for g in layouts] == [
+                (run.start, run[-1]) for run in runs
+            ]
+            assert [
+                paths for kind, paths, _ in _compile(v) if kind == C.BRANCH
+            ] == [v.children[run.start:run.stop] for run in runs]
+
+    def test_registered_workloads(self):
+        for w in WORKLOADS.values():
+            self._check(compile_minimpi(w.source).cst)
+
+    def test_repeated_paths_and_interleaved_ifs(self):
+        kids = [
+            C.CSTNode(C.BRANCH, ast_id=ast_id, branch_path=path)
+            for ast_id, path in ((7, 0), (7, 1), (7, 0), (8, 1), (8, 0), (7, 1))
+        ]
+        cst = C.CSTNode(C.ROOT, children=kids)
+        C.assign_gids(cst)
+        assert len(C.branch_groups(kids)) == 4
+        self._check(cst)
 
 
 class TestFootprint:

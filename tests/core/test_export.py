@@ -7,8 +7,10 @@ import sys
 sys.path.insert(0, "tests")
 from helpers import run_traced  # noqa: E402
 
-from repro.core import export  # noqa: E402
+from repro.cli import main  # noqa: E402
+from repro.core import export, serialize  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
+from repro.mpisim.events import COLLECTIVES  # noqa: E402
 
 SRC = """
 func main() {
@@ -28,6 +30,12 @@ func main() {
 def merged_trace(nprocs=4):
     _, rec, cyp, _ = run_traced(SRC, nprocs)
     return rec, merge_all([cyp.ctt(r) for r in range(nprocs)])
+
+
+def _saved(merged, tmp_path) -> str:
+    path = str(tmp_path / "t.cyp")
+    serialize.save(merged, path)
+    return path
 
 
 class TestText:
@@ -62,7 +70,8 @@ class TestText:
     def test_save(self, tmp_path):
         _, merged = merged_trace()
         path = str(tmp_path / "t.log")
-        export.save_text(merged, path)
+        assert main(["export", _saved(merged, tmp_path), "-o", path]) == 0
+        assert open(path).read() == export.to_text(merged)
         assert "MPI_Finalize" in open(path).read()
 
 
@@ -84,7 +93,8 @@ class TestCsv:
     def test_save(self, tmp_path):
         _, merged = merged_trace(2)
         path = str(tmp_path / "t.csv")
-        export.save_csv(merged, path, ranks=[0])
+        assert main(["export", _saved(merged, tmp_path), "-f", "csv",
+                     "--ranks", "0", "-o", path]) == 0
         rows = list(csv.DictReader(open(path)))
         assert all(r["rank"] == "0" for r in rows)
 
@@ -112,8 +122,11 @@ class TestReport:
 
         _, merged = merged_trace()
         report = summarize(merged)
-        assert report.p2p_volume() == 2 * 15 * 2048  # sends + recvs
-        assert report.collective_volume() == 0
+        volume = {False: 0, True: 0}
+        for profile in report.ops.values():
+            volume[profile.op in COLLECTIVES] += profile.nbytes
+        assert volume[False] == 2 * 15 * 2048  # sends + recvs
+        assert volume[True] == 0
 
     def test_format_renders(self):
         from repro.analysis.report import summarize

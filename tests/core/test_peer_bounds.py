@@ -26,7 +26,6 @@ from repro.core.ranks import (  # noqa: E402
     ABS,
     REL,
     decode_peer,
-    rel_decode_bounds,
     try_decode_peer,
 )
 from repro.mpisim.datatypes import ANY_SOURCE  # noqa: E402
@@ -94,10 +93,6 @@ class TestDecodePeer:
         # Sentinels are stored absolute, so REL -> -1 can never be
         # ANY_SOURCE; flagged even when the rank count is unknown.
         assert try_decode_peer((REL, -2), 1, None) == (-1, False)
-
-    def test_rel_decode_bounds(self):
-        assert rel_decode_bounds(1, [0, 1, 2, 3]) == (1, 4)
-        assert rel_decode_bounds(-1, [2, 5]) == (1, 4)
 
 
 class TestStrictReplay:

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 sys.path.insert(0, "tests")
 from generators import program  # noqa: E402
 from helpers import run_traced  # noqa: E402
-from spec_replay import spec_all, spec_merged_rank, spec_rank  # noqa: E402
+from spec_replay import (  # noqa: E402
+    SequenceCursor,
+    spec_all,
+    spec_merged_rank,
+    spec_rank,
+)
 
 from repro import obs  # noqa: E402
 from repro.core import serialize  # noqa: E402
@@ -29,7 +34,7 @@ from repro.core.decompress import (  # noqa: E402
 from repro.core.inter import merge_all  # noqa: E402
 from repro.core.intra import CypressConfig  # noqa: E402
 from repro.core.ranks import ABS  # noqa: E402
-from repro.core.sequences import IntSequence, SequenceCursor  # noqa: E402
+from repro.core.sequences import IntSequence  # noqa: E402
 from repro.core.timing import HIST, MEANSTD  # noqa: E402
 from repro.workloads import WORKLOADS  # noqa: E402
 

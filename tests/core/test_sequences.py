@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, "tests")
 from helpers import E2E_SHAPES, e2e_trees  # noqa: E402
+from spec_replay import SequenceCursor  # noqa: E402
 
 from repro.core import serialize  # noqa: E402
 from repro.core.sequences import (  # noqa: E402
     MAX_DEPTH,
     IntSequence,
-    SequenceCursor,
     expand,
     nest,
 )
@@ -149,7 +149,7 @@ class TestDonationRepair:
         values = [i // 2 for i in range(40)]
         seq = IntSequence.from_values(values)
         assert seq.to_list() == values
-        assert seq.term_count() <= len(values) // 2
+        assert len(seq.terms) <= len(values) // 2
 
     def test_mistaken_stride_head_released_to_run(self):
         # The singleton absorbs 5 under stride 5; when 6 arrives the pair
@@ -168,7 +168,7 @@ class TestDonationRepair:
     def test_never_worse_than_greedy_and_exact(self, values):
         seq = IntSequence.from_values(values)
         assert seq.to_list() == values
-        assert seq.term_count() <= max(1, len(_greedy_reference_terms(values)))
+        assert len(seq.terms) <= max(1, len(_greedy_reference_terms(values)))
 
 
 def _runs(draw_ints):
@@ -371,7 +371,7 @@ class TestProperties:
     @given(st.lists(st.integers(0, 2**20)))
     def test_term_count_never_exceeds_length(self, values):
         seq = IntSequence.from_values(values)
-        assert seq.term_count() <= max(1, len(values))
+        assert len(seq.terms) <= max(1, len(values))
 
 
 # ---------------------------------------------------------------------------

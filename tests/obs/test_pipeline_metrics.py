@@ -61,7 +61,7 @@ def _observed_run(**kwargs):
 class TestStageCoverage:
     def test_every_stage_has_a_span(self):
         registry, _, _, _ = _observed_run()
-        paths = registry.span_paths()
+        paths = [span["path"] for span in registry.spans]
         for stage in STAGES + ("replay.decompress_all",):
             assert any(p.endswith(stage) for p in paths), (
                 f"no span for stage {stage}: {paths}"
@@ -162,7 +162,7 @@ class TestStageCoverage:
 
     def test_inline_compression_attributed_as_span(self):
         registry, _, _, _ = _observed_run()
-        assert any(p.endswith("intra.compress") for p in registry.span_paths())
+        assert any(p.endswith("intra.compress") for p in [span["path"] for span in registry.spans])
 
     def test_python_frontend_attributes_inline_compression_too(self):
         # run_python shares run_cypress's set-up: under an active
@@ -180,7 +180,7 @@ class TestStageCoverage:
             run = run_python(rank_main, spec, 3)
         finally:
             obs.disable()
-        paths = registry.span_paths()
+        paths = [span["path"] for span in registry.spans]
         assert any(p.endswith("intra.compress") for p in paths), paths
         assert registry.counters["trace.total_events"] == 15
         assert registry.counters["intra.events"] == 15

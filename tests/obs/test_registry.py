@@ -84,7 +84,7 @@ class TestSpans:
         with reg.span("outer"):
             with reg.span("inner"):
                 pass
-        assert reg.span_paths() == ["outer/inner", "outer"]
+        assert [span["path"] for span in reg.spans] == ["outer/inner", "outer"]
         inner, outer = reg.spans
         assert inner["seconds"] <= outer["seconds"]
         assert outer["start_s"] <= inner["start_s"]
@@ -96,7 +96,7 @@ class TestSpans:
                 with reg.span("inner"):
                     raise RuntimeError("boom")
         assert reg._span_stack == []
-        assert reg.span_paths() == ["outer/inner", "outer"]
+        assert [span["path"] for span in reg.spans] == ["outer/inner", "outer"]
 
     def test_attribute_span_backdates(self):
         reg = MetricsRegistry()
@@ -122,7 +122,7 @@ class TestActivation:
             pass
         assert obs.disable() is reg
         assert obs.active() is None
-        assert reg.span_paths() == ["stage"]
+        assert [span["path"] for span in reg.spans] == ["stage"]
 
     def test_enable_installs_given_registry(self):
         mine = MetricsRegistry()

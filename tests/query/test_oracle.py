@@ -15,13 +15,14 @@ import sys
 import pytest
 
 sys.path.insert(0, "tests")
+from spec_compress import make_key  # noqa: E402
 
 from repro import query
 from repro.core import run_cypress, serialize
 from repro.core.decompress import decompress_all
 from repro.core.ctt import CTT
 from repro.core.inter import merge_all
-from repro.core.records import CompressedRecord, make_key
+from repro.core.records import CompressedRecord
 from repro.mpisim.events import NO_PEER
 from repro.static.cst import CALL, LOOP, ROOT, CSTNode, assign_gids
 from repro.workloads import WORKLOADS

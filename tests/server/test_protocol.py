@@ -55,6 +55,16 @@ class TestCorruption:
         with pytest.raises(proto.ProtocolError):
             proto.decode_control(b"[1, 2]")  # not an object
 
+    @pytest.mark.parametrize("payload, error", [
+        (b'{"a": ' + b"1" * 5000 + b"}", "digits"),
+        (b"[" * 200_000, "recursion"),
+    ], ids=["long-int", "deep-nesting"])
+    def test_json_past_the_parser_limits(self, payload, error):
+        # An int past the digit limit raised ValueError and deep nesting
+        # RecursionError; both escaped the decoder.
+        with pytest.raises(proto.ProtocolError, match=error):
+            proto.decode_control(payload)
+
     def test_short_batch_payload(self):
         with pytest.raises(proto.ProtocolError):
             proto.decode_batch(b"\x00\x01")  # shorter than the seq u64

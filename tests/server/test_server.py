@@ -187,6 +187,59 @@ class TestHelloValidation:
             assert st.server.metrics["server.protocol_errors"] == 1
             assert st.server.jobs == {}
 
+    def test_a_rank_count_the_workload_cannot_run_on_is_refused(self):
+        # Checked on the identity alone: a job's first HELLO arms a fold
+        # domain of ``nranks`` entries, so 10**9 stalled the daemon.
+        hello = CypressTraceServer._hello_identity
+        for workload, nranks in (("mg", 10**9), ("mg", 3), ("cg", 6)):
+            with pytest.raises(proto.ProtocolError,
+                               match=f"does not run on {nranks} processes"):
+                hello({"job": "j", "rank": 0, "nranks": nranks,
+                       "workload": workload})
+        for workload, nranks in ((WORKLOAD, NPROCS), ("fig11", 4),
+                                 ("farm", 8)):
+            assert hello({"job": "j", "rank": 0, "nranks": nranks,
+                          "workload": workload})[2] == nranks
+
+    def test_bad_rank_count_then_a_valid_session(self, tmp_path, oracle):
+        cfg = _config(tmp_path)
+        with ServerThread(cfg) as st:
+            with socket.create_connection(
+                ("127.0.0.1", st.server.port), timeout=5
+            ) as sock:
+                sock.sendall(proto.control_frame(
+                    proto.HELLO, job="odd", rank=0, nranks=3, workload="mg",
+                ))
+                kind, payload = proto.read_frame(sock)
+                assert kind == proto.ERROR
+                assert "mg does not run on 3 processes" in (
+                    proto.decode_control(payload)["error"]
+                )
+            assert st.server.metrics["server.protocol_errors"] == 1
+            assert st.server.jobs == {}
+            submit_workload(
+                "127.0.0.1", st.server.port, job="ok", workload=WORKLOAD,
+                nprocs=NPROCS, scale=SCALE, batch_events=32,
+            )
+            assert _wait_file(os.path.join(cfg.out_dir, "ok.cyp")) == oracle
+
+    @pytest.mark.parametrize("payload", [
+        b'{"job": ' + b"1" * 5000 + b"}",
+        b"[" * 200_000,
+    ], ids=["long-int", "deep-nesting"])
+    def test_control_json_past_the_parser_limits(self, tmp_path, payload):
+        with ServerThread(_config(tmp_path)) as st:
+            with socket.create_connection(
+                ("127.0.0.1", st.server.port), timeout=5
+            ) as sock:
+                sock.sendall(proto.encode_frame(proto.HELLO, payload))
+                kind, payload = proto.read_frame(sock)
+                assert kind == proto.ERROR
+                assert "bad control payload" in (
+                    proto.decode_control(payload)["error"]
+                )
+            assert st.server.metrics["server.protocol_errors"] == 1
+
     @pytest.mark.parametrize("kw, error", [
         ({"rank": 7}, "rank 7 outside [0, 4)"),
         ({"rank": -1}, "rank -1 outside [0, 4)"),

@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.core.ctt import CTT
 from repro.core.errors import StreamMismatchError
 from repro.core.ranks import encode_peer
-from repro.core.records import CompressedRecord, make_key
+from repro.core.records import CompressedRecord
 from repro.core.timing import MEANSTD
 from repro.mpisim.events import NONBLOCKING_OPS
 from repro.mpisim.pmpi import (
@@ -58,6 +58,28 @@ __all__ = [
 # child at or after that position, else the first one before it.  That is
 # what tells two inlined copies of one function under one parent apart.
 
+
+def make_key(
+    op: str,
+    peer_enc,
+    peer2_enc,
+    tag: int,
+    tag2: int,
+    nbytes: int,
+    nbytes2: int,
+    comm: int,
+    root: int,
+    wildcard: bool,
+    req_gids: tuple[int, ...],
+    result_comm: int = -1,
+) -> tuple:
+    """A record key, spelled out field by field — the layout
+    ``repro.core.records.event_key`` builds in one tuple; the
+    byte-identity tests hold the two spellings equal."""
+    return (
+        op, peer_enc, peer2_enc, tag, tag2, nbytes, nbytes2,
+        comm, root, wildcard, req_gids, result_comm,
+    )
 
 def find_child(vertex, predicate, start: int):
     """``(child, index)`` of the first child of ``vertex`` at or after

@@ -19,13 +19,53 @@ from repro.core.decompress import ReplayEvent
 from repro.core.errors import DecompressionError
 from repro.core.ranks import decode_peer
 from repro.core.records import CompressedRecord
-from repro.core.sequences import IntSequence, SequenceCursor
+from repro.core.sequences import IntSequence
 from repro.mpisim.datatypes import ANY_SOURCE
 from repro.mpisim.events import NO_PEER
 from repro.static.cst import BRANCH, CALL, LOOP
 
-__all__ = ["spec_rank", "spec_merged_rank", "spec_all"]
+__all__ = ["spec_rank", "spec_merged_rank", "spec_all", "SequenceCursor"]
 
+
+class SequenceCursor:
+    """Sequential reader over an :class:`IntSequence`.
+
+    ``peek``/``next`` walk values in order; ``contains_next(v)`` answers
+    "is ``v`` the next recorded value?" and consumes it when it is — the
+    O(1)-amortised membership test this walker uses for monotone visit
+    indices.
+    """
+
+    def __init__(self, seq: IntSequence) -> None:
+        self._seq = seq
+        self._term = 0
+        self._offset = 0
+
+    def exhausted(self) -> bool:
+        return self._term >= len(self._seq.terms)
+
+    def peek(self) -> int | None:
+        if self.exhausted():
+            return None
+        start, _count, stride = self._seq.terms[self._term]
+        return start + self._offset * stride
+
+    def next(self) -> int:
+        value = self.peek()
+        if value is None:
+            raise StopIteration("sequence exhausted")
+        start, count, _stride = self._seq.terms[self._term]
+        self._offset += 1
+        if self._offset >= count:
+            self._term += 1
+            self._offset = 0
+        return value
+
+    def contains_next(self, value: int) -> bool:
+        if self.peek() == value:
+            self.next()
+            return True
+        return False
 
 class PayloadView:
     """How the replay walker reads per-vertex payloads for one rank."""

@@ -39,18 +39,20 @@ class TestSCC:
 
     def test_self_recursion_detected(self):
         g = pcg("func main() { f(1); } func f(n) { if (n) { f(n - 1); } }")
-        assert g.recursive_functions() == {"f"}
+        assert "f" in g.callees("f")
+        assert all(len(c) == 1 for c in g.sccs())
 
     def test_mutual_recursion_detected(self):
         g = pcg(
             "func main() { a(1); } func a(n) { if (n) { b(n); } } "
             "func b(n) { a(n - 1); }"
         )
-        assert g.recursive_functions() == {"a", "b"}
+        assert sorted(map(sorted, g.sccs())) == [["a", "b"], ["main"]]
 
     def test_non_recursive_not_flagged(self):
         g = pcg("func main() { a(); } func a() { }")
-        assert g.recursive_functions() == set()
+        assert all(len(c) == 1 for c in g.sccs())
+        assert not any(name in g.callees(name) for name in ("main", "a"))
 
     def test_scc_reverse_topological_order(self):
         g = pcg("func main() { a(); } func a() { b(); } func b() { }")

@@ -141,33 +141,37 @@ class TestGids:
         gids = [n.gid for n in tree.preorder()]
         assert gids == list(range(len(gids)))
 
-    def test_find_gid(self):
-        tree = intra_cst(FIG5)
-        C.assign_gids(tree)
-        assert tree.find_gid(0) is tree
-        assert tree.find_gid(99999) is None
+
+def siblings(*spec):
+    """Children from ``(ast_id, branch_path)`` pairs; ``None`` is a
+    call leaf."""
+    return [
+        C.CSTNode(C.CALL, name="mpi_barrier") if item is None
+        else C.CSTNode(C.BRANCH, ast_id=item[0], branch_path=item[1])
+        for item in spec
+    ]
 
 
-class TestSerialization:
-    def test_roundtrip(self):
+class TestBranchGroups:
+    def test_a_run_ends_at_a_repeat_a_sibling_or_another_if(self):
+        kids = siblings(
+            (7, 0), (7, 1), (7, 0), (7, 1), None, (7, 1), (8, 0), (8, 1),
+            (7, 0),
+        )
+        assert C.branch_groups(kids) == [
+            range(0, 2), range(2, 4), range(5, 6), range(6, 8), range(8, 9),
+        ]
+
+    def test_no_branch_no_group(self):
+        assert C.branch_groups([]) == []
+        assert C.branch_groups(siblings(None, None)) == []
+
+    def test_figure5_paths_group_per_if(self):
         tree = intra_cst(FIG5)
         C.prune(tree)
-        C.assign_gids(tree)
-        back = C.loads(C.dumps(tree))
-        assert back.structurally_equal(tree)
-        assert [n.gid for n in back.preorder()] == [n.gid for n in tree.preorder()]
-
-    def test_save_load_file(self, tmp_path):
-        tree = intra_cst(FIG5)
-        C.assign_gids(tree)
-        path = str(tmp_path / "prog.cst")
-        C.save(tree, path)
-        assert C.load(path).structurally_equal(tree)
-
-    def test_dumps_is_compressed(self):
-        tree = intra_cst(FIG5)
-        data = C.dumps(tree)
-        assert data[:2] == b"\x1f\x8b"  # gzip magic
+        loop = tree.children[0]
+        assert C.branch_groups(loop.children) == [range(0, 2)]
+        assert C.branch_groups(tree.children) == [range(1, 2)]  # foo() pruned
 
 
 class TestNodeBasics:

@@ -9,7 +9,6 @@ from repro.minilang.cfg import build_cfg
 from repro.minilang.parser import parse
 from repro.static.dominators import (
     dominates,
-    dominator_tree,
     immediate_dominators,
     immediate_post_dominators,
 )
@@ -77,10 +76,11 @@ class TestProperties:
     def test_dominator_tree_children(self):
         cfg = cfg_of("if (x) { a(); } else { b(); } c();")
         idom = immediate_dominators(cfg)
-        tree = dominator_tree(idom)
-        # every non-root node appears exactly once as a child
-        children = [c for kids in tree.values() for c in kids]
-        assert sorted(children) == sorted(b for b in idom if b != cfg.entry)
+        # ``idom`` is the tree's parent map: the root is its own parent,
+        # every other node has one other parent that dominates it.
+        assert [b for b, p in idom.items() if b == p] == [cfg.entry]
+        for bid, parent in idom.items():
+            assert dominates(idom, parent, bid)
 
 
 class TestPostDominators:

@@ -2,7 +2,7 @@
 
 from repro.minilang.cfg import build_cfg
 from repro.minilang.parser import parse
-from repro.static.loops import find_back_edges, loop_nesting, natural_loops
+from repro.static.loops import find_back_edges, natural_loops
 
 
 def cfg_of(body: str):
@@ -62,31 +62,28 @@ class TestNaturalLoops:
 
 
 class TestNesting:
+    """Loop A encloses loop B iff B's header lies in A's body: the
+    bodies of nested loops form a chain of strict subsets."""
+
     def test_inner_loop_parent_is_outer(self):
         cfg = cfg_of("while (x) { while (y) { a(); } }")
-        loops = natural_loops(cfg)
-        nesting = loop_nesting(loops)
-        parents = set(nesting.values())
-        assert None in parents  # the outer loop
-        inner = [h for h, p in nesting.items() if p is not None]
-        assert len(inner) == 1
-        # inner's parent's body strictly contains inner's body
-        outer = nesting[inner[0]]
-        assert loops[inner[0]].body < loops[outer].body
+        inner, outer = sorted(natural_loops(cfg).values(), key=lambda l: len(l.body))
+        assert inner.header in outer.body
+        assert outer.header not in inner.body
+        assert inner.body < outer.body
 
     def test_triple_nesting_chain(self):
         cfg = cfg_of(
             "while (x) { while (y) { while (z) { a(); } } }"
         )
-        nesting = loop_nesting(natural_loops(cfg))
-        depths = sorted(nesting.values(), key=lambda v: (v is not None, v))
-        assert list(nesting.values()).count(None) == 1
+        chain = sorted(natural_loops(cfg).values(), key=lambda l: len(l.body))
+        assert len(chain) == 3
+        assert chain[0].body < chain[1].body < chain[2].body
 
     def test_siblings_share_parent(self):
         cfg = cfg_of("while (x) { while (y) { a(); } while (z) { b(); } }")
-        loops = natural_loops(cfg)
-        nesting = loop_nesting(loops)
-        roots = [h for h, p in nesting.items() if p is None]
-        assert len(roots) == 1
-        children = [h for h, p in nesting.items() if p == roots[0]]
-        assert len(children) == 2
+        first, second, outer = sorted(
+            natural_loops(cfg).values(), key=lambda l: len(l.body)
+        )
+        assert first.body < outer.body and second.body < outer.body
+        assert not first.body & second.body
