@@ -20,8 +20,7 @@ pipeline.  The gate asserts:
 * spills > 0, reloads > 0, folds == nprocs (the soak actually soaked).
 
 ``budget.spills`` / ``budget.reloads`` / ``budget.live_bytes`` (and the
-peaks) land in ``results/bench_budget_soak.json`` and, when an
-observability registry is active, as ``bench.budget_soak.*`` gauges.
+peaks) land in ``results/bench_budget_soak.json``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from repro.mpisim.pmpi import StreamCaptureSink
 from repro.static.instrument import compile_minimpi
 from repro.workloads import WORKLOADS
 
-from .common import RESULTS_DIR, emit, fmt_row, publish_gauges
+from .paper import RESULTS, fmt_row, write
 
 #: Scale knob per workload that yields ~100x the scale-1.0 event count
 #: (fig11 scales linearly; cg's niter and cgitmax both scale, so events
@@ -191,16 +190,9 @@ def main(argv=None) -> int:
             (r["rss_peak_bytes"] - r["rss_base_bytes"]) // 1024,
             r["ingest_seconds"], "ok" if r["rss_flat"] else "FAIL",
         ], widths))
-    emit("bench_budget_soak", lines)
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "bench_budget_soak.json").write_text(
+    write(RESULTS, "bench_budget_soak", lines)
+    (RESULTS / "bench_budget_soak.json").write_text(
         json.dumps({r["workload"]: r for r in results}, indent=2) + "\n")
-    for r in results:
-        publish_gauges(f"budget_soak.{r['workload']}", {
-            k.replace("budget.", ""): v
-            for k, v in r.items() if k.startswith("budget.")
-        })
     return 0
 
 

@@ -15,8 +15,9 @@ point the ranks listed shuffled must merge to the same bytes as listed
 ascending.
 
 Run directly (``python -m benchmarks.bench_merge_scaling``) for the full
-sweep, or with ``--smoke`` (CI) for the two smallest points.  Under
-pytest the quick grid is used unless ``REPRO_FULL=1``.
+sweep, or with ``--smoke`` (CI) for the two smallest points, which
+writes nothing.  Under pytest the quick grid is used unless
+``REPRO_FULL=1``, which writes the JSON into ``benchmarks/out/paper/``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.core.intra import IntraProcessCompressor
 from repro.driver import run_compiled
 from repro.static.instrument import compile_minimpi
 
-from .common import FULL, RESULTS_DIR
+from .paper import FULL, OUT, RESULTS
 
 SMOKE_GRID = (16, 64)
 FULL_GRID = (16, 32, 64, 128, 256, 512, 1024)
@@ -163,9 +164,9 @@ def run_sweep(grid) -> dict:
     }
 
 
-def emit_json(result: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "merge_scaling.json"
+def emit_json(result: dict, out) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "merge_scaling.json"
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {path}")
 
@@ -183,7 +184,7 @@ def test_merge_scaling_sweep():
             f"{p['trace_bytes']} bytes"
         )
     if FULL:
-        emit_json(result)
+        emit_json(result, OUT)
     # Sub-quadratic: a P^2 merge would show exponent ~2 on this sweep.
     assert result["scaling_exponent"] < MAX_EXPONENT, result
 
@@ -203,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  scaling exponent: {result['scaling_exponent']} "
           f"(max {MAX_EXPONENT})")
     if not smoke:
-        emit_json(result)
+        emit_json(result, RESULTS)
     if result["scaling_exponent"] >= MAX_EXPONENT:
         print("FAIL: the merge no longer scales sub-quadratically")
         return 1

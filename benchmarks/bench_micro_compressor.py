@@ -51,12 +51,12 @@ from repro.mpisim.pmpi import (
 )
 from repro.static.instrument import compile_minimpi
 
-from .common import RESULTS_DIR, emit, publish_gauges
+from .paper import OUT, RESULTS, write
 
-BENCH_JSON = RESULTS_DIR / "BENCH_intra.json"
+BENCH_JSON = RESULTS / "BENCH_intra.json"
 # Mirror at the repo root so the latest committed numbers are one click
 # away (CI uploads both; the root copy is what READMEs link to).
-BENCH_JSON_ROOT = RESULTS_DIR.parent / "BENCH_intra.json"
+BENCH_JSON_ROOT = RESULTS.parent / "BENCH_intra.json"
 
 # Observability must be free when off and near-free when on: the hot
 # ingestion loops carry no registry calls at all (per-event stats are
@@ -249,6 +249,19 @@ def _shape(name: str, scale: int = 1):
 
 SHAPE_NAMES = ("fig11", "collectives", "nested", "irecv_waitall")
 MODES = ("callbacks", "stream")
+
+
+def publish_gauges(prefix: str, values: dict) -> None:
+    """Re-emit measurements through the observability registry (as
+    ``bench.{prefix}.{key}`` gauges) when one is active (``--metrics-out``);
+    no-op otherwise."""
+    from repro import obs
+
+    registry = obs.active()
+    if registry is None:
+        return
+    for key, value in values.items():
+        registry.gauge_set(f"bench.{prefix}.{key}", float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +544,8 @@ def test_micro_summary(benchmark):
         return out
 
     rates = benchmark.pedantic(measure, rounds=3, iterations=1)
-    emit(
-        "micro_compressor",
+    write(
+        OUT, "micro_compressor",
         ["Microbench: compressor throughput (events/s, marker cost included "
          "for CYPRESS)"]
         + [f"  {k:12s} {v:12.0f}" for k, v in rates.items()],
@@ -577,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  fig11 metrics-on overhead: median paired ratio "
           f"{ov['median_on_off_ratio']:.4f} (limit {ov['limit']:.2f})")
     blob = json.dumps(result, indent=2) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS.mkdir(exist_ok=True)
     BENCH_JSON.write_text(blob)
     BENCH_JSON_ROOT.write_text(blob)
     print(f"wrote {BENCH_JSON} (mirrored to {BENCH_JSON_ROOT})")

@@ -24,8 +24,7 @@ then times, for each shape:
 Reported per shape: events, best-of-N latency for both sides, and the
 speedup.  The acceptance bar (``--smoke``, CI) is a ≥5× win on at least
 one high-compression shape.  Results go to ``results/bench_query.json``
-/ ``.txt`` and, when a metrics registry is active, ``bench.query.*``
-gauges.
+/ ``.txt``; a ``--smoke`` run writes them to ``benchmarks/out/paper/``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro import query
 from repro.core import run_cypress
 from repro.workloads import get
 
-from .common import RESULTS_DIR, SCALE, emit, fmt_row, publish_gauges
+from .paper import OUT, RESULTS, SCALE, fmt_row, write
 
 # Fig. 11 shape, scaled up: one loop whose body alternates a branch pair
 # and a collective.  ITERS iterations × 2 events × nprocs ranks of raw
@@ -162,18 +161,11 @@ def run_bench(smoke: bool = False) -> dict:
         lines.append(fmt_row(
             [r["shape"], r["events"], f"{r['engine_ms']:.2f}",
              f"{r['replay_ms']:.2f}", f"{r['speedup']:.1f}x"], widths))
-    emit("bench_query", lines)
+    out = OUT if smoke else RESULTS
+    write(out, "bench_query", lines)
 
     result = {"rows": rows, "repeat": REPEAT}
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "bench_query.json").write_text(
-        json.dumps(result, indent=2) + "\n")
-    for r in rows:
-        publish_gauges(f"query.{r['shape']}", {
-            "engine_ms": r["engine_ms"],
-            "replay_ms": r["replay_ms"],
-            "speedup": r["speedup"],
-        })
+    (out / "bench_query.json").write_text(json.dumps(result, indent=2) + "\n")
 
     best = max(r["speedup"] for r in rows)
     # Acceptance bar: the engine must beat replay-then-analyze by ≥5× on

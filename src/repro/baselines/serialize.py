@@ -17,7 +17,7 @@ from repro.core.serialize import ByteWriter, _write_seq
 from repro.core.sequences import IntSequence
 from repro.core.timing import TimeStats
 
-from .rsd import RSD, EventTerm, Term
+from .rsd import EventTerm, Term
 from .scalatrace import MergedQueue
 from .scalatrace2 import ElasticEvent, ElasticRSD, ETerm, ST2Merged
 

@@ -32,8 +32,8 @@ order (the order the merge founds them in, or the file's order), and
 :func:`merge_all` is the one merge; a compressor reaches it through
 ``IntraProcessCompressor.merged``.  The paper's O(n log P) binary
 reduction is a statement about critical-path depth on P nodes; in this
-one-process harness it is the depth arithmetic in
-``benchmarks/bench_ablations.py``.  The merge's oracle is
+one-process harness the one merge's cost per rank is what
+``benchmarks/bench_merge_scaling.py`` measures.  The merge's oracle is
 ``tests/spec_merge.py``, §IV-B written out naively.
 """
 

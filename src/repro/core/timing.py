@@ -15,7 +15,7 @@ compression merges the statistics of grouped records).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MEANSTD = "meanstd"
 HIST = "hist"

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .datatypes import ANY_SOURCE
 from .errors import InvalidRequestError, ProgramError
-from .events import NO_PEER, CommEvent
+from .events import CommEvent
 from .pmpi import OP_EVENT, OP_FINALIZE
 from .request import IRECV, ISEND, Request
 

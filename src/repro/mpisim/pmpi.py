@@ -159,23 +159,27 @@ class RecordingSink(TraceSink):
 
     def __init__(self) -> None:
         self.events: dict[int, list[CommEvent]] = {}
+        # Per rank: request id -> list index of a wildcard MPI_Irecv
+        # waiting for its completion.  Request ids are never reused.
+        self._pending: dict[int, dict[int, int]] = {}
 
     def stream(self, rank):
         return event_emitter(rank, self._event, self._request_complete)
 
     def _event(self, rank: int, event: CommEvent) -> None:
-        self.events.setdefault(rank, []).append(event)
+        events = self.events.setdefault(rank, [])
+        if event.wildcard and event.op == "MPI_Irecv":
+            self._pending.setdefault(rank, {})[event.req] = len(events)
+        events.append(event)
 
     def _request_complete(self, rank, rid, source, nbytes, when):
         # Resolve wildcard receives in the recorded ground truth the same
         # way compressors do, so comparisons line up.  The list gets a
         # resolved copy: every other sink of the run holds the event.
-        events = self.events.get(rank, ())
-        for i in range(len(events) - 1, -1, -1):
-            ev = events[i]
-            if ev.req == rid and ev.op == "MPI_Irecv" and ev.wildcard:
-                events[i] = replace(ev, peer=source, nbytes=nbytes)
-                break
+        i = self._pending.get(rank, {}).pop(rid, None)
+        if i is not None:
+            events = self.events[rank]
+            events[i] = replace(events[i], peer=source, nbytes=nbytes)
 
 
 class StreamCaptureSink(TraceSink):

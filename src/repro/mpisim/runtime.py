@@ -14,7 +14,7 @@ times, receive completions and collective completions are computed with the
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .collectives import CollectiveEngine

@@ -24,7 +24,7 @@ parent's body executed (``E_body``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.mpisim.datatypes import ANY_SOURCE
 from repro.mpisim.events import NO_PEER

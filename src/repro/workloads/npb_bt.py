@@ -11,8 +11,6 @@ Runs on perfect-square process counts (paper: 64, 121, 256, 400).
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .base import Workload, is_square, scaled
 
 SOURCE = """

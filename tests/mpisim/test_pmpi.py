@@ -107,6 +107,28 @@ func main() {
 """
 
 
+# A ring of forty nonblocking receives per rank, then rank 0 takes one
+# message from every other rank through a wildcard Irecv.
+RING_THEN_WILDCARDS = """
+func main() {
+  var rank = mpi_comm_rank();
+  var size = mpi_comm_size();
+  for (var i = 0; i < 40; i = i + 1) {
+    var r = mpi_irecv((rank + size - 1) % size, 8, 0);
+    mpi_send((rank + 1) % size, 8, 0);
+    mpi_wait(r);
+  }
+  if (rank == 0) {
+    for (var i = 1; i < size; i = i + 1) {
+      var w = mpi_irecv(-1, 8, 1);
+      mpi_wait(w);
+    }
+  } else {
+    mpi_send(0, 8, 1);
+  }
+}
+"""
+
 class TestRecordingSink:
     def test_keeps_events_only_and_no_key_for_a_silent_rank(self):
         sink = RecordingSink()
@@ -133,6 +155,32 @@ class TestRecordingSink:
         assert len(recorded) == 12
         assert all(ev.peer in (1, 2) and ev.nbytes == 8 for ev in recorded)
 
+
+    def test_resolving_a_wildcard_reads_one_event(self):
+        # Forty ordinary Irecv completions per rank and three wildcard
+        # ones: recording reads back only the three events it resolves,
+        # not the rank's list once per completion (a quadratic scan).
+        from repro.driver import run_compiled
+        from repro.static.instrument import compile_minimpi
+
+        class ReadCountingList(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                ReadCountingList.reads += 1
+                return super().__getitem__(i)
+
+        sink = RecordingSink()
+        for rank in range(4):
+            sink.events[rank] = ReadCountingList()
+        run_compiled(compile_minimpi(RING_THEN_WILDCARDS), 4, tracer=sink)
+        # Irecv, send and wait forty times a rank; then 3 Irecv + wait
+        # pairs on rank 0 and one send on each other rank.
+        assert sum(map(len, sink.events.values())) == 4 * 120 + 3 * 3
+        assert ReadCountingList.reads == 3
+        resolved = [ev.peer for ev in sink.events[0]
+                    if ev.op == "MPI_Irecv" and ev.wildcard]
+        assert sorted(resolved) == [1, 2, 3]
 
 class TestMarkersFromInterpreter:
     def test_marker_stream_matches_program_shape(self):

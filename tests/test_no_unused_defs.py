@@ -7,6 +7,12 @@ Strings, docstrings and re-export imports do not count, and neither do
 the tests.  The scan matches names, not bindings: a definition whose
 name some other object also carries (``dumps``, ``load``) passes
 unseen, so this is a floor, not a proof.
+
+Every import in a ``src/`` module is used by that module: some
+``ast.Name`` or ``ast.Attribute`` of it spells the bound name, or a
+string annotation does (a ``TYPE_CHECKING`` import read only as
+``"Runtime"``).  Package ``__init__.py`` files re-export, so they are
+not scanned.
 """
 
 import ast
@@ -85,3 +91,54 @@ def test_every_kept_name_is_still_defined_and_unused():
     defined, used = _defined(), _used()
     assert sorted(name for name in KEPT if name not in defined) == []
     assert sorted(name for name in KEPT if name in used) == []
+
+
+def _string_annotation_names(tree: ast.AST) -> set[str]:
+    """Names read inside string annotations (``x: "Runtime"``)."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, ast.AnnAssign):
+            annotation = node.annotation
+        else:
+            continue
+        for sub in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names.update(
+                    n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                    if isinstance(n, ast.Name)
+                )
+    return names
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    used = _string_annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in used:
+                    unused.append(
+                        f"{path.relative_to(ROOT)}:{node.lineno} {bound}")
+    return unused
+
+
+def test_every_import_is_used():
+    unused = [
+        where
+        for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
+        for where in _unused_imports(path)
+    ]
+    assert unused == [], f"imported but never used by the module: {unused}"
