@@ -20,11 +20,14 @@ pipeline.  The gate asserts:
 * spills > 0, reloads > 0, folds == nprocs (the soak actually soaked).
 
 ``budget.spills`` / ``budget.reloads`` / ``budget.live_bytes`` (and the
-peaks) land in ``results/bench_budget_soak.json``.
+peaks) land in ``bench_budget_soak.json`` beside the table: in the
+git-ignored ``benchmarks/out/paper/`` (the gate run, which leaves the
+checkout as committed), or in ``results/`` with ``--results``.
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import sys
@@ -39,7 +42,7 @@ from repro.mpisim.pmpi import StreamCaptureSink
 from repro.static.instrument import compile_minimpi
 from repro.workloads import WORKLOADS
 
-from .paper import RESULTS, fmt_row, write
+from .paper import OUT, RESULTS, fmt_row, write
 
 #: Scale knob per workload that yields ~100x the scale-1.0 event count
 #: (fig11 scales linearly; cg's niter and cgitmax both scale, so events
@@ -173,6 +176,13 @@ def soak_one(name: str) -> dict:
 
 
 def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--results", action="store_true",
+        help="rewrite the tracked results/bench_budget_soak.{txt,json} "
+             "instead of benchmarks/out/paper/",
+    )
+    out = RESULTS if parser.parse_args(argv).results else OUT
     results = [soak_one(name) for name in sorted(SOAK_SCALES)]
 
     widths = [8, 8, 9, 8, 8, 7, 12, 12, 6]
@@ -190,8 +200,8 @@ def main(argv=None) -> int:
             (r["rss_peak_bytes"] - r["rss_base_bytes"]) // 1024,
             r["ingest_seconds"], "ok" if r["rss_flat"] else "FAIL",
         ], widths))
-    write(RESULTS, "bench_budget_soak", lines)
-    (RESULTS / "bench_budget_soak.json").write_text(
+    write(out, "bench_budget_soak", lines)
+    (out / "bench_budget_soak.json").write_text(
         json.dumps({r["workload"]: r for r in results}, indent=2) + "\n")
     return 0
 

@@ -16,6 +16,7 @@ from repro.baselines.scalatrace2 import ScalaTrace2Compressor, merge_all_st2
 from repro.core.inter import merge_all
 from repro.core.intra import CypressConfig, IntraProcessCompressor
 from repro.core.serialize import dumps as cypress_dumps
+from repro.core.timing import stats_bytes
 from repro.driver import run_compiled
 from repro.mpisim.pmpi import MultiSink, NullSink, TimingSink
 from repro.static.instrument import compile_minimpi
@@ -181,9 +182,8 @@ def _container_estimate(ctt) -> int:
                 total += (
                     len(key[0]) + 6 * (len(key) - 1)
                     + (4 * len(key[10]) if len(key) > 10 else 0)
-                    + r.occurrences.approx_bytes()
-                    + r.duration.approx_bytes()
-                    + r.pre_gap.approx_bytes()
+                    + 2 + 6 * (1 if r.terms is None else len(r.terms))
+                    + stats_bytes(r.dur_bins) + stats_bytes(r.gap_bins)
                 )
     return total
 

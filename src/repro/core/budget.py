@@ -126,10 +126,11 @@ _VERTEX_BASE = 360       # CTTVertex slots + payload containers (a flat
 _SEQ_BASE = 120          # IntSequence object + terms list header
 _SEQ_LIVE_FACTOR = 3     # boxed terms vs packed varint estimate
 _LIST_BASE = 64
-# A record: the object, its key tuple's header and op string, and two
-# TimeStats (144 B each); then a slot per key field and its occurrence
-# terms as boxed 3-tuples.
-_RECORD_BASE = 200 + 2 * 144
+# A record: the object (its two stats blocks are slots), its key tuple's
+# header and the boxed floats of its stats; then a slot per key field,
+# and from its second occurrence term on a list of boxed 3-tuples.
+_RECORD_BASE = 280
+_TERM = 72
 # One ``params_index`` entry: the 11-field parameter tuple only the
 # index keeps alive (144 B; its elements are the key's) plus its dict
 # slot — tracemalloc says 158 B an entry on sp, 177-186 on cg / mg.
@@ -162,11 +163,10 @@ def state_live_bytes(st: RankState) -> int:
         if records is not None:
             total += _LIST_BASE + _PTR * len(records)
             for r in records:
-                total += (
-                    _RECORD_BASE
-                    + _PTR * len(r.key or ())  # None while a wildcard is pending
-                    + _SEQ_LIVE_FACTOR * r.occurrences.approx_bytes()
-                )
+                # key None while a wildcard is pending
+                total += _RECORD_BASE + _PTR * len(r.key or ())
+                if r.terms is not None:
+                    total += _LIST_BASE + _TERM * len(r.terms)
         if v.params_index is not None:
             # Every leaf owns the dict, filled or not; ``last_params``
             # is one of its tuples, not another.

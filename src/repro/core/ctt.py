@@ -234,6 +234,7 @@ class CTTShape:
         object built here is this call's own; the tables are the
         shape's."""
         new = CTTVertex.__new__
+        new_seq = object.__new__  # an empty sequence, without __init__
         vertices: list[CTTVertex] = []
         append = vertices.append
         for gid, kind, ast_id, name, op, branch_path, nonblocking in self.nodes:
@@ -251,8 +252,15 @@ class CTTShape:
                 v.loop_counts = v.visits = None
             else:
                 v.records = v.params_index = None
-                v.loop_counts = IntSequence() if kind == LOOP else None
-                v.visits = IntSequence() if kind == BRANCH else None
+                v.loop_counts = v.visits = None
+                if kind == LOOP or kind == BRANCH:
+                    seq = new_seq(IntSequence)
+                    seq.terms = []
+                    seq.length = 0
+                    if kind == LOOP:
+                        v.loop_counts = seq
+                    else:
+                        v.visits = seq
             v.children = v.group_visits = _EMPTY
             v.loop_child_by_ast_id = _EMPTY_TABLE
             v.call_children_by_op = _EMPTY_TABLE

@@ -162,11 +162,14 @@ def _schedule(records: list[CompressedRecord]) -> list[int]:
     Anything else is re-laid value by value, marking a visit nobody
     claims ``_HOLE`` and one claimed twice ``_CLASH``; the walk raises
     only if it reaches one."""
-    total = sum(count for r in records for _, count, _ in r.occurrences.terms)
+    total = sum(r.length for r in records)
     schedule = [_HOLE] * total
     sound = True
     for index, record in enumerate(records):
-        for start, count, stride in record.occurrences.terms:
+        terms = record.terms
+        if terms is None:
+            terms = ((record.start, record.length, record.stride),)
+        for start, count, stride in terms:
             if count == 1 and 0 <= start < total:
                 schedule[start] = index
                 continue
@@ -179,7 +182,7 @@ def _schedule(records: list[CompressedRecord]) -> list[int]:
         return schedule
     schedule = [_HOLE] * total
     for index, record in enumerate(records):
-        for visit in record.occurrences:
+        for visit in record.occurrences():
             if 0 <= visit < total:
                 schedule[visit] = index if schedule[visit] == _HOLE else _CLASH
     return schedule
@@ -271,7 +274,7 @@ class _Walker:
     def _unscheduled(self, vertex, visit, records, clash) -> DecompressionError:
         """The error for a visit the leaf's schedule cannot serve;
         ``cursors`` says where each record would next have replayed."""
-        nexts = [r.occurrences.first_at_least(visit) for r in records]
+        nexts = [r.occurrences().first_at_least(visit) for r in records]
         if clash:
             claimants = [i for i, nxt in enumerate(nexts) if nxt == visit]
             what = f"has more than one record for visit {visit}: {claimants} claim it"
@@ -321,7 +324,7 @@ def _events(walk: _Walker, rank: int, nranks, shared: dict) -> list:
                 op, _decode(peer_enc, rank, nranks, gid, op),
                 _decode(peer2_enc, rank, nranks, gid, op),
                 tag, tag2, nbytes, nbytes2, comm, root, wildcard, req_gids,
-                record.duration.mean, record.pre_gap.mean, gid, result_comm,
+                record.dur_mean, record.gap_mean, gid, result_comm,
             ))
             if absolute:
                 shared[id(record)] = event

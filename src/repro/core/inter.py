@@ -61,7 +61,13 @@ def _visits_signature(visits: IntSequence) -> tuple:
 
 
 def _records_signature(records: list[CompressedRecord]) -> tuple:
-    return ("R", tuple((r.key, r.occurrences.length, tuple(r.occurrences.terms)) for r in records))
+    """A leaf's records as an index key: each one's key and occurrence
+    fields (a terms list exists only from a record's second term)."""
+    return ("R", tuple([
+        (r.key, r.start, r.length, r.stride,
+         None if r.terms is None else tuple(r.terms))
+        for r in records
+    ]))
 
 
 def _leaf_signature(
@@ -86,8 +92,11 @@ def _leaf_signature(
             ):
                 records = _abs_fallback_records(records, rank, nranks)
                 return records, _records_signature(records)
-        occ = record.occurrences
-        parts.append((key, occ.length, tuple(occ.terms)))
+        terms = record.terms  # as _records_signature
+        parts.append((
+            key, record.start, record.length, record.stride,
+            None if terms is None else tuple(terms),
+        ))
     return records, ("R", tuple(parts))
 
 
@@ -204,9 +213,8 @@ class Group:
         if not self._owns_records:
             first = [r.copy() for r in first]
             self._owns_records = True
-        for i, mine in enumerate(first):
-            mine.duration.merge_many([recs[i].duration for recs in rest])
-            mine.pre_gap.merge_many([recs[i].pre_gap for recs in rest])
+        for mine, others in zip(first, zip(*rest)):
+            mine.merge_stats(others)
         return first
 
     def finalize(self) -> None:
@@ -391,8 +399,9 @@ class MergedCTT:
         Folding ranks one at a time, finalizing after each, is
         byte-identical to :func:`merge_all` over the same ranks: the
         next rank reopens each group it joins from the records the last
-        finalize left, and ``TimeStats.merge_many`` over one source is
-        the same float operations as one step of the batch fold.
+        finalize left, and ``CompressedRecord.merge_stats`` over one
+        source is the same float operations as one step of the batch
+        fold.
         """
         return self.add_rank(ctt, nranks).finalize()
 

@@ -98,6 +98,7 @@ from .ctt import CTT, CTTShape, CTTVertex
 from .errors import StreamMismatchError
 from .quarantine import QuarantinedRank, QuarantineReport
 from .records import CompressedRecord, event_key, key_params
+from .sequences import append_term
 from .timing import MEANSTD, check_mode
 
 
@@ -130,8 +131,8 @@ class CypressConfig:
     spill_dir: str | None = None  # spill-container home (budget mode)
 
     def __post_init__(self) -> None:
-        # Checked here, once: the record-commit path builds its
-        # TimeStats without re-validating the mode per record.
+        # Checked here, once: the record-commit path fills a record's
+        # stats slots without re-validating the mode per record.
         check_mode(self.timing_mode)
 
 
@@ -468,29 +469,6 @@ class IntraProcessCompressor(TraceSink):
             f"gid={cur.gid} ({cur.kind})"
         )
 
-    def _commit_unseen(
-        self,
-        st: RankState,
-        leaf: CTTVertex,
-        ev: CommEvent,
-        params: tuple,
-        visit: int,
-        duration: float,
-        gap: float,
-    ) -> None:
-        """Unbounded-window commit of an event whose parameter tuple the
-        leaf's ``params_index`` does not hold — a first occurrence, and
-        the one place the walk builds a key."""
-        self.m_key_build += 1
-        record = CompressedRecord.first(
-            event_key(ev, st.rank, self._relative, params[3]),
-            visit, duration, gap, self._timing_mode,
-        )
-        leaf.records.append(record)
-        leaf.params_index[params] = record
-        leaf.last_params = params
-        leaf.last_record = record
-
     def _ingest_pending(
         self,
         st: RankState,
@@ -631,8 +609,8 @@ class IntraProcessCompressor(TraceSink):
         # The dominant opcodes are handled inline.  An event is
         # dispatched and committed here, whatever the MPI call: one leaf
         # lookup, its requests, one parameter tuple, and the record it
-        # already has.  Only a parameter set with no record yet, a
-        # wildcard Irecv and the bounded window leave the loop.  Branch
+        # already has, or a new one.  Only a wildcard Irecv and the
+        # bounded window leave the loop.  Branch
         # enter is whole here; branch exit and loop iter fall back to
         # the handler that raises *before* any state has been mutated.
         # ``stack``, ``root`` and the request table can be hoisted: they
@@ -642,6 +620,10 @@ class IntraProcessCompressor(TraceSink):
         req_gid = st.req_gid
         pending = st.pending
         unbounded = self._window_unbounded
+        rank = st.rank
+        relative = self._relative
+        timing_mode = self._timing_mode
+        first = CompressedRecord.first
         for item in stream:
             code = item[0]
             if code == OP_EVENT:
@@ -730,53 +712,64 @@ class IntraProcessCompressor(TraceSink):
                 else:
                     record = leaf.params_index.get(params)
                     if record is None:
-                        self._commit_unseen(
-                            st, leaf, ev, params, visit, duration, gap
+                        # A first occurrence: the one place the walk
+                        # builds a key.
+                        self.m_key_build += 1
+                        record = first(
+                            event_key(ev, rank, relative, req_gids),
+                            visit, duration, gap, timing_mode,
                         )
+                        leaf.records.append(record)
+                        leaf.params_index[params] = record
+                        leaf.last_params = params
+                        leaf.last_record = record
                         continue
                     leaf.last_params = params
                     leaf.last_record = record
-                # IntSequence.append's two common cases and
-                # TimeStats.add in the meanstd mode, inlined (same float
-                # ops as record.add_occurrence).
-                occ = record.occurrences
-                terms = occ.terms
-                if terms:
+                # CompressedRecord.add_occurrence with its common cases
+                # in line: the record's one term or its last listed one
+                # extends, and in the meanstd mode both stats blocks
+                # take timing.add_sample's float ops.
+                terms = record.terms
+                if terms is None:
+                    n = record.length
+                    if n == 1:
+                        record.stride = visit - record.start
+                    elif visit != record.start + n * record.stride:
+                        record.terms = terms = [
+                            (record.start, n, record.stride)
+                        ]
+                        record.start = record.stride = 0
+                        append_term(terms, visit)
+                    record.length = n + 1
+                else:
                     s0, c0, d0 = terms[-1]
                     if c0 == 1:
                         terms[-1] = (s0, 2, visit - s0)
-                        occ.length += 1
                     elif visit == s0 + c0 * d0:
                         terms[-1] = (s0, c0 + 1, d0)
-                        occ.length += 1
                     else:
-                        occ.append(visit)
+                        append_term(terms, visit)
+                    record.length += 1
+                if record.dur_bins is None:
+                    record.dur_count = n = record.dur_count + 1
+                    delta = duration - record.dur_mean
+                    record.dur_mean = mean = record.dur_mean + delta / n
+                    record.dur_m2 += delta * (duration - mean)
+                    if duration < record.dur_min:
+                        record.dur_min = duration
+                    if duration > record.dur_max:
+                        record.dur_max = duration
+                    record.gap_count = n = record.gap_count + 1
+                    delta = gap - record.gap_mean
+                    record.gap_mean = mean = record.gap_mean + delta / n
+                    record.gap_m2 += delta * (gap - mean)
+                    if gap < record.gap_min:
+                        record.gap_min = gap
+                    if gap > record.gap_max:
+                        record.gap_max = gap
                 else:
-                    occ.append(visit)
-                stats = record.duration
-                if stats.bins is None:
-                    stats.count = n = stats.count + 1
-                    delta = duration - stats.mean
-                    stats.mean += delta / n
-                    stats.m2 += delta * (duration - stats.mean)
-                    if duration < stats.minimum:
-                        stats.minimum = duration
-                    if duration > stats.maximum:
-                        stats.maximum = duration
-                else:
-                    stats.add(duration)
-                stats = record.pre_gap
-                if stats.bins is None:
-                    stats.count = n = stats.count + 1
-                    delta = gap - stats.mean
-                    stats.mean += delta / n
-                    stats.m2 += delta * (gap - stats.mean)
-                    if gap < stats.minimum:
-                        stats.minimum = gap
-                    if gap > stats.maximum:
-                        stats.maximum = gap
-                else:
-                    stats.add(gap)
+                    record.add_times(duration, gap)
             elif code == OP_BRANCH_ENTER:
                 # The group at or after search_pos, else the first one
                 # (wrap-around); a pruned structure or path pushes a

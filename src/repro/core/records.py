@@ -4,7 +4,7 @@ A :class:`CompressedRecord` is one distinct parameter set observed at a
 leaf, together with
 
 * the set of *occurrence indices* (which visits of this leaf used these
-  parameters) as a stride-compressed :class:`IntSequence`;
+  parameters) as stride terms;
 * timing statistics for the call duration; and
 * timing statistics for the *pre-gap* — the computation time between the
   end of the previous MPI event on the rank and the start of this one.
@@ -15,10 +15,12 @@ The record key contains every parameter except time (paper §IV-A), with
 peers in relative encoding and raw request handles replaced by the GIDs of
 the vertices that created them (paper Fig. 12).
 
-Records are ``__slots__`` classes: one is touched per MPI event on the
-tracer's hot path, whose repeated-event commit lives in line in
-:meth:`repro.core.intra.IntraProcessCompressor._walk`;
-:meth:`CompressedRecord.first` inlines a first occurrence the same way.
+A record is one ``__slots__`` object, since on wide-rank traces nearly
+every event is the first of its parameter set on its rank: both stats
+blocks are slots of the record, and its occurrence sequence keeps its
+one term in the record until a second one opens a ``terms`` list.  The
+walk commits a repeated event in line
+(:meth:`repro.core.intra.IntraProcessCompressor._walk`).
 
 :func:`event_key` builds a record's key from a traced event, and
 :func:`key_params` turns a key back into the walk's parameter tuple —
@@ -27,12 +29,14 @@ the two directions of one layout, kept together here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .ranks import decode_peer, encode_peer
-from .sequences import IntSequence
-from .timing import MEANSTD, TimeStats
+from .sequences import IntSequence, append_term
+from .timing import MEANSTD, add_sample, first_bins, fold_stats
 
 _new = object.__new__
 
@@ -43,11 +47,38 @@ RecordKey = tuple
 
 @dataclass(slots=True)
 class CompressedRecord:
+    """One parameter set at one leaf.
+
+    Occurrences: while ``terms`` is ``None`` the sequence is the one
+    stride term ``(start, length, stride)``; from the second term on
+    ``terms`` lists every term, ``start`` and ``stride`` are 0, and
+    ``length`` stays the number of occurrences (an empty record has
+    ``terms == []``).  Each stats block is ``count``, ``mean``, ``m2``
+    (Welford), ``min``, ``max`` and, in the histogram timing mode only,
+    ``bins`` (``None`` in ``meanstd``)."""
+
     key: RecordKey
-    occurrences: IntSequence = field(default_factory=IntSequence)
-    duration: TimeStats = field(default_factory=TimeStats)
-    pre_gap: TimeStats = field(default_factory=TimeStats)
     pending: bool = False  # wildcard receive awaiting source resolution
+    start: int = 0
+    length: int = 0
+    stride: int = 0
+    terms: list | None = None
+    dur_count: int = 0
+    dur_mean: float = 0.0
+    dur_m2: float = 0.0
+    dur_min: float = math.inf
+    dur_max: float = -math.inf
+    dur_bins: list[int] | None = None
+    gap_count: int = 0
+    gap_mean: float = 0.0
+    gap_m2: float = 0.0
+    gap_min: float = math.inf
+    gap_max: float = -math.inf
+    gap_bins: list[int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.terms is None and not self.length:
+            self.terms = []  # no occurrence yet
 
     @classmethod
     def first(
@@ -60,53 +91,105 @@ class CompressedRecord:
         pending: bool = False,
     ) -> "CompressedRecord":
         """A record at its first occurrence, built in one step with its
-        contents known: bit-identical to an empty record in timing
-        ``mode`` followed by ``add_occurrence(index, duration_us,
-        gap_us)``.  What a first-seen parameter set costs — on wide-rank
-        traces that is nearly every event — so it inlines the meanstd
-        case (:meth:`TimeStats.first` is the reference) and writes the
-        slots without going through the dataclass ``__init__`` chain.
-        ``mode`` is trusted."""
+        slots written directly: bit-identical to an empty record in
+        timing ``mode`` followed by ``add_occurrence(index,
+        duration_us, gap_us)`` (Welford at n = 1 is ``mean = 0.0 + us``,
+        ``m2 = 0.0``, ``min = max = us`` for finite ``us``).  What a
+        first-seen parameter set costs — on wide-rank traces that is
+        nearly every event.  ``mode`` is trusted: it was checked where
+        it entered (:class:`~repro.core.intra.CypressConfig`)."""
         rec = _new(cls)
         rec.key = key
-        rec.occurrences = occ = _new(IntSequence)
-        occ.terms = [(index, 1, 0)]
-        occ.length = 1
-        if mode == MEANSTD:
-            rec.duration = stats = _new(TimeStats)
-            stats.mode = mode
-            stats.count = 1
-            stats.mean = 0.0 + duration_us
-            stats.m2 = 0.0
-            stats.minimum = stats.maximum = duration_us
-            stats.bins = None
-            rec.pre_gap = stats = _new(TimeStats)
-            stats.mode = mode
-            stats.count = 1
-            stats.mean = 0.0 + gap_us
-            stats.m2 = 0.0
-            stats.minimum = stats.maximum = gap_us
-            stats.bins = None
-        else:
-            rec.duration = TimeStats.first(mode, duration_us)
-            rec.pre_gap = TimeStats.first(mode, gap_us)
         rec.pending = pending
+        rec.start = index
+        rec.length = 1
+        rec.stride = 0
+        rec.terms = None
+        rec.dur_count = 1
+        rec.dur_mean = 0.0 + duration_us
+        rec.dur_m2 = 0.0
+        rec.dur_min = rec.dur_max = duration_us
+        rec.gap_count = 1
+        rec.gap_mean = 0.0 + gap_us
+        rec.gap_m2 = 0.0
+        rec.gap_min = rec.gap_max = gap_us
+        if mode == MEANSTD:
+            rec.dur_bins = rec.gap_bins = None
+        else:
+            rec.dur_bins = first_bins(duration_us)
+            rec.gap_bins = first_bins(gap_us)
         return rec
-
-    @property
-    def count(self) -> int:
-        return len(self.occurrences)
 
     @property
     def op(self) -> str:
         return self.key[0]
 
+    def occurrences(self) -> IntSequence:
+        """The occurrence indices as a sequence of their own (a copy,
+        for readers off the commit path)."""
+        terms = self.terms
+        if terms is None:
+            terms = [(self.start, self.length, self.stride)]
+        return IntSequence(list(terms), self.length)
+
+    def set_occurrences(self, seq: IntSequence) -> None:
+        """Make ``seq`` the occurrence indices (its terms list is kept
+        when it has other than one term)."""
+        terms = seq.terms
+        self.length = seq.length
+        if len(terms) == 1:
+            (self.start, _, self.stride), = terms
+            self.terms = None
+        else:
+            self.start = self.stride = 0
+            self.terms = terms
+
     def add_occurrence(self, index: int, duration_us: float, gap_us: float) -> None:
         """One more occurrence.  The walk commits a repeated event in
         line with the same operations; this is the bounded window's."""
-        self.occurrences.append(index)
-        self.duration.add(duration_us)
-        self.pre_gap.add(gap_us)
+        terms = self.terms
+        n = self.length
+        if terms is not None:
+            if terms:
+                append_term(terms, index)
+            else:
+                self.start = index
+                self.terms = None
+        elif n == 1:
+            self.stride = index - self.start
+        elif index != self.start + n * self.stride:
+            self.terms = terms = [(self.start, n, self.stride)]
+            self.start = self.stride = 0
+            append_term(terms, index)
+        self.length = n + 1
+        self.add_times(duration_us, gap_us)
+
+    def add_times(self, duration_us: float, gap_us: float) -> None:
+        """One more sample in each stats block (:func:`add_sample`)."""
+        (self.dur_count, self.dur_mean, self.dur_m2, self.dur_min,
+         self.dur_max) = add_sample(
+            self.dur_count, self.dur_mean, self.dur_m2, self.dur_min,
+            self.dur_max, self.dur_bins, duration_us,
+        )
+        (self.gap_count, self.gap_mean, self.gap_m2, self.gap_min,
+         self.gap_max) = add_sample(
+            self.gap_count, self.gap_mean, self.gap_m2, self.gap_min,
+            self.gap_max, self.gap_bins, gap_us,
+        )
+
+    def merge_stats(self, others) -> None:
+        """Fold the stats blocks of ``others`` (records) in, in order
+        (:func:`fold_stats`): the inter-process merge of one record."""
+        (self.dur_count, self.dur_mean, self.dur_m2, self.dur_min,
+         self.dur_max, self.dur_bins) = fold_stats(
+            self.dur_count, self.dur_mean, self.dur_m2, self.dur_min,
+            self.dur_max, self.dur_bins, map(_DURATION, others),
+        )
+        (self.gap_count, self.gap_mean, self.gap_m2, self.gap_min,
+         self.gap_max, self.gap_bins) = fold_stats(
+            self.gap_count, self.gap_mean, self.gap_m2, self.gap_min,
+            self.gap_max, self.gap_bins, map(_GAP, others),
+        )
 
     def merge_from(self, other: "CompressedRecord") -> None:
         """Fold another record with the same key into this one (intra-rank
@@ -115,28 +198,55 @@ class CompressedRecord:
         visit index than occurrences already merged, and replay cursors
         require monotone sequences."""
         assert self.key == other.key
-        mine = self.occurrences.to_list()
-        theirs = other.occurrences.to_list()
+        seq = self.occurrences()
+        mine = seq.to_list()
+        theirs = other.occurrences().to_list()
         if not mine or not theirs or mine[-1] < theirs[0]:
-            self.occurrences.extend(theirs)
+            seq.extend(theirs)
         else:
-            merged = sorted(mine + theirs)
-            self.occurrences = IntSequence.from_values(merged)
-        self.duration.merge(other.duration)
-        self.pre_gap.merge(other.pre_gap)
+            seq = IntSequence.from_values(sorted(mine + theirs))
+        self.set_occurrences(seq)
+        self.merge_stats((other,))
 
     def copy(self) -> "CompressedRecord":
         """An independent copy, filled slot by slot as :meth:`first`
         does (the merge copies every record of a group it does not own)."""
         rec = _new(CompressedRecord)
         rec.key = self.key
-        rec.occurrences = occ = _new(IntSequence)
-        occ.terms = self.occurrences.terms.copy()
-        occ.length = self.occurrences.length
-        rec.duration = self.duration.copy()
-        rec.pre_gap = self.pre_gap.copy()
         rec.pending = self.pending
+        rec.start = self.start
+        rec.length = self.length
+        rec.stride = self.stride
+        rec.terms = None if self.terms is None else self.terms.copy()
+        (rec.dur_count, rec.dur_mean, rec.dur_m2, rec.dur_min, rec.dur_max,
+         bins) = _DURATION(self)
+        rec.dur_bins = None if bins is None else bins.copy()
+        (rec.gap_count, rec.gap_mean, rec.gap_m2, rec.gap_min, rec.gap_max,
+         bins) = _GAP(self)
+        rec.gap_bins = None if bins is None else bins.copy()
         return rec
+
+
+_DURATION = attrgetter(
+    "dur_count", "dur_mean", "dur_m2", "dur_min", "dur_max", "dur_bins"
+)
+_GAP = attrgetter(
+    "gap_count", "gap_mean", "gap_m2", "gap_min", "gap_max", "gap_bins"
+)
+
+
+class StatsEntry(NamedTuple):
+    """One stats block as a value: a loaded chunk's stats-table entry
+    (``serialize.LeafReader``), and what a :class:`LeafView`'s
+    ``durations`` / ``gaps`` columns hold — named like a record's stats
+    slots (``bins`` ``None`` but in the histogram mode)."""
+
+    count: int
+    mean: float
+    m2: float
+    minimum: float
+    maximum: float
+    bins: list[int] | None
 
 
 class LeafView(NamedTuple):
@@ -150,8 +260,8 @@ class LeafView(NamedTuple):
     lengths: list[int]  # occurrences (per member rank)
     nbytes: list[int]
     nbytes2: list[int]
-    durations: list  # ``.mean`` / ``.count`` holders (group-wide)
-    gaps: list
+    durations: list[StatsEntry]  # group-wide
+    gaps: list[StatsEntry]
     peers: list  # encoded destinations (``key[1]``)
 
     @classmethod
@@ -167,10 +277,10 @@ class LeafView(NamedTuple):
         keys = [rec.key for rec in records]
         return cls.of(
             [key[0] for key in keys],
-            [rec.occurrences.length for rec in records],
+            [rec.length for rec in records],
             [key[5] for key in keys], [key[6] for key in keys],
-            [rec.duration for rec in records],
-            [rec.pre_gap for rec in records],
+            list(map(StatsEntry._make, map(_DURATION, records))),
+            list(map(StatsEntry._make, map(_GAP, records))),
             [key[1] for key in keys],
         )
 

@@ -23,6 +23,48 @@ from itertools import accumulate
 from typing import Iterable, Iterator
 
 
+def append_term(terms: list[tuple[int, int, int]], value: int) -> None:
+    """Append ``value`` to the stride ``terms`` of a sequence: it
+    extends the last term or opens a new one (what
+    :meth:`IntSequence.append` and a record's occurrence terms do)."""
+    if not terms:
+        terms.append((value, 1, 0))
+        return
+    start, count, stride = terms[-1]
+    if count == 1:
+        # A singleton can absorb any second value by fixing its stride.
+        terms[-1] = (start, 2, value - start)
+        return
+    if value == start + count * stride:
+        terms[-1] = (start, count + 1, stride)
+        return
+    if count == 2:
+        # A two-element term whose continuation fails donates its second
+        # element to pair with the new value: the greedy singleton-absorb
+        # above may have captured the head of an arithmetic run under the
+        # wrong stride (`0,5,6,7,8` must become `0 | <5,8,1>`, not
+        # `<0,5,5> | <6,8,1>`).  The leftover first element folds into
+        # the previous term when it continues it, so repair chains stay
+        # term-count-neutral on alternating patterns like 0,0,1,1,2,2.
+        second = start + stride
+        new_stride = value - second
+        if new_stride != stride:
+            if len(terms) >= 2:
+                p_start, p_count, p_stride = terms[-2]
+                if p_count == 1:
+                    terms[-2] = (p_start, 2, start - p_start)
+                    terms[-1] = (second, 2, new_stride)
+                    return
+                if start == p_start + p_count * p_stride:
+                    terms[-2] = (p_start, p_count + 1, p_stride)
+                    terms[-1] = (second, 2, new_stride)
+                    return
+            terms[-1] = (start, 1, 0)
+            terms.append((second, 2, new_stride))
+            return
+    terms.append((value, 1, 0))
+
+
 @dataclass(slots=True)
 class IntSequence:
     """An append-only integer sequence stored as stride terms.
@@ -37,43 +79,7 @@ class IntSequence:
 
     def append(self, value: int) -> None:
         self.length += 1
-        terms = self.terms
-        if not terms:
-            terms.append((value, 1, 0))
-            return
-        start, count, stride = terms[-1]
-        if count == 1:
-            # A singleton can absorb any second value by fixing its stride.
-            terms[-1] = (start, 2, value - start)
-            return
-        if value == start + count * stride:
-            terms[-1] = (start, count + 1, stride)
-            return
-        if count == 2:
-            # A two-element term whose continuation fails donates its second
-            # element to pair with the new value: the greedy singleton-absorb
-            # above may have captured the head of an arithmetic run under the
-            # wrong stride (`0,5,6,7,8` must become `0 | <5,8,1>`, not
-            # `<0,5,5> | <6,8,1>`).  The leftover first element folds into
-            # the previous term when it continues it, so repair chains stay
-            # term-count-neutral on alternating patterns like 0,0,1,1,2,2.
-            second = start + stride
-            new_stride = value - second
-            if new_stride != stride:
-                if len(terms) >= 2:
-                    p_start, p_count, p_stride = terms[-2]
-                    if p_count == 1:
-                        terms[-2] = (p_start, 2, start - p_start)
-                        terms[-1] = (second, 2, new_stride)
-                        return
-                    if start == p_start + p_count * p_stride:
-                        terms[-2] = (p_start, p_count + 1, p_stride)
-                        terms[-1] = (second, 2, new_stride)
-                        return
-                terms[-1] = (start, 1, 0)
-                terms.append((second, 2, new_stride))
-                return
-        terms.append((value, 1, 0))
+        append_term(self.terms, value)
 
     def extend(self, values: Iterable[int]) -> None:
         for v in values:

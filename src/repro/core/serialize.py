@@ -73,7 +73,6 @@ import gzip as _gzip
 import os
 import struct
 import zlib
-from collections import namedtuple
 from itertools import (
     accumulate, count as _naturals, islice, repeat, starmap,
 )
@@ -86,9 +85,9 @@ from repro.static.cst import BRANCH, CALL, LOOP, ROOT
 from .errors import TraceFormatError
 from .inter import Group, MergedCTT, MergedVertex
 from .ranks import ABS, REL
-from .records import CompressedRecord, LeafView
+from .records import CompressedRecord, LeafView, StatsEntry
 from .sequences import MAX_DEPTH, IntSequence, expand, nest
-from .timing import _NBINS, HIST, MEANSTD, TimeStats
+from .timing import _NBINS
 
 _MAGIC = b"CYTR"
 _VERSION = 8
@@ -501,15 +500,19 @@ class LeafWriter:
             items = self._nested[key] = nest(terms)
         return items
 
-    def add(self, st: TimeStats) -> int:
-        """The table index of ``st``, appended on first use: form 2 when
-        mean, minimum and maximum are one value bit for bit and ``m2``
-        is ``+0.0`` (a histogram keeps its bins in form 1)."""
-        count = st.count
-        low, high = (st.minimum, st.maximum) if count else (0.0, 0.0)
-        hist = st.mode == HIST
-        doubles = _pack_4d(st.mean, st.m2, low, high)
-        key = (count, doubles, tuple(st.bins) if hist else None)
+    def add(
+        self, count: int, mean: float, m2: float, low: float, high: float,
+        bins: list[int] | None,
+    ) -> int:
+        """The table index of one stats block (a record's duration or
+        pre-gap slots), appended on first use: form 2 when mean, minimum
+        and maximum are one value bit for bit and ``m2`` is ``+0.0`` (a
+        histogram keeps its bins in form 1)."""
+        if not count:
+            low = high = 0.0
+        hist = bins is not None
+        doubles = _pack_4d(mean, m2, low, high)
+        key = (count, doubles, tuple(bins) if hist else None)
         index = self.index
         at = index.get(key)
         if at is None:
@@ -520,7 +523,7 @@ class LeafWriter:
                 w.u(_FORM_HIST)
                 w.u(count)
                 w.raw(doubles)
-                nonzero = [(i, b) for i, b in enumerate(st.bins) if b]
+                nonzero = [(i, b) for i, b in enumerate(bins) if b]
                 w.u(len(nonzero))
                 for i, b in nonzero:
                     w.u(i)
@@ -537,6 +540,16 @@ class LeafWriter:
                 w.u(count)
                 w.raw(doubles)
         return at
+
+    def add_record(self, rec: CompressedRecord) -> tuple[int, int]:
+        """The table indices of ``rec``'s duration and pre-gap blocks
+        (:meth:`add`, duration first)."""
+        return (
+            self.add(rec.dur_count, rec.dur_mean, rec.dur_m2, rec.dur_min,
+                     rec.dur_max, rec.dur_bins),
+            self.add(rec.gap_count, rec.gap_mean, rec.gap_m2, rec.gap_min,
+                     rec.gap_max, rec.gap_bins),
+        )
 
     def leaf(self, w: ByteWriter, op: str | None, records: list) -> None:
         """Append the leaf block of ``records`` at a vertex of ``op``."""
@@ -555,7 +568,7 @@ class LeafWriter:
 
 
 def _is_scalar(rec: CompressedRecord) -> bool:
-    return len(rec.occurrences.terms) <= 1 and len(rec.key[10]) <= 1
+    return not rec.terms and len(rec.key[10]) <= 1
 
 
 def _write_row(
@@ -567,17 +580,18 @@ def _write_row(
     fields.  Returns this row's fields."""
     (op, (mode, peer), (mode2, peer2), tag, tag2, nbytes, nbytes2, comm,
      root, wildcard, gids, result_comm) = rec.key
-    terms = rec.occurrences.terms
     count = previous[_C_COUNT]
     stride = previous[_C_STRIDE]
     start = previous[_C_START]
-    if terms:
-        (at, count, stride), = terms
+    if rec.terms is None:  # one term
+        nterms = 1
+        at, count, stride = rec.start, rec.length, rec.stride
         if start is not None or at != position:
             start = at  # else unwritten so far: the record's position
+    else:
+        nterms = 0
     fields = [  # in column order
-        stats.add(rec.duration), stats.add(rec.pre_gap),
-        0 if mode == ABS else 1, peer, tag, nbytes, len(terms), count,
+        *stats.add_record(rec), 0 if mode == ABS else 1, peer, tag, nbytes, nterms, count,
         stride, start, comm, root, len(gids),
         gids[0] if gids else previous[_C_GIDS], 1 if wildcard else 0,
         0 if mode2 == ABS else 1, peer2, tag2, nbytes2, result_comm,
@@ -603,19 +617,24 @@ def _leaf_columns(
     per column."""
     (ops, peers, peers2, tags, tags2, nbytes, nbytes2, comms, roots,
      wildcards, gids, result_comms) = zip(*[rec.key for rec in records])
-    terms = [rec.occurrences.terms for rec in records]
-    flat = [term for seq in terms for term in seq]
+    flat = []
+    nterms = []
+    for rec in records:
+        terms = rec.terms
+        if terms is None:
+            flat.append((rec.start, rec.length, rec.stride))
+            nterms.append(1)
+        else:
+            flat.extend(terms)
+            nterms.append(len(terms))
     starts, counts, strides = zip(*flat) if flat else ((), (), ())
-    durations = []
-    gaps = []
-    for rec in records:  # first use: duration, then pre-gap, a record
-        durations.append(stats.add(rec.duration))
-        gaps.append(stats.add(rec.pre_gap))
+    # first use: duration, then pre-gap, a record
+    durations, gaps = zip(*map(stats.add_record, records))
     return [  # in column order
         durations, gaps,
         [0 if mode == ABS else 1 for mode, _ in peers],
         [value for _, value in peers],
-        tags, nbytes, [len(seq) for seq in terms], counts, strides, starts,
+        tags, nbytes, nterms, counts, strides, starts,
         comms, roots, [len(g) for g in gids],
         [gid for g in gids for gid in g],
         [1 if wc else 0 for wc in wildcards],
@@ -707,31 +726,29 @@ def _write_leaf(
         _write_columns(w, cols, defaults, longest, stats)
 
 
-#: One block of a chunk's stats table, named like the
-#: :class:`TimeStats` slots it fills.
-StatsEntry = namedtuple(
-    "StatsEntry", "mode count mean m2 minimum maximum bins"
-)
-
-
 def _new_record(
-    key: tuple, terms: list, length: int, duration: tuple, gap: tuple
+    key: tuple, terms, length: int, duration: tuple, gap: tuple
 ) -> CompressedRecord:
     """A loaded record, filled slot by slot as
     :meth:`CompressedRecord.first` does, its stats copied out of two
-    table entries."""
+    table entries.  ``terms``: a one-term sequence, or a list of any
+    other number of terms (the record keeps the list)."""
     rec = _new(CompressedRecord)
     rec.key = key
-    rec.occurrences = occ = _new(IntSequence)
-    occ.terms = terms
-    occ.length = length
-    rec.duration = st = _new(TimeStats)
-    st.mode, st.count, st.mean, st.m2, st.minimum, st.maximum, bins = duration
-    st.bins = bins and list(bins)
-    rec.pre_gap = st = _new(TimeStats)
-    st.mode, st.count, st.mean, st.m2, st.minimum, st.maximum, bins = gap
-    st.bins = bins and list(bins)
     rec.pending = False
+    rec.length = length
+    if len(terms) == 1:
+        (rec.start, _, rec.stride), = terms
+        rec.terms = None
+    else:
+        rec.start = rec.stride = 0
+        rec.terms = terms
+    (rec.dur_count, rec.dur_mean, rec.dur_m2, rec.dur_min, rec.dur_max,
+     bins) = duration
+    rec.dur_bins = bins and list(bins)
+    (rec.gap_count, rec.gap_mean, rec.gap_m2, rec.gap_min, rec.gap_max,
+     bins) = gap
+    rec.gap_bins = bins and list(bins)
     return rec
 
 
@@ -876,7 +893,7 @@ class LeafColumns:
             starts = repeat(starts)
         terms = zip(starts, column(_C_COUNT), column(_C_STRIDE))
         if self._one_term_each():
-            terms = map(list, zip(terms))
+            terms = zip(terms)
         else:
             terms = [list(islice(terms, k)) for k in self._spread(_C_NTERMS)]
         return zip(
@@ -1126,8 +1143,8 @@ class LeafReader:
                 f"stats table declares {nblocks} block(s) with {room} "
                 f"byte(s) left in the chunk"
             )
-        # Slot tuples ``(mode, count, mean, m2, minimum, maximum, bins)``:
-        # every record gets its own :class:`TimeStats` filled from one,
+        # Slot tuples ``(count, mean, m2, minimum, maximum, bins)``:
+        # every record's stats slots are filled from one (bins copied),
         # so loaded records share no mutable state.
         table = []
         forms = set()
@@ -1139,7 +1156,7 @@ class LeafReader:
                 value, = _unpack_double(data, pos)
                 pos += 8
                 table.append(
-                    StatsEntry(MEANSTD, count, value, 0.0, value, value, None)
+                    StatsEntry(count, value, 0.0, value, value, None)
                 )
                 continue
             if form > _FORM_ONE:
@@ -1154,9 +1171,7 @@ class LeafReader:
                     i, pos = _uvarint(data, pos)
                     bins[i], pos = _uvarint(data, pos)
             table.append(
-                StatsEntry(
-                    MEANSTD if bins is None else HIST, count, *doubles, bins
-                )
+                StatsEntry(count, *doubles, bins)
             )
         if _FORM_HIST in forms and len(forms) > 1:
             # A trace has one timing mode: a histogram block beside a
@@ -1459,7 +1474,7 @@ def _publish_dump_metrics(
             records = group.records
             if records:
                 nrecords += len(records)
-                per_rank = sum(rec.occurrences.length for rec in records)
+                per_rank = sum(rec.length for rec in records)
                 events += per_rank * len(group.ranks)
     registry.counter_add("serialize.bytes.header", header_bytes)
     registry.counter_add("serialize.bytes.topology", topology_bytes)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 MEANSTD = "meanstd"
 HIST = "hist"
@@ -37,14 +38,86 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"unknown timing mode {mode!r}")
 
 
+def first_bins(us: float) -> list[int]:
+    """A histogram holding the one sample ``us``."""
+    bins = [0] * _NBINS
+    bins[_bin_index(us)] = 1
+    return bins
+
+
+def add_sample(
+    count: int, mean: float, m2: float, minimum: float, maximum: float,
+    bins: list[int] | None, us: float,
+) -> tuple[int, float, float, float, float]:
+    """One sample ``us`` into a stats block: Welford's online update of
+    ``(count, mean, m2)`` and the extremes, returned; a histogram's
+    ``bins`` count it in place.  :class:`TimeStats` and a record's
+    stats slots (:class:`~repro.core.records.CompressedRecord`) both
+    add through here; the walk inlines the meanstd case."""
+    count += 1
+    delta = us - mean
+    mean += delta / count
+    m2 += delta * (us - mean)
+    if us < minimum:
+        minimum = us
+    if us > maximum:
+        maximum = us
+    if bins is not None:
+        bins[_bin_index(us)] += 1
+    return count, mean, m2, minimum, maximum
+
+
+def fold_stats(
+    count: int, mean: float, m2: float, minimum: float, maximum: float,
+    bins: list[int] | None, others,
+) -> tuple:
+    """A stats block with ``others`` folded in, in order — Chan et al.'s
+    pairwise update, on locals.  ``others`` yields ``(count, mean, m2,
+    minimum, maximum, bins)``; a histogram block (``bins`` a list) folds
+    only histogram blocks.  Returns the six fields."""
+    for n2, mean2, m22, minimum2, maximum2, bins2 in others:
+        if (bins2 is None) != (bins is None):
+            raise ValueError("cannot merge time stats of different modes")
+        if n2 == 0:
+            continue
+        if count == 0:
+            count = n2
+            mean = mean2
+            m2 = m22
+            minimum = minimum2
+            maximum = maximum2
+            if bins is not None:
+                bins = list(bins2)
+            continue
+        delta = mean2 - mean
+        total = count + n2
+        mean += delta * n2 / total
+        m2 += m22 + delta * delta * count * n2 / total
+        count = total
+        if minimum2 < minimum:
+            minimum = minimum2
+        if maximum2 > maximum:
+            maximum = maximum2
+        if bins is not None:
+            bins = [a + b for a, b in zip(bins, bins2)]
+    return count, mean, m2, minimum, maximum, bins
+
+
+def stats_bytes(bins: list[int] | None) -> int:
+    """Serialized footprint estimate of a stats block: count, four
+    doubles, and a histogram's nonzero bins."""
+    base = 4 + 8 * 4  # count + mean/m2/min/max
+    if bins is not None:
+        base += sum(1 for b in bins if b) * 5 + 2  # sparse bins
+    return base
+
+
 @dataclass(slots=True)
 class TimeStats:
-    """Aggregated timing of one (merged) communication record.
-
-    ``__slots__`` (via ``dataclass(slots=True)``) keeps the per-record
-    footprint small and attribute access monomorphic — ``add`` runs once
-    per MPI event on the tracer's critical path (twice: duration and
-    pre-gap), so there is no instance ``__dict__`` to chase."""
+    """Aggregated timing of one baseline trace term (the ScalaTrace
+    comparison compressors keep one per term).  A CYPRESS record holds
+    the same six fields as slots of its own; both go through
+    :func:`add_sample` and :func:`fold_stats`."""
 
     mode: str = MEANSTD
     count: int = 0
@@ -59,42 +132,14 @@ class TimeStats:
         if self.mode == HIST and self.bins is None:
             self.bins = [0] * _NBINS
 
-    @classmethod
-    def first(cls, mode: str, us: float) -> "TimeStats":
-        """The stats of one sample, built in one step: bit-identical to
-        ``TimeStats(mode)`` followed by ``add(us)`` (Welford at n = 1 is
-        ``mean = 0.0 + us``, ``m2 = 0.0``, ``min = max = us`` for finite
-        ``us``).  Part of the record-commit path
-        (:meth:`~repro.core.records.CompressedRecord.first`), so ``mode``
-        is trusted: it was checked where it entered
-        (:class:`~repro.core.intra.CypressConfig`)."""
-        st = _new(cls)
-        st.mode = mode
-        st.count = 1
-        st.mean = 0.0 + us
-        st.m2 = 0.0
-        st.minimum = us
-        st.maximum = us
-        if mode == HIST:
-            st.bins = bins = [0] * _NBINS
-            bins[_bin_index(us)] = 1
-        else:
-            st.bins = None
-        return st
-
     # -- update --------------------------------------------------------
 
     def add(self, us: float) -> None:
-        self.count += 1
-        delta = us - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (us - self.mean)
-        if us < self.minimum:
-            self.minimum = us
-        if us > self.maximum:
-            self.maximum = us
-        if self.mode == HIST:
-            self.bins[_bin_index(us)] += 1
+        (self.count, self.mean, self.m2, self.minimum,
+         self.maximum) = add_sample(
+            self.count, self.mean, self.m2, self.minimum, self.maximum,
+            self.bins, us,
+        )
 
     @property
     def std(self) -> float:
@@ -109,48 +154,12 @@ class TimeStats:
         self.merge_many((other,))
 
     def merge_many(self, others) -> None:
-        """Fold a sequence of stats in order (Chan et al.'s pairwise
-        Welford update) — float operations on locals, the slots written
-        back once."""
-        mode = self.mode
-        n = self.count
-        mean = self.mean
-        m2 = self.m2
-        minimum = self.minimum
-        maximum = self.maximum
-        bins = self.bins
-        for other in others:
-            if other.mode != mode:
-                raise ValueError("cannot merge time stats of different modes")
-            n2 = other.count
-            if n2 == 0:
-                continue
-            if n == 0:
-                n = n2
-                mean = other.mean
-                m2 = other.m2
-                minimum = other.minimum
-                maximum = other.maximum
-                if bins is not None:
-                    bins = list(other.bins)
-                continue
-            delta = other.mean - mean
-            total = n + n2
-            mean += delta * n2 / total
-            m2 += other.m2 + delta * delta * n * n2 / total
-            n = total
-            if other.minimum < minimum:
-                minimum = other.minimum
-            if other.maximum > maximum:
-                maximum = other.maximum
-            if bins is not None:
-                bins = [a + b for a, b in zip(bins, other.bins)]
-        self.count = n
-        self.mean = mean
-        self.m2 = m2
-        self.minimum = minimum
-        self.maximum = maximum
-        self.bins = bins
+        """Fold a sequence of stats in order (:func:`fold_stats`)."""
+        (self.count, self.mean, self.m2, self.minimum, self.maximum,
+         self.bins) = fold_stats(
+            self.count, self.mean, self.m2, self.minimum, self.maximum,
+            self.bins, map(_FIELDS, others),
+        )
 
     def copy(self) -> "TimeStats":
         st = _new(TimeStats)
@@ -166,7 +175,7 @@ class TimeStats:
     # -- size ------------------------------------------------------------
 
     def approx_bytes(self) -> int:
-        base = 4 + 8 * 4  # count + mean/m2/min/max
-        if self.mode == HIST:
-            base += sum(1 for b in self.bins if b) * 5 + 2  # sparse bins
-        return base
+        return stats_bytes(self.bins)
+
+
+_FIELDS = attrgetter("count", "mean", "m2", "minimum", "maximum", "bins")

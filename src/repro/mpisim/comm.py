@@ -163,6 +163,7 @@ class RankComm:
         req = self.runtime.new_request(self.rank, IRECV, src, tag, nbytes, WORLD, t0)
         self.runtime.post_receive(req)
         yield from self._await_request(req, "MPI_Recv")
+        self._consume(req)
         self.clock = max(self.clock, req.completion_time)
         self._emit(
             self._new_event(
@@ -190,6 +191,7 @@ class RankComm:
         req = self.runtime.new_request(self.rank, IRECV, src, rtag, rbytes, WORLD, t0)
         self.runtime.post_receive(req)
         yield from self._await_request(req, "MPI_Sendrecv")
+        self._consume(req)
         send_cost = self.runtime.network.send_cost(sbytes)
         self.clock = max(self.clock + send_cost, req.completion_time)
         self._emit(
@@ -226,21 +228,24 @@ class RankComm:
             req = self.runtime.requests.get(int(rid))
             if req is None or req.rank != self.rank:
                 raise InvalidRequestError(
-                    f"rank {self.rank}: unknown request handle {rid}"
-                )
-            if req.consumed:
-                raise InvalidRequestError(
-                    f"rank {self.rank}: request {rid} already completed by a wait"
+                    f"rank {self.rank}: unknown request handle {rid} (never "
+                    "posted, or already completed by a wait or a test)"
                 )
             reqs.append(req)
         return reqs
+
+    def _consume(self, req: Request) -> None:
+        """A wait or a test returned ``req``, or a blocking receive
+        completed it: the runtime forgets it (a handle listed twice in
+        one call is consumed once)."""
+        self.runtime.requests.pop(req.rid, None)
 
     def _op_wait(self, handle: int):
         (req,) = self._resolve_reqs(handle)
         t0 = self.clock
         yield from self._await_request(req, "MPI_Wait")
         self.clock = max(self.clock, req.completion_time)
-        req.consumed = True
+        self._consume(req)
         self._emit(
             self._new_event(
                 "MPI_Wait", reqs=(req.rid,), time_start=t0, duration=self.clock - t0
@@ -256,7 +261,7 @@ class RankComm:
         if reqs:
             self.clock = max(self.clock, max(r.completion_time for r in reqs))
         for req in reqs:
-            req.consumed = True
+            self._consume(req)
         self._emit(
             self._new_event(
                 "MPI_Waitall",
@@ -281,7 +286,7 @@ class RankComm:
         self.blocked_on = None
         winner = min(done, key=lambda r: (r.completion_time, r.rid))
         self.clock = max(self.clock, winner.completion_time)
-        winner.consumed = True
+        self._consume(winner)
         self._emit(
             self._new_event(
                 "MPI_Waitany", reqs=(winner.rid,), time_start=t0,
@@ -304,7 +309,7 @@ class RankComm:
         self.blocked_on = None
         self.clock = max(self.clock, max(r.completion_time for r in done))
         for req in done:
-            req.consumed = True
+            self._consume(req)
         self._emit(
             self._new_event(
                 "MPI_Waitsome",
@@ -321,7 +326,7 @@ class RankComm:
         cost = self.runtime.network.overhead * 0.1
         self.clock = t0 + cost
         if req.complete:
-            req.consumed = True
+            self._consume(req)
             self._emit(
                 self._new_event(
                     "MPI_Test", reqs=(req.rid,), time_start=t0, duration=cost

@@ -24,7 +24,6 @@ class Request:
     completion_time: float = 0.0
     actual_source: int = -1  # resolved source for wildcard receives
     actual_nbytes: int = -1  # actual size matched (receives)
-    consumed: bool = False  # a wait already returned this request
 
     def finish(self, time: float, source: int = -1, nbytes: int = -1) -> None:
         self.complete = True

@@ -59,6 +59,8 @@ class Runtime:
         self.ranks = [RankComm(r, self) for r in range(nprocs)]
         self.mailboxes = [Mailbox(r) for r in range(nprocs)]
         self.collectives = CollectiveEngine(nprocs, self.network)
+        # Requests in flight: not yet completed by a blocking receive
+        # or returned by a wait or a test (RankComm._consume drops them).
         self.requests: dict[int, Request] = {}
         # Posted (pending) receive requests per rank, in post order.
         self._posted: list[list[Request]] = [[] for _ in range(nprocs)]

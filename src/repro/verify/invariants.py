@@ -175,8 +175,9 @@ def _check_records(
                 gid=gid, rank=rank, detail=(key,),
             )
             continue
-        _check_monotone(record.occurrences, "occ", gid, rank, rep)
-        covered.extend(record.occurrences)
+        occurrences = record.occurrences()
+        _check_monotone(occurrences, "occ", gid, rank, rep)
+        covered.extend(occurrences)
         for slot, label in ((1, "peer"), (2, "peer2")):
             enc = key[slot]
             mode, value = enc

@@ -74,7 +74,7 @@ def _wildcard_pattern(records):
     for record in records:
         key = record.key
         if key is not None and key[_WILDCARD_SLOT]:
-            pattern.append((key[1], tuple(record.occurrences.terms)))
+            pattern.append((key[1], tuple(record.occurrences().terms)))
     pattern.sort()
     return tuple(pattern)
 
@@ -89,7 +89,7 @@ def _interleaved(records):
         key = record.key
         if key is None or not key[_WILDCARD_SLOT]:
             continue
-        occ = record.occurrences
+        occ = record.occurrences()
         if len(occ):
             first = occ.terms[0][0]
             s, c, d = occ.terms[-1]

@@ -60,10 +60,8 @@ def _owned_objects(ctt):
                 own(seq.terms)
         for record in v.records or ():
             own(record)
-            own(record.occurrences)
-            own(record.occurrences.terms)
-            own(record.duration)
-            own(record.pre_gap)
+            for slot in ("terms", "dur_bins", "gap_bins"):
+                own(getattr(record, slot))
     return owned
 
 

@@ -287,7 +287,7 @@ class TestKeyInterning:
         # a second record; the fourth event re-merges into the first
         # (unbounded keyed merge) even though the cache was invalidated.
         fast, spec = self._both([8, 8, 16, 8])
-        assert [len(r.occurrences) for r in _leaf(fast).records] == [3, 1]
+        assert [r.length for r in _leaf(fast).records] == [3, 1]
         assert _blob([fast], 1) == _blob([spec], 1)
 
     def test_windowed_config_does_not_reuse_cached_record(self):
@@ -295,7 +295,7 @@ class TestKeyInterning:
         # blindly: A A B A under window=1 opens a fresh record for the
         # final A (the B pushed the first A out of the window).
         for ctt in self._both([8, 8, 16, 8], window=1):
-            assert [len(r.occurrences) for r in _leaf(ctt).records] \
+            assert [r.length for r in _leaf(ctt).records] \
                 == [2, 1, 1]
 
     def test_relative_ranks_affect_interned_keys(self):

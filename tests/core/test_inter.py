@@ -18,6 +18,7 @@ from repro.static.instrument import compile_minimpi  # noqa: E402
 from repro.verify.invariants import check_merged  # noqa: E402
 from repro.workloads import get as get_workload  # noqa: E402
 from tests.faults.payload import corrupt_merged  # noqa: E402
+from tests.record_fields import duration  # noqa: E402
 
 FIG5_RUNNABLE = """
 func main() {
@@ -171,7 +172,7 @@ class TestTimingMerge:
         ][0]
         (group,) = leaf.groups
         (record,) = group.records
-        assert record.duration.count == 4 * 8  # 4 calls x 8 ranks
+        assert duration(record).count == 4 * 8  # 4 calls x 8 ranks
 
 
 class TestSchedules:

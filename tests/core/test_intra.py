@@ -11,6 +11,7 @@ from helpers import assert_replay_exact, run_traced  # noqa: E402
 from repro.core.errors import StreamMismatchError  # noqa: E402
 from repro.core.intra import CypressConfig  # noqa: E402
 from repro.static.cst import BRANCH, CALL, LOOP  # noqa: E402
+from tests.record_fields import duration, occurrences, pre_gap  # noqa: E402
 
 
 def leaf_records(compressor, rank, op):
@@ -37,7 +38,7 @@ class TestLeafCompression:
         _, rec, cyp, _ = run_traced(src, 1)
         records = leaf_records(cyp, 0, "MPI_Send")
         assert len(records) == 1
-        assert records[0].count == 50
+        assert records[0].length == 50
 
     def test_parameter_change_opens_new_record(self):
         src = """
@@ -51,7 +52,7 @@ class TestLeafCompression:
         _, rec, cyp, _ = run_traced(src, 1)
         records = leaf_records(cyp, 0, "MPI_Send")
         assert len(records) == 2
-        assert [r.count for r in records] == [5, 5]
+        assert [r.length for r in records] == [5, 5]
 
     def test_cyclic_sizes_merge_with_unbounded_window(self):
         # MG-style: sizes cycle per inner position; default config merges
@@ -67,8 +68,8 @@ class TestLeafCompression:
         _, rec, cyp, _ = run_traced(src, 1)
         records = leaf_records(cyp, 0, "MPI_Send")
         assert len(records) == 3
-        assert all(r.count == 4 for r in records)
-        assert all(len(r.occurrences.terms) == 1 for r in records)
+        assert all(r.length == 4 for r in records)
+        assert all(len(occurrences(r).terms) == 1 for r in records)
 
     def test_window_one_reproduces_paper_variant(self):
         src = """
@@ -88,14 +89,14 @@ class TestLeafCompression:
         src = "func main() { for (var i = 0; i < 5; i = i + 1) { mpi_barrier(); } }"
         _, _, cyp, _ = run_traced(src, 2)
         (record,) = leaf_records(cyp, 0, "MPI_Barrier")
-        assert record.duration.count == 5
-        assert record.duration.mean > 0
+        assert duration(record).count == 5
+        assert duration(record).mean > 0
 
     def test_pre_gap_records_compute_time(self):
         src = "func main() { compute(500); mpi_barrier(); }"
         _, _, cyp, _ = run_traced(src, 1)
         (record,) = leaf_records(cyp, 0, "MPI_Barrier")
-        assert record.pre_gap.mean >= 500
+        assert pre_gap(record).mean >= 500
 
 
 class TestLoopPayload:
@@ -225,7 +226,7 @@ class TestAsyncRequests:
         _, rec, cyp, _ = run_traced(src, 2)
         records = leaf_records(cyp, 0, "MPI_Waitall")
         assert len(records) == 1  # same GID tuple every iteration
-        assert records[0].count == 20
+        assert records[0].length == 20
         assert_replay_exact(rec, cyp, 2)
 
 
@@ -265,7 +266,7 @@ class TestWildcards:
         records = leaf_records(cyp, 0, "MPI_Irecv")
         # single source -> all ten resolved records merged into one
         assert len(records) == 1
-        assert records[0].count == 10
+        assert records[0].length == 10
         assert not records[0].pending
         assert_replay_exact(rec, cyp, 2)
 

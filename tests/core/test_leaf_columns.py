@@ -40,6 +40,7 @@ from repro.verify.invariants import check_merged  # noqa: E402
 from repro.workloads import get as get_workload  # noqa: E402
 from tests.faults.matrix import EXPECTED_CODES  # noqa: E402
 from tests.faults.payload import corrupt_merged  # noqa: E402
+from tests.record_fields import duration, occurrences, pre_gap  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -92,21 +93,24 @@ def assert_loads_what_was_written(fresh, blob=None):
         assert got.records is records  # built once, then held
         for mine, theirs in zip(records, want.records, strict=True):
             assert mine.key == theirs.key
-            assert mine.occurrences.terms == theirs.occurrences.terms
-            assert mine.occurrences.length == theirs.occurrences.length
-            assert len(mine.occurrences) == sum(
-                count for _, count, _ in mine.occurrences.terms
+            assert occurrences(mine).terms == occurrences(theirs).terms
+            assert occurrences(mine).length == occurrences(theirs).length
+            assert mine.length == sum(
+                count for _, count, _ in occurrences(mine).terms
             )
             assert mine.pending is False and not theirs.pending
-            for a, b in ((mine.duration, theirs.duration),
-                         (mine.pre_gap, theirs.pre_gap)):
+            for a, b in ((duration(mine), duration(theirs)),
+                         (pre_gap(mine), pre_gap(theirs))):
                 assert (a.mode, a.count, a.bins) == (b.mode, b.count, b.bins)
                 if a.count:  # an empty block's ±inf extremes are 0.0 on disk
                     assert (a.mean, a.m2, a.minimum, a.maximum) == (
                         b.mean, b.m2, b.minimum, b.maximum
                     )
-                mutable += [a] + ([a.bins] if a.bins is not None else [])
-            mutable.append(mine.occurrences.terms)
+            mutable.append(mine)
+            mutable += [
+                x for x in (mine.terms, mine.dur_bins, mine.gap_bins)
+                if x is not None
+            ]
     assert len({id(x) for x in mutable}) == len(mutable)
     assert tree_fields(loaded) == tree_fields(serialize.loads(blob))
     assert serialize.dumps(loaded) == blob
@@ -128,7 +132,7 @@ class TestRecordsAreWhatWasWritten:
     def test_histogram_bins_are_each_record_s_own(self):
         fresh = _e2e_tree("irregular_sp", timing_mode="hist")
         assert any(
-            r.duration.bins for _, g in _leaf_groups(fresh) for r in g.records
+            duration(r).bins for _, g in _leaf_groups(fresh) for r in g.records
         )
         assert_loads_what_was_written(fresh)
 
@@ -177,8 +181,7 @@ class TestRefusalsStayInLoads:
 
         def write_leaf(w, records, strings, defaults, stats):
             for rec in records:
-                stats.add(rec.duration)
-                stats.add(rec.pre_gap)
+                stats.add_record(rec)
             body(w, stats)
 
         monkeypatch.setattr(serialize, "_write_leaf", write_leaf)

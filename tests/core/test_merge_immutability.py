@@ -14,6 +14,7 @@ from repro.core.inter import (  # noqa: E402
     merge_all,
     payload_key,
 )
+from tests.record_fields import duration, occurrences
 
 SRC = """
 func main() {
@@ -30,8 +31,8 @@ def snapshot(ctt):
         if v.records:
             out.append(
                 [
-                    (r.key, r.occurrences.to_list(), r.duration.count,
-                     r.duration.mean)
+                    (r.key, occurrences(r).to_list(), duration(r).count,
+                     duration(r).mean)
                     for r in v.records
                 ]
             )
@@ -74,8 +75,8 @@ class TestMergeImmutability:
                 assert ga.ranks == gb.ranks
                 if ga.records:
                     for ra, rb in zip(ga.records, gb.records):
-                        assert ra.duration.count == rb.duration.count
-                        assert ra.duration.mean == rb.duration.mean
+                        assert duration(ra).count == duration(rb).count
+                        assert duration(ra).mean == duration(rb).mean
 
     def test_merged_time_counts_scale_with_ranks(self):
         _, rec, cyp, _ = run_traced(SRC, 4)
@@ -86,4 +87,4 @@ class TestMergeImmutability:
                     for r in g.records:
                         # 8 calls per rank x 4 ranks merged
                         if r.key[0] == "MPI_Allreduce":
-                            assert r.duration.count == 32
+                            assert duration(r).count == 32

@@ -30,6 +30,8 @@ from repro.core.ranks import (  # noqa: E402
 )
 from repro.mpisim.datatypes import ANY_SOURCE  # noqa: E402
 from repro.mpisim.events import NO_PEER  # noqa: E402
+from repro.core.sequences import IntSequence  # noqa: E402
+from tests.record_fields import set_occurrences  # noqa: E402
 
 RING = """
 func main() {
@@ -221,8 +223,7 @@ class TestEmitLeafError:
         vertex, record = _find_rel_leaf(ctt, op="MPI_Send")
         # Drop the record's occurrences: the visit then has no covering
         # record and _emit_leaf must report exactly what it tried.
-        record.occurrences.terms.clear()
-        record.occurrences.length = 0
+        set_occurrences(record, IntSequence())
         with pytest.raises(DecompressionError) as exc:
             decompress_rank(ctt)
         err = exc.value

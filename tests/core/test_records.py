@@ -20,6 +20,13 @@ from repro.core.sequences import IntSequence  # noqa: E402
 from repro.core.timing import HIST, MEANSTD, TimeStats  # noqa: E402
 from repro.mpisim.datatypes import ANY_SOURCE  # noqa: E402
 from repro.mpisim.events import NO_PEER, CommEvent  # noqa: E402
+from tests.record_fields import (  # noqa: E402
+    duration,
+    occurrences,
+    pre_gap,
+    set_duration,
+    set_pre_gap,
+)
 
 
 def key(**kw):
@@ -37,10 +44,10 @@ class TestOccurrences:
         rec = CompressedRecord(key=key())
         for i in range(5):
             rec.add_occurrence(i, duration_us=2.0, gap_us=1.0)
-        assert rec.count == 5
-        assert rec.occurrences.terms == [(0, 5, 1)]
-        assert rec.duration.count == 5 and rec.duration.mean == 2.0
-        assert rec.pre_gap.mean == 1.0
+        assert rec.length == 5
+        assert occurrences(rec).terms == [(0, 5, 1)]
+        assert duration(rec).count == 5 and duration(rec).mean == 2.0
+        assert pre_gap(rec).mean == 1.0
 
     def test_op_accessor(self):
         assert CompressedRecord(key=key()).op == "MPI_Send"
@@ -54,8 +61,8 @@ class TestMerge:
         a.add_occurrence(1, 1.0, 0.0)
         b.add_occurrence(2, 3.0, 0.0)
         a.merge_from(b)
-        assert a.occurrences.to_list() == [0, 1, 2]
-        assert a.duration.count == 3
+        assert occurrences(a).to_list() == [0, 1, 2]
+        assert duration(a).count == 3
 
     def test_ordered_merge_sorts_when_interleaved(self):
         # A late-resolving wildcard may carry an earlier visit index.
@@ -66,7 +73,7 @@ class TestMerge:
         for i in (0, 2):
             b.add_occurrence(i, 1.0, 0.0)
         a.merge_from(b)
-        assert a.occurrences.to_list() == [0, 1, 2, 3, 5]
+        assert occurrences(a).to_list() == [0, 1, 2, 3, 5]
 
     def test_payload_equal_ignores_timing(self):
         # The inter-process grouping compares a leaf's records by key
@@ -87,8 +94,8 @@ class TestCopy:
         a.add_occurrence(0, 1.0, 0.5)
         b = a.copy()
         b.add_occurrence(1, 2.0, 0.5)
-        assert a.count == 1 and b.count == 2
-        assert a.duration.count == 1
+        assert a.length == 1 and b.length == 2
+        assert duration(a).count == 1
 
 
 def _bits(stats):
@@ -102,8 +109,8 @@ def _bits(stats):
 
 def _record_bits(rec):
     return (
-        rec.key, rec.occurrences.terms, rec.occurrences.length,
-        _bits(rec.duration), _bits(rec.pre_gap), rec.pending,
+        rec.key, occurrences(rec).terms, occurrences(rec).length,
+        _bits(duration(rec)), _bits(pre_gap(rec)), rec.pending,
     )
 
 
@@ -131,10 +138,9 @@ class TestFirstOccurrence:
     ):
         k = None if pending else key()
         direct = CompressedRecord.first(k, visit, d, g, mode, pending)
-        stepwise = CompressedRecord(
-            key=k, duration=TimeStats(mode=mode),
-            pre_gap=TimeStats(mode=mode), pending=pending,
-        )
+        stepwise = CompressedRecord(key=k, pending=pending)
+        set_duration(stepwise, TimeStats(mode=mode))
+        set_pre_gap(stepwise, TimeStats(mode=mode))
         stepwise.add_occurrence(visit, d, g)
         assert _record_bits(direct) == _record_bits(stepwise)
         direct.add_occurrence(later, d2, g2)
@@ -144,7 +150,9 @@ class TestFirstOccurrence:
     @pytest.mark.parametrize("mode", [MEANSTD, HIST])
     @given(us=MICROSECONDS, us2=MICROSECONDS)
     def test_stats_first_equals_construct_then_add(self, mode, us, us2):
-        direct = TimeStats.first(mode, us)
+        direct = duration(CompressedRecord.first(key(), 0, us, us, mode))
+        assert _bits(pre_gap(CompressedRecord.first(key(), 0, 0.0, us, mode))) \
+            == _bits(direct)
         stepwise = TimeStats(mode=mode)
         stepwise.add(us)
         assert _bits(direct) == _bits(stepwise)
@@ -155,10 +163,12 @@ class TestFirstOccurrence:
     def test_copy_is_field_for_field(self):
         rec = CompressedRecord.first(key(), 3, 2.5, 0.5, HIST)
         rec.add_occurrence(9, 40.0, 1.0)
+        rec.add_occurrence(10, 40.0, 1.0)  # a second term: a terms list
         dup = rec.copy()
         assert _record_bits(dup) == _record_bits(rec)
-        assert dup.duration.bins is not rec.duration.bins
-        assert dup.occurrences.terms is not rec.occurrences.terms
+        for slot in ("terms", "dur_bins", "gap_bins"):
+            assert getattr(dup, slot) == getattr(rec, slot)
+            assert getattr(dup, slot) is not getattr(rec, slot)
 
 
 class TestKeyParams:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, "tests")
 from generators import program  # noqa: E402
 from helpers import run_traced  # noqa: E402
+import spec_replay as spec_replay_module  # noqa: E402
 from spec_replay import (  # noqa: E402
     SequenceCursor,
     spec_all,
@@ -37,6 +38,7 @@ from repro.core.ranks import ABS  # noqa: E402
 from repro.core.sequences import IntSequence  # noqa: E402
 from repro.core.timing import HIST, MEANSTD  # noqa: E402
 from repro.workloads import WORKLOADS  # noqa: E402
+from tests.record_fields import occurrences, set_occurrences  # noqa: E402
 
 SETTINGS = dict(
     max_examples=25,
@@ -102,13 +104,14 @@ def _alternating_leaf():
         v for v in ctt.vertices() if v.records and v.records[0].key[0] == "MPI_Send"
     )
     first, second = leaf.records
-    assert [list(first.occurrences), list(second.occurrences)] == [[0, 2, 4], [1, 3, 5]]
+    assert [list(occurrences(first)), list(occurrences(second))] == [[0, 2, 4], [1, 3, 5]]
     return ctt, leaf
 
 
 def _set_terms(record, terms):
-    record.occurrences.terms = list(terms)
-    record.occurrences.length = sum(count for _, count, _ in terms)
+    set_occurrences(record, IntSequence(
+        list(terms), sum(count for _, count, _ in terms)
+    ))
 
 
 def _raises(walker, ctt, leaf, visit):
@@ -358,17 +361,19 @@ def _absolute(record):
 
 def _count_peeks(monkeypatch, walk, merged):
     """Run ``walk(merged)`` counting ``SequenceCursor.peek`` calls, split
-    by whether the cursor reads a record's occurrence sequence."""
-    occurrences = {
-        id(r.occurrences)
+    by whether the cursor reads a record's occurrence sequence or a
+    loop's or a branch's (the group's own, or the empty one)."""
+    control = {
+        id(seq)
         for v in merged.root.preorder() for g in v.groups
-        for r in g.records or ()
+        for seq in (g.counts, g.visits) if seq is not None
     }
+    control.add(id(spec_replay_module._EMPTY))
     calls = {"leaf": 0, "control": 0}
     peek = SequenceCursor.peek
 
     def counted(self):
-        calls["leaf" if id(self._seq) in occurrences else "control"] += 1
+        calls["control" if id(self._seq) in control else "leaf"] += 1
         return peek(self)
 
     monkeypatch.setattr(SequenceCursor, "peek", counted)

@@ -24,6 +24,12 @@ from repro.core.intra import CypressConfig  # noqa: E402
 from repro.core.sequences import MAX_DEPTH, IntSequence  # noqa: E402
 from repro.core.timing import TimeStats  # noqa: E402
 from repro.static.cst import BRANCH, CALL, LOOP  # noqa: E402
+from tests.record_fields import (  # noqa: E402
+    duration,
+    set_duration,
+    set_occurrences,
+    set_pre_gap,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 DATA = ROOT / "tests" / "data"
@@ -74,15 +80,16 @@ def _edit_extremes(data, merged):
             data.draw(st.booleans()), data.draw(_GIDS),
             data.draw(st.integers(-1, 2**16)),
         )
-        rec.occurrences = IntSequence.from_values(
+        set_occurrences(rec, IntSequence.from_values(
             data.draw(st.lists(st.integers(0, 2**33), max_size=6))
-        )
-        stats = rec.duration
+        ))
+        stats = duration(rec)
         stats.mean, stats.m2, stats.minimum, stats.maximum = data.draw(
             st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4)
         )
+        set_duration(rec, stats)
         # count == 0: extremes of +-inf here, 0.0 in the file
-        rec.pre_gap = TimeStats(mode=stats.mode)
+        set_pre_gap(rec, TimeStats(mode=stats.mode))
 
 
 class TestFieldForField:
@@ -536,8 +543,7 @@ class TestLeafBounds:
 
         def write_leaf(w, records, strings, defaults, stats):
             for rec in records:  # the table an honest block would leave
-                stats.add(rec.duration)
-                stats.add(rec.pre_gap)
+                stats.add_record(rec)
             body(w, stats)
 
         monkeypatch.setattr(serialize, "_write_leaf", write_leaf)

@@ -51,7 +51,7 @@ class TestPolling:
         # req_gids) and the wait completes the request; or the last poll
         # may succeed.  Either way, failed polls group into one record.
         failed = [r for r in leaf.records if r.key[10] == ()]
-        assert failed and failed[0].count >= 3
+        assert failed and failed[0].length >= 3
 
     def test_simmpi_replays_polling(self):
         from repro.core.decompress import decompress_all

@@ -16,6 +16,7 @@ from helpers import assert_replay_exact, run_traced  # noqa: E402
 from repro.core import serialize  # noqa: E402
 from repro.core.intra import CypressConfig  # noqa: E402
 from repro.core.timing import HIST  # noqa: E402
+from tests.record_fields import duration, pre_gap  # noqa: E402
 
 # Rank 0 posts wildcard irecvs in a loop; ranks 1 and 2 each send six
 # same-shaped messages, so resolved records differ only by source rank.
@@ -47,7 +48,7 @@ class TestWildcardCompletionMerging:
         records = _irecv_records(cyp)
         # Position-independent merging: one record per source rank.
         assert len(records) == 2
-        assert sorted(r.count for r in records) == [6, 6]
+        assert sorted(r.length for r in records) == [6, 6]
         assert not any(r.pending for r in records)
         assert all(r.key[9] for r in records)  # wildcard flag preserved
         assert_replay_exact(rec, cyp, 3)
@@ -58,7 +59,7 @@ class TestWildcardCompletionMerging:
         records = _irecv_records(cyp)
         # Last-record-only comparison cannot collapse interleaved sources
         # to one record per source, but every occurrence must be kept...
-        assert sum(r.count for r in records) == 12
+        assert sum(r.length for r in records) == 12
         assert len(records) >= 2
         assert not any(r.pending for r in records)
         # ...and replay must stay exact, per-rank and merged.
@@ -85,7 +86,7 @@ class TestWildcardCompletionMerging:
             # One source -> identical resolved keys are always adjacent,
             # so even window=1 folds them into a single record.
             assert len(records) == 1
-            assert records[0].count == 10
+            assert records[0].length == 10
             assert_replay_exact(rec, cyp, 2, merged=True)
 
 
@@ -103,9 +104,9 @@ class TestWildcardHistogramMode:
         for rank in range(3):
             for v in cyp.ctt(rank).preorder():
                 for record in v.records or ():
-                    for stats in (record.duration, record.pre_gap):
+                    for stats in (duration(record), pre_gap(record)):
                         assert stats.mode == HIST, (rank, v.gid, v.op)
-                        assert sum(stats.bins) == record.count
+                        assert sum(stats.bins) == record.length
         merged = assert_replay_exact(rec, cyp, 3, merged=True)
         assert_replay_exact(rec, cyp, 3)
         blob = serialize.dumps(merged)

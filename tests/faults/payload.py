@@ -31,6 +31,7 @@ from __future__ import annotations
 from repro.core.ranks import REL
 from repro.core.sequences import IntSequence
 from repro.static.cst import BRANCH, CALL, LOOP
+from tests.record_fields import occurrences, set_occurrences
 
 PAYLOAD_KINDS = (
     "occ-overlap",
@@ -81,26 +82,26 @@ def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
             (v, g, r)
             for v, g in _groups_of_kind(merged, CALL)
             for r in (g.records or [])
-            if r.key is not None and len(r.occurrences) >= 2
+            if r.key is not None and r.length >= 2
         ]
         vertex, group, record = _pick(sites, rng, kind)
         record = _own_record(group, record)
-        values = record.occurrences.to_list()
+        values = occurrences(record).to_list()
         values[-1] = values[0]  # duplicate the first index, lose the last
-        record.occurrences = IntSequence.from_values(sorted(values))
+        set_occurrences(record, IntSequence.from_values(sorted(values)))
         return f"gid={vertex.gid}: occurrence {values[0]} now claimed twice"
     if kind == "occ-hole":
         sites = [
             (v, g, r)
             for v, g in _groups_of_kind(merged, CALL)
             for r in (g.records or [])
-            if r.key is not None and len(r.occurrences) >= 1
+            if r.key is not None and r.length >= 1
         ]
         vertex, group, record = _pick(sites, rng, kind)
         record = _own_record(group, record)
-        values = record.occurrences.to_list()
+        values = occurrences(record).to_list()
         dropped = values.pop(rng.randrange(len(values)))
-        record.occurrences = IntSequence.from_values(values)
+        set_occurrences(record, IntSequence.from_values(values))
         return f"gid={vertex.gid}: occurrence {dropped} dropped"
     if kind == "rank-overlap":
         sites = [

@@ -15,6 +15,7 @@ from repro.mpisim.pmpi import MultiSink, RecordingSink, StreamCaptureSink
 from repro.static.cst import BRANCH, CALL
 from repro.static.instrument import compile_minimpi
 from repro.workloads import get as get_workload
+from tests.record_fields import duration, occurrences, pre_gap
 
 _pack = struct.Struct("<d").pack
 
@@ -130,8 +131,8 @@ def tree_fields(merged):
             (
                 tuple(g.ranks), _seq_fields(g.counts), _seq_fields(g.visits),
                 None if g.records is None else [
-                    (r.key, _seq_fields(r.occurrences), r.pending,
-                     _stats_fields(r.duration), _stats_fields(r.pre_gap))
+                    (r.key, _seq_fields(occurrences(r)), r.pending,
+                     _stats_fields(duration(r)), _stats_fields(pre_gap(r)))
                     for r in g.records
                 ],
             )

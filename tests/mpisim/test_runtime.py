@@ -171,6 +171,37 @@ class TestNonblocking:
 
         run(2, main)
 
+    def test_consumed_requests_leave_the_table(self):
+        """Every request a wait or a test returned is gone from
+        ``Runtime.requests`` once the run ends; one still in flight is
+        there until then."""
+        seen = {}
+
+        def main(comm):
+            if comm.rank == 0:
+                a = yield from comm.call("mpi_isend", [1, 8, 0])
+                b = yield from comm.call("mpi_irecv", [1, 8, 1])
+                seen["in flight"] = {a, b} <= comm.runtime.requests.keys()
+                yield from comm.call("mpi_waitall", [[a, b, a], 3])
+                c = yield from comm.call("mpi_irecv", [1, 8, 2])
+                d = yield from comm.call("mpi_irecv", [1, 8, 3])
+                idx = yield from comm.call("mpi_waitany", [[c, d], 2])
+                rest = [c, d][1 - idx]
+                yield from comm.call("mpi_waitsome", [[rest], 1])
+                e = yield from comm.call("mpi_irecv", [1, 8, 4])
+                while not (yield from comm.call("mpi_test", [e])):
+                    yield
+            else:
+                yield from comm.call("mpi_recv", [0, 8, 0])
+                r = yield from comm.call("mpi_isend", [0, 8, 1])
+                yield from comm.call("mpi_wait", [r])
+                for tag in (2, 3, 4):
+                    yield from comm.call("mpi_send", [0, 8, tag])
+
+        runtime, _ = run(2, main)
+        assert seen["in flight"]
+        assert runtime.requests == {}
+
     def test_double_wait_rejected(self):
         def main(comm):
             if comm.rank == 0:

@@ -13,6 +13,7 @@ from repro.core.decompress import decompress_all
 from repro.core.intra import compress_streams
 from repro.driver import capture_run
 from repro.frontend import S, run_python
+from tests.record_fields import duration, pre_gap
 
 SOURCE = """
 func main() {
@@ -127,7 +128,7 @@ class TestStageCoverage:
         assert 0 < distinct < c["serialize.stats_blocks"]
         blocks = {
             (st.count, st.mean, st.m2, st.minimum, st.maximum)
-            for rec in records for st in (rec.duration, rec.pre_gap)
+            for rec in records for st in (duration(rec), pre_gap(rec))
         }
         assert len(blocks) == distinct
         assert all(count < 128 for count, *_ in blocks)

@@ -9,6 +9,7 @@ that the two sides walk the same vertices and builds a new dict.  At the
 end every group's members are sorted by rank, and a leaf group's records
 are a copy of the lowest rank's with one ``TimeStats.merge`` per further
 member, in ascending rank order, handed to the group as its one source.
+Records are read through ``tests/record_fields.py``.
 Each vertex's groups are listed by lowest rank.
 
 Nothing is deferred or borrowed, and nothing is shared with
@@ -22,6 +23,7 @@ from __future__ import annotations
 from repro.core.errors import MergeError
 from repro.core.inter import Group, MergedCTT, MergedVertex
 from repro.static.cst import BRANCH, CALL, LOOP
+from tests.record_fields import merge_timing, occurrences
 
 __all__ = ["spec_merge"]
 
@@ -43,7 +45,7 @@ def _rank_table(ctt) -> list[tuple[int, str, dict]]:
             table[("B",) + _seq_key(v.visits)] = [(ctt.rank, v.visits)]
         elif v.kind == CALL and v.records:
             key = ("R",) + tuple(
-                (r.key, _seq_key(r.occurrences)) for r in v.records
+                (r.key, _seq_key(occurrences(r))) for r in v.records
             )
             table[key] = [(ctt.rank, v.records)]
         tables.append((v.gid, v.kind, table))
@@ -96,8 +98,7 @@ def spec_merge(ctts) -> MergedCTT:
                 records = [r.copy() for r in first]
                 for _, theirs in members[1:]:
                     for mine, other in zip(records, theirs):
-                        mine.duration.merge(other.duration)
-                        mine.pre_gap.merge(other.pre_gap)
+                        merge_timing(mine, other)
                 group = Group(ranks, sources=[records])
             groups.append(group)
         vertex.groups = sorted(groups, key=lambda g: g.ranks[0])

@@ -23,6 +23,7 @@ from repro.core.sequences import IntSequence
 from repro.mpisim.datatypes import ANY_SOURCE
 from repro.mpisim.events import NO_PEER
 from repro.static.cst import BRANCH, CALL, LOOP
+from tests.record_fields import duration, occurrences, pre_gap
 
 __all__ = ["spec_rank", "spec_merged_rank", "spec_all", "SequenceCursor"]
 
@@ -138,7 +139,7 @@ class _Replayer:
         key = id(vertex)
         cursors = self._record_cursors.get(key)
         if cursors is None:
-            cursors = [SequenceCursor(r.occurrences) for r in self.view.records(vertex)]
+            cursors = [SequenceCursor(occurrences(r)) for r in self.view.records(vertex)]
             self._record_cursors[key] = cursors
         return cursors
 
@@ -252,8 +253,8 @@ class _Replayer:
             root=root,
             wildcard=wildcard,
             req_gids=req_gids,
-            mean_duration=record.duration.mean,
-            mean_gap=record.pre_gap.mean,
+            mean_duration=duration(record).mean,
+            mean_gap=pre_gap(record).mean,
             gid=gid,
             result_comm=result_comm,
         )

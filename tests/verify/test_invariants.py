@@ -23,6 +23,7 @@ from repro.verify import (  # noqa: E402
     publish_verify_metrics,
 )
 from tests.faults.payload import corrupt_merged  # noqa: E402
+from tests.record_fields import occurrences, set_occurrences  # noqa: E402
 
 RING = """
 func main() {
@@ -115,10 +116,10 @@ class TestCTT:
         _c, _r, comp, _res = run_traced(RING, NPROCS)
         ctt = comp.ctt(1)
         _vertex, record = _rel_leaf(ctt, op="MPI_Recv")
-        values = record.occurrences.to_list()
+        values = occurrences(record).to_list()
         assert len(values) >= 2
         values[-1] = values[0]
-        record.occurrences = IntSequence.from_values(sorted(values))
+        set_occurrences(record, IntSequence.from_values(sorted(values)))
         codes = _codes(check_ctt(ctt, nranks=NPROCS))
         assert codes & {"occ-overlap", "occ-regress", "occ-count"}
 
@@ -126,8 +127,8 @@ class TestCTT:
         _c, _r, comp, _res = run_traced(RING, NPROCS)
         ctt = comp.ctt(1)
         _vertex, record = _rel_leaf(ctt, op="MPI_Recv")
-        values = record.occurrences.to_list()
-        record.occurrences = IntSequence.from_values(values[1:])
+        values = occurrences(record).to_list()
+        set_occurrences(record, IntSequence.from_values(values[1:]))
         assert "occ-count" in _codes(check_ctt(ctt, nranks=NPROCS))
 
     def test_loop_arity_breaks_when_count_dropped(self):
