@@ -81,9 +81,10 @@ def _safe_path(index: TreeIndex, gid: int) -> str:
 
 
 def diff_traces(a: MergedCTT, b: MergedCTT) -> TraceDiff:
-    """Compare two merged traces by replayed call sequences."""
-    events_a = decompress_all(a)
-    events_b = decompress_all(b)
+    """Compare two merged traces by replayed call sequences (each
+    trace's peers checked against its own ranks, ``rank_span()``)."""
+    events_a = decompress_all(a, a.rank_span())
+    events_b = decompress_all(b, b.rank_span())
     index_a = TreeIndex(a)
     index_b = TreeIndex(b)
     result = TraceDiff(identical=True)

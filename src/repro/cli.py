@@ -277,7 +277,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     merged = _load_trace(args.trace, salvage=args.salvage)
     if _refuse_ranks(merged, [args.rank]):
         return 2
-    events = decompress_merged_rank(merged, args.rank)
+    events = decompress_merged_rank(merged, args.rank, merged.rank_span())
     print(f"rank {args.rank}: {len(events)} events")
     for ev in events[: args.limit]:
         rendered = format_peer(ev.peer, ev.wildcard)
@@ -294,7 +294,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     from repro.replay import fit_loggp, predict
 
     merged = _load_trace(args.trace, salvage=args.salvage)
-    traces = decompress_all(merged)
+    traces = decompress_all(merged, merged.rank_span())
     params = fit_loggp()
     result = predict(traces, params)
     print(f"ranks          : {len(traces)}")
@@ -708,7 +708,7 @@ def main(argv: list[str] | None = None) -> int:
 
         registry = obs.enable()
         try:
-            rc = args.func(args)
+            rc = _run(args)
         finally:
             obs.disable()
         if metrics_out:
@@ -717,7 +717,20 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "metrics", False):
             print(obs.format_text(registry))
         return rc
-    return args.func(args)
+    return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the command; a trace that does not replay is one ``error:``
+    line (the rank, the leaf's gid and the visit) and
+    :data:`EXIT_CORRUPT_TRACE`."""
+    from repro.core.errors import DecompressionError
+
+    try:
+        return args.func(args)
+    except DecompressionError as exc:
+        print(f"error: trace does not replay: {exc}", file=sys.stderr)
+        return EXIT_CORRUPT_TRACE
 
 
 if __name__ == "__main__":

@@ -1,24 +1,21 @@
 """Sequence-preserving decompression / replay of compressed traces
 (paper §V).
 
-Traverses a CTT in pre-order and reconstructs each rank's exact original
-event sequence:
+A rank replays by walking its CTT in pre-order: a loop vertex replays
+its children as many times as the next activation's count says, a
+branch group descends the path whose visit set holds the group's visit
+counter, and a leaf emits the record whose occurrence set holds its own.
 
-* **loop vertex** — consume the next activation's iteration count and
-  replay the children that many times;
-* **branch group** — advance the group's visit counter once per encounter
-  and descend the path whose recorded visit set contains the counter;
-* **leaf vertex** — advance the leaf's visit counter and emit the record
-  whose occurrence set contains it.
-
-A leaf visit is an index, not a search: the records' occurrence terms are
-laid out once as a *visit schedule* (``schedule[visit]`` → record index).
-The walk emits *slots* into a table of ``(record, gid)`` pairs, which a
-rank decodes once each (docs/INTERNALS.md §9).  Only peers depend on the
-rank, so the ranks of a merged CTT holding the same group at every
-vertex (a *rank class*) share one walk, and a record with no relative
-peer is one event for every rank.  A single-rank CTT takes the same
-walk; the difference is one ``payload(vertex)`` callable.
+The walk reads only loop counts and branch visits, so the ranks of a
+merged CTT holding the same LOOP and BRANCH groups (a *shape*) share one
+walk; it yields each event's leaf and visit.  A leaf visit is an index,
+not a search: the records' occurrence terms are laid out once as a *visit
+schedule* (``schedule[visit]`` → record index), and each *rank class*
+(the same group at every vertex) maps its shape's visits through its
+leaves' schedules in list operations, into *slots* of a ``(record, gid)``
+table that a rank decodes once each (docs/INTERNALS.md §9).  A record
+with no relative peer is one event for every rank.  A single-rank CTT
+takes the same path; the difference is one ``payload(vertex)`` callable.
 
 For non-tail recursion the pseudo-loop linearisation makes the *order*
 approximate (the paper's "approximate loop control structure"); for
@@ -30,8 +27,8 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import defaultdict
-from itertools import repeat
+from collections import Counter, defaultdict
+from itertools import accumulate, count, repeat
 from typing import Iterator, NamedTuple
 
 from repro import obs
@@ -128,9 +125,10 @@ def group_payload(group_at):
 
 def _compile(vertex) -> list[tuple]:
     """The walk below ``vertex`` as nested steps, resolved once per tree:
-    ``(CALL, leaf, None)``, ``(LOOP, vertex, body steps)`` and, for a
-    branch group (:func:`~repro.static.cst.branch_groups`),
-    ``(BRANCH, paths, steps of each path)``."""
+    ``(CALL, [leaf, ...], None)`` for a run of calls,
+    ``(LOOP, vertex, body steps)`` and, for a branch group
+    (:func:`~repro.static.cst.branch_groups`), ``(BRANCH, paths, steps of
+    each path)``."""
     steps: list[tuple] = []
     children = vertex.children
     groups = {run.start: run for run in branch_groups(children)}
@@ -138,7 +136,10 @@ def _compile(vertex) -> list[tuple]:
     while i < len(children):
         child = children[i]
         if child.kind == CALL:
-            steps.append((CALL, child, None))
+            if steps and steps[-1][0] == CALL:
+                steps[-1][1].append(child)
+            else:
+                steps.append((CALL, [child], None))
         elif child.kind == LOOP:
             steps.append((LOOP, child, _compile(child)))
         elif child.kind == BRANCH:
@@ -160,7 +161,7 @@ def _schedule(records: list[CompressedRecord]) -> list[int]:
     Sound records partition ``[0, total)``, so a full schedule proves
     itself (``total`` claims, ``total`` slots, no hole → no overlap).
     Anything else is re-laid value by value, marking a visit nobody
-    claims ``_HOLE`` and one claimed twice ``_CLASH``; the walk raises
+    claims ``_HOLE`` and one claimed twice ``_CLASH``; replay raises
     only if it reaches one."""
     total = sum(r.length for r in records)
     schedule = [_HOLE] * total
@@ -188,107 +189,117 @@ def _schedule(records: list[CompressedRecord]) -> list[int]:
     return schedule
 
 
-class _Walker:
-    """One walk of ``steps`` as ``rank`` reads the tree through ``payload``:
-    a slot per event, a ``(record, gid)`` table entry per record reached;
-    a failed walk keeps that prefix and its ``error``.  ``schedules``
-    (keyed by a record list's identity, which it keeps alive) is shared."""
+def _shape(steps, payload, limit: int) -> tuple:
+    """One walk of ``steps``' loops and branches as ``payload`` reads
+    them: ``(leaves, visits, places)``, each event's leaf, leaf → visits
+    made (in first-reach order), and each event's place in those visits
+    laid out leaf after leaf.  Past ``limit`` events (per leaf, the most
+    occurrences a record list replayed there declares) some leaf has run
+    past all of them and every class has failed: the walk stops there."""
+    leaves: list = []
+    emit = leaves.extend
+    loops: dict = {}  # vertex -> its counts
+    groups: dict = {}  # id(paths) -> [visits so far, [[next, visits, steps]]]
 
-    def __init__(self, steps, payload, rank: int, schedules: dict) -> None:
-        self.payload = payload
-        self.rank = rank
-        self.schedules = schedules
-        self.slots: list[int] = []
-        self.table: list[tuple[CompressedRecord, int]] = []
-        self.error: DecompressionError | None = None
-        self._loops: dict[int, Iterator[int]] = {}
-        # id(paths) -> [visits so far, [[next visit, visits, steps], ...]]
-        self._groups: dict[int, list] = {}
-        # id(leaf) -> [visits so far, schedule, records, slot per record]
-        self._leaves: dict[int, list] = {}
-        try:
-            self._walk(steps)
-        except DecompressionError as exc:
-            self.error = exc
-        self._loops = self._groups = self._leaves = None
-
-    def _walk(self, steps: list[tuple]) -> None:
-        leaves = self._leaves
-        emit = self.slots.append
+    def walk(steps: list[tuple]) -> None:
         for kind, node, inner in steps:
             if kind == CALL:
-                state = leaves.get(id(node)) or self._open_leaf(node)
-                visit = state[0]
-                state[0] = visit + 1
-                schedule = state[1]
-                index = schedule[visit] if visit < len(schedule) else _HOLE
-                if index < 0:
-                    raise self._unscheduled(node, visit, state[2], index == _CLASH)
-                slot = state[3][index]
-                if slot is None:
-                    slot = state[3][index] = len(self.table)
-                    self.table.append((state[2][index], node.gid))
-                emit(slot)
+                emit(node)
             elif kind == LOOP:
-                counts = self._loops.get(id(node))
+                counts = loops.get(node)
                 if counts is None:
-                    counts = self._loops[id(node)] = _values(
-                        self.payload(node) or _EMPTY
-                    )
+                    counts = loops[node] = _values(payload(node) or _EMPTY)
                 for _ in range(next(counts, 0)):
-                    self._walk(inner)
+                    if len(leaves) > limit:
+                        break
+                    walk(inner)
             else:
-                state = self._groups.get(id(node))
+                state = groups.get(id(node))
                 if state is None:
-                    state = self._groups[id(node)] = [0, []]
+                    state = groups[id(node)] = [0, []]
                     for path, body in zip(node, inner):
-                        visits = _values(self.payload(path) or _EMPTY)
+                        visits = _values(payload(path) or _EMPTY)
                         state[1].append([next(visits, None), visits, body])
                 visit = state[0]
                 state[0] = visit + 1
                 for path in state[1]:
                     if path[0] == visit:
                         path[0] = next(path[1], None)
-                        self._walk(path[2])
+                        walk(path[2])
                         break
 
-    def _open_leaf(self, vertex) -> list:
-        records = self.payload(vertex) or []
-        cached = self.schedules.get(id(records))
+    walk(steps)
+    visits = Counter(leaves)
+    place = dict(zip(visits, map(count, accumulate(visits.values(), initial=0))))
+    return leaves, visits, list(map(next, map(place.__getitem__, leaves)))
+
+
+def _resolve(shape: tuple, payload, rank: int, schedules: dict):
+    """A class's ``(slots, table, error)`` from its shape's walk: the
+    ``(record, gid)`` of each record at a leaf reached, and an index into
+    that table per event, cut at the first visit no record serves.
+    ``schedules``: id(records) → ``(schedule, table entries, whole)``
+    (the tree's own record lists, alive for the whole replay)."""
+    leaves, visits, places = shape
+    table, index, failed, sound = [], [], {}, True
+    for leaf, n in visits.items():
+        records = payload(leaf) or ()
+        cached = schedules.get(id(records))
         if cached is None:
             try:
-                cached = (_schedule(records), records)
+                schedule = _schedule(records)
             except (MemoryError, OverflowError) as exc:
-                raise DecompressionError(
-                    f"rank {self.rank}: leaf gid={vertex.gid} ({vertex.op}) "
-                    f"declares more occurrences than a schedule can hold "
-                    f"({type(exc).__name__})",
-                    rank=self.rank, gid=vertex.gid, op=vertex.op,
-                    candidates=tuple(r.key for r in records),
-                ) from exc
-            self.schedules[id(records)] = cached
-        state = [0, cached[0], records, [None] * len(records)]
-        self._leaves[id(vertex)] = state
-        return state
-
-    def _unscheduled(self, vertex, visit, records, clash) -> DecompressionError:
-        """The error for a visit the leaf's schedule cannot serve;
-        ``cursors`` says where each record would next have replayed."""
-        nexts = [r.occurrences().first_at_least(visit) for r in records]
-        if clash:
-            claimants = [i for i, nxt in enumerate(nexts) if nxt == visit]
-            what = f"has more than one record for visit {visit}: {claimants} claim it"
-        else:
-            what = (
-                f"has no record for visit {visit}; tried {len(records)} "
-                f"record(s) with next occurrences {nexts}"
+                failed[leaf], sound = exc, False
+                index += repeat(_HOLE, n)
+                continue
+            cached = schedules[id(records)] = (
+                schedule, list(zip(records, repeat(leaf.gid))),
+                min(schedule, default=0) >= 0,
             )
-        return DecompressionError(
-            f"rank {self.rank}: leaf gid={vertex.gid} ({vertex.op}) {what}",
-            rank=self.rank, gid=vertex.gid, op=vertex.op, visit=visit,
-            candidates=tuple(r.key for r in records),
-            cursors=tuple(enumerate(nexts)),
+        schedule, pairs, whole = cached
+        cut, base = schedule[:n], len(table)
+        table += pairs
+        if whole and len(cut) == n:
+            index += map(base.__add__, cut)
+        else:  # a hole or clash, or a visit past the schedule, reached?
+            cut += repeat(_HOLE, n - len(cut))
+            sound = sound and min(cut) >= 0
+            index += map([*range(base, len(table)), _CLASH, _HOLE].__getitem__, cut)
+    slots = list(map(index.__getitem__, places))
+    if sound:
+        return slots, table, None
+    at = next(i for i, s in enumerate(slots) if s < 0)
+    leaf = leaves[at]
+    return slots[:at], table, _unscheduled(
+        leaf, rank, leaves[:at].count(leaf), payload(leaf) or (), slots[at],
+        failed.get(leaf),
+    )
+
+
+def _unscheduled(vertex, rank, visit, records, mark, exc) -> DecompressionError:
+    """The error for a visit the leaf's schedule cannot serve (``mark``:
+    ``_HOLE`` or ``_CLASH``; ``exc``: why there is no schedule at all);
+    ``cursors`` says where each record would next have replayed."""
+    nexts = [] if exc else [r.occurrences().first_at_least(visit) for r in records]
+    if exc is not None:
+        what = (f"declares more occurrences than a schedule can hold "
+                f"({type(exc).__name__})")
+    elif mark == _CLASH:
+        claimants = [i for i, nxt in enumerate(nexts) if nxt == visit]
+        what = f"has more than one record for visit {visit}: {claimants} claim it"
+    else:
+        what = (
+            f"has no record for visit {visit}; tried {len(records)} "
+            f"record(s) with next occurrences {nexts}"
         )
+    error = DecompressionError(
+        f"rank {rank}: leaf gid={vertex.gid} ({vertex.op}) {what}",
+        rank=rank, gid=vertex.gid, op=vertex.op, visit=-1 if exc else visit,
+        candidates=tuple(r.key for r in records),
+        cursors=tuple(enumerate(nexts)),
+    )
+    error.__cause__ = exc
+    return error
 
 
 def _decode(encoded, rank: int, nranks: int | None, gid: int, op: str) -> int:
@@ -305,48 +316,66 @@ def _decode(encoded, rank: int, nranks: int | None, gid: int, op: str) -> int:
     return peer
 
 
-def _events(walk: _Walker, rank: int, nranks, shared: dict) -> list:
-    """``rank``'s events from its class's walk: each table entry decoded
-    once, in first-reach order (so what a rank reaches first raises
-    first), then the slots expanded.  ``shared``: id(record) → the one
-    event of a record with no relative peer."""
+def _events(resolved, rank: int, nranks, shared: dict, order=None) -> list:
+    """``rank``'s events from its class's :func:`_resolve`: each table
+    entry decoded once (``shared``: id(record) → the one event of a
+    record with no relative peer), then the slots expanded.  A peer that
+    does not decode raises for the entry the rank reaches first, before
+    the class's ``error``: a failed pass is redone in first-reach order."""
+    slots, table, error = resolved
     new = tuple.__new__  # a ReplayEvent from one tuple: no argument binding
-    decoded = []
-    for record, gid in walk.table:
-        (
-            op, peer_enc, peer2_enc, tag, tag2, nbytes, nbytes2,
-            comm, root, wildcard, req_gids, result_comm,
-        ) = record.key
-        absolute = peer_enc[0] == ABS and peer2_enc[0] == ABS
-        event = shared.get(id(record)) if absolute else None
-        if event is None:
-            event = new(ReplayEvent, (
-                op, _decode(peer_enc, rank, nranks, gid, op),
-                _decode(peer2_enc, rank, nranks, gid, op),
-                tag, tag2, nbytes, nbytes2, comm, root, wildcard, req_gids,
-                record.dur_mean, record.gap_mean, gid, result_comm,
-            ))
-            if absolute:
-                shared[id(record)] = event
-        decoded.append(event)
-    if walk.error is not None:
-        raise walk.error
-    return list(map(decoded.__getitem__, walk.slots))
+    decoded = [None] * len(table)
+    try:
+        for i in range(len(table)) if order is None else order:
+            record, gid = table[i]
+            (
+                op, peer_enc, peer2_enc, tag, tag2, nbytes, nbytes2,
+                comm, root, wildcard, req_gids, result_comm,
+            ) = record.key
+            absolute = peer_enc[0] == ABS and peer2_enc[0] == ABS
+            event = shared.get(id(record)) if absolute else None
+            if event is None:
+                event = new(ReplayEvent, (
+                    op, _decode(peer_enc, rank, nranks, gid, op),
+                    _decode(peer2_enc, rank, nranks, gid, op),
+                    tag, tag2, nbytes, nbytes2, comm, root, wildcard,
+                    req_gids, record.dur_mean, record.gap_mean, gid,
+                    result_comm,
+                ))
+                if absolute:
+                    shared[id(record)] = event
+            decoded[i] = event
+    except DecompressionError:
+        if order is not None:
+            raise
+        return _events(resolved, rank, nranks, shared, dict.fromkeys(slots))
+    if error is not None:
+        raise error
+    return list(map(decoded.__getitem__, slots))
 
 
-def _replay(steps, members, nranks) -> dict[int, list[ReplayEvent]]:
-    """Replay each ``(rank, [payload, walk])`` of ``members`` in rank
-    order; a class's walk is taken by its first (lowest) rank."""
+def _replay(root, members, nranks, lists) -> dict[int, list[ReplayEvent]]:
+    """Replay each ``(rank, [payload, [shape], resolved])`` of
+    ``members`` in rank order; a shape is walked, and a class resolved,
+    by its first (lowest) rank.  ``lists(leaf)``: the record lists the
+    members read at ``leaf``, whose totals bound the walk."""
     registry = obs.active()
+    steps = _compile(root)
+    limit = sum(  # no sound rank has more events: see _shape
+        max([sum(r.length for r in rs or ()) for rs in lists(v)], default=0)
+        for v in root.preorder() if v.kind == CALL
+    )
     schedules, shared, out = {}, {}, {}
     for rank, cls in members:
         t0 = time.perf_counter() if registry is not None else 0.0
-        walk = cls[1]
-        if walk is None:
-            walk = cls[1] = _Walker(steps, cls[0], rank, schedules)
-            if registry is not None:
-                registry.counter_add("replay.walks", 1)
-        events = out[rank] = _events(walk, rank, nranks, shared)
+        if cls[2] is None:
+            shape = cls[1]
+            if shape[0] is None:
+                shape[0] = _shape(steps, cls[0], limit)
+                if registry is not None:
+                    registry.counter_add("replay.walks", 1)
+            cls[2] = _resolve(shape[0], cls[0], rank, schedules)
+        events = out[rank] = _events(cls[2], rank, nranks, shared)
         if registry is not None:
             registry.observe("replay.rank_seconds", time.perf_counter() - t0)
             registry.counter_add("replay.events", len(events))
@@ -355,35 +384,32 @@ def _replay(steps, members, nranks) -> dict[int, list[ReplayEvent]]:
 
 
 def decompress_rank(ctt: CTT, nranks: int | None = None) -> list[ReplayEvent]:
-    """Replay one rank's own CTT into its original event sequence.
-
-    With ``nranks`` given, every decoded peer is validated against
-    ``[0, nranks)`` (plus the legal sentinels) and an out-of-range decode
-    raises :class:`DecompressionError` instead of yielding a bogus rank.
-    """
-    members = [(ctt.rank, [own_payload, None])]
-    return _replay(_compile(ctt.root), members, nranks)[ctt.rank]
+    """Replay one rank's own CTT into its original event sequence.  With
+    ``nranks``, a peer decoded outside ``[0, nranks)`` (and not a legal
+    sentinel) raises :class:`DecompressionError`, not a bogus rank."""
+    members = [(ctt.rank, [own_payload, [None], None])]
+    return _replay(ctt.root, members, nranks, lambda v: (v.records,))[ctt.rank]
 
 
 def decompress_merged_rank(
     merged, rank: int, nranks: int | None = None
 ) -> list[ReplayEvent]:
-    """Replay ``rank``'s original sequence from the job-wide merged CTT.
-
-    ``nranks`` enables strict peer-range validation (see
-    :func:`decompress_rank`)."""
-    members = [(rank, [group_payload(lambda v: v.group_of(rank)), None])]
-    return _replay(_compile(merged.root), members, nranks)[rank]
+    """Replay ``rank``'s original sequence from the job-wide merged CTT
+    (``nranks`` as in :func:`decompress_rank`)."""
+    payload = group_payload(lambda v: v.group_of(rank))
+    members = [(rank, [payload, [None], None])]
+    return _replay(merged.root, members, nranks, lambda v: (payload(v),))[rank]
 
 
 def decompress_all(
     merged, nranks: int | None = None
 ) -> dict[int, list[ReplayEvent]]:
-    """Replay every merged rank (0..nranks-1 inferred from group members).
-
-    A rank's class is the groups holding it, in preorder (a group
-    belongs to one vertex, so they name the vertices too); the ranks of
-    a class share one walk.  ``nranks`` as in :func:`decompress_rank`."""
+    """Replay every merged rank (the ranks any group holds).  A rank's
+    class is the groups holding it, in preorder (a group belongs to one
+    vertex, so they name the vertices too), and its shape the loop and
+    branch groups among them; the ranks of a shape share one walk, and
+    those of a class one resolution of its leaves.  ``nranks`` as in
+    :func:`decompress_rank`."""
     with obs.span("replay.decompress_all"):
         owner = {}
         held: defaultdict[int, list] = defaultdict(list)
@@ -392,12 +418,16 @@ def decompress_all(
                 owner[group] = vertex
                 for r in group.ranks:
                     held[r].append(group)
-        classes: dict[tuple, list] = {}
-        members = []
+        shapes, classes, members = {}, {}, []
         for r in sorted(held):
             groups = tuple(held[r])
             if groups not in classes:
                 at = {owner[g]: g for g in groups}
-                classes[groups] = [group_payload(at.get), None]
+                shape = tuple(g for g in groups if owner[g].kind != CALL)
+                classes[groups] = [
+                    group_payload(at.get), shapes.setdefault(shape, [None]), None
+                ]
             members.append((r, classes[groups]))
-        return _replay(_compile(merged.root), members, nranks)
+        return _replay(
+            merged.root, members, nranks, lambda v: [g.records for g in v.groups]
+        )

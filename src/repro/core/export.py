@@ -18,7 +18,7 @@ import io
 from repro.mpisim.datatypes import ANY_SOURCE
 from repro.mpisim.events import NO_PEER
 
-from .decompress import ReplayEvent, decompress_all
+from .decompress import ReplayEvent, decompress_all, decompress_merged_rank
 from .inter import MergedCTT
 
 CSV_FIELDS = (
@@ -55,11 +55,23 @@ def _timeline(events: list[ReplayEvent]):
         clock += ev.mean_duration
 
 
+def _traces(merged: MergedCTT, ranks: list[int] | None) -> dict:
+    """The given ranks replayed (default: all), each peer checked against
+    ``[0, merged.rank_span())``
+    (:class:`~repro.core.errors.DecompressionError` if not); a rank no
+    group holds is left out, and a rank not asked for is not replayed."""
+    nranks = merged.rank_span()
+    if ranks is None:
+        return decompress_all(merged, nranks)
+    return {
+        r: decompress_merged_rank(merged, r, nranks) for r in ranks
+        if any(v.group_of(r) is not None for v in merged.vertices())
+    }
+
+
 def to_text(merged: MergedCTT, ranks: list[int] | None = None) -> str:
     """Readable flat trace of the given ranks (default: all)."""
-    traces = decompress_all(merged)
-    if ranks is not None:
-        traces = {r: traces[r] for r in ranks if r in traces}
+    traces = _traces(merged, ranks)
     out = io.StringIO()
     for rank in sorted(traces):
         out.write(f"# rank {rank}: {len(traces[rank])} events\n")
@@ -86,9 +98,7 @@ def to_text(merged: MergedCTT, ranks: list[int] | None = None) -> str:
 
 def to_csv(merged: MergedCTT, ranks: list[int] | None = None) -> str:
     """CSV flat trace with expectation timestamps."""
-    traces = decompress_all(merged)
-    if ranks is not None:
-        traces = {r: traces[r] for r in ranks if r in traces}
+    traces = _traces(merged, ranks)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CSV_FIELDS)

@@ -306,6 +306,16 @@ class MergedCTT:
             self._vertices = list(self.root.preorder())
         return self._vertices
 
+    def rank_span(self) -> int:
+        """How many ranks a replayed peer may name: ``nranks_merged``, or
+        one past the highest member rank where that is more (a job that
+        quarantined a middle rank merges fewer ranks than it spans).  A
+        quarantined top rank is not seen: no job size is stored."""
+        highest = max(
+            (g.ranks[-1] for v in self.vertices() for g in v.groups), default=-1
+        )
+        return max(self.nranks_merged, highest + 1)
+
     # -- construction -----------------------------------------------------
 
     def add_rank(self, ctt: CTT, nranks: int | None = None) -> "MergedCTT":

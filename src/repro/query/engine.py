@@ -404,11 +404,11 @@ def _exec_interval(
 
 def check_rank(merged, rank: int) -> None:
     """Refuse a rank outside the job: ``[0, nranks_merged)``, or up to
-    :func:`rank_count` if the groups name more.  The tree holds nothing
-    to answer it from."""
+    ``merged.rank_span()`` if the groups name more.  The tree holds
+    nothing to answer it from."""
     nprocs = merged.nranks_merged
     if rank >= nprocs:  # only then is a scan worth it
-        nprocs = max(nprocs, rank_count(merged))
+        nprocs = merged.rank_span()
     if not 0 <= rank < nprocs:
         raise QueryError(f"rank {rank} outside [0, {nprocs})")
 

@@ -255,11 +255,12 @@ def _check_rank(steps, rank, payload, nranks, call_gids, rep) -> None:
 
     def walk(steps, e_body: int) -> None:
         for kind, node, inner in steps:
-            if kind == CALL:
-                _check_records(
-                    payload(node) or [], node.gid, rank, nranks, e_body,
-                    call_gids, rep,
-                )
+            if kind == CALL:  # ``node`` is a run of leaves
+                for leaf in node:
+                    _check_records(
+                        payload(leaf) or [], leaf.gid, rank, nranks, e_body,
+                        call_gids, rep,
+                    )
             elif kind == LOOP:
                 counts = payload(node) or ()
                 if len(counts) != e_body:

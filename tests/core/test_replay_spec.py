@@ -2,9 +2,9 @@
 ``tests/spec_replay.py``: equal event for event on sound traces, a
 ``DecompressionError`` with its context set on damaged leaves (the same
 one from all three entry points, whichever ranks share a walk), and the
-structural facts the walker rests on (one walk per rank class; one event
-object per reached (record, rank), or per record when no peer is
-relative; no occurrence cursor at a leaf)."""
+structural facts the walker rests on (one walk per shape of loop and
+branch groups; one event object per reached (record, rank), or per
+record when no peer is relative; no occurrence cursor at a leaf)."""
 
 import sys
 
@@ -37,6 +37,7 @@ from repro.core.intra import CypressConfig  # noqa: E402
 from repro.core.ranks import ABS  # noqa: E402
 from repro.core.sequences import IntSequence  # noqa: E402
 from repro.core.timing import HIST, MEANSTD  # noqa: E402
+from repro.static.cst import CALL  # noqa: E402
 from repro.workloads import WORKLOADS  # noqa: E402
 from tests.record_fields import occurrences, set_occurrences  # noqa: E402
 
@@ -156,6 +157,19 @@ class TestDamagedLeaves:
         err = _raises(decompress_rank, ctt, leaf, 6)
         assert err.cursors == ((0, None), (1, None))
         _raises(spec_rank, ctt, leaf, 6)
+
+    def test_hostile_iteration_count_fails_where_a_small_one_does(self):
+        # 2**40 iterations are never walked: the walk stops once a leaf
+        # has run past every record it has, and raises at visit 6 as the
+        # 8-iteration case above does.
+        ctt, leaf = _alternating_leaf()
+        for v in ctt.vertices():
+            if v.loop_counts is not None:
+                v.loop_counts.terms = [(2**40, 1, 0)]
+        merged = merge_all([ctt], nranks=1)
+        _raises(decompress_rank, ctt, leaf, 6)
+        _raises(lambda _: decompress_merged_rank(merged, 0), ctt, leaf, 6)
+        _raises(lambda _: decompress_all(merged), ctt, leaf, 6)
 
     def test_unreached_damage_is_not_an_error(self):
         # Raised when the walk reaches it, not when the schedule is built.
@@ -325,9 +339,10 @@ class TestDamageAcrossRanks:
 # ---------------------------------------------------------------------------
 # Structure, no clock: sp P=16 scale 3 and mg P=256 scale 0.1 (the
 # benchmark's irregular_sp and wide_mg).  Pinned: (events, event objects,
-# walks).  Every rank of sp is its own class; mg's 256 ranks fall in 50.
+# walks, classes).  Every rank of sp is its own class, all of one shape;
+# mg's 256 ranks fall in 50 classes of 3 shapes.
 
-PINNED = {"sp": (20784, 5766, 16), "mg": (9888, 7317, 50)}
+PINNED = {"sp": (20784, 5766, 1, 16), "mg": (9888, 7317, 3, 50)}
 
 
 def _merged_workload(name, nprocs, scale):
@@ -408,15 +423,22 @@ class TestStructure:
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_one_walk_per_group_vector(self, name, request):
+        # One walk per distinct vector of LOOP and BRANCH groups (a
+        # shape); the leaf groups only split a shape into classes.
         merged = request.getfixturevalue(f"{name}_merged")
         _, counters = _observed_replay(merged)
         vectors: dict[int, list] = {}
         for v in merged.root.preorder():
             for g in v.sorted_groups():
                 for r in g.ranks:
-                    vectors.setdefault(r, []).append(id(g))
-        walks = len({tuple(groups) for groups in vectors.values()})
-        assert counters["replay.walks"] == walks == PINNED[name][2]
+                    vectors.setdefault(r, []).append((v.kind != CALL, id(g)))
+        shapes = {
+            tuple(g for control, g in groups if control)
+            for groups in vectors.values()
+        }
+        classes = {tuple(groups) for groups in vectors.values()}
+        assert counters["replay.walks"] == len(shapes) == PINNED[name][2]
+        assert len(classes) == PINNED[name][3]
         assert counters["replay.ranks"] == len(vectors)
 
     def test_no_occurrence_cursor_at_a_leaf(self, sp_merged, monkeypatch):

@@ -343,6 +343,104 @@ class TestFaultFlags:
         assert "golden_fig11_v7.cyp" not in captured.err  # intact side is quiet
 
 
+class TestTraceThatDoesNotReplay:
+    """A trace that loads but does not replay: one ``error:`` line naming
+    the rank and the leaf, and the damaged-trace exit code, from every
+    command that replays; peers are checked against the trace's ranks."""
+
+    GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_mg_v8.cyp"
+
+    def _flipped(self, tmp_path):
+        data = bytearray(self.GOLDEN.read_bytes())
+        data[len(data) * 9 // 10] ^= 0xFF
+        path = tmp_path / "flipped.cyp"
+        path.write_bytes(bytes(data))
+        return str(path)
+
+    def _peer_past_the_job(self, tmp_path):
+        """The golden re-saved (checksums valid) with one relative peer
+        delta set to +100 in an 8-rank trace."""
+        from repro.core import serialize
+        from repro.core.ranks import REL
+
+        merged = serialize.load(str(self.GOLDEN))
+        leaf = next(
+            v for v in merged.root.preorder()
+            if v.kind == "call" and v.groups[0].records[0].key[1][0] == REL
+        )
+        record = leaf.groups[0].records[0]
+        record.key = (record.key[0], (REL, 100)) + record.key[2:]
+        path = tmp_path / "peer100.cyp"
+        path.write_bytes(serialize.dumps(merged))
+        return str(path), leaf.gid, leaf.groups[0].ranks
+
+    @staticmethod
+    def _one_error_line(capsys):
+        """The one ``error:`` line, and what went to stdout."""
+        out, err = capsys.readouterr()
+        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(lines) == 1 and "Traceback" not in err, err
+        return lines[0], out
+
+    def test_salvaged_hole_is_one_error_line(self, tmp_path, capsys):
+        trace = self._flipped(tmp_path)
+        rc = main(["replay", trace, "-r", "1", "--salvage"])
+        assert rc == cli.EXIT_CORRUPT_TRACE
+        line, _ = self._one_error_line(capsys)
+        assert "rank 1:" in line and "gid=1 " in line and "visit 0" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["replay", "{trace}", "-r", "{rank}"],
+        ["export", "{trace}", "--ranks", "{rank}"],
+        ["predict", "{trace}"],
+        ["diff", "{trace}", str(GOLDEN)],
+    ])
+    def test_peer_outside_the_job_is_refused(self, tmp_path, capsys, argv):
+        trace, gid, (rank, *_) = self._peer_past_the_job(tmp_path)
+        argv = [a.format(trace=trace, rank=rank) for a in argv]
+        assert main(argv) == cli.EXIT_CORRUPT_TRACE
+        line, out = self._one_error_line(capsys)
+        assert f"rank {rank}:" in line and f"gid={gid} " in line
+        assert "outside [0, 8)" in line
+        assert "peer=100" not in out
+
+    def test_the_intact_golden_still_replays(self, capsys):
+        assert main(["replay", str(self.GOLDEN), "-r", "0"]) == 0
+        assert main(["diff", str(self.GOLDEN), str(self.GOLDEN)]) == 0
+
+    def test_export_of_a_rank_outside_the_damage(self, tmp_path, capsys):
+        # Only the ranks asked for are replayed, so the damaged group's
+        # ranks do not fail an export of another one.
+        trace, _, damaged = self._peer_past_the_job(tmp_path)
+        rank = str(min(set(range(8)) - set(damaged)))
+        assert main(["export", str(self.GOLDEN), "--ranks", rank]) == 0
+        want = capsys.readouterr().out
+        assert main(["export", trace, "--ranks", rank]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_a_trace_without_a_middle_rank_replays(self, tmp_path, capsys):
+        # A job that quarantined rank 3 of 8 merges 7 ranks, but its
+        # peers still name rank 7.
+        from repro.core import serialize
+        from repro.core.inter import merge_all
+        from repro.workloads import get
+        from tests.helpers import run_traced
+
+        cg = get("cg")
+        _, _, cyp, _ = run_traced(cg.source, 8, defines=cg.defines(8, 0.1))
+        merged = merge_all([cyp.ctt(r) for r in range(8) if r != 3], nranks=8)
+        assert merged.nranks_merged == 7 and merged.rank_span() == 8
+        path = tmp_path / "without3.cyp"
+        path.write_bytes(serialize.dumps(merged))
+        trace = str(path)
+        assert main(["replay", trace, "-r", "6"]) == 0
+        assert "peer=7 " in capsys.readouterr().out
+        for argv in (["export", trace], ["export", trace, "--ranks", "3"],
+                     ["diff", trace, trace]):
+            assert main(argv) == 0, argv
+        assert "rank 3" not in capsys.readouterr().out
+
+
 class TestQueryUsageErrors:
     """A rank or gid the trace does not have is a usage error: one line,
     exit 2 — not an empty answer or a traceback.  The golden trace has 8
