@@ -199,11 +199,12 @@ def _fig15_check(name: str):
             for nprocs, kb in rows:
                 assert kb["cypress"] < kb["scalatrace"], f"mg@{nprocs}"
         if name == "sp":
-            # ScalaTrace-2+Gzip is the one combination that can beat
-            # CYPRESS (the paper's one loss, Fig. 15h).  Raw CYPRESS only:
-            # since container v7 CYPRESS+Gzip is the smaller, and v8
-            # leaves raw CYPRESS 4% above it at P=36 (EXPERIMENTS.md).
-            assert last["scalatrace2+gzip"] < last["cypress"]
+            # What is left of the paper's one loss (Fig. 15h): on SP,
+            # ScalaTrace-2+Gzip is the strongest baseline.  Since the
+            # v9 container's torus-relative peers, raw CYPRESS is under
+            # it too (3.90 against 3.95 KB at P=36, EXPERIMENTS.md).
+            for method in ("gzip", "scalatrace", "scalatrace2"):
+                assert last["scalatrace2+gzip"] < last[method], method
     return check
 
 

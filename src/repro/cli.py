@@ -172,7 +172,12 @@ def _check_trace(path: str, cst=None, out: str | None = None) -> bool:
     )
 
     merged = _load_trace(path, salvage=None)
-    violations = check_merged(merged, nranks=merged.nranks_merged)
+    # A v9 file knows its job size; a v7/v8 one is checked against the
+    # ranks it merged.
+    job = merged.job_size
+    violations = check_merged(
+        merged, nranks=merged.nranks_merged if job is None else job
+    )
     if cst is not None:
         violations = check_cst(cst) + violations
     audit = audit_wildcards(merged)
@@ -293,10 +298,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
     from repro.core import decompress_all
     from repro.replay import fit_loggp, predict
 
+    from repro.mpisim.errors import DeadlockError
+
     merged = _load_trace(args.trace, salvage=args.salvage)
     traces = decompress_all(merged, merged.rank_span())
     params = fit_loggp()
-    result = predict(traces, params)
+    try:
+        result = predict(traces, params)
+    except DeadlockError as exc:
+        # A trace that lacks a rank its peers wait on (quarantined).
+        print(f"error: the replayed trace deadlocks: {exc}", file=sys.stderr)
+        return EXIT_CORRUPT_TRACE
     print(f"ranks          : {len(traces)}")
     print(f"predicted time : {result.elapsed / 1e6:.4f} s")
     print(f"comm fraction  : {result.comm_fraction() * 100:.1f}%")

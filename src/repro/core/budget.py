@@ -628,7 +628,7 @@ class RankTable:
             if rank not in folded:
                 self._fold(rank)
         self.make_room(0)
-        return self._partial
+        return self._partial.finish(self._nranks)
 
     def discard(self, rank: int) -> None:
         """Drop a rank's state wherever it is (quarantine) and take it

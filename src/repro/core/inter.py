@@ -40,6 +40,7 @@ one-process harness the one merge's cost per rank is what
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from operator import attrgetter
 
 from repro import obs
@@ -47,7 +48,7 @@ from repro.static.cst import BRANCH, CALL, LOOP
 
 from .ctt import CTT, CTTVertex
 from .errors import MergeError
-from .ranks import ABS, REL
+from .ranks import ABS, REL, TOR
 from .records import CompressedRecord, LeafView
 from .sequences import IntSequence
 
@@ -63,10 +64,15 @@ def _visits_signature(visits: IntSequence) -> tuple:
 def _records_signature(records: list[CompressedRecord]) -> tuple:
     """A leaf's records as an index key: each one's key and occurrence
     fields (a terms list exists only from a record's second term)."""
+    return _signature([r.key for r in records], records)
+
+
+def _signature(keys: list[tuple], records: list[CompressedRecord]) -> tuple:
+    """:func:`_records_signature` of ``records`` under ``keys``."""
     return ("R", tuple([
-        (r.key, r.start, r.length, r.stride,
+        (key, r.start, r.length, r.stride,
          None if r.terms is None else tuple(r.terms))
-        for r in records
+        for key, r in zip(keys, records)
     ]))
 
 
@@ -92,7 +98,7 @@ def _leaf_signature(
             ):
                 records = _abs_fallback_records(records, rank, nranks)
                 return records, _records_signature(records)
-        terms = record.terms  # as _records_signature
+        terms = record.terms  # as _signature
         parts.append((
             key, record.start, record.length, record.stride,
             None if terms is None else tuple(terms),
@@ -244,7 +250,7 @@ def payload_key(group: Group) -> tuple:
 class MergedVertex:
     __slots__ = (
         "gid", "kind", "ast_id", "name", "op", "branch_path",
-        "children", "groups",
+        "children", "groups", "torus",
     )
 
     def __init__(self, template: CTTVertex) -> None:
@@ -256,6 +262,9 @@ class MergedVertex:
         self.branch_path = template.branch_path
         self.children = [MergedVertex(c) for c in template.children]
         self.groups: list[Group] = []
+        #: ``(s, m)`` of every TOR peer at this CALL vertex
+        #: (:meth:`MergedCTT.finish`), ``None`` where there is none.
+        self.torus: tuple[int, int] | None = None
 
     def preorder(self):
         stack = [self]
@@ -300,6 +309,11 @@ class MergedCTT:
         #: Set by ``serialize.loads``: the tree has no payload index, so
         #: it is read-only to the merge.
         self.loaded = False
+        #: Set by :meth:`finish`, the final pass: the tree takes no rank.
+        self.finished = False
+        #: The job's rank count: set by :meth:`finish` (or read from a v9
+        #: container), ``None`` before (:meth:`rank_span`).
+        self.job_size: int | None = None
 
     def vertices(self) -> list[MergedVertex]:
         if self._vertices is None:
@@ -307,10 +321,14 @@ class MergedCTT:
         return self._vertices
 
     def rank_span(self) -> int:
-        """How many ranks a replayed peer may name: ``nranks_merged``, or
-        one past the highest member rank where that is more (a job that
-        quarantined a middle rank merges fewer ranks than it spans).  A
-        quarantined top rank is not seen: no job size is stored."""
+        """How many ranks a replayed peer may name: the job size where
+        the tree knows it (:meth:`finish`, a v9 container); else
+        ``nranks_merged``, or one past the highest member rank where
+        that is more (a job that quarantined a middle rank merges fewer
+        ranks than it spans — a v7/v8 file cannot tell a quarantined top
+        rank)."""
+        if self.job_size is not None:
+            return self.job_size
         highest = max(
             (g.ranks[-1] for v in self.vertices() for g in v.groups), default=-1
         )
@@ -325,11 +343,11 @@ class MergedCTT:
         order, each once, so a join is an O(1) append of the rank (and,
         at a leaf, of its record list), and groups are founded in
         ascending order of their lowest rank."""
-        if self.loaded:
+        if self.loaded or self.finished:
             raise MergeError(
-                "a tree opened from a container does not merge: it keeps "
-                "no payload index — merge the per-rank CTTs and save the "
-                "result"
+                "a finished tree does not merge: it keeps no payload index "
+                "(opened from a container, or finished by the final pass) — "
+                "merge the per-rank CTTs and save the result"
             )
         rank = ctt.rank
         if rank <= self._last_rank:
@@ -415,6 +433,35 @@ class MergedCTT:
         """
         return self.add_rank(ctt, nranks).finalize()
 
+    def finish(self, nranks: int | None = None) -> "MergedCTT":
+        """The final pass, run once where a merge finishes
+        (:func:`merge_all`, the budget fold's ``merged()``): finalize
+        every group, fix the job size (``nranks``, raised to
+        :meth:`rank_span` should a member or the merged count exceed
+        it), and unite each CALL vertex's groups that differ only in a
+        relative peer wrapping around one grid dimension
+        (:func:`_wrap_vertex`).  The payload index of a vertex the pass
+        changed is rebuilt, and the tree takes no further rank.
+        Idempotent."""
+        if self.finished:
+            return self
+        self.finalize()
+        job = self.rank_span()
+        if nranks is not None and nranks > job:
+            job = nranks
+        self.job_size = job
+        sizes = _block_sizes(job)
+        for at, vertex in enumerate(self.vertices()):
+            if (
+                vertex.kind == CALL and len(vertex.groups) > 1
+                and _wrap_vertex(vertex, sizes)
+            ):
+                self.index[at] = {
+                    payload_key(group): group for group in vertex.groups
+                }
+        self.finished = True
+        return self
+
     # -- inspection -----------------------------------------------------------
 
     def vertex_count(self) -> int:
@@ -447,7 +494,8 @@ def merge_all(
     outside ``[0, nranks)`` for their rank are re-encoded absolute at
     merge time (copy-on-write; healthy traces are untouched and stay
     byte-identical) so a damaged delta cannot silently alias onto a
-    plausible rank after grouping.
+    plausible rank after grouping.  The tree comes back finished
+    (:meth:`MergedCTT.finish`).
     """
     if not ctts:
         raise ValueError("no CTTs to merge")
@@ -459,7 +507,7 @@ def merge_all(
         result = MergedCTT(MergedVertex(ctts[0].root), 0)
         for ctt in ctts:
             result.add_rank(ctt, nranks)
-        result.finalize()
+        result.finish(nranks)
     if registry is not None:
         _publish_merge_metrics(registry, result)
     return result
@@ -469,3 +517,188 @@ def _publish_merge_metrics(registry, merged: MergedCTT) -> None:
     registry.counter_add("inter.ranks_merged", merged.nranks_merged)
     registry.counter_add("inter.vertices", merged.vertex_count())
     registry.counter_add("inter.groups", merged.group_count())
+
+
+# ---------------------------------------------------------------------------
+# The final pass: torus-relative peers (docs/INTERNALS.md §6).
+
+
+def _block_sizes(job: int) -> set[int]:
+    """Every block size ``s·m`` a torus may have: the divisors of the
+    job size above 1."""
+    sizes = set()
+    d = 1
+    while d * d <= job:
+        if not job % d:
+            sizes.update((d, job // d))
+        d += 1
+    sizes.discard(1)
+    return sizes
+
+
+def _skeleton(records: list[CompressedRecord]) -> tuple[tuple, list[int]]:
+    """A leaf's payload with each REL delta blanked, and the deltas in
+    slot order: groups that share a skeleton agree on everything but
+    their deltas, slot for slot."""
+    parts = []
+    deltas = []
+    for rec in records:
+        key = rec.key
+        enc, enc2 = key[1], key[2]
+        if enc[0] == REL:
+            deltas.append(enc[1])
+            enc = REL
+        if enc2[0] == REL:
+            deltas.append(enc2[1])
+            enc2 = REL
+        terms = rec.terms
+        parts.append((
+            key[0], enc, enc2, key[3:], rec.start, rec.length, rec.stride,
+            None if terms is None else tuple(terms),
+        ))
+    return tuple(parts), deltas
+
+
+def _candidates(
+    classes: list[list[tuple[Group, list[int]]]], sizes: set[int]
+) -> list[tuple[int, int]]:
+    """The ``(s, m)`` pairs worth trying at one vertex, in tie-break
+    order (``s·m``, then ``s``): ``m ≥ 2`` and ``s·m`` a block size that
+    is the difference of two REL deltas at one slot of two groups of a
+    class (groups agreeing on everything else)."""
+    found: set[int] = set()
+    for members in classes:
+        for column in zip(*[deltas for _, deltas in members]):
+            values = set(column)
+            if len(values) < 2:
+                continue
+            if len(values) <= len(sizes):  # few deltas: every difference
+                found.update(
+                    sizes.intersection([b - a for a in values for b in values])
+                )
+                continue
+            for size in sizes:
+                if size not in found and any(d + size in values for d in values):
+                    found.add(size)
+    return [
+        (s, size // s)
+        for size in sorted(found)
+        for s in range(1, size // 2 + 1)
+        if not size % s
+    ]
+
+
+def _residues(ranks: list[int], size: int) -> tuple[int, int]:
+    """The lowest and highest place of ``ranks`` in their blocks of
+    ``size`` ranks."""
+    return min(map(size.__rmod__, ranks)), max(map(size.__rmod__, ranks))
+
+
+def _wrap(d: int, s: int, m: int, lo: int, hi: int) -> int | None:
+    """The shift ``t`` in ``(-m/2, m/2]`` a REL delta ``d`` becomes for
+    members whose places in their blocks of ``s·m`` ranks span
+    ``lo..hi``, or ``None``: it stays REL unless ``s`` divides it and
+    it keeps every member inside its own block."""
+    if d % s or lo + d < 0 or hi + d >= s * m:
+        return None
+    t = d // s % m
+    return t - m if 2 * t > m else t
+
+
+def _wrapped_keys(
+    group: Group, s: int, m: int, span: tuple[int, int] | None = None
+) -> list[tuple]:
+    """``group``'s record keys with each REL delta :func:`_wrap` shifts
+    re-encoded ``(TOR, t, s, m)`` (``span``: the members'
+    :func:`_residues`, found here if not given)."""
+    lo, hi = span or _residues(group.ranks, s * m)
+
+    def wrap(enc):
+        if enc[0] != REL:
+            return enc
+        t = _wrap(enc[1], s, m, lo, hi)
+        return enc if t is None else (TOR, t, s, m)
+
+    keys = []
+    for rec in group.records:
+        key = rec.key
+        enc, enc2 = wrap(key[1]), wrap(key[2])
+        if enc is not key[1] or enc2 is not key[2]:
+            key = (key[0], enc, enc2) + key[3:]
+        keys.append(key)
+    return keys
+
+
+def _wrap_vertex(vertex: MergedVertex, sizes: set[int]) -> bool:
+    """Re-encode one CALL vertex's wrapping relative peers under the
+    ``(s, m)`` that leaves the fewest groups (ties: smaller ``s·m``,
+    then smaller ``s``) and unite the groups whose payloads are then
+    equal — their ranks joined, their stats folded group by group in
+    ascending order of lowest rank.  A vertex no pair shrinks is left
+    exactly as it was (``False``).
+
+    Only groups of one class (one :func:`_skeleton`) can become equal,
+    and within a class only their deltas differ, so a candidate is
+    counted on the classes' wrapped deltas alone."""
+    groups = vertex.groups
+    by_skeleton: dict[tuple, list] = {}
+    for group in groups:
+        skeleton, deltas = _skeleton(group.records)
+        if deltas:
+            by_skeleton.setdefault(skeleton, []).append((group, deltas))
+    classes = [members for members in by_skeleton.values() if len(members) > 1]
+    if not classes:
+        return False
+    best = None
+    places: dict[tuple[int, int], tuple[int, int]] = {}
+    for s, m in _candidates(classes, sizes):
+        size = s * m
+        saved = 0
+        for members in classes:
+            wrapped = set()
+            for group, deltas in members:
+                at = (id(group), size)
+                span = places.get(at)
+                if span is None:
+                    span = places[at] = _residues(group.ranks, size)
+                lo, hi = span
+                # :func:`_wrap` in line, its shift left modulo m: the
+                # shift, or (a tuple, never a shift) the delta it stays
+                wrapped.add(tuple([
+                    (d,) if d % s or lo + d < 0 or hi + d >= size
+                    else d // s % m
+                    for d in deltas
+                ]))
+            saved += len(members) - len(wrapped)
+        if saved > (0 if best is None else best[0]):
+            best = (saved, s, m)
+    if best is None:
+        return False
+    _, s, m = best
+    keyed = [
+        _wrapped_keys(group, s, m, places.get((id(group), s * m)))
+        for group in groups
+    ]
+    united: dict[tuple, list] = {}
+    for keys, group in zip(keyed, groups):  # lowest-rank order
+        members = united.setdefault(_signature(keys, group.records), [keys])
+        members.append(group)
+    vertex.groups = []
+    for keys, first, *rest in united.values():
+        records = first.records
+        if rest or any(key is not rec.key for key, rec in zip(keys, records)):
+            records = [rec.copy() for rec in records]
+            for rec, key in zip(records, keys):
+                rec.key = key
+            if rest:
+                for rec, others in zip(
+                    records, zip(*[group.records for group in rest])
+                ):
+                    rec.merge_stats(others)
+        ranks = list(chain.from_iterable(g.ranks for g in (first, *rest)))
+        ranks.sort()
+        group = Group(ranks, sources=[records])
+        group.finalize()
+        vertex.groups.append(group)
+    vertex.torus = (s, m)
+    return True

@@ -6,7 +6,13 @@ stencil, so all ranks produce the identical record.  Special values
 (``ANY_SOURCE`` etc., and the "no peer" sentinel) pass through unchanged.
 
 Encoded peers are tuples so they can never be confused with absolute
-ranks: ``("rel", delta)`` or ``("abs", rank)``.
+ranks: ``("rel", delta)`` or ``("abs", rank)``.  A merged tree may hold a
+third kind, ``("tor", t, s, m)``: a shift by ``t`` along one periodic
+grid dimension of stride ``s`` and extent ``m``, so that a boundary
+rank's wrapped neighbour (``rel +7`` on an 8-wide ring) and an interior
+rank's (``rel -1``) are one value.  Only the merge's final pass
+(:meth:`repro.core.inter.MergedCTT.finish`) writes it; a per-rank CTT never
+holds one.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from repro.mpisim.events import NO_PEER
 
 REL = "rel"
 ABS = "abs"
+TOR = "tor"
 
 EncodedPeer = tuple[str, int]
 
@@ -49,16 +56,19 @@ def decode_peer(
 ) -> int:
     """Decode ``encoded`` as seen from ``rank``.
 
-    With ``nranks`` given, a relative decode landing outside
+    With ``nranks`` given, a relative (or torus) decode landing outside
     ``[0, nranks)`` raises :class:`ValueError` — a REL result can never
     legally be a sentinel (sentinels are stored absolute), so e.g.
     rank 0 + delta −1 → −1 is an overflow, not ``ANY_SOURCE``.
     """
-    mode, value = encoded
+    mode = encoded[0]
     if mode == ABS:
-        return value
-    if mode == REL:
-        peer = rank + value
+        return encoded[1]
+    if mode == REL or mode == TOR:
+        peer = (
+            rank + encoded[1] if mode == REL
+            else torus_peer(rank, *encoded[1:])
+        )
         if nranks is not None and not 0 <= peer < nranks:
             raise ValueError(
                 f"relative peer {encoded!r} decodes to {peer} on rank "
@@ -68,26 +78,40 @@ def decode_peer(
     raise ValueError(f"bad encoded peer {encoded!r}")
 
 
+def torus_peer(rank: int, t: int, s: int, m: int) -> int:
+    """Rank ``rank``'s ``(TOR, t, s, m)`` peer: its coordinate ``c =
+    (rank // s) mod m`` moved ``t`` around the ring, ``rank + ((c + t)
+    mod m - c)·s``.  The peer stays in ``rank``'s own block of ``s·m``
+    ranks, so it is a rank of the job whenever ``s·m`` divides the job
+    size."""
+    c = rank // s % m
+    return rank + ((c + t) % m - c) * s
+
+
 def try_decode_peer(
     encoded: EncodedPeer, rank: int, nranks: int | None = None
 ) -> tuple[int, bool]:
     """Decode without raising: returns ``(peer, in_range)``.
 
-    ``in_range`` is ``False`` when a REL decode lands outside
+    ``in_range`` is ``False`` when a REL or TOR decode lands outside
     ``[0, nranks)`` (a negative REL decode is illegal even without
     ``nranks``), or an ABS value is neither a valid rank nor a legal
     sentinel (``NO_PEER``/``ANY_SOURCE``).
     """
-    mode, value = encoded
+    mode = encoded[0]
     if mode == REL:
-        peer = rank + value
+        peer = rank + encoded[1]
         if peer < 0:
             return peer, False
         return peer, nranks is None or peer < nranks
     if mode == ABS:
+        value = encoded[1]
         if value in (NO_PEER, ANY_SOURCE):
             return value, True
         if value < 0:
             return value, False
         return value, nranks is None or value < nranks
+    if mode == TOR:
+        peer = torus_peer(rank, *encoded[1:])
+        return peer, nranks is None or peer < nranks
     raise ValueError(f"bad encoded peer {encoded!r}")

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .ranks import decode_peer, encode_peer
 from .sequences import IntSequence, append_term
-from .timing import MEANSTD, add_sample, first_bins, fold_stats
+from .timing import MEANSTD, add_sample, first_bins
 
 _new = object.__new__
 
@@ -178,18 +178,63 @@ class CompressedRecord:
         )
 
     def merge_stats(self, others) -> None:
-        """Fold the stats blocks of ``others`` (records) in, in order
-        (:func:`fold_stats`): the inter-process merge of one record."""
+        """Fold the stats blocks of ``others`` (records) in, in order:
+        the inter-process merge of one record.  Both blocks fold in one
+        loop over the records, each with :func:`fold_stats`'s float
+        operations in its order (Chan et al.'s pairwise update, on
+        locals), so the result is that of two ``fold_stats`` calls bit
+        for bit; the loop spares them their per-record tuples."""
+        dn, dmean, dm2, dmin, dmax, dbins = _DURATION(self)
+        gn, gmean, gm2, gmin, gmax, gbins = _GAP(self)
+        for other in others:
+            n2 = other.dur_count
+            if (other.dur_bins is None) != (dbins is None) or (
+                (other.gap_bins is None) != (gbins is None)
+            ):
+                raise ValueError("cannot merge time stats of different modes")
+            if not n2:
+                pass
+            elif not dn:
+                dn, dmean, dm2 = n2, other.dur_mean, other.dur_m2
+                dmin, dmax = other.dur_min, other.dur_max
+                if dbins is not None:
+                    dbins = list(other.dur_bins)
+            else:
+                delta = other.dur_mean - dmean
+                total = dn + n2
+                dmean += delta * n2 / total
+                dm2 += other.dur_m2 + delta * delta * dn * n2 / total
+                dn = total
+                if other.dur_min < dmin:
+                    dmin = other.dur_min
+                if other.dur_max > dmax:
+                    dmax = other.dur_max
+                if dbins is not None:
+                    dbins = [a + b for a, b in zip(dbins, other.dur_bins)]
+            n2 = other.gap_count
+            if not n2:
+                continue
+            if not gn:
+                gn, gmean, gm2 = n2, other.gap_mean, other.gap_m2
+                gmin, gmax = other.gap_min, other.gap_max
+                if gbins is not None:
+                    gbins = list(other.gap_bins)
+                continue
+            delta = other.gap_mean - gmean
+            total = gn + n2
+            gmean += delta * n2 / total
+            gm2 += other.gap_m2 + delta * delta * gn * n2 / total
+            gn = total
+            if other.gap_min < gmin:
+                gmin = other.gap_min
+            if other.gap_max > gmax:
+                gmax = other.gap_max
+            if gbins is not None:
+                gbins = [a + b for a, b in zip(gbins, other.gap_bins)]
         (self.dur_count, self.dur_mean, self.dur_m2, self.dur_min,
-         self.dur_max, self.dur_bins) = fold_stats(
-            self.dur_count, self.dur_mean, self.dur_m2, self.dur_min,
-            self.dur_max, self.dur_bins, map(_DURATION, others),
-        )
+         self.dur_max, self.dur_bins) = dn, dmean, dm2, dmin, dmax, dbins
         (self.gap_count, self.gap_mean, self.gap_m2, self.gap_min,
-         self.gap_max, self.gap_bins) = fold_stats(
-            self.gap_count, self.gap_mean, self.gap_m2, self.gap_min,
-            self.gap_max, self.gap_bins, map(_GAP, others),
-        )
+         self.gap_max, self.gap_bins) = gn, gmean, gm2, gmin, gmax, gbins
 
     def merge_from(self, other: "CompressedRecord") -> None:
         """Fold another record with the same key into this one (intra-rank

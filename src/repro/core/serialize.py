@@ -84,15 +84,20 @@ from repro.static.cst import BRANCH, CALL, LOOP, ROOT
 
 from .errors import TraceFormatError
 from .inter import Group, MergedCTT, MergedVertex
-from .ranks import ABS, REL
+from .ranks import ABS, REL, TOR
 from .records import CompressedRecord, LeafView, StatsEntry
 from .sequences import MAX_DEPTH, IntSequence, expand, nest
 from .timing import _NBINS
 
 _MAGIC = b"CYTR"
-_VERSION = 8
-#: What ``loads`` reads: v7 is v8 without blocks and one-value stats.
-_READABLE = (7, 8)
+_VERSION = 9
+#: What ``loads`` reads: v8 is v9 without TOR peers or a job size, and
+#: v7 is v8 without blocks and one-value stats.
+_READABLE = (7, 8, 9)
+
+#: A peer's mode on the wire (the leaf columns ``PEER_MODE`` /
+#: ``PEER2_MODE``); TOR only at a vertex that declares its torus.
+_MODE_CODE = {ABS: 0, REL: 1, TOR: 2}
 
 # Section kinds of the container.
 _SEC_END = 0
@@ -578,8 +583,8 @@ def _write_row(
     """One scalar record: the mask of its fields that differ from the
     ``previous`` row's (the defaults before the first), then those
     fields.  Returns this row's fields."""
-    (op, (mode, peer), (mode2, peer2), tag, tag2, nbytes, nbytes2, comm,
-     root, wildcard, gids, result_comm) = rec.key
+    (op, enc, enc2, tag, tag2, nbytes, nbytes2, comm, root, wildcard, gids,
+     result_comm) = rec.key
     count = previous[_C_COUNT]
     stride = previous[_C_STRIDE]
     start = previous[_C_START]
@@ -591,10 +596,10 @@ def _write_row(
     else:
         nterms = 0
     fields = [  # in column order
-        *stats.add_record(rec), 0 if mode == ABS else 1, peer, tag, nbytes, nterms, count,
-        stride, start, comm, root, len(gids),
+        *stats.add_record(rec), _MODE_CODE[enc[0]], enc[1], tag, nbytes,
+        nterms, count, stride, start, comm, root, len(gids),
         gids[0] if gids else previous[_C_GIDS], 1 if wildcard else 0,
-        0 if mode2 == ABS else 1, peer2, tag2, nbytes2, result_comm,
+        _MODE_CODE[enc2[0]], enc2[1], tag2, nbytes2, result_comm,
         strings[op],
     ]
     mask = 0
@@ -632,14 +637,14 @@ def _leaf_columns(
     durations, gaps = zip(*map(stats.add_record, records))
     return [  # in column order
         durations, gaps,
-        [0 if mode == ABS else 1 for mode, _ in peers],
-        [value for _, value in peers],
+        [_MODE_CODE[enc[0]] for enc in peers],
+        [enc[1] for enc in peers],
         tags, nbytes, nterms, counts, strides, starts,
         comms, roots, [len(g) for g in gids],
         [gid for g in gids for gid in g],
         [1 if wc else 0 for wc in wildcards],
-        [0 if mode == ABS else 1 for mode, _ in peers2],
-        [value for _, value in peers2],
+        [_MODE_CODE[enc[0]] for enc in peers2],
+        [enc[1] for enc in peers2],
         tags2, nbytes2, result_comms, [strings[op] for op in ops],
     ]
 
@@ -757,11 +762,24 @@ def _runs(values: list, sizes: list[int]) -> list[list]:
     return [values[end - k : end] for k, end in zip(sizes, accumulate(sizes))]
 
 
+def _peer(mode: int, value: int, torus: tuple[int, int] | None) -> tuple:
+    """One encoded peer from its wire mode and value (``torus``: the
+    vertex's ``(s, m)``, which the decoder checked a TOR mode has)."""
+    if mode == 2:
+        return (TOR, value, *torus)
+    return (REL if mode else ABS, value)
+
+
 def _peers_of(
-    vals: list, mode_col: int, value_col: int, multi: int, n: int
+    vals: list, mode_col: int, value_col: int, multi: int, n: int,
+    torus: tuple[int, int] | None = None,
 ) -> list:
     """The ``n`` encoded peers a pair of peer columns holds."""
     modes, values = vals[mode_col], vals[value_col]
+    if torus is not None:
+        modes = modes if multi >> mode_col & 1 else [modes] * n
+        values = values if multi >> value_col & 1 else [values] * n
+        return [_peer(mode, value, torus) for mode, value in zip(modes, values)]
     if multi >> mode_col & 1:
         modes = [REL if mode else ABS for mode in modes]
     else:
@@ -787,15 +805,19 @@ class LeafColumns:
     setting columns up costs more than the records): ``rows`` holds each
     record's 21 fields, ``START`` filled in.  Either way the index
     fields are resolved — ``DUR`` / ``GAP`` hold the chunk's
-    :class:`StatsEntry`, ``OP`` the name."""
+    :class:`StatsEntry`, ``OP`` the name.  ``torus``: the vertex's
+    ``(s, m)``, which a TOR peer mode (2) completes."""
 
-    __slots__ = ("nrecords", "rows", "multi", "vals", "_view")
+    __slots__ = ("nrecords", "rows", "multi", "vals", "torus", "_view")
 
-    def __init__(self, nrecords, rows=None, multi=0, vals=None) -> None:
+    def __init__(
+        self, nrecords, rows=None, multi=0, vals=None, torus=None
+    ) -> None:
         self.nrecords = nrecords
         self.rows = rows
         self.multi = multi
         self.vals = vals
+        self.torus = torus
         self._view: LeafView | None = None
 
     def _column(self, col: int):
@@ -825,11 +847,12 @@ class LeafColumns:
         view = self._view
         if view is None and self.nrecords:
             if self.rows is not None:
+                torus = self.torus
                 view = LeafView.of(*zip(*[
                     (row[_C_OP], row[_C_COUNT] * row[_C_NTERMS],
                      row[_C_NBYTES], row[_C_NBYTES2], row[_C_DUR],
                      row[_C_GAP],
-                     (REL if row[_C_PEER_MODE] else ABS, row[_C_PEER]))
+                     _peer(row[_C_PEER_MODE], row[_C_PEER], torus))
                     for row in self.rows
                 ]))
             else:
@@ -839,7 +862,7 @@ class LeafColumns:
                         (_C_NBYTES, _C_NBYTES2, _C_DUR, _C_GAP),
                     ),
                     _peers_of(self.vals, _C_PEER_MODE, _C_PEER, self.multi,
-                              self.nrecords),
+                              self.nrecords, self.torus),
                 )
             self._view = view
         return view
@@ -850,13 +873,13 @@ class LeafColumns:
         columns ``zip`` hands back the 12-tuples and the ``(start,
         count, stride)`` terms a column at a time, and an unwritten or
         single-valued column is never expanded (``repeat``)."""
+        torus = self.torus
         if self.rows is not None:
             return [
                 (
-                    (op, (REL if mode else ABS, peer),
-                     (REL if mode2 else ABS, peer2), tag, tag2, nbytes,
-                     nbytes2, comm, root, wildcard != 0, (gids,) * ngids,
-                     result_comm),
+                    (op, _peer(mode, peer, torus), _peer(mode2, peer2, torus),
+                     tag, tag2, nbytes, nbytes2, comm, root, wildcard != 0,
+                     (gids,) * ngids, result_comm),
                     [(start, count, stride)] * nterms, count * nterms,
                     duration, gap,
                 )
@@ -880,8 +903,10 @@ class LeafColumns:
             gids = map(tuple, _runs(values, ngids))
         keys = zip(
             column(_C_OP),
-            _peers_of(vals, _C_PEER_MODE, _C_PEER, multi, self.nrecords),
-            _peers_of(vals, _C_PEER2_MODE, _C_PEER2, multi, self.nrecords),
+            _peers_of(vals, _C_PEER_MODE, _C_PEER, multi, self.nrecords,
+                      torus),
+            _peers_of(vals, _C_PEER2_MODE, _C_PEER2, multi, self.nrecords,
+                      torus),
             column(_C_TAG), column(_C_TAG2), column(_C_NBYTES),
             column(_C_NBYTES2), column(_C_COMM), column(_C_ROOT), wildcards,
             gids, column(_C_RESULT_COMM),
@@ -906,9 +931,38 @@ class LeafColumns:
         return list(starmap(_new_record, self._payloads()))
 
 
+def _check_peers(modes, values, torus, gid: int) -> None:
+    """Every peer mode is ABS (0), REL (1) or, at a vertex that declares
+    its torus ``(s, m)``, TOR (2) with ``|t| <= m/2``."""
+    top = 1 if torus is None else 2
+    for mode, value in zip(modes, values):
+        if not 0 <= mode <= top or (mode == 2 and 2 * abs(value) > torus[1]):
+            raise TraceFormatError(
+                f"vertex {gid}: peer mode {mode} with value {value} is not "
+                f"ABS (0), REL (1) or, at a vertex with a torus (here "
+                f"{torus}), TOR (2) within half the ring"
+            )
+
+
+def _check_peer_columns(
+    vals: list, multi: int, mode_col: int, value_col: int, n: int, torus,
+    gid: int,
+) -> None:
+    """:func:`_check_peers` over a pair of peer columns; only a mode
+    other than ABS or REL is looked at value by value."""
+    modes = vals[mode_col]
+    many = multi >> mode_col & 1
+    if (min(modes) if many else modes) < 0 or (max(modes) if many else modes) > 1:
+        values = vals[value_col]
+        _check_peers(
+            modes if many else [modes] * n,
+            values if multi >> value_col & 1 else [values] * n, torus, gid,
+        )
+
+
 def _read_rows(
     data: bytes, pos: int, nrecords: int, strings: list[str], table: list,
-    defaults: list, gid: int,
+    defaults: list, gid: int, torus=None,
 ) -> tuple[LeafColumns, int]:
     """Decode ``nrecords`` scalar records, each one masked pass over the
     fields of the row before it (``defaults`` before the first)."""
@@ -950,13 +1004,18 @@ def _read_rows(
                 f"of {ntable}), op index ({op}), term count ({nterms}) or "
                 f"request gids ({ngids}) is out of range"
             )
+        mode, mode2 = row[_C_PEER_MODE], row[_C_PEER2_MODE]
+        if not (0 <= mode <= 1 and 0 <= mode2 <= 1):
+            _check_peers(
+                (mode, mode2), (row[_C_PEER], row[_C_PEER2]), torus, gid
+            )
         row[_C_DUR] = table[duration]
         row[_C_GAP] = table[gap]
         row[_C_OP] = strings[op]  # past the table: the caller's IndexError
         if row[_C_START] is None:  # unwritten so far: the record's position
             row[_C_START] = position
         rows.append(row)
-    return LeafColumns(nrecords, rows), pos
+    return LeafColumns(nrecords, rows, torus=torus), pos
 
 
 def _read_sequences(
@@ -1048,7 +1107,7 @@ def _check_stats_index(
 
 def _read_columns(
     data: bytes, pos: int, nrecords: int, room: int, strings: list[str],
-    table: list, defaults: list, gid: int,
+    table: list, defaults: list, gid: int, torus=None,
 ) -> tuple[LeafColumns, int]:
     """Decode ``nrecords`` records written column by column.  Every
     single value is read in one masked pass into a copy of ``defaults``;
@@ -1097,17 +1156,23 @@ def _read_columns(
         )
     _check_stats_index(vals, _C_DUR, multi, len(table), gid)
     _check_stats_index(vals, _C_GAP, multi, len(table), gid)
+    _check_peer_columns(
+        vals, multi, _C_PEER_MODE, _C_PEER, nrecords, torus, gid
+    )
+    _check_peer_columns(
+        vals, multi, _C_PEER2_MODE, _C_PEER2, nrecords, torus, gid
+    )
     # The index columns name what they point at from here on; an op
     # past the string table is the caller's ``IndexError``.
     for col, names in (_C_DUR, table), (_C_GAP, table), (_C_OP, strings):
         at = vals[col]
         vals[col] = [names[i] for i in at] if multi >> col & 1 else names[at]
-    return LeafColumns(nrecords, None, multi, vals), pos
+    return LeafColumns(nrecords, None, multi, vals, torus), pos
 
 
 def _read_leaf(
     data: bytes, pos: int, strings: list[str], table: list, defaults: list,
-    gid: int,
+    gid: int, torus=None,
 ) -> tuple[LeafColumns, int]:
     """Decode one leaf block: ``(columns, position after it)``.  A
     record costs at least a byte as a row and ``1 / _PER_BYTE`` of one
@@ -1123,9 +1188,11 @@ def _read_leaf(
         )
     if head & 1:
         return _read_columns(
-            data, pos, nrecords, room, strings, table, defaults, gid
+            data, pos, nrecords, room, strings, table, defaults, gid, torus
         )
-    return _read_rows(data, pos, nrecords, strings, table, defaults, gid)
+    return _read_rows(
+        data, pos, nrecords, strings, table, defaults, gid, torus
+    )
 
 
 class LeafReader:
@@ -1185,17 +1252,20 @@ class LeafReader:
         self._defaults: dict[str | None, list] = {}
 
     def leaf(
-        self, data: bytes, pos: int, op: str | None, gid: int
+        self, data: bytes, pos: int, op: str | None, gid: int, torus=None
     ) -> tuple[LeafColumns, int]:
         """The leaf block at ``data[pos]`` of vertex ``gid``, whose own
-        op is ``op``: ``(columns, position after)``."""
+        op is ``op`` and torus ``torus``: ``(columns, position
+        after)``."""
         defaults = self._defaults.get(op)
         if defaults is None:
             strings = self.strings
             defaults = self._defaults[op] = _leaf_defaults(
                 strings.index(op) if op in strings else len(strings)
             )
-        return _read_leaf(data, pos, self.strings, self._table, defaults, gid)
+        return _read_leaf(
+            data, pos, self.strings, self._table, defaults, gid, torus
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1225,7 +1295,7 @@ def _blank_vertex(gid: int, kind: str) -> MergedVertex:
     v = MergedVertex.__new__(MergedVertex)
     v.gid = gid
     v.kind = kind
-    v.ast_id = v.name = v.op = v.branch_path = None
+    v.ast_id = v.name = v.op = v.branch_path = v.torus = None
     v.children = []
     v.groups = []
     return v
@@ -1256,6 +1326,11 @@ def _write_vertex_payload(w: ByteWriter, v, leaves: LeafWriter) -> None:
     # schedule that produced the tree.
     groups = v.sorted_groups()
     w.u(len(groups))
+    if v.torus is not None and groups:
+        # A rank set never declares 0 items: this 0 says a torus follows.
+        w.u(0)
+        w.u(v.torus[0])
+        w.u(v.torus[1])
     for group in groups:
         items = leaves.nest(group.rank_sequence().terms)
         w.u(len(items))
@@ -1270,21 +1345,32 @@ def _write_vertex_payload(w: ByteWriter, v, leaves: LeafWriter) -> None:
 
 def _read_vertex_payload(
     data: bytes, pos: int, v: MergedVertex, nranks: int,
-    leaves: LeafReader, rank_sets: dict,
+    leaves: LeafReader, rank_sets: dict, job: int | None = None,
 ) -> int:
     """Decode one vertex's groups from ``data[pos:]`` into ``v``;
     returns the position after them.  ``leaves`` holds the chunk's
     stats table, ``rank_sets`` the rank sets parsed so far
-    (:func:`_read_ranks`)."""
+    (:func:`_read_ranks`); ``job`` is a v9 file's job size (``None``
+    before v9, which has no torus)."""
     kind = v.kind
     groups = v.groups
     ngroups, pos = _uvarint(data, pos)
+    torus = None
+    if ngroups and job is not None and kind == CALL and data[pos] == 0:
+        s, pos = _uvarint(data, pos + 1)
+        m, pos = _uvarint(data, pos)
+        if s < 1 or m < 2 or job < 1 or job % (s * m):
+            raise TraceFormatError(
+                f"vertex {v.gid}: torus stride {s} and extent {m} need "
+                f"s >= 1, m >= 2 and s·m dividing the job size {job}"
+            )
+        torus = v.torus = (s, m)
     for _ in range(ngroups):
         # Groups at a vertex are disjoint, so none outnumbers the job.
         ranks, pos = _read_ranks(data, pos, nranks, v.gid, rank_sets)
         counts = visits = block = None
         if kind == CALL:
-            block, pos = leaves.leaf(data, pos, v.op, v.gid)
+            block, pos = leaves.leaf(data, pos, v.op, v.gid, torus)
         elif kind == LOOP:
             counts, pos = _read_seq(data, pos)
         elif kind == BRANCH:
@@ -1400,6 +1486,11 @@ def _dumps(merged: MergedCTT, gzip: bool, chunk_bytes: int) -> bytes:
     hw.u(len(strings))
     for text in strings:  # dict preserves insertion order
         hw.s(text)
+    # The job size, when it is more than the ranks merged (a rank was
+    # quarantined): what the merged count does not say.
+    job = merged.rank_span()
+    if job > merged.nranks_merged:
+        hw.u(job - merged.nranks_merged)
     tw = ByteWriter()
     _write_topology(tw, vertices, strings)
     # Payload, pre-order, chunked so a truncated file salvages to the
@@ -1539,7 +1630,7 @@ def _loads(data: bytes, salvage: bool, rank_sets: dict) -> MergedCTT:
     if version not in _READABLE:
         raise TraceFormatError(f"unsupported trace version {version}")
     sections, complete, error = read_sections(data, r.pos, salvage)
-    return _assemble(sections, complete, error, salvage, rank_sets)
+    return _assemble(sections, complete, error, salvage, rank_sets, version)
 
 
 def _assemble(
@@ -1548,6 +1639,7 @@ def _assemble(
     error: str | None,
     salvage: bool,
     rank_sets: dict,
+    version: int = _VERSION,
 ) -> MergedCTT:
     if not sections or sections[0][0] != _SEC_HEADER:
         raise TraceFormatError(
@@ -1559,9 +1651,20 @@ def _assemble(
             "topology section unrecoverable" if salvage
             else "missing topology section"
         )
-    hr = ByteReader(sections[0][1])
+    header = sections[0][1]
+    hr = ByteReader(header)
     nranks = hr.u()
     strings = [hr.s() for _ in range(hr.u())]
+    # v9: the job size, when it is more than the ranks merged.
+    job = None if version < 9 else nranks
+    if hr.pos < len(header):
+        extra = 0 if job is None else hr.u()
+        if not extra or hr.pos != len(header):
+            raise TraceFormatError(
+                "header: bytes after the string table that are not a job "
+                "size above the ranks merged"
+            )
+        job += extra
     tr = ByteReader(sections[1][1])
     root = _read_topology_vertex(tr, strings)
     vertices = list(root.preorder())
@@ -1592,7 +1695,8 @@ def _assemble(
             pos = leaves.pos
             for v in vertices[chunk_first:covered]:
                 pos = _read_vertex_payload(
-                    payload, pos, v, nranks, leaves, rank_sets
+                    payload, pos, v, nranks if job is None else job, leaves,
+                    rank_sets, job,
                 )
         except (IndexError, struct.error):
             # Ran off the chunk, or named a string or histogram bin
@@ -1615,6 +1719,7 @@ def _assemble(
     merged = MergedCTT(root, nranks)
     merged._vertices = vertices
     merged.loaded = True
+    merged.job_size = job
     if salvage:
         merged.salvage_info = {
             "complete": complete and covered == len(vertices),

@@ -32,7 +32,7 @@ from repro.static.cst import BRANCH, CALL, FUNC, LOOP, ROOT, CSTNode
 
 from repro.core.decompress import _compile, group_payload, own_payload
 from repro.core.inter import MergedCTT, MergedVertex, payload_key
-from repro.core.ranks import ABS, REL
+from repro.core.ranks import ABS, REL, TOR
 
 _WILDCARD_SLOT = 9  # record key layout, see repro.core.records
 
@@ -158,12 +158,67 @@ def _check_monotone(seq, what, gid, rank, rep, strict=True) -> None:
         prev = v
 
 
+def _check_peers(records, gid, lo, hi, nranks, rep) -> None:
+    """Every peer of a leaf's records, for member ranks ``lo..hi`` at
+    once: a REL delta decodes in range for every member exactly when it
+    does for the lowest and the highest; a TOR peer stays in its
+    member's own block of ``s·m`` ranks, so it is in range when the
+    highest member's block is; an ABS value is a rank or a legal
+    sentinel."""
+    bound = nranks if nranks is not None else "?"
+    for record in records:
+        key = record.key
+        if key is None:
+            continue  # _check_records reports it
+        for slot, label in ((1, "peer"), (2, "peer2")):
+            enc = key[slot]
+            mode = enc[0]
+            if mode == REL and len(enc) == 2:
+                low, high = lo + enc[1], hi + enc[1]
+                if low < 0 or (nranks is not None and high >= nranks):
+                    rank, peer = (lo, low) if low < 0 else (hi, high)
+                    rep.add(
+                        "peer-range",
+                        f"leaf gid={gid} ({key[0]}) {label} {enc!r} decodes "
+                        f"to {peer} on rank {rank}, outside [0, {bound})",
+                        gid=gid, rank=rank, detail=(enc,),
+                    )
+            elif mode == ABS and len(enc) == 2:
+                value = enc[1]
+                if value not in (NO_PEER, ANY_SOURCE) and (
+                    value < 0 or (nranks is not None and value >= nranks)
+                ):
+                    rep.add(
+                        "peer-range",
+                        f"leaf gid={gid} ({key[0]}) {label} {enc!r} is "
+                        "neither a rank nor a legal sentinel",
+                        gid=gid, rank=lo, detail=(enc,),
+                    )
+            elif mode == TOR and len(enc) == 4:
+                _, t, s, m = enc
+                if s < 1 or m < 2 or 2 * abs(t) > m or (
+                    nranks is not None and (hi // (s * m) + 1) * s * m > nranks
+                ):
+                    rep.add(
+                        "peer-range",
+                        f"leaf gid={gid} ({key[0]}) {label} {enc!r}: rank "
+                        f"{hi}'s block of s·m ranks is not inside "
+                        f"[0, {bound}), or the shift is not a ring's",
+                        gid=gid, rank=hi, detail=(enc,),
+                    )
+            else:
+                rep.add("peer-encoding",
+                        f"leaf gid={gid} bad peer encoding {enc!r}",
+                        gid=gid, rank=lo, detail=(enc,))
+
+
 def _check_records(
-    records, gid, rank, nranks, expected_total, call_gids, rep
+    records, gid, rank, nranks, expected_total, call_gids, rep, peers=True
 ) -> None:
     """One leaf's record list: monotone disjoint occurrences whose union
-    is exactly ``{0..expected_total-1}``, legal keys, in-range peers,
-    request gids that name CALL vertices."""
+    is exactly ``{0..expected_total-1}``, legal keys, in-range peers
+    (unless ``peers`` is false: a merged tree checks them a group at a
+    time), request gids that name CALL vertices."""
     covered: list[int] = []
     for idx, record in enumerate(records):
         key = record.key
@@ -178,33 +233,8 @@ def _check_records(
         occurrences = record.occurrences()
         _check_monotone(occurrences, "occ", gid, rank, rep)
         covered.extend(occurrences)
-        for slot, label in ((1, "peer"), (2, "peer2")):
-            enc = key[slot]
-            mode, value = enc
-            if mode == REL:
-                lo = hi = rank + value
-                if not 0 <= lo or (nranks is not None and hi >= nranks):
-                    rep.add(
-                        "peer-range",
-                        f"leaf gid={gid} ({key[0]}) {label} {enc!r} decodes "
-                        f"to {lo} on rank {rank}, outside "
-                        f"[0, {nranks if nranks is not None else '?'})",
-                        gid=gid, rank=rank, detail=(enc,),
-                    )
-            elif mode == ABS:
-                if value not in (NO_PEER, ANY_SOURCE) and (
-                    value < 0 or (nranks is not None and value >= nranks)
-                ):
-                    rep.add(
-                        "peer-range",
-                        f"leaf gid={gid} ({key[0]}) {label} {enc!r} is "
-                        "neither a rank nor a legal sentinel",
-                        gid=gid, rank=rank, detail=(enc,),
-                    )
-            else:
-                rep.add("peer-encoding",
-                        f"leaf gid={gid} bad peer encoding {enc!r}",
-                        gid=gid, rank=rank, detail=(enc,))
+        if peers:
+            _check_peers((record,), gid, rank, rank, nranks, rep)
         if key[1] == (ABS, ANY_SOURCE) and not key[_WILDCARD_SLOT]:
             rep.add(
                 "anysource-not-wildcard",
@@ -247,11 +277,13 @@ def _check_records(
 # The arity walk.
 
 
-def _check_rank(steps, rank, payload, nranks, call_gids, rep) -> None:
+def _check_rank(
+    steps, rank, payload, nranks, call_gids, rep, peers=True
+) -> None:
     """Check ``rank``'s view of a tree against the arity invariants,
     walking replay's ``steps`` (``decompress._compile``) and reading each
     vertex's payload through ``payload(vertex)``, one of replay's own
-    accessors."""
+    accessors (``peers``: as :func:`_check_records`)."""
 
     def walk(steps, e_body: int) -> None:
         for kind, node, inner in steps:
@@ -259,7 +291,7 @@ def _check_rank(steps, rank, payload, nranks, call_gids, rep) -> None:
                 for leaf in node:
                     _check_records(
                         payload(leaf) or [], leaf.gid, rank, nranks, e_body,
-                        call_gids, rep,
+                        call_gids, rep, peers,
                     )
             elif kind == LOOP:
                 counts = payload(node) or ()
@@ -343,10 +375,11 @@ def check_merged(
 
     Per-vertex: group rank sets sorted, disjoint, in range, and drawn
     from one global rank population whose size matches
-    ``nranks_merged``; on a tree a merge built, every key of its payload
-    index agrees with the payload of the group it leads to.  Per-rank:
-    the arity walk of :func:`check_ctt`, each rank reading its own group
-    at every vertex.
+    ``nranks_merged``; each leaf group's peers, once for all its members
+    (:func:`_check_peers`); on a tree a merge built, every key of its
+    payload index agrees with the payload of the group it leads to.
+    Per-rank: the rest of the arity walk of :func:`check_ctt`, each rank
+    reading its own group at every vertex.
     """
     rep = _Report(limit)
     all_ranks: set[int] = set()
@@ -385,6 +418,11 @@ def check_merged(
                         gid=vertex.gid, rank=r,
                     )
             all_ranks.update(ranks)
+            if vertex.kind == CALL:
+                _check_peers(
+                    group.records or (), vertex.gid, ranks[0], ranks[-1],
+                    nranks, rep,
+                )
         for key, group in keys.items():
             recomputed = payload_key(group)
             if recomputed != key:
@@ -407,7 +445,7 @@ def check_merged(
     call_gids = _call_gids(owners)
     for rank in sorted(all_ranks):
         payload = group_payload(lambda v, r=rank: owners[v].get(r))
-        _check_rank(steps, rank, payload, nranks, call_gids, rep)
+        _check_rank(steps, rank, payload, nranks, call_gids, rep, False)
     return rep.violations
 
 

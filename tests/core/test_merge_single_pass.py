@@ -84,7 +84,7 @@ def _check_all_paths(cst, streams, nprocs, order, seed):
     ranks = _ordered(sorted(streams), order, seed)
     ctts_of = compress_streams(cst, streams).ctt
     ctts = [ctts_of(r) for r in ranks]
-    want = serialize.dumps(spec_merge(ctts))
+    want = serialize.dumps(spec_merge(ctts, nranks=nprocs))
     got = {
         "single pass": merge_all(ctts, nranks=nprocs),
         "budget fold": _budget_fold(cst, streams, ranks, nprocs),

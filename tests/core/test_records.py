@@ -171,6 +171,53 @@ class TestFirstOccurrence:
             assert getattr(dup, slot) is not getattr(rec, slot)
 
 
+def _stats_record(mode, samples):
+    """A record whose blocks hold ``samples`` (durations and pre-gaps,
+    ``None`` for an empty block)."""
+    rec = CompressedRecord(key=key())
+    set_duration(rec, TimeStats(mode=mode))
+    set_pre_gap(rec, TimeStats(mode=mode))
+    for d, g in samples:
+        if d is not None:
+            duration_stats = duration(rec)
+            duration_stats.add(d)
+            set_duration(rec, duration_stats)
+        if g is not None:
+            gap_stats = pre_gap(rec)
+            gap_stats.add(g)
+            set_pre_gap(rec, gap_stats)
+    return rec
+
+
+SAMPLES = st.lists(
+    st.tuples(st.none() | MICROSECONDS, st.none() | MICROSECONDS),
+    max_size=3,
+)
+
+
+class TestMergeStats:
+    """``merge_stats`` folds both stats blocks of every record in one
+    loop: each block is what :func:`~repro.core.timing.fold_stats`
+    makes of it (``TimeStats.merge_many``), bit for bit."""
+
+    @pytest.mark.parametrize("mode", [MEANSTD, HIST])
+    @given(mine=SAMPLES, others=st.lists(SAMPLES, max_size=5))
+    def test_equals_fold_stats_per_block(self, mode, mine, others):
+        records = [_stats_record(mode, s) for s in others]
+        rec = _stats_record(mode, mine)
+        want_duration, want_gap = duration(rec), pre_gap(rec)
+        want_duration.merge_many([duration(r) for r in records])
+        want_gap.merge_many([pre_gap(r) for r in records])
+        rec.merge_stats(records)
+        assert _bits(duration(rec)) == _bits(want_duration)
+        assert _bits(pre_gap(rec)) == _bits(want_gap)
+
+    def test_modes_do_not_mix(self):
+        rec = _stats_record(MEANSTD, [(1.0, 1.0)])
+        with pytest.raises(ValueError, match="different modes"):
+            rec.merge_stats([_stats_record(HIST, [(1.0, 1.0)])])
+
+
 class TestKeyParams:
     """``key_params`` reads ``event_key`` backwards: the tuple a leaf's
     ``params_index`` is rebuilt under after a spill is the one the walk

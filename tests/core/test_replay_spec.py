@@ -342,7 +342,7 @@ class TestDamageAcrossRanks:
 # walks, classes).  Every rank of sp is its own class, all of one shape;
 # mg's 256 ranks fall in 50 classes of 3 shapes.
 
-PINNED = {"sp": (20784, 5766, 1, 16), "mg": (9888, 7317, 3, 50)}
+PINNED = {"sp": (20784, 5766, 1, 16), "mg": (9888, 7317, 3, 3)}
 
 
 def _merged_workload(name, nprocs, scale):

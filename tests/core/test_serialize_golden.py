@@ -1,15 +1,18 @@
 """Golden containers: the bytes ``dumps`` writes are pinned.
 
-``tests/data/golden_{fig11,sp,mg,single}_v8.cyp`` are what
+``tests/data/golden_{fig11,sp,mg,single}_v9.cyp`` are what
 ``run_cypress`` → ``merge()`` → ``dumps`` writes at the sizes
 below — a merge or writer change that moves a single byte (group order,
 a float's last ulp, a varint) fails here first.  To regenerate after an
 *intended* format change, write ``_fresh(...)`` to the files.
 
-``golden_*_v7.cyp`` are what the same trees were as container v7 (flat
-stride terms, four doubles a stats block).  They are kept as read
-fixtures: ``loads`` still takes them, and dumping one writes its v8
-golden byte for byte."""
+``golden_*_v8.cyp`` are what the trees were before the merge's final
+pass found torus-relative peers (container v8), and ``golden_*_v7.cyp``
+the same trees as container v7 (flat stride terms, four doubles a stats
+block).  Both are kept as read fixtures: ``loads`` still takes them,
+a v8 file redumps as itself but for its version byte, and a v7 file as
+its v8 golden.  Only mg's tree holds a TOR peer, so the other three v9
+goldens are their v8 files with the version byte changed."""
 
 import pathlib
 
@@ -32,7 +35,7 @@ GOLDEN = {
 SINGLE = "func main() { mpi_barrier(); }\n"
 
 
-def _golden(name: str, version: int = 8) -> bytes:
+def _golden(name: str, version: int = 9) -> bytes:
     return (DATA / f"golden_{name}_v{version}.cyp").read_bytes()
 
 
@@ -48,6 +51,12 @@ def _fresh_tree(name: str):
 
 def _fresh(name: str) -> bytes:
     return serialize.dumps(_fresh_tree(name))
+
+
+def _as_v9(blob: bytes) -> bytes:
+    """A v7 or v8 tree as ``dumps`` writes it now: the version byte
+    sits outside every checksummed section."""
+    return blob[:4] + bytes([9]) + blob[5:]
 
 
 def _answers(merged) -> tuple:
@@ -71,18 +80,32 @@ class TestGoldenContainers:
 
     def test_redump_is_identity(self, name):
         blob = _golden(name)
-        assert blob[4] == 8
+        assert blob[4] == 9
         merged = serialize.loads(blob)
         assert merged.nranks_merged == GOLDEN[name][0]
         assert serialize.dumps(merged) == blob
         packed = serialize.dumps(merged, gzip=True)
         assert serialize.dumps(serialize.loads(packed)) == blob
 
+    def test_v8_file_redumps_but_for_its_version_byte(self, name):
+        old = _golden(name, 8)
+        assert old[4] == 8
+        assert serialize.dumps(serialize.loads(old)) == _as_v9(old)
+        assert (_golden(name) == _as_v9(old)) == (name != "mg")
+
     def test_v7_file_redumps_as_its_v8_golden(self, name):
         old = _golden(name, 7)
         assert old[4] == 7
-        assert len(_golden(name)) < len(old)
-        assert serialize.dumps(serialize.loads(old)) == _golden(name)
+        assert len(_golden(name, 8)) < len(old)
+        assert serialize.dumps(serialize.loads(old)) == _as_v9(_golden(name, 8))
+
+    # mg's united groups hold equal stats (virtual time), so the trees
+    # before and after the final pass answer alike.
+    @pytest.mark.parametrize("version", [8, 9])
+    def test_later_file_answers_as_the_fresh_tree(self, name, version):
+        assert _answers(serialize.loads(_golden(name, version))) == _answers(
+            _fresh_tree(name)
+        )
 
     def test_v7_file_answers_as_the_fresh_tree(self, name):
         assert _answers(serialize.loads(_golden(name, 7))) == _answers(

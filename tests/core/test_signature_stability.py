@@ -78,11 +78,12 @@ class TestStableHash:
                 if key.startswith(f"{name}/")
             }) == 1, name
         # ... the goldens survive a load and dump (a v7 one as its v8
-        # golden) ...
+        # golden, and either as v9: the version byte alone changes) ...
         for path in sorted(DATA.glob("golden_*.cyp")):
             written = path.with_name(path.name.replace("_v7.", "_v8."))
+            blob = written.read_bytes()
             assert here[f"redump/{path.name}"] == hashlib.sha256(
-                written.read_bytes()
+                blob[:4] + bytes([9]) + blob[5:]
             ).hexdigest()
         # ... and a process with another salt writes the same bytes.
         code = (

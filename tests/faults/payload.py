@@ -28,7 +28,8 @@ holds, and the per-rank CTTs the tree was merged from stay intact.
 
 from __future__ import annotations
 
-from repro.core.ranks import REL
+from repro.core.inter import Group
+from repro.core.ranks import REL, TOR
 from repro.core.sequences import IntSequence
 from repro.static.cst import BRANCH, CALL, LOOP
 from tests.record_fields import occurrences, set_occurrences
@@ -73,10 +74,15 @@ def _own_record(group, record):
     return copy
 
 
-def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
+def corrupt_merged(
+    merged, kind: str, rng, nranks: int | None = None, saved: bool = False
+) -> str:
     """Apply one payload corruption in place; returns a description of
     what was damaged.  Raises :class:`ValueError` when the tree has no
-    site the kind applies to."""
+    site the kind applies to.  ``saved``: the damage must survive a save
+    and a load — the loader refuses a rank list that is not ascending or
+    outnumbers the job as a damaged file, so the rank kinds then damage
+    a tree whose groups all hold every rank another way."""
     if kind == "occ-overlap":
         sites = [
             (v, g, r)
@@ -115,10 +121,15 @@ def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
             groups[1]._rank_seq = None
             return f"gid={vertex.gid}: rank {stolen} copied into a 2nd group"
         # Degenerate tree (one group everywhere): duplicate a member
-        # instead — breaks the strictly-ascending rank-list invariant.
+        # instead — breaks the strictly-ascending rank-list invariant —
+        # or, for a file, give one member a second group at a leaf.
         vertex, group = _pick(
             [s for s in _groups_of_kind(merged, CALL)], rng, kind
         )
+        if saved:
+            stolen = group.ranks[0]
+            vertex.groups.append(Group([stolen], sources=[group.records]))
+            return f"gid={vertex.gid}: rank {stolen} given a second group"
         group.ranks = group.ranks + [group.ranks[-1]]
         group._rank_seq = None
         return f"gid={vertex.gid}: rank {group.ranks[-1]} duplicated in-group"
@@ -127,8 +138,14 @@ def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
             [s for v in merged.vertices() for s in
              [(v, g) for g in v.sorted_groups()]], rng, kind,
         )
-        bogus = (nranks if nranks is not None else merged.nranks_merged) + 7
-        group.ranks = group.ranks + [bogus]
+        span = nranks if nranks is not None else merged.nranks_merged
+        bogus = span + 7
+        # A saved group of the whole job swaps its top member for the
+        # bogus rank.
+        keep = group.ranks
+        if saved and len(keep) >= span:
+            keep = keep[:-1]
+        group.ranks = keep + [bogus]
         group._rank_seq = None
         return f"gid={vertex.gid}: bogus rank {bogus} appended to a group"
     if kind == "signature-stale":
@@ -156,7 +173,7 @@ def corrupt_merged(merged, kind: str, rng, nranks: int | None = None) -> str:
             (v, g, r)
             for v, g in _groups_of_kind(merged, CALL)
             for r in (g.records or [])
-            if r.key is not None and r.key[1][0] == REL
+            if r.key is not None and r.key[1][0] in (REL, TOR)
         ]
         vertex, group, record = _pick(sites, rng, kind)
         record = _own_record(group, record)

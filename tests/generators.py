@@ -5,7 +5,10 @@ Deadlock freedom by construction:
 
 * collectives appear only in rank-independent control flow;
 * rank-dependent branches contain only self-messages and compute;
-* point-to-point exchanges are symmetric pairings (XOR partner);
+* point-to-point exchanges are symmetric pairings (XOR partner) or
+  periodic shifts ``(coord ± k) % extent`` along one dimension of a
+  1-D, 2-D or 3-D grid of the job's ranks, in two phases (receive from
+  the one side while sending to the other, then the reverse);
 * helper functions are called from rank-independent positions, and any
   recursion is guarded (depth parameter) with communication before the
   recursive call (the paper's Fig. 8 shape).
@@ -14,6 +17,35 @@ Deadlock freedom by construction:
 from __future__ import annotations
 
 from hypothesis import strategies as st
+
+#: The grids a periodic exchange runs on, per dimension ``(extent,
+#: coordinate, rank stride)`` as MiniMPI expressions of ``rank`` and
+#: ``size``: an extent of 2 where the job size is even (else 1) below
+#: the last dimension, which takes what is left.
+_PX = "(2 - size % 2)"
+_REST = f"(size / {_PX})"
+_PY = f"(2 - {_REST} % 2)"
+GRIDS = {
+    1: [("size", "rank", "1")],
+    2: [(_PX, f"(rank % {_PX})", "1"), (_REST, f"(rank / {_PX})", _PX)],
+    3: [
+        (_PX, f"(rank % {_PX})", "1"),
+        (_PY, f"((rank / {_PX}) % {_PY})", _PX),
+        (f"({_REST} / {_PY})", f"(rank / ({_PX} * {_PY}))",
+         f"({_PX} * {_PY})"),
+    ],
+}
+
+
+def periodic_shift(extent: str, coord: str, stride: str, k: int) -> tuple:
+    """The rank deltas ``(up, down)`` of a shift by ``k`` around one
+    dimension: ``((coord ± k) mod extent - coord) * stride``."""
+    up = f"((({coord} + {k}) % {extent} - {coord}) * {stride})"
+    down = (
+        f"((({coord} + {extent} - {k} % {extent}) % {extent} - {coord})"
+        f" * {stride})"
+    )
+    return up, down
 
 
 @st.composite
@@ -61,7 +93,7 @@ def program(draw, allow_functions: bool = True, allow_subcomms: bool = False):
         for _ in range(draw(st.integers(1, 3))):
             choices = ["compute", "selfmsg"]
             if not rank_dependent:
-                choices += ["coll", "exchange"]
+                choices += ["coll", "exchange", "periodic"]
                 if allow_functions:
                     choices += ["call"]
                 if allow_subcomms:
@@ -90,6 +122,23 @@ def program(draw, allow_functions: bool = True, allow_subcomms: bool = False):
                     f"{pad}r[1] = mpi_isend(rank + 1 - 2 * (rank % 2), {nbytes}, 9);"
                 )
                 lines.append(f"{pad}mpi_waitall(r, 2);")
+            elif kind == "periodic":
+                nbytes = draw(st.integers(1, 8)) * 32
+                dims = GRIDS[draw(st.sampled_from(sorted(GRIDS)))]
+                extent, coord, stride = dims[draw(
+                    st.integers(0, len(dims) - 1)
+                )]
+                up, down = periodic_shift(
+                    extent, coord, stride, draw(st.integers(1, 2))
+                )
+                for source, dest in ((down, up), (up, down)):
+                    lines.append(
+                        f"{pad}r[0] = mpi_irecv(rank + {source}, {nbytes}, 11);"
+                    )
+                    lines.append(
+                        f"{pad}r[1] = mpi_isend(rank + {dest}, {nbytes}, 11);"
+                    )
+                    lines.append(f"{pad}mpi_waitall(r, 2);")
             elif kind == "call":
                 hk = draw(st.sampled_from(["coll", "selfmsg", "rec"]))
                 name = emit_helper(hk)

@@ -12,6 +12,17 @@ member, in ascending rank order, handed to the group as its one source.
 Records are read through ``tests/record_fields.py``.
 Each vertex's groups are listed by lowest rank.
 
+Then the final pass (torus-relative peers), spelled from its rule: at
+each leaf, every pair of groups that agree on everything but the deltas
+of their REL peers proposes each ``|d_a - d_b|`` that divides the job
+size as a block size ``s·m``, split every way with ``m >= 2``; a
+candidate re-encodes a delta ``d`` as ``(TOR, t, s, m)`` when ``s``
+divides it and every member ``r`` has ``r + d`` in its own block
+(``t = d/s mod m`` in ``(-m/2, m/2]``); the candidate leaving the
+fewest distinct payloads wins (ties: smaller ``s·m``, then ``s``), if it
+leaves fewer than there were, and equal payloads unite — stats folded
+group by group in order of lowest rank.
+
 Nothing is deferred or borrowed, and nothing is shared with
 ``MergedCTT.add_rank``: the only imports from ``repro.core.inter`` are
 the payload containers that ``serialize.dumps`` reads.  Deliberately
@@ -22,6 +33,7 @@ from __future__ import annotations
 
 from repro.core.errors import MergeError
 from repro.core.inter import Group, MergedCTT, MergedVertex
+from repro.core.ranks import REL, TOR
 from repro.static.cst import BRANCH, CALL, LOOP
 from tests.record_fields import merge_timing, occurrences
 
@@ -69,9 +81,102 @@ def _combine(a: list, b: list) -> list:
     return out
 
 
-def spec_merge(ctts) -> MergedCTT:
+def _agree_but_deltas(a, b) -> bool:
+    """Whether two leaf payloads differ in REL deltas only."""
+    if len(a) != len(b):
+        return False
+    for ra, rb in zip(a, b):
+        if _seq_key(occurrences(ra)) != _seq_key(occurrences(rb)):
+            return False
+        ka, kb = ra.key, rb.key
+        if ka[0] != kb[0] or ka[3:] != kb[3:]:
+            return False
+        for slot in (1, 2):
+            if ka[slot][0] != kb[slot][0]:
+                return False
+            if ka[slot][0] != REL and ka[slot] != kb[slot]:
+                return False
+    return True
+
+
+def _tor(enc, ranks, s, m):
+    """``enc`` re-encoded under ``(s, m)`` for every rank of ``ranks``,
+    or as it is."""
+    if enc[0] != REL or enc[1] % s:
+        return enc
+    d = enc[1]
+    block = s * m
+    for r in ranks:
+        if r + d < 0 or (r + d) // block != r // block:
+            return enc
+    t = (d // s) % m
+    if t > m / 2:
+        t -= m
+    return (TOR, t, s, m)
+
+
+def _payload(records, ranks, s, m) -> tuple:
+    return tuple(
+        (
+            (r.key[0], _tor(r.key[1], ranks, s, m),
+             _tor(r.key[2], ranks, s, m)) + r.key[3:],
+            _seq_key(occurrences(r)),
+        )
+        for r in records
+    )
+
+
+def _wrap(vertex, job: int) -> None:
+    groups = vertex.groups
+    candidates = set()
+    for i, a in enumerate(groups):
+        for b in groups[i + 1:]:
+            if not _agree_but_deltas(a.records, b.records):
+                continue
+            for ra, rb in zip(a.records, b.records):
+                for slot in (1, 2):
+                    if ra.key[slot][0] != REL:
+                        continue
+                    size = abs(ra.key[slot][1] - rb.key[slot][1])
+                    if size < 2 or job % size:
+                        continue
+                    for s in range(1, size + 1):
+                        if size % s == 0 and size // s >= 2:
+                            candidates.add((s, size // s))
+    best = None
+    for s, m in sorted(candidates, key=lambda c: (c[0] * c[1], c[0])):
+        count = len({_payload(g.records, g.ranks, s, m) for g in groups})
+        if count < len(groups) and (best is None or count < best[0]):
+            best = (count, s, m)
+    if best is None:
+        return
+    _, s, m = best
+    united = {}
+    for g in groups:
+        united.setdefault(_payload(g.records, g.ranks, s, m), []).append(g)
+    vertex.groups = []
+    for members in united.values():
+        first = members[0]
+        records = [r.copy() for r in first.records]
+        for record in records:
+            key = record.key
+            record.key = (
+                key[0], _tor(key[1], first.ranks, s, m),
+                _tor(key[2], first.ranks, s, m),
+            ) + key[3:]
+        for other in members[1:]:
+            for mine, theirs in zip(records, other.records):
+                merge_timing(mine, theirs)
+        ranks = sorted(r for g in members for r in g.ranks)
+        vertex.groups.append(Group(ranks, sources=[records]))
+    vertex.groups.sort(key=lambda g: g.ranks[0])
+    vertex.torus = (s, m)
+
+
+def spec_merge(ctts, nranks: int | None = None) -> MergedCTT:
     """The merged tree of ``ctts``, listed in any order; a rank listed
-    twice raises :class:`MergeError`."""
+    twice raises :class:`MergeError`.  The job size is ``nranks``, or
+    more should the ranks merged or a member rank need it."""
     seen = set()
     for ctt in ctts:
         if ctt.rank in seen:
@@ -102,4 +207,10 @@ def spec_merge(ctts) -> MergedCTT:
                 group = Group(ranks, sources=[records])
             groups.append(group)
         vertex.groups = sorted(groups, key=lambda g: g.ranks[0])
+    members = [r for v in result.vertices() for g in v.groups for r in g.ranks]
+    job = max([nranks or 0, len(ctts)] + [r + 1 for r in members])
+    for vertex in result.vertices():
+        if vertex.kind == CALL:
+            _wrap(vertex, job)
+    result.job_size = job
     return result

@@ -218,13 +218,18 @@ class _Replayer:
         )
 
     def _decode(self, encoded, gid: int, op: str):
-        peer = decode_peer(encoded, self.rank)
+        if encoded[0] == "tor":  # a shift around one ring of the grid
+            _, t, s, m = encoded
+            coord = (self.rank // s) % m
+            peer = self.rank - coord * s + ((coord + t) % m) * s
+        else:
+            peer = decode_peer(encoded, self.rank)
         nranks = self.nranks
         if nranks is not None:
             # A relative decode must land on a real rank — sentinels are
             # stored absolute, so a REL result of −1 is an overflow, not
             # ANY_SOURCE (satellite: boundary ranks of merged groups).
-            if encoded[0] == "rel":
+            if encoded[0] in ("rel", "tor"):
                 ok = 0 <= peer < nranks
             else:
                 ok = _peer_in_range(peer, nranks)

@@ -440,6 +440,44 @@ class TestTraceThatDoesNotReplay:
             assert main(argv) == 0, argv
         assert "rank 3" not in capsys.readouterr().out
 
+    @staticmethod
+    def _cg_without(rank: int, tmp_path) -> str:
+        """cg P=8 merged without ``rank``, saved."""
+        from repro.core import serialize
+        from repro.core.inter import merge_all
+        from repro.workloads import get
+        from tests.helpers import run_traced
+
+        cg = get("cg")
+        _, _, cyp, _ = run_traced(cg.source, 8, defines=cg.defines(8, 0.1))
+        merged = merge_all(
+            [cyp.ctt(r) for r in range(8) if r != rank], nranks=8
+        )
+        path = tmp_path / f"without{rank}.cyp"
+        path.write_bytes(serialize.dumps(merged))
+        return str(path)
+
+    def test_a_trace_without_its_top_rank_replays(self, tmp_path, capsys):
+        # The container stores the job size (8): rank 7, quarantined,
+        # is still a rank the others may name.
+        from repro.core import serialize
+
+        trace = self._cg_without(7, tmp_path)
+        loaded = serialize.load(trace)
+        assert loaded.nranks_merged == 7 and loaded.rank_span() == 8
+        assert main(["replay", trace, "-r", "6"]) == 0
+        assert "peer=7 " in capsys.readouterr().out
+        for argv in (["export", trace], ["diff", trace, trace],
+                     ["check", trace]):
+            assert main(argv) == 0, argv
+
+    def test_predict_on_a_deadlock_is_one_error_line(self, tmp_path, capsys):
+        # Rank 3's peers wait on it in the simulator.
+        trace = self._cg_without(3, tmp_path)
+        assert main(["predict", trace]) == cli.EXIT_CORRUPT_TRACE
+        line, _ = self._one_error_line(capsys)
+        assert line.startswith("error: the replayed trace deadlocks:")
+
 
 class TestQueryUsageErrors:
     """A rank or gid the trace does not have is a usage error: one line,

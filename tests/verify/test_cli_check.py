@@ -21,7 +21,7 @@ from tests.faults.plan import FaultPlan  # noqa: E402
 from tests.verify import check  # noqa: E402
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-GOLDENS = sorted(DATA.glob("golden_*_v[78].cyp"))
+GOLDENS = sorted(DATA.glob("golden_*_v[789].cyp"))
 
 #: Payload damage a file can carry.  ``signature-stale`` cannot: the
 #: stale key lives in the merge's payload index, which a file does not
@@ -31,7 +31,7 @@ SAVED_KINDS = [k for k in PAYLOAD_KINDS if k != "signature-stale"]
 
 class TestCheckFile:
     def test_goldens_are_clean(self, capsys):
-        assert len(GOLDENS) == 8
+        assert len(GOLDENS) == 12
         for path in GOLDENS:
             assert main(["check", str(path)]) == 0, path
             assert "0 violation(s)" in capsys.readouterr().out
@@ -54,7 +54,7 @@ class TestCheckFile:
         merged = run_cypress(w.source, nprocs,
                              defines=w.defines(nprocs, 0.3)).merge()
         corrupt_merged(merged, kind, FaultPlan(seed=20260807).rng(
-            "payload", kind), nranks=nprocs)
+            "payload", kind), nranks=nprocs, saved=True)
         path, report = str(tmp_path / "bad.cyp"), tmp_path / "report.json"
         serialize.save(merged, path)
         assert main(["check", path, "-o", str(report)]) == 1
