@@ -591,7 +591,8 @@ def _candidates(
 def _residues(ranks: list[int], size: int) -> tuple[int, int]:
     """The lowest and highest place of ``ranks`` in their blocks of
     ``size`` ranks."""
-    return min(map(size.__rmod__, ranks)), max(map(size.__rmod__, ranks))
+    residues = [rank % size for rank in ranks]
+    return min(residues), max(residues)
 
 
 def _wrap(d: int, s: int, m: int, lo: int, hi: int) -> int | None:
@@ -650,6 +651,8 @@ def _wrap_vertex(vertex: MergedVertex, sizes: set[int]) -> bool:
     if not classes:
         return False
     best = None
+    # No candidate unites more than every class into one group.
+    most = sum(len(members) - 1 for members in classes)
     places: dict[tuple[int, int], tuple[int, int]] = {}
     for s, m in _candidates(classes, sizes):
         size = s * m
@@ -672,6 +675,8 @@ def _wrap_vertex(vertex: MergedVertex, sizes: set[int]) -> bool:
             saved += len(members) - len(wrapped)
         if saved > (0 if best is None else best[0]):
             best = (saved, s, m)
+            if saved == most:  # a later candidate can only tie
+                break
     if best is None:
         return False
     _, s, m = best
