@@ -64,15 +64,10 @@ def _visits_signature(visits: IntSequence) -> tuple:
 def _records_signature(records: list[CompressedRecord]) -> tuple:
     """A leaf's records as an index key: each one's key and occurrence
     fields (a terms list exists only from a record's second term)."""
-    return _signature([r.key for r in records], records)
-
-
-def _signature(keys: list[tuple], records: list[CompressedRecord]) -> tuple:
-    """:func:`_records_signature` of ``records`` under ``keys``."""
     return ("R", tuple([
-        (key, r.start, r.length, r.stride,
+        (r.key, r.start, r.length, r.stride,
          None if r.terms is None else tuple(r.terms))
-        for key, r in zip(keys, records)
+        for r in records
     ]))
 
 
@@ -98,7 +93,7 @@ def _leaf_signature(
             ):
                 records = _abs_fallback_records(records, rank, nranks)
                 return records, _records_signature(records)
-        terms = record.terms  # as _signature
+        terms = record.terms  # as _records_signature
         parts.append((
             key, record.start, record.length, record.stride,
             None if terms is None else tuple(terms),
@@ -606,6 +601,20 @@ def _wrap(d: int, s: int, m: int, lo: int, hi: int) -> int | None:
     return t - m if 2 * t > m else t
 
 
+def _wrapped_deltas(
+    deltas: list[int], s: int, m: int, lo: int, hi: int
+) -> tuple:
+    """A class member's deltas as :func:`_wrap` leaves them, in line:
+    each shift modulo ``m``, or (a tuple, never a shift) the delta that
+    stays.  Two members of a class have equal payloads after the
+    re-encoding exactly when these are equal."""
+    size = s * m
+    return tuple([
+        (d,) if d % s or lo + d < 0 or hi + d >= size else d // s % m
+        for d in deltas
+    ])
+
+
 def _wrapped_keys(
     group: Group, s: int, m: int, span: tuple[int, int] | None = None
 ) -> list[tuple]:
@@ -664,14 +673,7 @@ def _wrap_vertex(vertex: MergedVertex, sizes: set[int]) -> bool:
                 span = places.get(at)
                 if span is None:
                     span = places[at] = _residues(group.ranks, size)
-                lo, hi = span
-                # :func:`_wrap` in line, its shift left modulo m: the
-                # shift, or (a tuple, never a shift) the delta it stays
-                wrapped.add(tuple([
-                    (d,) if d % s or lo + d < 0 or hi + d >= size
-                    else d // s % m
-                    for d in deltas
-                ]))
+                wrapped.add(_wrapped_deltas(deltas, s, m, *span))
             saved += len(members) - len(wrapped)
         if saved > (0 if best is None else best[0]):
             best = (saved, s, m)
@@ -680,30 +682,38 @@ def _wrap_vertex(vertex: MergedVertex, sizes: set[int]) -> bool:
     if best is None:
         return False
     _, s, m = best
-    keyed = [
-        _wrapped_keys(group, s, m, places.get((id(group), s * m)))
-        for group in groups
-    ]
-    united: dict[tuple, list] = {}
-    for keys, group in zip(keyed, groups):  # lowest-rank order
-        members = united.setdefault(_signature(keys, group.records), [keys])
-        members.append(group)
-    vertex.groups = []
-    for keys, first, *rest in united.values():
-        records = first.records
+    size = s * m
+    # Only a class's groups unite, those with equal wrapped deltas; the
+    # first of each (its lowest rank) keeps its place in the list.
+    joiners: dict[int, list[Group]] = {}
+    for members in classes:
+        firsts: dict[tuple, Group] = {}
+        for group, deltas in members:
+            first = firsts.setdefault(
+                _wrapped_deltas(deltas, s, m, *places[(id(group), size)]),
+                group,
+            )
+            if first is not group:
+                joiners.setdefault(id(first), []).append(group)
+    joined = {id(group) for rest in joiners.values() for group in rest}
+    kept = []
+    for group in groups:
+        if id(group) in joined:
+            continue
+        rest = joiners.get(id(group), ())
+        keys = _wrapped_keys(group, s, m, places.get((id(group), size)))
+        records = group.records
         if rest or any(key is not rec.key for key, rec in zip(keys, records)):
             records = [rec.copy() for rec in records]
             for rec, key in zip(records, keys):
                 rec.key = key
-            if rest:
-                for rec, others in zip(
-                    records, zip(*[group.records for group in rest])
-                ):
-                    rec.merge_stats(others)
-        ranks = list(chain.from_iterable(g.ranks for g in (first, *rest)))
-        ranks.sort()
-        group = Group(ranks, sources=[records])
-        group.finalize()
-        vertex.groups.append(group)
+            for rec, others in zip(records, zip(*[g.records for g in rest])):
+                rec.merge_stats(others)
+            ranks = list(chain.from_iterable(g.ranks for g in (group, *rest)))
+            ranks.sort()
+            group = Group(ranks, sources=[records])
+            group.finalize()
+        kept.append(group)
+    vertex.groups = kept
     vertex.torus = (s, m)
     return True
